@@ -786,6 +786,7 @@ func BenchmarkCycleDeliveryFanOut(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer brp.Close()
 			bus.Register("brp1", brp.Handler())
 			for i := 0; i < owners; i++ {
 				bus.Register(fmt.Sprintf("p%d", i), func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
@@ -834,6 +835,7 @@ func BenchmarkIntakeDuringSlowDelivery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer brp.Close()
 	bus.Register("brp1", brp.Handler())
 	for i := 0; i < owners; i++ {
 		bus.Register(fmt.Sprintf("p%d", i), func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {

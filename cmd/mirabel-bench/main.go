@@ -47,7 +47,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mirabel-bench: ")
-	exp := flag.String("exp", "all", "experiment: all | fig5a | fig5b | fig5c | fig5d | fig5 | fig4a | fig4b | fig6 | exhaustive | cycle | store | tcp | sched | ingest | agg | forecast | settle | chaos")
+	exp := flag.String("exp", "all", "experiment: all | fig5a | fig5b | fig5c | fig5d | fig5 | fig4a | fig4b | fig6 | exhaustive | store | tcp | sched | ingest | agg | forecast | settle | chaos")
 	maxOffers := flag.Int("maxoffers", 800000, "largest flex-offer count of the Figure 5 sweep")
 	aggOffers := flag.Int("agg-offers", 1000000, "largest flex-offer count of the agg churn experiment")
 	maxFacts := flag.Int("maxfacts", 1600000, "largest measurement count of the storage-engine sweep")
@@ -64,7 +64,6 @@ func main() {
 		fig4b(*seed)
 		fig6(*budget, *seed)
 		exhaustive(*seed)
-		cycleExp()
 		storeExp(*maxFacts, *seed)
 		tcpExp()
 		schedExp(*seed)
@@ -83,8 +82,6 @@ func main() {
 		fig6(*budget, *seed)
 	case "exhaustive":
 		exhaustive(*seed)
-	case "cycle":
-		cycleExp()
 	case "store":
 		storeExp(*maxFacts, *seed)
 	case "tcp":
@@ -595,62 +592,6 @@ func schedExp(seed int64) {
 	}
 }
 
-// cycleExp measures the scheduling cycle's deliver phase over a slow
-// transport: with the bounded fan-out, delivery wall time tracks the
-// slowest prosumer (per wave of the limit), not the sum of all
-// prosumer latencies. limit=1 reproduces the old serialized delivery
-// as the baseline.
-func cycleExp() {
-	fmt.Println("== Scheduling cycle: delivery fan-out over a slow transport ==")
-	const delay = 5 * time.Millisecond
-	fmt.Printf("per-send latency %v\n", delay)
-	fmt.Println("prosumers  limit  deliver_wall  x_slowest  serial_sum")
-	for _, n := range []int{8, 32, 128} {
-		for _, limit := range []int{1, comm.DefaultFanOutLimit} {
-			bus := comm.NewBus()
-			brp, err := core.NewNode(core.Config{
-				Name: "brp", Role: store.RoleBRP,
-				Transport:   comm.Latency(bus, delay),
-				AggParams:   agg.ParamsP3,
-				SchedOpts:   sched.Options{MaxIterations: 1, Seed: 1},
-				NotifyLimit: limit,
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
-			bus.Register("brp", brp.Handler())
-			for i := 0; i < n; i++ {
-				bus.Register(fmt.Sprintf("p%d", i), func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-					return nil, nil
-				})
-			}
-			for i := 0; i < n; i++ {
-				p := make([]flexoffer.Slice, 4)
-				for j := range p {
-					p[j] = flexoffer.Slice{EnergyMin: 0, EnergyMax: 5}
-				}
-				f := &flexoffer.FlexOffer{
-					ID: flexoffer.ID(i + 1), EarliestStart: 40, LatestStart: 56,
-					AssignBefore: 32, Profile: p,
-				}
-				if d := brp.AcceptOffer(f, fmt.Sprintf("p%d", i)); !d.Accept {
-					log.Fatalf("offer %d rejected: %s", i+1, d.Reason)
-				}
-			}
-			rep, err := brp.RunSchedulingCycle(context.Background(), 0, nil, nil, nil)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if rep.NotifyFailures != 0 {
-				log.Fatalf("%d prosumers unreachable", rep.NotifyFailures)
-			}
-			fmt.Printf("%-10d %-6d %-13v %-10.1f %v\n",
-				n, limit, rep.DeliveryTime.Round(100*time.Microsecond),
-				float64(rep.DeliveryTime)/float64(delay), time.Duration(n)*delay)
-		}
-	}
-}
-
 // tcpExp measures the TCP transport's concurrency over a slow-handler
 // server: K requests through one client, issued back to back (the
 // seed's single-client-mutex behaviour) versus concurrently over the
@@ -956,6 +897,7 @@ func breakerCycleExp() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer brp.Close()
 	bus.Register("brp", brp.Handler())
 	for i := 0; i < prosumers; i++ {
 		if i == 3 {

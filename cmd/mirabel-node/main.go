@@ -1,6 +1,8 @@
 // mirabel-node runs a single LEDMS node as a network daemon: it serves
-// its role (prosumer, brp or tso) over TCP with a durable store on disk.
-// Small deployments wire nodes together with -route flags.
+// its role (prosumer, brp or tso) over TCP. With -data the store, the
+// ingest journal and the settlement ledger live in that directory under
+// one -fsync policy; without it all three are in-memory. Small
+// deployments wire nodes together with -route flags.
 //
 // A two-node session:
 //
@@ -44,21 +46,17 @@ func main() {
 		role      = flag.String("role", "", "prosumer | brp | tso")
 		parent    = flag.String("parent", "", "parent node name")
 		listen    = flag.String("listen", "127.0.0.1:0", "TCP listen address")
-		dataDir   = flag.String("data", "", "durable store directory (empty: in-memory)")
-		fsync     = flag.String("fsync", "flush", "WAL fsync policy: flush | always | interval")
+		dataDir   = flag.String("data", "", "directory of the store, ingest journal and settlement ledger (empty: all in-memory)")
+		fsync     = flag.String("fsync", "flush", "fsync policy of store WAL, ingest journal and ledger: flush | always | interval")
 		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence for -fsync interval")
 		retain    = flag.Int64("retain-slots", 0, "measurement retention window in slots (0: keep forever)")
 		retainIvl = flag.Duration("retain-every", time.Minute, "how often the retention sweep runs")
 		routes    = flag.String("route", "", "comma-separated name=addr routes to peers")
 		schedWrk  = flag.Int("sched-workers", 0, "parallel portfolio workers for the scheduling search (0/1: single-threaded)")
 		aggWrk    = flag.Int("agg-workers", 0, "parallel per-aggregate workers for batched aggregation (0/1: single-threaded)")
-		ingestQ   = flag.Int("ingest-queue", 0, "async ingest queue depth in events (0: synchronous intake; needs -data)")
-		ingestPol = flag.String("ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed | defer")
+		ingestPol = flag.String("ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed | defer (defer needs -data)")
 		ingestCmp = flag.Int64("ingest-compact", 0, "ingest journal compaction threshold in bytes (0: compact only on restart)")
-		fcShards  = flag.Int("fcast-shards", 0, "forecast registry stripe count (0: no per-series forecast service)")
 		fcWorkers = flag.Int("fcast-workers", 2, "background re-estimation workers for the forecast registry")
-		ledgerDir = flag.String("ledger-dir", "", "settlement ledger directory (empty: -data if set, else no ledger)")
-		ledgerFs  = flag.String("ledger-fsync", "flush", "ledger group-commit fsync policy: flush | always | interval")
 		brkWindow = flag.Int("breaker-window", 0, "circuit-breaker outcome window per destination (0: no breaker)")
 		brkRate   = flag.Float64("breaker-rate", 0.5, "failure rate over the window that opens a destination's circuit")
 		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open trial")
@@ -76,20 +74,29 @@ func main() {
 		os.Exit(2)
 	}
 
+	// One fsync policy for everything the node writes: an ingest ack and
+	// a ledger append are as durable as a store commit.
+	var syncPol store.SyncPolicy
+	switch *fsync {
+	case "flush":
+	case "always":
+		syncPol = store.SyncAlways
+	case "interval":
+		syncPol = store.SyncInterval
+	default:
+		log.Fatalf("unknown -fsync policy %q (want flush | always | interval)", *fsync)
+	}
+	policy, err := ingest.ParsePolicy(*ingestPol)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ic := &ingest.Config{Policy: policy, CompactBytes: *ingestCmp, Sync: syncPol, SyncInterval: *fsyncIvl}
+	lc := &settle.LedgerConfig{Sync: syncPol, SyncInterval: *fsyncIvl}
 	var st *store.Store
 	if *dataDir != "" {
-		var opts []store.Option
-		switch *fsync {
-		case "flush":
-		case "always":
-			opts = append(opts, store.WithSyncPolicy(store.SyncAlways))
-		case "interval":
-			opts = append(opts, store.WithSyncInterval(*fsyncIvl))
-		default:
-			log.Fatalf("unknown -fsync policy %q (want flush | always | interval)", *fsync)
-		}
-		var err error
-		st, err = store.Open(*dataDir, opts...)
+		// WithSyncInterval also selects SyncInterval; the policy option
+		// after it has the last word.
+		st, err = store.Open(*dataDir, store.WithSyncInterval(*fsyncIvl), store.WithSyncPolicy(syncPol))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -98,6 +105,8 @@ func main() {
 				log.Printf("store close: %v", err)
 			}
 		}()
+		ic.Path = filepath.Join(*dataDir, "ingest.log")
+		lc.Path = filepath.Join(*dataDir, "ledger.log")
 	}
 
 	client := comm.NewTCPClient(*name, comm.WithPoolSize(*poolSize))
@@ -135,34 +144,9 @@ func main() {
 		SchedWorkers: *schedWrk,
 		AggWorkers:   *aggWrk,
 		Middleware:   mw,
-	}
-	if *ingestQ > 0 {
-		policy, err := ingest.ParsePolicy(*ingestPol)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ic := &ingest.Config{Queue: *ingestQ, Policy: policy, CompactBytes: *ingestCmp}
-		if *dataDir != "" {
-			// The ingest journal shares the store's directory and fsync
-			// policy: an ack is as durable as a store commit.
-			ic.Path = filepath.Join(*dataDir, "ingest.log")
-			switch *fsync {
-			case "always":
-				ic.Sync = store.SyncAlways
-			case "interval":
-				ic.Sync = store.SyncInterval
-				ic.SyncInterval = *fsyncIvl
-			}
-		} else if policy == ingest.PolicyDefer {
-			log.Fatal("-ingest-policy defer needs a durable journal: set -data")
-		}
-		cfg.Ingest = ic
-	}
-	if *fcShards > 0 {
-		cfg.Forecasting = &forecast.RegistryConfig{
-			Shards:  *fcShards,
-			Workers: *fcWorkers,
-		}
+		Ingest:       ic,
+		Forecasting:  &forecast.RegistryConfig{Workers: *fcWorkers},
+		Settlement:   lc,
 	}
 	if *brkWindow > 0 {
 		cfg.Breaker = &comm.BreakerConfig{
@@ -180,25 +164,6 @@ func main() {
 			BaseBackoff: *retryBase,
 			MaxBackoff:  *retryCap,
 		}
-	}
-	if dir := *ledgerDir; dir != "" || *dataDir != "" {
-		if dir == "" {
-			// The settlement ledger defaults into the store's directory:
-			// a durable node settles durably.
-			dir = *dataDir
-		}
-		sc := &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")}
-		switch *ledgerFs {
-		case "flush":
-		case "always":
-			sc.Sync = store.SyncAlways
-		case "interval":
-			sc.Sync = store.SyncInterval
-			sc.SyncInterval = *fsyncIvl
-		default:
-			log.Fatalf("unknown -ledger-fsync policy %q (want flush | always | interval)", *ledgerFs)
-		}
-		cfg.Settlement = sc
 	}
 	node, err := core.NewNode(cfg)
 	if err != nil {

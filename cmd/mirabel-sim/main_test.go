@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mirabel/internal/chaos"
+	"mirabel/internal/store"
 )
 
 // acceptanceConfig is the chaos acceptance scenario: 10% message drops,
@@ -81,8 +82,11 @@ func TestChaosAcceptance(t *testing.T) {
 
 // fingerprint is everything about a run that must be bit-identical
 // across same-seed executions: fault decisions, degradation counters,
-// churn, traffic outcomes and planning results. Wall-clock artifacts
-// (latencies, backoff time, async delivery counts) are excluded.
+// churn, traffic outcomes, planning results and each BRP's end state —
+// its ledger's head hash (which seals every entry before it) and its
+// offers by lifecycle state, so divergence cannot hide behind counters
+// that happen to match. Wall-clock artifacts (latencies, backoff time,
+// async delivery counts) are excluded.
 type fingerprint struct {
 	Injectors                                     map[string]chaos.Stats
 	Controller                                    chaos.ControllerStats
@@ -92,6 +96,8 @@ type fingerprint struct {
 	CancelledOffers, Expired, MicroSchedules      int
 	RecoveredPending                              int
 	RetryCounts                                   map[string]uint64
+	LedgerHeads                                   map[string]string
+	OfferStates                                   map[string]map[store.OfferState]int
 }
 
 func fingerprintOf(r *simResult) fingerprint {
@@ -109,6 +115,8 @@ func fingerprintOf(r *simResult) fingerprint {
 		CancelledOffers: r.CancelledOffers, Expired: r.Expired, MicroSchedules: r.MicroSchedules,
 		RecoveredPending: r.RecoveredPending,
 		RetryCounts:      retries,
+		LedgerHeads:      r.LedgerHeads,
+		OfferStates:      r.OfferStates,
 	}
 }
 

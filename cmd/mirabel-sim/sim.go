@@ -107,6 +107,11 @@ type simResult struct {
 	Retry      map[string]comm.RetryStats
 	Ingest     map[string]ingest.Stats
 	Ledgers    map[string]settle.VerifyResult
+	// LedgerHeads and OfferStates are each BRP's end state: the hash
+	// sealing its whole settlement chain, and its store's offers by
+	// lifecycle state.
+	LedgerHeads map[string]string
+	OfferStates map[string]map[store.OfferState]int
 
 	LostOffers       []string // acked offers missing from their BRP store after recovery
 	LostMeasurements []string // acked measurement facts missing after recovery
@@ -231,6 +236,8 @@ func runSim(ctx context.Context, cfg simConfig) (*simResult, error) {
 	s.res.Retry = make(map[string]comm.RetryStats)
 	s.res.Ingest = make(map[string]ingest.Stats)
 	s.res.Ledgers = make(map[string]settle.VerifyResult)
+	s.res.LedgerHeads = make(map[string]string)
+	s.res.OfferStates = make(map[string]map[store.OfferState]int)
 
 	// Baseline balance with a renewable night/noon surplus, long enough
 	// to cover every cycle's horizon.
@@ -733,6 +740,9 @@ func (s *sim) verify() {
 			v = settle.VerifyResult{OK: false, Reason: err.Error()}
 		}
 		s.res.Ledgers[brpName(i)] = v
+		ls, _ := n.LedgerStats()
+		s.res.LedgerHeads[brpName(i)] = ls.HeadHash
+		s.res.OfferStates[brpName(i)] = n.Store().CountOffersByState()
 	}
 }
 

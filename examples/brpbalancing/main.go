@@ -88,6 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer brp.Close()
 	bus.Register("brp-north", brp.Handler())
 
 	// Prosumer offers for day 28.

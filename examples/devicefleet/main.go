@@ -54,6 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer brp.Close()
 	accepted := 0
 	for _, f := range sim.Offers {
 		if d := brp.AcceptOffer(f, f.Prosumer); d.Accept {

@@ -48,6 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer brp.Close()
 	bus.Register("trader", brp.Handler())
 
 	household, err := core.NewNode(core.Config{

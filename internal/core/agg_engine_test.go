@@ -16,16 +16,12 @@ import (
 // a no-op (no client), which is exactly what the engine tests need.
 func newLocalBRP(t *testing.T) *Node {
 	t.Helper()
-	n, err := NewNode(Config{
+	return mustNode(t, nil, Config{
 		Name:      "brp1",
 		Role:      store.RoleBRP,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
 }
 
 // Intake only accumulates: accepted offers sit in the pipeline's pending
@@ -93,6 +89,8 @@ func TestCommitDuplicateMicroScheduleReconciled(t *testing.T) {
 	if got := len(brp.Aggregates()); got != 1 {
 		t.Fatalf("aggregates = %d, want 1", got)
 	}
+	// Commit runs behind the planner's intake barrier.
+	drain(t, brp)
 	s := &flexoffer.Schedule{OfferID: 1, Start: 40, Energy: []float64{0, 0, 0, 0}}
 	byOwner, reconciled, err := brp.commitMicroSchedules([]*flexoffer.Schedule{s, s})
 	if err != nil {

@@ -41,8 +41,8 @@ type CycleReport struct {
 	SchedulingTime  time.Duration
 	DeliveryTime    time.Duration // wall time of the fan-out deliver phase
 	// IngestDrainTime is the wall time of the cycle's intake barrier:
-	// waiting for the async ingest queue to apply every acked event so
-	// the snapshot (and commit's offer transitions) see them.
+	// waiting for the ingest queue to apply every acked event so the
+	// snapshot (and commit's offer transitions) see them.
 	IngestDrainTime time.Duration
 	// ForecastNotifies counts the continuous forecast query
 	// notifications sent when the cycle published the registry's dirty
@@ -82,13 +82,16 @@ type CycleReport struct {
 // production of the balance group; imbalancePrices gives the per-slot
 // mismatch penalty (nil = flat 0.15 EUR/kWh).
 func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, demandFc, resFc forecaster, imbalancePrices []float64) (*CycleReport, error) {
-	if n.cfg.Role == store.RoleProsumer {
-		return nil, fmt.Errorf("core: prosumer %s does not schedule", n.cfg.Name)
+	// Phase 0: intake barrier. Every acked offer must be applied before
+	// the snapshot, or commit's UpdateOffers would reconcile it away as
+	// an unknown record.
+	barrier, err := n.enterPlanner(ctx)
+	if err != nil {
+		return nil, err
 	}
-	n.cycleMu.Lock()
 	defer n.cycleMu.Unlock()
 
-	rep := &CycleReport{}
+	rep := &CycleReport{IngestDrainTime: barrier}
 	horizon := n.cfg.HorizonSlots
 
 	// Probe tripped circuits on the way out (whatever phase the cycle
@@ -102,22 +105,10 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 		}()
 	}
 
-	// Phase 0: intake barrier. Every offer acked through the async
-	// ingest path must be applied before the snapshot, or commit's
-	// UpdateOffers would reconcile them away as unknown records.
-	if n.ingest != nil {
-		t0 := time.Now()
-		if err := n.ingest.Drain(ctx); err != nil {
-			return nil, fmt.Errorf("core: drain ingest before cycle: %w", err)
-		}
-		rep.IngestDrainTime = time.Since(t0)
-	}
 	// Every measurement acked so far has now maintained its series
 	// model; fire the continuous per-series forecast queries once per
 	// cycle, before planning reads the forecasts.
-	if n.fcasts != nil {
-		rep.ForecastNotifies = n.fcasts.PublishDirty()
-	}
+	rep.ForecastNotifies = n.fcasts.PublishDirty()
 
 	// Phase 1: snapshot.
 	aggregates, err := n.snapshotForPlanning(now, horizon, rep)
@@ -349,7 +340,9 @@ func (n *Node) ForwardAggregates(ctx context.Context) (int, error) {
 	if n.client == nil || n.cfg.Parent == "" {
 		return 0, fmt.Errorf("core: %s has no parent to forward to", n.cfg.Name)
 	}
-	n.cycleMu.Lock()
+	if _, err := n.enterPlanner(ctx); err != nil {
+		return 0, err
+	}
 	defer n.cycleMu.Unlock()
 
 	// Snapshot: clone the macro offers under the lock and register the

@@ -80,15 +80,11 @@ func TestIntakeNotBlockedDuringDelivery(t *testing.T) {
 	bus := comm.NewBus()
 	gate := make(chan struct{})
 	gt := &gatedTransport{Transport: bus, gate: gate}
-	brp, err := NewNode(Config{
+	brp := mustNode(t, bus, Config{
 		Name: "brp1", Role: store.RoleBRP, Transport: gt,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 	counter := newNotifyCounter(bus, "p1")
 
 	if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
@@ -170,15 +166,11 @@ func TestIntakeNotBlockedDuringDelivery(t *testing.T) {
 func TestConcurrentIntakeAndCyclesLoseNothing(t *testing.T) {
 	bus := comm.NewBus()
 	lt := comm.Latency(bus, 200*time.Microsecond)
-	brp, err := NewNode(Config{
+	brp := mustNode(t, bus, Config{
 		Name: "brp1", Role: store.RoleBRP, Transport: lt,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 	const owners = 4
 	counters := make([]*notifyCounter, owners)
 	for i := range counters {
@@ -249,24 +241,16 @@ func TestConcurrentIntakeAndCyclesLoseNothing(t *testing.T) {
 func TestCycleAndRelayReconcileDoubleScheduling(t *testing.T) {
 	bus := comm.NewBus()
 	lt := comm.Latency(bus, 100*time.Microsecond)
-	tso, err := NewNode(Config{
+	tso := mustNode(t, bus, Config{
 		Name: "tso", Role: store.RoleTSO, Transport: lt,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("tso", tso.Handler())
-	brp, err := NewNode(Config{
+	brp := mustNode(t, bus, Config{
 		Name: "brp1", Role: store.RoleBRP, Parent: "tso", Transport: lt,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 4},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 
 	const total = 40
 	counters := make(map[string]*notifyCounter)
@@ -323,15 +307,10 @@ func TestCycleAndRelayReconcileDoubleScheduling(t *testing.T) {
 // placeholder.
 func TestForecastReplyAnchoredAtPlanningTime(t *testing.T) {
 	bus := comm.NewBus()
-	brp, err := NewNode(Config{
-		Name: "brp1", Role: store.RoleBRP, Transport: bus,
-		AggParams: agg.ParamsP3,
-		Forecast:  StaticForecast{1, 2, 3},
+	brp := mustNode(t, bus, Config{
+		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		Forecast: StaticForecast{1, 2, 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 	p1 := newProsumer(t, bus, "p1")
 
 	reply, err := p1.QueryParentForecast(context.Background(), "demand", 4)
@@ -365,15 +344,11 @@ func TestCycleDeliveryBoundedBySlowestProsumer(t *testing.T) {
 	const delay = 50 * time.Millisecond
 	const owners = 8
 	lt := comm.Latency(bus, delay)
-	brp, err := NewNode(Config{
+	brp := mustNode(t, bus, Config{
 		Name: "brp1", Role: store.RoleBRP, Transport: lt,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 5},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 	for i := 0; i < owners; i++ {
 		name := fmt.Sprintf("p%d", i)
 		newNotifyCounter(bus, name)
@@ -455,14 +430,9 @@ func TestForwardAggregatesSkipsOutstandingDelegations(t *testing.T) {
 			comm.FlexOfferDecision{OfferID: body.Offer.ID, Accept: true})
 		return &reply, err
 	})
-	brp, err := NewNode(Config{
-		Name: "brp1", Role: store.RoleBRP, Parent: "tso", Transport: bus,
-		AggParams: agg.ParamsP3,
+	brp := mustNode(t, bus, Config{
+		Name: "brp1", Role: store.RoleBRP, Parent: "tso", AggParams: agg.ParamsP3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 
 	if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
 		t.Fatalf("rejected: %s", d.Reason)

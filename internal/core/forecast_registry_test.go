@@ -15,15 +15,18 @@ import (
 	"mirabel/internal/store"
 )
 
-// newForecastingBRP builds a BRP running the fleet forecast registry
-// (tiny period-4 models so warm-up completes after six observations);
-// dir != "" additionally routes intake through a durable ingest queue.
+// newForecastingBRP builds a BRP whose forecast registry keeps tiny
+// period-4 models (warm-up completes after six observations); dir != ""
+// journals intake there, otherwise the queue is volatile.
 func newForecastingBRP(t *testing.T, bus *comm.Bus, dir string) *Node {
 	t.Helper()
-	cfg := Config{
+	ic := &ingest.Config{Queue: 128, Policy: ingest.PolicyBlock}
+	if dir != "" {
+		ic.Path = filepath.Join(dir, "ingest.log")
+	}
+	return mustNode(t, bus, Config{
 		Name:      "brp1",
 		Role:      store.RoleBRP,
-		Transport: bus,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 		Forecasting: &forecast.RegistryConfig{
@@ -32,23 +35,8 @@ func newForecastingBRP(t *testing.T, bus *comm.Bus, dir string) *Node {
 			FitCfg:  forecast.FitConfig{Options: optimize.Options{MaxEvaluations: 40, Seed: 3}},
 			Workers: 1,
 		},
-	}
-	if dir != "" {
-		cfg.Ingest = &ingest.Config{
-			Path:   filepath.Join(dir, "ingest.log"),
-			Queue:  128,
-			Policy: ingest.PolicyBlock,
-		}
-	}
-	n, err := NewNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	if bus != nil {
-		bus.Register("brp1", n.Handler())
-	}
-	return n
+		Ingest: ic,
+	})
 }
 
 func seriesMeas(actor string, from, n int) []store.Measurement {
@@ -72,6 +60,7 @@ func TestPerSeriesForecastOverTheWire(t *testing.T) {
 	if err := brp.IngestMeasurements(seriesMeas("p1", 0, 4)); err != nil {
 		t.Fatal(err)
 	}
+	drain(t, brp)
 	if _, err := client.QuerySeriesForecast(ctx, "brp1", "p1", "elec", 4); err == nil {
 		t.Fatal("per-series query served before the model exists")
 	}
@@ -79,6 +68,7 @@ func TestPerSeriesForecastOverTheWire(t *testing.T) {
 	if err := brp.IngestMeasurements(seriesMeas("p1", 4, 4)); err != nil {
 		t.Fatal(err)
 	}
+	drain(t, brp)
 	reply, err := client.QuerySeriesForecast(ctx, "brp1", "p1", "elec", 6)
 	if err != nil {
 		t.Fatal(err)
@@ -90,33 +80,30 @@ func TestPerSeriesForecastOverTheWire(t *testing.T) {
 	if !ok || st.Series != 1 || st.Models != 1 || st.Observations != 8 {
 		t.Fatalf("registry stats = %+v (ok=%v), want 1 series / 1 model / 8 obs", st, ok)
 	}
-	// A node without a registry keeps rejecting per-series queries.
-	plain := newBRP(t, nil)
-	if _, ok := plain.ForecastSeries("p1", "elec", 4); ok {
-		t.Fatal("registry-less node served a per-series forecast")
+	// A prosumer maintains no registry and rejects per-series queries.
+	newProsumer(t, bus, "p9")
+	if _, err := client.QuerySeriesForecast(ctx, "p9", "p1", "elec", 4); err == nil {
+		t.Fatal("prosumer served a per-series forecast")
 	}
 }
 
-// TestIngestFeedsRegistryExactlyOnce: with an ingest queue the registry
-// is fed from the consumer hook only — each measurement observed once,
+// TestIngestFeedsRegistryExactlyOnce: the registry is fed from the
+// ingest queue's consumer hook only — each measurement observed once,
 // visible after the drain barrier.
 func TestIngestFeedsRegistryExactlyOnce(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newForecastingBRP(t, bus, t.TempDir())
-	ctx := context.Background()
 
 	const n = 24
 	if err := brp.IngestMeasurements(seriesMeas("p1", 0, n)); err != nil {
 		t.Fatal(err)
 	}
-	if err := brp.DrainIngest(ctx); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, brp)
 	st, ok := brp.ForecastStats()
 	if !ok || st.Observations != n {
 		t.Fatalf("registry observations = %d (ok=%v), want exactly %d", st.Observations, ok, n)
 	}
-	if _, ok := brp.ForecastSeries("p1", "elec", 4); !ok {
+	if _, ok := brp.ForecastRegistry().Forecast("p1", "elec", 4); !ok {
 		t.Fatal("series not served after ingest drain")
 	}
 }
@@ -129,7 +116,7 @@ func TestCyclePublishesDirtyForecastHubs(t *testing.T) {
 	brp := newForecastingBRP(t, bus, t.TempDir())
 	ctx := context.Background()
 
-	hub := brp.ForecastHub("p1", "elec")
+	hub := brp.ForecastRegistry().Hub("p1", "elec")
 	_, ch, err := hub.Subscribe(4, 0)
 	if err != nil {
 		t.Fatal(err)

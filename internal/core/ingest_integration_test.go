@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,17 +13,16 @@ import (
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/ingest"
 	"mirabel/internal/sched"
+	"mirabel/internal/settle"
 	"mirabel/internal/store"
 )
 
-// newAsyncBRP builds a BRP whose intake runs through a durable ingest
-// queue journaled under dir.
+// newAsyncBRP builds a BRP whose ingest queue is journaled under dir.
 func newAsyncBRP(t *testing.T, bus *comm.Bus, dir string, breaker *comm.BreakerConfig) *Node {
 	t.Helper()
-	n, err := NewNode(Config{
+	return mustNode(t, bus, Config{
 		Name:      "brp1",
 		Role:      store.RoleBRP,
-		Transport: bus,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 		Ingest: &ingest.Config{
@@ -31,12 +32,6 @@ func newAsyncBRP(t *testing.T, bus *comm.Bus, dir string, breaker *comm.BreakerC
 		},
 		Breaker: breaker,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { n.Close() })
-	bus.Register("brp1", n.Handler())
-	return n
 }
 
 // TestAsyncIntakeCycle drives the full async path: offers and
@@ -216,5 +211,128 @@ func TestNodeCloseFlushesIngest(t *testing.T) {
 	}
 	if got := len(brp.Store().Measurements(store.MeasurementFilter{})); got != 50 {
 		t.Fatalf("measurements after close = %d, want 50", got)
+	}
+}
+
+// TestCancelProsumerTakesIntakeBarrier is the ROADMAP item 0
+// regression: a departing prosumer's offer that is acked but still
+// queued behind a stalled consumer must be cancelled and penalised, not
+// left in the pipeline for the next cycle to schedule for a household
+// that is gone.
+func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
+	bus := comm.NewBus()
+	entered, stall := make(chan struct{}, 1), make(chan struct{})
+	brp := mustNode(t, bus, Config{
+		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
+		Ingest: &ingest.Config{Consumers: 1, OnMeasurements: func([]store.Measurement) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-stall
+		}},
+		Settlement: &settle.LedgerConfig{Path: filepath.Join(t.TempDir(), "ledger.log")},
+	})
+	release := sync.OnceFunc(func() { close(stall) })
+	t.Cleanup(release) // before mustNode's Close, which drains
+	newProsumer(t, bus, "p1")
+
+	// The only consumer parks in the hook; whatever is acked from here
+	// on queues behind it.
+	if err := brp.IngestMeasurements(seriesMeas("p1", 0, 1)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
+		t.Fatalf("rejected: %s", d.Reason)
+	}
+	if _, ok := brp.Store().GetOffer(1); ok {
+		t.Fatal("offer reached the store past the stalled consumer")
+	}
+
+	type result struct {
+		rep *settle.CancelReport
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		rep, err := brp.CancelProsumer("p1", settle.CancelConfig{PenaltyEUR: 0.5})
+		done <- result{rep, err}
+	}()
+	// A CancelProsumer that skips the barrier returns inside the grace
+	// period, having read a store without the offer; one that takes it
+	// is still waiting when the consumer is released. The assertions
+	// below do not depend on the period's length.
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(50 * time.Millisecond):
+		release()
+		res = <-done
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if len(res.rep.Cancelled) != 1 || res.rep.Cancelled[0] != 1 || res.rep.PenaltyEUR <= 0 {
+		t.Fatalf("cancel report = %+v, want offer 1 cancelled with a penalty", res.rep)
+	}
+	if rec, ok := brp.Store().GetOffer(1); !ok || rec.State != store.OfferCancelled {
+		t.Errorf("offer 1 = %+v (ok=%v), want cancelled", rec, ok)
+	}
+	if bal, ok := brp.Ledger().Balance("p1"); !ok || bal.Deviations != 1 || !brp.Ledger().HasSettled(1) {
+		t.Errorf("ledger balance = %+v (ok=%v), want one penalty entry for offer 1", bal, ok)
+	}
+	if got := brp.PendingOffers(); got != 0 {
+		t.Errorf("pending offers = %d, want 0", got)
+	}
+	rep, err := brp.RunSchedulingCycle(context.Background(), 0, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Offers != 0 || rep.MicroSchedules != 0 {
+		t.Errorf("cycle after the departure planned %d offers into %d schedules", rep.Offers, rep.MicroSchedules)
+	}
+	if rec, _ := brp.Store().GetOffer(1); rec.State != store.OfferCancelled {
+		t.Errorf("offer 1 after the cycle = %s, want cancelled", rec.State)
+	}
+}
+
+// TestNewNodeFailureReleasesDataPath: a NewNode that fails after the
+// registry and the ingest queue are up (here: an unopenable ledger path)
+// must stop what it started and leave the journal as it found it, so a
+// second attempt over the same journal recovers everything.
+func TestNewNodeFailureReleasesDataPath(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		Ingest:     &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
+		Settlement: &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")},
+	}
+	crashed, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := crashed.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
+		t.Fatalf("rejected: %s", d.Reason)
+	}
+	crashed.Kill() // the ack survives in the journal only
+
+	bad := cfg
+	bad.Settlement = &settle.LedgerConfig{Path: dir} // a directory is no ledger file
+	before := runtime.NumGoroutine()
+	if n, err := NewNode(bad); err == nil {
+		n.Close()
+		t.Fatal("NewNode opened a directory as its ledger")
+	}
+	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= before })
+
+	re, err := NewNode(cfg)
+	if err != nil {
+		t.Fatalf("reopen over the same journal: %v", err)
+	}
+	defer re.Close()
+	if got := re.RecoveredPending(); got != 1 {
+		t.Errorf("recovered pending = %d, want the acked offer", got)
 	}
 }

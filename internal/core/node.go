@@ -11,6 +11,19 @@
 // commit results, never across the scheduler search, aggregation-snapshot
 // disaggregation or transport I/O, so offer intake stays responsive for
 // the whole cycle no matter how slow the search or the prosumers are.
+//
+// There is one node composition. The aggregating roles (BRP, TSO) always
+// take intake through the ingest queue, always maintain the forecast
+// registry from the queue's apply funnel and always settle onto a
+// hash-chained ledger; a prosumer has none of the three. Role alone
+// decides (Node.aggregating) — Config only tunes.
+//
+// Lock order: cycleMu → intake barrier → mu. Every planner-side flow
+// enters through enterPlanner, which takes cycleMu and then waits for
+// the barrier (ingest.Queue.Drain) before anything reads the store, so
+// "acked" means the same to all of them. The barrier is never awaited
+// under mu: producers hold mu across their journal ack, and the
+// consumers the barrier waits for never take it.
 package core
 
 import (
@@ -74,13 +87,13 @@ type Config struct {
 	// forecast queries with an error.
 	Forecast forecaster
 
-	// Forecasting, when non-nil, runs the fleet-scale forecast service
-	// (forecast.Registry): every measurement the node ingests — sync
-	// store writes and async ingest drains alike — maintains a
-	// per-(actor,energy) model, re-estimated on a bounded background
-	// pool. Peers address individual series via ForecastRequest.Actor,
-	// and the scheduling cycle publishes per-series forecast hubs after
-	// its intake barrier.
+	// Forecasting tunes the fleet-scale forecast service
+	// (forecast.Registry) every aggregating node runs: each measurement
+	// the ingest queue applies maintains a per-(actor,energy) model,
+	// re-estimated on a bounded background pool. Peers address individual
+	// series via ForecastRequest.Actor, and the scheduling cycle
+	// publishes per-series forecast hubs after its intake barrier. Nil
+	// means the registry's defaults — never "no registry".
 	Forecasting *forecast.RegistryConfig
 
 	// Middleware is appended to the node's built-in handler chain
@@ -88,13 +101,13 @@ type Config struct {
 	// rate-limiting layer in without touching dispatch.
 	Middleware []comm.Middleware
 
-	// Ingest, when non-nil, routes intake — measurement reports and
-	// flex-offer records — through a durable async queue
-	// (internal/ingest) instead of synchronous store round-trips:
-	// producers are acked on the ingest journal's group commit and
-	// consumers drain into the store with batch coalescing. Ingest.Store
-	// is filled with the node's store; the scheduling cycle drains the
-	// queue before snapshotting so plans always see every acked offer.
+	// Ingest tunes the durable async queue (internal/ingest) all intake
+	// of an aggregating node goes through: producers are acked on the
+	// ingest journal's group commit and consumers drain into the store
+	// with batch coalescing. Store is filled with the node's store and
+	// OnMeasurements is chained behind the forecast registry's feed. Nil
+	// means the queue's defaults, an empty Path a volatile queue (no
+	// journal, nothing to recover) — never synchronous intake.
 	Ingest *ingest.Config
 
 	// Breaker, when non-nil, wraps Transport with per-destination
@@ -112,11 +125,12 @@ type Config struct {
 	// through backoff loops.
 	Retry *comm.RetryConfig
 
-	// Settlement, when non-nil, opens a durable hash-chained settlement
-	// ledger (settle.OpenLedger): SettleExecuted becomes a batched,
-	// crash-recoverable run whose ledger appends are acked before
-	// offers transition, and re-settlement after a crash dedups
-	// against the chain. Nil keeps the seed-era in-memory settlement.
+	// Settlement places and tunes the hash-chained settlement ledger
+	// (settle.OpenLedger) every aggregating node settles onto:
+	// SettleExecuted is a batched, crash-recoverable run whose ledger
+	// appends are acked before offers transition. Nil or an empty Path
+	// means a volatile ledger (same chain and balances, gone with the
+	// process) — never ledgerless settlement.
 	Settlement *settle.LedgerConfig
 }
 
@@ -126,15 +140,19 @@ type Node struct {
 	client  *comm.Client
 	handler comm.Handler
 	metrics *comm.Metrics
-	ingest  *ingest.Queue      // nil = synchronous intake
-	breaker *comm.Breaker      // nil = no circuit breaking
-	retry   *comm.Retry        // nil = no retry policy
-	fcasts  *forecast.Registry // nil = no per-series forecast service
-	ledger  *settle.Ledger     // nil = in-memory settlement only
+	breaker *comm.Breaker // nil = no circuit breaking
+	retry   *comm.Retry   // nil = no retry policy
 
-	// cycleMu serializes the planner-driven flows (RunSchedulingCycle,
-	// ForwardAggregates) against each other. It is never held while mu
-	// is wanted by message handlers, and it IS held across transport
+	// The aggregating roles' data path: all three are set exactly when
+	// aggregating() holds and nil on a prosumer.
+	ingest *ingest.Queue
+	fcasts *forecast.Registry
+	ledger *settle.Ledger
+
+	// cycleMu serializes the planner-side flows (RunSchedulingCycle,
+	// ForwardAggregates, SettleExecuted, CancelProsumer) against each
+	// other; take it through enterPlanner only. It is never held while
+	// mu is wanted by message handlers, and it IS held across transport
 	// I/O — that is its point: long plan and deliver phases proceed
 	// under cycleMu alone while intake keeps flowing under mu.
 	cycleMu sync.Mutex
@@ -234,69 +252,8 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		n.client = comm.NewClient(cfg.Name, transport, comm.WithRequestTimeout(cfg.RequestTimeout))
 	}
-	if cfg.Forecasting != nil {
-		reg, err := forecast.NewRegistry(*cfg.Forecasting)
-		if err != nil {
-			return nil, fmt.Errorf("core: forecast registry: %w", err)
-		}
-		n.fcasts = reg
-	}
-	if cfg.Ingest != nil {
-		ic := *cfg.Ingest
-		ic.Store = n.store
-		if n.fcasts != nil {
-			// The apply funnel feeds the forecast service: live consumed
-			// batches, deferred events re-admitted from disk, and journal
-			// recovery replays all maintain the per-series models.
-			prev := ic.OnMeasurements
-			reg := n.fcasts
-			ic.OnMeasurements = func(ms []store.Measurement) {
-				reg.UpdateMeasurements(ms)
-				if prev != nil {
-					prev(ms)
-				}
-			}
-		}
-		q, err := ingest.Open(ic)
-		if err != nil {
-			return nil, fmt.Errorf("core: open ingest queue: %w", err)
-		}
-		n.ingest = q
-	}
-	if cfg.Settlement != nil {
-		l, err := settle.OpenLedger(*cfg.Settlement)
-		if err != nil {
-			return nil, fmt.Errorf("core: open settlement ledger: %w", err)
-		}
-		n.ledger = l
-	}
-
-	// Crash recovery for the planning state: a predecessor's accepted
-	// offers live in the store (and possibly still in the ingest
-	// journal), but pending/pipeline are in-memory and died with it.
-	// Re-admit them so a restarted BRP schedules what it had already
-	// promised, instead of letting acked offers sit accepted forever.
-	if cfg.Role != store.RoleProsumer {
-		if n.ingest != nil {
-			// Journal replay finishes first, so offers acked durable but
-			// never applied are visible to the scan below.
-			dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			err := n.ingest.Drain(dctx)
-			cancel()
-			if err != nil {
-				return nil, fmt.Errorf("core: recover ingest journal: %w", err)
-			}
-		}
-		for _, rec := range n.store.Offers(store.OfferFilter{State: store.OfferAccepted}) {
-			if rec.Offer == nil {
-				continue
-			}
-			if err := n.pipeline.Accumulate(agg.FlexOfferUpdate{Kind: agg.Insert, Offer: rec.Offer}); err != nil {
-				continue // malformed record: planning just skips it
-			}
-			n.pending[rec.Offer.ID] = rec.Offer
-			n.recoveredPending++
-		}
+	if err := n.store.PutActor(store.Actor{ID: cfg.Name, Name: cfg.Name, Role: cfg.Role, Parent: cfg.Parent}); err != nil {
+		return nil, err
 	}
 
 	// Dispatch: one registered handler per message type, wrapped in the
@@ -304,23 +261,127 @@ func NewNode(cfg Config) (*Node, error) {
 	// panic surfaces as an ordinary error to the configured middleware
 	// (logging sees it) and to Collect (metrics count it).
 	mux := comm.NewMux()
-	mux.Handle(comm.MsgFlexOfferSubmit, n.handleOfferSubmit)
-	mux.Handle(comm.MsgMeasurementReport, n.handleMeasurement)
-	mux.Handle(comm.MsgMeasurementBatch, n.handleMeasurementBatch)
 	mux.Handle(comm.MsgScheduleNotify, n.handleScheduleNotify)
 	mux.Handle(comm.MsgForecastRequest, n.handleForecastRequest)
 	mux.Handle(comm.MsgPing, n.handlePing)
 	mux.HandleFallback(func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-		return nil, fmt.Errorf("core: %s cannot handle %s", n.cfg.Name, env.Type)
+		return nil, fmt.Errorf("core: %s (%s) cannot handle %s", n.cfg.Name, n.cfg.Role, env.Type)
 	})
+	if n.aggregating() {
+		if err := n.openDataPath(); err != nil {
+			return nil, err
+		}
+		mux.Handle(comm.MsgFlexOfferSubmit, n.handleOfferSubmit)
+		mux.Handle(comm.MsgMeasurementReport, n.handleMeasurement)
+		mux.Handle(comm.MsgMeasurementBatch, n.handleMeasurementBatch)
+	}
 	chain := append([]comm.Middleware{n.metrics.Collect()}, cfg.Middleware...)
 	chain = append(chain, comm.Recover())
 	n.handler = comm.Chain(mux.Serve, chain...)
-
-	if err := n.store.PutActor(store.Actor{ID: cfg.Name, Name: cfg.Name, Role: cfg.Role, Parent: cfg.Parent}); err != nil {
-		return nil, err
-	}
 	return n, nil
+}
+
+// aggregating is the one place the role selects duties: BRP and TSO
+// nodes take flex-offers and measurements, plan and settle, and so own
+// an ingest queue, a forecast registry and a ledger; a prosumer owns
+// none of them.
+func (n *Node) aggregating() bool { return n.cfg.Role != store.RoleProsumer }
+
+// orZero dereferences an optional tuning block: nil means the
+// package's defaults.
+func orZero[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
+	}
+	return *p
+}
+
+// openDataPath opens the aggregating roles' components — registry,
+// ingest queue, ledger, in dependency order — and recovers the planning
+// state. On failure everything already opened is stopped again, in
+// reverse order and without the drain barrier (a journal this node
+// could not finish opening over is left intact for the next attempt).
+func (n *Node) openDataPath() error {
+	reg, err := forecast.NewRegistry(orZero(n.cfg.Forecasting))
+	if err != nil {
+		return fmt.Errorf("core: forecast registry: %w", err)
+	}
+	ic := orZero(n.cfg.Ingest)
+	ic.Store = n.store
+	// The apply funnel feeds the forecast service: live consumed
+	// batches, deferred events re-admitted from disk, and journal
+	// recovery replays all maintain the per-series models.
+	observe := ic.OnMeasurements
+	ic.OnMeasurements = func(ms []store.Measurement) {
+		reg.UpdateMeasurements(ms)
+		if observe != nil {
+			observe(ms)
+		}
+	}
+	q, err := ingest.Open(ic)
+	if err != nil {
+		reg.Close()
+		return fmt.Errorf("core: open ingest queue: %w", err)
+	}
+	l, err := settle.OpenLedger(orZero(n.cfg.Settlement))
+	if err != nil {
+		q.Kill()
+		reg.Close()
+		return fmt.Errorf("core: open settlement ledger: %w", err)
+	}
+	n.fcasts, n.ingest, n.ledger = reg, q, l
+	if err := n.recoverPending(); err != nil {
+		n.abandon()
+		return err
+	}
+	return nil
+}
+
+// recoverPending is crash recovery for the planning state: a
+// predecessor's accepted offers live in the store (and possibly still
+// in the ingest journal), but pending/pipeline are in-memory and died
+// with it. Re-admit them so a restarted BRP schedules what it had
+// already promised, instead of letting acked offers sit accepted
+// forever.
+func (n *Node) recoverPending() error {
+	// Journal replay finishes first, so offers acked durable but never
+	// applied are visible to the scan below.
+	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := n.DrainIngest(dctx); err != nil {
+		return fmt.Errorf("core: recover ingest journal: %w", err)
+	}
+	for _, rec := range n.store.Offers(store.OfferFilter{State: store.OfferAccepted}) {
+		if rec.Offer == nil {
+			continue
+		}
+		if err := n.pipeline.Accumulate(agg.FlexOfferUpdate{Kind: agg.Insert, Offer: rec.Offer}); err != nil {
+			continue // malformed record: planning just skips it
+		}
+		n.pending[rec.Offer.ID] = rec.Offer
+		n.recoveredPending++
+	}
+	return nil
+}
+
+// enterPlanner is the one way into a planner-side flow: it takes
+// cycleMu and then the intake barrier — every event acked so far is
+// applied to the store and has maintained its forecast model — so no
+// flow reads a store that is missing an acked offer. On success the
+// caller owns cycleMu and must release it; barrier is the wait's wall
+// time.
+func (n *Node) enterPlanner(ctx context.Context) (barrier time.Duration, err error) {
+	if !n.aggregating() {
+		return 0, fmt.Errorf("core: prosumer %s neither plans nor settles", n.cfg.Name)
+	}
+	n.cycleMu.Lock()
+	t0 := time.Now()
+	if err := n.ingest.Drain(ctx); err != nil {
+		n.cycleMu.Unlock()
+		return 0, fmt.Errorf("core: intake barrier: %w", err)
+	}
+	return time.Since(t0), nil
 }
 
 // Name returns the node's endpoint name.
@@ -368,8 +429,8 @@ func (n *Node) handleForecastRequest(ctx context.Context, env comm.Envelope) (*c
 	switch {
 	case req.Actor != "":
 		// Per-series query against the fleet forecast registry.
-		if n.fcasts == nil {
-			return nil, fmt.Errorf("core: %s has no forecast registry", n.cfg.Name)
+		if !n.aggregating() {
+			return nil, fmt.Errorf("core: prosumer %s maintains no forecast registry", n.cfg.Name)
 		}
 		v, ok := n.fcasts.Forecast(req.Actor, req.EnergyType, req.Horizon)
 		if !ok {
@@ -395,9 +456,6 @@ func (n *Node) handleForecastRequest(ctx context.Context, env comm.Envelope) (*c
 // handleOfferSubmit runs negotiation and feeds accepted offers into the
 // aggregation pipeline (BRP/TSO duty).
 func (n *Node) handleOfferSubmit(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-	if n.cfg.Role == store.RoleProsumer {
-		return nil, fmt.Errorf("core: prosumer %s does not take flex-offers", n.cfg.Name)
-	}
 	var body comm.FlexOfferSubmit
 	if err := env.Decode(comm.MsgFlexOfferSubmit, &body); err != nil {
 		return nil, err
@@ -425,6 +483,9 @@ func (n *Node) AcceptOffer(f *flexoffer.FlexOffer, owner string) negotiate.Decis
 }
 
 func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner string) negotiate.Decision {
+	if !n.aggregating() {
+		return negotiate.Decision{Reason: fmt.Sprintf("prosumer %s does not take flex-offers", n.cfg.Name)}
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// Negotiation evaluates at the current planning time: the node's
@@ -450,10 +511,12 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 		state = store.OfferAccepted
 	}
 	// Persist the final record exactly once — after the pipeline verdict
-	// — so the async intake path never journals two racing records for
-	// one submission.
+	// — so the intake path never journals two racing records for one
+	// submission.
+	// The record is acked on the ingest journal's group commit and
+	// applied to the store asynchronously.
 	rec := store.OfferRecord{Offer: priced, Owner: owner, State: state}
-	if err := n.persistOffer(ctx, rec); err != nil {
+	if err := n.ingest.SubmitOffer(ctx, rec); err != nil {
 		if decision.Accept {
 			// Keep the pipeline consistent with the store: the delete
 			// cancels the still-pending insert at zero cost.
@@ -465,16 +528,6 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 		n.pending[f.ID] = priced
 	}
 	return decision
-}
-
-// persistOffer writes one flex-offer record through the configured
-// intake path: the ingest queue (acked on journal group commit, applied
-// asynchronously) or the store directly.
-func (n *Node) persistOffer(ctx context.Context, rec store.OfferRecord) error {
-	if n.ingest != nil {
-		return n.ingest.SubmitOffer(ctx, rec)
-	}
-	return n.store.PutOffer(rec)
 }
 
 // nowLocked is the node's planning time: the start slot of the most
@@ -490,27 +543,18 @@ func (n *Node) PlanningTime() flexoffer.Time {
 	return n.planTime
 }
 
-// handleMeasurement stores a reported measurement (BRP duty).
+// handleMeasurement takes one reported measurement (BRP duty).
 func (n *Node) handleMeasurement(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 	var body comm.MeasurementReport
 	if err := env.Decode(comm.MsgMeasurementReport, &body); err != nil {
 		return nil, err
 	}
 	m := store.Measurement{Actor: body.Actor, EnergyType: body.EnergyType, Slot: body.Slot, KWh: body.KWh}
-	if n.ingest != nil {
-		return nil, n.ingest.SubmitMeasurements(ctx, []store.Measurement{m})
-	}
-	if err := n.store.PutMeasurement(m); err != nil {
-		return nil, err
-	}
-	if n.fcasts != nil {
-		n.fcasts.Update(m.Actor, m.EnergyType, m.KWh)
-	}
-	return nil, nil
+	return nil, n.ingest.SubmitMeasurements(ctx, []store.Measurement{m})
 }
 
-// handleMeasurementBatch stores a reported meter-stream batch through
-// the store's batch path: the whole report is one WAL group commit.
+// handleMeasurementBatch takes a reported meter-stream batch as one
+// ingest event: one journal record, one store batch on apply.
 func (n *Node) handleMeasurementBatch(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 	var body comm.MeasurementBatch
 	if err := env.Decode(comm.MsgMeasurementBatch, &body); err != nil {
@@ -520,50 +564,35 @@ func (n *Node) handleMeasurementBatch(ctx context.Context, env comm.Envelope) (*
 	for i, r := range body.Reports {
 		ms[i] = store.Measurement{Actor: r.Actor, EnergyType: r.EnergyType, Slot: r.Slot, KWh: r.KWh}
 	}
-	if n.ingest != nil {
-		return nil, n.ingest.SubmitMeasurements(ctx, ms)
-	}
-	if err := n.store.PutMeasurementsBatch(ms); err != nil {
-		return nil, err
-	}
-	if n.fcasts != nil {
-		n.fcasts.UpdateMeasurements(ms)
-	}
-	return nil, nil
+	return nil, n.ingest.SubmitMeasurements(ctx, ms)
 }
 
-// IngestMeasurements stores a batch of metered values locally — through
-// the async ingest queue when one is configured (acked on journal group
-// commit), otherwise as one synchronous WAL group commit. The bulk
-// intake path for meter streams and backfills (the remote form is
+// IngestMeasurements takes a batch of metered values locally, acked on
+// the ingest journal's group commit like the wire path — the bulk
+// intake for meter streams and backfills (the remote form is
 // Client.ReportMeasurements).
 func (n *Node) IngestMeasurements(ms []store.Measurement) error {
-	if n.ingest != nil {
-		return n.ingest.SubmitMeasurements(context.Background(), ms)
+	if !n.aggregating() {
+		return fmt.Errorf("core: prosumer %s has no intake path", n.cfg.Name)
 	}
-	if err := n.store.PutMeasurementsBatch(ms); err != nil {
-		return err
-	}
-	if n.fcasts != nil {
-		n.fcasts.UpdateMeasurements(ms)
-	}
-	return nil
+	return n.ingest.SubmitMeasurements(context.Background(), ms)
 }
 
-// IngestStats reports the async intake queue's counters; ok is false
-// when the node runs synchronous intake.
+// IngestStats reports the intake queue's counters; ok is false on a
+// prosumer, which has none.
 func (n *Node) IngestStats() (ingest.Stats, bool) {
-	if n.ingest == nil {
+	if !n.aggregating() {
 		return ingest.Stats{}, false
 	}
 	return n.ingest.Stats(), true
 }
 
 // DrainIngest waits until every acked intake event has been applied to
-// the store (no-op without an ingest queue). The scheduling cycle calls
-// it implicitly; explicit callers use it as a read-your-writes barrier.
+// the store (a no-op on a prosumer). The planner-side flows take this
+// barrier themselves (enterPlanner); explicit callers use it for
+// read-your-writes on the store.
 func (n *Node) DrainIngest(ctx context.Context) error {
-	if n.ingest == nil {
+	if !n.aggregating() {
 		return nil
 	}
 	return n.ingest.Drain(ctx)
@@ -582,34 +611,15 @@ func (n *Node) RetryStats() (comm.RetryStats, bool) {
 	return n.retry.Stats(), true
 }
 
-// ForecastRegistry exposes the node's fleet forecast service (nil when
-// Config.Forecasting is unset).
+// ForecastRegistry exposes the node's fleet forecast service — series
+// forecasts, continuous-query hubs (published by the scheduling cycle
+// after its intake barrier) and counters; nil on a prosumer.
 func (n *Node) ForecastRegistry() *forecast.Registry { return n.fcasts }
 
-// ForecastSeries serves the forecast of one maintained (actor, energy
-// type) series; ok is false without a registry or while the series is
-// unknown / still warming up.
-func (n *Node) ForecastSeries(actor, energyType string, horizon int) (values []float64, ok bool) {
-	if n.fcasts == nil {
-		return nil, false
-	}
-	return n.fcasts.Forecast(actor, energyType, horizon)
-}
-
-// ForecastHub returns the publish-subscribe hub of one series for
-// continuous forecast queries (nil without a registry). The scheduling
-// cycle publishes all dirty hubs after its intake barrier.
-func (n *Node) ForecastHub(actor, energyType string) *forecast.Hub {
-	if n.fcasts == nil {
-		return nil
-	}
-	return n.fcasts.Hub(actor, energyType)
-}
-
 // ForecastStats reports the forecast registry's counters; ok is false
-// when the node runs no registry.
+// on a prosumer, which has none.
 func (n *Node) ForecastStats() (forecast.RegistryStats, bool) {
-	if n.fcasts == nil {
+	if !n.aggregating() {
 		return forecast.RegistryStats{}, false
 	}
 	return n.fcasts.Stats(), true
@@ -617,21 +627,18 @@ func (n *Node) ForecastStats() (forecast.RegistryStats, bool) {
 
 // Close shuts the node's background machinery down: the ingest queue is
 // drained (best effort) and closed so every acked event reaches the
-// store before the process exits.
+// store before the process exits. The store stays open — it belongs to
+// the caller.
 func (n *Node) Close() error {
-	var err error
-	if n.ingest != nil {
-		err = n.ingest.Close()
+	if !n.aggregating() {
+		return nil
 	}
-	if n.fcasts != nil {
-		// After the ingest drain, so the refit pool outlives the last
-		// measurement batch the consumers feed it.
-		n.fcasts.Close()
-	}
-	if n.ledger != nil {
-		if lerr := n.ledger.Close(); err == nil {
-			err = lerr
-		}
+	err := n.ingest.Close()
+	// After the ingest drain, so the refit pool outlives the last
+	// measurement batch the consumers feed it.
+	n.fcasts.Close()
+	if lerr := n.ledger.Close(); err == nil {
+		err = lerr
 	}
 	return err
 }
@@ -642,16 +649,17 @@ func (n *Node) Close() error {
 // close without the drain barrier Close performs. The node must not be
 // used afterwards; rebuild it over the same directories to recover.
 func (n *Node) Kill() {
-	if n.ingest != nil {
-		n.ingest.Kill()
-	}
-	if n.fcasts != nil {
-		n.fcasts.Close()
-	}
-	if n.ledger != nil {
-		_ = n.ledger.Close()
+	if n.aggregating() {
+		n.abandon()
 	}
 	_ = n.store.Close()
+}
+
+// abandon stops the data path without the drain barrier.
+func (n *Node) abandon() {
+	n.ingest.Kill()
+	n.fcasts.Close()
+	_ = n.ledger.Close()
 }
 
 // RecoveredPending reports how many accepted offers the node re-admitted
@@ -659,15 +667,15 @@ func (n *Node) Kill() {
 func (n *Node) RecoveredPending() int { return n.recoveredPending }
 
 // CancelProsumer settles a prosumer leaving mid-contract
-// (settle.CancelActor): every open offer of theirs is voided with a
+// (settle.CancelActor): every open offer of theirs — including one
+// acked but not yet applied when the call begins — is voided with a
 // penalty entry on the ledger, one close-out entry zeroes their balance,
 // and their still-pending offers leave the aggregation pipeline so the
-// next cycle plans without them. Requires a settlement ledger.
+// next cycle plans without them.
 func (n *Node) CancelProsumer(prosumer string, cfg settle.CancelConfig) (*settle.CancelReport, error) {
-	if n.ledger == nil {
-		return nil, fmt.Errorf("core: %s has no settlement ledger to cancel against", n.cfg.Name)
+	if _, err := n.enterPlanner(context.TODO()); err != nil {
+		return nil, err
 	}
-	n.cycleMu.Lock()
 	defer n.cycleMu.Unlock()
 	rep, err := settle.CancelActor(n.store, n.ledger, prosumer, cfg)
 	if err != nil {
@@ -709,78 +717,32 @@ func (n *Node) Aggregates() []*agg.Aggregate {
 // compliant (metered = scheduled). Settled offers move to the executed
 // state.
 //
-// With a settlement ledger (Config.Settlement) this is a batched,
-// crash-recoverable run: every batch's ledger append is acked durable
-// before its offers transition, and a re-run after a crash dedups
-// against the chain (settle.Run). Settlement serializes with the
-// planner-driven flows under cycleMu — it is held across ledger fsyncs,
-// so intake keeps flowing under mu meanwhile.
+// It is a batched, crash-recoverable run: every batch's ledger append
+// is acked before its offers transition, and a re-run after a crash
+// dedups against the chain (settle.Run). Settlement is a planner-side
+// flow: cycleMu is held across ledger fsyncs, so intake keeps flowing
+// under mu meanwhile.
 func (n *Node) SettleExecuted(metered map[flexoffer.ID][]float64, cfg settle.Config) (*settle.RunReport, error) {
-	n.cycleMu.Lock()
+	if _, err := n.enterPlanner(context.TODO()); err != nil {
+		return nil, err
+	}
 	defer n.cycleMu.Unlock()
-	if n.ledger != nil {
-		return settle.Run(settle.RunConfig{
-			Store:   n.store,
-			Ledger:  n.ledger,
-			Metered: metered,
-			Settle:  cfg,
-		})
-	}
-
-	// Ledgerless path: one in-memory settlement and one batched
-	// transition (single WAL group), no durability beyond the store.
-	var items []settle.Item
-	var recs []store.OfferRecord
-	for _, rec := range n.store.Offers(store.OfferFilter{State: store.OfferScheduled}) {
-		if rec.Schedule == nil {
-			continue
-		}
-		m, ok := metered[rec.Offer.ID]
-		if !ok {
-			m = settle.MeteredFromSchedule(rec.Schedule)
-		}
-		items = append(items, settle.Item{
-			Offer:      rec.Offer,
-			Schedule:   rec.Schedule,
-			PremiumEUR: rec.Offer.CostPerKWh,
-			Metered:    m,
-		})
-		recs = append(recs, rec)
-	}
-	rep, err := settle.Settle(items, cfg)
-	if err != nil {
-		return nil, err
-	}
-	updates := make([]store.OfferUpdate, len(recs))
-	for i, rec := range recs {
-		updates[i] = store.OfferUpdate{ID: rec.Offer.ID, Mutate: func(r *store.OfferRecord) {
-			r.State = store.OfferExecuted
-		}}
-	}
-	results, err := n.store.UpdateOffers(updates)
-	if err != nil {
-		return nil, err
-	}
-	for _, res := range results {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-	}
-	out := &settle.RunReport{Report: *rep}
-	if len(recs) > 0 {
-		out.Batches = 1
-	}
-	return out, nil
+	return settle.Run(settle.RunConfig{
+		Store:   n.store,
+		Ledger:  n.ledger,
+		Metered: metered,
+		Settle:  cfg,
+	})
 }
 
-// Ledger exposes the node's settlement ledger (nil without
-// Config.Settlement) for balance queries and chain verification.
+// Ledger exposes the node's settlement ledger for balance queries and
+// chain verification; nil on a prosumer.
 func (n *Node) Ledger() *settle.Ledger { return n.ledger }
 
 // LedgerStats snapshots the settlement ledger's counters; ok is false
-// when the node has no ledger.
+// on a prosumer, which has none.
 func (n *Node) LedgerStats() (settle.LedgerStats, bool) {
-	if n.ledger == nil {
+	if !n.aggregating() {
 		return settle.LedgerStats{}, false
 	}
 	return n.ledger.Stats(), true

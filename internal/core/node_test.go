@@ -29,37 +29,48 @@ func testOffer(id flexoffer.ID, es, tf flexoffer.Time, slices int, emax float64)
 	}
 }
 
-func newBRP(t *testing.T, bus *comm.Bus) *Node {
+// mustNode builds a node, closes it with the test and — given a bus —
+// registers it there under its name (the bus is also its transport
+// unless cfg names one).
+func mustNode(t *testing.T, bus *comm.Bus, cfg Config) *Node {
 	t.Helper()
-	n, err := NewNode(Config{
-		Name:      "brp1",
-		Role:      store.RoleBRP,
-		Transport: bus,
-		AggParams: agg.ParamsP3,
-		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
-	})
+	if bus != nil && cfg.Transport == nil {
+		cfg.Transport = bus
+	}
+	n, err := NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { n.Close() })
 	if bus != nil {
-		bus.Register("brp1", n.Handler())
+		bus.Register(cfg.Name, n.Handler())
 	}
 	return n
 }
 
+func newBRP(t *testing.T, bus *comm.Bus) *Node {
+	t.Helper()
+	return mustNode(t, bus, Config{
+		Name:      "brp1",
+		Role:      store.RoleBRP,
+		AggParams: agg.ParamsP3,
+		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
+	})
+}
+
 func newProsumer(t *testing.T, bus *comm.Bus, name string) *Node {
 	t.Helper()
-	n, err := NewNode(Config{
-		Name:      name,
-		Role:      store.RoleProsumer,
-		Parent:    "brp1",
-		Transport: bus,
-	})
-	if err != nil {
-		t.Fatal(err)
+	return mustNode(t, bus, Config{Name: name, Role: store.RoleProsumer, Parent: "brp1"})
+}
+
+// drain is the read-your-writes barrier tests take before they look at
+// an aggregating node's store: an ack promises durability, not
+// visibility.
+func drain(t *testing.T, n *Node) {
+	t.Helper()
+	if err := n.DrainIngest(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
-	bus.Register(name, n.Handler())
-	return n
 }
 
 func TestNewNodeValidation(t *testing.T) {
@@ -91,6 +102,7 @@ func TestOfferSubmissionRoundtrip(t *testing.T) {
 		t.Errorf("pending = %d", brp.PendingOffers())
 	}
 	// Both sides recorded the offer.
+	drain(t, brp)
 	if rec, ok := brp.Store().GetOffer(1); !ok || rec.State != store.OfferAccepted {
 		t.Errorf("BRP record = %+v, %v", rec, ok)
 	}
@@ -255,8 +267,8 @@ func TestMeasurementReporting(t *testing.T) {
 }
 
 // TestMeasurementBatchReporting sends a meter-stream batch in one
-// message; the receiving node stores the whole report through the
-// store's batch path (one WAL group on a durable store).
+// message; the receiving node takes the whole report as one ingest
+// event (one store batch on apply).
 func TestMeasurementBatchReporting(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newBRP(t, bus)
@@ -279,6 +291,7 @@ func TestMeasurementBatchReporting(t *testing.T) {
 			if err := brp.IngestMeasurements([]store.Measurement{{Actor: "p1", EnergyType: "demand", Slot: 99, KWh: 2}}); err != nil {
 				t.Fatal(err)
 			}
+			drain(t, brp)
 			if got := brp.Store().SumEnergyBySlot(store.MeasurementFilter{Actor: "p1"})[99]; got != 2 {
 				t.Fatalf("IngestMeasurements value = %g", got)
 			}
@@ -332,23 +345,13 @@ func TestStaticAndShiftedForecast(t *testing.T) {
 func TestForwardedAggregatesRelaySchedulesToProsumers(t *testing.T) {
 	// Full paper §2 flow: prosumer → BRP → TSO → BRP → prosumer.
 	bus := comm.NewBus()
-	tso, err := NewNode(Config{
-		Name: "tso", Role: store.RoleTSO, Transport: bus,
-		AggParams: agg.ParamsP3,
+	tso := mustNode(t, bus, Config{
+		Name: "tso", Role: store.RoleTSO, AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 3},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("tso", tso.Handler())
-	brp, err := NewNode(Config{
-		Name: "brp1", Role: store.RoleBRP, Parent: "tso", Transport: bus,
-		AggParams: agg.ParamsP3,
+	brp := mustNode(t, bus, Config{
+		Name: "brp1", Role: store.RoleBRP, Parent: "tso", AggParams: agg.ParamsP3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 	p1 := newProsumer(t, bus, "p1")
 
 	offer := testOffer(1, 40, 16, 4, 5)
@@ -459,24 +462,14 @@ func TestTSOLevelAggregationOfBRPs(t *testing.T) {
 	// Level 3: a TSO accepts (macro) offers from BRPs, schedules, and
 	// sends schedules back — the same node type, one level up.
 	bus := comm.NewBus()
-	tso, err := NewNode(Config{
-		Name: "tso", Role: store.RoleTSO, Transport: bus,
-		AggParams: agg.ParamsP3,
+	tso := mustNode(t, bus, Config{
+		Name: "tso", Role: store.RoleTSO, AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 2},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("tso", tso.Handler())
 
-	brp, err := NewNode(Config{
-		Name: "brp1", Role: store.RoleBRP, Parent: "tso", Transport: bus,
-		AggParams: agg.ParamsP3,
+	brp := mustNode(t, bus, Config{
+		Name: "brp1", Role: store.RoleBRP, Parent: "tso", AggParams: agg.ParamsP3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 
 	macro := testOffer(100, 40, 16, 6, 50) // an aggregated offer
 	d, err := brp.SubmitOfferTo(context.Background(), macro)
@@ -497,15 +490,10 @@ func TestTSOLevelAggregationOfBRPs(t *testing.T) {
 
 func TestNodeServesForecastQueries(t *testing.T) {
 	bus := comm.NewBus()
-	brp, err := NewNode(Config{
-		Name: "brp1", Role: store.RoleBRP, Transport: bus,
-		AggParams: agg.ParamsP3,
-		Forecast:  StaticForecast{5, 6, 7},
+	mustNode(t, bus, Config{
+		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		Forecast: StaticForecast{5, 6, 7},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 	p1 := newProsumer(t, bus, "p1")
 
 	reply, err := p1.QueryParentForecast(context.Background(), "demand", 4)
@@ -563,14 +551,11 @@ func TestNodeMiddlewareSeamAndRecovery(t *testing.T) {
 			return next(ctx, env)
 		}
 	}
-	n, err := NewNode(Config{
+	n := mustNode(t, nil, Config{
 		Name: "brp1", Role: store.RoleBRP,
 		AggParams:  agg.ParamsP3,
 		Middleware: []comm.Middleware{counting},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	env, _ := comm.NewEnvelope(comm.MsgPing, "x", "brp1", nil)
 	if _, err := n.Handle(context.Background(), env); err != nil {
 		t.Fatal(err)
@@ -610,13 +595,10 @@ func TestSubmitOfferHonorsCanceledContext(t *testing.T) {
 
 func TestForwardAggregatesSurfacesCancellation(t *testing.T) {
 	bus := comm.NewBus()
-	brp, err := NewNode(Config{
+	brp := mustNode(t, nil, Config{
 		Name: "brp1", Role: store.RoleBRP, Parent: "tso", Transport: bus,
 		AggParams: agg.ParamsP3,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A stalled TSO: requests only end via the caller's context.
 	bus.Register("tso", func(ctx context.Context, _ comm.Envelope) (*comm.Envelope, error) {
 		<-ctx.Done()
@@ -638,16 +620,11 @@ func TestForwardAggregatesSurfacesCancellation(t *testing.T) {
 // beat the default cost.
 func TestSchedWorkersPortfolio(t *testing.T) {
 	bus := comm.NewBus()
-	brp, err := NewNode(Config{
-		Name: "brp1", Role: store.RoleBRP, Transport: bus,
-		AggParams:    agg.ParamsP3,
+	brp := mustNode(t, bus, Config{
+		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
 		SchedOpts:    sched.Options{MaxIterations: 5, Seed: 1},
 		SchedWorkers: 2,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 	bus.Register("p1", func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 		return nil, nil
 	})
@@ -678,18 +655,13 @@ func TestSchedWorkersPortfolio(t *testing.T) {
 func TestSettleExecutedWithLedger(t *testing.T) {
 	ledgerPath := filepath.Join(t.TempDir(), "ledger.log")
 	bus := comm.NewBus()
-	brp, err := NewNode(Config{
+	brp := mustNode(t, bus, Config{
 		Name:       "brp1",
 		Role:       store.RoleBRP,
-		Transport:  bus,
 		AggParams:  agg.ParamsP3,
 		SchedOpts:  sched.Options{MaxIterations: 3, Seed: 1},
 		Settlement: &settle.LedgerConfig{Path: ledgerPath},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus.Register("brp1", brp.Handler())
 	p1 := newProsumer(t, bus, "p1")
 
 	offer := testOffer(1, 40, 16, 4, 5)
@@ -734,16 +706,12 @@ func TestSettleExecutedWithLedger(t *testing.T) {
 
 	// Reopen on the same chain: recovery rebuilds the settled index, so
 	// a re-settlement run stays a no-op even against a fresh process.
-	re, err := NewNode(Config{
+	re := mustNode(t, nil, Config{
 		Name:       "brp1",
 		Role:       store.RoleBRP,
 		Store:      brp.Store(),
 		Settlement: &settle.LedgerConfig{Path: ledgerPath},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
 	st, _ := re.LedgerStats()
 	if st.RecoveredEntries != stats.Entries || st.DroppedBytes != 0 {
 		t.Errorf("recovery stats = %+v, want %d entries", st, stats.Entries)

@@ -26,14 +26,11 @@ func TestNodesOverTCP(t *testing.T) {
 	}
 	brpClient := comm.NewTCPClient("brp1")
 	defer brpClient.Close()
-	brp, err := NewNode(Config{
+	brp := mustNode(t, nil, Config{
 		Name: "brp1", Role: store.RoleBRP, Transport: brpClient, Store: brpStore,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	brpSrv, err := comm.ListenTCP("127.0.0.1:0", brp.Handler())
 	if err != nil {
 		t.Fatal(err)
@@ -47,12 +44,9 @@ func TestNodesOverTCP(t *testing.T) {
 	pClient := comm.NewTCPClient("p1")
 	defer pClient.Close()
 	pClient.SetRoute("brp1", brpSrv.Addr())
-	p1, err := NewNode(Config{
+	p1 := mustNode(t, nil, Config{
 		Name: "p1", Role: store.RoleProsumer, Parent: "brp1", Transport: pClient, Store: prosumerStore,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pSrv, err := comm.ListenTCP("127.0.0.1:0", p1.Handler())
 	if err != nil {
 		t.Fatal(err)

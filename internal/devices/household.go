@@ -24,13 +24,19 @@ type HouseholdConfig struct {
 	Seed int64
 }
 
-// idCounter hands out fleet-unique flex-offer IDs.
-type idCounter struct{ n atomic.Uint64 }
+// idCounter hands out flex-offer IDs base+1, base+2, ...
+type idCounter struct {
+	base uint64
+	n    atomic.Uint64
+}
 
-func (c *idCounter) next() flexoffer.ID { return flexoffer.ID(c.n.Add(1)) }
+func (c *idCounter) next() flexoffer.ID { return flexoffer.ID(c.base + c.n.Add(1)) }
 
-// NewHousehold assembles a household. ids provides fleet-unique
-// flex-offer IDs; pass the same counter to every household of a fleet.
+// householdIDBits sizes the ID block NewFleet reserves per household.
+const householdIDBits = 16
+
+// NewHousehold assembles a household. ids provides its flex-offer IDs,
+// which must be unique across the fleet.
 func NewHousehold(cfg HouseholdConfig, ids *idCounter) *Household {
 	h := &Household{
 		Name: cfg.Name,
@@ -77,11 +83,13 @@ func (h *Household) Tick(slot flexoffer.Time) (offers []*flexoffer.FlexOffer, no
 // Fleet is a population of households.
 type Fleet struct {
 	Households []*Household
-	ids        idCounter
 }
 
 // NewFleet builds n households with a realistic equipment mix: 40% EVs,
-// 70% dishwashers, 80% washers, 25% solar.
+// 70% dishwashers, 80% washers, 25% solar. Each household draws its
+// flex-offer IDs from a block of its own, so an offer's ID depends on
+// that household's history alone — not on how a driver that ticks
+// households from several goroutines happens to interleave them.
 func NewFleet(n int, seed int64) *Fleet {
 	f := &Fleet{}
 	rng := rand.New(rand.NewSource(seed))
@@ -94,7 +102,7 @@ func NewFleet(n int, seed int64) *Fleet {
 			HasSolar:      rng.Float64() < 0.25,
 			Seed:          rng.Int63(),
 		}
-		f.Households = append(f.Households, NewHousehold(cfg, &f.ids))
+		f.Households = append(f.Households, NewHousehold(cfg, &idCounter{base: uint64(i+1) << householdIDBits}))
 	}
 	return f
 }

@@ -17,9 +17,10 @@ const refitLatWindow = 4096
 // than the snapshot copy, and forecasts/updates keep serving the
 // stale-but-live model while the (expensive) estimation runs.
 type sweeper struct {
-	q    chan *Series
-	stop chan struct{}
-	wg   sync.WaitGroup
+	q        chan *Series
+	stop     chan struct{}
+	stopOnce sync.Once // close is repeatable: a node is closed by its owner and again by deferred cleanup
+	wg       sync.WaitGroup
 
 	workers int
 	// pending counts requests accepted but not yet finished (queued or
@@ -143,6 +144,6 @@ func (w *sweeper) fill(st *RegistryStats) {
 func (w *sweeper) idle() bool { return w.pending.Load() == 0 }
 
 func (w *sweeper) close() {
-	close(w.stop)
+	w.stopOnce.Do(func() { close(w.stop) })
 	w.wg.Wait()
 }

@@ -126,7 +126,10 @@ type Balance struct {
 
 // LedgerConfig parameterizes OpenLedger.
 type LedgerConfig struct {
-	// Path is the ledger file (created if missing).
+	// Path is the ledger file (created if missing). Empty means a
+	// volatile ledger — the rule ingest.Config.Path follows: the chain,
+	// balances and settled-offer index live in memory only, appends are
+	// acked immediately, and nothing survives the process.
 	Path string
 	// Sync is the group-commit fsync policy (store.SyncFlush default);
 	// SyncInterval is the cadence under store.SyncInterval.
@@ -139,6 +142,10 @@ type LedgerStats struct {
 	Entries       uint64
 	Actors        int
 	SettledOffers int
+	// HeadHash is the hash of the latest entry ("" on an empty chain):
+	// it seals the whole history, so two ledgers with equal heads hold
+	// identical chains.
+	HeadHash string
 	// Appends counts Append batches; AppendP50/P95/P99 are batch append
 	// latencies (staging + group commit) over a sliding window.
 	Appends             uint64
@@ -172,7 +179,7 @@ type VerifyResult struct {
 // use.
 type Ledger struct {
 	mu  sync.Mutex
-	log *store.GroupLog
+	log *store.GroupLog // nil for a volatile ledger
 
 	lastHash string
 	nextSeq  uint64
@@ -199,12 +206,12 @@ var errStopReplay = errors.New("settle: stop replay")
 // mid-batch, or trailing corruption) is cut off so new appends never
 // land behind a broken link.
 func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
-	if cfg.Path == "" {
-		return nil, fmt.Errorf("settle: ledger path required")
-	}
 	l := &Ledger{
 		balances: make(map[string]*Balance),
 		settled:  make(map[flexoffer.ID]struct{}),
+	}
+	if cfg.Path == "" {
+		return l, nil
 	}
 	intact, err := store.ReplayLines(cfg.Path, func(line []byte) error {
 		e, _, ok := l.checkNext(line)
@@ -311,8 +318,10 @@ func (l *Ledger) Append(entries []Entry) ([]Entry, error) {
 	// The chain order must equal the file order, so the group commit
 	// happens under the ledger lock: batches — not single entries — are
 	// the append throughput unit.
-	if err := l.log.Append(lines); err != nil {
-		return nil, fmt.Errorf("settle: append ledger batch: %w", err)
+	if l.log != nil {
+		if err := l.log.Append(lines); err != nil {
+			return nil, fmt.Errorf("settle: append ledger batch: %w", err)
+		}
 	}
 	for i := range entries {
 		l.applyEntry(&entries[i])
@@ -365,10 +374,13 @@ func (l *Ledger) Stats() LedgerStats {
 		Entries:          l.nextSeq,
 		Actors:           len(l.balances),
 		SettledOffers:    len(l.settled),
+		HeadHash:         l.lastHash,
 		Appends:          l.appends,
 		RecoveredEntries: l.recovered,
 		DroppedBytes:     l.dropped,
-		Log:              l.log.Stats(),
+	}
+	if l.log != nil {
+		s.Log = l.log.Stats()
 	}
 	n := l.latCount
 	if n > len(l.latRing) {
@@ -388,10 +400,15 @@ func (l *Ledger) Stats() LedgerStats {
 // divergence, if any. It is the audit operation: the walk recomputes
 // every content hash and re-checks every chain link against the bytes
 // actually on disk, holding the ledger lock so the chain is a
-// consistent point-in-time snapshot (appends wait).
+// consistent point-in-time snapshot (appends wait). A volatile ledger
+// has no bytes to audit: its chain exists only as the state Append
+// itself sealed, which Verify reports as intact.
 func (l *Ledger) Verify() (VerifyResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.log == nil {
+		return VerifyResult{Entries: l.nextSeq, OK: true}, nil
+	}
 	if err := l.log.Sync(); err != nil {
 		return VerifyResult{}, err
 	}
@@ -424,19 +441,13 @@ func VerifyFile(path string) (VerifyResult, error) {
 	return res, nil
 }
 
-// Sync flushes and fsyncs the ledger log.
-func (l *Ledger) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.log.Sync()
-}
-
-// Path returns the ledger's file path.
-func (l *Ledger) Path() string { return l.log.Path() }
-
-// Close flushes, fsyncs and closes the ledger. Further appends fail.
+// Close flushes, fsyncs and closes the ledger. Further appends to a
+// durable ledger fail.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.log == nil {
+		return nil
+	}
 	return l.log.Close()
 }

@@ -268,10 +268,35 @@ func TestLedgerConcurrentAppendRace(t *testing.T) {
 	}
 }
 
-func TestLedgerEmptyAppendAndMissingFile(t *testing.T) {
-	if _, err := OpenLedger(LedgerConfig{}); err == nil {
-		t.Error("empty path accepted")
+// TestLedgerVolatile: an empty Path opens a memory-only ledger with the
+// durable one's chain, index and stats behaviour.
+func TestLedgerVolatile(t *testing.T) {
+	l, err := OpenLedger(LedgerConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	out, err := l.Append([]Entry{
+		{Kind: EntryLine, Actor: "p1", OfferID: 1, AmountEUR: 0.4, Compliant: true},
+		{Kind: EntryShare, Actor: "p1", OfferID: 1, AmountEUR: 5},
+	})
+	if err != nil || len(out) != 2 || out[1].PrevHash != out[0].Hash {
+		t.Fatalf("append = %+v, %v", out, err)
+	}
+	if b, ok := l.Balance("p1"); !ok || math.Abs(b.NetEUR-5.4) > 1e-9 || !l.HasSettled(1) {
+		t.Errorf("balance = %+v (ok=%v), settled(1) = %v", b, ok, l.HasSettled(1))
+	}
+	if st := l.Stats(); st.Entries != 2 || st.HeadHash != out[1].Hash {
+		t.Errorf("stats = %+v, want 2 entries headed by %s", st, out[1].Hash)
+	}
+	if res, err := l.Verify(); err != nil || !res.OK || res.Entries != 2 {
+		t.Errorf("verify = %+v, %v", res, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Errorf("close = %v", err)
+	}
+}
+
+func TestLedgerEmptyAppendAndMissingFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fresh.log")
 	l := openTestLedger(t, path)
 	defer l.Close()
