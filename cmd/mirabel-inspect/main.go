@@ -13,17 +13,88 @@
 // store's retention sweep (WAL-logged) and reports what fell.
 //
 //	mirabel-inspect -data /tmp/brp1 -prune-before 480
+//
+// The store WAL and the ingest journal are binary files; -dump replays
+// one of them read-only, frame by frame, and prints each record as one
+// JSON object (file, offset, tag, decoded record) — `| jq` as before.
+//
+//	mirabel-inspect -data /tmp/brp1 -dump wal
+//	mirabel-inspect -data /tmp/brp1 -dump journal
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"path/filepath"
 
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/ingest"
 	"mirabel/internal/store"
 )
+
+// dumpLine is one record of a -dump listing.
+type dumpLine struct {
+	File     string `json:"file"`
+	Offset   int64  `json:"offset"`
+	Tag      string `json:"tag"`
+	Deferred bool   `json:"deferred,omitempty"` // journal: parked on disk by the defer policy
+	Record   any    `json:"record"`
+}
+
+// dumpLog replays the WAL or the ingest journal of the node directory
+// dir through store.ReplayFrames — nothing is opened for writing, no
+// torn tail is cut — and writes one JSON object per intact record to w.
+// Bytes past a file's intact prefix are reported on notes.
+func dumpLog(w, notes io.Writer, dir, which string) error {
+	var files []string
+	var magic string
+	var decode func(tag byte, payload []byte) (dumpLine, error)
+	switch which {
+	case "wal":
+		files, magic = store.WALFiles(dir), store.WALMagic
+		decode = func(tag byte, payload []byte) (dumpLine, error) {
+			table, rec, err := store.DecodeWALRecord(tag, payload)
+			return dumpLine{Tag: table, Record: rec}, err
+		}
+	case "journal":
+		files, magic = ingest.JournalFiles(filepath.Join(dir, "ingest.log")), ingest.JournalMagic
+		decode = func(tag byte, payload []byte) (dumpLine, error) {
+			kind, deferred, rec, err := ingest.DecodeJournalRecord(tag, payload)
+			return dumpLine{Tag: kind, Deferred: deferred, Record: rec}, err
+		}
+	default:
+		return fmt.Errorf("-dump %q: want wal or journal", which)
+	}
+	out := json.NewEncoder(w)
+	for _, path := range files {
+		fi, err := os.Stat(path)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		intact, err := store.ReplayFrames(path, magic, 0, func(off int64, tag byte, payload []byte) error {
+			line, err := decode(tag, payload)
+			if err != nil {
+				return fmt.Errorf("%s offset %d: %w", path, off, err)
+			}
+			line.File, line.Offset = filepath.Base(path), off
+			return out.Encode(line)
+		})
+		if err != nil {
+			return err
+		}
+		if fi.Size() > intact {
+			fmt.Fprintf(notes, "%s: %d bytes of torn tail after offset %d\n", path, fi.Size()-intact, intact)
+		}
+	}
+	return nil
+}
 
 func main() {
 	log.SetFlags(0)
@@ -32,10 +103,17 @@ func main() {
 	showOffers := flag.Bool("offers", false, "list flex-offer records")
 	showMeasurements := flag.Bool("measurements", false, "summarize measurements per actor")
 	pruneBefore := flag.Int64("prune-before", -1, "prune measurements with slot < this value (opens the store writable)")
+	dump := flag.String("dump", "", "print every record of a binary log as JSON lines and exit: wal | journal")
 	flag.Parse()
 	if *dataDir == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *dump != "" {
+		if err := dumpLog(os.Stdout, os.Stderr, *dataDir, *dump); err != nil {
+			log.Fatal(err)
+		}
+		return
 	}
 
 	// Validate the path read-only first: even the prune path must not

@@ -1,0 +1,112 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"mirabel/internal/flexoffer"
+	"mirabel/internal/ingest"
+	"mirabel/internal/store"
+)
+
+// TestDumpLogs writes a small node directory through the store and the
+// ingest queue, then checks that -dump lists every record of both binary
+// logs as one JSON object each — and leaves a torn tail where it is.
+func TestDumpLogs(t *testing.T) {
+	dir := t.TempDir()
+	offer := &flexoffer.FlexOffer{ID: 7, Prosumer: "p1", EarliestStart: 40, LatestStart: 44, AssignBefore: 32, Profile: []flexoffer.Slice{{EnergyMin: 1, EnergyMax: 3}}}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{
+		st.PutActor(store.Actor{ID: "brp1", Role: store.RoleBRP}),
+		st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferScheduled, Schedule: offer.DefaultSchedule()}),
+		st.PutMeasurement(store.Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 1.5}),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.PruneMeasurements(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q, err := ingest.Open(ingest.Config{Store: store.NewInMemory(), Path: filepath.Join(dir, "ingest.log")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.SubmitOffer(context.Background(), store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.SubmitMeasurements(context.Background(), []store.Measurement{{Actor: "p1", EnergyType: "demand", Slot: 4, KWh: 2}, {Actor: "p1", EnergyType: "demand", Slot: 5, KWh: 3}}); err != nil {
+		t.Fatal(err)
+	}
+	q.Kill() // a graceful close would drain and truncate the journal
+
+	// A torn tail on the WAL: reported, not cut.
+	walPath := store.WALFiles(dir)[1]
+	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{9, 0, 0, 0, 1, 2})
+	f.Close()
+	before, _ := os.ReadFile(walPath)
+
+	for _, tc := range []struct {
+		which string
+		tags  []string
+		want  []string // a substring of each line's record
+	}{
+		{"wal", []string{"actors", "offers", "measurements", "prune"}, []string{`"id":"brp1"`, `"state":"scheduled"`, `"kwh":1.5`, `"before":2`}},
+		{"journal", []string{"offer", "meas"}, []string{`"state":"accepted"`, `"slot":5`}},
+	} {
+		var out, notes bytes.Buffer
+		if err := dumpLog(&out, &notes, dir, tc.which); err != nil {
+			t.Fatalf("-dump %s: %v", tc.which, err)
+		}
+		sc := bufio.NewScanner(&out)
+		var lastOff int64
+		for i := 0; sc.Scan(); i++ {
+			if i >= len(tc.tags) {
+				t.Fatalf("-dump %s: extra line %s", tc.which, sc.Text())
+			}
+			var line struct {
+				File   string          `json:"file"`
+				Offset int64           `json:"offset"`
+				Tag    string          `json:"tag"`
+				Record json.RawMessage `json:"record"`
+			}
+			if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+				t.Fatalf("-dump %s line %d is not JSON: %v\n%s", tc.which, i, err, sc.Text())
+			}
+			if line.Tag != tc.tags[i] || line.Offset <= lastOff || line.File == "" || !strings.Contains(string(line.Record), tc.want[i]) {
+				t.Errorf("-dump %s line %d = %s, want tag %q with %s past offset %d", tc.which, i, sc.Text(), tc.tags[i], tc.want[i], lastOff)
+			}
+			lastOff = line.Offset
+		}
+		if lastOff == 0 {
+			t.Errorf("-dump %s printed nothing", tc.which)
+		}
+		if torn := strings.Contains(notes.String(), "6 bytes of torn tail"); torn != (tc.which == "wal") {
+			t.Errorf("-dump %s notes = %q", tc.which, notes.String())
+		}
+	}
+	if after, _ := os.ReadFile(walPath); !bytes.Equal(before, after) {
+		t.Error("-dump changed the WAL")
+	}
+	if err := dumpLog(&bytes.Buffer{}, &bytes.Buffer{}, dir, "ledger"); err == nil {
+		t.Error("-dump ledger accepted")
+	}
+}

@@ -56,7 +56,7 @@ func main() {
 		aggWrk    = flag.Int("agg-workers", 0, "parallel per-aggregate workers for batched aggregation (0/1: single-threaded)")
 		ingestPol = flag.String("ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed | defer (defer needs -data)")
 		ingestCmp = flag.Int64("ingest-compact", 0, "ingest journal compaction threshold in bytes (0: compact only on restart)")
-		fcWorkers = flag.Int("fcast-workers", 2, "background re-estimation workers for the forecast registry")
+		fcWorkers = flag.Int("fcast-workers", 1, "background re-estimation workers for the forecast registry")
 		brkWindow = flag.Int("breaker-window", 0, "circuit-breaker outcome window per destination (0: no breaker)")
 		brkRate   = flag.Float64("breaker-rate", 0.5, "failure rate over the window that opens a destination's circuit")
 		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open trial")

@@ -1,0 +1,223 @@
+package comm
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+
+	"mirabel/internal/flexoffer"
+	"mirabel/internal/wire"
+)
+
+// The binary form of an envelope and of every message body, in field
+// order (primitives in package wire; FlexOffer and Schedule in package
+// flexoffer):
+//
+//	envelope:             type code byte | From string | To string |
+//	                      Seq uvarint | body, to the end of the frame
+//	flex_offer_submit:    FlexOffer
+//	flex_offer_decision:  OfferID uvarint | Accept bool | Reason string |
+//	                      PremiumEUR float64
+//	schedule_notify:      count uvarint | count × Schedule
+//	measurement_report:   Measurement (flexoffer's layout, shared with the
+//	                      store's logs)
+//	measurement_batch:    count uvarint | count × Measurement
+//	forecast_request:     Actor string | EnergyType string | Horizon varint
+//	forecast_reply:       EnergyType string | FirstSlot varint |
+//	                      count uvarint | count × float64
+//	error:                Message string
+//	ping, pong:           no body
+//
+// Type codes are positions in msgTypes and never change meaning; a new
+// message type takes the next free code.
+var msgTypes = [...]MsgType{
+	1:  MsgFlexOfferSubmit,
+	2:  MsgFlexOfferDecision,
+	3:  MsgScheduleNotify,
+	4:  MsgMeasurementBatch,
+	5:  MsgMeasurementReport,
+	6:  MsgForecastRequest,
+	7:  MsgForecastReply,
+	8:  MsgPing,
+	9:  MsgPong,
+	10: MsgError,
+}
+
+func msgCode(t MsgType) (byte, bool) {
+	for code := 1; code < len(msgTypes); code++ {
+		if msgTypes[code] == t {
+			return byte(code), true
+		}
+	}
+	return 0, false
+}
+
+// appendEnvelope appends env's wire form to dst.
+func appendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
+	code, ok := msgCode(env.Type)
+	if !ok {
+		return dst, fmt.Errorf("comm: message type %q has no wire code", env.Type)
+	}
+	dst = append(dst, code)
+	dst = wire.AppendString(dst, env.From)
+	dst = wire.AppendString(dst, env.To)
+	dst = binary.AppendUvarint(dst, env.Seq)
+	return append(dst, env.Body...), nil
+}
+
+// decodeEnvelope decodes one frame payload. The returned envelope owns
+// all its memory — names are copied and Body is a fresh copy — so raw
+// can be reused as soon as this returns.
+func decodeEnvelope(raw []byte) (Envelope, error) {
+	r := wire.NewReader(raw)
+	code := r.Byte()
+	var env Envelope
+	env.From = r.String()
+	env.To = r.String()
+	env.Seq = r.Uvarint()
+	if err := r.Err(); err != nil {
+		return Envelope{}, fmt.Errorf("comm: decode frame: %w", err)
+	}
+	if code == 0 || int(code) >= len(msgTypes) {
+		return Envelope{}, fmt.Errorf("comm: decode frame: unknown message type code %d", code)
+	}
+	env.Type = msgTypes[code]
+	if body := r.Rest(); len(body) > 0 {
+		env.Body = append([]byte(nil), body...)
+	}
+	return env, nil
+}
+
+// bodyEncoder and bodyDecoder are implemented by the message body types
+// (encoders on the value, so both T and *T encode; decoders on *T).
+type bodyEncoder interface {
+	appendBody(dst []byte) ([]byte, error)
+}
+
+type bodyDecoder interface {
+	readBody(r *wire.Reader)
+}
+
+func decodeBody(raw []byte, out bodyDecoder) error {
+	r := wire.NewReader(raw)
+	out.readBody(&r)
+	return r.Done()
+}
+
+var errNilOffer = errors.New("submit without an offer")
+
+func (m FlexOfferSubmit) appendBody(dst []byte) ([]byte, error) {
+	if m.Offer == nil {
+		return dst, errNilOffer
+	}
+	return m.Offer.AppendWire(dst), nil
+}
+
+// readBody always leaves a non-nil Offer: the wire form has no way to
+// say "no offer".
+func (m *FlexOfferSubmit) readBody(r *wire.Reader) {
+	m.Offer = new(flexoffer.FlexOffer)
+	m.Offer.ReadWire(r)
+}
+
+func (m FlexOfferDecision) appendBody(dst []byte) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(m.OfferID))
+	dst = wire.AppendBool(dst, m.Accept)
+	dst = wire.AppendString(dst, m.Reason)
+	return wire.AppendFloat64(dst, m.PremiumEUR), nil
+}
+
+func (m *FlexOfferDecision) readBody(r *wire.Reader) {
+	m.OfferID = flexoffer.ID(r.Uvarint())
+	m.Accept = r.Bool()
+	m.Reason = r.String()
+	m.PremiumEUR = r.Float64()
+}
+
+func (m ScheduleNotify) appendBody(dst []byte) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(m.Schedules)))
+	for i, s := range m.Schedules {
+		if s == nil {
+			return dst, fmt.Errorf("schedule %d is nil", i)
+		}
+		dst = s.AppendWire(dst)
+	}
+	return dst, nil
+}
+
+func (m *ScheduleNotify) readBody(r *wire.Reader) {
+	m.Schedules = nil
+	if n := r.Count(flexoffer.MinScheduleWire); n > 0 {
+		m.Schedules = make([]*flexoffer.Schedule, n)
+		for i := range m.Schedules {
+			m.Schedules[i] = new(flexoffer.Schedule)
+			m.Schedules[i].ReadWire(r)
+		}
+	}
+}
+
+func (m MeasurementReport) appendBody(dst []byte) ([]byte, error) {
+	return flexoffer.AppendMeasurementWire(dst, m.Actor, m.EnergyType, m.Slot, m.KWh), nil
+}
+
+func (m *MeasurementReport) readBody(r *wire.Reader) {
+	m.Actor, m.EnergyType, m.Slot, m.KWh = flexoffer.ReadMeasurementWire(r)
+}
+
+func (m MeasurementBatch) appendBody(dst []byte) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(m.Reports)))
+	for _, rep := range m.Reports {
+		dst, _ = rep.appendBody(dst)
+	}
+	return dst, nil
+}
+
+func (m *MeasurementBatch) readBody(r *wire.Reader) {
+	m.Reports = nil
+	if n := r.Count(flexoffer.MinMeasurementWire); n > 0 {
+		m.Reports = make([]MeasurementReport, n)
+		for i := range m.Reports {
+			m.Reports[i].readBody(r)
+		}
+	}
+}
+
+func (m ForecastRequest) appendBody(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.Actor)
+	dst = wire.AppendString(dst, m.EnergyType)
+	return binary.AppendVarint(dst, int64(m.Horizon)), nil
+}
+
+func (m *ForecastRequest) readBody(r *wire.Reader) {
+	m.Actor = r.String()
+	m.EnergyType = r.String()
+	m.Horizon = int(r.Varint())
+}
+
+func (m ForecastReply) appendBody(dst []byte) ([]byte, error) {
+	dst = wire.AppendString(dst, m.EnergyType)
+	dst = binary.AppendVarint(dst, int64(m.FirstSlot))
+	dst = binary.AppendUvarint(dst, uint64(len(m.Values)))
+	for _, v := range m.Values {
+		dst = wire.AppendFloat64(dst, v)
+	}
+	return dst, nil
+}
+
+func (m *ForecastReply) readBody(r *wire.Reader) {
+	m.EnergyType = r.String()
+	m.FirstSlot = flexoffer.Time(r.Varint())
+	m.Values = nil
+	if n := r.Count(8); n > 0 {
+		m.Values = make([]float64, n)
+		for i := range m.Values {
+			m.Values[i] = r.Float64()
+		}
+	}
+}
+
+func (m ErrorBody) appendBody(dst []byte) ([]byte, error) {
+	return wire.AppendString(dst, m.Message), nil
+}
+
+func (m *ErrorBody) readBody(r *wire.Reader) { m.Message = r.String() }

@@ -5,8 +5,9 @@
 //
 // The package is layered, context-first throughout:
 //
-//   - Envelope is the wire unit: a typed JSON payload with routing
-//     metadata. Two Transports move envelopes: an in-process Bus for
+//   - Envelope is the wire unit: a typed binary payload with routing
+//     metadata (codec.go spells out every body's layout). Two
+//     Transports move envelopes: an in-process Bus for
 //     population-scale simulation and a TCP transport for real
 //     deployments — length-prefixed frames over bounded per-destination
 //     connection pools, with requests correlated to replies by
@@ -46,10 +47,10 @@
 package comm
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/wire"
 )
 
 // MsgType tags the payload carried by an envelope.
@@ -84,13 +85,18 @@ const (
 )
 
 // Envelope is the wire unit: a typed payload with routing metadata.
+// Body is the payload's binary encoding (empty for ping and pong);
+// NewEnvelope and Decode are the only code that reads or writes it.
 type Envelope struct {
-	Type MsgType         `json:"type"`
-	From string          `json:"from"`
-	To   string          `json:"to"`
-	Seq  uint64          `json:"seq,omitempty"` // correlation id for replies
-	Body json.RawMessage `json:"body,omitempty"`
+	Type MsgType
+	From string
+	To   string
+	Seq  uint64 // correlation id for replies
+	Body []byte
 }
+
+// The JSON tags on the body types below are not what travels: they keep
+// encoding/json a working reference the codec tests compare against.
 
 // FlexOfferSubmit is the body of MsgFlexOfferSubmit.
 type FlexOfferSubmit struct {
@@ -146,21 +152,41 @@ type ErrorBody struct {
 	Message string `json:"message"`
 }
 
-// NewEnvelope marshals body into a typed envelope.
+// NewEnvelope encodes body — one of the body types above, by value or
+// by pointer, or nil for a bodiless message — into a typed envelope.
 func NewEnvelope(t MsgType, from, to string, body any) (Envelope, error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("comm: marshal %s body: %w", t, err)
+	env := Envelope{Type: t, From: from, To: to}
+	if body == nil {
+		return env, nil
 	}
-	return Envelope{Type: t, From: from, To: to, Body: raw}, nil
+	enc, ok := body.(bodyEncoder)
+	if !ok {
+		return Envelope{}, fmt.Errorf("comm: %s body of type %T has no wire encoding", t, body)
+	}
+	// Encode into pooled scratch, keep an exact-size copy: one
+	// allocation per body however large it grows.
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	raw, err := enc.appendBody(*buf)
+	*buf = raw
+	if err != nil {
+		return Envelope{}, fmt.Errorf("comm: encode %s body: %w", t, err)
+	}
+	env.Body = append([]byte(nil), raw...)
+	return env, nil
 }
 
-// Decode unmarshals the envelope body into out and verifies the type tag.
+// Decode decodes the envelope body into out — a pointer to one of the
+// body types — and verifies the type tag.
 func (e *Envelope) Decode(want MsgType, out any) error {
 	if e.Type != want {
 		return fmt.Errorf("comm: envelope is %s, want %s", e.Type, want)
 	}
-	if err := json.Unmarshal(e.Body, out); err != nil {
+	dec, ok := out.(bodyDecoder)
+	if !ok {
+		return fmt.Errorf("comm: cannot decode a %s body into %T", e.Type, out)
+	}
+	if err := decodeBody(e.Body, dec); err != nil {
 		return fmt.Errorf("comm: decode %s body: %w", e.Type, err)
 	}
 	return nil
@@ -168,6 +194,6 @@ func (e *Envelope) Decode(want MsgType, out any) error {
 
 // ErrorEnvelope builds an error reply for a received envelope.
 func ErrorEnvelope(inReplyTo *Envelope, from string, msg string) Envelope {
-	raw, _ := json.Marshal(ErrorBody{Message: msg})
+	raw, _ := ErrorBody{Message: msg}.appendBody(nil) // cannot fail
 	return Envelope{Type: MsgError, From: from, To: inReplyTo.From, Seq: inReplyTo.Seq, Body: raw}
 }

@@ -2,10 +2,8 @@ package comm
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -13,80 +11,69 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mirabel/internal/wire"
 )
 
 // maxFrame bounds a single message (16 MiB) — a macro flex-offer batch
 // fits comfortably; anything larger indicates a protocol error.
 const maxFrame = 16 << 20
 
-// maxPooledFrameBuf bounds the encode buffers kept in the frame pool;
-// the occasional huge frame is allocated once and dropped instead of
-// pinning megabytes behind the pool.
-const maxPooledFrameBuf = 1 << 20
-
-// framePool recycles frame encode buffers: steady-state traffic writes
-// frames without allocating a fresh payload buffer per message.
-var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// writeFrame writes a length-prefixed JSON frame. Header and payload are
-// encoded into a pooled buffer and flushed as a single Write, so a frame
-// costs one syscall and no per-frame payload allocation.
+// writeFrame writes one frame: a 4-byte big-endian payload length, then
+// the envelope's binary form (codec.go). Header and payload are encoded
+// into a pooled buffer and flushed as a single Write, so a frame costs
+// one syscall and no per-frame payload allocation.
 func writeFrame(w io.Writer, env *Envelope) error {
-	buf := framePool.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledFrameBuf {
-			framePool.Put(buf)
-		}
-	}()
-	buf.Reset()
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := json.NewEncoder(buf).Encode(env); err != nil {
-		return fmt.Errorf("comm: marshal frame: %w", err)
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	raw, err := appendEnvelope(append(*buf, 0, 0, 0, 0), env)
+	*buf = raw
+	if err != nil {
+		return err
 	}
-	// The encoder's trailing newline stays inside the frame; it is
-	// insignificant JSON whitespace to the decoder.
-	n := buf.Len() - 4
+	n := len(raw) - 4
 	if n > maxFrame {
 		return fmt.Errorf("comm: frame of %d bytes exceeds limit", n)
 	}
-	raw := buf.Bytes()
 	binary.BigEndian.PutUint32(raw[:4], uint32(n))
-	_, err := w.Write(raw)
+	_, err = w.Write(raw)
 	return err
 }
 
-// readFrameBuf reads one length-prefixed JSON frame, reusing *scratch as
-// the payload buffer across calls (it grows to the largest frame seen).
-// Reuse is safe because decoding copies every byte it keeps — strings by
-// definition and the Body via json.RawMessage's copying UnmarshalJSON.
-func readFrameBuf(r io.Reader, scratch *[]byte) (Envelope, error) {
+// frameReader reads a connection's frames. The payload scratch is reused
+// across frames — safe because a decoded envelope owns all its memory
+// (decodeEnvelope copies the body out; handlers run concurrently with
+// the next read) — and is dropped once it has grown past wire.MaxPooledBuf,
+// so one huge frame does not pin megabytes per connection for good.
+type frameReader struct {
+	r       io.Reader
+	scratch []byte
+}
+
+func newFrameReader(conn io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(conn)}
+}
+
+func (fr *frameReader) next() (Envelope, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		return Envelope{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return Envelope{}, fmt.Errorf("comm: frame of %d bytes exceeds limit", n)
 	}
-	if uint32(cap(*scratch)) < n {
-		*scratch = make([]byte, n)
+	if uint32(cap(fr.scratch)) < n {
+		fr.scratch = make([]byte, n)
 	}
-	raw := (*scratch)[:n]
-	if _, err := io.ReadFull(r, raw); err != nil {
+	raw := fr.scratch[:n]
+	if cap(fr.scratch) > wire.MaxPooledBuf {
+		fr.scratch = nil
+	}
+	if _, err := io.ReadFull(fr.r, raw); err != nil {
 		return Envelope{}, err
 	}
-	var env Envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return Envelope{}, fmt.Errorf("comm: unmarshal frame: %w", err)
-	}
-	return env, nil
-}
-
-// readFrame reads one length-prefixed JSON frame with a throwaway
-// buffer (loops should hold a scratch buffer and use readFrameBuf).
-func readFrame(r io.Reader) (Envelope, error) {
-	var scratch []byte
-	return readFrameBuf(r, &scratch)
+	return decodeEnvelope(raw)
 }
 
 // DefaultServerConcurrency bounds how many handlers a TCPServer runs
@@ -202,12 +189,11 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	r := bufio.NewReader(conn)
+	frames := newFrameReader(conn)
 	var wmu sync.Mutex // one reply frame at a time onto the shared conn
 	sem := make(chan struct{}, s.perConn)
-	var scratch []byte
 	for {
-		env, err := readFrameBuf(r, &scratch)
+		env, err := frames.next()
 		if err != nil {
 			return // EOF or protocol error: drop the connection
 		}
@@ -707,10 +693,9 @@ func (c *tcpConn) fail(err error) {
 // delivers each reply to the waiter registered under its Seq. It exits
 // — failing all remaining waiters — when the connection breaks.
 func (c *tcpConn) readLoop() {
-	r := bufio.NewReader(c.nc)
-	var scratch []byte
+	frames := newFrameReader(c.nc)
 	for {
-		env, err := readFrameBuf(r, &scratch)
+		env, err := frames.next()
 		if err != nil {
 			c.fail(fmt.Errorf("comm: connection to %s lost: %w", c.pool.addr, err))
 			return

@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mirabel/internal/flexoffer"
+	"mirabel/internal/wire"
 )
 
 // slowPongServer serves a handler that sleeps d (or until server
@@ -369,5 +372,108 @@ func TestTCPServerSerialDispatchOption(t *testing.T) {
 	wg.Wait()
 	if wall := time.Since(t0); wall < time.Duration(k)*delay {
 		t.Errorf("serial dispatch finished in %v, faster than %d×%v — not serialized", wall, k, delay)
+	}
+}
+
+// TestTCPBodyOutlivesReadScratch pins the frame-buffer ownership rule:
+// handlers run concurrently with the connection's read loop (up to
+// perConn wide), which reuses one payload scratch, so a decoded
+// Envelope.Body must own its bytes. Requests of very different sizes
+// are pipelined down ONE connection; each handler dawdles before it
+// decodes, giving the read loop every chance to overwrite a body that
+// aliased the scratch (which -race then reports), and the reply proves
+// the body still read as sent. The replies come back through the
+// client's demux loop, which reuses a scratch the same way.
+func TestTCPBodyOutlivesReadScratch(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0", func(ctx context.Context, env Envelope) (*Envelope, error) {
+		time.Sleep(time.Millisecond)
+		var batch MeasurementBatch
+		if err := env.Decode(MsgMeasurementBatch, &batch); err != nil {
+			return nil, err
+		}
+		values := make([]float64, len(batch.Reports))
+		for i, r := range batch.Reports {
+			if r.Actor != batch.Reports[0].Actor || int(r.Slot) != i {
+				return nil, fmt.Errorf("report %d of %s's batch reads %+v", i, batch.Reports[0].Actor, r)
+			}
+			values[i] = r.KWh
+		}
+		reply, err := NewEnvelope(MsgForecastReply, "srv", env.From, ForecastReply{EnergyType: batch.Reports[0].Actor, Values: values})
+		return &reply, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := NewTCPClient("p1", WithPoolSize(1))
+	defer client.Close()
+	client.SetRoute("srv", srv.Addr())
+
+	const requests = 96
+	var wg sync.WaitGroup
+	for k := 0; k < requests; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			actor := fmt.Sprintf("meter-%03d", k)
+			reports := make([]MeasurementReport, 1+(k*37)%200) // 1 … 200 facts: ~30 B to ~5 KB frames
+			for i := range reports {
+				reports[i] = MeasurementReport{Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: float64(k*1000 + i)}
+			}
+			env, err := NewEnvelope(MsgMeasurementBatch, "p1", "srv", MeasurementBatch{Reports: reports})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			reply, err := client.Request(ctx, "srv", env)
+			if err != nil {
+				t.Errorf("request %d: %v", k, err)
+				return
+			}
+			var echo ForecastReply
+			if err := reply.Decode(MsgForecastReply, &echo); err != nil {
+				t.Errorf("reply %d: %v", k, err)
+				return
+			}
+			if echo.EnergyType != actor || len(echo.Values) != len(reports) {
+				t.Errorf("reply %d is for %s with %d values, want %s with %d", k, echo.EnergyType, len(echo.Values), actor, len(reports))
+				return
+			}
+			for i, v := range echo.Values {
+				if v != reports[i].KWh {
+					t.Errorf("reply %d value %d = %g, want %g", k, i, v, reports[i].KWh)
+					return
+				}
+			}
+		}(k)
+	}
+	wg.Wait()
+	if got := client.Stats().Dials; got != 1 {
+		t.Errorf("dials = %d, want 1 (the requests must share one connection)", got)
+	}
+}
+
+// TestFrameReaderDropsOversizedScratch: one huge frame must not leave a
+// connection holding a huge read buffer for the rest of its life.
+func TestFrameReaderDropsOversizedScratch(t *testing.T) {
+	var stream writableBuffer
+	small := Envelope{Type: MsgError, From: "a", To: "b", Body: make([]byte, 100)}
+	huge := Envelope{Type: MsgError, From: "a", To: "b", Body: make([]byte, wire.MaxPooledBuf+1)}
+	for _, env := range []*Envelope{&small, &huge, &small} {
+		if err := writeFrame(&stream, env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := &frameReader{r: &stream}
+	for i, wantBody := range []int{100, wire.MaxPooledBuf + 1, 100} {
+		env, err := fr.next()
+		if err != nil || len(env.Body) != wantBody {
+			t.Fatalf("frame %d: %d body bytes, %v", i, len(env.Body), err)
+		}
+		if cap(fr.scratch) > wire.MaxPooledBuf {
+			t.Fatalf("after frame %d the reader keeps a %d-byte scratch (bound %d)", i, cap(fr.scratch), wire.MaxPooledBuf)
+		}
 	}
 }

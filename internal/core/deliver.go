@@ -29,6 +29,12 @@ func (n *Node) handleScheduleNotify(ctx context.Context, env comm.Envelope) (*co
 	if err := env.Decode(comm.MsgScheduleNotify, &body); err != nil {
 		return nil, err
 	}
+	// Refuse the whole notify before any of it is committed or relayed.
+	for _, s := range body.Schedules {
+		if err := s.CheckFinite(); err != nil {
+			return nil, err
+		}
+	}
 
 	// Snapshot: final schedules commit immediately; forwarded macros
 	// only capture an immutable copy of their local aggregate here. The

@@ -311,6 +311,51 @@ func TestProsumerRefusesOffers(t *testing.T) {
 	}
 }
 
+// TestIntakeRejectsNonFinite: the binary wire format carries NaN and
+// ±Inf, which JSON could not; each intake handler refuses them before
+// anything is journaled, stored or handed to the aggregation pipeline.
+func TestIntakeRejectsNonFinite(t *testing.T) {
+	bus := comm.NewBus()
+	brp := newBRP(t, bus)
+	p1 := newProsumer(t, bus, "p1")
+	ctx := context.Background()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		offer := testOffer(1, 40, 16, 4, 5)
+		offer.Profile[2].EnergyMax = bad
+		if d, err := p1.SubmitOfferTo(ctx, offer); err != nil || d.Accept {
+			t.Errorf("offer with energy %g: decision %+v, %v", bad, d, err)
+		}
+		offer = testOffer(1, 40, 16, 4, 5)
+		offer.CostPerKWh = bad
+		if d, err := p1.SubmitOfferTo(ctx, offer); err != nil || d.Accept {
+			t.Errorf("offer with price %g: decision %+v, %v", bad, d, err)
+		}
+		report, _ := comm.NewEnvelope(comm.MsgMeasurementReport, "p1", "brp1", comm.MeasurementReport{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: bad})
+		if _, err := brp.Handle(ctx, report); err == nil {
+			t.Errorf("measurement report of %g kWh accepted", bad)
+		}
+		batch, _ := comm.NewEnvelope(comm.MsgMeasurementBatch, "p1", "brp1", comm.MeasurementBatch{Reports: []comm.MeasurementReport{
+			{Actor: "p1", EnergyType: "demand", Slot: 2, KWh: 1}, {Actor: "p1", EnergyType: "demand", Slot: 3, KWh: bad},
+		}})
+		if _, err := brp.Handle(ctx, batch); err == nil {
+			t.Errorf("measurement batch holding %g kWh accepted", bad)
+		}
+		notify, _ := comm.NewEnvelope(comm.MsgScheduleNotify, "brp1", "p1", comm.ScheduleNotify{Schedules: []*flexoffer.Schedule{
+			{OfferID: 7, Start: 40, Energy: []float64{1, 1}}, {OfferID: 8, Start: 40, Energy: []float64{1, bad}},
+		}})
+		if _, err := p1.Handle(ctx, notify); err == nil {
+			t.Errorf("schedule notify holding energy %g accepted", bad)
+		}
+	}
+	drain(t, brp)
+	if st := brp.Store().Stats(); st.Measurements != 0 || brp.PendingOffers() != 0 {
+		t.Errorf("refused input reached the BRP: %+v, %d pending offers", st, brp.PendingOffers())
+	}
+	if s := p1.ScheduleFor(&flexoffer.FlexOffer{ID: 7, AssignBefore: 100}, 0); s != nil {
+		t.Errorf("the finite schedule of a refused notify was committed: %+v", s)
+	}
+}
+
 func TestPingPong(t *testing.T) {
 	brp := newBRP(t, nil)
 	env, _ := comm.NewEnvelope(comm.MsgPing, "x", "brp1", nil)

@@ -13,6 +13,7 @@ package flexoffer
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // SlotMinutes is the duration of one time slot. The whole system operates
@@ -107,10 +108,19 @@ func (f *FlexOffer) MaxTotalEnergy() float64 {
 // the offer starts as late as possible.
 func (f *FlexOffer) LatestEnd() Time { return f.LatestStart + Time(len(f.Profile)) }
 
+// finite reports whether x is an ordinary number. The binary codec
+// carries float bits verbatim, so NaN and ±Inf can arrive from a peer;
+// one of them in an energy or a price would poison every cached sum
+// downstream (NaN also slips through every < and > comparison).
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // Validate checks the structural invariants of the offer.
 func (f *FlexOffer) Validate() error {
 	if len(f.Profile) == 0 {
 		return fmt.Errorf("flexoffer %d: empty profile", f.ID)
+	}
+	if !finite(f.CostPerKWh) {
+		return fmt.Errorf("flexoffer %d: non-finite price %g", f.ID, f.CostPerKWh)
 	}
 	if f.LatestStart < f.EarliestStart {
 		return fmt.Errorf("flexoffer %d: latest start %d before earliest start %d", f.ID, f.LatestStart, f.EarliestStart)
@@ -119,6 +129,9 @@ func (f *FlexOffer) Validate() error {
 		return fmt.Errorf("flexoffer %d: assignment deadline %d after earliest start %d", f.ID, f.AssignBefore, f.EarliestStart)
 	}
 	for i, sl := range f.Profile {
+		if !finite(sl.EnergyMin) || !finite(sl.EnergyMax) {
+			return fmt.Errorf("flexoffer %d: slice %d non-finite energy [%g, %g]", f.ID, i, sl.EnergyMin, sl.EnergyMax)
+		}
 		if sl.EnergyMin > sl.EnergyMax {
 			return fmt.Errorf("flexoffer %d: slice %d min %g > max %g", f.ID, i, sl.EnergyMin, sl.EnergyMax)
 		}
@@ -150,6 +163,18 @@ func (s *Schedule) TotalEnergy() float64 {
 	return sum
 }
 
+// CheckFinite rejects a schedule carrying a NaN or ±Inf energy — the
+// check a receiver can make before it knows (or without knowing) the
+// offer the schedule instantiates.
+func (s *Schedule) CheckFinite() error {
+	for i, e := range s.Energy {
+		if !finite(e) {
+			return fmt.Errorf("flexoffer: schedule for offer %d: slice %d non-finite energy %g", s.OfferID, i, e)
+		}
+	}
+	return nil
+}
+
 // Errors returned by ValidateSchedule.
 var (
 	ErrWrongOffer     = errors.New("flexoffer: schedule references a different offer")
@@ -179,7 +204,7 @@ func (f *FlexOffer) ValidateSchedule(sched *Schedule) error {
 	const eps = 1e-9
 	for i, e := range sched.Energy {
 		sl := f.Profile[i]
-		if e < sl.EnergyMin-eps || e > sl.EnergyMax+eps {
+		if math.IsNaN(e) || e < sl.EnergyMin-eps || e > sl.EnergyMax+eps {
 			return fmt.Errorf("%w: slice %d energy %g outside [%g, %g] (offer %d)", ErrEnergyOutOfBox, i, e, sl.EnergyMin, sl.EnergyMax, f.ID)
 		}
 	}

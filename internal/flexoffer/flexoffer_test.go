@@ -2,6 +2,7 @@ package flexoffer
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -59,12 +60,32 @@ func TestValidateRejectsBadOffers(t *testing.T) {
 		{"latest before earliest", func(f *FlexOffer) { f.LatestStart = f.EarliestStart - 1 }},
 		{"assignment after earliest start", func(f *FlexOffer) { f.AssignBefore = f.EarliestStart + 1 }},
 		{"slice min > max", func(f *FlexOffer) { f.Profile[0] = Slice{EnergyMin: 5, EnergyMax: 1} }},
+		// The binary codec carries float bits verbatim; JSON could not
+		// carry any of these.
+		{"NaN slice min", func(f *FlexOffer) { f.Profile[3].EnergyMin = math.NaN() }},
+		{"NaN slice max", func(f *FlexOffer) { f.Profile[3].EnergyMax = math.NaN() }},
+		{"-Inf slice min", func(f *FlexOffer) { f.Profile[0].EnergyMin = math.Inf(-1) }},
+		{"+Inf slice max", func(f *FlexOffer) { f.Profile[7].EnergyMax = math.Inf(1) }},
+		{"NaN price", func(f *FlexOffer) { f.CostPerKWh = math.NaN() }},
+		{"+Inf price", func(f *FlexOffer) { f.CostPerKWh = math.Inf(1) }},
+		{"-Inf price", func(f *FlexOffer) { f.CostPerKWh = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		f := evOffer()
 		tc.mutate(f)
 		if err := f.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid offer", tc.name)
+		}
+	}
+}
+
+func TestScheduleCheckFinite(t *testing.T) {
+	if err := (&Schedule{OfferID: 1, Start: 100, Energy: []float64{6, -6, 0}}).CheckFinite(); err != nil {
+		t.Errorf("finite schedule rejected: %v", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := (&Schedule{OfferID: 1, Start: 100, Energy: []float64{6, bad, 6}}).CheckFinite(); err == nil {
+			t.Errorf("schedule with energy %g accepted", bad)
 		}
 	}
 }
@@ -91,6 +112,9 @@ func TestValidateScheduleRejections(t *testing.T) {
 		{"slice count", &Schedule{OfferID: 1, Start: 100, Energy: full[:4]}, ErrSliceCount},
 		{"energy above max", &Schedule{OfferID: 1, Start: 100, Energy: []float64{7, 6, 6, 6, 6, 6, 6, 6}}, ErrEnergyOutOfBox},
 		{"energy below min", &Schedule{OfferID: 1, Start: 100, Energy: []float64{-1, 6, 6, 6, 6, 6, 6, 6}}, ErrEnergyOutOfBox},
+		{"NaN energy", &Schedule{OfferID: 1, Start: 100, Energy: []float64{6, 6, math.NaN(), 6, 6, 6, 6, 6}}, ErrEnergyOutOfBox},
+		{"+Inf energy", &Schedule{OfferID: 1, Start: 100, Energy: []float64{6, 6, 6, 6, 6, 6, 6, math.Inf(1)}}, ErrEnergyOutOfBox},
+		{"-Inf energy", &Schedule{OfferID: 1, Start: 100, Energy: []float64{math.Inf(-1), 6, 6, 6, 6, 6, 6, 6}}, ErrEnergyOutOfBox},
 	}
 	for _, tc := range cases {
 		if err := f.ValidateSchedule(tc.sched); !errors.Is(err, tc.want) {

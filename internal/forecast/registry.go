@@ -37,7 +37,7 @@ type RegistryConfig struct {
 	// NewStrategy builds the per-series evaluation strategy (default
 	// TimeBased every 2 longest periods). Called once per created model.
 	NewStrategy func() EvaluationStrategy
-	// Workers sizes the background re-estimation pool (default 2).
+	// Workers sizes the background re-estimation pool (default 1).
 	Workers int
 	// QueueDepth bounds the refit request queue (default 1024). A full
 	// queue never blocks updates: the request is dropped, counted as an
@@ -156,7 +156,14 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		n <<= 1
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 2
+		// Re-estimation is CPU-bound and arrives in bursts (a fleet's
+		// series cross their refit thresholds together), and a pool as
+		// wide as the machine starves intake, planning and settlement
+		// for the length of every burst. One worker is the only width
+		// measured to leave the serving path alone (2-core host, bench
+		// workload lifecycle); wider pools are for hosts where someone
+		// has measured them.
+		cfg.Workers = 1
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024

@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,27 +80,16 @@ func TestCompactionBoundsJournal(t *testing.T) {
 	}
 }
 
-// writeJournalLines appends framed events straight to a journal file,
-// standing in for a crashed predecessor's acked appends.
-func writeJournalLines(t *testing.T, path string, events []event) {
+// writeJournal writes a journal file holding events, standing in for a
+// crashed predecessor's acked appends.
+func writeJournal(t *testing.T, path string, events []event) {
 	t.Helper()
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	raw := []byte(JournalMagic)
 	for _, ev := range events {
-		kind, data, err := marshalEvent(ev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		line, err := encodeLine(kind, false, json.RawMessage(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(line); err != nil {
-			t.Fatal(err)
-		}
+		raw = appendEvent(raw, ev, false)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -122,8 +110,8 @@ func TestRecoveryAcrossSealedSegment(t *testing.T) {
 		rec := offerRec(uint64(i), "p1", store.OfferReceived)
 		cur = append(cur, event{offer: &rec})
 	}
-	writeJournalLines(t, oldJournalPath(path), old)
-	writeJournalLines(t, path, cur)
+	writeJournal(t, oldJournalPath(path), old)
+	writeJournal(t, path, cur)
 
 	q, err := Open(Config{Store: s, Path: path})
 	if err != nil {
@@ -155,7 +143,7 @@ func TestCompactorRetiresRecoveredSegment(t *testing.T) {
 	s := testStore(t)
 	path := filepath.Join(t.TempDir(), "ingest.log")
 	rec := offerRec(1, "p1", store.OfferReceived)
-	writeJournalLines(t, oldJournalPath(path), []event{{offer: &rec}})
+	writeJournal(t, oldJournalPath(path), []event{{offer: &rec}})
 
 	q, err := Open(Config{Store: s, Path: path, CompactInterval: time.Millisecond})
 	if err != nil {

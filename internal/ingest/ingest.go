@@ -7,7 +7,10 @@
 // are acked as soon as the event is committed to the ingest journal — a
 // group-committed append-only log reusing the store's WAL committer
 // (store.GroupLog), so concurrent producers coalesce into one physical
-// write (and, under SyncAlways, one fsync) per round. Consumer
+// write (and, under SyncAlways, one fsync) per round. The journal is a
+// store frame log: checksummed binary frames behind a magic+version
+// header, one frame per event in the store's own record encodings
+// (queue.go has the tags). Consumer
 // goroutines drain the queue into the striped store asynchronously,
 // coalescing many small events into large ApplyBatch /
 // PutMeasurementsBatch rounds; the synchronous request/reply store

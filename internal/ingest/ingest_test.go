@@ -1,11 +1,13 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -57,7 +59,7 @@ func newIdleQueue(t *testing.T, cfg Config) *Queue {
 		epoch:      new(atomic.Int64),
 	}
 	if cfg.Path != "" {
-		log, err := store.OpenGroupLog(cfg.Path, cfg.Sync, cfg.SyncInterval)
+		log, err := store.OpenGroupLog(cfg.Path, JournalMagic, cfg.Sync, cfg.SyncInterval)
 		if err != nil {
 			t.Fatalf("open journal: %v", err)
 		}
@@ -153,6 +155,58 @@ func TestDeferPolicyParksOnDiskAndRefills(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+}
+
+// TestCorruptFrameInDeferredBacklogFailsDrain: a frame that fails its
+// checksum in the middle of the live journal hides every parked event
+// behind it (one torn-tail rule, no resynchronising). The refill reader
+// must say so and Drain must fail, promptly and with the journal left in
+// place — not wait for a backlog that can never clear.
+func TestCorruptFrameInDeferredBacklogFailsDrain(t *testing.T) {
+	s := testStore(t)
+	path := filepath.Join(t.TempDir(), "ingest.log")
+	q := newIdleQueue(t, Config{Store: s, Path: path, Queue: 1, Policy: PolicyDefer, MaxBatch: 8, Consumers: 1})
+	ctx := context.Background()
+	for i := 1; i <= 4; i++ { // 1 stays in memory, 2..4 are parked on disk
+		if err := q.SubmitOffer(ctx, offerRec(uint64(i), "p1", store.OfferReceived)); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	if err := q.log.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	offs := frameOffsets(t, path, JournalMagic)
+	if len(offs) != 5 {
+		t.Fatalf("journal holds %d frames, want 4", len(offs)-1)
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image[(offs[2]+offs[3])/2] ^= 0x40 // inside offer 3's frame
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	startConsumers(q, 1)
+	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	err = q.Drain(dctx)
+	if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "corrupt journal frame") {
+		t.Fatalf("drain = %v, want a prompt corrupt-frame error", err)
+	}
+	for i, want := range []bool{true, true, false, false} {
+		if _, ok := s.GetOffer(flexoffer.ID(i + 1)); ok != want {
+			t.Errorf("offer %d present = %v, want %v", i+1, ok, want)
+		}
+	}
+	if st := q.Stats(); st.DiskBacklog != 2 || st.ApplyErrors == 0 {
+		t.Errorf("backlog=%d applyErrors=%d, want 2 and >0", st.DiskBacklog, st.ApplyErrors)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, image) {
+		t.Errorf("journal changed under a failed drain (err %v)", err)
+	}
+	q.Kill()
 }
 
 func TestDeferRequiresJournal(t *testing.T) {
@@ -283,13 +337,13 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("submit after kill = %v, want ErrClosed", err)
 	}
 
-	// Simulate a torn tail from the crash: a partial line must not
-	// poison recovery.
+	// Simulate a torn tail from the crash: a partial frame must not
+	// poison recovery (TestTornTailRecovery walks every cut point).
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatalf("append torn tail: %v", err)
 	}
-	if _, err := f.WriteString(`{"kind":"offer","data":{"tru`); err != nil {
+	if _, err := f.Write(appendEvent(nil, event{meas: []store.Measurement{meas("p1", 99, 1)}}, false)[:11]); err != nil {
 		t.Fatalf("write torn tail: %v", err)
 	}
 	f.Close()

@@ -1,51 +1,36 @@
 package ingest
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+	"math"
 	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mirabel/internal/store"
+	"mirabel/internal/wire"
 )
 
-// Journal event kinds.
+// JournalMagic heads the ingest journal and its sealed segment; the
+// last byte is the format version (rule in store/frame.go).
+const JournalMagic = "MRBLJNL\x01"
+
+// The journal is a store frame log (store/frame.go): one frame per
+// acked event, its tag the event kind. deferredBit marks events parked
+// on disk by PolicyDefer — the refill reader re-admits them even when
+// they sit past the recovery horizon. Payloads, in the store's record
+// encodings:
+//
+//	offer: OfferRecord
+//	meas:  count uvarint | count × Measurement
 const (
-	kindOffer = "offer"
-	kindMeas  = "meas"
+	tagOffer    byte = 1
+	tagMeas     byte = 2
+	deferredBit byte = 0x80
 )
-
-// A journal line frames one logged ingest event — a flex-offer upsert
-// or a measurement batch — as
-//
-//	kind|d|crc32hex|payload\n
-//
-// with the payload's JSON kept verbatim: the ack path is the producer's
-// latency, so the frame is built by hand instead of wrapping the
-// payload in a second json.Marshal. The d flag marks events parked on
-// disk by PolicyDefer — the refill reader re-admits them even when they
-// sit past the recovery horizon. The CRC covers kind|d|payload so
-// recovery rejects corrupt lines.
-func checksum(kind string, deferred bool, data []byte) uint32 {
-	h := crc32.NewIEEE()
-	h.Write([]byte(kind))
-	if deferred {
-		h.Write([]byte{'|', '1', '|'})
-	} else {
-		h.Write([]byte{'|', '0', '|'})
-	}
-	h.Write(data)
-	return h.Sum32()
-}
 
 // event is one queued unit of intake work. Exactly one of offer/meas is
 // set. out, when non-nil, is the submission epoch's outstanding counter
@@ -57,72 +42,57 @@ type event struct {
 	out   *atomic.Int64
 }
 
-// marshalEvent pre-serializes the event payload so encoding errors
-// surface to the producer before the event is staged anywhere.
-func marshalEvent(ev event) (kind string, data json.RawMessage, err error) {
+// appendEvent appends ev to dst as one journal frame.
+func appendEvent(dst []byte, ev event, deferred bool) []byte {
+	tag := tagMeas
 	if ev.offer != nil {
-		data, err = json.Marshal(ev.offer)
-		return kindOffer, data, err
+		tag = tagOffer
 	}
-	data, err = json.Marshal(ev.meas)
-	return kindMeas, data, err
-}
-
-// encodeLine frames a journal line from a pre-marshaled payload. JSON
-// never emits a raw newline, so the payload cannot break line framing.
-func encodeLine(kind string, deferred bool, data json.RawMessage) ([]byte, error) {
-	flag := byte('0')
 	if deferred {
-		flag = '1'
+		tag |= deferredBit
 	}
-	line := make([]byte, 0, len(kind)+len(data)+13)
-	line = append(line, kind...)
-	line = append(line, '|', flag, '|')
-	line = strconv.AppendUint(line, uint64(checksum(kind, deferred, data)), 16)
-	line = append(line, '|')
-	line = append(line, data...)
-	return append(line, '\n'), nil
+	dst, mark := store.BeginFrame(dst, tag)
+	if ev.offer != nil {
+		dst = ev.offer.AppendWire(dst)
+	} else {
+		dst = store.AppendMeasurements(dst, ev.meas)
+	}
+	return store.EndFrame(dst, mark)
 }
 
-// decodeLine parses and verifies one journal line. ok is false for
-// corrupt lines (skipped and counted, never fatal).
-func decodeLine(line []byte) (ev event, deferred bool, ok bool) {
-	line = bytes.TrimSuffix(line, []byte{'\n'})
-	k := bytes.IndexByte(line, '|')
-	if k < 0 || len(line) < k+4 || line[k+2] != '|' {
-		return event{}, false, false
-	}
-	kind := string(line[:k])
-	deferred = line[k+1] == '1'
-	rest := line[k+3:]
-	c := bytes.IndexByte(rest, '|')
-	if c < 0 {
-		return event{}, false, false
-	}
-	crc, err := strconv.ParseUint(string(rest[:c]), 16, 32)
-	if err != nil {
-		return event{}, false, false
-	}
-	data := rest[c+1:]
-	if checksum(kind, deferred, data) != uint32(crc) {
-		return event{}, false, false
-	}
-	switch kind {
-	case kindOffer:
-		var r store.OfferRecord
-		if err := json.Unmarshal(data, &r); err != nil || r.Offer == nil {
-			return event{}, false, false
-		}
-		return event{offer: &r}, deferred, true
-	case kindMeas:
-		var ms []store.Measurement
-		if err := json.Unmarshal(data, &ms); err != nil {
-			return event{}, false, false
-		}
-		return event{meas: ms}, deferred, true
+// decodeEvent decodes one journal frame. A frame reaches here with its
+// checksum verified, so a failure means a foreign or newer writer, not
+// a torn write; callers skip and count such frames.
+func decodeEvent(tag byte, payload []byte) (ev event, deferred bool, err error) {
+	deferred = tag&deferredBit != 0
+	r := wire.NewReader(payload)
+	switch tag &^ deferredBit {
+	case tagOffer:
+		ev.offer = new(store.OfferRecord)
+		ev.offer.ReadWire(&r)
+	case tagMeas:
+		ev.meas = store.ReadMeasurements(&r)
 	default:
-		return event{}, false, false
+		return event{}, false, fmt.Errorf("ingest: unknown journal tag %#x", tag)
 	}
+	if err := r.Done(); err != nil {
+		return event{}, false, fmt.Errorf("ingest: decode journal event: %w", err)
+	}
+	return ev, deferred, nil
+}
+
+// DecodeJournalRecord decodes one journal frame for inspection: the
+// event kind, whether it was parked on disk, and the store.OfferRecord
+// or []store.Measurement it carries.
+func DecodeJournalRecord(tag byte, payload []byte) (kind string, deferred bool, v any, err error) {
+	ev, deferred, err := decodeEvent(tag, payload)
+	if err != nil {
+		return "", false, nil, err
+	}
+	if ev.offer != nil {
+		return "offer", deferred, *ev.offer, nil
+	}
+	return "meas", deferred, ev.meas, nil
 }
 
 // Queue is the durable async intake path. See the package comment for
@@ -148,7 +118,7 @@ type Queue struct {
 
 	// horizon guards the refill reader's view of the journal: offsets
 	// below recoveredEnd predate this Queue and are re-applied
-	// wholesale; past it only Deferred-flagged lines are admitted.
+	// wholesale; past it only deferredBit-tagged frames are admitted.
 	// readOff is the next unread byte. Offsets are logical positions in
 	// the concatenation <Path>.old ++ <Path>: oldSize is the sealed
 	// segment's length (0 when none), so physical positions in the live
@@ -169,6 +139,7 @@ type Queue struct {
 
 	closed  atomic.Bool
 	stopped atomic.Bool // consumers have fully exited (Close/Kill done)
+	stalled atomic.Bool // the refill reader is stuck behind a corrupt frame
 
 	stats statsCollector
 }
@@ -204,30 +175,30 @@ func Open(cfg Config) (*Queue, error) {
 		// recoverable events, and find each intact prefix so a torn
 		// tail never hides appends.
 		recovered := 0
-		count := func(line []byte) error {
-			if _, _, ok := decodeLine(line); ok {
+		count := func(_ int64, tag byte, payload []byte) error {
+			if _, _, err := decodeEvent(tag, payload); err == nil {
 				recovered++
 			}
 			return nil
 		}
-		oldIntact, err := store.ReplayLines(oldJournalPath(cfg.Path), count)
+		oldIntact, err := store.ReplayFrames(oldJournalPath(cfg.Path), JournalMagic, 0, count)
 		if err != nil {
 			return nil, err
 		}
-		if err := truncateTorn(oldJournalPath(cfg.Path), oldIntact); err != nil {
+		if err := store.TruncateTail(oldJournalPath(cfg.Path), oldIntact); err != nil {
 			return nil, err
 		}
 		if oldIntact == 0 {
 			_ = os.Remove(oldJournalPath(cfg.Path)) // empty or absent
 		}
-		intact, err := store.ReplayLines(cfg.Path, count)
+		intact, err := store.ReplayFrames(cfg.Path, JournalMagic, 0, count)
 		if err != nil {
 			return nil, err
 		}
-		if err := truncateTorn(cfg.Path, intact); err != nil {
+		if err := store.TruncateTail(cfg.Path, intact); err != nil {
 			return nil, err
 		}
-		log, err := store.OpenGroupLog(cfg.Path, cfg.Sync, cfg.SyncInterval)
+		log, err := store.OpenGroupLog(cfg.Path, JournalMagic, cfg.Sync, cfg.SyncInterval)
 		if err != nil {
 			return nil, err
 		}
@@ -254,15 +225,9 @@ func Open(cfg Config) (*Queue, error) {
 // oldJournalPath is where a rotation seals the journal's prior contents.
 func oldJournalPath(path string) string { return path + ".old" }
 
-// truncateTorn cuts a journal file back to its intact prefix.
-func truncateTorn(path string, intact int64) error {
-	if fi, err := os.Stat(path); err == nil && fi.Size() > intact {
-		if terr := os.Truncate(path, intact); terr != nil {
-			return fmt.Errorf("ingest: truncate torn journal tail: %w", terr)
-		}
-	}
-	return nil
-}
+// JournalFiles returns the files of the journal at path, in replay
+// order; either may be absent.
+func JournalFiles(path string) []string { return []string{oldJournalPath(path), path} }
 
 // SubmitOffer queues a flex-offer upsert. The returned nil is the
 // durability ack (journal committed per the fsync policy); under
@@ -274,10 +239,19 @@ func (q *Queue) SubmitOffer(ctx context.Context, rec store.OfferRecord) error {
 	return q.submit(ctx, event{offer: &rec})
 }
 
-// SubmitMeasurements queues a measurement batch.
+// SubmitMeasurements queues a measurement batch. A batch holding a
+// non-finite reading is refused whole: the binary codec would carry NaN
+// or ±Inf faithfully into the store and every forecast model fed from
+// it.
 func (q *Queue) SubmitMeasurements(ctx context.Context, ms []store.Measurement) error {
 	if len(ms) == 0 {
 		return nil
+	}
+	for i := range ms {
+		if math.IsNaN(ms[i].KWh) || math.IsInf(ms[i].KWh, 0) {
+			return fmt.Errorf("ingest: measurement %d of %s/%s at slot %d is not finite (%g kWh)",
+				i, ms[i].Actor, ms[i].EnergyType, ms[i].Slot, ms[i].KWh)
+		}
 	}
 	return q.submit(ctx, event{meas: ms})
 }
@@ -285,10 +259,6 @@ func (q *Queue) SubmitMeasurements(ctx context.Context, ms []store.Measurement) 
 func (q *Queue) submit(ctx context.Context, ev event) error {
 	if q.closed.Load() {
 		return ErrClosed
-	}
-	kind, data, err := marshalEvent(ev)
-	if err != nil {
-		return fmt.Errorf("ingest: marshal event: %w", err)
 	}
 	start := time.Now()
 	q.gate.RLock()
@@ -343,17 +313,17 @@ func (q *Queue) submit(ctx context.Context, ev event) error {
 	}
 
 	if q.log != nil {
-		line, err := encodeLine(kind, deferred, data)
-		if err == nil {
-			if deferred {
-				// Count before the append lands: a concurrent refill
-				// must never apply a journal line that is not yet
-				// reflected in the backlog counter, or the counter
-				// would stick above zero and Drain would never finish.
-				q.deferred.Add(1)
-			}
-			err = q.log.Append([][]byte{line})
+		if deferred {
+			// Count before the append lands: a concurrent refill must
+			// never apply a journal frame that is not yet reflected in
+			// the backlog counter, or the counter would stick above
+			// zero and Drain would never finish.
+			q.deferred.Add(1)
 		}
+		buf := wire.GetBuf()
+		*buf = appendEvent(*buf, ev, deferred)
+		err := q.log.Append([][]byte{*buf})
+		wire.PutBuf(buf)
 		if err != nil {
 			// A non-deferred event is already staged and will still be
 			// applied from memory; the ack fails because durability
@@ -495,13 +465,14 @@ func (q *Queue) applyEvents(events []event) {
 func (q *Queue) refill() {
 	q.horizon.Lock()
 	defer q.horizon.Unlock()
-	for q.deferred.Load() > 0 {
+	for q.deferred.Load() > 0 && !q.stalled.Load() {
 		events, err := q.readDiskBacklog()
 		if err != nil {
 			q.stats.noteApplyErr(err)
 			return
 		}
 		if len(events) == 0 {
+			q.checkStall()
 			return
 		}
 		q.applyEvents(events)
@@ -509,10 +480,36 @@ func (q *Queue) refill() {
 	}
 }
 
+// checkStall tells the two reasons a pass can come back empty while
+// events are still parked. Usually a submission counted itself before
+// its frame was committed, and its kick brings the reader back. But once
+// the committer is quiesced every byte of the live journal is a whole
+// committed frame, so a reader that still stops short of the end is
+// looking at a frame that fails its checksum: the torn-tail rule hides
+// everything behind it and no later pass will do better. That is
+// reported as an apply error, and Drain stops waiting for the backlog.
+// Caller holds horizon.
+func (q *Queue) checkStall() {
+	size, err := q.log.Size()
+	if err != nil {
+		return
+	}
+	from := max64(q.readOff-q.oldSize, store.LogHeaderLen)
+	end, err := store.ReplayFrames(q.cfg.Path, JournalMagic, from, func(int64, byte, []byte) error {
+		return store.ErrStopReplay
+	})
+	if err != nil || from >= size || end > from {
+		return // clean end, or a frame landed since the pass: its kick reads it
+	}
+	q.stalled.Store(true)
+	q.stats.noteApplyErr(fmt.Errorf("ingest: corrupt journal frame at offset %d: the %d parked events from there on cannot be re-admitted",
+		q.readOff, q.deferred.Load()))
+}
+
 // readDiskBacklog scans forward from readOff and collects up to
 // MaxBatch applicable events. Caller holds horizon. Logical offsets run
 // across the sealed segment (immutable, read to EOF) and then the live
-// journal; a partial last line in the live file (a group flush racing
+// journal; a partial last frame in the live file (a group flush racing
 // this read) is left for the next pass.
 func (q *Queue) readDiskBacklog() ([]event, error) {
 	if q.readOff < q.oldSize {
@@ -527,36 +524,28 @@ func (q *Queue) readDiskBacklog() ([]event, error) {
 }
 
 // scanSegment reads one journal file whose first byte sits at logical
-// offset base, advancing q.readOff past every complete line consumed.
+// offset base, advancing q.readOff past every frame consumed.
 func (q *Queue) scanSegment(path string, base int64) ([]event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: open journal for refill: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Seek(q.readOff-base, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("ingest: seek journal: %w", err)
-	}
-	r := bufio.NewReaderSize(f, 1<<20)
 	var events []event
-	for len(events) < q.cfg.MaxBatch {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			return events, nil
-		}
+	end, err := store.ReplayFrames(path, JournalMagic, q.readOff-base, func(off int64, tag byte, payload []byte) error {
+		ev, deferred, err := decodeEvent(tag, payload)
 		if err != nil {
-			return events, fmt.Errorf("ingest: scan journal: %w", err)
+			q.stats.noteApplyErr(fmt.Errorf("%w (journal offset %d)", err, base+off))
+			return nil
 		}
-		lineStart := q.readOff
-		q.readOff += int64(len(line))
-		ev, deferred, ok := decodeLine(line)
-		if !ok {
-			q.stats.noteApplyErr(fmt.Errorf("ingest: corrupt journal line at %d", lineStart))
-			continue
-		}
-		if lineStart < q.recoveredEnd || deferred {
+		if base+off < q.recoveredEnd || deferred {
 			events = append(events, ev)
+			if len(events) >= q.cfg.MaxBatch {
+				return store.ErrStopReplay
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return events, fmt.Errorf("ingest: scan journal: %w", err)
+	}
+	if base+end > q.readOff { // an empty file reports 0: nothing consumed
+		q.readOff = base + end
 	}
 	return events, nil
 }
@@ -671,13 +660,15 @@ func max64(a, b int64) int64 {
 // Drain blocks new submissions, waits until every staged and deferred
 // event has been applied, then compacts the journal (store fsync first,
 // so no acked event's only copy is lost). It is the cycle's intake
-// barrier and the graceful half of Close.
+// barrier and the graceful half of Close. A disk backlog stranded behind
+// a corrupt journal frame (checkStall) ends the wait with that error and
+// the journal kept.
 func (q *Queue) Drain(ctx context.Context) error {
 	q.gate.Lock()
 	defer q.gate.Unlock()
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
-	for q.pending.Load() > 0 || q.deferred.Load() > 0 {
+	for q.pending.Load() > 0 || (q.deferred.Load() > 0 && !q.stalled.Load()) {
 		if q.stopped.Load() {
 			return ErrClosed
 		}

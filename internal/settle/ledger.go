@@ -231,7 +231,7 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 			return nil, fmt.Errorf("settle: truncate broken ledger tail: %w", terr)
 		}
 	}
-	log, err := store.OpenGroupLog(cfg.Path, cfg.Sync, cfg.SyncInterval)
+	log, err := store.OpenGroupLog(cfg.Path, "", cfg.Sync, cfg.SyncInterval) // headerless: the hash chain is its own format check
 	if err != nil {
 		return nil, err
 	}

@@ -1,0 +1,41 @@
+//go:build !race
+
+package store
+
+import (
+	"testing"
+
+	"mirabel/internal/flexoffer"
+)
+
+// The race detector instruments allocations, so the zero-alloc pin only
+// runs in plain builds — CI runs both variants.
+
+// TestEncodeOfferRecordZeroAlloc: framing an offer record into a buffer
+// that already has the room allocates nothing — through the function
+// PutOffer, UpdateOffer and UpdateOffers frame with, and through the
+// untyped one ApplyBatch hands its already boxed ops to.
+func TestEncodeOfferRecordZeroAlloc(t *testing.T) {
+	f := &flexoffer.FlexOffer{
+		ID: 42, Prosumer: "household-17", EarliestStart: 88, LatestStart: 116, AssignBefore: 80, CostPerKWh: 0.07,
+		Profile: make([]flexoffer.Slice, 8),
+	}
+	rec := OfferRecord{Offer: f, Owner: "household-17", State: OfferScheduled, Schedule: f.DefaultSchedule()}
+	m := Measurement{Actor: "household-17", EnergyType: "demand", Slot: 480, KWh: 0.25}
+	buf := make([]byte, 0, 1024)
+	if n := testing.AllocsPerRun(1000, func() {
+		buf = appendOfferFrame(buf[:0], &rec)
+		buf = appendMeasurementFrame(buf, &m)
+	}); n != 0 {
+		t.Fatalf("framing an offer record and a measurement allocates %.1f times per op, want 0", n)
+	}
+	ops := []batchOp{{tagOffer, rec}, {tagMeasurement, m}}
+	if n := testing.AllocsPerRun(1000, func() {
+		buf = buf[:0]
+		for _, op := range ops {
+			buf, _ = appendRecord(buf, op.tag, op.val)
+		}
+	}); n != 0 {
+		t.Fatalf("framing a batch's boxed ops allocates %.1f times per op, want 0", n)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/wire"
 )
 
 // Batch collects upserts to be applied in one call. A batch is logged
@@ -23,8 +24,8 @@ type Batch struct {
 }
 
 type batchOp struct {
-	table string
-	val   any
+	tag byte
+	val any
 }
 
 // NewBatch returns an empty batch.
@@ -33,8 +34,8 @@ func NewBatch() *Batch { return &Batch{} }
 // Len reports the number of queued ops.
 func (b *Batch) Len() int { return len(b.ops) }
 
-func (b *Batch) add(table string, val any) {
-	b.ops = append(b.ops, batchOp{table: table, val: val})
+func (b *Batch) add(tag byte, val any) {
+	b.ops = append(b.ops, batchOp{tag: tag, val: val})
 }
 
 // PutActor queues an actor upsert.
@@ -42,7 +43,7 @@ func (b *Batch) PutActor(a Actor) {
 	if a.ID == "" && b.err == nil {
 		b.err = fmt.Errorf("store: batch actor without id")
 	}
-	b.add(tActor, a)
+	b.add(tagActor, a)
 }
 
 // PutEnergyType queues an energy type upsert.
@@ -50,7 +51,7 @@ func (b *Batch) PutEnergyType(e EnergyType) {
 	if e.ID == "" && b.err == nil {
 		b.err = fmt.Errorf("store: batch energy type without id")
 	}
-	b.add(tEnergyType, e)
+	b.add(tagEnergyType, e)
 }
 
 // PutMarketArea queues a market area upsert.
@@ -58,31 +59,31 @@ func (b *Batch) PutMarketArea(m MarketArea) {
 	if m.ID == "" && b.err == nil {
 		b.err = fmt.Errorf("store: batch market area without id")
 	}
-	b.add(tMarketArea, m)
+	b.add(tagMarketArea, m)
 }
 
 // PutMeasurement queues a metered value upsert.
-func (b *Batch) PutMeasurement(m Measurement) { b.add(tMeasurement, m) }
+func (b *Batch) PutMeasurement(m Measurement) { b.add(tagMeasurement, m) }
 
 // PutOffer queues a flex-offer record upsert.
 func (b *Batch) PutOffer(r OfferRecord) {
 	if r.Offer == nil && b.err == nil {
 		b.err = fmt.Errorf("store: batch offer record without offer")
 	}
-	b.add(tOffer, r)
+	b.add(tagOffer, r)
 }
 
 // PutForecast queues a forecast value upsert.
-func (b *Batch) PutForecast(f ForecastRecord) { b.add(tForecast, f) }
+func (b *Batch) PutForecast(f ForecastRecord) { b.add(tagForecast, f) }
 
 // PutPrice queues a market price upsert.
-func (b *Batch) PutPrice(p PriceRecord) { b.add(tPrice, p) }
+func (b *Batch) PutPrice(p PriceRecord) { b.add(tagPrice, p) }
 
 // PutContract queues a contract upsert.
-func (b *Batch) PutContract(c Contract) { b.add(tContract, c) }
+func (b *Batch) PutContract(c Contract) { b.add(tagContract, c) }
 
 // PutModelParams queues a model parameter upsert.
-func (b *Batch) PutModelParams(m ModelParams) { b.add(tModelParams, m) }
+func (b *Batch) PutModelParams(m ModelParams) { b.add(tagModelParams, m) }
 
 // ApplyBatch applies every queued op: encode outside locks, lock the
 // touched stripes/series in the global (table, unit) order, log the
@@ -99,16 +100,17 @@ func (s *Store) ApplyBatch(b *Batch) error {
 		return nil
 	}
 
-	// Encode every record before any lock is taken.
-	var lines [][]byte
+	// Encode every record, back to back in one pooled buffer, before any
+	// lock is taken.
+	var frames *[]byte
 	if s.w != nil {
-		lines = make([][]byte, len(b.ops))
-		for i, op := range b.ops {
-			line, err := encodeRecord(op.table, opPut, op.val)
-			if err != nil {
+		frames = wire.GetBuf()
+		defer wire.PutBuf(frames)
+		for _, op := range b.ops {
+			var err error
+			if *frames, err = appendRecord(*frames, op.tag, op.val); err != nil {
 				return err
 			}
-			lines[i] = line
 		}
 	}
 
@@ -163,7 +165,7 @@ func (s *Store) ApplyBatch(b *Batch) error {
 
 	// One group commit for the whole batch.
 	if s.w != nil {
-		if err := s.w.commit(lines); err != nil {
+		if err := s.w.commit([][]byte{*frames}, len(b.ops)); err != nil {
 			return err
 		}
 	}
@@ -267,7 +269,11 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 	results := make([]OfferUpdateResult, len(updates))
 	staged := make(map[flexoffer.ID]OfferRecord)
 	firstOld := make(map[flexoffer.ID]OfferRecord) // pre-batch records, for index maintenance
-	var lines [][]byte
+	var frames *[]byte
+	if s.w != nil {
+		frames = wire.GetBuf()
+		defer wire.PutBuf(frames)
+	}
 	type appliedUpdate struct {
 		id  flexoffer.ID
 		rec OfferRecord
@@ -291,11 +297,7 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 			continue
 		}
 		if s.w != nil {
-			line, err := encodeRecord(tOffer, opPut, r)
-			if err != nil {
-				return nil, err
-			}
-			lines = append(lines, line)
+			*frames = appendOfferFrame(*frames, &r)
 		}
 		staged[u.ID] = r
 		results[i].Record = r
@@ -303,8 +305,8 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 	}
 
 	// One group commit, then apply. On a log failure nothing changes.
-	if s.w != nil && len(lines) > 0 {
-		if err := s.w.commit(lines); err != nil {
+	if s.w != nil && len(applied) > 0 {
+		if err := s.w.commit([][]byte{*frames}, len(applied)); err != nil {
 			return nil, err
 		}
 	}

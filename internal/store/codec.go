@@ -1,0 +1,238 @@
+package store
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+
+	"mirabel/internal/flexoffer"
+	"mirabel/internal/wire"
+)
+
+// WAL frame tags: one per table, plus the measurement-retention sweep.
+// Every tagged record is an upsert (idempotent under replay); the prune
+// mark is logged once per sweep. Tags never change meaning.
+//
+// The two hot tables and the prune mark have binary payloads, in field
+// order (primitives in package wire, FlexOffer and Schedule in package
+// flexoffer):
+//
+//	offers:       Owner string | State | Offer FlexOffer |
+//	              has-schedule bool | [Schedule]
+//	              State = one code byte (position in offerStates), or
+//	              0xFF and the state as a string for one not listed
+//	measurements: Measurement (flexoffer's layout, shared with the wire)
+//	prune:        Before varint
+//
+// The seven dimension and cold fact tables keep their JSON encoding as
+// the payload: no profile shows them, and JSON keeps their schema free
+// to grow without a format version.
+const (
+	tagActor byte = iota + 1
+	tagEnergyType
+	tagMarketArea
+	tagMeasurement
+	tagOffer
+	tagForecast
+	tagPrice
+	tagContract
+	tagModelParams
+	tagPrune
+)
+
+var tagNames = [...]string{
+	tagActor:       "actors",
+	tagEnergyType:  "energy_types",
+	tagMarketArea:  "market_areas",
+	tagMeasurement: "measurements",
+	tagOffer:       "offers",
+	tagForecast:    "forecasts",
+	tagPrice:       "prices",
+	tagContract:    "contracts",
+	tagModelParams: "model_params",
+	tagPrune:       "prune",
+}
+
+// offerStates maps state codes to states; code 0 is the zero value.
+var offerStates = [...]OfferState{
+	0: "",
+	1: OfferReceived,
+	2: OfferAccepted,
+	3: OfferRejected,
+	4: OfferScheduled,
+	5: OfferExecuted,
+	6: OfferExpired,
+	7: OfferCancelled,
+}
+
+const otherState = 0xFF
+
+func appendState(dst []byte, st OfferState) []byte {
+	for code, known := range offerStates {
+		if st == known {
+			return append(dst, byte(code))
+		}
+	}
+	return wire.AppendString(append(dst, otherState), string(st))
+}
+
+func readState(r *wire.Reader) OfferState {
+	code := r.Byte()
+	if code == otherState {
+		return OfferState(r.String())
+	}
+	if int(code) >= len(offerStates) {
+		r.Fail(wire.ErrMalformed)
+		return ""
+	}
+	return offerStates[code]
+}
+
+// AppendWire appends the record's binary encoding to dst. The record
+// must hold an offer, as every store and ingest entry point requires.
+func (rec *OfferRecord) AppendWire(dst []byte) []byte {
+	dst = wire.AppendString(dst, rec.Owner)
+	dst = appendState(dst, rec.State)
+	dst = rec.Offer.AppendWire(dst)
+	dst = wire.AppendBool(dst, rec.Schedule != nil)
+	if rec.Schedule != nil {
+		dst = rec.Schedule.AppendWire(dst)
+	}
+	return dst
+}
+
+// ReadWire decodes a record from r into rec; failures stick to r. A
+// decoded record always holds an offer.
+func (rec *OfferRecord) ReadWire(r *wire.Reader) {
+	rec.Owner = r.String()
+	rec.State = readState(r)
+	rec.Offer = new(flexoffer.FlexOffer)
+	rec.Offer.ReadWire(r)
+	rec.Schedule = nil
+	if r.Bool() {
+		rec.Schedule = new(flexoffer.Schedule)
+		rec.Schedule.ReadWire(r)
+	}
+}
+
+// AppendWire appends the measurement's binary encoding to dst.
+func (m *Measurement) AppendWire(dst []byte) []byte {
+	return flexoffer.AppendMeasurementWire(dst, m.Actor, m.EnergyType, m.Slot, m.KWh)
+}
+
+// ReadWire decodes a measurement from r into m; failures stick to r.
+func (m *Measurement) ReadWire(r *wire.Reader) {
+	m.Actor, m.EnergyType, m.Slot, m.KWh = flexoffer.ReadMeasurementWire(r)
+}
+
+// AppendMeasurements appends a measurement batch (count, then each
+// fact) to dst.
+func AppendMeasurements(dst []byte, ms []Measurement) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(ms)))
+	for i := range ms {
+		dst = ms[i].AppendWire(dst)
+	}
+	return dst
+}
+
+// ReadMeasurements decodes a measurement batch; failures stick to r.
+func ReadMeasurements(r *wire.Reader) []Measurement {
+	n := r.Count(flexoffer.MinMeasurementWire)
+	if n == 0 {
+		return nil
+	}
+	ms := make([]Measurement, n)
+	for i := range ms {
+		ms[i].ReadWire(r)
+	}
+	return ms
+}
+
+// pruneMark is the logged form of a PruneMeasurements call.
+type pruneMark struct {
+	Before flexoffer.Time `json:"before"`
+}
+
+// appendOfferFrame and appendMeasurementFrame append one hot-table
+// mutation to dst as a complete WAL frame. They take the record by
+// pointer and cannot fail, so the put paths frame a record into a buffer
+// with room without allocating.
+func appendOfferFrame(dst []byte, rec *OfferRecord) []byte {
+	dst, mark := BeginFrame(dst, tagOffer)
+	return EndFrame(rec.AppendWire(dst), mark)
+}
+
+func appendMeasurementFrame(dst []byte, m *Measurement) []byte {
+	dst, mark := BeginFrame(dst, tagMeasurement)
+	return EndFrame(m.AppendWire(dst), mark)
+}
+
+// appendRecord is the untyped form, for a value that is boxed already (a
+// Batch's ops) or cold (the JSON tables, the prune mark): it appends one
+// mutation to dst as a complete WAL frame.
+func appendRecord(dst []byte, tag byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case OfferRecord:
+		return appendOfferFrame(dst, &v), nil
+	case Measurement:
+		return appendMeasurementFrame(dst, &v), nil
+	}
+	dst, mark := BeginFrame(dst, tag)
+	if p, ok := v.(pruneMark); ok {
+		dst = binary.AppendVarint(dst, int64(p.Before))
+	} else {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			return dst[:mark], fmt.Errorf("store: marshal wal record: %w", err)
+		}
+		dst = append(dst, raw...)
+	}
+	return EndFrame(dst, mark), nil
+}
+
+// DecodeWALRecord decodes one WAL frame for inspection: the table (or
+// "prune") the tag names and the record as the Go value the store would
+// apply.
+func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) {
+	if tag == 0 || int(tag) >= len(tagNames) {
+		return "", nil, fmt.Errorf("store: unknown wal tag %d", tag)
+	}
+	r := wire.NewReader(payload)
+	switch tag {
+	case tagOffer:
+		var rec OfferRecord
+		rec.ReadWire(&r)
+		v, err = rec, r.Done()
+	case tagMeasurement:
+		var m Measurement
+		m.ReadWire(&r)
+		v, err = m, r.Done()
+	case tagPrune:
+		mark := pruneMark{Before: flexoffer.Time(r.Varint())}
+		v, err = mark, r.Done()
+	case tagActor:
+		v, err = unmarshalAs[Actor](payload)
+	case tagEnergyType:
+		v, err = unmarshalAs[EnergyType](payload)
+	case tagMarketArea:
+		v, err = unmarshalAs[MarketArea](payload)
+	case tagForecast:
+		v, err = unmarshalAs[ForecastRecord](payload)
+	case tagPrice:
+		v, err = unmarshalAs[PriceRecord](payload)
+	case tagContract:
+		v, err = unmarshalAs[Contract](payload)
+	case tagModelParams:
+		v, err = unmarshalAs[ModelParams](payload)
+	}
+	if err != nil {
+		return "", nil, fmt.Errorf("store: decode %s record: %w", tagNames[tag], err)
+	}
+	return tagNames[tag], v, nil
+}
+
+func unmarshalAs[V any](payload []byte) (V, error) {
+	var v V
+	err := json.Unmarshal(payload, &v)
+	return v, err
+}

@@ -171,22 +171,20 @@ func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 
 	// Recreate wal.old as if the retire step never ran: the records it
 	// seals are exactly the ones the snapshot covers.
-	for _, rec := range [][3]any{
-		{tActor, opPut, Actor{ID: "brp1", Role: RoleBRP}},
-		{tMeasurement, opPut, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}},
+	sealed := []byte(WALMagic)
+	for _, rec := range []struct {
+		tag byte
+		val any
+	}{
+		{tagActor, Actor{ID: "brp1", Role: RoleBRP}},
+		{tagMeasurement, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}},
 	} {
-		line, err := encodeRecord(rec[0].(string), rec[1].(string), rec[2])
-		if err != nil {
+		if sealed, err = appendRecord(sealed, rec.tag, rec.val); err != nil {
 			t.Fatal(err)
 		}
-		f, err := os.OpenFile(walOldPath(dir), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(line); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
+	}
+	if err := os.WriteFile(walOldPath(dir), sealed, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	s2, err := Open(dir)

@@ -1,0 +1,102 @@
+package store
+
+import (
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"mirabel/internal/flexoffer"
+	"mirabel/internal/wire"
+)
+
+func fuzzOfferRecord() OfferRecord {
+	f := &flexoffer.FlexOffer{
+		ID: 42, Prosumer: "household-17", EarliestStart: 88, LatestStart: 116, AssignBefore: 80, CostPerKWh: 0.07,
+		Profile: []flexoffer.Slice{{EnergyMin: 0, EnergyMax: 6.25}, {EnergyMin: 1, EnergyMax: 2}},
+	}
+	return OfferRecord{Offer: f, Owner: "household-17", State: OfferScheduled, Schedule: f.DefaultSchedule()}
+}
+
+// FuzzReplayFrames: whatever bytes a log file holds, replay neither
+// panics nor reports more intact bytes than the file has, every payload
+// it hands out fits inside the file, and replaying the intact prefix
+// alone yields the same frames.
+func FuzzReplayFrames(f *testing.F) {
+	rec := fuzzOfferRecord()
+	valid := []byte(WALMagic)
+	valid, _ = appendRecord(valid, tagOffer, rec)
+	valid, _ = appendRecord(valid, tagMeasurement, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7})
+	valid, _ = appendRecord(valid, tagActor, Actor{ID: "brp1", Role: RoleBRP})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])
+	f.Add([]byte(WALMagic))
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(dir, "fuzz.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		frames := 0
+		intact, err := ReplayFrames(path, WALMagic, 0, func(off int64, tag byte, payload []byte) error {
+			if off < LogHeaderLen || off+frameHeaderLen+1+int64(len(payload)) > int64(len(data)) {
+				t.Fatalf("frame at %d with %d payload bytes does not fit a %d-byte file", off, len(payload), len(data))
+			}
+			frames++
+			return nil
+		})
+		if err != nil {
+			if frames != 0 || intact != 0 {
+				t.Fatalf("format error after %d frames / %d bytes: %v", frames, intact, err)
+			}
+			return
+		}
+		if intact > int64(len(data)) {
+			t.Fatalf("intact prefix %d exceeds the %d-byte file", intact, len(data))
+		}
+		if err := os.WriteFile(path, data[:intact], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		again := 0
+		if end, err := ReplayFrames(path, WALMagic, 0, func(int64, byte, []byte) error { again++; return nil }); err != nil || end != intact || again != frames {
+			t.Fatalf("intact prefix replays as %d frames to %d (%v), want %d frames to %d", again, end, err, frames, intact)
+		}
+	})
+}
+
+// FuzzDecodeRecords: the offer, measurement and measurement-batch
+// decoders never panic and never build anything a length prefix
+// promised but the input did not deliver — every decoded slice and
+// string is accounted for by input bytes.
+func FuzzDecodeRecords(f *testing.F) {
+	rec := fuzzOfferRecord()
+	offer := rec.AppendWire(nil)
+	f.Add(tagOffer, offer)
+	f.Add(tagOffer, offer[:len(offer)/2])
+	f.Add(tagMeasurement, (&Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}).AppendWire(nil))
+	f.Add(tagPrune, binary.AppendVarint(nil, 480))
+	f.Add(tagActor, []byte(`{"id":"brp1","role":"brp"}`))
+	f.Add(byte(0), AppendMeasurements(nil, []Measurement{{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 1}, {Actor: "p1", EnergyType: "demand", Slot: 2, KWh: 2}}))
+	f.Fuzz(func(t *testing.T, tag byte, payload []byte) {
+		if _, v, err := DecodeWALRecord(tag, payload); err == nil {
+			switch v := v.(type) {
+			case OfferRecord:
+				size := len(v.Owner) + len(v.Offer.Prosumer) + 16*len(v.Offer.Profile)
+				if v.Schedule != nil {
+					size += 8 * len(v.Schedule.Energy)
+				}
+				if size > len(payload) {
+					t.Fatalf("offer record of %d content bytes decoded from %d input bytes", size, len(payload))
+				}
+			case Measurement:
+				if len(v.Actor)+len(v.EnergyType)+8 > len(payload) {
+					t.Fatalf("measurement %+v decoded from %d input bytes", v, len(payload))
+				}
+			}
+		}
+		r := wire.NewReader(payload)
+		if ms := ReadMeasurements(&r); r.Err() == nil && len(ms)*flexoffer.MinMeasurementWire > len(payload) {
+			t.Fatalf("%d measurements decoded from %d input bytes", len(ms), len(payload))
+		}
+	})
+}

@@ -9,16 +9,18 @@ import (
 )
 
 // GroupLog exposes the WAL's leader/follower group committer as a
-// reusable append-only log for other subsystems (the ingest journal in
-// internal/ingest is the first client). Concurrent Append calls
-// coalesce into one buffered write — and, under SyncAlways, one fsync —
-// per physical round, exactly like the store's own WAL; an Append
-// returns only once its lines are flushed (and fsynced, per policy), so
-// the return is the caller's durability ack.
+// reusable append-only log for other subsystems (the ingest journal and
+// the settlement ledger). Concurrent Append calls coalesce into one
+// buffered write — and, under SyncAlways, one fsync — per physical
+// round, exactly like the store's own WAL; an Append returns only once
+// its records are flushed (and fsynced, per policy), so the return is
+// the caller's durability ack.
 //
-// The log is line-oriented: callers append complete '\n'-terminated
-// lines and own their framing and checksums. ReplayLines streams the
-// intact prefix back and reports where it ends, so a torn tail can be
+// The log does not look inside what it appends. The ingest journal
+// appends the binary frames of frame.go behind a magic header and reads
+// them back with ReplayFrames; the ledger appends '\n'-terminated JSON
+// lines, headerless, and reads them back with ReplayLines. Either
+// reader reports where the intact prefix ends, so a torn tail can be
 // truncated before new appends land behind it.
 type GroupLog struct {
 	c    *committer
@@ -26,10 +28,13 @@ type GroupLog struct {
 }
 
 // OpenGroupLog opens (or creates) an append-only group-committed log at
-// path. interval is only used under SyncInterval (0 means the default
-// 100ms cadence).
-func OpenGroupLog(path string, policy SyncPolicy, interval time.Duration) (*GroupLog, error) {
-	c, err := newCommitter(path, policy)
+// path. A non-empty header is the magic each file of the log starts
+// with (written with the first append into an empty file — after a
+// Truncate or Rotate too); an existing non-empty file must have been
+// replayed, and so validated, by the caller. interval is only used
+// under SyncInterval (0 means the default 100ms cadence).
+func OpenGroupLog(path, header string, policy SyncPolicy, interval time.Duration) (*GroupLog, error) {
+	c, err := newCommitter(path, policy, header)
 	if err != nil {
 		return nil, err
 	}
@@ -66,10 +71,11 @@ func startIntervalSync(c *committer, interval time.Duration) {
 // Path returns the log's file path.
 func (g *GroupLog) Path() string { return g.path }
 
-// Append commits lines as one group (possibly coalesced with concurrent
-// appenders) and returns once they are flushed — and fsynced, under
-// SyncAlways. Each line must be '\n'-terminated.
-func (g *GroupLog) Append(lines [][]byte) error { return g.c.commit(lines) }
+// Append commits recs — one logged record each — as one group (possibly
+// coalesced with concurrent appenders) and returns once they are
+// flushed — and fsynced, under SyncAlways. The slices are the caller's
+// to reuse once Append returns.
+func (g *GroupLog) Append(recs [][]byte) error { return g.c.commit(recs, len(recs)) }
 
 // Sync flushes and fsyncs the log.
 func (g *GroupLog) Sync() error { return g.c.sync() }
@@ -132,6 +138,7 @@ func (c *committer) truncate() error {
 	// O_APPEND writes follow the (now zero) end of file; resetting the
 	// buffered writer drops any stale buffer state.
 	c.w.Reset(c.f)
+	c.needHeader = c.header != ""
 	return c.f.Sync()
 }
 

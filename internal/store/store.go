@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/wire"
 )
 
 // ErrUnknownOffer is wrapped by UpdateOffer when no record exists for
@@ -153,13 +154,13 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	// A torn tail is cut before the committer reopens the log: records
-	// appended after the torn line would otherwise hide behind it — the
-	// replay scanner stops at the first corrupt line, so a later
+	// appended after the torn frame would otherwise hide behind it — the
+	// replay scanner stops at the first broken frame, so a later
 	// recovery would silently drop everything written past it.
-	if err := truncateTornTail(walPath(dir), liveOff); err != nil {
+	if err := TruncateTail(walPath(dir), liveOff); err != nil {
 		return nil, err
 	}
-	w, err := newCommitter(walPath(dir), o.policy)
+	w, err := newCommitter(walPath(dir), o.policy, WALMagic)
 	if err != nil {
 		return nil, err
 	}
@@ -168,22 +169,6 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		startIntervalSync(w, o.interval)
 	}
 	return s, nil
-}
-
-// truncateTornTail cuts the file at path down to intact bytes if a torn
-// write left garbage past it. A missing file is fine.
-func truncateTornTail(path string, intact int64) error {
-	fi, err := os.Stat(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if fi.Size() <= intact {
-		return nil
-	}
-	return os.Truncate(path, intact)
 }
 
 // OpenReadOnly loads an existing durable store without creating,
@@ -200,7 +185,7 @@ func OpenReadOnly(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: open read-only: %s is not a directory", dir)
 	}
 	found := false
-	for _, p := range []string{snapshotPath(dir), walOldPath(dir), walPath(dir)} {
+	for _, p := range append(WALFiles(dir), snapshotPath(dir)) {
 		if _, err := os.Stat(p); err == nil {
 			found = true
 			break
@@ -222,7 +207,8 @@ func OpenReadOnly(dir string) (*Store, error) {
 // pre-snapshot tail, then the live log. Replaying a sealed tail whose
 // snapshot completed is an idempotent no-op (puts are upserts, prunes
 // re-prune nothing). It returns the live log's intact byte length so
-// Open can cut a torn tail before appending behind it.
+// Open can cut a torn tail before appending behind it; a log in another
+// format fails recovery (ErrLogFormat) with its file untouched.
 func (s *Store) recover(dir string) (int64, error) {
 	if raw, err := os.ReadFile(snapshotPath(dir)); err == nil {
 		var img snapshotImage
@@ -233,10 +219,17 @@ func (s *Store) recover(dir string) (int64, error) {
 	} else if !os.IsNotExist(err) {
 		return 0, err
 	}
-	if _, err := replayWAL(walOldPath(dir), s.applyLogged); err != nil {
-		return 0, err
+	var liveOff int64
+	for _, path := range WALFiles(dir) {
+		var err error
+		liveOff, err = ReplayFrames(path, WALMagic, 0, func(_ int64, tag byte, payload []byte) error {
+			return s.applyLogged(tag, payload)
+		})
+		if err != nil {
+			return 0, err
+		}
 	}
-	return replayWAL(walPath(dir), s.applyLogged)
+	return liveOff, nil
 }
 
 // Close flushes and closes the WAL. The store must not be used after.
@@ -411,118 +404,111 @@ func (s *Store) applyOffer(r OfferRecord) {
 	})
 }
 
-// pruneMark is the logged form of a PruneMeasurements call.
-type pruneMark struct {
-	Before flexoffer.Time `json:"before"`
-}
-
 // applyLogged applies one WAL record during recovery.
-func (s *Store) applyLogged(table, op string, data json.RawMessage) error {
-	if op == opPrune {
-		if table != tMeasurement {
-			return fmt.Errorf("store: prune of table %q", table)
-		}
-		var mark pruneMark
-		if err := json.Unmarshal(data, &mark); err != nil {
-			return err
-		}
+func (s *Store) applyLogged(tag byte, payload []byte) error {
+	_, v, err := DecodeWALRecord(tag, payload)
+	if err != nil {
+		return err
+	}
+	switch v := v.(type) {
+	case Actor:
+		applyPut(s.actors, v.ID, v, nil)
+	case EnergyType:
+		applyPut(s.energyTypes, v.ID, v, nil)
+	case MarketArea:
+		applyPut(s.marketAreas, v.ID, v, nil)
+	case Measurement:
+		s.applyMeasurement(v)
+	case OfferRecord:
+		s.applyOffer(v)
+	case ForecastRecord:
+		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v, nil)
+	case PriceRecord:
+		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v, nil)
+	case Contract:
+		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v, nil)
+	case ModelParams:
+		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v, nil)
+	case pruneMark:
 		for _, ss := range s.meas.all() {
 			ss.mu.Lock()
-			ss.pruneLocked(mark.Before)
+			ss.pruneLocked(v.Before)
 			ss.mu.Unlock()
 		}
-		return nil
-	}
-	if op != opPut {
-		return fmt.Errorf("store: unknown wal op %q", op)
-	}
-	switch table {
-	case tActor:
-		var v Actor
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		applyPut(s.actors, v.ID, v, nil)
-	case tEnergyType:
-		var v EnergyType
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		applyPut(s.energyTypes, v.ID, v, nil)
-	case tMarketArea:
-		var v MarketArea
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		applyPut(s.marketAreas, v.ID, v, nil)
-	case tMeasurement:
-		var v Measurement
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		s.applyMeasurement(v)
-	case tOffer:
-		var v OfferRecord
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		if v.Offer == nil {
-			return fmt.Errorf("store: logged offer record without offer")
-		}
-		s.applyOffer(v)
-	case tForecast:
-		var v ForecastRecord
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v, nil)
-	case tPrice:
-		var v PriceRecord
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v, nil)
-	case tContract:
-		var v Contract
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v, nil)
-	case tModelParams:
-		var v ModelParams
-		if err := json.Unmarshal(data, &v); err != nil {
-			return err
-		}
-		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v, nil)
-	default:
-		return fmt.Errorf("store: unknown wal table %q", table)
 	}
 	return nil
 }
 
-// putRecord is the durable upsert path shared by every Put method: the
-// record is encoded outside any lock, logged through the group
-// committer while the stripe lock is held (same-key log order == memory
-// order), then applied.
-func putRecord[K comparable, V any](s *Store, t *shardedTable[K, V], table string, k K, v V, post func(old V, had bool)) error {
+// logged frames one mutation into a pooled buffer when the store is
+// durable (nil otherwise); the caller commits it with commitLogged under
+// its table lock. This untyped form boxes v and serves the cold tables
+// and the prune mark; the two hot tables go through loggedOffer and
+// loggedMeasurement.
+func (s *Store) logged(tag byte, v any) (*[]byte, error) {
+	if s.w == nil {
+		return nil, nil
+	}
+	buf := wire.GetBuf()
+	var err error
+	if *buf, err = appendRecord(*buf, tag, v); err != nil {
+		wire.PutBuf(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+func (s *Store) loggedOffer(r *OfferRecord) *[]byte {
+	if s.w == nil {
+		return nil
+	}
+	buf := wire.GetBuf()
+	*buf = appendOfferFrame(*buf, r)
+	return buf
+}
+
+func (s *Store) loggedMeasurement(m *Measurement) *[]byte {
+	if s.w == nil {
+		return nil
+	}
+	buf := wire.GetBuf()
+	*buf = appendMeasurementFrame(*buf, m)
+	return buf
+}
+
+// commitLogged commits the frame logged returned and recycles its
+// buffer; a nil frame (volatile store) is a no-op.
+func (s *Store) commitLogged(buf *[]byte) error {
+	if buf == nil {
+		return nil
+	}
+	err := s.w.commit([][]byte{*buf}, 1)
+	wire.PutBuf(buf)
+	return err
+}
+
+// putRecord is the durable upsert path of the cold tables: the record is
+// encoded outside any lock, logged through the group committer while
+// the stripe lock is held (same-key log order == memory order), then
+// applied.
+func putRecord[K comparable, V any](s *Store, t *shardedTable[K, V], tag byte, k K, v V) error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	var line []byte
-	if s.w != nil {
-		var err error
-		line, err = encodeRecord(table, opPut, v)
-		if err != nil {
-			return err
-		}
+	frame, err := s.logged(tag, v)
+	if err != nil {
+		return err
 	}
+	return putFramed(s, t, frame, k, v, nil)
+}
+
+// putFramed commits an already framed upsert under k's stripe lock and
+// applies it.
+func putFramed[K comparable, V any](s *Store, t *shardedTable[K, V], frame *[]byte, k K, v V, post func(old V, had bool)) error {
 	sh := t.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if s.w != nil {
-		if err := s.w.commit([][]byte{line}); err != nil {
-			return err
-		}
+	if err := s.commitLogged(frame); err != nil {
+		return err
 	}
 	old, had := sh.m[k]
 	sh.m[k] = v
@@ -539,7 +525,7 @@ func (s *Store) PutActor(a Actor) error {
 	if a.ID == "" {
 		return fmt.Errorf("store: actor without id")
 	}
-	return putRecord(s, s.actors, tActor, a.ID, a, nil)
+	return putRecord(s, s.actors, tagActor, a.ID, a)
 }
 
 // GetActor returns an actor by ID.
@@ -565,7 +551,7 @@ func (s *Store) PutEnergyType(e EnergyType) error {
 	if e.ID == "" {
 		return fmt.Errorf("store: energy type without id")
 	}
-	return putRecord(s, s.energyTypes, tEnergyType, e.ID, e, nil)
+	return putRecord(s, s.energyTypes, tagEnergyType, e.ID, e)
 }
 
 // GetEnergyType returns an energy type by ID.
@@ -578,7 +564,7 @@ func (s *Store) PutMarketArea(m MarketArea) error {
 	if m.ID == "" {
 		return fmt.Errorf("store: market area without id")
 	}
-	return putRecord(s, s.marketAreas, tMarketArea, m.ID, m, nil)
+	return putRecord(s, s.marketAreas, tagMarketArea, m.ID, m)
 }
 
 // --- fact upserts ------------------------------------------------------
@@ -589,21 +575,12 @@ func (s *Store) PutMeasurement(m Measurement) error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	var line []byte
-	if s.w != nil {
-		var err error
-		line, err = encodeRecord(tMeasurement, opPut, m)
-		if err != nil {
-			return err
-		}
-	}
+	frame := s.loggedMeasurement(&m)
 	ss := s.meas.ensure(seriesKey{m.Actor, m.EnergyType})
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if s.w != nil {
-		if err := s.w.commit([][]byte{line}); err != nil {
-			return err
-		}
+	if err := s.commitLogged(frame); err != nil {
+		return err
 	}
 	ss.insertLocked(m.Slot, m.KWh)
 	return nil
@@ -614,8 +591,11 @@ func (s *Store) PutOffer(r OfferRecord) error {
 	if r.Offer == nil {
 		return fmt.Errorf("store: offer record without offer")
 	}
+	if s.readOnly {
+		return ErrReadOnly
+	}
 	id := r.Offer.ID
-	return putRecord(s, s.offers, tOffer, id, r, func(old OfferRecord, had bool) {
+	return putFramed(s, s.offers, s.loggedOffer(&r), id, r, func(old OfferRecord, had bool) {
 		s.offerIdx.update(id, old, had, r)
 	})
 }
@@ -643,14 +623,8 @@ func (s *Store) UpdateOffer(id flexoffer.ID, mutate func(*OfferRecord)) (OfferRe
 	if r.Offer == nil {
 		return OfferRecord{}, fmt.Errorf("store: offer record without offer")
 	}
-	if s.w != nil {
-		line, err := encodeRecord(tOffer, opPut, r)
-		if err != nil {
-			return OfferRecord{}, err
-		}
-		if err := s.w.commit([][]byte{line}); err != nil {
-			return OfferRecord{}, err
-		}
+	if err := s.commitLogged(s.loggedOffer(&r)); err != nil {
+		return OfferRecord{}, err
 	}
 	sh.m[id] = r
 	s.offerIdx.update(id, old, true, r)
@@ -664,17 +638,17 @@ func (s *Store) GetOffer(id flexoffer.ID) (OfferRecord, bool) {
 
 // PutForecast upserts a published forecast value.
 func (s *Store) PutForecast(f ForecastRecord) error {
-	return putRecord(s, s.forecasts, tForecast, forecastKey{f.Actor, f.EnergyType, f.Slot, f.Horizon}, f, nil)
+	return putRecord(s, s.forecasts, tagForecast, forecastKey{f.Actor, f.EnergyType, f.Slot, f.Horizon}, f)
 }
 
 // PutPrice upserts a market price.
 func (s *Store) PutPrice(p PriceRecord) error {
-	return putRecord(s, s.prices, tPrice, priceKey{p.MarketArea, p.Hour}, p, nil)
+	return putRecord(s, s.prices, tagPrice, priceKey{p.MarketArea, p.Hour}, p)
 }
 
 // PutContract upserts a contract.
 func (s *Store) PutContract(c Contract) error {
-	return putRecord(s, s.contracts, tContract, contractKey{c.Prosumer, c.BRP}, c, nil)
+	return putRecord(s, s.contracts, tagContract, contractKey{c.Prosumer, c.BRP}, c)
 }
 
 // GetContract returns the contract between a prosumer and a BRP.
@@ -684,7 +658,7 @@ func (s *Store) GetContract(prosumer, brp string) (Contract, bool) {
 
 // PutModelParams persists forecast model parameters.
 func (s *Store) PutModelParams(m ModelParams) error {
-	return putRecord(s, s.modelParams, tModelParams, modelKey{m.Actor, m.EnergyType, m.ModelName}, m, nil)
+	return putRecord(s, s.modelParams, tagModelParams, modelKey{m.Actor, m.EnergyType, m.ModelName}, m)
 }
 
 // GetModelParams returns persisted model parameters.
@@ -704,13 +678,9 @@ func (s *Store) PruneMeasurements(before flexoffer.Time) (int, error) {
 	}
 	s.pruneMu.Lock()
 	defer s.pruneMu.Unlock()
-	var line []byte
-	if s.w != nil {
-		var err error
-		line, err = encodeRecord(tMeasurement, opPrune, pruneMark{Before: before})
-		if err != nil {
-			return 0, err
-		}
+	frame, err := s.logged(tagPrune, pruneMark{Before: before})
+	if err != nil {
+		return 0, err
 	}
 	// Freeze series creation, then take every series in creation order
 	// (the same order batch writers use — no deadlock).
@@ -729,10 +699,8 @@ func (s *Store) PruneMeasurements(before flexoffer.Time) (int, error) {
 			series[i].mu.Unlock()
 		}
 	}()
-	if s.w != nil {
-		if err := s.w.commit([][]byte{line}); err != nil {
-			return 0, err
-		}
+	if err := s.commitLogged(frame); err != nil {
+		return 0, err
 	}
 	n := 0
 	for _, ss := range series {

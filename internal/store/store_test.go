@@ -2,7 +2,6 @@ package store
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -215,68 +214,6 @@ func TestDurabilitySnapshotPlusTail(t *testing.T) {
 	}
 	if _, ok := s2.GetActor("a2"); !ok {
 		t.Error("wal tail record lost")
-	}
-}
-
-func TestTornWALTailIgnored(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutActor(Actor{ID: "good"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate a torn write.
-	f, err := os.OpenFile(walPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"table":"actors","op":"put","da`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("recovery failed on torn tail: %v", err)
-	}
-	defer s2.Close()
-	if _, ok := s2.GetActor("good"); !ok {
-		t.Error("good record lost with torn tail")
-	}
-}
-
-func TestCorruptCRCDropped(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutActor(Actor{ID: "good"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Append a record with a wrong checksum.
-	f, _ := os.OpenFile(walPath(dir), os.O_APPEND|os.O_WRONLY, 0o644)
-	f.WriteString(`{"table":"actors","op":"put","data":{"id":"evil"},"crc":12345}` + "\n")
-	f.Close()
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, ok := s2.GetActor("evil"); ok {
-		t.Error("corrupt record applied")
-	}
-	if _, ok := s2.GetActor("good"); !ok {
-		t.Error("good record lost")
 	}
 }
 

@@ -107,19 +107,6 @@ type ModelParams struct {
 	Params     []float64 `json:"params"`
 }
 
-// Table names used in the WAL.
-const (
-	tActor       = "actors"
-	tEnergyType  = "energy_types"
-	tMarketArea  = "market_areas"
-	tMeasurement = "measurements"
-	tOffer       = "offers"
-	tForecast    = "forecasts"
-	tPrice       = "prices"
-	tContract    = "contracts"
-	tModelParams = "model_params"
-)
-
 // measurementKey identifies a measurement fact.
 type measurementKey struct {
 	Actor      string

@@ -10,8 +10,10 @@
 // Durability follows the classic embedded-engine recipe: every mutation
 // is appended to a write-ahead log before being applied in memory;
 // Snapshot() compacts the log into a point-in-time image; Open() recovers
-// by loading the snapshot and replaying the log tail. Records are
-// checksummed JSON lines, so a torn final write is detected and dropped.
+// by loading the snapshot and replaying the log tail. The log is a
+// sequence of length-prefixed, checksummed binary frames behind a
+// magic+version header (frame.go), one frame per mutation (codec.go), so
+// a torn final write is detected and dropped.
 //
 // The log is written by a group committer: concurrent writers coalesce
 // into one buffered append (and, under SyncAlways, one fsync) per
@@ -24,57 +26,13 @@ package store
 
 import (
 	"bufio"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 )
-
-// WAL operations. Puts are upserts (idempotent under replay); prune is
-// the measurement-retention sweep, logged once per call.
-const (
-	opPut   = "put"
-	opPrune = "prune"
-)
-
-// walRecord is one logged mutation.
-type walRecord struct {
-	Table string          `json:"table"`
-	Op    string          `json:"op"` // "put" or "prune"
-	Data  json.RawMessage `json:"data"`
-	CRC   uint32          `json:"crc"` // over Table|Op|Data
-}
-
-func (r *walRecord) checksum() uint32 {
-	h := crc32.NewIEEE()
-	h.Write([]byte(r.Table))
-	h.Write([]byte{'|'})
-	h.Write([]byte(r.Op))
-	h.Write([]byte{'|'})
-	h.Write(r.Data)
-	return h.Sum32()
-}
-
-// encodeRecord marshals one mutation into its checksummed log line
-// (newline included). Called outside any table lock where possible.
-func encodeRecord(table, op string, data any) ([]byte, error) {
-	raw, err := json.Marshal(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: marshal wal record: %w", err)
-	}
-	rec := walRecord{Table: table, Op: op, Data: raw}
-	rec.CRC = rec.checksum()
-	line, err := json.Marshal(&rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: marshal wal line: %w", err)
-	}
-	return append(line, '\n'), nil
-}
 
 // LogStats counts the committer's work: Records is the number of logged
 // mutations, Groups the number of physical write+flush rounds they
@@ -101,6 +59,12 @@ type committer struct {
 	stopTick chan struct{} // closes the interval syncer, if any
 	tickDone chan struct{}
 
+	// header, when set, is the magic every file of this log starts with.
+	// It is written with the first group that lands in an empty file, so
+	// an empty log stays a zero-length file.
+	header     string
+	needHeader bool // guarded like f: only the goroutine that owns the file
+
 	mu      sync.Mutex
 	cond    *sync.Cond // signaled when writing goes false
 	f       *os.File
@@ -111,29 +75,38 @@ type committer struct {
 	waiters []chan error
 }
 
-func newCommitter(path string, policy SyncPolicy) (*committer, error) {
+// newCommitter opens the log at path for appending. A non-empty file is
+// taken to carry header already: callers replay (and so validate) a log
+// before they open it for writing.
+func newCommitter(path string, policy SyncPolicy, header string) (*committer, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
 	}
-	c := &committer{policy: policy, f: f, w: bufio.NewWriter(f)}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("store: open wal: %w", err)
+	}
+	c := &committer{policy: policy, header: header, needHeader: header != "" && fi.Size() == 0, f: f, w: bufio.NewWriter(f)}
 	c.cond = sync.NewCond(&c.mu)
 	return c, nil
 }
 
-// commit appends recs and returns once they are flushed (and fsynced,
-// under SyncAlways) — possibly as part of a larger group led by another
-// writer.
-func (c *committer) commit(recs [][]byte) error {
+// commit appends chunks — together holding the given number of records
+// — and returns once they are flushed (and fsynced, under SyncAlways),
+// possibly as part of a larger group led by another writer. The chunks
+// are the caller's again when commit returns.
+func (c *committer) commit(chunks [][]byte, records int) error {
 	done := make(chan error, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return fmt.Errorf("store: wal is closed")
 	}
-	c.pending = append(c.pending, recs...)
+	c.pending = append(c.pending, chunks...)
 	c.waiters = append(c.waiters, done)
-	c.records.Add(uint64(len(recs)))
+	c.records.Add(uint64(records))
 	if c.writing {
 		// A leader is at the file; it will pick this batch up.
 		c.mu.Unlock()
@@ -159,8 +132,14 @@ func (c *committer) commit(recs [][]byte) error {
 // writeGroup writes one coalesced batch. Called with writing == true
 // (file access is exclusive even though mu is released).
 func (c *committer) writeGroup(batch [][]byte) error {
-	for _, line := range batch {
-		if _, err := c.w.Write(line); err != nil {
+	if c.needHeader {
+		if _, err := c.w.WriteString(c.header); err != nil {
+			return err
+		}
+		c.needHeader = false
+	}
+	for _, chunk := range batch {
+		if _, err := c.w.Write(chunk); err != nil {
 			return err
 		}
 	}
@@ -220,8 +199,10 @@ func (c *committer) rotate(curPath, oldPath string) error {
 	if err := c.f.Close(); err != nil {
 		return err
 	}
-	if _, err := os.Stat(oldPath); err == nil {
-		if err := appendFile(oldPath, curPath); err != nil {
+	if fi, err := os.Stat(oldPath); err == nil && fi.Size() > 0 {
+		// The sealed tail already starts with the header; the current
+		// log's own copy of it stays behind.
+		if err := appendFile(oldPath, curPath, int64(len(c.header))); err != nil {
 			return err
 		}
 		if err := os.Remove(curPath); err != nil {
@@ -236,16 +217,21 @@ func (c *committer) rotate(curPath, oldPath string) error {
 	}
 	c.f = f
 	c.w.Reset(f)
+	c.needHeader = c.header != ""
 	return nil
 }
 
-// appendFile appends src's contents to dst and fsyncs dst.
-func appendFile(dst, src string) error {
+// appendFile appends src's contents from byte offset skip on to dst and
+// fsyncs dst.
+func appendFile(dst, src string, skip int64) error {
 	in, err := os.Open(src)
 	if err != nil {
 		return err
 	}
 	defer in.Close()
+	if _, err := in.Seek(skip, io.SeekStart); err != nil {
+		return err
+	}
 	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -294,30 +280,13 @@ func (c *committer) stats() LogStats {
 	}
 }
 
-// errStopReplay aborts a ReplayLines walk at the first corrupt record
-// without surfacing an error: everything past it is an unreadable tail.
-var errStopReplay = errors.New("store: stop replay")
+// WALMagic heads wal.log and wal.old; the last byte is the format
+// version (see frame.go for the rule).
+const WALMagic = "MRBLWAL\x01"
 
-// replayWAL streams the log's valid records to apply; it stops silently
-// at the first corrupt or torn line (everything after a torn write is
-// unreachable anyway) and returns the byte length of the intact prefix.
-// A missing file is an empty log.
-func replayWAL(path string, apply func(table, op string, data json.RawMessage) error) (int64, error) {
-	off, err := ReplayLines(path, func(line []byte) error {
-		var rec walRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return errStopReplay // corrupt tail
-		}
-		if rec.checksum() != rec.CRC {
-			return errStopReplay
-		}
-		return apply(rec.Table, rec.Op, rec.Data)
-	})
-	if errors.Is(err, errStopReplay) {
-		return off, nil
-	}
-	return off, err
-}
+// WALFiles returns the WAL files of the store in dir, in replay order;
+// either may be absent.
+func WALFiles(dir string) []string { return []string{walOldPath(dir), walPath(dir)} }
 
 // On-disk artifacts: the snapshot image, the live WAL, and the sealed
 // pre-snapshot WAL that exists only between a snapshot's rotation and
