@@ -705,11 +705,11 @@ func ingestExp(seed int64) {
 
 	fmt.Println()
 	fmt.Println("-- backpressure policies under overload (queue=64, 1 consumer) --")
-	fmt.Println("policy  acked   shed    deferred  acked_ev/s  drain_ms")
-	for _, policy := range []ingest.Policy{ingest.PolicyBlock, ingest.PolicyShed, ingest.PolicyDefer} {
+	fmt.Println("policy  acked   shed    acked_ev/s  drain_ms")
+	for _, policy := range []ingest.Policy{ingest.PolicyBlock, ingest.PolicyShed} {
 		acked, st, rate, drain := runOverloadIngest(policy, 16, 3000, 4)
-		fmt.Printf("%-7s %-7d %-7d %-9d %-11.0f %.1f\n",
-			policy, acked, st.Shed, st.Deferred, rate, float64(drain)/float64(time.Millisecond))
+		fmt.Printf("%-7s %-7d %-7d %-11.0f %.1f\n",
+			policy, acked, st.Shed, rate, float64(drain)/float64(time.Millisecond))
 	}
 
 	fmt.Println()

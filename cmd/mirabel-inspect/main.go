@@ -14,12 +14,14 @@
 //
 //	mirabel-inspect -data /tmp/brp1 -prune-before 480
 //
-// The store WAL and the ingest journal are binary files; -dump replays
-// one of them read-only, frame by frame, and prints each record as one
-// JSON object (file, offset, tag, decoded record) — `| jq` as before.
+// The store WAL, the ingest journal and the settlement ledger are binary
+// files; -dump replays one of them read-only, frame by frame, and prints
+// each record as one JSON object (file, offset, tag, decoded record) —
+// `| jq` as before.
 //
 //	mirabel-inspect -data /tmp/brp1 -dump wal
 //	mirabel-inspect -data /tmp/brp1 -dump journal
+//	mirabel-inspect -data /tmp/brp1 -dump ledger
 package main
 
 import (
@@ -33,20 +35,20 @@ import (
 
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/ingest"
+	"mirabel/internal/settle"
 	"mirabel/internal/store"
 )
 
 // dumpLine is one record of a -dump listing.
 type dumpLine struct {
-	File     string `json:"file"`
-	Offset   int64  `json:"offset"`
-	Tag      string `json:"tag"`
-	Deferred bool   `json:"deferred,omitempty"` // journal: parked on disk by the defer policy
-	Record   any    `json:"record"`
+	File   string `json:"file"`
+	Offset int64  `json:"offset"`
+	Tag    string `json:"tag"`
+	Record any    `json:"record"`
 }
 
-// dumpLog replays the WAL or the ingest journal of the node directory
-// dir through store.ReplayFrames — nothing is opened for writing, no
+// dumpLog replays the WAL, the ingest journal or the ledger of the node
+// directory dir through store.ReplayFrames — nothing is opened for writing, no
 // torn tail is cut — and writes one JSON object per intact record to w.
 // Bytes past a file's intact prefix are reported on notes.
 func dumpLog(w, notes io.Writer, dir, which string) error {
@@ -63,11 +65,19 @@ func dumpLog(w, notes io.Writer, dir, which string) error {
 	case "journal":
 		files, magic = ingest.JournalFiles(filepath.Join(dir, "ingest.log")), ingest.JournalMagic
 		decode = func(tag byte, payload []byte) (dumpLine, error) {
-			kind, deferred, rec, err := ingest.DecodeJournalRecord(tag, payload)
-			return dumpLine{Tag: kind, Deferred: deferred, Record: rec}, err
+			kind, rec, err := ingest.DecodeJournalRecord(tag, payload)
+			return dumpLine{Tag: kind, Record: rec}, err
+		}
+	case "ledger":
+		// Entries are printed as stored; auditing the chain they form
+		// is settle.VerifyFile's job.
+		files, magic = []string{filepath.Join(dir, "ledger.log")}, settle.LedgerMagic
+		decode = func(tag byte, payload []byte) (dumpLine, error) {
+			e, err := settle.DecodeLedgerRecord(tag, payload)
+			return dumpLine{Tag: string(e.Kind), Record: e}, err
 		}
 	default:
-		return fmt.Errorf("-dump %q: want wal or journal", which)
+		return fmt.Errorf("-dump %q: want wal, journal or ledger", which)
 	}
 	out := json.NewEncoder(w)
 	for _, path := range files {
@@ -78,7 +88,7 @@ func dumpLog(w, notes io.Writer, dir, which string) error {
 		if err != nil {
 			return err
 		}
-		intact, err := store.ReplayFrames(path, magic, 0, func(off int64, tag byte, payload []byte) error {
+		intact, err := store.ReplayFrames(path, magic, func(off int64, tag byte, payload []byte) error {
 			line, err := decode(tag, payload)
 			if err != nil {
 				return fmt.Errorf("%s offset %d: %w", path, off, err)
@@ -103,7 +113,7 @@ func main() {
 	showOffers := flag.Bool("offers", false, "list flex-offer records")
 	showMeasurements := flag.Bool("measurements", false, "summarize measurements per actor")
 	pruneBefore := flag.Int64("prune-before", -1, "prune measurements with slot < this value (opens the store writable)")
-	dump := flag.String("dump", "", "print every record of a binary log as JSON lines and exit: wal | journal")
+	dump := flag.String("dump", "", "print every record of a binary log as JSON lines and exit: wal | journal | ledger")
 	flag.Parse()
 	if *dataDir == "" {
 		flag.Usage()

@@ -12,12 +12,14 @@ import (
 
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/ingest"
+	"mirabel/internal/settle"
 	"mirabel/internal/store"
 )
 
-// TestDumpLogs writes a small node directory through the store and the
-// ingest queue, then checks that -dump lists every record of both binary
-// logs as one JSON object each — and leaves a torn tail where it is.
+// TestDumpLogs writes a small node directory through the store, the
+// ingest queue and the ledger, then checks that -dump lists every record
+// of the three binary logs as one JSON object each — and leaves a torn
+// tail where it is.
 func TestDumpLogs(t *testing.T) {
 	dir := t.TempDir()
 	offer := &flexoffer.FlexOffer{ID: 7, Prosumer: "p1", EarliestStart: 40, LatestStart: 44, AssignBefore: 32, Profile: []flexoffer.Slice{{EnergyMin: 1, EnergyMax: 3}}}
@@ -54,6 +56,21 @@ func TestDumpLogs(t *testing.T) {
 	}
 	q.Kill() // a graceful close would drain and truncate the journal
 
+	ledger, err := settle.OpenLedger(settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := ledger.Append([]settle.Entry{
+		{Kind: settle.EntryLine, Actor: "p1", OfferID: 7, Slot: 40, KWh: 2, AmountEUR: 0.4, Compliant: true},
+		{Kind: settle.EntryPenalty, Actor: "p1", OfferID: 7, AmountEUR: -0.25, Memo: "late"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ledger.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	// A torn tail on the WAL: reported, not cut.
 	walPath := store.WALFiles(dir)[1]
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o644)
@@ -71,6 +88,7 @@ func TestDumpLogs(t *testing.T) {
 	}{
 		{"wal", []string{"actors", "offers", "measurements", "prune"}, []string{`"id":"brp1"`, `"state":"scheduled"`, `"kwh":1.5`, `"before":2`}},
 		{"journal", []string{"offer", "meas"}, []string{`"state":"accepted"`, `"slot":5`}},
+		{"ledger", []string{"line", "penalty"}, []string{`"hash":"` + sealed[0].Hash + `"`, `"memo":"late","prev":"` + sealed[0].Hash + `"`}},
 	} {
 		var out, notes bytes.Buffer
 		if err := dumpLog(&out, &notes, dir, tc.which); err != nil {
@@ -106,7 +124,7 @@ func TestDumpLogs(t *testing.T) {
 	if after, _ := os.ReadFile(walPath); !bytes.Equal(before, after) {
 		t.Error("-dump changed the WAL")
 	}
-	if err := dumpLog(&bytes.Buffer{}, &bytes.Buffer{}, dir, "ledger"); err == nil {
-		t.Error("-dump ledger accepted")
+	if err := dumpLog(&bytes.Buffer{}, &bytes.Buffer{}, dir, "snapshot"); err == nil {
+		t.Error("-dump snapshot accepted")
 	}
 }

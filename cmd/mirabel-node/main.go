@@ -54,7 +54,7 @@ func main() {
 		routes    = flag.String("route", "", "comma-separated name=addr routes to peers")
 		schedWrk  = flag.Int("sched-workers", 0, "parallel portfolio workers for the scheduling search (0/1: single-threaded)")
 		aggWrk    = flag.Int("agg-workers", 0, "parallel per-aggregate workers for batched aggregation (0/1: single-threaded)")
-		ingestPol = flag.String("ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed | defer (defer needs -data)")
+		ingestPol = flag.String("ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed")
 		ingestCmp = flag.Int64("ingest-compact", 0, "ingest journal compaction threshold in bytes (0: compact only on restart)")
 		fcWorkers = flag.Int("fcast-workers", 1, "background re-estimation workers for the forecast registry")
 		brkWindow = flag.Int("breaker-window", 0, "circuit-breaker outcome window per destination (0: no breaker)")
@@ -178,8 +178,8 @@ func main() {
 				rs.Calls, rs.Retries, rs.ShortCircuits, rs.Exhausted, rs.NonRetryable, rs.Backoff)
 		}
 		if st, ok := node.IngestStats(); ok {
-			log.Printf("ingest: enqueued=%d consumed=%d shed=%d deferred=%d batches=%d mean_batch=%.1f ack_p99=%v compactions=%d reclaimed_bytes=%d",
-				st.Enqueued, st.Consumed, st.Shed, st.Deferred, st.Batches, st.MeanBatch, st.AckP99, st.Compactions, st.CompactedBytes)
+			log.Printf("ingest: enqueued=%d consumed=%d shed=%d batches=%d mean_batch=%.1f ack_p99=%v compactions=%d reclaimed_bytes=%d",
+				st.Enqueued, st.Consumed, st.Shed, st.Batches, st.MeanBatch, st.AckP99, st.Compactions, st.CompactedBytes)
 		}
 		if fs, ok := node.ForecastStats(); ok {
 			log.Printf("forecast: series=%d models=%d obs=%d refits=%d/%d failed=%d overflows=%d refit_p99=%v max_staleness=%d",

@@ -435,7 +435,6 @@ func addIngestStats(a, b ingest.Stats) ingest.Stats {
 	a.Enqueued += b.Enqueued
 	a.Consumed += b.Consumed
 	a.Shed += b.Shed
-	a.Deferred += b.Deferred
 	a.Recovered += b.Recovered
 	a.Batches += b.Batches
 	a.ApplyErrors += b.ApplyErrors

@@ -310,8 +310,8 @@ func (n *Node) openDataPath() error {
 	ic := orZero(n.cfg.Ingest)
 	ic.Store = n.store
 	// The apply funnel feeds the forecast service: live consumed
-	// batches, deferred events re-admitted from disk, and journal
-	// recovery replays all maintain the per-series models.
+	// batches and ingest.Open's journal recovery replay both maintain
+	// the per-series models.
 	observe := ic.OnMeasurements
 	ic.OnMeasurements = func(ms []store.Measurement) {
 		reg.UpdateMeasurements(ms)

@@ -22,7 +22,7 @@ func TestEncodeMeasurementBatchZeroAlloc(t *testing.T) {
 	ev := event{meas: batch}
 	buf := make([]byte, 0, 1024)
 	if n := testing.AllocsPerRun(1000, func() {
-		buf = appendEvent(buf[:0], ev, false)
+		buf = appendEvent(buf[:0], ev)
 	}); n != 0 {
 		t.Fatalf("encoding a 16-fact batch allocates %.1f times per op, want 0", n)
 	}

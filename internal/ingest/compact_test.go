@@ -86,7 +86,7 @@ func writeJournal(t *testing.T, path string, events []event) {
 	t.Helper()
 	raw := []byte(JournalMagic)
 	for _, ev := range events {
-		raw = appendEvent(raw, ev, false)
+		raw = appendEvent(raw, ev)
 	}
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)

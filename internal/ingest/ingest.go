@@ -10,11 +10,11 @@
 // write (and, under SyncAlways, one fsync) per round. The journal is a
 // store frame log: checksummed binary frames behind a magic+version
 // header, one frame per event in the store's own record encodings
-// (queue.go has the tags). Consumer
-// goroutines drain the queue into the striped store asynchronously,
-// coalescing many small events into large ApplyBatch /
-// PutMeasurementsBatch rounds; the synchronous request/reply store
-// round-trip leaves the caller's critical path entirely.
+// (queue.go has the tags). Consumer goroutines drain the queue into the
+// striped store asynchronously, coalescing many small events into large
+// ApplyBatch / PutMeasurementsBatch rounds; the synchronous
+// request/reply store round-trip leaves the caller's critical path
+// entirely.
 //
 // The queue is bounded. When it fills, the configured Policy decides
 // what backpressure looks like:
@@ -22,19 +22,18 @@
 //   - PolicyBlock: the producer waits for space (honoring its context)
 //     — pushback propagates to the transport;
 //   - PolicyShed: the producer gets ErrOverloaded immediately and
-//     nothing is journaled — load is shed explicitly, never silently;
-//   - PolicyDefer: the event is journaled (durable, acked) but kept
-//     out of memory; consumers pick it back up from disk once the live
-//     queue drains — bounded memory, unbounded (disk-backed) backlog.
+//     nothing is journaled — load is shed explicitly, never silently.
 //
 // Durability and recovery: an ack means the event reached the journal
-// under the journal's fsync policy. On restart, Open replays the
-// journal and re-applies every recorded event; applies are idempotent
-// upserts (and offer applies never downgrade a record that progressed
-// to scheduled/executed), so re-applying events that had already
-// reached the store converges. The journal is compacted — truncated to
-// empty after an explicit store fsync — when a Drain or Close proves
-// every event has been applied.
+// under the journal's fsync policy. The journal is only ever appended
+// to while the queue runs — every event a consumer applies came through
+// memory — and is read exactly once: on restart, Open replays it and
+// re-applies every recorded event before it returns. Applies are
+// idempotent upserts (and offer applies never downgrade a record that
+// progressed to scheduled/executed), so re-applying events that had
+// already reached the store converges. The journal is compacted —
+// truncated to empty after an explicit store fsync — when a Drain or
+// Close proves every event has been applied.
 //
 // Delivery is at-least-once: a producer whose ack errs mid-way may
 // still have its event applied.
@@ -65,10 +64,6 @@ const (
 	PolicyBlock Policy = iota
 	// PolicyShed fails the producer fast with ErrOverloaded.
 	PolicyShed
-	// PolicyDefer journals the event (durable, acked) without holding
-	// it in memory; consumers re-read it from disk once the live queue
-	// drains. Requires a journal (Config.Path).
-	PolicyDefer
 )
 
 // String names the policy as its -ingest-policy flag value.
@@ -78,8 +73,6 @@ func (p Policy) String() string {
 		return "block"
 	case PolicyShed:
 		return "shed"
-	case PolicyDefer:
-		return "defer"
 	default:
 		return fmt.Sprintf("policy(%d)", int(p))
 	}
@@ -92,10 +85,8 @@ func ParsePolicy(s string) (Policy, error) {
 		return PolicyBlock, nil
 	case "shed":
 		return PolicyShed, nil
-	case "defer":
-		return PolicyDefer, nil
 	default:
-		return 0, fmt.Errorf("ingest: unknown policy %q (want block | shed | defer)", s)
+		return 0, fmt.Errorf("ingest: unknown policy %q (want block | shed)", s)
 	}
 }
 
@@ -135,9 +126,9 @@ type Config struct {
 	// OnMeasurements, when set, observes every measurement batch as it
 	// is applied to the store — the forecast-maintenance hook. Because
 	// it hangs off the single apply funnel, it sees live consumed
-	// batches, PolicyDefer events re-admitted from the disk backlog,
-	// and journal recovery replays alike. It is called from consumer
-	// goroutines and must be safe for concurrent use; the slice must
-	// not be retained.
+	// batches and Open's journal recovery replay alike. It is called
+	// from consumer goroutines (and, during recovery, from Open's
+	// caller) and must be safe for concurrent use; the slice must not
+	// be retained.
 	OnMeasurements func([]store.Measurement)
 }

@@ -1,13 +1,11 @@
 package ingest
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,18 +50,15 @@ func meas(actor string, slot int64, kwh float64) store.Measurement {
 func newIdleQueue(t *testing.T, cfg Config) *Queue {
 	t.Helper()
 	q := &Queue{
-		cfg:        cfg,
-		ch:         make(chan event, cfg.Queue),
-		stop:       make(chan struct{}),
-		refillKick: make(chan struct{}, 1),
-		epoch:      new(atomic.Int64),
+		cfg:   cfg,
+		ch:    make(chan event, cfg.Queue),
+		stop:  make(chan struct{}),
+		epoch: new(atomic.Int64),
 	}
 	if cfg.Path != "" {
-		log, err := store.OpenGroupLog(cfg.Path, JournalMagic, cfg.Sync, cfg.SyncInterval)
-		if err != nil {
+		if err := q.openJournal(); err != nil {
 			t.Fatalf("open journal: %v", err)
 		}
-		q.log = log
 	}
 	return q
 }
@@ -119,99 +114,6 @@ func TestShedPolicyReturnsOverloaded(t *testing.T) {
 	}
 	if got := len(s.Measurements(store.MeasurementFilter{Actor: "p1"})); got != 1 {
 		t.Fatalf("measurements = %d, want 1 (second was shed)", got)
-	}
-}
-
-func TestDeferPolicyParksOnDiskAndRefills(t *testing.T) {
-	s := testStore(t)
-	path := filepath.Join(t.TempDir(), "ingest.log")
-	q := newIdleQueue(t, Config{Store: s, Path: path, Queue: 1, Policy: PolicyDefer, MaxBatch: 8, Consumers: 1})
-	ctx := context.Background()
-	for i := 1; i <= 3; i++ {
-		if err := q.SubmitOffer(ctx, offerRec(uint64(i), "p1", store.OfferReceived)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if got := q.deferred.Load(); got != 2 {
-		t.Fatalf("deferred backlog = %d, want 2 (queue holds 1)", got)
-	}
-	startConsumers(q, 1)
-	if err := q.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	for i := 1; i <= 3; i++ {
-		if _, ok := s.GetOffer(flexoffer.ID(i)); !ok {
-			t.Fatalf("offer %d missing after drain", i)
-		}
-	}
-	st := q.Stats()
-	if st.Deferred != 2 || st.DiskBacklog != 0 {
-		t.Fatalf("stats deferred=%d backlog=%d, want 2/0", st.Deferred, st.DiskBacklog)
-	}
-	// Drain compacted the fully-applied journal.
-	if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
-		t.Fatalf("journal size after drain = %v/%v, want 0", fi, err)
-	}
-	if err := q.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-}
-
-// TestCorruptFrameInDeferredBacklogFailsDrain: a frame that fails its
-// checksum in the middle of the live journal hides every parked event
-// behind it (one torn-tail rule, no resynchronising). The refill reader
-// must say so and Drain must fail, promptly and with the journal left in
-// place — not wait for a backlog that can never clear.
-func TestCorruptFrameInDeferredBacklogFailsDrain(t *testing.T) {
-	s := testStore(t)
-	path := filepath.Join(t.TempDir(), "ingest.log")
-	q := newIdleQueue(t, Config{Store: s, Path: path, Queue: 1, Policy: PolicyDefer, MaxBatch: 8, Consumers: 1})
-	ctx := context.Background()
-	for i := 1; i <= 4; i++ { // 1 stays in memory, 2..4 are parked on disk
-		if err := q.SubmitOffer(ctx, offerRec(uint64(i), "p1", store.OfferReceived)); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-	}
-	if err := q.log.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	offs := frameOffsets(t, path, JournalMagic)
-	if len(offs) != 5 {
-		t.Fatalf("journal holds %d frames, want 4", len(offs)-1)
-	}
-	image, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	image[(offs[2]+offs[3])/2] ^= 0x40 // inside offer 3's frame
-	if err := os.WriteFile(path, image, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	startConsumers(q, 1)
-	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	err = q.Drain(dctx)
-	if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "corrupt journal frame") {
-		t.Fatalf("drain = %v, want a prompt corrupt-frame error", err)
-	}
-	for i, want := range []bool{true, true, false, false} {
-		if _, ok := s.GetOffer(flexoffer.ID(i + 1)); ok != want {
-			t.Errorf("offer %d present = %v, want %v", i+1, ok, want)
-		}
-	}
-	if st := q.Stats(); st.DiskBacklog != 2 || st.ApplyErrors == 0 {
-		t.Errorf("backlog=%d applyErrors=%d, want 2 and >0", st.DiskBacklog, st.ApplyErrors)
-	}
-	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, image) {
-		t.Errorf("journal changed under a failed drain (err %v)", err)
-	}
-	q.Kill()
-}
-
-func TestDeferRequiresJournal(t *testing.T) {
-	if _, err := Open(Config{Store: testStore(t), Policy: PolicyDefer}); err == nil {
-		t.Fatal("Open accepted PolicyDefer without a journal path")
 	}
 }
 
@@ -298,8 +200,8 @@ func TestConcurrentProducersDrainClean(t *testing.T) {
 	if st.Enqueued != producers*per || st.Consumed != producers*per {
 		t.Fatalf("enqueued/consumed = %d/%d, want %d", st.Enqueued, st.Consumed, producers*per)
 	}
-	if st.Depth != 0 || st.DiskBacklog != 0 {
-		t.Fatalf("depth/backlog after drain = %d/%d, want 0/0", st.Depth, st.DiskBacklog)
+	if st.Depth != 0 {
+		t.Fatalf("depth after drain = %d, want 0", st.Depth)
 	}
 	if err := q.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -343,7 +245,7 @@ func TestCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("append torn tail: %v", err)
 	}
-	if _, err := f.Write(appendEvent(nil, event{meas: []store.Measurement{meas("p1", 99, 1)}}, false)[:11]); err != nil {
+	if _, err := f.Write(appendEvent(nil, event{meas: []store.Measurement{meas("p1", 99, 1)}})[:11]); err != nil {
 		t.Fatalf("write torn tail: %v", err)
 	}
 	f.Close()
@@ -378,11 +280,54 @@ func TestCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestCleanBarrierIsFree: a Drain with nothing journaled since the last
+// one has nothing to make durable and nothing to truncate, so it costs
+// no fsync — the planner takes the barrier before every settlement run
+// and every cancellation. One journaled event makes it pay again.
+func TestCleanBarrierIsFree(t *testing.T) {
+	s := testStore(t)
+	path := filepath.Join(t.TempDir(), "ingest.log")
+	q, err := Open(Config{Store: s, Path: path, Sync: store.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	ctx := context.Background()
+	syncs := func() (journal, wal uint64) { return q.Stats().Journal.Syncs, s.WALStats().Syncs }
+	submitAndDrain := func(id uint64) {
+		t.Helper()
+		if err := q.SubmitOffer(ctx, offerRec(id, "p1", store.OfferReceived)); err != nil {
+			t.Fatal(err)
+		}
+		_, w0 := syncs()
+		if err := q.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if _, w1 := syncs(); w1 == w0 {
+			t.Fatalf("drain after submitting offer %d did not fsync the store", id)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
+			t.Fatalf("journal after drain: %v/%v, want empty", fi, err)
+		}
+	}
+	submitAndDrain(1)
+	j0, w0 := syncs()
+	for i := 0; i < 3; i++ {
+		if err := q.Drain(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j1, w1 := syncs(); j1 != j0 || w1 != w0 {
+		t.Fatalf("clean barriers fsynced: journal %d→%d, wal %d→%d", j0, j1, w0, w1)
+	}
+	submitAndDrain(2)
+}
+
 func TestParsePolicy(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want Policy
-	}{{"block", PolicyBlock}, {"shed", PolicyShed}, {"defer", PolicyDefer}} {
+	}{{"block", PolicyBlock}, {"shed", PolicyShed}} {
 		got, err := ParsePolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", tc.in, got, err)

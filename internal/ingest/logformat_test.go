@@ -10,19 +10,25 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mirabel/internal/flexoffer"
+	"mirabel/internal/settle"
 	"mirabel/internal/store"
 )
 
-// binaryLog is one of the two frame logs, driven through its owner's
+// binaryLog is one of the three frame logs, driven through its owner's
 // public surface only: the torn-tail and foreign-format rules live in
-// store/frame.go once, and these tests hold both logs to them.
+// store/frame.go once, and these tests hold every log to them.
 type binaryLog struct {
 	name  string
 	magic string
+	// refusesDamage: a frame broken mid-log fails the reopen with
+	// store.ErrDamaged and the file untouched, instead of being cut with
+	// everything behind it.
+	refusesDamage bool
 	// file is the log's path under a node directory.
 	file func(dir string) string
-	// write durably logs offers first..last into dir and stops without
-	// compacting anything away.
+	// write durably logs offers (the ledger: their settlement lines)
+	// first..last into dir and stops without compacting anything away.
 	write func(t *testing.T, dir string, first, last int)
 	// reopen recovers dir and returns how many offers came back, leaving
 	// the log as recovery left it (open for appends, then stopped).
@@ -80,7 +86,39 @@ func binaryLogs() []binaryLog {
 			return int(q.Stats().Recovered), nil
 		},
 	}
-	return []binaryLog{wal, journal}
+	openLedger := func(dir string) (*settle.Ledger, error) {
+		return settle.OpenLedger(settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")})
+	}
+	ledger := binaryLog{
+		name: "ledger", magic: settle.LedgerMagic, refusesDamage: true,
+		file: func(dir string) string { return filepath.Join(dir, "ledger.log") },
+		write: func(t *testing.T, dir string, first, last int) {
+			l, err := openLedger(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := first; id <= last; id++ {
+				if _, err := l.Append([]settle.Entry{{Kind: settle.EntryLine, Actor: "p1", OfferID: flexoffer.ID(id), AmountEUR: 0.5}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		reopen: func(t *testing.T, dir string) (int, error) {
+			l, err := openLedger(dir)
+			if err != nil {
+				return 0, err
+			}
+			defer l.Close()
+			if v, err := l.Verify(); err != nil || !v.OK {
+				t.Errorf("ledger reopened over a chain that does not verify: %+v, %v", v, err)
+			}
+			return int(l.Stats().RecoveredEntries), nil
+		},
+	}
+	return []binaryLog{wal, journal, ledger}
 }
 
 // frameOffsets returns where each frame of a log image starts, plus the
@@ -88,7 +126,7 @@ func binaryLogs() []binaryLog {
 func frameOffsets(t *testing.T, path, magic string) []int64 {
 	t.Helper()
 	var offs []int64
-	end, err := store.ReplayFrames(path, magic, 0, func(off int64, _ byte, _ []byte) error {
+	end, err := store.ReplayFrames(path, magic, func(off int64, _ byte, _ []byte) error {
 		offs = append(offs, off)
 		return nil
 	})
@@ -98,13 +136,15 @@ func frameOffsets(t *testing.T, path, magic string) []int64 {
 	return append(offs, end)
 }
 
-// TestTornTailRecovery is the one torn-tail test of both binary logs.
+// TestTornTailRecovery is the one torn-tail test of every frame log.
 // A log of five records is damaged in every way a crash or a bad sector
 // can damage it — cut at every byte offset of its last frame (and inside
 // the header), or one byte flipped in a middle frame — and each time
 // recovery must return exactly the records before the damage, cut the
 // file back to them, and leave a log whose next append is not hidden
-// behind leftover garbage.
+// behind leftover garbage. The ledger differs in the one way its owner
+// chose: a frame broken mid-log has entries behind it, which are
+// evidence, so its reopen fails and changes nothing.
 func TestTornTailRecovery(t *testing.T) {
 	const records = 5
 	for _, lg := range binaryLogs() {
@@ -123,19 +163,20 @@ func TestTornTailRecovery(t *testing.T) {
 			type damage struct {
 				name   string
 				image  []byte
-				intact int // records that must survive
+				intact int  // records that must survive
+				midLog bool // frames follow the damage
 			}
 			var cases []damage
 			for cut := offs[records-1]; cut < int64(len(image)); cut++ {
-				cases = append(cases, damage{fmt.Sprintf("cut at %d", cut), image[:cut], records - 1})
+				cases = append(cases, damage{fmt.Sprintf("cut at %d", cut), image[:cut], records - 1, false})
 			}
 			for cut := int64(0); cut < store.LogHeaderLen; cut++ {
-				cases = append(cases, damage{fmt.Sprintf("cut at %d (inside the header)", cut), image[:cut], 0})
+				cases = append(cases, damage{fmt.Sprintf("cut at %d (inside the header)", cut), image[:cut], 0, false})
 			}
 			for _, at := range []int64{offs[2], offs[2] + 4, offs[2] + 8, (offs[2] + offs[3]) / 2, offs[3] - 1} {
 				flipped := bytes.Clone(image)
 				flipped[at] ^= 0x40
-				cases = append(cases, damage{fmt.Sprintf("byte %d flipped (third frame)", at), flipped, 2})
+				cases = append(cases, damage{fmt.Sprintf("byte %d flipped (third frame)", at), flipped, 2, true})
 			}
 
 			for _, dc := range cases {
@@ -144,6 +185,15 @@ func TestTornTailRecovery(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, err := lg.reopen(t, dir)
+				if dc.midLog && lg.refusesDamage {
+					if !errors.Is(err, store.ErrDamaged) {
+						t.Fatalf("%s: reopen returned %v, want store.ErrDamaged", dc.name, err)
+					}
+					if after, rerr := os.ReadFile(lg.file(dir)); rerr != nil || !bytes.Equal(after, dc.image) {
+						t.Fatalf("%s: file changed under a refused reopen (%v)", dc.name, rerr)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s: recovery failed: %v", dc.name, err)
 				}
@@ -169,14 +219,15 @@ func TestTornTailRecovery(t *testing.T) {
 }
 
 // TestForeignLogIsRefusedUntouched: a non-empty log that does not start
-// with the magic — here the JSON-lines files the node wrote before the
-// binary format — is an "unsupported log format" error from Open, never
-// a torn tail that gets cut to zero.
+// with the magic — here the JSON-lines files the node wrote before each
+// log's binary format — is an "unsupported log format" error from Open,
+// never a torn tail that gets cut to zero.
 func TestForeignLogIsRefusedUntouched(t *testing.T) {
 	legacyWAL := []byte(`{"table":"actors","op":"put","data":{"id":"brp1","name":"","role":"brp"},"crc":2742563069}` + "\n")
 	legacyJournal := []byte(`offer|0|8d2f6c1a|{"offer":{"ID":1,"Prosumer":"p1","EarliestStart":10,"LatestStart":14,"AssignBefore":8,"Profile":[{"EnergyMin":1,"EnergyMax":3}],"CostPerKWh":0},"owner":"p1","state":"received"}` + "\n")
+	legacyLedger := []byte(`{"seq":0,"kind":"line","actor":"p1","offer_id":1,"kwh":20,"amount_eur":0.4,"compliant":true,"prev":"","hash":"5f2b0c0e3d9a4c1e8b7a6f5e4d3c2b1a09f8e7d6c5b4a39281706f5e4d3c2b1a"}` + "\n")
 	futureWAL := append([]byte(store.WALMagic[:store.LogHeaderLen-1]), 0x7f, 1, 0, 0, 0, 0, 0, 0, 0, 1)
-	wal, journal := binaryLogs()[0], binaryLogs()[1]
+	wal, journal, ledger := binaryLogs()[0], binaryLogs()[1], binaryLogs()[2]
 	for _, tc := range []struct {
 		name  string
 		log   binaryLog
@@ -189,6 +240,8 @@ func TestForeignLogIsRefusedUntouched(t *testing.T) {
 		{"legacy ingest.log", journal, journal.file, legacyJournal},
 		{"legacy ingest.log.old", journal, func(dir string) string { return JournalFiles(journal.file(dir))[0] }, legacyJournal},
 		{"a WAL where the journal belongs", journal, journal.file, futureWAL},
+		{"legacy ledger.log", ledger, ledger.file, legacyLedger},
+		{"a WAL where the ledger belongs", ledger, ledger.file, futureWAL},
 	} {
 		dir := t.TempDir()
 		if err := os.WriteFile(tc.file(dir), tc.image, 0o644); err != nil {

@@ -19,23 +19,21 @@ import (
 const JournalMagic = "MRBLJNL\x01"
 
 // The journal is a store frame log (store/frame.go): one frame per
-// acked event, its tag the event kind. deferredBit marks events parked
-// on disk by PolicyDefer — the refill reader re-admits them even when
-// they sit past the recovery horizon. Payloads, in the store's record
+// acked event, its tag the event kind. Payloads, in the store's record
 // encodings:
 //
 //	offer: OfferRecord
 //	meas:  count uvarint | count × Measurement
 const (
-	tagOffer    byte = 1
-	tagMeas     byte = 2
-	deferredBit byte = 0x80
+	tagOffer byte = 1
+	tagMeas  byte = 2
 )
 
 // event is one queued unit of intake work. Exactly one of offer/meas is
-// set. out, when non-nil, is the submission epoch's outstanding counter
-// — the compactor waits for a sealed epoch to drain to zero before
-// deleting the journal segment its events were acked into.
+// set. out is the submission epoch's outstanding counter (nil on an
+// event recovered by Open, which never queues) — the compactor waits
+// for a sealed epoch to drain to zero before deleting the journal
+// segment its events were acked into.
 type event struct {
 	offer *store.OfferRecord
 	meas  []store.Measurement
@@ -43,13 +41,10 @@ type event struct {
 }
 
 // appendEvent appends ev to dst as one journal frame.
-func appendEvent(dst []byte, ev event, deferred bool) []byte {
+func appendEvent(dst []byte, ev event) []byte {
 	tag := tagMeas
 	if ev.offer != nil {
 		tag = tagOffer
-	}
-	if deferred {
-		tag |= deferredBit
 	}
 	dst, mark := store.BeginFrame(dst, tag)
 	if ev.offer != nil {
@@ -62,37 +57,37 @@ func appendEvent(dst []byte, ev event, deferred bool) []byte {
 
 // decodeEvent decodes one journal frame. A frame reaches here with its
 // checksum verified, so a failure means a foreign or newer writer, not
-// a torn write; callers skip and count such frames.
-func decodeEvent(tag byte, payload []byte) (ev event, deferred bool, err error) {
-	deferred = tag&deferredBit != 0
+// a torn write; recovery skips and counts such frames.
+func decodeEvent(tag byte, payload []byte) (event, error) {
+	var ev event
 	r := wire.NewReader(payload)
-	switch tag &^ deferredBit {
+	switch tag {
 	case tagOffer:
 		ev.offer = new(store.OfferRecord)
 		ev.offer.ReadWire(&r)
 	case tagMeas:
 		ev.meas = store.ReadMeasurements(&r)
 	default:
-		return event{}, false, fmt.Errorf("ingest: unknown journal tag %#x", tag)
+		return event{}, fmt.Errorf("ingest: unknown journal tag %#x", tag)
 	}
 	if err := r.Done(); err != nil {
-		return event{}, false, fmt.Errorf("ingest: decode journal event: %w", err)
+		return event{}, fmt.Errorf("ingest: decode journal event: %w", err)
 	}
-	return ev, deferred, nil
+	return ev, nil
 }
 
 // DecodeJournalRecord decodes one journal frame for inspection: the
-// event kind, whether it was parked on disk, and the store.OfferRecord
-// or []store.Measurement it carries.
-func DecodeJournalRecord(tag byte, payload []byte) (kind string, deferred bool, v any, err error) {
-	ev, deferred, err := decodeEvent(tag, payload)
+// event kind and the store.OfferRecord or []store.Measurement it
+// carries.
+func DecodeJournalRecord(tag byte, payload []byte) (kind string, v any, err error) {
+	ev, err := decodeEvent(tag, payload)
 	if err != nil {
-		return "", false, nil, err
+		return "", nil, err
 	}
 	if ev.offer != nil {
-		return "offer", deferred, *ev.offer, nil
+		return "offer", *ev.offer, nil
 	}
-	return "meas", deferred, ev.meas, nil
+	return "meas", ev.meas, nil
 }
 
 // Queue is the durable async intake path. See the package comment for
@@ -110,23 +105,19 @@ type Queue struct {
 	stop chan struct{} // closed to retire consumers
 	done sync.WaitGroup
 
-	// pending counts events staged in memory (queued + being applied);
-	// deferred counts events parked in the journal awaiting refill.
-	// Drain waits for both to hit zero while holding the gate.
-	pending  atomic.Int64
-	deferred atomic.Int64
+	// pending counts events staged in memory (queued + being applied).
+	// Drain waits for it to hit zero while holding the gate.
+	pending atomic.Int64
 
-	// horizon guards the refill reader's view of the journal: offsets
-	// below recoveredEnd predate this Queue and are re-applied
-	// wholesale; past it only deferredBit-tagged frames are admitted.
-	// readOff is the next unread byte. Offsets are logical positions in
-	// the concatenation <Path>.old ++ <Path>: oldSize is the sealed
-	// segment's length (0 when none), so physical positions in the live
-	// journal are offset by it.
-	horizon      sync.Mutex
-	readOff      int64
-	recoveredEnd int64
-	oldSize      int64
+	// journaled is set while the journal may hold bytes a barrier has
+	// not yet retired: since the last truncate an append landed, or the
+	// queue was opened. A Drain that finds it clear is free.
+	journaled atomic.Bool
+
+	// oldSize is the sealed segment's length (0 when there is none).
+	// sealMu orders Drain's cleanup against the compactor's retirement.
+	sealMu  sync.Mutex
+	oldSize int64
 
 	// epoch is the outstanding counter stamped onto submissions
 	// (written under gate.Lock at rotation, read under gate.RLock);
@@ -135,23 +126,22 @@ type Queue struct {
 	epoch *atomic.Int64
 	prev  *atomic.Int64
 
-	refillKick chan struct{} // cap 1: "the journal may hold refill work"
-
 	closed  atomic.Bool
 	stopped atomic.Bool // consumers have fully exited (Close/Kill done)
-	stalled atomic.Bool // the refill reader is stuck behind a corrupt frame
 
 	stats statsCollector
 }
 
-// Open builds the queue, recovers any un-consumed journaled events, and
-// starts the consumer goroutines.
+// Open builds the queue, recovers a predecessor's journal, and starts
+// the consumer goroutines. Recovery is the journal's one read: every
+// intact frame — of a sealed compaction segment first, if a crash left
+// one behind, then of the live file — is decoded and applied to the
+// store, MaxBatch events a round, through the same funnel live events
+// take (OnMeasurements included) before Open returns. The journal is
+// kept until the next Drain proves the store has it all.
 func Open(cfg Config) (*Queue, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("ingest: Config.Store is required")
-	}
-	if cfg.Policy == PolicyDefer && cfg.Path == "" {
-		return nil, fmt.Errorf("ingest: PolicyDefer needs a journal (Config.Path)")
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = 4096
@@ -163,52 +153,14 @@ func Open(cfg Config) (*Queue, error) {
 		cfg.MaxBatch = 256
 	}
 	q := &Queue{
-		cfg:        cfg,
-		ch:         make(chan event, cfg.Queue),
-		stop:       make(chan struct{}),
-		refillKick: make(chan struct{}, 1),
-		epoch:      new(atomic.Int64),
+		cfg:   cfg,
+		ch:    make(chan event, cfg.Queue),
+		stop:  make(chan struct{}),
+		epoch: new(atomic.Int64),
 	}
 	if cfg.Path != "" {
-		// Survey the existing journal — a sealed compaction segment
-		// first, if a crash left one behind, then the live file — count
-		// recoverable events, and find each intact prefix so a torn
-		// tail never hides appends.
-		recovered := 0
-		count := func(_ int64, tag byte, payload []byte) error {
-			if _, _, err := decodeEvent(tag, payload); err == nil {
-				recovered++
-			}
-			return nil
-		}
-		oldIntact, err := store.ReplayFrames(oldJournalPath(cfg.Path), JournalMagic, 0, count)
-		if err != nil {
+		if err := q.openJournal(); err != nil {
 			return nil, err
-		}
-		if err := store.TruncateTail(oldJournalPath(cfg.Path), oldIntact); err != nil {
-			return nil, err
-		}
-		if oldIntact == 0 {
-			_ = os.Remove(oldJournalPath(cfg.Path)) // empty or absent
-		}
-		intact, err := store.ReplayFrames(cfg.Path, JournalMagic, 0, count)
-		if err != nil {
-			return nil, err
-		}
-		if err := store.TruncateTail(cfg.Path, intact); err != nil {
-			return nil, err
-		}
-		log, err := store.OpenGroupLog(cfg.Path, JournalMagic, cfg.Sync, cfg.SyncInterval)
-		if err != nil {
-			return nil, err
-		}
-		q.log = log
-		q.oldSize = oldIntact
-		q.recoveredEnd = oldIntact + intact
-		if recovered > 0 {
-			q.deferred.Store(int64(recovered))
-			q.stats.recovered.Store(uint64(recovered))
-			q.kick()
 		}
 	}
 	q.done.Add(cfg.Consumers)
@@ -220,6 +172,42 @@ func Open(cfg Config) (*Queue, error) {
 		go q.compactLoop()
 	}
 	return q, nil
+}
+
+// openJournal recovers the journal and opens it for appending.
+func (q *Queue) openJournal() error {
+	batch := make([]event, 0, q.cfg.MaxBatch)
+	flush := func() {
+		q.applyEvents(batch)
+		q.stats.recovered.Add(uint64(len(batch)))
+		batch = batch[:0]
+	}
+	log, _, err := store.OpenGroupLog(JournalFiles(q.cfg.Path), JournalMagic, q.cfg.Sync, q.cfg.SyncInterval, true,
+		func(off int64, tag byte, payload []byte) error {
+			ev, err := decodeEvent(tag, payload)
+			if err != nil {
+				// Counted and surfaced by Drain, which then keeps the
+				// journal: the frame is evidence, not garbage.
+				q.stats.noteApplyErr(fmt.Errorf("%w (journal frame at offset %d)", err, off))
+				return nil
+			}
+			if batch = append(batch, ev); len(batch) == q.cfg.MaxBatch {
+				flush()
+			}
+			return nil
+		})
+	if err != nil {
+		return err
+	}
+	if len(batch) > 0 {
+		flush()
+	}
+	q.log = log
+	if fi, err := os.Stat(oldJournalPath(q.cfg.Path)); err == nil {
+		q.oldSize = fi.Size()
+	}
+	q.journaled.Store(true) // whatever Open found is retired by the first barrier
+	return nil
 }
 
 // oldJournalPath is where a rotation seals the journal's prior contents.
@@ -273,83 +261,52 @@ func (q *Queue) submit(ctx context.Context, ev event) error {
 	ev.out = q.epoch
 	ev.out.Add(1)
 
-	deferred := false
-	switch q.cfg.Policy {
-	case PolicyBlock:
-		q.pending.Add(1)
-		select {
-		case q.ch <- ev:
-		case <-ctx.Done():
-			q.pending.Add(-1)
-			ev.out.Add(-1)
-			return ctx.Err()
-		case <-q.stop:
-			q.pending.Add(-1)
-			ev.out.Add(-1)
-			return ErrClosed
-		}
-	case PolicyShed:
-		q.pending.Add(1)
-		select {
-		case q.ch <- ev:
-		default:
-			q.pending.Add(-1)
-			ev.out.Add(-1)
-			q.stats.shed.Add(1)
-			return ErrOverloaded
-		}
-	case PolicyDefer:
-		q.pending.Add(1)
-		select {
-		case q.ch <- ev:
-		default:
-			q.pending.Add(-1)
-			ev.out.Add(-1) // disk-parked: tracked by deferred instead
-			deferred = true
-		}
-	default:
+	q.pending.Add(1)
+	if err := q.stage(ctx, ev); err != nil {
+		q.pending.Add(-1)
 		ev.out.Add(-1)
-		return fmt.Errorf("ingest: unknown policy %v", q.cfg.Policy)
+		return err
 	}
 
 	if q.log != nil {
-		if deferred {
-			// Count before the append lands: a concurrent refill must
-			// never apply a journal frame that is not yet reflected in
-			// the backlog counter, or the counter would stick above
-			// zero and Drain would never finish.
-			q.deferred.Add(1)
+		if !q.journaled.Load() {
+			q.journaled.Store(true)
 		}
 		buf := wire.GetBuf()
-		*buf = appendEvent(*buf, ev, deferred)
+		*buf = appendEvent(*buf, ev)
 		err := q.log.Append([][]byte{*buf})
 		wire.PutBuf(buf)
 		if err != nil {
-			// A non-deferred event is already staged and will still be
-			// applied from memory; the ack fails because durability
-			// can't be promised.
-			if deferred {
-				q.deferred.Add(-1)
-				return fmt.Errorf("ingest: defer to journal: %w", err)
-			}
+			// The event is already staged and will still be applied
+			// from memory; the ack fails because durability can't be
+			// promised.
 			return fmt.Errorf("ingest: journal event: %w", err)
 		}
-	}
-	if deferred {
-		q.stats.deferredTotal.Add(1)
-		q.kick()
 	}
 	q.stats.enqueued.Add(1)
 	q.stats.observeAck(time.Since(start))
 	return nil
 }
 
-// kick nudges a consumer toward the journal refill path. The channel
-// holds one token; a pending token already promises a future scan.
-func (q *Queue) kick() {
+// stage puts ev on the bounded queue; what a full queue does to the
+// producer is the Policy.
+func (q *Queue) stage(ctx context.Context, ev event) error {
+	if q.cfg.Policy == PolicyShed {
+		select {
+		case q.ch <- ev:
+			return nil
+		default:
+			q.stats.shed.Add(1)
+			return ErrOverloaded
+		}
+	}
 	select {
-	case q.refillKick <- struct{}{}:
-	default:
+	case q.ch <- ev:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-q.stop:
+		return ErrClosed
 	}
 }
 
@@ -365,13 +322,9 @@ func (q *Queue) consume() {
 			batch := q.coalesce(ev)
 			q.applyEvents(batch)
 			for _, b := range batch {
-				if b.out != nil {
-					b.out.Add(-1)
-				}
+				b.out.Add(-1)
 			}
 			q.pending.Add(-int64(len(batch)))
-		case <-q.refillKick:
-			q.refill()
 		}
 	}
 }
@@ -458,98 +411,6 @@ func (q *Queue) applyEvents(events []event) {
 	q.stats.observeBatch(len(events))
 }
 
-// refill is the single-flight disk lane: it re-reads the journal and
-// applies every recovered-region or Deferred-flagged event until the
-// disk backlog is empty. horizon makes it single-flight — a second
-// consumer kicked concurrently just finds nothing left to read.
-func (q *Queue) refill() {
-	q.horizon.Lock()
-	defer q.horizon.Unlock()
-	for q.deferred.Load() > 0 && !q.stalled.Load() {
-		events, err := q.readDiskBacklog()
-		if err != nil {
-			q.stats.noteApplyErr(err)
-			return
-		}
-		if len(events) == 0 {
-			q.checkStall()
-			return
-		}
-		q.applyEvents(events)
-		q.deferred.Add(-int64(len(events)))
-	}
-}
-
-// checkStall tells the two reasons a pass can come back empty while
-// events are still parked. Usually a submission counted itself before
-// its frame was committed, and its kick brings the reader back. But once
-// the committer is quiesced every byte of the live journal is a whole
-// committed frame, so a reader that still stops short of the end is
-// looking at a frame that fails its checksum: the torn-tail rule hides
-// everything behind it and no later pass will do better. That is
-// reported as an apply error, and Drain stops waiting for the backlog.
-// Caller holds horizon.
-func (q *Queue) checkStall() {
-	size, err := q.log.Size()
-	if err != nil {
-		return
-	}
-	from := max64(q.readOff-q.oldSize, store.LogHeaderLen)
-	end, err := store.ReplayFrames(q.cfg.Path, JournalMagic, from, func(int64, byte, []byte) error {
-		return store.ErrStopReplay
-	})
-	if err != nil || from >= size || end > from {
-		return // clean end, or a frame landed since the pass: its kick reads it
-	}
-	q.stalled.Store(true)
-	q.stats.noteApplyErr(fmt.Errorf("ingest: corrupt journal frame at offset %d: the %d parked events from there on cannot be re-admitted",
-		q.readOff, q.deferred.Load()))
-}
-
-// readDiskBacklog scans forward from readOff and collects up to
-// MaxBatch applicable events. Caller holds horizon. Logical offsets run
-// across the sealed segment (immutable, read to EOF) and then the live
-// journal; a partial last frame in the live file (a group flush racing
-// this read) is left for the next pass.
-func (q *Queue) readDiskBacklog() ([]event, error) {
-	if q.readOff < q.oldSize {
-		events, err := q.scanSegment(oldJournalPath(q.cfg.Path), 0)
-		if err != nil || len(events) > 0 {
-			return events, err
-		}
-		// Sealed segment exhausted without an admissible event: fall
-		// through to the live journal.
-	}
-	return q.scanSegment(q.cfg.Path, q.oldSize)
-}
-
-// scanSegment reads one journal file whose first byte sits at logical
-// offset base, advancing q.readOff past every frame consumed.
-func (q *Queue) scanSegment(path string, base int64) ([]event, error) {
-	var events []event
-	end, err := store.ReplayFrames(path, JournalMagic, q.readOff-base, func(off int64, tag byte, payload []byte) error {
-		ev, deferred, err := decodeEvent(tag, payload)
-		if err != nil {
-			q.stats.noteApplyErr(fmt.Errorf("%w (journal offset %d)", err, base+off))
-			return nil
-		}
-		if base+off < q.recoveredEnd || deferred {
-			events = append(events, ev)
-			if len(events) >= q.cfg.MaxBatch {
-				return store.ErrStopReplay
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return events, fmt.Errorf("ingest: scan journal: %w", err)
-	}
-	if base+end > q.readOff { // an empty file reports 0: nothing consumed
-		q.readOff = base + end
-	}
-	return events, nil
-}
-
 // compactLoop bounds the journal between drains without stalling
 // producers: rotation pauses submissions only for a rename, and the
 // sealed segment is retired in the background once everything in it is
@@ -573,9 +434,9 @@ func (q *Queue) compactLoop() {
 }
 
 func (q *Queue) compactOnce() {
-	q.horizon.Lock()
+	q.sealMu.Lock()
 	sealed := q.oldSize
-	q.horizon.Unlock()
+	q.sealMu.Unlock()
 	if sealed > 0 {
 		q.retireSealed()
 		return
@@ -587,88 +448,66 @@ func (q *Queue) compactOnce() {
 		return
 	}
 
-	// Seal the journal. The exclusive gate pauses producers for just
-	// the flush+rename; holding horizon too keeps the refill reader's
-	// offsets coherent with the file swap (logical positions are
-	// unchanged: the old bytes keep their offsets, new appends land
-	// after them).
+	// Seal the journal. The exclusive gate pauses producers — and keeps
+	// a Drain out — for just the flush+rename.
 	q.gate.Lock()
 	defer q.gate.Unlock()
 	if q.closed.Load() || q.stopped.Load() {
 		return
 	}
-	q.horizon.Lock()
-	defer q.horizon.Unlock()
-	if q.deferred.Load() != 0 || q.oldSize != 0 {
-		// Disk-parked events still live in the current file; sealing
-		// now would strand the refill backlog behind two segments of
-		// bookkeeping for no benefit. Wait for the backlog to clear.
-		return
-	}
 	size, err := q.log.Size()
 	if err != nil || size == 0 {
-		return
+		return // a Drain emptied it since the check above
 	}
 	if err := q.log.Rotate(oldJournalPath(q.cfg.Path)); err != nil {
 		q.stats.noteApplyErr(fmt.Errorf("ingest: rotate journal: %w", err))
 		return
 	}
+	q.sealMu.Lock()
 	q.oldSize = size
+	q.sealMu.Unlock()
 	q.prev, q.epoch = q.epoch, new(atomic.Int64)
 }
 
 // retireSealed deletes the sealed segment once no event journaled in it
-// can still be lost: the sealed submission epoch has drained, no disk
-// backlog remains, and the store has fsynced everything applied.
+// can still be lost: the sealed submission epoch has drained (a segment
+// Open recovered has none: its events were applied before Open
+// returned) and the store has fsynced everything applied.
 func (q *Queue) retireSealed() {
 	if q.prev != nil && q.prev.Load() != 0 {
-		return
-	}
-	if q.deferred.Load() != 0 {
 		return
 	}
 	if err := q.cfg.Store.Sync(); err != nil {
 		q.stats.noteApplyErr(err)
 		return
 	}
-	q.horizon.Lock()
-	defer q.horizon.Unlock()
+	q.sealMu.Lock()
+	defer q.sealMu.Unlock()
+	q.prev = nil
 	if q.oldSize == 0 {
-		q.prev = nil
 		return // a concurrent Drain already cleaned up
 	}
 	if err := os.Remove(oldJournalPath(q.cfg.Path)); err != nil && !os.IsNotExist(err) {
 		q.stats.noteApplyErr(fmt.Errorf("ingest: retire sealed journal: %w", err))
 		return
 	}
-	freed := q.oldSize
-	q.readOff = max64(0, q.readOff-freed)
-	q.recoveredEnd = max64(0, q.recoveredEnd-freed)
-	q.oldSize = 0
-	q.prev = nil
 	q.stats.compactions.Add(1)
-	q.stats.compactedByte.Add(uint64(freed))
+	q.stats.compactedByte.Add(uint64(q.oldSize))
+	q.oldSize = 0
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Drain blocks new submissions, waits until every staged and deferred
-// event has been applied, then compacts the journal (store fsync first,
-// so no acked event's only copy is lost). It is the cycle's intake
-// barrier and the graceful half of Close. A disk backlog stranded behind
-// a corrupt journal frame (checkStall) ends the wait with that error and
-// the journal kept.
+// Drain blocks new submissions, waits until every staged event has been
+// applied, then compacts the journal (store fsync first, so no acked
+// event's only copy is lost). It is the cycle's intake barrier and the
+// graceful half of Close. A barrier with nothing journaled since the
+// last one costs no fsync; one after a failed apply (or a recovered
+// frame nobody could decode) returns that error and keeps the journal.
 func (q *Queue) Drain(ctx context.Context) error {
 	q.gate.Lock()
 	defer q.gate.Unlock()
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
-	for q.pending.Load() > 0 || (q.deferred.Load() > 0 && !q.stalled.Load()) {
+	for q.pending.Load() > 0 {
 		if q.stopped.Load() {
 			return ErrClosed
 		}
@@ -683,20 +522,22 @@ func (q *Queue) Drain(ctx context.Context) error {
 		// restart can re-apply, and surface the failure.
 		return err
 	}
-	if q.log != nil && !q.stopped.Load() {
-		if err := q.cfg.Store.Sync(); err != nil {
-			return err
-		}
-		if err := q.log.Truncate(); err != nil {
-			return err
-		}
-		q.horizon.Lock()
-		defer q.horizon.Unlock()
-		if rerr := os.Remove(oldJournalPath(q.cfg.Path)); rerr != nil && !os.IsNotExist(rerr) {
-			return rerr
-		}
-		q.readOff, q.recoveredEnd, q.oldSize = 0, 0, 0
+	if q.log == nil || q.stopped.Load() || !q.journaled.Load() {
+		return nil
 	}
+	if err := q.cfg.Store.Sync(); err != nil {
+		return err
+	}
+	if err := q.log.Truncate(); err != nil {
+		return err
+	}
+	q.sealMu.Lock()
+	defer q.sealMu.Unlock()
+	if err := os.Remove(oldJournalPath(q.cfg.Path)); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	q.oldSize = 0
+	q.journaled.Store(false)
 	return nil
 }
 
@@ -710,13 +551,8 @@ func (q *Queue) Close() error {
 	if errors.Is(err, ErrClosed) {
 		err = nil
 	}
-	close(q.stop)
-	q.done.Wait()
-	q.stopped.Store(true)
-	if q.log != nil {
-		if cerr := q.log.Close(); err == nil {
-			err = cerr
-		}
+	if cerr := q.halt(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -726,22 +562,26 @@ func (q *Queue) Close() error {
 // survive in the journal (to the extent the fsync policy promised) and
 // are recovered by the next Open on the same path.
 func (q *Queue) Kill() {
-	if !q.closed.CompareAndSwap(false, true) {
-		return
+	if q.closed.CompareAndSwap(false, true) {
+		_ = q.halt()
 	}
+}
+
+// halt stops the consumers and the compactor and closes the journal.
+func (q *Queue) halt() error {
 	close(q.stop)
 	q.done.Wait()
 	q.stopped.Store(true)
-	if q.log != nil {
-		_ = q.log.Close()
+	if q.log == nil {
+		return nil
 	}
+	return q.log.Close()
 }
 
 // Stats snapshots the queue's counters.
 func (q *Queue) Stats() Stats {
 	s := q.stats.snapshot()
 	s.Depth = int(q.pending.Load())
-	s.DiskBacklog = int(q.deferred.Load())
 	if q.log != nil {
 		s.Journal = q.log.Stats()
 	}

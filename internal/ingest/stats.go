@@ -16,11 +16,9 @@ type Stats struct {
 	Enqueued  uint64 // events acked (journaled or staged)
 	Consumed  uint64 // events applied to the store
 	Shed      uint64 // submissions rejected with ErrOverloaded
-	Deferred  uint64 // events parked on disk by PolicyDefer
-	Recovered uint64 // events replayed from the journal at Open
+	Recovered uint64 // events replayed from the journal by Open
 
-	Depth       int // events staged in memory right now
-	DiskBacklog int // deferred events awaiting refill right now
+	Depth int // events staged in memory right now
 
 	AckP50, AckP95, AckP99 time.Duration // producer ack latency
 
@@ -45,7 +43,6 @@ type statsCollector struct {
 	enqueued      atomic.Uint64
 	consumed      atomic.Uint64
 	shed          atomic.Uint64
-	deferredTotal atomic.Uint64
 	recovered     atomic.Uint64
 	batches       atomic.Uint64
 	batchEvents   atomic.Uint64
@@ -103,7 +100,6 @@ func (c *statsCollector) snapshot() Stats {
 		Enqueued:     c.enqueued.Load(),
 		Consumed:     c.consumed.Load(),
 		Shed:         c.shed.Load(),
-		Deferred:     c.deferredTotal.Load(),
 		Recovered:    c.recovered.Load(),
 		Batches:      c.batches.Load(),
 		MaxBatchSeen: int(c.maxBatch.Load()),

@@ -1,20 +1,19 @@
 package settle
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/store"
+	"mirabel/internal/wire"
 )
 
 // EntryKind classifies one ledger entry.
@@ -46,10 +45,11 @@ const (
 )
 
 // Entry is one immutable line of the settlement ledger. Hash is the
-// SHA-256 of the entry's canonical encoding (which includes PrevHash),
-// so every entry seals the whole chain before it: flipping any byte of
-// any earlier entry — or reordering entries — breaks verification from
-// that point on.
+// SHA-256 of the entry's binary encoding (which includes PrevHash), so
+// every entry seals the whole chain before it: flipping any byte of any
+// earlier entry — or reordering entries — breaks verification from that
+// point on. The JSON tags are how mirabel-inspect -dump ledger prints an
+// entry; the ledger file itself holds the binary encoding only.
 type Entry struct {
 	Seq     uint64         `json:"seq"`
 	Kind    EntryKind      `json:"kind"`
@@ -63,48 +63,77 @@ type Entry struct {
 	AmountEUR float64 `json:"amount_eur"`
 	Compliant bool    `json:"compliant,omitempty"`
 	Memo      string  `json:"memo,omitempty"`
-	PrevHash  string  `json:"prev"`
-	Hash      string  `json:"hash"`
+	PrevHash  string  `json:"prev"` // hex; "" on the first entry
+	Hash      string  `json:"hash"` // hex
 }
 
-// appendCanonical builds the deterministic byte encoding the hash
-// covers: every field except Hash itself, strings length-prefixed so no
-// crafted value can shift bytes across field boundaries.
-func appendCanonical(buf []byte, e *Entry) []byte {
-	buf = append(buf, '|')
-	buf = strconv.AppendUint(buf, e.Seq, 10)
-	buf = appendCanonString(buf, string(e.Kind))
-	buf = appendCanonString(buf, e.Actor)
-	buf = append(buf, '|')
-	buf = strconv.AppendUint(buf, uint64(e.OfferID), 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(e.Slot), 10)
-	buf = append(buf, '|')
-	buf = strconv.AppendUint(buf, math.Float64bits(e.KWh), 16)
-	buf = append(buf, '|')
-	buf = strconv.AppendUint(buf, math.Float64bits(e.AmountEUR), 16)
-	if e.Compliant {
-		buf = append(buf, '|', '1')
-	} else {
-		buf = append(buf, '|', '0')
+// LedgerMagic heads ledger.log; the last byte is the format version
+// (rule in store/frame.go).
+const LedgerMagic = "MRBLLGR\x01"
+
+// The ledger is a store frame log with one frame per entry:
+//
+//	payload = body | hash
+//	body    = Seq uvarint | Kind string | Actor string | OfferID uvarint |
+//	          Slot varint | KWh float64 | AmountEUR float64 |
+//	          Compliant bool | Memo string | PrevHash string
+//	hash    = SHA-256(body), 32 bytes
+//
+// in the primitives of package wire; PrevHash is carried raw (32 bytes,
+// none on the first entry). body is at once what is hashed and what is
+// stored, so an audit hashes the bytes on disk — there is no second,
+// "canonical" encoding to keep in step with the stored one.
+const tagEntry byte = 1
+
+// appendBody appends e's body encoding to dst.
+func appendBody(dst []byte, e *Entry) []byte {
+	dst = binary.AppendUvarint(dst, e.Seq)
+	dst = wire.AppendString(dst, string(e.Kind))
+	dst = wire.AppendString(dst, e.Actor)
+	dst = binary.AppendUvarint(dst, uint64(e.OfferID))
+	dst = binary.AppendVarint(dst, int64(e.Slot))
+	dst = wire.AppendFloat64(dst, e.KWh)
+	dst = wire.AppendFloat64(dst, e.AmountEUR)
+	dst = wire.AppendBool(dst, e.Compliant)
+	dst = wire.AppendString(dst, e.Memo)
+	var prev [sha256.Size]byte
+	n, _ := hex.Decode(prev[:], []byte(e.PrevHash)) // Append and DecodeLedgerRecord only ever set hex
+	dst = binary.AppendUvarint(dst, uint64(n))
+	return append(dst, prev[:n]...)
+}
+
+// DecodeLedgerRecord decodes one ledger frame without judging it: Hash
+// is the hash the frame carries, which the chain walk compares with the
+// one its body actually has.
+func DecodeLedgerRecord(tag byte, payload []byte) (Entry, error) {
+	if tag != tagEntry {
+		return Entry{}, fmt.Errorf("settle: unknown ledger tag %#x", tag)
 	}
-	buf = appendCanonString(buf, e.Memo)
-	buf = appendCanonString(buf, e.PrevHash)
-	return buf
-}
-
-func appendCanonString(buf []byte, s string) []byte {
-	buf = append(buf, '|')
-	buf = strconv.AppendInt(buf, int64(len(s)), 10)
-	buf = append(buf, ':')
-	return append(buf, s...)
-}
-
-// entryHash computes the hex SHA-256 of the entry's canonical encoding.
-func entryHash(e *Entry, scratch []byte) (string, []byte) {
-	scratch = appendCanonical(scratch[:0], e)
-	sum := sha256.Sum256(scratch)
-	return hex.EncodeToString(sum[:]), scratch
+	if len(payload) < sha256.Size {
+		return Entry{}, fmt.Errorf("settle: decode ledger entry: %w", wire.ErrShort)
+	}
+	body, sum := payload[:len(payload)-sha256.Size], payload[len(payload)-sha256.Size:]
+	r := wire.NewReader(body)
+	var e Entry
+	e.Seq = r.Uvarint()
+	e.Kind = EntryKind(r.String())
+	e.Actor = r.String()
+	e.OfferID = flexoffer.ID(r.Uvarint())
+	e.Slot = flexoffer.Time(r.Varint())
+	e.KWh = r.Float64()
+	e.AmountEUR = r.Float64()
+	e.Compliant = r.Bool()
+	e.Memo = r.String()
+	prev := r.String()
+	if len(prev) != 0 && len(prev) != sha256.Size {
+		r.Fail(wire.ErrMalformed)
+	}
+	if err := r.Done(); err != nil {
+		return Entry{}, fmt.Errorf("settle: decode ledger entry: %w", err)
+	}
+	e.PrevHash = hex.EncodeToString([]byte(prev))
+	e.Hash = hex.EncodeToString(sum)
+	return e, nil
 }
 
 // Balance is the running per-actor index the ledger maintains
@@ -151,7 +180,7 @@ type LedgerStats struct {
 	Appends             uint64
 	AppendP50, P95, P99 time.Duration
 	// RecoveredEntries is how many entries the last Open replayed;
-	// DroppedBytes how many trailing bytes (torn or divergent) it cut.
+	// DroppedBytes how many bytes of torn tail it cut.
 	RecoveredEntries uint64
 	DroppedBytes     int64
 	Log              store.LogStats
@@ -163,8 +192,9 @@ type VerifyResult struct {
 	Entries uint64
 	OK      bool
 	// FirstBadSeq / Offset / Reason locate the first divergence when
-	// !OK: the expected sequence number, the byte offset of the line,
+	// !OK: the expected sequence number, the byte offset of the frame,
 	// and what failed (decode, sequence, chain link or content hash).
+	// On an intact chain Offset is where it ends.
 	FirstBadSeq uint64
 	Offset      int64
 	Reason      string
@@ -192,19 +222,22 @@ type Ledger struct {
 	latCount  int
 	recovered uint64
 	dropped   int64
-
-	scratch []byte
 }
 
-var errStopReplay = errors.New("settle: stop replay")
+// ErrChainBroken is wrapped by OpenLedger when a frame that is intact as
+// written does not continue the chain.
+var ErrChainBroken = errors.New("settle: ledger chain broken")
 
 // OpenLedger opens (or creates) the ledger at cfg.Path, rebuilding the
-// balance and settled-offer indexes from the chain. Recovery mirrors
-// the ingest journal: the intact prefix — every entry whose decode,
-// sequence, chain link and content hash check out — is kept, and
-// everything after the first divergence (a torn tail from a crash
-// mid-batch, or trailing corruption) is cut off so new appends never
-// land behind a broken link.
+// balance and settled-offer indexes from the chain. It never cuts
+// evidence. The one thing it cuts is what a crash mid-batch leaves: a
+// last frame that is short or fails its checksum (the torn-tail rule of
+// store/frame.go). A frame that fails its checksum with entries behind
+// it (store.ErrDamaged), or that is intact as written but does not
+// decode or breaks the sequence, the chain link or its own content hash
+// (ErrChainBroken), is bit rot, tampering or a bug: OpenLedger fails,
+// naming the entry and offset, and leaves the file exactly as it is for
+// VerifyFile and mirabel-inspect -dump ledger to read.
 func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	l := &Ledger{
 		balances: make(map[string]*Balance),
@@ -213,52 +246,38 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.Path == "" {
 		return l, nil
 	}
-	intact, err := store.ReplayLines(cfg.Path, func(line []byte) error {
-		e, _, ok := l.checkNext(line)
-		if !ok {
-			return errStopReplay
-		}
-		l.applyEntry(e)
-		return nil
-	})
-	if err != nil && !errors.Is(err, errStopReplay) {
-		return nil, err
-	}
-	l.recovered = l.nextSeq
-	if fi, serr := os.Stat(cfg.Path); serr == nil && fi.Size() > intact {
-		l.dropped = fi.Size() - intact
-		if terr := os.Truncate(cfg.Path, intact); terr != nil {
-			return nil, fmt.Errorf("settle: truncate broken ledger tail: %w", terr)
-		}
-	}
-	log, err := store.OpenGroupLog(cfg.Path, "", cfg.Sync, cfg.SyncInterval) // headerless: the hash chain is its own format check
+	log, cut, err := store.OpenGroupLog([]string{cfg.Path}, LedgerMagic, cfg.Sync, cfg.SyncInterval, false, l.replay)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("settle: open ledger %s: %w", cfg.Path, err)
 	}
-	l.log = log
+	l.log, l.recovered, l.dropped = log, l.nextSeq, cut
 	return l, nil
 }
 
-// checkNext validates one line against the chain position (l.nextSeq,
-// l.lastHash) without applying it. Caller holds mu (or owns l
-// exclusively, as during Open).
-func (l *Ledger) checkNext(line []byte) (*Entry, string, bool) {
-	var e Entry
-	if err := json.Unmarshal(line, &e); err != nil {
-		return nil, "undecodable entry", false
+// replay is the chain walk's ReplayFrames callback, for Open and for the
+// audit alike: check one frame against the chain position (l.nextSeq,
+// l.lastHash) and apply it. Caller holds mu (or owns l exclusively, as
+// during Open).
+func (l *Ledger) replay(off int64, tag byte, payload []byte) error {
+	broken := func(reason string) error {
+		return fmt.Errorf("%w at entry %d, offset %d: %s", ErrChainBroken, l.nextSeq, off, reason)
+	}
+	e, err := DecodeLedgerRecord(tag, payload)
+	if err != nil {
+		return broken("undecodable entry: " + err.Error())
 	}
 	if e.Seq != l.nextSeq {
-		return nil, fmt.Sprintf("sequence %d, want %d", e.Seq, l.nextSeq), false
+		return broken(fmt.Sprintf("sequence %d, want %d", e.Seq, l.nextSeq))
 	}
 	if e.PrevHash != l.lastHash {
-		return nil, "chain link does not match previous hash", false
+		return broken("chain link does not match previous hash")
 	}
-	var h string
-	h, l.scratch = entryHash(&e, l.scratch)
-	if h != e.Hash {
-		return nil, "content hash mismatch", false
+	body := payload[:len(payload)-sha256.Size]
+	if got := sha256.Sum256(body); !bytes.Equal(got[:], payload[len(body):]) {
+		return broken("content hash mismatch")
 	}
-	return &e, "", true
+	l.applyEntry(&e)
+	return nil
 }
 
 // applyEntry advances the chain state and the incremental indexes by
@@ -300,18 +319,22 @@ func (l *Ledger) Append(entries []Entry) ([]Entry, error) {
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	lines := make([][]byte, len(entries))
+	// One pooled buffer takes the batch's frames back to back. frames[i]
+	// stays valid when a later append grows the buffer: growing copies.
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	frames := make([][]byte, len(entries))
 	prev, seq := l.lastHash, l.nextSeq
 	for i := range entries {
 		e := &entries[i]
-		e.Seq = seq
-		e.PrevHash = prev
-		e.Hash, l.scratch = entryHash(e, l.scratch)
-		data, err := json.Marshal(e)
-		if err != nil {
-			return nil, fmt.Errorf("settle: marshal ledger entry: %w", err)
-		}
-		lines[i] = append(data, '\n')
+		e.Seq, e.PrevHash = seq, prev
+		dst, mark := store.BeginFrame(*buf, tagEntry)
+		body := len(dst)
+		dst = appendBody(dst, e)
+		sum := sha256.Sum256(dst[body:])
+		*buf = store.EndFrame(append(dst, sum[:]...), mark)
+		frames[i] = (*buf)[mark:]
+		e.Hash = hex.EncodeToString(sum[:])
 		prev = e.Hash
 		seq++
 	}
@@ -319,7 +342,7 @@ func (l *Ledger) Append(entries []Entry) ([]Entry, error) {
 	// happens under the ledger lock: batches — not single entries — are
 	// the append throughput unit.
 	if l.log != nil {
-		if err := l.log.Append(lines); err != nil {
+		if err := l.log.Append(frames); err != nil {
 			return nil, fmt.Errorf("settle: append ledger batch: %w", err)
 		}
 	}
@@ -416,29 +439,17 @@ func (l *Ledger) Verify() (VerifyResult, error) {
 }
 
 // VerifyFile verifies the hash chain of a ledger file without opening
-// it for appends — the offline audit used by tooling.
+// it for appends — the offline audit used by tooling. A torn tail is not
+// a divergence: the chain is intact up to it.
 func VerifyFile(path string) (VerifyResult, error) {
-	res := VerifyResult{OK: true}
-	walk := &Ledger{} // chain cursor only; indexes stay nil
-	walk.balances = make(map[string]*Balance)
-	walk.settled = make(map[flexoffer.ID]struct{})
-	end, err := store.ReplayLines(path, func(line []byte) error {
-		e, reason, ok := walk.checkNext(line)
-		if !ok {
-			res.OK = false
-			res.FirstBadSeq = walk.nextSeq
-			res.Reason = reason
-			return errStopReplay
-		}
-		walk.applyEntry(e)
-		res.Entries++
-		return nil
-	})
-	res.Offset = end
-	if err != nil && !errors.Is(err, errStopReplay) {
-		return res, err
+	walk := &Ledger{balances: make(map[string]*Balance), settled: make(map[flexoffer.ID]struct{})}
+	end, err := store.ReplayFrames(path, LedgerMagic, walk.replay)
+	res := VerifyResult{Entries: walk.nextSeq, OK: err == nil, Offset: end}
+	if errors.Is(err, ErrChainBroken) || errors.Is(err, store.ErrDamaged) {
+		// The divergence is the result, not a failure to audit.
+		res.FirstBadSeq, res.Reason, err = walk.nextSeq, err.Error(), nil
 	}
-	return res, nil
+	return res, err
 }
 
 // Close flushes, fsyncs and closes the ledger. Further appends to a

@@ -1,6 +1,9 @@
 package settle
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -121,6 +124,29 @@ func TestLedgerReopenRebuildsIndexes(t *testing.T) {
 	}
 }
 
+// frameAt returns the offset and a copy of the payload of the ledger's
+// n-th frame.
+func frameAt(t *testing.T, path string, n int) (off int64, payload []byte) {
+	t.Helper()
+	i := 0
+	if _, err := store.ReplayFrames(path, LedgerMagic, func(o int64, _ byte, p []byte) error {
+		if i == n {
+			off, payload = o, bytes.Clone(p)
+		}
+		i++
+		return nil
+	}); err != nil || payload == nil {
+		t.Fatalf("frame %d of %s: found %d frames, err %v", n, path, i, err)
+	}
+	return off, payload
+}
+
+// TestLedgerDetectsCorruptedEntry: the ledger never cuts evidence. An
+// entry changed after the fact — whether by someone careful enough to
+// fix the frame checksum, or by a bad sector that was not — is reported
+// by the audit with its sequence number and offset, and makes the next
+// open fail with the file left exactly as it was; the 13 entries behind
+// it are not "a torn tail".
 func TestLedgerDetectsCorruptedEntry(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.log")
 	l := openTestLedger(t, path)
@@ -134,47 +160,57 @@ func TestLedgerDetectsCorruptedEntry(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	// Flip the amount inside entry 7 without touching framing: the
-	// content hash must catch it.
-	data, err := os.ReadFile(path)
+	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(string(data), "\n")
-	lines[7] = strings.Replace(lines[7], `"amount_eur":7`, `"amount_eur":9`, 1)
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-		t.Fatal(err)
+	off, payload := frameAt(t, path, 7)
+	e, err := DecodeLedgerRecord(tagEntry, payload)
+	if err != nil || e.Seq != 7 || e.AmountEUR != 7 {
+		t.Fatalf("frame 7 decodes as %+v, %v", e, err)
 	}
 
-	res, err := VerifyFile(path)
-	if err != nil {
-		t.Fatal(err)
+	// Entry 7 pays 9 instead of 7, re-framed with a valid checksum and
+	// its old hash: only the content hash can catch it.
+	e.AmountEUR = 9
+	dst, mark := store.BeginFrame(nil, tagEntry)
+	forged := store.EndFrame(append(appendBody(dst, &e), payload[len(payload)-sha256.Size:]...), mark)
+	tampered := bytes.Clone(clean)
+	if copy(tampered[off:], forged) != len(forged) || len(forged) != len(payload)+9 {
+		t.Fatalf("forged frame is %d bytes, the original payload %d", len(forged), len(payload))
 	}
-	if res.OK {
-		t.Fatal("verification passed over a corrupted entry")
-	}
-	if res.Entries != 7 || res.FirstBadSeq != 7 {
-		t.Errorf("divergence at seq %d after %d entries, want 7/7 (%s)", res.FirstBadSeq, res.Entries, res.Reason)
-	}
+	// The same entry hit by a bad sector: nothing fixed the checksum.
+	rotted := bytes.Clone(clean)
+	rotted[off+int64(len(forged))/2] ^= 0x40
 
-	// Open drops everything from the divergence on and keeps the
-	// intact prefix appendable.
-	re := openTestLedger(t, path)
-	defer re.Close()
-	st := re.Stats()
-	if st.Entries != 7 || st.DroppedBytes == 0 {
-		t.Errorf("recovery stats = %+v", st)
-	}
-	if _, err := re.Append([]Entry{{Kind: EntryLine, Actor: "p", OfferID: 99, AmountEUR: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	res, err = re.Verify()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK || res.Entries != 8 {
-		t.Errorf("verify after recovery = %+v", res)
+	for _, tc := range []struct {
+		name   string
+		image  []byte
+		reason string
+		err    error
+	}{
+		{"forged amount", tampered, "content hash mismatch", ErrChainBroken},
+		{"bit rot", rotted, "fails its checksum", store.ErrDamaged},
+	} {
+		if err := os.WriteFile(path, tc.image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := VerifyFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.OK || res.Entries != 7 || res.FirstBadSeq != 7 || res.Offset != off || !strings.Contains(res.Reason, tc.reason) {
+			t.Errorf("%s: verify = %+v, want a divergence at seq 7, offset %d (%s)", tc.name, res, off, tc.reason)
+		}
+		if re, err := OpenLedger(LedgerConfig{Path: path}); !errors.Is(err, tc.err) {
+			if re != nil {
+				re.Close()
+			}
+			t.Errorf("%s: OpenLedger returned %v, want %v", tc.name, err, tc.err)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, tc.image) {
+			t.Errorf("%s: a refused open changed the file (err %v)", tc.name, err)
+		}
 	}
 }
 
@@ -191,13 +227,16 @@ func TestLedgerTornTailTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate a crash mid-batch: a torn, newline-less fragment at the
-	// tail.
+	// Simulate a crash mid-batch: the first half of the next entry's
+	// frame at the tail (TestTornTailRecovery walks every cut point).
+	_, last := frameAt(t, path, 1)
+	dst, mark := store.BeginFrame(nil, tagEntry)
+	next := store.EndFrame(append(dst, last...), mark)
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"seq":2,"kind":"line","actor":"p","amo`); err != nil {
+	if _, err := f.Write(next[:len(next)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()

@@ -11,8 +11,9 @@ import (
 	"strings"
 )
 
-// The binary logs (the store WAL here, the ingest journal in
-// internal/ingest) share one file layout:
+// The node's logs (the store WAL here, the ingest journal in
+// internal/ingest, the settlement ledger in internal/settle) share one
+// file layout:
 //
 //	file   = magic frame*
 //	magic  = 8 bytes naming the log kind; the last byte is its version
@@ -22,11 +23,24 @@ import (
 // same bytes. What a tag means and how its payload is laid out belongs
 // to the log's owner; this layer only frames, checks and replays.
 //
+// One lifetime rule: a log is appended to while its owner runs and read
+// exactly once, by OpenGroupLog, before the first append. Nothing reads a
+// log that is open for appending (the ledger's audit walk holds the
+// ledger lock, so nothing appends under it).
+//
 // One torn-tail rule covers every reader: the intact prefix ends at the
 // first frame that is short, overlong for the file, zero-length or fails
 // its checksum, and nothing past that point is ever interpreted —
 // without a trustworthy length there is no way to find the next frame.
-// A writer cuts that tail off (TruncateTail) before appending behind it.
+// OpenGroupLog cuts that tail off before anything is appended behind it.
+//
+// A crash mid-append tears the tail; it does not break a frame that has
+// whole bytes behind it. ReplayFrames names that case — a frame that is
+// all there by its own length, fails its checksum, and is not the last
+// thing in the file — ErrDamaged, and the log's owner chooses: a recovery
+// log (WAL, journal) drops the damaged frame and what follows like a torn
+// tail, because a short history beats none; the ledger, whose entries are
+// evidence, refuses to open.
 //
 // One versioning rule: a change to the frame layout or to any payload's
 // field order bumps the magic's version byte, and a reader refuses every
@@ -45,9 +59,9 @@ const frameHeaderLen = 8
 // start with the expected magic and version.
 var ErrLogFormat = errors.New("store: unsupported log format")
 
-// ErrStopReplay, returned by a ReplayFrames callback, ends the walk
-// after the current frame without an error.
-var ErrStopReplay = errors.New("store: stop replay")
+// ErrDamaged is wrapped by ReplayFrames, next to the intact prefix's end,
+// when the frame there fails its checksum with bytes behind it.
+var ErrDamaged = errors.New("store: log damaged before its tail")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -68,17 +82,15 @@ func EndFrame(dst []byte, mark int) []byte {
 	return dst
 }
 
-// ReplayFrames streams the intact frames of the log at path to apply,
-// starting with the frame at byte offset from (anything inside the
-// header means the first frame), and returns the offset just past the
-// last frame it consumed — the end of the intact prefix unless apply
-// stopped the walk. payload aliases a buffer reused for the next frame.
-// A missing or empty file is an empty log (offset 0); a file that ends
-// inside the magic is a torn first write (offset 0); any other file not
-// starting with magic fails with ErrLogFormat. An error from apply
-// other than ErrStopReplay aborts the walk and is returned with the
-// offset of the frame it refused.
-func ReplayFrames(path, magic string, from int64, apply func(off int64, tag byte, payload []byte) error) (int64, error) {
+// ReplayFrames streams the intact frames of the log at path to apply
+// and returns the offset just past the last one — the end of the intact
+// prefix. payload aliases a buffer reused for the next frame. A missing
+// or empty file is an empty log (offset 0); a file that ends inside the
+// magic is a torn first write (offset 0); any other file not starting
+// with magic fails with ErrLogFormat. An error from apply aborts the
+// walk and is returned with the offset of the frame it refused;
+// ErrDamaged comes with the offset a lenient caller may cut at.
+func ReplayFrames(path, magic string, apply func(off int64, tag byte, payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return 0, nil
@@ -107,20 +119,11 @@ func ReplayFrames(path, magic string, from int64, apply func(off int64, tag byte
 		return 0, fmt.Errorf("%w: %s starts with %q, want %q", ErrLogFormat, path, head[:], magic)
 	}
 	off := int64(LogHeaderLen)
-	if from > off {
-		off = from
-		if _, err := f.Seek(off, io.SeekStart); err != nil {
-			return 0, fmt.Errorf("store: seek log: %w", err)
-		}
-	}
 	r := bufio.NewReaderSize(f, 64<<10)
 	var hdr [frameHeaderLen]byte
 	var buf []byte
 	for off+frameHeaderLen <= size {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if shrunk(err) {
-				break
-			}
 			return off, fmt.Errorf("store: scan log: %w", err)
 		}
 		n := int64(binary.LittleEndian.Uint32(hdr[:4]))
@@ -132,47 +135,35 @@ func ReplayFrames(path, magic string, from int64, apply func(off int64, tag byte
 		}
 		buf = buf[:n]
 		if _, err := io.ReadFull(r, buf); err != nil {
-			if shrunk(err) {
-				break
-			}
 			return off, fmt.Errorf("store: scan log: %w", err)
 		}
 		if crc32.Checksum(buf, crcTable) != binary.LittleEndian.Uint32(hdr[4:]) {
+			if behind := size - (off + frameHeaderLen + n); behind > 0 {
+				return off, fmt.Errorf("%w: %s: the frame at offset %d fails its checksum with %d bytes behind it", ErrDamaged, path, off, behind)
+			}
 			break
 		}
-		aerr := apply(off, buf[0], buf[1:])
-		if aerr != nil && !errors.Is(aerr, ErrStopReplay) {
-			return off, aerr
+		if err := apply(off, buf[0], buf[1:]); err != nil {
+			return off, err
 		}
 		off += frameHeaderLen + n
-		if aerr != nil {
-			break
-		}
 	}
 	return off, nil
 }
 
-// shrunk reports a read that ran out of file before the size taken at
-// open: the log was cut (a drain's compaction) under a live reader, and
-// what is gone reads as a torn tail.
-func shrunk(err error) bool { return err == io.EOF || err == io.ErrUnexpectedEOF }
-
-// TruncateTail cuts the log at path down to its intact prefix if a torn
-// write left bytes past it. A missing file is fine. Only call it with an
-// offset ReplayFrames returned without error.
-func TruncateTail(path string, intact int64) error {
+// truncateTail cuts the log at path down to its intact prefix — an
+// offset ReplayFrames returned without error — and reports how many
+// bytes a torn write had left past it. A missing file is fine.
+func truncateTail(path string, intact int64) (int64, error) {
 	fi, err := os.Stat(path)
-	if os.IsNotExist(err) {
-		return nil
+	if os.IsNotExist(err) || (err == nil && fi.Size() <= intact) {
+		return 0, nil
 	}
 	if err != nil {
-		return err
-	}
-	if fi.Size() <= intact {
-		return nil
+		return 0, err
 	}
 	if err := os.Truncate(path, intact); err != nil {
-		return fmt.Errorf("store: truncate torn log tail: %w", err)
+		return 0, fmt.Errorf("store: truncate torn log tail: %w", err)
 	}
-	return nil
+	return fi.Size() - intact, nil
 }

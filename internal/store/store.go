@@ -81,7 +81,7 @@ func WithSyncInterval(d time.Duration) Option {
 type Store struct {
 	dir      string
 	readOnly bool
-	w        *committer
+	w        *GroupLog
 
 	actors      *shardedTable[string, Actor]
 	energyTypes *shardedTable[string, EnergyType]
@@ -149,25 +149,14 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	}
 	s := newStore()
 	s.dir = dir
-	liveOff, err := s.recover(dir)
+	if err := s.loadSnapshot(dir); err != nil {
+		return nil, err
+	}
+	log, _, err := OpenGroupLog(WALFiles(dir), WALMagic, o.policy, o.interval, true, s.applyLogged)
 	if err != nil {
 		return nil, err
 	}
-	// A torn tail is cut before the committer reopens the log: records
-	// appended after the torn frame would otherwise hide behind it — the
-	// replay scanner stops at the first broken frame, so a later
-	// recovery would silently drop everything written past it.
-	if err := TruncateTail(walPath(dir), liveOff); err != nil {
-		return nil, err
-	}
-	w, err := newCommitter(walPath(dir), o.policy, WALMagic)
-	if err != nil {
-		return nil, err
-	}
-	s.w = w
-	if o.policy == SyncInterval {
-		startIntervalSync(w, o.interval)
-	}
+	s.w = log
 	return s, nil
 }
 
@@ -197,39 +186,36 @@ func OpenReadOnly(dir string) (*Store, error) {
 	s := newStore()
 	s.dir = dir
 	s.readOnly = true
-	if _, err := s.recover(dir); err != nil {
+	if err := s.loadSnapshot(dir); err != nil {
 		return nil, err
+	}
+	for _, path := range WALFiles(dir) {
+		if _, err := ReplayFrames(path, WALMagic, s.applyLogged); err != nil && !errors.Is(err, ErrDamaged) {
+			return nil, err
+		}
 	}
 	return s, nil
 }
 
-// recover rebuilds the in-memory state: snapshot image, then the sealed
-// pre-snapshot tail, then the live log. Replaying a sealed tail whose
-// snapshot completed is an idempotent no-op (puts are upserts, prunes
-// re-prune nothing). It returns the live log's intact byte length so
-// Open can cut a torn tail before appending behind it; a log in another
+// loadSnapshot loads the snapshot image, if there is one. The WAL files
+// replay over it: the sealed pre-snapshot tail, then the live log.
+// Replaying a sealed tail whose snapshot completed is an idempotent
+// no-op (puts are upserts, prunes re-prune nothing); a log in another
 // format fails recovery (ErrLogFormat) with its file untouched.
-func (s *Store) recover(dir string) (int64, error) {
-	if raw, err := os.ReadFile(snapshotPath(dir)); err == nil {
-		var img snapshotImage
-		if err := json.Unmarshal(raw, &img); err != nil {
-			return 0, fmt.Errorf("store: corrupt snapshot: %w", err)
-		}
-		s.load(&img)
-	} else if !os.IsNotExist(err) {
-		return 0, err
+func (s *Store) loadSnapshot(dir string) error {
+	raw, err := os.ReadFile(snapshotPath(dir))
+	if os.IsNotExist(err) {
+		return nil
 	}
-	var liveOff int64
-	for _, path := range WALFiles(dir) {
-		var err error
-		liveOff, err = ReplayFrames(path, WALMagic, 0, func(_ int64, tag byte, payload []byte) error {
-			return s.applyLogged(tag, payload)
-		})
-		if err != nil {
-			return 0, err
-		}
+	if err != nil {
+		return err
 	}
-	return liveOff, nil
+	var img snapshotImage
+	if err := json.Unmarshal(raw, &img); err != nil {
+		return fmt.Errorf("store: corrupt snapshot: %w", err)
+	}
+	s.load(&img)
+	return nil
 }
 
 // Close flushes and closes the WAL. The store must not be used after.
@@ -239,7 +225,7 @@ func (s *Store) Close() error {
 	if s.w == nil {
 		return nil
 	}
-	return s.w.close()
+	return s.w.Close()
 }
 
 // Sync fsyncs the WAL.
@@ -247,7 +233,7 @@ func (s *Store) Sync() error {
 	if s.w == nil {
 		return nil
 	}
-	return s.w.sync()
+	return s.w.Sync()
 }
 
 // WALStats reports the group committer's record/group/fsync counters
@@ -256,7 +242,7 @@ func (s *Store) WALStats() LogStats {
 	if s.w == nil {
 		return LogStats{}
 	}
-	return s.w.stats()
+	return s.w.Stats()
 }
 
 // Snapshot writes a point-in-time image and retires the WAL records it
@@ -284,7 +270,7 @@ func (s *Store) Snapshot() error {
 	}
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	if err := s.w.rotate(walPath(s.dir), walOldPath(s.dir)); err != nil {
+	if err := s.w.Rotate(walOldPath(s.dir)); err != nil {
 		return err
 	}
 	img := s.dump()
@@ -404,8 +390,9 @@ func (s *Store) applyOffer(r OfferRecord) {
 	})
 }
 
-// applyLogged applies one WAL record during recovery.
-func (s *Store) applyLogged(tag byte, payload []byte) error {
+// applyLogged applies one WAL record during recovery: the replay
+// callback of Open and OpenReadOnly.
+func (s *Store) applyLogged(_ int64, tag byte, payload []byte) error {
 	_, v, err := DecodeWALRecord(tag, payload)
 	if err != nil {
 		return err

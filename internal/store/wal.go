@@ -44,14 +44,23 @@ type LogStats struct {
 	Syncs   uint64
 }
 
-// committer owns the WAL file and turns concurrent appends into group
-// commits. commit() is leader/follower: the first writer through takes
-// the write path and flushes every record queued while it held the
-// file; later writers just park on their done channel. Callers hold
-// their record's table-stripe lock while waiting, which serializes
-// same-key log order with same-key memory order; cross-stripe writers
-// are exactly the ones that coalesce.
-type committer struct {
+// GroupLog is the one append-only log file behind the store's WAL, the
+// ingest journal and the settlement ledger: a group committer over the
+// frame format of frame.go, opened by OpenGroupLog (grouplog.go). It
+// owns the file and turns concurrent appends into group commits.
+// commit() is leader/follower: the first writer through takes the write
+// path and flushes every record queued while it held the file; later
+// writers just park on their done channel. An append returns only once
+// its records are flushed (and fsynced, per policy), so the return is
+// the caller's durability ack. The store's writers hold their record's
+// table-stripe lock while waiting, which serializes same-key log order
+// with same-key memory order; cross-stripe writers are exactly the ones
+// that coalesce.
+//
+// The log does not look inside what it appends: callers hand it whole
+// frames (BeginFrame/EndFrame) and own their tags and payloads.
+type GroupLog struct {
+	path     string
 	policy   SyncPolicy
 	records  atomic.Uint64
 	groups   atomic.Uint64
@@ -59,9 +68,9 @@ type committer struct {
 	stopTick chan struct{} // closes the interval syncer, if any
 	tickDone chan struct{}
 
-	// header, when set, is the magic every file of this log starts with.
-	// It is written with the first group that lands in an empty file, so
-	// an empty log stays a zero-length file.
+	// header is the magic every file of this log starts with. It is
+	// written with the first group that lands in an empty file, so an
+	// empty log stays a zero-length file.
 	header     string
 	needHeader bool // guarded like f: only the goroutine that owns the file
 
@@ -75,10 +84,10 @@ type committer struct {
 	waiters []chan error
 }
 
-// newCommitter opens the log at path for appending. A non-empty file is
-// taken to carry header already: callers replay (and so validate) a log
-// before they open it for writing.
-func newCommitter(path string, policy SyncPolicy, header string) (*committer, error) {
+// newGroupLog opens the log at path for appending. A non-empty file is
+// taken to carry header already: OpenGroupLog replays (and so validates)
+// a log before it opens it for writing.
+func newGroupLog(path string, policy SyncPolicy, header string) (*GroupLog, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open wal: %w", err)
@@ -88,7 +97,7 @@ func newCommitter(path string, policy SyncPolicy, header string) (*committer, er
 		f.Close()
 		return nil, fmt.Errorf("store: open wal: %w", err)
 	}
-	c := &committer{policy: policy, header: header, needHeader: header != "" && fi.Size() == 0, f: f, w: bufio.NewWriter(f)}
+	c := &GroupLog{path: path, policy: policy, header: header, needHeader: fi.Size() == 0, f: f, w: bufio.NewWriter(f)}
 	c.cond = sync.NewCond(&c.mu)
 	return c, nil
 }
@@ -97,7 +106,7 @@ func newCommitter(path string, policy SyncPolicy, header string) (*committer, er
 // — and returns once they are flushed (and fsynced, under SyncAlways),
 // possibly as part of a larger group led by another writer. The chunks
 // are the caller's again when commit returns.
-func (c *committer) commit(chunks [][]byte, records int) error {
+func (c *GroupLog) commit(chunks [][]byte, records int) error {
 	done := make(chan error, 1)
 	c.mu.Lock()
 	if c.closed {
@@ -129,9 +138,14 @@ func (c *committer) commit(chunks [][]byte, records int) error {
 	return <-done
 }
 
+// Append commits recs — one logged record each — as one group (possibly
+// coalesced with concurrent appenders). The slices are the caller's to
+// reuse once Append returns.
+func (c *GroupLog) Append(recs [][]byte) error { return c.commit(recs, len(recs)) }
+
 // writeGroup writes one coalesced batch. Called with writing == true
 // (file access is exclusive even though mu is released).
-func (c *committer) writeGroup(batch [][]byte) error {
+func (c *GroupLog) writeGroup(batch [][]byte) error {
 	if c.needHeader {
 		if _, err := c.w.WriteString(c.header); err != nil {
 			return err
@@ -156,14 +170,14 @@ func (c *committer) writeGroup(batch [][]byte) error {
 
 // quiesce waits until no group write is in flight. Caller holds mu and
 // keeps it; the file is exclusively theirs until they release it.
-func (c *committer) quiesceLocked() {
+func (c *GroupLog) quiesceLocked() {
 	for c.writing {
 		c.cond.Wait()
 	}
 }
 
-// sync flushes and fsyncs the log.
-func (c *committer) sync() error {
+// Sync flushes and fsyncs the log.
+func (c *GroupLog) Sync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.quiesceLocked()
@@ -177,13 +191,17 @@ func (c *committer) sync() error {
 	return c.f.Sync()
 }
 
-// rotate seals the current log as cur's pre-snapshot tail and starts a
-// fresh one. The sealed records live at oldPath until the caller has
-// written a snapshot that covers them and removes the file. If a sealed
-// tail from an interrupted earlier snapshot still exists, the current
-// log is appended to it instead of clobbering it — replay order
-// (oldPath then curPath) is unchanged either way.
-func (c *committer) rotate(curPath, oldPath string) error {
+// Rotate seals the log's current contents at oldPath and continues
+// appending to a fresh file at the original path. The sealed bytes are
+// flushed and fsynced before the rename, so oldPath is a complete,
+// immutable prefix of the log; the caller deletes it once every record
+// in it is durable elsewhere (a snapshot covers it; the store fsynced
+// what the journal's events became). If oldPath already exists (an
+// earlier rotation whose cleanup was interrupted), the current contents
+// are appended to it instead of clobbering it — replay order (oldPath
+// then the live file) is unchanged either way.
+func (c *GroupLog) Rotate(oldPath string) error {
+	curPath := c.path
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.quiesceLocked()
@@ -217,7 +235,7 @@ func (c *committer) rotate(curPath, oldPath string) error {
 	}
 	c.f = f
 	c.w.Reset(f)
-	c.needHeader = c.header != ""
+	c.needHeader = true
 	return nil
 }
 
@@ -247,8 +265,8 @@ func appendFile(dst, src string, skip int64) error {
 	return out.Close()
 }
 
-// close flushes, fsyncs and closes the log. Further commits fail.
-func (c *committer) close() error {
+// Close flushes, fsyncs and closes the log. Further appends fail.
+func (c *GroupLog) Close() error {
 	if c.stopTick != nil {
 		close(c.stopTick)
 		<-c.tickDone
@@ -272,7 +290,8 @@ func (c *committer) close() error {
 	return c.f.Close()
 }
 
-func (c *committer) stats() LogStats {
+// Stats reports the log's record/group/fsync counters.
+func (c *GroupLog) Stats() LogStats {
 	return LogStats{
 		Records: c.records.Load(),
 		Groups:  c.groups.Load(),
