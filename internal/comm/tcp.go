@@ -175,14 +175,18 @@ func (s *TCPServer) acceptLoop() {
 }
 
 // serveConn handles one connection: a stream of request frames, each
-// dispatched to a handler goroutine (at most perConn in flight) whose
-// reply frame (MsgError on handler failure, an empty pong frame for
-// fire-and-forget handlers that return nil) is written back under a
-// per-connection write lock, tagged with the request's Seq.
+// handed to one of at most perConn handler workers, which live as long
+// as the connection does. A frame goes to a parked worker if there is
+// one; otherwise a new worker is started while fewer than perConn
+// exist; otherwise the read loop blocks until a worker frees up.
+// Reusing workers keeps each goroutine's stack, grown once through the
+// handler chain, instead of regrowing a fresh one per frame.
 func (s *TCPServer) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	var hwg sync.WaitGroup
+	work := make(chan Envelope) // unbuffered: a send lands only in a parked worker
 	defer func() {
+		close(work)
 		hwg.Wait()
 		conn.Close()
 		s.mu.Lock()
@@ -191,34 +195,50 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	}()
 	frames := newFrameReader(conn)
 	var wmu sync.Mutex // one reply frame at a time onto the shared conn
-	sem := make(chan struct{}, s.perConn)
+	workers := 0
 	for {
 		env, err := frames.next()
 		if err != nil {
 			return // EOF or protocol error: drop the connection
 		}
-		sem <- struct{}{}
-		hwg.Add(1)
-		go func(env Envelope) {
-			defer hwg.Done()
-			defer func() { <-sem }()
-			reply, err := s.handler(s.baseCtx, env)
-			switch {
-			case err != nil:
-				e := ErrorEnvelope(&env, env.To, err.Error())
-				reply = &e
-			case reply == nil:
-				reply = &Envelope{Type: MsgPong, From: env.To, To: env.From, Seq: env.Seq}
-			default:
-				reply.Seq = env.Seq
+		select {
+		case work <- env:
+		default:
+			if workers < s.perConn {
+				workers++
+				hwg.Add(1)
+				go func() {
+					defer hwg.Done()
+					for env := range work {
+						s.serveFrame(conn, &wmu, env)
+					}
+				}()
 			}
-			wmu.Lock()
-			werr := writeFrame(conn, reply)
-			wmu.Unlock()
-			if werr != nil {
-				conn.Close() // broken pipe: unblock the read loop too
-			}
-		}(env)
+			work <- env
+		}
+	}
+}
+
+// serveFrame runs the handler on one request and writes its reply frame
+// (MsgError on handler failure, an empty pong frame for fire-and-forget
+// handlers that return nil) under the connection's write lock, tagged
+// with the request's Seq.
+func (s *TCPServer) serveFrame(conn net.Conn, wmu *sync.Mutex, env Envelope) {
+	reply, err := s.handler(s.baseCtx, env)
+	switch {
+	case err != nil:
+		e := ErrorEnvelope(&env, env.To, err.Error())
+		reply = &e
+	case reply == nil:
+		reply = &Envelope{Type: MsgPong, From: env.To, To: env.From, Seq: env.Seq}
+	default:
+		reply.Seq = env.Seq
+	}
+	wmu.Lock()
+	werr := writeFrame(conn, reply)
+	wmu.Unlock()
+	if werr != nil {
+		conn.Close() // broken pipe: unblock the read loop too
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -372,6 +373,162 @@ func TestTCPServerSerialDispatchOption(t *testing.T) {
 	wg.Wait()
 	if wall := time.Since(t0); wall < time.Duration(k)*delay {
 		t.Errorf("serial dispatch finished in %v, faster than %d×%v — not serialized", wall, k, delay)
+	}
+}
+
+// gatedServer serves a handler that reports its entry on entered and
+// then blocks until release is closed — deliberately deaf to ctx, so a
+// test decides when handlers finish. inFlight/peak count the handlers
+// running at once, done the ones that returned.
+type gatedServer struct {
+	*TCPServer
+	entered        chan struct{}
+	release        chan struct{}
+	inFlight, peak atomic.Int32
+	done           atomic.Int32
+}
+
+func newGatedServer(t *testing.T, opts ...TCPServerOption) *gatedServer {
+	t.Helper()
+	g := &gatedServer{entered: make(chan struct{}, 64), release: make(chan struct{})}
+	srv, err := ListenTCP("127.0.0.1:0", func(ctx context.Context, env Envelope) (*Envelope, error) {
+		n := g.inFlight.Add(1)
+		for p := g.peak.Load(); n > p && !g.peak.CompareAndSwap(p, n); p = g.peak.Load() {
+		}
+		g.entered <- struct{}{}
+		<-g.release
+		g.inFlight.Add(-1)
+		g.done.Add(1)
+		return nil, nil
+	}, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.TCPServer = srv
+	return g
+}
+
+// pipeline starts k Requests over client and returns once every one of
+// them is registered in flight; wait collects them.
+func pipeline(t *testing.T, client *TCPClient, k int) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			env, _ := NewEnvelope(MsgPing, "p1", "srv", nil)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if _, err := client.Request(ctx, "srv", env); err != nil {
+				t.Errorf("request: %v", err)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); client.Stats().InFlight < int64(k); {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests in flight", client.Stats().InFlight, k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return wg.Wait
+}
+
+// TestTCPWorkerReuseKeepsConcurrencyBound: the per-connection workers
+// honour WithServerConcurrency exactly as the per-frame goroutines did —
+// 12 requests pipelined at a bound of 3 run 3 at a time, never more, and
+// all complete.
+func TestTCPWorkerReuseKeepsConcurrencyBound(t *testing.T) {
+	const k, bound = 12, 3
+	srv := newGatedServer(t, WithServerConcurrency(bound))
+	defer srv.Close()
+	client := NewTCPClient("p1", WithPoolSize(1))
+	defer client.Close()
+	client.SetRoute("srv", srv.Addr())
+
+	wait := pipeline(t, client, k)
+	for i := 0; i < bound; i++ {
+		<-srv.entered
+	}
+	// All 12 frames are written, 3 handlers hold every worker: a fourth
+	// entry now would be a broken bound. Let the read loop reach its
+	// blocking hand-off before looking.
+	time.Sleep(50 * time.Millisecond)
+	if n := srv.inFlight.Load(); n != bound {
+		t.Errorf("%d handlers in flight with %d requests pending, want %d", n, k, bound)
+	}
+	close(srv.release)
+	wait()
+	if got := srv.done.Load(); got != k {
+		t.Errorf("%d of %d requests handled", got, k)
+	}
+	if peak := srv.peak.Load(); peak != bound {
+		t.Errorf("peak concurrency %d, want exactly %d", peak, bound)
+	}
+	if st := client.Stats(); st.Dials != 1 {
+		t.Errorf("dials = %d, want 1: the bound is per connection", st.Dials)
+	}
+}
+
+// TestTCPWorkersExitWithConnection: parked workers belong to their
+// connection — once the client hangs up, the serve goroutine and every
+// worker it started are gone.
+func TestTCPWorkersExitWithConnection(t *testing.T) {
+	srv := newGatedServer(t, WithServerConcurrency(4))
+	defer srv.Close()
+	before := runtime.NumGoroutine()
+
+	client := NewTCPClient("p1", WithPoolSize(1))
+	client.SetRoute("srv", srv.Addr())
+	wait := pipeline(t, client, 8)
+	close(srv.release)
+	wait() // 4 workers were started and are now parked
+	client.Close()
+
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines before the dial, %d after the hang-up:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPServerCloseWaitsForWorkers: Close returns only after the
+// handlers in flight have.
+func TestTCPServerCloseWaitsForWorkers(t *testing.T) {
+	const k = 3
+	srv := newGatedServer(t)
+	client := NewTCPClient("p1", WithPoolSize(1))
+	defer client.Close()
+	client.SetRoute("srv", srv.Addr())
+	for i := 0; i < k; i++ {
+		env, _ := NewEnvelope(MsgPing, "p1", "srv", nil)
+		if err := client.Send(context.Background(), "srv", env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < k; i++ {
+		<-srv.entered
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with handlers still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(srv.release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the handlers finished")
+	}
+	if got := srv.done.Load(); got != k {
+		t.Errorf("Close returned with %d of %d handlers finished", got, k)
 	}
 }
 

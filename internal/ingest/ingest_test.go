@@ -283,7 +283,9 @@ func TestCrashRecovery(t *testing.T) {
 // TestCleanBarrierIsFree: a Drain with nothing journaled since the last
 // one has nothing to make durable and nothing to truncate, so it costs
 // no fsync — the planner takes the barrier before every settlement run
-// and every cancellation. One journaled event makes it pay again.
+// and every cancellation. One journaled event makes it pay again, and
+// every fsync it pays is counted: one on the store's WAL, one on the
+// journal it truncates.
 func TestCleanBarrierIsFree(t *testing.T) {
 	s := testStore(t)
 	path := filepath.Join(t.TempDir(), "ingest.log")
@@ -299,12 +301,16 @@ func TestCleanBarrierIsFree(t *testing.T) {
 		if err := q.SubmitOffer(ctx, offerRec(id, "p1", store.OfferReceived)); err != nil {
 			t.Fatal(err)
 		}
-		_, w0 := syncs()
+		j0, w0 := syncs()
 		if err := q.Drain(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if _, w1 := syncs(); w1 == w0 {
+		j1, w1 := syncs()
+		if w1 == w0 {
 			t.Fatalf("drain after submitting offer %d did not fsync the store", id)
+		}
+		if j1 != j0+1 {
+			t.Fatalf("truncating drain of offer %d counted %d journal fsyncs, want 1 (the truncate's)", id, j1-j0)
 		}
 		if fi, err := os.Stat(path); err != nil || fi.Size() != 0 {
 			t.Fatalf("journal after drain: %v/%v, want empty", fi, err)

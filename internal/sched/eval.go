@@ -12,9 +12,11 @@ import (
 // Solution and a Market.Quote recomputation for every slot. Compile
 // folds everything that is constant across candidates (market quotes,
 // imbalance prices, clamped start windows, profile energy bounds) into
-// flat arrays once per search, and Eval keeps a per-candidate net
-// position so that changing one offer's placement costs
-// O(changed × profile) instead of O(slots + offers × profile).
+// flat arrays once per search. A candidate's mutable state is a
+// position — per-slot net energy with each slot's price cached beside
+// it — shared by the greedy constructor and Eval, so that changing one
+// offer's placement costs O(changed × profile) instead of
+// O(slots + offers × profile) and no slot is priced twice for one net.
 
 // Compiled is an immutable evaluation context for one Problem: per-slot
 // quote tables (buy/sell/capacity folded with the imbalance price, so
@@ -27,6 +29,9 @@ type Compiled struct {
 	start    flexoffer.Time
 	slots    int
 	baseline []float64
+	// baseCost[t] == slotCost(t, baseline[t]): the priced empty schedule
+	// every position resets to.
+	baseCost []float64
 
 	// Per-slot pricing tables, index-aligned with the horizon.
 	imb       []float64
@@ -99,6 +104,10 @@ func Compile(p *Problem) (*Compiled, error) {
 			c.emax = append(c.emax, sl.EnergyMax)
 		}
 	}
+	c.baseCost = make([]float64, p.Slots)
+	for t, n := range c.baseline {
+		c.baseCost[t] = c.slotCost(t, n)
+	}
 	return c, nil
 }
 
@@ -108,7 +117,7 @@ func Compile(p *Problem) (*Compiled, error) {
 func (c *Compiled) slotCost(t int, n float64) float64 {
 	imb := c.imb[t]
 	if !c.hasMarket {
-		return imb * math.Abs(n)
+		return penalty(imb, n)
 	}
 	if n > 0 { // deficit: buy
 		if c.buy[t] >= imb {
@@ -131,12 +140,70 @@ func (c *Compiled) slotCost(t int, n float64) float64 {
 	return -s*c.sell[t] + (surplus-s)*imb
 }
 
+// penalty is the imbalance charge on a net position n — without a
+// market, the slot's whole cost. It is a function of its own so the
+// greedy scan, which tests for the market once per restart instead of
+// once per slot, inlines the same expression slotCost evaluates.
+func penalty(imb, n float64) float64 { return imb * math.Abs(n) }
+
+// position is the priced net position of one candidate schedule: per
+// slot the net energy (baseline plus every placed offer) and, beside
+// it, that slot's cost. Invariant: cost[t] == c.slotCost(t, net[t]) —
+// reset, move and reprice are the only writers of cost, so a search
+// reads cost[t] wherever it needs the price of a slot it has not
+// changed. The cached value is the same expression on the same input
+// as a fresh slotCost call, so sums over it are bit-identical.
+type position struct {
+	net  []float64
+	cost []float64
+}
+
+func newPosition(slots int) position {
+	return position{net: make([]float64, slots), cost: make([]float64, slots)}
+}
+
+// reset returns the position to the bare baseline.
+func (p *position) reset(c *Compiled) {
+	copy(p.net, c.baseline)
+	copy(p.cost, c.baseCost)
+}
+
+// move shifts slot t's net by d and prices the slot once.
+func (p *position) move(c *Compiled, t int, d float64) {
+	n := p.net[t] + d
+	p.net[t] = n
+	p.cost[t] = c.slotCost(t, n)
+}
+
+// reprice prices every slot: the bulk path for a caller that rebuilt
+// net directly, one slotCost per slot however many offers overlap it.
+func (p *position) reprice(c *Compiled) {
+	for t, n := range p.net {
+		p.cost[t] = c.slotCost(t, n)
+	}
+}
+
+// total sums the slot costs in slot order.
+func (p *position) total() float64 {
+	var sum float64
+	for _, v := range p.cost {
+		sum += v
+	}
+	return sum
+}
+
+// copyFrom duplicates src (same horizon).
+func (p *position) copyFrom(src *position) {
+	copy(p.net, src.net)
+	copy(p.cost, src.cost)
+}
+
 // NewEval returns a fresh incremental evaluator bound to c. The state
 // is undefined until Init seeds it with a concrete solution.
 func (c *Compiled) NewEval() *Eval {
 	return &Eval{
 		c:      c,
-		net:    make([]float64, c.slots),
+		pos:    newPosition(c.slots),
 		starts: make([]flexoffer.Time, len(c.offers)),
 		energy: make([]float64, len(c.emin)),
 	}
@@ -150,16 +217,16 @@ func (c *Compiled) NewEval() *Eval {
 const autoResyncOps = 4096
 
 // Eval is the incremental evaluation state of one candidate schedule:
-// the per-slot net position, the cached slot-cost and activation-cost
-// sums, and the current placement of every offer. SetPlacement updates
+// the priced per-slot position, the slot-cost and activation-cost sums,
+// and the current placement of every offer. SetPlacement updates
 // all of it in O(profile) for the changed offer; Cost is O(1). An Eval
 // is not safe for concurrent use; searches running in parallel each
 // need their own (CopyFrom duplicates state cheaply).
 type Eval struct {
 	c       *Compiled
-	net     []float64 // baseline + all current placements
-	slotSum float64   // Σ_t slotCost(t, net[t])
-	actSum  float64   // Σ_i activation cost of placement i
+	pos     position // baseline + all current placements, priced
+	slotSum float64  // Σ_t pos.cost[t]
+	actSum  float64  // Σ_i activation cost of placement i
 
 	starts []flexoffer.Time
 	energy []float64 // current placement energies, flattened like c.emin
@@ -183,16 +250,17 @@ func (e *Eval) Init(sol *Solution) {
 // Compiled). This is the EA's clone path: O(slots + Σ profile) copies,
 // zero allocations.
 func (e *Eval) CopyFrom(src *Eval) {
-	copy(e.net, src.net)
+	e.pos.copyFrom(&src.pos)
 	copy(e.starts, src.starts)
 	copy(e.energy, src.energy)
 	e.slotSum, e.actSum, e.ops = src.slotSum, src.actSum, src.ops
 }
 
-// recompute rebuilds net and both cost sums from the stored placements.
+// recompute rebuilds the position and both cost sums from the stored
+// placements.
 func (e *Eval) recompute() {
 	c := e.c
-	copy(e.net, c.baseline)
+	copy(e.pos.net, c.baseline)
 	e.actSum = 0
 	for i := range c.offers {
 		o := &c.offers[i]
@@ -200,15 +268,13 @@ func (e *Eval) recompute() {
 		var act float64
 		for j := 0; j < o.n; j++ {
 			v := e.energy[o.base+j]
-			e.net[base+j] += v
+			e.pos.net[base+j] += v
 			act += math.Abs(v)
 		}
 		e.actSum += act * o.costPerKWh
 	}
-	e.slotSum = 0
-	for t, n := range e.net {
-		e.slotSum += e.c.slotCost(t, n)
-	}
+	e.pos.reprice(c)
+	e.slotSum = e.pos.total()
 	e.ops = 0
 }
 
@@ -218,9 +284,9 @@ func (e *Eval) recompute() {
 func (e *Eval) Resync() { e.recompute() }
 
 // SetPlacement moves offer i to a new start and energy vector,
-// updating the net position and cost sums incrementally: the old
-// placement's slot contributions are subtracted and the new ones
-// added — O(profile) work for slot costs that are array lookups, no
+// updating the position and cost sums incrementally: each slot the old
+// or the new placement touches has its cached cost taken out of the
+// sum, is moved and priced once, and put back — O(profile) work, no
 // allocation. energy must have the offer's profile length; it is
 // copied, the caller keeps ownership.
 func (e *Eval) SetPlacement(i int, start flexoffer.Time, energy []float64) {
@@ -233,9 +299,9 @@ func (e *Eval) SetPlacement(i int, start flexoffer.Time, energy []float64) {
 	for j := 0; j < o.n; j++ {
 		t := base + j
 		v := e.energy[o.base+j]
-		e.slotSum -= c.slotCost(t, e.net[t])
-		e.net[t] -= v
-		e.slotSum += c.slotCost(t, e.net[t])
+		e.slotSum -= e.pos.cost[t]
+		e.pos.move(c, t, -v)
+		e.slotSum += e.pos.cost[t]
 		act += math.Abs(v)
 	}
 	e.actSum -= act * o.costPerKWh
@@ -248,9 +314,9 @@ func (e *Eval) SetPlacement(i int, start flexoffer.Time, energy []float64) {
 	for j := 0; j < o.n; j++ {
 		t := base + j
 		v := e.energy[o.base+j]
-		e.slotSum -= c.slotCost(t, e.net[t])
-		e.net[t] += v
-		e.slotSum += c.slotCost(t, e.net[t])
+		e.slotSum -= e.pos.cost[t]
+		e.pos.move(c, t, v)
+		e.slotSum += e.pos.cost[t]
 		act += math.Abs(v)
 	}
 	e.actSum += act * o.costPerKWh

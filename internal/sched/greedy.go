@@ -25,9 +25,10 @@ const (
 // "constructs the schedule gradually — at each step a randomly chosen
 // flex-offer is scheduled in the best possible position", repeated with
 // fresh random orders until the time budget is exhausted, keeping the
-// best schedule found. The inner loop prices slots from the compiled
-// quote table and reuses one scratch arena across restarts, so
-// steady-state search allocates nothing.
+// best schedule found. The inner loop prices only the slots a candidate
+// start would change — the current price of every slot is cached beside
+// the net position — and one scratch arena is reused across restarts,
+// so steady-state search allocates nothing.
 type RandomizedGreedy struct {
 	// Fill selects the energy-fill rule (default FillGreedy).
 	Fill FillMode
@@ -57,27 +58,37 @@ func (g *RandomizedGreedy) Schedule(ctx context.Context, p *Problem, opt Options
 	return tr.result(), ctx.Err()
 }
 
-// greedyRun is the reusable scratch arena of one greedy search: the net
-// position, the solution under construction (whose placement energies
-// live in one flat arena, sliced per offer) and a candidate energy
-// buffer. construct overwrites all of it each restart.
+// greedyRun is the reusable scratch arena of one greedy search: the
+// priced position and the solution under construction (whose placement
+// energies live in one flat arena, sliced per offer). construct
+// overwrites all of it each restart.
 type greedyRun struct {
-	c      *Compiled
-	fill   FillMode
-	net    []float64
-	sol    Solution
-	arena  []float64 // best energies per offer, flattened like c.emin
-	energy []float64 // candidate energies for one start position
+	c     *Compiled
+	pos   position
+	sol   Solution
+	arena []float64 // placed energies per offer, flattened like c.emin
+	// lo/hi are the fill rule as data: the range fillEnergy clamps into,
+	// flattened like c.emin. FillGreedy clamps into the profile bounds
+	// themselves; FillMidpoint collapses each range onto its midpoint,
+	// so the scan loop never tests the mode.
+	lo, hi []float64
 }
 
 func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 	r := &greedyRun{
-		c:      c,
-		fill:   fill,
-		net:    make([]float64, c.slots),
-		sol:    Solution{Placements: make([]Placement, len(c.offers))},
-		arena:  make([]float64, len(c.emin)),
-		energy: make([]float64, c.maxProfile),
+		c:     c,
+		pos:   newPosition(c.slots),
+		sol:   Solution{Placements: make([]Placement, len(c.offers))},
+		arena: make([]float64, len(c.emin)),
+		lo:    c.emin,
+		hi:    c.emax,
+	}
+	if fill == FillMidpoint {
+		mid := make([]float64, len(c.emin))
+		for k := range mid {
+			mid[k] = (c.emin[k] + c.emax[k]) / 2
+		}
+		r.lo, r.hi = mid, mid
 	}
 	for i := range c.offers {
 		o := &c.offers[i]
@@ -88,63 +99,65 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 
 // construct builds one schedule into r.sol: offers in the given order,
 // each placed at its locally best start with the fill rule's energies.
-// The returned cost refers to scratch state that the next construct
-// overwrites — callers must clone before retaining the solution.
+// The offset scan only compares deltas — an unchanged slot's price is
+// read from the position, never recomputed — and the winner's energies
+// are derived once, when it is placed. The returned cost refers to
+// scratch state that the next construct overwrites — callers must clone
+// before retaining the solution.
 func (r *greedyRun) construct(order []int) float64 {
 	c := r.c
-	copy(r.net, c.baseline)
+	r.pos.reset(c)
+	flat := !c.hasMarket // slotCost's early-out, tested once per restart
 	var offerCosts float64
 
 	for _, idx := range order {
 		o := &c.offers[idx]
+		lo, hi := r.lo[o.base:o.base+o.n], r.hi[o.base:o.base+o.n]
+		first := int(o.lo - c.start)
 		bestDelta := math.Inf(1)
 		bestOff := 0
-		bestEnergy := r.arena[o.base : o.base+o.n]
-		energy := r.energy[:o.n]
 
 		for off := 0; off <= o.width; off++ {
-			base := int(o.lo-c.start) + off
+			base := first + off
+			net := r.pos.net[base : base+o.n]
+			cost := r.pos.cost[base : base+o.n]
+			imb := c.imb[base : base+o.n]
 			var delta, act float64
-			for j := 0; j < o.n; j++ {
-				t := base + j
-				e := r.fillEnergy(o.base+j, r.net[t])
-				energy[j] = e
-				delta += c.slotCost(t, r.net[t]+e) - c.slotCost(t, r.net[t])
+			for j, n := range net {
+				e := fillEnergy(lo[j], hi[j], n)
+				var after float64
+				if flat {
+					after = penalty(imb[j], n+e)
+				} else {
+					after = c.slotCost(base+j, n+e)
+				}
+				delta += after - cost[j]
 				act += math.Abs(e)
 			}
 			delta += act * o.costPerKWh
 			if delta < bestDelta {
 				bestDelta = delta
 				bestOff = off
-				copy(bestEnergy, energy)
 			}
 		}
 
-		base := int(o.lo-c.start) + bestOff
+		base := first + bestOff
 		var act float64
-		for j, e := range bestEnergy {
-			r.net[base+j] += e
+		for j := range lo {
+			e := fillEnergy(lo[j], hi[j], r.pos.net[base+j])
+			r.arena[o.base+j] = e
+			r.pos.move(c, base+j, e)
 			act += math.Abs(e)
 		}
 		offerCosts += act * o.costPerKWh
 		r.sol.Placements[idx].Start = o.lo + flexoffer.Time(bestOff)
 	}
-
-	var cost float64
-	for t, n := range r.net {
-		cost += r.c.slotCost(t, n)
-	}
-	return cost + offerCosts
+	return r.pos.total() + offerCosts
 }
 
-// fillEnergy picks the slice energy for the current net position; k
-// indexes the flattened profile bounds.
-func (r *greedyRun) fillEnergy(k int, net float64) float64 {
-	lo, hi := r.c.emin[k], r.c.emax[k]
-	if r.fill == FillMidpoint {
-		return (lo + hi) / 2
-	}
-	// Cancel the imbalance: target −net, clamped into the slice range.
+// fillEnergy picks a slice's energy for the current net position:
+// cancel the imbalance (target −net), clamped into [lo, hi].
+func fillEnergy(lo, hi, net float64) float64 {
 	e := -net
 	if e < lo {
 		e = lo

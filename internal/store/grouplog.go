@@ -113,5 +113,5 @@ func (c *GroupLog) Truncate() error {
 	// buffered writer drops any stale buffer state.
 	c.w.Reset(c.f)
 	c.needHeader = true
-	return c.f.Sync()
+	return c.fsync()
 }

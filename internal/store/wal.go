@@ -162,10 +162,16 @@ func (c *GroupLog) writeGroup(batch [][]byte) error {
 	}
 	c.groups.Add(1)
 	if c.policy == SyncAlways {
-		c.syncs.Add(1)
-		return c.f.Sync()
+		return c.fsync()
 	}
 	return nil
+}
+
+// fsync is the log's only f.Sync call site, so LogStats.Syncs counts
+// every fsync of the file. The caller has exclusive access to c.f.
+func (c *GroupLog) fsync() error {
+	c.syncs.Add(1)
+	return c.f.Sync()
 }
 
 // quiesce waits until no group write is in flight. Caller holds mu and
@@ -187,8 +193,7 @@ func (c *GroupLog) Sync() error {
 	if err := c.w.Flush(); err != nil {
 		return err
 	}
-	c.syncs.Add(1)
-	return c.f.Sync()
+	return c.fsync()
 }
 
 // Rotate seals the log's current contents at oldPath and continues
@@ -211,7 +216,7 @@ func (c *GroupLog) Rotate(oldPath string) error {
 	if err := c.w.Flush(); err != nil {
 		return err
 	}
-	if err := c.f.Sync(); err != nil {
+	if err := c.fsync(); err != nil {
 		return err
 	}
 	if err := c.f.Close(); err != nil {
@@ -220,6 +225,7 @@ func (c *GroupLog) Rotate(oldPath string) error {
 	if fi, err := os.Stat(oldPath); err == nil && fi.Size() > 0 {
 		// The sealed tail already starts with the header; the current
 		// log's own copy of it stays behind.
+		c.syncs.Add(1) // appendFile fsyncs the sealed file
 		if err := appendFile(oldPath, curPath, int64(len(c.header))); err != nil {
 			return err
 		}
@@ -283,7 +289,7 @@ func (c *GroupLog) Close() error {
 		c.f.Close()
 		return err
 	}
-	if err := c.f.Sync(); err != nil {
+	if err := c.fsync(); err != nil {
 		c.f.Close()
 		return err
 	}
