@@ -69,3 +69,24 @@ func TestRegistryUpdateBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("UpdateMeasurements allocates %.1f times per batch, want 0", n)
 	}
 }
+
+// TestHWTObjectiveAllocFree: an objective evaluation — copy the seed,
+// replay the training window, score the hold-out — runs entirely in the
+// fit's scratch model.
+func TestHWTObjectiveAllocFree(t *testing.T) {
+	for _, periods := range [][]int{{48}, {8, 24}, {4, 12, 36}} {
+		longest := longestPeriod(periods)
+		history := noisySeasonal(1, 4*longest, periods...)
+		obj, err := newHWTObjective(periods, history, 3*longest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := defaultParams(len(periods))
+		if n := testing.AllocsPerRun(200, func() {
+			p[0] = 1 - p[0] // a different point every evaluation
+			_ = obj.eval(p)
+		}); n != 0 {
+			t.Fatalf("periods %v: objective evaluation allocates %.1f times, want 0", periods, n)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package forecast
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"mirabel/internal/optimize"
 	"mirabel/internal/timeseries"
@@ -27,12 +28,13 @@ type FitConfig struct {
 // the one-step-ahead SMAPE over the holdout tail. It returns the fitted
 // model (initialized and replayed over the full history, ready to
 // Update/Forecast) and the estimator result with its convergence trace.
+// cfg.Estimator is only read: it may be shared by concurrent fits.
 func FitHWT(history []float64, periods []int, cfg FitConfig) (*HWT, optimize.Result, error) {
-	proto, err := NewHWT(periods...)
+	fitted, err := NewHWT(periods...)
 	if err != nil {
 		return nil, optimize.Result{}, err
 	}
-	longest := periods[len(periods)-1]
+	longest := longestPeriod(periods)
 	if len(history) < longest+longest/2 {
 		return nil, optimize.Result{}, fmt.Errorf("forecast: need ≥ %d observations to fit HWT%v, got %d",
 			longest+longest/2, periods, len(history))
@@ -49,33 +51,30 @@ func FitHWT(history []float64, periods []int, cfg FitConfig) (*HWT, optimize.Res
 	if split < longest {
 		split = longest
 	}
-
-	objective := func(p []float64) float64 {
-		return hwtObjective(proto, history, split, p)
+	objective, err := newHWTObjective(periods, history, split)
+	if err != nil {
+		return nil, optimize.Result{}, err
 	}
-	bounds := optimize.UnitBounds(proto.NumParams())
 
 	// Warm start via the local component of the estimator where
-	// supported.
-	switch e := est.(type) {
-	case *optimize.NelderMead:
-		if cfg.Start != nil {
-			e.Start = cfg.Start
-		}
-	case *optimize.RandomRestartNelderMead:
-		if cfg.Start != nil {
-			e.Local.Start = cfg.Start
+	// supported — on a private copy, because the caller's estimator is
+	// typically one pointer shared by every series and refit worker.
+	if cfg.Start != nil {
+		switch e := est.(type) {
+		case *optimize.NelderMead:
+			warm := *e
+			warm.Start = cfg.Start
+			est = &warm
+		case *optimize.RandomRestartNelderMead:
+			warm := *e
+			warm.Local.Start = cfg.Start
+			est = &warm
 		}
 	}
 
-	res := est.Minimize(objective, bounds, cfg.Options)
+	res := est.Minimize(objective.eval, optimize.UnitBounds(fitted.NumParams()), cfg.Options)
 	if res.X == nil {
 		return nil, res, errors.New("forecast: estimation produced no result")
-	}
-
-	fitted, err := NewHWT(periods...)
-	if err != nil {
-		return nil, res, err
 	}
 	if err := fitted.SetParams(res.X); err != nil {
 		return nil, res, err
@@ -86,31 +85,85 @@ func FitHWT(history []float64, periods []int, cfg FitConfig) (*HWT, optimize.Res
 	return fitted, res, nil
 }
 
-// hwtObjective computes the one-step-ahead SMAPE of an HWT with
-// parameters p: the model is seeded on history[:split] and evaluated
-// while replaying history[split:].
-func hwtObjective(proto *HWT, history []float64, split int, p []float64) float64 {
-	m := proto.clone()
-	if err := m.SetParams(p); err != nil {
-		return 1 // worst SMAPE
+// hwtObjective is the estimation objective of one FitHWT call: the
+// one-step-ahead SMAPE over history[split:] of an HWT seeded and
+// replayed on history[:split]. The seeding does not depend on the
+// parameters, so it is computed once (seeded); every evaluation copies
+// it into the fit's one scratch model, replays and scores — no
+// allocation per evaluation, and the same floating-point operations in
+// the same order as a fresh NewHWT/SetParams/Init per evaluation.
+type hwtObjective struct {
+	seeded  *HWT
+	history []float64
+	split   int
+	// scratch is taken for the length of an evaluation. Estimators that
+	// evaluate concurrently (optimize.ParallelRestartNelderMead) find it
+	// nil and fall back to a clone of their own.
+	scratch atomic.Pointer[HWT]
+}
+
+func newHWTObjective(periods []int, history []float64, split int) (*hwtObjective, error) {
+	seeded, err := NewHWT(periods...)
+	if err != nil {
+		return nil, err
 	}
-	if err := m.Init(history[:split]); err != nil {
+	if err := seeded.seed(history[:split]); err != nil {
+		return nil, err
+	}
+	o := &hwtObjective{seeded: seeded, history: history, split: split}
+	o.scratch.Store(seeded.clone())
+	return o, nil
+}
+
+// eval scores parameter vector p; an invalid vector scores the worst
+// SMAPE.
+func (o *hwtObjective) eval(p []float64) float64 {
+	m := o.scratch.Swap(nil)
+	if m == nil {
+		m = o.seeded.clone()
+	}
+	defer o.scratch.Store(m)
+	if err := m.SetParams(p); err != nil {
+		return 1
+	}
+	m.copySeed(o.seeded)
+	m.replay(o.history[:o.split])
+	holdout := o.history[o.split:]
+	if len(holdout) == 0 {
 		return 1
 	}
 	var smape float64
-	n := 0
-	for _, y := range history[split:] {
-		pred := m.Forecast(1)[0]
+	for _, y := range holdout {
+		pred := m.step(y)
 		if denom := abs(y) + abs(pred); denom > 0 {
 			smape += abs(y-pred) / denom
 		}
-		m.Update(y)
-		n++
 	}
-	if n == 0 {
-		return 1
+	return smape / float64(len(holdout))
+}
+
+// adaptation is the estimator of a re-estimation that has prior
+// knowledge — the series' incumbent parameters or a context-repository
+// case (Maintainer.refitConfigLocked): one local Nelder-Mead descent
+// from the prior instead of a global search. A prior is only knowledge
+// while it still describes the series: an estimate from a short early
+// window can sit in a basin (φ≈1, γ=1) the descent never leaves, so a
+// prior that scores worse on the new window than the parameters every
+// model is born with is dropped and the descent starts from those.
+type adaptation struct{ prior []float64 }
+
+// Name implements optimize.Estimator.
+func (a *adaptation) Name() string { return "Adaptation" }
+
+// Minimize implements optimize.Estimator.
+func (a *adaptation) Minimize(obj optimize.Objective, b optimize.Bounds, opt optimize.Options) optimize.Result {
+	start := a.prior
+	if born := defaultParams(b.Dim() - 2); obj(born) < obj(start) {
+		start = born
 	}
-	return smape / float64(n)
+	res := (&optimize.NelderMead{Start: start}).Minimize(obj, b, opt)
+	res.Evaluations += 2
+	return res
 }
 
 func abs(x float64) float64 {

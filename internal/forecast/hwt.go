@@ -55,7 +55,7 @@ type HWT struct {
 
 	level    float64
 	seasonal [][]float64 // ring buffer per period
-	t        int         // observations consumed
+	pos      []int       // ring slot of the next observation: observations consumed mod period
 	lastErr  float64     // one-step-ahead residual
 	resVar   float64     // EWMA of squared residuals (uncertainty capture)
 	ready    bool
@@ -74,20 +74,42 @@ func NewHWT(periods ...int) (*HWT, error) {
 			return nil, fmt.Errorf("forecast: invalid seasonal period %d", p)
 		}
 	}
+	born := defaultParams(len(periods))
 	m := &HWT{
 		periods: append([]int(nil), periods...),
-		alpha:   0.1,
-		phi:     0.3,
-		gammas:  make([]float64, len(periods)),
-	}
-	for i := range m.gammas {
-		m.gammas[i] = 0.05
+		alpha:   born[0],
+		phi:     born[1],
+		gammas:  born[2:],
 	}
 	m.seasonal = make([][]float64, len(periods))
 	for i, p := range periods {
 		m.seasonal[i] = make([]float64, p)
 	}
+	m.pos = make([]int, len(periods))
 	return m, nil
+}
+
+// defaultParams is the parameter vector [α, φ, γ_1..γ_n] a model with n
+// seasonal periods is born with.
+func defaultParams(n int) []float64 {
+	p := make([]float64, 2+n)
+	p[0], p[1] = 0.1, 0.3
+	for i := 2; i < len(p); i++ {
+		p[i] = 0.05
+	}
+	return p
+}
+
+// longestPeriod returns the longest seasonal cycle — the unit every
+// minimum-history rule is stated in. Periods need not be sorted.
+func longestPeriod(periods []int) int {
+	longest := 0
+	for _, p := range periods {
+		if p > longest {
+			longest = p
+		}
+	}
+	return longest
 }
 
 // Name implements Model.
@@ -125,7 +147,20 @@ func (m *HWT) SetParams(p []float64) error {
 // replays the window through Update so the smoothing state is warm. The
 // history should cover at least two of the longest seasonal cycles.
 func (m *HWT) Init(history []float64) error {
-	longest := m.periods[len(m.periods)-1]
+	if err := m.seed(history); err != nil {
+		return err
+	}
+	m.replay(history)
+	return nil
+}
+
+// seed is the parameter-independent half of Init: the level starts at
+// the history mean and each seasonal component at the average deviation
+// from it per season position. Nothing here reads α, φ or γ, so one
+// estimation seeds once and every objective evaluation starts from a
+// copy (copySeed) instead of recomputing it.
+func (m *HWT) seed(history []float64) error {
+	longest := longestPeriod(m.periods)
 	if len(history) < longest {
 		return fmt.Errorf("forecast: HWT init needs ≥ %d observations, got %d", longest, len(history))
 	}
@@ -136,9 +171,8 @@ func (m *HWT) Init(history []float64) error {
 	mean /= float64(len(history))
 	m.level = mean
 
-	// Seed each seasonal component with the average deviation from the
-	// mean at that season position. Components for shorter periods are
-	// seeded first; longer periods absorb the residual structure.
+	// Components for shorter periods are seeded first; longer periods
+	// absorb the residual structure.
 	residual := make([]float64, len(history))
 	for i, y := range history {
 		residual[i] = y - mean
@@ -161,61 +195,91 @@ func (m *HWT) Init(history []float64) error {
 			residual[j] -= m.seasonal[i][j%p]
 		}
 	}
+	return nil
+}
 
-	m.t = 0
+// copySeed overwrites m's level and seasonal components with those of a
+// seeded model of the same periods, allocation-free.
+func (m *HWT) copySeed(seeded *HWT) {
+	m.level = seeded.level
+	for i, s := range seeded.seasonal {
+		copy(m.seasonal[i], s)
+	}
+}
+
+// replay is the parameter-dependent half of Init: it rewinds the clock,
+// the AR residual and the residual variance, then smooths the seeded
+// state over the history with the current α, φ and γ.
+func (m *HWT) replay(history []float64) {
+	for i := range m.pos {
+		m.pos[i] = 0
+	}
 	m.lastErr = 0
+	m.resVar = 0
 	m.ready = true
 	for _, y := range history {
-		m.Update(y)
+		m.step(y)
 	}
-	return nil
 }
 
 // seasonalAt returns component i's value k steps ahead of the current
 // time (k = 0 means the value that applies to the next observation).
 func (m *HWT) seasonalAt(i, k int) float64 {
-	p := m.periods[i]
-	return m.seasonal[i][(m.t+k)%p]
+	return m.seasonal[i][(m.pos[i]+k)%m.periods[i]]
 }
 
 // OneStep implements Model: the one-step-ahead prediction from the
 // current state, allocation-free.
 func (m *HWT) OneStep() float64 {
 	v := m.level
-	for i := range m.periods {
-		v += m.seasonalAt(i, 0)
+	for i, s := range m.seasonal {
+		v += s[m.pos[i]]
 	}
 	return v + m.phi*m.lastErr
 }
 
 // Update implements Model.
-func (m *HWT) Update(y float64) {
+func (m *HWT) Update(y float64) { m.step(y) }
+
+// step consumes observation y and returns the one-step-ahead prediction
+// the model made for it — OneStep() then Update(y) in one pass over the
+// components, which is what the maintenance path and the estimation
+// objective both need per observation. Every component is read and
+// written at its ring position pos[i], advanced with a compare instead
+// of the t % period division per component per step.
+func (m *HWT) step(y float64) float64 {
 	if !m.ready {
 		// Without Init, bootstrap level from the first observation.
 		m.level = y
 		m.ready = true
 	}
 	// One-step-ahead prediction before state update, for the AR term.
-	pred := m.OneStep()
-
+	pred := m.level
 	var seasonalSum float64
-	for i := range m.periods {
-		seasonalSum += m.seasonalAt(i, 0)
+	for i, s := range m.seasonal {
+		cur := s[m.pos[i]]
+		pred += cur
+		seasonalSum += cur
 	}
+	pred += m.phi * m.lastErr
 	newLevel := m.alpha*(y-seasonalSum) + (1-m.alpha)*m.level
 
-	for i := range m.periods {
-		others := seasonalSum - m.seasonalAt(i, 0)
-		p := m.periods[i]
-		idx := m.t % p
-		m.seasonal[i][idx] = m.gammas[i]*(y-newLevel-others) + (1-m.gammas[i])*m.seasonal[i][idx]
+	for i, s := range m.seasonal {
+		idx, gamma := m.pos[i], m.gammas[i]
+		cur := s[idx]
+		others := seasonalSum - cur
+		s[idx] = gamma*(y-newLevel-others) + (1-gamma)*cur
+		if idx++; idx == len(s) {
+			idx = 0
+		}
+		m.pos[i] = idx
 	}
 	m.level = newLevel
 	m.lastErr = y - pred
 	// Smoothed residual variance feeds the prediction intervals.
 	const varAlpha = 0.02
 	m.resVar += varAlpha * (m.lastErr*m.lastErr - m.resVar)
-	m.t++
+	return pred
 }
 
 // Forecast implements Model.
@@ -232,12 +296,11 @@ func (m *HWT) Forecast(h int) []float64 {
 	return out
 }
 
-// OneStepErrors replays ys through a copy of the model and returns the
-// one-step-ahead forecasts; used by the estimation objective and the
-// evaluation strategies.
+// clone returns a deep copy sharing no state with m.
 func (m *HWT) clone() *HWT {
 	c := *m
 	c.gammas = append([]float64(nil), m.gammas...)
+	c.pos = append([]int(nil), m.pos...)
 	c.seasonal = make([][]float64, len(m.seasonal))
 	for i, s := range m.seasonal {
 		c.seasonal[i] = append([]float64(nil), s...)

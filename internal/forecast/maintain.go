@@ -98,10 +98,11 @@ type installedFit struct {
 // Maintainer wraps an HWT model with continuous maintenance: every new
 // measurement updates the smoothing state (cheap, allocation-free), an
 // evaluation strategy watches the one-step error, and when triggered the
-// parameters are re-estimated — warm-started from the current parameters
-// and the context repository (paper: "the model adaption exploits the
-// context knowledge of previous model estimations in order to speed up
-// this time-consuming process").
+// parameters are re-estimated — adapted by a local descent from the
+// current parameters or a context-repository case once either exists
+// (paper: "the model adaption exploits the context knowledge of previous
+// model estimations in order to speed up this time-consuming process");
+// see refitConfigLocked.
 //
 // Two re-estimation modes exist. Standalone (the default), the refit
 // runs synchronously inside Update. Registry-attached (an enqueue hook
@@ -129,8 +130,8 @@ type Maintainer struct {
 	listeners []func(*HWT)
 
 	// Async re-estimation plumbing (nil/zero in standalone mode).
-	enqueue       func() bool               // registry hook: queue a refit request
-	refitPending  atomic.Bool               // a request is queued or running
+	enqueue       func() bool // registry hook: queue a refit request
+	refitPending  atomic.Bool // a request is queued or running
 	pendingFit    atomic.Pointer[installedFit]
 	obsSinceRefit atomic.Int64 // staleness: observations since the last installed fit
 	obsTotal      atomic.Uint64
@@ -150,7 +151,7 @@ type MaintainerConfig struct {
 // NewMaintainer wraps a fitted model. history is the data the model was
 // fitted on (retained, windowed, for re-estimation).
 func NewMaintainer(model *HWT, history []float64, cfg MaintainerConfig) *Maintainer {
-	longest := model.periods[len(model.periods)-1]
+	longest := longestPeriod(model.periods)
 	if cfg.Strategy == nil {
 		cfg.Strategy = &TimeBased{Every: 2 * longest}
 	}
@@ -242,8 +243,7 @@ func (mt *Maintainer) UpdateBatch(ys []float64) error {
 // updateLocked is one observation's state update. Caller holds the lock.
 func (mt *Maintainer) updateLocked(y float64) error {
 	mt.installPendingLocked()
-	pred := mt.model.OneStep()
-	mt.model.Update(y)
+	pred := mt.model.step(y)
 	mt.histPush(y)
 	mt.obsSinceRefit.Add(1)
 	mt.obsTotal.Add(1)
@@ -293,15 +293,34 @@ func (mt *Maintainer) refitSnapshot() (history []float64, periods []int, cfg Fit
 	return mt.histOrdered(nil), mt.model.periods, mt.refitConfigLocked()
 }
 
-// refitConfigLocked builds the warm-started fit configuration. Caller
-// holds the lock.
+// refitConfigLocked builds the fit configuration of the next
+// re-estimation — the one place the asynchronous sweeper and the
+// synchronous path get it from, so both follow the same policy:
+//
+//   - Estimation: a series with no prior knowledge (no estimate installed
+//     yet, no context-repository case) gets the global search, warm-started
+//     from the model's default parameters.
+//   - Adaptation: a series that has an installed estimate, or a repository
+//     case, gets one local Nelder-Mead descent from those parameters (see
+//     adaptation). On a maintained stream the optimum moves little between
+//     consecutive re-estimations, so the descent converges in a few dozen
+//     to a few hundred evaluations instead of spending the whole global
+//     budget.
+//
+// An Estimator the caller configured is used as is, first time and
+// later. Caller holds the lock.
 func (mt *Maintainer) refitConfigLocked() FitConfig {
 	cfg := mt.fitCfg
 	cfg.Start = mt.model.Params()
+	known := mt.reEstims > 0
 	if mt.repo != nil {
 		if p, ok := mt.repo.Lookup(mt.ctx); ok {
 			cfg.Start = p
+			known = true
 		}
+	}
+	if cfg.Estimator == nil && known {
+		cfg.Estimator = &adaptation{prior: cfg.Start}
 	}
 	return cfg
 }
@@ -321,8 +340,8 @@ func (mt *Maintainer) completeRefit(params []float64, objective float64) {
 // strategy can trigger a fresh request.
 func (mt *Maintainer) abortRefit() { mt.refitPending.Store(false) }
 
-// reestimateLocked refits parameters synchronously, warm-starting from
-// the current parameters or a context match. Caller holds the lock.
+// reestimateLocked refits parameters synchronously. Caller holds the
+// lock.
 func (mt *Maintainer) reestimateLocked() error {
 	cfg := mt.refitConfigLocked()
 	history := mt.histOrdered(nil)

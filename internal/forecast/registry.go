@@ -129,12 +129,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if _, err := NewHWT(cfg.Periods...); err != nil {
 		return nil, err
 	}
-	longest := cfg.Periods[0]
-	for _, p := range cfg.Periods {
-		if p > longest {
-			longest = p
-		}
-	}
+	longest := longestPeriod(cfg.Periods)
 	if minFit := longest + longest/2; cfg.MinObservations < minFit {
 		cfg.MinObservations = minFit
 	}
@@ -159,10 +154,11 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		// Re-estimation is CPU-bound and arrives in bursts (a fleet's
 		// series cross their refit thresholds together), and a pool as
 		// wide as the machine starves intake, planning and settlement
-		// for the length of every burst. One worker is the only width
-		// measured to leave the serving path alone (2-core host, bench
-		// workload lifecycle); wider pools are for hosts where someone
-		// has measured them.
+		// for the length of every burst. One worker is the width
+		// measured (2-core host, bench workload lifecycle, 320 series):
+		// it is busy ~2 s once, for the fleet's global searches at model
+		// creation, and ~5 % of the time after, adapting; wider pools
+		// are for hosts where someone has measured them.
 		cfg.Workers = 1
 	}
 	if cfg.QueueDepth <= 0 {

@@ -2,7 +2,7 @@ package optimize
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // NelderMead is the downhill simplex method of Nelder & Mead (1965), the
@@ -41,8 +41,18 @@ func (nm *NelderMead) Minimize(obj Objective, b Bounds, opt Options) Result {
 	return bud.result()
 }
 
+// vertex is one simplex corner and its objective value.
+type vertex struct {
+	x []float64
+	v float64
+}
+
 // run executes one simplex descent from start until convergence or budget
-// exhaustion. It is shared with RandomRestartNelderMead.
+// exhaustion. It is shared with RandomRestartNelderMead. All vectors the
+// descent needs — the dim+1 vertices and one trial point each for
+// reflection, expansion and contraction — are carved from one block up
+// front; an accepted trial swaps storage with the vertex it replaces, so
+// an iteration allocates nothing.
 func (nm *NelderMead) run(bud *budget, b Bounds, start []float64) {
 	dim := b.Dim()
 	step := nm.InitialStep
@@ -54,30 +64,53 @@ func (nm *NelderMead) run(bud *budget, b Bounds, start []float64) {
 		tol = 1e-9
 	}
 
-	type vertex struct {
-		x []float64
-		v float64
+	block := make([]float64, (dim+5)*dim)
+	vec := func() []float64 {
+		x := block[:dim:dim]
+		block = block[dim:]
+		return x
 	}
 	simplex := make([]vertex, dim+1)
-	base := b.Clamp(append([]float64(nil), start...))
-	simplex[0] = vertex{x: base, v: bud.eval(base)}
+	for i := range simplex {
+		simplex[i].x = vec()
+	}
+	centroid, reflected, expanded, contracted := vec(), vec(), vec(), vec()
+
+	base := simplex[0].x
+	copy(base, start)
+	b.Clamp(base)
+	simplex[0].v = bud.eval(base)
 	for i := 0; i < dim; i++ {
-		x := append([]float64(nil), base...)
+		x := simplex[i+1].x
+		copy(x, base)
 		x[i] += step * (b.Hi[i] - b.Lo[i])
 		b.Clamp(x)
 		if x[i] == base[i] { // clamped back onto the start: step the other way
 			x[i] -= step * (b.Hi[i] - b.Lo[i])
 			b.Clamp(x)
 		}
-		simplex[i+1] = vertex{x: x, v: bud.eval(x)}
+		simplex[i+1].v = bud.eval(x)
 		if bud.exhausted() {
 			return
 		}
 	}
 
-	centroid := make([]float64, dim)
+	// accept installs a trial point as the new worst vertex and hands the
+	// displaced vector back as that trial's storage.
+	accept := func(trial *[]float64, v float64) {
+		simplex[dim].x, *trial = *trial, simplex[dim].x
+		simplex[dim].v = v
+	}
 	for !bud.exhausted() {
-		sort.Slice(simplex, func(i, j int) bool { return simplex[i].v < simplex[j].v })
+		slices.SortFunc(simplex, func(a, b vertex) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			}
+			return 0
+		})
 		if simplex[dim].v-simplex[0].v < tol {
 			return
 		}
@@ -95,29 +128,29 @@ func (nm *NelderMead) run(bud *budget, b Bounds, start []float64) {
 		}
 		worst := simplex[dim]
 
-		reflected := affine(centroid, worst.x, -nmReflect)
+		affine(reflected, centroid, worst.x, -nmReflect)
 		b.Clamp(reflected)
 		rv := bud.eval(reflected)
 		switch {
 		case rv < simplex[0].v:
 			// Try to expand further along the same direction.
-			expanded := affine(centroid, worst.x, -nmExpand)
+			affine(expanded, centroid, worst.x, -nmExpand)
 			b.Clamp(expanded)
 			ev := bud.eval(expanded)
 			if ev < rv {
-				simplex[dim] = vertex{expanded, ev}
+				accept(&expanded, ev)
 			} else {
-				simplex[dim] = vertex{reflected, rv}
+				accept(&reflected, rv)
 			}
 		case rv < simplex[dim-1].v:
-			simplex[dim] = vertex{reflected, rv}
+			accept(&reflected, rv)
 		default:
 			// Contract toward the centroid.
-			contracted := affine(centroid, worst.x, nmContract)
+			affine(contracted, centroid, worst.x, nmContract)
 			b.Clamp(contracted)
 			cv := bud.eval(contracted)
 			if cv < worst.v {
-				simplex[dim] = vertex{contracted, cv}
+				accept(&contracted, cv)
 			} else {
 				// Shrink the whole simplex toward the best vertex.
 				for i := 1; i <= dim; i++ {
@@ -134,14 +167,12 @@ func (nm *NelderMead) run(bud *budget, b Bounds, start []float64) {
 	}
 }
 
-// affine returns c + t·(x − c): t = −1 reflects x through c, t = 0.5
+// affine sets out to c + t·(x − c): t = −1 reflects x through c, t = 0.5
 // contracts halfway.
-func affine(c, x []float64, t float64) []float64 {
-	out := make([]float64, len(c))
+func affine(out, c, x []float64, t float64) {
 	for j := range out {
 		out[j] = c[j] + t*(x[j]-c[j])
 	}
-	return out
 }
 
 func boxCenter(b Bounds) []float64 {

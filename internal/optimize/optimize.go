@@ -18,8 +18,8 @@ import (
 )
 
 // Objective is a function to minimize. Implementations must be safe to
-// call repeatedly with different arguments; the estimators never call it
-// concurrently.
+// call repeatedly with different arguments; only
+// ParallelRestartNelderMead calls it concurrently.
 type Objective func(x []float64) float64
 
 // Bounds is a box constraint: Lo[i] ≤ x[i] ≤ Hi[i].
@@ -147,7 +147,7 @@ func (b *budget) eval(x []float64) float64 {
 	b.evals++
 	if v < b.bestV || b.bestX == nil {
 		b.bestV = v
-		b.bestX = append([]float64(nil), x...)
+		b.bestX = append(b.bestX[:0], x...)
 	}
 	if b.every > 0 && b.evals%b.every == 0 {
 		b.trace = append(b.trace, TracePoint{

@@ -13,7 +13,8 @@ import (
 // parallelizing, i.e., parallel parameter estimation of one model" (§5).
 //
 // The objective must be safe for concurrent calls (the HWT fitting
-// objective is: each evaluation replays its own model clone).
+// objective is: an evaluation that finds the fit's scratch model taken
+// replays a clone of its own).
 type ParallelRestartNelderMead struct {
 	// Workers is the number of concurrent descents (default GOMAXPROCS).
 	Workers int
