@@ -3,7 +3,6 @@ package forecast
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"mirabel/internal/optimize"
 	"mirabel/internal/timeseries"
@@ -94,12 +93,9 @@ func FitHWT(history []float64, periods []int, cfg FitConfig) (*HWT, optimize.Res
 // the same order as a fresh NewHWT/SetParams/Init per evaluation.
 type hwtObjective struct {
 	seeded  *HWT
+	scratch *HWT
 	history []float64
 	split   int
-	// scratch is taken for the length of an evaluation. Estimators that
-	// evaluate concurrently (optimize.ParallelRestartNelderMead) find it
-	// nil and fall back to a clone of their own.
-	scratch atomic.Pointer[HWT]
 }
 
 func newHWTObjective(periods []int, history []float64, split int) (*hwtObjective, error) {
@@ -110,19 +106,13 @@ func newHWTObjective(periods []int, history []float64, split int) (*hwtObjective
 	if err := seeded.seed(history[:split]); err != nil {
 		return nil, err
 	}
-	o := &hwtObjective{seeded: seeded, history: history, split: split}
-	o.scratch.Store(seeded.clone())
-	return o, nil
+	return &hwtObjective{seeded: seeded, scratch: seeded.clone(), history: history, split: split}, nil
 }
 
 // eval scores parameter vector p; an invalid vector scores the worst
 // SMAPE.
 func (o *hwtObjective) eval(p []float64) float64 {
-	m := o.scratch.Swap(nil)
-	if m == nil {
-		m = o.seeded.clone()
-	}
-	defer o.scratch.Store(m)
+	m := o.scratch
 	if err := m.SetParams(p); err != nil {
 		return 1
 	}

@@ -225,57 +225,3 @@ func TestImbalancePriceDerivedFromCurve(t *testing.T) {
 		}
 	}
 }
-
-func TestScenarioRegimes(t *testing.T) {
-	for _, regime := range Regimes() {
-		s, err := Scenario(ScenarioConfig{Regime: regime, Days: 3, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Len() != 72 || s.Resolution() != time.Hour {
-			t.Fatalf("%s: len %d res %v", regime, s.Len(), s.Resolution())
-		}
-		if _, err := NewDayAhead(Config{Prices: s}); err != nil {
-			t.Errorf("%s: unusable as market input: %v", regime, err)
-		}
-	}
-	if _, err := Scenario(ScenarioConfig{Regime: "laminar"}); err == nil {
-		t.Error("unknown regime accepted")
-	}
-
-	// Determinism: same seed, same curve.
-	a, _ := Scenario(ScenarioConfig{Regime: RegimeSpike, Seed: 42})
-	b, _ := Scenario(ScenarioConfig{Regime: RegimeSpike, Seed: 42})
-	for i, v := range a.Values() {
-		if b.Values()[i] != v {
-			t.Fatal("same seed produced different curves")
-		}
-	}
-
-	// Shape checks. Evening peak: hour 19 well above the base.
-	peak, _ := Scenario(ScenarioConfig{Regime: RegimeEveningPeak, Seed: 1})
-	if peak.Values()[19] < 80 {
-		t.Errorf("evening peak hour 19 = %g, want ≫ base", peak.Values()[19])
-	}
-	// Negative-renewable: some midday hour goes negative.
-	neg, _ := Scenario(ScenarioConfig{Regime: RegimeNegativeRenewable, Days: 2, Seed: 1})
-	anyNegative := false
-	for _, v := range neg.Values() {
-		if v < 0 {
-			anyNegative = true
-			break
-		}
-	}
-	if !anyNegative {
-		t.Error("negative-renewable regime produced no negative prices")
-	}
-	// Spike: max well above calm's max.
-	spike, _ := Scenario(ScenarioConfig{Regime: RegimeSpike, Days: 5, Seed: 3})
-	maxSpike := 0.0
-	for _, v := range spike.Values() {
-		maxSpike = math.Max(maxSpike, v)
-	}
-	if maxSpike < 100 {
-		t.Errorf("spike regime max = %g, want scarcity spikes over 100", maxSpike)
-	}
-}

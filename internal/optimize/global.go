@@ -62,22 +62,20 @@ func (sa *SimulatedAnnealing) Minimize(obj Objective, b Bounds, opt Options) Res
 		// Probe the objective spread to pick a starting temperature that
 		// accepts most moves initially.
 		var spread float64
-		probes := 5
-		for i := 0; i < probes && !bud.exhausted(); i++ {
+		probes := 0
+		for ; probes < 5 && !bud.exhausted(); probes++ {
 			v := bud.eval(b.Random(rng))
 			spread += math.Abs(v - curV)
 		}
-		temp = spread/float64(probes) + 1e-9
+		temp = spread/float64(max(probes, 1)) + 1e-9
 	}
+	t0 := temp
 
 	next := make([]float64, dim)
 	for !bud.exhausted() {
 		// Proposal: Gaussian step, scale tied to the current temperature
-		// so moves become local as the system cools.
-		frac := stepScale * (0.1 + 0.9*math.Min(1, temp/(sa.InitialTemperature+1e-12)))
-		if sa.InitialTemperature <= 0 {
-			frac = stepScale
-		}
+		// so moves become local as the system cools (temp ≤ t0).
+		frac := stepScale * (0.1 + 0.9*temp/t0)
 		for i := range next {
 			ext := b.Hi[i] - b.Lo[i]
 			next[i] = cur[i] + rng.NormFloat64()*frac*ext

@@ -18,8 +18,8 @@ import (
 )
 
 // Objective is a function to minimize. Implementations must be safe to
-// call repeatedly with different arguments; only
-// ParallelRestartNelderMead calls it concurrently.
+// call repeatedly with different arguments; an estimator calls it from
+// one goroutine.
 type Objective func(x []float64) float64
 
 // Bounds is a box constraint: Lo[i] ≤ x[i] ≤ Hi[i].

@@ -85,6 +85,37 @@ func TestSimulatedAnnealingOnRastrigin(t *testing.T) {
 	}
 }
 
+// TestSimulatedAnnealingStepShrinks: on a flat objective every move is
+// accepted, so consecutive proposals differ by exactly the proposal
+// step. With the default (probed) temperature that step must shrink as
+// the system cools.
+func TestSimulatedAnnealingStepShrinks(t *testing.T) {
+	var xs [][]float64
+	flat := func(x []float64) float64 {
+		xs = append(xs, append([]float64(nil), x...))
+		return 1
+	}
+	const evals = 1000
+	(&SimulatedAnnealing{}).Minimize(flat, bounds2(-100, 100), Options{MaxEvaluations: evals, Seed: 12})
+	if len(xs) != evals {
+		t.Fatalf("%d evaluations, want %d", len(xs), evals)
+	}
+	// The start and the five temperature probes are not proposals.
+	const proposalsFrom = 6
+	meanStep := func(lo, hi int) float64 {
+		var s float64
+		for k := lo; k < hi; k++ {
+			s += math.Hypot(xs[k][0]-xs[k-1][0], xs[k][1]-xs[k-1][1])
+		}
+		return s / float64(hi-lo)
+	}
+	fifth := evals / 5
+	first, last := meanStep(proposalsFrom+1, fifth), meanStep(evals-fifth, evals)
+	if last >= first/2 {
+		t.Errorf("mean step %.3f over the last fifth, %.3f over the first: want under half", last, first)
+	}
+}
+
 func TestRandomRestartNelderMeadBeatsSingleRunOnRastrigin(t *testing.T) {
 	// A single NM descent from the box center gets stuck in a local
 	// optimum of Rastrigin shifted off-center; restarts must do better

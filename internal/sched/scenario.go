@@ -25,14 +25,12 @@ type ScenarioConfig struct {
 	// RESFraction scales the renewable surplus the flexible demand
 	// should soak up (default 0.6 of total flexible energy).
 	RESFraction float64
-	// MaxTFSlots caps the offers' time flexibility (default 24 slots =
-	// 6 h). The §6 research direction — "the complexity of the search
-	// space heavily depends also on the start time flexibilities" — is
-	// explored by sweeping this knob (BenchmarkAblationTimeFlexibility).
-	MaxTFSlots int
 	// Market optionally attaches a market.
 	Market *market.DayAhead
 }
+
+// maxScenarioTF caps a scenario offer's time flexibility: 24 slots = 6 h.
+const maxScenarioTF = 24
 
 // BuildScenario generates a self-contained scheduling problem: a
 // baseline with RES surplus humps and deficit ridges, peak-weighted
@@ -51,9 +49,6 @@ func BuildScenario(cfg ScenarioConfig) (*Problem, error) {
 	if cfg.RESFraction == 0 {
 		cfg.RESFraction = 0.6
 	}
-	if cfg.MaxTFSlots == 0 {
-		cfg.MaxTFSlots = 24
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	offers := make([]*flexoffer.FlexOffer, cfg.Offers)
@@ -63,9 +58,7 @@ func BuildScenario(cfg ScenarioConfig) (*Problem, error) {
 		maxStart := cfg.Slots - slices
 		es := rng.Intn(maxStart + 1)
 		tf := rng.Intn(maxStart - es + 1)
-		if tf > cfg.MaxTFSlots {
-			tf = cfg.MaxTFSlots
-		}
+		tf = min(tf, maxScenarioTF)
 		profile := make([]flexoffer.Slice, slices)
 		for j := range profile {
 			e := cfg.MeanEnergyKWh * (0.5 + rng.Float64())
