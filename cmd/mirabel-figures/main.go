@@ -159,14 +159,14 @@ func fig4b(seed int64) {
 	fmt.Println()
 	for _, s := range series {
 		split := len(s.vals) - 4*336
+		m, _, err := forecast.FitHWT(s.vals[:split], []int{48, 336}, forecast.FitConfig{
+			Options: optimize.Options{MaxEvaluations: 300, Seed: seed + 2},
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-8s", s.name)
 		for _, h := range horizons {
-			m, _, err := forecast.FitHWT(s.vals[:split], []int{48, 336}, forecast.FitConfig{
-				Options: optimize.Options{MaxEvaluations: 300, Seed: seed + 2},
-			})
-			if err != nil {
-				log.Fatal(err)
-			}
 			smape, err := forecast.HorizonSMAPE(m, s.vals[split:], h)
 			if err != nil {
 				log.Fatal(err)

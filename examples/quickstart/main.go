@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 	"time"
 
 	"mirabel/internal/agg"
@@ -98,8 +99,11 @@ func main() {
 	fmt.Printf("schedule cost %.0f EUR vs %.0f EUR unscheduled (%.0f%% saved) after %d greedy restarts\n",
 		res.Cost, problem.BaselineCost(), 100*(1-res.Cost/problem.BaselineCost()), res.Iterations)
 
-	// 4. Disaggregate and verify the disaggregation requirement.
-	micro, err := pipeline.Disaggregate(problem.Schedules(res.Solution))
+	// 4. Disaggregate and verify the disaggregation requirement: every
+	// micro flex-offer gets exactly one valid schedule, and the micro
+	// schedules sum to the macro schedules slot by slot.
+	macroScheds := problem.Schedules(res.Solution)
+	micro, err := pipeline.Disaggregate(macroScheds)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -108,9 +112,37 @@ func main() {
 		byID[f.ID] = f
 	}
 	for _, s := range micro {
-		if err := byID[s.OfferID].ValidateSchedule(s); err != nil {
+		f, ok := byID[s.OfferID]
+		if !ok {
+			log.Fatalf("disaggregation produced a schedule for offer %d, which is unknown or already scheduled", s.OfferID)
+		}
+		delete(byID, s.OfferID)
+		if err := f.ValidateSchedule(s); err != nil {
 			log.Fatalf("disaggregation violated a constraint: %v", err)
 		}
 	}
-	fmt.Printf("disaggregated into %d micro schedules — every flex-offer constraint satisfied\n", len(micro))
+	if len(byID) > 0 {
+		log.Fatalf("disaggregation left %d of %d offers unscheduled", len(byID), len(offers))
+	}
+	const tolKWh = 1e-6
+	perSlot := make(map[flexoffer.Time]float64)
+	for _, s := range macroScheds {
+		for j, e := range s.Energy {
+			perSlot[s.Start+flexoffer.Time(j)] += e
+		}
+	}
+	for _, s := range micro {
+		for j, e := range s.Energy {
+			perSlot[s.Start+flexoffer.Time(j)] -= e
+		}
+	}
+	var worst float64
+	for t, d := range perSlot {
+		if math.Abs(d) > tolKWh {
+			log.Fatalf("slot %d: micro schedules differ from the macro schedule by %g kWh", t, d)
+		}
+		worst = math.Max(worst, math.Abs(d))
+	}
+	fmt.Printf("disaggregated into %d micro schedules — one per offer, every flex-offer constraint satisfied\n", len(micro))
+	fmt.Printf("micro schedules sum to the macro schedule in every slot (worst slot off by %.1g kWh)\n", worst)
 }

@@ -1,75 +1,6 @@
 package forecast
 
-import (
-	"math"
-)
-
-// AdaptiveThreshold is the paper's research direction of a *dynamic*
-// error threshold for model evaluation (§5: "model maintenance should
-// not only include the context for adaption but also for evaluation,
-// e.g., to determine a dynamic error threshold"): instead of a fixed
-// SMAPE bound it compares a short-horizon error average against a
-// long-horizon one and triggers when the recent error exceeds the
-// historical level by Factor.
-type AdaptiveThreshold struct {
-	// Factor is the degradation ratio that triggers re-estimation
-	// (default 1.5: recent error 50% above the historical average).
-	Factor float64
-	// ShortAlpha and LongAlpha are the EWMA decays of the two horizons
-	// (defaults 0.1 and 0.005).
-	ShortAlpha, LongAlpha float64
-	// Warmup observations before the strategy may trigger (default 96).
-	Warmup int
-	// MinSMAPE is the absolute significance floor: however large the
-	// relative degradation, errors below this level never trigger a
-	// re-estimation (default 0.01 — a model within 1% is left alone).
-	MinSMAPE float64
-
-	short, long float64
-	n           int
-}
-
-// Observe implements EvaluationStrategy.
-func (s *AdaptiveThreshold) Observe(smape float64) bool {
-	if s.Factor <= 1 {
-		s.Factor = 1.5
-	}
-	if s.ShortAlpha <= 0 {
-		s.ShortAlpha = 0.1
-	}
-	if s.LongAlpha <= 0 {
-		s.LongAlpha = 0.005
-	}
-	if s.Warmup <= 0 {
-		s.Warmup = 96
-	}
-	if s.MinSMAPE <= 0 {
-		s.MinSMAPE = 0.01
-	}
-	if s.n == 0 {
-		s.short, s.long = smape, smape
-	} else {
-		s.short += s.ShortAlpha * (smape - s.short)
-		s.long += s.LongAlpha * (smape - s.long)
-	}
-	s.n++
-	if s.n < s.Warmup {
-		return false
-	}
-	if s.short < s.MinSMAPE {
-		return false
-	}
-	// Guard against a zero historical error (perfect past fits).
-	base := math.Max(s.long, 1e-6)
-	return s.short > s.Factor*base
-}
-
-// Reset implements EvaluationStrategy: the recent horizon restarts; the
-// historical level persists as the new baseline.
-func (s *AdaptiveThreshold) Reset() {
-	s.short = s.long
-	s.n = s.Warmup // stay armed, no fresh warmup needed
-}
+import "math"
 
 // Interval is a forecast with uncertainty bounds — the paper's future
 // direction of "capture of uncertainty levels in the result of queries"

@@ -5,99 +5,6 @@ import (
 	"testing"
 )
 
-func TestAdaptiveThresholdStableErrorNoTrigger(t *testing.T) {
-	s := &AdaptiveThreshold{Warmup: 20}
-	for i := 0; i < 500; i++ {
-		if s.Observe(0.05) {
-			t.Fatalf("triggered at %d on a stable error level", i)
-		}
-	}
-}
-
-func TestAdaptiveThresholdTriggersOnDegradation(t *testing.T) {
-	s := &AdaptiveThreshold{Warmup: 20}
-	for i := 0; i < 200; i++ {
-		s.Observe(0.02)
-	}
-	triggered := false
-	for i := 0; i < 100; i++ {
-		if s.Observe(0.10) { // 5× the historical level
-			triggered = true
-			break
-		}
-	}
-	if !triggered {
-		t.Error("did not trigger on a 5× error degradation")
-	}
-}
-
-func TestAdaptiveThresholdNoTriggerDuringWarmup(t *testing.T) {
-	s := &AdaptiveThreshold{Warmup: 50}
-	for i := 0; i < 49; i++ {
-		if s.Observe(10) {
-			t.Fatal("triggered during warmup")
-		}
-	}
-}
-
-func TestAdaptiveThresholdResetRearms(t *testing.T) {
-	s := &AdaptiveThreshold{Warmup: 10}
-	for i := 0; i < 100; i++ {
-		s.Observe(0.02)
-	}
-	fired := false
-	for i := 0; i < 200 && !fired; i++ {
-		fired = s.Observe(0.2)
-	}
-	if !fired {
-		t.Fatal("never fired")
-	}
-	s.Reset()
-	// Immediately after reset the short horizon equals the long one: no
-	// refire on the next good observation.
-	if s.Observe(0.02) {
-		t.Error("refired immediately after reset")
-	}
-	// But a renewed degradation fires again without a fresh warmup.
-	fired = false
-	for i := 0; i < 300 && !fired; i++ {
-		fired = s.Observe(0.5)
-	}
-	if !fired {
-		t.Error("did not re-arm after reset")
-	}
-}
-
-func TestAdaptiveThresholdWorksInMaintainer(t *testing.T) {
-	history := synthSeasonal(336 * 2)
-	m, _, err := FitHWT(history, []int{48}, FitConfig{Options: optimizeOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt := NewMaintainer(m, history, MaintainerConfig{
-		Strategy: &AdaptiveThreshold{Warmup: 48},
-		FitCfg:   FitConfig{Options: optimizeOpts()},
-	})
-	// Feed accurate data first, then a structural break.
-	cont := synthSeasonal(336*2 + 96)[336*2:]
-	for _, y := range cont {
-		if err := mt.Update(y); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mt.Reestimations() != 0 {
-		t.Errorf("re-estimated %d times on in-distribution data", mt.Reestimations())
-	}
-	for i := 0; i < 336; i++ {
-		if err := mt.Update(250 + 40*math.Sin(2*math.Pi*float64(i%48)/48)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if mt.Reestimations() == 0 {
-		t.Error("no re-estimation despite structural break")
-	}
-}
-
 func TestForecastIntervalWidensWithHorizon(t *testing.T) {
 	history := synthSeasonal(336 * 2)
 	for i := range history {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mirabel/internal/optimize"
-	"mirabel/internal/timeseries"
 )
 
 // FitConfig controls HWT parameter estimation.
@@ -166,14 +165,16 @@ func abs(x float64) float64 {
 // HorizonSMAPE evaluates a fitted model's accuracy at a fixed forecast
 // horizon: at each step through the evaluation window it forecasts h
 // slots ahead and compares the h-th forecast with the actual value
-// (paper Figure 4b measures exactly this as the horizon grows).
-func HorizonSMAPE(m Model, eval []float64, h int) (float64, error) {
+// (paper Figure 4b measures exactly this as the horizon grows). The walk
+// advances a private copy, so m is left as the caller passed it.
+func HorizonSMAPE(m *HWT, eval []float64, h int) (float64, error) {
 	if h <= 0 {
 		return 0, fmt.Errorf("forecast: non-positive horizon %d", h)
 	}
-	if len(eval) <= h {
+	if len(eval) < h {
 		return 0, fmt.Errorf("forecast: evaluation window %d shorter than horizon %d", len(eval), h)
 	}
+	m = m.clone()
 	var smape float64
 	n := 0
 	for i := 0; i+h <= len(eval); i++ {
@@ -186,9 +187,4 @@ func HorizonSMAPE(m Model, eval []float64, h int) (float64, error) {
 		n++
 	}
 	return smape / float64(n), nil
-}
-
-// FitHWTSeries is a convenience wrapper fitting on a Series.
-func FitHWTSeries(s *timeseries.Series, periods []int, cfg FitConfig) (*HWT, optimize.Result, error) {
-	return FitHWT(s.Values(), periods, cfg)
 }

@@ -1,12 +1,11 @@
 // Package forecast implements the MIRABEL forecasting component (paper
-// §5): energy-domain forecast models (the Triple Seasonality Holt-Winters
-// model HWT [Taylor 2009] and the EGRV multi-equation regression model
-// [Ramanathan et al. 1997]), transparent model creation with global
-// parameter estimation, continuous model maintenance with evaluation
-// strategies, context-aware model adaptation (a case-based parameter
-// repository), hierarchical forecasting configuration, publish-subscribe
-// forecast queries, and flex-offer forecasting by multivariate
-// decomposition.
+// §5): the energy-domain Triple Seasonality Holt-Winters model HWT
+// [Taylor 2009], transparent model creation with global parameter
+// estimation, continuous model maintenance with evaluation strategies,
+// context-aware model adaptation (a case-based parameter repository),
+// and publish-subscribe forecast queries. The paper's second model type,
+// EGRV, is not implemented: the registry has no temperature feed for it
+// (README "Forecasting").
 package forecast
 
 import (
@@ -15,28 +14,13 @@ import (
 	"math"
 )
 
-// Model is a univariate forecast model maintained over a stream of
-// observations. Implementations are not safe for concurrent use; wrap
-// them in a Maintainer for concurrent producers/consumers.
-type Model interface {
-	// Name identifies the model type.
-	Name() string
-	// Update consumes the next observation of the series.
-	Update(y float64)
-	// Forecast predicts the next h values after the last observation.
-	Forecast(h int) []float64
-	// OneStep predicts only the next value — semantically Forecast(1)[0],
-	// but without the slice allocation where the model allows (HWT). The
-	// continuous-maintenance hot path calls it once per observation, so
-	// millions of maintained series depend on it staying allocation-free.
-	OneStep() float64
-}
-
 // HWT is the exponential smoothing model tailor-made for the energy
 // domain: Taylor's multi-seasonal Holt-Winters with additive seasonal
 // components and a first-order autoregressive residual correction. The
 // classic "triple seasonality" instance uses intra-day, intra-week and
-// intra-year periods; any non-empty subset works.
+// intra-year periods; any non-empty subset works. An HWT is not safe for
+// concurrent use; wrap it in a Maintainer for concurrent producers and
+// consumers.
 //
 // State equations (additive form, no trend — energy series are
 // trend-stationary at these horizons):
@@ -111,9 +95,6 @@ func longestPeriod(periods []int) int {
 	}
 	return longest
 }
-
-// Name implements Model.
-func (m *HWT) Name() string { return fmt.Sprintf("HWT%v", m.periods) }
 
 // NumParams returns the length of the parameter vector:
 // [α, φ, γ_1..γ_n].
@@ -228,8 +209,8 @@ func (m *HWT) seasonalAt(i, k int) float64 {
 	return m.seasonal[i][(m.pos[i]+k)%m.periods[i]]
 }
 
-// OneStep implements Model: the one-step-ahead prediction from the
-// current state, allocation-free.
+// OneStep returns the one-step-ahead prediction from the current state:
+// Forecast(1)[0] without the slice allocation.
 func (m *HWT) OneStep() float64 {
 	v := m.level
 	for i, s := range m.seasonal {
@@ -238,7 +219,7 @@ func (m *HWT) OneStep() float64 {
 	return v + m.phi*m.lastErr
 }
 
-// Update implements Model.
+// Update consumes the next observation of the series.
 func (m *HWT) Update(y float64) { m.step(y) }
 
 // step consumes observation y and returns the one-step-ahead prediction
@@ -282,7 +263,7 @@ func (m *HWT) step(y float64) float64 {
 	return pred
 }
 
-// Forecast implements Model.
+// Forecast predicts the next h values after the last observation.
 func (m *HWT) Forecast(h int) []float64 {
 	out := make([]float64, h)
 	for k := 0; k < h; k++ {

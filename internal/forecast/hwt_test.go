@@ -174,11 +174,11 @@ func TestHorizonSMAPEGrowsWithHorizon(t *testing.T) {
 	if err := m.Init(history[:split]); err != nil {
 		t.Fatal(err)
 	}
-	short, err := HorizonSMAPE(m.clone(), history[split:], 1)
+	short, err := HorizonSMAPE(m, history[split:], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := HorizonSMAPE(m.clone(), history[split:], 96)
+	long, err := HorizonSMAPE(m, history[split:], 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,11 +189,26 @@ func TestHorizonSMAPEGrowsWithHorizon(t *testing.T) {
 
 func TestHorizonSMAPEValidation(t *testing.T) {
 	m, _ := NewHWT(4)
+	if err := m.Init([]float64{1, 2, 3, 4, 1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := HorizonSMAPE(m, []float64{1, 2}, 0); err == nil {
 		t.Error("zero horizon should error")
 	}
 	if _, err := HorizonSMAPE(m, []float64{1, 2}, 5); err == nil {
 		t.Error("window shorter than horizon should error")
+	}
+	// A window exactly h long scores one point.
+	if _, err := HorizonSMAPE(m, []float64{1, 2}, 2); err != nil {
+		t.Errorf("window of length h rejected: %v", err)
+	}
+	// Scoring leaves the caller's model where it was.
+	before := m.Forecast(1)[0]
+	if _, err := HorizonSMAPE(m, []float64{50, 60, 70}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if after := m.Forecast(1)[0]; after != before {
+		t.Errorf("HorizonSMAPE advanced the caller's model: Forecast(1) %g -> %g", before, after)
 	}
 }
 

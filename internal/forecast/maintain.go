@@ -223,23 +223,6 @@ func (mt *Maintainer) Update(y float64) error {
 	return mt.updateLocked(y)
 }
 
-// UpdateBatch consumes a whole measurement batch under one lock
-// acquisition — the registry's hot path, so a batch of n observations
-// costs one lock round-trip and n allocation-free state updates.
-func (mt *Maintainer) UpdateBatch(ys []float64) error {
-	if len(ys) == 0 {
-		return nil
-	}
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	for _, y := range ys {
-		if err := mt.updateLocked(y); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // updateLocked is one observation's state update. Caller holds the lock.
 func (mt *Maintainer) updateLocked(y float64) error {
 	mt.installPendingLocked()
@@ -399,81 +382,4 @@ func (mt *Maintainer) Params() []float64 {
 	mt.mu.Lock()
 	defer mt.mu.Unlock()
 	return mt.model.Params()
-}
-
-// SelectModel fits both EGRV and HWT on the training window, compares
-// their one-step SMAPE on the evaluation window, and returns the winner
-// (paper: "If the EGRV model does not provide accurate results, we fall
-// back to the alternative (more robust) HWT-Model").
-func SelectModel(train, evalWindow, trainTemp, evalTemp []float64, periodsPerDay int, hwtPeriods []int, fitCfg FitConfig) (Model, string, error) {
-	hwt, _, hwtErr := FitHWT(train, hwtPeriods, fitCfg)
-	var hwtSMAPE = 1.0
-	if hwtErr == nil {
-		hwtSMAPE = oneStepSMAPE(hwt, evalWindow)
-	}
-
-	var egrvSMAPE = 1.0
-	var egrv *EGRV
-	if e, err := FitEGRV(train, trainTemp, NewEGRVConfig(periodsPerDay)); err == nil {
-		egrv = e
-		egrvSMAPE = oneStepSMAPEWithTemp(e, evalWindow, evalTemp)
-	}
-
-	switch {
-	case egrv != nil && egrvSMAPE <= hwtSMAPE:
-		return egrv.AsModel(), "EGRV", nil
-	case hwtErr == nil:
-		return hwt, "HWT", nil
-	default:
-		return nil, "", fmt.Errorf("forecast: no model could be fitted: %w", hwtErr)
-	}
-}
-
-func oneStepSMAPE(m Model, eval []float64) float64 {
-	var sum float64
-	n := 0
-	for _, y := range eval {
-		pred := m.OneStep()
-		if denom := abs(y) + abs(pred); denom > 0 {
-			sum += abs(y-pred) / denom
-		}
-		m.Update(y)
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
-}
-
-func oneStepSMAPEWithTemp(e *EGRV, eval, temps []float64) float64 {
-	var sum float64
-	n := 0
-	for i, y := range eval {
-		// The weather service supplies the one-step temperature forecast
-		// (taken as the actual temperature here); nil falls back to
-		// persistence.
-		var tempFc []float64
-		if i < len(temps) {
-			tempFc = temps[i : i+1]
-		}
-		preds, err := e.Forecast(1, tempFc)
-		if err != nil {
-			return 1
-		}
-		pred := preds[0]
-		if denom := abs(y) + abs(pred); denom > 0 {
-			sum += abs(y-pred) / denom
-		}
-		t := 0.0
-		if i < len(temps) {
-			t = temps[i]
-		}
-		e.Update(y, t)
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
 }

@@ -1,7 +1,6 @@
 // Package timeseries provides the time-series substrate used across the
-// MIRABEL EDMS: equidistant series with a fixed resolution, seasonal
-// indexing helpers and the forecast error metrics used in the paper's
-// evaluation (SMAPE in particular).
+// MIRABEL EDMS: equidistant series with a fixed resolution and SMAPE,
+// the forecast error metric of the paper's evaluation.
 //
 // Time is modeled as discrete slots. A slot is Resolution long; slot 0
 // starts at the series Origin. All MIRABEL components (flex-offers,
@@ -24,7 +23,7 @@ const (
 )
 
 // Series is an equidistant time series. The zero value is not usable;
-// construct with New or NewEmpty.
+// construct with New.
 type Series struct {
 	origin     time.Time
 	resolution time.Duration
@@ -40,11 +39,6 @@ func New(origin time.Time, resolution time.Duration, values []float64) *Series {
 	return &Series{origin: origin, resolution: resolution, values: values}
 }
 
-// NewEmpty returns a series with no observations yet.
-func NewEmpty(origin time.Time, resolution time.Duration) *Series {
-	return New(origin, resolution, nil)
-}
-
 // Origin returns the start time of slot 0.
 func (s *Series) Origin() time.Time { return s.origin }
 
@@ -56,9 +50,6 @@ func (s *Series) Len() int { return len(s.values) }
 
 // At returns the observation of slot i.
 func (s *Series) At(i int) float64 { return s.values[i] }
-
-// Set overwrites the observation of slot i.
-func (s *Series) Set(i int, v float64) { s.values[i] = v }
 
 // Append adds observations at the end of the series.
 func (s *Series) Append(v ...float64) { s.values = append(s.values, v...) }
@@ -86,17 +77,6 @@ func (s *Series) Slice(from, to int) *Series {
 // TimeOf returns the wall-clock start time of slot i.
 func (s *Series) TimeOf(i int) time.Time {
 	return s.origin.Add(time.Duration(i) * s.resolution)
-}
-
-// SlotOf returns the slot index containing t. Times before the origin
-// yield negative indexes.
-func (s *Series) SlotOf(t time.Time) int {
-	d := t.Sub(s.origin)
-	slot := d / s.resolution
-	if d < 0 && d%s.resolution != 0 {
-		slot-- // floor division for times before the origin
-	}
-	return int(slot)
 }
 
 // SlotsPerDay returns the number of slots in 24 hours, or an error if the
@@ -143,7 +123,7 @@ func (s *Series) Summary() Stats {
 	return st
 }
 
-// ErrLengthMismatch is returned by metrics when the actual and forecast
+// ErrLengthMismatch is returned by SMAPE when the actual and forecast
 // slices differ in length.
 var ErrLengthMismatch = errors.New("timeseries: actual and forecast lengths differ")
 
@@ -169,69 +149,6 @@ func SMAPE(actual, forecast []float64) (float64, error) {
 	return sum / float64(len(actual)), nil
 }
 
-// MAPE returns the mean absolute percentage error. Slots with a zero
-// actual value are skipped to keep the metric finite.
-func MAPE(actual, forecast []float64) (float64, error) {
-	if len(actual) != len(forecast) {
-		return 0, ErrLengthMismatch
-	}
-	var sum float64
-	n := 0
-	for i := range actual {
-		if actual[i] == 0 {
-			continue
-		}
-		sum += math.Abs((actual[i] - forecast[i]) / actual[i])
-		n++
-	}
-	if n == 0 {
-		return 0, nil
-	}
-	return sum / float64(n), nil
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(actual, forecast []float64) (float64, error) {
-	if len(actual) != len(forecast) {
-		return 0, ErrLengthMismatch
-	}
-	if len(actual) == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for i := range actual {
-		d := actual[i] - forecast[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(actual))), nil
-}
-
-// MAE returns the mean absolute error.
-func MAE(actual, forecast []float64) (float64, error) {
-	if len(actual) != len(forecast) {
-		return 0, ErrLengthMismatch
-	}
-	if len(actual) == 0 {
-		return 0, nil
-	}
-	var sum float64
-	for i := range actual {
-		sum += math.Abs(actual[i] - forecast[i])
-	}
-	return sum / float64(len(actual)), nil
-}
-
-// SeasonIndex returns the position of slot i inside a season of the given
-// length, e.g. SeasonIndex(50, 48) = 2 for the intra-day position of a
-// half-hourly series.
-func SeasonIndex(slot, seasonLength int) int {
-	m := slot % seasonLength
-	if m < 0 {
-		m += seasonLength
-	}
-	return m
-}
-
 // Aggregate sums k consecutive slots into one, producing a coarser series
 // (e.g. 15-minute → hourly with k=4). Trailing slots that do not fill a
 // complete group are dropped.
@@ -249,29 +166,4 @@ func (s *Series) Aggregate(k int) *Series {
 		out[i] = sum
 	}
 	return New(s.origin, s.resolution*time.Duration(k), out)
-}
-
-// Add returns a new series with the element-wise sum of s and t. The
-// series must share resolution and length; origins are taken from s.
-func (s *Series) Add(t *Series) (*Series, error) {
-	if s.resolution != t.resolution {
-		return nil, fmt.Errorf("timeseries: resolution mismatch %v vs %v", s.resolution, t.resolution)
-	}
-	if len(s.values) != len(t.values) {
-		return nil, ErrLengthMismatch
-	}
-	out := make([]float64, len(s.values))
-	for i := range out {
-		out[i] = s.values[i] + t.values[i]
-	}
-	return New(s.origin, s.resolution, out), nil
-}
-
-// Scale returns a new series with all values multiplied by f.
-func (s *Series) Scale(f float64) *Series {
-	out := make([]float64, len(s.values))
-	for i := range out {
-		out[i] = s.values[i] * f
-	}
-	return New(s.origin, s.resolution, out)
 }

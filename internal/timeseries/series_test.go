@@ -9,36 +9,6 @@ import (
 
 var origin = time.Date(2010, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func TestSlotTimeRoundtrip(t *testing.T) {
-	s := NewEmpty(origin, ResolutionHalfHour)
-	for _, slot := range []int{0, 1, 47, 48, 1000} {
-		got := s.SlotOf(s.TimeOf(slot))
-		if got != slot {
-			t.Errorf("SlotOf(TimeOf(%d)) = %d", slot, got)
-		}
-	}
-}
-
-func TestSlotOfBeforeOrigin(t *testing.T) {
-	s := NewEmpty(origin, ResolutionHour)
-	if got := s.SlotOf(origin.Add(-30 * time.Minute)); got != -1 {
-		t.Errorf("SlotOf(-30m) = %d, want -1", got)
-	}
-	if got := s.SlotOf(origin.Add(-time.Hour)); got != -1 {
-		t.Errorf("SlotOf(-1h) = %d, want -1", got)
-	}
-	if got := s.SlotOf(origin.Add(-61 * time.Minute)); got != -2 {
-		t.Errorf("SlotOf(-61m) = %d, want -2", got)
-	}
-}
-
-func TestSlotOfMidSlot(t *testing.T) {
-	s := NewEmpty(origin, ResolutionQuarterHour)
-	if got := s.SlotOf(origin.Add(16 * time.Minute)); got != 1 {
-		t.Errorf("SlotOf(16m) = %d, want 1", got)
-	}
-}
-
 func TestSlotsPerDay(t *testing.T) {
 	for _, tc := range []struct {
 		res  time.Duration
@@ -48,13 +18,13 @@ func TestSlotsPerDay(t *testing.T) {
 		{ResolutionHalfHour, 48},
 		{ResolutionHour, 24},
 	} {
-		s := NewEmpty(origin, tc.res)
+		s := New(origin, tc.res, nil)
 		got, err := s.SlotsPerDay()
 		if err != nil || got != tc.want {
 			t.Errorf("SlotsPerDay(%v) = %d, %v; want %d", tc.res, got, err, tc.want)
 		}
 	}
-	s := NewEmpty(origin, 7*time.Minute)
+	s := New(origin, 7*time.Minute, nil)
 	if _, err := s.SlotsPerDay(); err == nil {
 		t.Error("SlotsPerDay(7m) should error")
 	}
@@ -73,7 +43,7 @@ func TestSummary(t *testing.T) {
 }
 
 func TestSummaryEmpty(t *testing.T) {
-	if st := NewEmpty(origin, ResolutionHour).Summary(); st != (Stats{}) {
+	if st := New(origin, ResolutionHour, nil).Summary(); st != (Stats{}) {
 		t.Errorf("empty Summary = %+v, want zero", st)
 	}
 }
@@ -107,48 +77,6 @@ func TestMetricsLengthMismatch(t *testing.T) {
 	if _, err := SMAPE([]float64{1}, nil); err != ErrLengthMismatch {
 		t.Errorf("SMAPE mismatch err = %v", err)
 	}
-	if _, err := MAPE([]float64{1}, nil); err != ErrLengthMismatch {
-		t.Errorf("MAPE mismatch err = %v", err)
-	}
-	if _, err := RMSE([]float64{1}, nil); err != ErrLengthMismatch {
-		t.Errorf("RMSE mismatch err = %v", err)
-	}
-	if _, err := MAE([]float64{1}, nil); err != ErrLengthMismatch {
-		t.Errorf("MAE mismatch err = %v", err)
-	}
-}
-
-func TestMAPESkipsZeroActual(t *testing.T) {
-	got, err := MAPE([]float64{0, 100}, []float64{5, 110})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("MAPE = %g, want 0.1", got)
-	}
-}
-
-func TestRMSEAndMAE(t *testing.T) {
-	rmse, _ := RMSE([]float64{0, 0}, []float64{3, 4})
-	if math.Abs(rmse-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMSE = %g", rmse)
-	}
-	mae, _ := MAE([]float64{0, 0}, []float64{3, 4})
-	if math.Abs(mae-3.5) > 1e-12 {
-		t.Errorf("MAE = %g", mae)
-	}
-}
-
-func TestSeasonIndex(t *testing.T) {
-	if got := SeasonIndex(50, 48); got != 2 {
-		t.Errorf("SeasonIndex(50,48) = %d", got)
-	}
-	if got := SeasonIndex(-1, 48); got != 47 {
-		t.Errorf("SeasonIndex(-1,48) = %d", got)
-	}
-	if got := SeasonIndex(96, 48); got != 0 {
-		t.Errorf("SeasonIndex(96,48) = %d", got)
-	}
 }
 
 func TestAggregate(t *testing.T) {
@@ -162,34 +90,6 @@ func TestAggregate(t *testing.T) {
 	}
 	if h.Resolution() != time.Hour {
 		t.Errorf("resolution = %v", h.Resolution())
-	}
-}
-
-func TestAddScale(t *testing.T) {
-	a := New(origin, ResolutionHour, []float64{1, 2})
-	b := New(origin, ResolutionHour, []float64{10, 20})
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.At(0) != 11 || sum.At(1) != 22 {
-		t.Errorf("Add = %v", sum.Values())
-	}
-	sc := a.Scale(3)
-	if sc.At(0) != 3 || sc.At(1) != 6 {
-		t.Errorf("Scale = %v", sc.Values())
-	}
-}
-
-func TestAddErrors(t *testing.T) {
-	a := New(origin, ResolutionHour, []float64{1})
-	b := New(origin, ResolutionHalfHour, []float64{1})
-	if _, err := a.Add(b); err == nil {
-		t.Error("Add with resolution mismatch should error")
-	}
-	c := New(origin, ResolutionHour, []float64{1, 2})
-	if _, err := a.Add(c); err != ErrLengthMismatch {
-		t.Errorf("Add length mismatch err = %v", err)
 	}
 }
 
@@ -207,7 +107,7 @@ func TestSliceView(t *testing.T) {
 func TestCloneIndependent(t *testing.T) {
 	s := New(origin, ResolutionHour, []float64{1, 2})
 	c := s.Clone()
-	c.Set(0, 99)
+	c.Values()[0] = 99
 	if s.At(0) != 1 {
 		t.Error("Clone shares storage with original")
 	}

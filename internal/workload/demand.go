@@ -2,11 +2,11 @@
 // the paper's datasets (DESIGN.md §3):
 //
 //   - a UK-NationalGrid-like half-hourly electricity demand series
-//     (multi-seasonal: daily, weekly, annual — the structure HWT and EGRV
-//     are built to exploit);
+//     (multi-seasonal: daily, weekly, annual — the structure HWT is built
+//     to exploit);
 //   - an NREL-like wind supply series (weakly seasonal, strongly
 //     stochastic — hard to forecast at long horizons);
-//   - temperature and day-ahead price series;
+//   - a day-ahead price series;
 //   - artificial flex-offer datasets with the attribute spreads that the
 //     paper's aggregation experiments (Figure 5) rely on.
 //
@@ -164,40 +164,6 @@ func WindSeries(cfg WindConfig) *timeseries.Series {
 			speed = 0
 		}
 		values[i] = cfg.CapacityMW * powerCurve(speed+diurnal)
-	}
-	return timeseries.New(DefaultOrigin, cfg.Resolution, values)
-}
-
-// TemperatureConfig parameterizes the synthetic temperature series used as
-// the EGRV weather regressor.
-type TemperatureConfig struct {
-	Days       int
-	Resolution time.Duration // default 30 min
-	MeanC      float64       // annual mean (default 10 °C)
-	Seed       int64
-}
-
-// TemperatureSeries generates a temperature series with annual and daily
-// cycles plus AR(1) weather noise.
-func TemperatureSeries(cfg TemperatureConfig) *timeseries.Series {
-	if cfg.Resolution == 0 {
-		cfg.Resolution = timeseries.ResolutionHalfHour
-	}
-	if cfg.MeanC == 0 {
-		cfg.MeanC = 10
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	slotsPerDay := int(24 * time.Hour / cfg.Resolution)
-	n := cfg.Days * slotsPerDay
-	values := make([]float64, n)
-	weather := 0.0
-	for i := 0; i < n; i++ {
-		t := DefaultOrigin.Add(time.Duration(i) * cfg.Resolution)
-		hour := float64(t.Hour()) + float64(t.Minute())/60
-		annual := -8 * math.Cos(2*math.Pi*float64(t.YearDay())/365.25)
-		daily := 3 * math.Sin(2*math.Pi*(hour-9)/24)
-		weather = 0.995*weather + 0.1*rng.NormFloat64()*8
-		values[i] = cfg.MeanC + annual + daily + weather
 	}
 	return timeseries.New(DefaultOrigin, cfg.Resolution, values)
 }

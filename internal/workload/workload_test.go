@@ -103,19 +103,6 @@ func TestWindSeriesProperties(t *testing.T) {
 	}
 }
 
-func TestTemperatureSeries(t *testing.T) {
-	s := TemperatureSeries(TemperatureConfig{Days: 365, Seed: 5})
-	if s.Len() != 365*48 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	// Winter (January) colder than summer (July) on average.
-	jan := mean(s.Values()[:31*48])
-	jul := mean(s.Values()[181*48 : 212*48])
-	if jan >= jul {
-		t.Errorf("January mean %g >= July mean %g", jan, jul)
-	}
-}
-
 func TestPriceSeriesPeakStructure(t *testing.T) {
 	s := PriceSeries(PriceConfig{Days: 30, Seed: 6})
 	if s.Len() != 30*24 {
@@ -249,36 +236,5 @@ func TestPowerCurve(t *testing.T) {
 			t.Fatalf("power curve decreases at %g", v)
 		}
 		prev = p
-	}
-}
-
-func TestGenerateMeasurements(t *testing.T) {
-	ms := GenerateMeasurements(MeasurementConfig{Count: 1000, Actors: 7, Seed: 3})
-	if len(ms) != 1000 {
-		t.Fatalf("count = %d, want 1000", len(ms))
-	}
-	// Slot-major order: slots never decrease, and within a slot every
-	// actor reports before the next slot starts.
-	seen := map[string]bool{}
-	for i := 1; i < len(ms); i++ {
-		if ms[i].Slot < ms[i-1].Slot {
-			t.Fatalf("slot order broken at %d: %d after %d", i, ms[i].Slot, ms[i-1].Slot)
-		}
-	}
-	for _, m := range ms {
-		if m.KWh <= 0 {
-			t.Fatalf("non-positive energy %g", m.KWh)
-		}
-		seen[m.Actor] = true
-	}
-	if len(seen) != 7 {
-		t.Errorf("distinct actors = %d, want 7", len(seen))
-	}
-	// Deterministic for a seed.
-	again := GenerateMeasurements(MeasurementConfig{Count: 1000, Actors: 7, Seed: 3})
-	for i := range ms {
-		if ms[i] != again[i] {
-			t.Fatalf("not deterministic at %d", i)
-		}
 	}
 }
