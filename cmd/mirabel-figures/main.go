@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"time"
 
 	"mirabel/internal/agg"
@@ -179,9 +180,12 @@ func fig4b(seed int64) {
 
 // fig6 prints the cost-over-time traces of the evolutionary algorithm
 // and the randomized greedy search on 10/100/1000/10000 aggregated
-// flex-offers.
+// flex-offers. The strategies get equal wall-clock budgets, so they run
+// on one core, as in the paper: GS would otherwise run its restarts on
+// every core while EA uses one.
 func fig6(maxBudget time.Duration, seed int64) {
-	fmt.Println("== Figure 6: scheduling cost vs time (EA vs GS) ==")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fmt.Println("== Figure 6: scheduling cost vs time (EA vs GS, 1 core) ==")
 	prices := workload.PriceSeries(workload.PriceConfig{Days: 2, Seed: seed})
 	m, err := market.NewDayAhead(market.Config{Prices: prices, CapacityKWh: 2000})
 	if err != nil {
@@ -236,9 +240,11 @@ func sampleTrace(trace []sched.TracePoint, k int) []sched.TracePoint {
 
 // exhaustive reproduces the §6 optimality probe at a tractable scale:
 // enumerate every start combination of a small instance and compare the
-// heuristics against the optimum.
+// heuristics against the optimum, each heuristic on one core for the
+// same budget (see fig6).
 func exhaustive(seed int64) {
-	fmt.Println("== §6 optimality probe: exhaustive enumeration ==")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fmt.Println("== §6 optimality probe: exhaustive enumeration (1 core) ==")
 	p, err := sched.BuildScenario(sched.ScenarioConfig{Offers: 6, Seed: seed + 3})
 	if err != nil {
 		log.Fatal(err)

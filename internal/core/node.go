@@ -67,7 +67,9 @@ type Config struct {
 	// SchedWorkers > 1 runs the plan phase's search as a parallel
 	// portfolio of that many workers (sched.Parallel): replicas of
 	// Scheduler when one is configured, the default mixed portfolio
-	// otherwise. 0 or 1 keeps the search single-threaded.
+	// otherwise. 0 or 1 runs Scheduler alone; the default randomized
+	// greedy still runs its restarts on every core, with the result of
+	// a serial run.
 	SchedWorkers int
 	// AggWorkers > 1 fans the cycle's batched per-aggregate work
 	// (internal/agg sub-group transactions) across that many workers.

@@ -27,6 +27,30 @@ func benchSchedInstance(b *testing.B) *sched.Problem {
 	return p
 }
 
+// BenchmarkGreedySchedule times one planning search in the shape the
+// repository benchmark's cycle workload runs: 50 aggregates on a 96-slot
+// day without a market, 1 000 greedy restarts. The restarts run on
+// GOMAXPROCS workers, so -cpu 1,2 shows the parallel speed-up.
+func BenchmarkGreedySchedule(b *testing.B) {
+	p, err := sched.BuildScenario(sched.ScenarioConfig{Offers: 50, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := &sched.RandomizedGreedy{}
+	opt := sched.Options{MaxIterations: 1000, Seed: 7, TimeBudget: time.Minute}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := g.Schedule(context.Background(), p, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCost = res.Cost
+	}
+}
+
+// benchCost keeps the benchmarked search's result alive.
+var benchCost float64
+
 // BenchmarkSchedEvalThroughput measures candidate-evaluation throughput
 // on the 64-offer/96-slot market instance: the seed's full
 // Problem.Evaluate (fresh net slice + Market.Quote per slot) against

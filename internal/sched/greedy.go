@@ -4,6 +4,9 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"time"
 
 	"mirabel/internal/flexoffer"
 )
@@ -27,8 +30,8 @@ const (
 // fresh random orders until the time budget is exhausted, keeping the
 // best schedule found. The inner loop prices only the slots a candidate
 // start would change — the current price of every slot is cached beside
-// the net position — and one scratch arena is reused across restarts,
-// so steady-state search allocates nothing.
+// the net position — and each worker reuses one scratch arena across
+// its restarts, so steady-state search allocates nothing.
 type RandomizedGreedy struct {
 	// Fill selects the energy-fill rule (default FillGreedy).
 	Fill FillMode
@@ -37,25 +40,177 @@ type RandomizedGreedy struct {
 // Name implements Scheduler.
 func (g *RandomizedGreedy) Name() string { return "GS" }
 
-// Schedule implements Scheduler.
+// Schedule implements Scheduler. The restarts run on every core (see
+// restarts); the result is the serial loop's, float for float.
 func (g *RandomizedGreedy) Schedule(ctx context.Context, p *Problem, opt Options) (Result, error) {
 	c, err := Compile(p)
 	if err != nil {
 		return Result{}, err
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
 	tr := newTracker(ctx, opt)
-	run := newGreedyRun(c, g.Fill)
-	order := make([]int, len(c.offers))
-	for i := range order {
-		order[i] = i
+	limit := opt.MaxIterations
+	if limit <= 0 {
+		limit = math.MaxInt
 	}
-	mk := func() *Solution { return cloneSolution(&run.sol) }
-	for !tr.exhausted() {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		tr.observe(run.construct(order), mk)
-	}
+	g.restarts(ctx, c, rand.New(rand.NewSource(opt.Seed)), tr, limit, tr.deadline, false)
 	return tr.result(), ctx.Err()
+}
+
+// restartWindow bounds, per worker, how many restarts may be started
+// past the oldest one not yet observed, so the result ring stays a
+// fixed size however unevenly the workers progress.
+const restartWindow = 4
+
+// restartLoop is the shared state of one restarts call. Every field
+// below mu is guarded by it.
+type restartLoop struct {
+	ctx      context.Context
+	c        *Compiled
+	rng      *rand.Rand
+	tr       *tracker
+	limit    int
+	deadline time.Time
+	keep     bool
+
+	mu       sync.Mutex
+	advanced sync.Cond // signalled when observed moves
+	order    []int     // the one order stream: shuffled in place per restart
+	next     int       // restarts started
+	observed int       // restarts fed to tr (always a prefix)
+	ring     []restartOutcome
+	seeds    []*Solution // keep mode: every construction, in restart order
+}
+
+// restartOutcome is one finished restart waiting for its turn to be
+// observed. sol is nil when the worker proved it cannot improve.
+type restartOutcome struct {
+	cost  float64
+	sol   *Solution
+	ready bool
+}
+
+// restarts runs greedy constructions in fresh random orders, each
+// order one more in-place shuffle of the previous one drawn from rng,
+// and feeds every construction's cost to tr in restart order. It stops
+// starting restarts once limit have started, the deadline has passed
+// or ctx is cancelled; every started restart is finished and observed,
+// so the observed restarts are always a prefix of the serial loop's and
+// rng has drawn exactly one shuffle per observed restart. With keep set,
+// every construction is cloned and returned in restart order (Hybrid's
+// seeds) and tr retains those same clones.
+//
+// The restarts run on runtime.GOMAXPROCS(0) workers, at most limit,
+// each with a private greedyRun. Orders are drawn and outcomes observed
+// under one mutex, so tr sees exactly the serial sequence — ties keep
+// the lowest restart, as the serial strict < does — at any worker
+// count. A worker clones its solution only when it beats both the
+// incumbent known when its order was drawn and the worker's own earlier
+// results: a superset of the restarts that improve in serial order, so
+// steady-state restarts allocate nothing. Inside a Parallel portfolio
+// (tr.shared set) the strategy already is one of the portfolio's
+// workers, and it runs on the calling goroutine alone, as it does with
+// one worker.
+func (g *RandomizedGreedy) restarts(ctx context.Context, c *Compiled, rng *rand.Rand, tr *tracker, limit int, deadline time.Time, keep bool) []*Solution {
+	if limit <= 0 {
+		return nil
+	}
+	workers := runtime.GOMAXPROCS(0)
+	if tr.shared != nil {
+		workers = 1
+	}
+	workers = min(workers, limit)
+	l := &restartLoop{
+		ctx: ctx, c: c, rng: rng, tr: tr, limit: limit, deadline: deadline, keep: keep,
+		order: make([]int, len(c.offers)),
+		ring:  make([]restartOutcome, restartWindow*workers),
+	}
+	for i := range l.order {
+		l.order[i] = i
+	}
+	if keep {
+		l.seeds = make([]*Solution, 0, limit)
+	}
+	l.advanced.L = &l.mu
+
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.work(newGreedyRun(c, g.Fill))
+		}()
+	}
+	l.work(newGreedyRun(c, g.Fill))
+	wg.Wait()
+	return l.seeds
+}
+
+// work is one worker's loop: start a restart, construct it in the
+// worker's own run, hand the outcome back, repeat until the budget is
+// spent.
+func (l *restartLoop) work(run *greedyRun) {
+	order := make([]int, len(l.order))
+	own := math.Inf(1) // best cost among this worker's restarts
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		k, bound, ok := l.start(order)
+		if !ok {
+			return
+		}
+		l.mu.Unlock()
+		cost := run.construct(order)
+		var sol *Solution
+		if l.keep || cost < bound && cost < own {
+			sol = cloneSolution(&run.sol)
+		}
+		if cost < own {
+			own = cost
+		}
+		l.mu.Lock()
+		l.finish(k, cost, sol)
+	}
+}
+
+// start claims the next restart and copies its order into order. bound
+// is the incumbent cost over the restarts observed so far. Called with
+// mu held.
+func (l *restartLoop) start(order []int) (k int, bound float64, ok bool) {
+	for l.next-l.observed >= len(l.ring) {
+		l.advanced.Wait()
+	}
+	if l.next >= l.limit || l.ctx.Err() != nil || time.Now().After(l.deadline) {
+		return 0, 0, false
+	}
+	l.rng.Shuffle(len(l.order), func(i, j int) { l.order[i], l.order[j] = l.order[j], l.order[i] })
+	copy(order, l.order)
+	k = l.next
+	l.next++
+	return k, l.tr.cost, true
+}
+
+// finish records restart k's outcome and observes every outcome that
+// is now next in restart order. Called with mu held.
+func (l *restartLoop) finish(k int, cost float64, sol *Solution) {
+	l.ring[k%len(l.ring)] = restartOutcome{cost: cost, sol: sol, ready: true}
+	moved := false
+	for {
+		r := &l.ring[l.observed%len(l.ring)]
+		if !r.ready {
+			break
+		}
+		sol := r.sol
+		l.tr.observe(r.cost, func() *Solution { return sol })
+		if l.keep {
+			l.seeds = append(l.seeds, r.sol)
+		}
+		*r = restartOutcome{}
+		l.observed++
+		moved = true
+	}
+	if moved {
+		l.advanced.Broadcast()
+	}
 }
 
 // greedyRun is the reusable scratch arena of one greedy search: the

@@ -1,0 +1,113 @@
+package sched
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// requireSameResult fails unless got is want float for float: every
+// start and energy, the cost, the iteration count and the trace's
+// (Iterations, Cost) points. Elapsed times are wall clock and differ.
+func requireSameResult(t *testing.T, name string, got, want Result) {
+	t.Helper()
+	if got.Cost != want.Cost || got.Iterations != want.Iterations {
+		t.Fatalf("%s: cost %v after %d iterations, want %v after %d", name, got.Cost, got.Iterations, want.Cost, want.Iterations)
+	}
+	if len(got.Trace) != len(want.Trace) {
+		t.Fatalf("%s: %d trace points, want %d", name, len(got.Trace), len(want.Trace))
+	}
+	for i, tp := range got.Trace {
+		if w := want.Trace[i]; tp.Iterations != w.Iterations || tp.Cost != w.Cost {
+			t.Fatalf("%s: trace[%d] = (%d, %v), want (%d, %v)", name, i, tp.Iterations, tp.Cost, w.Iterations, w.Cost)
+		}
+	}
+	for i, pl := range got.Solution.Placements {
+		w := want.Solution.Placements[i]
+		if pl.Start != w.Start {
+			t.Fatalf("%s: offer %d start %d, want %d", name, i, pl.Start, w.Start)
+		}
+		for j, e := range pl.Energy {
+			if e != w.Energy[j] {
+				t.Fatalf("%s: offer %d slice %d energy %v, want %v", name, i, j, e, w.Energy[j])
+			}
+		}
+	}
+}
+
+// TestGreedyRestartsMatchSerial: the restart loop returns the same
+// floats at any worker count. GOMAXPROCS 1 runs it inline on the
+// calling goroutine, which is the serial loop; 2, 3 and 8 run it on
+// that many workers (8 oversubscribes any small machine, so workers
+// finish far out of restart order).
+func TestGreedyRestartsMatchSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, withMarket := range []bool{false, true} {
+		p := marketScenario(t, 12, 31)
+		if !withMarket {
+			p.Market = nil
+		}
+		for _, s := range []Scheduler{&RandomizedGreedy{Fill: FillGreedy}, &RandomizedGreedy{Fill: FillMidpoint}, &Hybrid{}} {
+			for _, iters := range []int{1, 7, 200, 1001} {
+				opt := Options{MaxIterations: iters, Seed: 41, TraceEvery: 10, TimeBudget: time.Hour}
+				runtime.GOMAXPROCS(1)
+				want, err := s.Schedule(context.Background(), p, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, procs := range []int{2, 3, 8} {
+					runtime.GOMAXPROCS(procs)
+					got, err := s.Schedule(context.Background(), p, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s market=%v iters=%d procs=%d", s.Name(), withMarket, iters, procs)
+					if g, ok := s.(*RandomizedGreedy); ok {
+						name += fmt.Sprintf(" fill=%d", g.Fill)
+					}
+					requireSameResult(t, name, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGreedyRestartsAllocFree: a Schedule call allocates the same at
+// 2 000 restarts as at 100, inline and on workers. One offer with a
+// single feasible start makes every restart cost the same, so only the
+// first improves and no later restart has a reason to clone. Workers
+// start racing, so a call is measured as its fewest mallocs over
+// several runs.
+func TestGreedyRestartsAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	p := tinyProblem()
+	p.Offers[0].LatestStart = p.Offers[0].EarliestStart
+	g := &RandomizedGreedy{}
+	mallocs := func(iters int) uint64 {
+		call := func() {
+			if _, err := g.Schedule(context.Background(), p, Options{MaxIterations: iters, Seed: 1, TimeBudget: time.Hour}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // warm up
+		var ms runtime.MemStats
+		fewest := uint64(math.MaxUint64)
+		for run := 0; run < 20; run++ {
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			call()
+			runtime.ReadMemStats(&ms)
+			fewest = min(fewest, ms.Mallocs-before)
+		}
+		return fewest
+	}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		if short, long := mallocs(100), mallocs(2000); long != short {
+			t.Errorf("GOMAXPROCS %d: a Schedule call allocates %d objects at 2000 restarts, %d at 100", procs, long, short)
+		}
+	}
+}

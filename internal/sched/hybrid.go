@@ -36,33 +36,19 @@ func (h *Hybrid) Schedule(ctx context.Context, p *Problem, opt Options) (Result,
 	}
 	total := opt.budget()
 	seedBudget := time.Duration(float64(total) * frac)
-	// Iteration-bounded runs give the same share of their budget to
-	// seeding: the cap below binds alongside the wall-clock deadline,
-	// so a huge TimeBudget cannot make seeding overspend the run's
-	// iteration budget.
-	seedIterCap := 0
-	if opt.MaxIterations > 0 {
-		seedIterCap = opt.MaxIterations/4 + 1
-	}
-
-	// Phase 1: greedy constructions, keeping the distinct best ones.
+	// Phase 1: greedy constructions, at most PopulationSize/2 of them,
+	// every one kept as a seed in restart order. Iteration-bounded runs
+	// give the same share of their budget to seeding: the cap below
+	// binds alongside the wall-clock deadline, so a huge TimeBudget
+	// cannot make seeding overspend the run's iteration budget.
 	cfg := h.EA.defaults()
+	seedCap := cfg.PopulationSize / 2
+	if opt.MaxIterations > 0 {
+		seedCap = min(seedCap, opt.MaxIterations/4+1)
+	}
 	rng := rand.New(rand.NewSource(opt.Seed ^ 0x5eed))
-	seeds := make([]*Solution, 0, cfg.PopulationSize/2)
 	tr := newTracker(ctx, opt)
-	greedyDeadline := time.Now().Add(seedBudget)
-	run := newGreedyRun(c, h.Greedy.Fill)
-	order := make([]int, len(c.offers))
-	for i := range order {
-		order[i] = i
-	}
-	mk := func() *Solution { return cloneSolution(&run.sol) }
-	for ctx.Err() == nil && time.Now().Before(greedyDeadline) && len(seeds) < cap(seeds) &&
-		(seedIterCap == 0 || tr.iter < seedIterCap) {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		tr.observe(run.construct(order), mk)
-		seeds = append(seeds, cloneSolution(&run.sol))
-	}
+	seeds := h.Greedy.restarts(ctx, c, rng, tr, seedCap, time.Now().Add(seedBudget), true)
 
 	// Phase 2: evolution seeded with the greedy solutions.
 	pop, err := cfg.seedPopulation(ctx, c, p, rng, seeds)

@@ -21,6 +21,8 @@ import (
 // stream, workers never read the shared incumbent (it only collects
 // results), and the final winner is picked by (cost, worker index) —
 // so an iteration-bounded run returns the same best cost every time.
+// Each worker's strategy runs on that worker's goroutine alone: GS and
+// HYB run their restarts inline instead of on every core.
 type Parallel struct {
 	// Workers is the goroutine count (default runtime.GOMAXPROCS(0)).
 	Workers int

@@ -382,6 +382,40 @@ func TestSchedulersHonorCancellation(t *testing.T) {
 			t.Errorf("%s: cancellation took %v", s.Name(), elapsed)
 		}
 	}
+
+	// A GS run cancelled after some restarts returns the best of exactly
+	// the restarts it observed, and those are the serial loop's first
+	// ones: the trace counts them one by one, and re-running that many
+	// restarts gives the same result.
+	small, err := BuildScenario(ScenarioConfig{Offers: 50, Seed: 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, err := (&RandomizedGreedy{}).Schedule(ctx, small, Options{TimeBudget: time.Hour, Seed: 19, TraceEvery: 1})
+	if err == nil {
+		t.Fatal("GS: canceled search returned nil error")
+	}
+	if res.Iterations == 0 {
+		t.Fatal("GS: no restart finished before cancellation")
+	}
+	if err := small.ValidateSolution(res.Solution); err != nil {
+		t.Fatalf("GS: canceled run returned an invalid solution: %v", err)
+	}
+	if len(res.Trace) != res.Iterations+1 {
+		t.Fatalf("GS: %d trace points for %d iterations", len(res.Trace), res.Iterations)
+	}
+	for i, tp := range res.Trace[:res.Iterations] {
+		if tp.Iterations != i+1 {
+			t.Fatalf("GS: trace[%d] counts %d restarts, want %d", i, tp.Iterations, i+1)
+		}
+	}
+	prefix, err := (&RandomizedGreedy{}).Schedule(context.Background(), small, Options{MaxIterations: res.Iterations, Seed: 19, TraceEvery: 1, TimeBudget: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "GS canceled vs serial prefix", res, prefix)
 }
 
 func TestExhaustiveHonorsCancellation(t *testing.T) {

@@ -25,7 +25,9 @@ type Result struct {
 // Options bound a scheduler run.
 type Options struct {
 	// TimeBudget stops the search after this wall-clock duration
-	// (default 1s).
+	// (default 1s). A search checks it between iterations, so it
+	// overruns by at most one iteration; the greedy restarts run on
+	// several workers, each of which may finish one restart past it.
 	TimeBudget time.Duration
 	// MaxIterations additionally bounds the iteration count (0 = none).
 	// One iteration is one constructed schedule (greedy) or one
