@@ -52,7 +52,6 @@ func main() {
 		retain    = flag.Int64("retain-slots", 0, "measurement retention window in slots (0: keep forever)")
 		retainIvl = flag.Duration("retain-every", time.Minute, "how often the retention sweep runs")
 		routes    = flag.String("route", "", "comma-separated name=addr routes to peers")
-		schedWrk  = flag.Int("sched-workers", 0, "parallel portfolio workers for the scheduling search (0/1: greedy search alone, its restarts on every core)")
 		aggWrk    = flag.Int("agg-workers", 0, "parallel per-aggregate workers for batched aggregation (0/1: single-threaded)")
 		ingestPol = flag.String("ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed")
 		ingestCmp = flag.Int64("ingest-compact", 0, "ingest journal compaction threshold in bytes (0: compact only on restart)")
@@ -134,19 +133,18 @@ func main() {
 		mw = append(mw, comm.Logging(log.Printf))
 	}
 	cfg := core.Config{
-		Name:         *name,
-		Role:         store.Role(*role),
-		Parent:       *parent,
-		Transport:    client,
-		Store:        st,
-		AggParams:    agg.ParamsP3,
-		SchedOpts:    sched.Options{TimeBudget: 2 * time.Second},
-		SchedWorkers: *schedWrk,
-		AggWorkers:   *aggWrk,
-		Middleware:   mw,
-		Ingest:       ic,
-		Forecasting:  &forecast.RegistryConfig{Workers: *fcWorkers},
-		Settlement:   lc,
+		Name:        *name,
+		Role:        store.Role(*role),
+		Parent:      *parent,
+		Transport:   client,
+		Store:       st,
+		AggParams:   agg.ParamsP3,
+		SchedOpts:   sched.Options{TimeBudget: 2 * time.Second},
+		AggWorkers:  *aggWrk,
+		Middleware:  mw,
+		Ingest:      ic,
+		Forecasting: &forecast.RegistryConfig{Workers: *fcWorkers},
+		Settlement:  lc,
 	}
 	if *brkWindow > 0 {
 		cfg.Breaker = &comm.BreakerConfig{

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -123,12 +124,15 @@ func fingerprintOf(r *simResult) fingerprint {
 // TestSameSeedDeterminism: two runs with the same seed must produce
 // identical fault schedules, degradation counters and outcomes — a
 // failing chaos run reproduces from its seed — and a different seed
-// must not.
+// must not. The two same-seed runs use 1 and 4 cores, so the outcome
+// may not depend on the core count either.
 func TestSameSeedDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	a, err := runSim(context.Background(), acceptanceConfig(t, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
+	runtime.GOMAXPROCS(4)
 	b, err := runSim(context.Background(), acceptanceConfig(t, 11))
 	if err != nil {
 		t.Fatal(err)

@@ -126,20 +126,6 @@ const (
 	Deleted
 )
 
-// String implements fmt.Stringer.
-func (k ChangeKind) String() string {
-	switch k {
-	case Created:
-		return "created"
-	case Changed:
-		return "changed"
-	case Deleted:
-		return "deleted"
-	default:
-		return fmt.Sprintf("ChangeKind(%d)", int(k))
-	}
-}
-
 // AggregateUpdate is one delta of the aggregated flex-offer set.
 type AggregateUpdate struct {
 	Kind      ChangeKind

@@ -420,15 +420,6 @@ func absTotalMax(m *flexoffer.FlexOffer) float64 {
 	return e
 }
 
-// remove deletes a single member. Unknown ids return immediately without
-// touching the aggregate. Returns false when the aggregate became empty.
-func (a *Aggregate) remove(id flexoffer.ID) bool {
-	if a.memberIndex(id) < 0 {
-		return true
-	}
-	return a.applyBatch(nil, []flexoffer.ID{id})
-}
-
 // Disaggregate converts a schedule of the aggregate into one valid
 // schedule per member (the paper's disaggregation requirement). The
 // member schedules sum exactly to the aggregate schedule, slot by slot.

@@ -207,7 +207,7 @@ func TestRemoveUnknownIDNoRebuild(t *testing.T) {
 		offer(11, 100, 8, 4, 1, 2),
 	})
 	v := a.Version
-	if !a.remove(99) {
+	if !a.applyBatch(nil, []flexoffer.ID{99}) {
 		t.Fatal("remove of unknown id reported aggregate death")
 	}
 	if a.Version != v {

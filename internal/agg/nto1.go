@@ -37,11 +37,6 @@ type aggTask struct {
 	alive   bool
 }
 
-// Process applies sub-group deltas serially.
-func (n *NTo1) Process(updates []subgroupUpdate) []AggregateUpdate {
-	return n.process(updates, 1)
-}
-
 // process applies sub-group deltas, each as one batched transaction per
 // touched aggregate, fanning the per-aggregate work across up to the
 // given number of workers. The result is independent of the worker

@@ -215,8 +215,7 @@ func keyLess(a, b groupKey) bool {
 }
 
 // Contains reports whether the offer id is either applied to a group or
-// pending insertion — the membership test intake uses instead of pushing
-// a probe update through the pipeline.
+// pending insertion.
 func (g *GroupBuilder) Contains(id flexoffer.ID) bool {
 	if _, ok := g.pendingIns[id]; ok {
 		return true // includes delete-then-reinsert within one batch
@@ -227,9 +226,6 @@ func (g *GroupBuilder) Contains(id flexoffer.ID) bool {
 	_, ok := g.byID[id]
 	return ok
 }
-
-// NumGroups returns the current number of similarity groups.
-func (g *GroupBuilder) NumGroups() int { return len(g.groups) }
 
 // NumOffers returns the number of flex-offers currently grouped.
 func (g *GroupBuilder) NumOffers() int { return g.offers }
@@ -377,9 +373,6 @@ func removeSubgroupID(ids []subgroupID, id subgroupID) []subgroupID {
 	}
 	return ids
 }
-
-// NumSubgroups returns the current number of sub-groups.
-func (b *BinPacker) NumSubgroups() int { return len(b.subgroups) }
 
 // passthrough converts group deltas straight into sub-group deltas (one
 // sub-group per group) when the bin-packer is disabled.

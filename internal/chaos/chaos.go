@@ -66,9 +66,9 @@ type Stats struct {
 type Injector struct {
 	inner comm.Transport
 	seed  uint64
+	f     Faults // fixed at construction, so read without mu
 
 	mu    sync.RWMutex
-	f     Faults
 	parts map[string]bool
 	lanes map[string]*lane
 
@@ -94,21 +94,6 @@ func NewInjector(inner comm.Transport, seed uint64, f Faults) *Injector {
 		parts: make(map[string]bool),
 		lanes: make(map[string]*lane),
 	}
-}
-
-// SetFaults swaps the fault rates; in-flight operations keep the rates
-// they started with.
-func (i *Injector) SetFaults(f Faults) {
-	i.mu.Lock()
-	i.f = f
-	i.mu.Unlock()
-}
-
-// Faults returns the current fault rates.
-func (i *Injector) Faults() Faults {
-	i.mu.RLock()
-	defer i.mu.RUnlock()
-	return i.f
 }
 
 // Partition cuts every operation toward dest until Heal.
@@ -186,7 +171,8 @@ func (i *Injector) laneFor(to string) *lane {
 
 // decide draws one op's fate from the destination's stream. Four salted
 // words per op keep the fault kinds independent of each other.
-func (i *Injector) decide(to string, f Faults) fate {
+func (i *Injector) decide(to string) fate {
+	f := &i.f
 	l := i.laneFor(to)
 	n := l.n.Add(1) - 1
 	at := l.base + 4*n
@@ -210,14 +196,13 @@ func (i *Injector) decide(to string, f Faults) fate {
 func (i *Injector) before(ctx context.Context, to string) (fate, error) {
 	i.ops.Add(1)
 	i.mu.RLock()
-	f := i.f
 	cut := i.parts[to]
 	i.mu.RUnlock()
 	if cut {
 		i.partitioned.Add(1)
 		return fate{}, fmt.Errorf("chaos: %s partitioned: %w", to, comm.ErrNotSent)
 	}
-	ft := i.decide(to, f)
+	ft := i.decide(to)
 	if ft.spike {
 		i.spikes.Add(1)
 	}

@@ -175,6 +175,49 @@ func TestParseSchedule(t *testing.T) {
 	}
 }
 
+// FuzzParseSchedule: every schedule the parser accepts is one the
+// injector and controller can run — fractions in [0,1] (NaN never
+// fires), no negative durations, ordered windows, and heal and restart
+// cycles that do not overflow.
+func FuzzParseSchedule(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"drop=0.1,err=0.01,spike=0.02:200ms,lat=1ms:2ms,part=brp-1@3-4,crash=brp-0@3+2",
+		"drop=1,err=0",
+		"spike=0.5:1s",
+		"lat=0s:0s",
+		"part=a@0-0,part=b-2@1-9",
+		"crash=n@0+1,crash=m@7+3",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sched, err := ParseSchedule(s)
+		if err != nil {
+			return
+		}
+		fs := sched.Faults
+		for _, frac := range []float64{fs.DropFrac, fs.ErrFrac, fs.SpikeFrac} {
+			if !(frac >= 0 && frac <= 1) {
+				t.Fatalf("%q: fraction %v outside [0,1]", s, frac)
+			}
+		}
+		if fs.Spike < 0 || fs.LatBase < 0 || fs.LatJitter < 0 {
+			t.Fatalf("%q: negative duration in %+v", s, fs)
+		}
+		for _, p := range sched.Parts {
+			if p.From < 0 || p.To < p.From || p.To+1 < p.To {
+				t.Fatalf("%q: bad window %+v", s, p)
+			}
+		}
+		for _, c := range sched.Crashes {
+			if c.At < 0 || c.Down < 1 || c.At+c.Down < c.At {
+				t.Fatalf("%q: bad crash plan %+v", s, c)
+			}
+		}
+	})
+}
+
 func TestControllerDrivesSchedule(t *testing.T) {
 	sched, err := ParseSchedule("part=brp-1@2-3,crash=brp-0@1+2")
 	if err != nil {

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -68,17 +69,17 @@ func ParseSchedule(s string) (*Schedule, error) {
 			if sched.Faults.SpikeFrac, err = parseFrac(frac); err != nil {
 				break
 			}
-			sched.Faults.Spike, err = time.ParseDuration(dur)
+			sched.Faults.Spike, err = parseDur(dur)
 		case "lat":
 			base, jitter, splitErr := splitPair(val)
 			if splitErr != nil {
 				err = splitErr
 				break
 			}
-			if sched.Faults.LatBase, err = time.ParseDuration(base); err != nil {
+			if sched.Faults.LatBase, err = parseDur(base); err != nil {
 				break
 			}
-			sched.Faults.LatJitter, err = time.ParseDuration(jitter)
+			sched.Faults.LatJitter, err = parseDur(jitter)
 		case "part":
 			var w PartitionWindow
 			if w, err = parsePartition(val); err == nil {
@@ -104,10 +105,21 @@ func parseFrac(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f < 0 || f > 1 {
+	if !(f >= 0 && f <= 1) { // also rejects NaN
 		return 0, fmt.Errorf("fraction %g outside [0,1]", f)
 	}
 	return f, nil
+}
+
+func parseDur(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, err
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("negative duration %v", d)
+	}
+	return d, nil
 }
 
 func splitPair(s string) (string, string, error) {
@@ -138,7 +150,8 @@ func parsePartition(s string) (PartitionWindow, error) {
 	if err != nil {
 		return PartitionWindow{}, err
 	}
-	if from < 0 || to < from {
+	// The window heals at cycle to+1, which must not overflow.
+	if from < 0 || to < from || to == math.MaxInt {
 		return PartitionWindow{}, fmt.Errorf("bad window %d-%d", from, to)
 	}
 	return PartitionWindow{Dest: name, From: from, To: to}, nil
@@ -162,7 +175,8 @@ func parseCrash(s string) (CrashPlan, error) {
 	if c.Down, err = strconv.Atoi(down); err != nil {
 		return CrashPlan{}, err
 	}
-	if c.At < 0 || c.Down < 1 {
+	// The node restarts at cycle at+down, which must not overflow.
+	if c.At < 0 || c.Down < 1 || c.Down > math.MaxInt-c.At {
 		return CrashPlan{}, fmt.Errorf("bad crash plan at=%d down=%d", c.At, c.Down)
 	}
 	return c, nil

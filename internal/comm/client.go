@@ -43,9 +43,6 @@ func NewClient(from string, t Transport, opts ...ClientOption) *Client {
 	return c
 }
 
-// From returns the client's endpoint identity.
-func (c *Client) From() string { return c.from }
-
 // withDeadline applies the client's default timeout when ctx has none.
 func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if _, ok := ctx.Deadline(); ok {

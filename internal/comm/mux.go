@@ -46,17 +46,6 @@ func (m *Mux) HandleFallback(h Handler) {
 	m.fallback = h
 }
 
-// Types returns the registered message types (diagnostics).
-func (m *Mux) Types() []MsgType {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]MsgType, 0, len(m.handlers))
-	for t := range m.handlers {
-		out = append(out, t)
-	}
-	return out
-}
-
 // Serve is a Handler: it routes env to the handler registered for its
 // type.
 func (m *Mux) Serve(ctx context.Context, env Envelope) (*Envelope, error) {

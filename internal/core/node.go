@@ -64,12 +64,8 @@ type Config struct {
 	Valuator  *negotiate.Valuator  // negotiation policy (default NewValuator)
 	Scheduler sched.Scheduler      // scheduling strategy (default randomized greedy)
 	SchedOpts sched.Options        // per-cycle scheduling budget
-	// SchedWorkers > 1 runs the plan phase's search as a parallel
-	// portfolio of that many workers (sched.Parallel): replicas of
-	// Scheduler when one is configured, the default mixed portfolio
-	// otherwise. 0 or 1 runs Scheduler alone; the default randomized
-	// greedy still runs its restarts on every core, with the result of
-	// a serial run.
+	// Deprecated: ignored; the search's restarts use every core. ROADMAP
+	// B(4) deletes it together with bench/node.go's assignment.
 	SchedWorkers int
 	// AggWorkers > 1 fans the cycle's batched per-aggregate work
 	// (internal/agg sub-group transactions) across that many workers.
@@ -211,12 +207,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Valuator == nil {
 		cfg.Valuator = negotiate.NewValuator()
 	}
-	switch {
-	case cfg.SchedWorkers > 1 && cfg.Scheduler != nil:
-		cfg.Scheduler = &sched.Parallel{Workers: cfg.SchedWorkers, Strategies: []sched.Scheduler{cfg.Scheduler}}
-	case cfg.SchedWorkers > 1:
-		cfg.Scheduler = &sched.Parallel{Workers: cfg.SchedWorkers}
-	case cfg.Scheduler == nil:
+	if cfg.Scheduler == nil {
 		cfg.Scheduler = &sched.RandomizedGreedy{}
 	}
 	if cfg.HorizonSlots <= 0 {
@@ -385,9 +376,6 @@ func (n *Node) enterPlanner(ctx context.Context) (barrier time.Duration, err err
 	}
 	return time.Since(t0), nil
 }
-
-// Name returns the node's endpoint name.
-func (n *Node) Name() string { return n.cfg.Name }
 
 // Store exposes the node's data management component.
 func (n *Node) Store() *store.Store { return n.store }

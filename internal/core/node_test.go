@@ -660,39 +660,6 @@ func TestForwardAggregatesSurfacesCancellation(t *testing.T) {
 	}
 }
 
-// TestSchedWorkersPortfolio: SchedWorkers > 1 wires the plan phase to a
-// parallel portfolio search; the cycle must still schedule, deliver and
-// beat the default cost.
-func TestSchedWorkersPortfolio(t *testing.T) {
-	bus := comm.NewBus()
-	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
-		SchedOpts:    sched.Options{MaxIterations: 5, Seed: 1},
-		SchedWorkers: 2,
-	})
-	bus.Register("p1", func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-		return nil, nil
-	})
-	for id := flexoffer.ID(1); id <= 4; id++ {
-		if d := brp.AcceptOffer(testOffer(id, 40, 16, 4, 5), "p1"); !d.Accept {
-			t.Fatalf("offer %d rejected: %s", id, d.Reason)
-		}
-	}
-	rep, err := brp.RunSchedulingCycle(context.Background(), 0, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Aggregates == 0 || rep.MicroSchedules == 0 {
-		t.Fatalf("portfolio cycle scheduled nothing: %+v", rep)
-	}
-	if rep.NotifyFailures != 0 {
-		t.Fatalf("notify failures: %d", rep.NotifyFailures)
-	}
-	if rep.ScheduleCost > rep.BaselineCost {
-		t.Errorf("portfolio schedule cost %g worse than default %g", rep.ScheduleCost, rep.BaselineCost)
-	}
-}
-
 // TestSettleExecutedWithLedger runs the ledger-backed settlement path
 // end to end: settlement lines land on the durable hash chain, the
 // chain verifies, balances match the report, and a node reopened on the

@@ -129,20 +129,32 @@ func TestBaseLoadShape(t *testing.T) {
 	}
 }
 
+// tickFleet ticks every household of f through [0, slots), slot by
+// slot as mirabel-sim does, and returns the offers in issue order and
+// the fleet's non-flexible consumption per slot.
+func tickFleet(f *Fleet, slots int) (offers []*flexoffer.FlexOffer, nonFlexKWh []float64) {
+	nonFlexKWh = make([]float64, slots)
+	for s := range nonFlexKWh {
+		for _, h := range f.Households {
+			o, kwh := h.Tick(flexoffer.Time(s))
+			offers = append(offers, o...)
+			nonFlexKWh[s] += kwh
+		}
+	}
+	return offers, nonFlexKWh
+}
+
 func TestFleetSimulation(t *testing.T) {
 	f := NewFleet(50, 6)
 	if len(f.Households) != 50 {
 		t.Fatalf("households = %d", len(f.Households))
 	}
-	res := f.Simulate(0, 2*flexoffer.SlotsPerDay)
-	if len(res.NonFlexKWh) != 2*flexoffer.SlotsPerDay {
-		t.Fatalf("baseline slots = %d", len(res.NonFlexKWh))
-	}
-	if len(res.Offers) == 0 {
+	offers, _ := tickFleet(f, 2*flexoffer.SlotsPerDay)
+	if len(offers) == 0 {
 		t.Fatal("no offers from a 50-household fleet over 2 days")
 	}
 	ids := map[flexoffer.ID]bool{}
-	for _, off := range res.Offers {
+	for _, off := range offers {
 		if err := off.Validate(); err != nil {
 			t.Fatalf("invalid offer: %v", err)
 		}
@@ -157,13 +169,13 @@ func TestFleetSimulation(t *testing.T) {
 }
 
 func TestFleetDeterministic(t *testing.T) {
-	a := NewFleet(10, 7).Simulate(0, flexoffer.SlotsPerDay)
-	b := NewFleet(10, 7).Simulate(0, flexoffer.SlotsPerDay)
-	if len(a.Offers) != len(b.Offers) {
-		t.Fatalf("offer counts differ: %d vs %d", len(a.Offers), len(b.Offers))
+	aOffers, aKWh := tickFleet(NewFleet(10, 7), flexoffer.SlotsPerDay)
+	bOffers, bKWh := tickFleet(NewFleet(10, 7), flexoffer.SlotsPerDay)
+	if len(aOffers) != len(bOffers) {
+		t.Fatalf("offer counts differ: %d vs %d", len(aOffers), len(bOffers))
 	}
-	for i := range a.NonFlexKWh {
-		if a.NonFlexKWh[i] != b.NonFlexKWh[i] {
+	for i := range aKWh {
+		if aKWh[i] != bKWh[i] {
 			t.Fatal("baseline differs for identical seeds")
 		}
 	}
@@ -183,9 +195,8 @@ func TestFleetNames(t *testing.T) {
 func TestPropertyFleetOffersValid(t *testing.T) {
 	f := func(seed int64, nHouseholds uint8) bool {
 		n := int(nHouseholds)%20 + 1
-		fleet := NewFleet(n, seed)
-		res := fleet.Simulate(0, flexoffer.SlotsPerDay)
-		for _, off := range res.Offers {
+		offers, _ := tickFleet(NewFleet(n, seed), flexoffer.SlotsPerDay)
+		for _, off := range offers {
 			if off.Validate() != nil {
 				return false
 			}

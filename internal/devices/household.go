@@ -116,25 +116,3 @@ func fleetName(i int) string {
 	}
 	return string(buf)
 }
-
-// SimulationResult aggregates one simulated period.
-type SimulationResult struct {
-	Offers []*flexoffer.FlexOffer
-	// NonFlexKWh is the fleet's non-flexible net consumption per slot
-	// (production negative), indexed from the simulation's first slot.
-	NonFlexKWh []float64
-}
-
-// Simulate runs the fleet over [from, from+slots).
-func (f *Fleet) Simulate(from flexoffer.Time, slots int) SimulationResult {
-	res := SimulationResult{NonFlexKWh: make([]float64, slots)}
-	for s := 0; s < slots; s++ {
-		slot := from + flexoffer.Time(s)
-		for _, h := range f.Households {
-			offers, kwh := h.Tick(slot)
-			res.Offers = append(res.Offers, offers...)
-			res.NonFlexKWh[s] += kwh
-		}
-	}
-	return res
-}

@@ -125,6 +125,14 @@ func (f *FlexOffer) Validate() error {
 	if f.LatestStart < f.EarliestStart {
 		return fmt.Errorf("flexoffer %d: latest start %d before earliest start %d", f.ID, f.LatestStart, f.EarliestStart)
 	}
+	// The codec carries int64 times verbatim, so the time arithmetic
+	// every consumer does must be checked not to wrap.
+	if f.TimeFlexibility() < 0 {
+		return fmt.Errorf("flexoffer %d: start window [%d, %d] overflows", f.ID, f.EarliestStart, f.LatestStart)
+	}
+	if f.LatestStart > math.MaxInt64-Time(len(f.Profile)) {
+		return fmt.Errorf("flexoffer %d: latest end of start %d + %d slices overflows", f.ID, f.LatestStart, len(f.Profile))
+	}
 	if f.AssignBefore > f.EarliestStart {
 		return fmt.Errorf("flexoffer %d: assignment deadline %d after earliest start %d", f.ID, f.AssignBefore, f.EarliestStart)
 	}

@@ -69,6 +69,13 @@ func TestValidateRejectsBadOffers(t *testing.T) {
 		{"NaN price", func(f *FlexOffer) { f.CostPerKWh = math.NaN() }},
 		{"+Inf price", func(f *FlexOffer) { f.CostPerKWh = math.Inf(1) }},
 		{"-Inf price", func(f *FlexOffer) { f.CostPerKWh = math.Inf(-1) }},
+		// The codec carries int64 times verbatim too.
+		{"time flexibility overflows", func(f *FlexOffer) {
+			f.AssignBefore, f.EarliestStart, f.LatestStart = math.MinInt64+1, math.MinInt64+1, math.MaxInt64
+		}},
+		{"latest end overflows", func(f *FlexOffer) {
+			f.AssignBefore, f.EarliestStart, f.LatestStart = math.MaxInt64, math.MaxInt64, math.MaxInt64
+		}},
 	}
 	for _, tc := range cases {
 		f := evOffer()
@@ -77,6 +84,29 @@ func TestValidateRejectsBadOffers(t *testing.T) {
 			t.Errorf("%s: Validate accepted invalid offer", tc.name)
 		}
 	}
+}
+
+// FuzzValidate: an offer Validate accepts has time arithmetic that does
+// not wrap, whatever int64 times and profile length a peer sent.
+func FuzzValidate(f *testing.F) {
+	f.Add(int64(80), int64(100), int64(96), uint8(8), 0.0, 6.25, 0.03)
+	f.Add(int64(math.MinInt64), int64(-1), int64(math.MaxInt64-1), uint8(1), -2.0, 0.0, 0.0)
+	f.Add(int64(0), int64(0), int64(math.MaxInt64-8), uint8(8), -1.0, 1.0, 0.0)
+	f.Fuzz(func(t *testing.T, ab, es, ls int64, n uint8, emin, emax, cost float64) {
+		o := &FlexOffer{ID: 1, AssignBefore: Time(ab), EarliestStart: Time(es), LatestStart: Time(ls), CostPerKWh: cost}
+		for i := 0; i < int(n); i++ {
+			o.Profile = append(o.Profile, Slice{EnergyMin: emin, EnergyMax: emax})
+		}
+		if o.Validate() != nil {
+			return
+		}
+		if o.TimeFlexibility() < 0 {
+			t.Fatalf("%v: time flexibility %d wrapped", o, o.TimeFlexibility())
+		}
+		if o.LatestEnd() <= o.LatestStart {
+			t.Fatalf("%v: latest end %d wrapped", o, o.LatestEnd())
+		}
+	})
 }
 
 func TestScheduleCheckFinite(t *testing.T) {

@@ -184,15 +184,6 @@ func NewMaintainer(model *HWT, history []float64, cfg MaintainerConfig) *Maintai
 // refit queue is full; the strategy stays armed and re-triggers.
 func (mt *Maintainer) setEnqueue(fn func() bool) { mt.enqueue = fn }
 
-// OnReestimate registers a callback invoked (under the maintainer lock,
-// from the flow that installs the refreshed parameters) after each
-// re-estimation with the refreshed model.
-func (mt *Maintainer) OnReestimate(fn func(*HWT)) {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	mt.listeners = append(mt.listeners, fn)
-}
-
 // histPush appends an observation to the ring window, allocation-free.
 // Caller holds the lock.
 func (mt *Maintainer) histPush(y float64) {

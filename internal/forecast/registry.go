@@ -250,12 +250,6 @@ func (r *Registry) UpdateMeasurements(ms []store.Measurement) {
 	r.observations.Add(uint64(len(ms)))
 }
 
-// Update feeds a single observation into one series.
-func (r *Registry) Update(actor, energy string, y float64) {
-	r.Series(actor, energy).consume(y)
-	r.observations.Add(1)
-}
-
 // Forecast serves the next h values of a series. ok is false while the
 // series is unknown or still warming up.
 func (r *Registry) Forecast(actor, energy string, h int) (values []float64, ok bool) {
@@ -292,23 +286,6 @@ func (s *Series) consumeRun(ms []store.Measurement) {
 	for i := range ms {
 		s.warm = append(s.warm, ms[i].KWh)
 	}
-	s.maybeCreateLocked()
-	s.mu.Unlock()
-}
-
-// consume applies one observation.
-func (s *Series) consume(y float64) {
-	if mt := s.mt.Load(); mt != nil {
-		_ = mt.Update(y)
-		return
-	}
-	s.mu.Lock()
-	if mt := s.mt.Load(); mt != nil {
-		s.mu.Unlock()
-		_ = mt.Update(y)
-		return
-	}
-	s.warm = append(s.warm, y)
 	s.maybeCreateLocked()
 	s.mu.Unlock()
 }

@@ -1,16 +1,13 @@
 // Package market simulates the energy market a BRP trades on: a
 // day-ahead market with hourly trading periods, peak/off-peak prices, a
-// bid/ask spread and bounded per-period liquidity. The scheduling
+// bid/ask spread and a static per-slot liquidity bound. The scheduling
 // component uses it to price "energy sold to (and bought from) the
-// market" (paper §6), and the negotiation component uses its trading
-// periods to marginalize excess assignment flexibility (paper §7).
+// market" (paper §6).
 package market
 
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"mirabel/internal/flexoffer"
@@ -33,17 +30,6 @@ type DayAhead struct {
 	prices      []float64 // EUR/MWh per hour, hour 0 = slot 0 of the epoch
 	spreadFrac  float64   // (buy − sell) / |mid|
 	capacityKWh float64   // per-slot liquidity
-	gateLead    flexoffer.Time
-	impactEUR   float64 // marginal price impact beyond capacity (EUR/kWh per kWh)
-	imbMult     float64 // imbalance price multiplier over |mid|
-	imbMinEUR   float64 // imbalance price floor (EUR/kWh)
-
-	// Liquidity depletion. Quote sits on the scheduler's evaluation hot
-	// path, so the zero-trade common case must stay lock-free: traded
-	// counts Trade calls and gates the slow path that consults used.
-	traded  atomic.Uint64
-	tradeMu sync.Mutex
-	used    map[flexoffer.Time]float64 // kWh consumed per slot
 }
 
 // Config parameterizes a day-ahead market.
@@ -58,19 +44,6 @@ type Config struct {
 	// CapacityKWh is the per-slot liquidity bound (default 1e6, i.e.
 	// effectively unbounded for household-scale scenarios).
 	CapacityKWh float64
-	// GateClosureLead is how long before delivery a trading period
-	// closes (default 4 slots = 1 hour).
-	GateClosureLead flexoffer.Time
-	// ImpactEURPerKWh is the marginal price impact once a trade exceeds
-	// the slot's remaining capacity: each excess kWh moves the price by
-	// this much against the trader (default 0, i.e. hard capacity with
-	// no slippage pricing).
-	ImpactEURPerKWh float64
-	// ImbalanceMult scales the imbalance price over the absolute mid
-	// price (default 1.5); ImbalanceMinEUR floors it (default 0.05
-	// EUR/kWh) so imbalances stay costly even in negative-price hours.
-	ImbalanceMult   float64
-	ImbalanceMinEUR float64
 }
 
 // NewDayAhead builds a day-ahead market from an hourly price series.
@@ -90,27 +63,10 @@ func NewDayAhead(cfg Config) (*DayAhead, error) {
 	if cfg.CapacityKWh == 0 {
 		cfg.CapacityKWh = 1e6
 	}
-	if cfg.GateClosureLead == 0 {
-		cfg.GateClosureLead = flexoffer.SlotsPerHour
-	}
-	if cfg.ImpactEURPerKWh < 0 {
-		return nil, fmt.Errorf("market: negative price impact %g", cfg.ImpactEURPerKWh)
-	}
-	if cfg.ImbalanceMult == 0 {
-		cfg.ImbalanceMult = 1.5
-	}
-	if cfg.ImbalanceMinEUR == 0 {
-		cfg.ImbalanceMinEUR = 0.05
-	}
 	return &DayAhead{
 		prices:      cfg.Prices.Values(),
 		spreadFrac:  cfg.SpreadFrac,
 		capacityKWh: cfg.CapacityKWh,
-		gateLead:    cfg.GateClosureLead,
-		impactEUR:   cfg.ImpactEURPerKWh,
-		imbMult:     cfg.ImbalanceMult,
-		imbMinEUR:   cfg.ImbalanceMinEUR,
-		used:        make(map[flexoffer.Time]float64),
 	}, nil
 }
 
@@ -124,19 +80,10 @@ func (m *DayAhead) Quote(slot flexoffer.Time) Quote {
 	// hours) the BRP still buys above and sells below mid — otherwise
 	// the book would invert and quote free arbitrage.
 	half := math.Abs(midPerKWh) * m.spreadFrac / 2
-	capacity := m.capacityKWh
-	if m.traded.Load() > 0 {
-		m.tradeMu.Lock()
-		capacity -= m.used[slot]
-		m.tradeMu.Unlock()
-		if capacity < 0 {
-			capacity = 0
-		}
-	}
 	return Quote{
 		BuyEUR:      midPerKWh + half,
 		SellEUR:     midPerKWh - half,
-		CapacityKWh: capacity,
+		CapacityKWh: m.capacityKWh,
 	}
 }
 
@@ -151,107 +98,4 @@ func (m *DayAhead) mid(slot flexoffer.Time) float64 {
 		hour = len(m.prices) - 1
 	}
 	return m.prices[hour] / 1000
-}
-
-// ImbalancePrice prices a deviation in a slot (EUR/kWh): a multiple of
-// the slot's absolute mid price, floored so imbalances stay costly in
-// cheap and negative-price hours. Its signature matches
-// settle.Config.ImbalancePrice, so a market can directly price a
-// settlement run's penalties.
-func (m *DayAhead) ImbalancePrice(slot flexoffer.Time) float64 {
-	return math.Max(m.imbMinEUR, m.imbMult*math.Abs(m.mid(slot)))
-}
-
-// ImbalanceSeries materializes the per-slot imbalance price curve for
-// the first n slots — the derived series the settlement bench sweeps.
-func (m *DayAhead) ImbalanceSeries(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = m.ImbalancePrice(flexoffer.Time(i))
-	}
-	return out
-}
-
-// TradeResult reports one executed trade.
-type TradeResult struct {
-	Slot flexoffer.Time
-	// KWh is the signed traded energy (positive = BRP buys).
-	KWh float64
-	// WithinKWh executed at the quoted price; ExcessKWh beyond the
-	// slot's remaining capacity paid the marginal price impact.
-	WithinKWh, ExcessKWh float64
-	// AvgPriceEUR is the volume-weighted execution price per kWh;
-	// CostEUR the signed BRP cash flow (positive = BRP pays).
-	AvgPriceEUR, CostEUR float64
-}
-
-// Trade executes a signed trade (positive kWh = BRP buys, negative =
-// sells) against the slot's remaining liquidity. Energy within the
-// remaining capacity executes at the quoted side of the book; the
-// excess walks the book at the configured marginal impact (average
-// impact·excess/2 over the linear ramp), always against the trader.
-// Every trade depletes the slot's capacity for subsequent quotes and
-// trades.
-func (m *DayAhead) Trade(slot flexoffer.Time, kWh float64) (TradeResult, error) {
-	if math.IsNaN(kWh) || math.IsInf(kWh, 0) {
-		return TradeResult{}, fmt.Errorf("market: non-finite trade volume")
-	}
-	if kWh == 0 {
-		return TradeResult{Slot: slot}, nil
-	}
-	vol := math.Abs(kWh)
-	buying := kWh > 0
-
-	m.tradeMu.Lock()
-	defer m.tradeMu.Unlock()
-	remaining := m.capacityKWh - m.used[slot]
-	if remaining < 0 {
-		remaining = 0
-	}
-	within := math.Min(vol, remaining)
-	excess := vol - within
-	m.used[slot] += vol
-	m.traded.Add(1)
-
-	midPerKWh := m.mid(slot)
-	half := math.Abs(midPerKWh) * m.spreadFrac / 2
-	price := midPerKWh + half // buy side
-	if !buying {
-		price = midPerKWh - half
-	}
-	// The excess ramps linearly from the quoted price, so it averages
-	// half the full impact — against the trader on either side.
-	impact := m.impactEUR * excess / 2
-	excessPrice := price + impact
-	if !buying {
-		excessPrice = price - impact
-	}
-	res := TradeResult{Slot: slot, KWh: kWh, WithinKWh: within, ExcessKWh: excess}
-	gross := within*price + excess*excessPrice
-	res.AvgPriceEUR = gross / vol
-	if buying {
-		res.CostEUR = gross
-	} else {
-		res.CostEUR = -gross
-	}
-	return res, nil
-}
-
-// NextGateClosure returns the latest slot at which an order for delivery
-// slot `delivery` can still be placed, clamped at the epoch: near-epoch
-// delivery slots close at slot 0 rather than at a negative time.
-func (m *DayAhead) NextGateClosure(delivery flexoffer.Time) flexoffer.Time {
-	gate := delivery - m.gateLead
-	if gate < 0 {
-		gate = 0
-	}
-	return gate
-}
-
-// NextTradingPeriod returns the first slot of the next hourly trading
-// period strictly after now — the boundary beyond which assignment
-// flexibility is marginalized for the BRP (paper §7).
-func (m *DayAhead) NextTradingPeriod(now flexoffer.Time) flexoffer.Time {
-	h := (int(now)/flexoffer.SlotsPerHour + 1) * flexoffer.SlotsPerHour
-	return flexoffer.Time(h)
 }

@@ -14,7 +14,7 @@ import (
 // imbalance prices, clamped start windows, profile energy bounds) into
 // flat arrays once per search. A candidate's mutable state is a
 // position — per-slot net energy with each slot's price cached beside
-// it — shared by the greedy constructor and Eval, so that changing one
+// it — used by both the greedy constructor and Eval, so that changing one
 // offer's placement costs O(changed × profile) instead of
 // O(slots + offers × profile) and no slot is priced twice for one net.
 
@@ -278,11 +278,6 @@ func (e *Eval) recompute() {
 	e.ops = 0
 }
 
-// Resync forces a full recompute from the stored placements, squashing
-// any accumulated floating-point drift. SetPlacement triggers it
-// automatically every autoResyncOps updates.
-func (e *Eval) Resync() { e.recompute() }
-
 // SetPlacement moves offer i to a new start and energy vector,
 // updating the position and cost sums incrementally: each slot the old
 // or the new placement touches has its cached cost taken out of the
@@ -331,9 +326,6 @@ func (e *Eval) SetPlacement(i int, start flexoffer.Time, energy []float64) {
 // identical (within floating-point drift, bounded by the automatic
 // resync) to Problem.Evaluate of Solution().
 func (e *Eval) Cost() float64 { return e.slotSum + e.actSum }
-
-// Start returns offer i's current placement start.
-func (e *Eval) Start(i int) flexoffer.Time { return e.starts[i] }
 
 // Solution materializes the current placements as a freshly allocated
 // Solution, safe to retain after further SetPlacement calls.

@@ -123,7 +123,7 @@ func TestEvalResyncAndCopy(t *testing.T) {
 	ev := c.NewEval()
 	ev.Init(res.Solution)
 	before := ev.Cost()
-	ev.Resync()
+	ev.recompute()
 	if after := ev.Cost(); math.Abs(after-before) > 1e-9*(1+math.Abs(before)) {
 		t.Errorf("resync moved the cost: %g -> %g", before, after)
 	}
@@ -153,7 +153,7 @@ func TestEvalResyncAndCopy(t *testing.T) {
 // Evaluate of the returned solution.
 func TestEvalCostMatchesEvaluateOnStrategies(t *testing.T) {
 	p := marketScenario(t, 30, 11)
-	for _, s := range []Scheduler{&RandomizedGreedy{}, &Evolutionary{}, &Hybrid{}, &Parallel{Workers: 2}} {
+	for _, s := range []Scheduler{&RandomizedGreedy{}, &Evolutionary{}, &Hybrid{}} {
 		res, err := s.Schedule(context.Background(), p, Options{MaxIterations: 10, Seed: 12, TimeBudget: 5 * time.Second})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
@@ -165,92 +165,6 @@ func TestEvalCostMatchesEvaluateOnStrategies(t *testing.T) {
 		if math.Abs(res.Cost-want) > 1e-9*(1+math.Abs(want)) {
 			t.Errorf("%s: reported cost %g != evaluated %g", s.Name(), res.Cost, want)
 		}
-	}
-}
-
-// TestParallelDeterministic: with a fixed seed and an iteration bound
-// (so wall-clock jitter cannot change the search), the portfolio
-// returns the same best cost run-to-run.
-func TestParallelDeterministic(t *testing.T) {
-	p := marketScenario(t, 20, 13)
-	pl := &Parallel{Workers: 4}
-	opt := Options{MaxIterations: 25, Seed: 14, TimeBudget: time.Hour}
-	first, err := pl.Schedule(context.Background(), p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for run := 0; run < 3; run++ {
-		res, err := pl.Schedule(context.Background(), p, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cost != first.Cost {
-			t.Fatalf("run %d: cost %g != first run %g", run, res.Cost, first.Cost)
-		}
-	}
-}
-
-// TestParallelBeatsOrMatchesWorkers: the portfolio's result is the min
-// over its workers, so it can never be worse than the same strategy run
-// single-threaded with any of the derived worker seeds.
-func TestParallelBeatsOrMatchesWorkers(t *testing.T) {
-	p := marketScenario(t, 20, 15)
-	ea := &Evolutionary{}
-	opt := Options{MaxIterations: 20, Seed: 16, TimeBudget: time.Hour}
-	pl := &Parallel{Workers: 3, Strategies: []Scheduler{ea}}
-	res, err := pl.Schedule(context.Background(), p, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for w := 0; w < 3; w++ {
-		wopt := opt
-		wopt.Seed = workerSeed(opt.Seed, w)
-		solo, err := ea.Schedule(context.Background(), p, wopt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cost > solo.Cost+1e-9 {
-			t.Errorf("portfolio cost %g worse than worker %d solo %g", res.Cost, w, solo.Cost)
-		}
-	}
-}
-
-// TestParallelHonorsCancellation mirrors the per-strategy cancellation
-// test for the portfolio.
-func TestParallelHonorsCancellation(t *testing.T) {
-	p, err := BuildScenario(ScenarioConfig{Offers: 400, Seed: 17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	t0 := time.Now()
-	_, err = (&Parallel{Workers: 4}).Schedule(ctx, p, Options{TimeBudget: time.Hour, Seed: 18})
-	if err == nil {
-		t.Error("canceled portfolio returned nil error")
-	}
-	if elapsed := time.Since(t0); elapsed > 5*time.Second {
-		t.Errorf("cancellation took %v", elapsed)
-	}
-}
-
-// TestParallelTraceMonotone: the merged incumbent trace must be
-// non-increasing in cost.
-func TestParallelTraceMonotone(t *testing.T) {
-	p := marketScenario(t, 20, 19)
-	res, err := (&Parallel{Workers: 4}).Schedule(context.Background(), p, Options{MaxIterations: 20, Seed: 20, TimeBudget: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) == 0 {
-		t.Fatal("no trace points")
-	}
-	prev := math.Inf(1)
-	for i, tp := range res.Trace {
-		if tp.Cost > prev+1e-9 {
-			t.Errorf("trace[%d] cost %g > prev %g", i, tp.Cost, prev)
-		}
-		prev = tp.Cost
 	}
 }
 

@@ -155,7 +155,7 @@ func (ind *individual) copyGenes(src *individual) {
 }
 
 // evolve runs generations on pop until the tracker's budget is
-// exhausted. It is shared by the EA and the Hybrid's evolution phase.
+// exhausted. The EA and the Hybrid's evolution phase both run it.
 func (e *Evolutionary) evolve(c *Compiled, pop []individual, rng *rand.Rand, tr *tracker) {
 	scratch := make([]individual, len(pop))
 	for i := range scratch {
@@ -210,8 +210,8 @@ func (e *Evolutionary) randomizeGenes(c *Compiled, ind *individual, rng *rand.Ra
 }
 
 // applyGene pushes gene i's current value through the individual's
-// incremental evaluator: the single-offer decode goes into the shared
-// scratch buffer and SetPlacement delta-updates net and cost.
+// incremental evaluator: the single-offer decode goes into the
+// caller's scratch buffer and SetPlacement delta-updates net and cost.
 func (e *Evolutionary) applyGene(c *Compiled, ind *individual, i int, energy []float64) {
 	o := &c.offers[i]
 	g := &ind.genes[i]
@@ -223,23 +223,8 @@ func (e *Evolutionary) applyGene(c *Compiled, ind *individual, i int, energy []f
 	ind.ev.SetPlacement(i, o.lo+flexoffer.Time(g.startOff), buf)
 }
 
-// decode maps a genotype to a concrete solution (allocating — used off
-// the hot path: encode/decode round-trips and tests).
-func (e *Evolutionary) decode(p *Problem, ind *individual) *Solution {
-	sol := &Solution{Placements: make([]Placement, len(p.Offers))}
-	for i, f := range p.Offers {
-		g := &ind.genes[i]
-		energy := make([]float64, len(f.Profile))
-		for j, sl := range f.Profile {
-			energy[j] = sl.EnergyMin + g.fracs[j]*(sl.EnergyMax-sl.EnergyMin)
-		}
-		lo, _ := p.StartWindow(f)
-		sol.Placements[i] = Placement{Start: lo + flexoffer.Time(g.startOff), Energy: energy}
-	}
-	return sol
-}
-
-// decodeCompiled is decode against the compiled tables.
+// decodeCompiled maps a genotype to a concrete solution (allocating —
+// used off the hot path).
 func (e *Evolutionary) decodeCompiled(c *Compiled, ind *individual) *Solution {
 	sol := &Solution{Placements: make([]Placement, len(c.offers))}
 	for i := range c.offers {

@@ -95,21 +95,3 @@ func (x *Exhaustive) Schedule(ctx context.Context, p *Problem, opt Options) (Res
 	recurse(0)
 	return tr.result(), ctx.Err()
 }
-
-// OptimalityGap runs the exhaustive enumerator and a heuristic on the
-// same instance and reports (heuristicCost − optimalCost). A zero or
-// tiny gap certifies the heuristic on instances small enough to verify
-// (the heuristic may also beat the enumerator's fixed midpoint energies,
-// yielding a negative gap).
-func OptimalityGap(ctx context.Context, p *Problem, s Scheduler, opt Options) (gap, optimal, heuristic float64, err error) {
-	x := &Exhaustive{}
-	optRes, err := x.Schedule(ctx, p, Options{})
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	hRes, err := s.Schedule(ctx, p, opt)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return hRes.Cost - optRes.Cost, optRes.Cost, hRes.Cost, nil
-}

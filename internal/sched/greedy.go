@@ -61,8 +61,8 @@ func (g *RandomizedGreedy) Schedule(ctx context.Context, p *Problem, opt Options
 // fixed size however unevenly the workers progress.
 const restartWindow = 4
 
-// restartLoop is the shared state of one restarts call. Every field
-// below mu is guarded by it.
+// restartLoop is the state the workers of one restarts call share.
+// Every field below mu is guarded by it.
 type restartLoop struct {
 	ctx      context.Context
 	c        *Compiled
@@ -99,26 +99,20 @@ type restartOutcome struct {
 // every construction is cloned and returned in restart order (Hybrid's
 // seeds) and tr retains those same clones.
 //
-// The restarts run on runtime.GOMAXPROCS(0) workers, at most limit,
-// each with a private greedyRun. Orders are drawn and outcomes observed
-// under one mutex, so tr sees exactly the serial sequence — ties keep
-// the lowest restart, as the serial strict < does — at any worker
-// count. A worker clones its solution only when it beats both the
-// incumbent known when its order was drawn and the worker's own earlier
-// results: a superset of the restarts that improve in serial order, so
-// steady-state restarts allocate nothing. Inside a Parallel portfolio
-// (tr.shared set) the strategy already is one of the portfolio's
-// workers, and it runs on the calling goroutine alone, as it does with
-// one worker.
+// The restarts run on min(runtime.GOMAXPROCS(0), limit) workers, each
+// with a private greedyRun; one worker runs on the calling goroutine.
+// Orders are drawn and outcomes observed under one mutex, so tr sees
+// exactly the serial sequence — ties keep the lowest restart, as the
+// serial strict < does — at any worker count. A worker clones its
+// solution only when it beats both the best cost known when its order
+// was drawn and the worker's own earlier results: a superset of the
+// restarts that improve in serial order, so steady-state restarts
+// allocate nothing.
 func (g *RandomizedGreedy) restarts(ctx context.Context, c *Compiled, rng *rand.Rand, tr *tracker, limit int, deadline time.Time, keep bool) []*Solution {
 	if limit <= 0 {
 		return nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if tr.shared != nil {
-		workers = 1
-	}
-	workers = min(workers, limit)
+	workers := min(runtime.GOMAXPROCS(0), limit)
 	l := &restartLoop{
 		ctx: ctx, c: c, rng: rng, tr: tr, limit: limit, deadline: deadline, keep: keep,
 		order: make([]int, len(c.offers)),
@@ -173,7 +167,7 @@ func (l *restartLoop) work(run *greedyRun) {
 }
 
 // start claims the next restart and copies its order into order. bound
-// is the incumbent cost over the restarts observed so far. Called with
+// is the best cost over the restarts observed so far. Called with
 // mu held.
 func (l *restartLoop) start(order []int) (k int, bound float64, ok bool) {
 	for l.next-l.observed >= len(l.ring) {

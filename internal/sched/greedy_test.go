@@ -95,7 +95,7 @@ func TestGreedyRestartsAllocFree(t *testing.T) {
 		call() // warm up
 		var ms runtime.MemStats
 		fewest := uint64(math.MaxUint64)
-		for run := 0; run < 20; run++ {
+		for run := 0; run < 50; run++ {
 			runtime.ReadMemStats(&ms)
 			before := ms.Mallocs
 			call()

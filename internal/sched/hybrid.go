@@ -60,7 +60,7 @@ func (h *Hybrid) Schedule(ctx context.Context, p *Problem, opt Options) (Result,
 }
 
 // encode converts a concrete solution into an EA genotype — the inverse
-// of decode.
+// of decodeCompiled.
 func (e *Evolutionary) encode(p *Problem, sol *Solution) individual {
 	genes := make([]gene, len(p.Offers))
 	for i, f := range p.Offers {

@@ -35,9 +35,13 @@ func TestHybridEncodeDecodeRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ea := (&Evolutionary{}).defaults()
 	ind := ea.encode(p, res.Solution)
-	back := ea.decode(p, &ind)
+	back := ea.decodeCompiled(c, &ind)
 	for i := range p.Offers {
 		if back.Placements[i].Start != res.Solution.Placements[i].Start {
 			t.Fatalf("offer %d: start %d != %d after roundtrip", i,

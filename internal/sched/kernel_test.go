@@ -371,7 +371,6 @@ func TestGoldenCosts(t *testing.T) {
 		{&RandomizedGreedy{}, 35.23498602086757},
 		{&Evolutionary{}, 27.211699090807983},
 		{&Hybrid{}, 9.125071291558617},
-		{&Parallel{Workers: 2}, 8.403679796752316},
 	} {
 		res, err := tc.s.Schedule(context.Background(), p, Options{MaxIterations: 200, Seed: 7, TimeBudget: time.Hour})
 		if err != nil {

@@ -38,12 +38,6 @@ type Options struct {
 	// TraceEvery records a trace point every N iterations (0 = only the
 	// final point).
 	TraceEvery int
-
-	// shared is the cross-worker incumbent a Parallel portfolio run
-	// installs: trackers publish improvements to it so the portfolio
-	// can return the global best promptly on cancellation. Strategies
-	// never read it back — searches stay deterministic per worker.
-	shared *incumbent
 }
 
 func (o Options) budget() time.Duration {
@@ -65,14 +59,13 @@ type Scheduler interface {
 	Schedule(ctx context.Context, p *Problem, opt Options) (Result, error)
 }
 
-// tracker accumulates the incumbent and trace across iterations.
+// tracker accumulates the best solution and trace across iterations.
 type tracker struct {
 	ctx      context.Context
 	start    time.Time
 	deadline time.Time
 	maxIter  int
 	every    int
-	shared   *incumbent
 
 	iter  int
 	best  *Solution
@@ -86,7 +79,6 @@ func newTracker(ctx context.Context, opt Options) *tracker {
 		start:   time.Now(),
 		maxIter: opt.MaxIterations,
 		every:   opt.TraceEvery,
-		shared:  opt.shared,
 		cost:    math.Inf(1),
 	}
 	t.deadline = t.start.Add(opt.budget())
@@ -104,19 +96,15 @@ func (t *tracker) exhausted() bool {
 }
 
 // observe records a completed iteration. mk materializes the candidate
-// solution and is only called when cost improves on the incumbent —
+// solution and is only called when cost improves on the best so far —
 // the hot loop never allocates for non-improving candidates. The
 // returned solution is retained as-is, so mk must hand over a fresh or
-// cloned solution, never a live scratch buffer. Improvements are also
-// published to the shared portfolio incumbent, if one is installed.
+// cloned solution, never a live scratch buffer.
 func (t *tracker) observe(cost float64, mk func() *Solution) {
 	t.iter++
 	if cost < t.cost {
 		t.cost = cost
 		t.best = mk()
-		if t.shared != nil {
-			t.shared.offer(cost, t.best)
-		}
 	}
 	if t.every > 0 && t.iter%t.every == 0 {
 		t.trace = append(t.trace, TracePoint{Elapsed: time.Since(t.start), Iterations: t.iter, Cost: t.cost})

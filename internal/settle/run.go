@@ -198,37 +198,3 @@ func transitionExecuted(st *store.Store, ids []flexoffer.ID) error {
 	}
 	return nil
 }
-
-// TradeEntry builds a ledger entry for a market trade by the BRP:
-// costEUR is the signed BRP cash flow (positive = BRP pays the
-// market), which under the ledger's convention is exactly the amount
-// credited to the "market" actor.
-func TradeEntry(slot flexoffer.Time, kWh, costEUR float64, memo string) Entry {
-	return Entry{
-		Kind:      EntryTrade,
-		Actor:     "market",
-		Slot:      slot,
-		KWh:       kWh,
-		AmountEUR: costEUR,
-		Memo:      memo,
-	}
-}
-
-// NegotiationEntry builds a ledger entry recording a negotiation
-// session outcome for an offer. Negotiation moves no money by itself —
-// the agreed premium is paid at settlement — so AmountEUR stays zero
-// and the premium (EUR/kWh) and reason go into Memo for the audit
-// trail.
-func NegotiationEntry(offerID flexoffer.ID, prosumer string, accepted bool, premiumEUR float64, reason string) Entry {
-	memo := fmt.Sprintf("rejected: %s", reason)
-	if accepted {
-		memo = fmt.Sprintf("accepted at %.6f EUR/kWh", premiumEUR)
-	}
-	return Entry{
-		Kind:      EntryNegotiation,
-		Actor:     prosumer,
-		OfferID:   offerID,
-		Compliant: accepted,
-		Memo:      memo,
-	}
-}

@@ -203,9 +203,9 @@ func TestTradeAndNegotiationEntries(t *testing.T) {
 	led := openTestLedger(t, filepath.Join(t.TempDir(), "ledger.log"))
 	defer led.Close()
 	if _, err := led.Append([]Entry{
-		TradeEntry(40, 12.5, 1.75, "buy imbalance cover"),
-		NegotiationEntry(7, "p7", true, 0.031, ""),
-		NegotiationEntry(8, "p8", false, 0, "cap below reservation"),
+		{Kind: EntryTrade, Actor: "market", Slot: 40, KWh: 12.5, AmountEUR: 1.75, Memo: "buy imbalance cover"},
+		{Kind: EntryNegotiation, Actor: "p7", OfferID: 7, Compliant: true, Memo: "accepted at 0.031000 EUR/kWh"},
+		{Kind: EntryNegotiation, Actor: "p8", OfferID: 8, Memo: "rejected: cap below reservation"},
 	}); err != nil {
 		t.Fatal(err)
 	}

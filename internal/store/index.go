@@ -131,7 +131,7 @@ type seriesKey struct {
 
 // slotSeries holds one (actor, energy type) measurement series as two
 // parallel slices kept sorted by slot — the clustered layout behind
-// Measurements, SumEnergyBySlot and SeriesBySlot. A slot-range query is
+// Measurements and SumEnergyBySlot. A slot-range query is
 // a binary search plus a contiguous copy: cost scales with the result,
 // not with the fact table.
 //

@@ -59,26 +59,6 @@ func (s *Store) SumEnergyBySlot(f MeasurementFilter) map[flexoffer.Time]float64 
 	return out
 }
 
-// SeriesBySlot materializes a contiguous per-slot vector over
-// [from, to) from matching measurements (missing slots are zero) — the
-// form the forecasting component consumes. The slot-sorted series
-// layout makes this a ranged merge: no map, no full-table scan.
-func (s *Store) SeriesBySlot(f MeasurementFilter, from, to flexoffer.Time) []float64 {
-	if to <= from {
-		return nil
-	}
-	out := make([]float64, to-from)
-	for _, ss := range s.meas.match(f.Actor, f.EnergyType) {
-		ss.mu.RLock()
-		lo, hi := ss.rangeLocked(from, to)
-		for i := lo; i < hi; i++ {
-			out[ss.slots[i]-from] += ss.kwh[i]
-		}
-		ss.mu.RUnlock()
-	}
-	return out
-}
-
 // OfferFilter selects flex-offer records.
 type OfferFilter struct {
 	Owner string

@@ -67,11 +67,6 @@ func TestMeasurementQueries(t *testing.T) {
 	if sums[0] != 2 {
 		t.Errorf("slot 0 sum = %g, want 2", sums[0])
 	}
-
-	series := s.SeriesBySlot(MeasurementFilter{EnergyType: "demand"}, 0, 12)
-	if len(series) != 12 || series[9] != 2 || series[11] != 0 {
-		t.Errorf("series = %v", series)
-	}
 }
 
 func TestMeasurementUpsertOverwrites(t *testing.T) {

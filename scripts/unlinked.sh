@@ -1,0 +1,46 @@
+#!/usr/bin/env bash
+# Lists the functions declared in non-test internal/ files that no binary
+# links: every main package of the root module and the bench/ driver is
+# built without inlining, `go tool nm` lists what each one links, and a
+# declared func missing from every list is reached by tests at most.
+#
+# Report-only: prints the count and the list, and always exits 0.
+#
+#   bash scripts/unlinked.sh
+set -uo pipefail
+export LC_ALL=C # one collation for sort and comm
+
+root=$(cd "$(dirname "$0")/.." && pwd)
+cd "$root" || exit 0
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+# Removes generic instantiation brackets, innermost first, so
+# (*shardedTable[go.shape.struct { ... }]).get and
+# (t *shardedTable[T]) both become shardedTable.
+strip_generics() {
+	sed -E ':a; s/\[[^][]*\]//g; ta'
+}
+
+for d in $(go list -f '{{if eq .Name "main"}}{{.Dir}}{{end}}' ./...); do
+	go build -gcflags=all=-l -o "$out/bin-$(basename "$d")" "$d" || echo "unlinked: build failed: $d" >&2
+done
+(cd bench && go build -gcflags=all=-l -o "$out/bin-bench" .) || echo "unlinked: build failed: bench" >&2
+
+for b in "$out"/bin-*; do
+	go tool nm "$b"
+done | sed -nE 's/^ *[0-9a-f]+ [Tt] (mirabel\/internal\/.*)$/\1/p' | strip_generics | sort -u >"$out/linked"
+
+# Declared funcs as nm spells them: pkg.Name, pkg.T.Name or pkg.(*T).Name.
+for f in $(git ls-files 'internal/*.go' | grep -v '_test\.go$'); do
+	pkg="mirabel/$(dirname "$f")"
+	grep -E '^func ' "$f" | strip_generics | sed -nE \
+		-e "s#^func \([^)]*\*([A-Za-z0-9_]+)\) ([A-Za-z0-9_]+).*#$pkg.(*\1).\2#p" \
+		-e "s#^func \(([^)]* )?([A-Za-z0-9_]+)\) ([A-Za-z0-9_]+).*#$pkg.\2.\3#p" \
+		-e "s#^func ([A-Za-z0-9_]+).*#$pkg.\1#p"
+done | grep -vE '\.init$' | sort -u >"$out/declared"
+
+comm -23 "$out/declared" "$out/linked" >"$out/unlinked"
+echo "unlinked functions: $(wc -l <"$out/unlinked")"
+cat "$out/unlinked"
+exit 0
