@@ -17,7 +17,8 @@
 // The store WAL, the ingest journal and the settlement ledger are binary
 // files; -dump replays one of them read-only, frame by frame, and prints
 // each record as one JSON object (file, offset, tag, decoded record) —
-// `| jq` as before.
+// `| jq` as before. In the WAL, an offer update that kept the offer and
+// its owner is an "offer_transitions" record: id, state and schedule.
 //
 //	mirabel-inspect -data /tmp/brp1 -dump wal
 //	mirabel-inspect -data /tmp/brp1 -dump journal

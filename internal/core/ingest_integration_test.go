@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,6 +296,80 @@ func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
 	}
 	if rec, _ := brp.Store().GetOffer(1); rec.State != store.OfferCancelled {
 		t.Errorf("offer 1 after the cycle = %s, want cancelled", rec.State)
+	}
+}
+
+// TestRefusedDuplicateLeavesOriginal: a second submission of a pending
+// offer's id is refused, and the rejected record the refusal journals
+// must not take the original over. The store keeps the offer accepted
+// under its first owner, a crash recovers it as pending — applied
+// before the crash or only journaled — and the cycle delivers its
+// schedule to that owner and to nobody else.
+func TestRefusedDuplicateLeavesOriginal(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
+		Ingest:    &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
+	}
+	openStore := func() *store.Store {
+		t.Helper()
+		st, err := store.Open(filepath.Join(dir, "store"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	submitTwice := func(n *Node, f *flexoffer.FlexOffer) {
+		t.Helper()
+		if d := n.AcceptOffer(f, "p1"); !d.Accept {
+			t.Fatalf("offer %d rejected: %s", f.ID, d.Reason)
+		}
+		if d := n.AcceptOffer(f.Clone(), "p2"); d.Accept || !strings.Contains(d.Reason, "duplicate") {
+			t.Fatalf("second submission of offer %d = %+v, want refused as a duplicate", f.ID, d)
+		}
+	}
+
+	cfg.Store = openStore()
+	crashed, err := NewNode(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submitTwice(crashed, testOffer(1, 40, 16, 4, 5))
+	drain(t, crashed)
+	if rec, _ := cfg.Store.GetOffer(1); rec.State != store.OfferAccepted || rec.Owner != "p1" {
+		t.Fatalf("offer 1 after the refused duplicate = %s of %s, want accepted of p1", rec.State, rec.Owner)
+	}
+	submitTwice(crashed, testOffer(2, 42, 12, 4, 5)) // journaled, no barrier
+	crashed.Kill()
+
+	bus := comm.NewBus()
+	cfg.Store = openStore()
+	t.Cleanup(func() { cfg.Store.Close() })
+	brp := mustNode(t, bus, cfg)
+	if got := brp.RecoveredPending(); got != 2 {
+		t.Fatalf("recovered pending = %d, want both acked offers", got)
+	}
+	for _, id := range []flexoffer.ID{1, 2} {
+		if rec, _ := cfg.Store.GetOffer(id); rec.State != store.OfferAccepted || rec.Owner != "p1" {
+			t.Errorf("offer %d after recovery = %s of %s, want accepted of p1", id, rec.State, rec.Owner)
+		}
+	}
+	p1, p2 := newNotifyCounter(bus, "p1"), newNotifyCounter(bus, "p2")
+	baseline := make([]float64, flexoffer.SlotsPerDay)
+	for i := 40; i < 56; i++ {
+		baseline[i] = -8
+	}
+	rep, err := brp.RunSchedulingCycle(context.Background(), 0, StaticForecast(baseline), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MicroSchedules != 2 || rep.NotifyFailures != 0 {
+		t.Fatalf("cycle = %d schedules, %d failed deliveries; want 2, 0", rep.MicroSchedules, rep.NotifyFailures)
+	}
+	waitFor(t, 2*time.Second, func() bool { return p1.total() == 2 })
+	if p1.count(1) != 1 || p1.count(2) != 1 || p2.total() != 0 {
+		t.Errorf("deliveries: p1 got %d and %d, p2 got %d; want 1, 1, 0", p1.count(1), p1.count(2), p2.total())
 	}
 }
 

@@ -29,9 +29,11 @@
 // to while the queue runs — every event a consumer applies came through
 // memory — and is read exactly once: on restart, Open replays it and
 // re-applies every recorded event before it returns. Applies are
-// idempotent upserts (and offer applies never downgrade a record that
-// progressed to scheduled/executed), so re-applying events that had
-// already reached the store converges. The journal is compacted —
+// idempotent upserts (offer applies never downgrade a record that
+// progressed to scheduled/executed, and a rejected offer never replaces
+// a stored record), so re-applying events that had already reached the
+// store converges — and an event the store already reflects is skipped,
+// so such a replay writes nothing to the store. The journal is compacted —
 // truncated to empty after an explicit store fsync — when a Drain or
 // Close proves every event has been applied.
 //

@@ -142,10 +142,19 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestGuardedOfferApplyNeverDowngrades: a stale duplicate never rolls a
+// stored offer back, and a rejected one — the record a node journals
+// for a refused second submission of a pending offer's id — never
+// replaces the original, whether the original is in the store already
+// or arrives in the same batch ahead of it (journal replay).
 func TestGuardedOfferApplyNeverDowngrades(t *testing.T) {
 	s := testStore(t)
 	scheduled := offerRec(7, "p1", store.OfferScheduled)
 	if err := s.PutOffer(scheduled); err != nil {
+		t.Fatalf("seed offer: %v", err)
+	}
+	accepted := offerRec(8, "p1", store.OfferAccepted)
+	if err := s.PutOffer(accepted); err != nil {
 		t.Fatalf("seed offer: %v", err)
 	}
 	q, err := Open(Config{Store: s, Queue: 8, Policy: PolicyBlock})
@@ -157,12 +166,77 @@ func TestGuardedOfferApplyNeverDowngrades(t *testing.T) {
 	if err := q.SubmitOffer(context.Background(), offerRec(7, "p1", store.OfferReceived)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
+	if err := q.SubmitOffer(context.Background(), offerRec(8, "p2", store.OfferRejected)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
 	if err := q.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	rec, ok := s.GetOffer(7)
 	if !ok || rec.State != store.OfferScheduled {
 		t.Fatalf("offer state = %v (ok=%v), want scheduled preserved", rec.State, ok)
+	}
+	if rec, _ := s.GetOffer(8); rec.State != store.OfferAccepted || rec.Owner != "p1" {
+		t.Fatalf("offer 8 = %s of %s after a refused duplicate, want accepted of p1", rec.State, rec.Owner)
+	}
+
+	// The same pair in one journal, replayed as one batch into a store
+	// that holds neither.
+	path := filepath.Join(t.TempDir(), "ingest.log")
+	q = newIdleQueue(t, Config{Store: testStore(t), Path: path, Queue: 8, MaxBatch: 8})
+	for _, ev := range []store.OfferRecord{offerRec(9, "p1", store.OfferAccepted), offerRec(9, "p2", store.OfferRejected)} {
+		if err := q.SubmitOffer(context.Background(), ev); err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	q.Kill()
+	s2 := testStore(t)
+	q2, err := Open(Config{Store: s2, Path: path})
+	if err != nil {
+		t.Fatalf("reopen queue: %v", err)
+	}
+	defer q2.Close()
+	if rec, _ := s2.GetOffer(9); rec.State != store.OfferAccepted || rec.Owner != "p1" {
+		t.Fatalf("replayed offer 9 = %s of %s, want accepted of p1", rec.State, rec.Owner)
+	}
+}
+
+// TestJournalReplayWritesNothing: reopening a journal whose events all
+// reached the store before the crash re-applies every event and logs
+// nothing to the store's WAL.
+func TestJournalReplayWritesNothing(t *testing.T) {
+	s := testStore(t)
+	path := filepath.Join(t.TempDir(), "ingest.log")
+	q, err := Open(Config{Store: s, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 50
+	for i := 1; i <= n; i++ {
+		if err := q.SubmitOffer(context.Background(), offerRec(uint64(i), "p1", store.OfferAccepted)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st := q.Stats(); st.Consumed != st.Enqueued; st = q.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("consumers applied %d of %d events", st.Consumed, st.Enqueued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	q.Kill() // no drain: the journal still holds every event
+	before := s.WALStats().Records
+
+	q2, err := Open(Config{Store: s, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Close()
+	if got := q2.Stats().Recovered; got != n {
+		t.Fatalf("recovered %d events, want %d", got, n)
+	}
+	if got := s.WALStats().Records; got != before {
+		t.Errorf("journal replay logged %d store records, want none", got-before)
 	}
 }
 

@@ -347,19 +347,34 @@ func (q *Queue) coalesce(first event) []event {
 // and brand-new offers go through one ApplyBatch (one WAL group);
 // already-present offers go through UpdateOffers with a guard that
 // never downgrades a record that progressed to scheduled/executed —
-// that keeps journal replay idempotent.
+// that keeps journal replay idempotent. An offer the store already
+// holds in the event's state and owner is skipped, so replaying a
+// journal whose events all reached the store writes nothing. A rejected
+// offer never replaces a stored record: a refused duplicate of a
+// pending offer's id must leave the original — its state, its owner,
+// its schedule's destination — alone. Rejected records are inserted
+// last, each only if its id is still free when it lands.
 func (q *Queue) applyEvents(events []event) {
 	b := store.NewBatch()
 	var updates []store.OfferUpdate
+	var rejected []store.OfferRecord
 	for _, ev := range events {
 		switch {
 		case ev.meas != nil:
 			for _, m := range ev.meas {
 				b.PutMeasurement(m)
 			}
-		case ev.offer != nil:
+		case ev.offer.State == store.OfferRejected:
+			rejected = append(rejected, *ev.offer)
+		default:
 			rec := *ev.offer
-			if _, ok := q.cfg.Store.GetOffer(rec.Offer.ID); ok {
+			stored, ok := q.cfg.Store.GetOffer(rec.Offer.ID)
+			switch {
+			case !ok:
+				b.PutOffer(rec)
+			case stored.State == rec.State && stored.Owner == rec.Owner:
+				// Applied before: a journal replayed over its own store.
+			default:
 				updates = append(updates, store.OfferUpdate{
 					ID: rec.Offer.ID,
 					Mutate: func(r *store.OfferRecord) {
@@ -369,8 +384,6 @@ func (q *Queue) applyEvents(events []event) {
 						*r = rec
 					},
 				})
-			} else {
-				b.PutOffer(rec)
 			}
 		}
 	}
@@ -406,6 +419,11 @@ func (q *Queue) applyEvents(events []event) {
 			} else if res.Err != nil {
 				q.stats.noteApplyErr(res.Err)
 			}
+		}
+	}
+	for _, rec := range rejected {
+		if _, err := q.cfg.Store.InsertOffer(rec); err != nil {
+			q.stats.noteApplyErr(err)
 		}
 	}
 	q.stats.observeBatch(len(events))

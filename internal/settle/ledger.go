@@ -85,8 +85,10 @@ const LedgerMagic = "MRBLLGR\x01"
 // "canonical" encoding to keep in step with the stored one.
 const tagEntry byte = 1
 
-// appendBody appends e's body encoding to dst.
-func appendBody(dst []byte, e *Entry) []byte {
+// appendBody appends e's body encoding to dst; prev is the raw hash of
+// the entry before (empty on the first entry), which the body carries in
+// place of e.PrevHash.
+func appendBody(dst []byte, e *Entry, prev []byte) []byte {
 	dst = binary.AppendUvarint(dst, e.Seq)
 	dst = wire.AppendString(dst, string(e.Kind))
 	dst = wire.AppendString(dst, e.Actor)
@@ -96,25 +98,22 @@ func appendBody(dst []byte, e *Entry) []byte {
 	dst = wire.AppendFloat64(dst, e.AmountEUR)
 	dst = wire.AppendBool(dst, e.Compliant)
 	dst = wire.AppendString(dst, e.Memo)
-	var prev [sha256.Size]byte
-	n, _ := hex.Decode(prev[:], []byte(e.PrevHash)) // Append and DecodeLedgerRecord only ever set hex
-	dst = binary.AppendUvarint(dst, uint64(n))
-	return append(dst, prev[:n]...)
+	dst = binary.AppendUvarint(dst, uint64(len(prev)))
+	return append(dst, prev...)
 }
 
-// DecodeLedgerRecord decodes one ledger frame without judging it: Hash
-// is the hash the frame carries, which the chain walk compares with the
-// one its body actually has.
-func DecodeLedgerRecord(tag byte, payload []byte) (Entry, error) {
+// decodeEntry decodes one ledger frame into e, leaving its hash fields
+// alone, and returns the raw previous hash the body carries (empty on
+// the first entry) and the hash the frame carries; both alias payload.
+func decodeEntry(tag byte, payload []byte, e *Entry) (prev, sum []byte, err error) {
 	if tag != tagEntry {
-		return Entry{}, fmt.Errorf("settle: unknown ledger tag %#x", tag)
+		return nil, nil, fmt.Errorf("settle: unknown ledger tag %#x", tag)
 	}
 	if len(payload) < sha256.Size {
-		return Entry{}, fmt.Errorf("settle: decode ledger entry: %w", wire.ErrShort)
+		return nil, nil, fmt.Errorf("settle: decode ledger entry: %w", wire.ErrShort)
 	}
 	body, sum := payload[:len(payload)-sha256.Size], payload[len(payload)-sha256.Size:]
 	r := wire.NewReader(body)
-	var e Entry
 	e.Seq = r.Uvarint()
 	e.Kind = EntryKind(r.String())
 	e.Actor = r.String()
@@ -124,14 +123,26 @@ func DecodeLedgerRecord(tag byte, payload []byte) (Entry, error) {
 	e.AmountEUR = r.Float64()
 	e.Compliant = r.Bool()
 	e.Memo = r.String()
-	prev := r.String()
+	prev = r.Bytes()
 	if len(prev) != 0 && len(prev) != sha256.Size {
 		r.Fail(wire.ErrMalformed)
 	}
 	if err := r.Done(); err != nil {
-		return Entry{}, fmt.Errorf("settle: decode ledger entry: %w", err)
+		return nil, nil, fmt.Errorf("settle: decode ledger entry: %w", err)
 	}
-	e.PrevHash = hex.EncodeToString([]byte(prev))
+	return prev, sum, nil
+}
+
+// DecodeLedgerRecord decodes one ledger frame without judging it: Hash
+// is the hash the frame carries, which the chain walk compares with the
+// one its body actually has.
+func DecodeLedgerRecord(tag byte, payload []byte) (Entry, error) {
+	var e Entry
+	prev, sum, err := decodeEntry(tag, payload, &e)
+	if err != nil {
+		return Entry{}, err
+	}
+	e.PrevHash = hex.EncodeToString(prev)
 	e.Hash = hex.EncodeToString(sum)
 	return e, nil
 }
@@ -211,8 +222,10 @@ type Ledger struct {
 	mu  sync.Mutex
 	log *store.GroupLog // nil for a volatile ledger
 
-	lastHash string
-	nextSeq  uint64
+	// head is the raw hash of entry nextSeq-1; it means nothing while the
+	// chain is empty (nextSeq == 0).
+	head    [sha256.Size]byte
+	nextSeq uint64
 
 	balances map[string]*Balance
 	settled  map[flexoffer.ID]struct{}
@@ -254,36 +267,46 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	return l, nil
 }
 
+// headHash returns the raw hash the next entry links to: none on an
+// empty chain.
+func (l *Ledger) headHash() []byte {
+	if l.nextSeq == 0 {
+		return nil
+	}
+	return l.head[:]
+}
+
 // replay is the chain walk's ReplayFrames callback, for Open and for the
 // audit alike: check one frame against the chain position (l.nextSeq,
-// l.lastHash) and apply it. Caller holds mu (or owns l exclusively, as
-// during Open).
+// l.head) and apply it. The hashes are compared raw. Caller holds mu (or
+// owns l exclusively, as during Open).
 func (l *Ledger) replay(off int64, tag byte, payload []byte) error {
 	broken := func(reason string) error {
 		return fmt.Errorf("%w at entry %d, offset %d: %s", ErrChainBroken, l.nextSeq, off, reason)
 	}
-	e, err := DecodeLedgerRecord(tag, payload)
+	var e Entry
+	prev, sum, err := decodeEntry(tag, payload, &e)
 	if err != nil {
 		return broken("undecodable entry: " + err.Error())
 	}
 	if e.Seq != l.nextSeq {
 		return broken(fmt.Sprintf("sequence %d, want %d", e.Seq, l.nextSeq))
 	}
-	if e.PrevHash != l.lastHash {
+	if !bytes.Equal(prev, l.headHash()) {
 		return broken("chain link does not match previous hash")
 	}
-	body := payload[:len(payload)-sha256.Size]
-	if got := sha256.Sum256(body); !bytes.Equal(got[:], payload[len(body):]) {
+	if got := sha256.Sum256(payload[:len(payload)-sha256.Size]); !bytes.Equal(got[:], sum) {
 		return broken("content hash mismatch")
 	}
+	copy(l.head[:], sum)
 	l.applyEntry(&e)
 	return nil
 }
 
-// applyEntry advances the chain state and the incremental indexes by
-// one verified entry. Caller holds mu (or owns l exclusively).
+// applyEntry advances the sequence and the incremental indexes by one
+// verified entry; the caller moves the head hash. Caller holds mu (or
+// owns l exclusively).
 func (l *Ledger) applyEntry(e *Entry) {
-	l.lastHash = e.Hash
 	l.nextSeq = e.Seq + 1
 	if e.Kind == EntryLine || e.Kind == EntryCancel {
 		l.settled[e.OfferID] = struct{}{}
@@ -324,18 +347,19 @@ func (l *Ledger) Append(entries []Entry) ([]Entry, error) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
 	frames := make([][]byte, len(entries))
-	prev, seq := l.lastHash, l.nextSeq
+	seq, head := l.nextSeq, l.head
+	prev, prevHex := l.headHash(), hex.EncodeToString(l.headHash())
 	for i := range entries {
 		e := &entries[i]
-		e.Seq, e.PrevHash = seq, prev
+		e.Seq, e.PrevHash = seq, prevHex
 		dst, mark := store.BeginFrame(*buf, tagEntry)
 		body := len(dst)
-		dst = appendBody(dst, e)
-		sum := sha256.Sum256(dst[body:])
-		*buf = store.EndFrame(append(dst, sum[:]...), mark)
+		dst = appendBody(dst, e, prev)
+		head = sha256.Sum256(dst[body:])
+		*buf = store.EndFrame(append(dst, head[:]...), mark)
 		frames[i] = (*buf)[mark:]
-		e.Hash = hex.EncodeToString(sum[:])
-		prev = e.Hash
+		e.Hash = hex.EncodeToString(head[:])
+		prev, prevHex = head[:], e.Hash // read by the next body before head moves
 		seq++
 	}
 	// The chain order must equal the file order, so the group commit
@@ -349,6 +373,7 @@ func (l *Ledger) Append(entries []Entry) ([]Entry, error) {
 	for i := range entries {
 		l.applyEntry(&entries[i])
 	}
+	l.head = head
 	l.appends++
 	l.latRing[l.latCount%len(l.latRing)] = time.Since(start)
 	l.latCount++
@@ -397,7 +422,7 @@ func (l *Ledger) Stats() LedgerStats {
 		Entries:          l.nextSeq,
 		Actors:           len(l.balances),
 		SettledOffers:    len(l.settled),
-		HeadHash:         l.lastHash,
+		HeadHash:         hex.EncodeToString(l.headHash()),
 		Appends:          l.appends,
 		RecoveredEntries: l.recovered,
 		DroppedBytes:     l.dropped,

@@ -2,7 +2,6 @@ package settle
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
@@ -165,7 +164,8 @@ func TestLedgerDetectsCorruptedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	off, payload := frameAt(t, path, 7)
-	e, err := DecodeLedgerRecord(tagEntry, payload)
+	var e Entry
+	prev, sum, err := decodeEntry(tagEntry, payload, &e)
 	if err != nil || e.Seq != 7 || e.AmountEUR != 7 {
 		t.Fatalf("frame 7 decodes as %+v, %v", e, err)
 	}
@@ -174,7 +174,7 @@ func TestLedgerDetectsCorruptedEntry(t *testing.T) {
 	// its old hash: only the content hash can catch it.
 	e.AmountEUR = 9
 	dst, mark := store.BeginFrame(nil, tagEntry)
-	forged := store.EndFrame(append(appendBody(dst, &e), payload[len(payload)-sha256.Size:]...), mark)
+	forged := store.EndFrame(append(appendBody(dst, &e, prev), sum...), mark)
 	tampered := bytes.Clone(clean)
 	if copy(tampered[off:], forged) != len(forged) || len(forged) != len(payload)+9 {
 		t.Fatalf("forged frame is %d bytes, the original payload %d", len(forged), len(payload))

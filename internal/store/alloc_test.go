@@ -13,14 +13,19 @@ import (
 
 // TestEncodeOfferRecordZeroAlloc: framing an offer record into a buffer
 // that already has the room allocates nothing — through the function
-// PutOffer, UpdateOffer and UpdateOffers frame with, and through the
-// untyped one ApplyBatch hands its already boxed ops to.
+// PutOffer frames with, through the one UpdateOffer and UpdateOffers
+// frame a transition or a whole record with, and through the untyped
+// one ApplyBatch hands its already boxed ops to.
 func TestEncodeOfferRecordZeroAlloc(t *testing.T) {
 	f := &flexoffer.FlexOffer{
 		ID: 42, Prosumer: "household-17", EarliestStart: 88, LatestStart: 116, AssignBefore: 80, CostPerKWh: 0.07,
 		Profile: make([]flexoffer.Slice, 8),
 	}
 	rec := OfferRecord{Offer: f, Owner: "household-17", State: OfferScheduled, Schedule: f.DefaultSchedule()}
+	executed := rec
+	executed.State = OfferExecuted
+	moved := rec
+	moved.Owner = "household-18"
 	m := Measurement{Actor: "household-17", EnergyType: "demand", Slot: 480, KWh: 0.25}
 	buf := make([]byte, 0, 1024)
 	if n := testing.AllocsPerRun(1000, func() {
@@ -28,6 +33,12 @@ func TestEncodeOfferRecordZeroAlloc(t *testing.T) {
 		buf = appendMeasurementFrame(buf, &m)
 	}); n != 0 {
 		t.Fatalf("framing an offer record and a measurement allocates %.1f times per op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		buf = appendUpdateFrame(buf[:0], &rec, &executed)
+		buf = appendUpdateFrame(buf, &rec, &moved)
+	}); n != 0 {
+		t.Fatalf("framing a transition and a whole-record update allocates %.1f times per op, want 0", n)
 	}
 	ops := []batchOp{{tagOffer, rec}, {tagMeasurement, m}}
 	if n := testing.AllocsPerRun(1000, func() {

@@ -15,9 +15,9 @@ import (
 // writers to the same batch coalesce with it in the committer.
 //
 // A batch is not a transaction: a crash mid-group can persist a prefix
-// of its records. Every record is an idempotent upsert, so the prefix
-// is a valid (earlier) state. Ops on the same key apply in insertion
-// order.
+// of its records. Every record is an idempotent upsert or an absolute
+// state assignment, so the prefix is a valid (earlier) state. Ops on the
+// same key apply in insertion order.
 type Batch struct {
 	ops []batchOp
 	err error // first validation failure, surfaced by ApplyBatch
@@ -220,6 +220,14 @@ func (s *Store) PutMeasurementsBatch(ms []Measurement) error {
 }
 
 // OfferUpdate names one offer transition of an UpdateOffers batch.
+// Mutate edits the record it is handed: it may set the state, the owner
+// and the Schedule pointer, or point Offer at another offer, but it must
+// not modify *r.Offer (or *r.Schedule) in place — the store shares them
+// with every reader, and a mutation that keeps the Offer pointer and the
+// owner is logged as a transition (state and schedule only), so an
+// in-place edit of the offer would be lost on recovery. A mutation that
+// changes nothing (the same Offer pointer, Owner, State and Schedule
+// pointer) is neither logged nor applied.
 type OfferUpdate struct {
 	ID     flexoffer.ID
 	Mutate func(*OfferRecord)
@@ -234,11 +242,13 @@ type OfferUpdateResult struct {
 }
 
 // UpdateOffers applies a batch of atomic offer transitions: all touched
-// stripes are locked at once (in stripe order), every surviving
-// mutation is logged as one WAL group, then applied. Per-update
-// failures (unknown id, record left without an offer) are reported in
-// the result slice without failing the batch; the returned error is
-// reserved for log failures, in which case nothing was applied.
+// stripes are locked at once (in stripe order), every mutation that
+// changes its record is logged — as a transition when it kept the offer
+// and the owner — and the whole set is committed as one WAL group, then
+// indexed. Per-update failures (unknown id, record left without an
+// offer) are reported in the result slice without failing the batch;
+// the returned error is reserved for log failures, in which case nothing
+// was applied.
 //
 // Updates listing the same id chain: each mutation sees its
 // predecessor's result.
@@ -265,30 +275,27 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 		}
 	}()
 
-	// Stage every mutation under the locks, chaining same-id updates.
+	// Apply every mutation under the locks, in order, so same-id updates
+	// chain through the table itself, and frame each one that changes its
+	// record. No reader can see the table until the locks go, and a
+	// failed commit restores every record from changed, last first.
 	results := make([]OfferUpdateResult, len(updates))
-	staged := make(map[flexoffer.ID]OfferRecord)
-	firstOld := make(map[flexoffer.ID]OfferRecord) // pre-batch records, for index maintenance
+	type change struct {
+		i   int // index into updates and results
+		old OfferRecord
+	}
+	changed := make([]change, 0, len(updates))
 	var frames *[]byte
 	if s.w != nil {
 		frames = wire.GetBuf()
 		defer wire.PutBuf(frames)
 	}
-	type appliedUpdate struct {
-		id  flexoffer.ID
-		rec OfferRecord
-	}
-	var applied []appliedUpdate
 	for i, u := range updates {
-		old, ok := staged[u.ID]
+		sh := s.offers.shard(u.ID)
+		old, ok := sh.m[u.ID]
 		if !ok {
-			var had bool
-			old, had = s.offers.shard(u.ID).m[u.ID]
-			if !had {
-				results[i].Err = fmt.Errorf("%w: %d", ErrUnknownOffer, u.ID)
-				continue
-			}
-			firstOld[u.ID] = old
+			results[i].Err = fmt.Errorf("%w: %d", ErrUnknownOffer, u.ID)
+			continue
 		}
 		r := old
 		u.Mutate(&r)
@@ -296,25 +303,28 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 			results[i].Err = fmt.Errorf("store: offer record without offer")
 			continue
 		}
-		if s.w != nil {
-			*frames = appendOfferFrame(*frames, &r)
-		}
-		staged[u.ID] = r
 		results[i].Record = r
-		applied = append(applied, appliedUpdate{u.ID, r})
+		if r == old {
+			continue
+		}
+		if frames != nil {
+			*frames = appendUpdateFrame(*frames, &old, &r)
+		}
+		sh.m[u.ID] = r
+		changed = append(changed, change{i, old})
 	}
 
-	// One group commit, then apply. On a log failure nothing changes.
-	if s.w != nil && len(applied) > 0 {
-		if err := s.w.commit([][]byte{*frames}, len(applied)); err != nil {
+	if frames != nil && len(changed) > 0 {
+		if err := s.w.commit([][]byte{*frames}, len(changed)); err != nil {
+			for k := len(changed) - 1; k >= 0; k-- {
+				id := updates[changed[k].i].ID
+				s.offers.shard(id).m[id] = changed[k].old
+			}
 			return nil, err
 		}
 	}
-	for _, a := range applied {
-		s.offers.shard(a.id).m[a.id] = a.rec
-	}
-	for id, r := range staged {
-		s.offerIdx.update(id, firstOld[id], true, r)
+	for _, c := range changed {
+		s.offerIdx.update(updates[c.i].ID, c.old, true, results[c.i].Record)
 	}
 	return results, nil
 }

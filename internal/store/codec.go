@@ -9,18 +9,25 @@ import (
 	"mirabel/internal/wire"
 )
 
-// WAL frame tags: one per table, plus the measurement-retention sweep.
-// Every tagged record is an upsert (idempotent under replay); the prune
-// mark is logged once per sweep. Tags never change meaning.
+// WAL frame tags: one per table, plus the measurement-retention sweep
+// and the offer transition. Every tagged record is an upsert or an
+// absolute state assignment (idempotent under replay); the prune mark is
+// logged once per sweep. Tags never change meaning, and a new one keeps
+// the format version (the versioning rule in frame.go).
 //
-// The two hot tables and the prune mark have binary payloads, in field
-// order (primitives in package wire, FlexOffer and Schedule in package
-// flexoffer):
+// The two hot tables, the offer transition and the prune mark have
+// binary payloads, in field order (primitives in package wire, FlexOffer
+// and Schedule in package flexoffer):
 //
 //	offers:       Owner string | State | Offer FlexOffer |
 //	              has-schedule bool | [Schedule]
 //	              State = one code byte (position in offerStates), or
 //	              0xFF and the state as a string for one not listed
+//	offer_transitions:
+//	              ID uvarint | State | has-schedule bool | [Schedule]
+//	              the State and Schedule of a stored offer, assigned as
+//	              they are (no schedule clears it); an update that kept
+//	              the record's offer and owner logs this, not the offer
 //	measurements: Measurement (flexoffer's layout, shared with the wire)
 //	prune:        Before varint
 //
@@ -38,6 +45,7 @@ const (
 	tagContract
 	tagModelParams
 	tagPrune
+	tagOfferState
 )
 
 var tagNames = [...]string{
@@ -51,6 +59,7 @@ var tagNames = [...]string{
 	tagContract:    "contracts",
 	tagModelParams: "model_params",
 	tagPrune:       "prune",
+	tagOfferState:  "offer_transitions",
 }
 
 // offerStates maps state codes to states; code 0 is the zero value.
@@ -94,11 +103,7 @@ func (rec *OfferRecord) AppendWire(dst []byte) []byte {
 	dst = wire.AppendString(dst, rec.Owner)
 	dst = appendState(dst, rec.State)
 	dst = rec.Offer.AppendWire(dst)
-	dst = wire.AppendBool(dst, rec.Schedule != nil)
-	if rec.Schedule != nil {
-		dst = rec.Schedule.AppendWire(dst)
-	}
-	return dst
+	return appendSchedule(dst, rec.Schedule)
 }
 
 // ReadWire decodes a record from r into rec; failures stick to r. A
@@ -108,11 +113,41 @@ func (rec *OfferRecord) ReadWire(r *wire.Reader) {
 	rec.State = readState(r)
 	rec.Offer = new(flexoffer.FlexOffer)
 	rec.Offer.ReadWire(r)
-	rec.Schedule = nil
-	if r.Bool() {
-		rec.Schedule = new(flexoffer.Schedule)
-		rec.Schedule.ReadWire(r)
+	rec.Schedule = readSchedule(r)
+}
+
+// appendSchedule and readSchedule carry an optional schedule:
+// has-schedule bool, then the schedule if there is one.
+func appendSchedule(dst []byte, s *flexoffer.Schedule) []byte {
+	dst = wire.AppendBool(dst, s != nil)
+	if s != nil {
+		dst = s.AppendWire(dst)
 	}
+	return dst
+}
+
+func readSchedule(r *wire.Reader) *flexoffer.Schedule {
+	if !r.Bool() {
+		return nil
+	}
+	s := new(flexoffer.Schedule)
+	s.ReadWire(r)
+	return s
+}
+
+// offerTransition is the logged form of an offer update that kept the
+// record's offer and owner: the state and schedule it assigns to the
+// offer stored under ID.
+type offerTransition struct {
+	ID       flexoffer.ID        `json:"id"`
+	State    OfferState          `json:"state"`
+	Schedule *flexoffer.Schedule `json:"schedule,omitempty"`
+}
+
+func (t *offerTransition) readWire(r *wire.Reader) {
+	t.ID = flexoffer.ID(r.Uvarint())
+	t.State = readState(r)
+	t.Schedule = readSchedule(r)
 }
 
 // AppendWire appends the measurement's binary encoding to dst.
@@ -153,13 +188,26 @@ type pruneMark struct {
 	Before flexoffer.Time `json:"before"`
 }
 
-// appendOfferFrame and appendMeasurementFrame append one hot-table
-// mutation to dst as a complete WAL frame. They take the record by
-// pointer and cannot fail, so the put paths frame a record into a buffer
-// with room without allocating.
+// appendOfferFrame, appendUpdateFrame and appendMeasurementFrame append
+// one hot-table mutation to dst as a complete WAL frame. They take the
+// record by pointer and cannot fail, so the put and update paths frame a
+// record into a buffer with room without allocating.
 func appendOfferFrame(dst []byte, rec *OfferRecord) []byte {
 	dst, mark := BeginFrame(dst, tagOffer)
 	return EndFrame(rec.AppendWire(dst), mark)
+}
+
+// appendUpdateFrame frames the update that took a stored record from
+// old to now: a transition when the update kept the offer and the owner,
+// the whole record otherwise.
+func appendUpdateFrame(dst []byte, old, now *OfferRecord) []byte {
+	if now.Offer != old.Offer || now.Owner != old.Owner {
+		return appendOfferFrame(dst, now)
+	}
+	dst, mark := BeginFrame(dst, tagOfferState)
+	dst = binary.AppendUvarint(dst, uint64(now.Offer.ID))
+	dst = appendState(dst, now.State)
+	return EndFrame(appendSchedule(dst, now.Schedule), mark)
 }
 
 func appendMeasurementFrame(dst []byte, m *Measurement) []byte {
@@ -191,8 +239,9 @@ func appendRecord(dst []byte, tag byte, v any) ([]byte, error) {
 }
 
 // DecodeWALRecord decodes one WAL frame for inspection: the table (or
-// "prune") the tag names and the record as the Go value the store would
-// apply.
+// "prune", or "offer_transitions") the tag names and the record as the
+// Go value the store would apply. Recovery decodes the hot tags itself
+// (Store.applyLogged) and comes here for the cold ones only.
 func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) {
 	if tag == 0 || int(tag) >= len(tagNames) {
 		return "", nil, fmt.Errorf("store: unknown wal tag %d", tag)
@@ -203,6 +252,10 @@ func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) 
 		var rec OfferRecord
 		rec.ReadWire(&r)
 		v, err = rec, r.Done()
+	case tagOfferState:
+		var t offerTransition
+		t.readWire(&r)
+		v, err = t, r.Done()
 	case tagMeasurement:
 		var m Measurement
 		m.ReadWire(&r)
@@ -226,9 +279,13 @@ func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) 
 		v, err = unmarshalAs[ModelParams](payload)
 	}
 	if err != nil {
-		return "", nil, fmt.Errorf("store: decode %s record: %w", tagNames[tag], err)
+		return "", nil, decodeError(tag, err)
 	}
 	return tagNames[tag], v, nil
+}
+
+func decodeError(tag byte, err error) error {
+	return fmt.Errorf("store: decode %s record: %w", tagNames[tag], err)
 }
 
 func unmarshalAs[V any](payload []byte) (V, error) {

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -91,9 +94,50 @@ func TestSnapshotNonBlocking(t *testing.T) {
 	}
 }
 
+// scheduleOffer and executeOffer are the two transitions the node logs
+// most: the cycle's commit and settlement.
+func scheduleOffer(r *OfferRecord) {
+	r.State, r.Schedule = OfferScheduled, r.Offer.DefaultSchedule()
+}
+
+func executeOffer(r *OfferRecord) { r.State = OfferExecuted }
+
+// transition applies mutate to the stored offer id, failing the test on
+// an error.
+func transition(t *testing.T, s *Store, id flexoffer.ID, mutate func(*OfferRecord)) {
+	t.Helper()
+	if _, err := s.UpdateOffer(id, mutate); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameOffers fails the test unless both stores hold the same offer
+// records, field by field and schedule energy by schedule energy.
+func sameOffers(t *testing.T, got, want *Store) {
+	t.Helper()
+	g, w := got.Offers(OfferFilter{}), want.Offers(OfferFilter{})
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("recovered offers differ\n got %s\nwant %s", describeOffers(g), describeOffers(w))
+	}
+	if gc, wc := got.CountOffersByState(), want.CountOffersByState(); !reflect.DeepEqual(gc, wc) {
+		t.Errorf("recovered state index %v, want %v", gc, wc)
+	}
+}
+
+func describeOffers(recs []OfferRecord) string {
+	var b strings.Builder
+	for _, r := range recs {
+		fmt.Fprintf(&b, "[%d %s %s schedule=%v] ", r.Offer.ID, r.Owner, r.State, r.Schedule)
+	}
+	return b.String()
+}
+
 // TestSnapshotPlusTailEqualsPreCrashState writes, snapshots, writes
 // more (the tail), then "crashes" (reopens without Close) and checks
-// the recovered state equals the pre-crash state exactly.
+// the recovered state equals the pre-crash state exactly. Offer
+// transitions land on both sides of the rotation: one offer runs its
+// whole life before it, one after it, and one is scheduled before and
+// executed after.
 func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -105,17 +149,22 @@ func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.PutOffer(OfferRecord{Offer: testOffer(7), Owner: "p1", State: OfferAccepted}); err != nil {
-		t.Fatal(err)
+	for id := flexoffer.ID(7); id <= 9; id++ {
+		if err := s.PutOffer(OfferRecord{Offer: testOffer(id), Owner: "p1", State: OfferAccepted}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	transition(t, s, 7, scheduleOffer)
+	transition(t, s, 8, scheduleOffer)
+	transition(t, s, 8, executeOffer)
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
-	// Tail: post-snapshot mutations, including a state transition of a
-	// snapshotted record and a prune.
-	if _, err := s.UpdateOffer(7, func(r *OfferRecord) { r.State = OfferScheduled }); err != nil {
-		t.Fatal(err)
-	}
+	// Tail: post-snapshot mutations, including transitions of
+	// snapshotted records and a prune.
+	transition(t, s, 7, executeOffer)
+	transition(t, s, 9, scheduleOffer)
+	transition(t, s, 9, executeOffer)
 	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 100, KWh: 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +191,16 @@ func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
 	if got := s2.Stats().Measurements; got != 41 { // 50 - 10 pruned + 1 tail
 		t.Errorf("measurements = %d, want 41", got)
 	}
-	if r, ok := s2.GetOffer(7); !ok || r.State != OfferScheduled {
-		t.Errorf("offer transition lost: %+v, %v", r, ok)
+	if got := s2.CountOffersByState()[OfferExecuted]; got != 3 {
+		t.Errorf("executed offers after recovery = %d, want 3", got)
 	}
+	sameOffers(t, s2, s)
 }
 
 // TestCrashBetweenSnapshotAndWALRetire simulates dying after the new
-// snapshot is in place but before wal.old is removed: the sealed tail
-// must replay idempotently over a snapshot that already contains it.
+// snapshot is in place but before wal.old is removed: the sealed tail —
+// offer transitions included — must replay idempotently over a snapshot
+// that already contains it.
 func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -162,6 +213,12 @@ func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}); err != nil {
 		t.Fatal(err)
 	}
+	accepted := OfferRecord{Offer: testOffer(7), Owner: "p1", State: OfferAccepted}
+	if err := s.PutOffer(accepted); err != nil {
+		t.Fatal(err)
+	}
+	transition(t, s, 7, scheduleOffer)
+	transition(t, s, 7, executeOffer)
 	if err := s.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +235,18 @@ func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 	}{
 		{tagActor, Actor{ID: "brp1", Role: RoleBRP}},
 		{tagMeasurement, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}},
+		{tagOffer, accepted},
 	} {
 		if sealed, err = appendRecord(sealed, rec.tag, rec.val); err != nil {
 			t.Fatal(err)
 		}
 	}
+	scheduled := accepted
+	scheduleOffer(&scheduled)
+	executed := scheduled
+	executeOffer(&executed)
+	sealed = appendUpdateFrame(sealed, &accepted, &scheduled)
+	sealed = appendUpdateFrame(sealed, &scheduled, &executed)
 	if err := os.WriteFile(walOldPath(dir), sealed, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -191,17 +255,26 @@ func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recovery with leftover wal.old: %v", err)
 	}
-	if got := s2.Stats(); got.Actors != 1 || got.Measurements != 1 {
+	if got := s2.Stats(); got.Actors != 1 || got.Measurements != 1 || got.Offers != 1 {
 		t.Errorf("idempotent replay broke counts: %+v", got)
 	}
+	if r, _ := s2.GetOffer(7); !reflect.DeepEqual(r, executed) {
+		t.Errorf("offer 7 after the sealed tail replayed = %+v, want %+v", r, executed)
+	}
 	// A snapshot from this state must seal the leftover tail away for
-	// good (the rotate path appends to an existing wal.old).
+	// good (the rotate path appends to an existing wal.old), with a
+	// transition on each side of its rotation.
 	if err := s2.PutActor(Actor{ID: "p9", Role: RoleProsumer}); err != nil {
 		t.Fatal(err)
 	}
+	if err := s2.PutOffer(OfferRecord{Offer: testOffer(8), Owner: "p9", State: OfferAccepted}); err != nil {
+		t.Fatal(err)
+	}
+	transition(t, s2, 8, scheduleOffer)
 	if err := s2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	transition(t, s2, 8, executeOffer)
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -213,9 +286,10 @@ func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 	if _, ok := s3.GetActor("p9"); !ok {
 		t.Error("post-recovery write lost")
 	}
-	if got := s3.Stats(); got.Actors != 2 || got.Measurements != 1 {
+	if got := s3.Stats(); got.Actors != 2 || got.Measurements != 1 || got.Offers != 2 {
 		t.Errorf("counts after second snapshot: %+v", got)
 	}
+	sameOffers(t, s3, s2)
 }
 
 // TestCrashBeforeSnapshotWriteKeepsSealedTail simulates dying between
@@ -550,5 +624,202 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	defer s2.Close()
 	if got := s2.Stats().Measurements; got != writers*each {
 		t.Errorf("recovered %d measurements, want %d", got, writers*each)
+	}
+}
+
+// walTags lists the tags of the frames in the WAL file at path.
+func walTags(t *testing.T, path string) []byte {
+	t.Helper()
+	var tags []byte
+	if _, err := ReplayFrames(path, WALMagic, func(_ int64, tag byte, _ []byte) error {
+		tags = append(tags, tag)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return tags
+}
+
+// TestParentFormatWALReopens: a WAL written before transition frames
+// existed — every offer update logged as the whole record — opens to the
+// same store the transition-logging write path builds, and takes
+// transition frames behind its old ones under the same magic.
+func TestParentFormatWALReopens(t *testing.T) {
+	dir := t.TempDir()
+	ref := NewInMemory()
+	img := []byte(WALMagic)
+	for id := flexoffer.ID(1); id <= 6; id++ {
+		rec := OfferRecord{Offer: testOffer(id), Owner: fmt.Sprintf("p%d", id%2), State: OfferAccepted}
+		if err := ref.PutOffer(rec); err != nil {
+			t.Fatal(err)
+		}
+		img = appendOfferFrame(img, &rec)
+	}
+	for _, step := range []struct {
+		ids    []flexoffer.ID
+		mutate func(*OfferRecord)
+	}{{[]flexoffer.ID{1, 2, 3, 4}, scheduleOffer}, {[]flexoffer.ID{1, 2}, executeOffer}} {
+		for _, id := range step.ids {
+			rec, err := ref.UpdateOffer(id, step.mutate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img = appendOfferFrame(img, &rec)
+		}
+	}
+	if err := os.WriteFile(walPath(dir), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("open a WAL of whole offer records: %v", err)
+	}
+	sameOffers(t, s, ref)
+	transition(t, s, 3, executeOffer)
+	transition(t, ref, 3, executeOffer)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	sameOffers(t, s2, ref)
+	tags := walTags(t, walPath(dir))
+	if want := append(bytes.Repeat([]byte{tagOffer}, 12), tagOfferState); !bytes.Equal(tags, want) {
+		t.Errorf("wal tags = %v, want %v", tags, want)
+	}
+}
+
+// TestTransitionForUnknownOfferFailsOpen: a transition names an offer an
+// earlier record stored. One that names no stored offer means the log is
+// not this store's history, so opening fails at the frame's offset and
+// leaves the file exactly as it was — torn tail included.
+func TestTransitionForUnknownOfferFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	known := OfferRecord{Offer: testOffer(1), Owner: "p1", State: OfferAccepted}
+	img := appendOfferFrame([]byte(WALMagic), &known)
+	at := len(img)
+	stray := OfferRecord{Offer: testOffer(99), Owner: "p1", State: OfferScheduled}
+	executed := stray
+	executeOffer(&executed)
+	img = appendUpdateFrame(img, &stray, &executed)
+	img = append(img, 1, 2, 3) // a torn tail a successful open would cut
+	if err := os.WriteFile(walPath(dir), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(string) (*Store, error){"Open": func(d string) (*Store, error) { return Open(d) }, "OpenReadOnly": OpenReadOnly} {
+		s, err := open(dir)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s accepted a transition for an offer no record stored", name)
+		}
+		if !errors.Is(err, ErrUnknownOffer) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d ", at)) {
+			t.Errorf("%s: err = %v, want ErrUnknownOffer at offset %d", name, err, at)
+		}
+		if after, err := os.ReadFile(walPath(dir)); err != nil || !bytes.Equal(after, img) {
+			t.Fatalf("%s changed the WAL (%v)", name, err)
+		}
+	}
+}
+
+// TestUpdateLogsOnlyWhatChanged: an update that keeps the offer and the
+// owner logs a transition, one that changes the owner logs the whole
+// record, and one that changes nothing — the same Offer pointer, owner,
+// state and Schedule pointer — logs and applies nothing, on the single
+// and the batch path alike.
+func TestUpdateLogsOnlyWhatChanged(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.PutOffer(OfferRecord{Offer: testOffer(1), Owner: "p1", State: OfferAccepted}); err != nil {
+		t.Fatal(err)
+	}
+	noop := func(*OfferRecord) {}
+	sameState := func(r *OfferRecord) { r.State = OfferAccepted }
+	transition(t, s, 1, noop)
+	transition(t, s, 1, sameState)
+	if res, err := s.UpdateOffers([]OfferUpdate{{ID: 1, Mutate: noop}, {ID: 1, Mutate: sameState}}); err != nil || res[1].Record.State != OfferAccepted {
+		t.Fatalf("no-op batch = %+v, %v", res, err)
+	}
+	if got := s.WALStats().Records; got != 1 {
+		t.Fatalf("no-op updates logged: %d records, want the put alone", got)
+	}
+
+	fi, err := os.Stat(walPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	putBytes := fi.Size() - LogHeaderLen
+	transition(t, s, 1, scheduleOffer)
+	if fi, err = os.Stat(walPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if grew := fi.Size() - LogHeaderLen - putBytes; grew >= putBytes {
+		t.Errorf("a transition with a schedule logged %d bytes, the whole record %d", grew, putBytes)
+	}
+	transition(t, s, 1, func(r *OfferRecord) { r.Owner = "p2" })
+	if tags := walTags(t, walPath(dir)); !bytes.Equal(tags, []byte{tagOffer, tagOfferState, tagOffer}) {
+		t.Errorf("wal tags = %v, want offer, transition, offer", tags)
+	}
+	if got := s.Offers(OfferFilter{Owner: "p2", State: OfferScheduled}); len(got) != 1 {
+		t.Errorf("indexes after the owner change = %+v", got)
+	}
+}
+
+// TestUpdateOffersLogFailureChangesNothing: when the group commit fails,
+// UpdateOffers returns the error and every record — chained same-id
+// updates included — is as it was, in the table and in the indexes.
+func TestUpdateOffersLogFailureChangesNothing(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for id := flexoffer.ID(1); id <= 2; id++ {
+		if err := s.PutOffer(OfferRecord{Offer: testOffer(id), Owner: "p1", State: OfferAccepted}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, counts := s.Offers(OfferFilter{}), s.CountOffersByState()
+	if err := s.w.Close(); err != nil { // every later commit fails
+		t.Fatal(err)
+	}
+	if _, err := s.UpdateOffers([]OfferUpdate{{ID: 1, Mutate: scheduleOffer}, {ID: 2, Mutate: scheduleOffer}, {ID: 1, Mutate: executeOffer}}); err == nil {
+		t.Fatal("UpdateOffers on a closed WAL succeeded")
+	}
+	if after := s.Offers(OfferFilter{}); !reflect.DeepEqual(after, before) {
+		t.Errorf("records after a failed commit = %s, want %s", describeOffers(after), describeOffers(before))
+	}
+	if after := s.CountOffersByState(); !reflect.DeepEqual(after, counts) {
+		t.Errorf("state index after a failed commit = %v, want %v", after, counts)
+	}
+}
+
+// TestInsertOfferKeepsStoredRecord: InsertOffer stores a record only
+// under a free id, and the one it declines leaves no trace in the table
+// or the indexes.
+func TestInsertOfferKeepsStoredRecord(t *testing.T) {
+	s := NewInMemory()
+	first := OfferRecord{Offer: testOffer(1), Owner: "p1", State: OfferAccepted}
+	if ok, err := s.InsertOffer(first); !ok || err != nil {
+		t.Fatalf("insert under a free id = %v, %v", ok, err)
+	}
+	if ok, err := s.InsertOffer(OfferRecord{Offer: testOffer(1), Owner: "p2", State: OfferRejected}); ok || err != nil {
+		t.Fatalf("insert over a stored record = %v, %v, want false, nil", ok, err)
+	}
+	if rec, _ := s.GetOffer(1); rec != first {
+		t.Errorf("record = %+v, want %+v", rec, first)
+	}
+	if got := s.Offers(OfferFilter{Owner: "p2"}); len(got) != 0 {
+		t.Errorf("declined insert indexed under its owner: %+v", got)
+	}
+	if got := s.CountOffersByState(); got[OfferRejected] != 0 || got[OfferAccepted] != 1 {
+		t.Errorf("state counts = %v", got)
 	}
 }

@@ -44,7 +44,10 @@ import (
 //
 // One versioning rule: a change to the frame layout or to any payload's
 // field order bumps the magic's version byte, and a reader refuses every
-// version but its own with ErrLogFormat — no fallback reader. In
+// version but its own with ErrLogFormat — no fallback reader. A new tag
+// is neither: it keeps the version, so files written before it still
+// open, and an older reader refuses a file holding it as an unknown tag
+// instead of misreading it. In
 // particular a file that does not start with the magic (say a JSON-lines
 // log from before the binary format) is never "all torn tail": it is
 // left untouched and reported.

@@ -27,6 +27,9 @@ func FuzzReplayFrames(f *testing.F) {
 	rec := fuzzOfferRecord()
 	valid := []byte(WALMagic)
 	valid, _ = appendRecord(valid, tagOffer, rec)
+	executed := rec
+	executed.State = OfferExecuted
+	valid = appendUpdateFrame(valid, &rec, &executed)
 	valid, _ = appendRecord(valid, tagMeasurement, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7})
 	valid, _ = appendRecord(valid, tagActor, Actor{ID: "brp1", Role: RoleBRP})
 	f.Add(valid)
@@ -65,15 +68,21 @@ func FuzzReplayFrames(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecords: the offer, measurement and measurement-batch
-// decoders never panic and never build anything a length prefix
-// promised but the input did not deliver — every decoded slice and
-// string is accounted for by input bytes.
+// FuzzDecodeRecords: the offer, offer transition, measurement and
+// measurement-batch decoders never panic and never build anything a
+// length prefix promised but the input did not deliver — every decoded
+// slice and string, schedule energies included, is accounted for by
+// input bytes.
 func FuzzDecodeRecords(f *testing.F) {
 	rec := fuzzOfferRecord()
 	offer := rec.AppendWire(nil)
 	f.Add(tagOffer, offer)
 	f.Add(tagOffer, offer[:len(offer)/2])
+	accepted := rec
+	accepted.State, accepted.Schedule = OfferAccepted, nil
+	transition := appendUpdateFrame(nil, &accepted, &rec)[frameHeaderLen+1:]
+	f.Add(tagOfferState, transition)
+	f.Add(tagOfferState, transition[:len(transition)/2])
 	f.Add(tagMeasurement, (&Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}).AppendWire(nil))
 	f.Add(tagPrune, binary.AppendVarint(nil, 480))
 	f.Add(tagActor, []byte(`{"id":"brp1","role":"brp"}`))
@@ -88,6 +97,10 @@ func FuzzDecodeRecords(f *testing.F) {
 				}
 				if size > len(payload) {
 					t.Fatalf("offer record of %d content bytes decoded from %d input bytes", size, len(payload))
+				}
+			case offerTransition:
+				if v.Schedule != nil && 8*len(v.Schedule.Energy) > len(payload) {
+					t.Fatalf("transition with %d schedule energies decoded from %d input bytes", len(v.Schedule.Energy), len(payload))
 				}
 			case Measurement:
 				if len(v.Actor)+len(v.EnergyType)+8 > len(payload) {

@@ -32,21 +32,30 @@ func newOfferIndex() *offerIndex {
 	}
 }
 
-// update moves id between index buckets after an upsert. Caller holds
-// the offer's stripe write lock.
+// update moves id between index buckets after an upsert, touching only
+// the buckets it leaves and enters: an update that keeps the state and
+// the owner does not take the index lock. Caller holds the offer's
+// stripe write lock.
 func (ix *offerIndex) update(id flexoffer.ID, old OfferRecord, had bool, now OfferRecord) {
+	moveState := !had || old.State != now.State
+	moveOwner := !had || old.Owner != now.Owner
+	if !moveState && !moveOwner {
+		return
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if had {
-		if old.State != now.State {
+	if moveState {
+		if had {
 			removeFromSet(ix.byState, old.State, id)
 		}
-		if old.Owner != now.Owner {
+		addToSet(ix.byState, now.State, id)
+	}
+	if moveOwner {
+		if had {
 			removeFromSet(ix.byOwner, old.Owner, id)
 		}
+		addToSet(ix.byOwner, now.Owner, id)
 	}
-	addToSet(ix.byState, now.State, id)
-	addToSet(ix.byOwner, now.Owner, id)
 }
 
 // idsByState copies the ids currently recorded in state.

@@ -200,7 +200,8 @@ func OpenReadOnly(dir string) (*Store, error) {
 // loadSnapshot loads the snapshot image, if there is one. The WAL files
 // replay over it: the sealed pre-snapshot tail, then the live log.
 // Replaying a sealed tail whose snapshot completed is an idempotent
-// no-op (puts are upserts, prunes re-prune nothing); a log in another
+// no-op (puts are upserts, transitions assign state and schedule
+// absolutely, prunes re-prune nothing); a log in another
 // format fails recovery (ErrLogFormat) with its file untouched.
 func (s *Store) loadSnapshot(dir string) error {
 	raw, err := os.ReadFile(snapshotPath(dir))
@@ -390,9 +391,55 @@ func (s *Store) applyOffer(r OfferRecord) {
 	})
 }
 
+// applyTransition assigns a logged transition's state and schedule to
+// the stored offer (log-free). A transition names an offer an earlier
+// record stored, so one for an unknown offer means the log is not this
+// store's history: recovery fails at the frame's offset.
+func (s *Store) applyTransition(off int64, t *offerTransition) error {
+	sh := s.offers.shard(t.ID)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	old, ok := sh.m[t.ID]
+	if !ok {
+		return fmt.Errorf("%w: the transition at wal offset %d names offer %d, which no earlier record stored", ErrUnknownOffer, off, t.ID)
+	}
+	r := old
+	r.State, r.Schedule = t.State, t.Schedule
+	sh.m[t.ID] = r
+	s.offerIdx.update(t.ID, old, true, r)
+	return nil
+}
+
 // applyLogged applies one WAL record during recovery: the replay
-// callback of Open and OpenReadOnly.
-func (s *Store) applyLogged(_ int64, tag byte, payload []byte) error {
+// callback of Open and OpenReadOnly. The hot tags are decoded here,
+// typed; the cold tables and the prune mark go through DecodeWALRecord.
+func (s *Store) applyLogged(off int64, tag byte, payload []byte) error {
+	r := wire.NewReader(payload)
+	switch tag {
+	case tagOffer:
+		var rec OfferRecord
+		rec.ReadWire(&r)
+		if err := r.Done(); err != nil {
+			return decodeError(tag, err)
+		}
+		s.applyOffer(rec)
+		return nil
+	case tagOfferState:
+		var t offerTransition
+		t.readWire(&r)
+		if err := r.Done(); err != nil {
+			return decodeError(tag, err)
+		}
+		return s.applyTransition(off, &t)
+	case tagMeasurement:
+		var m Measurement
+		m.ReadWire(&r)
+		if err := r.Done(); err != nil {
+			return decodeError(tag, err)
+		}
+		s.applyMeasurement(m)
+		return nil
+	}
 	_, v, err := DecodeWALRecord(tag, payload)
 	if err != nil {
 		return err
@@ -404,10 +451,6 @@ func (s *Store) applyLogged(_ int64, tag byte, payload []byte) error {
 		applyPut(s.energyTypes, v.ID, v, nil)
 	case MarketArea:
 		applyPut(s.marketAreas, v.ID, v, nil)
-	case Measurement:
-		s.applyMeasurement(v)
-	case OfferRecord:
-		s.applyOffer(v)
 	case ForecastRecord:
 		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v, nil)
 	case PriceRecord:
@@ -450,6 +493,15 @@ func (s *Store) loggedOffer(r *OfferRecord) *[]byte {
 	}
 	buf := wire.GetBuf()
 	*buf = appendOfferFrame(*buf, r)
+	return buf
+}
+
+func (s *Store) loggedUpdate(old, now *OfferRecord) *[]byte {
+	if s.w == nil {
+		return nil
+	}
+	buf := wire.GetBuf()
+	*buf = appendUpdateFrame(*buf, old, now)
 	return buf
 }
 
@@ -587,13 +639,41 @@ func (s *Store) PutOffer(r OfferRecord) error {
 	})
 }
 
+// InsertOffer stores r unless a record with its id exists already, and
+// reports whether it did; the check and the insert are one atomic step
+// under the record's stripe lock.
+func (s *Store) InsertOffer(r OfferRecord) (bool, error) {
+	if r.Offer == nil {
+		return false, fmt.Errorf("store: offer record without offer")
+	}
+	if s.readOnly {
+		return false, ErrReadOnly
+	}
+	id := r.Offer.ID
+	sh := s.offers.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if _, had := sh.m[id]; had {
+		return false, nil
+	}
+	if err := s.commitLogged(s.loggedOffer(&r)); err != nil {
+		return false, err
+	}
+	sh.m[id] = r
+	s.offerIdx.update(id, OfferRecord{}, false, r)
+	return true, nil
+}
+
 // UpdateOffer applies mutate to the stored record in one atomic
 // read-modify-write round-trip and returns the stored result. Use it
 // for state transitions that must not interleave with a concurrent
 // writer between a GetOffer and a PutOffer (e.g. a negotiation
 // decision racing the schedule that the decision unlocked). Returns
-// ErrUnknownOffer when no record exists. Batch transitions should
-// prefer UpdateOffers, which logs the whole set as one group commit.
+// ErrUnknownOffer when no record exists. The rules of OfferUpdate
+// apply: an update that keeps the offer and the owner logs only the
+// transition, and one that changes nothing logs nothing. Batch
+// transitions should prefer UpdateOffers, which logs the whole set as
+// one group commit.
 func (s *Store) UpdateOffer(id flexoffer.ID, mutate func(*OfferRecord)) (OfferRecord, error) {
 	if s.readOnly {
 		return OfferRecord{}, ErrReadOnly
@@ -610,7 +690,10 @@ func (s *Store) UpdateOffer(id flexoffer.ID, mutate func(*OfferRecord)) (OfferRe
 	if r.Offer == nil {
 		return OfferRecord{}, fmt.Errorf("store: offer record without offer")
 	}
-	if err := s.commitLogged(s.loggedOffer(&r)); err != nil {
+	if r == old {
+		return r, nil
+	}
+	if err := s.commitLogged(s.loggedUpdate(&old, &r)); err != nil {
 		return OfferRecord{}, err
 	}
 	sh.m[id] = r

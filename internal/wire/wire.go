@@ -80,8 +80,8 @@ func PutBuf(b *[]byte) {
 
 // Reader decodes one record from a byte slice. The first failure sticks:
 // every later read returns a zero value and Err reports that failure.
-// Strings are copied out, so nothing a Reader returns — except Rest —
-// aliases its input.
+// Strings are copied out, so nothing a Reader returns — except Bytes
+// and Rest — aliases its input.
 type Reader struct {
 	buf []byte
 	err error
@@ -199,7 +199,11 @@ func (r *Reader) Count(minElem int) int {
 }
 
 // String reads a length-prefixed string (copied).
-func (r *Reader) String() string { return string(r.take(r.Count(1))) }
+func (r *Reader) String() string { return string(r.Bytes()) }
+
+// Bytes reads a length-prefixed byte string as a view into the input:
+// for a field the caller only compares or copies.
+func (r *Reader) Bytes() []byte { return r.take(r.Count(1)) }
 
 // Rest returns every unread byte as a view into the input and leaves
 // the Reader empty.

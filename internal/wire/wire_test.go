@@ -16,6 +16,8 @@ func TestRoundTrip(t *testing.T) {
 	b = binary.AppendVarint(b, -1)
 	b = AppendString(b, "")
 	b = AppendString(b, "household-17")
+	rawAt := len(b) + 1 // past the one-byte length
+	b = AppendString(b, "raw")
 	b = AppendFloat64(b, math.Copysign(0, -1))
 	b = AppendFloat64(b, math.Float64frombits(0x7ff8dead0000beef)) // a NaN with a payload
 	b = AppendBool(b, true)
@@ -39,6 +41,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if s := r.String(); s != "household-17" {
 		t.Errorf("string = %q", s)
+	}
+	if raw := r.Bytes(); string(raw) != "raw" || &raw[0] != &b[rawAt] {
+		t.Errorf("bytes = %q, want a view of the input", raw)
 	}
 	if f := r.Float64(); f != 0 || !math.Signbit(f) {
 		t.Errorf("-0 = %g", f)
@@ -67,6 +72,7 @@ func TestHostilePrefixes(t *testing.T) {
 	huge := binary.AppendUvarint(nil, math.MaxUint64)
 	for name, read := range map[string]func(r *Reader){
 		"string":  func(r *Reader) { _ = r.String() },
+		"bytes":   func(r *Reader) { _ = r.Bytes() },
 		"count16": func(r *Reader) { r.Count(16) },
 	} {
 		r := NewReader(append(huge, 1, 2, 3))
