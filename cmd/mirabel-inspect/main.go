@@ -18,7 +18,9 @@
 // files; -dump replays one of them read-only, frame by frame, and prints
 // each record as one JSON object (file, offset, tag, decoded record) —
 // `| jq` as before. In the WAL, an offer update that kept the offer and
-// its owner is an "offer_transitions" record: id, state and schedule.
+// its owner is an "offer_transitions" record (id, state and schedule),
+// or an "offer_states" record (id and state) when it kept the schedule
+// too: the offer's schedule is then whatever its previous transition set.
 //
 //	mirabel-inspect -data /tmp/brp1 -dump wal
 //	mirabel-inspect -data /tmp/brp1 -dump journal

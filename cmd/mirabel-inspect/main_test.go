@@ -28,11 +28,13 @@ func TestDumpLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	scheduled := func(r *store.OfferRecord) { r.State, r.Schedule = store.OfferScheduled, offer.DefaultSchedule() }
 	executed := func(r *store.OfferRecord) { r.State = store.OfferExecuted }
 	for _, err := range []error{
 		st.PutActor(store.Actor{ID: "brp1", Role: store.RoleBRP}),
-		st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferScheduled, Schedule: offer.DefaultSchedule()}),
-		func() error { _, err := st.UpdateOffer(7, executed); return err }(), // logged as a transition
+		st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}),
+		func() error { _, err := st.UpdateOffer(7, scheduled); return err }(), // logged as a transition with its schedule
+		func() error { _, err := st.UpdateOffer(7, executed); return err }(),  // logged as a state-only step
 		st.PutMeasurement(store.Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 1.5}),
 	} {
 		if err != nil {
@@ -88,8 +90,8 @@ func TestDumpLogs(t *testing.T) {
 		tags  []string
 		want  []string // a substring of each line's record
 	}{
-		{"wal", []string{"actors", "offers", "offer_transitions", "measurements", "prune"}, []string{
-			`"id":"brp1"`, `"state":"scheduled"`, `{"id":7,"state":"executed","schedule":{"OfferID":7,"Start":40,`, `"kwh":1.5`, `"before":2`,
+		{"wal", []string{"actors", "offers", "offer_transitions", "offer_states", "measurements", "prune"}, []string{
+			`"id":"brp1"`, `"state":"accepted"`, `{"id":7,"state":"scheduled","schedule":{"OfferID":7,"Start":40,`, `{"id":7,"state":"executed"}`, `"kwh":1.5`, `"before":2`,
 		}},
 		{"journal", []string{"offer", "meas"}, []string{`"state":"accepted"`, `"slot":5`}},
 		{"ledger", []string{"line", "penalty"}, []string{`"hash":"` + sealed[0].Hash + `"`, `"memo":"late","prev":"` + sealed[0].Hash + `"`}},

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -410,4 +412,63 @@ func TestNewNodeFailureReleasesDataPath(t *testing.T) {
 	if got := re.RecoveredPending(); got != 1 {
 		t.Errorf("recovered pending = %d, want the acked offer", got)
 	}
+}
+
+// TestNewNodeJournalFailureJoinsLedger: the ledger's chain walk runs on
+// its own goroutine beside the journal replay. When the journal side
+// fails while the walk is still going (here: a journal path that is a
+// directory fails at once, and the chain holds thousands of entries),
+// NewNode waits for the walk, closes the ledger and returns the
+// journal's error: no goroutine is left behind, the ledger file is byte
+// for byte what it was, and a second attempt over the same directory
+// recovers everything.
+func TestNewNodeJournalFailureJoinsLedger(t *testing.T) {
+	dir := t.TempDir()
+	writeCrashedNode(t, dir, 3000, 2000)
+	ledgerPath := filepath.Join(dir, "ledger.log")
+	ledgerBefore, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	bad := reopenConfig(dir, st)
+	bad.Ingest = &ingest.Config{Path: dir} // a directory is no journal
+	before, fds := runtime.NumGoroutine(), openFiles()
+	if n, err := NewNode(bad); err == nil {
+		n.Close()
+		t.Fatal("NewNode replayed a directory as its journal")
+	} else if !strings.Contains(err.Error(), "ingest") {
+		t.Errorf("err = %v, want the journal's failure", err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= before })
+	if now := openFiles(); now > fds {
+		t.Errorf("the failed NewNode left %d files open", now-fds)
+	}
+	if after, err := os.ReadFile(ledgerPath); err != nil || !bytes.Equal(after, ledgerBefore) {
+		t.Fatalf("the failed NewNode changed the ledger (%v)", err)
+	}
+
+	re, err := NewNode(reopenConfig(dir, st))
+	if err != nil {
+		t.Fatalf("reopen over the same directory: %v", err)
+	}
+	defer re.Close()
+	if got := re.RecoveredPending(); got != 1000 {
+		t.Errorf("recovered pending = %d, want the 1000 accepted offers", got)
+	}
+	if ls, _ := re.LedgerStats(); ls.RecoveredEntries != 1960 { // 2000 planned, one in 50 expired
+		t.Errorf("recovered ledger entries = %d, want 1960", ls.RecoveredEntries)
+	}
+}
+
+// openFiles counts the process's open file descriptors, or returns 0
+// where /proc does not list them.
+func openFiles() int {
+	fds, _ := os.ReadDir("/proc/self/fd")
+	return len(fds)
 }

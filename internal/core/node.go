@@ -291,14 +291,54 @@ func orZero[T any](p *T) T {
 }
 
 // openDataPath opens the aggregating roles' components — registry,
-// ingest queue, ledger, in dependency order — and recovers the planning
-// state. On failure everything already opened is stopped again, in
-// reverse order and without the drain barrier (a journal this node
-// could not finish opening over is left intact for the next attempt).
+// ingest queue, ledger — and recovers the planning state. The ledger's
+// chain walk reads a file nothing else reads, so it runs on its own
+// goroutine while the journal replays into the store and the accepted
+// offers are re-admitted, and is joined before the intake barrier: the
+// barrier retires the journal, so it is the first step that changes a
+// file. On any failure everything already opened is stopped again
+// without the barrier (a journal this node could not finish opening
+// over is left intact for the next attempt).
 func (n *Node) openDataPath() error {
+	type opened struct {
+		l   *settle.Ledger
+		err error
+	}
+	ledger := make(chan opened, 1)
+	go func() {
+		l, err := settle.OpenLedger(orZero(n.cfg.Settlement))
+		ledger <- opened{l, err}
+	}()
+	reg, q, err := n.openIntake()
+	lo := <-ledger
+	switch {
+	case err != nil:
+		if lo.err == nil {
+			_ = lo.l.Close()
+		}
+		return err
+	case lo.err != nil:
+		q.Kill()
+		reg.Close()
+		return fmt.Errorf("core: open settlement ledger: %w", lo.err)
+	}
+	n.fcasts, n.ingest, n.ledger = reg, q, lo.l
+	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := n.DrainIngest(dctx); err != nil {
+		n.abandon()
+		return fmt.Errorf("core: recover ingest journal: %w", err)
+	}
+	return nil
+}
+
+// openIntake opens the forecast registry and the ingest queue, whose
+// Open replays the journal into the store before it returns, and then
+// re-admits the accepted offers. On failure it stops what it opened.
+func (n *Node) openIntake() (*forecast.Registry, *ingest.Queue, error) {
 	reg, err := forecast.NewRegistry(orZero(n.cfg.Forecasting))
 	if err != nil {
-		return fmt.Errorf("core: forecast registry: %w", err)
+		return nil, nil, fmt.Errorf("core: forecast registry: %w", err)
 	}
 	ic := orZero(n.cfg.Ingest)
 	ic.Store = n.store
@@ -315,36 +355,19 @@ func (n *Node) openDataPath() error {
 	q, err := ingest.Open(ic)
 	if err != nil {
 		reg.Close()
-		return fmt.Errorf("core: open ingest queue: %w", err)
+		return nil, nil, fmt.Errorf("core: open ingest queue: %w", err)
 	}
-	l, err := settle.OpenLedger(orZero(n.cfg.Settlement))
-	if err != nil {
-		q.Kill()
-		reg.Close()
-		return fmt.Errorf("core: open settlement ledger: %w", err)
-	}
-	n.fcasts, n.ingest, n.ledger = reg, q, l
-	if err := n.recoverPending(); err != nil {
-		n.abandon()
-		return err
-	}
-	return nil
+	n.readmitAccepted()
+	return reg, q, nil
 }
 
-// recoverPending is crash recovery for the planning state: a
-// predecessor's accepted offers live in the store (and possibly still
-// in the ingest journal), but pending/pipeline are in-memory and died
-// with it. Re-admit them so a restarted BRP schedules what it had
-// already promised, instead of letting acked offers sit accepted
-// forever.
-func (n *Node) recoverPending() error {
-	// Journal replay finishes first, so offers acked durable but never
-	// applied are visible to the scan below.
-	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := n.DrainIngest(dctx); err != nil {
-		return fmt.Errorf("core: recover ingest journal: %w", err)
-	}
+// readmitAccepted is crash recovery for the planning state: a
+// predecessor's accepted offers live in the store (and possibly only in
+// the ingest journal, which ingest.Open has applied by now), but
+// pending/pipeline are in-memory and died with it. Re-admit them so a
+// restarted BRP schedules what it had already promised, instead of
+// letting acked offers sit accepted forever.
+func (n *Node) readmitAccepted() {
 	for _, rec := range n.store.Offers(store.OfferFilter{State: store.OfferAccepted}) {
 		if rec.Offer == nil {
 			continue
@@ -355,7 +378,6 @@ func (n *Node) recoverPending() error {
 		n.pending[rec.Offer.ID] = rec.Offer
 		n.recoveredPending++
 	}
-	return nil
 }
 
 // enterPlanner is the one way into a planner-side flow: it takes

@@ -55,12 +55,13 @@ func appendEvent(dst []byte, ev event) []byte {
 	return store.EndFrame(dst, mark)
 }
 
-// decodeEvent decodes one journal frame. A frame reaches here with its
-// checksum verified, so a failure means a foreign or newer writer, not
-// a torn write; recovery skips and counts such frames.
-func decodeEvent(tag byte, payload []byte) (event, error) {
+// decodeEvent decodes one journal frame, its strings through names
+// (nil: fresh copies). A frame reaches here with its checksum verified,
+// so a failure means a foreign or newer writer, not a torn write;
+// recovery skips and counts such frames.
+func decodeEvent(tag byte, payload []byte, names wire.Interner) (event, error) {
 	var ev event
-	r := wire.NewReader(payload)
+	r := wire.NewInterningReader(payload, names)
 	switch tag {
 	case tagOffer:
 		ev.offer = new(store.OfferRecord)
@@ -80,7 +81,7 @@ func decodeEvent(tag byte, payload []byte) (event, error) {
 // event kind and the store.OfferRecord or []store.Measurement it
 // carries.
 func DecodeJournalRecord(tag byte, payload []byte) (kind string, v any, err error) {
-	ev, err := decodeEvent(tag, payload)
+	ev, err := decodeEvent(tag, payload, nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -174,8 +175,11 @@ func Open(cfg Config) (*Queue, error) {
 	return q, nil
 }
 
-// openJournal recovers the journal and opens it for appending.
+// openJournal recovers the journal and opens it for appending. The
+// replay owns one string table, so the owners, prosumers and series
+// names its events repeat are allocated once each.
 func (q *Queue) openJournal() error {
+	names := wire.Interner{}
 	batch := make([]event, 0, q.cfg.MaxBatch)
 	flush := func() {
 		q.applyEvents(batch)
@@ -184,7 +188,7 @@ func (q *Queue) openJournal() error {
 	}
 	log, _, err := store.OpenGroupLog(JournalFiles(q.cfg.Path), JournalMagic, q.cfg.Sync, q.cfg.SyncInterval, true,
 		func(off int64, tag byte, payload []byte) error {
-			ev, err := decodeEvent(tag, payload)
+			ev, err := decodeEvent(tag, payload, names)
 			if err != nil {
 				// Counted and surfaced by Drain, which then keeps the
 				// journal: the frame is evidence, not garbage.

@@ -105,7 +105,9 @@ func appendBody(dst []byte, e *Entry, prev []byte) []byte {
 // decodeEntry decodes one ledger frame into e, leaving its hash fields
 // alone, and returns the raw previous hash the body carries (empty on
 // the first entry) and the hash the frame carries; both alias payload.
-func decodeEntry(tag byte, payload []byte, e *Entry) (prev, sum []byte, err error) {
+// Kind and Actor come from names (nil: fresh copies); a memo is mostly
+// one of a kind, so it is always copied.
+func decodeEntry(tag byte, payload []byte, e *Entry, names wire.Interner) (prev, sum []byte, err error) {
 	if tag != tagEntry {
 		return nil, nil, fmt.Errorf("settle: unknown ledger tag %#x", tag)
 	}
@@ -113,7 +115,7 @@ func decodeEntry(tag byte, payload []byte, e *Entry) (prev, sum []byte, err erro
 		return nil, nil, fmt.Errorf("settle: decode ledger entry: %w", wire.ErrShort)
 	}
 	body, sum := payload[:len(payload)-sha256.Size], payload[len(payload)-sha256.Size:]
-	r := wire.NewReader(body)
+	r := wire.NewInterningReader(body, names)
 	e.Seq = r.Uvarint()
 	e.Kind = EntryKind(r.String())
 	e.Actor = r.String()
@@ -122,7 +124,7 @@ func decodeEntry(tag byte, payload []byte, e *Entry) (prev, sum []byte, err erro
 	e.KWh = r.Float64()
 	e.AmountEUR = r.Float64()
 	e.Compliant = r.Bool()
-	e.Memo = r.String()
+	e.Memo = string(r.Bytes())
 	prev = r.Bytes()
 	if len(prev) != 0 && len(prev) != sha256.Size {
 		r.Fail(wire.ErrMalformed)
@@ -138,7 +140,7 @@ func decodeEntry(tag byte, payload []byte, e *Entry) (prev, sum []byte, err erro
 // one its body actually has.
 func DecodeLedgerRecord(tag byte, payload []byte) (Entry, error) {
 	var e Entry
-	prev, sum, err := decodeEntry(tag, payload, &e)
+	prev, sum, err := decodeEntry(tag, payload, &e, nil)
 	if err != nil {
 		return Entry{}, err
 	}
@@ -259,7 +261,7 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.Path == "" {
 		return l, nil
 	}
-	log, cut, err := store.OpenGroupLog([]string{cfg.Path}, LedgerMagic, cfg.Sync, cfg.SyncInterval, false, l.replay)
+	log, cut, err := store.OpenGroupLog([]string{cfg.Path}, LedgerMagic, cfg.Sync, cfg.SyncInterval, false, l.chainWalk())
 	if err != nil {
 		return nil, fmt.Errorf("settle: open ledger %s: %w", cfg.Path, err)
 	}
@@ -276,16 +278,25 @@ func (l *Ledger) headHash() []byte {
 	return l.head[:]
 }
 
-// replay is the chain walk's ReplayFrames callback, for Open and for the
-// audit alike: check one frame against the chain position (l.nextSeq,
-// l.head) and apply it. The hashes are compared raw. Caller holds mu (or
-// owns l exclusively, as during Open).
-func (l *Ledger) replay(off int64, tag byte, payload []byte) error {
+// chainWalk returns the chain walk's ReplayFrames callback, for Open and
+// for the audit alike: check one frame against the chain position
+// (l.nextSeq, l.head) and apply it. The hashes are compared raw, and the
+// walk owns one string table, so each actor's name is allocated once.
+// Caller holds mu (or owns l exclusively, as during Open) for the whole
+// walk.
+func (l *Ledger) chainWalk() func(off int64, tag byte, payload []byte) error {
+	names := wire.Interner{}
+	return func(off int64, tag byte, payload []byte) error {
+		return l.replay(off, tag, payload, names)
+	}
+}
+
+func (l *Ledger) replay(off int64, tag byte, payload []byte, names wire.Interner) error {
 	broken := func(reason string) error {
 		return fmt.Errorf("%w at entry %d, offset %d: %s", ErrChainBroken, l.nextSeq, off, reason)
 	}
 	var e Entry
-	prev, sum, err := decodeEntry(tag, payload, &e)
+	prev, sum, err := decodeEntry(tag, payload, &e, names)
 	if err != nil {
 		return broken("undecodable entry: " + err.Error())
 	}
@@ -468,7 +479,7 @@ func (l *Ledger) Verify() (VerifyResult, error) {
 // a divergence: the chain is intact up to it.
 func VerifyFile(path string) (VerifyResult, error) {
 	walk := &Ledger{balances: make(map[string]*Balance), settled: make(map[flexoffer.ID]struct{})}
-	end, err := store.ReplayFrames(path, LedgerMagic, walk.replay)
+	end, err := store.ReplayFrames(path, LedgerMagic, walk.chainWalk())
 	res := VerifyResult{Entries: walk.nextSeq, OK: err == nil, Offset: end}
 	if errors.Is(err, ErrChainBroken) || errors.Is(err, store.ErrDamaged) {
 		// The divergence is the result, not a failure to audit.

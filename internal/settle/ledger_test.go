@@ -165,7 +165,7 @@ func TestLedgerDetectsCorruptedEntry(t *testing.T) {
 	}
 	off, payload := frameAt(t, path, 7)
 	var e Entry
-	prev, sum, err := decodeEntry(tagEntry, payload, &e)
+	prev, sum, err := decodeEntry(tagEntry, payload, &e, nil)
 	if err != nil || e.Seq != 7 || e.AmountEUR != 7 {
 		t.Fatalf("frame 7 decodes as %+v, %v", e, err)
 	}

@@ -14,8 +14,8 @@ import (
 // TestEncodeOfferRecordZeroAlloc: framing an offer record into a buffer
 // that already has the room allocates nothing — through the function
 // PutOffer frames with, through the one UpdateOffer and UpdateOffers
-// frame a transition or a whole record with, and through the untyped
-// one ApplyBatch hands its already boxed ops to.
+// frame a state-only step, a transition or a whole record with, and
+// through the untyped one ApplyBatch hands its already boxed ops to.
 func TestEncodeOfferRecordZeroAlloc(t *testing.T) {
 	f := &flexoffer.FlexOffer{
 		ID: 42, Prosumer: "household-17", EarliestStart: 88, LatestStart: 116, AssignBefore: 80, CostPerKWh: 0.07,
@@ -24,6 +24,8 @@ func TestEncodeOfferRecordZeroAlloc(t *testing.T) {
 	rec := OfferRecord{Offer: f, Owner: "household-17", State: OfferScheduled, Schedule: f.DefaultSchedule()}
 	executed := rec
 	executed.State = OfferExecuted
+	rescheduled := rec
+	rescheduled.Schedule = f.DefaultSchedule()
 	moved := rec
 	moved.Owner = "household-18"
 	m := Measurement{Actor: "household-17", EnergyType: "demand", Slot: 480, KWh: 0.25}
@@ -36,9 +38,13 @@ func TestEncodeOfferRecordZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() {
 		buf = appendUpdateFrame(buf[:0], &rec, &executed)
+		buf = appendUpdateFrame(buf, &rec, &rescheduled)
 		buf = appendUpdateFrame(buf, &rec, &moved)
 	}); n != 0 {
-		t.Fatalf("framing a transition and a whole-record update allocates %.1f times per op, want 0", n)
+		t.Fatalf("framing a state-only step, a transition and a whole-record update allocates %.1f times per op, want 0", n)
+	}
+	if tag := buf[frameHeaderLen]; tag != tagOfferStateOnly {
+		t.Fatalf("an update that kept the schedule framed tag %d, want the state-only step", tag)
 	}
 	ops := []batchOp{{tagOffer, rec}, {tagMeasurement, m}}
 	if n := testing.AllocsPerRun(1000, func() {

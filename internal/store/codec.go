@@ -10,12 +10,12 @@ import (
 )
 
 // WAL frame tags: one per table, plus the measurement-retention sweep
-// and the offer transition. Every tagged record is an upsert or an
+// and the two offer transitions. Every tagged record is an upsert or an
 // absolute state assignment (idempotent under replay); the prune mark is
 // logged once per sweep. Tags never change meaning, and a new one keeps
 // the format version (the versioning rule in frame.go).
 //
-// The two hot tables, the offer transition and the prune mark have
+// The two hot tables, the offer transitions and the prune mark have
 // binary payloads, in field order (primitives in package wire, FlexOffer
 // and Schedule in package flexoffer):
 //
@@ -27,7 +27,13 @@ import (
 //	              ID uvarint | State | has-schedule bool | [Schedule]
 //	              the State and Schedule of a stored offer, assigned as
 //	              they are (no schedule clears it); an update that kept
-//	              the record's offer and owner logs this, not the offer
+//	              the record's offer and owner but not its Schedule
+//	              pointer logs this, not the offer
+//	offer_states: ID uvarint | State
+//	              the State of a stored offer, assigned as it is; its
+//	              schedule stays whatever the offer's earlier records
+//	              set. An update that kept the offer, the owner and the
+//	              Schedule pointer logs this
 //	measurements: Measurement (flexoffer's layout, shared with the wire)
 //	prune:        Before varint
 //
@@ -46,20 +52,22 @@ const (
 	tagModelParams
 	tagPrune
 	tagOfferState
+	tagOfferStateOnly
 )
 
 var tagNames = [...]string{
-	tagActor:       "actors",
-	tagEnergyType:  "energy_types",
-	tagMarketArea:  "market_areas",
-	tagMeasurement: "measurements",
-	tagOffer:       "offers",
-	tagForecast:    "forecasts",
-	tagPrice:       "prices",
-	tagContract:    "contracts",
-	tagModelParams: "model_params",
-	tagPrune:       "prune",
-	tagOfferState:  "offer_transitions",
+	tagActor:          "actors",
+	tagEnergyType:     "energy_types",
+	tagMarketArea:     "market_areas",
+	tagMeasurement:    "measurements",
+	tagOffer:          "offers",
+	tagForecast:       "forecasts",
+	tagPrice:          "prices",
+	tagContract:       "contracts",
+	tagModelParams:    "model_params",
+	tagPrune:          "prune",
+	tagOfferState:     "offer_transitions",
+	tagOfferStateOnly: "offer_states",
 }
 
 // offerStates maps state codes to states; code 0 is the zero value.
@@ -150,6 +158,19 @@ func (t *offerTransition) readWire(r *wire.Reader) {
 	t.Schedule = readSchedule(r)
 }
 
+// offerStateStep is the logged form of an offer update that kept the
+// record's offer, owner and Schedule pointer: the state it assigns to
+// the offer stored under ID.
+type offerStateStep struct {
+	ID    flexoffer.ID `json:"id"`
+	State OfferState   `json:"state"`
+}
+
+func (t *offerStateStep) readWire(r *wire.Reader) {
+	t.ID = flexoffer.ID(r.Uvarint())
+	t.State = readState(r)
+}
+
 // AppendWire appends the measurement's binary encoding to dst.
 func (m *Measurement) AppendWire(dst []byte) []byte {
 	return flexoffer.AppendMeasurementWire(dst, m.Actor, m.EnergyType, m.Slot, m.KWh)
@@ -198,16 +219,25 @@ func appendOfferFrame(dst []byte, rec *OfferRecord) []byte {
 }
 
 // appendUpdateFrame frames the update that took a stored record from
-// old to now: a transition when the update kept the offer and the owner,
-// the whole record otherwise.
+// old to now: the whole record when the update changed the offer or the
+// owner, else a transition with its schedule when it changed the
+// Schedule pointer, else the state alone.
 func appendUpdateFrame(dst []byte, old, now *OfferRecord) []byte {
 	if now.Offer != old.Offer || now.Owner != old.Owner {
 		return appendOfferFrame(dst, now)
 	}
-	dst, mark := BeginFrame(dst, tagOfferState)
+	keep := now.Schedule == old.Schedule
+	tag := tagOfferState
+	if keep {
+		tag = tagOfferStateOnly
+	}
+	dst, mark := BeginFrame(dst, tag)
 	dst = binary.AppendUvarint(dst, uint64(now.Offer.ID))
 	dst = appendState(dst, now.State)
-	return EndFrame(appendSchedule(dst, now.Schedule), mark)
+	if !keep {
+		dst = appendSchedule(dst, now.Schedule)
+	}
+	return EndFrame(dst, mark)
 }
 
 func appendMeasurementFrame(dst []byte, m *Measurement) []byte {
@@ -239,9 +269,10 @@ func appendRecord(dst []byte, tag byte, v any) ([]byte, error) {
 }
 
 // DecodeWALRecord decodes one WAL frame for inspection: the table (or
-// "prune", or "offer_transitions") the tag names and the record as the
-// Go value the store would apply. Recovery decodes the hot tags itself
-// (Store.applyLogged) and comes here for the cold ones only.
+// "prune", "offer_transitions" or "offer_states") the tag names and the
+// record as the Go value the store would apply. Recovery decodes the
+// hot tags itself (Store.applyLogged) and comes here for the cold ones
+// only.
 func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) {
 	if tag == 0 || int(tag) >= len(tagNames) {
 		return "", nil, fmt.Errorf("store: unknown wal tag %d", tag)
@@ -254,6 +285,10 @@ func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) 
 		v, err = rec, r.Done()
 	case tagOfferState:
 		var t offerTransition
+		t.readWire(&r)
+		v, err = t, r.Done()
+	case tagOfferStateOnly:
+		var t offerStateStep
 		t.readWire(&r)
 		v, err = t, r.Done()
 	case tagMeasurement:

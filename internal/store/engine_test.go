@@ -95,7 +95,8 @@ func TestSnapshotNonBlocking(t *testing.T) {
 }
 
 // scheduleOffer and executeOffer are the two transitions the node logs
-// most: the cycle's commit and settlement.
+// most: the cycle's commit, which sets a schedule and so logs it, and
+// settlement, which keeps the schedule and so logs a state-only step.
 func scheduleOffer(r *OfferRecord) {
 	r.State, r.Schedule = OfferScheduled, r.Offer.DefaultSchedule()
 }
@@ -137,7 +138,8 @@ func describeOffers(recs []OfferRecord) string {
 // the recovered state equals the pre-crash state exactly. Offer
 // transitions land on both sides of the rotation: one offer runs its
 // whole life before it, one after it, and one is scheduled before and
-// executed after.
+// executed after — a state-only step whose schedule only the snapshot
+// holds.
 func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -199,8 +201,8 @@ func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
 
 // TestCrashBetweenSnapshotAndWALRetire simulates dying after the new
 // snapshot is in place but before wal.old is removed: the sealed tail —
-// offer transitions included — must replay idempotently over a snapshot
-// that already contains it.
+// offer transitions and a state-only step included — must replay
+// idempotently over a snapshot that already contains it.
 func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -247,6 +249,9 @@ func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 	executeOffer(&executed)
 	sealed = appendUpdateFrame(sealed, &accepted, &scheduled)
 	sealed = appendUpdateFrame(sealed, &scheduled, &executed)
+	if tags := walTagsOf(t, sealed); !bytes.Equal(tags[len(tags)-2:], []byte{tagOfferState, tagOfferStateOnly}) {
+		t.Fatalf("sealed tail tags = %v, want a transition then a state-only step last", tags)
+	}
 	if err := os.WriteFile(walOldPath(dir), sealed, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +268,7 @@ func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
 	}
 	// A snapshot from this state must seal the leftover tail away for
 	// good (the rotate path appends to an existing wal.old), with a
-	// transition on each side of its rotation.
+	// transition before its rotation and a state-only step after it.
 	if err := s2.PutActor(Actor{ID: "p9", Role: RoleProsumer}); err != nil {
 		t.Fatal(err)
 	}
@@ -640,96 +645,134 @@ func walTags(t *testing.T, path string) []byte {
 	return tags
 }
 
-// TestParentFormatWALReopens: a WAL written before transition frames
-// existed — every offer update logged as the whole record — opens to the
-// same store the transition-logging write path builds, and takes
-// transition frames behind its old ones under the same magic.
-func TestParentFormatWALReopens(t *testing.T) {
-	dir := t.TempDir()
-	ref := NewInMemory()
-	img := []byte(WALMagic)
-	for id := flexoffer.ID(1); id <= 6; id++ {
-		rec := OfferRecord{Offer: testOffer(id), Owner: fmt.Sprintf("p%d", id%2), State: OfferAccepted}
-		if err := ref.PutOffer(rec); err != nil {
-			t.Fatal(err)
-		}
-		img = appendOfferFrame(img, &rec)
+// walTagsOf lists the tags of the frames in a WAL image.
+func walTagsOf(t *testing.T, img []byte) []byte {
+	t.Helper()
+	path := walPath(t.TempDir())
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, step := range []struct {
-		ids    []flexoffer.ID
-		mutate func(*OfferRecord)
-	}{{[]flexoffer.ID{1, 2, 3, 4}, scheduleOffer}, {[]flexoffer.ID{1, 2}, executeOffer}} {
-		for _, id := range step.ids {
-			rec, err := ref.UpdateOffer(id, step.mutate)
+	return walTags(t, path)
+}
+
+// TestParentFormatWALReopens: a WAL in either earlier format — every
+// offer update logged as the whole record, or as a transition that
+// carries its schedule even when it kept it — opens to the same store
+// the current write path builds, and takes a state-only step behind its
+// old frames under the same magic.
+func TestParentFormatWALReopens(t *testing.T) {
+	for _, format := range []struct {
+		name   string
+		update func(img []byte, rec *OfferRecord) []byte
+		tags   []byte // of the frames the steps below log
+	}{
+		{"whole records", func(img []byte, rec *OfferRecord) []byte { return appendOfferFrame(img, rec) }, bytes.Repeat([]byte{tagOffer}, 6)},
+		// Framed against a record without a schedule, every transition
+		// carries its schedule, as the previous writer logged it.
+		{"transitions with schedules", func(img []byte, rec *OfferRecord) []byte {
+			return appendUpdateFrame(img, &OfferRecord{Offer: rec.Offer, Owner: rec.Owner}, rec)
+		}, bytes.Repeat([]byte{tagOfferState}, 6)},
+	} {
+		t.Run(format.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ref := NewInMemory()
+			img := []byte(WALMagic)
+			for id := flexoffer.ID(1); id <= 6; id++ {
+				rec := OfferRecord{Offer: testOffer(id), Owner: fmt.Sprintf("p%d", id%2), State: OfferAccepted}
+				if err := ref.PutOffer(rec); err != nil {
+					t.Fatal(err)
+				}
+				img = appendOfferFrame(img, &rec)
+			}
+			for _, step := range []struct {
+				ids    []flexoffer.ID
+				mutate func(*OfferRecord)
+			}{{[]flexoffer.ID{1, 2, 3, 4}, scheduleOffer}, {[]flexoffer.ID{1, 2}, executeOffer}} {
+				for _, id := range step.ids {
+					rec, err := ref.UpdateOffer(id, step.mutate)
+					if err != nil {
+						t.Fatal(err)
+					}
+					img = format.update(img, &rec)
+				}
+			}
+			if err := os.WriteFile(walPath(dir), img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatalf("open a WAL of %s: %v", format.name, err)
+			}
+			sameOffers(t, s, ref)
+			transition(t, s, 3, executeOffer)
+			transition(t, ref, 3, executeOffer)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			img = appendOfferFrame(img, &rec)
-		}
-	}
-	if err := os.WriteFile(walPath(dir), img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("open a WAL of whole offer records: %v", err)
-	}
-	sameOffers(t, s, ref)
-	transition(t, s, 3, executeOffer)
-	transition(t, ref, 3, executeOffer)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	sameOffers(t, s2, ref)
-	tags := walTags(t, walPath(dir))
-	if want := append(bytes.Repeat([]byte{tagOffer}, 12), tagOfferState); !bytes.Equal(tags, want) {
-		t.Errorf("wal tags = %v, want %v", tags, want)
+			defer s2.Close()
+			sameOffers(t, s2, ref)
+			want := append(append(bytes.Repeat([]byte{tagOffer}, 6), format.tags...), tagOfferStateOnly)
+			if tags := walTags(t, walPath(dir)); !bytes.Equal(tags, want) {
+				t.Errorf("wal tags = %v, want %v", tags, want)
+			}
+		})
 	}
 }
 
 // TestTransitionForUnknownOfferFailsOpen: a transition names an offer an
-// earlier record stored. One that names no stored offer means the log is
-// not this store's history, so opening fails at the frame's offset and
-// leaves the file exactly as it was — torn tail included.
+// earlier record stored. One that names no stored offer — with its
+// schedule or as a state-only step — means the log is not this store's
+// history, so opening fails at the frame's offset and leaves the file
+// exactly as it was, torn tail included.
 func TestTransitionForUnknownOfferFailsOpen(t *testing.T) {
-	dir := t.TempDir()
 	known := OfferRecord{Offer: testOffer(1), Owner: "p1", State: OfferAccepted}
-	img := appendOfferFrame([]byte(WALMagic), &known)
-	at := len(img)
-	stray := OfferRecord{Offer: testOffer(99), Owner: "p1", State: OfferScheduled}
-	executed := stray
+	stray := OfferRecord{Offer: testOffer(99), Owner: "p1", State: OfferAccepted}
+	scheduled := stray
+	scheduleOffer(&scheduled)
+	executed := scheduled
 	executeOffer(&executed)
-	img = appendUpdateFrame(img, &stray, &executed)
-	img = append(img, 1, 2, 3) // a torn tail a successful open would cut
-	if err := os.WriteFile(walPath(dir), img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for name, open := range map[string]func(string) (*Store, error){"Open": func(d string) (*Store, error) { return Open(d) }, "OpenReadOnly": OpenReadOnly} {
-		s, err := open(dir)
-		if err == nil {
-			s.Close()
-			t.Fatalf("%s accepted a transition for an offer no record stored", name)
+	for _, step := range []struct {
+		tag      byte
+		old, now *OfferRecord
+	}{{tagOfferState, &stray, &scheduled}, {tagOfferStateOnly, &scheduled, &executed}} {
+		dir := t.TempDir()
+		img := appendOfferFrame([]byte(WALMagic), &known)
+		at := len(img)
+		img = appendUpdateFrame(img, step.old, step.now)
+		if img[at+frameHeaderLen] != step.tag {
+			t.Fatalf("stray frame has tag %d, want %d", img[at+frameHeaderLen], step.tag)
 		}
-		if !errors.Is(err, ErrUnknownOffer) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d ", at)) {
-			t.Errorf("%s: err = %v, want ErrUnknownOffer at offset %d", name, err, at)
+		img = append(img, 1, 2, 3) // a torn tail a successful open would cut
+		if err := os.WriteFile(walPath(dir), img, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if after, err := os.ReadFile(walPath(dir)); err != nil || !bytes.Equal(after, img) {
-			t.Fatalf("%s changed the WAL (%v)", name, err)
+		for name, open := range map[string]func(string) (*Store, error){"Open": func(d string) (*Store, error) { return Open(d) }, "OpenReadOnly": OpenReadOnly} {
+			s, err := open(dir)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s accepted a %s frame for an offer no record stored", name, tagNames[step.tag])
+			}
+			if !errors.Is(err, ErrUnknownOffer) || !strings.Contains(err.Error(), fmt.Sprintf("offset %d ", at)) {
+				t.Errorf("%s, %s frame: err = %v, want ErrUnknownOffer at offset %d", name, tagNames[step.tag], err, at)
+			}
+			if after, err := os.ReadFile(walPath(dir)); err != nil || !bytes.Equal(after, img) {
+				t.Fatalf("%s changed the WAL (%v)", name, err)
+			}
 		}
 	}
 }
 
-// TestUpdateLogsOnlyWhatChanged: an update that keeps the offer and the
-// owner logs a transition, one that changes the owner logs the whole
-// record, and one that changes nothing — the same Offer pointer, owner,
-// state and Schedule pointer — logs and applies nothing, on the single
-// and the batch path alike.
+// TestUpdateLogsOnlyWhatChanged: an update that keeps the offer, the
+// owner and the Schedule pointer logs the state alone, one that keeps the
+// offer and the owner but sets a new schedule logs a transition with it,
+// one that changes the owner logs the whole record, and one that changes
+// nothing — the same Offer pointer, owner, state and Schedule pointer —
+// logs and applies nothing, on the single and the batch path alike.
 func TestUpdateLogsOnlyWhatChanged(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -760,15 +803,37 @@ func TestUpdateLogsOnlyWhatChanged(t *testing.T) {
 	if fi, err = os.Stat(walPath(dir)); err != nil {
 		t.Fatal(err)
 	}
-	if grew := fi.Size() - LogHeaderLen - putBytes; grew >= putBytes {
-		t.Errorf("a transition with a schedule logged %d bytes, the whole record %d", grew, putBytes)
+	scheduledBytes := fi.Size() - LogHeaderLen - putBytes
+	if scheduledBytes >= putBytes {
+		t.Errorf("a transition with a schedule logged %d bytes, the whole record %d", scheduledBytes, putBytes)
+	}
+	if _, err := s.UpdateOffers([]OfferUpdate{{ID: 1, Mutate: executeOffer}}); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err = os.Stat(walPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if step := fi.Size() - LogHeaderLen - putBytes - scheduledBytes; step != frameHeaderLen+3 { // tag, one-byte ID, state code
+		t.Errorf("a state-only step logged %d bytes, want %d", step, frameHeaderLen+3)
 	}
 	transition(t, s, 1, func(r *OfferRecord) { r.Owner = "p2" })
-	if tags := walTags(t, walPath(dir)); !bytes.Equal(tags, []byte{tagOffer, tagOfferState, tagOffer}) {
-		t.Errorf("wal tags = %v, want offer, transition, offer", tags)
+	if tags := walTags(t, walPath(dir)); !bytes.Equal(tags, []byte{tagOffer, tagOfferState, tagOfferStateOnly, tagOffer}) {
+		t.Errorf("wal tags = %v, want offer, transition, state-only step, offer", tags)
 	}
-	if got := s.Offers(OfferFilter{Owner: "p2", State: OfferScheduled}); len(got) != 1 {
+	if got := s.Offers(OfferFilter{Owner: "p2", State: OfferExecuted}); len(got) != 1 || got[0].Schedule == nil {
 		t.Errorf("indexes after the owner change = %+v", got)
+	}
+	want, _ := s.GetOffer(1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, _ := s2.GetOffer(1); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened record = %+v, want %+v", got, want)
 	}
 }
 

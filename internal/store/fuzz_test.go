@@ -29,7 +29,7 @@ func FuzzReplayFrames(f *testing.F) {
 	valid, _ = appendRecord(valid, tagOffer, rec)
 	executed := rec
 	executed.State = OfferExecuted
-	valid = appendUpdateFrame(valid, &rec, &executed)
+	valid = appendUpdateFrame(valid, &rec, &executed) // a state-only step
 	valid, _ = appendRecord(valid, tagMeasurement, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7})
 	valid, _ = appendRecord(valid, tagActor, Actor{ID: "brp1", Role: RoleBRP})
 	f.Add(valid)
@@ -68,8 +68,8 @@ func FuzzReplayFrames(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecords: the offer, offer transition, measurement and
-// measurement-batch decoders never panic and never build anything a
+// FuzzDecodeRecords: the offer, offer transition, state-only step,
+// measurement and measurement-batch decoders never panic and never build anything a
 // length prefix promised but the input did not deliver — every decoded
 // slice and string, schedule energies included, is accounted for by
 // input bytes.
@@ -83,6 +83,11 @@ func FuzzDecodeRecords(f *testing.F) {
 	transition := appendUpdateFrame(nil, &accepted, &rec)[frameHeaderLen+1:]
 	f.Add(tagOfferState, transition)
 	f.Add(tagOfferState, transition[:len(transition)/2])
+	executed := rec
+	executed.State = OfferExecuted
+	step := appendUpdateFrame(nil, &rec, &executed)[frameHeaderLen+1:]
+	f.Add(tagOfferStateOnly, step)
+	f.Add(tagOfferStateOnly, step[:len(step)/2])
 	f.Add(tagMeasurement, (&Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}).AppendWire(nil))
 	f.Add(tagPrune, binary.AppendVarint(nil, 480))
 	f.Add(tagActor, []byte(`{"id":"brp1","role":"brp"}`))

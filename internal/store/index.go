@@ -58,6 +58,19 @@ func (ix *offerIndex) update(id flexoffer.ID, old OfferRecord, had bool, now Off
 	}
 }
 
+// build fills the empty index from the offers table in one pass. The
+// recovery paths apply records without touching the index — only the
+// final state and owner of each offer matter — and call build once,
+// after the last file, before the store is shared.
+func (ix *offerIndex) build(offers *shardedTable[flexoffer.ID, OfferRecord]) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	offers.scan(func(id flexoffer.ID, r OfferRecord) {
+		addToSet(ix.byState, r.State, id)
+		addToSet(ix.byOwner, r.Owner, id)
+	})
+}
+
 // idsByState copies the ids currently recorded in state.
 func (ix *offerIndex) idsByState(state OfferState) []flexoffer.ID {
 	ix.mu.RLock()

@@ -13,9 +13,10 @@ import (
 // BenchmarkStoreOpen times the cold replay of a WAL in the record mix
 // the repository benchmark's recover workload reopens: 7 500 offers put
 // in the ingest drain's batches, 5 000 of them scheduled by a cycle
-// commit and then settled (executed) or expired, a round of meter
-// facts, and the node's actor. wal_bytes is the size of the log every
-// open replays.
+// commit (transitions that carry their schedule) and then settled
+// (executed) or expired (state-only steps that keep it), a round of
+// meter facts, and the node's actor. wal_bytes is the size of the log
+// every open replays.
 func BenchmarkStoreOpen(b *testing.B) {
 	dir := b.TempDir()
 	s, err := store.Open(dir)

@@ -152,10 +152,11 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err := s.loadSnapshot(dir); err != nil {
 		return nil, err
 	}
-	log, _, err := OpenGroupLog(WALFiles(dir), WALMagic, o.policy, o.interval, true, s.applyLogged)
+	log, _, err := OpenGroupLog(WALFiles(dir), WALMagic, o.policy, o.interval, true, s.replayer())
 	if err != nil {
 		return nil, err
 	}
+	s.offerIdx.build(s.offers)
 	s.w = log
 	return s, nil
 }
@@ -189,11 +190,13 @@ func OpenReadOnly(dir string) (*Store, error) {
 	if err := s.loadSnapshot(dir); err != nil {
 		return nil, err
 	}
+	apply := s.replayer()
 	for _, path := range WALFiles(dir) {
-		if _, err := ReplayFrames(path, WALMagic, s.applyLogged); err != nil && !errors.Is(err, ErrDamaged) {
+		if _, err := ReplayFrames(path, WALMagic, apply); err != nil && !errors.Is(err, ErrDamaged) {
 			return nil, err
 		}
 	}
+	s.offerIdx.build(s.offers)
 	return s, nil
 }
 
@@ -201,8 +204,11 @@ func OpenReadOnly(dir string) (*Store, error) {
 // replay over it: the sealed pre-snapshot tail, then the live log.
 // Replaying a sealed tail whose snapshot completed is an idempotent
 // no-op (puts are upserts, transitions assign state and schedule
-// absolutely, prunes re-prune nothing); a log in another
-// format fails recovery (ErrLogFormat) with its file untouched.
+// absolutely, a state-only step assigns the state over the schedule
+// the offer's earlier records left, prunes re-prune nothing); a log in
+// another format fails recovery (ErrLogFormat) with its file untouched.
+// Like the WAL replay, the load leaves the offer index to the one build
+// after the last file.
 func (s *Store) loadSnapshot(dir string) error {
 	raw, err := os.ReadFile(snapshotPath(dir))
 	if os.IsNotExist(err) {
@@ -333,44 +339,42 @@ func (s *Store) dump() *snapshotImage {
 
 func (s *Store) load(img *snapshotImage) {
 	for _, v := range img.Actors {
-		applyPut(s.actors, v.ID, v, nil)
+		applyPut(s.actors, v.ID, v)
 	}
 	for _, v := range img.EnergyTypes {
-		applyPut(s.energyTypes, v.ID, v, nil)
+		applyPut(s.energyTypes, v.ID, v)
 	}
 	for _, v := range img.MarketAreas {
-		applyPut(s.marketAreas, v.ID, v, nil)
+		applyPut(s.marketAreas, v.ID, v)
 	}
 	for _, v := range img.Measurements {
 		s.applyMeasurement(v)
 	}
 	for _, v := range img.Offers {
-		s.applyOffer(v)
+		applyPut(s.offers, v.Offer.ID, v)
 	}
 	for _, v := range img.Forecasts {
-		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v, nil)
+		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v)
 	}
 	for _, v := range img.Prices {
-		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v, nil)
+		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v)
 	}
 	for _, v := range img.Contracts {
-		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v, nil)
+		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v)
 	}
 	for _, v := range img.ModelParams {
-		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v, nil)
+		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v)
 	}
 }
 
 // applyPut is the lock-taking, log-free upsert used by recovery and the
 // snapshot loader (and, via its *Locked twin in batch.go, by batches).
-func applyPut[K comparable, V any](t *shardedTable[K, V], k K, v V, post func(old V, had bool)) {
+// It leaves the offer index alone: recovery builds it once, when the
+// last file is in.
+func applyPut[K comparable, V any](t *shardedTable[K, V], k K, v V) {
 	sh := t.shard(k)
 	sh.mu.Lock()
-	old, had := sh.m[k]
 	sh.m[k] = v
-	if post != nil {
-		post(old, had)
-	}
 	sh.mu.Unlock()
 }
 
@@ -382,39 +386,44 @@ func (s *Store) applyMeasurement(m Measurement) {
 	ss.mu.Unlock()
 }
 
-// applyOffer upserts one offer record and maintains its indexes
-// (log-free).
-func (s *Store) applyOffer(r OfferRecord) {
-	id := r.Offer.ID
-	applyPut(s.offers, id, r, func(old OfferRecord, had bool) {
-		s.offerIdx.update(id, old, had, r)
-	})
-}
-
-// applyTransition assigns a logged transition's state and schedule to
-// the stored offer (log-free). A transition names an offer an earlier
-// record stored, so one for an unknown offer means the log is not this
-// store's history: recovery fails at the frame's offset.
-func (s *Store) applyTransition(off int64, t *offerTransition) error {
-	sh := s.offers.shard(t.ID)
+// applyTransition assigns a logged transition's state — and, unless the
+// frame is a state-only step, its schedule — to the stored offer, log-
+// and index-free like applyPut. A transition names an offer an
+// earlier record stored, so one for an unknown offer means the log is
+// not this store's history: recovery fails at the frame's offset.
+func (s *Store) applyTransition(off int64, id flexoffer.ID, state OfferState, schedule *flexoffer.Schedule, keepSchedule bool) error {
+	sh := s.offers.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	old, ok := sh.m[t.ID]
+	r, ok := sh.m[id]
 	if !ok {
-		return fmt.Errorf("%w: the transition at wal offset %d names offer %d, which no earlier record stored", ErrUnknownOffer, off, t.ID)
+		return fmt.Errorf("%w: the transition at wal offset %d names offer %d, which no earlier record stored", ErrUnknownOffer, off, id)
 	}
-	r := old
-	r.State, r.Schedule = t.State, t.Schedule
-	sh.m[t.ID] = r
-	s.offerIdx.update(t.ID, old, true, r)
+	r.State = state
+	if !keepSchedule {
+		r.Schedule = schedule
+	}
+	sh.m[id] = r
 	return nil
 }
 
-// applyLogged applies one WAL record during recovery: the replay
-// callback of Open and OpenReadOnly. The hot tags are decoded here,
-// typed; the cold tables and the prune mark go through DecodeWALRecord.
-func (s *Store) applyLogged(off int64, tag byte, payload []byte) error {
-	r := wire.NewReader(payload)
+// replayer returns the replay callback of Open and OpenReadOnly, which
+// applies one WAL record during recovery. The callback owns one string
+// table for the whole replay, so the few hundred owner, prosumer and
+// series names of thousands of records are allocated once each; it must
+// not run on two goroutines.
+func (s *Store) replayer() func(off int64, tag byte, payload []byte) error {
+	names := wire.Interner{}
+	return func(off int64, tag byte, payload []byte) error {
+		return s.applyLogged(off, tag, payload, names)
+	}
+}
+
+// applyLogged applies one WAL record, its strings read through names.
+// The hot tags are decoded here, typed; the cold tables and the prune
+// mark go through DecodeWALRecord.
+func (s *Store) applyLogged(off int64, tag byte, payload []byte, names wire.Interner) error {
+	r := wire.NewInterningReader(payload, names)
 	switch tag {
 	case tagOffer:
 		var rec OfferRecord
@@ -422,7 +431,7 @@ func (s *Store) applyLogged(off int64, tag byte, payload []byte) error {
 		if err := r.Done(); err != nil {
 			return decodeError(tag, err)
 		}
-		s.applyOffer(rec)
+		applyPut(s.offers, rec.Offer.ID, rec)
 		return nil
 	case tagOfferState:
 		var t offerTransition
@@ -430,7 +439,14 @@ func (s *Store) applyLogged(off int64, tag byte, payload []byte) error {
 		if err := r.Done(); err != nil {
 			return decodeError(tag, err)
 		}
-		return s.applyTransition(off, &t)
+		return s.applyTransition(off, t.ID, t.State, t.Schedule, false)
+	case tagOfferStateOnly:
+		var t offerStateStep
+		t.readWire(&r)
+		if err := r.Done(); err != nil {
+			return decodeError(tag, err)
+		}
+		return s.applyTransition(off, t.ID, t.State, nil, true)
 	case tagMeasurement:
 		var m Measurement
 		m.ReadWire(&r)
@@ -446,19 +462,19 @@ func (s *Store) applyLogged(off int64, tag byte, payload []byte) error {
 	}
 	switch v := v.(type) {
 	case Actor:
-		applyPut(s.actors, v.ID, v, nil)
+		applyPut(s.actors, v.ID, v)
 	case EnergyType:
-		applyPut(s.energyTypes, v.ID, v, nil)
+		applyPut(s.energyTypes, v.ID, v)
 	case MarketArea:
-		applyPut(s.marketAreas, v.ID, v, nil)
+		applyPut(s.marketAreas, v.ID, v)
 	case ForecastRecord:
-		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v, nil)
+		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v)
 	case PriceRecord:
-		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v, nil)
+		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v)
 	case Contract:
-		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v, nil)
+		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v)
 	case ModelParams:
-		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v, nil)
+		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v)
 	case pruneMark:
 		for _, ss := range s.meas.all() {
 			ss.mu.Lock()

@@ -85,10 +85,22 @@ func PutBuf(b *[]byte) {
 type Reader struct {
 	buf []byte
 	err error
+	tab Interner // nil: every String is a fresh copy
 }
+
+// Interner is the string table of one decoding pass, such as a log
+// replay: a String read through it returns the copy made the first time
+// those bytes were read, so a name repeated over thousands of records is
+// allocated once. A table is not safe for concurrent use; whoever runs
+// the pass owns it and drops it when the pass ends.
+type Interner map[string]string
 
 // NewReader returns a Reader over b.
 func NewReader(b []byte) Reader { return Reader{buf: b} }
+
+// NewInterningReader returns a Reader over b whose strings come from
+// tab; reading a string not yet in tab adds a copy of it.
+func NewInterningReader(b []byte, tab Interner) Reader { return Reader{buf: b, tab: tab} }
 
 // Err returns the first decoding failure, if any.
 func (r *Reader) Err() error { return r.err }
@@ -198,8 +210,20 @@ func (r *Reader) Count(minElem int) int {
 	return int(n)
 }
 
-// String reads a length-prefixed string (copied).
-func (r *Reader) String() string { return string(r.Bytes()) }
+// String reads a length-prefixed string: a copy, or the interning
+// table's copy of the same bytes.
+func (r *Reader) String() string {
+	b := r.Bytes()
+	if r.tab == nil {
+		return string(b)
+	}
+	if s, ok := r.tab[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	r.tab[s] = s
+	return s
+}
 
 // Bytes reads a length-prefixed byte string as a view into the input:
 // for a field the caller only compares or copies.

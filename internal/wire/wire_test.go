@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func TestRoundTrip(t *testing.T) {
@@ -113,5 +114,56 @@ func TestHostilePrefixes(t *testing.T) {
 	r = NewReader([]byte{1, 2, 3})
 	if r.Float64(); !errors.Is(r.Err(), ErrShort) {
 		t.Errorf("truncated float: err = %v, want ErrShort", r.Err())
+	}
+}
+
+// TestInterningReader: two records decoded through one table share the
+// strings they repeat, and neither aliases the buffer they came from —
+// overwriting it, as a replay reuses its read buffer, leaves the first
+// record's strings as they were. A nil table behaves as NewReader.
+func TestInterningReader(t *testing.T) {
+	record := func(owner, prosumer string) []byte {
+		return AppendString(AppendString(nil, owner), prosumer)
+	}
+	buf := make([]byte, 0, 64)
+	read := func(r *Reader) (string, string) {
+		t.Helper()
+		a, b := r.String(), r.String()
+		if err := r.Done(); err != nil {
+			t.Fatal(err)
+		}
+		return a, b
+	}
+	tab := Interner{}
+	buf = append(buf[:0], record("household-17", "household-17")...)
+	r := NewInterningReader(buf, tab)
+	owner, prosumer := read(&r)
+	buf = append(buf[:0], record("household-18", "household-17")...)
+	r = NewInterningReader(buf, tab)
+	owner2, prosumer2 := read(&r)
+	for i := range buf {
+		buf[i] = 'x'
+	}
+	if owner != "household-17" || prosumer != "household-17" || owner2 != "household-18" || prosumer2 != "household-17" {
+		t.Fatalf("decoded %q %q, then %q %q", owner, prosumer, owner2, prosumer2)
+	}
+	if unsafe.StringData(prosumer2) != unsafe.StringData(owner) || unsafe.StringData(prosumer) != unsafe.StringData(owner) {
+		t.Error("a repeated string was copied again, not taken from the table")
+	}
+	if len(tab) != 2 {
+		t.Errorf("table holds %d strings, want 2", len(tab))
+	}
+
+	buf = append(buf[:0], record("household-17", "household-17")...)
+	r = NewInterningReader(buf, nil)
+	a, b := read(&r)
+	r = NewReader(buf)
+	c, d := read(&r)
+	if a != c || b != d || unsafe.StringData(a) == unsafe.StringData(b) {
+		t.Errorf("a nil table decoded %q %q (shared: %v), NewReader %q %q", a, b, unsafe.StringData(a) == unsafe.StringData(b), c, d)
+	}
+	buf[1] = 'X'
+	if a != "household-17" {
+		t.Errorf("a string read with a nil table aliases its input: %q", a)
 	}
 }
