@@ -27,7 +27,9 @@ type contextCase struct {
 
 // ContextRepository is a thread-safe case base of previously estimated
 // parameters keyed by context. Lookup prefers the exact context and falls
-// back to the nearest stored case (same energy type, then any).
+// back to the nearest stored case of the same energy type; a case of
+// another energy type is never knowledge (demand parameters do not
+// describe a PV series).
 type ContextRepository struct {
 	mu    sync.RWMutex
 	cases map[Context]contextCase
@@ -51,8 +53,9 @@ func (r *ContextRepository) Store(ctx Context, params []float64, err float64) {
 }
 
 // Lookup retrieves parameters for ctx: an exact hit, else the
-// lowest-error case with the same energy type, else the lowest-error case
-// overall. The boolean reports whether anything was found.
+// lowest-error case with the same energy type. The boolean reports
+// whether anything was found; an energy type with no stored case finds
+// nothing.
 func (r *ContextRepository) Lookup(ctx Context) ([]float64, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -67,14 +70,6 @@ func (r *ContextRepository) Lookup(ctx Context) ([]float64, bool) {
 		if best == nil || c.err < best.err {
 			cc := c
 			best = &cc
-		}
-	}
-	if best == nil {
-		for _, c := range r.cases {
-			if best == nil || c.err < best.err {
-				cc := c
-				best = &cc
-			}
 		}
 	}
 	if best == nil {

@@ -141,10 +141,10 @@ func TestContextRepositoryFallbacks(t *testing.T) {
 	if !ok || p[0] != 0.1 {
 		t.Errorf("type fallback = %v, %v", p, ok)
 	}
-	// Any fallback (unknown type): lowest error case wins.
-	p, ok = repo.Lookup(Context{EnergyType: "solar"})
-	if !ok || p[0] != 0.1 {
-		t.Errorf("global fallback = %v, %v", p, ok)
+	// An energy type with no case of its own finds nothing: another
+	// type's parameters are not knowledge about it.
+	if p, ok = repo.Lookup(Context{EnergyType: "solar"}); ok {
+		t.Errorf("unknown energy type found %v", p)
 	}
 }
 

@@ -47,9 +47,6 @@ type RegistryConfig struct {
 	// in the update path (the pre-registry behaviour, kept as the
 	// baseline mode for benchmarking). Workers/QueueDepth are ignored.
 	SyncRefit bool
-	// Repo optionally shares a context repository across all series, so
-	// refits warm-start from parameters of similar series.
-	Repo *ContextRepository
 }
 
 // RegistryStats is a point-in-time snapshot of the registry.
@@ -84,7 +81,8 @@ type Registry struct {
 	cfg    RegistryConfig
 	mask   uint64
 	shards []registryShard
-	sweep  *sweeper // nil in SyncRefit mode
+	sweep  *sweeper           // nil in SyncRefit mode
+	repo   *ContextRepository // shared by every maintainer (see maybeCreateLocked)
 
 	hubMu sync.Mutex
 	hubs  map[SeriesKey]*hubEntry
@@ -156,9 +154,11 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		// wide as the machine starves intake, planning and settlement
 		// for the length of every burst. One worker is the width
 		// measured (2-core host, bench workload lifecycle, 320 series):
-		// it is busy ~2 s once, for the fleet's global searches at model
-		// creation, and ~5 % of the time after, adapting; wider pools
-		// are for hosts where someone has measured them.
+		// model creation costs it one global search per energy type and
+		// a descent from the stored case for every other series, ~60 ms
+		// for the fleet, and all re-estimation keeps it busy ~0.8 s of
+		// a 10 s window; wider pools are for hosts where someone has
+		// measured them.
 		cfg.Workers = 1
 	}
 	if cfg.QueueDepth <= 0 {
@@ -168,6 +168,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		cfg:    cfg,
 		mask:   uint64(n - 1),
 		shards: make([]registryShard, n),
+		repo:   NewContextRepository(),
 		hubs:   make(map[SeriesKey]*hubEntry),
 	}
 	for i := range r.shards {
@@ -305,7 +306,10 @@ func updateRun(mt *Maintainer, ms []store.Measurement) {
 // enough: an HWT seeded from the buffer with default parameters serves
 // immediately, and the first real parameter estimation is queued to the
 // background pool — transparent model creation without stalling the
-// update path. Caller holds s.mu.
+// update path. That estimation is the global search only for the first
+// series of its energy type; every later one adapts from the case the
+// registry's repository holds (see Maintainer.refitConfigLocked).
+// Caller holds s.mu.
 func (s *Series) maybeCreateLocked() {
 	cfg := &s.reg.cfg
 	if len(s.warm) < cfg.MinObservations {
@@ -321,7 +325,7 @@ func (s *Series) maybeCreateLocked() {
 	mt := NewMaintainer(model, s.warm, MaintainerConfig{
 		Strategy:   cfg.NewStrategy(),
 		FitCfg:     cfg.FitCfg,
-		Repo:       cfg.Repo,
+		Repo:       s.reg.repo,
 		Ctx:        Context{EnergyType: s.Key.EnergyType},
 		MaxHistory: cfg.MaxHistory,
 	})

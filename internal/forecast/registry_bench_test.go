@@ -3,6 +3,7 @@ package forecast
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/store"
@@ -71,4 +72,39 @@ func BenchmarkRegistryUpdateBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		reg.UpdateMeasurements(batch)
 	}
+}
+
+// BenchmarkFleetCreation times the bench fleet's creation burst: 320
+// households fed five rounds of one 16-fact batch each (80 observations,
+// past the 72 a model needs) into a default registry, until every
+// series' first estimation is done (Quiesce). refits/op counts them.
+func BenchmarkFleetCreation(b *testing.B) {
+	const fleet, rounds = 320, 5
+	batches := make([][]store.Measurement, 0, fleet*rounds)
+	for round := 0; round < rounds; round++ {
+		for id := 0; id < fleet; id++ {
+			batch := make([]store.Measurement, 16)
+			for i, kwh := range householdSeries(7, id, round*16, 16) {
+				batch[i] = store.Measurement{Actor: fmt.Sprintf("h%04d", id), EnergyType: "demand", KWh: kwh}
+			}
+			batches = append(batches, batch)
+		}
+	}
+	var refits uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reg, err := NewRegistry(RegistryConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, batch := range batches {
+			reg.UpdateMeasurements(batch)
+		}
+		if err := reg.Quiesce(time.Minute); err != nil {
+			b.Fatal(err)
+		}
+		refits += reg.Stats().RefitsDone
+		reg.Close()
+	}
+	b.ReportMetric(float64(refits)/float64(b.N), "refits/op")
 }

@@ -34,6 +34,19 @@ func householdSeries(seed int64, id, from, n int) []float64 {
 	return out
 }
 
+// pvSeries is a rooftop-PV counterpart to householdSeries: a midday
+// bell over a small night-time floor with ±20 % hashed noise.
+func pvSeries(seed int64, id, from, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		slot := from + i
+		hour := float64(slot%48) / 2
+		shape := 0.05 + math.Exp(-(hour-13)*(hour-13)/8)
+		out[i] = 1.5 * shape * (0.8 + 0.4*hashUnit(uint64(seed), uint64(id)+1<<32, uint64(slot)))
+	}
+	return out
+}
+
 // hashUnit hashes its arguments to a float in [0,1) (splitmix64
 // finalizer).
 func hashUnit(a, b, c uint64) float64 {
