@@ -337,6 +337,13 @@ func (a *Aggregate) rebuildWith(members []*flexoffer.FlexOffer) bool {
 	return true
 }
 
+// retire empties an aggregate that lost every member in one batch, the
+// state applyBatch leaves it in: no members, Version bumped once.
+func (a *Aggregate) retire() {
+	a.Version++
+	a.members = a.members[:0]
+}
+
 // applyBatch applies one batch of member additions and removals as a
 // single transaction: at worst one from-scratch rebuild for the whole
 // batch (when a removed member owns a boundary or the drift budget is
@@ -429,11 +436,22 @@ func (a *Aggregate) Disaggregate(sched *flexoffer.Schedule) ([]*flexoffer.Schedu
 	}
 	shift := sched.Start - a.Offer.EarliestStart
 
+	// The member schedules live in one block and their energies, with
+	// the fractions below, in another, so an aggregate costs the
+	// collector three objects, not two per member.
+	slots := 0
+	for _, m := range a.members {
+		slots += m.NumSlices()
+	}
+	block := make([]flexoffer.Schedule, len(a.members))
+	energies := make([]float64, slots+len(a.Offer.Profile))
+	out := make([]*flexoffer.Schedule, len(a.members))
+
 	// Per aggregate slice, the fraction of the energy flexibility used:
 	// fraction_j = (E_j − Min_j) / (Max_j − Min_j). Every member slice
 	// under that aggregate slice is set to min + fraction·(max−min);
 	// summing over members reproduces E_j exactly.
-	fractions := make([]float64, len(a.Offer.Profile))
+	fractions := energies[slots:]
 	for j, sl := range a.Offer.Profile {
 		if flex := sl.EnergyMax - sl.EnergyMin; flex > 0 {
 			fractions[j] = (sched.Energy[j] - sl.EnergyMin) / flex
@@ -446,21 +464,23 @@ func (a *Aggregate) Disaggregate(sched *flexoffer.Schedule) ([]*flexoffer.Schedu
 		}
 	}
 
-	out := make([]*flexoffer.Schedule, 0, len(a.members))
-	for _, m := range a.members {
+	for i, m := range a.members {
 		off := int(m.EarliestStart - a.Offer.EarliestStart)
-		energy := make([]float64, m.NumSlices())
+		n := m.NumSlices()
+		energy := energies[:n:n]
+		energies = energies[n:]
 		for j, sl := range m.Profile {
 			f := fractions[off+j]
 			energy[j] = sl.EnergyMin + f*(sl.EnergyMax-sl.EnergyMin)
 		}
-		ms := &flexoffer.Schedule{OfferID: m.ID, Start: m.EarliestStart + shift, Energy: energy}
+		ms := &block[i]
+		*ms = flexoffer.Schedule{OfferID: m.ID, Start: m.EarliestStart + shift, Energy: energy}
 		if err := m.ValidateSchedule(ms); err != nil {
 			// Cannot happen by construction; kept as an internal
 			// consistency check.
 			return nil, fmt.Errorf("agg: disaggregation produced invalid member schedule: %w", err)
 		}
-		out = append(out, ms)
+		out[i] = ms
 	}
 	return out, nil
 }

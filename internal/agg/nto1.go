@@ -68,6 +68,10 @@ func (n *NTo1) process(updates []subgroupUpdate, workers int) []AggregateUpdate 
 
 	// Parallel phase: each task builds or batch-updates one aggregate.
 	run := func(t *aggTask) {
+		if t.sub.retired {
+			t.a.retire()
+			return
+		}
 		if t.created {
 			id := t.a.Offer.ID
 			t.a = buildAggregate(id, t.sub.added)

@@ -1,18 +1,46 @@
 package agg
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mirabel/internal/flexoffer"
 )
 
 // groupUpdate is the internal delta between group-builder and bin-packer:
-// which offers joined/left which similarity group.
+// which offers joined/left which similarity group. A retired group lost
+// every applied member and gained none: downstream stages drop its
+// aggregates whole instead of replaying the removals (removed is nil).
 type groupUpdate struct {
 	key     groupKey
 	added   []*flexoffer.FlexOffer
 	removed []*flexoffer.FlexOffer
+	retired bool
+}
+
+// group is one similarity group: its applied member count and, while
+// Process runs, its slot in the batch's delta list.
+type group struct {
+	key  groupKey
+	n    int  // applied members
+	slot int  // 1 + index into GroupBuilder.deltas; 0 = untouched
+	ins  bool // a pending insert of the running Process lands here
+}
+
+// member is one applied offer and the group it lives in.
+type member struct {
+	g   *group
+	off *flexoffer.FlexOffer
+}
+
+// pendingUndo reverts one recorded update when a batch fails validation
+// half way: a queued delete (del), or the id's pending insert before the
+// update (ins, nil when it had none).
+type pendingUndo struct {
+	id  flexoffer.ID
+	ins *flexoffer.FlexOffer
+	del bool
 }
 
 // GroupBuilder partitions flex-offers into disjoint groups of similar
@@ -20,24 +48,34 @@ type groupUpdate struct {
 // until Process is invoked (paper: "flex-offer updates are accumulated
 // within the group-builder until their further processing is invoked").
 //
-// Accumulate validates each whole batch up front against the membership
-// index and the already-pending updates, then records it infallibly —
-// a failed batch leaves the builder exactly as it was, and Process can
-// never fail half way through. Pending inserts and deletes are kept as
-// net-effect maps: deleting a still-pending insert cancels it, so an
-// offer that arrives and expires between two cycles costs nothing.
+// Accumulate validates each batch against the membership index and the
+// already-pending updates as it records it, and undoes the batch's
+// records when an update fails — a failed batch leaves the builder
+// exactly as it was, and Process can never fail half way through.
+// Pending inserts and deletes are kept as net-effect maps: deleting a
+// still-pending insert cancels it, so an offer that arrives and expires
+// between two cycles costs nothing.
 type GroupBuilder struct {
 	params Params
-	groups map[groupKey]map[flexoffer.ID]*flexoffer.FlexOffer
+	groups map[groupKey]*group
 	// byID is the membership index over applied offers: which group an
 	// offer lives in. Delete validation is a map lookup — the offer's
 	// grouping key is never re-derived from caller-supplied attributes.
-	byID   map[flexoffer.ID]groupKey
+	byID   map[flexoffer.ID]member
 	offers int
 
-	// Net-effect pending state, applied by Process.
+	// Net-effect pending state, applied by Process. A pending delete
+	// keeps the membership it removes.
 	pendingIns map[flexoffer.ID]*flexoffer.FlexOffer
-	pendingDel map[flexoffer.ID]bool
+	pendingDel map[flexoffer.ID]member
+
+	// Scratch reused across calls, so neither a single-offer Accumulate
+	// nor a Process allocates bookkeeping of its own.
+	undo      []pendingUndo
+	ins       []flexoffer.ID
+	insGroups []*group
+	deltas    []groupUpdate
+	touched   []*group
 }
 
 // NewGroupBuilder returns an empty group-builder with the given
@@ -45,173 +83,173 @@ type GroupBuilder struct {
 func NewGroupBuilder(params Params) *GroupBuilder {
 	return &GroupBuilder{
 		params:     params,
-		groups:     make(map[groupKey]map[flexoffer.ID]*flexoffer.FlexOffer),
-		byID:       make(map[flexoffer.ID]groupKey),
+		groups:     make(map[groupKey]*group),
+		byID:       make(map[flexoffer.ID]member),
 		pendingIns: make(map[flexoffer.ID]*flexoffer.FlexOffer),
-		pendingDel: make(map[flexoffer.ID]bool),
+		pendingDel: make(map[flexoffer.ID]member),
 	}
 }
 
 // Accumulate queues flex-offer updates for the next Process call. The
-// whole batch is validated first (offer validity, duplicate inserts,
-// deletes of unknown offers); on error nothing is recorded. A Delete of
-// an offer whose Insert is still pending cancels the insert in place.
+// whole batch is validated (offer validity, duplicate inserts, deletes
+// of unknown offers); on error nothing is recorded. A Delete of an offer
+// whose Insert is still pending cancels the insert in place.
 func (g *GroupBuilder) Accumulate(updates ...FlexOfferUpdate) error {
-	// Simulated net effect of this batch, committed only if every update
-	// validates.
-	var (
-		insAdd map[flexoffer.ID]*flexoffer.FlexOffer // pendingIns additions
-		insCut map[flexoffer.ID]bool                 // pendingIns cancellations
-		delAdd map[flexoffer.ID]bool                 // pendingDel additions
-	)
-	pendingInsert := func(id flexoffer.ID) bool {
-		if insAdd[id] != nil {
-			return true
-		}
-		if insCut[id] {
-			return false
-		}
-		return g.pendingIns[id] != nil
-	}
-	pendingDelete := func(id flexoffer.ID) bool {
-		return delAdd[id] || g.pendingDel[id]
-	}
+	g.undo = g.undo[:0]
 	for _, u := range updates {
-		switch u.Kind {
-		case Insert:
-			if err := u.Offer.Validate(); err != nil {
-				return fmt.Errorf("agg: rejecting offer: %w", err)
-			}
-			id := u.Offer.ID
-			if pendingInsert(id) {
-				return fmt.Errorf("agg: duplicate flex-offer id %d", id)
-			}
-			if _, applied := g.byID[id]; applied && !pendingDelete(id) {
-				return fmt.Errorf("agg: duplicate flex-offer id %d", id)
-			}
-			if insAdd == nil {
-				insAdd = make(map[flexoffer.ID]*flexoffer.FlexOffer)
-			}
-			insAdd[id] = u.Offer
-			delete(insCut, id)
-		case Delete:
-			if u.Offer == nil {
-				return fmt.Errorf("agg: delete of nil flex-offer")
-			}
-			id := u.Offer.ID
-			switch {
-			case pendingInsert(id):
-				// Cancel the not-yet-processed insert: net effect zero.
-				if insAdd[id] != nil {
-					delete(insAdd, id)
-				} else {
-					if insCut == nil {
-						insCut = make(map[flexoffer.ID]bool)
-					}
-					insCut[id] = true
+		if err := g.accumulate(u); err != nil {
+			for i := len(g.undo) - 1; i >= 0; i-- {
+				switch r := g.undo[i]; {
+				case r.del:
+					delete(g.pendingDel, r.id)
+				case r.ins != nil:
+					g.pendingIns[r.id] = r.ins
+				default:
+					delete(g.pendingIns, r.id)
 				}
-			default:
-				if _, applied := g.byID[id]; !applied || pendingDelete(id) {
-					return fmt.Errorf("agg: delete of unknown flex-offer id %d", id)
-				}
-				if delAdd == nil {
-					delAdd = make(map[flexoffer.ID]bool)
-				}
-				delAdd[id] = true
 			}
-		default:
-			return fmt.Errorf("agg: unknown update kind %v", u.Kind)
+			return err
 		}
 	}
-	// Commit — infallible.
-	for id := range insCut {
-		delete(g.pendingIns, id)
-	}
-	for id, off := range insAdd {
-		g.pendingIns[id] = off
-	}
-	for id := range delAdd {
-		g.pendingDel[id] = true
+	return nil
+}
+
+// accumulate validates one update against the pending state, records
+// it, and logs how to undo it.
+func (g *GroupBuilder) accumulate(u FlexOfferUpdate) error {
+	switch u.Kind {
+	case Insert:
+		if err := u.Offer.Validate(); err != nil {
+			return fmt.Errorf("agg: rejecting offer: %w", err)
+		}
+		id := u.Offer.ID
+		if g.pendingIns[id] != nil {
+			return fmt.Errorf("agg: duplicate flex-offer id %d", id)
+		}
+		if _, applied := g.byID[id]; applied {
+			if _, leaving := g.pendingDel[id]; !leaving {
+				return fmt.Errorf("agg: duplicate flex-offer id %d", id)
+			}
+		}
+		g.undo = append(g.undo, pendingUndo{id: id})
+		g.pendingIns[id] = u.Offer
+	case Delete:
+		if u.Offer == nil {
+			return fmt.Errorf("agg: delete of nil flex-offer")
+		}
+		id := u.Offer.ID
+		if prev := g.pendingIns[id]; prev != nil {
+			// Cancel the not-yet-processed insert: net effect zero.
+			g.undo = append(g.undo, pendingUndo{id: id, ins: prev})
+			delete(g.pendingIns, id)
+			return nil
+		}
+		m, applied := g.byID[id]
+		if _, leaving := g.pendingDel[id]; !applied || leaving {
+			return fmt.Errorf("agg: delete of unknown flex-offer id %d", id)
+		}
+		g.undo = append(g.undo, pendingUndo{id: id, del: true})
+		g.pendingDel[id] = m
+	default:
+		return fmt.Errorf("agg: unknown update kind %v", u.Kind)
 	}
 	return nil
 }
 
 // Process applies all accumulated updates to the maintained groups and
 // returns the group deltas. It cannot fail: every update was validated
-// by Accumulate. Deltas are emitted in deterministic (key, member-ID)
-// order so downstream parallel processing assigns stable aggregate IDs.
+// by Accumulate. Deltas are emitted in key order, each group's offers in
+// ID order, so downstream parallel processing assigns stable aggregate
+// IDs. A group whose every applied member leaves, with no pending insert
+// landing in it, is retired whole: its removals are not listed.
 func (g *GroupBuilder) Process() []groupUpdate {
 	if len(g.pendingIns) == 0 && len(g.pendingDel) == 0 {
 		return nil
 	}
-	deltas := make(map[groupKey]*groupUpdate)
-	delta := func(k groupKey) *groupUpdate {
-		d, ok := deltas[k]
-		if !ok {
-			d = &groupUpdate{key: k}
-			deltas[k] = d
-		}
-		return d
-	}
-	// Removals first (an offer deleted and re-inserted in one batch must
-	// leave its old group before joining the new one), in ID order.
-	for _, id := range sortedIDKeys(g.pendingDel) {
-		k := g.byID[id]
-		grp := g.groups[k]
-		off := grp[id]
-		delete(grp, id)
-		if len(grp) == 0 {
-			delete(g.groups, k)
-		}
-		delete(g.byID, id)
-		g.offers--
-		delta(k).removed = append(delta(k).removed, off)
-		delete(g.pendingDel, id)
-	}
-	ins := make([]flexoffer.ID, 0, len(g.pendingIns))
+	// Resolve the inserts' groups first, so a delete pass that empties a
+	// group knows whether the batch refills it.
 	for id := range g.pendingIns {
-		ins = append(ins, id)
+		g.ins = append(g.ins, id)
 	}
-	sort.Slice(ins, func(i, j int) bool { return ins[i] < ins[j] })
-	for _, id := range ins {
-		off := g.pendingIns[id]
-		k := g.params.keyOf(off)
-		grp, ok := g.groups[k]
-		if !ok {
-			grp = make(map[flexoffer.ID]*flexoffer.FlexOffer)
+	slices.Sort(g.ins)
+	for _, id := range g.ins {
+		k := g.params.keyOf(g.pendingIns[id])
+		grp := g.groups[k]
+		if grp == nil {
+			grp = &group{key: k}
 			g.groups[k] = grp
 		}
-		grp[id] = off
-		g.byID[id] = k
-		g.offers++
-		delta(k).added = append(delta(k).added, off)
-		delete(g.pendingIns, id)
+		grp.ins = true
+		g.touch(grp)
+		g.insGroups = append(g.insGroups, grp)
 	}
-	out := make([]groupUpdate, 0, len(deltas))
-	for _, d := range deltas {
-		out = append(out, *d)
+	// Removals before additions: an offer deleted and re-inserted in one
+	// batch leaves its old group before joining the new one.
+	for id, m := range g.pendingDel {
+		delete(g.byID, id)
+		m.g.n--
+		d := g.touch(m.g)
+		d.removed = append(d.removed, m.off)
 	}
-	sort.Slice(out, func(i, j int) bool { return keyLess(out[i].key, out[j].key) })
+	g.offers -= len(g.pendingDel)
+	for i := range g.deltas {
+		d, grp := &g.deltas[i], g.touched[i]
+		switch {
+		case len(d.removed) == 0:
+		case grp.n == 0 && !grp.ins:
+			d.retired, d.removed = true, nil
+		default:
+			slices.SortFunc(d.removed, byOfferID)
+		}
+	}
+	for i, id := range g.ins {
+		off, grp := g.pendingIns[id], g.insGroups[i]
+		g.byID[id] = member{g: grp, off: off}
+		grp.n++
+		d := &g.deltas[grp.slot-1]
+		d.added = append(d.added, off)
+	}
+	g.offers += len(g.ins)
+
+	out := make([]groupUpdate, len(g.deltas))
+	copy(out, g.deltas)
+	for i, grp := range g.touched {
+		grp.slot, grp.ins = 0, false
+		if grp.n == 0 {
+			delete(g.groups, grp.key)
+		}
+		g.deltas[i] = groupUpdate{}
+		g.touched[i] = nil
+	}
+	clear(g.insGroups)
+	g.ins, g.insGroups, g.deltas, g.touched = g.ins[:0], g.insGroups[:0], g.deltas[:0], g.touched[:0]
+	clear(g.pendingIns)
+	clear(g.pendingDel)
+	slices.SortFunc(out, func(a, b groupUpdate) int { return compareKeys(a.key, b.key) })
 	return out
 }
 
-func sortedIDKeys(m map[flexoffer.ID]bool) []flexoffer.ID {
-	out := make([]flexoffer.ID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+// touch returns grp's delta of the running Process, opening it on first
+// use. The pointer is valid until the next touch.
+func (g *GroupBuilder) touch(grp *group) *groupUpdate {
+	if grp.slot == 0 {
+		g.deltas = append(g.deltas, groupUpdate{key: grp.key})
+		g.touched = append(g.touched, grp)
+		grp.slot = len(g.deltas)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return &g.deltas[grp.slot-1]
 }
 
-func keyLess(a, b groupKey) bool {
-	if a.es != b.es {
-		return a.es < b.es
+func byOfferID(a, b *flexoffer.FlexOffer) int { return cmp.Compare(a.ID, b.ID) }
+
+func compareKeys(a, b groupKey) int {
+	if c := cmp.Compare(a.es, b.es); c != 0 {
+		return c
 	}
-	if a.tf != b.tf {
-		return a.tf < b.tf
+	if c := cmp.Compare(a.tf, b.tf); c != 0 {
+		return c
 	}
-	return a.dur < b.dur
+	return cmp.Compare(a.dur, b.dur)
 }
 
 // Contains reports whether the offer id is either applied to a group or
@@ -220,7 +258,7 @@ func (g *GroupBuilder) Contains(id flexoffer.ID) bool {
 	if _, ok := g.pendingIns[id]; ok {
 		return true // includes delete-then-reinsert within one batch
 	}
-	if g.pendingDel[id] {
+	if _, leaving := g.pendingDel[id]; leaving {
 		return false
 	}
 	_, ok := g.byID[id]
@@ -273,10 +311,12 @@ type subgroup struct {
 }
 
 // subgroupUpdate is the delta between bin-packer and n-to-1 aggregator.
+// A retired sub-group's aggregate is dropped whole (removed is nil).
 type subgroupUpdate struct {
 	id      subgroupID
 	added   []*flexoffer.FlexOffer
 	removed []flexoffer.ID
+	retired bool
 }
 
 // BinPacker splits similarity groups into bounds-satisfying sub-groups
@@ -313,6 +353,17 @@ func (b *BinPacker) Process(groups []groupUpdate) []subgroupUpdate {
 		return d
 	}
 	for _, gu := range groups {
+		if gu.retired {
+			for _, id := range b.byGroup[gu.key] {
+				for oid := range b.subgroups[id].members {
+					delete(b.byOffer, oid)
+				}
+				delete(b.subgroups, id)
+				delta(id).retired = true
+			}
+			delete(b.byGroup, gu.key)
+			continue
+		}
 		for _, off := range gu.removed {
 			id, ok := b.byOffer[off.ID]
 			if !ok {
@@ -379,7 +430,7 @@ func removeSubgroupID(ids []subgroupID, id subgroupID) []subgroupID {
 func passthrough(groups []groupUpdate) []subgroupUpdate {
 	out := make([]subgroupUpdate, len(groups))
 	for i, gu := range groups {
-		su := subgroupUpdate{id: subgroupID{key: gu.key}, added: gu.added}
+		su := subgroupUpdate{id: subgroupID{key: gu.key}, added: gu.added, retired: gu.retired}
 		if len(gu.removed) > 0 {
 			su.removed = make([]flexoffer.ID, len(gu.removed))
 			for j, off := range gu.removed {
@@ -392,11 +443,10 @@ func passthrough(groups []groupUpdate) []subgroupUpdate {
 }
 
 func sortSubgroupUpdates(subs []subgroupUpdate) {
-	sort.Slice(subs, func(i, j int) bool {
-		a, b := subs[i].id, subs[j].id
-		if a.key != b.key {
-			return keyLess(a.key, b.key)
+	slices.SortFunc(subs, func(a, b subgroupUpdate) int {
+		if c := compareKeys(a.id.key, b.id.key); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.id.seq, b.id.seq)
 	})
 }

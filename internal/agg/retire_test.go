@@ -1,0 +1,214 @@
+package agg
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"mirabel/internal/flexoffer"
+)
+
+// Property (the retire pin): a batch that empties similarity groups
+// outright — the whole-group retirement Process takes when no pending
+// insert lands in the group — leaves the aggregates the delete path
+// leaves. Each round of seeded interleavings retires whole groups (some
+// with a pending insert on the retired key, which keeps them on the
+// member-by-member path), deletes parts of others and inserts fresh
+// offers. The same batch then goes through a second pipeline with one
+// member of every otherwise-retired group held back, so those groups'
+// other members leave by the member-by-member removal, and the held-back
+// members follow in a second Apply. Both pipelines must agree exactly on
+// aggregate IDs, Versions, members and combined offers, and without the
+// bin-packer (whose first-fit packing depends on history) both must
+// partition the live offers like a from-scratch build, with the same
+// profiles.
+func TestPropertyRetireEqualsDeleteBatch(t *testing.T) {
+	for _, bins := range []BinPackerOptions{{}, {MaxMembers: 4}} {
+		retired := 0
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			whole, split := NewPipeline(ParamsP3, bins), NewPipeline(ParamsP3, bins)
+			keyOf := whole.GroupBuilder.params.keyOf
+			pool := randomOffers(rng, 240)
+			live := map[flexoffer.ID]*flexoffer.FlexOffer{}
+			nextPool, nextID := 0, flexoffer.ID(10_000)
+			for round := 0; round < 10; round++ {
+				byKey := map[groupKey][]*flexoffer.FlexOffer{}
+				for _, off := range live {
+					byKey[keyOf(off)] = append(byKey[keyOf(off)], off)
+				}
+				keys := make([]groupKey, 0, len(byKey))
+				for k, offs := range byKey {
+					keys = append(keys, k)
+					slices.SortFunc(offs, byOfferID)
+				}
+				slices.SortFunc(keys, compareKeys)
+
+				var ins, del []*flexoffer.FlexOffer
+				var retiring []groupKey
+				for _, k := range keys {
+					offs := byKey[k]
+					switch rng.Intn(4) {
+					case 0: // retire the whole group
+						del = append(del, offs...)
+						retiring = append(retiring, k)
+						if rng.Intn(3) == 0 { // and refill its key
+							refill := offs[0].Clone()
+							refill.ID = nextID
+							nextID++
+							ins = append(ins, refill)
+						}
+					case 1: // delete part of it
+						for _, off := range offs[:rng.Intn(len(offs))] {
+							del = append(del, off)
+						}
+					}
+				}
+				for n := rng.Intn(30); n > 0 && nextPool < len(pool); n-- {
+					ins = append(ins, pool[nextPool])
+					nextPool++
+				}
+
+				insKeys := map[groupKey]bool{}
+				for _, off := range ins {
+					insKeys[keyOf(off)] = true
+				}
+				held := map[flexoffer.ID]bool{}
+				for _, k := range retiring {
+					if offs := byKey[k]; !insKeys[k] && len(offs) > 1 {
+						held[offs[len(offs)-1].ID] = true
+						retired++
+					}
+				}
+				var batch, first, second []FlexOfferUpdate
+				for _, off := range del {
+					u := FlexOfferUpdate{Kind: Delete, Offer: off}
+					batch = append(batch, u)
+					if held[off.ID] {
+						second = append(second, u)
+					} else {
+						first = append(first, u)
+					}
+					delete(live, off.ID)
+				}
+				for _, off := range ins {
+					u := FlexOfferUpdate{Kind: Insert, Offer: off}
+					batch, first = append(batch, u), append(first, u)
+					live[off.ID] = off
+				}
+				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				if _, err := whole.Apply(batch...); err != nil {
+					t.Logf("seed %d round %d: %v", seed, round, err)
+					return false
+				}
+				if _, err := split.Apply(first...); err != nil {
+					t.Logf("seed %d round %d: %v", seed, round, err)
+					return false
+				}
+				if _, err := split.Apply(second...); err != nil {
+					t.Logf("seed %d round %d: %v", seed, round, err)
+					return false
+				}
+
+				if !identicalAggregates(t, whole, split) {
+					t.Logf("seed %d round %d: retiring whole groups diverged from the delete path", seed, round)
+					return false
+				}
+				if got := whole.GroupBuilder.NumOffers(); got != len(live) {
+					t.Logf("seed %d round %d: grouped offers %d, want %d", seed, round, got, len(live))
+					return false
+				}
+				for _, off := range del {
+					if _, ok := live[off.ID]; !ok && whole.Contains(off.ID) {
+						t.Logf("seed %d round %d: retired offer %d still contained", seed, round, off.ID)
+						return false
+					}
+				}
+				if bins.enabled() {
+					continue
+				}
+				scratch := NewPipeline(ParamsP3, bins)
+				var survivors []*flexoffer.FlexOffer
+				for _, off := range live {
+					survivors = append(survivors, off)
+				}
+				if _, err := scratch.Apply(inserts(survivors...)...); err != nil {
+					return false
+				}
+				if !sameAggregates(whole, scratch) {
+					t.Logf("seed %d round %d: incremental aggregates differ from a from-scratch build", seed, round)
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Errorf("bin-packer %+v: %v", bins, err)
+		}
+		if retired == 0 {
+			t.Errorf("bin-packer %+v: no batch retired a multi-member group", bins)
+		}
+	}
+}
+
+// identicalAggregates compares two pipelines' live aggregates exactly:
+// IDs, Versions, members and the combined offers, float for float.
+func identicalAggregates(t *testing.T, a, b *Pipeline) bool {
+	t.Helper()
+	as, bs := a.Aggregates(), b.Aggregates()
+	if len(as) != len(bs) {
+		t.Logf("%d aggregates vs %d", len(as), len(bs))
+		return false
+	}
+	for i := range as {
+		x, y := as[i], bs[i]
+		if x.Offer.ID != y.Offer.ID || x.Version != y.Version {
+			t.Logf("aggregate %d v%d vs %d v%d", x.Offer.ID, x.Version, y.Offer.ID, y.Version)
+			return false
+		}
+		if !slices.Equal(x.members, y.members) {
+			t.Logf("aggregate %d: members differ", x.Offer.ID)
+			return false
+		}
+		if !reflect.DeepEqual(x.Offer, y.Offer) || x.TotalMin != y.TotalMin || x.TotalMax != y.TotalMax {
+			t.Logf("aggregate %d: combined offers differ", x.Offer.ID)
+			return false
+		}
+	}
+	return true
+}
+
+// A retired group's aggregate is reported the way the delete path
+// reports an emptied one: Deleted, no members left, Version bumped once
+// for the batch — so a holder of the aggregate sees it change.
+func TestRetireReportsDeletedAggregate(t *testing.T) {
+	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	members := []*flexoffer.FlexOffer{offer(1, 10, 4, 2, 0, 1), offer(2, 10, 4, 3, 0, 2), offer(3, 10, 4, 1, 0, 1)}
+	if _, err := p.Apply(inserts(members...)...); err != nil {
+		t.Fatal(err)
+	}
+	live := p.Aggregates()
+	if len(live) != 1 {
+		t.Fatalf("%d aggregates, want 1", len(live))
+	}
+	a, v := live[0], live[0].Version
+	var dels []FlexOfferUpdate
+	for _, m := range members {
+		dels = append(dels, FlexOfferUpdate{Kind: Delete, Offer: m})
+	}
+	ups, err := p.Apply(dels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ups) != 1 || ups[0].Kind != Deleted || ups[0].Aggregate != a {
+		t.Fatalf("updates = %+v, want one Deleted for aggregate %d", ups, a.Offer.ID)
+	}
+	if a.Version != v+1 || a.NumMembers() != 0 {
+		t.Errorf("retired aggregate: Version %d, %d members; want %d, 0", a.Version, a.NumMembers(), v+1)
+	}
+	if len(p.Aggregates()) != 0 || p.GroupBuilder.NumOffers() != 0 || p.Contains(1) {
+		t.Error("retired group left state behind")
+	}
+}

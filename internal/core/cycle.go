@@ -167,6 +167,9 @@ func offerExpiredAt(f *flexoffer.FlexOffer, now, end flexoffer.Time) bool {
 	return now >= f.AssignBefore || f.LatestStart < now || f.LatestEnd() > end
 }
 
+// markExpired is the expiry sweep's transition, one for every offer.
+func markExpired(rec *store.OfferRecord) { rec.State = store.OfferExpired }
+
 // snapshotForPlanning is the cycle's only pass over mutable state
 // before commit. Under the node lock it advances the planning time,
 // expires pending offers that are no longer schedulable
@@ -184,16 +187,15 @@ func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleRe
 	for id, f := range n.pending {
 		if offerExpiredAt(f, now, end) {
 			expired = append(expired, agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f})
-			delete(n.pending, id)
-			rep.Expired++
-			expiredIDs = append(expiredIDs, store.OfferUpdate{ID: id, Mutate: func(rec *store.OfferRecord) {
-				rec.State = store.OfferExpired
-			}})
+			expiredIDs = append(expiredIDs, store.OfferUpdate{ID: id, Mutate: markExpired})
 		}
 	}
 	if len(expiredIDs) > 0 {
 		// One WAL group for the whole sweep; unknown ids are reported
-		// per-update and ignored, like the per-offer path did.
+		// per-update and ignored, like the per-offer path did. The
+		// pending set and the pipeline let go of the offers only once
+		// the store took the batch: a failed write leaves all three as
+		// they were, and the next cycle sweeps the offers again.
 		if _, err := n.store.UpdateOffers(expiredIDs); err != nil {
 			return nil, err
 		}
@@ -203,6 +205,10 @@ func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleRe
 		if err := n.pipeline.Accumulate(expired...); err != nil {
 			return nil, err
 		}
+		for _, u := range expired {
+			delete(n.pending, u.Offer.ID)
+		}
+		rep.Expired = len(expired)
 	}
 	// One batch runs the whole chain: every offer accepted since the
 	// last cycle and every expiry above hit each touched aggregate as a

@@ -469,3 +469,59 @@ func TestForwardAggregatesSkipsOutstandingDelegations(t *testing.T) {
 		t.Errorf("parent saw %d submissions (%v), want %d — aggregates delegated twice", total, submitted, aggs)
 	}
 }
+
+// A cycle whose expiry write fails changes nothing: the expired offers
+// stay pending and stay members of their aggregates, as they stay
+// accepted in the store, so the next cycle sweeps them again instead of
+// planning offers the node no longer counts as pending.
+func TestFailedExpiryWriteKeepsPendingAndPipeline(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	brp := mustNode(t, nil, Config{
+		Name:      "brp1",
+		Role:      store.RoleBRP,
+		Store:     st,
+		AggParams: agg.ParamsP3,
+		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
+	})
+	for i := 1; i <= 12; i++ {
+		es := flexoffer.Time(16) // assign-before slot 8: expired at 10
+		if i > 6 {
+			es = 40
+		}
+		if d := brp.AcceptOffer(testOffer(flexoffer.ID(i), es, 16, 4, 5), "p1"); !d.Accept {
+			t.Fatalf("offer %d rejected: %s", i, d.Reason)
+		}
+	}
+	drain(t, brp)
+	members := func() map[flexoffer.ID]bool {
+		out := make(map[flexoffer.ID]bool)
+		for _, a := range brp.Aggregates() {
+			for _, m := range a.Members() {
+				out[m.ID] = true
+			}
+		}
+		return out
+	}
+	pending, grouped := brp.PendingOffers(), members()
+	if pending != 12 || len(grouped) != 12 {
+		t.Fatalf("before: %d pending, %d grouped, want 12 each", pending, len(grouped))
+	}
+	if err := st.Close(); err != nil { // every later store write fails
+		t.Fatal(err)
+	}
+	if _, err := brp.RunSchedulingCycle(context.Background(), 10, nil, nil, nil); err == nil {
+		t.Fatal("cycle with a closed store succeeded")
+	}
+	if got := brp.PendingOffers(); got != pending {
+		t.Errorf("pending after the failed expiry write = %d, want %d", got, pending)
+	}
+	if got := members(); len(got) != len(grouped) {
+		t.Errorf("aggregate members after the failed expiry write = %d, want %d", len(got), len(grouped))
+	}
+	if counts := st.CountOffersByState(); counts[store.OfferAccepted] != 12 {
+		t.Errorf("store states = %v, want 12 accepted", counts)
+	}
+}

@@ -124,24 +124,30 @@ func (n *Node) handleScheduleNotify(ctx context.Context, env comm.Envelope) (*co
 func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*flexoffer.Schedule, int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	byOwner := make(map[string][]*flexoffer.Schedule)
 	reconciled := 0
 
 	// Stage the transitions of every schedule still pending, then apply
 	// them as one UpdateOffers batch: a single WAL group commit instead
-	// of one log append per micro schedule.
-	var updates []store.OfferUpdate
-	var staged []*flexoffer.Schedule
+	// of one log append per micro schedule. One Mutate serves the whole
+	// batch: UpdateOffers calls it in update order and only for stored
+	// records, so a cursor over staged finds each record's schedule.
+	staged := make([]*flexoffer.Schedule, 0, len(micro))
+	updates := make([]store.OfferUpdate, 0, len(micro))
+	next := 0
+	schedule := func(r *store.OfferRecord) {
+		for staged[next].OfferID != r.Offer.ID {
+			next++
+		}
+		r.State = store.OfferScheduled
+		r.Schedule = staged[next]
+		next++
+	}
 	for _, s := range micro {
 		if _, ok := n.pending[s.OfferID]; !ok {
 			reconciled++
 			continue
 		}
-		sched := s
-		updates = append(updates, store.OfferUpdate{ID: s.OfferID, Mutate: func(r *store.OfferRecord) {
-			r.State = store.OfferScheduled
-			r.Schedule = sched
-		}})
+		updates = append(updates, store.OfferUpdate{ID: s.OfferID, Mutate: schedule})
 		staged = append(staged, s)
 	}
 	results, err := n.store.UpdateOffers(updates)
@@ -149,15 +155,18 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 		return nil, reconciled, err
 	}
 
-	var done []agg.FlexOfferUpdate
-	for i, res := range results {
-		s := staged[i]
+	byOwner := make(map[string][]*flexoffer.Schedule)
+	done := make([]agg.FlexOfferUpdate, 0, len(staged))
+	var failed error
+	for i := range results {
+		res, s := &results[i], staged[i]
 		if res.Err != nil {
 			if errors.Is(res.Err, store.ErrUnknownOffer) {
 				reconciled++
-				continue
+			} else if failed == nil {
+				failed = res.Err
 			}
-			return nil, reconciled, res.Err
+			continue
 		}
 		// A duplicate micro schedule in the same batch (e.g. a macro
 		// relayed twice) passes staging both times — pending is only
@@ -173,10 +182,16 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 		done = append(done, agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f})
 		byOwner[res.Record.Owner] = append(byOwner[res.Record.Owner], s)
 	}
+	// Every offer the store scheduled leaves the pipeline as it left
+	// pending, before a per-update failure is surfaced: the two never
+	// disagree about which offers are still to plan.
 	if len(done) > 0 {
 		if _, err := n.pipeline.Apply(done...); err != nil {
 			return nil, reconciled, err
 		}
+	}
+	if failed != nil {
+		return nil, reconciled, failed
 	}
 	return byOwner, reconciled, nil
 }

@@ -56,3 +56,32 @@ func TestEncodeOfferRecordZeroAlloc(t *testing.T) {
 		t.Fatalf("framing a batch's boxed ops allocates %.1f times per op, want 0", n)
 	}
 }
+
+// TestUpdateOffersAllocFreePerUpdate: a batch of offer transitions
+// allocates its result slice and nothing per update — not a copy of each
+// record for its Mutate, not a move list for the state index.
+func TestUpdateOffersAllocFreePerUpdate(t *testing.T) {
+	s := NewInMemory()
+	updates := make([]OfferUpdate, 256)
+	flip := func(r *OfferRecord) {
+		if r.State == OfferAccepted {
+			r.State = OfferScheduled
+		} else {
+			r.State = OfferAccepted
+		}
+	}
+	for i := range updates {
+		id := flexoffer.ID(i + 1)
+		if err := s.PutOffer(OfferRecord{Offer: &flexoffer.FlexOffer{ID: id}, Owner: "p1", State: OfferAccepted}); err != nil {
+			t.Fatal(err)
+		}
+		updates[i] = OfferUpdate{ID: id, Mutate: flip}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := s.UpdateOffers(updates); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("a 256-update batch allocates %.1f times, want its result slice only", n)
+	}
+}

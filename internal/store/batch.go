@@ -239,16 +239,21 @@ type OfferUpdate struct {
 type OfferUpdateResult struct {
 	Record OfferRecord
 	Err    error
+
+	// prev is the record the update replaced, when it changed one: a
+	// failed commit restores it, and the state index moves off its state.
+	prev    OfferRecord
+	changed bool
 }
 
 // UpdateOffers applies a batch of atomic offer transitions: all touched
 // stripes are locked at once (in stripe order), every mutation that
 // changes its record is logged — as a transition when it kept the offer
 // and the owner — and the whole set is committed as one WAL group, then
-// indexed. Per-update failures (unknown id, record left without an
-// offer) are reported in the result slice without failing the batch;
-// the returned error is reserved for log failures, in which case nothing
-// was applied.
+// indexed under one index lock. Per-update failures (unknown id, record
+// left without an offer) are reported in the result slice without
+// failing the batch; the returned error is reserved for log failures, in
+// which case nothing was applied.
 //
 // Updates listing the same id chain: each mutation sees its
 // predecessor's result.
@@ -260,71 +265,77 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 		return nil, nil
 	}
 
-	// Lock plan over the touched stripes.
-	units := make([]lockUnit, 0, len(updates))
+	// Lock the touched stripes in index order off a bit mask: a batch
+	// that spans every stripe takes the 32 locks without a sorted plan.
+	var touched uint64
 	for _, u := range updates {
-		units = append(units, lockUnit{lockOffers, uint64(s.offers.shardIndex(u.ID)), &s.offers.shard(u.ID).mu})
+		touched |= 1 << s.offers.shardIndex(u.ID)
 	}
-	units = sortLockUnits(units)
-	for i := range units {
-		units[i].mu.Lock()
+	for i := range s.offers.shards {
+		if touched&(1<<i) != 0 {
+			s.offers.shards[i].mu.Lock()
+		}
 	}
 	defer func() {
-		for i := len(units) - 1; i >= 0; i-- {
-			units[i].mu.Unlock()
+		for i := len(s.offers.shards) - 1; i >= 0; i-- {
+			if touched&(1<<i) != 0 {
+				s.offers.shards[i].mu.Unlock()
+			}
 		}
 	}()
 
 	// Apply every mutation under the locks, in order, so same-id updates
 	// chain through the table itself, and frame each one that changes its
 	// record. No reader can see the table until the locks go, and a
-	// failed commit restores every record from changed, last first.
+	// failed commit restores every changed record, last first.
 	results := make([]OfferUpdateResult, len(updates))
-	type change struct {
-		i   int // index into updates and results
-		old OfferRecord
-	}
-	changed := make([]change, 0, len(updates))
 	var frames *[]byte
 	if s.w != nil {
 		frames = wire.GetBuf()
 		defer wire.PutBuf(frames)
 	}
+	changed := 0
 	for i, u := range updates {
+		res := &results[i]
 		sh := s.offers.shard(u.ID)
 		old, ok := sh.m[u.ID]
 		if !ok {
-			results[i].Err = fmt.Errorf("%w: %d", ErrUnknownOffer, u.ID)
+			res.Err = fmt.Errorf("%w: %d", ErrUnknownOffer, u.ID)
 			continue
 		}
-		r := old
-		u.Mutate(&r)
+		// Mutate edits the result in place: a local copy handed to the
+		// closure would escape to the heap, one allocation per update.
+		res.Record = old
+		u.Mutate(&res.Record)
+		r := &res.Record
 		if r.Offer == nil {
-			results[i].Err = fmt.Errorf("store: offer record without offer")
+			res.Record, res.Err = OfferRecord{}, fmt.Errorf("store: offer record without offer")
 			continue
 		}
-		results[i].Record = r
-		if r == old {
+		if *r == old {
 			continue
 		}
 		if frames != nil {
-			*frames = appendUpdateFrame(*frames, &old, &r)
+			*frames = appendUpdateFrame(*frames, &old, r)
 		}
-		sh.m[u.ID] = r
-		changed = append(changed, change{i, old})
+		sh.m[u.ID] = *r
+		res.prev, res.changed = old, true
+		changed++
 	}
 
-	if frames != nil && len(changed) > 0 {
-		if err := s.w.commit([][]byte{*frames}, len(changed)); err != nil {
-			for k := len(changed) - 1; k >= 0; k-- {
-				id := updates[changed[k].i].ID
-				s.offers.shard(id).m[id] = changed[k].old
+	if frames != nil && changed > 0 {
+		if err := s.w.commit([][]byte{*frames}, changed); err != nil {
+			for i := len(updates) - 1; i >= 0; i-- {
+				if results[i].changed {
+					id := updates[i].ID
+					s.offers.shard(id).m[id] = results[i].prev
+				}
 			}
 			return nil, err
 		}
 	}
-	for _, c := range changed {
-		s.offerIdx.update(updates[c.i].ID, c.old, true, results[c.i].Record)
+	if changed > 0 {
+		s.offerIdx.move(updates, results)
 	}
 	return results, nil
 }

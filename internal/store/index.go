@@ -1,6 +1,7 @@
 package store
 
 import (
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -9,10 +10,9 @@ import (
 
 // --- offer secondary indexes -------------------------------------------
 
-// offerIndex maintains the two secondary indexes over the offer fact
-// table: state → ids and owner → ids. Offers, CountOffersByState and
-// the settlement sweep read only the matching ids instead of scanning
-// every offer record.
+// offerIndex maintains the secondary index over the offer fact table:
+// state → ids. Offers, CountOffersByState and the settlement sweep read
+// only the matching ids instead of scanning every offer record.
 //
 // The index is updated while the offer's table stripe is write-locked
 // (stripe lock → index lock, never the reverse), so an index hit always
@@ -21,53 +21,72 @@ import (
 // between releasing the index lock and locking the record's stripe.
 type offerIndex struct {
 	mu      sync.RWMutex
-	byState map[OfferState]map[flexoffer.ID]struct{}
-	byOwner map[string]map[flexoffer.ID]struct{}
+	byState map[OfferState]*idSet
 }
 
 func newOfferIndex() *offerIndex {
-	return &offerIndex{
-		byState: make(map[OfferState]map[flexoffer.ID]struct{}),
-		byOwner: make(map[string]map[flexoffer.ID]struct{}),
-	}
+	return &offerIndex{byState: make(map[OfferState]*idSet)}
 }
 
-// update moves id between index buckets after an upsert, touching only
-// the buckets it leaves and enters: an update that keeps the state and
-// the owner does not take the index lock. Caller holds the offer's
-// stripe write lock.
+// set returns state's id set, creating it on first use. Caller holds mu.
+func (ix *offerIndex) set(state OfferState) *idSet {
+	s := ix.byState[state]
+	if s == nil {
+		s = &idSet{words: make(map[flexoffer.ID]uint64)}
+		ix.byState[state] = s
+	}
+	return s
+}
+
+// update moves id between state sets after an upsert: an update that
+// keeps the state does not take the index lock. Caller holds the
+// offer's stripe write lock.
 func (ix *offerIndex) update(id flexoffer.ID, old OfferRecord, had bool, now OfferRecord) {
-	moveState := !had || old.State != now.State
-	moveOwner := !had || old.Owner != now.Owner
-	if !moveState && !moveOwner {
+	if had && old.State == now.State {
 		return
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if moveState {
-		if had {
-			removeFromSet(ix.byState, old.State, id)
-		}
-		addToSet(ix.byState, now.State, id)
+	if had {
+		ix.set(old.State).remove(id)
 	}
-	if moveOwner {
-		if had {
-			removeFromSet(ix.byOwner, old.Owner, id)
+	ix.set(now.State).add(id)
+}
+
+// move records the state transitions of an applied UpdateOffers batch
+// under one index lock, resolving the from/to sets once per run of
+// equal state pairs. Caller holds the write locks of every stripe the
+// updated ids live on.
+func (ix *offerIndex) move(updates []OfferUpdate, results []OfferUpdateResult) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	var (
+		fromState, toState OfferState
+		from, to           *idSet
+	)
+	for i := range results {
+		r := &results[i]
+		if !r.changed || r.prev.State == r.Record.State {
+			continue
 		}
-		addToSet(ix.byOwner, now.Owner, id)
+		if to == nil || r.prev.State != fromState || r.Record.State != toState {
+			fromState, toState = r.prev.State, r.Record.State
+			from, to = ix.set(fromState), ix.set(toState)
+		}
+		from.remove(updates[i].ID)
+		to.add(updates[i].ID)
 	}
 }
 
 // build fills the empty index from the offers table in one pass. The
 // recovery paths apply records without touching the index — only the
-// final state and owner of each offer matter — and call build once,
-// after the last file, before the store is shared.
+// final state of each offer matters — and call build once, after the
+// last file, before the store is shared.
 func (ix *offerIndex) build(offers *shardedTable[flexoffer.ID, OfferRecord]) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	offers.scan(func(id flexoffer.ID, r OfferRecord) {
-		addToSet(ix.byState, r.State, id)
-		addToSet(ix.byOwner, r.Owner, id)
+		ix.set(r.State).add(id)
 	})
 }
 
@@ -75,29 +94,14 @@ func (ix *offerIndex) build(offers *shardedTable[flexoffer.ID, OfferRecord]) {
 func (ix *offerIndex) idsByState(state OfferState) []flexoffer.ID {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return copySet(ix.byState[state])
-}
-
-// idsByOwner copies the ids currently recorded for owner.
-func (ix *offerIndex) idsByOwner(owner string) []flexoffer.ID {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return copySet(ix.byOwner[owner])
-}
-
-// idsByStateAndOwner intersects the two indexes, iterating the smaller
-// set.
-func (ix *offerIndex) idsByStateAndOwner(state OfferState, owner string) []flexoffer.ID {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	a, b := ix.byState[state], ix.byOwner[owner]
-	if len(b) < len(a) {
-		a, b = b, a
+	s := ix.byState[state]
+	if s == nil {
+		return nil
 	}
-	out := make([]flexoffer.ID, 0, len(a))
-	for id := range a {
-		if _, ok := b[id]; ok {
-			out = append(out, id)
+	out := make([]flexoffer.ID, 0, s.n)
+	for w, word := range s.words {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|flexoffer.ID(bits.TrailingZeros64(word)))
 		}
 	}
 	return out
@@ -109,38 +113,42 @@ func (ix *offerIndex) countByState() map[OfferState]int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	out := make(map[OfferState]int, len(ix.byState))
-	for state, ids := range ix.byState {
-		if len(ids) > 0 {
-			out[state] = len(ids)
+	for state, s := range ix.byState {
+		if s.n > 0 {
+			out[state] = s.n
 		}
 	}
 	return out
 }
 
-func addToSet[K comparable](sets map[K]map[flexoffer.ID]struct{}, k K, id flexoffer.ID) {
-	set, ok := sets[k]
-	if !ok {
-		set = make(map[flexoffer.ID]struct{})
-		sets[k] = set
-	}
-	set[id] = struct{}{}
+// idSet is a sparse bitset of offer ids: one map word per 64 consecutive
+// ids. A node's offers arrive with runs of nearby ids, so a batch that
+// moves thousands of them between states touches a few hundred words of
+// a state's set, not thousands of entries of a map keyed by id.
+type idSet struct {
+	words map[flexoffer.ID]uint64 // id>>6 → bit id&63
+	n     int
 }
 
-func removeFromSet[K comparable](sets map[K]map[flexoffer.ID]struct{}, k K, id flexoffer.ID) {
-	if set, ok := sets[k]; ok {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(sets, k)
-		}
+func (s *idSet) add(id flexoffer.ID) {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	if old := s.words[w]; old&bit == 0 {
+		s.words[w] = old | bit
+		s.n++
 	}
 }
 
-func copySet(set map[flexoffer.ID]struct{}) []flexoffer.ID {
-	out := make([]flexoffer.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
+func (s *idSet) remove(id flexoffer.ID) {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	switch old := s.words[w]; {
+	case old&bit == 0:
+	case old == bit:
+		delete(s.words, w)
+		s.n--
+	default:
+		s.words[w] = old &^ bit
+		s.n--
 	}
-	return out
 }
 
 // --- measurement series storage ----------------------------------------

@@ -65,22 +65,19 @@ type OfferFilter struct {
 	State OfferState
 }
 
-// Offers returns matching flex-offer records in ID order. Filtered
-// queries resolve through the by-state / by-owner secondary indexes and
-// fetch only the matching records; the unfiltered form is a full-table
-// listing by definition.
+// Offers returns matching flex-offer records in ID order. A state
+// filter resolves through the by-state secondary index and fetches only
+// that state's records; an owner filter is checked on each record the
+// state (or, without one, the whole table) yields.
 func (s *Store) Offers(f OfferFilter) []OfferRecord {
 	var out []OfferRecord
-	switch {
-	case f.State != "" && f.Owner != "":
-		out = s.fetchOffers(s.offerIdx.idsByStateAndOwner(f.State, f.Owner), f)
-	case f.State != "":
+	if f.State != "" {
 		out = s.fetchOffers(s.offerIdx.idsByState(f.State), f)
-	case f.Owner != "":
-		out = s.fetchOffers(s.offerIdx.idsByOwner(f.Owner), f)
-	default:
+	} else {
 		s.offers.scan(func(_ flexoffer.ID, r OfferRecord) {
-			out = append(out, r)
+			if f.Owner == "" || r.Owner == f.Owner {
+				out = append(out, r)
+			}
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Offer.ID < out[j].Offer.ID })
