@@ -76,7 +76,7 @@ func TestDumpLogs(t *testing.T) {
 	}
 
 	// A torn tail on the WAL: reported, not cut.
-	walPath := store.WALFiles(dir)[1]
+	walPath := store.WALFiles(dir)[0]
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)

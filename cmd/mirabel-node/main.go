@@ -17,8 +17,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -31,84 +33,110 @@ import (
 	"mirabel/internal/comm"
 	"mirabel/internal/core"
 	"mirabel/internal/flexoffer"
-	"mirabel/internal/forecast"
 	"mirabel/internal/ingest"
 	"mirabel/internal/sched"
 	"mirabel/internal/settle"
 	"mirabel/internal/store"
 )
 
+// errUsage reports a command line run cannot act on; the flag set has
+// already printed why.
+var errUsage = errors.New("usage")
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mirabel-node: ")
-	var (
-		name      = flag.String("name", "", "node name (endpoint id)")
-		role      = flag.String("role", "", "prosumer | brp | tso")
-		parent    = flag.String("parent", "", "parent node name")
-		listen    = flag.String("listen", "127.0.0.1:0", "TCP listen address")
-		dataDir   = flag.String("data", "", "directory of the store, ingest journal and settlement ledger (empty: all in-memory)")
-		fsync     = flag.String("fsync", "flush", "fsync policy of store WAL, ingest journal and ledger: flush | always | interval")
-		fsyncIvl  = flag.Duration("fsync-interval", 100*time.Millisecond, "background fsync cadence for -fsync interval")
-		retain    = flag.Int64("retain-slots", 0, "measurement retention window in slots (0: keep forever)")
-		retainIvl = flag.Duration("retain-every", time.Minute, "how often the retention sweep runs")
-		routes    = flag.String("route", "", "comma-separated name=addr routes to peers")
-		aggWrk    = flag.Int("agg-workers", 0, "parallel per-aggregate workers for batched aggregation (0/1: single-threaded)")
-		ingestPol = flag.String("ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed")
-		ingestCmp = flag.Int64("ingest-compact", 0, "ingest journal compaction threshold in bytes (0: compact only on restart)")
-		fcWorkers = flag.Int("fcast-workers", 1, "background re-estimation workers for the forecast registry")
-		brkWindow = flag.Int("breaker-window", 0, "circuit-breaker outcome window per destination (0: no breaker)")
-		brkRate   = flag.Float64("breaker-rate", 0.5, "failure rate over the window that opens a destination's circuit")
-		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit cooldown before a half-open trial")
-		retryMax  = flag.Int("retry-attempts", 2, "max attempts per outbound call (1: no retries)")
-		retryBase = flag.Duration("retry-backoff", 25*time.Millisecond, "base backoff before the second retry (the first retry of a provably-unsent call is immediate)")
-		retryCap  = flag.Duration("retry-backoff-max", time.Second, "exponential backoff ceiling")
-		poolSize  = flag.Int("pool", comm.DefaultPoolSize, "pipelined TCP connections pooled per peer")
-		demoOffer = flag.Bool("demo-offer", false, "submit one demo flex-offer to the parent and exit")
-		pingPeer  = flag.String("ping", "", "ping the named peer over the typed client and exit")
-		verbose   = flag.Bool("v", false, "log every handled message")
-	)
-	flag.Parse()
-	if *name == "" || *role == "" {
-		flag.Usage()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	switch err := run(os.Args[1:], os.Stdout, stop); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
 		os.Exit(2)
+	default:
+		log.Fatal(err)
+	}
+}
+
+// config is the daemon's command line.
+type config struct {
+	name, role, parent, listen, dataDir, routes string
+	fsync, ingestPolicy, ping                   string
+	ingestCompact                               int64
+	retryAttempts                               int
+	breaker, demoOffer, verbose                 bool
+}
+
+// flags declares the daemon's command line on fs.
+func flags(fs *flag.FlagSet) *config {
+	c := &config{}
+	fs.StringVar(&c.name, "name", "", "node name (endpoint id)")
+	fs.StringVar(&c.role, "role", "", "prosumer | brp | tso")
+	fs.StringVar(&c.parent, "parent", "", "parent node name")
+	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "TCP listen address")
+	fs.StringVar(&c.dataDir, "data", "", "directory of the store, ingest journal and settlement ledger (empty: all in-memory)")
+	fs.StringVar(&c.fsync, "fsync", "flush", "fsync policy of store WAL, ingest journal and ledger: flush | always | interval (every 100ms)")
+	fs.StringVar(&c.routes, "route", "", "comma-separated name=addr routes to peers")
+	fs.StringVar(&c.ingestPolicy, "ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed")
+	fs.Int64Var(&c.ingestCompact, "ingest-compact", 0, "ingest journal compaction threshold in bytes (0: compact only on restart)")
+	fs.BoolVar(&c.breaker, "breaker", false, "circuit breaking on outbound traffic")
+	fs.IntVar(&c.retryAttempts, "retry-attempts", 2, "max attempts per outbound call (1: no retries)")
+	fs.BoolVar(&c.demoOffer, "demo-offer", false, "submit one demo flex-offer to the parent and exit")
+	fs.StringVar(&c.ping, "ping", "", "ping the named peer over the typed client and exit")
+	fs.BoolVar(&c.verbose, "v", false, "log every handled message")
+	return c
+}
+
+// run parses args, opens the node and serves it until stop delivers —
+// or, with -ping or -demo-offer, until that exchange is done, whose
+// outcome goes to stdout.
+func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet("mirabel-node", flag.ContinueOnError)
+	c := flags(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage
+	}
+	if c.name == "" || c.role == "" {
+		fs.Usage()
+		return errUsage
 	}
 
 	// One fsync policy for everything the node writes: an ingest ack and
 	// a ledger append are as durable as a store commit.
 	var syncPol store.SyncPolicy
-	switch *fsync {
+	switch c.fsync {
 	case "flush":
 	case "always":
 		syncPol = store.SyncAlways
 	case "interval":
 		syncPol = store.SyncInterval
 	default:
-		log.Fatalf("unknown -fsync policy %q (want flush | always | interval)", *fsync)
+		return fmt.Errorf("unknown -fsync policy %q (want flush | always | interval)", c.fsync)
 	}
-	policy, err := ingest.ParsePolicy(*ingestPol)
+	policy, err := ingest.ParsePolicy(c.ingestPolicy)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ic := &ingest.Config{Policy: policy, CompactBytes: *ingestCmp, Sync: syncPol, SyncInterval: *fsyncIvl}
-	lc := &settle.LedgerConfig{Sync: syncPol, SyncInterval: *fsyncIvl}
+	ic := &ingest.Config{Policy: policy, CompactBytes: c.ingestCompact, Sync: syncPol}
+	lc := &settle.LedgerConfig{Sync: syncPol}
 	var st *store.Store
-	if *dataDir != "" {
-		// WithSyncInterval also selects SyncInterval; the policy option
-		// after it has the last word.
-		st, err = store.Open(*dataDir, store.WithSyncInterval(*fsyncIvl), store.WithSyncPolicy(syncPol))
+	if c.dataDir != "" {
+		st, err = store.Open(c.dataDir, store.WithSyncPolicy(syncPol))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer func() {
 			if err := st.Close(); err != nil {
 				log.Printf("store close: %v", err)
 			}
 		}()
-		ic.Path = filepath.Join(*dataDir, "ingest.log")
-		lc.Path = filepath.Join(*dataDir, "ledger.log")
+		ic.Path = filepath.Join(c.dataDir, "ingest.log")
+		lc.Path = filepath.Join(c.dataDir, "ledger.log")
 	}
 
-	client := comm.NewTCPClient(*name, comm.WithPoolSize(*poolSize))
+	client := comm.NewTCPClient(c.name)
 	defer client.Close()
 	defer func() {
 		// The transport's lifetime counters tell an operator whether the
@@ -118,54 +146,44 @@ func main() {
 		log.Printf("transport: dials=%d reuses=%d requests=%d sends=%d in_flight=%d",
 			st.Dials, st.Reuses, st.Requests, st.Sends, st.InFlight)
 	}()
-	if *routes != "" {
-		for _, r := range strings.Split(*routes, ",") {
+	if c.routes != "" {
+		for _, r := range strings.Split(c.routes, ",") {
 			parts := strings.SplitN(r, "=", 2)
 			if len(parts) != 2 {
-				log.Fatalf("bad -route entry %q (want name=addr)", r)
+				return fmt.Errorf("bad -route entry %q (want name=addr)", r)
 			}
 			client.SetRoute(parts[0], parts[1])
 		}
 	}
 
 	var mw []comm.Middleware
-	if *verbose {
+	if c.verbose {
 		mw = append(mw, comm.Logging(log.Printf))
 	}
 	cfg := core.Config{
-		Name:        *name,
-		Role:        store.Role(*role),
-		Parent:      *parent,
-		Transport:   client,
-		Store:       st,
-		AggParams:   agg.ParamsP3,
-		SchedOpts:   sched.Options{TimeBudget: 2 * time.Second},
-		AggWorkers:  *aggWrk,
-		Middleware:  mw,
-		Ingest:      ic,
-		Forecasting: &forecast.RegistryConfig{Workers: *fcWorkers},
-		Settlement:  lc,
+		Name:       c.name,
+		Role:       store.Role(c.role),
+		Parent:     c.parent,
+		Transport:  client,
+		Store:      st,
+		AggParams:  agg.ParamsP3,
+		SchedOpts:  sched.Options{TimeBudget: 2 * time.Second},
+		Middleware: mw,
+		Ingest:     ic,
+		Settlement: lc,
 	}
-	if *brkWindow > 0 {
-		cfg.Breaker = &comm.BreakerConfig{
-			Window:      *brkWindow,
-			FailureRate: *brkRate,
-			Cooldown:    *brkCool,
-		}
+	if c.breaker {
+		cfg.Breaker = &comm.BreakerConfig{}
 	}
-	if *retryMax > 1 {
+	if c.retryAttempts > 1 {
 		// The retry policy (not the TCP client) owns re-attempts; the
 		// default of 2 preserves the historical one-extra-dial heal for
 		// stale pooled connections.
-		cfg.Retry = &comm.RetryConfig{
-			MaxAttempts: *retryMax,
-			BaseBackoff: *retryBase,
-			MaxBackoff:  *retryCap,
-		}
+		cfg.Retry = &comm.RetryConfig{MaxAttempts: c.retryAttempts}
 	}
 	node, err := core.NewNode(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer func() {
 		if err := node.Close(); err != nil {
@@ -191,33 +209,33 @@ func main() {
 		}
 	}()
 
-	srv, err := comm.ListenTCP(*listen, node.Handler())
+	srv, err := comm.ListenTCP(c.listen, node.Handler())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer srv.Close()
-	log.Printf("%s (%s) serving on %s", *name, *role, srv.Addr())
+	log.Printf("%s (%s) serving on %s", c.name, c.role, srv.Addr())
 
 	ctx := context.Background()
-	if *pingPeer != "" {
+	if c.ping != "" {
 		// Typed-client liveness probe against a routed peer.
-		rpc := comm.NewClient(*name, client, comm.WithRequestTimeout(3*time.Second))
+		rpc := comm.NewClient(c.name, client, comm.WithRequestTimeout(3*time.Second))
 		t0 := time.Now()
-		if err := rpc.Ping(ctx, *pingPeer); err != nil {
-			log.Fatalf("ping %s: %v", *pingPeer, err)
+		if err := rpc.Ping(ctx, c.ping); err != nil {
+			return fmt.Errorf("ping %s: %w", c.ping, err)
 		}
-		fmt.Printf("ping %s: ok in %v\n", *pingPeer, time.Since(t0).Round(time.Microsecond))
-		return
+		fmt.Fprintf(stdout, "ping %s: ok in %v\n", c.ping, time.Since(t0).Round(time.Microsecond))
+		return nil
 	}
 
-	if *demoOffer {
+	if c.demoOffer {
 		profile := make([]flexoffer.Slice, 8)
 		for i := range profile {
 			profile[i] = flexoffer.Slice{EnergyMin: 0, EnergyMax: 6.25}
 		}
 		offer := &flexoffer.FlexOffer{
 			ID:            flexoffer.ID(time.Now().UnixNano() & 0xffff),
-			Prosumer:      *name,
+			Prosumer:      c.name,
 			EarliestStart: 88,
 			LatestStart:   116,
 			AssignBefore:  86,
@@ -227,45 +245,15 @@ func main() {
 		defer cancel()
 		decision, err := node.SubmitOfferTo(submitCtx, offer)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("demo offer %d: accept=%v premium=%.3f EUR/kWh reason=%q\n",
+		fmt.Fprintf(stdout, "demo offer %d: accept=%v premium=%.3f EUR/kWh reason=%q\n",
 			offer.ID, decision.Accept, decision.PremiumEUR, decision.Reason)
-		return
-	}
-
-	// Retention: periodically drop measurements that slid out of the
-	// node's window behind its planning time (durable stores only — an
-	// in-memory node dies with its data anyway).
-	if *retain > 0 && st != nil {
-		stopRetention := make(chan struct{})
-		defer close(stopRetention)
-		go func() {
-			t := time.NewTicker(*retainIvl)
-			defer t.Stop()
-			for {
-				select {
-				case <-stopRetention:
-					return
-				case <-t.C:
-					before := int64(node.PlanningTime()) - *retain
-					if before <= 0 {
-						continue
-					}
-					n, err := st.PruneMeasurements(flexoffer.Time(before))
-					if err != nil {
-						log.Printf("retention sweep: %v", err)
-					} else if n > 0 && *verbose {
-						log.Printf("retention sweep: pruned %d measurements before slot %d", n, before)
-					}
-				}
-			}
-		}()
+		return nil
 	}
 
 	// Serve until interrupted.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	<-stop
 	log.Printf("shutting down")
+	return nil
 }

@@ -56,7 +56,6 @@ func TestPropertyDeltaEqualsScratch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewPipeline(ParamsP3, BinPackerOptions{})
-		p.Workers = 1 + rng.Intn(4)
 		pool := randomOffers(rng, 120)
 		for i := range pool {
 			pool[i].CostPerKWh = rng.Float64() * 0.5
@@ -98,57 +97,6 @@ func TestPropertyDeltaEqualsScratch(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
-	}
-}
-
-// The parallel fan-out must be invisible: identical update streams
-// produce identical aggregates (IDs, members, profiles) at any worker
-// count.
-func TestParallelProcessMatchesSerial(t *testing.T) {
-	build := func(workers int) *Pipeline {
-		rng := rand.New(rand.NewSource(7))
-		p := NewPipeline(ParamsP3, BinPackerOptions{MaxMembers: 6})
-		p.Workers = workers
-		offers := randomOffers(rng, 200)
-		if err := p.Accumulate(inserts(offers[:120]...)...); err != nil {
-			t.Fatal(err)
-		}
-		p.Process()
-		var batch []FlexOfferUpdate
-		for i := 0; i < 40; i++ {
-			batch = append(batch, FlexOfferUpdate{Kind: Delete, Offer: offers[i*3]})
-		}
-		batch = append(batch, inserts(offers[120:]...)...)
-		if err := p.Accumulate(batch...); err != nil {
-			t.Fatal(err)
-		}
-		p.Process()
-		return p
-	}
-	serial := build(1)
-	for _, w := range []int{2, 4, 8} {
-		par := build(w)
-		sa, pa := serial.Aggregates(), par.Aggregates()
-		if len(sa) != len(pa) {
-			t.Fatalf("workers=%d: %d aggregates, serial has %d", w, len(pa), len(sa))
-		}
-		for i := range sa {
-			if sa[i].Offer.ID != pa[i].Offer.ID {
-				t.Fatalf("workers=%d: aggregate %d has ID %d, serial %d", w, i, pa[i].Offer.ID, sa[i].Offer.ID)
-			}
-			if aggSignature(sa[i]) != aggSignature(pa[i]) {
-				t.Errorf("workers=%d: aggregate %d signature mismatch", w, pa[i].Offer.ID)
-			}
-			sm, pm := sa[i].Members(), pa[i].Members()
-			if len(sm) != len(pm) {
-				t.Fatalf("workers=%d: aggregate %d members %d vs %d", w, pa[i].Offer.ID, len(pm), len(sm))
-			}
-			for j := range sm {
-				if sm[j].ID != pm[j].ID {
-					t.Errorf("workers=%d: aggregate %d member %d is %d, serial %d", w, pa[i].Offer.ID, j, pm[j].ID, sm[j].ID)
-				}
-			}
-		}
 	}
 }
 

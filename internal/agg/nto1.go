@@ -3,8 +3,6 @@ package agg
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"mirabel/internal/flexoffer"
 )
@@ -27,100 +25,41 @@ func NewNTo1() *NTo1 {
 	}
 }
 
-// aggTask is one sub-group's batch transaction. Tasks touch disjoint
-// aggregates (one sub-group maps to one aggregate), so they can run on
-// any worker in any order with identical results.
-type aggTask struct {
-	sub     subgroupUpdate
-	a       *Aggregate
-	created bool
-	alive   bool
-}
-
-// process applies sub-group deltas, each as one batched transaction per
-// touched aggregate, fanning the per-aggregate work across up to the
-// given number of workers. The result is independent of the worker
-// count: updates are sorted, aggregate IDs are assigned serially before
-// the fan-out, and each task mutates only its own aggregate.
-func (n *NTo1) process(updates []subgroupUpdate, workers int) []AggregateUpdate {
+// process applies sub-group deltas, each as one batched transaction on
+// the one aggregate its sub-group maps to. Updates are sorted first, so
+// new macro flex-offer IDs are assigned in a deterministic order.
+func (n *NTo1) process(updates []subgroupUpdate) []AggregateUpdate {
 	if len(updates) == 0 {
 		return nil
 	}
 	sortSubgroupUpdates(updates)
-
-	// Serial classification: resolve existing aggregates and assign new
-	// macro flex-offer IDs in deterministic order.
-	tasks := make([]*aggTask, 0, len(updates))
+	out := make([]AggregateUpdate, 0, len(updates))
 	for _, u := range updates {
 		a, exists := n.aggregates[u.id]
 		if !exists {
 			if len(u.added) == 0 {
 				continue // removals for an already-gone aggregate
 			}
-			tasks = append(tasks, &aggTask{sub: u, created: true, a: &Aggregate{
-				Offer: &flexoffer.FlexOffer{ID: n.nextID},
-			}})
+			a = buildAggregate(n.nextID, u.added)
 			n.nextID++
+			n.aggregates[u.id] = a
+			n.byAggID[a.Offer.ID] = a
+			out = append(out, AggregateUpdate{Kind: Created, Aggregate: a})
 			continue
 		}
-		tasks = append(tasks, &aggTask{sub: u, a: a})
-	}
-
-	// Parallel phase: each task builds or batch-updates one aggregate.
-	run := func(t *aggTask) {
-		if t.sub.retired {
-			t.a.retire()
-			return
+		alive := false
+		if u.retired {
+			a.retire()
+		} else {
+			alive = a.applyBatch(u.added, u.removed)
 		}
-		if t.created {
-			id := t.a.Offer.ID
-			t.a = buildAggregate(id, t.sub.added)
-			t.alive = true
-			return
+		if alive {
+			out = append(out, AggregateUpdate{Kind: Changed, Aggregate: a})
+			continue
 		}
-		t.alive = t.a.applyBatch(t.sub.added, t.sub.removed)
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			run(t)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(tasks) {
-						return
-					}
-					run(tasks[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Serial commit in task order.
-	out := make([]AggregateUpdate, 0, len(tasks))
-	for _, t := range tasks {
-		switch {
-		case t.created:
-			n.aggregates[t.sub.id] = t.a
-			n.byAggID[t.a.Offer.ID] = t.a
-			out = append(out, AggregateUpdate{Kind: Created, Aggregate: t.a})
-		case !t.alive:
-			delete(n.aggregates, t.sub.id)
-			delete(n.byAggID, t.a.Offer.ID)
-			out = append(out, AggregateUpdate{Kind: Deleted, Aggregate: t.a})
-		default:
-			out = append(out, AggregateUpdate{Kind: Changed, Aggregate: t.a})
-		}
+		delete(n.aggregates, u.id)
+		delete(n.byAggID, a.Offer.ID)
+		out = append(out, AggregateUpdate{Kind: Deleted, Aggregate: a})
 	}
 	return out
 }
@@ -149,11 +88,6 @@ type Pipeline struct {
 	GroupBuilder *GroupBuilder
 	BinPacker    *BinPacker // nil when disabled
 	Aggregator   *NTo1
-
-	// Workers bounds the parallel per-sub-group aggregation fan-out in
-	// Process; values ≤ 1 run serially. Results are identical at any
-	// worker count.
-	Workers int
 }
 
 // NewPipeline assembles an aggregation pipeline. Pass a zero
@@ -191,7 +125,7 @@ func (p *Pipeline) Process() []AggregateUpdate {
 	} else {
 		subs = passthrough(groups)
 	}
-	return p.Aggregator.process(subs, p.Workers)
+	return p.Aggregator.process(subs)
 }
 
 // Apply is Accumulate followed immediately by Process — the one-call

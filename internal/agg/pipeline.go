@@ -159,8 +159,8 @@ func (g *GroupBuilder) accumulate(u FlexOfferUpdate) error {
 // Process applies all accumulated updates to the maintained groups and
 // returns the group deltas. It cannot fail: every update was validated
 // by Accumulate. Deltas are emitted in key order, each group's offers in
-// ID order, so downstream parallel processing assigns stable aggregate
-// IDs. A group whose every applied member leaves, with no pending insert
+// ID order, so the aggregator downstream assigns stable aggregate IDs.
+// A group whose every applied member leaves, with no pending insert
 // landing in it, is retired whole: its removals are not listed.
 func (g *GroupBuilder) Process() []groupUpdate {
 	if len(g.pendingIns) == 0 && len(g.pendingDel) == 0 {

@@ -8,26 +8,21 @@ import (
 )
 
 // DefaultFanOutLimit bounds the concurrency of the Client's batch
-// helpers when the caller passes limit <= 0. It trades goroutine and
-// connection pressure against wall time: with l slots, a batch of n
-// destinations completes in ceil(n/l) waves of the slowest member.
+// helpers. It trades goroutine and connection pressure against wall
+// time: with l slots, a batch of n destinations completes in ceil(n/l)
+// waves of the slowest member.
 const DefaultFanOutLimit = 32
 
-// fanOut runs fn(i) for every i in [0, n) with at most limit
-// invocations in flight and waits for all of them to finish. fn must
-// put its outcome somewhere indexed by i; slots are claimed before a
-// goroutine is spawned, so at most limit goroutines ever exist.
-func fanOut(n, limit int, fn func(i int)) {
+// fanOut runs fn(i) for every i in [0, n) with at most
+// DefaultFanOutLimit invocations in flight and waits for all of them to
+// finish. fn must put its outcome somewhere indexed by i; slots are
+// claimed before a goroutine is spawned, so at most DefaultFanOutLimit
+// goroutines ever exist.
+func fanOut(n int, fn func(i int)) {
 	if n == 0 {
 		return
 	}
-	if limit <= 0 {
-		limit = DefaultFanOutLimit
-	}
-	if limit > n {
-		limit = n
-	}
-	sem := make(chan struct{}, limit)
+	sem := make(chan struct{}, min(n, DefaultFanOutLimit))
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		sem <- struct{}{}
@@ -42,25 +37,26 @@ func fanOut(n, limit int, fn func(i int)) {
 }
 
 // NotifySchedulesAll delivers each owner's schedules concurrently with
-// at most limit (default DefaultFanOutLimit) deliveries in flight. The
-// returned map holds one entry per destination that failed; an empty
-// map means every owner was notified. Because deliveries overlap, the
-// wall time of a batch is bounded by its slowest destination (per wave
-// of limit), not by the sum over destinations — the scheduling cycle's
-// deliver phase depends on this. The property holds end to end on both
-// transports: the Bus dispatches handlers on their own goroutines, and
-// the TCP client pipelines concurrent operations over pooled
-// connections instead of serializing them behind a client-wide lock.
+// at most DefaultFanOutLimit deliveries in flight. The returned map
+// holds one entry per destination that failed; an empty map means every
+// owner was notified. Because deliveries overlap, the wall time of a
+// batch is bounded by its slowest destination (per wave of
+// DefaultFanOutLimit), not by the sum over destinations — the
+// scheduling cycle's deliver phase depends on this. The property holds
+// end to end on both transports: the Bus dispatches handlers on their
+// own goroutines, and the TCP client pipelines concurrent operations
+// over pooled connections instead of serializing them behind a
+// client-wide lock.
 //
 // Cancelling ctx fails the remaining deliveries fast with ctx.Err();
 // deliveries already on the wire are not recalled.
-func (c *Client) NotifySchedulesAll(ctx context.Context, byOwner map[string][]*flexoffer.Schedule, limit int) map[string]error {
+func (c *Client) NotifySchedulesAll(ctx context.Context, byOwner map[string][]*flexoffer.Schedule) map[string]error {
 	owners := make([]string, 0, len(byOwner))
 	for o := range byOwner {
 		owners = append(owners, o)
 	}
 	errs := make([]error, len(owners))
-	fanOut(len(owners), limit, func(i int) {
+	fanOut(len(owners), func(i int) {
 		errs[i] = c.NotifySchedules(ctx, owners[i], byOwner[owners[i]])
 	})
 	failed := make(map[string]error)
@@ -81,11 +77,11 @@ type SubmitResult struct {
 }
 
 // SubmitOffersAll submits a batch of flex-offers to one destination
-// with at most limit (default DefaultFanOutLimit) requests in flight,
+// with at most DefaultFanOutLimit requests in flight,
 // returning one result per offer in input order.
-func (c *Client) SubmitOffersAll(ctx context.Context, to string, offers []*flexoffer.FlexOffer, limit int) []SubmitResult {
+func (c *Client) SubmitOffersAll(ctx context.Context, to string, offers []*flexoffer.FlexOffer) []SubmitResult {
 	out := make([]SubmitResult, len(offers))
-	fanOut(len(offers), limit, func(i int) {
+	fanOut(len(offers), func(i int) {
 		d, err := c.SubmitOffer(ctx, to, offers[i])
 		out[i] = SubmitResult{Offer: offers[i], Decision: d, Err: err}
 	})

@@ -67,7 +67,7 @@ func TestNotifySchedulesAllParallelizesDeliveries(t *testing.T) {
 	}
 	c := NewClient("brp", Latency(bus, delay))
 	t0 := time.Now()
-	failed := c.NotifySchedulesAll(context.Background(), byOwner, owners)
+	failed := c.NotifySchedulesAll(context.Background(), byOwner)
 	wall := time.Since(t0)
 	if len(failed) != 0 {
 		t.Fatalf("failures: %v", failed)
@@ -83,20 +83,21 @@ func TestSubmitOffersAllBoundsConcurrencyAndKeepsOrder(t *testing.T) {
 	var inflight, peak atomic.Int32
 	slowEndpoint(bus, "tso", 20*time.Millisecond, &inflight, &peak)
 	c := NewClient("brp", bus)
-	offers := make([]*flexoffer.FlexOffer, 9)
+	const limit = DefaultFanOutLimit
+	offers := make([]*flexoffer.FlexOffer, 3*limit)
 	for i := range offers {
 		offers[i] = fanoutOffer(flexoffer.ID(i + 1))
 	}
-	const limit = 3
 	t0 := time.Now()
-	results := c.SubmitOffersAll(context.Background(), "tso", offers, limit)
+	results := c.SubmitOffersAll(context.Background(), "tso", offers)
 	wall := time.Since(t0)
 	if got := peak.Load(); got > limit {
 		t.Errorf("peak concurrency %d exceeds limit %d", got, limit)
 	}
-	// 9 requests at 20ms in waves of 3: ~60ms, far below the 180ms sum.
-	if wall >= 9*20*time.Millisecond {
-		t.Errorf("wall %v not parallel", wall)
+	// 3·limit requests at 20ms in waves of limit: ~60ms, far below the
+	// sum.
+	if sum := time.Duration(len(offers)) * 20 * time.Millisecond; wall >= sum {
+		t.Errorf("wall %v not parallel (sum %v)", wall, sum)
 	}
 	for i, r := range results {
 		if r.Err != nil {
@@ -121,7 +122,7 @@ func TestNotifySchedulesAllCollectsPerDestinationErrors(t *testing.T) {
 		"gone1": {{OfferID: 2, Start: 40, Energy: []float64{1}}},
 		"gone2": {{OfferID: 3, Start: 40, Energy: []float64{1}}},
 	}
-	failed := c.NotifySchedulesAll(context.Background(), byOwner, 0)
+	failed := c.NotifySchedulesAll(context.Background(), byOwner)
 	if len(failed) != 2 {
 		t.Fatalf("failed = %v, want the two unregistered owners", failed)
 	}
@@ -141,7 +142,7 @@ func TestSubmitOffersAllSurfacesCancellation(t *testing.T) {
 	c := NewClient("brp", bus)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	results := c.SubmitOffersAll(ctx, "tso", []*flexoffer.FlexOffer{fanoutOffer(1), fanoutOffer(2)}, 2)
+	results := c.SubmitOffersAll(ctx, "tso", []*flexoffer.FlexOffer{fanoutOffer(1), fanoutOffer(2)})
 	for i, r := range results {
 		if !errors.Is(r.Err, context.DeadlineExceeded) {
 			t.Errorf("result %d err = %v, want DeadlineExceeded", i, r.Err)

@@ -84,47 +84,29 @@ const DefaultServerConcurrency = 32
 // TCPServer serves a node endpoint over TCP. Handlers receive a context
 // that is canceled when the server shuts down, so in-flight work stops
 // with the listener. Requests arriving on one connection are dispatched
-// concurrently (bounded by WithServerConcurrency) and replies carry the
-// request's Seq, so they may return out of order; clients correlate by
-// Seq.
+// concurrently (bounded by DefaultServerConcurrency) and replies carry
+// the request's Seq, so they may return out of order; clients correlate
+// by Seq.
 type TCPServer struct {
 	ln      net.Listener
 	handler Handler
 	baseCtx context.Context
 	cancel  context.CancelFunc
-	perConn int
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	closed  bool
 	conns   map[net.Conn]struct{}
 }
 
-// TCPServerOption customizes a TCPServer.
-type TCPServerOption func(*TCPServer)
-
-// WithServerConcurrency bounds the handlers dispatched concurrently per
-// connection (default DefaultServerConcurrency); 1 restores strictly
-// serial per-connection handling.
-func WithServerConcurrency(n int) TCPServerOption {
-	return func(s *TCPServer) {
-		if n > 0 {
-			s.perConn = n
-		}
-	}
-}
-
 // ListenTCP starts serving handler on addr (e.g. "127.0.0.1:0"); use
 // Addr() for the bound address.
-func ListenTCP(addr string, h Handler, opts ...TCPServerOption) (*TCPServer, error) {
+func ListenTCP(addr string, h Handler) (*TCPServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("comm: listen %s: %w", addr, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	s := &TCPServer{ln: ln, handler: h, baseCtx: ctx, cancel: cancel, perConn: DefaultServerConcurrency, conns: make(map[net.Conn]struct{})}
-	for _, o := range opts {
-		o(s)
-	}
+	s := &TCPServer{ln: ln, handler: h, baseCtx: ctx, cancel: cancel, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -175,10 +157,11 @@ func (s *TCPServer) acceptLoop() {
 }
 
 // serveConn handles one connection: a stream of request frames, each
-// handed to one of at most perConn handler workers, which live as long
-// as the connection does. A frame goes to a parked worker if there is
-// one; otherwise a new worker is started while fewer than perConn
-// exist; otherwise the read loop blocks until a worker frees up.
+// handed to one of at most DefaultServerConcurrency handler workers,
+// which live as long as the connection does. A frame goes to a parked
+// worker if there is one; otherwise a new worker is started while fewer
+// than DefaultServerConcurrency exist; otherwise the read loop blocks
+// until a worker frees up.
 // Reusing workers keeps each goroutine's stack, grown once through the
 // handler chain, instead of regrowing a fresh one per frame.
 func (s *TCPServer) serveConn(conn net.Conn) {
@@ -204,7 +187,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		select {
 		case work <- env:
 		default:
-			if workers < s.perConn {
+			if workers < DefaultServerConcurrency {
 				workers++
 				hwg.Add(1)
 				go func() {

@@ -17,7 +17,7 @@ import (
 
 // slowPongServer serves a handler that sleeps d (or until server
 // shutdown) before answering with a pong.
-func slowPongServer(t *testing.T, d time.Duration, opts ...TCPServerOption) *TCPServer {
+func slowPongServer(t *testing.T, d time.Duration) *TCPServer {
 	t.Helper()
 	srv, err := ListenTCP("127.0.0.1:0", func(ctx context.Context, env Envelope) (*Envelope, error) {
 		select {
@@ -27,7 +27,7 @@ func slowPongServer(t *testing.T, d time.Duration, opts ...TCPServerOption) *TCP
 		}
 		reply, err := NewEnvelope(MsgPong, "srv", env.From, nil)
 		return &reply, err
-	}, opts...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,38 +344,6 @@ func TestTCPManyDestinationsFanOut(t *testing.T) {
 	}
 }
 
-// TestTCPServerSerialDispatchOption proves WithServerConcurrency(1)
-// restores per-connection serialization — the contrast that shows the
-// default concurrent dispatch is what un-serializes pipelined clients.
-func TestTCPServerSerialDispatchOption(t *testing.T) {
-	const k = 4
-	const delay = 60 * time.Millisecond
-	srv := slowPongServer(t, delay, WithServerConcurrency(1))
-
-	client := NewTCPClient("p1", WithPoolSize(1))
-	defer client.Close()
-	client.SetRoute("srv", srv.Addr())
-
-	var wg sync.WaitGroup
-	t0 := time.Now()
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			env, _ := NewEnvelope(MsgPing, "p1", "srv", nil)
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if _, err := client.Request(ctx, "srv", env); err != nil {
-				t.Errorf("request: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	if wall := time.Since(t0); wall < time.Duration(k)*delay {
-		t.Errorf("serial dispatch finished in %v, faster than %d×%v — not serialized", wall, k, delay)
-	}
-}
-
 // gatedServer serves a handler that reports its entry on entered and
 // then blocks until release is closed — deliberately deaf to ctx, so a
 // test decides when handlers finish. inFlight/peak count the handlers
@@ -388,7 +356,7 @@ type gatedServer struct {
 	done           atomic.Int32
 }
 
-func newGatedServer(t *testing.T, opts ...TCPServerOption) *gatedServer {
+func newGatedServer(t *testing.T) *gatedServer {
 	t.Helper()
 	g := &gatedServer{entered: make(chan struct{}, 64), release: make(chan struct{})}
 	srv, err := ListenTCP("127.0.0.1:0", func(ctx context.Context, env Envelope) (*Envelope, error) {
@@ -400,7 +368,7 @@ func newGatedServer(t *testing.T, opts ...TCPServerOption) *gatedServer {
 		g.inFlight.Add(-1)
 		g.done.Add(1)
 		return nil, nil
-	}, opts...)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,12 +403,13 @@ func pipeline(t *testing.T, client *TCPClient, k int) (wait func()) {
 }
 
 // TestTCPWorkerReuseKeepsConcurrencyBound: the per-connection workers
-// honour WithServerConcurrency exactly as the per-frame goroutines did —
-// 12 requests pipelined at a bound of 3 run 3 at a time, never more, and
-// all complete.
+// honour DefaultServerConcurrency exactly as the per-frame goroutines
+// did — twice the bound of requests pipelined on one connection run
+// bound at a time, never more, and all complete.
 func TestTCPWorkerReuseKeepsConcurrencyBound(t *testing.T) {
-	const k, bound = 12, 3
-	srv := newGatedServer(t, WithServerConcurrency(bound))
+	const bound = DefaultServerConcurrency
+	const k = 2 * bound
+	srv := newGatedServer(t)
 	defer srv.Close()
 	client := NewTCPClient("p1", WithPoolSize(1))
 	defer client.Close()
@@ -450,8 +419,8 @@ func TestTCPWorkerReuseKeepsConcurrencyBound(t *testing.T) {
 	for i := 0; i < bound; i++ {
 		<-srv.entered
 	}
-	// All 12 frames are written, 3 handlers hold every worker: a fourth
-	// entry now would be a broken bound. Let the read loop reach its
+	// All k frames are written, bound handlers hold every worker: one
+	// more entry now would be a broken bound. Let the read loop reach its
 	// blocking hand-off before looking.
 	time.Sleep(50 * time.Millisecond)
 	if n := srv.inFlight.Load(); n != bound {
@@ -474,7 +443,7 @@ func TestTCPWorkerReuseKeepsConcurrencyBound(t *testing.T) {
 // connection — once the client hangs up, the serve goroutine and every
 // worker it started are gone.
 func TestTCPWorkersExitWithConnection(t *testing.T) {
-	srv := newGatedServer(t, WithServerConcurrency(4))
+	srv := newGatedServer(t)
 	defer srv.Close()
 	before := runtime.NumGoroutine()
 
@@ -482,7 +451,7 @@ func TestTCPWorkersExitWithConnection(t *testing.T) {
 	client.SetRoute("srv", srv.Addr())
 	wait := pipeline(t, client, 8)
 	close(srv.release)
-	wait() // 4 workers were started and are now parked
+	wait() // 8 workers were started and are now parked
 	client.Close()
 
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {

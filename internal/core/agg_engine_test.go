@@ -120,7 +120,7 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 		}
 	}
 	rep1 := &CycleReport{}
-	snaps1, err := brp.snapshotForPlanning(0, brp.cfg.HorizonSlots, rep1)
+	snaps1, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, rep1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 
 	// Nothing changed: every snapshot is reused, pointer-identical.
 	rep2 := &CycleReport{}
-	snaps2, err := brp.snapshotForPlanning(0, brp.cfg.HorizonSlots, rep2)
+	snaps2, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, rep2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 		t.Fatalf("rejected: %s", d.Reason)
 	}
 	rep3 := &CycleReport{}
-	snaps3, err := brp.snapshotForPlanning(0, brp.cfg.HorizonSlots, rep3)
+	snaps3, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, rep3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +180,6 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 // grouped offers must agree exactly.
 func TestConcurrentAccumulateDuringCycles(t *testing.T) {
 	brp := newLocalBRP(t)
-	brp.cfg.AggWorkers = 4
-	brp.pipeline.Workers = 4
 
 	const workers = 4
 	const perWorker = 60
@@ -234,16 +232,5 @@ drained:
 	}
 	if members != grouped {
 		t.Errorf("aggregate members = %d, grouped offers = %d", members, grouped)
-	}
-}
-
-// AggWorkers wires through Config to the pipeline.
-func TestAggWorkersConfig(t *testing.T) {
-	n, err := NewNode(Config{Name: "brp-w", Role: store.RoleBRP, AggWorkers: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.pipeline.Workers != 6 {
-		t.Errorf("pipeline workers = %d, want 6", n.pipeline.Workers)
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"mirabel/internal/agg"
+	"mirabel/internal/comm"
 	"mirabel/internal/flexoffer"
-	"mirabel/internal/market"
 	"mirabel/internal/sched"
 	"mirabel/internal/store"
 )
@@ -68,7 +68,7 @@ type CycleReport struct {
 //	           schedules against the live pending set, persist the
 //	           survivors and retire them from the pipeline;
 //	deliver  — without the lock: fan the schedules out to their owners
-//	           with bounded concurrency (Config.NotifyLimit).
+//	           with bounded concurrency (comm.DefaultFanOutLimit).
 //
 // The node lock is therefore never held across transport I/O or the
 // scheduler search: offer intake and every other handler stay
@@ -92,14 +92,14 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 	defer n.cycleMu.Unlock()
 
 	rep := &CycleReport{IngestDrainTime: barrier}
-	horizon := n.cfg.HorizonSlots
+	const horizon = flexoffer.SlotsPerDay
 
 	// Probe tripped circuits on the way out (whatever phase the cycle
 	// ends in): healed peers rejoin before the next cycle without a
 	// live delivery paying the trial's latency.
 	if n.breaker != nil {
 		defer func() {
-			pctx, cancel := context.WithTimeout(ctx, n.cfg.RequestTimeout)
+			pctx, cancel := context.WithTimeout(ctx, comm.DefaultTimeout)
 			rep.HealedPeers = n.breaker.ProbeOpen(pctx)
 			cancel()
 		}()
@@ -119,13 +119,14 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 	// Phase 2: plan — no lock from here until commit. Forecast sources
 	// may be arbitrarily slow (a remote maintainer, a model fit), and
 	// the search is budgeted in wall-clock seconds.
-	problem := buildProblem(now, horizon, aggregates, demandFc, resFc, imbalancePrices, n.cfg.Market)
+	problem := buildProblem(now, horizon, aggregates, demandFc, resFc, imbalancePrices)
 	rep.BaselineCost = problem.BaselineCost()
 	if len(aggregates) == 0 {
 		return rep, nil
 	}
 	t0 := time.Now()
-	res, err := n.cfg.Scheduler.Schedule(ctx, problem, n.cfg.SchedOpts)
+	// The node plans with the paper's randomized greedy search (GS).
+	res, err := (&sched.RandomizedGreedy{}).Schedule(ctx, problem, n.cfg.SchedOpts)
 	if err != nil {
 		return nil, err
 	}
@@ -212,8 +213,7 @@ func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleRe
 	}
 	// One batch runs the whole chain: every offer accepted since the
 	// last cycle and every expiry above hit each touched aggregate as a
-	// single transaction (at worst one rebuild per aggregate), fanned
-	// across Config.AggWorkers.
+	// single transaction (at worst one rebuild per aggregate).
 	n.pipeline.Process()
 	live := n.pipeline.Aggregates()
 	snaps := make([]*agg.Aggregate, 0, len(live))
@@ -275,7 +275,7 @@ func (n *Node) pruneSnapCacheLocked(live []*agg.Aggregate) {
 
 // buildProblem assembles the scheduling instance from an aggregate
 // snapshot and the forecasts.
-func buildProblem(now flexoffer.Time, horizon int, aggregates []*agg.Aggregate, demandFc, resFc forecaster, imbalancePrices []float64, m *market.DayAhead) *sched.Problem {
+func buildProblem(now flexoffer.Time, horizon int, aggregates []*agg.Aggregate, demandFc, resFc forecaster, imbalancePrices []float64) *sched.Problem {
 	baseline := make([]float64, horizon)
 	if demandFc != nil {
 		copy(baseline, demandFc.Forecast(horizon))
@@ -303,7 +303,6 @@ func buildProblem(now flexoffer.Time, horizon int, aggregates []*agg.Aggregate, 
 		Baseline:       baseline,
 		ImbalancePrice: imbalancePrices,
 		Offers:         offers,
-		Market:         m,
 	}
 }
 
@@ -340,7 +339,7 @@ func disaggregateSnapshots(snaps []*agg.Aggregate, scheds []*flexoffer.Schedule)
 //
 // The same phase discipline as the cycle applies: macro offers are
 // cloned under the lock, submitted to the parent concurrently (bounded
-// by Config.NotifyLimit) without it, and the accepted delegations are
+// by comm.DefaultFanOutLimit) without it, and the accepted delegations are
 // committed under the lock once the decisions are in.
 func (n *Node) ForwardAggregates(ctx context.Context) (int, error) {
 	if n.client == nil || n.cfg.Parent == "" {
@@ -383,7 +382,7 @@ func (n *Node) ForwardAggregates(ctx context.Context) (int, error) {
 	n.mu.Unlock()
 
 	// Plan/deliver: submit to the parent outside the lock, in parallel.
-	results := n.client.SubmitOffersAll(ctx, n.cfg.Parent, offers, n.cfg.NotifyLimit)
+	results := n.client.SubmitOffersAll(ctx, n.cfg.Parent, offers)
 
 	// Commit: keep the accepted delegations, withdraw the rest.
 	accepted := 0

@@ -205,7 +205,7 @@ func (n *Node) deliver(ctx context.Context, byOwner map[string][]*flexoffer.Sche
 	if n.client == nil || len(byOwner) == 0 {
 		return 0, nil
 	}
-	failed := n.client.NotifySchedulesAll(ctx, byOwner, n.cfg.NotifyLimit)
+	failed := n.client.NotifySchedulesAll(ctx, byOwner)
 	fails := 0
 	var skipped []string
 	for owner, err := range failed {

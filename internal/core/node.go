@@ -37,7 +37,6 @@ import (
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/forecast"
 	"mirabel/internal/ingest"
-	"mirabel/internal/market"
 	"mirabel/internal/negotiate"
 	"mirabel/internal/sched"
 	"mirabel/internal/settle"
@@ -59,26 +58,14 @@ type Config struct {
 	Store *store.Store
 
 	// BRP/TSO specific configuration.
-	AggParams agg.Params           // aggregation thresholds
-	BinPacker agg.BinPackerOptions // optional bin-packer bounds
-	Valuator  *negotiate.Valuator  // negotiation policy (default NewValuator)
-	Scheduler sched.Scheduler      // scheduling strategy (default randomized greedy)
-	SchedOpts sched.Options        // per-cycle scheduling budget
+	AggParams agg.Params    // aggregation thresholds
+	SchedOpts sched.Options // per-cycle scheduling budget
 	// Deprecated: ignored; the search's restarts use every core. ROADMAP
 	// B(4) deletes it together with bench/node.go's assignment.
 	SchedWorkers int
-	// AggWorkers > 1 fans the cycle's batched per-aggregate work
-	// (internal/agg sub-group transactions) across that many workers.
-	// Results are identical at any worker count; 0 or 1 runs serially.
-	AggWorkers     int
-	Market         *market.DayAhead // optional market access
-	HorizonSlots   int              // scheduling horizon (default one day)
-	RequestTimeout time.Duration    // transport request timeout (default comm.DefaultTimeout)
-
-	// NotifyLimit caps the concurrent outbound requests of the deliver
-	// phase — schedule fan-out and parent submissions (default
-	// comm.DefaultFanOutLimit).
-	NotifyLimit int
+	// Deprecated: ignored; the cycle aggregates on one goroutine. ROADMAP
+	// B(4) deletes it together with bench/node.go's assignment.
+	AggWorkers int
 
 	// Forecast optionally serves MsgForecastRequest queries from peers
 	// (a forecast.Maintainer, a StaticForecast, ...). Nil nodes answer
@@ -204,31 +191,18 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Store == nil {
 		cfg.Store = store.NewInMemory()
 	}
-	if cfg.Valuator == nil {
-		cfg.Valuator = negotiate.NewValuator()
-	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = &sched.RandomizedGreedy{}
-	}
-	if cfg.HorizonSlots <= 0 {
-		cfg.HorizonSlots = flexoffer.SlotsPerDay
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = comm.DefaultTimeout
-	}
 	n := &Node{
 		cfg:       cfg,
 		metrics:   &comm.Metrics{},
 		store:     cfg.Store,
-		pipeline:  agg.NewPipeline(cfg.AggParams, cfg.BinPacker),
-		valuator:  cfg.Valuator,
+		pipeline:  agg.NewPipeline(cfg.AggParams, agg.BinPackerOptions{}),
+		valuator:  negotiate.NewValuator(),
 		snapCache: make(map[flexoffer.ID]*agg.Aggregate),
 		pending:   make(map[flexoffer.ID]*flexoffer.FlexOffer),
 		schedules: make(map[flexoffer.ID]*flexoffer.Schedule),
 		forwarded: make(map[flexoffer.ID]flexoffer.ID),
 		nextFwdID: 1 << 32, // forwarded macro offers use a disjoint id space
 	}
-	n.pipeline.Workers = cfg.AggWorkers
 	if cfg.Transport != nil {
 		transport := cfg.Transport
 		if cfg.Breaker != nil {
@@ -243,7 +217,7 @@ func NewNode(cfg Config) (*Node, error) {
 			n.retry = comm.NewRetry(transport, *cfg.Retry)
 			transport = n.retry
 		}
-		n.client = comm.NewClient(cfg.Name, transport, comm.WithRequestTimeout(cfg.RequestTimeout))
+		n.client = comm.NewClient(cfg.Name, transport)
 	}
 	if err := n.store.PutActor(store.Actor{ID: cfg.Name, Name: cfg.Name, Role: cfg.Role, Parent: cfg.Parent}); err != nil {
 		return nil, err

@@ -109,7 +109,6 @@ func reopenConfig(dir string, st *store.Store) Config {
 	return Config{
 		Name: "brp1", Role: store.RoleBRP, Store: st,
 		AggParams:   agg.ParamsP3,
-		AggWorkers:  1,
 		Ingest:      &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
 		Forecasting: &forecast.RegistryConfig{},
 		Settlement:  &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")},

@@ -130,35 +130,30 @@ func TestInitResetsResidualVariance(t *testing.T) {
 
 // TestExplicitEstimatorOnEveryRefit: adaptation replaces only the
 // default search. An estimator the caller configured is the one called
-// on a series' first estimation and on every later one, asynchronous or
-// inline.
+// on a series' first estimation and on every later one.
 func TestExplicitEstimatorOnEveryRefit(t *testing.T) {
-	for _, syncRefit := range []bool{false, true} {
-		gate := &gateEstimator{started: make(chan struct{}, 64), release: make(chan struct{})}
-		close(gate.release) // never blocks; started counts the calls
-		cfg := testRegistryConfig()
-		cfg.FitCfg.Estimator = gate
-		cfg.SyncRefit = syncRefit
-		cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 4} }
-		reg, err := NewRegistry(cfg)
-		if err != nil {
+	gate := &gateEstimator{started: make(chan struct{}, 64), release: make(chan struct{})}
+	close(gate.release) // never blocks; started counts the calls
+	cfg := testRegistryConfig()
+	cfg.FitCfg.Estimator = gate
+	cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 4} }
+	reg, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	for i := 0; i < 12; i++ {
+		reg.UpdateMeasurements(seriesBatch("a1", i*2, 2))
+		if err := reg.Quiesce(10 * time.Second); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 12; i++ {
-			reg.UpdateMeasurements(seriesBatch("a1", i*2, 2))
-			if err := reg.Quiesce(10 * time.Second); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := reg.Stats()
-		refits := st.RefitsDone + st.SyncRefits
-		if refits < 3 {
-			t.Fatalf("sync=%v: %d refits ran, want the first estimation and at least two later ones", syncRefit, refits)
-		}
-		if calls := uint64(len(gate.started)); calls != refits {
-			t.Fatalf("sync=%v: configured estimator called %d times over %d refits", syncRefit, calls, refits)
-		}
-		reg.Close()
+	}
+	refits := reg.Stats().RefitsDone
+	if refits < 3 {
+		t.Fatalf("%d refits ran, want the first estimation and at least two later ones", refits)
+	}
+	if calls := uint64(len(gate.started)); calls != refits {
+		t.Fatalf("configured estimator called %d times over %d refits", calls, refits)
 	}
 }
 

@@ -122,12 +122,11 @@ type Maintainer struct {
 	histPos int
 	histLen int
 
-	strategy  EvaluationStrategy
-	fitCfg    FitConfig
-	repo      *ContextRepository // optional
-	ctx       Context
-	reEstims  int
-	listeners []func(*HWT)
+	strategy EvaluationStrategy
+	fitCfg   FitConfig
+	repo     *ContextRepository // optional
+	ctx      Context
+	reEstims int
 
 	// Async re-estimation plumbing (nil/zero in standalone mode).
 	enqueue       func() bool // registry hook: queue a refit request
@@ -252,9 +251,6 @@ func (mt *Maintainer) installPendingLocked() {
 		mt.strategy.Reset()
 		mt.reEstims++
 		mt.obsSinceRefit.Store(0)
-		for _, fn := range mt.listeners {
-			fn(mt.model)
-		}
 	}
 	mt.refitPending.Store(false)
 }
@@ -329,9 +325,6 @@ func (mt *Maintainer) reestimateLocked() error {
 	mt.obsSinceRefit.Store(0)
 	if mt.repo != nil {
 		mt.repo.Store(mt.ctx, res.X, res.Value)
-	}
-	for _, fn := range mt.listeners {
-		fn(mt.model)
 	}
 	return nil
 }

@@ -43,10 +43,6 @@ type RegistryConfig struct {
 	// queue never blocks updates: the request is dropped, counted as an
 	// overflow, and the evaluation strategy re-triggers later.
 	QueueDepth int
-	// SyncRefit disables the background pool: re-estimations run inline
-	// in the update path (the pre-registry behaviour, kept as the
-	// baseline mode for benchmarking). Workers/QueueDepth are ignored.
-	SyncRefit bool
 }
 
 // RegistryStats is a point-in-time snapshot of the registry.
@@ -62,7 +58,6 @@ type RegistryStats struct {
 	QueueDepth     int // requests currently queued
 	QueueCap       int
 	Workers        int
-	SyncRefits     uint64 // inline re-estimations (SyncRefit mode)
 
 	RefitP50, RefitP95, RefitP99 time.Duration
 
@@ -81,7 +76,7 @@ type Registry struct {
 	cfg    RegistryConfig
 	mask   uint64
 	shards []registryShard
-	sweep  *sweeper           // nil in SyncRefit mode
+	sweep  *sweeper
 	repo   *ContextRepository // shared by every maintainer (see maybeCreateLocked)
 
 	hubMu sync.Mutex
@@ -90,7 +85,6 @@ type Registry struct {
 	nSeries      atomic.Int64
 	nModels      atomic.Int64
 	observations atomic.Uint64
-	syncRefits   atomic.Uint64
 }
 
 type registryShard struct {
@@ -174,9 +168,7 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	for i := range r.shards {
 		r.shards[i].m = make(map[SeriesKey]*Series)
 	}
-	if !cfg.SyncRefit {
-		r.sweep = newSweeper(cfg.Workers, cfg.QueueDepth)
-	}
+	r.sweep = newSweeper(cfg.Workers, cfg.QueueDepth)
 	return r, nil
 }
 
@@ -329,28 +321,17 @@ func (s *Series) maybeCreateLocked() {
 		Ctx:        Context{EnergyType: s.Key.EnergyType},
 		MaxHistory: cfg.MaxHistory,
 	})
-	if s.reg.sweep != nil {
-		reg := s.reg
-		mt.setEnqueue(func() bool { return reg.sweep.enqueue(s) })
-	} else if cfg.SyncRefit {
-		s.reg.wrapSyncStrategy(mt)
-	}
+	mt.setEnqueue(func() bool { return s.reg.sweep.enqueue(s) })
 	s.warm = nil
 	s.mt.Store(mt)
 	s.reg.nModels.Add(1)
 	// Replace the default parameters with properly estimated ones as
 	// soon as a worker gets to it.
-	if s.reg.sweep != nil && mt.refitPending.CompareAndSwap(false, true) {
+	if mt.refitPending.CompareAndSwap(false, true) {
 		if !s.reg.sweep.enqueue(s) {
 			mt.refitPending.Store(false)
 		}
 	}
-}
-
-// wrapSyncStrategy counts inline re-estimations in SyncRefit mode by
-// observing strategy resets.
-func (r *Registry) wrapSyncStrategy(mt *Maintainer) {
-	mt.listeners = append(mt.listeners, func(*HWT) { r.syncRefits.Add(1) })
 }
 
 // Hub returns (creating on demand) the publish-subscribe hub of a
@@ -413,11 +394,8 @@ func (r *Registry) Stats() RegistryStats {
 		Series:       int(r.nSeries.Load()),
 		Models:       int(r.nModels.Load()),
 		Observations: r.observations.Load(),
-		SyncRefits:   r.syncRefits.Load(),
 	}
-	if r.sweep != nil {
-		r.sweep.fill(&st)
-	}
+	r.sweep.fill(&st)
 	var sum int64
 	var n int64
 	for i := range r.shards {
@@ -446,9 +424,6 @@ func (r *Registry) Stats() RegistryStats {
 // Quiesce blocks until the refit queue is empty and no refit is in
 // flight, or the timeout elapses. Intended for tests and benchmarks.
 func (r *Registry) Quiesce(timeout time.Duration) error {
-	if r.sweep == nil {
-		return nil
-	}
 	deadline := time.Now().Add(timeout)
 	for {
 		if r.sweep.idle() {
@@ -464,9 +439,7 @@ func (r *Registry) Quiesce(timeout time.Duration) error {
 // Close stops the background workers (in-flight refits finish; queued
 // requests are dropped).
 func (r *Registry) Close() {
-	if r.sweep != nil {
-		r.sweep.close()
-	}
+	r.sweep.close()
 }
 
 // sortDurations is a tiny helper shared with the sweeper's percentile

@@ -45,7 +45,6 @@ func BenchmarkRegistryUpdateBatch(b *testing.B) {
 	cfg := RegistryConfig{
 		Periods:     []int{24},
 		NewStrategy: func() EvaluationStrategy { return &TimeBased{} },
-		SyncRefit:   true,
 	}
 	reg, err := NewRegistry(cfg)
 	if err != nil {

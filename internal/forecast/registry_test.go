@@ -314,31 +314,6 @@ func TestRegistryConcurrentRace(t *testing.T) {
 	reg.Close()
 }
 
-// TestRegistrySyncRefitMode: Workers=0 via SyncRefit runs re-estimation
-// inline (the benchmark baseline) and counts it.
-func TestRegistrySyncRefitMode(t *testing.T) {
-	cfg := testRegistryConfig()
-	cfg.SyncRefit = true
-	cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 8} }
-	reg, err := NewRegistry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	// Small batches so most observations flow through the live model
-	// (one big batch would land entirely in the warm-up buffer).
-	for i := 0; i < 20; i++ {
-		reg.UpdateMeasurements(seriesBatch("a1", i*2, 2))
-	}
-	st := reg.Stats()
-	if st.SyncRefits == 0 {
-		t.Fatal("no inline re-estimations in SyncRefit mode")
-	}
-	if st.RefitsEnqueued != 0 || st.Workers != 0 {
-		t.Fatalf("background pool active in SyncRefit mode: %+v", st)
-	}
-}
-
 func TestRegistryHubPublishDirty(t *testing.T) {
 	reg, err := NewRegistry(testRegistryConfig())
 	if err != nil {

@@ -103,8 +103,6 @@ type Config struct {
 	// acks are flush-to-OS durable; store.SyncAlways makes every ack
 	// machine-crash durable at one group fsync per coalesced round).
 	Sync store.SyncPolicy
-	// SyncInterval is the background fsync cadence under SyncInterval.
-	SyncInterval time.Duration
 	// Queue bounds the in-memory event backlog (default 4096 events).
 	Queue int
 	// Policy picks the backpressure behaviour when the queue is full.

@@ -38,7 +38,7 @@ type binaryLog struct {
 func binaryLogs() []binaryLog {
 	wal := binaryLog{
 		name: "wal", magic: store.WALMagic,
-		file: func(dir string) string { return store.WALFiles(dir)[1] },
+		file: func(dir string) string { return store.WALFiles(dir)[0] },
 		write: func(t *testing.T, dir string, first, last int) {
 			s, err := store.Open(dir)
 			if err != nil {
@@ -235,7 +235,6 @@ func TestForeignLogIsRefusedUntouched(t *testing.T) {
 		image []byte
 	}{
 		{"legacy wal.log", wal, wal.file, legacyWAL},
-		{"legacy wal.old", wal, func(dir string) string { return store.WALFiles(dir)[0] }, legacyWAL},
 		{"wal.log of another version", wal, wal.file, futureWAL},
 		{"legacy ingest.log", journal, journal.file, legacyJournal},
 		{"legacy ingest.log.old", journal, func(dir string) string { return JournalFiles(journal.file(dir))[0] }, legacyJournal},

@@ -186,7 +186,7 @@ func (q *Queue) openJournal() error {
 		q.stats.recovered.Add(uint64(len(batch)))
 		batch = batch[:0]
 	}
-	log, _, err := store.OpenGroupLog(JournalFiles(q.cfg.Path), JournalMagic, q.cfg.Sync, q.cfg.SyncInterval, true,
+	log, _, err := store.OpenGroupLog(JournalFiles(q.cfg.Path), JournalMagic, q.cfg.Sync, true,
 		func(off int64, tag byte, payload []byte) error {
 			ev, err := decodeEvent(tag, payload, names)
 			if err != nil {

@@ -173,10 +173,8 @@ type LedgerConfig struct {
 	// balances and settled-offer index live in memory only, appends are
 	// acked immediately, and nothing survives the process.
 	Path string
-	// Sync is the group-commit fsync policy (store.SyncFlush default);
-	// SyncInterval is the cadence under store.SyncInterval.
-	Sync         store.SyncPolicy
-	SyncInterval time.Duration
+	// Sync is the group-commit fsync policy (store.SyncFlush default).
+	Sync store.SyncPolicy
 }
 
 // LedgerStats snapshots the ledger's counters.
@@ -261,7 +259,7 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.Path == "" {
 		return l, nil
 	}
-	log, cut, err := store.OpenGroupLog([]string{cfg.Path}, LedgerMagic, cfg.Sync, cfg.SyncInterval, false, l.chainWalk())
+	log, cut, err := store.OpenGroupLog([]string{cfg.Path}, LedgerMagic, cfg.Sync, false, l.chainWalk())
 	if err != nil {
 		return nil, fmt.Errorf("settle: open ledger %s: %w", cfg.Path, err)
 	}

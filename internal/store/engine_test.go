@@ -13,87 +13,6 @@ import (
 	"mirabel/internal/flexoffer"
 )
 
-// TestSnapshotNonBlocking proves the acceptance property directly:
-// while Snapshot() is serializing the image (the long part), readers
-// and writers make progress. The serialize hook parks the snapshot
-// between the per-shard copy and the marshal; every store operation
-// issued in that window must complete before the snapshot is released.
-func TestSnapshotNonBlocking(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for slot := flexoffer.Time(0); slot < 1000; slot++ {
-		if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: slot, KWh: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	enter := make(chan struct{})
-	release := make(chan struct{})
-	s.serializeHook = func() {
-		close(enter)
-		<-release
-	}
-	snapDone := make(chan error, 1)
-	go func() { snapDone <- s.Snapshot() }()
-	<-enter // snapshot copied its view and is now "serializing"
-
-	// Writes across every table flavour, reads via every index — all
-	// while the snapshot is mid-flight. No goroutines, no timeouts: if
-	// any of these blocked on the snapshot, the test would hang.
-	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 5000, KWh: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutOffer(OfferRecord{Offer: testOffer(41), Owner: "p1", State: OfferAccepted}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.UpdateOffer(41, func(r *OfferRecord) { r.State = OfferScheduled }); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutMeasurementsBatch([]Measurement{
-		{Actor: "p2", EnergyType: "demand", Slot: 1, KWh: 3},
-		{Actor: "p2", EnergyType: "demand", Slot: 2, KWh: 4},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Measurements(MeasurementFilter{Actor: "p1", EnergyType: "demand", FromSlot: 4999, ToSlot: 5001})); got != 1 {
-		t.Errorf("read during snapshot = %d rows, want 1", got)
-	}
-	if got := s.CountOffersByState()[OfferScheduled]; got != 1 {
-		t.Errorf("scheduled count during snapshot = %d, want 1", got)
-	}
-	select {
-	case err := <-snapDone:
-		t.Fatalf("snapshot finished before release: %v", err)
-	default:
-	}
-
-	close(release)
-	if err := <-snapDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The mid-snapshot writes landed in the post-rotation WAL: recovery
-	// must see the snapshot image plus all of them.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.Stats().Measurements; got != 1003 {
-		t.Errorf("measurements after recovery = %d, want 1003", got)
-	}
-	if r, ok := s2.GetOffer(41); !ok || r.State != OfferScheduled {
-		t.Errorf("offer after recovery = %+v, %v", r, ok)
-	}
-}
-
 // scheduleOffer and executeOffer are the two transitions the node logs
 // most: the cycle's commit, which sets a schedule and so logs it, and
 // settlement, which keeps the schedule and so logs a state-only step.
@@ -133,14 +52,11 @@ func describeOffers(recs []OfferRecord) string {
 	return b.String()
 }
 
-// TestSnapshotPlusTailEqualsPreCrashState writes, snapshots, writes
-// more (the tail), then "crashes" (reopens without Close) and checks
-// the recovered state equals the pre-crash state exactly. Offer
-// transitions land on both sides of the rotation: one offer runs its
-// whole life before it, one after it, and one is scheduled before and
-// executed after — a state-only step whose schedule only the snapshot
-// holds.
-func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
+// TestReplayEqualsPreCrashState writes, then "crashes" (reopens without
+// Close) and checks the recovered state equals the pre-crash state
+// exactly: offers that run their whole life, a state-only step whose
+// schedule an earlier transition logged, and a prune.
+func TestReplayEqualsPreCrashState(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -159,11 +75,6 @@ func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
 	transition(t, s, 7, scheduleOffer)
 	transition(t, s, 8, scheduleOffer)
 	transition(t, s, 8, executeOffer)
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// Tail: post-snapshot mutations, including transitions of
-	// snapshotted records and a prune.
 	transition(t, s, 7, executeOffer)
 	transition(t, s, 9, scheduleOffer)
 	transition(t, s, 9, executeOffer)
@@ -173,8 +84,8 @@ func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
 	if _, err := s.PruneMeasurements(10); err != nil {
 		t.Fatal(err)
 	}
-	want := s.dump()
-	if err := s.Sync(); err != nil { // flush the tail; no Close — this is the crash
+	want := s.SumEnergyBySlot(MeasurementFilter{})
+	if err := s.Sync(); err != nil { // flush the log; no Close — this is the crash
 		t.Fatal(err)
 	}
 
@@ -183,149 +94,16 @@ func TestSnapshotPlusTailEqualsPreCrashState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got := s2.dump()
-	if len(got.Measurements) != len(want.Measurements) {
-		t.Errorf("recovered %d measurements, want %d", len(got.Measurements), len(want.Measurements))
+	if got := s2.SumEnergyBySlot(MeasurementFilter{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("recovered measurements %v, want %v", got, want)
 	}
-	if got := s2.SumEnergyBySlot(MeasurementFilter{})[100]; got != 9 {
-		t.Errorf("tail measurement lost: %g", got)
-	}
-	if got := s2.Stats().Measurements; got != 41 { // 50 - 10 pruned + 1 tail
+	if got := s2.Stats().Measurements; got != 41 { // 50 - 10 pruned + 1 later
 		t.Errorf("measurements = %d, want 41", got)
 	}
 	if got := s2.CountOffersByState()[OfferExecuted]; got != 3 {
 		t.Errorf("executed offers after recovery = %d, want 3", got)
 	}
 	sameOffers(t, s2, s)
-}
-
-// TestCrashBetweenSnapshotAndWALRetire simulates dying after the new
-// snapshot is in place but before wal.old is removed: the sealed tail —
-// offer transitions and a state-only step included — must replay
-// idempotently over a snapshot that already contains it.
-func TestCrashBetweenSnapshotAndWALRetire(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutActor(Actor{ID: "brp1", Role: RoleBRP}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}); err != nil {
-		t.Fatal(err)
-	}
-	accepted := OfferRecord{Offer: testOffer(7), Owner: "p1", State: OfferAccepted}
-	if err := s.PutOffer(accepted); err != nil {
-		t.Fatal(err)
-	}
-	transition(t, s, 7, scheduleOffer)
-	transition(t, s, 7, executeOffer)
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recreate wal.old as if the retire step never ran: the records it
-	// seals are exactly the ones the snapshot covers.
-	sealed := []byte(WALMagic)
-	for _, rec := range []struct {
-		tag byte
-		val any
-	}{
-		{tagActor, Actor{ID: "brp1", Role: RoleBRP}},
-		{tagMeasurement, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}},
-		{tagOffer, accepted},
-	} {
-		if sealed, err = appendRecord(sealed, rec.tag, rec.val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	scheduled := accepted
-	scheduleOffer(&scheduled)
-	executed := scheduled
-	executeOffer(&executed)
-	sealed = appendUpdateFrame(sealed, &accepted, &scheduled)
-	sealed = appendUpdateFrame(sealed, &scheduled, &executed)
-	if tags := walTagsOf(t, sealed); !bytes.Equal(tags[len(tags)-2:], []byte{tagOfferState, tagOfferStateOnly}) {
-		t.Fatalf("sealed tail tags = %v, want a transition then a state-only step last", tags)
-	}
-	if err := os.WriteFile(walOldPath(dir), sealed, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatalf("recovery with leftover wal.old: %v", err)
-	}
-	if got := s2.Stats(); got.Actors != 1 || got.Measurements != 1 || got.Offers != 1 {
-		t.Errorf("idempotent replay broke counts: %+v", got)
-	}
-	if r, _ := s2.GetOffer(7); !reflect.DeepEqual(r, executed) {
-		t.Errorf("offer 7 after the sealed tail replayed = %+v, want %+v", r, executed)
-	}
-	// A snapshot from this state must seal the leftover tail away for
-	// good (the rotate path appends to an existing wal.old), with a
-	// transition before its rotation and a state-only step after it.
-	if err := s2.PutActor(Actor{ID: "p9", Role: RoleProsumer}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.PutOffer(OfferRecord{Offer: testOffer(8), Owner: "p9", State: OfferAccepted}); err != nil {
-		t.Fatal(err)
-	}
-	transition(t, s2, 8, scheduleOffer)
-	if err := s2.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	transition(t, s2, 8, executeOffer)
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s3.Close()
-	if _, ok := s3.GetActor("p9"); !ok {
-		t.Error("post-recovery write lost")
-	}
-	if got := s3.Stats(); got.Actors != 2 || got.Measurements != 1 || got.Offers != 2 {
-		t.Errorf("counts after second snapshot: %+v", got)
-	}
-	sameOffers(t, s3, s2)
-}
-
-// TestCrashBeforeSnapshotWriteKeepsSealedTail simulates dying between
-// the WAL rotation and the snapshot rename: the sealed tail is the only
-// copy of its records and must be replayed.
-func TestCrashBeforeSnapshotWriteKeepsSealedTail(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutActor(Actor{ID: "only-in-tail", Role: RoleBRP}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The crashed snapshot rotated wal.log to wal.old and died before
-	// writing snapshot.json.
-	if err := os.Rename(walPath(dir), walOldPath(dir)); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, ok := s2.GetActor("only-in-tail"); !ok {
-		t.Error("sealed tail not replayed")
-	}
 }
 
 func TestOpenReadOnly(t *testing.T) {
@@ -364,7 +142,6 @@ func TestOpenReadOnly(t *testing.T) {
 			b.PutActor(Actor{ID: "x"})
 			return ro.ApplyBatch(b)
 		}(),
-		"Snapshot": ro.Snapshot(),
 	} {
 		if !errors.Is(err, ErrReadOnly) {
 			t.Errorf("%s on read-only store: err = %v, want ErrReadOnly", name, err)

@@ -16,9 +16,8 @@ import (
 // Truncate or Rotate too); a file in another format, or an error from
 // apply, fails the open with every file untouched — and so does a
 // damaged file (ErrDamaged) unless cutDamage says to treat the damage as
-// a torn tail. interval is only used under SyncInterval (0 means the
-// default 100ms cadence).
-func OpenGroupLog(files []string, magic string, policy SyncPolicy, interval time.Duration, cutDamage bool,
+// a torn tail. Under SyncInterval the log fsyncs every syncCadence.
+func OpenGroupLog(files []string, magic string, policy SyncPolicy, cutDamage bool,
 	apply func(off int64, tag byte, payload []byte) error) (g *GroupLog, cut int64, err error) {
 	intact := make([]int64, len(files))
 	for i, path := range files {
@@ -42,22 +41,22 @@ func OpenGroupLog(files []string, magic string, policy SyncPolicy, interval time
 		return nil, 0, err
 	}
 	if policy == SyncInterval {
-		if interval <= 0 {
-			interval = defaultOptions().interval
-		}
-		startIntervalSync(g, interval)
+		startIntervalSync(g)
 	}
 	return g, cut, nil
 }
 
+// syncCadence is how often a SyncInterval log fsyncs in the background.
+const syncCadence = 100 * time.Millisecond
+
 // startIntervalSync runs the background fsync ticker of a SyncInterval
 // log. close(c.stopTick) stops it; c.tickDone closes when it has exited.
-func startIntervalSync(c *GroupLog, interval time.Duration) {
+func startIntervalSync(c *GroupLog) {
 	c.stopTick = make(chan struct{})
 	c.tickDone = make(chan struct{})
 	go func(stop, done chan struct{}) {
 		defer close(done)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(syncCadence)
 		defer t.Stop()
 		for {
 			select {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -30,99 +29,89 @@ func indexAnswers(s *Store, states []OfferState, owners []string) map[string]any
 // buckets write by write. Over a seeded random history of puts, batch
 // upserts, transitions with and without a schedule, owner changes and
 // refused inserts, a store reopened with Open or OpenReadOnly answers
-// every indexed query as the live store did — replaying the whole WAL,
-// or loading a snapshot taken midway and replaying the tail over it.
+// every indexed query as the live store did.
 func TestReopenedIndexMatchesLive(t *testing.T) {
 	states := []OfferState{"", OfferAccepted, OfferScheduled, OfferExecuted, OfferExpired, OfferCancelled, "held-for-review"}
 	owners := []string{"p0", "p1", "p2", "p3"}
-	for _, snapshotAt := range []int{-1, 200} {
-		t.Run(fmt.Sprintf("snapshot at %d", snapshotAt), func(t *testing.T) {
-			dir := t.TempDir()
-			s, err := Open(dir)
-			if err != nil {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	owner := func() string { return owners[rng.Intn(len(owners))] }
+	state := func() OfferState { return states[1+rng.Intn(len(states)-1)] }
+	var ids []flexoffer.ID
+	newRecord := func() OfferRecord {
+		id := flexoffer.ID(len(ids) + 1)
+		ids = append(ids, id)
+		return OfferRecord{Offer: testOffer(id), Owner: owner(), State: OfferAccepted}
+	}
+	stored := func() flexoffer.ID { return ids[rng.Intn(len(ids))] }
+	update := func(mutate func(*OfferRecord)) {
+		if _, err := s.UpdateOffer(stored(), mutate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		switch k := rng.Intn(7); {
+		case k == 0 || len(ids) < 5:
+			if err := s.PutOffer(newRecord()); err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(29))
-			owner := func() string { return owners[rng.Intn(len(owners))] }
-			state := func() OfferState { return states[1+rng.Intn(len(states)-1)] }
-			var ids []flexoffer.ID
-			newRecord := func() OfferRecord {
-				id := flexoffer.ID(len(ids) + 1)
-				ids = append(ids, id)
-				return OfferRecord{Offer: testOffer(id), Owner: owner(), State: OfferAccepted}
-			}
-			stored := func() flexoffer.ID { return ids[rng.Intn(len(ids))] }
-			update := func(mutate func(*OfferRecord)) {
-				if _, err := s.UpdateOffer(stored(), mutate); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 400; i++ {
-				if i == snapshotAt {
-					if err := s.Snapshot(); err != nil {
-						t.Fatal(err)
-					}
-				}
-				switch k := rng.Intn(7); {
-				case k == 0 || len(ids) < 5:
-					if err := s.PutOffer(newRecord()); err != nil {
-						t.Fatal(err)
-					}
-				case k == 1: // a new offer and an upsert over a stored one
-					old, _ := s.GetOffer(stored())
-					b := NewBatch()
-					b.PutOffer(newRecord())
-					b.PutOffer(OfferRecord{Offer: old.Offer, Owner: owner(), State: state()})
-					if err := s.ApplyBatch(b); err != nil {
-						t.Fatal(err)
-					}
-				case k == 2:
-					id := stored()
-					if ok, err := s.InsertOffer(OfferRecord{Offer: testOffer(id), Owner: owner(), State: OfferRejected}); ok || err != nil {
-						t.Fatalf("insert over stored offer %d = %v, %v", id, ok, err)
-					}
-				case k == 3: // a state-only step
-					st := state()
-					update(func(r *OfferRecord) { r.State = st })
-				case k == 4: // transitions that set and clear a schedule, as one batch
-					ups := make([]OfferUpdate, 1+rng.Intn(4))
-					for j := range ups {
-						clear := rng.Intn(3) == 0
-						ups[j] = OfferUpdate{ID: stored(), Mutate: func(r *OfferRecord) {
-							if clear {
-								r.State, r.Schedule = OfferAccepted, nil
-							} else {
-								scheduleOffer(r)
-							}
-						}}
-					}
-					if _, err := s.UpdateOffers(ups); err != nil {
-						t.Fatal(err)
-					}
-				case k == 5:
-					o := owner()
-					update(func(r *OfferRecord) { r.Owner = o })
-				default:
-					update(executeOffer)
-				}
-			}
-			want := indexAnswers(s, states, owners)
-			if err := s.Close(); err != nil {
+		case k == 1: // a new offer and an upsert over a stored one
+			old, _ := s.GetOffer(stored())
+			b := NewBatch()
+			b.PutOffer(newRecord())
+			b.PutOffer(OfferRecord{Offer: old.Offer, Owner: owner(), State: state()})
+			if err := s.ApplyBatch(b); err != nil {
 				t.Fatal(err)
 			}
-			for name, open := range map[string]func(string) (*Store, error){"Open": func(d string) (*Store, error) { return Open(d) }, "OpenReadOnly": OpenReadOnly} {
-				re, err := open(dir)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				got := indexAnswers(re, states, owners)
-				re.Close()
-				for q, w := range want {
-					if !reflect.DeepEqual(got[q], w) {
-						t.Errorf("%s: %s = %v, live store had %v", name, q, got[q], w)
-					}
-				}
+		case k == 2:
+			id := stored()
+			if ok, err := s.InsertOffer(OfferRecord{Offer: testOffer(id), Owner: owner(), State: OfferRejected}); ok || err != nil {
+				t.Fatalf("insert over stored offer %d = %v, %v", id, ok, err)
 			}
-		})
+		case k == 3: // a state-only step
+			st := state()
+			update(func(r *OfferRecord) { r.State = st })
+		case k == 4: // transitions that set and clear a schedule, as one batch
+			ups := make([]OfferUpdate, 1+rng.Intn(4))
+			for j := range ups {
+				clear := rng.Intn(3) == 0
+				ups[j] = OfferUpdate{ID: stored(), Mutate: func(r *OfferRecord) {
+					if clear {
+						r.State, r.Schedule = OfferAccepted, nil
+					} else {
+						scheduleOffer(r)
+					}
+				}}
+			}
+			if _, err := s.UpdateOffers(ups); err != nil {
+				t.Fatal(err)
+			}
+		case k == 5:
+			o := owner()
+			update(func(r *OfferRecord) { r.Owner = o })
+		default:
+			update(executeOffer)
+		}
+	}
+	want := indexAnswers(s, states, owners)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(string) (*Store, error){"Open": func(d string) (*Store, error) { return Open(d) }, "OpenReadOnly": OpenReadOnly} {
+		re, err := open(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := indexAnswers(re, states, owners)
+		re.Close()
+		for q, w := range want {
+			if !reflect.DeepEqual(got[q], w) {
+				t.Errorf("%s: %s = %v, live store had %v", name, q, got[q], w)
+			}
+		}
 	}
 }

@@ -70,21 +70,6 @@ func (t *shardedTable[K, V]) length() int {
 	return n
 }
 
-// snapshotValues copies every value out, one stripe at a time under
-// brief read locks — the per-shard-consistent view Snapshot serializes
-// outside any lock.
-func (t *shardedTable[K, V]) snapshotValues() []V {
-	out := make([]V, 0, t.length())
-	for i := range t.shards {
-		t.shards[i].mu.RLock()
-		for _, v := range t.shards[i].m {
-			out = append(out, v)
-		}
-		t.shards[i].mu.RUnlock()
-	}
-	return out
-}
-
 // scan calls fn for every entry, one stripe at a time under read locks.
 // Used by the residual full-table queries (dimension walks, unfiltered
 // listings) whose result is the table anyway.

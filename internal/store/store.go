@@ -1,12 +1,10 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"sync"
-	"time"
 
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/wire"
@@ -25,7 +23,7 @@ type SyncPolicy int
 
 const (
 	// SyncFlush (the default) flushes every group commit to the OS but
-	// fsyncs only on Sync, Snapshot and Close: a crash of the process
+	// fsyncs only on Sync and Close: a crash of the process
 	// loses nothing, a crash of the machine can lose the tail since the
 	// last explicit sync. This is the seed engine's behaviour, made
 	// explicit.
@@ -33,9 +31,8 @@ const (
 	// SyncAlways fsyncs every group commit: machine-crash durable, one
 	// fsync amortized over all writers in the group.
 	SyncAlways
-	// SyncInterval fsyncs in the background every Options interval
-	// (default 100ms): bounded machine-crash loss window at near
-	// SyncFlush throughput.
+	// SyncInterval fsyncs in the background every 100ms: bounded
+	// machine-crash loss window at near SyncFlush throughput.
 	SyncInterval
 )
 
@@ -43,12 +40,7 @@ const (
 type Option func(*options)
 
 type options struct {
-	policy   SyncPolicy
-	interval time.Duration
-}
-
-func defaultOptions() options {
-	return options{policy: SyncFlush, interval: 100 * time.Millisecond}
+	policy SyncPolicy
 }
 
 // WithSyncPolicy selects the WAL fsync policy.
@@ -56,30 +48,17 @@ func WithSyncPolicy(p SyncPolicy) Option {
 	return func(o *options) { o.policy = p }
 }
 
-// WithSyncInterval sets the background fsync cadence and implies
-// SyncInterval.
-func WithSyncInterval(d time.Duration) Option {
-	return func(o *options) {
-		o.policy = SyncInterval
-		if d > 0 {
-			o.interval = d
-		}
-	}
-}
-
 // Store is the node-local multidimensional store. All methods are safe
-// for concurrent use. A Store opened with a directory is durable
-// (WAL + snapshot); NewInMemory gives a volatile store for simulations.
+// for concurrent use. A Store opened with a directory is durable (a
+// write-ahead log); NewInMemory gives a volatile store for simulations.
 //
 // Internally each dimension and fact table is hash-striped (shard.go);
 // measurements are clustered into per-(actor, energy type) slot-sorted
 // series (index.go) and offers carry by-state and by-owner secondary
 // indexes, so the hot queries read only matching rows. Durable writers
 // append through a group committer (wal.go) while holding only their
-// stripe's lock, and Snapshot serializes a per-shard-consistent copy
-// outside every lock.
+// stripe's lock.
 type Store struct {
-	dir      string
 	readOnly bool
 	w        *GroupLog
 
@@ -95,26 +74,7 @@ type Store struct {
 	meas     *measurementIndex
 	offerIdx *offerIndex
 
-	snapMu  sync.Mutex // one snapshot at a time; Close waits for it
 	pruneMu sync.Mutex // one retention sweep at a time
-
-	// serializeHook, when set (tests only), runs between the in-memory
-	// copy and the serialization of a snapshot — the window in which
-	// readers and writers must keep making progress.
-	serializeHook func()
-}
-
-// snapshotImage is the serialized form of the full store state.
-type snapshotImage struct {
-	Actors       []Actor          `json:"actors"`
-	EnergyTypes  []EnergyType     `json:"energy_types"`
-	MarketAreas  []MarketArea     `json:"market_areas"`
-	Measurements []Measurement    `json:"measurements"`
-	Offers       []OfferRecord    `json:"offers"`
-	Forecasts    []ForecastRecord `json:"forecasts"`
-	Prices       []PriceRecord    `json:"prices"`
-	Contracts    []Contract       `json:"contracts"`
-	ModelParams  []ModelParams    `json:"model_params"`
 }
 
 func newStore() *Store {
@@ -136,11 +96,11 @@ func newStore() *Store {
 // simulations and tests.
 func NewInMemory() *Store { return newStore() }
 
-// Open loads (or creates) a durable store in dir: snapshot first, then
-// the sealed pre-snapshot WAL tail (if a crash interrupted a snapshot),
-// then the live WAL.
+// Open loads (or creates) a durable store in dir by replaying its WAL.
+// A log in another format fails recovery (ErrLogFormat) with its file
+// untouched.
 func Open(dir string, opts ...Option) (*Store, error) {
-	o := defaultOptions()
+	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -148,11 +108,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
 	s := newStore()
-	s.dir = dir
-	if err := s.loadSnapshot(dir); err != nil {
-		return nil, err
-	}
-	log, _, err := OpenGroupLog(WALFiles(dir), WALMagic, o.policy, o.interval, true, s.replayer())
+	log, _, err := OpenGroupLog(WALFiles(dir), WALMagic, o.policy, true, s.replayer())
 	if err != nil {
 		return nil, err
 	}
@@ -174,61 +130,20 @@ func OpenReadOnly(dir string) (*Store, error) {
 	if !fi.IsDir() {
 		return nil, fmt.Errorf("store: open read-only: %s is not a directory", dir)
 	}
-	found := false
-	for _, p := range append(WALFiles(dir), snapshotPath(dir)) {
-		if _, err := os.Stat(p); err == nil {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if _, err := os.Stat(walPath(dir)); err != nil {
 		return nil, fmt.Errorf("store: open read-only: no store artifacts in %s", dir)
 	}
 	s := newStore()
-	s.dir = dir
 	s.readOnly = true
-	if err := s.loadSnapshot(dir); err != nil {
+	if _, err := ReplayFrames(walPath(dir), WALMagic, s.replayer()); err != nil && !errors.Is(err, ErrDamaged) {
 		return nil, err
-	}
-	apply := s.replayer()
-	for _, path := range WALFiles(dir) {
-		if _, err := ReplayFrames(path, WALMagic, apply); err != nil && !errors.Is(err, ErrDamaged) {
-			return nil, err
-		}
 	}
 	s.offerIdx.build(s.offers)
 	return s, nil
 }
 
-// loadSnapshot loads the snapshot image, if there is one. The WAL files
-// replay over it: the sealed pre-snapshot tail, then the live log.
-// Replaying a sealed tail whose snapshot completed is an idempotent
-// no-op (puts are upserts, transitions assign state and schedule
-// absolutely, a state-only step assigns the state over the schedule
-// the offer's earlier records left, prunes re-prune nothing); a log in
-// another format fails recovery (ErrLogFormat) with its file untouched.
-// Like the WAL replay, the load leaves the offer index to the one build
-// after the last file.
-func (s *Store) loadSnapshot(dir string) error {
-	raw, err := os.ReadFile(snapshotPath(dir))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	var img snapshotImage
-	if err := json.Unmarshal(raw, &img); err != nil {
-		return fmt.Errorf("store: corrupt snapshot: %w", err)
-	}
-	s.load(&img)
-	return nil
-}
-
 // Close flushes and closes the WAL. The store must not be used after.
 func (s *Store) Close() error {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
 	if s.w == nil {
 		return nil
 	}
@@ -252,123 +167,8 @@ func (s *Store) WALStats() LogStats {
 	return s.w.Stats()
 }
 
-// Snapshot writes a point-in-time image and retires the WAL records it
-// covers — without blocking readers or writers while the image is
-// serialized and written. The sequence:
-//
-//  1. rotate: the live WAL is sealed as wal.old and a fresh log starts;
-//  2. copy: every table is copied out one stripe at a time under brief
-//     locks. Each record sealed in step 1 was applied under its stripe
-//     lock before that lock was released, so the copy covers wal.old;
-//  3. serialize: the copy is marshaled and written to a temp file,
-//     fsynced and renamed over the snapshot — no lock held;
-//  4. retire: wal.old is removed.
-//
-// A crash before 3 completes leaves the old snapshot plus wal.old plus
-// the fresh log — exactly the recovery input. A crash between 3 and 4
-// replays wal.old over a snapshot that already contains it, which is
-// idempotent.
-func (s *Store) Snapshot() error {
-	if s.dir == "" {
-		return fmt.Errorf("store: snapshot of an in-memory store")
-	}
-	if s.readOnly {
-		return ErrReadOnly
-	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	if err := s.w.Rotate(walOldPath(s.dir)); err != nil {
-		return err
-	}
-	img := s.dump()
-	if s.serializeHook != nil {
-		s.serializeHook()
-	}
-	raw, err := json.Marshal(img)
-	if err != nil {
-		return fmt.Errorf("store: marshal snapshot: %w", err)
-	}
-	tmp := snapshotPath(s.dir) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(raw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, snapshotPath(s.dir)); err != nil {
-		return err
-	}
-	if err := os.Remove(walOldPath(s.dir)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-// dump copies the full state, stripe by stripe under brief read locks.
-func (s *Store) dump() *snapshotImage {
-	img := &snapshotImage{
-		Actors:      s.actors.snapshotValues(),
-		EnergyTypes: s.energyTypes.snapshotValues(),
-		MarketAreas: s.marketAreas.snapshotValues(),
-		Offers:      s.offers.snapshotValues(),
-		Forecasts:   s.forecasts.snapshotValues(),
-		Prices:      s.prices.snapshotValues(),
-		Contracts:   s.contracts.snapshotValues(),
-		ModelParams: s.modelParams.snapshotValues(),
-	}
-	for _, ss := range s.meas.all() {
-		ss.mu.RLock()
-		for i, slot := range ss.slots {
-			img.Measurements = append(img.Measurements, Measurement{
-				Actor: ss.key.Actor, EnergyType: ss.key.EnergyType, Slot: slot, KWh: ss.kwh[i],
-			})
-		}
-		ss.mu.RUnlock()
-	}
-	return img
-}
-
-func (s *Store) load(img *snapshotImage) {
-	for _, v := range img.Actors {
-		applyPut(s.actors, v.ID, v)
-	}
-	for _, v := range img.EnergyTypes {
-		applyPut(s.energyTypes, v.ID, v)
-	}
-	for _, v := range img.MarketAreas {
-		applyPut(s.marketAreas, v.ID, v)
-	}
-	for _, v := range img.Measurements {
-		s.applyMeasurement(v)
-	}
-	for _, v := range img.Offers {
-		applyPut(s.offers, v.Offer.ID, v)
-	}
-	for _, v := range img.Forecasts {
-		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v)
-	}
-	for _, v := range img.Prices {
-		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v)
-	}
-	for _, v := range img.Contracts {
-		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v)
-	}
-	for _, v := range img.ModelParams {
-		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v)
-	}
-}
-
-// applyPut is the lock-taking, log-free upsert used by recovery and the
-// snapshot loader (and, via its *Locked twin in batch.go, by batches).
+// applyPut is the lock-taking, log-free upsert used by recovery (and,
+// via its *Locked twin in batch.go, by batches).
 // It leaves the offer index alone: recovery builds it once, when the
 // last file is in.
 func applyPut[K comparable, V any](t *shardedTable[K, V], k K, v V) {

@@ -180,44 +180,6 @@ func TestDurabilityWALReplay(t *testing.T) {
 	}
 }
 
-func TestDurabilitySnapshotPlusTail(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutActor(Actor{ID: "a1"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	// Post-snapshot writes land in the fresh WAL tail.
-	if err := s.PutActor(Actor{ID: "a2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if _, ok := s2.GetActor("a1"); !ok {
-		t.Error("snapshot record lost")
-	}
-	if _, ok := s2.GetActor("a2"); !ok {
-		t.Error("wal tail record lost")
-	}
-}
-
-func TestSnapshotInMemoryErrors(t *testing.T) {
-	if err := NewInMemory().Snapshot(); err == nil {
-		t.Error("snapshot of in-memory store should error")
-	}
-}
-
 func TestStats(t *testing.T) {
 	s := NewInMemory()
 	s.PutActor(Actor{ID: "a"})

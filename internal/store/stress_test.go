@@ -12,7 +12,7 @@ import (
 
 // TestStoreStressConcurrent hammers a durable store from every angle at
 // once — batch writers, single-put writers, offer transitions, indexed
-// readers, a snapshot and a retention sweep — and then proves the WAL
+// readers and a retention sweep — and then proves the WAL
 // and the in-memory state agree by recovering into a fresh store. Run
 // under -race this is the engine's lock-discipline audit.
 func TestStoreStressConcurrent(t *testing.T) {
@@ -106,13 +106,10 @@ func TestStoreStressConcurrent(t *testing.T) {
 		}(r)
 	}
 
-	// A snapshot and a retention sweep race the load.
+	// A retention sweep races the load.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if err := s.Snapshot(); err != nil {
-			t.Error(err)
-		}
 		if _, err := s.PruneMeasurements(5); err != nil {
 			t.Error(err)
 		}
@@ -133,8 +130,7 @@ func TestStoreStressConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recovery equivalence: snapshot + sealed tail + live log replays to
-	// the exact same state.
+	// Recovery equivalence: the log replays to the exact same state.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -8,12 +8,12 @@
 // at all levels use subparts of it.
 //
 // Durability follows the classic embedded-engine recipe: every mutation
-// is appended to a write-ahead log before being applied in memory;
-// Snapshot() compacts the log into a point-in-time image; Open() recovers
-// by loading the snapshot and replaying the log tail. The log is a
-// sequence of length-prefixed, checksummed binary frames behind a
-// magic+version header (frame.go), one frame per mutation (codec.go), so
-// a torn final write is detected and dropped.
+// is appended to a write-ahead log before being applied in memory, and
+// Open() recovers by replaying the log. The log is a sequence of
+// length-prefixed, checksummed binary frames behind a magic+version
+// header (frame.go), one frame per mutation (codec.go), so a torn final
+// write is detected and dropped. Nothing compacts the log: it holds
+// every mutation since the store was created.
 //
 // The log is written by a group committer: concurrent writers coalesce
 // into one buffered append (and, under SyncAlways, one fsync) per
@@ -200,8 +200,8 @@ func (c *GroupLog) Sync() error {
 // appending to a fresh file at the original path. The sealed bytes are
 // flushed and fsynced before the rename, so oldPath is a complete,
 // immutable prefix of the log; the caller deletes it once every record
-// in it is durable elsewhere (a snapshot covers it; the store fsynced
-// what the journal's events became). If oldPath already exists (an
+// in it is durable elsewhere (the store fsynced what the journal's
+// events became). If oldPath already exists (an
 // earlier rotation whose cleanup was interrupted), the current contents
 // are appended to it instead of clobbering it — replay order (oldPath
 // then the live file) is unchanged either way.
@@ -305,18 +305,12 @@ func (c *GroupLog) Stats() LogStats {
 	}
 }
 
-// WALMagic heads wal.log and wal.old; the last byte is the format
-// version (see frame.go for the rule).
+// WALMagic heads wal.log; the last byte is the format version (see
+// frame.go for the rule).
 const WALMagic = "MRBLWAL\x01"
 
-// WALFiles returns the WAL files of the store in dir, in replay order;
-// either may be absent.
-func WALFiles(dir string) []string { return []string{walOldPath(dir), walPath(dir)} }
+// WALFiles returns the WAL files of the store in dir, in replay order:
+// the live log, wal.log, which may be absent.
+func WALFiles(dir string) []string { return []string{walPath(dir)} }
 
-// On-disk artifacts: the snapshot image, the live WAL, and the sealed
-// pre-snapshot WAL that exists only between a snapshot's rotation and
-// its final rename+cleanup (recovery replays it before the live log;
-// replaying it after a completed snapshot is an idempotent no-op).
-func snapshotPath(dir string) string { return filepath.Join(dir, "snapshot.json") }
-func walPath(dir string) string      { return filepath.Join(dir, "wal.log") }
-func walOldPath(dir string) string   { return filepath.Join(dir, "wal.old") }
+func walPath(dir string) string { return filepath.Join(dir, "wal.log") }

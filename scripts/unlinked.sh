@@ -4,10 +4,13 @@
 # built without inlining, `go tool nm` lists what each one links, and a
 # declared func missing from every list is reached by tests at most.
 #
-# Report-only: prints the count and the list, and always exits 0.
+# Prints the count and the list. Given a ceiling, it exits 1 when the
+# count exceeds it (a new unlinked func needs a caller or a deletion);
+# without one it is report-only and exits 0.
 #
-#   bash scripts/unlinked.sh
+#   bash scripts/unlinked.sh [ceiling]
 set -uo pipefail
+ceiling=${1:-}
 export LC_ALL=C # one collation for sort and comm
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -41,6 +44,11 @@ for f in $(git ls-files 'internal/*.go' | grep -v '_test\.go$'); do
 done | grep -vE '\.init$' | sort -u >"$out/declared"
 
 comm -23 "$out/declared" "$out/linked" >"$out/unlinked"
-echo "unlinked functions: $(wc -l <"$out/unlinked")"
+count=$(wc -l <"$out/unlinked")
+echo "unlinked functions: $count"
 cat "$out/unlinked"
+if [ -n "$ceiling" ] && [ "$count" -gt "$ceiling" ]; then
+	echo "unlinked: $count functions no binary links, more than the ceiling of $ceiling" >&2
+	exit 1
+fi
 exit 0
