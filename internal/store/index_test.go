@@ -29,8 +29,14 @@ func indexAnswers(s *Store, states []OfferState, owners []string) map[string]any
 // buckets write by write. Over a seeded random history of puts, batch
 // upserts, transitions with and without a schedule, owner changes and
 // refused inserts, a store reopened with Open or OpenReadOnly answers
-// every indexed query as the live store did.
+// every indexed query as the live store did. The subtest keeps the name
+// it had when a second variant took a snapshot midway: -1 is the run
+// that takes none and replays the whole WAL.
 func TestReopenedIndexMatchesLive(t *testing.T) {
+	t.Run("snapshot at -1", reopenedIndexMatchesLive)
+}
+
+func reopenedIndexMatchesLive(t *testing.T) {
 	states := []OfferState{"", OfferAccepted, OfferScheduled, OfferExecuted, OfferExpired, OfferCancelled, "held-for-review"}
 	owners := []string{"p0", "p1", "p2", "p3"}
 	dir := t.TempDir()
