@@ -65,15 +65,22 @@ func appendEnvelope(dst []byte, env *Envelope) ([]byte, error) {
 	return append(dst, env.Body...), nil
 }
 
-// decodeEnvelope decodes one frame payload. The returned envelope owns
-// all its memory — names are copied and Body is a fresh copy — so raw
-// can be reused as soon as this returns.
-func decodeEnvelope(raw []byte) (Envelope, error) {
+// peerNames holds the From and To of the last frame a connection
+// decoded. A connection carries one sender and one receiver, so a frame
+// whose names match reuses these strings instead of copying its own;
+// they are copies, never views into a frame.
+type peerNames struct{ from, to string }
+
+// decode decodes one frame payload, its names taken from p when their
+// bytes match and left in p for the next frame. The returned envelope
+// owns all its memory — names are copies and Body is a fresh copy — so
+// raw can be reused as soon as this returns.
+func (p *peerNames) decode(raw []byte) (Envelope, error) {
 	r := wire.NewReader(raw)
 	code := r.Byte()
 	var env Envelope
-	env.From = r.String()
-	env.To = r.String()
+	env.From = reuseName(&p.from, r.Bytes())
+	env.To = reuseName(&p.to, r.Bytes())
 	env.Seq = r.Uvarint()
 	if err := r.Err(); err != nil {
 		return Envelope{}, fmt.Errorf("comm: decode frame: %w", err)
@@ -86,6 +93,15 @@ func decodeEnvelope(raw []byte) (Envelope, error) {
 		env.Body = append([]byte(nil), body...)
 	}
 	return env, nil
+}
+
+// reuseName returns *last if it spells b, else a copy of b, which it
+// also keeps in *last.
+func reuseName(last *string, b []byte) string {
+	if string(b) != *last {
+		*last = string(b)
+	}
+	return *last
 }
 
 // bodyEncoder and bodyDecoder are implemented by the message body types

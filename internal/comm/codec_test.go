@@ -122,7 +122,8 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		env, err := decodeEnvelope(raw)
+		var names peerNames // one connection's: the second decode reuses the first's names
+		env, err := names.decode(raw)
 		if err != nil {
 			return
 		}
@@ -133,7 +134,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded envelope does not re-encode: %v", err)
 		}
-		if env2, err := decodeEnvelope(again); err != nil || !reflect.DeepEqual(env2, env) {
+		if env2, err := names.decode(again); err != nil || !reflect.DeepEqual(env2, env) {
 			t.Fatalf("re-encoded envelope decodes to %+v (%v), want %+v", env2, err, env)
 		}
 		n := len(env.Body)

@@ -42,12 +42,16 @@ func writeFrame(w io.Writer, env *Envelope) error {
 
 // frameReader reads a connection's frames. The payload scratch is reused
 // across frames — safe because a decoded envelope owns all its memory
-// (decodeEnvelope copies the body out; handlers run concurrently with
+// (peerNames.decode copies the body out; handlers run concurrently with
 // the next read) — and is dropped once it has grown past wire.MaxPooledBuf,
-// so one huge frame does not pin megabytes per connection for good.
+// so one huge frame does not pin megabytes per connection for good. The
+// names of the last frame are kept, so a frame from the same peer to the
+// same endpoint copies neither.
 type frameReader struct {
 	r       io.Reader
+	hdr     [4]byte
 	scratch []byte
+	names   peerNames
 }
 
 func newFrameReader(conn io.Reader) *frameReader {
@@ -55,11 +59,10 @@ func newFrameReader(conn io.Reader) *frameReader {
 }
 
 func (fr *frameReader) next() (Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return Envelope{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if n > maxFrame {
 		return Envelope{}, fmt.Errorf("comm: frame of %d bytes exceeds limit", n)
 	}
@@ -73,7 +76,7 @@ func (fr *frameReader) next() (Envelope, error) {
 	if _, err := io.ReadFull(fr.r, raw); err != nil {
 		return Envelope{}, err
 	}
-	return decodeEnvelope(raw)
+	return fr.names.decode(raw)
 }
 
 // DefaultServerConcurrency bounds how many handlers a TCPServer runs
@@ -486,6 +489,7 @@ func (c *TCPClient) roundTrip(ctx context.Context, to string, env Envelope) (Env
 			// ErrNotSent here.
 			return Envelope{}, fmt.Errorf("comm: request to %s: %w", to, conn.failure())
 		}
+		replyChans.Put(ch) // delivered: nothing else will touch it
 		return reply, nil
 	case <-ctx.Done():
 		c.inFlight.Add(-1)
@@ -625,14 +629,20 @@ func (c *tcpConn) load() int {
 	return len(c.waiters)
 }
 
+// replyChans recycles reply channels. A channel goes back only once its
+// one reply has been received: after a cancellation or timeout a late
+// reply may still land in it, and after a connection failure it is
+// closed.
+var replyChans = sync.Pool{New: func() any { return make(chan Envelope, 1) }}
+
 // register adds a reply waiter for seq; fails if the connection died.
 func (c *tcpConn) register(seq uint64) (chan Envelope, error) {
-	ch := make(chan Envelope, 1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
 		return nil, c.err
 	}
+	ch := replyChans.Get().(chan Envelope)
 	c.waiters[seq] = ch
 	return ch, nil
 }

@@ -472,3 +472,64 @@ func openFiles() int {
 	fds, _ := os.ReadDir("/proc/self/fd")
 	return len(fds)
 }
+
+// TestRefusedAckLeavesNoTrace: an offer whose ingest submission fails
+// is refused, and the node then agrees with itself that it never took
+// it — the store, the pending set and the planning pipeline all lack
+// it, so the prosumer can submit it again. The queue holds one event
+// and sheds the next while its consumer is stalled inside the
+// measurement hook.
+func TestRefusedAckLeavesNoTrace(t *testing.T) {
+	entered, resume := make(chan struct{}), make(chan struct{})
+	var stall sync.Once
+	brp := mustNode(t, nil, Config{
+		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		Ingest: &ingest.Config{
+			Path:      filepath.Join(t.TempDir(), "ingest.log"),
+			Queue:     1,
+			Consumers: 1,
+			Policy:    ingest.PolicyShed,
+			OnMeasurements: func([]store.Measurement) {
+				stall.Do(func() {
+					close(entered)
+					<-resume
+				})
+			},
+		},
+	})
+	release := sync.OnceFunc(func() { close(resume) })
+	t.Cleanup(release) // before the node's Close, which drains
+	reading := func(slot flexoffer.Time) []store.Measurement {
+		return []store.Measurement{{Actor: "p1", EnergyType: "elec", Slot: slot, KWh: 1}}
+	}
+	if err := brp.IngestMeasurements(reading(1)); err != nil {
+		t.Fatal(err)
+	}
+	<-entered // the consumer is stalled and its slot free again
+	if err := brp.IngestMeasurements(reading(2)); err != nil {
+		t.Fatal(err) // takes the queue's one slot
+	}
+	d := brp.AcceptOffer(testOffer(7, 40, 16, 4, 5), "p1")
+	release()
+	if d.Accept || !strings.Contains(d.Reason, ingest.ErrOverloaded.Error()) {
+		t.Fatalf("offer 7 on a full queue = %+v, want refused as overloaded", d)
+	}
+	drain(t, brp)
+	if rec, ok := brp.Store().GetOffer(7); ok {
+		t.Errorf("refused offer 7 is in the store as %s", rec.State)
+	}
+	brp.mu.Lock()
+	_, pending := brp.pending[7]
+	inPipeline := brp.pipeline.Contains(7)
+	brp.mu.Unlock()
+	if pending || inPipeline {
+		t.Errorf("refused offer 7: pending %v, in the pipeline %v; want neither", pending, inPipeline)
+	}
+	if d := brp.AcceptOffer(testOffer(7, 40, 16, 4, 5), "p1"); !d.Accept {
+		t.Fatalf("resubmitted offer 7 = %+v, want accepted", d)
+	}
+	drain(t, brp)
+	if rec, ok := brp.Store().GetOffer(7); !ok || rec.State != store.OfferAccepted {
+		t.Fatalf("resubmitted offer 7 = %s (stored %v), want accepted", rec.State, ok)
+	}
+}

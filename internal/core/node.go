@@ -446,7 +446,7 @@ func (n *Node) handleOfferSubmit(ctx context.Context, env comm.Envelope) (*comm.
 	if err := env.Decode(comm.MsgFlexOfferSubmit, &body); err != nil {
 		return nil, err
 	}
-	decision := n.acceptOffer(ctx, body.Offer, env.From)
+	decision := n.acceptOffer(ctx, body.Offer, env.From, true)
 	reply, err := comm.NewEnvelope(comm.MsgFlexOfferDecision, n.cfg.Name, env.From, comm.FlexOfferDecision{
 		OfferID:    body.Offer.ID,
 		Accept:     decision.Accept,
@@ -465,10 +465,14 @@ func (n *Node) handleOfferSubmit(ctx context.Context, env comm.Envelope) (*comm.
 // running scheduling cycle — intake only needs the node mutex, which
 // the cycle releases for its plan and deliver phases.
 func (n *Node) AcceptOffer(f *flexoffer.FlexOffer, owner string) negotiate.Decision {
-	return n.acceptOffer(context.Background(), f, owner)
+	return n.acceptOffer(context.Background(), f, owner, false)
 }
 
-func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner string) negotiate.Decision {
+// acceptOffer decides f for owner. owned says the caller hands f over —
+// an offer decoded from the wire, which nobody else holds — so the
+// negotiated premium is written into f itself; otherwise into a copy,
+// and the caller's offer stays as it was.
+func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner string, owned bool) negotiate.Decision {
 	if !n.aggregating() {
 		return negotiate.Decision{Reason: fmt.Sprintf("prosumer %s does not take flex-offers", n.cfg.Name)}
 	}
@@ -479,7 +483,10 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 	decision := n.valuator.Decide(f, n.nowLocked())
 	// The stored offer carries the negotiated premium, which settlement
 	// reads back after execution.
-	priced := f.Clone()
+	priced := f
+	if !owned {
+		priced = f.Clone()
+	}
 	priced.CostPerKWh = decision.Price
 	if decision.Accept {
 		// Accumulate, don't process: intake only validates against the

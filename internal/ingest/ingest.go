@@ -11,10 +11,23 @@
 // store frame log: checksummed binary frames behind a magic+version
 // header, one frame per event in the store's own record encodings
 // (queue.go has the tags). Consumer goroutines drain the queue into the
-// striped store asynchronously, coalescing many small events into large
-// ApplyBatch / PutMeasurementsBatch rounds; the synchronous
-// request/reply store round-trip leaves the caller's critical path
-// entirely.
+// striped store asynchronously; the store round-trip leaves the
+// caller's critical path entirely. A consumer that takes an event off
+// an idle queue does not apply it at once: it lingers until MaxBatch
+// events are queued, batchWait (500µs) passes, a Drain or Close flushes
+// it, or the queue is killed (which abandons the batch to the journal),
+// then applies everything queued as one store round. A producer's
+// event therefore lands in a buffered channel nobody is parked on, and
+// a closed loop of one-at-a-time producers still feeds the store
+// batches of many events. Lingering costs no durability, since the
+// event is journaled before it is queued; it only delays when the
+// store shows it. Drain is what defines "applied": it ends every
+// linger, and the consumer that applies the last staged event wakes it.
+//
+// Only acked events are applied. A submission first takes a queue slot
+// (the Policy acts here), then appends to the journal, and queues the
+// event only once the append succeeded; a failed append gives the slot
+// back and leaves nothing behind.
 //
 // The queue is bounded. When it fills, the configured Policy decides
 // what backpressure looks like:
@@ -37,8 +50,9 @@
 // truncated to empty after an explicit store fsync — when a Drain or
 // Close proves every event has been applied.
 //
-// Delivery is at-least-once: a producer whose ack errs mid-way may
-// still have its event applied.
+// One case of an errored ack remains applied: under SyncAlways, a frame
+// that reached the file before its fsync failed is still replayed on
+// restart.
 package ingest
 
 import (

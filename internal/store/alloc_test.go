@@ -3,6 +3,8 @@
 package store
 
 import (
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"mirabel/internal/flexoffer"
@@ -83,5 +85,67 @@ func TestUpdateOffersAllocFreePerUpdate(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Fatalf("a 256-update batch allocates %.1f times, want its result slice only", n)
+	}
+}
+
+// TestGroupLogAppendAllocFree: an append allocates nothing in steady
+// state — as the leader that writes its own group, and as a follower
+// parked behind a leader that writes the follower's records with its
+// own (the test holds the file as if a leader were writing until the
+// follower has queued).
+func TestGroupLogAppendAllocFree(t *testing.T) {
+	g, _, err := OpenGroupLog([]string{filepath.Join(t.TempDir(), "wal.log")}, WALMagic, SyncFlush, false,
+		func(int64, byte, []byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	m := Measurement{Actor: "household-17", EnergyType: "demand", Slot: 480, KWh: 0.25}
+	recs := [][]byte{appendMeasurementFrame(nil, &m)}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := g.Append(recs); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a leader's append allocates %.1f times, want 0", n)
+	}
+
+	start, result := make(chan struct{}), make(chan error)
+	defer close(start)
+	go func() {
+		for range start {
+			result <- g.Append(recs)
+		}
+	}()
+	setWriting := func(v bool) {
+		g.mu.Lock()
+		g.writing = v
+		g.mu.Unlock()
+	}
+	before := g.Stats()
+	const runs = 1000
+	if n := testing.AllocsPerRun(runs, func() {
+		setWriting(true)
+		start <- struct{}{}
+		for queued := false; !queued; {
+			runtime.Gosched()
+			g.mu.Lock()
+			queued = len(g.waiters) == 1
+			g.mu.Unlock()
+		}
+		setWriting(false)
+		if err := g.Append(recs); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-result; err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a follower's append and the leader's that flushes it allocate %.1f times, want 0", n)
+	}
+	// AllocsPerRun adds one warm-up run.
+	if after := g.Stats(); after.Records-before.Records != 2*(runs+1) || after.Groups-before.Groups != runs+1 {
+		t.Fatalf("%d records in %d groups, want every follower coalesced with its leader",
+			after.Records-before.Records, after.Groups-before.Groups)
 	}
 }

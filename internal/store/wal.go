@@ -50,7 +50,9 @@ type LogStats struct {
 // owns the file and turns concurrent appends into group commits.
 // commit() is leader/follower: the first writer through takes the write
 // path and flushes every record queued while it held the file; later
-// writers just park on their done channel. An append returns only once
+// writers just park on a completion channel. Completions are recycled
+// and the queues double-buffered, so an append allocates nothing in
+// steady state. An append returns only once
 // its records are flushed (and fsynced, per policy), so the return is
 // the caller's durability ack. The store's writers hold their record's
 // table-stripe lock while waiting, which serializes same-key log order
@@ -80,9 +82,17 @@ type GroupLog struct {
 	w       *bufio.Writer
 	writing bool
 	closed  bool
-	pending [][]byte
-	waiters []chan error
+	// pending and waiters queue the next group's records and its
+	// followers' completions; spare and spareWaiters are the other half
+	// of each double buffer, swapped in while the leader writes.
+	pending, spare        [][]byte
+	waiters, spareWaiters []chan error
 }
+
+// completions recycles followers' completion channels. A channel goes
+// back once its one result has been received, so it is empty whenever
+// the pool hands it out.
+var completions = sync.Pool{New: func() any { return make(chan error, 1) }}
 
 // newGroupLog opens the log at path for appending. A non-empty file is
 // taken to carry header already: OpenGroupLog replays (and so validates)
@@ -107,35 +117,44 @@ func newGroupLog(path string, policy SyncPolicy, header string) (*GroupLog, erro
 // possibly as part of a larger group led by another writer. The chunks
 // are the caller's again when commit returns.
 func (c *GroupLog) commit(chunks [][]byte, records int) error {
-	done := make(chan error, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return fmt.Errorf("store: wal is closed")
 	}
 	c.pending = append(c.pending, chunks...)
-	c.waiters = append(c.waiters, done)
 	c.records.Add(uint64(records))
 	if c.writing {
 		// A leader is at the file; it will pick this batch up.
+		done := completions.Get().(chan error)
+		c.waiters = append(c.waiters, done)
 		c.mu.Unlock()
-		return <-done
+		err := <-done
+		completions.Put(done)
+		return err
 	}
 	c.writing = true
-	for len(c.pending) > 0 {
+	var own error
+	for first := true; len(c.pending) > 0; first = false {
 		batch, waiters := c.pending, c.waiters
-		c.pending, c.waiters = nil, nil
+		c.pending, c.waiters = c.spare, c.spareWaiters
 		c.mu.Unlock()
 		err := c.writeGroup(batch)
+		if first {
+			own = err // the leader's records are in the first group
+		}
 		for _, w := range waiters {
 			w <- err
 		}
+		clear(batch) // let go of the callers' buffers
+		clear(waiters)
 		c.mu.Lock()
+		c.spare, c.spareWaiters = batch[:0], waiters[:0]
 	}
 	c.writing = false
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	return <-done
+	return own
 }
 
 // Append commits recs — one logged record each — as one group (possibly
