@@ -25,6 +25,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -206,6 +207,16 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 			log.Printf("ledger: entries=%d actors=%d settled=%d appends=%d append_p50=%v append_p99=%v recovered=%d dropped_bytes=%d syncs=%d",
 				ls.Entries, ls.Actors, ls.SettledOffers, ls.Appends, ls.AppendP50, ls.P99,
 				ls.RecoveredEntries, ls.DroppedBytes, ls.Log.Syncs)
+		}
+		snap := node.Metrics().Snapshot()
+		types := make([]comm.MsgType, 0, len(snap))
+		for t := range snap {
+			types = append(types, t)
+		}
+		slices.Sort(types)
+		for _, t := range types {
+			m := snap[t]
+			log.Printf("handled %s: count=%d errors=%d p50=%v p99=%v", t, m.Handled, m.Errors, m.P50, m.P99)
 		}
 	}()
 

@@ -90,11 +90,11 @@ func printReport(w io.Writer, r *simResult) {
 	fmt.Fprintf(w, "schedules: %d planned, %d delivered — %.0f schedules/s; %d expired, %d reconciled\n",
 		r.MicroSchedules, r.SchedulesDelivered, r.SchedulesPerSec(), r.Expired, r.Reconciled)
 	fmt.Fprintf(w, "measurements: %d facts acked, %d batches failed\n", r.MeasAcked, r.MeasFailed)
+	cycleQ := func(q float64) time.Duration {
+		return time.Duration(r.CycleLatency.Quantile(q)).Round(time.Microsecond)
+	}
 	fmt.Fprintf(w, "cycle latency: p50=%v p95=%v p99=%v over %d node-cycles (%d errors)\n",
-		r.LatencyPercentile(0.50).Round(time.Microsecond),
-		r.LatencyPercentile(0.95).Round(time.Microsecond),
-		r.LatencyPercentile(0.99).Round(time.Microsecond),
-		len(r.CycleLatencies), r.CycleErrors)
+		cycleQ(0.50), cycleQ(0.95), cycleQ(0.99), r.CycleLatency.Count(), r.CycleErrors)
 	fmt.Fprintf(w, "churn: %d households left mid-contract (%d deferred past a dead BRP), %d offers cancelled, %.2f EUR penalties\n",
 		r.ChurnLeft, r.ChurnDeferred, r.CancelledOffers, r.CancelPenaltyEUR)
 

@@ -17,6 +17,7 @@ import (
 	"mirabel/internal/devices"
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/ingest"
+	"mirabel/internal/obs"
 	"mirabel/internal/sched"
 	"mirabel/internal/settle"
 	"mirabel/internal/store"
@@ -94,7 +95,7 @@ type simResult struct {
 	NotifyFailures     int
 	SkippedOwners      int
 	CycleErrors        int
-	CycleLatencies     []time.Duration
+	CycleLatency       obs.Histogram // full-cycle latency (ns), one sample per node-cycle
 
 	ChurnLeft        uint64 // households that left mid-contract
 	ChurnDeferred    uint64 // departures queued because their BRP was down
@@ -131,17 +132,6 @@ func (r *simResult) SchedulesPerSec() float64 {
 		return 0
 	}
 	return float64(r.SchedulesDelivered) / r.Elapsed.Seconds()
-}
-
-// LatencyPercentile returns the p-th percentile full-cycle latency.
-func (r *simResult) LatencyPercentile(p float64) time.Duration {
-	if len(r.CycleLatencies) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), r.CycleLatencies...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
 }
 
 // simHousehold binds one stateful household to its balance group.
@@ -326,8 +316,7 @@ func runSim(ctx context.Context, cfg simConfig) (*simResult, error) {
 	s.collectStats()
 	s.res.Elapsed = time.Since(start)
 	s.shutdown()
-	res := s.res
-	return &res, nil
+	return &s.res, nil
 }
 
 // registerShard (re-)attaches a shard's endpoint: schedule deliveries
@@ -496,7 +485,7 @@ func (s *sim) runCycles(ctx context.Context) error {
 					s.res.CycleErrors++
 					return
 				}
-				s.res.CycleLatencies = append(s.res.CycleLatencies, lat)
+				s.res.CycleLatency.Record(int64(lat))
 				s.res.MicroSchedules += rep.MicroSchedules
 				s.res.Expired += rep.Expired
 				s.res.Reconciled += rep.Reconciled

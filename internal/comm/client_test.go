@@ -173,8 +173,8 @@ func TestMetricsMiddleware(t *testing.T) {
 		_, _ = h(ctx, Envelope{Type: MsgPing})
 	}
 	_, _ = h(ctx, Envelope{Type: MsgError})
-	if m.Handled() != 4 || m.Errors() != 1 {
-		t.Errorf("handled = %d errors = %d", m.Handled(), m.Errors())
+	if handled, errs := metricTotals(&m); handled != 4 || errs != 1 {
+		t.Errorf("handled = %d errors = %d", handled, errs)
 	}
 	snap := m.Snapshot()
 	if snap[MsgPing].Handled != 3 || snap[MsgPing].Errors != 0 {
@@ -186,6 +186,18 @@ func TestMetricsMiddleware(t *testing.T) {
 	if snap[MsgPing].MaxLatency < 0 || snap[MsgPing].TotalTime < snap[MsgPing].MaxLatency {
 		t.Errorf("latency accounting inconsistent: %+v", snap[MsgPing])
 	}
+	if p := snap[MsgPing]; p.P50 > p.P99 || p.P99 > p.MaxLatency {
+		t.Errorf("percentiles out of order: %+v", p)
+	}
+}
+
+// metricTotals sums a Metrics snapshot over message types.
+func metricTotals(m *Metrics) (handled, errs uint64) {
+	for _, tm := range m.Snapshot() {
+		handled += tm.Handled
+		errs += tm.Errors
+	}
+	return handled, errs
 }
 
 func TestChainOrder(t *testing.T) {
@@ -347,8 +359,8 @@ func TestMetricsCountRecoveredPanics(t *testing.T) {
 	if _, err := h(context.Background(), Envelope{Type: MsgPing}); err == nil {
 		t.Fatal("panic not converted to error")
 	}
-	if m.Handled() != 1 || m.Errors() != 1 {
-		t.Errorf("handled = %d errors = %d, want 1/1", m.Handled(), m.Errors())
+	if handled, errs := metricTotals(&m); handled != 1 || errs != 1 {
+		t.Errorf("handled = %d errors = %d, want 1/1", handled, errs)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mirabel/internal/obs"
 )
 
 // Middleware wraps a Handler with cross-cutting behaviour (recovery,
@@ -64,6 +66,9 @@ type TypeMetrics struct {
 	Errors     uint64        // handler errors (including recovered panics)
 	TotalTime  time.Duration // summed handler latency
 	MaxLatency time.Duration // worst single handler latency
+	// P50 and P99 are handler latencies since the first message,
+	// bucketed: each reads high by at most 1/8.
+	P50, P99 time.Duration
 }
 
 // Metrics counts handled messages per type; attach it to a handler
@@ -72,15 +77,11 @@ type TypeMetrics struct {
 type Metrics struct {
 	mu      sync.RWMutex
 	perType map[MsgType]*typeCounters
-	handled atomic.Uint64
-	errors  atomic.Uint64
 }
 
 type typeCounters struct {
-	handled atomic.Uint64
-	errors  atomic.Uint64
-	nanos   atomic.Int64
-	maxNano atomic.Int64
+	lat    obs.Histogram // handler latency (ns), one sample per message
+	errors atomic.Uint64
 }
 
 func (m *Metrics) counters(t MsgType) *typeCounters {
@@ -111,43 +112,29 @@ func (m *Metrics) Collect() Middleware {
 		return func(ctx context.Context, env Envelope) (*Envelope, error) {
 			t0 := time.Now()
 			reply, err := next(ctx, env)
-			elapsed := time.Since(t0)
 			c := m.counters(env.Type)
-			c.handled.Add(1)
-			c.nanos.Add(int64(elapsed))
-			for {
-				prev := c.maxNano.Load()
-				if int64(elapsed) <= prev || c.maxNano.CompareAndSwap(prev, int64(elapsed)) {
-					break
-				}
-			}
-			m.handled.Add(1)
+			c.lat.Record(int64(time.Since(t0)))
 			if err != nil {
 				c.errors.Add(1)
-				m.errors.Add(1)
 			}
 			return reply, err
 		}
 	}
 }
 
-// Handled returns the total number of messages processed.
-func (m *Metrics) Handled() uint64 { return m.handled.Load() }
-
-// Errors returns the total number of handler errors.
-func (m *Metrics) Errors() uint64 { return m.errors.Load() }
-
-// Snapshot returns a consistent copy of the per-type statistics.
+// Snapshot returns a copy of the per-type statistics.
 func (m *Metrics) Snapshot() map[MsgType]TypeMetrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make(map[MsgType]TypeMetrics, len(m.perType))
 	for t, c := range m.perType {
 		out[t] = TypeMetrics{
-			Handled:    c.handled.Load(),
+			Handled:    c.lat.Count(),
 			Errors:     c.errors.Load(),
-			TotalTime:  time.Duration(c.nanos.Load()),
-			MaxLatency: time.Duration(c.maxNano.Load()),
+			TotalTime:  time.Duration(c.lat.Sum()),
+			MaxLatency: time.Duration(c.lat.Max()),
+			P50:        time.Duration(c.lat.Quantile(0.50)),
+			P99:        time.Duration(c.lat.Quantile(0.99)),
 		}
 	}
 	return out

@@ -44,10 +44,6 @@ type CycleReport struct {
 	// waiting for the ingest queue to apply every acked event so the
 	// snapshot (and commit's offer transitions) see them.
 	IngestDrainTime time.Duration
-	// ForecastNotifies counts the continuous forecast query
-	// notifications sent when the cycle published the registry's dirty
-	// per-series hubs after the intake barrier.
-	ForecastNotifies int
 }
 
 // RunSchedulingCycle executes the full BRP workflow at planning time now
@@ -104,11 +100,6 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 			cancel()
 		}()
 	}
-
-	// Every measurement acked so far has now maintained its series
-	// model; fire the continuous per-series forecast queries once per
-	// cycle, before planning reads the forecasts.
-	rep.ForecastNotifies = n.fcasts.PublishDirty()
 
 	// Phase 1: snapshot.
 	aggregates, err := n.snapshotForPlanning(now, horizon, rep)

@@ -108,45 +108,24 @@ func TestIngestFeedsRegistryExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestCyclePublishesDirtyForecastHubs: the scheduling cycle publishes
-// continuous per-series forecast queries right after its intake
-// barrier, once per cycle regardless of how many batches arrived.
-func TestCyclePublishesDirtyForecastHubs(t *testing.T) {
+// TestCycleBarrierMaintainsForecasts: the scheduling cycle's intake
+// barrier applies every acked measurement to its series model before
+// the cycle plans, with no drain by the caller.
+func TestCycleBarrierMaintainsForecasts(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newForecastingBRP(t, bus, t.TempDir())
-	ctx := context.Background()
-
-	hub := brp.ForecastRegistry().Hub("p1", "elec")
-	_, ch, err := hub.Subscribe(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 4; i++ {
 		if err := brp.IngestMeasurements(seriesMeas("p1", i*2, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := brp.RunSchedulingCycle(ctx, 0, StaticForecast(make([]float64, flexoffer.SlotsPerDay)), nil, nil)
-	if err != nil {
+	if _, err := brp.RunSchedulingCycle(context.Background(), 0, StaticForecast(make([]float64, flexoffer.SlotsPerDay)), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if rep.ForecastNotifies != 1 {
-		t.Fatalf("cycle published %d forecast notifications, want 1", rep.ForecastNotifies)
+	if st, _ := brp.ForecastStats(); st.Observations != 8 || st.Models != 1 {
+		t.Fatalf("registry after the cycle: %d observations, %d models; want 8, 1", st.Observations, st.Models)
 	}
-	select {
-	case note := <-ch:
-		if len(note.Forecast) != 4 {
-			t.Fatalf("notification horizon = %d, want 4", len(note.Forecast))
-		}
-	default:
-		t.Fatal("no continuous-query notification after the cycle")
-	}
-	// A cycle with no new observations publishes nothing.
-	rep, err = brp.RunSchedulingCycle(ctx, 0, StaticForecast(make([]float64, flexoffer.SlotsPerDay)), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.ForecastNotifies != 0 {
-		t.Fatalf("idle cycle published %d notifications, want 0", rep.ForecastNotifies)
+	if _, ok := brp.ForecastRegistry().Forecast("p1", "elec", 4); !ok {
+		t.Fatal("p1's series not served after the cycle")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -372,6 +373,91 @@ func TestRefusedDuplicateLeavesOriginal(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return p1.total() == 2 })
 	if p1.count(1) != 1 || p1.count(2) != 1 || p2.total() != 0 {
 		t.Errorf("deliveries: p1 got %d and %d, p2 got %d; want 1, 1, 0", p1.count(1), p1.count(2), p2.total())
+	}
+}
+
+// TestPlannedOfferIDRefused: once a cycle has planned an offer it has
+// left the pipeline, and its id must still be refused — from its owner
+// and from anyone else, live and after a crash and reopen. The store
+// keeps the planned record, and the next cycle plans nothing.
+func TestPlannedOfferIDRefused(t *testing.T) {
+	for _, reopen := range []bool{false, true} {
+		for _, owner := range []string{"p1", "p2"} {
+			t.Run(fmt.Sprintf("%s/reopen=%v", owner, reopen), func(t *testing.T) {
+				dir := t.TempDir()
+				cfg := Config{
+					Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+					SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
+					Ingest:    &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
+				}
+				openStore := func() *store.Store {
+					st, err := store.Open(filepath.Join(dir, "store"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return st
+				}
+				cfg.Store = openStore()
+				brp, err := NewNode(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
+					t.Fatalf("offer 1 rejected: %s", d.Reason)
+				}
+				baseline := make([]float64, flexoffer.SlotsPerDay)
+				for i := 40; i < 56; i++ {
+					baseline[i] = -8
+				}
+				ctx := context.Background()
+				if rep, err := brp.RunSchedulingCycle(ctx, 0, StaticForecast(baseline), nil, nil); err != nil || rep.MicroSchedules != 1 {
+					t.Fatalf("first cycle = %+v, %v; want offer 1 planned", rep, err)
+				}
+				if reopen {
+					brp.Kill()
+					cfg.Store = openStore()
+					if brp, err = NewNode(cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				t.Cleanup(func() { cfg.Store.Close() })
+				t.Cleanup(func() { brp.Close() })
+
+				if d := brp.AcceptOffer(testOffer(1, 44, 12, 4, 5), owner); d.Accept || !strings.Contains(d.Reason, "duplicate") {
+					t.Fatalf("resubmitted offer 1 from %s = %+v, want refused as a duplicate", owner, d)
+				}
+				if got := brp.PendingOffers(); got != 0 {
+					t.Errorf("pending offers = %d, want 0", got)
+				}
+				drain(t, brp)
+				if rec, _ := brp.Store().GetOffer(1); rec.State != store.OfferScheduled || rec.Owner != "p1" {
+					t.Errorf("offer 1 after the refusal = %s of %s, want scheduled of p1", rec.State, rec.Owner)
+				}
+				if rep, err := brp.RunSchedulingCycle(ctx, 0, StaticForecast(baseline), nil, nil); err != nil || rep.MicroSchedules != 0 {
+					t.Errorf("second cycle = %+v, %v; want nothing planned", rep, err)
+				}
+			})
+		}
+	}
+}
+
+// TestRejectedOfferIDResubmitted: a rejected record does not take its
+// id, so the prosumer may submit the offer again on viable terms.
+func TestRejectedOfferIDResubmitted(t *testing.T) {
+	brp := newBRP(t, nil)
+	if d := brp.AcceptOffer(testOffer(7, 9, 16, 4, 5), "p1"); d.Accept {
+		t.Fatalf("offer 7 past its assignment deadline = %+v, want rejected", d)
+	}
+	drain(t, brp)
+	if rec, ok := brp.Store().GetOffer(7); !ok || rec.State != store.OfferRejected {
+		t.Fatalf("offer 7 = %s (stored %v), want rejected", rec.State, ok)
+	}
+	if d := brp.AcceptOffer(testOffer(7, 40, 16, 4, 5), "p1"); !d.Accept {
+		t.Fatalf("resubmitted offer 7 = %+v, want accepted", d)
+	}
+	drain(t, brp)
+	if rec, ok := brp.Store().GetOffer(7); !ok || rec.State != store.OfferAccepted {
+		t.Fatalf("resubmitted offer 7 = %s (stored %v), want accepted", rec.State, ok)
 	}
 }
 

@@ -76,9 +76,8 @@ type Config struct {
 	// (forecast.Registry) every aggregating node runs: each measurement
 	// the ingest queue applies maintains a per-(actor,energy) model,
 	// re-estimated on a bounded background pool. Peers address individual
-	// series via ForecastRequest.Actor, and the scheduling cycle
-	// publishes per-series forecast hubs after its intake barrier. Nil
-	// means the registry's defaults — never "no registry".
+	// series via ForecastRequest.Actor. Nil means the registry's
+	// defaults — never "no registry".
 	Forecasting *forecast.RegistryConfig
 
 	// Middleware is appended to the node's built-in handler chain
@@ -489,12 +488,18 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 	}
 	priced.CostPerKWh = decision.Price
 	if decision.Accept {
-		// Accumulate, don't process: intake only validates against the
-		// pipeline's membership index and appends to its pending batch.
-		// Grouping, packing and aggregation run once per cycle (phase 0
-		// of snapshotForPlanning), so the lock hold here is O(1) no
-		// matter how hot the intake path runs.
-		if err := n.pipeline.Accumulate(agg.FlexOfferUpdate{Kind: agg.Insert, Offer: priced}); err != nil {
+		// The id must be free. The store holds every acked offer once
+		// applied (a rejected record does not take its id), including
+		// the planned ones that have left the pipeline; the pipeline's
+		// membership index covers the acked ones not yet applied.
+		// Accumulate, don't process: intake only validates against that
+		// index and appends to the pipeline's pending batch. Grouping,
+		// packing and aggregation run once per cycle (phase 0 of
+		// snapshotForPlanning), so the lock hold here is O(1) no matter
+		// how hot the intake path runs.
+		if rec, ok := n.store.GetOffer(f.ID); ok && rec.State != store.OfferRejected {
+			decision = negotiate.Decision{Reason: fmt.Sprintf("core: duplicate flex-offer id %d (%s)", f.ID, rec.State)}
+		} else if err := n.pipeline.Accumulate(agg.FlexOfferUpdate{Kind: agg.Insert, Offer: priced}); err != nil {
 			// The pipeline rejected the offer (e.g. duplicate id).
 			decision = negotiate.Decision{Accept: false, Reason: err.Error()}
 		}
@@ -605,8 +610,7 @@ func (n *Node) RetryStats() (comm.RetryStats, bool) {
 }
 
 // ForecastRegistry exposes the node's fleet forecast service — series
-// forecasts, continuous-query hubs (published by the scheduling cycle
-// after its intake barrier) and counters; nil on a prosumer.
+// forecasts and counters; nil on a prosumer.
 func (n *Node) ForecastRegistry() *forecast.Registry { return n.fcasts }
 
 // ForecastStats reports the forecast registry's counters; ok is false

@@ -583,8 +583,10 @@ func TestNodeMetricsCountHandledMessages(t *testing.T) {
 	if snap[comm.MsgPing].Handled != 1 {
 		t.Errorf("ping metrics = %+v", snap[comm.MsgPing])
 	}
-	if brp.Metrics().Errors() != 0 {
-		t.Errorf("errors = %d", brp.Metrics().Errors())
+	for typ, m := range snap {
+		if m.Errors != 0 {
+			t.Errorf("%s errors = %d", typ, m.Errors)
+		}
 	}
 }
 
@@ -614,7 +616,7 @@ func TestNodeMiddlewareSeamAndRecovery(t *testing.T) {
 	if _, err := n.Handle(context.Background(), bad); err == nil {
 		t.Error("malformed body accepted")
 	}
-	if n.Metrics().Errors() == 0 {
+	if n.Metrics().Snapshot()[comm.MsgFlexOfferSubmit].Errors != 1 {
 		t.Error("handler error not counted")
 	}
 }

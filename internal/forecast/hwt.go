@@ -2,10 +2,9 @@
 // §5): the energy-domain Triple Seasonality Holt-Winters model HWT
 // [Taylor 2009], transparent model creation with global parameter
 // estimation, continuous model maintenance with evaluation strategies,
-// context-aware model adaptation (a case-based parameter repository),
-// and publish-subscribe forecast queries. The paper's second model type,
-// EGRV, is not implemented: the registry has no temperature feed for it
-// (README "Forecasting").
+// and context-aware model adaptation (a case-based parameter
+// repository). The paper's second model type, EGRV, is not implemented:
+// the registry has no temperature feed for it (README "Forecasting").
 package forecast
 
 import (

@@ -133,7 +133,6 @@ type Maintainer struct {
 	refitPending  atomic.Bool // a request is queued or running
 	pendingFit    atomic.Pointer[installedFit]
 	obsSinceRefit atomic.Int64 // staleness: observations since the last installed fit
-	obsTotal      atomic.Uint64
 }
 
 // MaintainerConfig assembles a Maintainer.
@@ -171,9 +170,6 @@ func NewMaintainer(model *HWT, history []float64, cfg MaintainerConfig) *Maintai
 	}
 	mt.histLen = copy(mt.hist, h)
 	mt.histPos = mt.histLen % cfg.MaxHistory
-	// The seed history counts as consumed: a freshly created model is
-	// dirty relative to a subscriber that has never seen a forecast.
-	mt.obsTotal.Store(uint64(len(history)))
 	return mt
 }
 
@@ -219,7 +215,6 @@ func (mt *Maintainer) updateLocked(y float64) error {
 	pred := mt.model.step(y)
 	mt.histPush(y)
 	mt.obsSinceRefit.Add(1)
-	mt.obsTotal.Add(1)
 	smape := 0.0
 	if denom := abs(y) + abs(pred); denom > 0 {
 		smape = abs(y-pred) / denom
@@ -357,9 +352,6 @@ func (mt *Maintainer) Reestimations() int {
 // Staleness reports the observations consumed since the last installed
 // re-estimation — the freshness metric the registry aggregates.
 func (mt *Maintainer) Staleness() int64 { return mt.obsSinceRefit.Load() }
-
-// Observations reports the total observations consumed.
-func (mt *Maintainer) Observations() uint64 { return mt.obsTotal.Load() }
 
 // Params returns the current model parameters.
 func (mt *Maintainer) Params() []float64 {

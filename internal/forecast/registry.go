@@ -2,7 +2,6 @@ package forecast
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,6 +58,8 @@ type RegistryStats struct {
 	QueueCap       int
 	Workers        int
 
+	// RefitP50/P95/P99 are refit latencies since NewRegistry,
+	// bucketed: each reads high by at most 1/8.
 	RefitP50, RefitP95, RefitP99 time.Duration
 
 	// Staleness: observations since the last installed re-estimation,
@@ -78,9 +79,6 @@ type Registry struct {
 	shards []registryShard
 	sweep  *sweeper
 	repo   *ContextRepository // shared by every maintainer (see maybeCreateLocked)
-
-	hubMu sync.Mutex
-	hubs  map[SeriesKey]*hubEntry
 
 	nSeries      atomic.Int64
 	nModels      atomic.Int64
@@ -104,12 +102,6 @@ type Series struct {
 	warm []float64
 
 	mt atomic.Pointer[Maintainer] // non-nil once the model exists
-}
-
-type hubEntry struct {
-	s       *Series
-	hub     *Hub
-	lastObs atomic.Uint64
 }
 
 // NewRegistry validates the configuration, applies defaults and starts
@@ -163,7 +155,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		mask:   uint64(n - 1),
 		shards: make([]registryShard, n),
 		repo:   NewContextRepository(),
-		hubs:   make(map[SeriesKey]*hubEntry),
 	}
 	for i := range r.shards {
 		r.shards[i].m = make(map[SeriesKey]*Series)
@@ -334,59 +325,6 @@ func (s *Series) maybeCreateLocked() {
 	}
 }
 
-// Hub returns (creating on demand) the publish-subscribe hub of a
-// series, so continuous forecast queries can be registered per series.
-// Publish only fires once the model exists; before that subscribers
-// simply see no notifications.
-func (r *Registry) Hub(actor, energy string) *Hub {
-	s := r.Series(actor, energy)
-	r.hubMu.Lock()
-	defer r.hubMu.Unlock()
-	if e, ok := r.hubs[s.Key]; ok {
-		return e.hub
-	}
-	e := &hubEntry{s: s, hub: NewHub(seriesForecaster{s})}
-	r.hubs[s.Key] = e
-	return e.hub
-}
-
-// seriesForecaster adapts a Series to the Hub's forecaster seam; a
-// warming series forecasts zeros.
-type seriesForecaster struct{ s *Series }
-
-func (f seriesForecaster) Forecast(h int) []float64 {
-	if mt := f.s.mt.Load(); mt != nil {
-		return mt.Forecast(h)
-	}
-	return make([]float64, h)
-}
-
-// PublishDirty publishes every hub whose series consumed observations
-// since its last publication (the scheduling cycle calls this after the
-// ingest drain, so continuous queries fire once per cycle, not once per
-// batch). It returns the number of notifications sent.
-func (r *Registry) PublishDirty() int {
-	r.hubMu.Lock()
-	entries := make([]*hubEntry, 0, len(r.hubs))
-	for _, e := range r.hubs {
-		entries = append(entries, e)
-	}
-	r.hubMu.Unlock()
-	sent := 0
-	for _, e := range entries {
-		mt := e.s.mt.Load()
-		if mt == nil {
-			continue
-		}
-		cur := mt.Observations()
-		if e.lastObs.Swap(cur) == cur {
-			continue
-		}
-		sent += e.hub.Publish()
-	}
-	return sent
-}
-
 // Stats snapshots registry counters, refit queue state and latency
 // percentiles, and scans the shards for staleness aggregates.
 func (r *Registry) Stats() RegistryStats {
@@ -440,10 +378,4 @@ func (r *Registry) Quiesce(timeout time.Duration) error {
 // requests are dropped).
 func (r *Registry) Close() {
 	r.sweep.close()
-}
-
-// sortDurations is a tiny helper shared with the sweeper's percentile
-// snapshot.
-func sortDurations(d []time.Duration) {
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
 }

@@ -105,7 +105,9 @@ func TestRegistryBatchMatchesSequential(t *testing.T) {
 // TestRegistryMixedBatchGrouping: one batch interleaving several series
 // must route every measurement to its own series.
 func TestRegistryMixedBatchGrouping(t *testing.T) {
-	reg, err := NewRegistry(testRegistryConfig())
+	cfg := testRegistryConfig()
+	cfg.MaxHistory = 64 // the history window holds every observation routed to a series
+	reg, err := NewRegistry(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +129,11 @@ func TestRegistryMixedBatchGrouping(t *testing.T) {
 	}
 	s, _ := reg.Lookup("a2", "elec")
 	mt, ok := s.Maintainer()
-	if !ok || mt.Observations() != 16 {
-		t.Fatalf("a2 observations = %d, want 16", mt.Observations())
+	if !ok {
+		t.Fatal("a2 has no model")
+	}
+	if history, _, _ := mt.refitSnapshot(); len(history) != 16 {
+		t.Fatalf("a2 observations = %d, want 16", len(history))
 	}
 }
 
@@ -258,8 +263,8 @@ func TestStalenessBoundUnderSaturatedQueue(t *testing.T) {
 }
 
 // TestRegistryConcurrentRace hammers one hot series and a spread of
-// cold ones from concurrent updaters, forecasters, publishers and the
-// background refit pool. Run under -race.
+// cold ones from concurrent updaters, forecasters, stats readers and
+// the background refit pool. Run under -race.
 func TestRegistryConcurrentRace(t *testing.T) {
 	cfg := testRegistryConfig()
 	cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 8} }
@@ -267,11 +272,6 @@ func TestRegistryConcurrentRace(t *testing.T) {
 	cfg.QueueDepth = 64
 	reg, err := NewRegistry(cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-
-	hub := reg.Hub("hot", "elec")
-	if _, _, err := hub.Subscribe(4, 0.01); err != nil {
 		t.Fatal(err)
 	}
 
@@ -295,7 +295,6 @@ func TestRegistryConcurrentRace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
 			reg.Forecast("hot", "elec", 4)
-			reg.PublishDirty()
 			reg.Stats()
 		}
 	}()
@@ -312,68 +311,6 @@ func TestRegistryConcurrentRace(t *testing.T) {
 		t.Fatal("no models created")
 	}
 	reg.Close()
-}
-
-func TestRegistryHubPublishDirty(t *testing.T) {
-	reg, err := NewRegistry(testRegistryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reg.Close()
-	hub := reg.Hub("a1", "elec")
-	_, ch, err := hub.Subscribe(4, 0.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warming series: dirty-publish skips it (no model yet).
-	reg.UpdateMeasurements(seriesBatch("a1", 0, 3))
-	if n := reg.PublishDirty(); n != 0 {
-		t.Fatalf("published %d notifications before the model exists", n)
-	}
-	reg.UpdateMeasurements(seriesBatch("a1", 3, 5))
-	if n := reg.PublishDirty(); n != 1 {
-		t.Fatalf("published %d notifications, want 1", n)
-	}
-	select {
-	case n := <-ch:
-		if len(n.Forecast) != 4 {
-			t.Fatalf("notification horizon = %d, want 4", len(n.Forecast))
-		}
-	default:
-		t.Fatal("no notification delivered")
-	}
-	// Clean publish: no new observations, no notifications.
-	if n := reg.PublishDirty(); n != 0 {
-		t.Fatalf("published %d notifications without new observations", n)
-	}
-}
-
-// countingForecaster counts Forecast calls per horizon.
-type countingForecaster struct {
-	calls map[int]int
-}
-
-func (c *countingForecaster) Forecast(h int) []float64 {
-	c.calls[h]++
-	return make([]float64, h)
-}
-
-// TestHubPublishDistinctHorizons: subscribers sharing a horizon share
-// one model query per publish.
-func TestHubPublishDistinctHorizons(t *testing.T) {
-	cf := &countingForecaster{calls: make(map[int]int)}
-	hub := NewHub(cf)
-	for _, h := range []int{5, 5, 5, 7} {
-		if _, _, err := hub.Subscribe(h, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sent := hub.Publish(); sent != 4 {
-		t.Fatalf("sent = %d, want 4 first-publish notifications", sent)
-	}
-	if cf.calls[5] != 1 || cf.calls[7] != 1 {
-		t.Fatalf("model queried %d times for h=5 and %d for h=7, want once each", cf.calls[5], cf.calls[7])
-	}
 }
 
 // TestOneStepMatchesForecast1 pins the allocation-free one-step path to

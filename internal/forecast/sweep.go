@@ -4,11 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// refitLatWindow sizes the refit latency ring the percentiles are
-// computed over (matching the ingest stats collector's window).
-const refitLatWindow = 4096
+	"mirabel/internal/obs"
+)
 
 // sweeper is the bounded background re-estimation pool: evaluation
 // strategies enqueue refit requests, workers refit against a history
@@ -29,14 +27,11 @@ type sweeper struct {
 	pending atomic.Int64
 
 	enqueued  atomic.Uint64
-	completed atomic.Uint64
 	failed    atomic.Uint64
 	overflows atomic.Uint64
-
-	latMu   sync.Mutex
-	lat     [refitLatWindow]time.Duration
-	latNext int
-	latLen  int
+	// lat holds one sample (ns) per completed refit, so its Count is
+	// the refits done.
+	lat obs.Histogram
 }
 
 func newSweeper(workers, depth int) *sweeper {
@@ -99,45 +94,21 @@ func (w *sweeper) refit(s *Series) {
 		return
 	}
 	mt.completeRefit(res.X, res.Value)
-	w.completed.Add(1)
-	w.observe(time.Since(start))
-}
-
-func (w *sweeper) observe(d time.Duration) {
-	w.latMu.Lock()
-	w.lat[w.latNext] = d
-	w.latNext = (w.latNext + 1) % refitLatWindow
-	if w.latLen < refitLatWindow {
-		w.latLen++
-	}
-	w.latMu.Unlock()
+	w.lat.Record(int64(time.Since(start)))
 }
 
 // fill populates the sweeper-owned fields of a stats snapshot.
 func (w *sweeper) fill(st *RegistryStats) {
 	st.RefitsEnqueued = w.enqueued.Load()
-	st.RefitsDone = w.completed.Load()
+	st.RefitsDone = w.lat.Count()
 	st.RefitsFailed = w.failed.Load()
 	st.QueueOverflows = w.overflows.Load()
 	st.QueueDepth = len(w.q)
 	st.QueueCap = cap(w.q)
 	st.Workers = w.workers
-
-	w.latMu.Lock()
-	window := make([]time.Duration, w.latLen)
-	copy(window, w.lat[:w.latLen])
-	w.latMu.Unlock()
-	if len(window) == 0 {
-		return
-	}
-	sortDurations(window)
-	pick := func(q float64) time.Duration {
-		i := int(q * float64(len(window)-1))
-		return window[i]
-	}
-	st.RefitP50 = pick(0.50)
-	st.RefitP95 = pick(0.95)
-	st.RefitP99 = pick(0.99)
+	st.RefitP50 = time.Duration(w.lat.Quantile(0.50))
+	st.RefitP95 = time.Duration(w.lat.Quantile(0.95))
+	st.RefitP99 = time.Duration(w.lat.Quantile(0.99))
 }
 
 // idle reports whether the queue is drained and no refit is running.

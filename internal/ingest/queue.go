@@ -298,8 +298,7 @@ func (q *Queue) submit(ctx context.Context, ev event) error {
 	ev.out.Add(1)
 	q.pending.Add(1)
 	q.ch <- ev // the reservation guarantees room
-	q.stats.enqueued.Add(1)
-	q.stats.observeAck(time.Since(start))
+	q.stats.ack.Record(int64(time.Since(start)))
 	return nil
 }
 
@@ -541,7 +540,7 @@ func (q *Queue) applyEvents(events []event) {
 			q.stats.noteApplyErr(err)
 		}
 	}
-	q.stats.observeBatch(len(events))
+	q.stats.batch.Record(int64(len(events)))
 }
 
 // compactLoop bounds the journal between drains without stalling

@@ -1,11 +1,11 @@
 package ingest
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"mirabel/internal/obs"
 	"mirabel/internal/store"
 )
 
@@ -20,7 +20,9 @@ type Stats struct {
 
 	Depth int // events staged in memory right now
 
-	AckP50, AckP95, AckP99 time.Duration // producer ack latency
+	// AckP50/P95/P99 are producer ack latencies since Open, bucketed:
+	// each reads high by at most 1/8.
+	AckP50, AckP95, AckP99 time.Duration
 
 	Batches      uint64  // coalesced store applies
 	MeanBatch    float64 // events per apply
@@ -34,50 +36,20 @@ type Stats struct {
 	Journal store.LogStats // group-commit counters of the journal
 }
 
-// ackWindow bounds the latency reservoir; recent acks dominate.
-const ackWindow = 4096
-
-// statsCollector accumulates queue counters with atomic hot paths and a
-// small mutex-guarded latency ring.
+// statsCollector accumulates queue counters: atomics, one histogram
+// of ack latencies and one of applied batch sizes.
 type statsCollector struct {
-	enqueued      atomic.Uint64
-	consumed      atomic.Uint64
+	ack   obs.Histogram // producer ack latency (ns), one sample per acked event
+	batch obs.Histogram // events per store apply
+
 	shed          atomic.Uint64
 	recovered     atomic.Uint64
-	batches       atomic.Uint64
-	batchEvents   atomic.Uint64
-	maxBatch      atomic.Int64
 	applyErrs     atomic.Uint64
 	compactions   atomic.Uint64
 	compactedByte atomic.Uint64
 
 	mu       sync.Mutex
-	ring     [ackWindow]time.Duration
-	ringNext int
-	ringLen  int
 	firstErr error
-}
-
-func (c *statsCollector) observeAck(d time.Duration) {
-	c.mu.Lock()
-	c.ring[c.ringNext] = d
-	c.ringNext = (c.ringNext + 1) % ackWindow
-	if c.ringLen < ackWindow {
-		c.ringLen++
-	}
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) observeBatch(n int) {
-	c.consumed.Add(uint64(n))
-	c.batches.Add(1)
-	c.batchEvents.Add(uint64(n))
-	for {
-		cur := c.maxBatch.Load()
-		if int64(n) <= cur || c.maxBatch.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
 }
 
 func (c *statsCollector) noteApplyErr(err error) {
@@ -97,29 +69,22 @@ func (c *statsCollector) firstApplyErr() error {
 
 func (c *statsCollector) snapshot() Stats {
 	s := Stats{
-		Enqueued:     c.enqueued.Load(),
-		Consumed:     c.consumed.Load(),
+		Enqueued:     c.ack.Count(),
+		Consumed:     uint64(c.batch.Sum()),
 		Shed:         c.shed.Load(),
 		Recovered:    c.recovered.Load(),
-		Batches:      c.batches.Load(),
-		MaxBatchSeen: int(c.maxBatch.Load()),
+		AckP50:       time.Duration(c.ack.Quantile(0.50)),
+		AckP95:       time.Duration(c.ack.Quantile(0.95)),
+		AckP99:       time.Duration(c.ack.Quantile(0.99)),
+		Batches:      c.batch.Count(),
+		MaxBatchSeen: int(c.batch.Max()),
 		ApplyErrors:  c.applyErrs.Load(),
 
 		Compactions:    c.compactions.Load(),
 		CompactedBytes: c.compactedByte.Load(),
 	}
 	if s.Batches > 0 {
-		s.MeanBatch = float64(c.batchEvents.Load()) / float64(s.Batches)
-	}
-	c.mu.Lock()
-	lat := make([]time.Duration, c.ringLen)
-	copy(lat, c.ring[:c.ringLen])
-	c.mu.Unlock()
-	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		s.AckP50 = lat[len(lat)*50/100]
-		s.AckP95 = lat[len(lat)*95/100]
-		s.AckP99 = lat[len(lat)*99/100]
+		s.MeanBatch = float64(s.Consumed) / float64(s.Batches)
 	}
 	return s
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/obs"
 	"mirabel/internal/store"
 	"mirabel/internal/wire"
 )
@@ -187,7 +188,8 @@ type LedgerStats struct {
 	// identical chains.
 	HeadHash string
 	// Appends counts Append batches; AppendP50/P95/P99 are batch append
-	// latencies (staging + group commit) over a sliding window.
+	// latencies (staging + group commit) since open, bucketed: each
+	// reads high by at most 1/8.
 	Appends             uint64
 	AppendP50, P95, P99 time.Duration
 	// RecoveredEntries is how many entries the last Open replayed;
@@ -230,9 +232,7 @@ type Ledger struct {
 	balances map[string]*Balance
 	settled  map[flexoffer.ID]struct{}
 
-	appends   uint64
-	latRing   [512]time.Duration
-	latCount  int
+	appendLat obs.Histogram // one sample (ns) per successful Append
 	recovered uint64
 	dropped   int64
 }
@@ -383,9 +383,7 @@ func (l *Ledger) Append(entries []Entry) ([]Entry, error) {
 		l.applyEntry(&entries[i])
 	}
 	l.head = head
-	l.appends++
-	l.latRing[l.latCount%len(l.latRing)] = time.Since(start)
-	l.latCount++
+	l.appendLat.Record(int64(time.Since(start)))
 	return entries, nil
 }
 
@@ -432,23 +430,15 @@ func (l *Ledger) Stats() LedgerStats {
 		Actors:           len(l.balances),
 		SettledOffers:    len(l.settled),
 		HeadHash:         hex.EncodeToString(l.headHash()),
-		Appends:          l.appends,
+		Appends:          l.appendLat.Count(),
+		AppendP50:        time.Duration(l.appendLat.Quantile(0.50)),
+		P95:              time.Duration(l.appendLat.Quantile(0.95)),
+		P99:              time.Duration(l.appendLat.Quantile(0.99)),
 		RecoveredEntries: l.recovered,
 		DroppedBytes:     l.dropped,
 	}
 	if l.log != nil {
 		s.Log = l.log.Stats()
-	}
-	n := l.latCount
-	if n > len(l.latRing) {
-		n = len(l.latRing)
-	}
-	if n > 0 {
-		lats := append([]time.Duration(nil), l.latRing[:n]...)
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		s.AppendP50 = lats[n/2]
-		s.P95 = lats[n*95/100]
-		s.P99 = lats[n*99/100]
 	}
 	return s
 }
