@@ -133,7 +133,7 @@ func (m FlexOfferSubmit) appendBody(dst []byte) ([]byte, error) {
 // say "no offer".
 func (m *FlexOfferSubmit) readBody(r *wire.Reader) {
 	m.Offer = new(flexoffer.FlexOffer)
-	m.Offer.ReadWire(r)
+	m.Offer.ReadWire(r, nil)
 }
 
 func (m FlexOfferDecision) appendBody(dst []byte) ([]byte, error) {
@@ -167,7 +167,7 @@ func (m *ScheduleNotify) readBody(r *wire.Reader) {
 		m.Schedules = make([]*flexoffer.Schedule, n)
 		for i := range m.Schedules {
 			m.Schedules[i] = new(flexoffer.Schedule)
-			m.Schedules[i].ReadWire(r)
+			m.Schedules[i].ReadWire(r, nil)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mirabel/internal/flexoffer"
 	"mirabel/internal/store"
 	"mirabel/internal/wire"
 )
@@ -55,17 +56,17 @@ func appendEvent(dst []byte, ev event) []byte {
 	return store.EndFrame(dst, mark)
 }
 
-// decodeEvent decodes one journal frame, its strings through names
-// (nil: fresh copies). A frame reaches here with its checksum verified,
-// so a failure means a foreign or newer writer, not a torn write;
-// recovery skips and counts such frames.
-func decodeEvent(tag byte, payload []byte, names wire.Interner) (event, error) {
+// decodeEvent decodes one journal frame, its strings through names and
+// its offer and schedule from slab (nil: fresh copies). A frame reaches
+// here with its checksum verified, so a failure means a foreign or newer
+// writer, not a torn write; recovery skips and counts such frames.
+func decodeEvent(tag byte, payload []byte, names wire.Interner, slab *flexoffer.Slab) (event, error) {
 	var ev event
 	r := wire.NewInterningReader(payload, names)
 	switch tag {
 	case tagOffer:
 		ev.offer = new(store.OfferRecord)
-		ev.offer.ReadWire(&r)
+		ev.offer.ReadWire(&r, slab)
 	case tagMeas:
 		ev.meas = store.ReadMeasurements(&r)
 	default:
@@ -81,7 +82,7 @@ func decodeEvent(tag byte, payload []byte, names wire.Interner) (event, error) {
 // event kind and the store.OfferRecord or []store.Measurement it
 // carries.
 func DecodeJournalRecord(tag byte, payload []byte) (kind string, v any, err error) {
-	ev, err := decodeEvent(tag, payload, nil)
+	ev, err := decodeEvent(tag, payload, nil, nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -189,9 +190,11 @@ func Open(cfg Config) (*Queue, error) {
 
 // openJournal recovers the journal and opens it for appending. The
 // replay owns one string table, so the owners, prosumers and series
-// names its events repeat are allocated once each.
+// names its events repeat are allocated once each, and one slab, so
+// its offers and schedules are allocated a chunk at a time.
 func (q *Queue) openJournal() error {
 	names := wire.Interner{}
+	var slab flexoffer.Slab
 	batch := make([]event, 0, q.cfg.MaxBatch)
 	flush := func() {
 		q.applyEvents(batch)
@@ -200,7 +203,7 @@ func (q *Queue) openJournal() error {
 	}
 	log, _, err := store.OpenGroupLog(JournalFiles(q.cfg.Path), JournalMagic, q.cfg.Sync, true,
 		func(off int64, tag byte, payload []byte) error {
-			ev, err := decodeEvent(tag, payload, names)
+			ev, err := decodeEvent(tag, payload, names, &slab)
 			if err != nil {
 				// Counted and surfaced by Drain, which then keeps the
 				// journal: the frame is evidence, not garbage.

@@ -149,3 +149,67 @@ func TestGroupLogAppendAllocFree(t *testing.T) {
 			after.Records-before.Records, after.Groups-before.Groups)
 	}
 }
+
+// writeLifecycleWAL logs n offers into a fresh store at dir, each put,
+// then scheduled (a transition with its schedule) and then executed (a
+// state-only step): 3n records, the life most offers of a node lead.
+func writeLifecycleWAL(t *testing.T, dir string, n int) {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBatch()
+	scheduled := make([]OfferUpdate, n)
+	executed := make([]OfferUpdate, n)
+	for i := range scheduled {
+		id := flexoffer.ID(i + 1)
+		f := &flexoffer.FlexOffer{ID: id, Prosumer: "household-17", EarliestStart: 88, LatestStart: 116, AssignBefore: 80, CostPerKWh: 0.07,
+			Profile: make([]flexoffer.Slice, 8)}
+		b.PutOffer(OfferRecord{Offer: f, Owner: "household-17", State: OfferAccepted})
+		scheduled[i] = OfferUpdate{ID: id, Mutate: func(r *OfferRecord) {
+			r.State, r.Schedule = OfferScheduled, r.Offer.DefaultSchedule()
+		}}
+		executed[i] = OfferUpdate{ID: id, Mutate: func(r *OfferRecord) { r.State = OfferExecuted }}
+	}
+	if err := s.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	for _, ups := range [][]OfferUpdate{scheduled, executed} {
+		if _, err := s.UpdateOffers(ups); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayAllocs: a reopen decodes offers, schedules and their runs
+// into per-replay slabs, so replaying a WAL allocates per chunk, not per
+// record. 4,000 offers that were each scheduled and executed (12,000
+// records) reopen in at most 1,000 allocations, and going from 1,000
+// offers to 4,000 costs fewer than one allocation per 32 records.
+func TestReplayAllocs(t *testing.T) {
+	reopenAllocs := func(offers int) float64 {
+		dir := t.TempDir()
+		writeLifecycleWAL(t, dir, offers)
+		return testing.AllocsPerRun(5, func() {
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := reopenAllocs(1000), reopenAllocs(4000)
+	t.Logf("a reopen allocates %.0f times for 1,000 offers' lives, %.0f for 4,000", small, large)
+	if large > 1000 {
+		t.Errorf("reopening 4,000 offers' lives (12,000 records) allocates %.0f times, want at most 1,000", large)
+	}
+	if perRecord := (large - small) / (3 * 3000); perRecord >= 1.0/32 {
+		t.Errorf("3,000 more offers' lives cost %.0f more allocations (%.3f per record), want under 1/32 per record", large-small, perRecord)
+	}
+}

@@ -114,14 +114,15 @@ func (rec *OfferRecord) AppendWire(dst []byte) []byte {
 	return appendSchedule(dst, rec.Schedule)
 }
 
-// ReadWire decodes a record from r into rec; failures stick to r. A
-// decoded record always holds an offer.
-func (rec *OfferRecord) ReadWire(r *wire.Reader) {
+// ReadWire decodes a record from r into rec, its offer and schedule
+// from a (nil: fresh allocations); failures stick to r. A decoded record
+// always holds an offer.
+func (rec *OfferRecord) ReadWire(r *wire.Reader, a *flexoffer.Slab) {
 	rec.Owner = r.String()
 	rec.State = readState(r)
-	rec.Offer = new(flexoffer.FlexOffer)
-	rec.Offer.ReadWire(r)
-	rec.Schedule = readSchedule(r)
+	rec.Offer = a.NewOffer()
+	rec.Offer.ReadWire(r, a)
+	rec.Schedule = readSchedule(r, a)
 }
 
 // appendSchedule and readSchedule carry an optional schedule:
@@ -134,12 +135,12 @@ func appendSchedule(dst []byte, s *flexoffer.Schedule) []byte {
 	return dst
 }
 
-func readSchedule(r *wire.Reader) *flexoffer.Schedule {
+func readSchedule(r *wire.Reader, a *flexoffer.Slab) *flexoffer.Schedule {
 	if !r.Bool() {
 		return nil
 	}
-	s := new(flexoffer.Schedule)
-	s.ReadWire(r)
+	s := a.NewSchedule()
+	s.ReadWire(r, a)
 	return s
 }
 
@@ -152,10 +153,10 @@ type offerTransition struct {
 	Schedule *flexoffer.Schedule `json:"schedule,omitempty"`
 }
 
-func (t *offerTransition) readWire(r *wire.Reader) {
+func (t *offerTransition) readWire(r *wire.Reader, a *flexoffer.Slab) {
 	t.ID = flexoffer.ID(r.Uvarint())
 	t.State = readState(r)
-	t.Schedule = readSchedule(r)
+	t.Schedule = readSchedule(r, a)
 }
 
 // offerStateStep is the logged form of an offer update that kept the
@@ -271,7 +272,7 @@ func appendRecord(dst []byte, tag byte, v any) ([]byte, error) {
 // DecodeWALRecord decodes one WAL frame for inspection: the table (or
 // "prune", "offer_transitions" or "offer_states") the tag names and the
 // record as the Go value the store would apply. Recovery decodes the
-// hot tags itself (Store.applyLogged) and comes here for the cold ones
+// hot tags itself (replay.decode) and comes here for the cold ones
 // only.
 func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) {
 	if tag == 0 || int(tag) >= len(tagNames) {
@@ -281,11 +282,11 @@ func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) 
 	switch tag {
 	case tagOffer:
 		var rec OfferRecord
-		rec.ReadWire(&r)
+		rec.ReadWire(&r, nil)
 		v, err = rec, r.Done()
 	case tagOfferState:
 		var t offerTransition
-		t.readWire(&r)
+		t.readWire(&r, nil)
 		v, err = t, r.Done()
 	case tagOfferStateOnly:
 		var t offerStateStep

@@ -31,7 +31,7 @@ func wireRoundTripOffer(t *testing.T, rec store.OfferRecord) store.OfferRecord {
 	t.Helper()
 	r := wire.NewReader(rec.AppendWire(nil))
 	var out store.OfferRecord
-	out.ReadWire(&r)
+	out.ReadWire(&r, nil)
 	if err := r.Done(); err != nil {
 		t.Fatalf("decode %+v: %v", rec, err)
 	}

@@ -138,6 +138,10 @@ func (s *idSet) add(id flexoffer.ID) {
 	}
 }
 
+func (s *idSet) has(id flexoffer.ID) bool {
+	return s.words[id>>6]&(uint64(1)<<(id&63)) != 0
+}
+
 func (s *idSet) remove(id flexoffer.ID) {
 	w, bit := id>>6, uint64(1)<<(id&63)
 	switch old := s.words[w]; {

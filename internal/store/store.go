@@ -108,7 +108,9 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
 	s := newStore()
-	log, _, err := OpenGroupLog(WALFiles(dir), WALMagic, o.policy, true, s.replayer())
+	rp := s.startReplay()
+	log, _, err := OpenGroupLog(WALFiles(dir), WALMagic, o.policy, true, rp.frame)
+	rp.finish()
 	if err != nil {
 		return nil, err
 	}
@@ -135,7 +137,10 @@ func OpenReadOnly(dir string) (*Store, error) {
 	}
 	s := newStore()
 	s.readOnly = true
-	if _, err := ReplayFrames(walPath(dir), WALMagic, s.replayer()); err != nil && !errors.Is(err, ErrDamaged) {
+	rp := s.startReplay()
+	_, err = ReplayFrames(walPath(dir), WALMagic, rp.frame)
+	rp.finish()
+	if err != nil && !errors.Is(err, ErrDamaged) {
 		return nil, err
 	}
 	s.offerIdx.build(s.offers)
@@ -184,105 +189,6 @@ func (s *Store) applyMeasurement(m Measurement) {
 	ss.mu.Lock()
 	ss.insertLocked(m.Slot, m.KWh)
 	ss.mu.Unlock()
-}
-
-// applyTransition assigns a logged transition's state — and, unless the
-// frame is a state-only step, its schedule — to the stored offer, log-
-// and index-free like applyPut. A transition names an offer an
-// earlier record stored, so one for an unknown offer means the log is
-// not this store's history: recovery fails at the frame's offset.
-func (s *Store) applyTransition(off int64, id flexoffer.ID, state OfferState, schedule *flexoffer.Schedule, keepSchedule bool) error {
-	sh := s.offers.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.m[id]
-	if !ok {
-		return fmt.Errorf("%w: the transition at wal offset %d names offer %d, which no earlier record stored", ErrUnknownOffer, off, id)
-	}
-	r.State = state
-	if !keepSchedule {
-		r.Schedule = schedule
-	}
-	sh.m[id] = r
-	return nil
-}
-
-// replayer returns the replay callback of Open and OpenReadOnly, which
-// applies one WAL record during recovery. The callback owns one string
-// table for the whole replay, so the few hundred owner, prosumer and
-// series names of thousands of records are allocated once each; it must
-// not run on two goroutines.
-func (s *Store) replayer() func(off int64, tag byte, payload []byte) error {
-	names := wire.Interner{}
-	return func(off int64, tag byte, payload []byte) error {
-		return s.applyLogged(off, tag, payload, names)
-	}
-}
-
-// applyLogged applies one WAL record, its strings read through names.
-// The hot tags are decoded here, typed; the cold tables and the prune
-// mark go through DecodeWALRecord.
-func (s *Store) applyLogged(off int64, tag byte, payload []byte, names wire.Interner) error {
-	r := wire.NewInterningReader(payload, names)
-	switch tag {
-	case tagOffer:
-		var rec OfferRecord
-		rec.ReadWire(&r)
-		if err := r.Done(); err != nil {
-			return decodeError(tag, err)
-		}
-		applyPut(s.offers, rec.Offer.ID, rec)
-		return nil
-	case tagOfferState:
-		var t offerTransition
-		t.readWire(&r)
-		if err := r.Done(); err != nil {
-			return decodeError(tag, err)
-		}
-		return s.applyTransition(off, t.ID, t.State, t.Schedule, false)
-	case tagOfferStateOnly:
-		var t offerStateStep
-		t.readWire(&r)
-		if err := r.Done(); err != nil {
-			return decodeError(tag, err)
-		}
-		return s.applyTransition(off, t.ID, t.State, nil, true)
-	case tagMeasurement:
-		var m Measurement
-		m.ReadWire(&r)
-		if err := r.Done(); err != nil {
-			return decodeError(tag, err)
-		}
-		s.applyMeasurement(m)
-		return nil
-	}
-	_, v, err := DecodeWALRecord(tag, payload)
-	if err != nil {
-		return err
-	}
-	switch v := v.(type) {
-	case Actor:
-		applyPut(s.actors, v.ID, v)
-	case EnergyType:
-		applyPut(s.energyTypes, v.ID, v)
-	case MarketArea:
-		applyPut(s.marketAreas, v.ID, v)
-	case ForecastRecord:
-		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v)
-	case PriceRecord:
-		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v)
-	case Contract:
-		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v)
-	case ModelParams:
-		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v)
-	case pruneMark:
-		for _, ss := range s.meas.all() {
-			ss.mu.Lock()
-			ss.pruneLocked(v.Before)
-			ss.mu.Unlock()
-		}
-	}
-	return nil
 }
 
 // logged frames one mutation into a pooled buffer when the store is

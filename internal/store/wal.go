@@ -15,6 +15,18 @@
 // write is detected and dropped. Nothing compacts the log: it holds
 // every mutation since the store was created.
 //
+// Recovery runs in two stages (replay.go). The goroutine that reads the
+// log checks, decodes and validates each frame: offers, schedules and
+// their profile and energy runs come from one slab per replay, a chunk
+// per 256 offers or schedules, and names from one string table. One
+// applier goroutine fills the tables in log order while the next frames
+// decode.
+// Every recovery error is the reading side's, so it surfaces at its
+// frame before anything on disk changes. That includes the one check
+// that needs earlier records, that a transition names an offer an
+// earlier record stored: the reading side keeps the IDs of the offers it
+// decoded, which is exact because the store never deletes an offer.
+//
 // The log is written by a group committer: concurrent writers coalesce
 // into one buffered append (and, under SyncAlways, one fsync) per
 // physical write — the first writer to arrive leads the group and
