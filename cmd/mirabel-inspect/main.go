@@ -14,16 +14,17 @@
 //
 //	mirabel-inspect -data /tmp/brp1 -prune-before 480
 //
-// The store WAL, the ingest journal and the settlement ledger are binary
-// files; -dump replays one of them read-only, frame by frame, and prints
-// each record as one JSON object (file, offset, tag, decoded record) —
-// `| jq` as before. In the WAL, an offer update that kept the offer and
-// its owner is an "offer_transitions" record (id, state and schedule),
-// or an "offer_states" record (id and state) when it kept the schedule
-// too: the offer's schedule is then whatever its previous transition set.
+// The store WAL and the settlement ledger are binary files; -dump
+// replays one of them read-only, frame by frame, and prints each record
+// as one JSON object (file, offset, tag, decoded record) — `| jq` as
+// before. In the WAL, an offer update that kept the offer and its owner
+// is an "offer_transitions" record (id, state and schedule), or an
+// "offer_states" record (id and state) when it kept the schedule too:
+// the offer's schedule is then whatever its previous transition set. A
+// rejected offer the node's intake acked is an "offers_if_absent"
+// record: it was stored only if no record held its id.
 //
 //	mirabel-inspect -data /tmp/brp1 -dump wal
-//	mirabel-inspect -data /tmp/brp1 -dump journal
 //	mirabel-inspect -data /tmp/brp1 -dump ledger
 package main
 
@@ -37,7 +38,6 @@ import (
 	"path/filepath"
 
 	"mirabel/internal/flexoffer"
-	"mirabel/internal/ingest"
 	"mirabel/internal/settle"
 	"mirabel/internal/store"
 )
@@ -50,61 +50,52 @@ type dumpLine struct {
 	Record any    `json:"record"`
 }
 
-// dumpLog replays the WAL, the ingest journal or the ledger of the node
-// directory dir through store.ReplayFrames — nothing is opened for writing, no
-// torn tail is cut — and writes one JSON object per intact record to w.
-// Bytes past a file's intact prefix are reported on notes.
+// dumpLog replays the WAL or the ledger of the node directory dir
+// through store.ReplayFrames — nothing is opened for writing, no torn
+// tail is cut — and writes one JSON object per intact record to w.
+// Bytes past the file's intact prefix are reported on notes.
 func dumpLog(w, notes io.Writer, dir, which string) error {
-	var files []string
-	var magic string
+	var path, magic string
 	var decode func(tag byte, payload []byte) (dumpLine, error)
 	switch which {
 	case "wal":
-		files, magic = store.WALFiles(dir), store.WALMagic
+		path, magic = store.WALPath(dir), store.WALMagic
 		decode = func(tag byte, payload []byte) (dumpLine, error) {
 			table, rec, err := store.DecodeWALRecord(tag, payload)
 			return dumpLine{Tag: table, Record: rec}, err
 		}
-	case "journal":
-		files, magic = ingest.JournalFiles(filepath.Join(dir, "ingest.log")), ingest.JournalMagic
-		decode = func(tag byte, payload []byte) (dumpLine, error) {
-			kind, rec, err := ingest.DecodeJournalRecord(tag, payload)
-			return dumpLine{Tag: kind, Record: rec}, err
-		}
 	case "ledger":
 		// Entries are printed as stored; auditing the chain they form
 		// is settle.VerifyFile's job.
-		files, magic = []string{filepath.Join(dir, "ledger.log")}, settle.LedgerMagic
+		path, magic = filepath.Join(dir, "ledger.log"), settle.LedgerMagic
 		decode = func(tag byte, payload []byte) (dumpLine, error) {
 			e, err := settle.DecodeLedgerRecord(tag, payload)
 			return dumpLine{Tag: string(e.Kind), Record: e}, err
 		}
 	default:
-		return fmt.Errorf("-dump %q: want wal, journal or ledger", which)
+		return fmt.Errorf("-dump %q: want wal or ledger", which)
+	}
+	fi, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
 	}
 	out := json.NewEncoder(w)
-	for _, path := range files {
-		fi, err := os.Stat(path)
-		if os.IsNotExist(err) {
-			continue
-		}
+	intact, err := store.ReplayFrames(path, magic, func(off int64, tag byte, payload []byte) error {
+		line, err := decode(tag, payload)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s offset %d: %w", path, off, err)
 		}
-		intact, err := store.ReplayFrames(path, magic, func(off int64, tag byte, payload []byte) error {
-			line, err := decode(tag, payload)
-			if err != nil {
-				return fmt.Errorf("%s offset %d: %w", path, off, err)
-			}
-			line.File, line.Offset = filepath.Base(path), off
-			return out.Encode(line)
-		})
-		if err != nil {
-			return err
-		}
-		if fi.Size() > intact {
-			fmt.Fprintf(notes, "%s: %d bytes of torn tail after offset %d\n", path, fi.Size()-intact, intact)
-		}
+		line.File, line.Offset = filepath.Base(path), off
+		return out.Encode(line)
+	})
+	if err != nil {
+		return err
+	}
+	if fi.Size() > intact {
+		fmt.Fprintf(notes, "%s: %d bytes of torn tail after offset %d\n", path, fi.Size()-intact, intact)
 	}
 	return nil
 }
@@ -116,7 +107,7 @@ func main() {
 	showOffers := flag.Bool("offers", false, "list flex-offer records")
 	showMeasurements := flag.Bool("measurements", false, "summarize measurements per actor")
 	pruneBefore := flag.Int64("prune-before", -1, "prune measurements with slot < this value (opens the store writable)")
-	dump := flag.String("dump", "", "print every record of a binary log as JSON lines and exit: wal | journal | ledger")
+	dump := flag.String("dump", "", "print every record of a binary log as JSON lines and exit: wal | ledger")
 	flag.Parse()
 	if *dataDir == "" {
 		flag.Usage()

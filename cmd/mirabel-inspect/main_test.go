@@ -18,8 +18,8 @@ import (
 
 // TestDumpLogs writes a small node directory through the store, the
 // ingest queue and the ledger, then checks that -dump lists every record
-// of the three binary logs as one JSON object each — and leaves a torn
-// tail where it is.
+// of the two binary logs as one JSON object each — the intake's among
+// the WAL's — and leaves a torn tail where it is.
 func TestDumpLogs(t *testing.T) {
 	dir := t.TempDir()
 	offer := &flexoffer.FlexOffer{ID: 7, Prosumer: "p1", EarliestStart: 40, LatestStart: 44, AssignBefore: 32, Profile: []flexoffer.Slice{{EnergyMin: 1, EnergyMax: 3}}}
@@ -44,21 +44,22 @@ func TestDumpLogs(t *testing.T) {
 	if _, err := st.PruneMeasurements(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	q, err := ingest.Open(ingest.Config{Store: store.NewInMemory(), Path: filepath.Join(dir, "ingest.log")})
+	q, err := ingest.Open(ingest.Config{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := q.SubmitOffer(context.Background(), store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}); err != nil {
+	if err := q.SubmitOffer(context.Background(), store.OfferRecord{Offer: offer, Owner: "p2", State: store.OfferRejected}); err != nil {
 		t.Fatal(err)
 	}
 	if err := q.SubmitMeasurements(context.Background(), []store.Measurement{{Actor: "p1", EnergyType: "demand", Slot: 4, KWh: 2}, {Actor: "p1", EnergyType: "demand", Slot: 5, KWh: 3}}); err != nil {
 		t.Fatal(err)
 	}
-	q.Kill() // a graceful close would drain and truncate the journal
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	ledger, err := settle.OpenLedger(settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")})
 	if err != nil {
@@ -76,7 +77,7 @@ func TestDumpLogs(t *testing.T) {
 	}
 
 	// A torn tail on the WAL: reported, not cut.
-	walPath := store.WALFiles(dir)[0]
+	walPath := store.WALPath(dir)
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +91,10 @@ func TestDumpLogs(t *testing.T) {
 		tags  []string
 		want  []string // a substring of each line's record
 	}{
-		{"wal", []string{"actors", "offers", "offer_transitions", "offer_states", "measurements", "prune"}, []string{
+		{"wal", []string{"actors", "offers", "offer_transitions", "offer_states", "measurements", "prune", "offers_if_absent", "measurements", "measurements"}, []string{
 			`"id":"brp1"`, `"state":"accepted"`, `{"id":7,"state":"scheduled","schedule":{"OfferID":7,"Start":40,`, `{"id":7,"state":"executed"}`, `"kwh":1.5`, `"before":2`,
+			`"owner":"p2","state":"rejected"`, `"slot":4`, `"slot":5`,
 		}},
-		{"journal", []string{"offer", "meas"}, []string{`"state":"accepted"`, `"slot":5`}},
 		{"ledger", []string{"line", "penalty"}, []string{`"hash":"` + sealed[0].Hash + `"`, `"memo":"late","prev":"` + sealed[0].Hash + `"`}},
 	} {
 		var out, notes bytes.Buffer

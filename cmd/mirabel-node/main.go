@@ -1,7 +1,8 @@
 // mirabel-node runs a single LEDMS node as a network daemon: it serves
-// its role (prosumer, brp or tso) over TCP. With -data the store, the
-// ingest journal and the settlement ledger live in that directory under
-// one -fsync policy; without it all three are in-memory. Small
+// its role (prosumer, brp or tso) over TCP. With -data the store (whose
+// WAL also holds every acked intake event) and the settlement ledger
+// live in that directory under one -fsync policy; without it both are
+// in-memory. Small
 // deployments wire nodes together with -route flags.
 //
 // A two-node session:
@@ -62,7 +63,6 @@ func main() {
 type config struct {
 	name, role, parent, listen, dataDir, routes string
 	fsync, ingestPolicy, ping                   string
-	ingestCompact                               int64
 	retryAttempts                               int
 	breaker, demoOffer, verbose                 bool
 }
@@ -74,11 +74,10 @@ func flags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.role, "role", "", "prosumer | brp | tso")
 	fs.StringVar(&c.parent, "parent", "", "parent node name")
 	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "TCP listen address")
-	fs.StringVar(&c.dataDir, "data", "", "directory of the store, ingest journal and settlement ledger (empty: all in-memory)")
-	fs.StringVar(&c.fsync, "fsync", "flush", "fsync policy of store WAL, ingest journal and ledger: flush | always | interval (every 100ms)")
+	fs.StringVar(&c.dataDir, "data", "", "directory of the store and settlement ledger (empty: both in-memory)")
+	fs.StringVar(&c.fsync, "fsync", "flush", "fsync policy of store WAL and ledger: flush | always | interval (every 100ms)")
 	fs.StringVar(&c.routes, "route", "", "comma-separated name=addr routes to peers")
 	fs.StringVar(&c.ingestPolicy, "ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed")
-	fs.Int64Var(&c.ingestCompact, "ingest-compact", 0, "ingest journal compaction threshold in bytes (0: compact only on restart)")
 	fs.BoolVar(&c.breaker, "breaker", false, "circuit breaking on outbound traffic")
 	fs.IntVar(&c.retryAttempts, "retry-attempts", 2, "max attempts per outbound call (1: no retries)")
 	fs.BoolVar(&c.demoOffer, "demo-offer", false, "submit one demo flex-offer to the parent and exit")
@@ -104,8 +103,8 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return errUsage
 	}
 
-	// One fsync policy for everything the node writes: an ingest ack and
-	// a ledger append are as durable as a store commit.
+	// One fsync policy for everything the node writes: an ingest ack is
+	// a store commit, and a ledger append is as durable as one.
 	var syncPol store.SyncPolicy
 	switch c.fsync {
 	case "flush":
@@ -120,7 +119,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	ic := &ingest.Config{Policy: policy, CompactBytes: c.ingestCompact, Sync: syncPol}
+	ic := &ingest.Config{Policy: policy}
 	lc := &settle.LedgerConfig{Sync: syncPol}
 	var st *store.Store
 	if c.dataDir != "" {
@@ -133,7 +132,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 				log.Printf("store close: %v", err)
 			}
 		}()
-		ic.Path = filepath.Join(c.dataDir, "ingest.log")
 		lc.Path = filepath.Join(c.dataDir, "ledger.log")
 	}
 
@@ -195,8 +193,8 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 				rs.Calls, rs.Retries, rs.ShortCircuits, rs.Exhausted, rs.NonRetryable, rs.Backoff)
 		}
 		if st, ok := node.IngestStats(); ok {
-			log.Printf("ingest: enqueued=%d consumed=%d shed=%d batches=%d mean_batch=%.1f ack_p99=%v compactions=%d reclaimed_bytes=%d",
-				st.Enqueued, st.Consumed, st.Shed, st.Batches, st.MeanBatch, st.AckP99, st.Compactions, st.CompactedBytes)
+			log.Printf("ingest: enqueued=%d consumed=%d shed=%d batches=%d mean_batch=%.1f ack_p99=%v",
+				st.Enqueued, st.Consumed, st.Shed, st.Batches, st.MeanBatch, st.AckP99)
 		}
 		if fs, ok := node.ForecastStats(); ok {
 			log.Printf("forecast: series=%d models=%d obs=%d refits=%d/%d failed=%d overflows=%d refit_p99=%v max_staleness=%d",

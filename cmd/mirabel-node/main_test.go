@@ -21,7 +21,7 @@ func TestFlagSet(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"breaker", "data", "demo-offer", "fsync", "ingest-compact", "ingest-policy", "listen",
+		"breaker", "data", "demo-offer", "fsync", "ingest-policy", "listen",
 		"name", "parent", "ping", "retry-attempts", "role", "route", "v",
 	}
 	if !reflect.DeepEqual(got, want) {

@@ -4,8 +4,11 @@
 // BRP nodes, which aggregate, schedule and deliver micro schedules back
 // — while a seeded fault injector (internal/chaos) drops messages,
 // injects latency and ambiguous errors, cuts partitions and
-// crash-restarts whole nodes mid-run. The end-of-run report asserts the
-// durability contract (zero acked-event loss, verified settlement
+// crash-restarts whole nodes mid-run. A BRP's directory holds its two
+// logs, the store WAL (every acked offer and measurement batch is a WAL
+// frame before its ack returns) and the settlement ledger, so a restart
+// replays what the crash left unapplied. The end-of-run report asserts
+// the durability contract (zero acked-event loss, verified settlement
 // chains) and prints throughput, latency percentiles and every
 // degradation counter.
 //
@@ -48,7 +51,6 @@ func main() {
 	flag.DurationVar(&cfg.Pace, "pace", 0, "wall-clock duration of one event-time slot (0 = free-running)")
 	flag.StringVar(&cfg.Dir, "dir", "", "durable state root (default: a fresh temp dir, removed on exit)")
 	flag.BoolVar(&cfg.Breaker, "breaker", false, "circuit breaking on BRP outbound traffic")
-	flag.Int64Var(&cfg.CompactBytes, "ingest-compact", 1<<20, "ingest journal compaction threshold in bytes (0 = off)")
 	flag.IntVar(&cfg.MeasureEvery, "measure-every", 8, "every Nth household reports an acked measurement batch per cycle")
 	flag.Parse()
 	cfg.Logf = log.Printf
@@ -118,8 +120,8 @@ func printReport(w io.Writer, r *simResult) {
 	}
 	for _, name := range sortedKeys(r.Ingest) {
 		is := r.Ingest[name]
-		fmt.Fprintf(w, "  ingest   %-8s enqueued=%-6d consumed=%-6d shed=%-4d compactions=%d (%d bytes reclaimed)\n",
-			name, is.Enqueued, is.Consumed, is.Shed, is.Compactions, is.CompactedBytes)
+		fmt.Fprintf(w, "  ingest   %-8s enqueued=%-6d consumed=%-6d shed=%-4d batches=%d\n",
+			name, is.Enqueued, is.Consumed, is.Shed, is.Batches)
 	}
 	skipped := r.SkippedOwners
 	if skipped > 0 || r.NotifyFailures > 0 {

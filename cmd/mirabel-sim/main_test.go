@@ -13,8 +13,7 @@ import (
 
 // acceptanceConfig is the chaos acceptance scenario: 10% message drops,
 // latency spikes, ambiguous errors, 2% per-cycle churn, a mid-run
-// partition and one node crash/restart — with mid-run ingest journal
-// compaction enabled so rotation happens under fire too.
+// partition and one node crash/restart.
 func acceptanceConfig(t *testing.T, seed int64) simConfig {
 	t.Helper()
 	return simConfig{
@@ -24,8 +23,7 @@ func acceptanceConfig(t *testing.T, seed int64) simConfig {
 		Faults: "drop=0.1,err=0.02,spike=0.05:2ms,part=brp-1@5-5,crash=brp-0@2+2",
 		Churn:  0.02,
 		Budget: 2 * time.Second, Iters: 100,
-		CompactBytes: 4096,
-		Dir:          t.TempDir(),
+		Dir: t.TempDir(),
 	}
 }
 
@@ -64,7 +62,7 @@ func TestChaosAcceptance(t *testing.T) {
 		t.Error("no submission ever failed under 10% drops — injector not in the path?")
 	}
 	if res.RecoveredPending == 0 {
-		t.Error("restart recovered no pending offers — the crash never hit a hot journal")
+		t.Error("restart recovered no pending offers — the crash hit no accepted, unplanned offer")
 	}
 	if res.ChurnLeft == 0 || res.CancelledOffers == 0 {
 		t.Errorf("churn never bit: %d left, %d offers cancelled", res.ChurnLeft, res.CancelledOffers)

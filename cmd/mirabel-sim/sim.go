@@ -39,7 +39,6 @@ type simConfig struct {
 	Pace          time.Duration // wall-clock duration of one event-time slot (0 = free-running)
 	Dir           string        // durable state root, one subdirectory per BRP
 	Breaker       bool          // circuit breaking on BRP outbound (off for bit-identical determinism runs)
-	CompactBytes  int64         // mid-run ingest journal compaction threshold (0 = off)
 	MeasureEvery  int           // every Nth household sends an acked measurement batch per cycle
 	Logf          func(format string, args ...any)
 }
@@ -81,7 +80,7 @@ type simResult struct {
 	Cycles  int
 
 	OffersSubmitted uint64 // submission attempts (including re-offers)
-	OffersAcked     uint64 // decisions received: the offer record is journaled on the BRP
+	OffersAcked     uint64 // decisions received: the offer record is in the BRP's WAL
 	OffersAccepted  uint64
 	OffersFailed    uint64 // submissions with no decision (dropped, partitioned, node down)
 	Reoffered       uint64 // failed submissions re-issued under a fresh ID
@@ -342,8 +341,9 @@ func (s *sim) registerShard(sh *shard) {
 }
 
 // startBRP opens (or reopens) one balance group over its durable
-// directory: store, ingest journal and settlement ledger all live there,
-// so a restart after Kill recovers everything the node ever acked.
+// directory: the store, whose WAL holds every acked intake event, and
+// the settlement ledger live there, so a restart after Kill recovers
+// everything the node ever acked.
 func (s *sim) startBRP(i int) error {
 	name := brpName(i)
 	dir := filepath.Join(s.cfg.Dir, name)
@@ -353,12 +353,9 @@ func (s *sim) startBRP(i int) error {
 	}
 	cfg := core.Config{
 		Name: name, Role: store.RoleBRP, Transport: s.brpInj[i], Store: st,
-		AggParams: agg.ParamsP3,
-		SchedOpts: sched.Options{TimeBudget: s.cfg.Budget, MaxIterations: s.cfg.Iters, Seed: s.cfg.Seed + int64(i)},
-		Ingest: &ingest.Config{
-			Path:   filepath.Join(dir, "ingest.log"),
-			Policy: ingest.PolicyBlock, CompactBytes: s.cfg.CompactBytes,
-		},
+		AggParams:  agg.ParamsP3,
+		SchedOpts:  sched.Options{TimeBudget: s.cfg.Budget, MaxIterations: s.cfg.Iters, Seed: s.cfg.Seed + int64(i)},
+		Ingest:     &ingest.Config{Policy: ingest.PolicyBlock},
 		Settlement: &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")},
 		Retry: &comm.RetryConfig{
 			Seed: s.cfg.Seed - int64(i) - 1, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
@@ -379,7 +376,7 @@ func (s *sim) startBRP(i int) error {
 }
 
 // kill crashes a BRP: off the bus, then an abrupt stop — in-memory
-// backlog abandoned, journaled acks left on disk for replay.
+// backlog abandoned, acked events left in the WAL for replay.
 func (s *sim) kill(i int) {
 	name := brpName(i)
 	s.foldNodeStats(i)
@@ -424,11 +421,7 @@ func addIngestStats(a, b ingest.Stats) ingest.Stats {
 	a.Enqueued += b.Enqueued
 	a.Consumed += b.Consumed
 	a.Shed += b.Shed
-	a.Recovered += b.Recovered
 	a.Batches += b.Batches
-	a.ApplyErrors += b.ApplyErrors
-	a.Compactions += b.Compactions
-	a.CompactedBytes += b.CompactedBytes
 	return a
 }
 
@@ -452,8 +445,8 @@ func (s *sim) runCycles(ctx context.Context) error {
 
 		// Fault point: the schedule's cycle-c events fire between intake
 		// and planning — the most adversarial moment for a crash, when
-		// every event acked this cycle still sits in the ingest journal
-		// undrained and recovery has to replay it. Churn follows so a
+		// every event acked this cycle may still be unapplied, in the
+		// WAL only, and recovery has to replay it. Churn follows so a
 		// departure lands on the post-fault topology.
 		if err := s.ctl.BeginCycle(c); err != nil {
 			return err
@@ -462,7 +455,7 @@ func (s *sim) runCycles(ctx context.Context) error {
 
 		// Planning phase: every live balance group runs its scheduling
 		// cycle; down nodes simply miss the round (their prosumers'
-		// offers wait, journaled, for the restart). Planning time is the
+		// offers wait, logged, for the restart). Planning time is the
 		// START of the window just ticked: device offers carry assignment
 		// deadlines only one slot past their issue slot (the household
 		// wants an answer now), so a cycle planning at the window's end
@@ -681,7 +674,7 @@ func (s *sim) recoverAll() {
 	s.drainDeferred(s.cfg.Cycles)
 }
 
-// verify drains every journal and checks the run's durability contract:
+// verify drains every intake queue and checks the run's durability contract:
 // every acked offer and measurement is in its BRP's store — across
 // drops, partitions, churn and crash/restart — and every settlement
 // chain verifies end to end.

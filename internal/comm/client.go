@@ -136,8 +136,8 @@ func (c *Client) ReportMeasurements(ctx context.Context, to string, ms []Measure
 }
 
 // ReportMeasurementsAcked reports a batch of metered values upstream
-// and waits for the receiver's ack (the handler has journaled or stored
-// the batch when the reply arrives). Callers that must prove durability
+// and waits for the receiver's ack (the handler has logged or stored the
+// batch when the reply arrives). Callers that must prove durability
 // — the chaos sim's zero-acked-loss check — use this; fire-and-forget
 // paths keep ReportMeasurements.
 func (c *Client) ReportMeasurementsAcked(ctx context.Context, to string, ms []MeasurementReport) error {

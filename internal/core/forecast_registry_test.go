@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"mirabel/internal/agg"
@@ -17,12 +16,16 @@ import (
 
 // newForecastingBRP builds a BRP whose forecast registry keeps tiny
 // period-4 models (warm-up completes after six observations); dir != ""
-// journals intake there, otherwise the queue is volatile.
+// puts its store, and so its intake, there, otherwise both are volatile.
 func newForecastingBRP(t *testing.T, bus *comm.Bus, dir string) *Node {
 	t.Helper()
-	ic := &ingest.Config{Queue: 128, Policy: ingest.PolicyBlock}
+	var st *store.Store
 	if dir != "" {
-		ic.Path = filepath.Join(dir, "ingest.log")
+		var err error
+		if st, err = store.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
 	}
 	return mustNode(t, bus, Config{
 		Name:      "brp1",
@@ -35,7 +38,8 @@ func newForecastingBRP(t *testing.T, bus *comm.Bus, dir string) *Node {
 			FitCfg:  forecast.FitConfig{Options: optimize.Options{MaxEvaluations: 40, Seed: 3}},
 			Workers: 1,
 		},
-		Ingest: ic,
+		Store:  st,
+		Ingest: &ingest.Config{Queue: 128, Policy: ingest.PolicyBlock},
 	})
 }
 
@@ -88,7 +92,7 @@ func TestPerSeriesForecastOverTheWire(t *testing.T) {
 }
 
 // TestIngestFeedsRegistryExactlyOnce: the registry is fed from the
-// ingest queue's consumer hook only — each measurement observed once,
+// ingest queue's apply hook only — each measurement observed once,
 // visible after the drain barrier.
 func TestIngestFeedsRegistryExactlyOnce(t *testing.T) {
 	bus := comm.NewBus()

@@ -15,26 +15,30 @@ import (
 	"mirabel/internal/agg"
 	"mirabel/internal/comm"
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/forecast"
 	"mirabel/internal/ingest"
 	"mirabel/internal/sched"
 	"mirabel/internal/settle"
 	"mirabel/internal/store"
 )
 
-// newAsyncBRP builds a BRP whose ingest queue is journaled under dir.
+// newAsyncBRP builds a BRP whose store, and so its intake, is durable
+// under dir.
 func newAsyncBRP(t *testing.T, bus *comm.Bus, dir string, breaker *comm.BreakerConfig) *Node {
 	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
 	return mustNode(t, bus, Config{
 		Name:      "brp1",
 		Role:      store.RoleBRP,
+		Store:     st,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
-		Ingest: &ingest.Config{
-			Path:   filepath.Join(dir, "ingest.log"),
-			Queue:  128,
-			Policy: ingest.PolicyBlock,
-		},
-		Breaker: breaker,
+		Ingest:    &ingest.Config{Queue: 128, Policy: ingest.PolicyBlock},
+		Breaker:   breaker,
 	})
 }
 
@@ -220,7 +224,7 @@ func TestNodeCloseFlushesIngest(t *testing.T) {
 
 // TestCancelProsumerTakesIntakeBarrier is the ROADMAP item 0
 // regression: a departing prosumer's offer that is acked but still
-// queued behind a stalled consumer must be cancelled and penalised, not
+// queued behind a stalled applier must be cancelled and penalised, not
 // left in the pipeline for the next cycle to schedule for a household
 // that is gone.
 func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
@@ -229,7 +233,7 @@ func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
 	brp := mustNode(t, bus, Config{
 		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
-		Ingest: &ingest.Config{Consumers: 1, OnMeasurements: func([]store.Measurement) {
+		Ingest: &ingest.Config{OnMeasurements: func([]store.Measurement) {
 			select {
 			case entered <- struct{}{}:
 			default:
@@ -242,8 +246,8 @@ func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
 	t.Cleanup(release) // before mustNode's Close, which drains
 	newProsumer(t, bus, "p1")
 
-	// The only consumer parks in the hook; whatever is acked from here
-	// on queues behind it.
+	// The applier parks in the hook; whatever is acked from here on
+	// queues behind it.
 	if err := brp.IngestMeasurements(seriesMeas("p1", 0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +256,7 @@ func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
 		t.Fatalf("rejected: %s", d.Reason)
 	}
 	if _, ok := brp.Store().GetOffer(1); ok {
-		t.Fatal("offer reached the store past the stalled consumer")
+		t.Fatal("offer reached the store past the stalled applier")
 	}
 
 	type result struct {
@@ -266,7 +270,7 @@ func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
 	}()
 	// A CancelProsumer that skips the barrier returns inside the grace
 	// period, having read a store without the offer; one that takes it
-	// is still waiting when the consumer is released. The assertions
+	// is still waiting when the applier is released. The assertions
 	// below do not depend on the period's length.
 	var res result
 	select {
@@ -303,17 +307,16 @@ func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
 }
 
 // TestRefusedDuplicateLeavesOriginal: a second submission of a pending
-// offer's id is refused, and the rejected record the refusal journals
-// must not take the original over. The store keeps the offer accepted
-// under its first owner, a crash recovers it as pending — applied
-// before the crash or only journaled — and the cycle delivers its
-// schedule to that owner and to nobody else.
+// offer's id is refused, and the rejected record the refusal logs must
+// not take the original over. The store keeps the offer accepted under
+// its first owner, a crash recovers it as pending — applied before the
+// crash or only in the WAL — and the cycle delivers its schedule to
+// that owner and to nobody else.
 func TestRefusedDuplicateLeavesOriginal(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
 		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
-		Ingest:    &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
 	}
 	openStore := func() *store.Store {
 		t.Helper()
@@ -343,7 +346,7 @@ func TestRefusedDuplicateLeavesOriginal(t *testing.T) {
 	if rec, _ := cfg.Store.GetOffer(1); rec.State != store.OfferAccepted || rec.Owner != "p1" {
 		t.Fatalf("offer 1 after the refused duplicate = %s of %s, want accepted of p1", rec.State, rec.Owner)
 	}
-	submitTwice(crashed, testOffer(2, 42, 12, 4, 5)) // journaled, no barrier
+	submitTwice(crashed, testOffer(2, 42, 12, 4, 5)) // acked, no barrier
 	crashed.Kill()
 
 	bus := comm.NewBus()
@@ -388,7 +391,6 @@ func TestPlannedOfferIDRefused(t *testing.T) {
 				cfg := Config{
 					Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
 					SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
-					Ingest:    &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
 				}
 				openStore := func() *store.Store {
 					st, err := store.Open(filepath.Join(dir, "store"))
@@ -462,14 +464,21 @@ func TestRejectedOfferIDResubmitted(t *testing.T) {
 }
 
 // TestNewNodeFailureReleasesDataPath: a NewNode that fails after the
-// registry and the ingest queue are up (here: an unopenable ledger path)
-// must stop what it started and leave the journal as it found it, so a
-// second attempt over the same journal recovers everything.
+// registry is up (here: an unopenable ledger path) must stop what it
+// started — no goroutine or file is left behind — and a second attempt
+// over the same directory recovers everything.
 func TestNewNodeFailureReleasesDataPath(t *testing.T) {
 	dir := t.TempDir()
+	openStore := func() *store.Store {
+		t.Helper()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
 	cfg := Config{
-		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
-		Ingest:     &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
+		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3, Store: openStore(),
 		Settlement: &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")},
 	}
 	crashed, err := NewNode(cfg)
@@ -479,20 +488,25 @@ func TestNewNodeFailureReleasesDataPath(t *testing.T) {
 	if d := crashed.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
 		t.Fatalf("rejected: %s", d.Reason)
 	}
-	crashed.Kill() // the ack survives in the journal only
+	crashed.Kill() // the ack survives in the WAL only
 
+	cfg.Store = openStore()
+	t.Cleanup(func() { cfg.Store.Close() })
 	bad := cfg
 	bad.Settlement = &settle.LedgerConfig{Path: dir} // a directory is no ledger file
-	before := runtime.NumGoroutine()
+	before, fds := runtime.NumGoroutine(), openFiles()
 	if n, err := NewNode(bad); err == nil {
 		n.Close()
 		t.Fatal("NewNode opened a directory as its ledger")
 	}
 	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= before })
+	if now := openFiles(); now > fds {
+		t.Errorf("the failed NewNode left %d files open", now-fds)
+	}
 
 	re, err := NewNode(cfg)
 	if err != nil {
-		t.Fatalf("reopen over the same journal: %v", err)
+		t.Fatalf("reopen over the same directory: %v", err)
 	}
 	defer re.Close()
 	if got := re.RecoveredPending(); got != 1 {
@@ -500,15 +514,15 @@ func TestNewNodeFailureReleasesDataPath(t *testing.T) {
 	}
 }
 
-// TestNewNodeJournalFailureJoinsLedger: the ledger's chain walk runs on
-// its own goroutine beside the journal replay. When the journal side
-// fails while the walk is still going (here: a journal path that is a
-// directory fails at once, and the chain holds thousands of entries),
-// NewNode waits for the walk, closes the ledger and returns the
-// journal's error: no goroutine is left behind, the ledger file is byte
-// for byte what it was, and a second attempt over the same directory
-// recovers everything.
-func TestNewNodeJournalFailureJoinsLedger(t *testing.T) {
+// TestNewNodeRegistryFailureJoinsLedger: the ledger's chain walk runs
+// on its own goroutine beside the registry's start and the re-admission
+// of the accepted offers. When that side fails while the walk is still
+// going (here: a seasonal period the registry refuses at once, and a
+// chain of thousands of entries), NewNode waits for the walk, closes the
+// ledger and returns the registry's error: no goroutine or file is left
+// behind, the ledger file is byte for byte what it was, and a second
+// attempt over the same directory recovers everything.
+func TestNewNodeRegistryFailureJoinsLedger(t *testing.T) {
 	dir := t.TempDir()
 	writeCrashedNode(t, dir, 3000, 2000)
 	ledgerPath := filepath.Join(dir, "ledger.log")
@@ -523,13 +537,13 @@ func TestNewNodeJournalFailureJoinsLedger(t *testing.T) {
 	defer st.Close()
 
 	bad := reopenConfig(dir, st)
-	bad.Ingest = &ingest.Config{Path: dir} // a directory is no journal
+	bad.Forecasting = &forecast.RegistryConfig{Periods: []int{1}}
 	before, fds := runtime.NumGoroutine(), openFiles()
 	if n, err := NewNode(bad); err == nil {
 		n.Close()
-		t.Fatal("NewNode replayed a directory as its journal")
-	} else if !strings.Contains(err.Error(), "ingest") {
-		t.Errorf("err = %v, want the journal's failure", err)
+		t.Fatal("NewNode started a registry with a one-slot season")
+	} else if !strings.Contains(err.Error(), "forecast") {
+		t.Errorf("err = %v, want the registry's failure", err)
 	}
 	waitFor(t, 2*time.Second, func() bool { return runtime.NumGoroutine() <= before })
 	if now := openFiles(); now > fds {
@@ -563,7 +577,7 @@ func openFiles() int {
 // is refused, and the node then agrees with itself that it never took
 // it — the store, the pending set and the planning pipeline all lack
 // it, so the prosumer can submit it again. The queue holds one event
-// and sheds the next while its consumer is stalled inside the
+// and sheds the next while its applier is stalled inside the
 // measurement hook.
 func TestRefusedAckLeavesNoTrace(t *testing.T) {
 	entered, resume := make(chan struct{}), make(chan struct{})
@@ -571,10 +585,8 @@ func TestRefusedAckLeavesNoTrace(t *testing.T) {
 	brp := mustNode(t, nil, Config{
 		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
 		Ingest: &ingest.Config{
-			Path:      filepath.Join(t.TempDir(), "ingest.log"),
-			Queue:     1,
-			Consumers: 1,
-			Policy:    ingest.PolicyShed,
+			Queue:  1,
+			Policy: ingest.PolicyShed,
 			OnMeasurements: func([]store.Measurement) {
 				stall.Do(func() {
 					close(entered)
@@ -591,7 +603,7 @@ func TestRefusedAckLeavesNoTrace(t *testing.T) {
 	if err := brp.IngestMeasurements(reading(1)); err != nil {
 		t.Fatal(err)
 	}
-	<-entered // the consumer is stalled and its slot free again
+	<-entered // the applier is stalled and its slot free again
 	if err := brp.IngestMeasurements(reading(2)); err != nil {
 		t.Fatal(err) // takes the queue's one slot
 	}

@@ -22,8 +22,11 @@
 // enters through enterPlanner, which takes cycleMu and then waits for
 // the barrier (ingest.Queue.Drain) before anything reads the store, so
 // "acked" means the same to all of them. The barrier is never awaited
-// under mu: producers hold mu across their journal ack, and the
-// consumers the barrier waits for never take it.
+// under mu: producers hold mu across their WAL ack, and the applier
+// the barrier waits for never takes it. The barrier is also what keeps
+// the store's memory in log order: an acked event is in the WAL before
+// it is in the tables, so a flow that writes offers or facts intake
+// also writes must not start before the barrier has applied them.
 package core
 
 import (
@@ -85,13 +88,14 @@ type Config struct {
 	// rate-limiting layer in without touching dispatch.
 	Middleware []comm.Middleware
 
-	// Ingest tunes the durable async queue (internal/ingest) all intake
-	// of an aggregating node goes through: producers are acked on the
-	// ingest journal's group commit and consumers drain into the store
-	// with batch coalescing. Store is filled with the node's store and
-	// OnMeasurements is chained behind the forecast registry's feed. Nil
-	// means the queue's defaults, an empty Path a volatile queue (no
-	// journal, nothing to recover) — never synchronous intake.
+	// Ingest tunes the async queue (internal/ingest) all intake of an
+	// aggregating node goes through: producers are acked once their
+	// event is in the store's WAL, and one applier applies the acked
+	// events to the store with batch coalescing. Store is filled with
+	// the node's store and OnMeasurements is chained behind the forecast
+	// registry's feed. Nil means the queue's defaults — never synchronous
+	// intake. Intake is as durable as Store: acks on an in-memory store
+	// recover nothing.
 	Ingest *ingest.Config
 
 	// Breaker, when non-nil, wraps Transport with per-destination
@@ -264,14 +268,13 @@ func orZero[T any](p *T) T {
 }
 
 // openDataPath opens the aggregating roles' components — registry,
-// ingest queue, ledger — and recovers the planning state. The ledger's
-// chain walk reads a file nothing else reads, so it runs on its own
-// goroutine while the journal replays into the store and the accepted
-// offers are re-admitted, and is joined before the intake barrier: the
-// barrier retires the journal, so it is the first step that changes a
-// file. On any failure everything already opened is stopped again
-// without the barrier (a journal this node could not finish opening
-// over is left intact for the next attempt).
+// ingest queue, ledger — and re-admits the accepted offers. It reads no
+// intake log: every acked event is in the store's WAL, which the
+// store's Open has replayed. The ledger's chain walk reads a file
+// nothing else reads, so it runs on its own goroutine while the
+// registry starts and the accepted offers are re-admitted, and is
+// joined on every path. On any failure everything already opened is
+// stopped again.
 func (n *Node) openDataPath() error {
 	type opened struct {
 		l   *settle.Ledger
@@ -296,17 +299,10 @@ func (n *Node) openDataPath() error {
 		return fmt.Errorf("core: open settlement ledger: %w", lo.err)
 	}
 	n.fcasts, n.ingest, n.ledger = reg, q, lo.l
-	dctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := n.DrainIngest(dctx); err != nil {
-		n.abandon()
-		return fmt.Errorf("core: recover ingest journal: %w", err)
-	}
 	return nil
 }
 
-// openIntake opens the forecast registry and the ingest queue, whose
-// Open replays the journal into the store before it returns, and then
+// openIntake opens the forecast registry and the ingest queue and then
 // re-admits the accepted offers. On failure it stops what it opened.
 func (n *Node) openIntake() (*forecast.Registry, *ingest.Queue, error) {
 	reg, err := forecast.NewRegistry(orZero(n.cfg.Forecasting))
@@ -315,9 +311,8 @@ func (n *Node) openIntake() (*forecast.Registry, *ingest.Queue, error) {
 	}
 	ic := orZero(n.cfg.Ingest)
 	ic.Store = n.store
-	// The apply funnel feeds the forecast service: live consumed
-	// batches and ingest.Open's journal recovery replay both maintain
-	// the per-series models.
+	// The apply funnel feeds the forecast service: every batch the
+	// applier applies maintains the per-series models.
 	observe := ic.OnMeasurements
 	ic.OnMeasurements = func(ms []store.Measurement) {
 		reg.UpdateMeasurements(ms)
@@ -335,8 +330,8 @@ func (n *Node) openIntake() (*forecast.Registry, *ingest.Queue, error) {
 }
 
 // readmitAccepted is crash recovery for the planning state: a
-// predecessor's accepted offers live in the store (and possibly only in
-// the ingest journal, which ingest.Open has applied by now), but
+// predecessor's accepted offers live in the store — the ones its applier
+// never reached too, since their acks are WAL frames — but
 // pending/pipeline are in-memory and died with it. Re-admit them so a
 // restarted BRP schedules what it had already promised, instead of
 // letting acked offers sit accepted forever.
@@ -509,9 +504,8 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 		state = store.OfferAccepted
 	}
 	// Persist the final record exactly once — after the pipeline verdict
-	// — so the intake path never journals two racing records for one
-	// submission.
-	// The record is acked on the ingest journal's group commit and
+	// — so the intake path never logs two racing records for one
+	// submission. The record is acked on the WAL's group commit and
 	// applied to the store asynchronously.
 	rec := store.OfferRecord{Offer: priced, Owner: owner, State: state}
 	if err := n.ingest.SubmitOffer(ctx, rec); err != nil {
@@ -552,7 +546,7 @@ func (n *Node) handleMeasurement(ctx context.Context, env comm.Envelope) (*comm.
 }
 
 // handleMeasurementBatch takes a reported meter-stream batch as one
-// ingest event: one journal record, one store batch on apply.
+// ingest event: one WAL group, one store round on apply.
 func (n *Node) handleMeasurementBatch(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 	var body comm.MeasurementBatch
 	if err := env.Decode(comm.MsgMeasurementBatch, &body); err != nil {
@@ -566,8 +560,8 @@ func (n *Node) handleMeasurementBatch(ctx context.Context, env comm.Envelope) (*
 }
 
 // IngestMeasurements takes a batch of metered values locally, acked on
-// the ingest journal's group commit like the wire path — the bulk
-// intake for meter streams and backfills (the remote form is
+// the WAL's group commit like the wire path — the bulk intake for meter
+// streams and backfills (the remote form is
 // Client.ReportMeasurements).
 func (n *Node) IngestMeasurements(ms []store.Measurement) error {
 	if !n.aggregating() {
@@ -632,7 +626,7 @@ func (n *Node) Close() error {
 	}
 	err := n.ingest.Close()
 	// After the ingest drain, so the refit pool outlives the last
-	// measurement batch the consumers feed it.
+	// measurement batch the applier feeds it.
 	n.fcasts.Close()
 	if lerr := n.ledger.Close(); err == nil {
 		err = lerr
@@ -641,9 +635,9 @@ func (n *Node) Close() error {
 }
 
 // Kill simulates a crash for recovery testing: the ingest queue's
-// consumers stop with the in-memory backlog abandoned (journaled acks
-// stay on disk for replay), and the forecast service, ledger and store
-// close without the drain barrier Close performs. The node must not be
+// applier stops with the in-memory backlog abandoned (the acks are in
+// the store's WAL), and the forecast service, ledger and store close
+// without the drain barrier Close performs. The node must not be
 // used afterwards; rebuild it over the same directories to recover.
 func (n *Node) Kill() {
 	if n.aggregating() {

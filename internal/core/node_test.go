@@ -313,7 +313,7 @@ func TestProsumerRefusesOffers(t *testing.T) {
 
 // TestIntakeRejectsNonFinite: the binary wire format carries NaN and
 // ±Inf, which JSON could not; each intake handler refuses them before
-// anything is journaled, stored or handed to the aggregation pipeline.
+// anything is logged, stored or handed to the aggregation pipeline.
 func TestIntakeRejectsNonFinite(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newBRP(t, bus)

@@ -17,27 +17,32 @@ import (
 
 // writeCrashedNode leaves in dir what a BRP leaves when it dies in the
 // middle of intake, in the record mix of the repository benchmark's
-// recover workload: n offers accepted in the ingest drain's batches, the
-// first planned of them scheduled by a cycle commit and then settled onto
-// the ledger (executed) or expired, a round of meter facts, the node's
-// actor, and a journal holding the offers still accepted — acked and
-// applied, but never retired by an intake barrier.
+// recover workload: n offers acked through the ingest queue, the first
+// planned of them scheduled by a cycle commit and then settled onto the
+// ledger (executed) or expired, a round of meter facts, the node's
+// actor, and a WAL tail of the offers still accepted — acked, and then
+// killed before an intake barrier applied them.
 func writeCrashedNode(tb testing.TB, dir string, n, planned int) {
 	tb.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	q, err := ingest.Open(ingest.Config{Store: st})
+	if err != nil {
+		tb.Fatal(err)
+	}
 	offers := workload.GenerateFlexOffers(workload.FlexOfferConfig{Count: n, Seed: 7})
-	const batch = 256 // ingest's default coalescing bound
-	for lo := 0; lo < len(offers); lo += batch {
-		bt := store.NewBatch()
-		for _, f := range offers[lo:min(lo+batch, len(offers))] {
-			bt.PutOffer(store.OfferRecord{Offer: f, Owner: f.Prosumer, State: store.OfferAccepted})
+	ack := func(fs []*flexoffer.FlexOffer) {
+		for _, f := range fs {
+			if err := q.SubmitOffer(context.Background(), store.OfferRecord{Offer: f, Owner: f.Prosumer, State: store.OfferAccepted}); err != nil {
+				tb.Fatal(err)
+			}
 		}
-		if err := st.ApplyBatch(bt); err != nil {
-			tb.Fatal(err)
-		}
+	}
+	ack(offers[:planned])
+	if err := q.Drain(context.Background()); err != nil {
+		tb.Fatal(err)
 	}
 	scheduled := make([]store.OfferUpdate, planned)
 	closed := make([]store.OfferUpdate, planned)
@@ -60,18 +65,20 @@ func writeCrashedNode(tb testing.TB, dir string, n, planned int) {
 			tb.Fatal(err)
 		}
 	}
-	for q := 0; q < 320; q++ {
+	for i := 0; i < 320; i++ {
 		ms := make([]store.Measurement, 16)
-		for i := range ms {
-			ms[i] = store.Measurement{Actor: offers[q%n].Prosumer, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 0.25}
+		for j := range ms {
+			ms[j] = store.Measurement{Actor: offers[i%n].Prosumer, EnergyType: "demand", Slot: flexoffer.Time(j), KWh: 0.25}
 		}
-		if err := st.PutMeasurementsBatch(ms); err != nil {
+		if err := q.SubmitMeasurements(context.Background(), ms); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	if err := st.PutActor(store.Actor{ID: "brp1", Name: "brp1", Role: store.RoleBRP}); err != nil {
 		tb.Fatal(err)
 	}
+	ack(offers[planned:])
+	q.Kill()
 	if err := st.Close(); err != nil {
 		tb.Fatal(err)
 	}
@@ -80,6 +87,7 @@ func writeCrashedNode(tb testing.TB, dir string, n, planned int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	const batch = 256 // settle.Run's default batch
 	for lo := 0; lo < len(lines); lo += batch {
 		if _, err := l.Append(lines[lo:min(lo+batch, len(lines))]); err != nil {
 			tb.Fatal(err)
@@ -88,28 +96,14 @@ func writeCrashedNode(tb testing.TB, dir string, n, planned int) {
 	if err := l.Close(); err != nil {
 		tb.Fatal(err)
 	}
-
-	// The journal's own store only absorbs the consumers: the node's store
-	// above holds the same records already.
-	q, err := ingest.Open(ingest.Config{Store: store.NewInMemory(), Path: filepath.Join(dir, "ingest.log")})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, f := range offers[planned:] {
-		if err := q.SubmitOffer(context.Background(), store.OfferRecord{Offer: f, Owner: f.Prosumer, State: store.OfferAccepted}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	q.Kill()
 }
 
 // reopenConfig is the BRP configuration that reopens a crashed
-// directory: store, journal and ledger all under dir.
+// directory: the store st opened over dir, and the ledger beside it.
 func reopenConfig(dir string, st *store.Store) Config {
 	return Config{
 		Name: "brp1", Role: store.RoleBRP, Store: st,
 		AggParams:   agg.ParamsP3,
-		Ingest:      &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
 		Forecasting: &forecast.RegistryConfig{},
 		Settlement:  &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")},
 	}
@@ -141,10 +135,10 @@ func copyFiles(tb testing.TB, src, dst string) {
 
 // BenchmarkNodeReopen times NewNode over a fresh copy of a crashed BRP
 // directory at the recover workload's sizes (7 500 offers, 5 000 of them
-// planned, a 2 500-offer journal tail): the journal replay, the ledger's
-// chain walk beside it, the re-admission of the accepted offers and the
-// intake barrier. The store is opened outside the timer;
-// BenchmarkStoreOpen times that replay.
+// planned, a 2 500-offer tail the applier never reached): the forecast
+// registry's start, the ledger's chain walk and the re-admission of the
+// accepted offers. The store, whose WAL replay brings the tail back, is
+// opened outside the timer; BenchmarkStoreOpen times that replay.
 func BenchmarkNodeReopen(b *testing.B) {
 	crashed := b.TempDir()
 	writeCrashedNode(b, crashed, 7500, 5000)

@@ -3,7 +3,6 @@ package ingest
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -12,25 +11,26 @@ import (
 	"mirabel/internal/store"
 )
 
-// TestFailedJournalAppendIsNotApplied: a submission whose journal
-// append fails is refused, and nothing of it reaches the store — the
-// producer was told no, so the store must not hold the offer as
-// accepted.
-func TestFailedJournalAppendIsNotApplied(t *testing.T) {
+// TestFailedWALAppendIsNotApplied: a submission whose WAL append fails
+// is refused, and nothing of it reaches the store — the producer was
+// told no, so the store must not hold the offer as accepted.
+func TestFailedWALAppendIsNotApplied(t *testing.T) {
 	s := testStore(t)
-	q, err := Open(Config{Store: s, Path: filepath.Join(t.TempDir(), "ingest.log")})
+	q, err := Open(Config{Store: s})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Kill()
-	if err := q.log.Close(); err != nil { // the journal fails under the queue
+	if err := s.Close(); err != nil { // the WAL fails under the queue
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	if err := q.SubmitOffer(ctx, offerRec(7, "p1", store.OfferAccepted)); err == nil {
-		t.Fatal("submit over a closed journal was acked")
+		t.Fatal("submit over a closed WAL was acked")
 	}
-	_ = q.Drain(ctx) // applies whatever was staged; its truncate fails on the closed journal
+	if err := q.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if rec, ok := s.GetOffer(7); ok {
 		t.Fatalf("refused offer 7 is in the store as %s", rec.State)
 	}
@@ -39,7 +39,7 @@ func TestFailedJournalAppendIsNotApplied(t *testing.T) {
 	}
 }
 
-// TestEventAppliedWithoutBarrier: a consumer applies an acked event on
+// TestEventAppliedWithoutBarrier: the applier applies an acked event on
 // its own, with no Drain to flush it.
 func TestEventAppliedWithoutBarrier(t *testing.T) {
 	s := testStore(t)
@@ -62,11 +62,10 @@ func TestEventAppliedWithoutBarrier(t *testing.T) {
 }
 
 // TestSequentialSubmissionsBatch: one producer's back-to-back acks —
-// each a journal write — are applied many to a store round, not one
-// each.
+// each a WAL write — are applied many to a store round, not one each.
 func TestSequentialSubmissionsBatch(t *testing.T) {
 	s := testStore(t)
-	q, err := Open(Config{Store: s, Path: filepath.Join(t.TempDir(), "ingest.log")})
+	q, err := Open(Config{Store: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +89,12 @@ func TestSequentialSubmissionsBatch(t *testing.T) {
 	}
 }
 
-// TestDrainFlushesLingeringBatch: a barrier does not wait out a
-// consumer's linger; it returns with every acked event applied and
+// TestDrainFlushesLingeringBatch: a barrier does not wait out the
+// applier's linger; it returns with every acked event applied and
 // nothing staged.
 func TestDrainFlushesLingeringBatch(t *testing.T) {
 	s := testStore(t)
-	q, err := Open(Config{Store: s, Path: filepath.Join(t.TempDir(), "ingest.log"), Consumers: 1})
+	q, err := Open(Config{Store: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +121,11 @@ func TestDrainFlushesLingeringBatch(t *testing.T) {
 	}
 }
 
-// TestCloseAppliesEveryAckedEvent: Close flushes lingering consumers
+// TestCloseAppliesEveryAckedEvent: Close flushes the lingering applier
 // and applies every event it acked, from any number of producers.
 func TestCloseAppliesEveryAckedEvent(t *testing.T) {
 	s := testStore(t)
-	q, err := Open(Config{Store: s, Path: filepath.Join(t.TempDir(), "ingest.log"), Queue: 32, MaxBatch: 8})
+	q, err := Open(Config{Store: s, Queue: 32, MaxBatch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,31 +3,35 @@
 // EDMS whose BRPs take continuous flex-offer and measurement streams
 // from millions of prosumers.
 //
-// Producers append offer and measurement-batch events to a Queue and
-// are acked as soon as the event is committed to the ingest journal — a
-// group-committed append-only log reusing the store's WAL committer
-// (store.GroupLog), so concurrent producers coalesce into one physical
-// write (and, under SyncAlways, one fsync) per round. The journal is a
-// store frame log: checksummed binary frames behind a magic+version
-// header, one frame per event in the store's own record encodings
-// (queue.go has the tags). Consumer goroutines drain the queue into the
-// striped store asynchronously; the store round-trip leaves the
-// caller's critical path entirely. A consumer that takes an event off
-// an idle queue does not apply it at once: it lingers until MaxBatch
+// The log is the store's own: producers hand a Queue offer and
+// measurement-batch events, and are acked as soon as the event's frames
+// are in the store's write-ahead log (store.AppendIntake) — the same
+// offers and measurements frames any store write logs, appended through
+// the WAL's group committer, so concurrent producers coalesce into one
+// physical write (and, under SyncAlways, one fsync) per round. A
+// rejected offer record is logged as offers_if_absent: it is stored only
+// if no record holds its id when it applies, so a refused duplicate never
+// replaces the original.
+//
+// Nothing is applied at the ack. The WAL's group leader hands every
+// written group's events to the queue in log order before the group's
+// producers return, and one applier goroutine applies them to the
+// tables in that order (store.ApplyIntake) without logging them again,
+// so the store's memory ends up where a replay of its WAL would. The
+// applier does not apply an event at once: it lingers until MaxBatch
 // events are queued, batchWait (500µs) passes, a Drain or Close flushes
-// it, or the queue is killed (which abandons the batch to the journal),
-// then applies everything queued as one store round. A producer's
-// event therefore lands in a buffered channel nobody is parked on, and
-// a closed loop of one-at-a-time producers still feeds the store
-// batches of many events. Lingering costs no durability, since the
-// event is journaled before it is queued; it only delays when the
-// store shows it. Drain is what defines "applied": it ends every
-// linger, and the consumer that applies the last staged event wakes it.
+// it, or the queue is killed (which abandons the batch to the WAL),
+// then applies everything queued as one store round. A producer's event
+// therefore lands in a buffered channel nobody is parked on, and a
+// closed loop of one-at-a-time producers still feeds the store batches
+// of many events. Lingering costs no durability, only the moment the
+// store shows the event. Drain is what defines "applied": it ends the
+// linger, and the apply that empties the queue wakes it.
 //
 // Only acked events are applied. A submission first takes a queue slot
-// (the Policy acts here), then appends to the journal, and queues the
-// event only once the append succeeded; a failed append gives the slot
-// back and leaves nothing behind.
+// (the Policy acts here), then appends to the WAL; an event whose group
+// write failed is never handed to the applier, and its submission gives
+// the slot back.
 //
 // The queue is bounded. When it fills, the configured Policy decides
 // what backpressure looks like:
@@ -35,30 +39,23 @@
 //   - PolicyBlock: the producer waits for space (honoring its context)
 //     — pushback propagates to the transport;
 //   - PolicyShed: the producer gets ErrOverloaded immediately and
-//     nothing is journaled — load is shed explicitly, never silently.
+//     nothing is logged — load is shed explicitly, never silently.
 //
-// Durability and recovery: an ack means the event reached the journal
-// under the journal's fsync policy. The journal is only ever appended
-// to while the queue runs — every event a consumer applies came through
-// memory — and is read exactly once: on restart, Open replays it and
-// re-applies every recorded event before it returns. Applies are
-// idempotent upserts (offer applies never downgrade a record that
-// progressed to scheduled/executed, and a rejected offer never replaces
-// a stored record), so re-applying events that had already reached the
-// store converges — and an event the store already reflects is skipped,
-// so such a replay writes nothing to the store. The journal is compacted —
-// truncated to empty after an explicit store fsync — when a Drain or
-// Close proves every event has been applied.
+// Durability and recovery: an ack means the event reached the WAL under
+// the store's fsync policy, and store.Open replays it like every other
+// frame — there is nothing for the queue to recover, and a barrier
+// writes nothing. The events a crash left unapplied come back in the
+// tables; they do not pass through OnMeasurements again, so a restarted
+// node's forecast models start from the next live batch.
 //
 // One case of an errored ack remains applied: under SyncAlways, a frame
-// that reached the file before its fsync failed is still replayed on
-// restart.
+// that reached the file before its fsync failed is replayed on restart,
+// though the live store never applied it.
 package ingest
 
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mirabel/internal/store"
 )
@@ -108,41 +105,24 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Config assembles a Queue.
 type Config struct {
-	// Store receives the drained events. Required.
+	// Store logs and receives the events. Required, and one queue per
+	// store: Open makes the queue the store's intake handoff. A durable
+	// store makes acks durable under its SyncPolicy; a volatile one acks
+	// at once and recovers nothing.
 	Store *store.Store
-	// Path is the ingest journal file. Empty means a volatile queue:
-	// no durability, acks are immediate, recovery is impossible.
+	// Deprecated: ignored; acked events live in the store's WAL.
+	// ROADMAP B(3) deletes it together with bench/'s assignments.
 	Path string
-	// Sync is the journal's fsync policy (store.SyncFlush by default:
-	// acks are flush-to-OS durable; store.SyncAlways makes every ack
-	// machine-crash durable at one group fsync per coalesced round).
-	Sync store.SyncPolicy
 	// Queue bounds the in-memory event backlog (default 4096 events).
 	Queue int
 	// Policy picks the backpressure behaviour when the queue is full.
 	Policy Policy
-	// Consumers is the number of drain goroutines (default 2).
-	Consumers int
-	// MaxBatch bounds how many queued events one consumer coalesces
-	// into a single store apply (default 256).
+	// MaxBatch bounds how many queued events the applier coalesces into
+	// a single store apply (default 256).
 	MaxBatch int
-	// CompactBytes, when positive, bounds the journal between drains: a
-	// background compactor seals the journal into a side segment
-	// (<Path>.old) once it outgrows this many bytes, and deletes the
-	// segment as soon as every event recorded in it has been applied
-	// and the store fsynced. Producers are only paused for the rename
-	// itself, never for the wait. Zero disables mid-run compaction (the
-	// journal is still truncated by Drain/Close).
-	CompactBytes int64
-	// CompactInterval is the compactor's polling cadence (default
-	// 100ms). Only used when CompactBytes is positive.
-	CompactInterval time.Duration
 	// OnMeasurements, when set, observes every measurement batch as it
-	// is applied to the store — the forecast-maintenance hook. Because
-	// it hangs off the single apply funnel, it sees live consumed
-	// batches and Open's journal recovery replay alike. It is called
-	// from consumer goroutines (and, during recovery, from Open's
-	// caller) and must be safe for concurrent use; the slice must not
+	// is applied to the store — the forecast-maintenance hook. It is
+	// called from the applier goroutine, in log order; the slice must not
 	// be retained.
 	OnMeasurements func([]store.Measurement)
 }

@@ -15,8 +15,9 @@ import (
 	"mirabel/internal/store"
 )
 
-// binaryLog is one of the three frame logs, driven through its owner's
-// public surface only: the torn-tail and foreign-format rules live in
+// binaryLog is one of the frame logs — the WAL, written by the store or
+// by intake, and the ledger — driven through its owner's public surface
+// only: the torn-tail and foreign-format rules live in
 // store/frame.go once, and these tests hold every log to them.
 type binaryLog struct {
 	name  string
@@ -28,7 +29,7 @@ type binaryLog struct {
 	// file is the log's path under a node directory.
 	file func(dir string) string
 	// write durably logs offers (the ledger: their settlement lines)
-	// first..last into dir and stops without compacting anything away.
+	// first..last into dir and stops.
 	write func(t *testing.T, dir string, first, last int)
 	// reopen recovers dir and returns how many offers came back, leaving
 	// the log as recovery left it (open for appends, then stopped).
@@ -38,7 +39,7 @@ type binaryLog struct {
 func binaryLogs() []binaryLog {
 	wal := binaryLog{
 		name: "wal", magic: store.WALMagic,
-		file: func(dir string) string { return store.WALFiles(dir)[0] },
+		file: func(dir string) string { return store.WALPath(dir) },
 		write: func(t *testing.T, dir string, first, last int) {
 			s, err := store.Open(dir)
 			if err != nil {
@@ -62,29 +63,28 @@ func binaryLogs() []binaryLog {
 			return s.Stats().Offers, nil
 		},
 	}
-	journal := binaryLog{
-		name: "journal", magic: JournalMagic,
-		file: func(dir string) string { return filepath.Join(dir, "ingest.log") },
-		write: func(t *testing.T, dir string, first, last int) {
-			q, err := Open(Config{Store: store.NewInMemory(), Path: filepath.Join(dir, "ingest.log")})
-			if err != nil {
+	// The WAL again, written the way a node acks intake: through the
+	// queue, killed before its applier reached the events.
+	intake := wal
+	intake.name = "intake"
+	intake.write = func(t *testing.T, dir string, first, last int) {
+		s, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := Open(Config{Store: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := first; id <= last; id++ {
+			if err := q.SubmitOffer(context.Background(), offerRec(uint64(id), "p1", store.OfferAccepted)); err != nil {
 				t.Fatal(err)
 			}
-			for id := first; id <= last; id++ {
-				if err := q.SubmitOffer(context.Background(), offerRec(uint64(id), "p1", store.OfferAccepted)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			q.Kill() // a drain would truncate the journal
-		},
-		reopen: func(t *testing.T, dir string) (int, error) {
-			q, err := Open(Config{Store: store.NewInMemory(), Path: filepath.Join(dir, "ingest.log")})
-			if err != nil {
-				return 0, err
-			}
-			defer q.Kill()
-			return int(q.Stats().Recovered), nil
-		},
+		}
+		q.Kill()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	openLedger := func(dir string) (*settle.Ledger, error) {
 		return settle.OpenLedger(settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")})
@@ -118,7 +118,7 @@ func binaryLogs() []binaryLog {
 			return int(l.Stats().RecoveredEntries), nil
 		},
 	}
-	return []binaryLog{wal, journal, ledger}
+	return []binaryLog{wal, intake, ledger}
 }
 
 // frameOffsets returns where each frame of a log image starts, plus the
@@ -224,10 +224,9 @@ func TestTornTailRecovery(t *testing.T) {
 // never a torn tail that gets cut to zero.
 func TestForeignLogIsRefusedUntouched(t *testing.T) {
 	legacyWAL := []byte(`{"table":"actors","op":"put","data":{"id":"brp1","name":"","role":"brp"},"crc":2742563069}` + "\n")
-	legacyJournal := []byte(`offer|0|8d2f6c1a|{"offer":{"ID":1,"Prosumer":"p1","EarliestStart":10,"LatestStart":14,"AssignBefore":8,"Profile":[{"EnergyMin":1,"EnergyMax":3}],"CostPerKWh":0},"owner":"p1","state":"received"}` + "\n")
 	legacyLedger := []byte(`{"seq":0,"kind":"line","actor":"p1","offer_id":1,"kwh":20,"amount_eur":0.4,"compliant":true,"prev":"","hash":"5f2b0c0e3d9a4c1e8b7a6f5e4d3c2b1a09f8e7d6c5b4a39281706f5e4d3c2b1a"}` + "\n")
 	futureWAL := append([]byte(store.WALMagic[:store.LogHeaderLen-1]), 0x7f, 1, 0, 0, 0, 0, 0, 0, 0, 1)
-	wal, journal, ledger := binaryLogs()[0], binaryLogs()[1], binaryLogs()[2]
+	wal, ledger := binaryLogs()[0], binaryLogs()[2]
 	for _, tc := range []struct {
 		name  string
 		log   binaryLog
@@ -236,9 +235,6 @@ func TestForeignLogIsRefusedUntouched(t *testing.T) {
 	}{
 		{"legacy wal.log", wal, wal.file, legacyWAL},
 		{"wal.log of another version", wal, wal.file, futureWAL},
-		{"legacy ingest.log", journal, journal.file, legacyJournal},
-		{"legacy ingest.log.old", journal, func(dir string) string { return JournalFiles(journal.file(dir))[0] }, legacyJournal},
-		{"a WAL where the journal belongs", journal, journal.file, futureWAL},
 		{"legacy ledger.log", ledger, ledger.file, legacyLedger},
 		{"a WAL where the ledger belongs", ledger, ledger.file, futureWAL},
 	} {

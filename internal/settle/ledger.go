@@ -259,7 +259,7 @@ func OpenLedger(cfg LedgerConfig) (*Ledger, error) {
 	if cfg.Path == "" {
 		return l, nil
 	}
-	log, cut, err := store.OpenGroupLog([]string{cfg.Path}, LedgerMagic, cfg.Sync, false, l.chainWalk())
+	log, cut, err := store.OpenGroupLog(cfg.Path, LedgerMagic, cfg.Sync, false, l.chainWalk())
 	if err != nil {
 		return nil, fmt.Errorf("settle: open ledger %s: %w", cfg.Path, err)
 	}

@@ -94,7 +94,7 @@ func TestUpdateOffersAllocFreePerUpdate(t *testing.T) {
 // own (the test holds the file as if a leader were writing until the
 // follower has queued).
 func TestGroupLogAppendAllocFree(t *testing.T) {
-	g, _, err := OpenGroupLog([]string{filepath.Join(t.TempDir(), "wal.log")}, WALMagic, SyncFlush, false,
+	g, _, err := OpenGroupLog(filepath.Join(t.TempDir(), "wal.log"), WALMagic, SyncFlush, false,
 		func(int64, byte, []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)

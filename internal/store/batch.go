@@ -31,9 +31,6 @@ type batchOp struct {
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
-// Len reports the number of queued ops.
-func (b *Batch) Len() int { return len(b.ops) }
-
 func (b *Batch) add(tag byte, val any) {
 	b.ops = append(b.ops, batchOp{tag: tag, val: val})
 }
@@ -165,7 +162,7 @@ func (s *Store) ApplyBatch(b *Batch) error {
 
 	// One group commit for the whole batch.
 	if s.w != nil {
-		if err := s.w.commit([][]byte{*frames}, len(b.ops)); err != nil {
+		if err := s.w.commit([][]byte{*frames}, len(b.ops), nil); err != nil {
 			return err
 		}
 	}
@@ -203,20 +200,6 @@ func (s *Store) ApplyBatch(b *Batch) error {
 // putLocked upserts into a stripe whose lock the caller already holds.
 func putLocked[K comparable, V any](t *shardedTable[K, V], k K, v V) {
 	t.shard(k).m[k] = v
-}
-
-// PutMeasurementsBatch stores a slice of metered values as one batch:
-// the bulk-ingestion path for meter streams (one WAL group, one lock
-// round per touched series).
-func (s *Store) PutMeasurementsBatch(ms []Measurement) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	b := NewBatch()
-	for _, m := range ms {
-		b.PutMeasurement(m)
-	}
-	return s.ApplyBatch(b)
 }
 
 // OfferUpdate names one offer transition of an UpdateOffers batch.
@@ -324,7 +307,7 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 	}
 
 	if frames != nil && changed > 0 {
-		if err := s.w.commit([][]byte{*frames}, changed); err != nil {
+		if err := s.w.commit([][]byte{*frames}, changed, nil); err != nil {
 			for i := len(updates) - 1; i >= 0; i-- {
 				if results[i].changed {
 					id := updates[i].ID

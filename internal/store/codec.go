@@ -9,10 +9,10 @@ import (
 	"mirabel/internal/wire"
 )
 
-// WAL frame tags: one per table, plus the measurement-retention sweep
-// and the two offer transitions. Every tagged record is an upsert or an
-// absolute state assignment (idempotent under replay); the prune mark is
-// logged once per sweep. Tags never change meaning, and a new one keeps
+// WAL frame tags: one per table, plus the measurement-retention sweep,
+// the two offer transitions and the guarded offer insert. Every tagged
+// record is an upsert, an absolute state assignment or an insert that
+// keeps a stored record; the prune mark is logged once per sweep. Tags never change meaning, and a new one keeps
 // the format version (the versioning rule in frame.go).
 //
 // The two hot tables, the offer transitions and the prune mark have
@@ -23,6 +23,11 @@ import (
 //	              has-schedule bool | [Schedule]
 //	              State = one code byte (position in offerStates), or
 //	              0xFF and the state as a string for one not listed
+//	offers_if_absent:
+//	              the offers layout; the record is stored only if no
+//	              record holds its ID when it applies (InsertOffer's
+//	              rule). Intake logs a rejected record this way, so a
+//	              refused duplicate never replaces the original
 //	offer_transitions:
 //	              ID uvarint | State | has-schedule bool | [Schedule]
 //	              the State and Schedule of a stored offer, assigned as
@@ -53,6 +58,7 @@ const (
 	tagPrune
 	tagOfferState
 	tagOfferStateOnly
+	tagOfferIfAbsent
 )
 
 var tagNames = [...]string{
@@ -68,6 +74,7 @@ var tagNames = [...]string{
 	tagPrune:          "prune",
 	tagOfferState:     "offer_transitions",
 	tagOfferStateOnly: "offer_states",
+	tagOfferIfAbsent:  "offers_if_absent",
 }
 
 // offerStates maps state codes to states; code 0 is the zero value.
@@ -182,29 +189,6 @@ func (m *Measurement) ReadWire(r *wire.Reader) {
 	m.Actor, m.EnergyType, m.Slot, m.KWh = flexoffer.ReadMeasurementWire(r)
 }
 
-// AppendMeasurements appends a measurement batch (count, then each
-// fact) to dst.
-func AppendMeasurements(dst []byte, ms []Measurement) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(ms)))
-	for i := range ms {
-		dst = ms[i].AppendWire(dst)
-	}
-	return dst
-}
-
-// ReadMeasurements decodes a measurement batch; failures stick to r.
-func ReadMeasurements(r *wire.Reader) []Measurement {
-	n := r.Count(flexoffer.MinMeasurementWire)
-	if n == 0 {
-		return nil
-	}
-	ms := make([]Measurement, n)
-	for i := range ms {
-		ms[i].ReadWire(r)
-	}
-	return ms
-}
-
 // pruneMark is the logged form of a PruneMeasurements call.
 type pruneMark struct {
 	Before flexoffer.Time `json:"before"`
@@ -217,6 +201,25 @@ type pruneMark struct {
 func appendOfferFrame(dst []byte, rec *OfferRecord) []byte {
 	dst, mark := BeginFrame(dst, tagOffer)
 	return EndFrame(rec.AppendWire(dst), mark)
+}
+
+// AppendIntakeFrames appends the WAL frames that log ev to dst and
+// returns the extended buffer and how many records they are: one offers
+// frame for an offer — offers_if_absent for a rejected one — or one
+// measurements frame per fact of a meter batch.
+func AppendIntakeFrames(dst []byte, ev *Intake) ([]byte, int) {
+	if ev.Offer == nil {
+		for i := range ev.Meas {
+			dst = appendMeasurementFrame(dst, &ev.Meas[i])
+		}
+		return dst, len(ev.Meas)
+	}
+	tag := tagOffer
+	if ev.Offer.State == OfferRejected {
+		tag = tagOfferIfAbsent
+	}
+	dst, mark := BeginFrame(dst, tag)
+	return EndFrame(ev.Offer.AppendWire(dst), mark), 1
 }
 
 // appendUpdateFrame frames the update that took a stored record from
@@ -270,7 +273,8 @@ func appendRecord(dst []byte, tag byte, v any) ([]byte, error) {
 }
 
 // DecodeWALRecord decodes one WAL frame for inspection: the table (or
-// "prune", "offer_transitions" or "offer_states") the tag names and the
+// "prune", "offer_transitions", "offer_states" or "offers_if_absent")
+// the tag names and the
 // record as the Go value the store would apply. Recovery decodes the
 // hot tags itself (replay.decode) and comes here for the cold ones
 // only.
@@ -280,7 +284,7 @@ func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) 
 	}
 	r := wire.NewReader(payload)
 	switch tag {
-	case tagOffer:
+	case tagOffer, tagOfferIfAbsent:
 		var rec OfferRecord
 		rec.ReadWire(&r, nil)
 		v, err = rec, r.Done()

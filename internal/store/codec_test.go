@@ -90,8 +90,15 @@ func TestMeasurementCodecMatchesJSON(t *testing.T) {
 		{Actor: "", EnergyType: "", Slot: math.MinInt64, KWh: math.Copysign(0, -1)},
 		{Actor: "p2", EnergyType: "", Slot: -1, KWh: 0.1 + 0.2},
 	}
-	r := wire.NewReader(store.AppendMeasurements(nil, batch))
-	got := store.ReadMeasurements(&r)
+	var buf []byte
+	for i := range batch {
+		buf = batch[i].AppendWire(buf)
+	}
+	r := wire.NewReader(buf)
+	got := make([]store.Measurement, len(batch))
+	for i := range got {
+		got[i].ReadWire(&r)
+	}
 	if err := r.Done(); err != nil {
 		t.Fatal(err)
 	}

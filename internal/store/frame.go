@@ -11,8 +11,8 @@ import (
 	"strings"
 )
 
-// The node's logs (the store WAL here, the ingest journal in
-// internal/ingest, the settlement ledger in internal/settle) share one
+// The node's two logs (the store WAL here, which also takes every acked
+// intake event, and the settlement ledger in internal/settle) share one
 // file layout:
 //
 //	file   = magic frame*
@@ -37,8 +37,8 @@ import (
 // A crash mid-append tears the tail; it does not break a frame that has
 // whole bytes behind it. ReplayFrames names that case — a frame that is
 // all there by its own length, fails its checksum, and is not the last
-// thing in the file — ErrDamaged, and the log's owner chooses: a recovery
-// log (WAL, journal) drops the damaged frame and what follows like a torn
+// thing in the file — ErrDamaged, and the log's owner chooses: the WAL, a
+// recovery log, drops the damaged frame and what follows like a torn
 // tail, because a short history beats none; the ledger, whose entries are
 // evidence, refuses to open.
 //

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mirabel/internal/flexoffer"
-	"mirabel/internal/wire"
 )
 
 func fuzzOfferRecord() OfferRecord {
@@ -30,6 +29,9 @@ func FuzzReplayFrames(f *testing.F) {
 	executed := rec
 	executed.State = OfferExecuted
 	valid = appendUpdateFrame(valid, &rec, &executed) // a state-only step
+	rejected := rec
+	rejected.State, rejected.Schedule = OfferRejected, nil
+	valid, _ = AppendIntakeFrames(valid, &Intake{Offer: &rejected}) // offers_if_absent
 	valid, _ = appendRecord(valid, tagMeasurement, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7})
 	valid, _ = appendRecord(valid, tagActor, Actor{ID: "brp1", Role: RoleBRP})
 	f.Add(valid)
@@ -68,8 +70,8 @@ func FuzzReplayFrames(f *testing.F) {
 	})
 }
 
-// FuzzDecodeRecords: the offer, offer transition, state-only step,
-// measurement and measurement-batch decoders never panic and never build anything a
+// FuzzDecodeRecords: the offer, guarded offer insert, offer transition,
+// state-only step and measurement decoders never panic and never build anything a
 // length prefix promised but the input did not deliver — every decoded
 // slice and string, schedule energies included, is accounted for by
 // input bytes.
@@ -91,7 +93,7 @@ func FuzzDecodeRecords(f *testing.F) {
 	f.Add(tagMeasurement, (&Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}).AppendWire(nil))
 	f.Add(tagPrune, binary.AppendVarint(nil, 480))
 	f.Add(tagActor, []byte(`{"id":"brp1","role":"brp"}`))
-	f.Add(byte(0), AppendMeasurements(nil, []Measurement{{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 1}, {Actor: "p1", EnergyType: "demand", Slot: 2, KWh: 2}}))
+	f.Add(tagOfferIfAbsent, offer)
 	f.Fuzz(func(t *testing.T, tag byte, payload []byte) {
 		if _, v, err := DecodeWALRecord(tag, payload); err == nil {
 			switch v := v.(type) {
@@ -112,10 +114,6 @@ func FuzzDecodeRecords(f *testing.F) {
 					t.Fatalf("measurement %+v decoded from %d input bytes", v, len(payload))
 				}
 			}
-		}
-		r := wire.NewReader(payload)
-		if ms := ReadMeasurements(&r); r.Err() == nil && len(ms)*flexoffer.MinMeasurementWire > len(payload) {
-			t.Fatalf("%d measurements decoded from %d input bytes", len(ms), len(payload))
 		}
 	})
 }

@@ -54,11 +54,11 @@ func BenchmarkStoreOpen(b *testing.B) {
 		}
 	}
 	for q := 0; q < 320; q++ {
-		ms := make([]store.Measurement, 16)
-		for i := range ms {
-			ms[i] = store.Measurement{Actor: offers[q].Prosumer, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 0.25}
+		bt := store.NewBatch()
+		for i := 0; i < 16; i++ {
+			bt.PutMeasurement(store.Measurement{Actor: offers[q].Prosumer, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 0.25})
 		}
-		if err := s.PutMeasurementsBatch(ms); err != nil {
+		if err := s.ApplyBatch(bt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -158,7 +158,3 @@ func (s *Store) Stats() Stats {
 		ModelParamsEntries: s.modelParams.length(),
 	}
 }
-
-func sortActorsByID(actors []Actor) {
-	sort.Slice(actors, func(i, j int) bool { return actors[i].ID < actors[j].ID })
-}

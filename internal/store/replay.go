@@ -136,7 +136,7 @@ func (rp *replay) decode(it *replayed, off int64, tag byte, payload []byte) erro
 	it.tag = tag
 	r := wire.NewInterningReader(payload, rp.names)
 	switch tag {
-	case tagOffer:
+	case tagOffer, tagOfferIfAbsent:
 		it.rec.ReadWire(&r, &rp.slab)
 	case tagOfferState:
 		var t offerTransition
@@ -157,7 +157,7 @@ func (rp *replay) decode(it *replayed, off int64, tag byte, payload []byte) erro
 		return decodeError(tag, err)
 	}
 	switch tag {
-	case tagOffer:
+	case tagOffer, tagOfferIfAbsent:
 		rp.stored.add(it.rec.Offer.ID)
 	case tagOfferState, tagOfferStateOnly:
 		if !rp.stored.has(it.id) {
@@ -173,6 +173,8 @@ func (s *Store) applyReplayed(it *replayed) {
 	switch it.tag {
 	case tagOffer:
 		applyPut(s.offers, it.rec.Offer.ID, it.rec)
+	case tagOfferIfAbsent:
+		applyIfAbsent(s.offers, it.rec.Offer.ID, it.rec)
 	case tagOfferState:
 		s.applyTransition(it.id, it.rec.State, it.rec.Schedule, false)
 	case tagOfferStateOnly:

@@ -53,7 +53,8 @@ func storeContents(s *Store) map[string]any {
 
 // writeMixedHistory logs a seeded history through the live store at dir
 // that spans many apply batches and holds every WAL tag: offers put one
-// by one and in batches, whole-record re-puts that change the owner,
+// by one, in batches and through intake, rejected intake records that
+// find their id stored or free, whole-record re-puts that change the owner,
 // transitions with and without a schedule and state-only steps long
 // after their offer's record, measurements one by one and in batches,
 // every cold table, and a prune mark midway that later facts land
@@ -101,6 +102,17 @@ func writeMixedHistory(t *testing.T, dir string) map[string]any {
 		_, err := s.UpdateOffer(id, mutate)
 		must(err)
 	}
+	// Intake: acked events applied in the order the handoff delivers
+	// them, a rejected record of a stored id (kept out) or of a fresh one
+	// (stored) among them.
+	var acked []Intake
+	s.SetIntakeHandoff(func(ev Intake) { acked = append(acked, ev) })
+	intake := func(ev Intake) {
+		t.Helper()
+		must(s.AppendIntake(ev))
+		s.ApplyIntake(acked)
+		acked = acked[:0]
+	}
 	for step := 0; step < 2400; step++ {
 		if step == 1200 {
 			_, err := s.PruneMeasurements(40)
@@ -146,7 +158,18 @@ func writeMixedHistory(t *testing.T, dir string) map[string]any {
 			for j := range ms {
 				ms[j] = meter(flexoffer.Time(rng.Intn(80)))
 			}
-			must(s.PutMeasurementsBatch(ms))
+			must(putMeasurements(s, ms))
+		case k == 8 && step%2 == 0:
+			rec := newOffer()
+			switch rng.Intn(3) {
+			case 0:
+				rec.State = OfferRejected
+			case 1: // the fresh id goes unused
+				ids = ids[:len(ids)-1]
+				rec.Offer.ID, rec.State, rec.Owner = ids[rng.Intn(len(ids))], OfferRejected, "intruder"
+			}
+			intake(Intake{Offer: &rec})
+			intake(Intake{Meas: []Measurement{meter(flexoffer.Time(rng.Intn(80))), meter(flexoffer.Time(rng.Intn(80)))}})
 		default:
 			cold(step)
 		}
@@ -171,7 +194,7 @@ func TestReplayEquivalenceAcrossApplyBatches(t *testing.T) {
 	frames := 0
 	firstOffer := make(map[flexoffer.ID]int)
 	late := make(map[byte]bool) // transition tags seen a batch or more after their record
-	if _, err := ReplayFrames(walPath(dir), WALMagic, func(_ int64, tag byte, payload []byte) error {
+	if _, err := ReplayFrames(WALPath(dir), WALMagic, func(_ int64, tag byte, payload []byte) error {
 		_, v, err := DecodeWALRecord(tag, payload)
 		if err != nil {
 			return err
@@ -264,7 +287,7 @@ func TestNoGoroutineOutlivesOpen(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(walPath(dir), c.img, 0o644); err != nil {
+			if err := os.WriteFile(WALPath(dir), c.img, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			before := runtime.NumGoroutine()
@@ -309,7 +332,7 @@ func TestSlabNeverLeaksWritesAcrossRecords(t *testing.T) {
 		want[i] = OfferRecord{Offer: f, Owner: "p1", State: OfferScheduled, Schedule: f.DefaultSchedule()}
 		img = appendOfferFrame(img, &want[i])
 	}
-	if err := os.WriteFile(walPath(dir), img, 0o644); err != nil {
+	if err := os.WriteFile(WALPath(dir), img, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 
 	"mirabel/internal/flexoffer"
@@ -23,10 +25,9 @@ type SyncPolicy int
 
 const (
 	// SyncFlush (the default) flushes every group commit to the OS but
-	// fsyncs only on Sync and Close: a crash of the process
-	// loses nothing, a crash of the machine can lose the tail since the
-	// last explicit sync. This is the seed engine's behaviour, made
-	// explicit.
+	// fsyncs only on Close: a crash of the process loses nothing, a crash
+	// of the machine can lose the tail since the last fsync. This is the
+	// seed engine's behaviour, made explicit.
 	SyncFlush SyncPolicy = iota
 	// SyncAlways fsyncs every group commit: machine-crash durable, one
 	// fsync amortized over all writers in the group.
@@ -61,6 +62,7 @@ func WithSyncPolicy(p SyncPolicy) Option {
 type Store struct {
 	readOnly bool
 	w        *GroupLog
+	handoff  func(Intake) // a volatile store's intake handoff; see SetIntakeHandoff
 
 	actors      *shardedTable[string, Actor]
 	energyTypes *shardedTable[string, EnergyType]
@@ -98,7 +100,7 @@ func NewInMemory() *Store { return newStore() }
 
 // Open loads (or creates) a durable store in dir by replaying its WAL.
 // A log in another format fails recovery (ErrLogFormat) with its file
-// untouched.
+// untouched, and so does an ingest journal an older build left in dir.
 func Open(dir string, opts ...Option) (*Store, error) {
 	var o options
 	for _, opt := range opts {
@@ -107,9 +109,12 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
+	if err := refuseLegacyJournal(dir); err != nil {
+		return nil, err
+	}
 	s := newStore()
 	rp := s.startReplay()
-	log, _, err := OpenGroupLog(WALFiles(dir), WALMagic, o.policy, true, rp.frame)
+	log, _, err := OpenGroupLog(WALPath(dir), WALMagic, o.policy, true, rp.frame)
 	rp.finish()
 	if err != nil {
 		return nil, err
@@ -117,6 +122,23 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	s.offerIdx.build(s.offers)
 	s.w = log
 	return s, nil
+}
+
+// legacyJournals are the ingest journal's files in a node directory of a
+// build that acked intake there before logging it to the WAL.
+var legacyJournals = [...]string{"ingest.log.old", "ingest.log"}
+
+// refuseLegacyJournal fails when dir holds a non-empty ingest journal:
+// its acked events may exist nowhere else, and no reader of this build
+// replays them. The file is left as it is.
+func refuseLegacyJournal(dir string) error {
+	for _, name := range legacyJournals {
+		path := filepath.Join(dir, name)
+		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
+			return fmt.Errorf("%w: %s is an ingest journal of an older build and may hold acked events the WAL lacks; replay it with that build", ErrLogFormat, path)
+		}
+	}
+	return nil
 }
 
 // OpenReadOnly loads an existing durable store without creating,
@@ -132,13 +154,16 @@ func OpenReadOnly(dir string) (*Store, error) {
 	if !fi.IsDir() {
 		return nil, fmt.Errorf("store: open read-only: %s is not a directory", dir)
 	}
-	if _, err := os.Stat(walPath(dir)); err != nil {
+	if _, err := os.Stat(WALPath(dir)); err != nil {
 		return nil, fmt.Errorf("store: open read-only: no store artifacts in %s", dir)
+	}
+	if err := refuseLegacyJournal(dir); err != nil {
+		return nil, err
 	}
 	s := newStore()
 	s.readOnly = true
 	rp := s.startReplay()
-	_, err = ReplayFrames(walPath(dir), WALMagic, rp.frame)
+	_, err = ReplayFrames(WALPath(dir), WALMagic, rp.frame)
 	rp.finish()
 	if err != nil && !errors.Is(err, ErrDamaged) {
 		return nil, err
@@ -153,14 +178,6 @@ func (s *Store) Close() error {
 		return nil
 	}
 	return s.w.Close()
-}
-
-// Sync fsyncs the WAL.
-func (s *Store) Sync() error {
-	if s.w == nil {
-		return nil
-	}
-	return s.w.Sync()
 }
 
 // WALStats reports the group committer's record/group/fsync counters
@@ -183,6 +200,17 @@ func applyPut[K comparable, V any](t *shardedTable[K, V], k K, v V) {
 	sh.mu.Unlock()
 }
 
+// applyIfAbsent is applyPut for a key no record holds yet: a record
+// already there stays.
+func applyIfAbsent[K comparable, V any](t *shardedTable[K, V], k K, v V) {
+	sh := t.shard(k)
+	sh.mu.Lock()
+	if _, had := sh.m[k]; !had {
+		sh.m[k] = v
+	}
+	sh.mu.Unlock()
+}
+
 // applyMeasurement inserts one measurement into its series (log-free).
 func (s *Store) applyMeasurement(m Measurement) {
 	ss := s.meas.ensure(seriesKey{m.Actor, m.EnergyType})
@@ -194,8 +222,8 @@ func (s *Store) applyMeasurement(m Measurement) {
 // logged frames one mutation into a pooled buffer when the store is
 // durable (nil otherwise); the caller commits it with commitLogged under
 // its table lock. This untyped form boxes v and serves the cold tables
-// and the prune mark; the two hot tables go through loggedOffer and
-// loggedMeasurement.
+// and the prune mark; the offer table goes through loggedOffer and
+// loggedUpdate.
 func (s *Store) logged(tag byte, v any) (*[]byte, error) {
 	if s.w == nil {
 		return nil, nil
@@ -227,22 +255,13 @@ func (s *Store) loggedUpdate(old, now *OfferRecord) *[]byte {
 	return buf
 }
 
-func (s *Store) loggedMeasurement(m *Measurement) *[]byte {
-	if s.w == nil {
-		return nil
-	}
-	buf := wire.GetBuf()
-	*buf = appendMeasurementFrame(*buf, m)
-	return buf
-}
-
 // commitLogged commits the frame logged returned and recycles its
 // buffer; a nil frame (volatile store) is a no-op.
 func (s *Store) commitLogged(buf *[]byte) error {
 	if buf == nil {
 		return nil
 	}
-	err := s.w.commit([][]byte{*buf}, 1)
+	err := s.w.commit([][]byte{*buf}, 1, nil)
 	wire.PutBuf(buf)
 	return err
 }
@@ -279,6 +298,78 @@ func putFramed[K comparable, V any](s *Store, t *shardedTable[K, V], frame *[]by
 	return nil
 }
 
+// --- intake ----------------------------------------------------------
+
+// Intake is one acked intake event: an offer record or a batch of meter
+// readings. Exactly one of Offer and Meas is set.
+type Intake struct {
+	Offer *OfferRecord
+	Meas  []Measurement
+}
+
+// SetIntakeHandoff names the function AppendIntake hands each acked
+// event to. Set it once, before the first AppendIntake.
+func (s *Store) SetIntakeHandoff(fn func(Intake)) {
+	s.handoff = fn
+	if s.w != nil {
+		s.w.handoff = fn
+	}
+}
+
+// AppendIntake is the durability ack of an intake event: it appends ev's
+// WAL frames (AppendIntakeFrames) through the group committer and
+// returns once they are written under the store's SyncPolicy. Nothing is
+// applied to the tables here. When the group holding ev is written
+// without error, its leader hands ev to the intake handoff — in log
+// order across every appender, and before AppendIntake returns — so
+// the handoff's consumer can apply acked events in the order a replay
+// will (ApplyIntake); an event whose write failed is never handed off. A
+// volatile store, having no log, hands ev off at once. Table writers
+// that share a key with acked but unapplied events must wait for those
+// to apply first (the node's intake barrier), or memory order and log
+// order part.
+func (s *Store) AppendIntake(ev Intake) error {
+	if s.readOnly {
+		return ErrReadOnly
+	}
+	if s.w == nil {
+		s.handoff(ev)
+		return nil
+	}
+	buf := wire.GetBuf()
+	var records int
+	*buf, records = AppendIntakeFrames(*buf, &ev)
+	err := s.w.commit([][]byte{*buf}, records, &ev)
+	wire.PutBuf(buf)
+	return err
+}
+
+// ApplyIntake applies acked intake events to the tables in the given
+// order — the log order the handoff delivered — and logs nothing, since
+// AppendIntake logged them at the ack. An offer is upserted, except
+// that a rejected record is stored only if no record holds its ID, the
+// rule the offers_if_absent frame replays under. Facts are upserted.
+func (s *Store) ApplyIntake(evs []Intake) {
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Offer == nil {
+			for _, m := range ev.Meas {
+				s.applyMeasurement(m)
+			}
+			continue
+		}
+		rec := *ev.Offer
+		id := rec.Offer.ID
+		sh := s.offers.shard(id)
+		sh.mu.Lock()
+		if old, had := sh.m[id]; !had || rec.State != OfferRejected {
+			sh.m[id] = rec
+			s.offerIdx.update(id, old, had, rec)
+		}
+		sh.mu.Unlock()
+	}
+}
+
 // --- dimension upserts -------------------------------------------------
 
 // PutActor upserts an actor dimension record.
@@ -303,7 +394,7 @@ func (s *Store) Children(id string) []Actor {
 			out = append(out, a)
 		}
 	})
-	sortActorsByID(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -330,13 +421,17 @@ func (s *Store) PutMarketArea(m MarketArea) error {
 
 // --- fact upserts ------------------------------------------------------
 
-// PutMeasurement upserts a metered value. Bulk ingestion should prefer
-// PutMeasurementsBatch, which logs the whole batch as one group commit.
+// PutMeasurement upserts a metered value. A node's meter streams come
+// in through intake instead (AppendIntake), one WAL group per batch.
 func (s *Store) PutMeasurement(m Measurement) error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
-	frame := s.loggedMeasurement(&m)
+	var frame *[]byte
+	if s.w != nil {
+		frame = wire.GetBuf()
+		*frame = appendMeasurementFrame(*frame, &m)
+	}
 	ss := s.meas.ensure(seriesKey{m.Actor, m.EnergyType})
 	ss.mu.Lock()
 	defer ss.mu.Unlock()

@@ -42,7 +42,7 @@ func TestStoreStressConcurrent(t *testing.T) {
 					slot := flexoffer.Time(b*batchLen + i)
 					ms[i] = Measurement{Actor: actor, EnergyType: "demand", Slot: slot, KWh: 1}
 				}
-				if err := s.PutMeasurementsBatch(ms); err != nil {
+				if err := putMeasurements(s, ms); err != nil {
 					t.Error(err)
 					return
 				}
@@ -174,7 +174,7 @@ func TestBatchPruneCreateNoDeadlock(t *testing.T) {
 						{Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1},
 						{Actor: actor, EnergyType: "solar", Slot: flexoffer.Time(i), KWh: 1},
 					}
-					if err := s.PutMeasurementsBatch(ms); err != nil {
+					if err := putMeasurements(s, ms); err != nil {
 						t.Error(err)
 						return
 					}

@@ -15,6 +15,13 @@
 // write is detected and dropped. Nothing compacts the log: it holds
 // every mutation since the store was created.
 //
+// The node's intake writes through the same log. An acked offer or meter
+// batch is its WAL frames (AppendIntake), appended without a table lock;
+// the group's leader hands the event to the intake queue in log order,
+// and the queue's one applier applies it to the tables later without
+// logging it again (ApplyIntake), so memory reaches the state a replay
+// rebuilds.
+//
 // Recovery runs in two stages (replay.go). The goroutine that reads the
 // log checks, decodes and validates each frame: offers, schedules and
 // their profile and energy runs come from one slab per replay, a chunk
@@ -31,15 +38,14 @@
 // into one buffered append (and, under SyncAlways, one fsync) per
 // physical write — the first writer to arrive leads the group and
 // flushes everyone who queued behind it. When the record should be made
-// durable is the SyncPolicy (see Options): flush-to-OS per commit with
-// explicit fsyncs (the default, the seed engine's behaviour), fsync
-// every group, or a background fsync interval.
+// durable is the SyncPolicy (see Options): flush-to-OS per commit with an
+// fsync at Close (the default, the seed engine's behaviour), fsync every
+// group, or a background fsync interval.
 package store
 
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -56,20 +62,21 @@ type LogStats struct {
 	Syncs   uint64
 }
 
-// GroupLog is the one append-only log file behind the store's WAL, the
-// ingest journal and the settlement ledger: a group committer over the
-// frame format of frame.go, opened by OpenGroupLog (grouplog.go). It
-// owns the file and turns concurrent appends into group commits.
-// commit() is leader/follower: the first writer through takes the write
-// path and flushes every record queued while it held the file; later
-// writers just park on a completion channel. Completions are recycled
-// and the queues double-buffered, so an append allocates nothing in
-// steady state. An append returns only once
-// its records are flushed (and fsynced, per policy), so the return is
-// the caller's durability ack. The store's writers hold their record's
-// table-stripe lock while waiting, which serializes same-key log order
-// with same-key memory order; cross-stripe writers are exactly the ones
-// that coalesce.
+// GroupLog is the one append-only log file behind the store's WAL and
+// the settlement ledger: a group committer over the frame format of
+// frame.go, opened by OpenGroupLog (grouplog.go). It owns the file and
+// turns concurrent appends into group commits. commit() is
+// leader/follower: the first writer through takes the write path and
+// flushes every record queued while it held the file; later writers
+// just park on a completion channel. Completions are recycled and the
+// queues double-buffered, so an append allocates nothing in steady
+// state. An append returns only once its records are flushed (and
+// fsynced, per policy), so the return is the caller's durability ack.
+// The store's table writers hold their record's table-stripe lock while
+// waiting, which serializes same-key log order with same-key memory
+// order; cross-stripe writers are exactly the ones that coalesce. An
+// intake append holds no table lock: its event reaches the tables later,
+// through the handoff, in log order.
 //
 // The log does not look inside what it appends: callers hand it whole
 // frames (BeginFrame/EndFrame) and own their tags and payloads.
@@ -95,10 +102,16 @@ type GroupLog struct {
 	writing bool
 	closed  bool
 	// pending and waiters queue the next group's records and its
-	// followers' completions; spare and spareWaiters are the other half
-	// of each double buffer, swapped in while the leader writes.
+	// followers' completions, and intake the intake events among its
+	// records, in log order; the spare slices are the other half of each
+	// double buffer, swapped in while the leader writes.
 	pending, spare        [][]byte
 	waiters, spareWaiters []chan error
+	intake, spareIntake   []Intake
+	// handoff receives the intake events of every group written without
+	// error, in log order, from the group's leader before it wakes the
+	// group (Store.AppendIntake). Set before the first intake append.
+	handoff func(Intake)
 }
 
 // completions recycles followers' completion channels. A channel goes
@@ -127,14 +140,19 @@ func newGroupLog(path string, policy SyncPolicy, header string) (*GroupLog, erro
 // commit appends chunks — together holding the given number of records
 // — and returns once they are flushed (and fsynced, under SyncAlways),
 // possibly as part of a larger group led by another writer. The chunks
-// are the caller's again when commit returns.
-func (c *GroupLog) commit(chunks [][]byte, records int) error {
+// are the caller's again when commit returns. ev, when non-nil, is the
+// intake event the chunks log: the leader hands it to c.handoff, after
+// the group is written and before anyone in it returns.
+func (c *GroupLog) commit(chunks [][]byte, records int, ev *Intake) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return fmt.Errorf("store: wal is closed")
 	}
 	c.pending = append(c.pending, chunks...)
+	if ev != nil {
+		c.intake = append(c.intake, *ev)
+	}
 	c.records.Add(uint64(records))
 	if c.writing {
 		// A leader is at the file; it will pick this batch up.
@@ -148,20 +166,28 @@ func (c *GroupLog) commit(chunks [][]byte, records int) error {
 	c.writing = true
 	var own error
 	for first := true; len(c.pending) > 0; first = false {
-		batch, waiters := c.pending, c.waiters
-		c.pending, c.waiters = c.spare, c.spareWaiters
+		batch, waiters, intake := c.pending, c.waiters, c.intake
+		c.pending, c.waiters, c.intake = c.spare, c.spareWaiters, c.spareIntake
 		c.mu.Unlock()
 		err := c.writeGroup(batch)
 		if first {
 			own = err // the leader's records are in the first group
+		}
+		if err == nil {
+			// Groups are written one at a time, and only by the leader
+			// that holds writing, so the handoff sees log order.
+			for _, ev := range intake {
+				c.handoff(ev)
+			}
 		}
 		for _, w := range waiters {
 			w <- err
 		}
 		clear(batch) // let go of the callers' buffers
 		clear(waiters)
+		clear(intake)
 		c.mu.Lock()
-		c.spare, c.spareWaiters = batch[:0], waiters[:0]
+		c.spare, c.spareWaiters, c.spareIntake = batch[:0], waiters[:0], intake[:0]
 	}
 	c.writing = false
 	c.cond.Broadcast()
@@ -172,7 +198,7 @@ func (c *GroupLog) commit(chunks [][]byte, records int) error {
 // Append commits recs — one logged record each — as one group (possibly
 // coalesced with concurrent appenders). The slices are the caller's to
 // reuse once Append returns.
-func (c *GroupLog) Append(recs [][]byte) error { return c.commit(recs, len(recs)) }
+func (c *GroupLog) Append(recs [][]byte) error { return c.commit(recs, len(recs), nil) }
 
 // writeGroup writes one coalesced batch. Called with writing == true
 // (file access is exclusive even though mu is released).
@@ -227,81 +253,6 @@ func (c *GroupLog) Sync() error {
 	return c.fsync()
 }
 
-// Rotate seals the log's current contents at oldPath and continues
-// appending to a fresh file at the original path. The sealed bytes are
-// flushed and fsynced before the rename, so oldPath is a complete,
-// immutable prefix of the log; the caller deletes it once every record
-// in it is durable elsewhere (the store fsynced what the journal's
-// events became). If oldPath already exists (an
-// earlier rotation whose cleanup was interrupted), the current contents
-// are appended to it instead of clobbering it — replay order (oldPath
-// then the live file) is unchanged either way.
-func (c *GroupLog) Rotate(oldPath string) error {
-	curPath := c.path
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.quiesceLocked()
-	if c.closed {
-		return fmt.Errorf("store: wal is closed")
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	if err := c.fsync(); err != nil {
-		return err
-	}
-	if err := c.f.Close(); err != nil {
-		return err
-	}
-	if fi, err := os.Stat(oldPath); err == nil && fi.Size() > 0 {
-		// The sealed tail already starts with the header; the current
-		// log's own copy of it stays behind.
-		c.syncs.Add(1) // appendFile fsyncs the sealed file
-		if err := appendFile(oldPath, curPath, int64(len(c.header))); err != nil {
-			return err
-		}
-		if err := os.Remove(curPath); err != nil {
-			return err
-		}
-	} else if err := os.Rename(curPath, oldPath); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(curPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: reopen wal after rotate: %w", err)
-	}
-	c.f = f
-	c.w.Reset(f)
-	c.needHeader = true
-	return nil
-}
-
-// appendFile appends src's contents from byte offset skip on to dst and
-// fsyncs dst.
-func appendFile(dst, src string, skip int64) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	if _, err := in.Seek(skip, io.SeekStart); err != nil {
-		return err
-	}
-	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
-}
-
 // Close flushes, fsyncs and closes the log. Further appends fail.
 func (c *GroupLog) Close() error {
 	if c.stopTick != nil {
@@ -340,8 +291,5 @@ func (c *GroupLog) Stats() LogStats {
 // frame.go for the rule).
 const WALMagic = "MRBLWAL\x01"
 
-// WALFiles returns the WAL files of the store in dir, in replay order:
-// the live log, wal.log, which may be absent.
-func WALFiles(dir string) []string { return []string{walPath(dir)} }
-
-func walPath(dir string) string { return filepath.Join(dir, "wal.log") }
+// WALPath returns the path of the WAL of the store in dir.
+func WALPath(dir string) string { return filepath.Join(dir, "wal.log") }

@@ -1,7 +1,7 @@
 // Package wire holds the primitives of MIRABEL's binary record codec:
 // the byte-level vocabulary every hot record (flex-offers, schedules,
 // offer records, measurements, message envelopes) is spelled in, on the
-// TCP wire, in the ingest journal and in the store WAL alike.
+// TCP wire and in the store WAL alike.
 //
 //   - unsigned ints are uvarints, signed ints zig-zag varints (written
 //     with encoding/binary's AppendUvarint/AppendVarint directly);
