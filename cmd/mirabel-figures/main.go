@@ -82,7 +82,7 @@ func fig5(maxOffers int, seed int64) {
 			ups[i] = agg.FlexOfferUpdate{Kind: agg.Insert, Offer: all[i]}
 		}
 		for _, pc := range params {
-			pipe := agg.NewPipeline(pc.p, agg.BinPackerOptions{})
+			pipe := agg.NewPipeline(pc.p)
 			t0 := time.Now()
 			if _, err := pipe.Apply(ups...); err != nil {
 				log.Fatal(err)

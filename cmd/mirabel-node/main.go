@@ -139,8 +139,8 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	defer client.Close()
 	defer func() {
 		// The transport's lifetime counters tell an operator whether the
-		// node kept its peers on warm pooled connections (reuses ≫
-		// dials) or thrashed redials.
+		// node kept its peers on warm connections (reuses ≫ dials) or
+		// thrashed redials.
 		st := client.Stats()
 		log.Printf("transport: dials=%d reuses=%d requests=%d sends=%d in_flight=%d",
 			st.Dials, st.Reuses, st.Requests, st.Sends, st.InFlight)
@@ -176,8 +176,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	if c.retryAttempts > 1 {
 		// The retry policy (not the TCP client) owns re-attempts; the
-		// default of 2 preserves the historical one-extra-dial heal for
-		// stale pooled connections.
+		// default of 2 heals a stale connection with one extra dial.
 		cfg.Retry = &comm.RetryConfig{MaxAttempts: c.retryAttempts}
 	}
 	node, err := core.NewNode(cfg)

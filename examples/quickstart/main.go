@@ -33,7 +33,7 @@ func main() {
 
 	// 2. Aggregate with the P3 thresholds (2h start-after and
 	// time-flexibility tolerance).
-	pipeline := agg.NewPipeline(agg.ParamsP3, agg.BinPackerOptions{})
+	pipeline := agg.NewPipeline(agg.ParamsP3)
 	updates := make([]agg.FlexOfferUpdate, len(offers))
 	for i, f := range offers {
 		updates[i] = agg.FlexOfferUpdate{Kind: agg.Insert, Offer: f}

@@ -4,9 +4,15 @@
 // component can handle, and disaggregates scheduled macro flex-offers
 // back into valid schedules for every micro flex-offer.
 //
-// The component is the three-stage pipeline of the paper:
+// The component is the paper's pipeline without its optional stage:
 //
-//	flex-offer updates → group-builder → bin-packer (optional) → n-to-1 aggregator → aggregate updates
+//	flex-offer updates → group-builder → n-to-1 aggregator → aggregate updates
+//
+// The paper chains a bin-packer between the two that splits a group
+// into sub-groups under bounds on members or energy per aggregate, calls
+// it "an optional feature [that] can be turned off", and ran its
+// experiments with it off. This reproduction leaves it out: every
+// similarity group is exactly one aggregate.
 //
 // and satisfies the paper's four requirements:
 //

@@ -29,7 +29,7 @@ func inserts(offers ...*flexoffer.FlexOffer) []FlexOfferUpdate {
 }
 
 func TestSingleOfferAggregateEqualsOffer(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 4, 1, 2)
 	ups, err := p.Apply(inserts(f)...)
 	if err != nil {
@@ -48,7 +48,7 @@ func TestSingleOfferAggregateEqualsOffer(t *testing.T) {
 }
 
 func TestIdenticalOffersSumProfiles(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	fs := []*flexoffer.FlexOffer{
 		offer(1, 100, 8, 4, 1, 2),
 		offer(2, 100, 8, 4, 1, 2),
@@ -74,7 +74,7 @@ func TestIdenticalOffersSumProfiles(t *testing.T) {
 }
 
 func TestP0RequiresExactMatch(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	if _, err := p.Apply(inserts(
 		offer(1, 100, 8, 4, 1, 2),
 		offer(2, 101, 8, 4, 1, 2), // ES differs
@@ -88,7 +88,7 @@ func TestP0RequiresExactMatch(t *testing.T) {
 }
 
 func TestToleranceGroupsNearbyOffers(t *testing.T) {
-	p := NewPipeline(Params{StartAfterTolerance: 8, TimeFlexTolerance: 0, DurationTolerance: -1}, BinPackerOptions{})
+	p := NewPipeline(Params{StartAfterTolerance: 8, TimeFlexTolerance: 0, DurationTolerance: -1})
 	if _, err := p.Apply(inserts(
 		offer(1, 100, 8, 4, 1, 2),
 		offer(2, 103, 8, 4, 1, 2), // within the same ES bucket (96..103)
@@ -112,7 +112,7 @@ func TestToleranceGroupsNearbyOffers(t *testing.T) {
 }
 
 func TestAggregateConservativeTimeFlexibility(t *testing.T) {
-	p := NewPipeline(Params{TimeFlexTolerance: 16, DurationTolerance: -1}, BinPackerOptions{})
+	p := NewPipeline(Params{TimeFlexTolerance: 16, DurationTolerance: -1})
 	if _, err := p.Apply(inserts(
 		offer(1, 100, 2, 4, 1, 2),
 		offer(2, 100, 10, 4, 1, 2),
@@ -132,7 +132,7 @@ func TestAggregateConservativeTimeFlexibility(t *testing.T) {
 }
 
 func TestDeleteShrinksAndRemovesAggregates(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	f1 := offer(1, 100, 8, 4, 1, 2)
 	f2 := offer(2, 100, 8, 4, 1, 2)
 	if _, err := p.Apply(inserts(f1, f2)...); err != nil {
@@ -161,14 +161,14 @@ func TestDeleteShrinksAndRemovesAggregates(t *testing.T) {
 }
 
 func TestDeleteUnknownOfferErrors(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	if _, err := p.Apply(FlexOfferUpdate{Kind: Delete, Offer: offer(9, 0, 0, 1, 0, 1)}); err == nil {
 		t.Error("deleting unknown offer should error")
 	}
 }
 
 func TestDuplicateInsertErrors(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 4, 1, 2)
 	if _, err := p.Apply(inserts(f, f)...); err == nil {
 		t.Error("duplicate insert should error")
@@ -176,7 +176,7 @@ func TestDuplicateInsertErrors(t *testing.T) {
 }
 
 func TestInvalidOfferRejected(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	bad := offer(1, 100, 8, 4, 1, 2)
 	bad.LatestStart = 50
 	if _, err := p.Apply(FlexOfferUpdate{Kind: Insert, Offer: bad}); err == nil {
@@ -184,48 +184,8 @@ func TestInvalidOfferRejected(t *testing.T) {
 	}
 }
 
-func TestBinPackerMaxMembers(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{MaxMembers: 2})
-	var fs []*flexoffer.FlexOffer
-	for i := 1; i <= 5; i++ {
-		fs = append(fs, offer(flexoffer.ID(i), 100, 8, 4, 1, 2))
-	}
-	if _, err := p.Apply(inserts(fs...)...); err != nil {
-		t.Fatal(err)
-	}
-	aggs := p.Aggregates()
-	if len(aggs) != 3 {
-		t.Fatalf("aggregates = %d, want 3 (2+2+1)", len(aggs))
-	}
-	for _, a := range aggs {
-		if a.NumMembers() > 2 {
-			t.Errorf("aggregate has %d members, cap is 2", a.NumMembers())
-		}
-	}
-}
-
-func TestBinPackerMaxEnergy(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{MaxEnergyKWh: 20})
-	var fs []*flexoffer.FlexOffer
-	for i := 1; i <= 4; i++ {
-		fs = append(fs, offer(flexoffer.ID(i), 100, 8, 4, 1, 2)) // 8 kWh max each
-	}
-	if _, err := p.Apply(inserts(fs...)...); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range p.Aggregates() {
-		var e float64
-		for _, m := range a.Members() {
-			e += m.MaxTotalEnergy()
-		}
-		if e > 20 {
-			t.Errorf("aggregate energy %g exceeds 20 kWh cap", e)
-		}
-	}
-}
-
 func TestDisaggregationExactEnergy(t *testing.T) {
-	p := NewPipeline(ParamsP3, BinPackerOptions{})
+	p := NewPipeline(ParamsP3)
 	fs := []*flexoffer.FlexOffer{
 		offer(1, 100, 8, 4, 1, 3),
 		offer(2, 102, 10, 3, 0, 2),
@@ -272,7 +232,7 @@ func TestDisaggregationExactEnergy(t *testing.T) {
 }
 
 func TestDisaggregateRejectsInvalidAggregateSchedule(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 2, 1, 2)
 	if _, err := p.Apply(inserts(f)...); err != nil {
 		t.Fatal(err)
@@ -285,7 +245,7 @@ func TestDisaggregateRejectsInvalidAggregateSchedule(t *testing.T) {
 }
 
 func TestPipelineDisaggregateUnknownID(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	if _, err := p.Disaggregate([]*flexoffer.Schedule{{OfferID: 42}}); err == nil {
 		t.Error("unknown aggregate id accepted")
 	}
@@ -320,7 +280,7 @@ func randomOffers(rng *rand.Rand, n int) []*flexoffer.FlexOffer {
 func TestPropertyDisaggregationRequirement(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewPipeline(ParamsP3, BinPackerOptions{})
+		p := NewPipeline(ParamsP3)
 		if _, err := p.Apply(inserts(randomOffers(rng, 40)...)...); err != nil {
 			return false
 		}
@@ -370,7 +330,7 @@ func TestPropertyIncrementalEqualsFromScratch(t *testing.T) {
 		offers := randomOffers(rng, 60)
 		// Incremental: first half, then deletes of a third of those, then
 		// second half.
-		inc := NewPipeline(ParamsP3, BinPackerOptions{})
+		inc := NewPipeline(ParamsP3)
 		if _, err := inc.Apply(inserts(offers[:30]...)...); err != nil {
 			return false
 		}
@@ -393,7 +353,7 @@ func TestPropertyIncrementalEqualsFromScratch(t *testing.T) {
 				survivors = append(survivors, f)
 			}
 		}
-		scratch := NewPipeline(ParamsP3, BinPackerOptions{})
+		scratch := NewPipeline(ParamsP3)
 		if _, err := scratch.Apply(inserts(survivors...)...); err != nil {
 			return false
 		}
@@ -447,7 +407,7 @@ func aggSignature(a *Aggregate) string {
 }
 
 func TestMetrics(t *testing.T) {
-	p := NewPipeline(ParamsP1, BinPackerOptions{})
+	p := NewPipeline(ParamsP1)
 	if _, err := p.Apply(inserts(
 		offer(1, 100, 2, 4, 1, 2),
 		offer(2, 100, 6, 4, 1, 2),
@@ -482,7 +442,7 @@ func TestUpdateKindStrings(t *testing.T) {
 }
 
 func TestSnapshotSurvivesPipelineMutation(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	f1 := offer(1, 100, 8, 2, 0, 2)
 	f2 := offer(2, 100, 8, 2, 0, 2)
 	if _, err := p.Apply(inserts(f1, f2)...); err != nil {

@@ -349,10 +349,10 @@ func (a *Aggregate) retire() {
 // batch (when a removed member owns a boundary or the drift budget is
 // spent), pure deltas otherwise. The Version is bumped exactly once per
 // mutating batch. Returns false when the aggregate has no members left.
-func (a *Aggregate) applyBatch(added []*flexoffer.FlexOffer, removed []flexoffer.ID) bool {
+func (a *Aggregate) applyBatch(added, removed []*flexoffer.FlexOffer) bool {
 	mutated := false
-	for i, id := range removed {
-		idx := a.memberIndex(id)
+	for i, off := range removed {
+		idx := a.memberIndex(off.ID)
 		if idx < 0 {
 			continue // not a member: nothing to remove, no rebuild
 		}
@@ -364,8 +364,8 @@ func (a *Aggregate) applyBatch(added []*flexoffer.FlexOffer, removed []flexoffer
 			// One rebuild covers the rest of the batch: drop every
 			// still-pending removal, merge the additions, build once.
 			rest := make(map[flexoffer.ID]bool, len(removed)-i)
-			for _, rid := range removed[i:] {
-				rest[rid] = true
+			for _, r := range removed[i:] {
+				rest[r.ID] = true
 			}
 			survivors := make([]*flexoffer.FlexOffer, 0, len(a.members)-1+len(added))
 			for _, m := range a.members {

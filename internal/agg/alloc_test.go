@@ -16,7 +16,7 @@ import (
 // single insert, nor the delete that cancels it, nor a multi-update
 // batch checked against offers already applied.
 func TestAccumulateZeroAlloc(t *testing.T) {
-	p := NewPipeline(ParamsP3, BinPackerOptions{})
+	p := NewPipeline(ParamsP3)
 	offers := randomOffers(rand.New(rand.NewSource(1)), 64)
 	if _, err := p.Apply(inserts(offers[:32]...)...); err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func equivAggregates(t *testing.T, live *Aggregate, tag string) bool {
 func TestPropertyDeltaEqualsScratch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p := NewPipeline(ParamsP3, BinPackerOptions{})
+		p := NewPipeline(ParamsP3)
 		pool := randomOffers(rng, 120)
 		for i := range pool {
 			pool[i].CostPerKWh = rng.Float64() * 0.5
@@ -103,7 +103,7 @@ func TestPropertyDeltaEqualsScratch(t *testing.T) {
 // Satellite: a batch that fails validation must leave the builder
 // untouched — no half-applied inserts, no stuck pending updates.
 func TestAccumulateBatchAtomicOnError(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	good := offer(1, 100, 8, 4, 1, 2)
 	if _, err := p.Apply(inserts(good)...); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestRemoveUnknownIDNoRebuild(t *testing.T) {
 		offer(11, 100, 8, 4, 1, 2),
 	})
 	v := a.Version
-	if !a.applyBatch(nil, []flexoffer.ID{99}) {
+	if !a.applyBatch(nil, []*flexoffer.FlexOffer{{ID: 99}}) {
 		t.Fatal("remove of unknown id reported aggregate death")
 	}
 	if a.Version != v {
@@ -164,7 +164,7 @@ func TestRemoveUnknownIDNoRebuild(t *testing.T) {
 	if a.NumMembers() != 2 {
 		t.Errorf("members = %d, want 2", a.NumMembers())
 	}
-	if !a.applyBatch(nil, []flexoffer.ID{98, 97}) {
+	if !a.applyBatch(nil, []*flexoffer.FlexOffer{{ID: 98}, {ID: 97}}) {
 		t.Fatal("batch of unknown removals reported aggregate death")
 	}
 	if a.Version != v {
@@ -175,7 +175,7 @@ func TestRemoveUnknownIDNoRebuild(t *testing.T) {
 // A delete of a still-pending insert cancels it: the offer never reaches
 // the groups, and the batch costs nothing at Process time.
 func TestInsertThenDeleteCancelsPending(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 4, 1, 2)
 	if err := p.Accumulate(FlexOfferUpdate{Kind: Insert, Offer: f}); err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestInsertThenDeleteCancelsPending(t *testing.T) {
 // Delete-then-reinsert of the same id within one batch replaces the
 // offer (new attributes, possibly a new group).
 func TestDeleteThenReinsertSameBatch(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 4, 1, 2)
 	if _, err := p.Apply(inserts(f)...); err != nil {
 		t.Fatal(err)
@@ -232,7 +232,7 @@ func TestDeleteThenReinsertSameBatch(t *testing.T) {
 // the version so callers can reuse cached snapshots of unchanged
 // aggregates.
 func TestVersionPerBatchAndSnapshotCarriesVersion(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	var batch []FlexOfferUpdate
 	for i := 1; i <= 4; i++ {
 		batch = append(batch, FlexOfferUpdate{Kind: Insert, Offer: offer(flexoffer.ID(i), 100, 8, 4, 1, 2)})
@@ -274,7 +274,7 @@ func TestBoundaryCountersGateRebuild(t *testing.T) {
 		t.Fatalf("nMinTF = %d, want 2", a.nMinTF)
 	}
 	// Removing one of the tied members keeps TF at 2 (delta path).
-	if !a.applyBatch(nil, []flexoffer.ID{10}) {
+	if !a.applyBatch(nil, []*flexoffer.FlexOffer{{ID: 10}}) {
 		t.Fatal("aggregate died")
 	}
 	if tf := a.Offer.TimeFlexibility(); tf != 2 {
@@ -284,7 +284,7 @@ func TestBoundaryCountersGateRebuild(t *testing.T) {
 		t.Errorf("nMinTF = %d, want 1", a.nMinTF)
 	}
 	// Removing the last min-TF member must widen TF to 9 (rebuild path).
-	if !a.applyBatch(nil, []flexoffer.ID{11}) {
+	if !a.applyBatch(nil, []*flexoffer.FlexOffer{{ID: 11}}) {
 		t.Fatal("aggregate died")
 	}
 	if tf := a.Offer.TimeFlexibility(); tf != 9 {

@@ -8,11 +8,11 @@ import (
 )
 
 // NTo1 is the n-to-1 aggregator: it maintains exactly one aggregated
-// flex-offer per (sub-)group and emits created/deleted/changed aggregate
-// updates. It also performs disaggregation.
+// flex-offer per similarity group and emits created/deleted/changed
+// aggregate updates. It also performs disaggregation.
 type NTo1 struct {
 	nextID     flexoffer.ID
-	aggregates map[subgroupID]*Aggregate
+	aggregates map[groupKey]*Aggregate
 	byAggID    map[flexoffer.ID]*Aggregate
 }
 
@@ -20,29 +20,29 @@ type NTo1 struct {
 func NewNTo1() *NTo1 {
 	return &NTo1{
 		nextID:     1,
-		aggregates: make(map[subgroupID]*Aggregate),
+		aggregates: make(map[groupKey]*Aggregate),
 		byAggID:    make(map[flexoffer.ID]*Aggregate),
 	}
 }
 
-// process applies sub-group deltas, each as one batched transaction on
-// the one aggregate its sub-group maps to. Updates are sorted first, so
-// new macro flex-offer IDs are assigned in a deterministic order.
-func (n *NTo1) process(updates []subgroupUpdate) []AggregateUpdate {
+// process applies group deltas, each as one batched transaction on the
+// one aggregate its group maps to. The deltas arrive in key order
+// (GroupBuilder.Process), so new macro flex-offer IDs are assigned in a
+// deterministic order.
+func (n *NTo1) process(updates []groupUpdate) []AggregateUpdate {
 	if len(updates) == 0 {
 		return nil
 	}
-	sortSubgroupUpdates(updates)
 	out := make([]AggregateUpdate, 0, len(updates))
 	for _, u := range updates {
-		a, exists := n.aggregates[u.id]
+		a, exists := n.aggregates[u.key]
 		if !exists {
 			if len(u.added) == 0 {
 				continue // removals for an already-gone aggregate
 			}
 			a = buildAggregate(n.nextID, u.added)
 			n.nextID++
-			n.aggregates[u.id] = a
+			n.aggregates[u.key] = a
 			n.byAggID[a.Offer.ID] = a
 			out = append(out, AggregateUpdate{Kind: Created, Aggregate: a})
 			continue
@@ -57,7 +57,7 @@ func (n *NTo1) process(updates []subgroupUpdate) []AggregateUpdate {
 			out = append(out, AggregateUpdate{Kind: Changed, Aggregate: a})
 			continue
 		}
-		delete(n.aggregates, u.id)
+		delete(n.aggregates, u.key)
 		delete(n.byAggID, a.Offer.ID)
 		out = append(out, AggregateUpdate{Kind: Deleted, Aggregate: a})
 	}
@@ -80,28 +80,20 @@ func (n *NTo1) Lookup(id flexoffer.ID) (*Aggregate, bool) {
 	return a, ok
 }
 
-// Pipeline chains group-builder, optional bin-packer and n-to-1
-// aggregator exactly as in the paper ("these sub-components are chained
-// so that provided flex-offer updates traverse them sequentially").
-// Intake accumulates; Process runs the whole chain once per batch.
+// Pipeline chains group-builder and n-to-1 aggregator as in the paper
+// ("these sub-components are chained so that provided flex-offer
+// updates traverse them sequentially"), without the paper's optional
+// bin-packer: groups map to aggregates one-to-one. Intake accumulates;
+// Process runs the whole chain once per batch.
 type Pipeline struct {
 	GroupBuilder *GroupBuilder
-	BinPacker    *BinPacker // nil when disabled
 	Aggregator   *NTo1
 }
 
-// NewPipeline assembles an aggregation pipeline. Pass a zero
-// BinPackerOptions to disable the bin-packer (the paper's experiments ran
-// with it disabled); groups then map to aggregates one-to-one.
-func NewPipeline(params Params, binOpts BinPackerOptions) *Pipeline {
-	p := &Pipeline{
-		GroupBuilder: NewGroupBuilder(params),
-		Aggregator:   NewNTo1(),
-	}
-	if binOpts.enabled() {
-		p.BinPacker = NewBinPacker(binOpts)
-	}
-	return p
+// NewPipeline assembles an aggregation pipeline. The BinPackerOptions
+// argument is ignored and may be left out.
+func NewPipeline(params Params, _ ...BinPackerOptions) *Pipeline {
+	return &Pipeline{GroupBuilder: NewGroupBuilder(params), Aggregator: NewNTo1()}
 }
 
 // Accumulate validates and queues flex-offer updates without processing
@@ -115,17 +107,7 @@ func (p *Pipeline) Accumulate(updates ...FlexOfferUpdate) error {
 // batch and returns the resulting aggregate updates. It cannot fail:
 // all validation happened in Accumulate.
 func (p *Pipeline) Process() []AggregateUpdate {
-	groups := p.GroupBuilder.Process()
-	if len(groups) == 0 {
-		return nil
-	}
-	var subs []subgroupUpdate
-	if p.BinPacker != nil {
-		subs = p.BinPacker.Process(groups)
-	} else {
-		subs = passthrough(groups)
-	}
-	return p.Aggregator.process(subs)
+	return p.Aggregator.process(p.GroupBuilder.Process())
 }
 
 // Apply is Accumulate followed immediately by Process — the one-call

@@ -8,10 +8,11 @@ import (
 	"mirabel/internal/flexoffer"
 )
 
-// groupUpdate is the internal delta between group-builder and bin-packer:
-// which offers joined/left which similarity group. A retired group lost
-// every applied member and gained none: downstream stages drop its
-// aggregates whole instead of replaying the removals (removed is nil).
+// groupUpdate is the internal delta between group-builder and n-to-1
+// aggregator: which offers joined/left which similarity group. A
+// retired group lost every applied member and gained none: the
+// aggregator drops its aggregate whole instead of replaying the
+// removals (removed is nil).
 type groupUpdate struct {
 	key     groupKey
 	added   []*flexoffer.FlexOffer
@@ -271,182 +272,10 @@ func (g *GroupBuilder) NumOffers() int { return g.offers }
 // NumPending returns the number of accumulated-but-unprocessed updates.
 func (g *GroupBuilder) NumPending() int { return len(g.pendingIns) + len(g.pendingDel) }
 
-// BinPackerOptions bound the sub-groups the bin-packer produces (paper:
-// "lower and upper bounds on ... the number of flex-offers included into
-// a single aggregate, the amount of energy ... an aggregated flex-offer
-// has to offer"). Zero values disable a bound; with all bounds disabled
-// the pipeline skips the bin-packer stage entirely ("this bin-packer is
-// an optional feature and can be turned off").
-type BinPackerOptions struct {
-	// MaxMembers caps the members per aggregate.
-	MaxMembers int
-	// MaxEnergyKWh caps Σ |max total energy| of members per aggregate.
-	MaxEnergyKWh float64
-}
-
-func (o BinPackerOptions) enabled() bool { return o.MaxMembers > 0 || o.MaxEnergyKWh > 0 }
-
-// fits reports whether a sub-group with the given load can absorb m.
-func (o BinPackerOptions) fits(count int, energy float64, m *flexoffer.FlexOffer) bool {
-	if o.MaxMembers > 0 && count+1 > o.MaxMembers {
-		return false
-	}
-	if o.MaxEnergyKWh > 0 && energy+absTotalMax(m) > o.MaxEnergyKWh {
-		return false
-	}
-	return true
-}
-
-// subgroupID identifies one bounds-satisfying sub-group within a group.
-type subgroupID struct {
-	key groupKey
-	seq int
-}
-
-// subgroup is the bin-packer's unit of work; one aggregate is maintained
-// per sub-group.
-type subgroup struct {
-	members map[flexoffer.ID]*flexoffer.FlexOffer
-	energy  float64
-}
-
-// subgroupUpdate is the delta between bin-packer and n-to-1 aggregator.
-// A retired sub-group's aggregate is dropped whole (removed is nil).
-type subgroupUpdate struct {
-	id      subgroupID
-	added   []*flexoffer.FlexOffer
-	removed []flexoffer.ID
-	retired bool
-}
-
-// BinPacker splits similarity groups into bounds-satisfying sub-groups
-// using first-fit packing, maintained incrementally.
-type BinPacker struct {
-	opts      BinPackerOptions
-	seq       map[groupKey]int
-	subgroups map[subgroupID]*subgroup
-	byOffer   map[flexoffer.ID]subgroupID
-	byGroup   map[groupKey][]subgroupID
-}
-
-// NewBinPacker returns a bin-packer with the given bounds.
-func NewBinPacker(opts BinPackerOptions) *BinPacker {
-	return &BinPacker{
-		opts:      opts,
-		seq:       make(map[groupKey]int),
-		subgroups: make(map[subgroupID]*subgroup),
-		byOffer:   make(map[flexoffer.ID]subgroupID),
-		byGroup:   make(map[groupKey][]subgroupID),
-	}
-}
-
-// Process converts group deltas into sub-group deltas, in deterministic
-// sub-group order.
-func (b *BinPacker) Process(groups []groupUpdate) []subgroupUpdate {
-	deltas := make(map[subgroupID]*subgroupUpdate)
-	delta := func(id subgroupID) *subgroupUpdate {
-		d, ok := deltas[id]
-		if !ok {
-			d = &subgroupUpdate{id: id}
-			deltas[id] = d
-		}
-		return d
-	}
-	for _, gu := range groups {
-		if gu.retired {
-			for _, id := range b.byGroup[gu.key] {
-				for oid := range b.subgroups[id].members {
-					delete(b.byOffer, oid)
-				}
-				delete(b.subgroups, id)
-				delta(id).retired = true
-			}
-			delete(b.byGroup, gu.key)
-			continue
-		}
-		for _, off := range gu.removed {
-			id, ok := b.byOffer[off.ID]
-			if !ok {
-				continue
-			}
-			sg := b.subgroups[id]
-			delete(sg.members, off.ID)
-			sg.energy -= absTotalMax(off)
-			delete(b.byOffer, off.ID)
-			delta(id).removed = append(delta(id).removed, off.ID)
-			if len(sg.members) == 0 {
-				delete(b.subgroups, id)
-				b.byGroup[gu.key] = removeSubgroupID(b.byGroup[gu.key], id)
-				if len(b.byGroup[gu.key]) == 0 {
-					delete(b.byGroup, gu.key)
-				}
-			}
-		}
-		for _, off := range gu.added {
-			id := b.place(gu.key, off)
-			delta(id).added = append(delta(id).added, off)
-		}
-	}
-	out := make([]subgroupUpdate, 0, len(deltas))
-	for _, d := range deltas {
-		out = append(out, *d)
-	}
-	sortSubgroupUpdates(out)
-	return out
-}
-
-// place assigns the offer to the first sub-group of its group with
-// capacity, creating a new sub-group when none fits.
-func (b *BinPacker) place(key groupKey, off *flexoffer.FlexOffer) subgroupID {
-	for _, id := range b.byGroup[key] {
-		sg := b.subgroups[id]
-		if b.opts.fits(len(sg.members), sg.energy, off) {
-			sg.members[off.ID] = off
-			sg.energy += absTotalMax(off)
-			b.byOffer[off.ID] = id
-			return id
-		}
-	}
-	b.seq[key]++
-	id := subgroupID{key: key, seq: b.seq[key]}
-	sg := &subgroup{members: map[flexoffer.ID]*flexoffer.FlexOffer{off.ID: off}, energy: absTotalMax(off)}
-	b.subgroups[id] = sg
-	b.byGroup[key] = append(b.byGroup[key], id)
-	b.byOffer[off.ID] = id
-	return id
-}
-
-func removeSubgroupID(ids []subgroupID, id subgroupID) []subgroupID {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
-}
-
-// passthrough converts group deltas straight into sub-group deltas (one
-// sub-group per group) when the bin-packer is disabled.
-func passthrough(groups []groupUpdate) []subgroupUpdate {
-	out := make([]subgroupUpdate, len(groups))
-	for i, gu := range groups {
-		su := subgroupUpdate{id: subgroupID{key: gu.key}, added: gu.added, retired: gu.retired}
-		if len(gu.removed) > 0 {
-			su.removed = make([]flexoffer.ID, len(gu.removed))
-			for j, off := range gu.removed {
-				su.removed[j] = off.ID
-			}
-		}
-		out[i] = su
-	}
-	return out
-}
-
-func sortSubgroupUpdates(subs []subgroupUpdate) {
-	slices.SortFunc(subs, func(a, b subgroupUpdate) int {
-		if c := compareKeys(a.id.key, b.id.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id.seq, b.id.seq)
-	})
-}
+// BinPackerOptions is kept for source compatibility: NewPipeline
+// ignores it.
+//
+// Deprecated: the pipeline has no bin-packer. Every group maps to one
+// aggregate, as in the paper's experiments, which ran with the optional
+// bin-packer turned off.
+type BinPackerOptions struct{}

@@ -20,136 +20,130 @@ import (
 // member of every otherwise-retired group held back, so those groups'
 // other members leave by the member-by-member removal, and the held-back
 // members follow in a second Apply. Both pipelines must agree exactly on
-// aggregate IDs, Versions, members and combined offers, and without the
-// bin-packer (whose first-fit packing depends on history) both must
+// aggregate IDs, Versions, members and combined offers, and both must
 // partition the live offers like a from-scratch build, with the same
 // profiles.
 func TestPropertyRetireEqualsDeleteBatch(t *testing.T) {
-	for _, bins := range []BinPackerOptions{{}, {MaxMembers: 4}} {
-		retired := 0
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			whole, split := NewPipeline(ParamsP3, bins), NewPipeline(ParamsP3, bins)
-			keyOf := whole.GroupBuilder.params.keyOf
-			pool := randomOffers(rng, 240)
-			live := map[flexoffer.ID]*flexoffer.FlexOffer{}
-			nextPool, nextID := 0, flexoffer.ID(10_000)
-			for round := 0; round < 10; round++ {
-				byKey := map[groupKey][]*flexoffer.FlexOffer{}
-				for _, off := range live {
-					byKey[keyOf(off)] = append(byKey[keyOf(off)], off)
-				}
-				keys := make([]groupKey, 0, len(byKey))
-				for k, offs := range byKey {
-					keys = append(keys, k)
-					slices.SortFunc(offs, byOfferID)
-				}
-				slices.SortFunc(keys, compareKeys)
+	retired := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		whole, split := NewPipeline(ParamsP3), NewPipeline(ParamsP3)
+		keyOf := whole.GroupBuilder.params.keyOf
+		pool := randomOffers(rng, 240)
+		live := map[flexoffer.ID]*flexoffer.FlexOffer{}
+		nextPool, nextID := 0, flexoffer.ID(10_000)
+		for round := 0; round < 10; round++ {
+			byKey := map[groupKey][]*flexoffer.FlexOffer{}
+			for _, off := range live {
+				byKey[keyOf(off)] = append(byKey[keyOf(off)], off)
+			}
+			keys := make([]groupKey, 0, len(byKey))
+			for k, offs := range byKey {
+				keys = append(keys, k)
+				slices.SortFunc(offs, byOfferID)
+			}
+			slices.SortFunc(keys, compareKeys)
 
-				var ins, del []*flexoffer.FlexOffer
-				var retiring []groupKey
-				for _, k := range keys {
-					offs := byKey[k]
-					switch rng.Intn(4) {
-					case 0: // retire the whole group
-						del = append(del, offs...)
-						retiring = append(retiring, k)
-						if rng.Intn(3) == 0 { // and refill its key
-							refill := offs[0].Clone()
-							refill.ID = nextID
-							nextID++
-							ins = append(ins, refill)
-						}
-					case 1: // delete part of it
-						for _, off := range offs[:rng.Intn(len(offs))] {
-							del = append(del, off)
-						}
+			var ins, del []*flexoffer.FlexOffer
+			var retiring []groupKey
+			for _, k := range keys {
+				offs := byKey[k]
+				switch rng.Intn(4) {
+				case 0: // retire the whole group
+					del = append(del, offs...)
+					retiring = append(retiring, k)
+					if rng.Intn(3) == 0 { // and refill its key
+						refill := offs[0].Clone()
+						refill.ID = nextID
+						nextID++
+						ins = append(ins, refill)
+					}
+				case 1: // delete part of it
+					for _, off := range offs[:rng.Intn(len(offs))] {
+						del = append(del, off)
 					}
 				}
-				for n := rng.Intn(30); n > 0 && nextPool < len(pool); n-- {
-					ins = append(ins, pool[nextPool])
-					nextPool++
-				}
+			}
+			for n := rng.Intn(30); n > 0 && nextPool < len(pool); n-- {
+				ins = append(ins, pool[nextPool])
+				nextPool++
+			}
 
-				insKeys := map[groupKey]bool{}
-				for _, off := range ins {
-					insKeys[keyOf(off)] = true
+			insKeys := map[groupKey]bool{}
+			for _, off := range ins {
+				insKeys[keyOf(off)] = true
+			}
+			held := map[flexoffer.ID]bool{}
+			for _, k := range retiring {
+				if offs := byKey[k]; !insKeys[k] && len(offs) > 1 {
+					held[offs[len(offs)-1].ID] = true
+					retired++
 				}
-				held := map[flexoffer.ID]bool{}
-				for _, k := range retiring {
-					if offs := byKey[k]; !insKeys[k] && len(offs) > 1 {
-						held[offs[len(offs)-1].ID] = true
-						retired++
-					}
+			}
+			var batch, first, second []FlexOfferUpdate
+			for _, off := range del {
+				u := FlexOfferUpdate{Kind: Delete, Offer: off}
+				batch = append(batch, u)
+				if held[off.ID] {
+					second = append(second, u)
+				} else {
+					first = append(first, u)
 				}
-				var batch, first, second []FlexOfferUpdate
-				for _, off := range del {
-					u := FlexOfferUpdate{Kind: Delete, Offer: off}
-					batch = append(batch, u)
-					if held[off.ID] {
-						second = append(second, u)
-					} else {
-						first = append(first, u)
-					}
-					delete(live, off.ID)
-				}
-				for _, off := range ins {
-					u := FlexOfferUpdate{Kind: Insert, Offer: off}
-					batch, first = append(batch, u), append(first, u)
-					live[off.ID] = off
-				}
-				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-				if _, err := whole.Apply(batch...); err != nil {
-					t.Logf("seed %d round %d: %v", seed, round, err)
-					return false
-				}
-				if _, err := split.Apply(first...); err != nil {
-					t.Logf("seed %d round %d: %v", seed, round, err)
-					return false
-				}
-				if _, err := split.Apply(second...); err != nil {
-					t.Logf("seed %d round %d: %v", seed, round, err)
-					return false
-				}
+				delete(live, off.ID)
+			}
+			for _, off := range ins {
+				u := FlexOfferUpdate{Kind: Insert, Offer: off}
+				batch, first = append(batch, u), append(first, u)
+				live[off.ID] = off
+			}
+			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+			if _, err := whole.Apply(batch...); err != nil {
+				t.Logf("seed %d round %d: %v", seed, round, err)
+				return false
+			}
+			if _, err := split.Apply(first...); err != nil {
+				t.Logf("seed %d round %d: %v", seed, round, err)
+				return false
+			}
+			if _, err := split.Apply(second...); err != nil {
+				t.Logf("seed %d round %d: %v", seed, round, err)
+				return false
+			}
 
-				if !identicalAggregates(t, whole, split) {
-					t.Logf("seed %d round %d: retiring whole groups diverged from the delete path", seed, round)
-					return false
-				}
-				if got := whole.GroupBuilder.NumOffers(); got != len(live) {
-					t.Logf("seed %d round %d: grouped offers %d, want %d", seed, round, got, len(live))
-					return false
-				}
-				for _, off := range del {
-					if _, ok := live[off.ID]; !ok && whole.Contains(off.ID) {
-						t.Logf("seed %d round %d: retired offer %d still contained", seed, round, off.ID)
-						return false
-					}
-				}
-				if bins.enabled() {
-					continue
-				}
-				scratch := NewPipeline(ParamsP3, bins)
-				var survivors []*flexoffer.FlexOffer
-				for _, off := range live {
-					survivors = append(survivors, off)
-				}
-				if _, err := scratch.Apply(inserts(survivors...)...); err != nil {
-					return false
-				}
-				if !sameAggregates(whole, scratch) {
-					t.Logf("seed %d round %d: incremental aggregates differ from a from-scratch build", seed, round)
+			if !identicalAggregates(t, whole, split) {
+				t.Logf("seed %d round %d: retiring whole groups diverged from the delete path", seed, round)
+				return false
+			}
+			if got := whole.GroupBuilder.NumOffers(); got != len(live) {
+				t.Logf("seed %d round %d: grouped offers %d, want %d", seed, round, got, len(live))
+				return false
+			}
+			for _, off := range del {
+				if _, ok := live[off.ID]; !ok && whole.Contains(off.ID) {
+					t.Logf("seed %d round %d: retired offer %d still contained", seed, round, off.ID)
 					return false
 				}
 			}
-			return true
+			scratch := NewPipeline(ParamsP3)
+			var survivors []*flexoffer.FlexOffer
+			for _, off := range live {
+				survivors = append(survivors, off)
+			}
+			if _, err := scratch.Apply(inserts(survivors...)...); err != nil {
+				return false
+			}
+			if !sameAggregates(whole, scratch) {
+				t.Logf("seed %d round %d: incremental aggregates differ from a from-scratch build", seed, round)
+				return false
+			}
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-			t.Errorf("bin-packer %+v: %v", bins, err)
-		}
-		if retired == 0 {
-			t.Errorf("bin-packer %+v: no batch retired a multi-member group", bins)
-		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+	if retired == 0 {
+		t.Error("no batch retired a multi-member group")
 	}
 }
 
@@ -184,7 +178,7 @@ func identicalAggregates(t *testing.T, a, b *Pipeline) bool {
 // reports an emptied one: Deleted, no members left, Version bumped once
 // for the batch — so a holder of the aggregate sees it change.
 func TestRetireReportsDeletedAggregate(t *testing.T) {
-	p := NewPipeline(ParamsP0, BinPackerOptions{})
+	p := NewPipeline(ParamsP0)
 	members := []*flexoffer.FlexOffer{offer(1, 10, 4, 2, 0, 1), offer(2, 10, 4, 3, 0, 2), offer(3, 10, 4, 1, 0, 1)}
 	if _, err := p.Apply(inserts(members...)...); err != nil {
 		t.Fatal(err)

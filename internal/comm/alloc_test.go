@@ -12,7 +12,7 @@ import (
 // The race detector instruments allocations, so the allocation pin only
 // runs in plain builds — CI runs both variants.
 
-// TestTCPRoundTripAllocs pins what one offer round trip over a pooled
+// TestTCPRoundTripAllocs pins what one offer round trip over an open
 // TCP connection allocates, client and server together. Frame headers,
 // peer names and reply channels are reused; what is left is the
 // request's context work (its default timeout and the frame write's
@@ -31,7 +31,7 @@ func TestTCPRoundTripAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient("p1", WithPoolSize(1))
+	client := NewTCPClient("p1")
 	defer client.Close()
 	client.SetRoute("brp1", srv.Addr())
 	offer := &flexoffer.FlexOffer{

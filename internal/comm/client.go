@@ -108,38 +108,10 @@ func (c *Client) NotifySchedules(ctx context.Context, to string, schedules []*fl
 	return c.t.Send(ctx, to, env)
 }
 
-// ReportMeasurement reports a metered value upstream. Fire-and-forget.
-func (c *Client) ReportMeasurement(ctx context.Context, to string, m MeasurementReport) error {
-	env, err := NewEnvelope(MsgMeasurementReport, c.from, to, m)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	return c.t.Send(ctx, to, env)
-}
-
-// ReportMeasurements reports a batch of metered values upstream in one
-// message; the receiver stores them as one group commit.
-// Fire-and-forget.
-func (c *Client) ReportMeasurements(ctx context.Context, to string, ms []MeasurementReport) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	env, err := NewEnvelope(MsgMeasurementBatch, c.from, to, MeasurementBatch{Reports: ms})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := c.withDeadline(ctx)
-	defer cancel()
-	return c.t.Send(ctx, to, env)
-}
-
-// ReportMeasurementsAcked reports a batch of metered values upstream
-// and waits for the receiver's ack (the handler has logged or stored the
-// batch when the reply arrives). Callers that must prove durability
-// — the chaos sim's zero-acked-loss check — use this; fire-and-forget
-// paths keep ReportMeasurements.
+// ReportMeasurementsAcked reports a batch of metered values upstream in
+// one message and waits for the receiver's ack: a node has taken the
+// batch into its WAL when the reply arrives. It is the only meter
+// message.
 func (c *Client) ReportMeasurementsAcked(ctx context.Context, to string, ms []MeasurementReport) error {
 	if len(ms) == 0 {
 		return nil

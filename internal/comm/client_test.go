@@ -46,7 +46,7 @@ func echoNode(bus *Bus, name string) *atomic.Int32 {
 		notified.Add(1)
 		return nil, nil
 	})
-	mux.Handle(MsgMeasurementReport, func(ctx context.Context, env Envelope) (*Envelope, error) {
+	mux.Handle(MsgMeasurementBatch, func(ctx context.Context, env Envelope) (*Envelope, error) {
 		notified.Add(1)
 		return nil, nil
 	})
@@ -76,8 +76,8 @@ func TestClientTypedRoundtrips(t *testing.T) {
 	if err := c.NotifySchedules(ctx, "brp1", []*flexoffer.Schedule{{OfferID: 9, Start: 4, Energy: []float64{1}}}); err != nil {
 		t.Fatalf("NotifySchedules: %v", err)
 	}
-	if err := c.ReportMeasurement(ctx, "brp1", MeasurementReport{Actor: "p1", Slot: 1, KWh: 0.5}); err != nil {
-		t.Fatalf("ReportMeasurement: %v", err)
+	if err := c.ReportMeasurementsAcked(ctx, "brp1", []MeasurementReport{{Actor: "p1", Slot: 1, KWh: 0.5}}); err != nil {
+		t.Fatalf("ReportMeasurementsAcked: %v", err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for notified.Load() != 2 && time.Now().Before(deadline) {

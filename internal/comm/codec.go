@@ -19,9 +19,8 @@ import (
 //	flex_offer_decision:  OfferID uvarint | Accept bool | Reason string |
 //	                      PremiumEUR float64
 //	schedule_notify:      count uvarint | count × Schedule
-//	measurement_report:   Measurement (flexoffer's layout, shared with the
-//	                      store's logs)
-//	measurement_batch:    count uvarint | count × Measurement
+//	measurement_batch:    count uvarint | count × Measurement (flexoffer's
+//	                      layout, shared with the store's logs)
 //	forecast_request:     Actor string | EnergyType string | Horizon varint
 //	forecast_reply:       EnergyType string | FirstSlot varint |
 //	                      count uvarint | count × float64
@@ -29,13 +28,14 @@ import (
 //	ping, pong:           no body
 //
 // Type codes are positions in msgTypes and never change meaning; a new
-// message type takes the next free code.
+// message type takes the next free code. Code 5 was the single-value
+// measurement_report: it is retired, a frame carrying it is refused as
+// unknown, and it is never reused.
 var msgTypes = [...]MsgType{
 	1:  MsgFlexOfferSubmit,
 	2:  MsgFlexOfferDecision,
 	3:  MsgScheduleNotify,
 	4:  MsgMeasurementBatch,
-	5:  MsgMeasurementReport,
 	6:  MsgForecastRequest,
 	7:  MsgForecastReply,
 	8:  MsgPing,
@@ -44,6 +44,9 @@ var msgTypes = [...]MsgType{
 }
 
 func msgCode(t MsgType) (byte, bool) {
+	if t == "" {
+		return 0, false
+	}
 	for code := 1; code < len(msgTypes); code++ {
 		if msgTypes[code] == t {
 			return byte(code), true
@@ -85,7 +88,7 @@ func (p *peerNames) decode(raw []byte) (Envelope, error) {
 	if err := r.Err(); err != nil {
 		return Envelope{}, fmt.Errorf("comm: decode frame: %w", err)
 	}
-	if code == 0 || int(code) >= len(msgTypes) {
+	if int(code) >= len(msgTypes) || msgTypes[code] == "" {
 		return Envelope{}, fmt.Errorf("comm: decode frame: unknown message type code %d", code)
 	}
 	env.Type = msgTypes[code]
@@ -172,18 +175,10 @@ func (m *ScheduleNotify) readBody(r *wire.Reader) {
 	}
 }
 
-func (m MeasurementReport) appendBody(dst []byte) ([]byte, error) {
-	return flexoffer.AppendMeasurementWire(dst, m.Actor, m.EnergyType, m.Slot, m.KWh), nil
-}
-
-func (m *MeasurementReport) readBody(r *wire.Reader) {
-	m.Actor, m.EnergyType, m.Slot, m.KWh = flexoffer.ReadMeasurementWire(r)
-}
-
 func (m MeasurementBatch) appendBody(dst []byte) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(m.Reports)))
 	for _, rep := range m.Reports {
-		dst, _ = rep.appendBody(dst)
+		dst = flexoffer.AppendMeasurementWire(dst, rep.Actor, rep.EnergyType, rep.Slot, rep.KWh)
 	}
 	return dst, nil
 }
@@ -193,7 +188,8 @@ func (m *MeasurementBatch) readBody(r *wire.Reader) {
 	if n := r.Count(flexoffer.MinMeasurementWire); n > 0 {
 		m.Reports = make([]MeasurementReport, n)
 		for i := range m.Reports {
-			m.Reports[i].readBody(r)
+			rep := &m.Reports[i]
+			rep.Actor, rep.EnergyType, rep.Slot, rep.KWh = flexoffer.ReadMeasurementWire(r)
 		}
 	}
 }

@@ -1,12 +1,15 @@
 package comm
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/wire"
 )
 
 // TestBodyCodecMatchesJSON holds every message body's binary round trip
@@ -27,9 +30,9 @@ func TestBodyCodecMatchesJSON(t *testing.T) {
 		{MsgFlexOfferDecision, FlexOfferDecision{OfferID: 8, Reason: "deadline passed"}, &FlexOfferDecision{}},
 		{MsgScheduleNotify, ScheduleNotify{Schedules: []*flexoffer.Schedule{offer.DefaultSchedule(), {OfferID: 9, Start: math.MinInt64}}}, &ScheduleNotify{}},
 		{MsgScheduleNotify, ScheduleNotify{}, &ScheduleNotify{}},
-		{MsgMeasurementReport, MeasurementReport{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: math.Copysign(0, -1)}, &MeasurementReport{}},
 		{MsgMeasurementBatch, MeasurementBatch{Reports: []MeasurementReport{
 			{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 1}, {Actor: "p1", EnergyType: "demand", Slot: 2, KWh: 2}, {Actor: "", EnergyType: "solar", Slot: math.MaxInt64, KWh: -1},
+			{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: math.Copysign(0, -1)},
 		}}, &MeasurementBatch{}},
 		{MsgForecastRequest, ForecastRequest{Actor: "p1", EnergyType: "demand", Horizon: 96}, &ForecastRequest{}},
 		{MsgForecastRequest, ForecastRequest{EnergyType: "demand", Horizon: math.MinInt32}, &ForecastRequest{}},
@@ -90,6 +93,38 @@ func TestNewEnvelopeRefusesWhatItCannotEncode(t *testing.T) {
 	}
 }
 
+// retiredMeasurementReport is the frame payload an older build sent for
+// one metered value: type code 5 (measurement_report) over a single
+// measurement body.
+func retiredMeasurementReport() []byte {
+	raw := []byte{5}
+	raw = wire.AppendString(raw, "p1")
+	raw = wire.AppendString(raw, "brp1")
+	raw = binary.AppendUvarint(raw, 42)
+	return flexoffer.AppendMeasurementWire(raw, "p1", "demand", 1, 1)
+}
+
+// TestRetiredMeasurementReportRefused: type code 5 stays reserved. A
+// frame carrying it is refused as unknown, never misread as another
+// type, and no message type encodes to it.
+func TestRetiredMeasurementReportRefused(t *testing.T) {
+	var names peerNames
+	env, err := names.decode(retiredMeasurementReport())
+	if err == nil || !strings.Contains(err.Error(), "unknown message type code 5") {
+		t.Fatalf("code-5 frame decoded to %+v, %v; want an unknown-code error", env, err)
+	}
+	for _, typ := range []MsgType{"", "measurement_report"} {
+		if raw, err := appendEnvelope(nil, &Envelope{Type: typ}); err == nil {
+			t.Errorf("type %q framed as code %d", typ, raw[0])
+		}
+	}
+	for code := 1; code < len(msgTypes); code++ {
+		if got, ok := msgCode(msgTypes[code]); msgTypes[code] != "" && (!ok || int(got) != code) {
+			t.Errorf("%s encodes as code %d, want %d", msgTypes[code], got, code)
+		}
+	}
+}
+
 // FuzzDecodeEnvelope: frame payloads from a hostile peer never panic the
 // envelope decoder or any body decoder, a decoded envelope re-encodes to
 // a frame that decodes to itself, and no decoder builds more than its
@@ -104,7 +139,6 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		{MsgFlexOfferDecision, FlexOfferDecision{OfferID: 7, Accept: true, PremiumEUR: 0.02}},
 		{MsgScheduleNotify, ScheduleNotify{Schedules: []*flexoffer.Schedule{offer.DefaultSchedule()}}},
 		{MsgMeasurementBatch, MeasurementBatch{Reports: []MeasurementReport{{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 1}}}},
-		{MsgMeasurementReport, MeasurementReport{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 1}},
 		{MsgForecastRequest, ForecastRequest{EnergyType: "demand", Horizon: 4}},
 		{MsgForecastReply, ForecastReply{EnergyType: "demand", FirstSlot: 3, Values: []float64{1, 2}}},
 		{MsgPing, nil},
@@ -121,6 +155,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		f.Add(raw)
 	}
+	f.Add(retiredMeasurementReport())
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var names peerNames // one connection's: the second decode reuses the first's names
 		env, err := names.decode(raw)
@@ -155,7 +190,6 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			t.Fatalf("%d forecast values decoded from a %d-byte body", len(reply.Values), n)
 		}
 		_ = env.Decode(env.Type, &FlexOfferDecision{})
-		_ = env.Decode(env.Type, &MeasurementReport{})
 		_ = env.Decode(env.Type, &ForecastRequest{})
 		_ = env.Decode(env.Type, &ErrorBody{})
 	})

@@ -229,7 +229,7 @@ func TestTCPFireAndForgetDelivers(t *testing.T) {
 	client := NewTCPClient("p1")
 	defer client.Close()
 	client.SetRoute("brp1", srv.Addr())
-	env, _ := NewEnvelope(MsgMeasurementReport, "p1", "brp1", MeasurementReport{Actor: "p1", Slot: 3, KWh: 1})
+	env, _ := NewEnvelope(MsgMeasurementBatch, "p1", "brp1", MeasurementBatch{Reports: []MeasurementReport{{Actor: "p1", Slot: 3, KWh: 1}}})
 	for i := 0; i < 5; i++ {
 		if err := client.Send(context.Background(), "brp1", env); err != nil {
 			t.Fatal(err)
@@ -279,7 +279,7 @@ func TestTCPReconnectAfterServerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	// The pooled connection is stale; the client only classifies the
+	// The peer's connection is stale; the client only classifies the
 	// failure, and the retry policy redials through a fresh connection.
 	rt := NewRetry(client, RetryConfig{})
 	if _, err := rt.Request(context.Background(), "srv", env); err != nil {
@@ -331,9 +331,9 @@ func readFrame(r io.Reader) (Envelope, error) {
 // arbitrary measurement payloads.
 func TestPropertyFrameRoundtrip(t *testing.T) {
 	f := func(actor string, slot int32, kwh float64) bool {
-		env, err := NewEnvelope(MsgMeasurementReport, "a", "b", MeasurementReport{
+		env, err := NewEnvelope(MsgMeasurementBatch, "a", "b", MeasurementBatch{Reports: []MeasurementReport{{
 			Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(slot), KWh: kwh,
-		})
+		}}})
 		if err != nil {
 			return false
 		}
@@ -345,10 +345,11 @@ func TestPropertyFrameRoundtrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var body MeasurementReport
-		if err := got.Decode(MsgMeasurementReport, &body); err != nil {
+		var batch MeasurementBatch
+		if err := got.Decode(MsgMeasurementBatch, &batch); err != nil || len(batch.Reports) != 1 {
 			return false
 		}
+		body := batch.Reports[0]
 		return got.From == "a" && got.To == "b" && body.Actor == actor && body.EnergyType == "demand" &&
 			body.Slot == flexoffer.Time(slot) && math.Float64bits(body.KWh) == math.Float64bits(kwh)
 	}

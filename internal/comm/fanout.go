@@ -45,7 +45,7 @@ func fanOut(n int, fn func(i int)) {
 // scheduling cycle's deliver phase depends on this. The property holds
 // end to end on both transports: the Bus dispatches handlers on their
 // own goroutines, and the TCP client pipelines concurrent operations
-// over pooled connections instead of serializing them behind a
+// over one connection per peer instead of serializing them behind a
 // client-wide lock.
 //
 // Cancelling ctx fails the remaining deliveries fast with ctx.Err();

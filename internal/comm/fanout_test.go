@@ -52,6 +52,18 @@ func slowEndpoint(bus *Bus, name string, delay time.Duration, inflight, peak *at
 	return &notified
 }
 
+// slowSends delays every Send by d (chaos.Injector does this outside
+// the package, which cannot be imported here).
+type slowSends struct {
+	Transport
+	d time.Duration
+}
+
+func (s slowSends) Send(ctx context.Context, to string, env Envelope) error {
+	time.Sleep(s.d)
+	return s.Transport.Send(ctx, to, env)
+}
+
 func TestNotifySchedulesAllParallelizesDeliveries(t *testing.T) {
 	// The latency sits in the transport's Send itself (Bus.Send alone is
 	// fire-and-forget and would return instantly even when serialized),
@@ -65,7 +77,7 @@ func TestNotifySchedulesAllParallelizesDeliveries(t *testing.T) {
 		bus.Register(name, func(ctx context.Context, env Envelope) (*Envelope, error) { return nil, nil })
 		byOwner[name] = []*flexoffer.Schedule{{OfferID: flexoffer.ID(i), Start: 40, Energy: []float64{1}}}
 	}
-	c := NewClient("brp", Latency(bus, delay))
+	c := NewClient("brp", slowSends{bus, delay})
 	t0 := time.Now()
 	failed := c.NotifySchedulesAll(context.Background(), byOwner)
 	wall := time.Since(t0)

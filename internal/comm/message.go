@@ -9,24 +9,24 @@
 //     metadata (codec.go spells out every body's layout). Two
 //     Transports move envelopes: an in-process Bus for
 //     population-scale simulation and a TCP transport for real
-//     deployments — length-prefixed frames over bounded per-destination
-//     connection pools, with requests correlated to replies by
-//     Envelope.Seq so any number of round trips pipeline per
-//     connection. Concurrent operations on one TCPClient overlap
-//     fully (no client-wide lock covers I/O), so a fan-out wave
-//     completes in the time of its slowest peer, not the sum. Both
+//     deployments — length-prefixed frames over one connection per
+//     destination, with requests correlated to replies by Envelope.Seq
+//     so any number of round trips pipeline on it. Concurrent
+//     operations on one TCPClient overlap fully (no client-wide lock
+//     covers I/O), so a fan-out wave completes in the time of its
+//     slowest peer, not the sum. Both
 //     transports offer request/response and true fire-and-forget
 //     semantics and honor context cancellation and deadlines: a
 //     canceled Request returns ctx.Err() promptly on both. On the Bus
 //     the serving Handler observes the caller's cancellation directly;
 //     over TCP the handler runs under a server-scoped context
 //     (canceled on shutdown) and a caller's mid-flight cancel unblocks
-//     only the calling side, leaving the pooled connection healthy.
+//     only the calling side, leaving the connection healthy.
 //
 //   - Client is the typed RPC surface applications use: SubmitOffer,
-//     QueryForecast, NotifySchedules, ReportMeasurement, Ping. It owns
-//     envelope construction and reply decoding; callers never touch
-//     NewEnvelope/Decode.
+//     QueryForecast, NotifySchedules, ReportMeasurementsAcked, Ping. It
+//     owns envelope construction and reply decoding; callers never
+//     touch NewEnvelope/Decode.
 //
 //   - Mux routes inbound envelopes to per-MsgType Handlers, and
 //     Middleware (Recover, Logging, Metrics.Collect — composed with
@@ -67,12 +67,10 @@ const (
 	// MsgScheduleNotify: BRP → prosumer: the scheduled instantiation of
 	// a previously accepted flex-offer.
 	MsgScheduleNotify MsgType = "schedule_notify"
-	// MsgMeasurementBatch: prosumer → BRP: a batch of metered values
-	// (one message, one store group commit at the receiver).
+	// MsgMeasurementBatch: prosumer → BRP: a batch of metered
+	// consumption or production values (one message, one store group
+	// commit at the receiver) — the only meter message.
 	MsgMeasurementBatch MsgType = "measurement_batch"
-	// MsgMeasurementReport: prosumer → BRP: metered consumption or
-	// production.
-	MsgMeasurementReport MsgType = "measurement_report"
 	// MsgForecastRequest / MsgForecastReply: explicit forecast queries
 	// between nodes.
 	MsgForecastRequest MsgType = "forecast_request"
@@ -117,7 +115,8 @@ type ScheduleNotify struct {
 	Schedules []*flexoffer.Schedule `json:"schedules"`
 }
 
-// MeasurementReport is the body of MsgMeasurementReport.
+// MeasurementReport is one metered value, an element of
+// MeasurementBatch; it travels only inside a batch.
 type MeasurementReport struct {
 	Actor      string         `json:"actor"`
 	EnergyType string         `json:"energy_type"`
@@ -139,6 +138,12 @@ type ForecastRequest struct {
 	EnergyType string `json:"energy_type"`
 	Horizon    int    `json:"horizon"`
 }
+
+// MaxForecastHorizon is the longest horizon a forecast request may ask
+// for: the reply's values then fill at most half a frame (maxFrame),
+// leaving the rest for the envelope and its names. A node refuses a
+// longer request before any model is touched.
+const MaxForecastHorizon = maxFrame / 2 / 8
 
 // ForecastReply is the body of MsgForecastReply.
 type ForecastReply struct {

@@ -9,7 +9,7 @@ import (
 )
 
 // ErrNotSent is wrapped by transport failures where the request provably
-// never reached the peer — a failed dial, a dead pooled connection
+// never reached the peer — a failed dial, a dead connection
 // caught before the frame write completed, an unregistered bus endpoint.
 // Such operations are always safe to retry, idempotent or not. Failures
 // NOT carrying ErrNotSent are ambiguous (the handler may have run), so a
@@ -22,11 +22,10 @@ var ErrNotSent = errors.New("request not sent")
 // did land would collide with the stored ID and flip an accept into a
 // duplicate-ID rejection, so submissions retry only when provably unsent.
 var DefaultIdempotent = map[MsgType]bool{
-	MsgPing:              true,
-	MsgForecastRequest:   true,
-	MsgMeasurementReport: true,
-	MsgMeasurementBatch:  true,
-	MsgScheduleNotify:    true,
+	MsgPing:             true,
+	MsgForecastRequest:  true,
+	MsgMeasurementBatch: true,
+	MsgScheduleNotify:   true,
 }
 
 // RetryConfig tunes a Retry transport.
@@ -35,7 +34,7 @@ type RetryConfig struct {
 	MaxAttempts int
 	// BaseBackoff is the sleep before the second retry (default 25ms);
 	// the first retry of a provably-unsent operation goes immediately,
-	// preserving the old stale-pool fast heal.
+	// so a stale connection heals with one immediate redial.
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 1s).
 	MaxBackoff time.Duration
@@ -202,7 +201,7 @@ func (r *Retry) do(ctx context.Context, to string, t MsgType, op func(context.Co
 		}
 		r.retries.Add(1)
 		if attempt == 1 && errors.Is(err, ErrNotSent) {
-			continue // stale-pool heal: one immediate redial, no sleep
+			continue // stale-connection heal: one immediate redial, no sleep
 		}
 		d := r.jitter(backoff)
 		timer := time.NewTimer(d)

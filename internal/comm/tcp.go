@@ -232,7 +232,7 @@ func (s *TCPServer) serveFrame(conn net.Conn, wmu *sync.Mutex, env Envelope) {
 type TransportStats struct {
 	// Dials is the number of connections established.
 	Dials uint64
-	// Reuses counts operations served over an already-pooled connection.
+	// Reuses counts operations served over an already-open connection.
 	Reuses uint64
 	// Requests and Sends count round trips and fire-and-forget frames.
 	Requests uint64
@@ -242,46 +242,39 @@ type TransportStats struct {
 	InFlight int64
 }
 
-// DefaultPoolSize is the per-destination connection pool bound of a
-// TCPClient. With Seq-correlated pipelining one connection already
-// overlaps many requests; a few connections add parallel TCP streams
-// (independent head-of-line blocking, kernel buffers) per peer.
-const DefaultPoolSize = 4
-
 // TCPClient is a Transport over TCP: it maps endpoint names to addresses
-// and keeps a bounded pool of pipelined connections per destination.
+// and keeps one pipelined connection per destination.
 //
 // Requests are correlated to replies by Envelope.Seq, so any number of
 // requests can be in flight on one connection at once: a demux goroutine
-// per connection routes each arriving reply to its waiter. The client
-// mutex guards only the route and pool maps — never any I/O — so
-// concurrent Requests to one or many destinations overlap fully and the
-// wall time of a fan-out wave is bounded by its slowest peer, not the
-// sum (the property the scheduling cycle's deliver phase depends on,
-// now preserved over real TCP).
+// per connection routes each arriving reply to its waiter, and the
+// server runs up to DefaultServerConcurrency handlers per connection.
+// The client mutex guards only the peer map and each peer's connection
+// slot — never any I/O — so concurrent Requests to one or many
+// destinations overlap fully and the wall time of a fan-out wave is
+// bounded by its slowest peer, not the sum (the property the scheduling
+// cycle's deliver phase depends on).
 //
 // Send is true fire-and-forget: the frame is written and the server's
 // pong is later discarded by the demux loop, so Send never waits for
 // the handler to run.
 //
 // Cancellation: a canceled Request deregisters its waiter and returns
-// immediately; the connection stays pooled and healthy (the late reply
+// immediately; the connection stays open and healthy (the late reply
 // is demuxed to no one and dropped).
 //
 // The client itself never re-attempts an operation — it only
 // classifies failures: errors from before the frame could have reached
-// the peer (failed dial, dead pooled connection caught at registration
-// or during the frame write) wrap ErrNotSent, everything later is
-// ambiguous. Wrap the client in a Retry transport to heal stale pooled
-// connections with an immediate redial; that is the single retry code
+// the peer (failed dial, dead connection caught at registration or
+// during the frame write) wrap ErrNotSent, everything later is
+// ambiguous. Wrap the client in a Retry transport to heal a stale
+// connection with an immediate redial; that is the single retry code
 // path of the fabric.
 type TCPClient struct {
-	from     string
-	poolSize int
+	from string
 
-	mu    sync.RWMutex // guards addrs and pools maps only
-	addrs map[string]string
-	pools map[string]*connPool
+	mu    sync.RWMutex // guards peers and every peer's conn and dialing
+	peers map[string]*peer
 
 	seq      atomic.Uint64
 	dials    atomic.Uint64
@@ -291,22 +284,27 @@ type TCPClient struct {
 	inFlight atomic.Int64
 }
 
+// peer is one routed destination: its address and its one connection,
+// nil until dialed and again once that connection fails. dialing is
+// non-nil while a dial is in progress and is closed when it settles.
+type peer struct {
+	addr    string
+	conn    *tcpConn
+	dialing chan struct{}
+}
+
 // TCPClientOption customizes a TCPClient.
 type TCPClientOption func(*TCPClient)
 
-// WithPoolSize bounds the connections pooled per destination (default
-// DefaultPoolSize); 1 pipelines everything over a single connection.
-func WithPoolSize(n int) TCPClientOption {
-	return func(c *TCPClient) {
-		if n > 0 {
-			c.poolSize = n
-		}
-	}
-}
+// WithPoolSize is kept for source compatibility and ignores n: a
+// client holds one connection per destination.
+//
+// Deprecated: every TCPClient pipelines over a single connection.
+func WithPoolSize(n int) TCPClientOption { return func(*TCPClient) {} }
 
 // NewTCPClient returns a client identifying itself as from.
 func NewTCPClient(from string, opts ...TCPClientOption) *TCPClient {
-	c := &TCPClient{from: from, poolSize: DefaultPoolSize, addrs: make(map[string]string), pools: make(map[string]*connPool)}
+	c := &TCPClient{from: from, peers: make(map[string]*peer)}
 	for _, o := range opts {
 		o(c)
 	}
@@ -314,20 +312,26 @@ func NewTCPClient(from string, opts ...TCPClientOption) *TCPClient {
 }
 
 // SetRoute maps an endpoint name to a TCP address. Re-routing a name to
-// a new address drops the pooled connections to the old one.
+// a new address drops the connection to the old one.
 func (c *TCPClient) SetRoute(name, addr string) {
 	c.mu.Lock()
-	c.addrs[name] = addr
-	var stale *connPool
-	if p, ok := c.pools[name]; ok && p.addr != addr {
-		delete(c.pools, name)
-		stale = p
+	p := c.peers[name]
+	if p == nil {
+		c.peers[name] = &peer{addr: addr}
+		c.mu.Unlock()
+		return
+	}
+	var stale *tcpConn
+	if p.addr != addr {
+		p.addr, stale, p.conn = addr, p.conn, nil
 	}
 	c.mu.Unlock()
 	if stale != nil {
-		stale.closeAll(errors.New("comm: route replaced"))
+		stale.fail(errRouteReplaced)
 	}
 }
+
+var errRouteReplaced = errors.New("comm: route replaced")
 
 // Stats returns a point-in-time copy of the client's transport counters.
 func (c *TCPClient) Stats() TransportStats {
@@ -340,39 +344,91 @@ func (c *TCPClient) Stats() TransportStats {
 	}
 }
 
-// Close drops all pooled connections; in-flight requests fail.
+// Close drops every open connection; in-flight requests fail. Routes
+// stay, so a later operation dials afresh.
 func (c *TCPClient) Close() error {
 	c.mu.Lock()
-	pools := c.pools
-	c.pools = make(map[string]*connPool)
+	var open []*tcpConn
+	for _, p := range c.peers {
+		if p.conn != nil {
+			open = append(open, p.conn)
+			p.conn = nil
+		}
+	}
 	c.mu.Unlock()
-	for _, p := range pools {
-		p.closeAll(errors.New("comm: client closed"))
+	for _, conn := range open {
+		conn.fail(errors.New("comm: client closed"))
 	}
 	return nil
 }
 
-// pool resolves the destination's connection pool, creating it lazily.
-func (c *TCPClient) pool(to string) (*connPool, error) {
+// route returns the destination's peer and its open connection, nil
+// when none is open.
+func (c *TCPClient) route(to string) (*peer, *tcpConn, error) {
 	c.mu.RLock()
-	p, ok := c.pools[to]
+	p := c.peers[to]
+	var conn *tcpConn
+	if p != nil {
+		conn = p.conn
+	}
 	c.mu.RUnlock()
-	if ok {
-		return p, nil
+	if p == nil {
+		return nil, nil, fmt.Errorf("%w: no route to %s", ErrUnreachable, to)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	addr, ok := c.addrs[to]
-	if !ok {
-		return nil, fmt.Errorf("%w: no route to %s", ErrUnreachable, to)
+	if conn != nil {
+		c.reuses.Add(1)
 	}
-	if p, ok := c.pools[to]; ok {
-		return p, nil
-	}
-	p = &connPool{client: c, addr: addr, max: c.poolSize}
-	c.pools[to] = p
-	return p, nil
+	return p, conn, nil
 }
+
+// dial opens p's connection. Concurrent callers share one dial: the
+// first dials, the others wait for it or for their own ctx. A failed
+// dial wakes them, and each then dials in turn instead of inheriting
+// the error, so one refused dial neither wedges nor poisons the peer.
+func (c *TCPClient) dial(ctx context.Context, p *peer) (*tcpConn, error) {
+	c.mu.Lock()
+	for p.dialing != nil {
+		settled := p.dialing
+		c.mu.Unlock()
+		select {
+		case <-settled:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		c.mu.Lock()
+	}
+	if conn := p.conn; conn != nil {
+		c.mu.Unlock()
+		c.reuses.Add(1)
+		return conn, nil
+	}
+	addr, settled := p.addr, make(chan struct{})
+	p.dialing = settled
+	c.mu.Unlock()
+
+	nc, err := dialTCP(ctx, "tcp", addr)
+	c.mu.Lock()
+	p.dialing = nil
+	close(settled)
+	if err == nil && p.addr != addr {
+		nc.Close() // re-routed while dialing: the address is stale
+		err = errRouteReplaced
+	}
+	if err != nil {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("comm: dial %s: %w (%w)", addr, err, ErrNotSent)
+	}
+	conn := &tcpConn{client: c, peer: p, addr: addr, nc: nc, waiters: make(map[uint64]chan Envelope)}
+	p.conn = conn
+	c.mu.Unlock()
+	c.dials.Add(1)
+	go conn.readLoop()
+	return conn, nil
+}
+
+// dialTCP opens a client connection (a variable so tests can slow or
+// fail dials).
+var dialTCP = (&net.Dialer{}).DialContext
 
 // Send implements Transport: fire-and-forget. The frame is on the wire
 // when Send returns; the handler runs asynchronously on the server and
@@ -389,19 +445,20 @@ func (c *TCPClient) Send(ctx context.Context, to string, env Envelope) error {
 		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
 		defer cancel()
 	}
-	pool, err := c.pool(to)
+	p, conn, err := c.route(to)
 	if err != nil {
 		return err
 	}
 	env.Seq = c.seq.Add(1)
 	env.From = c.from
 	env.To = to
-	conn, err := pool.get(ctx)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("comm: send to %s: %w", to, cerr)
+	if conn == nil {
+		if conn, err = c.dial(ctx, p); err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return fmt.Errorf("comm: send to %s: %w", to, cerr)
+			}
+			return err
 		}
-		return fmt.Errorf("comm: dial %s: %w (%w)", pool.addr, err, ErrNotSent)
 	}
 	if err := conn.write(ctx, &env); err != nil {
 		conn.fail(err)
@@ -434,7 +491,7 @@ func (c *TCPClient) Request(ctx context.Context, to string, env Envelope) (Envel
 
 // roundTrip sends env and waits for the reply carrying the same Seq.
 // The request holds no locks while in flight: it registers a waiter on
-// a pooled connection, writes its frame, and blocks on its own reply
+// the peer's connection, writes its frame, and blocks on its own reply
 // channel, so any number of round trips overlap per connection.
 // Cancellation mid-flight deregisters the waiter and returns
 // immediately without disturbing the connection.
@@ -447,7 +504,7 @@ func (c *TCPClient) roundTrip(ctx context.Context, to string, env Envelope) (Env
 		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
 		defer cancel()
 	}
-	pool, err := c.pool(to)
+	p, conn, err := c.route(to)
 	if err != nil {
 		return Envelope{}, err
 	}
@@ -457,16 +514,17 @@ func (c *TCPClient) roundTrip(ctx context.Context, to string, env Envelope) (Env
 	env.From = c.from
 	env.To = to
 
-	conn, err := pool.get(ctx)
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return Envelope{}, fmt.Errorf("comm: request to %s: %w", to, cerr)
+	if conn == nil {
+		if conn, err = c.dial(ctx, p); err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return Envelope{}, fmt.Errorf("comm: request to %s: %w", to, cerr)
+			}
+			return Envelope{}, err
 		}
-		return Envelope{}, fmt.Errorf("comm: dial %s: %w (%w)", pool.addr, err, ErrNotSent)
 	}
 	ch, err := conn.register(seq)
 	if err != nil {
-		// The pooled connection died between get and register: the frame
+		// The connection died between lookup and register: the frame
 		// was never written.
 		return Envelope{}, fmt.Errorf("comm: request to %s: %w (%w)", to, err, ErrNotSent)
 	}
@@ -498,135 +556,22 @@ func (c *TCPClient) roundTrip(ctx context.Context, to string, env Envelope) (Env
 	}
 }
 
-// connPool is the bounded set of live connections to one destination.
-// Its lock covers only slice bookkeeping and the dial decision — every
-// byte of I/O happens outside it, on the connections themselves.
-type connPool struct {
-	client *TCPClient
-	addr   string
-	max    int
-
-	mu      sync.Mutex
-	dialed  sync.Cond // signaled when an in-progress dial settles
-	conns   []*tcpConn
-	dialing int // dials in progress, counted against max
-	rr      int // round-robin cursor for equally-loaded connections
-}
-
-// get picks the least-loaded pooled connection, dialing a new one when
-// every pooled connection is busy and the pool is under its bound.
-// Callers racing for an empty, fully-dialing pool wait for one of the
-// in-progress dials to settle instead of exceeding the bound.
-func (p *connPool) get(ctx context.Context) (*tcpConn, error) {
-	p.mu.Lock()
-	if p.dialed.L == nil {
-		p.dialed.L = &p.mu
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			p.mu.Unlock()
-			return nil, err
-		}
-		var best *tcpConn
-		bestLoad := 0
-		if n := len(p.conns); n > 0 {
-			p.rr++
-			start := p.rr % n
-			best = p.conns[start]
-			bestLoad = best.load()
-			for i := 1; i < n && bestLoad > 0; i++ {
-				c := p.conns[(start+i)%n]
-				if l := c.load(); l < bestLoad {
-					best, bestLoad = c, l
-				}
-			}
-		}
-		saturated := len(p.conns)+p.dialing >= p.max
-		if best != nil && (bestLoad == 0 || saturated) {
-			p.mu.Unlock()
-			p.client.reuses.Add(1)
-			return best, nil
-		}
-		if !saturated {
-			break // dial a new connection below
-		}
-		// No live connection and the bound is consumed by in-progress
-		// dials: wait for one to settle (every settling dial
-		// broadcasts). The caller's own cancellation broadcasts too, so
-		// a canceled waiter wakes immediately — the loop top returns its
-		// ctx.Err() — instead of sitting out someone else's dial.
-		stop := context.AfterFunc(ctx, func() {
-			p.mu.Lock()
-			p.dialed.Broadcast()
-			p.mu.Unlock()
-		})
-		p.dialed.Wait()
-		stop()
-	}
-	p.dialing++
-	p.mu.Unlock()
-
-	var d net.Dialer
-	nc, err := d.DialContext(ctx, "tcp", p.addr)
-	p.mu.Lock()
-	p.dialing--
-	if err != nil {
-		p.dialed.Broadcast()
-		p.mu.Unlock()
-		return nil, err
-	}
-	conn := &tcpConn{pool: p, nc: nc, waiters: make(map[uint64]chan Envelope)}
-	p.conns = append(p.conns, conn)
-	p.dialed.Broadcast()
-	p.mu.Unlock()
-	p.client.dials.Add(1)
-	go conn.readLoop()
-	return conn, nil
-}
-
-// remove drops a dead connection from the pool.
-func (p *connPool) remove(c *tcpConn) {
-	p.mu.Lock()
-	for i, pc := range p.conns {
-		if pc == c {
-			p.conns = append(p.conns[:i], p.conns[i+1:]...)
-			break
-		}
-	}
-	p.mu.Unlock()
-}
-
-// closeAll tears down every pooled connection, failing their waiters.
-func (p *connPool) closeAll(err error) {
-	p.mu.Lock()
-	conns := append([]*tcpConn(nil), p.conns...)
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.fail(err)
-	}
-}
-
 // tcpConn is one pipelined connection. A write mutex serializes outbound
 // frames; a demux goroutine owns all reads and routes each reply to the
 // waiter registered under its Seq. Replies whose Seq has no waiter — a
 // fire-and-forget pong, the late reply of a canceled request, or a
 // misbehaving server echoing a wrong Seq — are dropped.
 type tcpConn struct {
-	pool *connPool
-	nc   net.Conn
+	client *TCPClient
+	peer   *peer
+	addr   string
+	nc     net.Conn
 
 	wmu sync.Mutex // serializes writeFrame calls onto nc
 
 	mu      sync.Mutex
 	waiters map[uint64]chan Envelope
 	err     error // set once, when the connection dies
-}
-
-// load returns the number of replies this connection is waiting on.
-func (c *tcpConn) load() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
 }
 
 // replyChans recycles reply channels. A channel goes back only once its
@@ -671,7 +616,7 @@ func (c *tcpConn) failure() error {
 // cancellation that fires in the narrow window after this write
 // completes may poison the deadline of the next writer — that write
 // fails, tears the connection down and its caller retries on a fresh
-// one, so the pool heals itself.
+// one, so the peer heals itself.
 func (c *tcpConn) write(ctx context.Context, env *Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -685,10 +630,15 @@ func (c *tcpConn) write(ctx context.Context, env *Envelope) error {
 	return err
 }
 
-// fail kills the connection: removes it from the pool, closes the
-// socket (unblocking the demux read) and fails every pending waiter.
+// fail kills the connection: clears the peer's slot if it still holds
+// this connection, closes the socket (unblocking the demux read) and
+// fails every pending waiter.
 func (c *tcpConn) fail(err error) {
-	c.pool.remove(c)
+	c.client.mu.Lock()
+	if c.peer.conn == c {
+		c.peer.conn = nil
+	}
+	c.client.mu.Unlock()
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
@@ -710,7 +660,7 @@ func (c *tcpConn) readLoop() {
 	for {
 		env, err := frames.next()
 		if err != nil {
-			c.fail(fmt.Errorf("comm: connection to %s lost: %w", c.pool.addr, err))
+			c.fail(fmt.Errorf("comm: connection to %s lost: %w", c.addr, err))
 			return
 		}
 		c.mu.Lock()

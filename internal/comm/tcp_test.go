@@ -72,8 +72,8 @@ func TestTCPConcurrentRequestsOverlap(t *testing.T) {
 		t.Errorf("16 concurrent requests took %v, want ≈%v (serialized would be %v)", wall, delay, k*delay)
 	}
 	st := client.Stats()
-	if st.Dials == 0 || st.Dials > DefaultPoolSize {
-		t.Errorf("dials = %d, want 1..%d", st.Dials, DefaultPoolSize)
+	if st.Dials != 1 {
+		t.Errorf("dials = %d, want 1: one connection per peer", st.Dials)
 	}
 	if st.Requests != k {
 		t.Errorf("requests = %d, want %d", st.Requests, k)
@@ -83,16 +83,16 @@ func TestTCPConcurrentRequestsOverlap(t *testing.T) {
 	}
 }
 
-// TestTCPPipeliningOnSingleConnection forces the pool to one connection:
-// overlap must then come from Seq-correlated pipelining alone (multiple
-// requests in flight on one conn, demuxed by the reader goroutine) plus
-// the server's concurrent per-connection dispatch.
+// TestTCPPipeliningOnSingleConnection: with one connection per peer,
+// overlap comes from Seq-correlated pipelining alone (multiple requests
+// in flight on one conn, demuxed by the reader goroutine) plus the
+// server's concurrent per-connection dispatch.
 func TestTCPPipeliningOnSingleConnection(t *testing.T) {
 	const k = 8
 	const delay = 100 * time.Millisecond
 	srv := slowPongServer(t, delay)
 
-	client := NewTCPClient("p1", WithPoolSize(1))
+	client := NewTCPClient("p1")
 	defer client.Close()
 	client.SetRoute("srv", srv.Addr())
 
@@ -118,7 +118,7 @@ func TestTCPPipeliningOnSingleConnection(t *testing.T) {
 		t.Errorf("%d pipelined requests took %v, want ≈%v", k, wall, delay)
 	}
 	if st := client.Stats(); st.Dials != 1 {
-		t.Errorf("dials = %d, want exactly 1 (pool size 1)", st.Dials)
+		t.Errorf("dials = %d, want exactly 1", st.Dials)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestTCPSendDoesNotBlockOnSlowHandler(t *testing.T) {
 	defer client.Close()
 	client.SetRoute("srv", srv.Addr())
 
-	env, _ := NewEnvelope(MsgMeasurementReport, "p1", "srv", MeasurementReport{Actor: "p1", Slot: 1, KWh: 2})
+	env, _ := NewEnvelope(MsgMeasurementBatch, "p1", "srv", MeasurementBatch{Reports: []MeasurementReport{{Actor: "p1", Slot: 1, KWh: 2}}})
 	t0 := time.Now()
 	if err := client.Send(context.Background(), "srv", env); err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestTCPSendDoesNotBlockOnSlowHandler(t *testing.T) {
 // TestTCPCancelMidFlightKeepsConnectionUsable cancels a request while
 // its reply is pending, then reuses the same client: the cancellation
 // must surface promptly, the late reply must be dropped by the demux
-// loop, and the pooled connection must stay healthy (no redial).
+// loop, and the connection must stay healthy (no redial).
 func TestTCPCancelMidFlightKeepsConnectionUsable(t *testing.T) {
 	var slow atomic.Bool
 	slow.Store(true)
@@ -164,7 +164,7 @@ func TestTCPCancelMidFlightKeepsConnectionUsable(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client := NewTCPClient("p1", WithPoolSize(1))
+	client := NewTCPClient("p1")
 	defer client.Close()
 	client.SetRoute("srv", srv.Addr())
 
@@ -180,7 +180,7 @@ func TestTCPCancelMidFlightKeepsConnectionUsable(t *testing.T) {
 		t.Errorf("cancellation surfaced after %v, want ≈50ms", wall)
 	}
 
-	// The same pooled connection must serve the next request — the
+	// The same connection must serve the next request — the
 	// cancel must not have poisoned or torn it down — even while the
 	// abandoned slow reply is still in flight.
 	slow.Store(false)
@@ -188,7 +188,7 @@ func TestTCPCancelMidFlightKeepsConnectionUsable(t *testing.T) {
 		t.Fatalf("request after cancel: %v", err)
 	}
 	if st := client.Stats(); st.Dials != 1 {
-		t.Errorf("dials = %d, want 1 (cancel must not drop the pooled conn)", st.Dials)
+		t.Errorf("dials = %d, want 1 (cancel must not drop the conn)", st.Dials)
 	}
 }
 
@@ -264,7 +264,7 @@ func TestTCPSeqMismatchDoesNotMiscorrelate(t *testing.T) {
 }
 
 // TestTCPStalePoolRetries kills the connection server-side after the
-// request frame is read: the pooled connection fails mid-flight and the
+// request frame is read: the peer's connection fails mid-flight and the
 // Retry wrapper — the single retry code path, now that the client never
 // re-attempts on its own — must heal it with one extra dial.
 func TestTCPStalePoolRetries(t *testing.T) {
@@ -306,6 +306,152 @@ func TestTCPStalePoolRetries(t *testing.T) {
 	}
 	if st := bare.Stats(); st.Dials != 1 {
 		t.Errorf("bare dials = %d, want 1", st.Dials)
+	}
+}
+
+// gateDials makes every dial wait for release (or its ctx) and then
+// fail with failWith if that is non-nil; it counts dial attempts.
+func gateDials(t *testing.T, release <-chan struct{}, failWith error) *atomic.Int32 {
+	t.Helper()
+	var attempts atomic.Int32
+	real := dialTCP
+	dialTCP = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		attempts.Add(1)
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if failWith != nil {
+			return nil, failWith
+		}
+		return real(ctx, network, addr)
+	}
+	t.Cleanup(func() { dialTCP = real })
+	return &attempts
+}
+
+// TestTCPFirstRequestsShareOneDial: goroutines racing the first request
+// on a fresh client wait for one dial and all ride its connection.
+func TestTCPFirstRequestsShareOneDial(t *testing.T) {
+	const k = 16
+	srv := slowPongServer(t, 0)
+	release := make(chan struct{})
+	attempts := gateDials(t, release, nil)
+	client := NewTCPClient("p1")
+	defer client.Close()
+	client.SetRoute("srv", srv.Addr())
+
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			env, _ := NewEnvelope(MsgPing, "p1", "srv", nil)
+			_, errs[i] = client.Request(context.Background(), "srv", env)
+		}(i)
+	}
+	time.Sleep(20 * time.Millisecond) // let every goroutine reach the dial
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Errorf("%d dial attempts, want 1", n)
+	}
+	if st := client.Stats(); st.Dials != 1 || st.Reuses != k-1 {
+		t.Errorf("stats = %+v, want 1 dial and %d reuses", st, k-1)
+	}
+}
+
+// TestTCPDialWaiterHonoursContext: a caller waiting for another
+// caller's slow dial returns with its own ctx.Err() as soon as that ctx
+// ends, and the dial it waited for still completes for its owner.
+func TestTCPDialWaiterHonoursContext(t *testing.T) {
+	srv := slowPongServer(t, 0)
+	release := make(chan struct{})
+	attempts := gateDials(t, release, nil)
+	client := NewTCPClient("p1")
+	defer client.Close()
+	client.SetRoute("srv", srv.Addr())
+	env, _ := NewEnvelope(MsgPing, "p1", "srv", nil)
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := client.Request(context.Background(), "srv", env)
+		first <- err
+	}()
+	for attempts.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	_, err := client.Request(ctx, "srv", env)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter err = %v, want DeadlineExceeded", err)
+	}
+	if wall := time.Since(t0); wall > 500*time.Millisecond {
+		t.Errorf("waiter returned after %v, want ≈50ms", wall)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatalf("dialing request: %v", err)
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Errorf("%d dial attempts, want 1: the waiter must not dial", n)
+	}
+}
+
+// TestTCPFailedDialDoesNotPoison: callers queued behind a failing dial
+// each get an attempt of their own instead of hanging or inheriting the
+// error, and once dials succeed again the peer serves as usual.
+func TestTCPFailedDialDoesNotPoison(t *testing.T) {
+	const k = 8
+	srv := slowPongServer(t, 0)
+	release := make(chan struct{})
+	refused := errors.New("refused")
+	attempts := gateDials(t, release, refused)
+	client := NewTCPClient("p1")
+	defer client.Close()
+	client.SetRoute("srv", srv.Addr())
+	env, _ := NewEnvelope(MsgPing, "p1", "srv", nil)
+
+	var wg sync.WaitGroup
+	errs := make([]error, k)
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			_, errs[i] = client.Request(ctx, "srv", env)
+		}(i)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, refused) || !errors.Is(err, ErrNotSent) {
+			t.Errorf("request %d: err = %v, want the refused dial, classified not-sent", i, err)
+		}
+	}
+	if n := attempts.Load(); n != k {
+		t.Errorf("%d dial attempts for %d failing callers, want one each", n, k)
+	}
+
+	dialTCP = (&net.Dialer{}).DialContext
+	for i := 0; i < 3; i++ {
+		if _, err := client.Request(context.Background(), "srv", env); err != nil {
+			t.Fatalf("request after the failed dials: %v", err)
+		}
+	}
+	if st := client.Stats(); st.Dials != 1 || st.InFlight != 0 {
+		t.Errorf("stats = %+v, want 1 dial and nothing in flight", st)
 	}
 }
 
@@ -411,7 +557,7 @@ func TestTCPWorkerReuseKeepsConcurrencyBound(t *testing.T) {
 	const k = 2 * bound
 	srv := newGatedServer(t)
 	defer srv.Close()
-	client := NewTCPClient("p1", WithPoolSize(1))
+	client := NewTCPClient("p1")
 	defer client.Close()
 	client.SetRoute("srv", srv.Addr())
 
@@ -447,7 +593,7 @@ func TestTCPWorkersExitWithConnection(t *testing.T) {
 	defer srv.Close()
 	before := runtime.NumGoroutine()
 
-	client := NewTCPClient("p1", WithPoolSize(1))
+	client := NewTCPClient("p1")
 	client.SetRoute("srv", srv.Addr())
 	wait := pipeline(t, client, 8)
 	close(srv.release)
@@ -468,7 +614,7 @@ func TestTCPWorkersExitWithConnection(t *testing.T) {
 func TestTCPServerCloseWaitsForWorkers(t *testing.T) {
 	const k = 3
 	srv := newGatedServer(t)
-	client := NewTCPClient("p1", WithPoolSize(1))
+	client := NewTCPClient("p1")
 	defer client.Close()
 	client.SetRoute("srv", srv.Addr())
 	for i := 0; i < k; i++ {
@@ -531,7 +677,7 @@ func TestTCPBodyOutlivesReadScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient("p1", WithPoolSize(1))
+	client := NewTCPClient("p1")
 	defer client.Close()
 	client.SetRoute("srv", srv.Addr())
 

@@ -70,9 +70,9 @@ type CycleReport struct {
 // scheduler search: offer intake and every other handler stay
 // responsive for the whole cycle, and delivery wall time is bounded by
 // the slowest prosumer per fan-out wave, not the sum over prosumers —
-// on the in-process Bus and over real TCP alike, where the pooled,
-// Seq-pipelined client overlaps the wave's requests instead of
-// serializing them behind a connection lock.
+// on the in-process Bus and over real TCP alike, where the
+// Seq-pipelined client overlaps the wave's requests on one connection
+// per peer instead of serializing them behind a connection lock.
 //
 // demandFc and resFc forecast the non-flexible consumption and RES
 // production of the balance group; imbalancePrices gives the per-slot

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mirabel/internal/agg"
+	"mirabel/internal/chaos"
 	"mirabel/internal/comm"
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/sched"
@@ -165,7 +166,7 @@ func TestIntakeNotBlockedDuringDelivery(t *testing.T) {
 // lost, none double-scheduled. Run with -race.
 func TestConcurrentIntakeAndCyclesLoseNothing(t *testing.T) {
 	bus := comm.NewBus()
-	lt := comm.Latency(bus, 200*time.Microsecond)
+	lt := chaos.NewInjector(bus, 0, chaos.Faults{LatBase: 200 * time.Microsecond})
 	brp := mustNode(t, bus, Config{
 		Name: "brp1", Role: store.RoleBRP, Transport: lt,
 		AggParams: agg.ParamsP3,
@@ -240,7 +241,7 @@ func TestConcurrentIntakeAndCyclesLoseNothing(t *testing.T) {
 // instead of double-delivering them.
 func TestCycleAndRelayReconcileDoubleScheduling(t *testing.T) {
 	bus := comm.NewBus()
-	lt := comm.Latency(bus, 100*time.Microsecond)
+	lt := chaos.NewInjector(bus, 0, chaos.Faults{LatBase: 100 * time.Microsecond})
 	tso := mustNode(t, bus, Config{
 		Name: "tso", Role: store.RoleTSO, Transport: lt,
 		AggParams: agg.ParamsP3,
@@ -343,7 +344,7 @@ func TestCycleDeliveryBoundedBySlowestProsumer(t *testing.T) {
 	bus := comm.NewBus()
 	const delay = 50 * time.Millisecond
 	const owners = 8
-	lt := comm.Latency(bus, delay)
+	lt := chaos.NewInjector(bus, 0, chaos.Faults{LatBase: delay})
 	brp := mustNode(t, bus, Config{
 		Name: "brp1", Role: store.RoleBRP, Transport: lt,
 		AggParams: agg.ParamsP3,

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"runtime"
+	"strings"
 	"testing"
 
 	"mirabel/internal/agg"
@@ -88,6 +90,36 @@ func TestPerSeriesForecastOverTheWire(t *testing.T) {
 	newProsumer(t, bus, "p9")
 	if _, err := client.QuerySeriesForecast(ctx, "p9", "p1", "elec", 4); err == nil {
 		t.Fatal("prosumer served a per-series forecast")
+	}
+}
+
+// TestForecastRequestRefusesHugeHorizon: a peer naming a warm series
+// with a horizon no reply frame could carry gets an error reply before
+// any model is touched — not a forecast buffer sized by the request
+// (from 1<<46 up a makeslice panic, below it an out-of-memory crash).
+func TestForecastRequestRefusesHugeHorizon(t *testing.T) {
+	bus := comm.NewBus()
+	brp := newForecastingBRP(t, bus, "")
+	if err := brp.IngestMeasurements(seriesMeas("p1", 0, 8)); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, brp)
+	client := comm.NewClient("p1", bus)
+	ctx := context.Background()
+	if _, err := client.QuerySeriesForecast(ctx, "brp1", "p1", "elec", 6); err != nil {
+		t.Fatalf("warm series not served: %v", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, h := range []int{1 << 62, 1 << 31, comm.MaxForecastHorizon + 1} {
+		reply, err := client.QuerySeriesForecast(ctx, "brp1", "p1", "elec", h)
+		if err == nil || !strings.Contains(err.Error(), "horizon") {
+			t.Errorf("horizon %d: %d values, %v; want a horizon error", h, len(reply.Values), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("three refused requests allocated %d bytes", grew)
 	}
 }
 

@@ -198,7 +198,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:       cfg,
 		metrics:   &comm.Metrics{},
 		store:     cfg.Store,
-		pipeline:  agg.NewPipeline(cfg.AggParams, agg.BinPackerOptions{}),
+		pipeline:  agg.NewPipeline(cfg.AggParams),
 		valuator:  negotiate.NewValuator(),
 		snapCache: make(map[flexoffer.ID]*agg.Aggregate),
 		pending:   make(map[flexoffer.ID]*flexoffer.FlexOffer),
@@ -242,7 +242,6 @@ func NewNode(cfg Config) (*Node, error) {
 			return nil, err
 		}
 		mux.Handle(comm.MsgFlexOfferSubmit, n.handleOfferSubmit)
-		mux.Handle(comm.MsgMeasurementReport, n.handleMeasurement)
 		mux.Handle(comm.MsgMeasurementBatch, n.handleMeasurementBatch)
 	}
 	chain := append([]comm.Middleware{n.metrics.Collect()}, cfg.Middleware...)
@@ -402,8 +401,8 @@ func (n *Node) handleForecastRequest(ctx context.Context, env comm.Envelope) (*c
 	if err := env.Decode(comm.MsgForecastRequest, &req); err != nil {
 		return nil, err
 	}
-	if req.Horizon <= 0 {
-		return nil, fmt.Errorf("core: forecast horizon must be positive, got %d", req.Horizon)
+	if req.Horizon <= 0 || req.Horizon > comm.MaxForecastHorizon {
+		return nil, fmt.Errorf("core: forecast horizon %d outside 1..%d", req.Horizon, comm.MaxForecastHorizon)
 	}
 	var values []float64
 	switch {
@@ -535,16 +534,6 @@ func (n *Node) PlanningTime() flexoffer.Time {
 	return n.planTime
 }
 
-// handleMeasurement takes one reported measurement (BRP duty).
-func (n *Node) handleMeasurement(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-	var body comm.MeasurementReport
-	if err := env.Decode(comm.MsgMeasurementReport, &body); err != nil {
-		return nil, err
-	}
-	m := store.Measurement{Actor: body.Actor, EnergyType: body.EnergyType, Slot: body.Slot, KWh: body.KWh}
-	return nil, n.ingest.SubmitMeasurements(ctx, []store.Measurement{m})
-}
-
 // handleMeasurementBatch takes a reported meter-stream batch as one
 // ingest event: one WAL group, one store round on apply.
 func (n *Node) handleMeasurementBatch(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
@@ -562,7 +551,7 @@ func (n *Node) handleMeasurementBatch(ctx context.Context, env comm.Envelope) (*
 // IngestMeasurements takes a batch of metered values locally, acked on
 // the WAL's group commit like the wire path — the bulk intake for meter
 // streams and backfills (the remote form is
-// Client.ReportMeasurements).
+// Client.ReportMeasurementsAcked).
 func (n *Node) IngestMeasurements(ms []store.Measurement) error {
 	if !n.aggregating() {
 		return fmt.Errorf("core: prosumer %s has no intake path", n.cfg.Name)
@@ -770,8 +759,9 @@ func (n *Node) SubmitOfferTo(ctx context.Context, f *flexoffer.FlexOffer) (comm.
 	return decision, nil
 }
 
-// ReportMeasurement sends a metered value to the parent and stores it
-// locally (prosumer duty).
+// ReportMeasurement stores a metered value locally and sends it to the
+// parent as a one-element batch, returning once the parent acked it
+// (prosumer duty).
 func (n *Node) ReportMeasurement(ctx context.Context, energyType string, slot flexoffer.Time, kwh float64) error {
 	if err := n.store.PutMeasurement(store.Measurement{Actor: n.cfg.Name, EnergyType: energyType, Slot: slot, KWh: kwh}); err != nil {
 		return err
@@ -779,9 +769,9 @@ func (n *Node) ReportMeasurement(ctx context.Context, energyType string, slot fl
 	if n.client == nil || n.cfg.Parent == "" {
 		return nil
 	}
-	return n.client.ReportMeasurement(ctx, n.cfg.Parent, comm.MeasurementReport{
+	return n.client.ReportMeasurementsAcked(ctx, n.cfg.Parent, []comm.MeasurementReport{{
 		Actor: n.cfg.Name, EnergyType: energyType, Slot: slot, KWh: kwh,
-	})
+	}})
 }
 
 // QueryParentForecast asks the parent node for its forecast of

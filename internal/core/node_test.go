@@ -255,7 +255,7 @@ func TestMeasurementReporting(t *testing.T) {
 	if got := p1.Store().SumEnergyBySlot(store.MeasurementFilter{})[5]; got != 2.5 {
 		t.Errorf("local measurement = %g", got)
 	}
-	// Parent store asynchronously.
+	// Parent store once its applier ran: the ack is the WAL append.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if got := brp.Store().SumEnergyBySlot(store.MeasurementFilter{})[5]; got == 2.5 {
@@ -277,7 +277,7 @@ func TestMeasurementBatchReporting(t *testing.T) {
 	for i := range reports {
 		reports[i] = comm.MeasurementReport{Actor: "p1", EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1.5}
 	}
-	if err := client.ReportMeasurements(context.Background(), "brp1", reports); err != nil {
+	if err := client.ReportMeasurementsAcked(context.Background(), "brp1", reports); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -330,7 +330,7 @@ func TestIntakeRejectsNonFinite(t *testing.T) {
 		if d, err := p1.SubmitOfferTo(ctx, offer); err != nil || d.Accept {
 			t.Errorf("offer with price %g: decision %+v, %v", bad, d, err)
 		}
-		report, _ := comm.NewEnvelope(comm.MsgMeasurementReport, "p1", "brp1", comm.MeasurementReport{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: bad})
+		report, _ := comm.NewEnvelope(comm.MsgMeasurementBatch, "p1", "brp1", comm.MeasurementBatch{Reports: []comm.MeasurementReport{{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: bad}}})
 		if _, err := brp.Handle(ctx, report); err == nil {
 			t.Errorf("measurement report of %g kWh accepted", bad)
 		}
