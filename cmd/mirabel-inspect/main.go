@@ -1,10 +1,10 @@
 // mirabel-inspect is the User Interface component's command-line
 // surrogate (paper §3: "physical users can interact with LEDMS, set
 // parameters, and analyze the data"): it opens a node's durable store
-// read-only and prints the multidimensional schema's contents —
-// table cardinalities, the flex-offer lifecycle breakdown, per-actor
-// energy totals and recent schedules. Inspection never mutates the
-// store: a mistyped path is an error, not a fabricated empty store.
+// read-only and prints its two fact tables — their cardinalities, the
+// flex-offer lifecycle breakdown, the offers with their schedules and
+// per-actor energy totals. Inspection never mutates the store: a
+// mistyped path is an error, not a fabricated empty store.
 //
 //	mirabel-inspect -data /tmp/brp1
 //	mirabel-inspect -data /tmp/brp1 -offers -measurements
@@ -22,7 +22,11 @@
 // "offer_states" record (id and state) when it kept the schedule too:
 // the offer's schedule is then whatever its previous transition set. A
 // rejected offer the node's intake acked is an "offers_if_absent"
-// record: it was stored only if no record held its id.
+// record: it was stored only if no record held its id. An "actors"
+// record is a row an older build logged on every node start; its record
+// is the row's payload text as that build wrote it. A frame of a tag
+// this build refuses to replay (a retired table's, or one it does not
+// know) stops the listing with the error the store's open reports.
 //
 //	mirabel-inspect -data /tmp/brp1 -dump wal
 //	mirabel-inspect -data /tmp/brp1 -dump ledger
@@ -147,10 +151,7 @@ func main() {
 
 	stats := st.Stats()
 	fmt.Printf("store %s\n", *dataDir)
-	fmt.Printf("  dimensions: %d actors, %d energy types, %d market areas\n",
-		stats.Actors, stats.EnergyTypes, stats.MarketAreas)
-	fmt.Printf("  facts:      %d measurements, %d offers, %d forecasts, %d prices, %d contracts, %d model params\n",
-		stats.Measurements, stats.Offers, stats.Forecasts, stats.Prices, stats.Contracts, stats.ModelParamsEntries)
+	fmt.Printf("  facts: %d measurements, %d offers\n", stats.Measurements, stats.Offers)
 
 	if counts := st.CountOffersByState(); len(counts) > 0 {
 		fmt.Println("  flex-offer lifecycle:")

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,7 +32,6 @@ func TestDumpLogs(t *testing.T) {
 	scheduled := func(r *store.OfferRecord) { r.State, r.Schedule = store.OfferScheduled, offer.DefaultSchedule() }
 	executed := func(r *store.OfferRecord) { r.State = store.OfferExecuted }
 	for _, err := range []error{
-		st.PutActor(store.Actor{ID: "brp1", Role: store.RoleBRP}),
 		st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}),
 		func() error { _, err := st.UpdateOffer(7, scheduled); return err }(), // logged as a transition with its schedule
 		func() error { _, err := st.UpdateOffer(7, executed); return err }(),  // logged as a state-only step
@@ -91,8 +91,8 @@ func TestDumpLogs(t *testing.T) {
 		tags  []string
 		want  []string // a substring of each line's record
 	}{
-		{"wal", []string{"actors", "offers", "offer_transitions", "offer_states", "measurements", "prune", "offers_if_absent", "measurements", "measurements"}, []string{
-			`"id":"brp1"`, `"state":"accepted"`, `{"id":7,"state":"scheduled","schedule":{"OfferID":7,"Start":40,`, `{"id":7,"state":"executed"}`, `"kwh":1.5`, `"before":2`,
+		{"wal", []string{"offers", "offer_transitions", "offer_states", "measurements", "prune", "offers_if_absent", "measurements", "measurements"}, []string{
+			`"state":"accepted"`, `{"id":7,"state":"scheduled","schedule":{"OfferID":7,"Start":40,`, `{"id":7,"state":"executed"}`, `"kwh":1.5`, `"before":2`,
 			`"owner":"p2","state":"rejected"`, `"slot":4`, `"slot":5`,
 		}},
 		{"ledger", []string{"line", "penalty"}, []string{`"hash":"` + sealed[0].Hash + `"`, `"memo":"late","prev":"` + sealed[0].Hash + `"`}},
@@ -133,5 +133,72 @@ func TestDumpLogs(t *testing.T) {
 	}
 	if err := dumpLog(&bytes.Buffer{}, &bytes.Buffer{}, dir, "snapshot"); err == nil {
 		t.Error("-dump snapshot accepted")
+	}
+}
+
+// writeWAL writes a WAL of one offer record followed by a frame of the
+// given tag and payload, as an older or a newer build could have left it.
+func writeWAL(t *testing.T, tag byte, payload string) (dir string, img []byte) {
+	t.Helper()
+	dir = t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer := &flexoffer.FlexOffer{ID: 7, Prosumer: "p1", EarliestStart: 40, LatestStart: 44, AssignBefore: 32, Profile: []flexoffer.Slice{{EnergyMin: 1, EnergyMax: 3}}}
+	if err := st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	img, err = os.ReadFile(store.WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, mark := store.BeginFrame(img, tag)
+	img = store.EndFrame(append(img, payload...), mark)
+	if err := os.WriteFile(store.WALPath(dir), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, img
+}
+
+// TestDumpLegacyActorsRow: -dump wal lists an actors row an older
+// build's node start logged as an "actors" record holding the row's
+// payload text as it is.
+func TestDumpLegacyActorsRow(t *testing.T) {
+	const row = `{"id":"brp1","name":"brp1","role":"brp"}`
+	dir, _ := writeWAL(t, 1, row)
+	var out bytes.Buffer
+	if err := dumpLog(&out, &bytes.Buffer{}, dir, "wal"); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	var last struct {
+		Tag    string `json:"tag"`
+		Record string `json:"record"`
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 2 || last.Tag != "actors" || last.Record != row {
+		t.Errorf("-dump wal = %s, want an offers line and the actors row %s", out.String(), row)
+	}
+}
+
+// TestDumpRefusedTag: -dump wal stops at a frame of a retired table's
+// tag or of one this build does not know with the store's ErrLogFormat
+// error, naming the file and the frame, and changes nothing.
+func TestDumpRefusedTag(t *testing.T) {
+	for _, tag := range []byte{2, 3, 6, 7, 8, 9, 14, 0} {
+		dir, img := writeWAL(t, tag, `{"id":"dk1"}`)
+		err := dumpLog(&bytes.Buffer{}, &bytes.Buffer{}, dir, "wal")
+		if !errors.Is(err, store.ErrLogFormat) || !strings.Contains(err.Error(), store.WALPath(dir)+" offset ") {
+			t.Errorf("tag %d: -dump wal err = %v, want ErrLogFormat naming the frame", tag, err)
+		}
+		if after, _ := os.ReadFile(store.WALPath(dir)); !bytes.Equal(after, img) {
+			t.Errorf("tag %d: -dump changed the WAL", tag)
+		}
 	}
 }

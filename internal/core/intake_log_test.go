@@ -21,8 +21,8 @@ import (
 )
 
 // storeSnapshot is everything a store shows through its queries: every
-// offer record, the state index (count and ids per state), every fact,
-// the table cardinalities and the node's actor.
+// offer record, the state index (count and ids per state), every fact
+// and the table cardinalities.
 func storeSnapshot(st *store.Store) map[string]any {
 	index := make(map[store.OfferState][]flexoffer.ID)
 	counts := st.CountOffersByState()
@@ -31,14 +31,12 @@ func storeSnapshot(st *store.Store) map[string]any {
 			index[state] = append(index[state], rec.Offer.ID)
 		}
 	}
-	actor, _ := st.GetActor("brp1")
 	return map[string]any{
 		"offers":       st.Offers(store.OfferFilter{}),
 		"state counts": counts,
 		"state index":  index,
 		"facts":        st.Measurements(store.MeasurementFilter{}),
 		"stats":        st.Stats(),
-		"actor":        actor,
 	}
 }
 

@@ -222,9 +222,6 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		n.client = comm.NewClient(cfg.Name, transport)
 	}
-	if err := n.store.PutActor(store.Actor{ID: cfg.Name, Name: cfg.Name, Role: cfg.Role, Parent: cfg.Parent}); err != nil {
-		return nil, err
-	}
 
 	// Dispatch: one registered handler per message type, wrapped in the
 	// node's middleware chain. Recover sits innermost so a handler

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"testing"
@@ -79,6 +80,47 @@ func TestNewNodeValidation(t *testing.T) {
 	}
 	if _, err := NewNode(Config{Name: "x"}); err == nil {
 		t.Error("node without role accepted")
+	}
+}
+
+// TestNewNodeLogsNothing: a node's start writes nothing to its store.
+// Its name, role and parent come from its Config on every start, so
+// over an empty directory the WAL stays zero-length through a start, a
+// close and a restart, for a BRP with every subsystem and a prosumer
+// alike.
+func TestNewNodeLogsNothing(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3},
+		{Name: "p1", Role: store.RoleProsumer, Parent: "brp1"},
+	} {
+		dir := t.TempDir()
+		for start := 1; start <= 2; start++ {
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Store = st
+			if cfg.Role == store.RoleBRP {
+				cfg.Settlement = &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")}
+			}
+			n, err := NewNode(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			fi, err := os.Stat(store.WALPath(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fi.Size() != 0 {
+				t.Fatalf("%s after start %d: wal.log holds %d bytes, want none", cfg.Name, start, fi.Size())
+			}
+		}
 	}
 }
 

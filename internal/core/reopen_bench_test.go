@@ -19,9 +19,9 @@ import (
 // middle of intake, in the record mix of the repository benchmark's
 // recover workload: n offers acked through the ingest queue, the first
 // planned of them scheduled by a cycle commit and then settled onto the
-// ledger (executed) or expired, a round of meter facts, the node's
-// actor, and a WAL tail of the offers still accepted — acked, and then
-// killed before an intake barrier applied them.
+// ledger (executed) or expired, a round of meter facts, and a WAL tail
+// of the offers still accepted — acked, and then killed before an
+// intake barrier applied them.
 func writeCrashedNode(tb testing.TB, dir string, n, planned int) {
 	tb.Helper()
 	st, err := store.Open(dir)
@@ -73,9 +73,6 @@ func writeCrashedNode(tb testing.TB, dir string, n, planned int) {
 		if err := q.SubmitMeasurements(context.Background(), ms); err != nil {
 			tb.Fatal(err)
 		}
-	}
-	if err := st.PutActor(store.Actor{ID: "brp1", Name: "brp1", Role: store.RoleBRP}); err != nil {
-		tb.Fatal(err)
 	}
 	ack(offers[planned:])
 	q.Kill()

@@ -48,11 +48,11 @@ func TestEncodeOfferRecordZeroAlloc(t *testing.T) {
 	if tag := buf[frameHeaderLen]; tag != tagOfferStateOnly {
 		t.Fatalf("an update that kept the schedule framed tag %d, want the state-only step", tag)
 	}
-	ops := []batchOp{{tagOffer, rec}, {tagMeasurement, m}}
+	ops := []any{rec, m}
 	if n := testing.AllocsPerRun(1000, func() {
 		buf = buf[:0]
 		for _, op := range ops {
-			buf, _ = appendRecord(buf, op.tag, op.val)
+			buf = appendOp(buf, op)
 		}
 	}); n != 0 {
 		t.Fatalf("framing a batch's boxed ops allocates %.1f times per op, want 0", n)

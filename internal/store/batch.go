@@ -19,68 +19,32 @@ import (
 // state assignment, so the prefix is a valid (earlier) state. Ops on the
 // same key apply in insertion order.
 type Batch struct {
-	ops []batchOp
+	ops []any // OfferRecord or Measurement
 	err error // first validation failure, surfaced by ApplyBatch
-}
-
-type batchOp struct {
-	tag byte
-	val any
 }
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
 
-func (b *Batch) add(tag byte, val any) {
-	b.ops = append(b.ops, batchOp{tag: tag, val: val})
-}
-
-// PutActor queues an actor upsert.
-func (b *Batch) PutActor(a Actor) {
-	if a.ID == "" && b.err == nil {
-		b.err = fmt.Errorf("store: batch actor without id")
-	}
-	b.add(tagActor, a)
-}
-
-// PutEnergyType queues an energy type upsert.
-func (b *Batch) PutEnergyType(e EnergyType) {
-	if e.ID == "" && b.err == nil {
-		b.err = fmt.Errorf("store: batch energy type without id")
-	}
-	b.add(tagEnergyType, e)
-}
-
-// PutMarketArea queues a market area upsert.
-func (b *Batch) PutMarketArea(m MarketArea) {
-	if m.ID == "" && b.err == nil {
-		b.err = fmt.Errorf("store: batch market area without id")
-	}
-	b.add(tagMarketArea, m)
-}
-
 // PutMeasurement queues a metered value upsert.
-func (b *Batch) PutMeasurement(m Measurement) { b.add(tagMeasurement, m) }
+func (b *Batch) PutMeasurement(m Measurement) { b.ops = append(b.ops, m) }
 
 // PutOffer queues a flex-offer record upsert.
 func (b *Batch) PutOffer(r OfferRecord) {
 	if r.Offer == nil && b.err == nil {
 		b.err = fmt.Errorf("store: batch offer record without offer")
 	}
-	b.add(tagOffer, r)
+	b.ops = append(b.ops, r)
 }
 
-// PutForecast queues a forecast value upsert.
-func (b *Batch) PutForecast(f ForecastRecord) { b.add(tagForecast, f) }
-
-// PutPrice queues a market price upsert.
-func (b *Batch) PutPrice(p PriceRecord) { b.add(tagPrice, p) }
-
-// PutContract queues a contract upsert.
-func (b *Batch) PutContract(c Contract) { b.add(tagContract, c) }
-
-// PutModelParams queues a model parameter upsert.
-func (b *Batch) PutModelParams(m ModelParams) { b.add(tagModelParams, m) }
+// appendOp frames one queued op.
+func appendOp(dst []byte, op any) []byte {
+	if r, ok := op.(OfferRecord); ok {
+		return appendOfferFrame(dst, &r)
+	}
+	m := op.(Measurement)
+	return appendMeasurementFrame(dst, &m)
+}
 
 // ApplyBatch applies every queued op: encode outside locks, lock the
 // touched stripes/series in the global (table, unit) order, log the
@@ -104,10 +68,7 @@ func (s *Store) ApplyBatch(b *Batch) error {
 		frames = wire.GetBuf()
 		defer wire.PutBuf(frames)
 		for _, op := range b.ops {
-			var err error
-			if *frames, err = appendRecord(*frames, op.tag, op.val); err != nil {
-				return err
-			}
+			*frames = appendOp(*frames, op)
 		}
 	}
 
@@ -120,13 +81,7 @@ func (s *Store) ApplyBatch(b *Batch) error {
 	units := make([]lockUnit, 0, len(b.ops))
 	series := make([]*slotSeries, len(b.ops))
 	for i, op := range b.ops {
-		switch v := op.val.(type) {
-		case Actor:
-			units = append(units, lockUnit{lockActors, uint64(s.actors.shardIndex(v.ID)), &s.actors.shard(v.ID).mu})
-		case EnergyType:
-			units = append(units, lockUnit{lockEnergyTypes, uint64(s.energyTypes.shardIndex(v.ID)), &s.energyTypes.shard(v.ID).mu})
-		case MarketArea:
-			units = append(units, lockUnit{lockMarketAreas, uint64(s.marketAreas.shardIndex(v.ID)), &s.marketAreas.shard(v.ID).mu})
+		switch v := op.(type) {
 		case Measurement:
 			ss := s.meas.ensure(seriesKey{v.Actor, v.EnergyType})
 			series[i] = ss
@@ -134,20 +89,6 @@ func (s *Store) ApplyBatch(b *Batch) error {
 		case OfferRecord:
 			id := v.Offer.ID
 			units = append(units, lockUnit{lockOffers, uint64(s.offers.shardIndex(id)), &s.offers.shard(id).mu})
-		case ForecastRecord:
-			k := forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}
-			units = append(units, lockUnit{lockForecasts, uint64(s.forecasts.shardIndex(k)), &s.forecasts.shard(k).mu})
-		case PriceRecord:
-			k := priceKey{v.MarketArea, v.Hour}
-			units = append(units, lockUnit{lockPrices, uint64(s.prices.shardIndex(k)), &s.prices.shard(k).mu})
-		case Contract:
-			k := contractKey{v.Prosumer, v.BRP}
-			units = append(units, lockUnit{lockContracts, uint64(s.contracts.shardIndex(k)), &s.contracts.shard(k).mu})
-		case ModelParams:
-			k := modelKey{v.Actor, v.EnergyType, v.ModelName}
-			units = append(units, lockUnit{lockModelParams, uint64(s.modelParams.shardIndex(k)), &s.modelParams.shard(k).mu})
-		default:
-			return fmt.Errorf("store: unknown batch op %T", op.val)
 		}
 	}
 	units = sortLockUnits(units)
@@ -169,13 +110,7 @@ func (s *Store) ApplyBatch(b *Batch) error {
 
 	// Apply under the held locks.
 	for i, op := range b.ops {
-		switch v := op.val.(type) {
-		case Actor:
-			putLocked(s.actors, v.ID, v)
-		case EnergyType:
-			putLocked(s.energyTypes, v.ID, v)
-		case MarketArea:
-			putLocked(s.marketAreas, v.ID, v)
+		switch v := op.(type) {
 		case Measurement:
 			series[i].insertLocked(v.Slot, v.KWh)
 		case OfferRecord:
@@ -184,22 +119,9 @@ func (s *Store) ApplyBatch(b *Batch) error {
 			old, had := sh.m[id]
 			sh.m[id] = v
 			s.offerIdx.update(id, old, had, v)
-		case ForecastRecord:
-			putLocked(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v)
-		case PriceRecord:
-			putLocked(s.prices, priceKey{v.MarketArea, v.Hour}, v)
-		case Contract:
-			putLocked(s.contracts, contractKey{v.Prosumer, v.BRP}, v)
-		case ModelParams:
-			putLocked(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v)
 		}
 	}
 	return nil
-}
-
-// putLocked upserts into a stripe whose lock the caller already holds.
-func putLocked[K comparable, V any](t *shardedTable[K, V], k K, v V) {
-	t.shard(k).m[k] = v
 }
 
 // OfferUpdate names one offer transition of an UpdateOffers batch.

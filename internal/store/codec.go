@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"mirabel/internal/flexoffer"
@@ -12,12 +11,12 @@ import (
 // WAL frame tags: one per table, plus the measurement-retention sweep,
 // the two offer transitions and the guarded offer insert. Every tagged
 // record is an upsert, an absolute state assignment or an insert that
-// keeps a stored record; the prune mark is logged once per sweep. Tags never change meaning, and a new one keeps
-// the format version (the versioning rule in frame.go).
+// keeps a stored record; the prune mark is logged once per sweep. Tags
+// never change meaning, and a new one keeps the format version (the
+// versioning rule in frame.go).
 //
-// The two hot tables, the offer transitions and the prune mark have
-// binary payloads, in field order (primitives in package wire, FlexOffer
-// and Schedule in package flexoffer):
+// Every payload is binary, in field order (primitives in package wire,
+// FlexOffer and Schedule in package flexoffer):
 //
 //	offers:       Owner string | State | Offer FlexOffer |
 //	              has-schedule bool | [Schedule]
@@ -42,39 +41,53 @@ import (
 //	measurements: Measurement (flexoffer's layout, shared with the wire)
 //	prune:        Before varint
 //
-// The seven dimension and cold fact tables keep their JSON encoding as
-// the payload: no profile shows them, and JSON keeps their schema free
-// to grow without a format version.
+// Tags 1-3 and 6-9 are reserved: older builds wrote the paper's
+// dimension and cold fact tables under them, as JSON. Tag 1 (actors)
+// is in every node directory those builds started, one row per start
+// repeating the node's own configuration; replay skips it unread and
+// nothing writes it. The other six (retiredTags) held tables whose rows
+// no reader of this build could keep, so a WAL holding one is refused
+// with ErrLogFormat, as is one holding a tag this build does not know.
 const (
-	tagActor byte = iota + 1
-	tagEnergyType
-	tagMarketArea
-	tagMeasurement
-	tagOffer
-	tagForecast
-	tagPrice
-	tagContract
-	tagModelParams
-	tagPrune
-	tagOfferState
-	tagOfferStateOnly
-	tagOfferIfAbsent
+	tagActor          byte = 1
+	tagMeasurement    byte = 4
+	tagOffer          byte = 5
+	tagPrune          byte = 10
+	tagOfferState     byte = 11
+	tagOfferStateOnly byte = 12
+	tagOfferIfAbsent  byte = 13
 )
 
 var tagNames = [...]string{
 	tagActor:          "actors",
-	tagEnergyType:     "energy_types",
-	tagMarketArea:     "market_areas",
 	tagMeasurement:    "measurements",
 	tagOffer:          "offers",
-	tagForecast:       "forecasts",
-	tagPrice:          "prices",
-	tagContract:       "contracts",
-	tagModelParams:    "model_params",
 	tagPrune:          "prune",
 	tagOfferState:     "offer_transitions",
 	tagOfferStateOnly: "offer_states",
 	tagOfferIfAbsent:  "offers_if_absent",
+}
+
+// retiredTags names the tables of the reserved tags a WAL may not hold.
+var retiredTags = map[byte]string{
+	2: "energy_types",
+	3: "market_areas",
+	6: "forecasts",
+	7: "prices",
+	8: "contracts",
+	9: "model_params",
+}
+
+// refuseTag is nil for a tag this build reads and, for a retired tag or
+// one it does not know, an ErrLogFormat error that says which.
+func refuseTag(tag byte) error {
+	if int(tag) < len(tagNames) && tagNames[tag] != "" {
+		return nil
+	}
+	if table, ok := retiredTags[tag]; ok {
+		return fmt.Errorf("%w: wal tag %d holds the %s table, which this build no longer keeps", ErrLogFormat, tag, table)
+	}
+	return fmt.Errorf("%w: wal tag %d is unknown to this build", ErrLogFormat, tag)
 }
 
 // offerStates maps state codes to states; code 0 is the zero value.
@@ -189,7 +202,8 @@ func (m *Measurement) ReadWire(r *wire.Reader) {
 	m.Actor, m.EnergyType, m.Slot, m.KWh = flexoffer.ReadMeasurementWire(r)
 }
 
-// pruneMark is the logged form of a PruneMeasurements call.
+// pruneMark is a decoded prune frame: the logged form of a
+// PruneMeasurements call.
 type pruneMark struct {
 	Before flexoffer.Time `json:"before"`
 }
@@ -249,76 +263,47 @@ func appendMeasurementFrame(dst []byte, m *Measurement) []byte {
 	return EndFrame(m.AppendWire(dst), mark)
 }
 
-// appendRecord is the untyped form, for a value that is boxed already (a
-// Batch's ops) or cold (the JSON tables, the prune mark): it appends one
-// mutation to dst as a complete WAL frame.
-func appendRecord(dst []byte, tag byte, v any) ([]byte, error) {
-	switch v := v.(type) {
-	case OfferRecord:
-		return appendOfferFrame(dst, &v), nil
-	case Measurement:
-		return appendMeasurementFrame(dst, &v), nil
-	}
-	dst, mark := BeginFrame(dst, tag)
-	if p, ok := v.(pruneMark); ok {
-		dst = binary.AppendVarint(dst, int64(p.Before))
-	} else {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return dst[:mark], fmt.Errorf("store: marshal wal record: %w", err)
-		}
-		dst = append(dst, raw...)
-	}
-	return EndFrame(dst, mark), nil
+// appendPruneFrame frames a PruneMeasurements sweep of the slots
+// before before.
+func appendPruneFrame(dst []byte, before flexoffer.Time) []byte {
+	dst, mark := BeginFrame(dst, tagPrune)
+	return EndFrame(binary.AppendVarint(dst, int64(before)), mark)
 }
 
 // DecodeWALRecord decodes one WAL frame for inspection: the table (or
 // "prune", "offer_transitions", "offer_states" or "offers_if_absent")
-// the tag names and the
-// record as the Go value the store would apply. Recovery decodes the
-// hot tags itself (replay.decode) and comes here for the cold ones
-// only.
+// the tag names and the record as the Go value the store would apply. A
+// legacy actors row decodes to its payload text, unread; a retired or
+// unknown tag fails with ErrLogFormat. Recovery decodes the frames
+// itself (replay.decode).
 func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) {
-	if tag == 0 || int(tag) >= len(tagNames) {
-		return "", nil, fmt.Errorf("store: unknown wal tag %d", tag)
+	if err := refuseTag(tag); err != nil {
+		return "", nil, err
 	}
 	r := wire.NewReader(payload)
 	switch tag {
+	case tagActor:
+		return tagNames[tag], string(payload), nil
 	case tagOffer, tagOfferIfAbsent:
 		var rec OfferRecord
 		rec.ReadWire(&r, nil)
-		v, err = rec, r.Done()
+		v = rec
 	case tagOfferState:
 		var t offerTransition
 		t.readWire(&r, nil)
-		v, err = t, r.Done()
+		v = t
 	case tagOfferStateOnly:
 		var t offerStateStep
 		t.readWire(&r)
-		v, err = t, r.Done()
+		v = t
 	case tagMeasurement:
 		var m Measurement
 		m.ReadWire(&r)
-		v, err = m, r.Done()
+		v = m
 	case tagPrune:
-		mark := pruneMark{Before: flexoffer.Time(r.Varint())}
-		v, err = mark, r.Done()
-	case tagActor:
-		v, err = unmarshalAs[Actor](payload)
-	case tagEnergyType:
-		v, err = unmarshalAs[EnergyType](payload)
-	case tagMarketArea:
-		v, err = unmarshalAs[MarketArea](payload)
-	case tagForecast:
-		v, err = unmarshalAs[ForecastRecord](payload)
-	case tagPrice:
-		v, err = unmarshalAs[PriceRecord](payload)
-	case tagContract:
-		v, err = unmarshalAs[Contract](payload)
-	case tagModelParams:
-		v, err = unmarshalAs[ModelParams](payload)
+		v = pruneMark{Before: flexoffer.Time(r.Varint())}
 	}
-	if err != nil {
+	if err := r.Done(); err != nil {
 		return "", nil, decodeError(tag, err)
 	}
 	return tagNames[tag], v, nil
@@ -326,10 +311,4 @@ func DecodeWALRecord(tag byte, payload []byte) (table string, v any, err error) 
 
 func decodeError(tag byte, err error) error {
 	return fmt.Errorf("store: decode %s record: %w", tagNames[tag], err)
-}
-
-func unmarshalAs[V any](payload []byte) (V, error) {
-	var v V
-	err := json.Unmarshal(payload, &v)
-	return v, err
 }

@@ -119,7 +119,7 @@ func TestOpenReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutActor(Actor{ID: "brp1", Role: RoleBRP}); err != nil {
+	if err := s.PutOffer(OfferRecord{Offer: testOffer(5), Owner: "p1", State: OfferAccepted}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 2}); err != nil {
@@ -134,19 +134,18 @@ func TestOpenReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	if _, ok := ro.GetActor("brp1"); !ok {
-		t.Error("read-only open lost the actor")
+	if _, ok := ro.GetOffer(5); !ok {
+		t.Error("read-only open lost the offer")
 	}
 	if got := ro.SumEnergyBySlot(MeasurementFilter{})[1]; got != 2 {
 		t.Errorf("read-only measurement = %g, want 2", got)
 	}
 	for name, err := range map[string]error{
-		"PutActor":       ro.PutActor(Actor{ID: "x"}),
 		"PutMeasurement": ro.PutMeasurement(Measurement{Actor: "x", EnergyType: "demand"}),
 		"PutOffer":       ro.PutOffer(OfferRecord{Offer: testOffer(1)}),
 		"ApplyBatch": func() error {
 			b := NewBatch()
-			b.PutActor(Actor{ID: "x"})
+			b.PutOffer(OfferRecord{Offer: testOffer(1)})
 			return ro.ApplyBatch(b)
 		}(),
 	} {
@@ -168,7 +167,7 @@ func TestOpenReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.GetActor("brp1"); !ok {
+	if _, ok := s2.GetOffer(5); !ok {
 		t.Error("writable reopen after read-only lost data")
 	}
 }
@@ -244,25 +243,23 @@ func TestApplyBatchMixedTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBatch()
-	b.PutActor(Actor{ID: "brp1", Role: RoleBRP})
-	b.PutEnergyType(EnergyType{ID: "demand", Kind: "consumption"})
-	b.PutMarketArea(MarketArea{ID: "dk1"})
 	b.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 2})
+	b.PutOffer(OfferRecord{Offer: testOffer(9), Owner: "p1", State: OfferReceived})
 	b.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 3}) // same-key: last wins
-	b.PutOffer(OfferRecord{Offer: testOffer(9), Owner: "p1", State: OfferAccepted})
-	b.PutForecast(ForecastRecord{Actor: "brp1", EnergyType: "demand", Slot: 4, Horizon: 1, KWh: 5})
-	b.PutPrice(PriceRecord{MarketArea: "dk1", Hour: 7, EURPerMWh: 55})
-	b.PutContract(Contract{Prosumer: "p1", BRP: "brp1", FlexPremium: 0.02})
-	b.PutModelParams(ModelParams{Actor: "brp1", EnergyType: "demand", ModelName: "HWT", Params: []float64{1}})
+	b.PutMeasurement(Measurement{Actor: "p2", EnergyType: "solar", Slot: 1, KWh: -1})
+	b.PutOffer(OfferRecord{Offer: testOffer(8), Owner: "p2", State: OfferAccepted})
+	b.PutOffer(OfferRecord{Offer: testOffer(9), Owner: "p1", State: OfferAccepted}) // same-key: last wins
 	if err := s.ApplyBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SumEnergyBySlot(MeasurementFilter{})[1]; got != 3 {
-		t.Errorf("same-key batch order broken: %g, want 3", got)
+	if got := s.Measurements(MeasurementFilter{Actor: "p1"}); len(got) != 1 || got[0].KWh != 3 {
+		t.Errorf("same-key batch order broken: %+v, want one fact of 3 kWh", got)
+	}
+	if got := s.CountOffersByState(); got[OfferAccepted] != 2 || got[OfferReceived] != 0 {
+		t.Errorf("state counts after batch: %v, want 2 accepted", got)
 	}
 	st := s.Stats()
-	if st.Actors != 1 || st.EnergyTypes != 1 || st.MarketAreas != 1 || st.Measurements != 1 ||
-		st.Offers != 1 || st.Forecasts != 1 || st.Prices != 1 || st.Contracts != 1 || st.ModelParamsEntries != 1 {
+	if st.Measurements != 2 || st.Offers != 2 {
 		t.Errorf("stats after batch: %+v", st)
 	}
 	if err := s.Close(); err != nil {
@@ -281,12 +278,12 @@ func TestApplyBatchMixedTables(t *testing.T) {
 func TestApplyBatchValidation(t *testing.T) {
 	s := NewInMemory()
 	b := NewBatch()
-	b.PutActor(Actor{}) // invalid: no id
-	b.PutActor(Actor{ID: "ok"})
+	b.PutOffer(OfferRecord{Owner: "p1"}) // invalid: no offer
+	b.PutOffer(OfferRecord{Offer: testOffer(1), Owner: "p1"})
 	if err := s.ApplyBatch(b); err == nil {
 		t.Error("batch with invalid op applied")
 	}
-	if _, ok := s.GetActor("ok"); ok {
+	if _, ok := s.GetOffer(1); ok {
 		t.Error("invalid batch partially applied")
 	}
 	if err := s.ApplyBatch(NewBatch()); err != nil {

@@ -25,15 +25,15 @@ func fuzzOfferRecord() OfferRecord {
 func FuzzReplayFrames(f *testing.F) {
 	rec := fuzzOfferRecord()
 	valid := []byte(WALMagic)
-	valid, _ = appendRecord(valid, tagOffer, rec)
+	valid = appendOfferFrame(valid, &rec)
 	executed := rec
 	executed.State = OfferExecuted
 	valid = appendUpdateFrame(valid, &rec, &executed) // a state-only step
 	rejected := rec
 	rejected.State, rejected.Schedule = OfferRejected, nil
 	valid, _ = AppendIntakeFrames(valid, &Intake{Offer: &rejected}) // offers_if_absent
-	valid, _ = appendRecord(valid, tagMeasurement, Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7})
-	valid, _ = appendRecord(valid, tagActor, Actor{ID: "brp1", Role: RoleBRP})
+	valid = appendMeasurementFrame(valid, &Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7})
+	valid = appendLegacyFrame(valid, tagActor, `{"id":"brp1","name":"","role":"brp"}`)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add([]byte(WALMagic))
@@ -74,7 +74,9 @@ func FuzzReplayFrames(f *testing.F) {
 // state-only step and measurement decoders never panic and never build anything a
 // length prefix promised but the input did not deliver — every decoded
 // slice and string, schedule energies included, is accounted for by
-// input bytes.
+// input bytes. A legacy actors row decodes to its payload text whatever
+// it holds, and a retired or unknown tag, and only such a tag, fails
+// with ErrLogFormat.
 func FuzzDecodeRecords(f *testing.F) {
 	rec := fuzzOfferRecord()
 	offer := rec.AppendWire(nil)
@@ -92,10 +94,20 @@ func FuzzDecodeRecords(f *testing.F) {
 	f.Add(tagOfferStateOnly, step[:len(step)/2])
 	f.Add(tagMeasurement, (&Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 7}).AppendWire(nil))
 	f.Add(tagPrune, binary.AppendVarint(nil, 480))
-	f.Add(tagActor, []byte(`{"id":"brp1","role":"brp"}`))
+	f.Add(tagActor, []byte(legacyActorRow))
 	f.Add(tagOfferIfAbsent, offer)
+	for _, tag := range []byte{2, 3, 6, 7, 8, 9} { // the retired tags
+		f.Add(tag, []byte(`{"id":"dk1"}`))
+	}
 	f.Fuzz(func(t *testing.T, tag byte, payload []byte) {
-		if _, v, err := DecodeWALRecord(tag, payload); err == nil {
+		table, v, err := DecodeWALRecord(tag, payload)
+		if refused := int(tag) >= len(tagNames) || tagNames[tag] == ""; refused != errors.Is(err, ErrLogFormat) {
+			t.Fatalf("tag %d: err = %v, want ErrLogFormat: %v", tag, err, refused)
+		}
+		if tag == tagActor && (err != nil || table != "actors" || v != string(payload)) {
+			t.Fatalf("legacy actors row decodes to %q, %q, %v, want its payload text", table, v, err)
+		}
+		if err == nil {
 			switch v := v.(type) {
 			case OfferRecord:
 				size := len(v.Owner) + len(v.Offer.Prosumer) + 16*len(v.Offer.Profile)

@@ -14,9 +14,8 @@ import (
 // the repository benchmark's recover workload reopens: 7 500 offers put
 // in the ingest drain's batches, 5 000 of them scheduled by a cycle
 // commit (transitions that carry their schedule) and then settled
-// (executed) or expired (state-only steps that keep it), a round of
-// meter facts, and the node's actor. wal_bytes is the size of the log
-// every open replays.
+// (executed) or expired (state-only steps that keep it), and a round of
+// meter facts. wal_bytes is the size of the log every open replays.
 func BenchmarkStoreOpen(b *testing.B) {
 	dir := b.TempDir()
 	s, err := store.Open(dir)
@@ -61,9 +60,6 @@ func BenchmarkStoreOpen(b *testing.B) {
 		if err := s.ApplyBatch(bt); err != nil {
 			b.Fatal(err)
 		}
-	}
-	if err := s.PutActor(store.Actor{ID: "brp1", Role: store.RoleBRP}); err != nil {
-		b.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		b.Fatal(err)

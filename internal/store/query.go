@@ -110,51 +110,12 @@ func (s *Store) CountOffersByState() map[OfferState]int {
 	return s.offerIdx.countByState()
 }
 
-// Forecasts returns the forecast facts of one actor/energy type in
-// [from, to), ordered by slot then horizon.
-func (s *Store) Forecasts(actor, energyType string, from, to flexoffer.Time) []ForecastRecord {
-	var out []ForecastRecord
-	s.forecasts.scan(func(k forecastKey, r ForecastRecord) {
-		if k.Actor != actor || k.EnergyType != energyType {
-			return
-		}
-		if k.Slot < from || (to != 0 && k.Slot >= to) {
-			return
-		}
-		out = append(out, r)
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Slot != out[j].Slot {
-			return out[i].Slot < out[j].Slot
-		}
-		return out[i].Horizon < out[j].Horizon
-	})
-	return out
-}
-
-// Price returns the stored price of a market area and hour.
-func (s *Store) Price(area string, hour int64) (PriceRecord, bool) {
-	return s.prices.get(priceKey{area, hour})
-}
-
 // Stats summarizes table cardinalities (the UI component's overview).
 type Stats struct {
-	Actors, EnergyTypes, MarketAreas      int
-	Measurements, Offers, Forecasts       int
-	Prices, Contracts, ModelParamsEntries int
+	Measurements, Offers int
 }
 
 // Stats returns current table sizes.
 func (s *Store) Stats() Stats {
-	return Stats{
-		Actors:             s.actors.length(),
-		EnergyTypes:        s.energyTypes.length(),
-		MarketAreas:        s.marketAreas.length(),
-		Measurements:       s.meas.count(),
-		Offers:             s.offers.length(),
-		Forecasts:          s.forecasts.length(),
-		Prices:             s.prices.length(),
-		Contracts:          s.contracts.length(),
-		ModelParamsEntries: s.modelParams.length(),
-	}
+	return Stats{Measurements: s.meas.count(), Offers: s.offers.length()}
 }

@@ -21,14 +21,14 @@ const (
 // says which fields hold it; the others may still hold an earlier
 // record's, since the slots of a batch are reused. A transition keeps
 // its offer ID in id and what it assigns in rec.State (and, unless it
-// is a state-only step, rec.Schedule); a cold table's record or the
-// prune mark is the value DecodeWALRecord returned.
+// is a state-only step, rec.Schedule); a prune mark keeps its bound in
+// before.
 type replayed struct {
-	tag  byte
-	id   flexoffer.ID
-	rec  OfferRecord
-	meas Measurement
-	cold any
+	tag    byte
+	id     flexoffer.ID
+	rec    OfferRecord
+	meas   Measurement
+	before flexoffer.Time
 }
 
 // replay is one recovery pass of a store, in the two stages the package
@@ -40,6 +40,7 @@ type replayed struct {
 // the applier cannot fail.
 type replay struct {
 	s     *Store
+	path  string // of the log, for errors
 	names wire.Interner
 	slab  flexoffer.Slab
 	// stored holds the ID of every offer a decoded record put, so the
@@ -56,12 +57,13 @@ type replay struct {
 	done       chan struct{} // closed when the applier has exited
 }
 
-// startReplay starts the applier of a recovery pass into s. The caller
-// hands every frame to frame, in log order, and then calls finish,
-// whether the walk succeeded or not.
-func (s *Store) startReplay() *replay {
+// startReplay starts the applier of a recovery pass of the log at path
+// into s. The caller hands every frame to frame, in log order, and then
+// calls finish, whether the walk succeeded or not.
+func (s *Store) startReplay(path string) *replay {
 	rp := &replay{
 		s:      s,
+		path:   path,
 		names:  wire.Interner{},
 		stored: idSet{words: make(map[flexoffer.ID]uint64)},
 		full:   make(chan []replayed, replayBuffers),
@@ -73,8 +75,16 @@ func (s *Store) startReplay() *replay {
 }
 
 // frame is the ReplayFrames callback: it decodes and validates one
-// frame into the next slot of the batch the applier gets next.
+// frame into the next slot of the batch the applier gets next. A legacy
+// actors row is skipped unread; a retired or unknown tag fails the
+// replay at the frame's offset.
 func (rp *replay) frame(off int64, tag byte, payload []byte) error {
+	if tag == tagActor {
+		return nil
+	}
+	if err := refuseTag(tag); err != nil {
+		return fmt.Errorf("%s offset %d: %w", rp.path, off, err)
+	}
 	if rp.batch == nil {
 		rp.batch = rp.nextBatch()
 	}
@@ -127,8 +137,7 @@ func (rp *replay) applyLoop() {
 	}
 }
 
-// decode decodes one WAL frame. The hot tags are decoded here, typed;
-// the cold tables and the prune mark go through DecodeWALRecord. A
+// decode decodes one WAL frame of a tag this build replays. A
 // transition names an offer an earlier record stored, so one for an
 // unknown offer means the log is not this store's history: recovery
 // fails at the frame's offset.
@@ -148,10 +157,8 @@ func (rp *replay) decode(it *replayed, off int64, tag byte, payload []byte) erro
 		it.id, it.rec.State = t.ID, t.State
 	case tagMeasurement:
 		it.meas.ReadWire(&r)
-	default:
-		var err error
-		_, it.cold, err = DecodeWALRecord(tag, payload)
-		return err
+	case tagPrune:
+		it.before = flexoffer.Time(r.Varint())
 	}
 	if err := r.Done(); err != nil {
 		return decodeError(tag, err)
@@ -181,32 +188,10 @@ func (s *Store) applyReplayed(it *replayed) {
 		s.applyTransition(it.id, it.rec.State, nil, true)
 	case tagMeasurement:
 		s.applyMeasurement(it.meas)
-	default:
-		s.applyCold(it.cold)
-	}
-}
-
-// applyCold applies a cold table's record or the prune mark.
-func (s *Store) applyCold(v any) {
-	switch v := v.(type) {
-	case Actor:
-		applyPut(s.actors, v.ID, v)
-	case EnergyType:
-		applyPut(s.energyTypes, v.ID, v)
-	case MarketArea:
-		applyPut(s.marketAreas, v.ID, v)
-	case ForecastRecord:
-		applyPut(s.forecasts, forecastKey{v.Actor, v.EnergyType, v.Slot, v.Horizon}, v)
-	case PriceRecord:
-		applyPut(s.prices, priceKey{v.MarketArea, v.Hour}, v)
-	case Contract:
-		applyPut(s.contracts, contractKey{v.Prosumer, v.BRP}, v)
-	case ModelParams:
-		applyPut(s.modelParams, modelKey{v.Actor, v.EnergyType, v.ModelName}, v)
-	case pruneMark:
+	case tagPrune:
 		for _, ss := range s.meas.all() {
 			ss.mu.Lock()
-			ss.pruneLocked(v.Before)
+			ss.pruneLocked(it.before)
 			ss.mu.Unlock()
 		}
 	}

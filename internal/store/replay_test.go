@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,7 +23,7 @@ func tableContents[K comparable, V any](t *shardedTable[K, V]) map[K]V {
 	return out
 }
 
-// storeContents is everything a store holds: every table, the offer
+// storeContents is everything a store holds: the offer table, its
 // state index (ids and count per state) and every measurement series,
 // with an empty slice and a nil one read alike.
 func storeContents(s *Store) map[string]any {
@@ -38,27 +40,21 @@ func storeContents(s *Store) map[string]any {
 		series[k] = [2]any{append([]flexoffer.Time(nil), ss.slots...), append([]float64(nil), ss.kwh...)}
 	}
 	return map[string]any{
-		"actors":       tableContents(s.actors),
-		"energy types": tableContents(s.energyTypes),
-		"market areas": tableContents(s.marketAreas),
-		"offers":       tableContents(s.offers),
-		"forecasts":    tableContents(s.forecasts),
-		"prices":       tableContents(s.prices),
-		"contracts":    tableContents(s.contracts),
-		"model params": tableContents(s.modelParams),
-		"state index":  index,
-		"series":       series,
+		"offers":      tableContents(s.offers),
+		"state index": index,
+		"series":      series,
 	}
 }
 
 // writeMixedHistory logs a seeded history through the live store at dir
-// that spans many apply batches and holds every WAL tag: offers put one
-// by one, in batches and through intake, rejected intake records that
-// find their id stored or free, whole-record re-puts that change the owner,
-// transitions with and without a schedule and state-only steps long
-// after their offer's record, measurements one by one and in batches,
-// every cold table, and a prune mark midway that later facts land
-// behind. It returns the live store's contents.
+// that spans many apply batches and holds every WAL tag the store
+// writes: offers put one by one, in batches, through intake and through
+// guarded inserts, rejected intake records that find their id stored or
+// free, whole-record re-puts that change the owner, transitions with
+// and without a schedule and state-only steps long after their offer's
+// record, measurements one by one and in batches, and a prune mark
+// midway that later facts land behind. It returns the live store's
+// contents.
 func writeMixedHistory(t *testing.T, dir string) map[string]any {
 	t.Helper()
 	s, err := Open(dir)
@@ -86,16 +82,6 @@ func writeMixedHistory(t *testing.T, dir string) map[string]any {
 	}
 	meter := func(slot flexoffer.Time) Measurement {
 		return Measurement{Actor: owners[rng.Intn(len(owners))], EnergyType: []string{"demand", "solar"}[rng.Intn(2)], Slot: slot, KWh: rng.Float64()}
-	}
-	cold := func(i int) {
-		name := fmt.Sprintf("x%d", i%7)
-		must(s.PutActor(Actor{ID: name, Name: "actor " + name, Role: RoleProsumer, Parent: "brp1"}))
-		must(s.PutEnergyType(EnergyType{ID: name, Kind: "consumption", Renewable: i%2 == 0}))
-		must(s.PutMarketArea(MarketArea{ID: name, Name: "area " + name, Currency: "EUR"}))
-		must(s.PutForecast(ForecastRecord{Actor: name, EnergyType: "demand", Slot: flexoffer.Time(i % 11), Horizon: i % 3, KWh: float64(i)}))
-		must(s.PutPrice(PriceRecord{MarketArea: name, Hour: int64(i % 5), EURPerMWh: float64(i)}))
-		must(s.PutContract(Contract{Prosumer: name, BRP: "brp1", BaseTariffEUR: float64(i), ShareFrac: 0.5}))
-		must(s.PutModelParams(ModelParams{Actor: name, EnergyType: "demand", ModelName: "hwt", Params: []float64{float64(i), 0.5}}))
 	}
 	update := func(id flexoffer.ID, mutate func(*OfferRecord)) {
 		t.Helper()
@@ -170,8 +156,14 @@ func writeMixedHistory(t *testing.T, dir string) map[string]any {
 			}
 			intake(Intake{Offer: &rec})
 			intake(Intake{Meas: []Measurement{meter(flexoffer.Time(rng.Intn(80))), meter(flexoffer.Time(rng.Intn(80)))}})
-		default:
-			cold(step)
+		default: // a guarded insert of a fresh id, or of a stored one it keeps
+			rec := newOffer()
+			if rng.Intn(2) == 0 {
+				ids = ids[:len(ids)-1]
+				rec.Offer.ID = ids[rng.Intn(len(ids))]
+			}
+			_, err := s.InsertOffer(rec)
+			must(err)
 		}
 	}
 	want := storeContents(s)
@@ -181,7 +173,8 @@ func writeMixedHistory(t *testing.T, dir string) map[string]any {
 
 // TestReplayEquivalenceAcrossApplyBatches: recovery decodes on one
 // goroutine and applies on another, a batch of records at a time. Over
-// a history many batches long that holds every WAL tag — with the
+// a history many batches long that holds every WAL tag the store
+// writes — with the
 // transitions of an offer batches after its record, and a prune mark
 // that facts before and after it straddle — Open and OpenReadOnly
 // rebuild every table, the state index and every series exactly as the
@@ -222,9 +215,9 @@ func TestReplayEquivalenceAcrossApplyBatches(t *testing.T) {
 	if frames < 4*replayBatch {
 		t.Fatalf("the history is %d frames, want at least %d apply batches", frames, 4)
 	}
-	for tag := tagActor; int(tag) < len(tagNames); tag++ {
-		if tags[tag] == 0 {
-			t.Errorf("the history logs no %s frame", tagNames[tag])
+	for tag, name := range tagNames {
+		if name != "" && byte(tag) != tagActor && tags[byte(tag)] == 0 {
+			t.Errorf("the history logs no %s frame", name)
 		}
 	}
 	if !late[tagOfferState] || !late[tagOfferStateOnly] {
@@ -353,5 +346,149 @@ func TestSlabNeverLeaksWritesAcrossRecords(t *testing.T) {
 	_ = append(first.Schedule.Energy, -1)
 	if got, _ := s.GetOffer(2); !reflect.DeepEqual(got, want[1]) {
 		t.Fatalf("after appends to offer 1's runs, offer 2 = %+v %+v, want %+v %+v", got.Offer, got.Schedule, want[1].Offer, want[1].Schedule)
+	}
+}
+
+// legacyActorRow is the actors row an older build's core.NewNode logged
+// for a BRP named brp1 on every start: PutActor's JSON.
+const legacyActorRow = `{"id":"brp1","name":"brp1","role":"brp"}`
+
+// appendLegacyFrame appends a frame of a reserved tag as an older build
+// wrote it: the tag and a JSON payload.
+func appendLegacyFrame(dst []byte, tag byte, payload string) []byte {
+	dst, mark := BeginFrame(dst, tag)
+	return EndFrame(append(dst, payload...), mark)
+}
+
+// TestRefusedTagFailsOpen: a WAL holding a frame of a retired table's
+// tag, or of a tag this build does not know (a newer build's, or 0),
+// fails Open and OpenReadOnly with ErrLogFormat, an error naming the
+// file, the frame's offset and the tag, and leaves the file exactly as
+// it was, torn tail included.
+func TestRefusedTagFailsOpen(t *testing.T) {
+	for _, c := range []struct {
+		tag  byte
+		name string // that the error names
+	}{
+		{2, "energy_types"}, {3, "market_areas"}, {6, "forecasts"}, {7, "prices"}, {8, "contracts"}, {9, "model_params"},
+		{14, "unknown"}, {0, "unknown"},
+	} {
+		t.Run(fmt.Sprintf("tag %d", c.tag), func(t *testing.T) {
+			dir := t.TempDir()
+			img := appendOfferFrame([]byte(WALMagic), &OfferRecord{Offer: testOffer(1), Owner: "p1", State: OfferAccepted})
+			at := len(img)
+			img = appendLegacyFrame(img, c.tag, `{"id":"dk1"}`)
+			img = appendMeasurementFrame(img, &Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 2})
+			img = append(img, 1, 2, 3) // a torn tail a successful open would cut
+			path := WALPath(dir)
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for name, open := range map[string]func(string) (*Store, error){"Open": func(d string) (*Store, error) { return Open(d) }, "OpenReadOnly": OpenReadOnly} {
+				s, err := open(dir)
+				if err == nil {
+					s.Close()
+					t.Fatalf("%s accepted a WAL holding tag %d", name, c.tag)
+				}
+				for _, want := range []string{path, fmt.Sprintf("offset %d:", at), fmt.Sprintf("tag %d ", c.tag), c.name} {
+					if !errors.Is(err, ErrLogFormat) || !strings.Contains(err.Error(), want) {
+						t.Errorf("%s: err = %v, want ErrLogFormat naming %q", name, err, want)
+					}
+				}
+				if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, img) {
+					t.Fatalf("%s changed the WAL (%v)", name, err)
+				}
+			}
+		})
+	}
+}
+
+// TestLegacyActorRowsAreSkipped: the actors rows an older build logged
+// once per node start are skipped on replay. A WAL holding them opens,
+// on either path, to the same offers and measurements as the same WAL
+// without them, and stays writable: its later records replay behind the
+// old rows.
+func TestLegacyActorRowsAreSkipped(t *testing.T) {
+	recs := make([]OfferRecord, 4)
+	for i := range recs {
+		recs[i] = OfferRecord{Offer: testOffer(flexoffer.ID(i + 1)), Owner: "p1", State: OfferAccepted}
+	}
+	scheduled := recs[0]
+	scheduleOffer(&scheduled)
+	executed := scheduled
+	executeOffer(&executed)
+	images := map[bool][]byte{}
+	for _, legacy := range []bool{false, true} {
+		img := []byte(WALMagic)
+		row := func() {
+			if legacy {
+				img = appendLegacyFrame(img, tagActor, legacyActorRow)
+			}
+		}
+		row() // the first start
+		for i := range recs {
+			img = appendOfferFrame(img, &recs[i])
+		}
+		img = appendMeasurementFrame(img, &Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 2})
+		row() // a restart
+		img = appendUpdateFrame(img, &recs[0], &scheduled)
+		img = appendUpdateFrame(img, &scheduled, &executed)
+		img = appendMeasurementFrame(img, &Measurement{Actor: "p2", EnergyType: "solar", Slot: 1, KWh: -1})
+		img = appendPruneFrame(img, 2)
+		img = appendMeasurementFrame(img, &Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 4})
+		row()
+		images[legacy] = img
+	}
+	open := func(img []byte, readOnly bool) *Store {
+		t.Helper()
+		dir := t.TempDir()
+		if err := os.WriteFile(WALPath(dir), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var s *Store
+		var err error
+		if readOnly {
+			s, err = OpenReadOnly(dir)
+		} else {
+			s, err = Open(dir)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	for _, readOnly := range []bool{false, true} {
+		want, got := open(images[false], readOnly), open(images[true], readOnly)
+		if g, w := got.CountOffersByState(), want.CountOffersByState(); !reflect.DeepEqual(g, w) || g[OfferExecuted] != 1 {
+			t.Errorf("read-only %v: state counts %v, want %v", readOnly, g, w)
+		}
+		if g, w := got.Stats(), want.Stats(); g != w || g != (Stats{Measurements: 1, Offers: 4}) {
+			t.Errorf("read-only %v: stats %+v, want %+v", readOnly, g, w)
+		}
+		if g, w := storeContents(got), storeContents(want); !reflect.DeepEqual(g, w) {
+			t.Errorf("read-only %v: contents differ from the WAL's without actors rows", readOnly)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(WALPath(dir), images[true], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transition(t, s, 2, scheduleOffer)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.CountOffersByState(); got[OfferScheduled] != 1 || got[OfferExecuted] != 1 || got[OfferAccepted] != 2 {
+		t.Errorf("after a write behind the actors rows: state counts %v", got)
 	}
 }

@@ -26,7 +26,7 @@ type tableShard[K comparable, V any] struct {
 // shardedTable is a hash-striped map: the concurrent replacement for
 // the seed engine's single map under the store-wide mutex. Independent
 // keys land on independent stripes, so measurement ingestion, offer
-// transitions and forecast writes stop contending on one lock.
+// and offer transitions stop contending on one lock.
 type shardedTable[K comparable, V any] struct {
 	hash   func(K) uint64
 	shards [numShards]tableShard[K, V]
@@ -71,8 +71,8 @@ func (t *shardedTable[K, V]) length() int {
 }
 
 // scan calls fn for every entry, one stripe at a time under read locks.
-// Used by the residual full-table queries (dimension walks, unfiltered
-// listings) whose result is the table anyway.
+// Used by the residual full-table queries (unfiltered listings, the
+// index build) whose result is the table anyway.
 func (t *shardedTable[K, V]) scan(fn func(K, V)) {
 	for i := range t.shards {
 		t.shards[i].mu.RLock()
@@ -84,21 +84,6 @@ func (t *shardedTable[K, V]) scan(fn func(K, V)) {
 }
 
 // --- key hashing -------------------------------------------------------
-
-// hashString is 64-bit FNV-1a, inlined to avoid the hash.Hash64
-// allocation on every shard lookup.
-func hashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}
 
 // hashUint64 is the splitmix64 finalizer: cheap avalanche for integer
 // keys (offer IDs are often sequential, which would otherwise pile
@@ -112,29 +97,7 @@ func hashUint64(x uint64) uint64 {
 	return x
 }
 
-func hashCombine(a, b uint64) uint64 {
-	return hashUint64(a ^ (b*0x9e3779b97f4a7c15 + 0x85ebca6b))
-}
-
 func hashOfferID(id flexoffer.ID) uint64 { return hashUint64(uint64(id)) }
-
-func hashForecastKey(k forecastKey) uint64 {
-	h := hashCombine(hashString(k.Actor), hashString(k.EnergyType))
-	h = hashCombine(h, uint64(k.Slot))
-	return hashCombine(h, uint64(k.Horizon))
-}
-
-func hashPriceKey(k priceKey) uint64 {
-	return hashCombine(hashString(k.MarketArea), uint64(k.Hour))
-}
-
-func hashContractKey(k contractKey) uint64 {
-	return hashCombine(hashString(k.Prosumer), hashString(k.BRP))
-}
-
-func hashModelKey(k modelKey) uint64 {
-	return hashCombine(hashCombine(hashString(k.Actor), hashString(k.EnergyType)), hashString(k.ModelName))
-}
 
 // --- batch lock plans --------------------------------------------------
 
@@ -142,19 +105,12 @@ func hashModelKey(k modelKey) uint64 {
 // than one unit acquire them in (table, unit) order, so multi-stripe
 // batches cannot deadlock each other.
 const (
-	lockActors = iota
-	lockEnergyTypes
-	lockMarketAreas
-	lockOffers
-	lockForecasts
-	lockPrices
-	lockContracts
-	lockModelParams
-	lockMeasurements // series units sort after the hashed tables
+	lockOffers       = iota
+	lockMeasurements // series units sort after the offer stripes
 )
 
 // lockUnit is one mutex a batch must hold, with its position in the
-// global acquisition order. For hashed tables unit is the stripe index;
+// global acquisition order. For the offer table unit is the stripe index;
 // for measurement series it is the series' creation id (unique, stable,
 // totally ordered — see measurementIndex).
 type lockUnit struct {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"mirabel/internal/flexoffer"
@@ -49,30 +48,23 @@ func WithSyncPolicy(p SyncPolicy) Option {
 	return func(o *options) { o.policy = p }
 }
 
-// Store is the node-local multidimensional store. All methods are safe
-// for concurrent use. A Store opened with a directory is durable (a
+// Store is the node-local store of the two fact tables the node writes:
+// flex-offer records and measurements. All methods are safe for
+// concurrent use. A Store opened with a directory is durable (a
 // write-ahead log); NewInMemory gives a volatile store for simulations.
 //
-// Internally each dimension and fact table is hash-striped (shard.go);
-// measurements are clustered into per-(actor, energy type) slot-sorted
-// series (index.go) and offers carry by-state and by-owner secondary
-// indexes, so the hot queries read only matching rows. Durable writers
-// append through a group committer (wal.go) while holding only their
-// stripe's lock.
+// Internally the offer table is hash-striped (shard.go) and carries a
+// by-state secondary index; measurements are clustered into
+// per-(actor, energy type) slot-sorted series (index.go). So the hot
+// queries read only matching rows. Durable writers append through a
+// group committer (wal.go) while holding only their stripe's or
+// series' lock.
 type Store struct {
 	readOnly bool
 	w        *GroupLog
 	handoff  func(Intake) // a volatile store's intake handoff; see SetIntakeHandoff
 
-	actors      *shardedTable[string, Actor]
-	energyTypes *shardedTable[string, EnergyType]
-	marketAreas *shardedTable[string, MarketArea]
-	offers      *shardedTable[flexoffer.ID, OfferRecord]
-	forecasts   *shardedTable[forecastKey, ForecastRecord]
-	prices      *shardedTable[priceKey, PriceRecord]
-	contracts   *shardedTable[contractKey, Contract]
-	modelParams *shardedTable[modelKey, ModelParams]
-
+	offers   *shardedTable[flexoffer.ID, OfferRecord]
 	meas     *measurementIndex
 	offerIdx *offerIndex
 
@@ -81,16 +73,9 @@ type Store struct {
 
 func newStore() *Store {
 	return &Store{
-		actors:      newShardedTable[string, Actor](hashString),
-		energyTypes: newShardedTable[string, EnergyType](hashString),
-		marketAreas: newShardedTable[string, MarketArea](hashString),
-		offers:      newShardedTable[flexoffer.ID, OfferRecord](hashOfferID),
-		forecasts:   newShardedTable[forecastKey, ForecastRecord](hashForecastKey),
-		prices:      newShardedTable[priceKey, PriceRecord](hashPriceKey),
-		contracts:   newShardedTable[contractKey, Contract](hashContractKey),
-		modelParams: newShardedTable[modelKey, ModelParams](hashModelKey),
-		meas:        newMeasurementIndex(),
-		offerIdx:    newOfferIndex(),
+		offers:   newShardedTable[flexoffer.ID, OfferRecord](hashOfferID),
+		meas:     newMeasurementIndex(),
+		offerIdx: newOfferIndex(),
 	}
 }
 
@@ -113,7 +98,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	s := newStore()
-	rp := s.startReplay()
+	rp := s.startReplay(WALPath(dir))
 	log, _, err := OpenGroupLog(WALPath(dir), WALMagic, o.policy, true, rp.frame)
 	rp.finish()
 	if err != nil {
@@ -162,7 +147,7 @@ func OpenReadOnly(dir string) (*Store, error) {
 	}
 	s := newStore()
 	s.readOnly = true
-	rp := s.startReplay()
+	rp := s.startReplay(WALPath(dir))
 	_, err = ReplayFrames(WALPath(dir), WALMagic, rp.frame)
 	rp.finish()
 	if err != nil && !errors.Is(err, ErrDamaged) {
@@ -189,9 +174,8 @@ func (s *Store) WALStats() LogStats {
 	return s.w.Stats()
 }
 
-// applyPut is the lock-taking, log-free upsert used by recovery (and,
-// via its *Locked twin in batch.go, by batches).
-// It leaves the offer index alone: recovery builds it once, when the
+// applyPut is the lock-taking, log-free upsert used by recovery. It
+// leaves the offer index alone: recovery builds it once, when the
 // last file is in.
 func applyPut[K comparable, V any](t *shardedTable[K, V], k K, v V) {
 	sh := t.shard(k)
@@ -219,24 +203,9 @@ func (s *Store) applyMeasurement(m Measurement) {
 	ss.mu.Unlock()
 }
 
-// logged frames one mutation into a pooled buffer when the store is
-// durable (nil otherwise); the caller commits it with commitLogged under
-// its table lock. This untyped form boxes v and serves the cold tables
-// and the prune mark; the offer table goes through loggedOffer and
-// loggedUpdate.
-func (s *Store) logged(tag byte, v any) (*[]byte, error) {
-	if s.w == nil {
-		return nil, nil
-	}
-	buf := wire.GetBuf()
-	var err error
-	if *buf, err = appendRecord(*buf, tag, v); err != nil {
-		wire.PutBuf(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
+// loggedOffer and loggedUpdate frame one offer mutation into a pooled
+// buffer when the store is durable (nil otherwise); the caller commits
+// it with commitLogged under the record's stripe lock.
 func (s *Store) loggedOffer(r *OfferRecord) *[]byte {
 	if s.w == nil {
 		return nil
@@ -255,7 +224,8 @@ func (s *Store) loggedUpdate(old, now *OfferRecord) *[]byte {
 	return buf
 }
 
-// commitLogged commits the frame logged returned and recycles its
+// commitLogged commits a frame loggedOffer or loggedUpdate returned,
+// or PutMeasurement's or the prune sweep's, and recycles its
 // buffer; a nil frame (volatile store) is a no-op.
 func (s *Store) commitLogged(buf *[]byte) error {
 	if buf == nil {
@@ -264,38 +234,6 @@ func (s *Store) commitLogged(buf *[]byte) error {
 	err := s.w.commit([][]byte{*buf}, 1, nil)
 	wire.PutBuf(buf)
 	return err
-}
-
-// putRecord is the durable upsert path of the cold tables: the record is
-// encoded outside any lock, logged through the group committer while
-// the stripe lock is held (same-key log order == memory order), then
-// applied.
-func putRecord[K comparable, V any](s *Store, t *shardedTable[K, V], tag byte, k K, v V) error {
-	if s.readOnly {
-		return ErrReadOnly
-	}
-	frame, err := s.logged(tag, v)
-	if err != nil {
-		return err
-	}
-	return putFramed(s, t, frame, k, v, nil)
-}
-
-// putFramed commits an already framed upsert under k's stripe lock and
-// applies it.
-func putFramed[K comparable, V any](s *Store, t *shardedTable[K, V], frame *[]byte, k K, v V, post func(old V, had bool)) error {
-	sh := t.shard(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := s.commitLogged(frame); err != nil {
-		return err
-	}
-	old, had := sh.m[k]
-	sh.m[k] = v
-	if post != nil {
-		post(old, had)
-	}
-	return nil
 }
 
 // --- intake ----------------------------------------------------------
@@ -370,55 +308,6 @@ func (s *Store) ApplyIntake(evs []Intake) {
 	}
 }
 
-// --- dimension upserts -------------------------------------------------
-
-// PutActor upserts an actor dimension record.
-func (s *Store) PutActor(a Actor) error {
-	if a.ID == "" {
-		return fmt.Errorf("store: actor without id")
-	}
-	return putRecord(s, s.actors, tagActor, a.ID, a)
-}
-
-// GetActor returns an actor by ID.
-func (s *Store) GetActor(id string) (Actor, bool) {
-	return s.actors.get(id)
-}
-
-// Children returns the actors whose Parent is id, in ID order (the
-// hierarchy walk of the snowflake dimension).
-func (s *Store) Children(id string) []Actor {
-	var out []Actor
-	s.actors.scan(func(_ string, a Actor) {
-		if a.Parent == id {
-			out = append(out, a)
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// PutEnergyType upserts an energy type dimension record.
-func (s *Store) PutEnergyType(e EnergyType) error {
-	if e.ID == "" {
-		return fmt.Errorf("store: energy type without id")
-	}
-	return putRecord(s, s.energyTypes, tagEnergyType, e.ID, e)
-}
-
-// GetEnergyType returns an energy type by ID.
-func (s *Store) GetEnergyType(id string) (EnergyType, bool) {
-	return s.energyTypes.get(id)
-}
-
-// PutMarketArea upserts a market area dimension record.
-func (s *Store) PutMarketArea(m MarketArea) error {
-	if m.ID == "" {
-		return fmt.Errorf("store: market area without id")
-	}
-	return putRecord(s, s.marketAreas, tagMarketArea, m.ID, m)
-}
-
 // --- fact upserts ------------------------------------------------------
 
 // PutMeasurement upserts a metered value. A node's meter streams come
@@ -450,10 +339,18 @@ func (s *Store) PutOffer(r OfferRecord) error {
 	if s.readOnly {
 		return ErrReadOnly
 	}
+	frame := s.loggedOffer(&r)
 	id := r.Offer.ID
-	return putFramed(s, s.offers, s.loggedOffer(&r), id, r, func(old OfferRecord, had bool) {
-		s.offerIdx.update(id, old, had, r)
-	})
+	sh := s.offers.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := s.commitLogged(frame); err != nil {
+		return err
+	}
+	old, had := sh.m[id]
+	sh.m[id] = r
+	s.offerIdx.update(id, old, had, r)
+	return nil
 }
 
 // InsertOffer stores r unless a record with its id exists already, and
@@ -523,36 +420,6 @@ func (s *Store) GetOffer(id flexoffer.ID) (OfferRecord, bool) {
 	return s.offers.get(id)
 }
 
-// PutForecast upserts a published forecast value.
-func (s *Store) PutForecast(f ForecastRecord) error {
-	return putRecord(s, s.forecasts, tagForecast, forecastKey{f.Actor, f.EnergyType, f.Slot, f.Horizon}, f)
-}
-
-// PutPrice upserts a market price.
-func (s *Store) PutPrice(p PriceRecord) error {
-	return putRecord(s, s.prices, tagPrice, priceKey{p.MarketArea, p.Hour}, p)
-}
-
-// PutContract upserts a contract.
-func (s *Store) PutContract(c Contract) error {
-	return putRecord(s, s.contracts, tagContract, contractKey{c.Prosumer, c.BRP}, c)
-}
-
-// GetContract returns the contract between a prosumer and a BRP.
-func (s *Store) GetContract(prosumer, brp string) (Contract, bool) {
-	return s.contracts.get(contractKey{prosumer, brp})
-}
-
-// PutModelParams persists forecast model parameters.
-func (s *Store) PutModelParams(m ModelParams) error {
-	return putRecord(s, s.modelParams, tagModelParams, modelKey{m.Actor, m.EnergyType, m.ModelName}, m)
-}
-
-// GetModelParams returns persisted model parameters.
-func (s *Store) GetModelParams(actor, energyType, modelName string) (ModelParams, bool) {
-	return s.modelParams.get(modelKey{actor, energyType, modelName})
-}
-
 // PruneMeasurements drops every measurement with Slot < before — the
 // retention sweep that keeps long-running nodes' fact tables bounded.
 // The sweep is WAL-logged (one record) and returns how many facts fell.
@@ -565,9 +432,10 @@ func (s *Store) PruneMeasurements(before flexoffer.Time) (int, error) {
 	}
 	s.pruneMu.Lock()
 	defer s.pruneMu.Unlock()
-	frame, err := s.logged(tagPrune, pruneMark{Before: before})
-	if err != nil {
-		return 0, err
+	var frame *[]byte
+	if s.w != nil {
+		frame = wire.GetBuf()
+		*frame = appendPruneFrame(*frame, before)
 	}
 	// Freeze series creation, then take every series in creation order
 	// (the same order batch writers use — no deadlock).

@@ -18,25 +18,26 @@ func testOffer(id flexoffer.ID) *flexoffer.FlexOffer {
 
 func TestInMemoryCRUD(t *testing.T) {
 	s := NewInMemory()
-	if err := s.PutActor(Actor{ID: "brp1", Role: RoleBRP}); err != nil {
+	if err := s.PutOffer(OfferRecord{Offer: testOffer(1), Owner: "p1", State: OfferReceived}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutActor(Actor{ID: "p1", Role: RoleProsumer, Parent: "brp1"}); err != nil {
+	if err := s.PutOffer(OfferRecord{Offer: testOffer(1), Owner: "p2", State: OfferAccepted}); err != nil { // upsert
 		t.Fatal(err)
 	}
-	if err := s.PutActor(Actor{ID: "p2", Role: RoleProsumer, Parent: "brp1"}); err != nil {
-		t.Fatal(err)
+	if r, ok := s.GetOffer(1); !ok || r.Owner != "p2" || r.State != OfferAccepted {
+		t.Errorf("GetOffer = %+v, %v", r, ok)
 	}
-	a, ok := s.GetActor("p1")
-	if !ok || a.Parent != "brp1" {
-		t.Errorf("GetActor = %+v, %v", a, ok)
+	if stored, err := s.InsertOffer(OfferRecord{Offer: testOffer(1), Owner: "p3", State: OfferRejected}); err != nil || stored {
+		t.Errorf("InsertOffer over a stored id = %v, %v, want false, nil", stored, err)
 	}
-	kids := s.Children("brp1")
-	if len(kids) != 2 || kids[0].ID != "p1" {
-		t.Errorf("Children = %+v", kids)
+	if stored, err := s.InsertOffer(OfferRecord{Offer: testOffer(2), Owner: "p3", State: OfferRejected}); err != nil || !stored {
+		t.Errorf("InsertOffer of a fresh id = %v, %v, want true, nil", stored, err)
 	}
-	if err := s.PutActor(Actor{}); err == nil {
-		t.Error("actor without id accepted")
+	if got := s.Offers(OfferFilter{Owner: "p3"}); len(got) != 1 || got[0].Offer.ID != 2 {
+		t.Errorf("Offers by owner = %+v", got)
+	}
+	if _, ok := s.GetOffer(3); ok {
+		t.Error("missing offer found")
 	}
 }
 
@@ -108,47 +109,10 @@ func TestOfferLifecycle(t *testing.T) {
 	}
 }
 
-func TestContractsAndPrices(t *testing.T) {
-	s := NewInMemory()
-	if err := s.PutContract(Contract{Prosumer: "p1", BRP: "brp1", BaseTariffEUR: 0.3, FlexPremium: 0.02}); err != nil {
-		t.Fatal(err)
-	}
-	c, ok := s.GetContract("p1", "brp1")
-	if !ok || c.FlexPremium != 0.02 {
-		t.Errorf("GetContract = %+v, %v", c, ok)
-	}
-	if err := s.PutPrice(PriceRecord{MarketArea: "dk1", Hour: 7, EURPerMWh: 55}); err != nil {
-		t.Fatal(err)
-	}
-	p, ok := s.Price("dk1", 7)
-	if !ok || p.EURPerMWh != 55 {
-		t.Errorf("Price = %+v, %v", p, ok)
-	}
-	if _, ok := s.Price("dk1", 8); ok {
-		t.Error("missing price found")
-	}
-}
-
-func TestForecastsQuery(t *testing.T) {
-	s := NewInMemory()
-	for slot := flexoffer.Time(0); slot < 6; slot++ {
-		if err := s.PutForecast(ForecastRecord{Actor: "brp1", EnergyType: "demand", Slot: slot, Horizon: 1, KWh: float64(slot)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Forecasts("brp1", "demand", 2, 5)
-	if len(got) != 3 || got[0].Slot != 2 {
-		t.Errorf("Forecasts = %+v", got)
-	}
-}
-
 func TestDurabilityWALReplay(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutActor(Actor{ID: "brp1", Role: RoleBRP}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 4, KWh: 9}); err != nil {
@@ -168,9 +132,6 @@ func TestDurabilityWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if _, ok := s2.GetActor("brp1"); !ok {
-		t.Error("actor lost")
-	}
 	if got := s2.SumEnergyBySlot(MeasurementFilter{})[4]; got != 9 {
 		t.Errorf("measurement lost: %g", got)
 	}
@@ -182,17 +143,12 @@ func TestDurabilityWALReplay(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s := NewInMemory()
-	s.PutActor(Actor{ID: "a"})
-	s.PutEnergyType(EnergyType{ID: "demand", Kind: "consumption"})
-	s.PutMarketArea(MarketArea{ID: "dk1"})
 	s.PutMeasurement(Measurement{Actor: "a", EnergyType: "demand", Slot: 1, KWh: 1})
-	s.PutModelParams(ModelParams{Actor: "a", EnergyType: "demand", ModelName: "HWT", Params: []float64{0.1}})
-	st := s.Stats()
-	if st.Actors != 1 || st.EnergyTypes != 1 || st.MarketAreas != 1 || st.Measurements != 1 || st.ModelParamsEntries != 1 {
+	s.PutMeasurement(Measurement{Actor: "a", EnergyType: "demand", Slot: 1, KWh: 2}) // upsert
+	s.PutMeasurement(Measurement{Actor: "a", EnergyType: "solar", Slot: 1, KWh: -1})
+	s.PutOffer(OfferRecord{Offer: testOffer(1), Owner: "a", State: OfferAccepted})
+	if st := s.Stats(); st != (Stats{Measurements: 2, Offers: 1}) {
 		t.Errorf("Stats = %+v", st)
-	}
-	if mp, ok := s.GetModelParams("a", "demand", "HWT"); !ok || mp.Params[0] != 0.1 {
-		t.Errorf("GetModelParams = %+v, %v", mp, ok)
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package store implements the MIRABEL Data Management component (paper
-// §3): the node-local persistent store for "all historical and current
-// time demand/supply, forecasting model parameters, flex-offers, price
-// and contracts". Data lives in a multidimensional schema — dimension
-// tables (actors, energy types, market areas) and fact tables
-// (measurements, flex-offers, forecasts, prices, contracts) — "a
-// combination of star and snowflake schemas" flexible enough that actors
-// at all levels use subparts of it.
+// §3): the node-local persistent store. It keeps the two fact tables a
+// node writes, flex-offer records and measurements. The paper's store
+// also holds "forecasting model parameters, flex-offers, price and
+// contracts" in a star/snowflake schema with actor, energy type and
+// market area dimensions; here model parameters live only in the
+// node's forecast registry, prices are the planner's input, and
+// contracts are not modelled (the negotiated premium rides on the
+// offer's CostPerKWh). Their old WAL tags stay reserved (codec.go).
 //
 // Durability follows the classic embedded-engine recipe: every mutation
 // is appended to a write-ahead log before being applied in memory, and
