@@ -40,6 +40,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/settle"
@@ -149,38 +150,47 @@ func main() {
 		fmt.Printf("pruned %d measurements before slot %d\n", n, *pruneBefore)
 	}
 
+	summarize(os.Stdout, st, *dataDir, *showOffers, *showMeasurements)
+}
+
+// summarize writes the store's summary: the fact tables' cardinalities
+// and the flex-offer lifecycle breakdown, whose per-state lines sum to
+// the offer count; with offers, every offer record; with measurements,
+// the metered energy per actor, in actor order.
+func summarize(w io.Writer, st *store.Store, dir string, offers, measurements bool) {
 	stats := st.Stats()
-	fmt.Printf("store %s\n", *dataDir)
-	fmt.Printf("  facts: %d measurements, %d offers\n", stats.Measurements, stats.Offers)
+	fmt.Fprintf(w, "store %s\n", dir)
+	fmt.Fprintf(w, "  facts: %d measurements, %d offers\n", stats.Measurements, stats.Offers)
 
 	if counts := st.CountOffersByState(); len(counts) > 0 {
-		fmt.Println("  flex-offer lifecycle:")
+		fmt.Fprintln(w, "  flex-offer lifecycle:")
 		for _, state := range []store.OfferState{
 			store.OfferReceived, store.OfferAccepted, store.OfferScheduled,
 			store.OfferExecuted, store.OfferExpired, store.OfferRejected,
+			store.OfferCancelled,
 		} {
 			if n := counts[state]; n > 0 {
-				fmt.Printf("    %-10s %d\n", state, n)
+				fmt.Fprintf(w, "    %-10s %d\n", state, n)
 			}
 		}
 	}
 
-	if *showOffers {
-		fmt.Println("  offers:")
+	if offers {
+		fmt.Fprintln(w, "  offers:")
 		for _, rec := range st.Offers(store.OfferFilter{}) {
 			f := rec.Offer
-			fmt.Printf("    #%-6d %-10s owner=%-16s window=[%d,%d] slices=%d energy=[%.1f,%.1f]kWh",
+			fmt.Fprintf(w, "    #%-6d %-10s owner=%-16s window=[%d,%d] slices=%d energy=[%.1f,%.1f]kWh",
 				f.ID, rec.State, rec.Owner, f.EarliestStart, f.LatestStart, f.NumSlices(),
 				f.MinTotalEnergy(), f.MaxTotalEnergy())
 			if rec.Schedule != nil {
-				fmt.Printf(" scheduled@%d (%.1f kWh)", rec.Schedule.Start, rec.Schedule.TotalEnergy())
+				fmt.Fprintf(w, " scheduled@%d (%.1f kWh)", rec.Schedule.Start, rec.Schedule.TotalEnergy())
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
 
-	if *showMeasurements {
-		fmt.Println("  energy per actor:")
+	if measurements {
+		fmt.Fprintln(w, "  energy per actor:")
 		perActor := map[string]float64{}
 		var lo, hi flexoffer.Time
 		first := true
@@ -194,11 +204,16 @@ func main() {
 			}
 			first = false
 		}
-		for actor, kwh := range perActor {
-			fmt.Printf("    %-20s %.2f kWh\n", actor, kwh)
+		actors := make([]string, 0, len(perActor))
+		for actor := range perActor {
+			actors = append(actors, actor)
+		}
+		sort.Strings(actors)
+		for _, actor := range actors {
+			fmt.Fprintf(w, "    %-20s %.2f kWh\n", actor, perActor[actor])
 		}
 		if !first {
-			fmt.Printf("    slot range [%d, %d]\n", lo, hi)
+			fmt.Fprintf(w, "    slot range [%d, %d]\n", lo, hi)
 		}
 	}
 }

@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -200,5 +202,59 @@ func TestDumpRefusedTag(t *testing.T) {
 		if after, _ := os.ReadFile(store.WALPath(dir)); !bytes.Equal(after, img) {
 			t.Errorf("tag %d: -dump changed the WAL", tag)
 		}
+	}
+}
+
+// TestSummaryCountsEveryState: the lifecycle lines of the summary sum to
+// the offer count, a cancelled offer among them, and the energy-per-actor
+// lines come in actor order.
+func TestSummaryCountsEveryState(t *testing.T) {
+	st := store.NewInMemory()
+	states := []store.OfferState{
+		store.OfferReceived, store.OfferAccepted, store.OfferScheduled, store.OfferExecuted,
+		store.OfferExpired, store.OfferRejected, store.OfferCancelled, store.OfferCancelled,
+	}
+	for i, state := range states {
+		offer := &flexoffer.FlexOffer{ID: flexoffer.ID(i + 1), Prosumer: "p1", EarliestStart: 40, LatestStart: 44, Profile: []flexoffer.Slice{{EnergyMin: 1, EnergyMax: 3}}}
+		if err := st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: state}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	actors := []string{"p07", "p02", "p11", "p00", "p05", "p09", "p03", "p10", "p01", "p08", "p04", "p06"}
+	for i, actor := range actors {
+		if err := st.PutMeasurement(store.Measurement{Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var out bytes.Buffer
+	summarize(&out, st, "mem", false, true)
+	lines := strings.Split(out.String(), "\n")
+	var sum int
+	var listed []string
+	section := ""
+	for _, line := range lines {
+		switch {
+		case strings.HasPrefix(line, "  ") && !strings.HasPrefix(line, "    "):
+			section = strings.TrimSpace(line)
+		case section == "flex-offer lifecycle:":
+			var state string
+			var n int
+			if _, err := fmt.Sscanf(line, "%s %d", &state, &n); err != nil {
+				t.Fatalf("lifecycle line %q: %v", line, err)
+			}
+			if state == string(store.OfferCancelled) && n != 2 {
+				t.Errorf("cancelled line %q, want 2", line)
+			}
+			sum += n
+		case section == "energy per actor:" && strings.HasSuffix(line, "kWh"):
+			listed = append(listed, strings.Fields(line)[0])
+		}
+	}
+	if sum != len(states) {
+		t.Errorf("lifecycle lines sum to %d, want the %d offers:\n%s", sum, len(states), out.String())
+	}
+	if !sort.StringsAreSorted(listed) || len(listed) != len(actors) {
+		t.Errorf("actor lines %v, want all %d in order", listed, len(actors))
 	}
 }

@@ -98,7 +98,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		}
 		return errUsage
 	}
-	if c.name == "" || c.role == "" {
+	if c.name == "" || !store.Role(c.role).Valid() {
 		fs.Usage()
 		return errUsage
 	}

@@ -80,22 +80,6 @@ func (c *Client) SubmitOffer(ctx context.Context, to string, offer *flexoffer.Fl
 	return d, err
 }
 
-// QueryForecast asks an endpoint for its forecast of energyType over
-// the next horizon slots.
-func (c *Client) QueryForecast(ctx context.Context, to, energyType string, horizon int) (ForecastReply, error) {
-	var r ForecastReply
-	err := c.call(ctx, to, MsgForecastRequest, ForecastRequest{EnergyType: energyType, Horizon: horizon}, MsgForecastReply, &r)
-	return r, err
-}
-
-// QuerySeriesForecast asks an endpoint for the forecast of one
-// maintained (actor, energy type) series in its forecast registry.
-func (c *Client) QuerySeriesForecast(ctx context.Context, to, actor, energyType string, horizon int) (ForecastReply, error) {
-	var r ForecastReply
-	err := c.call(ctx, to, MsgForecastRequest, ForecastRequest{Actor: actor, EnergyType: energyType, Horizon: horizon}, MsgForecastReply, &r)
-	return r, err
-}
-
 // NotifySchedules delivers scheduled instantiations to their owner.
 // Fire-and-forget: delivery is asynchronous on the Bus transport.
 func (c *Client) NotifySchedules(ctx context.Context, to string, schedules []*flexoffer.Schedule) error {

@@ -14,7 +14,7 @@ import (
 )
 
 // echoNode registers a minimal BRP-like endpoint on the bus: accepts
-// offers, answers pings and forecast queries, counts notifications.
+// offers, answers pings, counts notifications.
 func echoNode(bus *Bus, name string) *atomic.Int32 {
 	var notified atomic.Int32
 	mux := NewMux()
@@ -25,16 +25,6 @@ func echoNode(bus *Bus, name string) *atomic.Int32 {
 		}
 		reply, err := NewEnvelope(MsgFlexOfferDecision, name, env.From, FlexOfferDecision{
 			OfferID: body.Offer.ID, Accept: true, PremiumEUR: 0.02,
-		})
-		return &reply, err
-	})
-	mux.Handle(MsgForecastRequest, func(ctx context.Context, env Envelope) (*Envelope, error) {
-		var req ForecastRequest
-		if err := env.Decode(MsgForecastRequest, &req); err != nil {
-			return nil, err
-		}
-		reply, err := NewEnvelope(MsgForecastReply, name, env.From, ForecastReply{
-			EnergyType: req.EnergyType, Values: make([]float64, req.Horizon),
 		})
 		return &reply, err
 	})
@@ -65,10 +55,6 @@ func TestClientTypedRoundtrips(t *testing.T) {
 	d, err := c.SubmitOffer(ctx, "brp1", offer)
 	if err != nil || !d.Accept || d.OfferID != 9 {
 		t.Fatalf("SubmitOffer = %+v, %v", d, err)
-	}
-	fc, err := c.QueryForecast(ctx, "brp1", "demand", 12)
-	if err != nil || len(fc.Values) != 12 || fc.EnergyType != "demand" {
-		t.Fatalf("QueryForecast = %+v, %v", fc, err)
 	}
 	if err := c.Ping(ctx, "brp1"); err != nil {
 		t.Fatalf("Ping: %v", err)
@@ -107,7 +93,7 @@ func TestClientUnreachableThroughBothTransports(t *testing.T) {
 func TestClientPingRejectsWrongReply(t *testing.T) {
 	bus := NewBus()
 	bus.Register("weird", func(ctx context.Context, env Envelope) (*Envelope, error) {
-		reply, err := NewEnvelope(MsgForecastReply, "weird", env.From, ForecastReply{})
+		reply, err := NewEnvelope(MsgFlexOfferDecision, "weird", env.From, FlexOfferDecision{})
 		return &reply, err
 	})
 	c := NewClient("p1", bus)

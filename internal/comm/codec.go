@@ -21,23 +21,19 @@ import (
 //	schedule_notify:      count uvarint | count × Schedule
 //	measurement_batch:    count uvarint | count × Measurement (flexoffer's
 //	                      layout, shared with the store's logs)
-//	forecast_request:     Actor string | EnergyType string | Horizon varint
-//	forecast_reply:       EnergyType string | FirstSlot varint |
-//	                      count uvarint | count × float64
 //	error:                Message string
 //	ping, pong:           no body
 //
 // Type codes are positions in msgTypes and never change meaning; a new
-// message type takes the next free code. Code 5 was the single-value
-// measurement_report: it is retired, a frame carrying it is refused as
-// unknown, and it is never reused.
+// message type takes the next free code. Retired codes are refused as
+// unknown and never reused: code 5 was the single-value
+// measurement_report, codes 6 and 7 the forecast_request and
+// forecast_reply of the remote forecast query.
 var msgTypes = [...]MsgType{
 	1:  MsgFlexOfferSubmit,
 	2:  MsgFlexOfferDecision,
 	3:  MsgScheduleNotify,
 	4:  MsgMeasurementBatch,
-	6:  MsgForecastRequest,
-	7:  MsgForecastReply,
 	8:  MsgPing,
 	9:  MsgPong,
 	10: MsgError,
@@ -190,40 +186,6 @@ func (m *MeasurementBatch) readBody(r *wire.Reader) {
 		for i := range m.Reports {
 			rep := &m.Reports[i]
 			rep.Actor, rep.EnergyType, rep.Slot, rep.KWh = flexoffer.ReadMeasurementWire(r)
-		}
-	}
-}
-
-func (m ForecastRequest) appendBody(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.Actor)
-	dst = wire.AppendString(dst, m.EnergyType)
-	return binary.AppendVarint(dst, int64(m.Horizon)), nil
-}
-
-func (m *ForecastRequest) readBody(r *wire.Reader) {
-	m.Actor = r.String()
-	m.EnergyType = r.String()
-	m.Horizon = int(r.Varint())
-}
-
-func (m ForecastReply) appendBody(dst []byte) ([]byte, error) {
-	dst = wire.AppendString(dst, m.EnergyType)
-	dst = binary.AppendVarint(dst, int64(m.FirstSlot))
-	dst = binary.AppendUvarint(dst, uint64(len(m.Values)))
-	for _, v := range m.Values {
-		dst = wire.AppendFloat64(dst, v)
-	}
-	return dst, nil
-}
-
-func (m *ForecastReply) readBody(r *wire.Reader) {
-	m.EnergyType = r.String()
-	m.FirstSlot = flexoffer.Time(r.Varint())
-	m.Values = nil
-	if n := r.Count(8); n > 0 {
-		m.Values = make([]float64, n)
-		for i := range m.Values {
-			m.Values[i] = r.Float64()
 		}
 	}
 }

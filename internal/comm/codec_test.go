@@ -3,6 +3,7 @@ package comm
 import (
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -34,9 +35,6 @@ func TestBodyCodecMatchesJSON(t *testing.T) {
 			{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 1}, {Actor: "p1", EnergyType: "demand", Slot: 2, KWh: 2}, {Actor: "", EnergyType: "solar", Slot: math.MaxInt64, KWh: -1},
 			{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: math.Copysign(0, -1)},
 		}}, &MeasurementBatch{}},
-		{MsgForecastRequest, ForecastRequest{Actor: "p1", EnergyType: "demand", Horizon: 96}, &ForecastRequest{}},
-		{MsgForecastRequest, ForecastRequest{EnergyType: "demand", Horizon: math.MinInt32}, &ForecastRequest{}},
-		{MsgForecastReply, ForecastReply{EnergyType: "demand", FirstSlot: 480, Values: []float64{1, 2, math.MaxFloat64}}, &ForecastReply{}},
 		{MsgError, ErrorBody{Message: "boom"}, &ErrorBody{}},
 	}
 	for _, tc := range cases {
@@ -93,27 +91,43 @@ func TestNewEnvelopeRefusesWhatItCannotEncode(t *testing.T) {
 	}
 }
 
-// retiredMeasurementReport is the frame payload an older build sent for
-// one metered value: type code 5 (measurement_report) over a single
-// measurement body.
-func retiredMeasurementReport() []byte {
-	raw := []byte{5}
+// retiredFrame is a frame payload an older build sent under a retired
+// type code: the envelope header, then body.
+func retiredFrame(code byte, body []byte) []byte {
+	raw := []byte{code}
 	raw = wire.AppendString(raw, "p1")
 	raw = wire.AppendString(raw, "brp1")
 	raw = binary.AppendUvarint(raw, 42)
-	return flexoffer.AppendMeasurementWire(raw, "p1", "demand", 1, 1)
+	return append(raw, body...)
 }
 
-// TestRetiredMeasurementReportRefused: type code 5 stays reserved. A
-// frame carrying it is refused as unknown, never misread as another
-// type, and no message type encodes to it.
-func TestRetiredMeasurementReportRefused(t *testing.T) {
-	var names peerNames
-	env, err := names.decode(retiredMeasurementReport())
-	if err == nil || !strings.Contains(err.Error(), "unknown message type code 5") {
-		t.Fatalf("code-5 frame decoded to %+v, %v; want an unknown-code error", env, err)
+// retiredFrames holds one frame per retired code: 5, measurement_report
+// of one metered value; 6, forecast_request (Actor, EnergyType, Horizon
+// varint); 7, forecast_reply (EnergyType, FirstSlot varint, two
+// float64 values).
+func retiredFrames() [][]byte {
+	request := wire.AppendString(wire.AppendString(nil, "p1"), "demand")
+	reply := binary.AppendUvarint(binary.AppendVarint(wire.AppendString(nil, "demand"), 3), 2)
+	return [][]byte{
+		retiredFrame(5, flexoffer.AppendMeasurementWire(nil, "p1", "demand", 1, 1)),
+		retiredFrame(6, binary.AppendVarint(request, 4)),
+		retiredFrame(7, wire.AppendFloat64(wire.AppendFloat64(reply, 1), 2)),
 	}
-	for _, typ := range []MsgType{"", "measurement_report"} {
+}
+
+// TestRetiredMeasurementReportRefused: the retired type codes 5
+// (measurement_report), 6 (forecast_request) and 7 (forecast_reply) stay
+// reserved. A frame carrying one is refused as unknown, never misread as
+// another type, and no message type encodes to it.
+func TestRetiredMeasurementReportRefused(t *testing.T) {
+	for _, raw := range retiredFrames() {
+		var names peerNames
+		env, err := names.decode(raw)
+		if want := fmt.Sprintf("unknown message type code %d", raw[0]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("code-%d frame decoded to %+v, %v; want an unknown-code error", raw[0], env, err)
+		}
+	}
+	for _, typ := range []MsgType{"", "measurement_report", "forecast_request", "forecast_reply"} {
 		if raw, err := appendEnvelope(nil, &Envelope{Type: typ}); err == nil {
 			t.Errorf("type %q framed as code %d", typ, raw[0])
 		}
@@ -139,8 +153,6 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		{MsgFlexOfferDecision, FlexOfferDecision{OfferID: 7, Accept: true, PremiumEUR: 0.02}},
 		{MsgScheduleNotify, ScheduleNotify{Schedules: []*flexoffer.Schedule{offer.DefaultSchedule()}}},
 		{MsgMeasurementBatch, MeasurementBatch{Reports: []MeasurementReport{{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 1}}}},
-		{MsgForecastRequest, ForecastRequest{EnergyType: "demand", Horizon: 4}},
-		{MsgForecastReply, ForecastReply{EnergyType: "demand", FirstSlot: 3, Values: []float64{1, 2}}},
 		{MsgPing, nil},
 		{MsgError, ErrorBody{Message: "boom"}},
 	} {
@@ -155,7 +167,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		}
 		f.Add(raw)
 	}
-	f.Add(retiredMeasurementReport())
+	for _, raw := range retiredFrames() {
+		f.Add(raw)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		var names peerNames // one connection's: the second decode reuses the first's names
 		env, err := names.decode(raw)
@@ -185,12 +199,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if env.Decode(env.Type, &batch) == nil && flexoffer.MinMeasurementWire*len(batch.Reports) > n {
 			t.Fatalf("%d reports decoded from a %d-byte body", len(batch.Reports), n)
 		}
-		var reply ForecastReply
-		if env.Decode(env.Type, &reply) == nil && 8*len(reply.Values) > n {
-			t.Fatalf("%d forecast values decoded from a %d-byte body", len(reply.Values), n)
-		}
 		_ = env.Decode(env.Type, &FlexOfferDecision{})
-		_ = env.Decode(env.Type, &ForecastRequest{})
 		_ = env.Decode(env.Type, &ErrorBody{})
 	})
 }

@@ -162,11 +162,12 @@ func TestBusConcurrentRegisterAndSend(t *testing.T) {
 
 func TestTCPRequestReply(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", func(ctx context.Context, env Envelope) (*Envelope, error) {
-		if env.Type != MsgForecastRequest {
-			return nil, fmt.Errorf("unexpected %s", env.Type)
+		var req FlexOfferSubmit
+		if err := env.Decode(MsgFlexOfferSubmit, &req); err != nil {
+			return nil, err
 		}
-		reply, err := NewEnvelope(MsgForecastReply, "brp1", env.From, ForecastReply{
-			EnergyType: "demand", FirstSlot: 100, Values: []float64{1, 2, 3},
+		reply, err := NewEnvelope(MsgFlexOfferDecision, "brp1", env.From, FlexOfferDecision{
+			OfferID: req.Offer.ID, Accept: true, PremiumEUR: 0.03,
 		})
 		return &reply, err
 	})
@@ -179,16 +180,18 @@ func TestTCPRequestReply(t *testing.T) {
 	defer client.Close()
 	client.SetRoute("brp1", srv.Addr())
 
-	env, _ := NewEnvelope(MsgForecastRequest, "p1", "brp1", ForecastRequest{EnergyType: "demand", Horizon: 3})
+	offer := &flexoffer.FlexOffer{ID: 100, EarliestStart: 4, LatestStart: 8,
+		Profile: []flexoffer.Slice{{EnergyMin: 0, EnergyMax: 2}}}
+	env, _ := NewEnvelope(MsgFlexOfferSubmit, "p1", "brp1", FlexOfferSubmit{Offer: offer})
 	reply, err := client.Request(context.Background(), "brp1", env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body ForecastReply
-	if err := reply.Decode(MsgForecastReply, &body); err != nil {
+	var body FlexOfferDecision
+	if err := reply.Decode(MsgFlexOfferDecision, &body); err != nil {
 		t.Fatal(err)
 	}
-	if len(body.Values) != 3 || body.FirstSlot != 100 {
+	if body.OfferID != 100 || !body.Accept || body.PremiumEUR != 0.03 {
 		t.Errorf("reply body = %+v", body)
 	}
 	if reply.Seq == 0 {

@@ -24,7 +24,7 @@
 //     only the calling side, leaving the connection healthy.
 //
 //   - Client is the typed RPC surface applications use: SubmitOffer,
-//     QueryForecast, NotifySchedules, ReportMeasurementsAcked, Ping. It
+//     NotifySchedules, ReportMeasurementsAcked, Ping. It
 //     owns envelope construction and reply decoding; callers never
 //     touch NewEnvelope/Decode.
 //
@@ -71,10 +71,6 @@ const (
 	// consumption or production values (one message, one store group
 	// commit at the receiver) — the only meter message.
 	MsgMeasurementBatch MsgType = "measurement_batch"
-	// MsgForecastRequest / MsgForecastReply: explicit forecast queries
-	// between nodes.
-	MsgForecastRequest MsgType = "forecast_request"
-	MsgForecastReply   MsgType = "forecast_reply"
 	// MsgPing / MsgPong: liveness.
 	MsgPing MsgType = "ping"
 	MsgPong MsgType = "pong"
@@ -127,29 +123,6 @@ type MeasurementReport struct {
 // MeasurementBatch is the body of MsgMeasurementBatch.
 type MeasurementBatch struct {
 	Reports []MeasurementReport `json:"reports"`
-}
-
-// ForecastRequest is the body of MsgForecastRequest. An empty Actor
-// queries the node-wide forecast source; a non-empty Actor addresses
-// one maintained (actor, energy type) series in the node's forecast
-// registry.
-type ForecastRequest struct {
-	Actor      string `json:"actor,omitempty"`
-	EnergyType string `json:"energy_type"`
-	Horizon    int    `json:"horizon"`
-}
-
-// MaxForecastHorizon is the longest horizon a forecast request may ask
-// for: the reply's values then fill at most half a frame (maxFrame),
-// leaving the rest for the envelope and its names. A node refuses a
-// longer request before any model is touched.
-const MaxForecastHorizon = maxFrame / 2 / 8
-
-// ForecastReply is the body of MsgForecastReply.
-type ForecastReply struct {
-	EnergyType string         `json:"energy_type"`
-	FirstSlot  flexoffer.Time `json:"first_slot"`
-	Values     []float64      `json:"values"`
 }
 
 // ErrorBody is the body of MsgError.

@@ -23,7 +23,6 @@ var ErrNotSent = errors.New("request not sent")
 // duplicate-ID rejection, so submissions retry only when provably unsent.
 var DefaultIdempotent = map[MsgType]bool{
 	MsgPing:             true,
-	MsgForecastRequest:  true,
 	MsgMeasurementBatch: true,
 	MsgScheduleNotify:   true,
 }

@@ -663,14 +663,12 @@ func TestTCPBodyOutlivesReadScratch(t *testing.T) {
 		if err := env.Decode(MsgMeasurementBatch, &batch); err != nil {
 			return nil, err
 		}
-		values := make([]float64, len(batch.Reports))
 		for i, r := range batch.Reports {
 			if r.Actor != batch.Reports[0].Actor || int(r.Slot) != i {
 				return nil, fmt.Errorf("report %d of %s's batch reads %+v", i, batch.Reports[0].Actor, r)
 			}
-			values[i] = r.KWh
 		}
-		reply, err := NewEnvelope(MsgForecastReply, "srv", env.From, ForecastReply{EnergyType: batch.Reports[0].Actor, Values: values})
+		reply, err := NewEnvelope(MsgMeasurementBatch, "srv", env.From, batch)
 		return &reply, err
 	})
 	if err != nil {
@@ -704,18 +702,18 @@ func TestTCPBodyOutlivesReadScratch(t *testing.T) {
 				t.Errorf("request %d: %v", k, err)
 				return
 			}
-			var echo ForecastReply
-			if err := reply.Decode(MsgForecastReply, &echo); err != nil {
+			var echo MeasurementBatch
+			if err := reply.Decode(MsgMeasurementBatch, &echo); err != nil {
 				t.Errorf("reply %d: %v", k, err)
 				return
 			}
-			if echo.EnergyType != actor || len(echo.Values) != len(reports) {
-				t.Errorf("reply %d is for %s with %d values, want %s with %d", k, echo.EnergyType, len(echo.Values), actor, len(reports))
+			if len(echo.Reports) != len(reports) {
+				t.Errorf("reply %d echoes %d reports, want %d", k, len(echo.Reports), len(reports))
 				return
 			}
-			for i, v := range echo.Values {
-				if v != reports[i].KWh {
-					t.Errorf("reply %d value %d = %g, want %g", k, i, v, reports[i].KWh)
+			for i, r := range echo.Reports {
+				if r != reports[i] {
+					t.Errorf("reply %d report %d = %+v, want %+v", k, i, r, reports[i])
 					return
 				}
 			}

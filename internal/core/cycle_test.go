@@ -303,39 +303,6 @@ func TestCycleAndRelayReconcileDoubleScheduling(t *testing.T) {
 	}
 }
 
-// TestForecastReplyAnchoredAtPlanningTime is the satellite fix: replies
-// carry the latest cycle's planning time as FirstSlot, not a zero
-// placeholder.
-func TestForecastReplyAnchoredAtPlanningTime(t *testing.T) {
-	bus := comm.NewBus()
-	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
-		Forecast: StaticForecast{1, 2, 3},
-	})
-	p1 := newProsumer(t, bus, "p1")
-
-	reply, err := p1.QueryParentForecast(context.Background(), "demand", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.FirstSlot != 0 {
-		t.Errorf("pre-cycle FirstSlot = %d, want 0", reply.FirstSlot)
-	}
-	if _, err := brp.RunSchedulingCycle(context.Background(), 96, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	reply, err = p1.QueryParentForecast(context.Background(), "demand", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.FirstSlot != 96 {
-		t.Errorf("FirstSlot = %d, want the planning time 96", reply.FirstSlot)
-	}
-	if got := brp.PlanningTime(); got != 96 {
-		t.Errorf("PlanningTime = %d, want 96", got)
-	}
-}
-
 // TestCycleDeliveryBoundedBySlowestProsumer is the phase split's
 // headline property at test scale: with n prosumers behind a
 // fixed-latency transport, delivery wall time is near one latency, not

@@ -2,8 +2,9 @@ package core
 
 // StaticForecast adapts a fixed per-slot series to the node's forecaster
 // seam: Forecast(h) returns the first h values (padded with the last
-// value). Simulations and tests use it to inject known baselines; a real
-// deployment plugs in a forecast.Maintainer instead.
+// value). The simulator, the benchmark and the tests inject known
+// baselines with it; the node's own forecast registry does not feed the
+// cycle yet (ROADMAP O).
 type StaticForecast []float64
 
 // Forecast implements the forecaster seam.

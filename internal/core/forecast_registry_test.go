@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"strings"
 	"testing"
 
 	"mirabel/internal/agg"
@@ -53,73 +51,41 @@ func seriesMeas(actor string, from, n int) []store.Measurement {
 	return ms
 }
 
-// TestPerSeriesForecastOverTheWire: measurements flowing into the node
-// create a per-series model transparently, and the series is queryable
-// through the typed client.
-func TestPerSeriesForecastOverTheWire(t *testing.T) {
+// TestPerSeriesForecastFromIntake: measurements flowing into the node
+// create a per-series model transparently, and the series is served by
+// the node's forecast registry.
+func TestPerSeriesForecastFromIntake(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newForecastingBRP(t, bus, "")
-	client := comm.NewClient("p1", bus)
-	ctx := context.Background()
+	reg := brp.ForecastRegistry()
 
 	// Below warm-up: the series exists but has no model yet.
 	if err := brp.IngestMeasurements(seriesMeas("p1", 0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, brp)
-	if _, err := client.QuerySeriesForecast(ctx, "brp1", "p1", "elec", 4); err == nil {
-		t.Fatal("per-series query served before the model exists")
+	if _, ok := reg.Forecast("p1", "elec", 4); ok {
+		t.Fatal("series forecast served before the model exists")
 	}
 
 	if err := brp.IngestMeasurements(seriesMeas("p1", 4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, brp)
-	reply, err := client.QuerySeriesForecast(ctx, "brp1", "p1", "elec", 6)
-	if err != nil {
-		t.Fatal(err)
+	values, ok := reg.Forecast("p1", "elec", 6)
+	if !ok {
+		t.Fatal("warm series not served")
 	}
-	if len(reply.Values) != 6 {
-		t.Fatalf("forecast horizon = %d values, want 6", len(reply.Values))
+	if len(values) != 6 {
+		t.Fatalf("forecast horizon = %d values, want 6", len(values))
 	}
 	st, ok := brp.ForecastStats()
 	if !ok || st.Series != 1 || st.Models != 1 || st.Observations != 8 {
 		t.Fatalf("registry stats = %+v (ok=%v), want 1 series / 1 model / 8 obs", st, ok)
 	}
-	// A prosumer maintains no registry and rejects per-series queries.
-	newProsumer(t, bus, "p9")
-	if _, err := client.QuerySeriesForecast(ctx, "p9", "p1", "elec", 4); err == nil {
-		t.Fatal("prosumer served a per-series forecast")
-	}
-}
-
-// TestForecastRequestRefusesHugeHorizon: a peer naming a warm series
-// with a horizon no reply frame could carry gets an error reply before
-// any model is touched — not a forecast buffer sized by the request
-// (from 1<<46 up a makeslice panic, below it an out-of-memory crash).
-func TestForecastRequestRefusesHugeHorizon(t *testing.T) {
-	bus := comm.NewBus()
-	brp := newForecastingBRP(t, bus, "")
-	if err := brp.IngestMeasurements(seriesMeas("p1", 0, 8)); err != nil {
-		t.Fatal(err)
-	}
-	drain(t, brp)
-	client := comm.NewClient("p1", bus)
-	ctx := context.Background()
-	if _, err := client.QuerySeriesForecast(ctx, "brp1", "p1", "elec", 6); err != nil {
-		t.Fatalf("warm series not served: %v", err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, h := range []int{1 << 62, 1 << 31, comm.MaxForecastHorizon + 1} {
-		reply, err := client.QuerySeriesForecast(ctx, "brp1", "p1", "elec", h)
-		if err == nil || !strings.Contains(err.Error(), "horizon") {
-			t.Errorf("horizon %d: %d values, %v; want a horizon error", h, len(reply.Values), err)
-		}
-	}
-	runtime.ReadMemStats(&after)
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
-		t.Errorf("three refused requests allocated %d bytes", grew)
+	// A prosumer maintains no registry.
+	if p9 := newProsumer(t, bus, "p9"); p9.ForecastRegistry() != nil {
+		t.Fatal("prosumer has a forecast registry")
 	}
 }
 

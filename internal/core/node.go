@@ -70,16 +70,10 @@ type Config struct {
 	// B(4) deletes it together with bench/node.go's assignment.
 	AggWorkers int
 
-	// Forecast optionally serves MsgForecastRequest queries from peers
-	// (a forecast.Maintainer, a StaticForecast, ...). Nil nodes answer
-	// forecast queries with an error.
-	Forecast forecaster
-
 	// Forecasting tunes the fleet-scale forecast service
 	// (forecast.Registry) every aggregating node runs: each measurement
 	// the ingest queue applies maintains a per-(actor,energy) model,
-	// re-estimated on a bounded background pool. Peers address individual
-	// series via ForecastRequest.Actor. Nil means the registry's
+	// re-estimated on a bounded background pool. Nil means the registry's
 	// defaults — never "no registry".
 	Forecasting *forecast.RegistryConfig
 
@@ -157,8 +151,8 @@ type Node struct {
 	snapCache map[flexoffer.ID]*agg.Aggregate
 
 	// planTime is the node's latest planning time: the start slot of
-	// the most recent scheduling cycle. Offer valuation and forecast
-	// replies are anchored at it.
+	// the most recent scheduling cycle. Offer valuation is anchored at
+	// it.
 	planTime flexoffer.Time
 
 	// pending maps accepted-but-unscheduled offers (the paper's pending
@@ -188,8 +182,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("core: node needs a name")
 	}
-	if cfg.Role == "" {
-		return nil, fmt.Errorf("core: node needs a role")
+	if !cfg.Role.Valid() {
+		return nil, fmt.Errorf("core: node role %q is not one of prosumer, brp, tso", cfg.Role)
 	}
 	if cfg.Store == nil {
 		cfg.Store = store.NewInMemory()
@@ -229,7 +223,6 @@ func NewNode(cfg Config) (*Node, error) {
 	// (logging sees it) and to Collect (metrics count it).
 	mux := comm.NewMux()
 	mux.Handle(comm.MsgScheduleNotify, n.handleScheduleNotify)
-	mux.Handle(comm.MsgForecastRequest, n.handleForecastRequest)
 	mux.Handle(comm.MsgPing, n.handlePing)
 	mux.HandleFallback(func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 		return nil, fmt.Errorf("core: %s (%s) cannot handle %s", n.cfg.Name, n.cfg.Role, env.Type)
@@ -389,46 +382,6 @@ func (n *Node) handlePing(ctx context.Context, env comm.Envelope) (*comm.Envelop
 	return &reply, nil
 }
 
-// handleForecastRequest serves forecast queries from the node's
-// configured forecast source (paper §3: forecasts are first-class
-// messages between nodes). Replies are anchored at the node's latest
-// planning time, so the caller knows which slot Values[0] refers to.
-func (n *Node) handleForecastRequest(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-	var req comm.ForecastRequest
-	if err := env.Decode(comm.MsgForecastRequest, &req); err != nil {
-		return nil, err
-	}
-	if req.Horizon <= 0 || req.Horizon > comm.MaxForecastHorizon {
-		return nil, fmt.Errorf("core: forecast horizon %d outside 1..%d", req.Horizon, comm.MaxForecastHorizon)
-	}
-	var values []float64
-	switch {
-	case req.Actor != "":
-		// Per-series query against the fleet forecast registry.
-		if !n.aggregating() {
-			return nil, fmt.Errorf("core: prosumer %s maintains no forecast registry", n.cfg.Name)
-		}
-		v, ok := n.fcasts.Forecast(req.Actor, req.EnergyType, req.Horizon)
-		if !ok {
-			return nil, fmt.Errorf("core: %s has no model for series (%s, %s) yet", n.cfg.Name, req.Actor, req.EnergyType)
-		}
-		values = v
-	case n.cfg.Forecast != nil:
-		values = n.cfg.Forecast.Forecast(req.Horizon)
-	default:
-		return nil, fmt.Errorf("core: %s has no forecast source", n.cfg.Name)
-	}
-	reply, err := comm.NewEnvelope(comm.MsgForecastReply, n.cfg.Name, env.From, comm.ForecastReply{
-		EnergyType: req.EnergyType,
-		FirstSlot:  n.PlanningTime(),
-		Values:     values,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &reply, nil
-}
-
 // handleOfferSubmit runs negotiation and feeds accepted offers into the
 // aggregation pipeline (BRP/TSO duty).
 func (n *Node) handleOfferSubmit(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
@@ -522,14 +475,6 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 // recent scheduling cycle (zero until the first cycle runs — the
 // simulation drives time explicitly). Caller holds mu.
 func (n *Node) nowLocked() flexoffer.Time { return n.planTime }
-
-// PlanningTime returns the node's latest planning time — the anchor of
-// forecast replies and offer valuation.
-func (n *Node) PlanningTime() flexoffer.Time {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.planTime
-}
 
 // handleMeasurementBatch takes a reported meter-stream batch as one
 // ingest event: one WAL group, one store round on apply.
@@ -771,20 +716,8 @@ func (n *Node) ReportMeasurement(ctx context.Context, energyType string, slot fl
 	}})
 }
 
-// QueryParentForecast asks the parent node for its forecast of
-// energyType over horizon slots (prosumer/BRP duty).
-func (n *Node) QueryParentForecast(ctx context.Context, energyType string, horizon int) (comm.ForecastReply, error) {
-	if n.client == nil || n.cfg.Parent == "" {
-		return comm.ForecastReply{}, fmt.Errorf("core: %s has no parent to query", n.cfg.Name)
-	}
-	return n.client.QueryForecast(ctx, n.cfg.Parent, energyType, horizon)
-}
-
 // forecaster produces the baseline for a horizon; the node's scheduling
-// cycle accepts any source (a forecast.Maintainer, a fixed series, ...).
+// cycle accepts any source (StaticForecast, ShiftedForecast, ...).
 type forecaster interface {
 	Forecast(h int) []float64
 }
-
-// ensure forecast.Maintainer satisfies the forecaster seam.
-var _ forecaster = (*forecast.Maintainer)(nil)

@@ -75,11 +75,16 @@ func drain(t *testing.T, n *Node) {
 }
 
 func TestNewNodeValidation(t *testing.T) {
-	if _, err := NewNode(Config{}); err == nil {
-		t.Error("node without name accepted")
-	}
-	if _, err := NewNode(Config{Name: "x"}); err == nil {
-		t.Error("node without role accepted")
+	for what, cfg := range map[string]Config{
+		"no name":                {Role: store.RoleBRP},
+		"no role":                {Name: "x"},
+		"capitalised role":       {Name: "x", Role: "Prosumer"},
+		"role outside the three": {Name: "x", Role: "broker"},
+	} {
+		if n, err := NewNode(cfg); err == nil {
+			n.Close()
+			t.Errorf("%s: node accepted", what)
+		}
 	}
 }
 
@@ -572,38 +577,6 @@ func TestTSOLevelAggregationOfBRPs(t *testing.T) {
 	}
 	if rep.MicroSchedules != 1 {
 		t.Errorf("TSO cycle report = %+v", rep)
-	}
-}
-
-func TestNodeServesForecastQueries(t *testing.T) {
-	bus := comm.NewBus()
-	mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
-		Forecast: StaticForecast{5, 6, 7},
-	})
-	p1 := newProsumer(t, bus, "p1")
-
-	reply, err := p1.QueryParentForecast(context.Background(), "demand", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{5, 6, 7, 7}
-	if reply.EnergyType != "demand" || len(reply.Values) != 4 {
-		t.Fatalf("reply = %+v", reply)
-	}
-	for i := range want {
-		if reply.Values[i] != want[i] {
-			t.Errorf("Values[%d] = %g, want %g", i, reply.Values[i], want[i])
-		}
-	}
-}
-
-func TestNodeForecastQueryWithoutSourceErrors(t *testing.T) {
-	bus := comm.NewBus()
-	newBRP(t, bus) // no Forecast configured
-	p1 := newProsumer(t, bus, "p1")
-	if _, err := p1.QueryParentForecast(context.Background(), "demand", 4); err == nil {
-		t.Error("forecast query without source should error")
 	}
 }
 

@@ -40,13 +40,13 @@ func TestMaintainerUpdateZeroAlloc(t *testing.T) {
 	}
 	// TimeBased zero value never triggers: the steady-state path with no
 	// re-estimation in sight.
-	mt := NewMaintainer(m, hist, MaintainerConfig{Strategy: &TimeBased{}})
+	pool := &syncPool{}
+	mt := newMaintainer(m, hist, MaintainerConfig{Strategy: &TimeBased{}}, pool.enqueue)
+	one := []store.Measurement{{KWh: 3}}
 	if n := testing.AllocsPerRun(1000, func() {
-		if err := mt.Update(3); err != nil {
-			t.Fatal(err)
-		}
+		updateRun(mt, one)
 	}); n != 0 {
-		t.Fatalf("Maintainer.Update allocates %.1f times per op, want 0", n)
+		t.Fatalf("a Maintainer observation allocates %.1f times, want 0", n)
 	}
 }
 

@@ -90,7 +90,7 @@ func TestLongestPeriodUnsorted(t *testing.T) {
 	if _, _, err := FitHWT(make([]float64, 400), []int{336, 48}, FitConfig{}); err == nil {
 		t.Error("FitHWT([336 48]) accepted 400 observations, want ≥ 504")
 	}
-	mt := NewMaintainer(m, nil, MaintainerConfig{})
+	mt := newMaintainer(m, nil, MaintainerConfig{}, (&syncPool{}).enqueue)
 	if got, want := len(mt.hist), 4*336; got != want {
 		t.Errorf("default history window = %d, want %d", got, want)
 	}

@@ -18,8 +18,8 @@ import (
 // components and a first-order autoregressive residual correction. The
 // classic "triple seasonality" instance uses intra-day, intra-week and
 // intra-year periods; any non-empty subset works. An HWT is not safe for
-// concurrent use; wrap it in a Maintainer for concurrent producers and
-// consumers.
+// concurrent use; the registry wraps each series' model in a Maintainer
+// for concurrent producers and consumers.
 //
 // State equations (additive form, no trend — energy series are
 // trend-stationary at these horizons):

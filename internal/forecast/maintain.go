@@ -1,7 +1,6 @@
 package forecast
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -10,7 +9,7 @@ import (
 // re-estimation (paper §5: "we offer different model evaluation
 // strategies (e.g., time- or threshold-based)").
 type EvaluationStrategy interface {
-	// Observe is called after every Update with the symmetric relative
+	// Observe is called for every observation with the symmetric relative
 	// error |y−ŷ| / (|y|+|ŷ|) of the one-step forecast for the value
 	// just consumed; it returns true when a parameter re-estimation
 	// should be triggered.
@@ -104,13 +103,12 @@ type installedFit struct {
 // model estimations in order to speed up this time-consuming process");
 // see refitConfigLocked.
 //
-// Two re-estimation modes exist. Standalone (the default), the refit
-// runs synchronously inside Update. Registry-attached (an enqueue hook
-// is set), the strategy only *enqueues* a refit request: a background
-// worker refits against a snapshot of the history and publishes the new
-// parameters through an atomic pointer, which the next Update/Forecast
-// swaps into the live model — so a refit never blocks updates or
-// forecasts, which keep serving the stale-but-live model meanwhile.
+// When the strategy triggers, the maintainer *enqueues* a refit request
+// on its registry's pool, whose worker refits against a snapshot of the
+// history and publishes the new parameters through an atomic pointer,
+// which the next update or Forecast swaps into the live model — so a
+// refit never blocks updates or forecasts, which keep serving the
+// stale-but-live model meanwhile.
 type Maintainer struct {
 	mu    sync.Mutex
 	model *HWT
@@ -128,7 +126,7 @@ type Maintainer struct {
 	ctx      Context
 	reEstims int
 
-	// Async re-estimation plumbing (nil/zero in standalone mode).
+	// Re-estimation plumbing.
 	enqueue       func() bool // registry hook: queue a refit request
 	refitPending  atomic.Bool // a request is queued or running
 	pendingFit    atomic.Pointer[installedFit]
@@ -146,9 +144,12 @@ type MaintainerConfig struct {
 	MaxHistory int
 }
 
-// NewMaintainer wraps a fitted model. history is the data the model was
-// fitted on (retained, windowed, for re-estimation).
-func NewMaintainer(model *HWT, history []float64, cfg MaintainerConfig) *Maintainer {
+// newMaintainer wraps a fitted model. history is the data the model was
+// fitted on (retained, windowed, for re-estimation). When the evaluation
+// strategy triggers, enqueue is called (once — guarded by refitPending)
+// to queue a refit; it returns false when the refit queue is full, and
+// the strategy stays armed and re-triggers.
+func newMaintainer(model *HWT, history []float64, cfg MaintainerConfig, enqueue func() bool) *Maintainer {
 	longest := longestPeriod(model.periods)
 	if cfg.Strategy == nil {
 		cfg.Strategy = &TimeBased{Every: 2 * longest}
@@ -163,6 +164,7 @@ func NewMaintainer(model *HWT, history []float64, cfg MaintainerConfig) *Maintai
 		fitCfg:   cfg.FitCfg,
 		repo:     cfg.Repo,
 		ctx:      cfg.Ctx,
+		enqueue:  enqueue,
 	}
 	h := history
 	if len(h) > cfg.MaxHistory {
@@ -172,12 +174,6 @@ func NewMaintainer(model *HWT, history []float64, cfg MaintainerConfig) *Maintai
 	mt.histPos = mt.histLen % cfg.MaxHistory
 	return mt
 }
-
-// setEnqueue switches the maintainer to asynchronous re-estimation: when
-// the evaluation strategy triggers, fn is called (once — guarded by
-// refitPending) instead of refitting inline. fn returns false when the
-// refit queue is full; the strategy stays armed and re-triggers.
-func (mt *Maintainer) setEnqueue(fn func() bool) { mt.enqueue = fn }
 
 // histPush appends an observation to the ring window, allocation-free.
 // Caller holds the lock.
@@ -200,17 +196,10 @@ func (mt *Maintainer) histOrdered(dst []float64) []float64 {
 	return append(dst, mt.hist[:mt.histPos]...)
 }
 
-// Update consumes a new measurement: a cheap state update, plus a
-// parameter re-estimation (or, registry-attached, a refit enqueue) when
-// the evaluation strategy demands one.
-func (mt *Maintainer) Update(y float64) error {
-	mt.mu.Lock()
-	defer mt.mu.Unlock()
-	return mt.updateLocked(y)
-}
-
-// updateLocked is one observation's state update. Caller holds the lock.
-func (mt *Maintainer) updateLocked(y float64) error {
+// updateLocked consumes one observation: a cheap state update, plus a
+// refit enqueue when the evaluation strategy demands one. Caller holds
+// the lock.
+func (mt *Maintainer) updateLocked(y float64) {
 	mt.installPendingLocked()
 	pred := mt.model.step(y)
 	mt.histPush(y)
@@ -219,19 +208,12 @@ func (mt *Maintainer) updateLocked(y float64) error {
 	if denom := abs(y) + abs(pred); denom > 0 {
 		smape = abs(y-pred) / denom
 	}
-	if !mt.strategy.Observe(smape) {
-		return nil
-	}
-	if mt.enqueue != nil {
-		if mt.refitPending.CompareAndSwap(false, true) {
-			if !mt.enqueue() {
-				// Queue full: stand down so a later trigger retries.
-				mt.refitPending.Store(false)
-			}
+	if mt.strategy.Observe(smape) && mt.refitPending.CompareAndSwap(false, true) {
+		if !mt.enqueue() {
+			// Queue full: stand down so a later trigger retries.
+			mt.refitPending.Store(false)
 		}
-		return nil
 	}
-	return mt.reestimateLocked()
 }
 
 // installPendingLocked swaps asynchronously estimated parameters into
@@ -259,8 +241,7 @@ func (mt *Maintainer) refitSnapshot() (history []float64, periods []int, cfg Fit
 }
 
 // refitConfigLocked builds the fit configuration of the next
-// re-estimation — the one place the asynchronous sweeper and the
-// synchronous path get it from, so both follow the same policy:
+// re-estimation, the policy the sweeper's refits follow:
 //
 //   - Estimation: a series with no prior knowledge (no estimate installed
 //     yet, no context-repository case) gets the global search, warm-started
@@ -291,7 +272,7 @@ func (mt *Maintainer) refitConfigLocked() FitConfig {
 }
 
 // completeRefit publishes an asynchronous re-estimation result. The
-// parameters are installed by the next Update/Forecast (the publish
+// parameters are installed by the next update or Forecast (the publish
 // itself never takes the maintainer lock, so a refit cannot stall the
 // serving path even for the install).
 func (mt *Maintainer) completeRefit(params []float64, objective float64) {
@@ -304,25 +285,6 @@ func (mt *Maintainer) completeRefit(params []float64, objective float64) {
 // abortRefit stands a failed asynchronous re-estimation down so the
 // strategy can trigger a fresh request.
 func (mt *Maintainer) abortRefit() { mt.refitPending.Store(false) }
-
-// reestimateLocked refits parameters synchronously. Caller holds the
-// lock.
-func (mt *Maintainer) reestimateLocked() error {
-	cfg := mt.refitConfigLocked()
-	history := mt.histOrdered(nil)
-	fitted, res, err := FitHWT(history, mt.model.periods, cfg)
-	if err != nil {
-		return fmt.Errorf("forecast: re-estimation failed: %w", err)
-	}
-	*mt.model = *fitted
-	mt.strategy.Reset()
-	mt.reEstims++
-	mt.obsSinceRefit.Store(0)
-	if mt.repo != nil {
-		mt.repo.Store(mt.ctx, res.X, res.Value)
-	}
-	return nil
-}
 
 // Forecast returns the next h values under the lock. A pending
 // asynchronously estimated parameter set is installed first, so

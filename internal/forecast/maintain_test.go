@@ -5,10 +5,43 @@ import (
 	"testing"
 
 	"mirabel/internal/optimize"
+	"mirabel/internal/store"
 )
 
 func optimizeOpts() optimize.Options {
 	return optimize.Options{MaxEvaluations: 150, Seed: 7}
+}
+
+// syncPool stands in for the registry's refit pool on the caller's
+// goroutine: its enqueue marks a refit due, and refit runs it the way
+// sweeper.refit does — refitSnapshot, FitHWT, completeRefit.
+type syncPool struct{ due bool }
+
+func (p *syncPool) enqueue() bool { p.due = true; return true }
+
+func (p *syncPool) refit(t testing.TB, mt *Maintainer) optimize.Result {
+	t.Helper()
+	p.due = false
+	history, periods, cfg := mt.refitSnapshot()
+	_, fit, err := FitHWT(history, periods, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt.completeRefit(fit.X, fit.Value)
+	return fit
+}
+
+// feed pushes ys one at a time through the registry's update path
+// (updateRun), running a due refit before the next observation, which
+// installs it.
+func (p *syncPool) feed(t testing.TB, mt *Maintainer, ys []float64) {
+	t.Helper()
+	for _, y := range ys {
+		if p.due {
+			p.refit(t, mt)
+		}
+		updateRun(mt, []store.Measurement{{KWh: y}})
+	}
 }
 
 func TestTimeBasedStrategy(t *testing.T) {
@@ -52,16 +85,12 @@ func TestMaintainerReestimatesOnSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := NewMaintainer(m, history, MaintainerConfig{
+	pool := &syncPool{}
+	mt := newMaintainer(m, history, MaintainerConfig{
 		Strategy: &TimeBased{Every: 50},
 		FitCfg:   FitConfig{Options: optimizeOpts()},
-	})
-	cont := synthSeasonal(336*2 + 120)[336*2:]
-	for _, y := range cont {
-		if err := mt.Update(y); err != nil {
-			t.Fatal(err)
-		}
-	}
+	}, pool.enqueue)
+	pool.feed(t, mt, synthSeasonal(336*2 + 120)[336*2:])
 	if got := mt.Reestimations(); got != 2 {
 		t.Errorf("re-estimations = %d, want 2 (120 updates / 50)", got)
 	}
@@ -78,18 +107,18 @@ func TestMaintainerKeepsAccuracyUnderDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := NewMaintainer(m, base, MaintainerConfig{
+	pool := &syncPool{}
+	mt := newMaintainer(m, base, MaintainerConfig{
 		Strategy: &ThresholdBased{Threshold: 0.05, Window: 48},
 		FitCfg:   FitConfig{Options: optimizeOpts()},
-	})
-	for i := 0; i < 336; i++ {
+	}, pool.enqueue)
+	drifted := make([]float64, 336)
+	for i := range drifted {
 		// Structural break: the level jumps by 60% (e.g. a new industrial
 		// consumer joined the balance group).
-		drifted := 160 + 10*math.Sin(2*math.Pi*float64(i%48)/48)
-		if err := mt.Update(drifted); err != nil {
-			t.Fatal(err)
-		}
+		drifted[i] = 160 + 10*math.Sin(2*math.Pi*float64(i%48)/48)
 	}
+	pool.feed(t, mt, drifted)
 	if mt.Reestimations() == 0 {
 		t.Error("no re-estimation despite drift")
 	}
@@ -103,18 +132,14 @@ func TestMaintainerUsesContextRepository(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt := NewMaintainer(m, history, MaintainerConfig{
+	pool := &syncPool{}
+	mt := newMaintainer(m, history, MaintainerConfig{
 		Strategy: &TimeBased{Every: 30},
 		FitCfg:   FitConfig{Options: optimizeOpts()},
 		Repo:     repo,
 		Ctx:      ctx,
-	})
-	cont := synthSeasonal(336*2 + 40)[336*2:]
-	for _, y := range cont {
-		if err := mt.Update(y); err != nil {
-			t.Fatal(err)
-		}
-	}
+	}, pool.enqueue)
+	pool.feed(t, mt, synthSeasonal(336*2 + 40)[336*2:])
 	if repo.Len() == 0 {
 		t.Error("re-estimation did not store parameters in the repository")
 	}

@@ -42,28 +42,21 @@ func maintainStream(t *testing.T, series []float64, fitCfg FitConfig, repo *Cont
 	if err := model.Init(series[:warm]); err != nil {
 		t.Fatal(err)
 	}
-	mt := NewMaintainer(model, series[:warm], MaintainerConfig{
+	pool := &syncPool{due: true} // model creation queues the first estimation
+	mt := newMaintainer(model, series[:warm], MaintainerConfig{
 		Strategy:   &TimeBased{Every: every},
 		FitCfg:     fitCfg,
 		Repo:       repo,
 		Ctx:        Context{EnergyType: energy},
 		MaxHistory: window,
-	})
-	due := true // model creation queues the first estimation
-	mt.setEnqueue(func() bool { due = true; return true })
+	}, pool.enqueue)
 
 	var res streamResult
 	var sum float64
 	n := 0
 	for _, y := range series[warm:] {
-		if due {
-			due = false
-			history, periods, cfg := mt.refitSnapshot()
-			_, fit, err := FitHWT(history, periods, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mt.completeRefit(fit.X, fit.Value)
+		if pool.due {
+			fit := pool.refit(t, mt)
 			if mt.Reestimations() == 0 {
 				res.firstEvals = fit.Evaluations
 			} else {
@@ -76,9 +69,7 @@ func maintainStream(t *testing.T, series []float64, fitCfg FitConfig, repo *Cont
 			sum += abs(y-pred) / denom
 		}
 		n++
-		if err := mt.Update(y); err != nil {
-			t.Fatal(err)
-		}
+		updateRun(mt, []store.Measurement{{KWh: y}})
 	}
 	res.smape = sum / float64(n)
 	return res

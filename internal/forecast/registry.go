@@ -280,7 +280,7 @@ func (s *Series) consumeRun(ms []store.Measurement) {
 func updateRun(mt *Maintainer, ms []store.Measurement) {
 	mt.mu.Lock()
 	for i := range ms {
-		_ = mt.updateLocked(ms[i].KWh)
+		mt.updateLocked(ms[i].KWh)
 	}
 	mt.mu.Unlock()
 }
@@ -305,14 +305,13 @@ func (s *Series) maybeCreateLocked() {
 	if err := model.Init(s.warm); err != nil {
 		return
 	}
-	mt := NewMaintainer(model, s.warm, MaintainerConfig{
+	mt := newMaintainer(model, s.warm, MaintainerConfig{
 		Strategy:   cfg.NewStrategy(),
 		FitCfg:     cfg.FitCfg,
 		Repo:       s.reg.repo,
 		Ctx:        Context{EnergyType: s.Key.EnergyType},
 		MaxHistory: cfg.MaxHistory,
-	})
-	mt.setEnqueue(func() bool { return s.reg.sweep.enqueue(s) })
+	}, func() bool { return s.reg.sweep.enqueue(s) })
 	s.warm = nil
 	s.mt.Store(mt)
 	s.reg.nModels.Add(1)

@@ -33,11 +33,14 @@ func BenchmarkMaintainerUpdate(b *testing.B) {
 	if err := m.Init(hist); err != nil {
 		b.Fatal(err)
 	}
-	mt := NewMaintainer(m, hist, MaintainerConfig{Strategy: &TimeBased{}})
+	pool := &syncPool{}
+	mt := newMaintainer(m, hist, MaintainerConfig{Strategy: &TimeBased{}}, pool.enqueue)
+	one := make([]store.Measurement, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = mt.Update(float64(i % 7))
+		one[0].KWh = float64(i % 7)
+		updateRun(mt, one)
 	}
 }
 

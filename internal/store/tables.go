@@ -14,6 +14,15 @@ const (
 	RoleTSO      Role = "tso"      // level 3
 )
 
+// Valid reports whether r is one of the three levels.
+func (r Role) Valid() bool {
+	switch r {
+	case RoleProsumer, RoleBRP, RoleTSO:
+		return true
+	}
+	return false
+}
+
 // Measurement is a fact record: metered energy of one actor in one slot.
 type Measurement struct {
 	Actor      string         `json:"actor"`
