@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -491,5 +492,36 @@ func TestFailedExpiryWriteKeepsPendingAndPipeline(t *testing.T) {
 	}
 	if counts := st.CountOffersByState(); counts[store.OfferAccepted] != 12 {
 		t.Errorf("store states = %v, want 12 accepted", counts)
+	}
+}
+
+// A search that ends without a solution fails the cycle with an error
+// and leaves the offers pending: a demand forecast with a NaN slot,
+// which the problem's validation refuses, and a time budget that runs
+// out before the first restart. Both used to panic on the nil solution.
+func TestCycleWithoutSolutionErrors(t *testing.T) {
+	nan := make(StaticForecast, flexoffer.SlotsPerDay)
+	nan[17] = math.NaN()
+	for _, tc := range []struct {
+		name     string
+		opts     sched.Options
+		demandFc forecaster
+	}{
+		{"NaN demand forecast", sched.Options{MaxIterations: 3, Seed: 1}, nan},
+		{"budget spent before the first restart", sched.Options{TimeBudget: time.Nanosecond, Seed: 1}, nil},
+	} {
+		brp := mustNode(t, nil, Config{Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3, SchedOpts: tc.opts})
+		for i := 1; i <= 4; i++ {
+			if d := brp.AcceptOffer(testOffer(flexoffer.ID(i), 40, 16, 4, 5), "p1"); !d.Accept {
+				t.Fatalf("%s: offer %d rejected: %s", tc.name, i, d.Reason)
+			}
+		}
+		drain(t, brp)
+		if rep, err := brp.RunSchedulingCycle(context.Background(), 10, tc.demandFc, nil, nil); err == nil {
+			t.Errorf("%s: cycle succeeded: %+v", tc.name, rep)
+		}
+		if got := brp.PendingOffers(); got != 4 {
+			t.Errorf("%s: %d offers pending after the failed cycle, want 4", tc.name, got)
+		}
 	}
 }

@@ -142,8 +142,9 @@ func (c *Compiled) slotCost(t int, n float64) float64 {
 
 // penalty is the imbalance charge on a net position n — without a
 // market, the slot's whole cost. It is a function of its own so the
-// greedy scan, which tests for the market once per restart instead of
-// once per slot, inlines the same expression slotCost evaluates.
+// portable offset scan (scan_generic.go), which never tests for a
+// market, evaluates the same expression slotCost does; the SSE2 scan
+// performs it as the same two operations.
 func penalty(imb, n float64) float64 { return imb * math.Abs(n) }
 
 // position is the priced net position of one candidate schedule: per

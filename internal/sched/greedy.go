@@ -221,6 +221,9 @@ type greedyRun struct {
 	// themselves; FillMidpoint collapses each range onto its midpoint,
 	// so the scan loop never tests the mode.
 	lo, hi []float64
+	// deltas receives scanOffsets' price of every start offset of the
+	// offer being placed: the widest window's worth, sized once.
+	deltas []float64
 }
 
 func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
@@ -232,6 +235,11 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 		lo:    c.emin,
 		hi:    c.emax,
 	}
+	var widest int
+	for i := range c.offers {
+		widest = max(widest, c.offers[i].width)
+	}
+	r.deltas = make([]float64, widest+1)
 	if fill == FillMidpoint {
 		mid := make([]float64, len(c.emin))
 		for k := range mid {
@@ -250,13 +258,15 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 // each placed at its locally best start with the fill rule's energies.
 // The offset scan only compares deltas — an unchanged slot's price is
 // read from the position, never recomputed — and the winner's energies
-// are derived once, when it is placed. The returned cost refers to
-// scratch state that the next construct overwrites — callers must clone
-// before retaining the solution.
+// are derived once, when it is placed. Without a market every offset's
+// delta comes from scanOffsets, two offsets per instruction on amd64;
+// with one, each slot goes through slotCost's market branches, offset
+// by offset. Either way the first strict minimum in offset order wins.
+// The returned cost refers to scratch state that the next construct
+// overwrites — callers must clone before retaining the solution.
 func (r *greedyRun) construct(order []int) float64 {
 	c := r.c
 	r.pos.reset(c)
-	flat := !c.hasMarket // slotCost's early-out, tested once per restart
 	var offerCosts float64
 
 	for _, idx := range order {
@@ -266,27 +276,32 @@ func (r *greedyRun) construct(order []int) float64 {
 		bestDelta := math.Inf(1)
 		bestOff := 0
 
-		for off := 0; off <= o.width; off++ {
-			base := first + off
-			net := r.pos.net[base : base+o.n]
-			cost := r.pos.cost[base : base+o.n]
-			imb := c.imb[base : base+o.n]
-			var delta, act float64
-			for j, n := range net {
-				e := fillEnergy(lo[j], hi[j], n)
-				var after float64
-				if flat {
-					after = penalty(imb[j], n+e)
-				} else {
-					after = c.slotCost(base+j, n+e)
+		if !c.hasMarket {
+			span := o.width + o.n
+			deltas := r.deltas[:o.width+1]
+			scanOffsets(deltas, r.pos.net[first:first+span], r.pos.cost[first:first+span], c.imb[first:first+span], lo, hi, o.costPerKWh)
+			for off, delta := range deltas {
+				if delta < bestDelta {
+					bestDelta = delta
+					bestOff = off
 				}
-				delta += after - cost[j]
-				act += math.Abs(e)
 			}
-			delta += act * o.costPerKWh
-			if delta < bestDelta {
-				bestDelta = delta
-				bestOff = off
+		} else {
+			for off := 0; off <= o.width; off++ {
+				base := first + off
+				net := r.pos.net[base : base+o.n]
+				cost := r.pos.cost[base : base+o.n]
+				var delta, act float64
+				for j, n := range net {
+					e := fillEnergy(lo[j], hi[j], n)
+					delta += c.slotCost(base+j, n+e) - cost[j]
+					act += math.Abs(e)
+				}
+				delta += act * o.costPerKWh
+				if delta < bestDelta {
+					bestDelta = delta
+					bestOff = off
+				}
 			}
 		}
 

@@ -42,8 +42,8 @@ type Problem struct {
 	Market *market.DayAhead
 }
 
-// Validate checks the instance is well-formed and every offer fits the
-// horizon.
+// Validate checks the instance is well-formed: baseline and imbalance
+// prices finite and one per slot, and every offer fitting the horizon.
 func (p *Problem) Validate() error {
 	if p.Slots <= 0 {
 		return fmt.Errorf("sched: non-positive horizon %d", p.Slots)
@@ -53,6 +53,17 @@ func (p *Problem) Validate() error {
 	}
 	if len(p.ImbalancePrice) != p.Slots {
 		return fmt.Errorf("sched: imbalance prices have %d slots, horizon %d", len(p.ImbalancePrice), p.Slots)
+	}
+	// A non-finite slot makes every candidate cost NaN or +Inf, so no
+	// restart ever improves on +Inf and the search ends without a
+	// solution.
+	for t := range p.Baseline {
+		if v := p.Baseline[t]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sched: baseline slot %d is %v", t, v)
+		}
+		if v := p.ImbalancePrice[t]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sched: imbalance price of slot %d is %v", t, v)
+		}
 	}
 	end := p.Start + flexoffer.Time(p.Slots)
 	for _, f := range p.Offers {

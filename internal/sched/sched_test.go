@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,6 +48,35 @@ func TestProblemValidate(t *testing.T) {
 	bad2.Baseline = bad2.Baseline[:4]
 	if err := bad2.Validate(); err == nil {
 		t.Error("baseline length mismatch accepted")
+	}
+}
+
+// TestNonFiniteSlotsRefused: a NaN or infinite baseline slot or
+// imbalance price makes every candidate cost NaN or +Inf, so no restart
+// improves on +Inf. Validate refuses such a problem, naming the slot,
+// and every strategy returns that error instead of a nil solution.
+func TestNonFiniteSlotsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		spoil func(p *Problem)
+		want  string
+	}{
+		{"NaN baseline", func(p *Problem) { p.Baseline[3] = math.NaN() }, "baseline slot 3 is NaN"},
+		{"-Inf baseline", func(p *Problem) { p.Baseline[0] = math.Inf(-1) }, "baseline slot 0 is -Inf"},
+		{"+Inf price", func(p *Problem) { p.ImbalancePrice[5] = math.Inf(1) }, "imbalance price of slot 5 is +Inf"},
+		{"NaN price", func(p *Problem) { p.ImbalancePrice[7] = math.NaN() }, "imbalance price of slot 7 is NaN"},
+	} {
+		p := tinyProblem()
+		tc.spoil(p)
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+		for _, s := range []Scheduler{&RandomizedGreedy{}, &Evolutionary{}, &Hybrid{}} {
+			res, err := s.Schedule(context.Background(), p, Options{MaxIterations: 5, Seed: 1, TimeBudget: time.Hour})
+			if err == nil {
+				t.Errorf("%s: %s returned no error (solution %v, cost %v)", tc.name, s.Name(), res.Solution, res.Cost)
+			}
+		}
 	}
 }
 
