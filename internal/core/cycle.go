@@ -122,9 +122,6 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 		return nil, err
 	}
 	rep.SchedulingTime = time.Since(t0)
-	if res.Solution == nil { // the time budget ran out before the first restart
-		return nil, fmt.Errorf("core: the search found no schedule for %d aggregates in %v", len(aggregates), rep.SchedulingTime)
-	}
 	rep.ScheduleCost = res.Cost
 
 	micro, err := disaggregateSnapshots(aggregates, problem.Schedules(res.Solution))

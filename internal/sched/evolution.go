@@ -120,7 +120,7 @@ func (e *Evolutionary) Schedule(ctx context.Context, p *Problem, opt Options) (R
 		return tr.result(), err
 	}
 	cfg.evolve(c, pop, rng, tr)
-	return tr.result(), ctx.Err()
+	return tr.done()
 }
 
 // seedPopulation builds the initial population: the given seed

@@ -53,7 +53,7 @@ func (g *RandomizedGreedy) Schedule(ctx context.Context, p *Problem, opt Options
 		limit = math.MaxInt
 	}
 	g.restarts(ctx, c, rand.New(rand.NewSource(opt.Seed)), tr, limit, tr.deadline, false)
-	return tr.result(), ctx.Err()
+	return tr.done()
 }
 
 // restartWindow bounds, per worker, how many restarts may be started
@@ -259,9 +259,11 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 // The offset scan only compares deltas — an unchanged slot's price is
 // read from the position, never recomputed — and the winner's energies
 // are derived once, when it is placed. Without a market every offset's
-// delta comes from scanOffsets, two offsets per instruction on amd64;
+// delta comes from scanOffsets, four or two offsets per instruction on
+// amd64, and the winner's slots are priced at the penalty in place;
 // with one, each slot goes through slotCost's market branches, offset
-// by offset. Either way the first strict minimum in offset order wins.
+// by offset, and the winner's through position.move. Either way the
+// first strict minimum in offset order wins.
 // The returned cost refers to scratch state that the next construct
 // overwrites — callers must clone before retaining the solution.
 func (r *greedyRun) construct(order []int) float64 {
@@ -306,12 +308,26 @@ func (r *greedyRun) construct(order []int) float64 {
 		}
 
 		base := first + bestOff
+		energy := r.arena[o.base : o.base+o.n]
 		var act float64
-		for j := range lo {
-			e := fillEnergy(lo[j], hi[j], r.pos.net[base+j])
-			r.arena[o.base+j] = e
-			r.pos.move(c, base+j, e)
-			act += math.Abs(e)
+		if !c.hasMarket {
+			// x += e, cost = penalty(imb, x): what move computes through
+			// slotCost without a market, minus the call and the test.
+			net, cost, imb := r.pos.net[base:base+o.n], r.pos.cost[base:base+o.n], c.imb[base:base+o.n]
+			for j, x := range net {
+				e := fillEnergy(lo[j], hi[j], x)
+				energy[j] = e
+				x += e
+				net[j], cost[j] = x, penalty(imb[j], x)
+				act += math.Abs(e)
+			}
+		} else {
+			for j := range energy {
+				e := fillEnergy(lo[j], hi[j], r.pos.net[base+j])
+				energy[j] = e
+				r.pos.move(c, base+j, e)
+				act += math.Abs(e)
+			}
 		}
 		offerCosts += act * o.costPerKWh
 		r.sol.Placements[idx].Start = o.lo + flexoffer.Time(bestOff)

@@ -56,7 +56,7 @@ func (h *Hybrid) Schedule(ctx context.Context, p *Problem, opt Options) (Result,
 		return tr.result(), err
 	}
 	cfg.evolve(c, pop, rng, tr)
-	return tr.result(), ctx.Err()
+	return tr.done()
 }
 
 // encode converts a concrete solution into an EA genotype — the inverse

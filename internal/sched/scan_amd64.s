@@ -4,11 +4,14 @@
 
 // func scanOffsets(deltas, net, cost, imb, lo, hi []float64, costPerKWh float64)
 //
-// Offsets k and k+1 go through the packed loop together: lane 0 of each
-// register holds offset k, lane 1 offset k+1, and slice j reads the
-// adjacent slots k+j and k+j+1 with one MOVUPD. An odd last offset goes
-// through the same steps on lane 0 alone, so no load reaches past the
-// last slot. Each step is the scalar body's, in its order:
+// With AVX (useAVX), offsets k..k+3 go through the quad loop together:
+// lane i of each Y register holds offset k+i, and slice j reads the
+// adjacent slots k+j..k+j+3 with one VMOVUPD. Fewer than four offsets
+// left fall through, after a VZEROUPPER, to the SSE2 pair loop (lanes
+// k, k+1, one MOVUPD), and an odd last offset goes through the same
+// steps on lane 0 alone, so no load reaches past the last slot. Without
+// AVX the pair and single loops price every offset. Each step is the
+// scalar body's, in its order:
 //
 //	e = -net                  XORPD sign mask
 //	if e < lo[j] { e = lo }   MAXPD e, lo: lo only when lo > e
@@ -19,9 +22,14 @@
 //
 // MAXPD and MINPD return their source operand (e) on equal operands
 // and on a NaN, as the scalar comparisons keep e, so ±0 and NaN clamp
-// alike. Registers: DI deltas, CX offsets, SI net, R8 cost, R9 imb,
+// alike. Their VEX forms return the second source in those cases, so
+// the quad loop passes the bound as the first source and e as the
+// second; every other VEX step keeps the SSE2 step's first operand
+// first (imb is loaded before VMULPD, as before MULPD), and nothing is
+// fused. Registers: DI deltas, CX offsets, SI net, R8 cost, R9 imb,
 // R10 lo, R11 hi, DX slices, BX offset k, AX slot k+j, R12 slice j;
-// X0 delta, X1 act, X12 abs mask, X13 costPerKWh, X14 sign mask.
+// X0/Y0 delta, X1/Y1 act, X12/Y12 abs mask, X13/Y13 costPerKWh,
+// X14/Y14 sign mask.
 TEXT ·scanOffsets(SB), NOSPLIT, $0-152
 	MOVQ  deltas_base+0(FP), DI
 	MOVQ  deltas_len+8(FP), CX
@@ -40,6 +48,51 @@ TEXT ·scanOffsets(SB), NOSPLIT, $0-152
 	MOVQ  AX, X12
 	UNPCKLPD X12, X12
 	XORQ  BX, BX
+	CMPB  ·useAVX(SB), $0
+	JEQ   pair
+	VINSERTF128 $1, X12, Y12, Y12
+	VINSERTF128 $1, X13, Y13, Y13
+	VINSERTF128 $1, X14, Y14, Y14
+
+quad:
+	LEAQ   3(BX), AX
+	CMPQ   AX, CX
+	JGE    quaddone
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   BX, AX
+	XORQ   R12, R12
+	JMP    quadnext
+
+quadslice:
+	VMOVUPD      (SI)(AX*8), Y4 // net
+	VXORPD       Y14, Y4, Y5    // e = -net
+	VBROADCASTSD (R10)(R12*8), Y2
+	VMAXPD       Y5, Y2, Y2     // e clamped from below: lo only when lo > e
+	VBROADCASTSD (R11)(R12*8), Y3
+	VMINPD       Y2, Y3, Y3     // e clamped from above: hi only when hi < e
+	VADDPD       Y3, Y4, Y4     // net + e
+	VANDPD       Y12, Y4, Y4
+	VMOVUPD      (R9)(AX*8), Y6
+	VMULPD       Y4, Y6, Y6     // imb·|net+e|
+	VSUBPD       (R8)(AX*8), Y6, Y6 // − cost
+	VADDPD       Y6, Y0, Y0
+	VANDPD       Y12, Y3, Y3
+	VADDPD       Y3, Y1, Y1
+	INCQ         AX
+	INCQ         R12
+
+quadnext:
+	CMPQ    R12, DX
+	JLT     quadslice
+	VMULPD  Y13, Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ    $4, BX
+	JMP     quad
+
+quaddone:
+	VZEROUPPER
 
 pair:
 	LEAQ  1(BX), AX
@@ -119,4 +172,19 @@ singlenext:
 	MOVSD X0, (DI)(BX*8)
 
 done:
+	RET
+
+// func cpuid1() (ecx uint32)
+TEXT ·cpuid1(SB), NOSPLIT, $0-4
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	MOVL  CX, ecx+0(FP)
+	RET
+
+// func xgetbv0() (eax uint32)
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
 	RET

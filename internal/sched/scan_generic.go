@@ -10,8 +10,8 @@ import "math"
 // make, activation cost included. net, cost and imb are the position's
 // net energies, slot costs and imbalance prices from the offer's first
 // feasible start, len(deltas)+len(lo)-1 slots long. This is the
-// portable body; amd64 prices two offsets per SSE2 instruction with the
-// same floats (scan_amd64.s).
+// portable body; amd64 prices four offsets per AVX instruction, or two
+// per SSE2 instruction, with the same floats (scan_amd64.s).
 func scanOffsets(deltas, net, cost, imb, lo, hi []float64, costPerKWh float64) {
 	n := len(lo)
 	for off := range deltas {

@@ -39,24 +39,27 @@ func pageFenced(t *testing.T, v []float64, atEnd bool) []float64 {
 
 // TestScanStaysInWindow: with every input window fenced by an
 // inaccessible page on one side, the kernel reads nothing outside
-// [first, first+width+n), at odd and even offset counts.
+// [first, first+width+n), on every path (scanPaths) and at widths
+// 0–11, so every mix of quads, a pair and a single ends at the fence.
 func TestScanStaysInWindow(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for _, atEnd := range []bool{true, false} {
-		for width := 0; width <= 5; width++ {
-			for _, n := range []int{1, 2, 5} {
-				sc := randomScanCase(rng, fmt.Sprintf("fenced end=%v", atEnd), width, n)
-				want := make([]float64, width+1)
-				scanOracle(want, sc.net, sc.cost, sc.imb, sc.lo, sc.hi, sc.costPerKWh)
-				got := pageFenced(t, make([]float64, width+1), atEnd)
-				scanOffsets(got, pageFenced(t, sc.net, atEnd), pageFenced(t, sc.cost, atEnd), pageFenced(t, sc.imb, atEnd),
-					pageFenced(t, sc.lo, atEnd), pageFenced(t, sc.hi, atEnd), sc.costPerKWh)
-				for off := range want {
-					if !sameFloat(got[off], want[off]) {
-						t.Fatalf("%s width %d n %d: offset %d delta %v, oracle %v", sc.name, width, n, off, got[off], want[off])
+	scanPaths(func(path string) {
+		rng := rand.New(rand.NewSource(45))
+		for _, atEnd := range []bool{true, false} {
+			for width := 0; width <= 11; width++ {
+				for _, n := range []int{1, 2, 5} {
+					sc := randomScanCase(rng, fmt.Sprintf("%s fenced end=%v", path, atEnd), width, n)
+					want := make([]float64, width+1)
+					scanOracle(want, sc.net, sc.cost, sc.imb, sc.lo, sc.hi, sc.costPerKWh)
+					got := pageFenced(t, make([]float64, width+1), atEnd)
+					scanOffsets(got, pageFenced(t, sc.net, atEnd), pageFenced(t, sc.cost, atEnd), pageFenced(t, sc.imb, atEnd),
+						pageFenced(t, sc.lo, atEnd), pageFenced(t, sc.hi, atEnd), sc.costPerKWh)
+					for off := range want {
+						if !sameFloat(got[off], want[off]) {
+							t.Fatalf("%s width %d n %d: offset %d delta %v, oracle %v", sc.name, width, n, off, got[off], want[off])
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }

@@ -115,68 +115,79 @@ func randomScanCase(rng *rand.Rand, name string, width, n int) scanCase {
 
 // TestScanMatchesOracle pins scanOffsets to the scalar scan bit for
 // bit (math.Float64bits) on seeded random windows and on the edge
-// cases of the clamp, the sign and the window's shape. On amd64 this is
-// the SSE2 body; elsewhere, and with -tags purego, the portable one.
+// cases of the clamp, the sign and the window's shape. On amd64 every
+// case runs on each path the host can take (scanPaths): the AVX quad
+// loop with its SSE2 tail, and the SSE2 loops alone. Elsewhere, and
+// with -tags purego, it runs the portable body.
 func TestScanMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 2000; trial++ {
-		checkScan(t, randomScanCase(rng, fmt.Sprintf("random %d", trial), rng.Intn(40), 1+rng.Intn(24)))
+	scanPaths(func(path string) {
+		rng := rand.New(rand.NewSource(44))
+		for trial := 0; trial < 2000; trial++ {
+			checkScan(t, randomScanCase(rng, fmt.Sprintf("%s random %d", path, trial), rng.Intn(40), 1+rng.Intn(24)))
+		}
+		for width := 0; width <= 11; width++ { // every mix of quads, a pair and a single
+			for _, n := range []int{1, 2, 3, 7} {
+				checkScanEdges(t, rng, fmt.Sprintf("%s shape w%d n%d", path, width, n), width, n)
+			}
+		}
+	})
+}
+
+// checkScanEdges checks the edge cases of the clamp and the sign on
+// one window shape.
+func checkScanEdges(t *testing.T, rng *rand.Rand, name string, width, n int) {
+	t.Helper()
+	checkScan(t, randomScanCase(rng, name, width, n))
+
+	sc := randomScanCase(rng, name+" ±0 nets", width, n)
+	for s := range sc.net {
+		sc.net[s] = math.Copysign(0, float64(s%2*2-1))
+		sc.cost[s] = 0
 	}
-	for width := 0; width <= 5; width++ { // odd and even offset counts
-		for _, n := range []int{1, 2, 3, 7} {
-			name := fmt.Sprintf("shape w%d n%d", width, n)
-			checkScan(t, randomScanCase(rng, name, width, n))
+	sc.lo[0], sc.hi[0] = math.Copysign(0, -1), 0 // a range between the two zeros
+	checkScan(t, sc)
 
-			sc := randomScanCase(rng, name+" ±0 nets", width, n)
-			for s := range sc.net {
-				sc.net[s] = math.Copysign(0, float64(s%2*2-1))
-				sc.cost[s] = 0
-			}
-			sc.lo[0], sc.hi[0] = math.Copysign(0, -1), 0 // a range between the two zeros
-			checkScan(t, sc)
+	sc = randomScanCase(rng, name+" midpoint", width, n)
+	for j := range sc.lo {
+		sc.lo[j] = (sc.lo[j] + sc.hi[j]) / 2
+	}
+	sc.hi = sc.lo // FillMidpoint's lo and hi are one slice
+	checkScan(t, sc)
 
-			sc = randomScanCase(rng, name+" midpoint", width, n)
-			for j := range sc.lo {
-				sc.lo[j] = (sc.lo[j] + sc.hi[j]) / 2
-			}
-			sc.hi = sc.lo // FillMidpoint's lo and hi are one slice
-			checkScan(t, sc)
+	sc = randomScanCase(rng, name+" fixed slices", width, n)
+	copy(sc.hi, sc.lo)
+	checkScan(t, sc)
 
-			sc = randomScanCase(rng, name+" fixed slices", width, n)
-			copy(sc.hi, sc.lo)
-			checkScan(t, sc)
+	sc = randomScanCase(rng, name+" zero bounds", width, n)
+	for j := range sc.lo {
+		sc.lo[j], sc.hi[j] = 0, 0
+	}
+	checkScan(t, sc)
 
-			sc = randomScanCase(rng, name+" zero bounds", width, n)
-			for j := range sc.lo {
-				sc.lo[j], sc.hi[j] = 0, 0
-			}
-			checkScan(t, sc)
+	sc = randomScanCase(rng, name+" negative cost per kWh", width, n)
+	sc.costPerKWh = -0.5
+	checkScan(t, sc)
 
-			sc = randomScanCase(rng, name+" negative cost per kWh", width, n)
-			sc.costPerKWh = -0.5
-			checkScan(t, sc)
-
-			sc = randomScanCase(rng, name+" NaN nets", width, n)
-			for s := range sc.net {
-				if s%2 == 0 {
-					sc.net[s] = math.NaN()
-				}
-			}
-			checkScan(t, sc)
-
-			// A NaN bound clamps nothing in the scalar comparisons: only
-			// MAXPD/MINPD with the bound as destination keep e then.
-			sc = randomScanCase(rng, name+" NaN bounds", width, n)
-			for j := range sc.lo {
-				if j%2 == 0 {
-					sc.lo[j] = math.NaN()
-				} else {
-					sc.hi[j] = math.NaN()
-				}
-			}
-			checkScan(t, sc)
+	sc = randomScanCase(rng, name+" NaN nets", width, n)
+	for s := range sc.net {
+		if s%2 == 0 {
+			sc.net[s] = math.NaN()
 		}
 	}
+	checkScan(t, sc)
+
+	// A NaN bound clamps nothing in the scalar comparisons: only
+	// MAXPD/MINPD with the bound as destination (VMAXPD/VMINPD with it
+	// as first source) keep e then.
+	sc = randomScanCase(rng, name+" NaN bounds", width, n)
+	for j := range sc.lo {
+		if j%2 == 0 {
+			sc.lo[j] = math.NaN()
+		} else {
+			sc.hi[j] = math.NaN()
+		}
+	}
+	checkScan(t, sc)
 }
 
 // TestScanAtHorizonEnd: offers whose last start ends exactly at the
@@ -222,4 +233,24 @@ func TestScanAtHorizonEnd(t *testing.T) {
 			}
 		}
 	}
+}
+
+// BenchmarkScanOffsets times one scanOffsets call at the cycle
+// workload's shape, 18 start offsets × 17 slices (BenchmarkCyclePlan in
+// internal/core: 16.8 offsets and 16.6 slices per aggregate), on each
+// path the host can take. pairs is the (offset, slice) pairs per call,
+// ns/pair the time per pair.
+func BenchmarkScanOffsets(b *testing.B) {
+	const offsets, slices = 18, 17
+	sc := randomScanCase(rand.New(rand.NewSource(46)), "bench", offsets-1, slices)
+	deltas := make([]float64, offsets)
+	scanPaths(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				scanOffsets(deltas, sc.net, sc.cost, sc.imb, sc.lo, sc.hi, sc.costPerKWh)
+			}
+			b.ReportMetric(offsets*slices, "pairs")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(offsets*slices), "ns/pair")
+		})
+	})
 }

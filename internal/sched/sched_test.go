@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -450,6 +451,29 @@ func TestSchedulersHonorCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "GS canceled vs serial prefix", res, prefix)
+}
+
+// TestBudgetSpentBeforeFirstSchedule: a search whose budget runs out
+// before it builds anything returns ErrNoSolution, never a nil error
+// with a nil Solution, which a caller would dereference.
+func TestBudgetSpentBeforeFirstSchedule(t *testing.T) {
+	p, err := BuildScenario(ScenarioConfig{Offers: 50, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Scheduler{&RandomizedGreedy{}, &Evolutionary{}, &Hybrid{}} {
+		res, err := s.Schedule(context.Background(), p, Options{TimeBudget: time.Nanosecond, Seed: 22})
+		switch {
+		case err == nil && res.Solution == nil:
+			t.Errorf("%s: nil error without a solution", s.Name())
+		case err == nil:
+			if verr := p.ValidateSolution(res.Solution); verr != nil {
+				t.Errorf("%s: invalid solution: %v", s.Name(), verr)
+			}
+		case res.Solution == nil && !errors.Is(err, ErrNoSolution):
+			t.Errorf("%s: error %v without a solution, want ErrNoSolution", s.Name(), err)
+		}
+	}
 }
 
 func TestExhaustiveHonorsCancellation(t *testing.T) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"errors"
 	"math"
 	"time"
 )
@@ -54,10 +55,16 @@ type Scheduler interface {
 	// Schedule searches for a low-cost solution of p within opt's
 	// budget. Cancelling ctx stops the search promptly: the strategy
 	// returns the best solution found so far (which may be nil if no
-	// iteration completed) together with ctx.Err(). A nil error always
-	// means a run that terminated by its own budget.
+	// iteration completed) together with ctx.Err(). A budget that runs
+	// out before the first iteration completes gives ErrNoSolution. A
+	// nil error always means a run that terminated by its own budget
+	// with a non-nil Solution.
 	Schedule(ctx context.Context, p *Problem, opt Options) (Result, error)
 }
+
+// ErrNoSolution is the error of a search whose budget ran out before
+// it built its first schedule, so its Result has no Solution.
+var ErrNoSolution = errors.New("sched: the budget ran out before the first schedule was built")
 
 // tracker accumulates the best solution and trace across iterations.
 type tracker struct {
@@ -114,6 +121,20 @@ func (t *tracker) observe(cost float64, mk func() *Solution) {
 func (t *tracker) result() Result {
 	t.trace = append(t.trace, TracePoint{Elapsed: time.Since(t.start), Iterations: t.iter, Cost: t.cost})
 	return Result{Solution: t.best, Cost: t.cost, Iterations: t.iter, Trace: t.trace}
+}
+
+// done ends a budgeted search: its result, with ctx.Err() if ctx was
+// cancelled, ErrNoSolution if no iteration built a schedule, nil
+// otherwise.
+func (t *tracker) done() (Result, error) {
+	res := t.result()
+	if err := t.ctx.Err(); err != nil {
+		return res, err
+	}
+	if res.Solution == nil {
+		return res, ErrNoSolution
+	}
+	return res, nil
 }
 
 func cloneSolution(s *Solution) *Solution {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Lists the functions declared in non-test internal/ files that no binary
 # links: every main package of the root module and the bench/ driver is
-# built without inlining, `go tool nm` lists what each one links, and a
-# declared func missing from every list is reached by tests at most.
+# built without inlining, `go tool nm` lists what each one links (an
+# assembly func under its ABI0 name, pkg.name.abi0, read as pkg.name),
+# and a declared func missing from every list is reached by tests at most.
 #
 # Prints the count and the list. Given a ceiling, it exits 1 when the
 # count exceeds it (a new unlinked func needs a caller or a deletion);
@@ -32,7 +33,7 @@ done
 
 for b in "$out"/bin-*; do
 	go tool nm "$b"
-done | sed -nE 's/^ *[0-9a-f]+ [Tt] (mirabel\/internal\/.*)$/\1/p' | strip_generics | sort -u >"$out/linked"
+done | sed -nE 's/^ *[0-9a-f]+ [Tt] (mirabel\/internal\/.*)$/\1/p' | strip_generics | sed -E 's/\.abi0$//' | sort -u >"$out/linked"
 
 # Declared funcs as nm spells them: pkg.Name, pkg.T.Name or pkg.(*T).Name.
 for f in $(git ls-files 'internal/*.go' | grep -v '_test\.go$'); do
