@@ -1,9 +1,10 @@
 // mirabel-node runs a single LEDMS node as a network daemon: it serves
-// its role (prosumer, brp or tso) over TCP. With -data the store (whose
-// WAL also holds every acked intake event) and the settlement ledger
-// live in that directory under one -fsync policy; without it both are
-// in-memory. Small
-// deployments wire nodes together with -route flags.
+// its role (prosumer or brp) over TCP. A brp takes no -parent: the
+// paper's TSO level above the BRPs is not built. With -data the store
+// (whose WAL also holds every acked intake event) and the settlement
+// ledger live in that directory under one -fsync policy; without it
+// both are in-memory. Small deployments wire nodes together with
+// -route flags.
 //
 // A two-node session:
 //
@@ -13,7 +14,10 @@
 //	    -demo-offer
 //
 // The prosumer's -demo-offer submits one EV-style flex-offer and prints
-// the decision, exercising negotiation over the wire.
+// the decision, exercising negotiation over the wire. Its offer ID is
+// the low 16 bits of the clock's nanoseconds, so two demo prosumers
+// against one BRP collide about once in 65,536 runs: the BRP refuses
+// the second as a duplicate id, and nothing it acked is lost.
 package main
 
 import (
@@ -71,8 +75,8 @@ type config struct {
 func flags(fs *flag.FlagSet) *config {
 	c := &config{}
 	fs.StringVar(&c.name, "name", "", "node name (endpoint id)")
-	fs.StringVar(&c.role, "role", "", "prosumer | brp | tso")
-	fs.StringVar(&c.parent, "parent", "", "parent node name")
+	fs.StringVar(&c.role, "role", "", "prosumer | brp")
+	fs.StringVar(&c.parent, "parent", "", "parent node name (prosumer only)")
 	fs.StringVar(&c.listen, "listen", "127.0.0.1:0", "TCP listen address")
 	fs.StringVar(&c.dataDir, "data", "", "directory of the store and settlement ledger (empty: both in-memory)")
 	fs.StringVar(&c.fsync, "fsync", "flush", "fsync policy of store WAL and ledger: flush | always | interval (every 100ms)")

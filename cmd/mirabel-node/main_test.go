@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"io"
 	"log"
@@ -95,5 +96,38 @@ func TestTwoNodeSession(t *testing.T) {
 	}
 	if !strings.Contains(logs.String(), "shutting down") {
 		t.Errorf("brp did not shut down on the signal:\n%s", logs)
+	}
+}
+
+// TestRunRefusesTheTSOLevel pins the two-level hierarchy on the command
+// line: tso is not a role, and a brp has no parent to forward to. Both
+// fail before the node listens; the stop already delivered would end a
+// node that served anyway.
+func TestRunRefusesTheTSOLevel(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		usage bool
+	}{
+		{"tso role", []string{"-name", "tso", "-role", "tso"}, true},
+		{"brp with a parent", []string{"-name", "brp1", "-role", "brp", "-parent", "x"}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			logs := &logWatch{}
+			log.SetOutput(logs)
+			defer log.SetOutput(os.Stderr)
+			stop := make(chan os.Signal, 1)
+			stop <- os.Interrupt
+			err := run(append(tc.args, "-listen", "127.0.0.1:0"), io.Discard, stop)
+			switch {
+			case err == nil:
+				t.Fatalf("run accepted %v", tc.args)
+			case tc.usage && !errors.Is(err, errUsage):
+				t.Errorf("run = %v, want errUsage", err)
+			}
+			if strings.Contains(logs.String(), "serving on") {
+				t.Errorf("node served before refusing:\n%s", logs)
+			}
+		})
 	}
 }

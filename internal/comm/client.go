@@ -72,7 +72,7 @@ func (c *Client) call(ctx context.Context, to string, req MsgType, body any, wan
 	return reply.Decode(want, out)
 }
 
-// SubmitOffer submits a flex-offer to a BRP/TSO endpoint and returns
+// SubmitOffer submits a flex-offer to a BRP endpoint and returns
 // its negotiation decision.
 func (c *Client) SubmitOffer(ctx context.Context, to string, offer *flexoffer.FlexOffer) (FlexOfferDecision, error) {
 	var d FlexOfferDecision

@@ -7,10 +7,10 @@ import (
 	"mirabel/internal/flexoffer"
 )
 
-// DefaultFanOutLimit bounds the concurrency of the Client's batch
-// helpers. It trades goroutine and connection pressure against wall
-// time: with l slots, a batch of n destinations completes in ceil(n/l)
-// waves of the slowest member.
+// DefaultFanOutLimit bounds the concurrency of NotifySchedulesAll. It
+// trades goroutine and connection pressure against wall time: with l
+// slots, a batch of n destinations completes in ceil(n/l) waves of the
+// slowest member.
 const DefaultFanOutLimit = 32
 
 // fanOut runs fn(i) for every i in [0, n) with at most
@@ -66,24 +66,4 @@ func (c *Client) NotifySchedulesAll(ctx context.Context, byOwner map[string][]*f
 		}
 	}
 	return failed
-}
-
-// SubmitResult pairs one offer of a SubmitOffersAll batch with its
-// outcome. Exactly one of Decision and Err is meaningful.
-type SubmitResult struct {
-	Offer    *flexoffer.FlexOffer
-	Decision FlexOfferDecision
-	Err      error
-}
-
-// SubmitOffersAll submits a batch of flex-offers to one destination
-// with at most DefaultFanOutLimit requests in flight,
-// returning one result per offer in input order.
-func (c *Client) SubmitOffersAll(ctx context.Context, to string, offers []*flexoffer.FlexOffer) []SubmitResult {
-	out := make([]SubmitResult, len(offers))
-	fanOut(len(offers), func(i int) {
-		d, err := c.SubmitOffer(ctx, to, offers[i])
-		out[i] = SubmitResult{Offer: offers[i], Decision: d, Err: err}
-	})
-	return out
 }

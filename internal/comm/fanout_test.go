@@ -11,13 +11,6 @@ import (
 	"mirabel/internal/flexoffer"
 )
 
-func fanoutOffer(id flexoffer.ID) *flexoffer.FlexOffer {
-	return &flexoffer.FlexOffer{
-		ID: id, EarliestStart: 40, LatestStart: 56, AssignBefore: 32,
-		Profile: []flexoffer.Slice{{EnergyMin: 0, EnergyMax: 5}},
-	}
-}
-
 // slowEndpoint registers an endpoint whose handler sleeps before
 // answering, and counts the concurrent handlers in flight.
 func slowEndpoint(bus *Bus, name string, delay time.Duration, inflight, peak *atomic.Int32) *atomic.Int32 {
@@ -36,16 +29,6 @@ func slowEndpoint(bus *Bus, name string, delay time.Duration, inflight, peak *at
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if env.Type == MsgFlexOfferSubmit {
-			var body FlexOfferSubmit
-			if err := env.Decode(MsgFlexOfferSubmit, &body); err != nil {
-				return nil, err
-			}
-			reply, err := NewEnvelope(MsgFlexOfferDecision, name, env.From, FlexOfferDecision{
-				OfferID: body.Offer.ID, Accept: true,
-			})
-			return &reply, err
-		}
 		notified.Add(1)
 		return nil, nil
 	})
@@ -62,6 +45,26 @@ type slowSends struct {
 func (s slowSends) Send(ctx context.Context, to string, env Envelope) error {
 	time.Sleep(s.d)
 	return s.Transport.Send(ctx, to, env)
+}
+
+// syncSends runs the receiver's handler inside Send with the caller's
+// ctx, after the ctx check Bus.Send makes, so a delivery holds its
+// fan-out slot until the handler returns. Both real transports return
+// from Send once the frame is handed over; this one keeps a slow or
+// stalled receiver in flight, which is where NotifySchedulesAll's
+// concurrency bound and cancellation show.
+type syncSends struct{ *Bus }
+
+func (s syncSends) Send(ctx context.Context, to string, env Envelope) error {
+	h, err := s.handler(to)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	_, err = h(ctx, env)
+	return err
 }
 
 func TestNotifySchedulesAllParallelizesDeliveries(t *testing.T) {
@@ -90,40 +93,6 @@ func TestNotifySchedulesAllParallelizesDeliveries(t *testing.T) {
 	}
 }
 
-func TestSubmitOffersAllBoundsConcurrencyAndKeepsOrder(t *testing.T) {
-	bus := NewBus()
-	var inflight, peak atomic.Int32
-	slowEndpoint(bus, "tso", 20*time.Millisecond, &inflight, &peak)
-	c := NewClient("brp", bus)
-	const limit = DefaultFanOutLimit
-	offers := make([]*flexoffer.FlexOffer, 3*limit)
-	for i := range offers {
-		offers[i] = fanoutOffer(flexoffer.ID(i + 1))
-	}
-	t0 := time.Now()
-	results := c.SubmitOffersAll(context.Background(), "tso", offers)
-	wall := time.Since(t0)
-	if got := peak.Load(); got > limit {
-		t.Errorf("peak concurrency %d exceeds limit %d", got, limit)
-	}
-	// 3·limit requests at 20ms in waves of limit: ~60ms, far below the
-	// sum.
-	if sum := time.Duration(len(offers)) * 20 * time.Millisecond; wall >= sum {
-		t.Errorf("wall %v not parallel (sum %v)", wall, sum)
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("submit %d: %v", i, r.Err)
-		}
-		if r.Offer.ID != flexoffer.ID(i+1) || r.Decision.OfferID != flexoffer.ID(i+1) {
-			t.Errorf("result %d out of order: offer %d decision %d", i, r.Offer.ID, r.Decision.OfferID)
-		}
-		if !r.Decision.Accept {
-			t.Errorf("offer %d rejected", r.Offer.ID)
-		}
-	}
-}
-
 func TestNotifySchedulesAllCollectsPerDestinationErrors(t *testing.T) {
 	bus := NewBus()
 	var inflight, peak atomic.Int32
@@ -145,19 +114,62 @@ func TestNotifySchedulesAllCollectsPerDestinationErrors(t *testing.T) {
 	}
 }
 
-func TestSubmitOffersAllSurfacesCancellation(t *testing.T) {
+func TestNotifySchedulesAllBoundsConcurrency(t *testing.T) {
 	bus := NewBus()
-	bus.Register("tso", func(ctx context.Context, _ Envelope) (*Envelope, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	c := NewClient("brp", bus)
+	var inflight, peak atomic.Int32
+	const limit = DefaultFanOutLimit
+	const delay = 20 * time.Millisecond
+	byOwner := make(map[string][]*flexoffer.Schedule)
+	notified := make(map[string]*atomic.Int32)
+	for i := 0; i < 3*limit; i++ {
+		name := fmt.Sprintf("p%d", i)
+		notified[name] = slowEndpoint(bus, name, delay, &inflight, &peak)
+		byOwner[name] = []*flexoffer.Schedule{{OfferID: flexoffer.ID(i + 1), Start: 40, Energy: []float64{1}}}
+	}
+	c := NewClient("brp", syncSends{bus})
+	t0 := time.Now()
+	failed := c.NotifySchedulesAll(context.Background(), byOwner)
+	wall := time.Since(t0)
+	if len(failed) != 0 {
+		t.Fatalf("failures: %v", failed)
+	}
+	if got := peak.Load(); got > limit {
+		t.Errorf("peak concurrency %d exceeds limit %d", got, limit)
+	}
+	// 3·limit deliveries at 20ms in waves of limit: ~60ms, far below
+	// the sum.
+	if sum := time.Duration(len(byOwner)) * delay; wall >= sum {
+		t.Errorf("wall %v not parallel (sum %v)", wall, sum)
+	}
+	for name, n := range notified {
+		if got := n.Load(); got != 1 {
+			t.Errorf("%s notified %d times, want once", name, got)
+		}
+	}
+}
+
+func TestNotifySchedulesAllSurfacesCancellation(t *testing.T) {
+	bus := NewBus()
+	byOwner := make(map[string][]*flexoffer.Schedule)
+	// One wave stalls until the deadline; the deliveries queued behind
+	// it start after it and fail on the spent ctx.
+	for i := 0; i < DefaultFanOutLimit+2; i++ {
+		name := fmt.Sprintf("p%d", i)
+		// A stalled prosumer: deliveries only end via the caller's
+		// context.
+		bus.Register(name, func(ctx context.Context, _ Envelope) (*Envelope, error) {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		})
+		byOwner[name] = []*flexoffer.Schedule{{OfferID: flexoffer.ID(i + 1), Start: 40, Energy: []float64{1}}}
+	}
+	c := NewClient("brp", syncSends{bus})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	results := c.SubmitOffersAll(ctx, "tso", []*flexoffer.FlexOffer{fanoutOffer(1), fanoutOffer(2)})
-	for i, r := range results {
-		if !errors.Is(r.Err, context.DeadlineExceeded) {
-			t.Errorf("result %d err = %v, want DeadlineExceeded", i, r.Err)
+	failed := c.NotifySchedulesAll(ctx, byOwner)
+	for owner := range byOwner {
+		if !errors.Is(failed[owner], context.DeadlineExceeded) {
+			t.Errorf("%s err = %v, want DeadlineExceeded", owner, failed[owner])
 		}
 	}
 }

@@ -58,8 +58,7 @@ type MsgType string
 
 // The message vocabulary of the EDMS.
 const (
-	// MsgFlexOfferSubmit: prosumer → BRP (or BRP → TSO): a new
-	// flex-offer.
+	// MsgFlexOfferSubmit: prosumer → BRP: a new flex-offer.
 	MsgFlexOfferSubmit MsgType = "flex_offer_submit"
 	// MsgFlexOfferDecision: BRP → prosumer: accept/reject with the
 	// negotiated premium.

@@ -12,7 +12,7 @@ import (
 	"mirabel/internal/store"
 )
 
-// CycleReport summarizes one scheduling cycle of a BRP/TSO node.
+// CycleReport summarizes one scheduling cycle of a BRP node.
 type CycleReport struct {
 	Offers         int     // pending micro flex-offers considered
 	Aggregates     int     // macro flex-offers scheduled
@@ -21,8 +21,7 @@ type CycleReport struct {
 	MicroSchedules int     // disaggregated schedules produced by the plan
 	Expired        int     // offers dropped because their deadline passed
 	// Reconciled counts planned micro schedules dropped at commit
-	// because their offer was scheduled or expired by a concurrent flow
-	// while the plan ran outside the lock.
+	// because their offer was no longer pending or was named twice.
 	Reconciled     int
 	NotifyFailures int // prosumers that could not be reached
 	// SkippedOwners lists prosumers whose delivery was skipped because
@@ -318,79 +317,4 @@ func disaggregateSnapshots(snaps []*agg.Aggregate, scheds []*flexoffer.Schedule)
 		out = append(out, ms...)
 	}
 	return out, nil
-}
-
-// ForwardAggregates delegates the node's current macro flex-offers to
-// its parent (paper §2: "the aggregated flex-offers are sent to a TSO's
-// node for further aggregation, scheduling, and disaggregation"). The
-// members stay pending locally until the parent's schedules come back
-// through handleScheduleNotify; if none arrive, they time out like any
-// other pending flexibility. Returns how many aggregates the parent
-// accepted.
-//
-// The same phase discipline as the cycle applies: macro offers are
-// cloned under the lock, submitted to the parent concurrently (bounded
-// by comm.DefaultFanOutLimit) without it, and the accepted delegations are
-// committed under the lock once the decisions are in.
-func (n *Node) ForwardAggregates(ctx context.Context) (int, error) {
-	if n.client == nil || n.cfg.Parent == "" {
-		return 0, fmt.Errorf("core: %s has no parent to forward to", n.cfg.Name)
-	}
-	if _, err := n.enterPlanner(ctx); err != nil {
-		return 0, err
-	}
-	defer n.cycleMu.Unlock()
-
-	// Snapshot: clone the macro offers under the lock and register the
-	// macro→local mapping up front, so a fast parent whose schedules
-	// come back while the rest of the batch is still submitting finds
-	// the relay route already in place. Aggregates whose delegation is
-	// still outstanding (already in n.forwarded — the parent has not
-	// returned their schedules yet) are skipped: re-submitting them
-	// under fresh macro IDs would make the parent schedule the same
-	// flexibility twice.
-	n.mu.Lock()
-	outstanding := make(map[flexoffer.ID]bool, len(n.forwarded))
-	for _, localID := range n.forwarded {
-		outstanding[localID] = true
-	}
-	// Fold any accumulated intake in first: offers accepted since the
-	// last cycle must be part of what gets delegated upward.
-	n.pipeline.Process()
-	aggregates := n.pipeline.Aggregates()
-	offers := make([]*flexoffer.FlexOffer, 0, len(aggregates))
-	for _, a := range aggregates {
-		if outstanding[a.Offer.ID] {
-			continue
-		}
-		macro := a.Offer.Clone()
-		macro.ID = n.nextFwdID
-		macro.Prosumer = n.cfg.Name
-		n.nextFwdID++
-		offers = append(offers, macro)
-		n.forwarded[macro.ID] = a.Offer.ID
-	}
-	n.mu.Unlock()
-
-	// Plan/deliver: submit to the parent outside the lock, in parallel.
-	results := n.client.SubmitOffersAll(ctx, n.cfg.Parent, offers)
-
-	// Commit: keep the accepted delegations, withdraw the rest.
-	accepted := 0
-	n.mu.Lock()
-	for _, r := range results {
-		if r.Err != nil || !r.Decision.Accept {
-			// Unreachable parent or rejection: drop the provisional
-			// mapping; the members stay pending and may time out.
-			delete(n.forwarded, r.Offer.ID)
-			continue
-		}
-		accepted++
-	}
-	n.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		// A canceled caller is not an unreachable parent: surface it.
-		return accepted, err
-	}
-	return accepted, nil
 }

@@ -236,74 +236,6 @@ func TestConcurrentIntakeAndCyclesLoseNothing(t *testing.T) {
 	}
 }
 
-// TestCycleAndRelayReconcileDoubleScheduling races a local scheduling
-// cycle against a parent's schedules for the same (forwarded) members:
-// whichever commit comes second must drop the already-scheduled offers
-// instead of double-delivering them.
-func TestCycleAndRelayReconcileDoubleScheduling(t *testing.T) {
-	bus := comm.NewBus()
-	lt := chaos.NewInjector(bus, 0, chaos.Faults{LatBase: 100 * time.Microsecond})
-	tso := mustNode(t, bus, Config{
-		Name: "tso", Role: store.RoleTSO, Transport: lt,
-		AggParams: agg.ParamsP3,
-		SchedOpts: sched.Options{MaxIterations: 2, Seed: 3},
-	})
-	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, Parent: "tso", Transport: lt,
-		AggParams: agg.ParamsP3,
-		SchedOpts: sched.Options{MaxIterations: 2, Seed: 4},
-	})
-
-	const total = 40
-	counters := make(map[string]*notifyCounter)
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("p%d", i)
-		counters[name] = newNotifyCounter(bus, name)
-	}
-	for id := flexoffer.ID(1); id <= total; id++ {
-		owner := fmt.Sprintf("p%d", int(id)%4)
-		if d := brp.AcceptOffer(testOffer(id, 40, 16, 4, 5), owner); !d.Accept {
-			t.Fatalf("offer %d rejected: %s", id, d.Reason)
-		}
-	}
-
-	// Delegate upward and, racing the parent's schedules coming back,
-	// schedule the same members locally.
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if _, err := brp.ForwardAggregates(context.Background()); err != nil {
-			t.Errorf("forward: %v", err)
-		}
-		if _, err := tso.RunSchedulingCycle(context.Background(), 0, nil, nil, nil); err != nil {
-			t.Errorf("tso cycle: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		if _, err := brp.RunSchedulingCycle(context.Background(), 0, nil, nil, nil); err != nil {
-			t.Errorf("brp cycle: %v", err)
-		}
-	}()
-	wg.Wait()
-
-	// Let the TSO→BRP notify and the BRP relay drain.
-	waitFor(t, 2*time.Second, func() bool {
-		delivered := 0
-		for _, c := range counters {
-			delivered += c.total()
-		}
-		return delivered+brp.PendingOffers() >= total
-	})
-	for id := flexoffer.ID(1); id <= total; id++ {
-		owner := fmt.Sprintf("p%d", int(id)%4)
-		if n := counters[owner].count(id); n > 1 {
-			t.Errorf("offer %d delivered %d times: double-scheduled", id, n)
-		}
-	}
-}
-
 // TestCycleDeliveryBoundedBySlowestProsumer is the phase split's
 // headline property at test scale: with n prosumers behind a
 // fixed-latency transport, delivery wall time is near one latency, not
@@ -375,67 +307,6 @@ func TestOfferExpiryKeysOnLatestStart(t *testing.T) {
 	// Window overflow: LatestEnd 60 exceeds a horizon ending at 58.
 	if !offerExpiredAt(f, 45, 58) {
 		t.Error("offer overflowing the horizon kept")
-	}
-}
-
-// TestForwardAggregatesSkipsOutstandingDelegations is the regression
-// test for double delegation: a second ForwardAggregates call before
-// the parent's schedules return used to re-submit the same aggregates
-// under fresh macro IDs, making the parent schedule the same
-// flexibility twice.
-func TestForwardAggregatesSkipsOutstandingDelegations(t *testing.T) {
-	bus := comm.NewBus()
-	var mu sync.Mutex
-	var submitted []flexoffer.ID
-	bus.Register("tso", func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-		var body comm.FlexOfferSubmit
-		if err := env.Decode(comm.MsgFlexOfferSubmit, &body); err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		submitted = append(submitted, body.Offer.ID)
-		mu.Unlock()
-		reply, err := comm.NewEnvelope(comm.MsgFlexOfferDecision, "tso", env.From,
-			comm.FlexOfferDecision{OfferID: body.Offer.ID, Accept: true})
-		return &reply, err
-	})
-	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, Parent: "tso", AggParams: agg.ParamsP3,
-	})
-
-	if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
-		t.Fatalf("rejected: %s", d.Reason)
-	}
-	if d := brp.AcceptOffer(testOffer(2, 40, 16, 4, 5), "p2"); !d.Accept {
-		t.Fatalf("rejected: %s", d.Reason)
-	}
-	aggs := len(brp.Aggregates())
-	if aggs == 0 {
-		t.Fatal("no aggregates to forward")
-	}
-
-	first, err := brp.ForwardAggregates(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != aggs {
-		t.Fatalf("first forward accepted %d, want %d", first, aggs)
-	}
-
-	// The parent has not returned schedules: every delegation is still
-	// outstanding, so a second forward must submit nothing.
-	second, err := brp.ForwardAggregates(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second != 0 {
-		t.Errorf("second forward accepted %d delegations, want 0", second)
-	}
-	mu.Lock()
-	total := len(submitted)
-	mu.Unlock()
-	if total != aggs {
-		t.Errorf("parent saw %d submissions (%v), want %d — aggregates delegated twice", total, submitted, aggs)
 	}
 }
 

@@ -11,116 +11,44 @@ import (
 	"mirabel/internal/store"
 )
 
-// handleScheduleNotify records schedules sent back by the parent. On a
-// prosumer the schedule is final; on a BRP whose aggregates were
-// delegated upward, the schedule addresses a forwarded macro flex-offer
-// and is disaggregated and relayed to the prosumers (paper §2: "when the
-// TSO's node forwards back scheduled flex-offers to the trader, they are
-// disaggregated and reported back to respective prosumers in the same
-// way as locally managed flex-offers").
-//
-// The relay follows the same snapshot → plan → commit → deliver
-// discipline as the scheduling cycle: the node lock is released before
-// disaggregation and before any outbound delivery, so a slow or
-// unreachable prosumer cannot block the node's intake while a batch of
-// forwarded schedules is relayed downward.
+// handleScheduleNotify records the final schedules a prosumer's BRP
+// sends back (prosumer duty; a BRP does not register it). The whole
+// notify is refused before any of it is committed if one schedule is
+// not finite.
 func (n *Node) handleScheduleNotify(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 	var body comm.ScheduleNotify
 	if err := env.Decode(comm.MsgScheduleNotify, &body); err != nil {
 		return nil, err
 	}
-	// Refuse the whole notify before any of it is committed or relayed.
 	for _, s := range body.Schedules {
 		if err := s.CheckFinite(); err != nil {
 			return nil, err
 		}
 	}
-
-	// Snapshot: final schedules commit immediately; forwarded macros
-	// only capture an immutable copy of their local aggregate here. The
-	// forwarded mapping is resolved at commit, not now, so a failed
-	// relay leaves it in place for a retried notify.
-	type relay struct {
-		macroID flexoffer.ID
-		agg     *agg.Aggregate
-		sched   *flexoffer.Schedule
-	}
-	var relays []relay
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	for _, s := range body.Schedules {
-		if localID, ok := n.forwarded[s.OfferID]; ok {
-			a, ok := n.pipeline.Aggregator.Lookup(localID)
-			if !ok {
-				// The local aggregate was consumed (scheduled locally or
-				// expired) while its macro twin was with the parent:
-				// nothing left to relay; commit reconciliation below
-				// guards the member level the same way.
-				delete(n.forwarded, s.OfferID)
-				continue
-			}
-			snap, _ := n.snapshotLocked(a)
-			relays = append(relays, relay{
-				macroID: s.OfferID,
-				agg:     snap,
-				sched:   &flexoffer.Schedule{OfferID: localID, Start: s.Start, Energy: s.Energy},
-			})
-			continue
-		}
 		n.schedules[s.OfferID] = s
 		sched := s
 		if _, err := n.store.UpdateOffer(s.OfferID, func(rec *store.OfferRecord) {
 			rec.State = store.OfferScheduled
 			rec.Schedule = sched
 		}); err != nil && !errors.Is(err, store.ErrUnknownOffer) {
-			n.mu.Unlock()
 			return nil, err
 		}
 	}
-	n.mu.Unlock()
-	if len(relays) == 0 {
-		return nil, nil
-	}
-
-	// Plan: disaggregate the snapshots without the lock.
-	var micro []*flexoffer.Schedule
-	for _, r := range relays {
-		ms, err := r.agg.Disaggregate(r.sched)
-		if err != nil {
-			return nil, err
-		}
-		micro = append(micro, ms...)
-	}
-
-	// Commit + deliver, shared with the cycle path. Unreachable owners
-	// are not fatal here either: their offers are already persisted as
-	// scheduled and time out downstream.
-	byOwner, _, err := n.commitMicroSchedules(micro)
-	if err != nil {
-		return nil, err
-	}
-	// The delegations are resolved only now that their members are
-	// committed; a concurrent duplicate notify between snapshot and
-	// here relays the same members again, and reconciliation drops the
-	// second commit.
-	n.mu.Lock()
-	for _, r := range relays {
-		delete(n.forwarded, r.macroID)
-	}
-	n.mu.Unlock()
-	_, _ = n.deliver(ctx, byOwner)
 	return nil, nil
 }
 
-// commitMicroSchedules is the commit phase shared by the scheduling
-// cycle and the forwarded-schedule relay. Under the node lock it
-// reconciles planned micro schedules against the live pending set: an
-// offer that was scheduled, expired or otherwise removed while the plan
-// ran without the lock is dropped (reported in the reconciled count)
-// rather than double-scheduled. Survivors are persisted as scheduled,
-// leave the pending set and the aggregation pipeline, and are grouped
-// by owner for the deliver phase. Offers accepted mid-plan are
-// untouched: they were never in the snapshot, stay pending and keep
-// their place in the live pipeline for the next cycle.
+// commitMicroSchedules is the scheduling cycle's commit phase, its one
+// caller. Under the node lock it reconciles planned micro schedules
+// against the live pending set: an offer that is no longer pending, or
+// that a batch names twice, is dropped (reported in the reconciled
+// count) rather than double-scheduled. Survivors are persisted as
+// scheduled, leave the pending set and the aggregation pipeline, and
+// are grouped by owner for the deliver phase. Offers accepted mid-plan
+// are untouched: they were never in the snapshot, stay pending and
+// keep their place in the live pipeline for the next cycle.
 func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*flexoffer.Schedule, int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -168,8 +96,8 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 			}
 			continue
 		}
-		// A duplicate micro schedule in the same batch (e.g. a macro
-		// relayed twice) passes staging both times — pending is only
+		// A duplicate micro schedule in the same batch (two schedules
+		// for one offer) passes staging both times — pending is only
 		// pruned here. The second occurrence finds the offer gone;
 		// feeding a nil offer into the pipeline delete would corrupt the
 		// retire batch, so reconcile it away instead.

@@ -1,22 +1,24 @@
 // Package core is the LEDMS node (paper §3): the Control component that
 // orchestrates communication, data management, aggregation, forecasting,
 // scheduling and negotiation inside one node of the EDMS hierarchy. The
-// same node type serves all three levels (the EDMS "consists of millions
-// of homogeneous nodes"); the role only selects which duties are active.
+// same node type serves both levels built here, prosumer and BRP (the
+// EDMS "consists of millions of homogeneous nodes"); the role only
+// selects which duties are active. The paper's third level, a TSO that
+// aggregates and schedules the BRPs' macro flex-offers (§2), is not
+// built: a BRP plans its own aggregates and has no parent.
 //
-// The node's planner-driven flows — the scheduling cycle, the
-// forwarded-schedule relay and aggregate forwarding — follow a strict
-// snapshot → plan → commit → deliver discipline (cycle.go, deliver.go):
-// the node mutex is held only to capture immutable snapshots and to
-// commit results, never across the scheduler search, aggregation-snapshot
-// disaggregation or transport I/O, so offer intake stays responsive for
-// the whole cycle no matter how slow the search or the prosumers are.
+// The scheduling cycle follows a strict snapshot → plan → commit →
+// deliver discipline (cycle.go, deliver.go): the node mutex is held
+// only to capture immutable snapshots and to commit results, never
+// across the scheduler search, aggregation-snapshot disaggregation or
+// transport I/O, so offer intake stays responsive for the whole cycle
+// no matter how slow the search or the prosumers are.
 //
-// There is one node composition. The aggregating roles (BRP, TSO) always
-// take intake through the ingest queue, always maintain the forecast
-// registry from the queue's apply funnel and always settle onto a
-// hash-chained ledger; a prosumer has none of the three. Role alone
-// decides (Node.aggregating) — Config only tunes.
+// There is one node composition. A BRP always takes intake through the
+// ingest queue, always maintains the forecast registry from the queue's
+// apply funnel and always settles onto a hash-chained ledger; a
+// prosumer has none of the three. Role alone decides (Node.aggregating)
+// — Config only tunes.
 //
 // Lock order: cycleMu → intake barrier → mu. Every planner-side flow
 // enters through enterPlanner, which takes cycleMu and then waits for
@@ -50,17 +52,17 @@ import (
 type Config struct {
 	// Name is the node's endpoint name on the transport.
 	Name string
-	// Role selects prosumer / BRP / TSO duties.
+	// Role selects prosumer or BRP duties.
 	Role store.Role
-	// Parent is the endpoint of the next hierarchy level (empty for a
-	// TSO).
+	// Parent is a prosumer's BRP, the endpoint its offers and
+	// measurements go to. A BRP has no parent: NewNode refuses one.
 	Parent string
 	// Transport connects the node to its peers.
 	Transport comm.Transport
 	// Store is the node's Data Management component (in-memory if nil).
 	Store *store.Store
 
-	// BRP/TSO specific configuration.
+	// BRP specific configuration.
 	AggParams agg.Params    // aggregation thresholds
 	SchedOpts sched.Options // per-cycle scheduling budget
 	// Deprecated: ignored; the search's restarts use every core. ROADMAP
@@ -125,18 +127,18 @@ type Node struct {
 	breaker *comm.Breaker // nil = no circuit breaking
 	retry   *comm.Retry   // nil = no retry policy
 
-	// The aggregating roles' data path: all three are set exactly when
-	// aggregating() holds and nil on a prosumer.
+	// The BRP's data path: all three are set exactly when aggregating()
+	// holds and nil on a prosumer.
 	ingest *ingest.Queue
 	fcasts *forecast.Registry
 	ledger *settle.Ledger
 
 	// cycleMu serializes the planner-side flows (RunSchedulingCycle,
-	// ForwardAggregates, SettleExecuted, CancelProsumer) against each
-	// other; take it through enterPlanner only. It is never held while
-	// mu is wanted by message handlers, and it IS held across transport
-	// I/O — that is its point: long plan and deliver phases proceed
-	// under cycleMu alone while intake keeps flowing under mu.
+	// SettleExecuted, CancelProsumer) against each other; take it
+	// through enterPlanner only. It is never held while mu is wanted by
+	// message handlers, and it IS held across transport I/O — that is
+	// its point: long plan and deliver phases proceed under cycleMu
+	// alone while intake keeps flowing under mu.
 	cycleMu sync.Mutex
 
 	mu       sync.Mutex
@@ -162,13 +164,6 @@ type Node struct {
 	// received schedules on a prosumer node.
 	schedules map[flexoffer.ID]*flexoffer.Schedule
 
-	// forwarded maps the IDs of macro flex-offers delegated to the
-	// parent (paper §2: aggregated flex-offers are sent to the TSO "for
-	// further aggregation, scheduling, and disaggregation") back to the
-	// local aggregate they represent.
-	forwarded map[flexoffer.ID]flexoffer.ID
-	nextFwdID flexoffer.ID
-
 	// recoveredPending counts accepted offers re-admitted into the
 	// planning pipeline from the store at construction — a reopened node
 	// schedules what its predecessor had accepted but not yet placed.
@@ -183,7 +178,10 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("core: node needs a name")
 	}
 	if !cfg.Role.Valid() {
-		return nil, fmt.Errorf("core: node role %q is not one of prosumer, brp, tso", cfg.Role)
+		return nil, fmt.Errorf("core: node role %q is not one of prosumer, brp", cfg.Role)
+	}
+	if cfg.Role == store.RoleBRP && cfg.Parent != "" {
+		return nil, fmt.Errorf("core: brp %s has no parent level to forward to (got parent %q)", cfg.Name, cfg.Parent)
 	}
 	if cfg.Store == nil {
 		cfg.Store = store.NewInMemory()
@@ -197,8 +195,6 @@ func NewNode(cfg Config) (*Node, error) {
 		snapCache: make(map[flexoffer.ID]*agg.Aggregate),
 		pending:   make(map[flexoffer.ID]*flexoffer.FlexOffer),
 		schedules: make(map[flexoffer.ID]*flexoffer.Schedule),
-		forwarded: make(map[flexoffer.ID]flexoffer.ID),
-		nextFwdID: 1 << 32, // forwarded macro offers use a disjoint id space
 	}
 	if cfg.Transport != nil {
 		transport := cfg.Transport
@@ -222,7 +218,6 @@ func NewNode(cfg Config) (*Node, error) {
 	// panic surfaces as an ordinary error to the configured middleware
 	// (logging sees it) and to Collect (metrics count it).
 	mux := comm.NewMux()
-	mux.Handle(comm.MsgScheduleNotify, n.handleScheduleNotify)
 	mux.Handle(comm.MsgPing, n.handlePing)
 	mux.HandleFallback(func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 		return nil, fmt.Errorf("core: %s (%s) cannot handle %s", n.cfg.Name, n.cfg.Role, env.Type)
@@ -233,6 +228,8 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		mux.Handle(comm.MsgFlexOfferSubmit, n.handleOfferSubmit)
 		mux.Handle(comm.MsgMeasurementBatch, n.handleMeasurementBatch)
+	} else {
+		mux.Handle(comm.MsgScheduleNotify, n.handleScheduleNotify)
 	}
 	chain := append([]comm.Middleware{n.metrics.Collect()}, cfg.Middleware...)
 	chain = append(chain, comm.Recover())
@@ -240,10 +237,10 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// aggregating is the one place the role selects duties: BRP and TSO
-// nodes take flex-offers and measurements, plan and settle, and so own
-// an ingest queue, a forecast registry and a ledger; a prosumer owns
-// none of them.
+// aggregating is the one place the role selects duties: a BRP takes
+// flex-offers and measurements, plans and settles, and so owns an
+// ingest queue, a forecast registry and a ledger; a prosumer owns none
+// of them and takes only the schedules its BRP sends back.
 func (n *Node) aggregating() bool { return n.cfg.Role != store.RoleProsumer }
 
 // orZero dereferences an optional tuning block: nil means the
@@ -256,14 +253,13 @@ func orZero[T any](p *T) T {
 	return *p
 }
 
-// openDataPath opens the aggregating roles' components — registry,
-// ingest queue, ledger — and re-admits the accepted offers. It reads no
-// intake log: every acked event is in the store's WAL, which the
-// store's Open has replayed. The ledger's chain walk reads a file
-// nothing else reads, so it runs on its own goroutine while the
-// registry starts and the accepted offers are re-admitted, and is
-// joined on every path. On any failure everything already opened is
-// stopped again.
+// openDataPath opens the BRP's components — registry, ingest queue,
+// ledger — and re-admits the accepted offers. It reads no intake log:
+// every acked event is in the store's WAL, which the store's Open has
+// replayed. The ledger's chain walk reads a file nothing else reads,
+// so it runs on its own goroutine while the registry starts and the
+// accepted offers are re-admitted, and is joined on every path. On any
+// failure everything already opened is stopped again.
 func (n *Node) openDataPath() error {
 	type opened struct {
 		l   *settle.Ledger
@@ -383,7 +379,7 @@ func (n *Node) handlePing(ctx context.Context, env comm.Envelope) (*comm.Envelop
 }
 
 // handleOfferSubmit runs negotiation and feeds accepted offers into the
-// aggregation pipeline (BRP/TSO duty).
+// aggregation pipeline (BRP duty).
 func (n *Node) handleOfferSubmit(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 	var body comm.FlexOfferSubmit
 	if err := env.Decode(comm.MsgFlexOfferSubmit, &body); err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -76,10 +75,12 @@ func drain(t *testing.T, n *Node) {
 
 func TestNewNodeValidation(t *testing.T) {
 	for what, cfg := range map[string]Config{
-		"no name":                {Role: store.RoleBRP},
-		"no role":                {Name: "x"},
-		"capitalised role":       {Name: "x", Role: "Prosumer"},
-		"role outside the three": {Name: "x", Role: "broker"},
+		"no name":              {Role: store.RoleBRP},
+		"no role":              {Name: "x"},
+		"capitalised role":     {Name: "x", Role: "Prosumer"},
+		"role outside the two": {Name: "x", Role: "broker"},
+		"tso role":             {Name: "x", Role: "tso"},
+		"brp with a parent":    {Name: "x", Role: store.RoleBRP, Parent: "x"},
 	} {
 		if n, err := NewNode(cfg); err == nil {
 			n.Close()
@@ -358,6 +359,31 @@ func TestProsumerRefusesOffers(t *testing.T) {
 	}
 }
 
+// TestBRPRefusesScheduleNotify: schedules flow down to prosumers only.
+// A notify sent to a BRP for an offer it holds as pending is refused
+// and changes nothing, so its store and its planner keep agreeing that
+// the offer is still to plan.
+func TestBRPRefusesScheduleNotify(t *testing.T) {
+	brp := newBRP(t, nil)
+	offer := testOffer(1, 40, 16, 4, 5)
+	if d := brp.AcceptOffer(offer, "p1"); !d.Accept {
+		t.Fatalf("rejected: %s", d.Reason)
+	}
+	drain(t, brp)
+	env, _ := comm.NewEnvelope(comm.MsgScheduleNotify, "x", "brp1", comm.ScheduleNotify{Schedules: []*flexoffer.Schedule{
+		{OfferID: 1, Start: 40, Energy: []float64{1, 1, 1, 1}},
+	}})
+	if _, err := brp.Handle(context.Background(), env); err == nil {
+		t.Error("BRP accepted a schedule notify")
+	}
+	if rec, _ := brp.Store().GetOffer(1); rec.State != store.OfferAccepted {
+		t.Errorf("store state = %s, want accepted", rec.State)
+	}
+	if n := brp.PendingOffers(); n != 1 {
+		t.Errorf("pending = %d, want 1", n)
+	}
+}
+
 // TestIntakeRejectsNonFinite: the binary wire format carries NaN and
 // ±Inf, which JSON could not; each intake handler refuses them before
 // anything is logged, stored or handed to the aggregation pipeline.
@@ -434,59 +460,6 @@ func TestStaticAndShiftedForecast(t *testing.T) {
 	}
 }
 
-func TestForwardedAggregatesRelaySchedulesToProsumers(t *testing.T) {
-	// Full paper §2 flow: prosumer → BRP → TSO → BRP → prosumer.
-	bus := comm.NewBus()
-	tso := mustNode(t, bus, Config{
-		Name: "tso", Role: store.RoleTSO, AggParams: agg.ParamsP3,
-		SchedOpts: sched.Options{MaxIterations: 3, Seed: 3},
-	})
-	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, Parent: "tso", AggParams: agg.ParamsP3,
-	})
-	p1 := newProsumer(t, bus, "p1")
-
-	offer := testOffer(1, 40, 16, 4, 5)
-	if d, err := p1.SubmitOfferTo(context.Background(), offer); err != nil || !d.Accept {
-		t.Fatalf("submit: %v %+v", err, d)
-	}
-
-	// The BRP delegates its aggregate upward instead of scheduling.
-	n, err := brp.ForwardAggregates(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("forwarded = %d, want 1", n)
-	}
-	if _, err := tso.RunSchedulingCycle(context.Background(), 0, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// The schedule must reach the prosumer via the BRP's relay.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if s := p1.ScheduleFor(offer, 10); s != nil {
-			if err := offer.ValidateSchedule(s); err != nil {
-				t.Fatalf("relayed schedule invalid: %v", err)
-			}
-			if brp.PendingOffers() != 0 {
-				t.Errorf("BRP still has %d pending after relay", brp.PendingOffers())
-			}
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatal("schedule never relayed to the prosumer")
-}
-
-func TestForwardAggregatesRequiresParent(t *testing.T) {
-	brp := newBRP(t, nil)
-	if _, err := brp.ForwardAggregates(context.Background()); err == nil {
-		t.Error("forwarding without parent should error")
-	}
-}
-
 func TestSettleExecutedOffers(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newBRP(t, bus)
@@ -547,36 +520,6 @@ func settleConfig(rep *CycleReport) settle.Config {
 	return settle.Config{
 		ShareFrac:         0.3,
 		RealizedProfitEUR: rep.BaselineCost - rep.ScheduleCost,
-	}
-}
-
-func TestTSOLevelAggregationOfBRPs(t *testing.T) {
-	// Level 3: a TSO accepts (macro) offers from BRPs, schedules, and
-	// sends schedules back — the same node type, one level up.
-	bus := comm.NewBus()
-	tso := mustNode(t, bus, Config{
-		Name: "tso", Role: store.RoleTSO, AggParams: agg.ParamsP3,
-		SchedOpts: sched.Options{MaxIterations: 2, Seed: 2},
-	})
-
-	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, Parent: "tso", AggParams: agg.ParamsP3,
-	})
-
-	macro := testOffer(100, 40, 16, 6, 50) // an aggregated offer
-	d, err := brp.SubmitOfferTo(context.Background(), macro)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !d.Accept {
-		t.Fatalf("TSO rejected macro offer: %s", d.Reason)
-	}
-	rep, err := tso.RunSchedulingCycle(context.Background(), 0, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.MicroSchedules != 1 {
-		t.Errorf("TSO cycle report = %+v", rep)
 	}
 }
 
@@ -652,28 +595,6 @@ func TestSubmitOfferHonorsCanceledContext(t *testing.T) {
 	cancel()
 	if _, err := p1.SubmitOfferTo(ctx, testOffer(3, 40, 16, 4, 5)); err == nil {
 		t.Error("canceled submission succeeded")
-	}
-}
-
-func TestForwardAggregatesSurfacesCancellation(t *testing.T) {
-	bus := comm.NewBus()
-	brp := mustNode(t, nil, Config{
-		Name: "brp1", Role: store.RoleBRP, Parent: "tso", Transport: bus,
-		AggParams: agg.ParamsP3,
-	})
-	// A stalled TSO: requests only end via the caller's context.
-	bus.Register("tso", func(ctx context.Context, _ comm.Envelope) (*comm.Envelope, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
-		t.Fatalf("rejected: %s", d.Reason)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	n, err := brp.ForwardAggregates(ctx)
-	if n != 0 || !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("ForwardAggregates = %d, %v; want 0, DeadlineExceeded", n, err)
 	}
 }
 

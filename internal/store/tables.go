@@ -4,20 +4,22 @@ import (
 	"mirabel/internal/flexoffer"
 )
 
-// Role places an actor in the EDMS hierarchy (paper Figure 2).
+// Role places an actor in the EDMS hierarchy (paper Figure 2). Two of
+// the paper's three levels are built: the TSO level above the BRPs,
+// which aggregates and schedules their macro flex-offers (§2), is not.
 type Role string
 
-// The three levels of the harmonized European electricity market model.
+// The levels of the harmonized European electricity market model that
+// a node can take.
 const (
 	RoleProsumer Role = "prosumer" // level 1
 	RoleBRP      Role = "brp"      // level 2 (trader / balance responsible party)
-	RoleTSO      Role = "tso"      // level 3
 )
 
-// Valid reports whether r is one of the three levels.
+// Valid reports whether r is one of the built levels.
 func (r Role) Valid() bool {
 	switch r {
-	case RoleProsumer, RoleBRP, RoleTSO:
+	case RoleProsumer, RoleBRP:
 		return true
 	}
 	return false
