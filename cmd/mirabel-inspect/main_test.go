@@ -31,23 +31,24 @@ func TestDumpLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	q, err := ingest.Open(ingest.Config{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
 	scheduled := func(r *store.OfferRecord) { r.State, r.Schedule = store.OfferScheduled, offer.DefaultSchedule() }
 	executed := func(r *store.OfferRecord) { r.State = store.OfferExecuted }
 	for _, err := range []error{
 		st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}),
 		func() error { _, err := st.UpdateOffer(7, scheduled); return err }(), // logged as a transition with its schedule
 		func() error { _, err := st.UpdateOffer(7, executed); return err }(),  // logged as a state-only step
-		st.PutMeasurement(store.Measurement{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 1.5}),
+		q.SubmitMeasurements(context.Background(), []store.Measurement{{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 1.5}}),
+		q.Drain(context.Background()),
 	} {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := st.PruneMeasurements(2); err != nil {
-		t.Fatal(err)
-	}
-	q, err := ingest.Open(ingest.Config{Store: st})
-	if err != nil {
 		t.Fatal(err)
 	}
 	if err := q.SubmitOffer(context.Background(), store.OfferRecord{Offer: offer, Owner: "p2", State: store.OfferRejected}); err != nil {
@@ -221,10 +222,14 @@ func TestSummaryCountsEveryState(t *testing.T) {
 		}
 	}
 	actors := []string{"p07", "p02", "p11", "p00", "p05", "p09", "p03", "p10", "p01", "p08", "p04", "p06"}
+	ms := make([]store.Measurement, len(actors))
 	for i, actor := range actors {
-		if err := st.PutMeasurement(store.Measurement{Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1}); err != nil {
-			t.Fatal(err)
-		}
+		ms[i] = store.Measurement{Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1}
+	}
+	// A volatile store hands each acked event off at once: apply it there.
+	st.SetIntakeHandoff(func(ev store.Intake) { st.ApplyIntake([]store.Intake{ev}) })
+	if err := st.AppendIntake(store.Intake{Meas: ms}); err != nil {
+		t.Fatal(err)
 	}
 
 	var out bytes.Buffer

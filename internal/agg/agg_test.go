@@ -371,7 +371,7 @@ func sameAggregates(a, b *Pipeline) bool {
 		out := make(map[string]string)
 		for _, ag := range p.Aggregates() {
 			var key string
-			for _, m := range ag.Members() {
+			for _, m := range ag.members {
 				key += fmt_id(m.ID)
 			}
 			out[key] = aggSignature(ag)

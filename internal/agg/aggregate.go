@@ -63,12 +63,6 @@ type Aggregate struct {
 	deltaOps int
 }
 
-// Members returns the member micro flex-offers in ID order. The member
-// list is kept ID-sorted at insert, so no per-call sort is needed.
-func (a *Aggregate) Members() []*flexoffer.FlexOffer {
-	return append([]*flexoffer.FlexOffer(nil), a.members...)
-}
-
 // NumMembers returns the member count.
 func (a *Aggregate) NumMembers() int { return len(a.members) }
 

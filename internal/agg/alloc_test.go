@@ -43,7 +43,7 @@ func TestAccumulateZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("a four-update batch allocates %.1f times per op, want 0", n)
 	}
-	if got := p.NumPending(); got != 0 {
+	if got := pendingUpdates(p.GroupBuilder); got != 0 {
 		t.Fatalf("pending after cancelled inserts = %d, want 0", got)
 	}
 }

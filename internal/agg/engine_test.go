@@ -9,12 +9,31 @@ import (
 	"mirabel/internal/flexoffer"
 )
 
+// contains reports whether the offer id is applied to a group or
+// pending insertion.
+func contains(g *GroupBuilder, id flexoffer.ID) bool {
+	if _, ok := g.pendingIns[id]; ok {
+		return true // includes delete-then-reinsert within one batch
+	}
+	if _, leaving := g.pendingDel[id]; leaving {
+		return false
+	}
+	_, ok := g.byID[id]
+	return ok
+}
+
+// grouped is the number of offers applied to groups.
+func grouped(g *GroupBuilder) int { return len(g.byID) }
+
+// pendingUpdates is the number of accumulated, unprocessed updates.
+func pendingUpdates(g *GroupBuilder) int { return len(g.pendingIns) + len(g.pendingDel) }
+
 // equivAggregates compares a live (delta-maintained) aggregate against a
 // from-scratch build over the same members: combined offer attributes
 // exactly, profile/totals/cost within float tolerance.
 func equivAggregates(t *testing.T, live *Aggregate, tag string) bool {
 	t.Helper()
-	scratch := buildAggregate(live.Offer.ID, live.Members())
+	scratch := buildAggregate(live.Offer.ID, live.members)
 	lo, so := live.Offer, scratch.Offer
 	if lo.EarliestStart != so.EarliestStart || lo.LatestStart != so.LatestStart ||
 		lo.AssignBefore != so.AssignBefore || len(lo.Profile) != len(so.Profile) {
@@ -89,7 +108,7 @@ func TestPropertyDeltaEqualsScratch(t *testing.T) {
 				}
 			}
 		}
-		if got := p.GroupBuilder.NumOffers(); got != len(live) {
+		if got := grouped(p.GroupBuilder); got != len(live) {
 			t.Logf("seed %d: grouped offers %d, want %d", seed, got, len(live))
 			return false
 		}
@@ -118,14 +137,14 @@ func TestAccumulateBatchAtomicOnError(t *testing.T) {
 	if err := p.Accumulate(batch...); err == nil {
 		t.Fatal("batch with invalid offer should error")
 	}
-	if n := p.NumPending(); n != 0 {
+	if n := pendingUpdates(p.GroupBuilder); n != 0 {
 		t.Errorf("pending after failed batch = %d, want 0", n)
 	}
 	// Offer 2's insert and offer 1's delete must NOT have been recorded.
-	if p.Contains(2) {
+	if contains(p.GroupBuilder, 2) {
 		t.Error("failed batch leaked insert of offer 2")
 	}
-	if !p.Contains(1) {
+	if !contains(p.GroupBuilder, 1) {
 		t.Error("failed batch applied delete of offer 1")
 	}
 	ups := p.Process()
@@ -142,7 +161,7 @@ func TestAccumulateBatchAtomicOnError(t *testing.T) {
 	); err == nil {
 		t.Fatal("duplicate id in batch should error")
 	}
-	if p.Contains(5) || p.NumPending() != 0 {
+	if contains(p.GroupBuilder, 5) || pendingUpdates(p.GroupBuilder) != 0 {
 		t.Error("duplicate-id batch leaked state")
 	}
 }
@@ -180,16 +199,16 @@ func TestInsertThenDeleteCancelsPending(t *testing.T) {
 	if err := p.Accumulate(FlexOfferUpdate{Kind: Insert, Offer: f}); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Contains(1) {
-		t.Fatal("pending insert not visible to Contains")
+	if !contains(p.GroupBuilder, 1) {
+		t.Fatal("pending insert not visible to contains")
 	}
 	if err := p.Accumulate(FlexOfferUpdate{Kind: Delete, Offer: f}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Contains(1) {
+	if contains(p.GroupBuilder, 1) {
 		t.Error("cancelled insert still visible")
 	}
-	if n := p.NumPending(); n != 0 {
+	if n := pendingUpdates(p.GroupBuilder); n != 0 {
 		t.Errorf("pending = %d, want 0 after cancellation", n)
 	}
 	if ups := p.Process(); len(ups) != 0 {

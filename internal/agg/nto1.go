@@ -119,13 +119,6 @@ func (p *Pipeline) Apply(updates ...FlexOfferUpdate) ([]AggregateUpdate, error) 
 	return p.Process(), nil
 }
 
-// Contains reports whether the offer id is live in the pipeline (applied
-// or pending insertion).
-func (p *Pipeline) Contains(id flexoffer.ID) bool { return p.GroupBuilder.Contains(id) }
-
-// NumPending returns the number of accumulated-but-unprocessed updates.
-func (p *Pipeline) NumPending() int { return p.GroupBuilder.NumPending() }
-
 // Aggregates returns the current macro flex-offers.
 func (p *Pipeline) Aggregates() []*Aggregate { return p.Aggregator.Aggregates() }
 

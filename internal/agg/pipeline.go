@@ -62,8 +62,7 @@ type GroupBuilder struct {
 	// byID is the membership index over applied offers: which group an
 	// offer lives in. Delete validation is a map lookup — the offer's
 	// grouping key is never re-derived from caller-supplied attributes.
-	byID   map[flexoffer.ID]member
-	offers int
+	byID map[flexoffer.ID]member
 
 	// Net-effect pending state, applied by Process. A pending delete
 	// keeps the membership it removes.
@@ -192,7 +191,6 @@ func (g *GroupBuilder) Process() []groupUpdate {
 		d := g.touch(m.g)
 		d.removed = append(d.removed, m.off)
 	}
-	g.offers -= len(g.pendingDel)
 	for i := range g.deltas {
 		d, grp := &g.deltas[i], g.touched[i]
 		switch {
@@ -210,7 +208,6 @@ func (g *GroupBuilder) Process() []groupUpdate {
 		d := &g.deltas[grp.slot-1]
 		d.added = append(d.added, off)
 	}
-	g.offers += len(g.ins)
 
 	out := make([]groupUpdate, len(g.deltas))
 	copy(out, g.deltas)
@@ -252,25 +249,6 @@ func compareKeys(a, b groupKey) int {
 	}
 	return cmp.Compare(a.dur, b.dur)
 }
-
-// Contains reports whether the offer id is either applied to a group or
-// pending insertion.
-func (g *GroupBuilder) Contains(id flexoffer.ID) bool {
-	if _, ok := g.pendingIns[id]; ok {
-		return true // includes delete-then-reinsert within one batch
-	}
-	if _, leaving := g.pendingDel[id]; leaving {
-		return false
-	}
-	_, ok := g.byID[id]
-	return ok
-}
-
-// NumOffers returns the number of flex-offers currently grouped.
-func (g *GroupBuilder) NumOffers() int { return g.offers }
-
-// NumPending returns the number of accumulated-but-unprocessed updates.
-func (g *GroupBuilder) NumPending() int { return len(g.pendingIns) + len(g.pendingDel) }
 
 // BinPackerOptions is kept for source compatibility: NewPipeline
 // ignores it.

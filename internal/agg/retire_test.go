@@ -114,12 +114,12 @@ func TestPropertyRetireEqualsDeleteBatch(t *testing.T) {
 				t.Logf("seed %d round %d: retiring whole groups diverged from the delete path", seed, round)
 				return false
 			}
-			if got := whole.GroupBuilder.NumOffers(); got != len(live) {
+			if got := grouped(whole.GroupBuilder); got != len(live) {
 				t.Logf("seed %d round %d: grouped offers %d, want %d", seed, round, got, len(live))
 				return false
 			}
 			for _, off := range del {
-				if _, ok := live[off.ID]; !ok && whole.Contains(off.ID) {
+				if _, ok := live[off.ID]; !ok && contains(whole.GroupBuilder, off.ID) {
 					t.Logf("seed %d round %d: retired offer %d still contained", seed, round, off.ID)
 					return false
 				}
@@ -202,7 +202,7 @@ func TestRetireReportsDeletedAggregate(t *testing.T) {
 	if a.Version != v+1 || a.NumMembers() != 0 {
 		t.Errorf("retired aggregate: Version %d, %d members; want %d, 0", a.Version, a.NumMembers(), v+1)
 	}
-	if len(p.Aggregates()) != 0 || p.GroupBuilder.NumOffers() != 0 || p.Contains(1) {
+	if len(p.Aggregates()) != 0 || grouped(p.GroupBuilder) != 0 || contains(p.GroupBuilder, 1) {
 		t.Error("retired group left state behind")
 	}
 }

@@ -232,18 +232,6 @@ func (b *Breaker) Request(ctx context.Context, to string, env Envelope) (Envelop
 	return reply, err
 }
 
-// State reports a destination's circuit state (closed for never-seen
-// destinations).
-func (b *Breaker) State(to string) BreakerState {
-	b.mu.Lock()
-	c, ok := b.dests[to]
-	b.mu.Unlock()
-	if !ok {
-		return BreakerClosed
-	}
-	return c.currentState()
-}
-
 // Tripped lists destinations whose circuit is not closed, sorted.
 func (b *Breaker) Tripped() []string {
 	b.mu.Lock()

@@ -63,6 +63,18 @@ func testBreaker(inner Transport) *Breaker {
 	})
 }
 
+// stateOf reports a destination's circuit state (closed for a
+// destination never seen).
+func stateOf(b *Breaker, to string) BreakerState {
+	b.mu.Lock()
+	c, ok := b.dests[to]
+	b.mu.Unlock()
+	if !ok {
+		return BreakerClosed
+	}
+	return c.currentState()
+}
+
 func TestBreakerTripsAndFailsFast(t *testing.T) {
 	inner := newFlaky()
 	inner.setDown("dead", true)
@@ -74,7 +86,7 @@ func TestBreakerTripsAndFailsFast(t *testing.T) {
 			t.Fatalf("send %d err = %v, want ErrUnreachable", i, err)
 		}
 	}
-	if got := b.State("dead"); got != BreakerOpen {
+	if got := stateOf(b, "dead"); got != BreakerOpen {
 		t.Fatalf("state after 3 failures = %v, want open", got)
 	}
 	before := inner.callCount("dead")
@@ -102,7 +114,7 @@ func TestBreakerHealthyDestinationUnaffected(t *testing.T) {
 			t.Fatalf("healthy send %d: %v", i, err)
 		}
 	}
-	if got := b.State("ok"); got != BreakerClosed {
+	if got := stateOf(b, "ok"); got != BreakerClosed {
 		t.Fatalf("healthy state = %v, want closed", got)
 	}
 }
@@ -116,7 +128,7 @@ func TestBreakerHalfOpenTrialRecloses(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		_ = b.Send(ctx, "flappy", env)
 	}
-	if b.State("flappy") != BreakerOpen {
+	if stateOf(b, "flappy") != BreakerOpen {
 		t.Fatal("circuit did not open")
 	}
 	inner.setDown("flappy", false)
@@ -130,7 +142,7 @@ func TestBreakerHalfOpenTrialRecloses(t *testing.T) {
 	if err := b.Send(ctx, "flappy", env); err != nil {
 		t.Fatalf("trial send: %v", err)
 	}
-	if got := b.State("flappy"); got != BreakerClosed {
+	if got := stateOf(b, "flappy"); got != BreakerClosed {
 		t.Fatalf("state after successful trial = %v, want closed", got)
 	}
 }
@@ -148,7 +160,7 @@ func TestBreakerHalfOpenTrialFailureReopens(t *testing.T) {
 	if err := b.Send(ctx, "dead", env); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("trial err = %v, want ErrUnreachable", err)
 	}
-	if got := b.State("dead"); got != BreakerOpen {
+	if got := stateOf(b, "dead"); got != BreakerOpen {
 		t.Fatalf("state after failed trial = %v, want open again", got)
 	}
 	// And it fails fast again without touching the transport.
@@ -175,7 +187,7 @@ func TestBreakerCanceledContextNotCounted(t *testing.T) {
 			t.Fatalf("send err = %v, want context.Canceled", err)
 		}
 	}
-	if got := cb.State("x"); got != BreakerClosed {
+	if got := stateOf(cb, "x"); got != BreakerClosed {
 		t.Fatalf("state after canceled sends = %v, want closed (not counted)", got)
 	}
 	_ = b
@@ -209,7 +221,7 @@ func TestBreakerProbeOpenHeals(t *testing.T) {
 	if healed := b.ProbeOpen(ctx); len(healed) != 1 || healed[0] != "dead" {
 		t.Fatalf("probe healed %v, want [dead]", healed)
 	}
-	if got := b.State("dead"); got != BreakerClosed {
+	if got := stateOf(b, "dead"); got != BreakerClosed {
 		t.Fatalf("state after probe = %v, want closed", got)
 	}
 	if err := b.Send(ctx, "dead", env); err != nil {
@@ -247,7 +259,7 @@ func TestBreakerOverBusFanOut(t *testing.T) {
 			}
 		}
 	}
-	if got := b.State("p3"); got != BreakerOpen {
+	if got := stateOf(b, "p3"); got != BreakerOpen {
 		t.Fatalf("p3 state = %v, want open", got)
 	}
 	if err := client.Ping(ctx, "p3"); !errors.Is(err, ErrBreakerOpen) {

@@ -134,14 +134,3 @@ func (b *Bus) Request(ctx context.Context, to string, env Envelope) (Envelope, e
 		return Envelope{}, fmt.Errorf("comm: request to %s: %w", to, ctx.Err())
 	}
 }
-
-// Endpoints returns the registered endpoint names (diagnostics).
-func (b *Bus) Endpoints() []string {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]string, 0, len(b.handlers))
-	for name := range b.handlers {
-		out = append(out, name)
-	}
-	return out
-}

@@ -248,7 +248,7 @@ func TestRetryBreakerHalfOpenSingleTrial(t *testing.T) {
 	if successes.Load() != 1 || rejected.Load() != callers-1 {
 		t.Errorf("successes = %d rejected = %d, want 1 and %d", successes.Load(), rejected.Load(), callers-1)
 	}
-	if s := br.State("b"); s != BreakerClosed {
+	if s := stateOf(br, "b"); s != BreakerClosed {
 		t.Errorf("state = %v, want closed after the trial succeeded", s)
 	}
 }

@@ -24,9 +24,25 @@ func newLocalBRP(t *testing.T) *Node {
 	})
 }
 
+// groupedOffers is the number of offers n's aggregates hold, without
+// processing accumulated intake.
+func groupedOffers(n *Node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.pipeline.CurrentMetrics().FlexOffers
+}
+
+// pipelineIdle reports whether n's pipeline holds no accumulated
+// update: processing it (which it does) changes no aggregate.
+func pipelineIdle(n *Node) bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.pipeline.Process()) == 0
+}
+
 // Intake only accumulates: accepted offers sit in the pipeline's pending
-// batch until the next cycle (or an explicit Aggregates read) processes
-// them in one go.
+// batch until the next cycle (or an explicit processing) takes them in
+// one go.
 func TestAccumulateThenCycleProcessesIntake(t *testing.T) {
 	brp := newLocalBRP(t)
 	for i := 1; i <= 8; i++ {
@@ -34,17 +50,15 @@ func TestAccumulateThenCycleProcessesIntake(t *testing.T) {
 			t.Fatalf("offer %d rejected: %s", i, d.Reason)
 		}
 	}
-	brp.mu.Lock()
-	pendingBatch := brp.pipeline.NumPending()
-	applied := brp.pipeline.GroupBuilder.NumOffers()
-	brp.mu.Unlock()
-	if pendingBatch != 8 {
-		t.Errorf("pipeline pending = %d, want 8 (intake must not process)", pendingBatch)
+	if got := pendingOffers(brp); got != 8 {
+		t.Errorf("pending offers = %d, want 8", got)
 	}
-	if applied != 0 {
-		t.Errorf("grouped offers before cycle = %d, want 0", applied)
+	if applied := groupedOffers(brp); applied != 0 {
+		t.Errorf("grouped offers before cycle = %d, want 0 (intake must not process)", applied)
 	}
 
+	// Nothing was grouped, so every offer the cycle plans is one it
+	// processed out of the pending batch.
 	rep, err := brp.RunSchedulingCycle(context.Background(), 0, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +66,8 @@ func TestAccumulateThenCycleProcessesIntake(t *testing.T) {
 	if rep.Offers != 8 {
 		t.Errorf("report offers = %d, want 8", rep.Offers)
 	}
-	brp.mu.Lock()
-	pendingBatch = brp.pipeline.NumPending()
-	brp.mu.Unlock()
-	if pendingBatch != 0 {
-		t.Errorf("pipeline pending after cycle = %d, want 0", pendingBatch)
+	if !pipelineIdle(brp) {
+		t.Error("the pipeline kept pending updates after the cycle")
 	}
 }
 
@@ -70,43 +81,60 @@ func TestAccumulateDuplicateRejected(t *testing.T) {
 	if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); d.Accept {
 		t.Fatal("duplicate id accepted")
 	}
-	brp.mu.Lock()
-	defer brp.mu.Unlock()
-	if n := brp.pipeline.NumPending(); n != 1 {
-		t.Errorf("pipeline pending = %d, want 1 (only the first insert)", n)
+	if n := groupedOffers(brp); n != 0 {
+		t.Fatalf("grouped offers before processing = %d, want 0", n)
+	}
+	aggregates(brp) // processes the pending batch
+	if n := groupedOffers(brp); n != 1 {
+		t.Errorf("the pending batch grouped %d offers, want 1 (only the first insert)", n)
 	}
 }
 
-// Satellite: duplicate micro schedules in one commit batch must be
-// reconciled, not fed into the pipeline as a delete of a nil offer.
+// Duplicate micro schedules in one commit batch are reconciled, not fed
+// into the pipeline as a delete of a nil offer: the first schedule of an
+// offer is both the one stored and the one delivered, whether the
+// duplicate repeats it or differs.
 func TestCommitDuplicateMicroScheduleReconciled(t *testing.T) {
-	brp := newLocalBRP(t)
-	f := testOffer(1, 40, 16, 4, 5)
-	if d := brp.AcceptOffer(f, "p1"); !d.Accept {
-		t.Fatalf("rejected: %s", d.Reason)
-	}
-	// Materialize the aggregate so the pipeline delete at commit finds it.
-	if got := len(brp.Aggregates()); got != 1 {
-		t.Fatalf("aggregates = %d, want 1", got)
-	}
-	// Commit runs behind the planner's intake barrier.
-	drain(t, brp)
-	s := &flexoffer.Schedule{OfferID: 1, Start: 40, Energy: []float64{0, 0, 0, 0}}
-	byOwner, reconciled, err := brp.commitMicroSchedules([]*flexoffer.Schedule{s, s})
-	if err != nil {
-		t.Fatalf("commit with duplicate schedule: %v", err)
-	}
-	if reconciled != 1 {
-		t.Errorf("reconciled = %d, want 1 (the duplicate)", reconciled)
-	}
-	if got := len(byOwner["p1"]); got != 1 {
-		t.Errorf("schedules for p1 = %d, want 1", got)
-	}
-	if brp.PendingOffers() != 0 {
-		t.Errorf("pending = %d, want 0", brp.PendingOffers())
-	}
-	if rec, ok := brp.Store().GetOffer(1); !ok || rec.State != store.OfferScheduled {
-		t.Errorf("record = %+v, %v", rec, ok)
+	first := &flexoffer.Schedule{OfferID: 1, Start: 40, Energy: []float64{0, 0, 0, 0}}
+	for _, dup := range []*flexoffer.Schedule{
+		first,
+		{OfferID: 1, Start: 41, Energy: []float64{1, 0, 0, 0}},
+	} {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		brp := mustNode(t, nil, Config{Name: "brp1", Role: store.RoleBRP, Store: st, AggParams: agg.ParamsP3})
+		if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
+			t.Fatalf("rejected: %s", d.Reason)
+		}
+		// Materialize the aggregate so the pipeline delete at commit finds it.
+		if got := len(aggregates(brp)); got != 1 {
+			t.Fatalf("aggregates = %d, want 1", got)
+		}
+		// Commit runs behind the planner's intake barrier.
+		drain(t, brp)
+		walBefore := st.WALStats().Records
+		byOwner, reconciled, err := brp.commitMicroSchedules([]*flexoffer.Schedule{first, dup})
+		if err != nil {
+			t.Fatalf("commit with duplicate schedule: %v", err)
+		}
+		if reconciled != 1 {
+			t.Errorf("reconciled = %d, want 1 (the duplicate)", reconciled)
+		}
+		if got := byOwner["p1"]; len(got) != 1 || got[0] != first {
+			t.Errorf("schedules for p1 = %v, want the first alone", got)
+		}
+		if pendingOffers(brp) != 0 {
+			t.Errorf("pending = %d, want 0", pendingOffers(brp))
+		}
+		if rec, ok := brp.Store().GetOffer(1); !ok || rec.State != store.OfferScheduled || rec.Schedule != first {
+			t.Errorf("record = %+v, %v; want scheduled with the delivered schedule %+v", rec, ok, first)
+		}
+		if got := st.WALStats().Records - walBefore; got != 1 {
+			t.Errorf("the commit logged %d records, want one transition", got)
+		}
 	}
 }
 
@@ -214,23 +242,15 @@ func TestConcurrentAccumulateDuringCycles(t *testing.T) {
 drained:
 	wg.Wait()
 	// Fold in whatever intake arrived after the last cycle.
-	aggs := brp.Aggregates()
-	brp.mu.Lock()
-	pendingBatch := brp.pipeline.NumPending()
-	grouped := brp.pipeline.GroupBuilder.NumOffers()
-	pendingOffers := len(brp.pending)
-	brp.mu.Unlock()
-	if pendingBatch != 0 {
-		t.Errorf("pipeline pending = %d, want 0 after final process", pendingBatch)
-	}
-	if grouped != pendingOffers {
-		t.Errorf("grouped offers = %d, pending offers = %d — pipeline and node diverged", grouped, pendingOffers)
+	aggs := aggregates(brp)
+	if !pipelineIdle(brp) {
+		t.Error("the pipeline kept pending updates after the final process")
 	}
 	members := 0
 	for _, a := range aggs {
 		members += a.NumMembers()
 	}
-	if members != grouped {
-		t.Errorf("aggregate members = %d, grouped offers = %d", members, grouped)
+	if pending := pendingOffers(brp); members != pending {
+		t.Errorf("aggregate members = %d, pending offers = %d — pipeline and node diverged", members, pending)
 	}
 }

@@ -17,9 +17,9 @@ import (
 // aggregation and disaggregation run untimed before each commit.
 func BenchmarkCycleCommit(b *testing.B) {
 	const (
-		preloaded  = 100_000
-		aggregates = 50
-		members    = 100
+		preloaded = 100_000
+		groups    = 50
+		members   = 100
 	)
 	st, err := store.Open(b.TempDir())
 	if err != nil {
@@ -46,7 +46,7 @@ func BenchmarkCycleCommit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for g := 0; g < aggregates; g++ {
+		for g := 0; g < groups; g++ {
 			es := flexoffer.Time(16 + 8*g)
 			for m := 0; m < members; m++ {
 				if d := n.AcceptOffer(testOffer(next, es, 4, 4, float64(1+m%5)), "p"+string(rune('a'+m%20))); !d.Accept {
@@ -59,15 +59,15 @@ func BenchmarkCycleCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 		var micro []*flexoffer.Schedule
-		for _, a := range n.Aggregates() {
+		for _, a := range aggregates(n) {
 			ms, err := a.Snapshot().Disaggregate(a.Offer.DefaultSchedule())
 			if err != nil {
 				b.Fatal(err)
 			}
 			micro = append(micro, ms...)
 		}
-		if len(micro) != aggregates*members {
-			b.Fatalf("%d micro schedules, want %d", len(micro), aggregates*members)
+		if len(micro) != groups*members {
+			b.Fatalf("%d micro schedules, want %d", len(micro), groups*members)
 		}
 		b.StartTimer()
 		byOwner, reconciled, err := n.commitMicroSchedules(micro)

@@ -21,7 +21,8 @@ type CycleReport struct {
 	MicroSchedules int     // disaggregated schedules produced by the plan
 	Expired        int     // offers dropped because their deadline passed
 	// Reconciled counts planned micro schedules dropped at commit
-	// because their offer was no longer pending or was named twice.
+	// because their offer was no longer pending or was named twice (the
+	// first schedule of an offer is the one stored and delivered).
 	Reconciled     int
 	NotifyFailures int // prosumers that could not be reached
 	// SkippedOwners lists prosumers whose delivery was skipped because

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 
 	"mirabel/internal/agg"
@@ -12,10 +13,15 @@ import (
 )
 
 // handleScheduleNotify records the final schedules a prosumer's BRP
-// sends back (prosumer duty; a BRP does not register it). The whole
-// notify is refused before any of it is committed if one schedule is
-// not finite.
+// sends back in the offers' store records, their only copy (prosumer
+// duty; a BRP does not register it). The notify is refused whole,
+// before any record changes, when it comes from anyone but the parent,
+// when a schedule is not finite, or when one names an offer this
+// prosumer never submitted.
 func (n *Node) handleScheduleNotify(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
+	if env.From != n.cfg.Parent {
+		return nil, fmt.Errorf("core: %s takes schedules from its BRP %q, not from %q", n.cfg.Name, n.cfg.Parent, env.From)
+	}
 	var body comm.ScheduleNotify
 	if err := env.Decode(comm.MsgScheduleNotify, &body); err != nil {
 		return nil, err
@@ -27,13 +33,19 @@ func (n *Node) handleScheduleNotify(ctx context.Context, env comm.Envelope) (*co
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	// A prosumer's store never drops an offer, so every record found
+	// here is still there to update below.
 	for _, s := range body.Schedules {
-		n.schedules[s.OfferID] = s
+		if _, ok := n.store.GetOffer(s.OfferID); !ok {
+			return nil, fmt.Errorf("core: %s never submitted offer %d: %w", n.cfg.Name, s.OfferID, store.ErrUnknownOffer)
+		}
+	}
+	for _, s := range body.Schedules {
 		sched := s
 		if _, err := n.store.UpdateOffer(s.OfferID, func(rec *store.OfferRecord) {
 			rec.State = store.OfferScheduled
 			rec.Schedule = sched
-		}); err != nil && !errors.Is(err, store.ErrUnknownOffer) {
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -42,13 +54,17 @@ func (n *Node) handleScheduleNotify(ctx context.Context, env comm.Envelope) (*co
 
 // commitMicroSchedules is the scheduling cycle's commit phase, its one
 // caller. Under the node lock it reconciles planned micro schedules
-// against the live pending set: an offer that is no longer pending, or
-// that a batch names twice, is dropped (reported in the reconciled
-// count) rather than double-scheduled. Survivors are persisted as
-// scheduled, leave the pending set and the aggregation pipeline, and
-// are grouped by owner for the deliver phase. Offers accepted mid-plan
-// are untouched: they were never in the snapshot, stay pending and
-// keep their place in the live pipeline for the next cycle.
+// against the live pending set as it stages them: a schedule for an
+// offer that is no longer pending is dropped (reported in the
+// reconciled count) rather than double-scheduled, and since staging
+// takes each offer out of pending, a second schedule for one offer in
+// the same batch is dropped the same way — the first wins, before any
+// store write. Survivors are persisted as scheduled, leave the
+// aggregation pipeline, and are grouped by owner for the deliver phase;
+// an offer whose store update failed goes back into pending. Offers
+// accepted mid-plan are untouched: they were never in the snapshot,
+// stay pending and keep their place in the live pipeline for the next
+// cycle.
 func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*flexoffer.Schedule, int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -60,6 +76,7 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 	// batch: UpdateOffers calls it in update order and only for stored
 	// records, so a cursor over staged finds each record's schedule.
 	staged := make([]*flexoffer.Schedule, 0, len(micro))
+	leaving := make([]agg.FlexOfferUpdate, 0, len(micro))
 	updates := make([]store.OfferUpdate, 0, len(micro))
 	next := 0
 	schedule := func(r *store.OfferRecord) {
@@ -71,24 +88,31 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 		next++
 	}
 	for _, s := range micro {
-		if _, ok := n.pending[s.OfferID]; !ok {
+		f, ok := n.pending[s.OfferID]
+		if !ok {
 			reconciled++
 			continue
 		}
+		delete(n.pending, s.OfferID)
 		updates = append(updates, store.OfferUpdate{ID: s.OfferID, Mutate: schedule})
 		staged = append(staged, s)
+		leaving = append(leaving, agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f})
 	}
 	results, err := n.store.UpdateOffers(updates)
 	if err != nil {
+		for _, u := range leaving {
+			n.pending[u.Offer.ID] = u.Offer
+		}
 		return nil, reconciled, err
 	}
 
 	byOwner := make(map[string][]*flexoffer.Schedule)
-	done := make([]agg.FlexOfferUpdate, 0, len(staged))
+	done := leaving[:0]
 	var failed error
 	for i := range results {
 		res, s := &results[i], staged[i]
 		if res.Err != nil {
+			n.pending[s.OfferID] = leaving[i].Offer
 			if errors.Is(res.Err, store.ErrUnknownOffer) {
 				reconciled++
 			} else if failed == nil {
@@ -96,18 +120,7 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 			}
 			continue
 		}
-		// A duplicate micro schedule in the same batch (two schedules
-		// for one offer) passes staging both times — pending is only
-		// pruned here. The second occurrence finds the offer gone;
-		// feeding a nil offer into the pipeline delete would corrupt the
-		// retire batch, so reconcile it away instead.
-		f, ok := n.pending[s.OfferID]
-		if !ok {
-			reconciled++
-			continue
-		}
-		delete(n.pending, s.OfferID)
-		done = append(done, agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f})
+		done = append(done, leaving[i])
 		byOwner[res.Record.Owner] = append(byOwner[res.Record.Owner], s)
 	}
 	// Every offer the store scheduled leaves the pipeline as it left
@@ -145,35 +158,4 @@ func (n *Node) deliver(ctx context.Context, byOwner map[string][]*flexoffer.Sche
 	}
 	sort.Strings(skipped)
 	return fails, skipped
-}
-
-// ScheduleFor returns the schedule a prosumer received for an offer, or
-// the offer's default schedule after its assignment deadline passed (the
-// paper's graceful fallback: "pending flexibilities simply timeout and
-// customers fall back to the open contract").
-//
-// The expiry transition is staged under the node lock and applied after
-// releasing it: UpdateOffer appends to the WAL (a group commit that can
-// block on fsync), and message handlers must never queue behind a disk
-// flush just because a caller polled its schedule. UpdateOffer's own
-// mutate-under-record-lock semantics keep the transition safe against a
-// schedule arriving concurrently — a record that moved to
-// OfferScheduled meanwhile is left untouched.
-func (n *Node) ScheduleFor(f *flexoffer.FlexOffer, now flexoffer.Time) *flexoffer.Schedule {
-	n.mu.Lock()
-	if s, ok := n.schedules[f.ID]; ok {
-		n.mu.Unlock()
-		return s
-	}
-	expired := now >= f.AssignBefore
-	n.mu.Unlock()
-	if !expired {
-		return nil
-	}
-	_, _ = n.store.UpdateOffer(f.ID, func(rec *store.OfferRecord) {
-		if rec.State != store.OfferScheduled {
-			rec.State = store.OfferExpired
-		}
-	})
-	return f.DefaultSchedule()
 }

@@ -60,7 +60,7 @@ func TestPerSeriesForecastFromIntake(t *testing.T) {
 	reg := brp.ForecastRegistry()
 
 	// Below warm-up: the series exists but has no model yet.
-	if err := brp.IngestMeasurements(seriesMeas("p1", 0, 4)); err != nil {
+	if err := brp.ingest.SubmitMeasurements(context.Background(), seriesMeas("p1", 0, 4)); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, brp)
@@ -68,7 +68,7 @@ func TestPerSeriesForecastFromIntake(t *testing.T) {
 		t.Fatal("series forecast served before the model exists")
 	}
 
-	if err := brp.IngestMeasurements(seriesMeas("p1", 4, 4)); err != nil {
+	if err := brp.ingest.SubmitMeasurements(context.Background(), seriesMeas("p1", 4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, brp)
@@ -97,7 +97,7 @@ func TestIngestFeedsRegistryExactlyOnce(t *testing.T) {
 	brp := newForecastingBRP(t, bus, t.TempDir())
 
 	const n = 24
-	if err := brp.IngestMeasurements(seriesMeas("p1", 0, n)); err != nil {
+	if err := brp.ingest.SubmitMeasurements(context.Background(), seriesMeas("p1", 0, n)); err != nil {
 		t.Fatal(err)
 	}
 	drain(t, brp)
@@ -117,7 +117,7 @@ func TestCycleBarrierMaintainsForecasts(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newForecastingBRP(t, bus, t.TempDir())
 	for i := 0; i < 4; i++ {
-		if err := brp.IngestMeasurements(seriesMeas("p1", i*2, 2)); err != nil {
+		if err := brp.ingest.SubmitMeasurements(context.Background(), seriesMeas("p1", i*2, 2)); err != nil {
 			t.Fatal(err)
 		}
 	}

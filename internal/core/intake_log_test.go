@@ -84,7 +84,7 @@ func TestLiveEqualsReplay(t *testing.T) {
 					for i := range ms {
 						ms[i] = store.Measurement{Actor: "m", EnergyType: "elec", Slot: flexoffer.Time(4*r + i), KWh: float64(p + producers*i)}
 					}
-					if err := brp.IngestMeasurements(ms); err != nil {
+					if err := brp.ingest.SubmitMeasurements(context.Background(), ms); err != nil {
 						fail <- err
 					}
 				}(p)

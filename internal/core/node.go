@@ -54,8 +54,9 @@ type Config struct {
 	Name string
 	// Role selects prosumer or BRP duties.
 	Role store.Role
-	// Parent is a prosumer's BRP, the endpoint its offers and
-	// measurements go to. A BRP has no parent: NewNode refuses one.
+	// Parent is a prosumer's BRP: the endpoint its offers go to and the
+	// one sender whose schedules it takes. A BRP has no parent: NewNode
+	// refuses one.
 	Parent string
 	// Transport connects the node to its peers.
 	Transport comm.Transport
@@ -161,9 +162,6 @@ type Node struct {
 	// flexibilities that may time out).
 	pending map[flexoffer.ID]*flexoffer.FlexOffer
 
-	// received schedules on a prosumer node.
-	schedules map[flexoffer.ID]*flexoffer.Schedule
-
 	// recoveredPending counts accepted offers re-admitted into the
 	// planning pipeline from the store at construction — a reopened node
 	// schedules what its predecessor had accepted but not yet placed.
@@ -194,7 +192,6 @@ func NewNode(cfg Config) (*Node, error) {
 		valuator:  negotiate.NewValuator(),
 		snapCache: make(map[flexoffer.ID]*agg.Aggregate),
 		pending:   make(map[flexoffer.ID]*flexoffer.FlexOffer),
-		schedules: make(map[flexoffer.ID]*flexoffer.Schedule),
 	}
 	if cfg.Transport != nil {
 		transport := cfg.Transport
@@ -363,12 +360,6 @@ func (n *Node) Metrics() *comm.Metrics { return n.metrics }
 // transport.
 func (n *Node) Handler() comm.Handler { return n.handler }
 
-// Handle processes one envelope through the full handler chain
-// (convenience for in-process callers and tests).
-func (n *Node) Handle(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-	return n.handler(ctx, env)
-}
-
 // handlePing answers liveness probes.
 func (n *Node) handlePing(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 	reply, err := comm.NewEnvelope(comm.MsgPong, n.cfg.Name, env.From, nil)
@@ -486,17 +477,6 @@ func (n *Node) handleMeasurementBatch(ctx context.Context, env comm.Envelope) (*
 	return nil, n.ingest.SubmitMeasurements(ctx, ms)
 }
 
-// IngestMeasurements takes a batch of metered values locally, acked on
-// the WAL's group commit like the wire path — the bulk intake for meter
-// streams and backfills (the remote form is
-// Client.ReportMeasurementsAcked).
-func (n *Node) IngestMeasurements(ms []store.Measurement) error {
-	if !n.aggregating() {
-		return fmt.Errorf("core: prosumer %s has no intake path", n.cfg.Name)
-	}
-	return n.ingest.SubmitMeasurements(context.Background(), ms)
-}
-
 // IngestStats reports the intake queue's counters; ok is false on a
 // prosumer, which has none.
 func (n *Node) IngestStats() (ingest.Stats, bool) {
@@ -516,10 +496,6 @@ func (n *Node) DrainIngest(ctx context.Context) error {
 	}
 	return n.ingest.Drain(ctx)
 }
-
-// Breaker exposes the node's circuit breaker (nil when none is
-// configured).
-func (n *Node) Breaker() *comm.Breaker { return n.breaker }
 
 // RetryStats reports the outbound retry policy's counters; ok is false
 // when the node runs without one.
@@ -610,23 +586,6 @@ func (n *Node) CancelProsumer(prosumer string, cfg settle.CancelConfig) (*settle
 	return rep, nil
 }
 
-// PendingOffers returns the accepted, not-yet-scheduled offers.
-func (n *Node) PendingOffers() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.pending)
-}
-
-// Aggregates exposes the current macro flex-offers (diagnostics). Any
-// accumulated intake is processed first so the view includes every
-// accepted offer, not just those a cycle has already batched in.
-func (n *Node) Aggregates() []*agg.Aggregate {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.pipeline.Process()
-	return n.pipeline.Aggregates()
-}
-
 // SettleExecuted settles all scheduled flex-offers against their metered
 // execution: premiums are paid, deviations penalized and (optionally)
 // the realized profit shared — the execution-time half of the
@@ -695,21 +654,6 @@ func (n *Node) SubmitOfferTo(ctx context.Context, f *flexoffer.FlexOffer) (comm.
 		return comm.FlexOfferDecision{}, err
 	}
 	return decision, nil
-}
-
-// ReportMeasurement stores a metered value locally and sends it to the
-// parent as a one-element batch, returning once the parent acked it
-// (prosumer duty).
-func (n *Node) ReportMeasurement(ctx context.Context, energyType string, slot flexoffer.Time, kwh float64) error {
-	if err := n.store.PutMeasurement(store.Measurement{Actor: n.cfg.Name, EnergyType: energyType, Slot: slot, KWh: kwh}); err != nil {
-		return err
-	}
-	if n.client == nil || n.cfg.Parent == "" {
-		return nil
-	}
-	return n.client.ReportMeasurementsAcked(ctx, n.cfg.Parent, []comm.MeasurementReport{{
-		Actor: n.cfg.Name, EnergyType: energyType, Slot: slot, KWh: kwh,
-	}})
 }
 
 // forecaster produces the baseline for a horizon; the node's scheduling

@@ -63,6 +63,32 @@ func newProsumer(t *testing.T, bus *comm.Bus, name string) *Node {
 	return mustNode(t, bus, Config{Name: name, Role: store.RoleProsumer, Parent: "brp1"})
 }
 
+// pendingOffers is the number of n's accepted, not yet scheduled
+// offers.
+func pendingOffers(n *Node) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.pending)
+}
+
+// aggregates processes n's accumulated intake and returns the live
+// macro flex-offers.
+func aggregates(n *Node) []*agg.Aggregate {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.pipeline.Process()
+	return n.pipeline.Aggregates()
+}
+
+// scheduleOf is the schedule a prosumer's store record holds for an
+// offer, nil until its BRP's schedule arrived.
+func scheduleOf(n *Node, id flexoffer.ID) *flexoffer.Schedule {
+	if rec, ok := n.Store().GetOffer(id); ok && rec.State == store.OfferScheduled {
+		return rec.Schedule
+	}
+	return nil
+}
+
 // drain is the read-your-writes barrier tests take before they look at
 // an aggregating node's store: an ack promises durability, not
 // visibility.
@@ -146,8 +172,8 @@ func TestOfferSubmissionRoundtrip(t *testing.T) {
 	if decision.PremiumEUR <= 0 {
 		t.Error("accepted offer without premium")
 	}
-	if brp.PendingOffers() != 1 {
-		t.Errorf("pending = %d", brp.PendingOffers())
+	if pendingOffers(brp) != 1 {
+		t.Errorf("pending = %d", pendingOffers(brp))
 	}
 	// Both sides recorded the offer.
 	drain(t, brp)
@@ -212,7 +238,7 @@ func TestSchedulingCycleEndToEnd(t *testing.T) {
 	// Give the async notifications a moment, then check delivery.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if s := p1.ScheduleFor(o1, 10); s != nil {
+		if s := scheduleOf(p1, o1.ID); s != nil {
 			if err := o1.ValidateSchedule(s); err != nil {
 				t.Fatalf("delivered schedule invalid: %v", err)
 			}
@@ -220,39 +246,14 @@ func TestSchedulingCycleEndToEnd(t *testing.T) {
 				t.Errorf("prosumer offer state = %s", rec.State)
 			}
 			// The BRP cleared its pipeline.
-			if brp.PendingOffers() != 0 {
-				t.Errorf("pending after cycle = %d", brp.PendingOffers())
+			if pendingOffers(brp) != 0 {
+				t.Errorf("pending after cycle = %d", pendingOffers(brp))
 			}
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("schedule never delivered to prosumer")
-}
-
-func TestExpiredOfferFallsBackToDefault(t *testing.T) {
-	bus := comm.NewBus()
-	newBRP(t, bus)
-	p1 := newProsumer(t, bus, "p1")
-	offer := testOffer(1, 40, 16, 4, 5)
-	if _, err := p1.SubmitOfferTo(context.Background(), offer); err != nil {
-		t.Fatal(err)
-	}
-	// No schedule arrives; after the assignment deadline the prosumer
-	// falls back to the default profile.
-	if s := p1.ScheduleFor(offer, offer.AssignBefore-1); s != nil {
-		t.Error("schedule before deadline should be nil (still waiting)")
-	}
-	s := p1.ScheduleFor(offer, offer.AssignBefore)
-	if s == nil {
-		t.Fatal("no fallback schedule")
-	}
-	if s.Start != offer.EarliestStart {
-		t.Errorf("fallback start = %d, want earliest %d", s.Start, offer.EarliestStart)
-	}
-	if rec, _ := p1.Store().GetOffer(1); rec.State != store.OfferExpired {
-		t.Errorf("state = %s, want expired", rec.State)
-	}
 }
 
 func TestCycleExpiresStaleOffers(t *testing.T) {
@@ -292,21 +293,20 @@ func TestUnreachableProsumerDoesNotFailCycle(t *testing.T) {
 	}
 }
 
+// TestMeasurementReporting: one reported reading, acked, reaches the
+// BRP's store once its applier ran — the ack is the WAL append.
 func TestMeasurementReporting(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newBRP(t, bus)
-	p1 := newProsumer(t, bus, "p1")
-	if err := p1.ReportMeasurement(context.Background(), "demand", 5, 2.5); err != nil {
+	client := comm.NewClient("p1", bus)
+	if err := client.ReportMeasurementsAcked(context.Background(), "brp1", []comm.MeasurementReport{
+		{Actor: "p1", EnergyType: "demand", Slot: 5, KWh: 2.5},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	// Local store immediately.
-	if got := p1.Store().SumEnergyBySlot(store.MeasurementFilter{})[5]; got != 2.5 {
-		t.Errorf("local measurement = %g", got)
-	}
-	// Parent store once its applier ran: the ack is the WAL append.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if got := brp.Store().SumEnergyBySlot(store.MeasurementFilter{})[5]; got == 2.5 {
+		if ms := brp.Store().Measurements(store.MeasurementFilter{FromSlot: 5, ToSlot: 6}); len(ms) == 1 && ms[0].KWh == 2.5 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -335,13 +335,13 @@ func TestMeasurementBatchReporting(t *testing.T) {
 			if ms[3].KWh != 1.5 || ms[3].Slot != 3 {
 				t.Fatalf("stored batch entry = %+v", ms[3])
 			}
-			// The local bulk-intake path lands in the same series.
-			if err := brp.IngestMeasurements([]store.Measurement{{Actor: "p1", EnergyType: "demand", Slot: 99, KWh: 2}}); err != nil {
+			// The ingest queue's direct path lands in the same series.
+			if err := brp.ingest.SubmitMeasurements(context.Background(), []store.Measurement{{Actor: "p1", EnergyType: "demand", Slot: 99, KWh: 2}}); err != nil {
 				t.Fatal(err)
 			}
 			drain(t, brp)
-			if got := brp.Store().SumEnergyBySlot(store.MeasurementFilter{Actor: "p1"})[99]; got != 2 {
-				t.Fatalf("IngestMeasurements value = %g", got)
+			if got := brp.Store().Measurements(store.MeasurementFilter{Actor: "p1", FromSlot: 99, ToSlot: 100}); len(got) != 1 || got[0].KWh != 2 {
+				t.Fatalf("submitted measurement = %+v", got)
 			}
 			return
 		}
@@ -354,7 +354,7 @@ func TestProsumerRefusesOffers(t *testing.T) {
 	bus := comm.NewBus()
 	p1 := newProsumer(t, bus, "p1")
 	env, _ := comm.NewEnvelope(comm.MsgFlexOfferSubmit, "x", "p1", comm.FlexOfferSubmit{Offer: testOffer(1, 40, 8, 2, 1)})
-	if _, err := p1.Handle(context.Background(), env); err == nil {
+	if _, err := p1.Handler()(context.Background(), env); err == nil {
 		t.Error("prosumer accepted a flex-offer submission")
 	}
 }
@@ -373,13 +373,13 @@ func TestBRPRefusesScheduleNotify(t *testing.T) {
 	env, _ := comm.NewEnvelope(comm.MsgScheduleNotify, "x", "brp1", comm.ScheduleNotify{Schedules: []*flexoffer.Schedule{
 		{OfferID: 1, Start: 40, Energy: []float64{1, 1, 1, 1}},
 	}})
-	if _, err := brp.Handle(context.Background(), env); err == nil {
+	if _, err := brp.Handler()(context.Background(), env); err == nil {
 		t.Error("BRP accepted a schedule notify")
 	}
 	if rec, _ := brp.Store().GetOffer(1); rec.State != store.OfferAccepted {
 		t.Errorf("store state = %s, want accepted", rec.State)
 	}
-	if n := brp.PendingOffers(); n != 1 {
+	if n := pendingOffers(brp); n != 1 {
 		t.Errorf("pending = %d, want 1", n)
 	}
 }
@@ -392,6 +392,13 @@ func TestIntakeRejectsNonFinite(t *testing.T) {
 	brp := newBRP(t, bus)
 	p1 := newProsumer(t, bus, "p1")
 	ctx := context.Background()
+	// The notify names offers p1 holds, so only the non-finite energy
+	// can refuse it.
+	for _, id := range []flexoffer.ID{7, 8} {
+		if err := p1.Store().PutOffer(store.OfferRecord{Offer: testOffer(id, 40, 16, 2, 1), Owner: "p1", State: store.OfferAccepted}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		offer := testOffer(1, 40, 16, 4, 5)
 		offer.Profile[2].EnergyMax = bad
@@ -404,35 +411,69 @@ func TestIntakeRejectsNonFinite(t *testing.T) {
 			t.Errorf("offer with price %g: decision %+v, %v", bad, d, err)
 		}
 		report, _ := comm.NewEnvelope(comm.MsgMeasurementBatch, "p1", "brp1", comm.MeasurementBatch{Reports: []comm.MeasurementReport{{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: bad}}})
-		if _, err := brp.Handle(ctx, report); err == nil {
+		if _, err := brp.Handler()(ctx, report); err == nil {
 			t.Errorf("measurement report of %g kWh accepted", bad)
 		}
 		batch, _ := comm.NewEnvelope(comm.MsgMeasurementBatch, "p1", "brp1", comm.MeasurementBatch{Reports: []comm.MeasurementReport{
 			{Actor: "p1", EnergyType: "demand", Slot: 2, KWh: 1}, {Actor: "p1", EnergyType: "demand", Slot: 3, KWh: bad},
 		}})
-		if _, err := brp.Handle(ctx, batch); err == nil {
+		if _, err := brp.Handler()(ctx, batch); err == nil {
 			t.Errorf("measurement batch holding %g kWh accepted", bad)
 		}
 		notify, _ := comm.NewEnvelope(comm.MsgScheduleNotify, "brp1", "p1", comm.ScheduleNotify{Schedules: []*flexoffer.Schedule{
 			{OfferID: 7, Start: 40, Energy: []float64{1, 1}}, {OfferID: 8, Start: 40, Energy: []float64{1, bad}},
 		}})
-		if _, err := p1.Handle(ctx, notify); err == nil {
+		if _, err := p1.Handler()(ctx, notify); err == nil {
 			t.Errorf("schedule notify holding energy %g accepted", bad)
 		}
 	}
 	drain(t, brp)
-	if st := brp.Store().Stats(); st.Measurements != 0 || brp.PendingOffers() != 0 {
-		t.Errorf("refused input reached the BRP: %+v, %d pending offers", st, brp.PendingOffers())
+	if st := brp.Store().Stats(); st.Measurements != 0 || pendingOffers(brp) != 0 {
+		t.Errorf("refused input reached the BRP: %+v, %d pending offers", st, pendingOffers(brp))
 	}
-	if s := p1.ScheduleFor(&flexoffer.FlexOffer{ID: 7, AssignBefore: 100}, 0); s != nil {
+	if s := scheduleOf(p1, 7); s != nil {
 		t.Errorf("the finite schedule of a refused notify was committed: %+v", s)
+	}
+}
+
+// TestProsumerTakesSchedulesFromItsBRPOnly: a prosumer refuses a
+// schedule notify from anyone but its parent, and one that names an
+// offer it never submitted, whole: the offer it did submit stays
+// accepted and the stranger's offer is not recorded.
+func TestProsumerTakesSchedulesFromItsBRPOnly(t *testing.T) {
+	bus := comm.NewBus()
+	newBRP(t, bus)
+	p1 := newProsumer(t, bus, "p1")
+	ctx := context.Background()
+	if d, err := p1.SubmitOfferTo(ctx, testOffer(1, 40, 16, 4, 5)); err != nil || !d.Accept {
+		t.Fatalf("submit: %v %+v", err, d)
+	}
+	known := &flexoffer.Schedule{OfferID: 1, Start: 40, Energy: []float64{1, 1, 1, 1}}
+	unknown := &flexoffer.Schedule{OfferID: 999, Start: 40, Energy: []float64{1}}
+	for _, tc := range []struct {
+		name, from string
+		schedules  []*flexoffer.Schedule
+	}{
+		{"from a stranger", "mallory", []*flexoffer.Schedule{known}},
+		{"for an offer never submitted", "brp1", []*flexoffer.Schedule{known, unknown}},
+	} {
+		env, _ := comm.NewEnvelope(comm.MsgScheduleNotify, tc.from, "p1", comm.ScheduleNotify{Schedules: tc.schedules})
+		if _, err := p1.Handler()(ctx, env); err == nil {
+			t.Errorf("%s: notify accepted", tc.name)
+		}
+		if rec, _ := p1.Store().GetOffer(1); rec.State != store.OfferAccepted || rec.Schedule != nil {
+			t.Errorf("%s: offer 1 = %s with schedule %+v, want accepted without one", tc.name, rec.State, rec.Schedule)
+		}
+		if rec, ok := p1.Store().GetOffer(999); ok {
+			t.Errorf("%s: the unknown offer was recorded: %+v", tc.name, rec)
+		}
 	}
 }
 
 func TestPingPong(t *testing.T) {
 	brp := newBRP(t, nil)
 	env, _ := comm.NewEnvelope(comm.MsgPing, "x", "brp1", nil)
-	reply, err := brp.Handle(context.Background(), env)
+	reply, err := brp.Handler()(context.Background(), env)
 	if err != nil || reply == nil || reply.Type != comm.MsgPong {
 		t.Errorf("ping reply = %+v, %v", reply, err)
 	}
@@ -531,7 +572,7 @@ func TestNodeMetricsCountHandledMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	env, _ := comm.NewEnvelope(comm.MsgPing, "x", "brp1", nil)
-	if _, err := brp.Handle(context.Background(), env); err != nil {
+	if _, err := brp.Handler()(context.Background(), env); err != nil {
 		t.Fatal(err)
 	}
 	snap := brp.Metrics().Snapshot()
@@ -562,7 +603,7 @@ func TestNodeMiddlewareSeamAndRecovery(t *testing.T) {
 		Middleware: []comm.Middleware{counting},
 	})
 	env, _ := comm.NewEnvelope(comm.MsgPing, "x", "brp1", nil)
-	if _, err := n.Handle(context.Background(), env); err != nil {
+	if _, err := n.Handler()(context.Background(), env); err != nil {
 		t.Fatal(err)
 	}
 	if seen.Load() != 1 {
@@ -571,7 +612,7 @@ func TestNodeMiddlewareSeamAndRecovery(t *testing.T) {
 	// A malformed body must surface as an error, not a crash, and count
 	// in the metrics.
 	bad := comm.Envelope{Type: comm.MsgFlexOfferSubmit, From: "x", To: "brp1", Body: []byte("{")}
-	if _, err := n.Handle(context.Background(), bad); err == nil {
+	if _, err := n.Handler()(context.Background(), bad); err == nil {
 		t.Error("malformed body accepted")
 	}
 	if n.Metrics().Snapshot()[comm.MsgFlexOfferSubmit].Errors != 1 {
@@ -582,7 +623,7 @@ func TestNodeMiddlewareSeamAndRecovery(t *testing.T) {
 func TestNodeRejectsUnknownMessageType(t *testing.T) {
 	brp := newBRP(t, nil)
 	env := comm.Envelope{Type: comm.MsgType("gossip"), From: "x", To: "brp1"}
-	if _, err := brp.Handle(context.Background(), env); err == nil {
+	if _, err := brp.Handler()(context.Background(), env); err == nil {
 		t.Error("unknown message type accepted")
 	}
 }

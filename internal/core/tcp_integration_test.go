@@ -79,7 +79,7 @@ func TestNodesOverTCP(t *testing.T) {
 
 	var sched1 *flexoffer.Schedule
 	for deadline := time.Now().Add(3 * time.Second); time.Now().Before(deadline); {
-		if sched1 = p1.ScheduleFor(offer, 10); sched1 != nil {
+		if sched1 = scheduleOf(p1, offer.ID); sched1 != nil {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

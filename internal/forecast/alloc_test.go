@@ -13,6 +13,8 @@ import (
 // The race detector instruments allocations, so the zero-alloc pins
 // only run in plain builds — CI runs both variants.
 
+// TestHWTOneStepZeroAlloc: step, the one-step prediction and update the
+// Maintainer runs per observation, allocates nothing.
 func TestHWTOneStepZeroAlloc(t *testing.T) {
 	m, err := NewHWT(4, 8)
 	if err != nil {
@@ -22,10 +24,9 @@ func TestHWTOneStepZeroAlloc(t *testing.T) {
 		m.Update(float64(i % 4))
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		_ = m.OneStep()
-		m.Update(2)
+		_ = m.step(2)
 	}); n != 0 {
-		t.Fatalf("OneStep+Update allocates %.1f times per op, want 0", n)
+		t.Fatalf("step allocates %.1f times per op, want 0", n)
 	}
 }
 
@@ -38,10 +39,10 @@ func TestMaintainerUpdateZeroAlloc(t *testing.T) {
 	if err := m.Init(hist); err != nil {
 		t.Fatal(err)
 	}
-	// TimeBased zero value never triggers: the steady-state path with no
+	// A zero interval never triggers: the steady-state path with no
 	// re-estimation in sight.
 	pool := &syncPool{}
-	mt := newMaintainer(m, hist, MaintainerConfig{Strategy: &TimeBased{}}, pool.enqueue)
+	mt := newMaintainer(m, hist, MaintainerConfig{}, 0, pool.enqueue)
 	one := []store.Measurement{{KWh: 3}}
 	if n := testing.AllocsPerRun(1000, func() {
 		updateRun(mt, one)
@@ -51,10 +52,7 @@ func TestMaintainerUpdateZeroAlloc(t *testing.T) {
 }
 
 func TestRegistryUpdateBatchZeroAlloc(t *testing.T) {
-	reg, err := NewRegistry(testRegistryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, testRegistryConfig(), 0)
 	defer reg.Close()
 
 	batch := make([]store.Measurement, 16)
@@ -63,8 +61,8 @@ func TestRegistryUpdateBatchZeroAlloc(t *testing.T) {
 	}
 	reg.UpdateMeasurements(batch) // past warm-up: model exists
 	// The model's first estimation runs on the background pool; let it
-	// land so its allocations stay out of the malloc counters. The
-	// strategy never triggers another.
+	// land so its allocations stay out of the malloc counters. No
+	// re-estimation is ever due after it.
 	if err := reg.Quiesce(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}

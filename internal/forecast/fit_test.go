@@ -46,13 +46,9 @@ func TestFitHWTLeavesEstimatorUntouched(t *testing.T) {
 func TestSharedEstimatorConcurrentRefits(t *testing.T) {
 	cfg := testRegistryConfig()
 	cfg.FitCfg.Estimator = &optimize.RandomRestartNelderMead{}
-	cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 4} }
 	cfg.Workers = 2
 	cfg.QueueDepth = 256
-	reg, err := NewRegistry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, cfg, 4)
 	defer reg.Close()
 
 	var wg sync.WaitGroup
@@ -90,41 +86,17 @@ func TestLongestPeriodUnsorted(t *testing.T) {
 	if _, _, err := FitHWT(make([]float64, 400), []int{336, 48}, FitConfig{}); err == nil {
 		t.Error("FitHWT([336 48]) accepted 400 observations, want ≥ 504")
 	}
-	mt := newMaintainer(m, nil, MaintainerConfig{}, (&syncPool{}).enqueue)
+	mt := newMaintainer(m, nil, MaintainerConfig{}, 0, (&syncPool{}).enqueue)
 	if got, want := len(mt.hist), 4*336; got != want {
 		t.Errorf("default history window = %d, want %d", got, want)
 	}
-	if got, want := mt.strategy.(*TimeBased).Every, 2*336; got != want {
-		t.Errorf("default re-estimation interval = %d, want %d", got, want)
-	}
-}
-
-// TestInitResetsResidualVariance: a re-initialised model must not widen
-// its prediction intervals by the residuals of the window it forgot.
-func TestInitResetsResidualVariance(t *testing.T) {
-	m, err := NewHWT(8)
+	reg, err := NewRegistry(RegistryConfig{Periods: []int{336, 48}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Init(noisySeasonal(1, 64, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if m.ResidualStd() == 0 {
-		t.Fatal("noisy window left no residual variance")
-	}
-	flat := make([]float64, 64)
-	for i := range flat {
-		flat[i] = 10
-	}
-	if err := m.Init(flat); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.ResidualStd(); got != 0 {
-		t.Fatalf("residual std after re-Init on a constant window = %g, want 0", got)
-	}
-	iv := m.ForecastInterval(1, 1.96)[0]
-	if iv.Lower != iv.Point || iv.Upper != iv.Point {
-		t.Fatalf("interval %v not degenerate on a perfectly predicted window", iv)
+	defer reg.Close()
+	if got, want := reg.refitEvery, 2*336; got != want {
+		t.Errorf("default re-estimation interval = %d, want %d", got, want)
 	}
 }
 
@@ -136,11 +108,7 @@ func TestExplicitEstimatorOnEveryRefit(t *testing.T) {
 	close(gate.release) // never blocks; started counts the calls
 	cfg := testRegistryConfig()
 	cfg.FitCfg.Estimator = gate
-	cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 4} }
-	reg, err := NewRegistry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, cfg, 4)
 	defer reg.Close()
 	for i := 0; i < 12; i++ {
 		reg.UpdateMeasurements(seriesBatch("a1", i*2, 2))

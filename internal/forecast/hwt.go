@@ -1,8 +1,8 @@
 // Package forecast implements the MIRABEL forecasting component (paper
 // §5): the energy-domain Triple Seasonality Holt-Winters model HWT
 // [Taylor 2009], transparent model creation with global parameter
-// estimation, continuous model maintenance with evaluation strategies,
-// and context-aware model adaptation (a case-based parameter
+// estimation, continuous model maintenance with a time-based evaluation
+// strategy, and context-aware model adaptation (a case-based parameter
 // repository). The paper's second model type, EGRV, is not implemented:
 // the registry has no temperature feed for it (README "Forecasting").
 package forecast
@@ -40,7 +40,6 @@ type HWT struct {
 	seasonal [][]float64 // ring buffer per period
 	pos      []int       // ring slot of the next observation: observations consumed mod period
 	lastErr  float64     // one-step-ahead residual
-	resVar   float64     // EWMA of squared residuals (uncertainty capture)
 	ready    bool
 }
 
@@ -187,15 +186,14 @@ func (m *HWT) copySeed(seeded *HWT) {
 	}
 }
 
-// replay is the parameter-dependent half of Init: it rewinds the clock,
-// the AR residual and the residual variance, then smooths the seeded
-// state over the history with the current α, φ and γ.
+// replay is the parameter-dependent half of Init: it rewinds the clock
+// and the AR residual, then smooths the seeded state over the history
+// with the current α, φ and γ.
 func (m *HWT) replay(history []float64) {
 	for i := range m.pos {
 		m.pos[i] = 0
 	}
 	m.lastErr = 0
-	m.resVar = 0
 	m.ready = true
 	for _, y := range history {
 		m.step(y)
@@ -208,25 +206,15 @@ func (m *HWT) seasonalAt(i, k int) float64 {
 	return m.seasonal[i][(m.pos[i]+k)%m.periods[i]]
 }
 
-// OneStep returns the one-step-ahead prediction from the current state:
-// Forecast(1)[0] without the slice allocation.
-func (m *HWT) OneStep() float64 {
-	v := m.level
-	for i, s := range m.seasonal {
-		v += s[m.pos[i]]
-	}
-	return v + m.phi*m.lastErr
-}
-
 // Update consumes the next observation of the series.
 func (m *HWT) Update(y float64) { m.step(y) }
 
 // step consumes observation y and returns the one-step-ahead prediction
-// the model made for it — OneStep() then Update(y) in one pass over the
-// components, which is what the maintenance path and the estimation
-// objective both need per observation. Every component is read and
-// written at its ring position pos[i], advanced with a compare instead
-// of the t % period division per component per step.
+// the model made for it — Forecast(1)[0] then Update(y) in one pass over
+// the components, which is what the estimation objective needs per
+// observation; the maintenance path runs it too. Every component is
+// read and written at its ring position pos[i], advanced with a compare
+// instead of the t % period division per component per step.
 func (m *HWT) step(y float64) float64 {
 	if !m.ready {
 		// Without Init, bootstrap level from the first observation.
@@ -256,9 +244,6 @@ func (m *HWT) step(y float64) float64 {
 	}
 	m.level = newLevel
 	m.lastErr = y - pred
-	// Smoothed residual variance feeds the prediction intervals.
-	const varAlpha = 0.02
-	m.resVar += varAlpha * (m.lastErr*m.lastErr - m.resVar)
 	return pred
 }
 

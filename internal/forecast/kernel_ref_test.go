@@ -202,10 +202,10 @@ func refHWTObjective(proto *refHWT, history []float64, split int, p []float64) f
 func requireSameState(t *testing.T, when string, m *HWT, ref *refHWT) {
 	t.Helper()
 	if m.alpha != ref.alpha || m.phi != ref.phi || m.level != ref.level ||
-		m.lastErr != ref.lastErr || m.resVar != ref.resVar || m.ready != ref.ready {
-		t.Fatalf("%s: scalar state differs:\n got α=%v φ=%v level=%v lastErr=%v resVar=%v ready=%v\nwant α=%v φ=%v level=%v lastErr=%v resVar=%v ready=%v",
-			when, m.alpha, m.phi, m.level, m.lastErr, m.resVar, m.ready,
-			ref.alpha, ref.phi, ref.level, ref.lastErr, ref.resVar, ref.ready)
+		m.lastErr != ref.lastErr || m.ready != ref.ready {
+		t.Fatalf("%s: scalar state differs:\n got α=%v φ=%v level=%v lastErr=%v ready=%v\nwant α=%v φ=%v level=%v lastErr=%v ready=%v",
+			when, m.alpha, m.phi, m.level, m.lastErr, m.ready,
+			ref.alpha, ref.phi, ref.level, ref.lastErr, ref.ready)
 	}
 	for i, p := range m.periods {
 		if m.gammas[i] != ref.gammas[i] {
@@ -220,11 +220,11 @@ func requireSameState(t *testing.T, when string, m *HWT, ref *refHWT) {
 			}
 		}
 	}
-	if got, want := m.OneStep(), ref.OneStep(); got != want {
-		t.Fatalf("%s: OneStep = %v, want %v", when, got, want)
+	if got, want := m.Forecast(1)[0], ref.OneStep(); got != want {
+		t.Fatalf("%s: Forecast(1)[0] = %v, want reference OneStep = %v", when, got, want)
 	}
-	if got, want := m.OneStep(), ref.Forecast(1)[0]; got != want {
-		t.Fatalf("%s: OneStep = %v, want reference Forecast(1)[0] = %v", when, got, want)
+	if got, want := m.Forecast(1)[0], ref.Forecast(1)[0]; got != want {
+		t.Fatalf("%s: Forecast(1)[0] = %v, want reference Forecast(1)[0] = %v", when, got, want)
 	}
 }
 
@@ -261,9 +261,6 @@ func TestKernelStateSameFloats(t *testing.T) {
 				if err := m.Init(hist); err != nil {
 					t.Fatal(err)
 				}
-				// The one deliberate difference: Init now rewinds the
-				// residual variance too (the reference carries it over).
-				ref.resVar = 0
 				if err := ref.Init(hist); err != nil {
 					t.Fatal(err)
 				}
@@ -384,8 +381,8 @@ func TestFitHWTGoldens(t *testing.T) {
 		if res.Evaluations != tc.evals {
 			t.Errorf("%s: Evaluations = %d, want %d", tc.name, res.Evaluations, tc.evals)
 		}
-		if got := m.OneStep(); got != tc.oneStep {
-			t.Errorf("%s: fitted model OneStep = %v, want %v", tc.name, got, tc.oneStep)
+		if got := m.Forecast(1)[0]; got != tc.oneStep {
+			t.Errorf("%s: fitted model Forecast(1)[0] = %v, want %v", tc.name, got, tc.oneStep)
 		}
 	}
 }

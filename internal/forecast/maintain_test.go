@@ -44,38 +44,42 @@ func (p *syncPool) feed(t testing.TB, mt *Maintainer, ys []float64) {
 	}
 }
 
-func TestTimeBasedStrategy(t *testing.T) {
-	s := &TimeBased{Every: 3}
-	if s.Observe(0.01) || s.Observe(0.01) {
-		t.Error("triggered too early")
-	}
-	if !s.Observe(0.01) {
-		t.Error("did not trigger at Every")
-	}
-	s.Reset()
-	if s.Observe(0.01) {
-		t.Error("triggered right after reset")
-	}
+// reestimations reports how many re-estimations mt has installed.
+func reestimations(mt *Maintainer) int {
+	mt.mu.Lock()
+	defer mt.mu.Unlock()
+	return mt.reEstims
 }
 
-func TestThresholdBasedStrategy(t *testing.T) {
-	s := &ThresholdBased{Threshold: 0.2, Window: 4}
-	// Accurate observations: never triggers.
-	for i := 0; i < 10; i++ {
-		if s.Observe(0.05) {
-			t.Fatal("triggered on accurate forecasts")
-		}
+// TestTimeBasedStrategy: a maintainer queues a re-estimation once its
+// interval of observations has passed since the last installed fit, and
+// counts afresh from the install.
+func TestTimeBasedStrategy(t *testing.T) {
+	m, err := NewHWT(4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Large errors fill the window and trigger.
-	triggered := false
-	for i := 0; i < 8; i++ {
-		if s.Observe(0.4) {
-			triggered = true
-			break
-		}
+	hist := make([]float64, 8)
+	if err := m.Init(hist); err != nil {
+		t.Fatal(err)
 	}
-	if !triggered {
-		t.Error("did not trigger on large errors")
+	pool := &syncPool{}
+	mt := newMaintainer(m, hist, MaintainerConfig{}, 3, pool.enqueue)
+	one := []store.Measurement{{KWh: 1}}
+	updateRun(mt, one)
+	updateRun(mt, one)
+	if pool.due {
+		t.Error("triggered too early")
+	}
+	updateRun(mt, one)
+	if !pool.due {
+		t.Error("did not trigger at the interval")
+	}
+	pool.due = false
+	mt.completeRefit(m.Params(), 0)
+	updateRun(mt, one) // installs the fit, then counts one observation
+	if reestimations(mt) != 1 || pool.due {
+		t.Errorf("right after the install: %d re-estimations, due %v; want 1, false", reestimations(mt), pool.due)
 	}
 }
 
@@ -87,11 +91,10 @@ func TestMaintainerReestimatesOnSchedule(t *testing.T) {
 	}
 	pool := &syncPool{}
 	mt := newMaintainer(m, history, MaintainerConfig{
-		Strategy: &TimeBased{Every: 50},
-		FitCfg:   FitConfig{Options: optimizeOpts()},
-	}, pool.enqueue)
+		FitCfg: FitConfig{Options: optimizeOpts()},
+	}, 50, pool.enqueue)
 	pool.feed(t, mt, synthSeasonal(336*2 + 120)[336*2:])
-	if got := mt.Reestimations(); got != 2 {
+	if got := reestimations(mt); got != 2 {
 		t.Errorf("re-estimations = %d, want 2 (120 updates / 50)", got)
 	}
 	if fc := mt.Forecast(4); len(fc) != 4 {
@@ -100,8 +103,9 @@ func TestMaintainerReestimatesOnSchedule(t *testing.T) {
 }
 
 func TestMaintainerKeepsAccuracyUnderDrift(t *testing.T) {
-	// The series doubles its amplitude halfway: a threshold-based
-	// maintainer must re-estimate and recover.
+	// The level jumps after the fitted window: the maintainer keeps
+	// re-estimating on the registry's interval of 2 longest periods, and
+	// its forecasts stay accurate at the new level.
 	base := synthSeasonal(336 * 2)
 	m, _, err := FitHWT(base, []int{48}, FitConfig{Options: optimizeOpts()})
 	if err != nil {
@@ -109,18 +113,26 @@ func TestMaintainerKeepsAccuracyUnderDrift(t *testing.T) {
 	}
 	pool := &syncPool{}
 	mt := newMaintainer(m, base, MaintainerConfig{
-		Strategy: &ThresholdBased{Threshold: 0.05, Window: 48},
-		FitCfg:   FitConfig{Options: optimizeOpts()},
-	}, pool.enqueue)
+		FitCfg: FitConfig{Options: optimizeOpts()},
+	}, 2*48, pool.enqueue)
 	drifted := make([]float64, 336)
 	for i := range drifted {
 		// Structural break: the level jumps by 60% (e.g. a new industrial
 		// consumer joined the balance group).
 		drifted[i] = 160 + 10*math.Sin(2*math.Pi*float64(i%48)/48)
 	}
-	pool.feed(t, mt, drifted)
-	if mt.Reestimations() == 0 {
-		t.Error("no re-estimation despite drift")
+	pool.feed(t, mt, drifted[:288])
+	if got := reestimations(mt); got < 2 {
+		t.Errorf("re-estimations = %d, want ≥ 2 after 288 observations", got)
+	}
+	var smape float64
+	for _, y := range drifted[288:] {
+		pred := mt.Forecast(1)[0]
+		smape += math.Abs(y-pred) / (math.Abs(y) + math.Abs(pred))
+		pool.feed(t, mt, []float64{y})
+	}
+	if smape /= 48; smape > 0.05 {
+		t.Errorf("one-step SMAPE over the last day = %.4f, want ≤ 0.05", smape)
 	}
 }
 
@@ -134,11 +146,10 @@ func TestMaintainerUsesContextRepository(t *testing.T) {
 	}
 	pool := &syncPool{}
 	mt := newMaintainer(m, history, MaintainerConfig{
-		Strategy: &TimeBased{Every: 30},
-		FitCfg:   FitConfig{Options: optimizeOpts()},
-		Repo:     repo,
-		Ctx:      ctx,
-	}, pool.enqueue)
+		FitCfg: FitConfig{Options: optimizeOpts()},
+		Repo:   repo,
+		Ctx:    ctx,
+	}, 30, pool.enqueue)
 	pool.feed(t, mt, synthSeasonal(336*2 + 40)[336*2:])
 	if repo.Len() == 0 {
 		t.Error("re-estimation did not store parameters in the repository")

@@ -44,12 +44,11 @@ func maintainStream(t *testing.T, series []float64, fitCfg FitConfig, repo *Cont
 	}
 	pool := &syncPool{due: true} // model creation queues the first estimation
 	mt := newMaintainer(model, series[:warm], MaintainerConfig{
-		Strategy:   &TimeBased{Every: every},
 		FitCfg:     fitCfg,
 		Repo:       repo,
 		Ctx:        Context{EnergyType: energy},
 		MaxHistory: window,
-	}, pool.enqueue)
+	}, every, pool.enqueue)
 
 	var res streamResult
 	var sum float64
@@ -57,14 +56,14 @@ func maintainStream(t *testing.T, series []float64, fitCfg FitConfig, repo *Cont
 	for _, y := range series[warm:] {
 		if pool.due {
 			fit := pool.refit(t, mt)
-			if mt.Reestimations() == 0 {
+			if reestimations(mt) == 0 {
 				res.firstEvals = fit.Evaluations
 			} else {
 				res.laterEvals += fit.Evaluations
 				res.laterFits++
 			}
 		}
-		pred := mt.OneStep() // installs a pending fit first
+		pred := mt.Forecast(1)[0] // installs a pending fit first
 		if denom := abs(y) + abs(pred); denom > 0 {
 			sum += abs(y-pred) / denom
 		}
@@ -209,8 +208,8 @@ func TestRepositoryCreationMatchesGlobalAccuracy(t *testing.T) {
 
 // TestFleetRefitsKeepUp feeds the benchmark's fleet the way its
 // lifecycle workload does — rounds of one 16-slot batch per series, 320
-// series, default registry (one worker, TimeBased every 96) — and checks
-// that the single refit worker keeps up with the strategy. The pace is
+// series, default registry (one worker, a re-estimation every 96
+// observations) — and checks that the single refit worker keeps up. The pace is
 // calibrated on the host, not on the clock: a second registry with an
 // explicit RandomRestartNelderMead creates the same fleet with 320
 // global searches, that burst is timed, and every later re-estimation
@@ -286,7 +285,7 @@ func TestFleetRefitsKeepUp(t *testing.T) {
 	t.Logf("creation burst %v (global searches %v); %d of %d demanded refits done, p50 %v, max staleness %d, overflows %d",
 		creationBurst.Round(time.Millisecond), globalBurst.Round(time.Millisecond), st.RefitsDone, demanded, st.RefitP50, st.MaxStaleness, st.QueueOverflows)
 	if st.RefitsDone*10 < demanded*9 {
-		t.Errorf("refits done = %d, want ≥ 90 %% of the %d the strategy demanded", st.RefitsDone, demanded)
+		t.Errorf("refits done = %d, want ≥ 90 %% of the %d demanded", st.RefitsDone, demanded)
 	}
 	if st.MaxStaleness >= 2*every {
 		t.Errorf("max staleness = %d observations, want < %d", st.MaxStaleness, 2*every)

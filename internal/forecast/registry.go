@@ -33,14 +33,11 @@ type RegistryConfig struct {
 	MaxHistory int
 	// FitCfg is the estimation budget for re-estimations.
 	FitCfg FitConfig
-	// NewStrategy builds the per-series evaluation strategy (default
-	// TimeBased every 2 longest periods). Called once per created model.
-	NewStrategy func() EvaluationStrategy
 	// Workers sizes the background re-estimation pool (default 1).
 	Workers int
 	// QueueDepth bounds the refit request queue (default 1024). A full
 	// queue never blocks updates: the request is dropped, counted as an
-	// overflow, and the evaluation strategy re-triggers later.
+	// overflow, and the series' next observation re-triggers it.
 	QueueDepth int
 }
 
@@ -79,6 +76,9 @@ type Registry struct {
 	shards []registryShard
 	sweep  *sweeper
 	repo   *ContextRepository // shared by every maintainer (see maybeCreateLocked)
+	// refitEvery is every series' re-estimation interval in
+	// observations: 2 longest periods (0: never).
+	refitEvery int
 
 	nSeries      atomic.Int64
 	nModels      atomic.Int64
@@ -123,10 +123,6 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 	if cfg.MaxHistory < cfg.MinObservations {
 		cfg.MaxHistory = cfg.MinObservations
 	}
-	if cfg.NewStrategy == nil {
-		every := 2 * longest
-		cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: every} }
-	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 32
 	}
@@ -151,10 +147,11 @@ func NewRegistry(cfg RegistryConfig) (*Registry, error) {
 		cfg.QueueDepth = 1024
 	}
 	r := &Registry{
-		cfg:    cfg,
-		mask:   uint64(n - 1),
-		shards: make([]registryShard, n),
-		repo:   NewContextRepository(),
+		cfg:        cfg,
+		mask:       uint64(n - 1),
+		shards:     make([]registryShard, n),
+		repo:       NewContextRepository(),
+		refitEvery: 2 * longest,
 	}
 	for i := range r.shards {
 		r.shards[i].m = make(map[SeriesKey]*Series)
@@ -248,12 +245,6 @@ func (r *Registry) Forecast(actor, energy string, h int) (values []float64, ok b
 	return mt.Forecast(h), true
 }
 
-// Maintainer exposes the series' maintainer once the model exists.
-func (s *Series) Maintainer() (*Maintainer, bool) {
-	mt := s.mt.Load()
-	return mt, mt != nil
-}
-
 // consumeRun applies a run of same-key measurements.
 func (s *Series) consumeRun(ms []store.Measurement) {
 	if mt := s.mt.Load(); mt != nil {
@@ -306,12 +297,11 @@ func (s *Series) maybeCreateLocked() {
 		return
 	}
 	mt := newMaintainer(model, s.warm, MaintainerConfig{
-		Strategy:   cfg.NewStrategy(),
 		FitCfg:     cfg.FitCfg,
 		Repo:       s.reg.repo,
 		Ctx:        Context{EnergyType: s.Key.EnergyType},
 		MaxHistory: cfg.MaxHistory,
-	}, func() bool { return s.reg.sweep.enqueue(s) })
+	}, s.reg.refitEvery, func() bool { return s.reg.sweep.enqueue(s) })
 	s.warm = nil
 	s.mt.Store(mt)
 	s.reg.nModels.Add(1)

@@ -9,7 +9,7 @@ import (
 	"mirabel/internal/store"
 )
 
-func BenchmarkHWTOneStep(b *testing.B) {
+func BenchmarkHWTStep(b *testing.B) {
 	m, err := NewHWT(48)
 	if err != nil {
 		b.Fatal(err)
@@ -20,7 +20,7 @@ func BenchmarkHWTOneStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.OneStep()
+		_ = m.step(float64(i % 48))
 	}
 }
 
@@ -34,7 +34,7 @@ func BenchmarkMaintainerUpdate(b *testing.B) {
 		b.Fatal(err)
 	}
 	pool := &syncPool{}
-	mt := newMaintainer(m, hist, MaintainerConfig{Strategy: &TimeBased{}}, pool.enqueue)
+	mt := newMaintainer(m, hist, MaintainerConfig{}, 0, pool.enqueue)
 	one := make([]store.Measurement, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -45,14 +45,7 @@ func BenchmarkMaintainerUpdate(b *testing.B) {
 }
 
 func BenchmarkRegistryUpdateBatch(b *testing.B) {
-	cfg := RegistryConfig{
-		Periods:     []int{24},
-		NewStrategy: func() EvaluationStrategy { return &TimeBased{} },
-	}
-	reg, err := NewRegistry(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	reg := newTestRegistry(b, RegistryConfig{Periods: []int{24}}, 0)
 	defer reg.Close()
 
 	// 64 series x 4 observations per batch — the ingest-drain shape.

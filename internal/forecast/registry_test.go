@@ -14,15 +14,26 @@ import (
 )
 
 // testRegistryConfig is a tiny, fast fleet: period-4 models, six
-// observations to warm up, no refits unless the test opts in.
+// observations to warm up.
 func testRegistryConfig() RegistryConfig {
 	return RegistryConfig{
-		Shards:      4,
-		Periods:     []int{4},
-		FitCfg:      FitConfig{Options: optimize.Options{MaxEvaluations: 40, Seed: 3}},
-		NewStrategy: func() EvaluationStrategy { return &TimeBased{} }, // never triggers
-		Workers:     1,
+		Shards:  4,
+		Periods: []int{4},
+		FitCfg:  FitConfig{Options: optimize.Options{MaxEvaluations: 40, Seed: 3}},
+		Workers: 1,
 	}
+}
+
+// newTestRegistry builds a registry whose series re-estimate every
+// `every` observations after their first estimation; 0 is never.
+func newTestRegistry(t testing.TB, cfg RegistryConfig, every int) *Registry {
+	t.Helper()
+	reg, err := NewRegistry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.refitEvery = every
+	return reg
 }
 
 func seriesBatch(actor string, from, n int) []store.Measurement {
@@ -38,10 +49,7 @@ func seriesBatch(actor string, from, n int) []store.Measurement {
 }
 
 func TestRegistryLazyCreation(t *testing.T) {
-	reg, err := NewRegistry(testRegistryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, testRegistryConfig(), 0)
 	defer reg.Close()
 
 	// Below the warm-up threshold (6 = 1.5 x longest period): no model.
@@ -72,15 +80,9 @@ func TestRegistryLazyCreation(t *testing.T) {
 // TestRegistryBatchMatchesSequential: feeding a series one measurement
 // at a time and in large batches must end in identical model state.
 func TestRegistryBatchMatchesSequential(t *testing.T) {
-	one, err := NewRegistry(testRegistryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := newTestRegistry(t, testRegistryConfig(), 0)
 	defer one.Close()
-	bulk, err := NewRegistry(testRegistryConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	bulk := newTestRegistry(t, testRegistryConfig(), 0)
 	defer bulk.Close()
 
 	const n = 64
@@ -107,10 +109,7 @@ func TestRegistryBatchMatchesSequential(t *testing.T) {
 func TestRegistryMixedBatchGrouping(t *testing.T) {
 	cfg := testRegistryConfig()
 	cfg.MaxHistory = 64 // the history window holds every observation routed to a series
-	reg, err := NewRegistry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, cfg, 0)
 	defer reg.Close()
 
 	var mixed []store.Measurement
@@ -128,8 +127,8 @@ func TestRegistryMixedBatchGrouping(t *testing.T) {
 		t.Fatalf("observations = %d, want %d", st.Observations, len(mixed))
 	}
 	s, _ := reg.Lookup("a2", "elec")
-	mt, ok := s.Maintainer()
-	if !ok {
+	mt := s.mt.Load()
+	if mt == nil {
 		t.Fatal("a2 has no model")
 	}
 	if history, _, _ := mt.refitSnapshot(); len(history) != 16 {
@@ -166,11 +165,7 @@ func TestRefitNeverBlocksForecast(t *testing.T) {
 	gate := &gateEstimator{started: make(chan struct{}, 1), release: make(chan struct{})}
 	cfg := testRegistryConfig()
 	cfg.FitCfg.Estimator = gate
-	cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 4} }
-	reg, err := NewRegistry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, cfg, 4)
 	defer reg.Close()
 
 	// Warm the series up; model creation enqueues the initial refit,
@@ -218,17 +213,13 @@ func TestStalenessBoundUnderSaturatedQueue(t *testing.T) {
 	gate := &gateEstimator{started: make(chan struct{}, 1), release: make(chan struct{})}
 	cfg := testRegistryConfig()
 	cfg.FitCfg.Estimator = gate
-	cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 2} }
 	cfg.QueueDepth = 1
-	reg, err := NewRegistry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, cfg, 2)
 
 	// Series a1's creation refit occupies the single worker; a2's
 	// creation refit fills the depth-1 queue; every later creation or
-	// strategy trigger overflows (refitPending stands down on overflow,
-	// so the strategy keeps retrying).
+	// due re-estimation overflows (refitPending stands down on overflow,
+	// so the next observation retries).
 	reg.UpdateMeasurements(seriesBatch("a1", 0, 6))
 	<-gate.started
 	reg.UpdateMeasurements(seriesBatch("a2", 0, 6))
@@ -267,13 +258,9 @@ func TestStalenessBoundUnderSaturatedQueue(t *testing.T) {
 // the background refit pool. Run under -race.
 func TestRegistryConcurrentRace(t *testing.T) {
 	cfg := testRegistryConfig()
-	cfg.NewStrategy = func() EvaluationStrategy { return &TimeBased{Every: 8} }
 	cfg.Workers = 2
 	cfg.QueueDepth = 64
-	reg, err := NewRegistry(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newTestRegistry(t, cfg, 8)
 
 	const rounds = 120
 	var wg sync.WaitGroup
@@ -313,58 +300,20 @@ func TestRegistryConcurrentRace(t *testing.T) {
 	reg.Close()
 }
 
-// TestOneStepMatchesForecast1 pins the allocation-free one-step path to
-// the general forecast.
+// TestOneStepMatchesForecast1 pins the one-step prediction step returns,
+// the value the estimation objective scores, to the general forecast.
 func TestOneStepMatchesForecast1(t *testing.T) {
 	m, err := NewHWT(4, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first observation bootstraps the level before predicting.
+	m.Update(10)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
-		if got, want := m.OneStep(), m.Forecast(1)[0]; got != want {
-			t.Fatalf("step %d: OneStep %.12f != Forecast(1)[0] %.12f", i, got, want)
+		want := m.Forecast(1)[0]
+		if got := m.step(10 + rng.NormFloat64()); got != want {
+			t.Fatalf("step %d: step predicted %.12f, Forecast(1)[0] %.12f", i, got, want)
 		}
-		m.Update(10 + rng.NormFloat64())
-	}
-}
-
-// TestThresholdBasedRunningSum: the O(1) running-sum strategy must make
-// exactly the decisions of a naive full-window rescan, across enough
-// wraps to cross the drift resync.
-func TestThresholdBasedRunningSum(t *testing.T) {
-	const window = 8
-	fast := &ThresholdBased{Threshold: 0.3, Window: window}
-	// Naive reference: full scan per observation.
-	var ref []float64
-	pos, full := 0, false
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < window*(thresholdResyncEvery*2+3); i++ {
-		smape := rng.Float64() * 0.6
-		got := fast.Observe(smape)
-
-		if ref == nil {
-			ref = make([]float64, window)
-		}
-		ref[pos] = smape
-		pos = (pos + 1) % window
-		if pos == 0 {
-			full = true
-		}
-		want := false
-		if full {
-			var sum float64
-			for _, e := range ref {
-				sum += e
-			}
-			want = sum/window > 0.3
-		}
-		if got != want {
-			t.Fatalf("observation %d: running-sum verdict %v != rescan verdict %v", i, got, want)
-		}
-	}
-	fast.Reset()
-	if fast.Observe(1) {
-		t.Fatal("triggered immediately after Reset on a partial window")
 	}
 }

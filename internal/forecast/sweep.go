@@ -8,8 +8,8 @@ import (
 	"mirabel/internal/obs"
 )
 
-// sweeper is the bounded background re-estimation pool: evaluation
-// strategies enqueue refit requests, workers refit against a history
+// sweeper is the bounded background re-estimation pool: maintainers
+// whose re-estimation is due enqueue refit requests, workers refit against a history
 // snapshot and publish the parameters back through the maintainer's
 // atomic install slot — so a refit never holds a series lock for longer
 // than the snapshot copy, and forecasts/updates keep serving the
@@ -50,7 +50,7 @@ func newSweeper(workers, depth int) *sweeper {
 // enqueue hands a series to the pool without ever blocking the caller
 // (which holds the series' maintainer lock): a full queue drops the
 // request, counts an overflow, and the caller stands its pending flag
-// down so the evaluation strategy re-triggers later.
+// down so its next observation re-triggers.
 func (w *sweeper) enqueue(s *Series) bool {
 	select {
 	case w.q <- s:

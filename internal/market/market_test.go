@@ -7,18 +7,17 @@ import (
 
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/timeseries"
-	"mirabel/internal/workload"
 )
 
 func hourly(prices ...float64) *timeseries.Series {
-	return timeseries.New(workload.DefaultOrigin, time.Hour, prices)
+	return timeseries.New(time.Hour, prices)
 }
 
 func TestNewDayAheadValidation(t *testing.T) {
 	if _, err := NewDayAhead(Config{}); err == nil {
 		t.Error("missing prices accepted")
 	}
-	bad := timeseries.New(workload.DefaultOrigin, time.Minute, []float64{1})
+	bad := timeseries.New(time.Minute, []float64{1})
 	if _, err := NewDayAhead(Config{Prices: bad}); err == nil {
 		t.Error("non-hourly prices accepted")
 	}

@@ -232,7 +232,7 @@ func TestGreedyAllocFree(t *testing.T) {
 // TestTinyMarketQuoteTable pins the compiled table against hand-priced
 // quotes (same fixture as TestSlotCostWithMarket).
 func TestTinyMarketQuoteTable(t *testing.T) {
-	prices := timeseries.New(workload.DefaultOrigin, time.Hour, []float64{100}) // 0.1 EUR/kWh mid
+	prices := timeseries.New(time.Hour, []float64{100}) // 0.1 EUR/kWh mid
 	m, err := market.NewDayAhead(market.Config{Prices: prices, SpreadFrac: 0.2, CapacityKWh: 5})
 	if err != nil {
 		t.Fatal(err)

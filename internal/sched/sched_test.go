@@ -12,7 +12,6 @@ import (
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/market"
 	"mirabel/internal/timeseries"
-	"mirabel/internal/workload"
 )
 
 // tinyProblem: 8 slots, surplus of 10 kWh in slots 4..5, one offer that
@@ -107,7 +106,7 @@ func TestEvaluateWithOfferCost(t *testing.T) {
 }
 
 func TestSlotCostWithMarket(t *testing.T) {
-	prices := timeseries.New(workload.DefaultOrigin, time.Hour, []float64{100}) // 0.1 EUR/kWh mid
+	prices := timeseries.New(time.Hour, []float64{100}) // 0.1 EUR/kWh mid
 	m, err := market.NewDayAhead(market.Config{Prices: prices, SpreadFrac: 0.2, CapacityKWh: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestSlotCostWithMarket(t *testing.T) {
 }
 
 func TestSlotCostMarketWorseThanPenalty(t *testing.T) {
-	prices := timeseries.New(workload.DefaultOrigin, time.Hour, []float64{5000}) // 5 EUR/kWh
+	prices := timeseries.New(time.Hour, []float64{5000}) // 5 EUR/kWh
 	m, err := market.NewDayAhead(market.Config{Prices: prices})
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +332,7 @@ func TestGreedyFillAblation(t *testing.T) {
 func TestMarketLowersScheduleCost(t *testing.T) {
 	// With a market, residual imbalances trade at spot instead of paying
 	// the full penalty: the same schedule must cost no more.
-	prices := timeseries.New(workload.DefaultOrigin, time.Hour, repeatVals(60, 48))
+	prices := timeseries.New(time.Hour, repeatVals(60, 48))
 	m, err := market.NewDayAhead(market.Config{Prices: prices, CapacityKWh: 1e6})
 	if err != nil {
 		t.Fatal(err)

@@ -8,48 +8,37 @@ import (
 	"mirabel/internal/wire"
 )
 
-// Batch collects upserts to be applied in one call. A batch is logged
-// as a single WAL group (one buffered append, one fsync under
-// SyncAlways) and applied while every touched stripe is locked at once,
-// so concurrent readers on other stripes keep flowing and concurrent
-// writers to the same batch coalesce with it in the committer.
+// Batch collects offer record upserts to be applied in one call. A
+// batch is logged as a single WAL group (one buffered append, one fsync
+// under SyncAlways) and applied while every touched stripe is locked at
+// once, so concurrent readers on other stripes keep flowing and
+// concurrent writers to the same batch coalesce with it in the
+// committer.
 //
 // A batch is not a transaction: a crash mid-group can persist a prefix
-// of its records. Every record is an idempotent upsert or an absolute
-// state assignment, so the prefix is a valid (earlier) state. Ops on the
-// same key apply in insertion order.
+// of its records. Every record is an idempotent upsert, so the prefix
+// is a valid (earlier) state. Records of the same offer apply in
+// insertion order.
 type Batch struct {
-	ops []any // OfferRecord or Measurement
-	err error // first validation failure, surfaced by ApplyBatch
+	recs []OfferRecord
+	err  error // first validation failure, surfaced by ApplyBatch
 }
 
 // NewBatch returns an empty batch.
 func NewBatch() *Batch { return &Batch{} }
-
-// PutMeasurement queues a metered value upsert.
-func (b *Batch) PutMeasurement(m Measurement) { b.ops = append(b.ops, m) }
 
 // PutOffer queues a flex-offer record upsert.
 func (b *Batch) PutOffer(r OfferRecord) {
 	if r.Offer == nil && b.err == nil {
 		b.err = fmt.Errorf("store: batch offer record without offer")
 	}
-	b.ops = append(b.ops, r)
+	b.recs = append(b.recs, r)
 }
 
-// appendOp frames one queued op.
-func appendOp(dst []byte, op any) []byte {
-	if r, ok := op.(OfferRecord); ok {
-		return appendOfferFrame(dst, &r)
-	}
-	m := op.(Measurement)
-	return appendMeasurementFrame(dst, &m)
-}
-
-// ApplyBatch applies every queued op: encode outside locks, lock the
-// touched stripes/series in the global (table, unit) order, log the
-// whole batch as one WAL group, apply, unlock. The batch is reusable
-// input (it is not consumed) but must not be mutated concurrently.
+// ApplyBatch applies every queued record: encode outside locks, lock the
+// touched stripes in index order, log the whole batch as one WAL group,
+// apply, unlock. The batch is reusable input (it is not consumed) but
+// must not be mutated concurrently.
 func (s *Store) ApplyBatch(b *Batch) error {
 	if s.readOnly {
 		return ErrReadOnly
@@ -57,7 +46,7 @@ func (s *Store) ApplyBatch(b *Batch) error {
 	if b.err != nil {
 		return b.err
 	}
-	if len(b.ops) == 0 {
+	if len(b.recs) == 0 {
 		return nil
 	}
 
@@ -67,59 +56,32 @@ func (s *Store) ApplyBatch(b *Batch) error {
 	if s.w != nil {
 		frames = wire.GetBuf()
 		defer wire.PutBuf(frames)
-		for _, op := range b.ops {
-			*frames = appendOp(*frames, op)
+		for i := range b.recs {
+			*frames = appendOfferFrame(*frames, &b.recs[i])
 		}
 	}
 
-	// Build the lock plan. Measurement series are created up front so
-	// their (stable) creation ids can order the plan — and their
-	// pointers are captured now, because once the plan's locks are held
-	// no path may touch the series index again (a lookup's read lock
-	// can deadlock three-way with a pending series creation and a
-	// prune sweep).
-	units := make([]lockUnit, 0, len(b.ops))
-	series := make([]*slotSeries, len(b.ops))
-	for i, op := range b.ops {
-		switch v := op.(type) {
-		case Measurement:
-			ss := s.meas.ensure(seriesKey{v.Actor, v.EnergyType})
-			series[i] = ss
-			units = append(units, lockUnit{lockMeasurements, ss.id, &ss.mu})
-		case OfferRecord:
-			id := v.Offer.ID
-			units = append(units, lockUnit{lockOffers, uint64(s.offers.shardIndex(id)), &s.offers.shard(id).mu})
-		}
+	var touched uint64
+	for i := range b.recs {
+		touched |= 1 << s.offers.shardIndex(b.recs[i].Offer.ID)
 	}
-	units = sortLockUnits(units)
-	for i := range units {
-		units[i].mu.Lock()
-	}
-	defer func() {
-		for i := len(units) - 1; i >= 0; i-- {
-			units[i].mu.Unlock()
-		}
-	}()
+	s.offers.lockStripes(touched)
+	defer s.offers.unlockStripes(touched)
 
 	// One group commit for the whole batch.
 	if s.w != nil {
-		if err := s.w.commit([][]byte{*frames}, len(b.ops), nil); err != nil {
+		if err := s.w.commit([][]byte{*frames}, len(b.recs), nil); err != nil {
 			return err
 		}
 	}
 
 	// Apply under the held locks.
-	for i, op := range b.ops {
-		switch v := op.(type) {
-		case Measurement:
-			series[i].insertLocked(v.Slot, v.KWh)
-		case OfferRecord:
-			id := v.Offer.ID
-			sh := s.offers.shard(id)
-			old, had := sh.m[id]
-			sh.m[id] = v
-			s.offerIdx.update(id, old, had, v)
-		}
+	for _, r := range b.recs {
+		id := r.Offer.ID
+		sh := s.offers.shard(id)
+		old, had := sh.m[id]
+		sh.m[id] = r
+		s.offerIdx.update(id, old, had, r)
 	}
 	return nil
 }
@@ -170,24 +132,12 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 		return nil, nil
 	}
 
-	// Lock the touched stripes in index order off a bit mask: a batch
-	// that spans every stripe takes the 32 locks without a sorted plan.
 	var touched uint64
 	for _, u := range updates {
 		touched |= 1 << s.offers.shardIndex(u.ID)
 	}
-	for i := range s.offers.shards {
-		if touched&(1<<i) != 0 {
-			s.offers.shards[i].mu.Lock()
-		}
-	}
-	defer func() {
-		for i := len(s.offers.shards) - 1; i >= 0; i-- {
-			if touched&(1<<i) != 0 {
-				s.offers.shards[i].mu.Unlock()
-			}
-		}
-	}()
+	s.offers.lockStripes(touched)
+	defer s.offers.unlockStripes(touched)
 
 	// Apply every mutation under the locks, in order, so same-id updates
 	// chain through the table itself, and frame each one that changes its

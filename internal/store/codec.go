@@ -24,7 +24,7 @@ import (
 //	              0xFF and the state as a string for one not listed
 //	offers_if_absent:
 //	              the offers layout; the record is stored only if no
-//	              record holds its ID when it applies (InsertOffer's
+//	              record holds its ID when it applies (ApplyIntake's
 //	              rule). Intake logs a rejected record this way, so a
 //	              refused duplicate never replaces the original
 //	offer_transitions:

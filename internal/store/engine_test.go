@@ -22,13 +22,34 @@ func scheduleOffer(r *OfferRecord) {
 
 func executeOffer(r *OfferRecord) { r.State = OfferExecuted }
 
-// putMeasurements stores a meter batch as one Batch: one WAL group.
-func putMeasurements(s *Store, ms []Measurement) error {
-	b := NewBatch()
-	for _, m := range ms {
-		b.PutMeasurement(m)
+// ignoreIntake is the intake handoff of a store whose test applies
+// every event itself (ingest).
+func ignoreIntake(Intake) {}
+
+// ingest takes ev the way a node's intake does: AppendIntake logs it
+// (the ack), then ApplyIntake applies it. s must have a handoff
+// (ignoreIntake).
+func ingest(s *Store, ev Intake) error {
+	if err := s.AppendIntake(ev); err != nil {
+		return err
 	}
-	return s.ApplyBatch(b)
+	s.ApplyIntake([]Intake{ev})
+	return nil
+}
+
+// putMeasurements stores a meter batch as one intake event: one WAL
+// group.
+func putMeasurements(s *Store, ms ...Measurement) error {
+	return ingest(s, Intake{Meas: ms})
+}
+
+// sumBySlot folds the matching measurements into a per-slot sum.
+func sumBySlot(s *Store, f MeasurementFilter) map[flexoffer.Time]float64 {
+	out := make(map[flexoffer.Time]float64)
+	for _, m := range s.Measurements(f) {
+		out[m.Slot] += m.KWh
+	}
+	return out
 }
 
 // transition applies mutate to the stored offer id, failing the test on
@@ -71,8 +92,9 @@ func TestReplayEqualsPreCrashState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIntakeHandoff(ignoreIntake)
 	for slot := flexoffer.Time(0); slot < 50; slot++ {
-		if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: slot, KWh: float64(slot)}); err != nil {
+		if err := putMeasurements(s, Measurement{Actor: "p1", EnergyType: "demand", Slot: slot, KWh: float64(slot)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,13 +109,13 @@ func TestReplayEqualsPreCrashState(t *testing.T) {
 	transition(t, s, 7, executeOffer)
 	transition(t, s, 9, scheduleOffer)
 	transition(t, s, 9, executeOffer)
-	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 100, KWh: 9}); err != nil {
+	if err := putMeasurements(s, Measurement{Actor: "p1", EnergyType: "demand", Slot: 100, KWh: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.PruneMeasurements(10); err != nil {
 		t.Fatal(err)
 	}
-	want := s.SumEnergyBySlot(MeasurementFilter{})
+	want := sumBySlot(s, MeasurementFilter{})
 	// No Close — this is the crash; every commit is flushed to the OS.
 
 	s2, err := Open(dir)
@@ -101,7 +123,7 @@ func TestReplayEqualsPreCrashState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.SumEnergyBySlot(MeasurementFilter{}); !reflect.DeepEqual(got, want) {
+	if got := sumBySlot(s2, MeasurementFilter{}); !reflect.DeepEqual(got, want) {
 		t.Errorf("recovered measurements %v, want %v", got, want)
 	}
 	if got := s2.Stats().Measurements; got != 41 { // 50 - 10 pruned + 1 later
@@ -119,10 +141,11 @@ func TestOpenReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIntakeHandoff(ignoreIntake)
 	if err := s.PutOffer(OfferRecord{Offer: testOffer(5), Owner: "p1", State: OfferAccepted}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 2}); err != nil {
+	if err := putMeasurements(s, Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -137,12 +160,12 @@ func TestOpenReadOnly(t *testing.T) {
 	if _, ok := ro.GetOffer(5); !ok {
 		t.Error("read-only open lost the offer")
 	}
-	if got := ro.SumEnergyBySlot(MeasurementFilter{})[1]; got != 2 {
+	if got := sumBySlot(ro, MeasurementFilter{})[1]; got != 2 {
 		t.Errorf("read-only measurement = %g, want 2", got)
 	}
 	for name, err := range map[string]error{
-		"PutMeasurement": ro.PutMeasurement(Measurement{Actor: "x", EnergyType: "demand"}),
-		"PutOffer":       ro.PutOffer(OfferRecord{Offer: testOffer(1)}),
+		"AppendIntake": ro.AppendIntake(Intake{Meas: []Measurement{{Actor: "x", EnergyType: "demand"}}}),
+		"PutOffer":     ro.PutOffer(OfferRecord{Offer: testOffer(1)}),
 		"ApplyBatch": func() error {
 			b := NewBatch()
 			b.PutOffer(OfferRecord{Offer: testOffer(1)})
@@ -193,9 +216,10 @@ func TestPruneMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIntakeHandoff(ignoreIntake)
 	for slot := flexoffer.Time(0); slot < 20; slot++ {
 		for _, actor := range []string{"p1", "p2"} {
-			if err := s.PutMeasurement(Measurement{Actor: actor, EnergyType: "demand", Slot: slot, KWh: 1}); err != nil {
+			if err := putMeasurements(s, Measurement{Actor: actor, EnergyType: "demand", Slot: slot, KWh: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -236,24 +260,32 @@ func TestPruneMeasurements(t *testing.T) {
 	}
 }
 
+// TestApplyBatchMixedTables: an offer batch and a measurement intake
+// event, each one WAL group, keep same-key order within the group, and
+// recovery restores both tables.
 func TestApplyBatchMixedTables(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIntakeHandoff(ignoreIntake)
 	b := NewBatch()
-	b.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 2})
 	b.PutOffer(OfferRecord{Offer: testOffer(9), Owner: "p1", State: OfferReceived})
-	b.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 3}) // same-key: last wins
-	b.PutMeasurement(Measurement{Actor: "p2", EnergyType: "solar", Slot: 1, KWh: -1})
 	b.PutOffer(OfferRecord{Offer: testOffer(8), Owner: "p2", State: OfferAccepted})
 	b.PutOffer(OfferRecord{Offer: testOffer(9), Owner: "p1", State: OfferAccepted}) // same-key: last wins
 	if err := s.ApplyBatch(b); err != nil {
 		t.Fatal(err)
 	}
+	if err := putMeasurements(s,
+		Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 2},
+		Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 3}, // same-key: last wins
+		Measurement{Actor: "p2", EnergyType: "solar", Slot: 1, KWh: -1},
+	); err != nil {
+		t.Fatal(err)
+	}
 	if got := s.Measurements(MeasurementFilter{Actor: "p1"}); len(got) != 1 || got[0].KWh != 3 {
-		t.Errorf("same-key batch order broken: %+v, want one fact of 3 kWh", got)
+		t.Errorf("same-key intake order broken: %+v, want one fact of 3 kWh", got)
 	}
 	if got := s.CountOffersByState(); got[OfferAccepted] != 2 || got[OfferReceived] != 0 {
 		t.Errorf("state counts after batch: %v, want 2 accepted", got)
@@ -374,6 +406,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIntakeHandoff(ignoreIntake)
 	const writers, each = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -382,7 +415,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 			defer wg.Done()
 			actor := fmt.Sprintf("p%d", w)
 			for i := 0; i < each; i++ {
-				if err := s.PutMeasurement(Measurement{Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1}); err != nil {
+				if err := putMeasurements(s, Measurement{Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -644,17 +677,18 @@ func TestUpdateOffersLogFailureChangesNothing(t *testing.T) {
 	}
 }
 
-// TestInsertOfferKeepsStoredRecord: InsertOffer stores a record only
-// under a free id, and the one it declines leaves no trace in the table
-// or the indexes.
+// TestInsertOfferKeepsStoredRecord: intake stores a rejected record
+// only under a free id (the offers_if_absent rule), and the one it
+// declines leaves no trace in the table or the indexes.
 func TestInsertOfferKeepsStoredRecord(t *testing.T) {
 	s := NewInMemory()
+	s.SetIntakeHandoff(ignoreIntake)
 	first := OfferRecord{Offer: testOffer(1), Owner: "p1", State: OfferAccepted}
-	if ok, err := s.InsertOffer(first); !ok || err != nil {
-		t.Fatalf("insert under a free id = %v, %v", ok, err)
+	if err := ingest(s, Intake{Offer: &first}); err != nil {
+		t.Fatal(err)
 	}
-	if ok, err := s.InsertOffer(OfferRecord{Offer: testOffer(1), Owner: "p2", State: OfferRejected}); ok || err != nil {
-		t.Fatalf("insert over a stored record = %v, %v, want false, nil", ok, err)
+	if err := ingest(s, Intake{Offer: &OfferRecord{Offer: testOffer(1), Owner: "p2", State: OfferRejected}}); err != nil {
+		t.Fatal(err)
 	}
 	if rec, _ := s.GetOffer(1); rec != first {
 		t.Errorf("record = %+v, want %+v", rec, first)

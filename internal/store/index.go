@@ -165,18 +165,16 @@ type seriesKey struct {
 
 // slotSeries holds one (actor, energy type) measurement series as two
 // parallel slices kept sorted by slot — the clustered layout behind
-// Measurements and SumEnergyBySlot. A slot-range query is
-// a binary search plus a contiguous copy: cost scales with the result,
-// not with the fact table.
+// Measurements. A slot-range query is a binary search plus a contiguous
+// copy: cost scales with the result, not with the fact table.
 //
 // Meter streams arrive in slot order, so the insert fast path is an
 // append; backdated corrections pay one memmove.
 type slotSeries struct {
 	key seriesKey
-	// id is the series' creation sequence number. It is the series'
-	// position in the global batch lock order (lockMeasurements, id):
-	// unique and stable, so concurrent multi-series writers (batches,
-	// prune) acquire series locks in one total order.
+	// id is the series' creation sequence number: unique and stable, so
+	// the prune sweep, which locks every series, takes them in one total
+	// order.
 	id uint64
 
 	mu    sync.RWMutex

@@ -28,7 +28,7 @@ func indexAnswers(s *Store, states []OfferState, owners []string) map[string]any
 // after the last file, where a live store moves each offer between
 // buckets write by write. Over a seeded random history of puts, batch
 // upserts, transitions with and without a schedule, owner changes and
-// refused inserts, a store reopened with Open or OpenReadOnly answers
+// refused intake records, a store reopened with Open or OpenReadOnly answers
 // every indexed query as the live store did. The subtest keeps the name
 // it had when a second variant took a snapshot midway: -1 is the run
 // that takes none and replays the whole WAL.
@@ -44,6 +44,7 @@ func reopenedIndexMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIntakeHandoff(ignoreIntake)
 	rng := rand.New(rand.NewSource(29))
 	owner := func() string { return owners[rng.Intn(len(owners))] }
 	state := func() OfferState { return states[1+rng.Intn(len(states)-1)] }
@@ -75,8 +76,12 @@ func reopenedIndexMatchesLive(t *testing.T) {
 			}
 		case k == 2:
 			id := stored()
-			if ok, err := s.InsertOffer(OfferRecord{Offer: testOffer(id), Owner: owner(), State: OfferRejected}); ok || err != nil {
-				t.Fatalf("insert over stored offer %d = %v, %v", id, ok, err)
+			before, _ := s.GetOffer(id)
+			if err := ingest(s, Intake{Offer: &OfferRecord{Offer: testOffer(id), Owner: owner(), State: OfferRejected}}); err != nil {
+				t.Fatal(err)
+			}
+			if after, _ := s.GetOffer(id); after != before {
+				t.Fatalf("rejected intake record over stored offer %d replaced it: %+v", id, after)
 			}
 		case k == 3: // a state-only step
 			st := state()

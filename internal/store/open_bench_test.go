@@ -52,12 +52,15 @@ func BenchmarkStoreOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// The meter facts arrive as intake does, one batch per event; only
+	// the log is wanted, so nothing applies them.
+	s.SetIntakeHandoff(func(store.Intake) {})
 	for q := 0; q < 320; q++ {
-		bt := store.NewBatch()
-		for i := 0; i < 16; i++ {
-			bt.PutMeasurement(store.Measurement{Actor: offers[q].Prosumer, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 0.25})
+		ms := make([]store.Measurement, 16)
+		for i := range ms {
+			ms[i] = store.Measurement{Actor: offers[q].Prosumer, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 0.25}
 		}
-		if err := s.ApplyBatch(bt); err != nil {
+		if err := s.AppendIntake(store.Intake{Meas: ms}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,22 +43,6 @@ func (s *Store) Measurements(f MeasurementFilter) []Measurement {
 	return out
 }
 
-// SumEnergyBySlot aggregates matching measurements into a per-slot sum —
-// the star-schema roll-up a BRP runs to build its balance-group load
-// series. The result maps slot → Σ kWh.
-func (s *Store) SumEnergyBySlot(f MeasurementFilter) map[flexoffer.Time]float64 {
-	out := make(map[flexoffer.Time]float64)
-	for _, ss := range s.meas.match(f.Actor, f.EnergyType) {
-		ss.mu.RLock()
-		lo, hi := ss.rangeLocked(f.FromSlot, f.ToSlot)
-		for i := lo; i < hi; i++ {
-			out[ss.slots[i]] += ss.kwh[i]
-		}
-		ss.mu.RUnlock()
-	}
-	return out
-}
-
 // OfferFilter selects flex-offer records.
 type OfferFilter struct {
 	Owner string

@@ -48,12 +48,12 @@ func storeContents(s *Store) map[string]any {
 
 // writeMixedHistory logs a seeded history through the live store at dir
 // that spans many apply batches and holds every WAL tag the store
-// writes: offers put one by one, in batches, through intake and through
-// guarded inserts, rejected intake records that find their id stored or
-// free, whole-record re-puts that change the owner, transitions with
-// and without a schedule and state-only steps long after their offer's
-// record, measurements one by one and in batches, and a prune mark
-// midway that later facts land behind. It returns the live store's
+// writes: offers put one by one, in batches and through intake,
+// rejected intake records that find their id stored or free,
+// whole-record re-puts that change the owner, transitions with and
+// without a schedule and state-only steps long after their offer's
+// record, measurement batches through intake, and a prune mark midway
+// that later facts land behind. It returns the live store's
 // contents.
 func writeMixedHistory(t *testing.T, dir string) map[string]any {
 	t.Helper()
@@ -113,7 +113,6 @@ func writeMixedHistory(t *testing.T, dir string) map[string]any {
 			b := NewBatch()
 			b.PutOffer(newOffer())
 			b.PutOffer(newOffer())
-			b.PutMeasurement(meter(flexoffer.Time(rng.Intn(80))))
 			must(s.ApplyBatch(b))
 		case k == 2:
 			id, o := ids[rng.Intn(len(ids))], owners[rng.Intn(len(owners))]
@@ -137,14 +136,12 @@ func writeMixedHistory(t *testing.T, dir string) map[string]any {
 		case k == 5:
 			st := []OfferState{OfferExpired, OfferCancelled, "held-for-review"}[rng.Intn(3)]
 			update(ids[rng.Intn(len(ids))], func(r *OfferRecord) { r.State = st })
-		case k == 6:
-			must(s.PutMeasurement(meter(flexoffer.Time(rng.Intn(80)))))
-		case k == 7:
+		case k == 6 || k == 7:
 			ms := make([]Measurement, 1+rng.Intn(8))
 			for j := range ms {
 				ms[j] = meter(flexoffer.Time(rng.Intn(80)))
 			}
-			must(putMeasurements(s, ms))
+			intake(Intake{Meas: ms})
 		case k == 8 && step%2 == 0:
 			rec := newOffer()
 			switch rng.Intn(3) {
@@ -156,14 +153,9 @@ func writeMixedHistory(t *testing.T, dir string) map[string]any {
 			}
 			intake(Intake{Offer: &rec})
 			intake(Intake{Meas: []Measurement{meter(flexoffer.Time(rng.Intn(80))), meter(flexoffer.Time(rng.Intn(80)))}})
-		default: // a guarded insert of a fresh id, or of a stored one it keeps
+		default: // an accepted offer taken through intake
 			rec := newOffer()
-			if rng.Intn(2) == 0 {
-				ids = ids[:len(ids)-1]
-				rec.Offer.ID = ids[rng.Intn(len(ids))]
-			}
-			_, err := s.InsertOffer(rec)
-			must(err)
+			intake(Intake{Offer: &rec})
 		}
 	}
 	want := storeContents(s)

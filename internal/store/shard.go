@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sort"
 	"sync"
 
 	"mirabel/internal/flexoffer"
@@ -45,8 +44,8 @@ func (t *shardedTable[K, V]) shard(k K) *tableShard[K, V] {
 	return &t.shards[t.hash(k)&(numShards-1)]
 }
 
-// shardIndex returns the stripe number owning k (the table-local half
-// of a batch lock-plan key).
+// shardIndex returns the stripe number owning k (its bit in a
+// lockStripes mask).
 func (t *shardedTable[K, V]) shardIndex(k K) int {
 	return int(t.hash(k) & (numShards - 1))
 }
@@ -99,43 +98,25 @@ func hashUint64(x uint64) uint64 {
 
 func hashOfferID(id flexoffer.ID) uint64 { return hashUint64(uint64(id)) }
 
-// --- batch lock plans --------------------------------------------------
+// --- multi-stripe writers ----------------------------------------------
 
-// Table order for the batch lock plan. Any two writers that lock more
-// than one unit acquire them in (table, unit) order, so multi-stripe
-// batches cannot deadlock each other.
-const (
-	lockOffers       = iota
-	lockMeasurements // series units sort after the offer stripes
-)
-
-// lockUnit is one mutex a batch must hold, with its position in the
-// global acquisition order. For the offer table unit is the stripe index;
-// for measurement series it is the series' creation id (unique, stable,
-// totally ordered — see measurementIndex).
-type lockUnit struct {
-	table int
-	unit  uint64
-	mu    *sync.RWMutex
+// lockStripes write-locks the stripes whose bits are set in touched, in
+// index order, so multi-stripe writers (ApplyBatch, UpdateOffers) cannot
+// deadlock each other; a writer that spans every stripe takes the locks
+// without a sorted plan.
+func (t *shardedTable[K, V]) lockStripes(touched uint64) {
+	for i := range t.shards {
+		if touched&(1<<i) != 0 {
+			t.shards[i].mu.Lock()
+		}
+	}
 }
 
-// sortLockUnits orders and dedupes a lock plan in place, returning the
-// deduped slice. Two ops hitting the same stripe collapse to one lock.
-func sortLockUnits(units []lockUnit) []lockUnit {
-	sort.Slice(units, func(i, j int) bool {
-		if units[i].table != units[j].table {
-			return units[i].table < units[j].table
+// unlockStripes releases what lockStripes took, last first.
+func (t *shardedTable[K, V]) unlockStripes(touched uint64) {
+	for i := len(t.shards) - 1; i >= 0; i-- {
+		if touched&(1<<i) != 0 {
+			t.shards[i].mu.Unlock()
 		}
-		return units[i].unit < units[j].unit
-	})
-	out := units[:0]
-	var last *sync.RWMutex
-	for _, u := range units {
-		if u.mu == last {
-			continue
-		}
-		out = append(out, u)
-		last = u.mu
 	}
-	return out
 }

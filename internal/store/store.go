@@ -225,8 +225,8 @@ func (s *Store) loggedUpdate(old, now *OfferRecord) *[]byte {
 }
 
 // commitLogged commits a frame loggedOffer or loggedUpdate returned,
-// or PutMeasurement's or the prune sweep's, and recycles its
-// buffer; a nil frame (volatile store) is a no-op.
+// or the prune sweep's, and recycles its buffer; a nil frame (volatile
+// store) is a no-op.
 func (s *Store) commitLogged(buf *[]byte) error {
 	if buf == nil {
 		return nil
@@ -308,29 +308,6 @@ func (s *Store) ApplyIntake(evs []Intake) {
 	}
 }
 
-// --- fact upserts ------------------------------------------------------
-
-// PutMeasurement upserts a metered value. A node's meter streams come
-// in through intake instead (AppendIntake), one WAL group per batch.
-func (s *Store) PutMeasurement(m Measurement) error {
-	if s.readOnly {
-		return ErrReadOnly
-	}
-	var frame *[]byte
-	if s.w != nil {
-		frame = wire.GetBuf()
-		*frame = appendMeasurementFrame(*frame, &m)
-	}
-	ss := s.meas.ensure(seriesKey{m.Actor, m.EnergyType})
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if err := s.commitLogged(frame); err != nil {
-		return err
-	}
-	ss.insertLocked(m.Slot, m.KWh)
-	return nil
-}
-
 // PutOffer upserts a flex-offer record.
 func (s *Store) PutOffer(r OfferRecord) error {
 	if r.Offer == nil {
@@ -351,31 +328,6 @@ func (s *Store) PutOffer(r OfferRecord) error {
 	sh.m[id] = r
 	s.offerIdx.update(id, old, had, r)
 	return nil
-}
-
-// InsertOffer stores r unless a record with its id exists already, and
-// reports whether it did; the check and the insert are one atomic step
-// under the record's stripe lock.
-func (s *Store) InsertOffer(r OfferRecord) (bool, error) {
-	if r.Offer == nil {
-		return false, fmt.Errorf("store: offer record without offer")
-	}
-	if s.readOnly {
-		return false, ErrReadOnly
-	}
-	id := r.Offer.ID
-	sh := s.offers.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, had := sh.m[id]; had {
-		return false, nil
-	}
-	if err := s.commitLogged(s.loggedOffer(&r)); err != nil {
-		return false, err
-	}
-	sh.m[id] = r
-	s.offerIdx.update(id, OfferRecord{}, false, r)
-	return true, nil
 }
 
 // UpdateOffer applies mutate to the stored record in one atomic
@@ -437,8 +389,9 @@ func (s *Store) PruneMeasurements(before flexoffer.Time) (int, error) {
 		frame = wire.GetBuf()
 		*frame = appendPruneFrame(*frame, before)
 	}
-	// Freeze series creation, then take every series in creation order
-	// (the same order batch writers use — no deadlock).
+	// Freeze series creation, then take every series in creation order.
+	// Every other writer holds one series lock at a time, so the sweep
+	// cannot deadlock with them.
 	s.meas.mu.RLock()
 	defer s.meas.mu.RUnlock()
 	series := make([]*slotSeries, 0, len(s.meas.series))

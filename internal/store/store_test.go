@@ -27,11 +27,15 @@ func TestInMemoryCRUD(t *testing.T) {
 	if r, ok := s.GetOffer(1); !ok || r.Owner != "p2" || r.State != OfferAccepted {
 		t.Errorf("GetOffer = %+v, %v", r, ok)
 	}
-	if stored, err := s.InsertOffer(OfferRecord{Offer: testOffer(1), Owner: "p3", State: OfferRejected}); err != nil || stored {
-		t.Errorf("InsertOffer over a stored id = %v, %v, want false, nil", stored, err)
+	// A rejected intake record is stored under a fresh id only.
+	s.SetIntakeHandoff(ignoreIntake)
+	for id := flexoffer.ID(1); id <= 2; id++ {
+		if err := ingest(s, Intake{Offer: &OfferRecord{Offer: testOffer(id), Owner: "p3", State: OfferRejected}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if stored, err := s.InsertOffer(OfferRecord{Offer: testOffer(2), Owner: "p3", State: OfferRejected}); err != nil || !stored {
-		t.Errorf("InsertOffer of a fresh id = %v, %v, want true, nil", stored, err)
+	if r, _ := s.GetOffer(1); r.Owner != "p2" || r.State != OfferAccepted {
+		t.Errorf("a rejected record over a stored id replaced it: %+v", r)
 	}
 	if got := s.Offers(OfferFilter{Owner: "p3"}); len(got) != 1 || got[0].Offer.ID != 2 {
 		t.Errorf("Offers by owner = %+v", got)
@@ -43,14 +47,15 @@ func TestInMemoryCRUD(t *testing.T) {
 
 func TestMeasurementQueries(t *testing.T) {
 	s := NewInMemory()
+	s.SetIntakeHandoff(ignoreIntake)
 	for slot := flexoffer.Time(0); slot < 10; slot++ {
 		for _, actor := range []string{"p1", "p2"} {
-			if err := s.PutMeasurement(Measurement{Actor: actor, EnergyType: "demand", Slot: slot, KWh: 1}); err != nil {
+			if err := putMeasurements(s, Measurement{Actor: actor, EnergyType: "demand", Slot: slot, KWh: 1}); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "solar", Slot: 3, KWh: -2}); err != nil {
+	if err := putMeasurements(s, Measurement{Actor: "p1", EnergyType: "solar", Slot: 3, KWh: -2}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,7 +69,7 @@ func TestMeasurementQueries(t *testing.T) {
 		}
 	}
 
-	sums := s.SumEnergyBySlot(MeasurementFilter{EnergyType: "demand"})
+	sums := sumBySlot(s, MeasurementFilter{EnergyType: "demand"})
 	if sums[0] != 2 {
 		t.Errorf("slot 0 sum = %g, want 2", sums[0])
 	}
@@ -72,15 +77,16 @@ func TestMeasurementQueries(t *testing.T) {
 
 func TestMeasurementUpsertOverwrites(t *testing.T) {
 	s := NewInMemory()
+	s.SetIntakeHandoff(ignoreIntake)
 	m := Measurement{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: 5}
-	if err := s.PutMeasurement(m); err != nil {
+	if err := putMeasurements(s, m); err != nil {
 		t.Fatal(err)
 	}
 	m.KWh = 7 // meter correction
-	if err := s.PutMeasurement(m); err != nil {
+	if err := putMeasurements(s, m); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.SumEnergyBySlot(MeasurementFilter{})[1]; got != 7 {
+	if got := sumBySlot(s, MeasurementFilter{})[1]; got != 7 {
 		t.Errorf("upsert kept old value: %g", got)
 	}
 }
@@ -115,7 +121,8 @@ func TestDurabilityWALReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutMeasurement(Measurement{Actor: "p1", EnergyType: "demand", Slot: 4, KWh: 9}); err != nil {
+	s.SetIntakeHandoff(ignoreIntake)
+	if err := putMeasurements(s, Measurement{Actor: "p1", EnergyType: "demand", Slot: 4, KWh: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutOffer(OfferRecord{Offer: testOffer(3), Owner: "p1", State: OfferScheduled,
@@ -132,7 +139,7 @@ func TestDurabilityWALReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.SumEnergyBySlot(MeasurementFilter{})[4]; got != 9 {
+	if got := sumBySlot(s2, MeasurementFilter{})[4]; got != 9 {
 		t.Errorf("measurement lost: %g", got)
 	}
 	r, ok := s2.GetOffer(3)
@@ -143,9 +150,10 @@ func TestDurabilityWALReplay(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	s := NewInMemory()
-	s.PutMeasurement(Measurement{Actor: "a", EnergyType: "demand", Slot: 1, KWh: 1})
-	s.PutMeasurement(Measurement{Actor: "a", EnergyType: "demand", Slot: 1, KWh: 2}) // upsert
-	s.PutMeasurement(Measurement{Actor: "a", EnergyType: "solar", Slot: 1, KWh: -1})
+	s.SetIntakeHandoff(ignoreIntake)
+	putMeasurements(s, Measurement{Actor: "a", EnergyType: "demand", Slot: 1, KWh: 1})
+	putMeasurements(s, Measurement{Actor: "a", EnergyType: "demand", Slot: 1, KWh: 2}) // upsert
+	putMeasurements(s, Measurement{Actor: "a", EnergyType: "solar", Slot: 1, KWh: -1})
 	s.PutOffer(OfferRecord{Offer: testOffer(1), Owner: "a", State: OfferAccepted})
 	if st := s.Stats(); st != (Stats{Measurements: 2, Offers: 1}) {
 		t.Errorf("Stats = %+v", st)
@@ -168,6 +176,7 @@ func TestPropertyRecoveryEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		s.SetIntakeHandoff(ignoreIntake)
 		want := make(map[flexoffer.Time]float64)
 		for j := 0; j < n; j++ {
 			v := vals[j]
@@ -175,7 +184,7 @@ func TestPropertyRecoveryEquivalence(t *testing.T) {
 				v = 1
 			}
 			m := Measurement{Actor: "p", EnergyType: "demand", Slot: flexoffer.Time(slots[j]), KWh: v}
-			if err := s.PutMeasurement(m); err != nil {
+			if err := putMeasurements(s, m); err != nil {
 				return false
 			}
 			want[m.Slot] = v
@@ -188,7 +197,7 @@ func TestPropertyRecoveryEquivalence(t *testing.T) {
 			return false
 		}
 		defer s2.Close()
-		got := s2.SumEnergyBySlot(MeasurementFilter{})
+		got := sumBySlot(s2, MeasurementFilter{})
 		if len(got) != len(want) {
 			return false
 		}

@@ -21,6 +21,7 @@ func TestStoreStressConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetIntakeHandoff(ignoreIntake)
 
 	const (
 		writers  = 4
@@ -42,7 +43,7 @@ func TestStoreStressConcurrent(t *testing.T) {
 					slot := flexoffer.Time(b*batchLen + i)
 					ms[i] = Measurement{Actor: actor, EnergyType: "demand", Slot: slot, KWh: 1}
 				}
-				if err := putMeasurements(s, ms); err != nil {
+				if err := putMeasurements(s, ms...); err != nil {
 					t.Error(err)
 					return
 				}
@@ -57,7 +58,7 @@ func TestStoreStressConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < batches*batchLen; i++ {
 				slot := flexoffer.Time(i*2 + w)
-				if err := s.PutMeasurement(Measurement{Actor: "shared", EnergyType: "demand", Slot: slot, KWh: 1}); err != nil {
+				if err := putMeasurements(s, Measurement{Actor: "shared", EnergyType: "demand", Slot: slot, KWh: 1}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -98,7 +99,7 @@ func TestStoreStressConcurrent(t *testing.T) {
 				default:
 				}
 				s.Measurements(MeasurementFilter{Actor: fmt.Sprintf("meter%d", r%writers), EnergyType: "demand", FromSlot: 10, ToSlot: 200})
-				s.SumEnergyBySlot(MeasurementFilter{EnergyType: "demand"})
+				sumBySlot(s, MeasurementFilter{EnergyType: "demand"})
 				s.Offers(OfferFilter{State: OfferScheduled})
 				s.CountOffersByState()
 				s.Stats()
@@ -125,7 +126,7 @@ func TestStoreStressConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := s.Stats()
-	wantSum := s.SumEnergyBySlot(MeasurementFilter{EnergyType: "demand"})
+	wantSum := sumBySlot(s, MeasurementFilter{EnergyType: "demand"})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestStoreStressConcurrent(t *testing.T) {
 	if got := s2.Stats(); got != want {
 		t.Errorf("recovered stats %+v != live %+v", got, want)
 	}
-	gotSum := s2.SumEnergyBySlot(MeasurementFilter{EnergyType: "demand"})
+	gotSum := sumBySlot(s2, MeasurementFilter{EnergyType: "demand"})
 	if len(gotSum) != len(wantSum) {
 		t.Fatalf("recovered %d slots, want %d", len(gotSum), len(wantSum))
 	}
@@ -153,13 +154,13 @@ func TestStoreStressConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatchPruneCreateNoDeadlock regresses a three-way deadlock: a
-// measurement batch holding series locks must never touch the series
-// index again (its read lock can queue behind a new-series creation,
-// which queues behind a prune sweep holding the index read lock while
-// waiting for the batch's series locks).
+// TestBatchPruneCreateNoDeadlock races measurement batches on existing
+// series, new-series creation and prune sweeps, which hold the series
+// index's read lock while they take every series lock: no writer may
+// hold a series lock while it waits on the index.
 func TestBatchPruneCreateNoDeadlock(t *testing.T) {
 	s := NewInMemory()
+	s.SetIntakeHandoff(ignoreIntake)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -174,7 +175,7 @@ func TestBatchPruneCreateNoDeadlock(t *testing.T) {
 						{Actor: actor, EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1},
 						{Actor: actor, EnergyType: "solar", Slot: flexoffer.Time(i), KWh: 1},
 					}
-					if err := putMeasurements(s, ms); err != nil {
+					if err := putMeasurements(s, ms...); err != nil {
 						t.Error(err)
 						return
 					}
@@ -185,7 +186,7 @@ func TestBatchPruneCreateNoDeadlock(t *testing.T) {
 		go func() { // a steady stream of brand-new series
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if err := s.PutMeasurement(Measurement{Actor: fmt.Sprintf("new%d", i), EnergyType: "demand", Slot: 1, KWh: 1}); err != nil {
+				if err := putMeasurements(s, Measurement{Actor: fmt.Sprintf("new%d", i), EnergyType: "demand", Slot: 1, KWh: 1}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -82,8 +82,8 @@ func annualShape(dayOfYear int) float64 {
 	return 1 + 0.15*math.Cos(2*math.Pi*float64(dayOfYear-5)/365.25)
 }
 
-// DemandSeries generates the UK-like demand series. The returned series
-// starts at DefaultOrigin.
+// DemandSeries generates the UK-like demand series. Its slot 0 is
+// DefaultOrigin.
 func DemandSeries(cfg DemandConfig) *timeseries.Series {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -103,7 +103,7 @@ func DemandSeries(cfg DemandConfig) *timeseries.Series {
 		noise = ar*noise + math.Sqrt(1-ar*ar)*rng.NormFloat64()*sigma
 		values[i] = base + noise
 	}
-	return timeseries.New(DefaultOrigin, cfg.Resolution, values)
+	return timeseries.New(cfg.Resolution, values)
 }
 
 // WindConfig parameterizes the synthetic wind supply series.
@@ -165,7 +165,7 @@ func WindSeries(cfg WindConfig) *timeseries.Series {
 		}
 		values[i] = cfg.CapacityMW * powerCurve(speed+diurnal)
 	}
-	return timeseries.New(DefaultOrigin, cfg.Resolution, values)
+	return timeseries.New(cfg.Resolution, values)
 }
 
 // PriceConfig parameterizes the synthetic day-ahead price series.
@@ -198,5 +198,5 @@ func PriceSeries(cfg PriceConfig) *timeseries.Series {
 		shape := (dailyShape(hour) - 0.62) / 0.38 // 0 at trough, ~1 at peak
 		values[i] = cfg.BaseEUR + cfg.PeakAdd*shape + rng.NormFloat64()*cfg.NoiseEUR
 	}
-	return timeseries.New(DefaultOrigin, time.Hour, values)
+	return timeseries.New(time.Hour, values)
 }

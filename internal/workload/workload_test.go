@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -12,14 +13,14 @@ func TestDemandSeriesShape(t *testing.T) {
 	if s.Len() != 14*48 {
 		t.Fatalf("Len = %d, want %d", s.Len(), 14*48)
 	}
-	st := s.Summary()
+	st := summarize(s.Values())
 	if st.Min <= 0 {
 		t.Errorf("demand dips to %g, must stay positive", st.Min)
 	}
 	// Night trough must be well below the evening peak on every day.
 	for day := 0; day < 14; day++ {
-		night := s.At(day*48 + 8)    // 4am
-		evening := s.At(day*48 + 35) // 17:30
+		night := s.Values()[day*48+8]    // 4am
+		evening := s.Values()[day*48+35] // 17:30
 		if night >= evening {
 			t.Errorf("day %d: night %g >= evening %g", day, night, evening)
 		}
@@ -34,12 +35,12 @@ func TestDemandWeekendLower(t *testing.T) {
 	s := DemandSeries(DemandConfig{Days: 28, Seed: 2, NoiseFrac: 0.001})
 	var weekday, weekend, nwd, nwe float64
 	for i := 0; i < s.Len(); i++ {
-		switch s.TimeOf(i).Weekday() {
+		switch DefaultOrigin.Add(time.Duration(i) * s.Resolution()).Weekday() {
 		case time.Saturday, time.Sunday:
-			weekend += s.At(i)
+			weekend += s.Values()[i]
 			nwe++
 		default:
-			weekday += s.At(i)
+			weekday += s.Values()[i]
 			nwd++
 		}
 	}
@@ -52,14 +53,14 @@ func TestDemandDeterministic(t *testing.T) {
 	a := DemandSeries(DemandConfig{Days: 2, Seed: 7})
 	b := DemandSeries(DemandConfig{Days: 2, Seed: 7})
 	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != b.At(i) {
+		if a.Values()[i] != b.Values()[i] {
 			t.Fatalf("same seed diverges at slot %d", i)
 		}
 	}
 	c := DemandSeries(DemandConfig{Days: 2, Seed: 8})
 	same := true
 	for i := 0; i < a.Len(); i++ {
-		if a.At(i) != c.At(i) {
+		if a.Values()[i] != c.Values()[i] {
 			same = false
 			break
 		}
@@ -85,7 +86,7 @@ func TestWindSeriesProperties(t *testing.T) {
 	if s.Len() != 28*48 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	st := s.Summary()
+	st := summarize(s.Values())
 	if st.Min < 0 {
 		t.Errorf("negative wind power %g", st.Min)
 	}
@@ -113,8 +114,8 @@ func TestPriceSeriesPeakStructure(t *testing.T) {
 	}
 	var night, evening float64
 	for d := 0; d < 30; d++ {
-		night += s.At(d*24 + 4)
-		evening += s.At(d*24 + 17)
+		night += s.Values()[d*24+4]
+		evening += s.Values()[d*24+17]
 	}
 	if night >= evening {
 		t.Errorf("mean night price %g >= evening price %g", night/30, evening/30)
@@ -183,15 +184,18 @@ func TestFlexOfferHorizon(t *testing.T) {
 	}
 }
 
-func TestSeriesOriginsAligned(t *testing.T) {
-	d := DemandSeries(DemandConfig{Days: 1, Seed: 1})
-	w := WindSeries(WindConfig{Days: 1, Seed: 1})
-	if !d.Origin().Equal(w.Origin()) {
-		t.Error("demand and wind origins differ")
+// seriesStats are a series' extremes and population standard deviation.
+type seriesStats struct{ Min, Max, Std float64 }
+
+func summarize(v []float64) seriesStats {
+	st := seriesStats{Min: math.Inf(1), Max: math.Inf(-1)}
+	m := mean(v)
+	for _, x := range v {
+		st.Min, st.Max = math.Min(st.Min, x), math.Max(st.Max, x)
+		st.Std += (x - m) * (x - m)
 	}
-	if !d.Origin().Equal(DefaultOrigin) {
-		t.Error("series origin is not the system epoch")
-	}
+	st.Std = math.Sqrt(st.Std / float64(len(v)))
+	return st
 }
 
 func autocorr(v []float64, lag int) float64 {
