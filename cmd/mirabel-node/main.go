@@ -68,7 +68,7 @@ type config struct {
 	name, role, parent, listen, dataDir, routes string
 	fsync, ingestPolicy, ping                   string
 	retryAttempts                               int
-	breaker, demoOffer, verbose                 bool
+	demoOffer, verbose                          bool
 }
 
 // flags declares the daemon's command line on fs.
@@ -82,7 +82,6 @@ func flags(fs *flag.FlagSet) *config {
 	fs.StringVar(&c.fsync, "fsync", "flush", "fsync policy of store WAL and ledger: flush | always | interval (every 100ms)")
 	fs.StringVar(&c.routes, "route", "", "comma-separated name=addr routes to peers")
 	fs.StringVar(&c.ingestPolicy, "ingest-policy", "block", "ingest backpressure policy when the queue is full: block | shed")
-	fs.BoolVar(&c.breaker, "breaker", false, "circuit breaking on outbound traffic")
 	fs.IntVar(&c.retryAttempts, "retry-attempts", 2, "max attempts per outbound call (1: no retries)")
 	fs.BoolVar(&c.demoOffer, "demo-offer", false, "submit one demo flex-offer to the parent and exit")
 	fs.StringVar(&c.ping, "ping", "", "ping the named peer over the typed client and exit")
@@ -103,6 +102,11 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		return errUsage
 	}
 	if c.name == "" || !store.Role(c.role).Valid() {
+		fs.Usage()
+		return errUsage
+	}
+	if c.retryAttempts < 1 {
+		fmt.Fprintf(fs.Output(), "-retry-attempts %d: want at least 1 (1: no retries)\n", c.retryAttempts)
 		fs.Usage()
 		return errUsage
 	}
@@ -174,14 +178,9 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		Middleware: mw,
 		Ingest:     ic,
 		Settlement: lc,
-	}
-	if c.breaker {
-		cfg.Breaker = &comm.BreakerConfig{}
-	}
-	if c.retryAttempts > 1 {
 		// The retry policy (not the TCP client) owns re-attempts; the
 		// default of 2 heals a stale connection with one extra dial.
-		cfg.Retry = &comm.RetryConfig{MaxAttempts: c.retryAttempts}
+		Retry: &comm.RetryConfig{MaxAttempts: c.retryAttempts},
 	}
 	node, err := core.NewNode(cfg)
 	if err != nil {
@@ -192,8 +191,8 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 			log.Printf("node close: %v", err)
 		}
 		if rs, ok := node.RetryStats(); ok {
-			log.Printf("retry: calls=%d retries=%d short_circuits=%d exhausted=%d non_retryable=%d backoff=%v",
-				rs.Calls, rs.Retries, rs.ShortCircuits, rs.Exhausted, rs.NonRetryable, rs.Backoff)
+			log.Printf("retry: calls=%d retries=%d exhausted=%d non_retryable=%d backoff=%v",
+				rs.Calls, rs.Retries, rs.Exhausted, rs.NonRetryable, rs.Backoff)
 		}
 		if st, ok := node.IngestStats(); ok {
 			log.Printf("ingest: enqueued=%d consumed=%d shed=%d batches=%d mean_batch=%.1f ack_p99=%v",

@@ -22,8 +22,8 @@ func TestFlagSet(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"breaker", "data", "demo-offer", "fsync", "ingest-policy", "listen",
-		"name", "parent", "ping", "retry-attempts", "role", "route", "v",
+		"data", "demo-offer", "fsync", "ingest-policy", "listen", "name",
+		"parent", "ping", "retry-attempts", "role", "route", "v",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags = %v\nwant    %v", got, want)
@@ -100,9 +100,11 @@ func TestTwoNodeSession(t *testing.T) {
 }
 
 // TestRunRefusesTheTSOLevel pins the two-level hierarchy on the command
-// line: tso is not a role, and a brp has no parent to forward to. Both
-// fail before the node listens; the stop already delivered would end a
-// node that served anyway.
+// line: tso is not a role, and a brp has no parent to forward to. It
+// also pins that -retry-attempts counts the first attempt, so a value
+// below 1 is a usage error, not "no retries". All fail before the node
+// listens; the stop already delivered would end a node that served
+// anyway.
 func TestRunRefusesTheTSOLevel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -111,6 +113,8 @@ func TestRunRefusesTheTSOLevel(t *testing.T) {
 	}{
 		{"tso role", []string{"-name", "tso", "-role", "tso"}, true},
 		{"brp with a parent", []string{"-name", "brp1", "-role", "brp", "-parent", "x"}, false},
+		{"zero attempts", []string{"-name", "brp1", "-role", "brp", "-retry-attempts", "0"}, true},
+		{"negative attempts", []string{"-name", "brp1", "-role", "brp", "-retry-attempts", "-5"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			logs := &logWatch{}

@@ -33,25 +33,30 @@ import (
 	"time"
 )
 
+// flags declares the simulator's command line on fs.
+func flags(fs *flag.FlagSet) *simConfig {
+	cfg := &simConfig{}
+	fs.IntVar(&cfg.Prosumers, "prosumers", 2000, "prosumer households")
+	fs.IntVar(&cfg.BRPs, "brps", 4, "BRP nodes")
+	fs.IntVar(&cfg.Shards, "shards", 4, "worker goroutines driving the population")
+	fs.IntVar(&cfg.Cycles, "cycles", 12, "scheduling cycles to run")
+	fs.IntVar(&cfg.SlotsPerCycle, "slots", 4, "event-time slots per cycle")
+	fs.IntVar(&cfg.StartSlot, "start-slot", 66, "event-time slot the run starts at (default 16:30, before the evening surge)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "run seed (workload, churn, faults, search)")
+	fs.StringVar(&cfg.Faults, "faults", "", "fault schedule, e.g. 'drop=0.1,lat=1ms:2ms,part=brp-1@3-4,crash=brp-0@3+2'")
+	fs.Float64Var(&cfg.Churn, "churn", 0, "per-household per-cycle probability of leaving mid-contract")
+	fs.DurationVar(&cfg.Budget, "budget", 500*time.Millisecond, "per-cycle scheduling time budget")
+	fs.IntVar(&cfg.Iters, "iters", 0, "scheduling iteration bound (0 = time budget only; set for deterministic planning)")
+	fs.DurationVar(&cfg.Pace, "pace", 0, "wall-clock duration of one event-time slot (0 = free-running)")
+	fs.StringVar(&cfg.Dir, "dir", "", "durable state root (default: a fresh temp dir, removed on exit)")
+	fs.IntVar(&cfg.MeasureEvery, "measure-every", 8, "every Nth household reports an acked measurement batch per cycle")
+	return cfg
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mirabel-sim: ")
-	cfg := simConfig{}
-	flag.IntVar(&cfg.Prosumers, "prosumers", 2000, "prosumer households")
-	flag.IntVar(&cfg.BRPs, "brps", 4, "BRP nodes")
-	flag.IntVar(&cfg.Shards, "shards", 4, "worker goroutines driving the population")
-	flag.IntVar(&cfg.Cycles, "cycles", 12, "scheduling cycles to run")
-	flag.IntVar(&cfg.SlotsPerCycle, "slots", 4, "event-time slots per cycle")
-	flag.IntVar(&cfg.StartSlot, "start-slot", 66, "event-time slot the run starts at (default 16:30, before the evening surge)")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "run seed (workload, churn, faults, search)")
-	flag.StringVar(&cfg.Faults, "faults", "", "fault schedule, e.g. 'drop=0.1,lat=1ms:2ms,part=brp-1@3-4,crash=brp-0@3+2'")
-	flag.Float64Var(&cfg.Churn, "churn", 0, "per-household per-cycle probability of leaving mid-contract")
-	flag.DurationVar(&cfg.Budget, "budget", 500*time.Millisecond, "per-cycle scheduling time budget")
-	flag.IntVar(&cfg.Iters, "iters", 0, "scheduling iteration bound (0 = time budget only; set for deterministic planning)")
-	flag.DurationVar(&cfg.Pace, "pace", 0, "wall-clock duration of one event-time slot (0 = free-running)")
-	flag.StringVar(&cfg.Dir, "dir", "", "durable state root (default: a fresh temp dir, removed on exit)")
-	flag.BoolVar(&cfg.Breaker, "breaker", false, "circuit breaking on BRP outbound traffic")
-	flag.IntVar(&cfg.MeasureEvery, "measure-every", 8, "every Nth household reports an acked measurement batch per cycle")
+	cfg := flags(flag.CommandLine)
 	flag.Parse()
 	cfg.Logf = log.Printf
 
@@ -69,7 +74,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	res, err := runSim(ctx, cfg)
+	res, err := runSim(ctx, *cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,9 +128,8 @@ func printReport(w io.Writer, r *simResult) {
 		fmt.Fprintf(w, "  ingest   %-8s enqueued=%-6d consumed=%-6d shed=%-4d batches=%d\n",
 			name, is.Enqueued, is.Consumed, is.Shed, is.Batches)
 	}
-	skipped := r.SkippedOwners
-	if skipped > 0 || r.NotifyFailures > 0 {
-		fmt.Fprintf(w, "  delivery: %d notify failures, %d owners skipped behind open circuits\n", r.NotifyFailures, skipped)
+	if r.NotifyFailures > 0 {
+		fmt.Fprintf(w, "  delivery: %d notify failures\n", r.NotifyFailures)
 	}
 
 	for _, name := range sortedKeys(r.Ledgers) {

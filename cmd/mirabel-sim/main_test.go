@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"flag"
 	"reflect"
 	"runtime"
 	"testing"
@@ -177,26 +178,6 @@ func TestScheduleTailRecovery(t *testing.T) {
 	}
 }
 
-// TestBreakerComposes: the optional circuit breaker must not break the
-// durability contract (it only changes failure shape, skipping dead
-// peers fast instead of timing out through them).
-func TestBreakerComposes(t *testing.T) {
-	cfg := acceptanceConfig(t, 5)
-	cfg.Breaker = true
-	res, err := runSim(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.LostOffers) > 0 || len(res.LostMeasurements) > 0 {
-		t.Errorf("breaker run lost acked events: %v %v", res.LostOffers, res.LostMeasurements)
-	}
-	for name, v := range res.Ledgers {
-		if !v.OK {
-			t.Errorf("ledger %s broken: %s", name, v.Reason)
-		}
-	}
-}
-
 // TestParseFaultsRejected: a bad -faults string must fail the run
 // before any node starts.
 func TestParseFaultsRejected(t *testing.T) {
@@ -224,5 +205,21 @@ func TestCancelledRunStillReports(t *testing.T) {
 	}
 	if len(res.LostOffers) > 0 {
 		t.Errorf("cancelled run reports losses: %v", res.LostOffers)
+	}
+}
+
+// TestFlagSet pins the simulator's command line: a new flag is a
+// visible diff here.
+func TestFlagSet(t *testing.T) {
+	fs := flag.NewFlagSet("mirabel-sim", flag.ContinueOnError)
+	flags(fs)
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"brps", "budget", "churn", "cycles", "dir", "faults", "iters",
+		"measure-every", "pace", "prosumers", "seed", "shards", "slots", "start-slot",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("flags = %v\nwant    %v", got, want)
 	}
 }

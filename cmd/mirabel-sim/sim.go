@@ -38,7 +38,6 @@ type simConfig struct {
 	Iters         int           // search iteration bound (with a generous Budget this keeps planning deterministic)
 	Pace          time.Duration // wall-clock duration of one event-time slot (0 = free-running)
 	Dir           string        // durable state root, one subdirectory per BRP
-	Breaker       bool          // circuit breaking on BRP outbound (off for bit-identical determinism runs)
 	MeasureEvery  int           // every Nth household sends an acked measurement batch per cycle
 	Logf          func(format string, args ...any)
 }
@@ -92,7 +91,6 @@ type simResult struct {
 	Expired            int
 	Reconciled         int
 	NotifyFailures     int
-	SkippedOwners      int
 	CycleErrors        int
 	CycleLatency       obs.Histogram // full-cycle latency (ns), one sample per node-cycle
 
@@ -361,9 +359,6 @@ func (s *sim) startBRP(i int) error {
 			Seed: s.cfg.Seed - int64(i) - 1, BaseBackoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
 		},
 	}
-	if s.cfg.Breaker {
-		cfg.Breaker = &comm.BreakerConfig{}
-	}
 	node, err := core.NewNode(cfg)
 	if err != nil {
 		_ = st.Close()
@@ -410,7 +405,6 @@ func (s *sim) foldNodeStats(i int) {
 func addRetryStats(a, b comm.RetryStats) comm.RetryStats {
 	a.Calls += b.Calls
 	a.Retries += b.Retries
-	a.ShortCircuits += b.ShortCircuits
 	a.Exhausted += b.Exhausted
 	a.NonRetryable += b.NonRetryable
 	a.Backoff += b.Backoff
@@ -483,7 +477,6 @@ func (s *sim) runCycles(ctx context.Context) error {
 				s.res.Expired += rep.Expired
 				s.res.Reconciled += rep.Reconciled
 				s.res.NotifyFailures += rep.NotifyFailures
-				s.res.SkippedOwners += len(rep.SkippedOwners)
 			}(i)
 		}
 		wg.Wait()

@@ -16,18 +16,26 @@ import (
 // Retry transport re-attempts them only for idempotent message types.
 var ErrNotSent = errors.New("request not sent")
 
-// DefaultIdempotent classifies the message vocabulary for retry safety.
+// idempotent classifies the message vocabulary for retry safety.
 // Measurements are keyed upserts and schedules are keyed by offer ID, so
 // re-delivery is harmless; re-submitting a flex-offer whose first copy
 // did land would collide with the stored ID and flip an accept into a
 // duplicate-ID rejection, so submissions retry only when provably unsent.
-var DefaultIdempotent = map[MsgType]bool{
+var idempotent = map[MsgType]bool{
 	MsgPing:             true,
 	MsgMeasurementBatch: true,
 	MsgScheduleNotify:   true,
 }
 
-// RetryConfig tunes a Retry transport.
+// The backoff doubles between retries, and each sleep is spread over
+// ±50 % of itself so synchronized retriers decorrelate.
+const (
+	backoffMultiplier = 2
+	jitterFrac        = 0.5
+)
+
+// RetryConfig tunes a Retry transport. Attempts are bounded by the
+// caller's deadline (DefaultTimeout when it has none), not per attempt.
 type RetryConfig struct {
 	// MaxAttempts bounds the total attempts per call (default 3).
 	MaxAttempts int
@@ -37,20 +45,9 @@ type RetryConfig struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential growth (default 1s).
 	MaxBackoff time.Duration
-	// Multiplier grows the backoff between retries (default 2).
-	Multiplier float64
-	// JitterFrac spreads each sleep over ±JitterFrac of itself
-	// (default 0.5) so synchronized retriers decorrelate.
-	JitterFrac float64
-	// AttemptTimeout carves a per-attempt deadline out of the caller's
-	// overall budget, so one hung attempt cannot consume every retry's
-	// time (0 leaves attempts bounded only by the caller's deadline).
-	AttemptTimeout time.Duration
 	// Seed drives the deterministic jitter stream; runs with the same
 	// seed draw the same jitter sequence.
 	Seed int64
-	// Idempotent overrides DefaultIdempotent when non-nil.
-	Idempotent map[MsgType]bool
 }
 
 func (c *RetryConfig) fill() {
@@ -63,15 +60,6 @@ func (c *RetryConfig) fill() {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = time.Second
 	}
-	if c.Multiplier < 1 {
-		c.Multiplier = 2
-	}
-	if c.JitterFrac <= 0 || c.JitterFrac > 1 {
-		c.JitterFrac = 0.5
-	}
-	if c.Idempotent == nil {
-		c.Idempotent = DefaultIdempotent
-	}
 }
 
 // RetryStats counts a Retry transport's activity, surfaced alongside
@@ -81,9 +69,6 @@ type RetryStats struct {
 	Calls uint64
 	// Retries is the number of extra attempts made beyond the first.
 	Retries uint64
-	// ShortCircuits counts calls aborted instantly because the
-	// destination's circuit was open — no backoff, no retry storm.
-	ShortCircuits uint64
 	// Exhausted counts calls that failed every allowed attempt.
 	Exhausted uint64
 	// NonRetryable counts failures abandoned because the operation was
@@ -96,20 +81,17 @@ type RetryStats struct {
 // Retry wraps a Transport with jittered-exponential-backoff retries.
 // It is the single retry code path of the node fabric: the TCP client
 // itself never re-attempts, it only classifies failures (ErrNotSent vs
-// ambiguous), and Retry decides. Compose it OUTSIDE a Breaker —
-// Retry(Breaker(inner)) — so an open circuit fails the whole call
-// immediately instead of being hammered by backoff loops.
+// ambiguous), and Retry decides.
 type Retry struct {
 	inner Transport
 	cfg   RetryConfig
 
-	jitterSeq     atomic.Uint64
-	calls         atomic.Uint64
-	retries       atomic.Uint64
-	shortCircuits atomic.Uint64
-	exhausted     atomic.Uint64
-	nonRetryable  atomic.Uint64
-	backoffNanos  atomic.Int64
+	jitterSeq    atomic.Uint64
+	calls        atomic.Uint64
+	retries      atomic.Uint64
+	exhausted    atomic.Uint64
+	nonRetryable atomic.Uint64
+	backoffNanos atomic.Int64
 }
 
 // NewRetry wraps inner with the retry policy.
@@ -121,12 +103,11 @@ func NewRetry(inner Transport, cfg RetryConfig) *Retry {
 // Stats returns a point-in-time copy of the retry counters.
 func (r *Retry) Stats() RetryStats {
 	return RetryStats{
-		Calls:         r.calls.Load(),
-		Retries:       r.retries.Load(),
-		ShortCircuits: r.shortCircuits.Load(),
-		Exhausted:     r.exhausted.Load(),
-		NonRetryable:  r.nonRetryable.Load(),
-		Backoff:       time.Duration(r.backoffNanos.Load()),
+		Calls:        r.calls.Load(),
+		Retries:      r.retries.Load(),
+		Exhausted:    r.exhausted.Load(),
+		NonRetryable: r.nonRetryable.Load(),
+		Backoff:      time.Duration(r.backoffNanos.Load()),
 	}
 }
 
@@ -138,7 +119,7 @@ func (r *Retry) retryable(t MsgType, err error) bool {
 	if errors.Is(err, ErrNotSent) || errors.Is(err, ErrUnreachable) {
 		return true // provably never delivered
 	}
-	return r.cfg.Idempotent[t]
+	return idempotent[t]
 }
 
 // splitmix64 is the SplitMix64 mixer: a bijective avalanche over the
@@ -150,12 +131,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// jitter spreads d over ±JitterFrac deterministically from the seed.
+// jitter spreads d over ±jitterFrac deterministically from the seed.
 func (r *Retry) jitter(d time.Duration) time.Duration {
 	u := splitmix64(uint64(r.cfg.Seed) + r.jitterSeq.Add(1))
 	// unit in [0, 1): 53 mantissa bits of the draw.
 	unit := float64(u>>11) / float64(1<<53)
-	f := 1 + r.cfg.JitterFrac*(2*unit-1)
+	f := 1 + jitterFrac*(2*unit-1)
 	return time.Duration(float64(d) * f)
 }
 
@@ -171,21 +152,9 @@ func (r *Retry) do(ctx context.Context, to string, t MsgType, op func(context.Co
 	backoff := r.cfg.BaseBackoff
 	var err error
 	for attempt := 1; ; attempt++ {
-		actx, acancel := ctx, context.CancelFunc(func() {})
-		if r.cfg.AttemptTimeout > 0 {
-			actx, acancel = context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-		}
-		err = op(actx)
-		acancel()
+		err = op(ctx)
 		if err == nil {
 			return nil
-		}
-		if errors.Is(err, ErrBreakerOpen) {
-			// The circuit already knows the peer is down: fail the whole
-			// call now, with zero sleep — retries must never pile onto an
-			// open circuit.
-			r.shortCircuits.Add(1)
-			return err
 		}
 		if ctx.Err() != nil {
 			return err // the caller's budget is spent
@@ -211,7 +180,7 @@ func (r *Retry) do(ctx context.Context, to string, t MsgType, op func(context.Co
 			timer.Stop()
 			return err
 		}
-		if next := time.Duration(float64(backoff) * r.cfg.Multiplier); next < r.cfg.MaxBackoff {
+		if next := backoff * backoffMultiplier; next < r.cfg.MaxBackoff {
 			backoff = next
 		} else {
 			backoff = r.cfg.MaxBackoff
@@ -221,16 +190,16 @@ func (r *Retry) do(ctx context.Context, to string, t MsgType, op func(context.Co
 
 // Send implements Transport with retries.
 func (r *Retry) Send(ctx context.Context, to string, env Envelope) error {
-	return r.do(ctx, to, env.Type, func(actx context.Context) error {
-		return r.inner.Send(actx, to, env)
+	return r.do(ctx, to, env.Type, func(ctx context.Context) error {
+		return r.inner.Send(ctx, to, env)
 	})
 }
 
 // Request implements Transport with retries.
 func (r *Retry) Request(ctx context.Context, to string, env Envelope) (Envelope, error) {
 	var reply Envelope
-	err := r.do(ctx, to, env.Type, func(actx context.Context) error {
-		rep, err := r.inner.Request(actx, to, env)
+	err := r.do(ctx, to, env.Type, func(ctx context.Context) error {
+		rep, err := r.inner.Request(ctx, to, env)
 		if err == nil {
 			reply = rep
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mirabel/internal/agg"
-	"mirabel/internal/comm"
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/sched"
 	"mirabel/internal/store"
@@ -25,14 +24,10 @@ type CycleReport struct {
 	// first schedule of an offer is the one stored and delivered).
 	Reconciled     int
 	NotifyFailures int // prosumers that could not be reached
-	// SkippedOwners lists prosumers whose delivery was skipped because
-	// their circuit breaker is open (graceful degradation: the cycle
-	// completed without them instead of stalling on dead peers). They
-	// are not counted in NotifyFailures.
+	// Deprecated: always empty; every owner the cycle cannot reach is
+	// counted in NotifyFailures. ROADMAP B(3) deletes it together with
+	// bench/workloads.go's read.
 	SkippedOwners []string
-	// HealedPeers lists destinations whose open circuit was probed back
-	// to closed after delivery.
-	HealedPeers []string
 	// SnapshotsReused counts aggregates whose planning snapshot was the
 	// previous cycle's cached copy (unchanged Version) instead of a
 	// fresh deep copy.
@@ -90,17 +85,6 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 	rep := &CycleReport{IngestDrainTime: barrier}
 	const horizon = flexoffer.SlotsPerDay
 
-	// Probe tripped circuits on the way out (whatever phase the cycle
-	// ends in): healed peers rejoin before the next cycle without a
-	// live delivery paying the trial's latency.
-	if n.breaker != nil {
-		defer func() {
-			pctx, cancel := context.WithTimeout(ctx, comm.DefaultTimeout)
-			rep.HealedPeers = n.breaker.ProbeOpen(pctx)
-			cancel()
-		}()
-	}
-
 	// Phase 1: snapshot.
 	aggregates, err := n.snapshotForPlanning(now, horizon, rep)
 	if err != nil {
@@ -138,11 +122,9 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 	rep.Reconciled = reconciled
 
 	// Phase 4: deliver. Unreachable prosumers are counted, not fatal:
-	// their offers will time out and fall back gracefully; owners behind
-	// an open circuit are skipped outright (reported, not retried) so a
-	// dead peer costs the cycle nothing.
+	// their offers will time out and fall back gracefully.
 	t0 = time.Now()
-	rep.NotifyFailures, rep.SkippedOwners = n.deliver(ctx, byOwner)
+	rep.NotifyFailures = n.deliver(ctx, byOwner)
 	rep.DeliveryTime = time.Since(t0)
 	return rep, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"mirabel/internal/agg"
 	"mirabel/internal/comm"
@@ -139,23 +138,10 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 
 // deliver fans the committed schedules out to their owners with bounded
 // concurrency, outside the node lock. It returns the number of owners
-// that could not be reached and, separately, the owners skipped because
-// their circuit breaker is open — the degraded-delivery signal the
-// cycle report surfaces instead of stalling on dead peers.
-func (n *Node) deliver(ctx context.Context, byOwner map[string][]*flexoffer.Schedule) (int, []string) {
+// that could not be reached after the retry policy gave up.
+func (n *Node) deliver(ctx context.Context, byOwner map[string][]*flexoffer.Schedule) int {
 	if n.client == nil || len(byOwner) == 0 {
-		return 0, nil
+		return 0
 	}
-	failed := n.client.NotifySchedulesAll(ctx, byOwner)
-	fails := 0
-	var skipped []string
-	for owner, err := range failed {
-		if errors.Is(err, comm.ErrBreakerOpen) {
-			skipped = append(skipped, owner)
-			continue
-		}
-		fails++
-	}
-	sort.Strings(skipped)
-	return fails, skipped
+	return len(n.client.NotifySchedulesAll(ctx, byOwner))
 }

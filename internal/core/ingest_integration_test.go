@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,7 +24,7 @@ import (
 
 // newAsyncBRP builds a BRP whose store, and so its intake, is durable
 // under dir.
-func newAsyncBRP(t *testing.T, bus *comm.Bus, dir string, breaker *comm.BreakerConfig) *Node {
+func newAsyncBRP(t *testing.T, bus *comm.Bus, dir string) *Node {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -39,7 +38,6 @@ func newAsyncBRP(t *testing.T, bus *comm.Bus, dir string, breaker *comm.BreakerC
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 		Ingest:    &ingest.Config{Queue: 128, Policy: ingest.PolicyBlock},
-		Breaker:   breaker,
 	})
 }
 
@@ -49,7 +47,7 @@ func newAsyncBRP(t *testing.T, bus *comm.Bus, dir string, breaker *comm.BreakerC
 // prosumers exactly as on the synchronous path.
 func TestAsyncIntakeCycle(t *testing.T) {
 	bus := comm.NewBus()
-	brp := newAsyncBRP(t, bus, t.TempDir(), nil)
+	brp := newAsyncBRP(t, bus, t.TempDir())
 	p1 := newProsumer(t, bus, "p1")
 	p2 := newProsumer(t, bus, "p2")
 
@@ -87,8 +85,8 @@ func TestAsyncIntakeCycle(t *testing.T) {
 	if rep.MicroSchedules == 0 {
 		t.Fatal("async cycle produced no micro schedules")
 	}
-	if rep.NotifyFailures != 0 || len(rep.SkippedOwners) != 0 {
-		t.Fatalf("failures/skipped = %d/%v, want none", rep.NotifyFailures, rep.SkippedOwners)
+	if rep.NotifyFailures != 0 {
+		t.Fatalf("notify failures = %d, want none", rep.NotifyFailures)
 	}
 	for _, id := range []flexoffer.ID{1, 2} {
 		if rec, ok := brp.Store().GetOffer(id); !ok || rec.State != store.OfferScheduled {
@@ -104,101 +102,54 @@ func TestAsyncIntakeCycle(t *testing.T) {
 	}
 }
 
-// TestCycleSkipsBreakerOpenOwner is the acceptance scenario: one
-// unreachable prosumer trips its circuit on the first cycle; the next
-// cycle completes with that owner reported as skipped instead of
-// paying another delivery failure.
-func TestCycleSkipsBreakerOpenOwner(t *testing.T) {
+// TestCycleDeliversPastDeadOwner: a BRP built without a retry config
+// still sends through the default retry policy. A prosumer that never
+// came up costs each cycle its bounded retries and one notify failure;
+// the live prosumer gets its schedules and the dead one's offer stays
+// scheduled at the BRP.
+func TestCycleDeliversPastDeadOwner(t *testing.T) {
 	bus := comm.NewBus()
-	brp := newAsyncBRP(t, bus, t.TempDir(), &comm.BreakerConfig{
-		MinSamples:  1,
-		FailureRate: 0.5,
-		Cooldown:    time.Hour, // no half-open trial during this test
-	})
-	newProsumer(t, bus, "p1")
+	brp := newAsyncBRP(t, bus, t.TempDir())
+	p1 := newProsumer(t, bus, "p1")
 	// p2 is never registered: dead from the start.
 
 	baseline := make([]float64, flexoffer.SlotsPerDay)
 	for i := 40; i < 56; i++ {
 		baseline[i] = -8
 	}
-	run := func(ids ...flexoffer.ID) *CycleReport {
-		t.Helper()
-		for i, id := range ids {
-			owner := []string{"p1", "p2"}[i%2]
-			if d := brp.AcceptOffer(testOffer(id, 40, 16, 4, 5), owner); !d.Accept {
-				t.Fatalf("offer %d rejected: %s", id, d.Reason)
-			}
+	for cycle, ids := range [][2]flexoffer.ID{{1, 2}, {3, 4}} {
+		live, dead := ids[0], ids[1]
+		if d, err := p1.SubmitOfferTo(context.Background(), testOffer(live, 40, 16, 4, 5)); err != nil || !d.Accept {
+			t.Fatalf("submit %d: %v %+v", live, err, d)
 		}
+		if d := brp.AcceptOffer(testOffer(dead, 40, 16, 4, 5), "p2"); !d.Accept {
+			t.Fatalf("offer %d rejected: %s", dead, d.Reason)
+		}
+		t0 := time.Now()
 		rep, err := brp.RunSchedulingCycle(context.Background(), 0, StaticForecast(baseline), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		if d := time.Since(t0); d > comm.DefaultTimeout/5 {
+			t.Errorf("cycle %d took %v; the retries to a dead owner must stay well within %v", cycle, d, comm.DefaultTimeout)
+		}
+		if rep.NotifyFailures != 1 {
+			t.Fatalf("cycle %d notify failures = %d, want 1 (p2)", cycle, rep.NotifyFailures)
+		}
+		if scheduleOf(p1, live) == nil {
+			t.Errorf("cycle %d: p1 holds no schedule for offer %d", cycle, live)
+		}
+		if rec, ok := brp.Store().GetOffer(dead); !ok || rec.State != store.OfferScheduled {
+			t.Errorf("cycle %d: dead owner's offer = %+v (ok=%v), want scheduled", cycle, rec, ok)
+		}
 	}
-
-	// Cycle 1: the delivery to p2 fails for real and trips the circuit.
-	rep1 := run(1, 2)
-	if rep1.NotifyFailures != 1 || len(rep1.SkippedOwners) != 0 {
-		t.Fatalf("cycle 1 failures/skipped = %d/%v, want 1/none", rep1.NotifyFailures, rep1.SkippedOwners)
+	// Nil Retry is the default policy: three attempts per notify to p2.
+	rs, ok := brp.RetryStats()
+	if !ok {
+		t.Fatal("RetryStats reported no retry policy on a node with a transport")
 	}
-	if got := brp.breaker.Tripped(); !slices.Equal(got, []string{"p2"}) {
-		t.Fatalf("tripped circuits after cycle 1 = %v, want [p2]", got)
-	}
-
-	// Cycle 2: p2 is skipped outright — degraded, not stalled.
-	rep2 := run(3, 4)
-	if rep2.NotifyFailures != 0 {
-		t.Fatalf("cycle 2 failures = %d, want 0", rep2.NotifyFailures)
-	}
-	if len(rep2.SkippedOwners) != 1 || rep2.SkippedOwners[0] != "p2" {
-		t.Fatalf("cycle 2 skipped = %v, want [p2]", rep2.SkippedOwners)
-	}
-	// The skipped owner's schedule is still committed locally; the offer
-	// falls back downstream like any unreachable owner's would.
-	if rec, ok := brp.Store().GetOffer(4); !ok || rec.State != store.OfferScheduled {
-		t.Fatalf("skipped owner's offer = %+v (ok=%v), want scheduled", rec, ok)
-	}
-}
-
-// TestCycleProbeHealsPeer verifies the end-of-cycle probe re-admits a
-// recovered peer: after the cooldown a cycle (even an empty one) pings
-// the tripped destination and re-closes its circuit.
-func TestCycleProbeHealsPeer(t *testing.T) {
-	bus := comm.NewBus()
-	brp := newAsyncBRP(t, bus, t.TempDir(), &comm.BreakerConfig{
-		MinSamples:  1,
-		FailureRate: 0.5,
-		Cooldown:    20 * time.Millisecond,
-	})
-	newProsumer(t, bus, "p1")
-
-	baseline := make([]float64, flexoffer.SlotsPerDay)
-	for i := 40; i < 56; i++ {
-		baseline[i] = -8
-	}
-	if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p2"); !d.Accept {
-		t.Fatalf("offer rejected: %s", d.Reason)
-	}
-	if _, err := brp.RunSchedulingCycle(context.Background(), 0, StaticForecast(baseline), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := brp.breaker.Tripped(); !slices.Equal(got, []string{"p2"}) {
-		t.Fatalf("tripped circuits = %v, want [p2]", got)
-	}
-
-	// p2 comes back; after the cooldown an empty cycle's probe heals it.
-	newProsumer(t, bus, "p2")
-	time.Sleep(50 * time.Millisecond)
-	rep, err := brp.RunSchedulingCycle(context.Background(), 0, StaticForecast(baseline), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.HealedPeers) != 1 || rep.HealedPeers[0] != "p2" {
-		t.Fatalf("healed = %v, want [p2]", rep.HealedPeers)
-	}
-	if got := brp.breaker.Tripped(); len(got) != 0 {
-		t.Fatalf("tripped circuits after probe = %v, want none", got)
+	if rs.Retries != 4 || rs.Exhausted != 2 {
+		t.Errorf("retry stats = %+v, want 4 retries and 2 exhausted calls to p2", rs)
 	}
 }
 
@@ -207,7 +158,7 @@ func TestCycleProbeHealsPeer(t *testing.T) {
 func TestNodeCloseFlushesIngest(t *testing.T) {
 	bus := comm.NewBus()
 	dir := t.TempDir()
-	brp := newAsyncBRP(t, bus, dir, nil)
+	brp := newAsyncBRP(t, bus, dir)
 	ms := make([]store.Measurement, 50)
 	for i := range ms {
 		ms[i] = store.Measurement{Actor: "p1", EnergyType: "elec", Slot: flexoffer.Time(i), KWh: 1}

@@ -18,7 +18,8 @@
 // ingest queue, always maintains the forecast registry from the queue's
 // apply funnel and always settles onto a hash-chained ledger; a
 // prosumer has none of the three. Role alone decides (Node.aggregating)
-// — Config only tunes.
+// — Config only tunes. Every node with a transport sends through the
+// retry policy (comm.Retry).
 //
 // Lock order: cycleMu → intake barrier → mu. Every planner-side flow
 // enters through enterPlanner, which takes cycleMu and then waits for
@@ -95,19 +96,11 @@ type Config struct {
 	// recover nothing.
 	Ingest *ingest.Config
 
-	// Breaker, when non-nil, wraps Transport with per-destination
-	// circuit breaking (comm.Breaker): tripped peers are skipped with
-	// ErrBreakerOpen instead of stalling fan-out, and the cycle probes
-	// open circuits after delivery so healed peers rejoin. Origin is
-	// filled with the node's name.
-	Breaker *comm.BreakerConfig
-
-	// Retry, when non-nil, wraps the node's outbound transport with the
-	// retry policy (comm.Retry): jittered exponential backoff, retries
+	// Retry tunes the retry policy (comm.Retry) every outbound call of
+	// the node goes through: jittered exponential backoff, retries
 	// restricted to idempotent message types unless the failure proves
-	// the request never left. It composes OUTSIDE the breaker, so an
-	// open circuit fails a call instantly instead of being hammered
-	// through backoff loops.
+	// the request never left. Nil means the policy's defaults — never
+	// "no retries".
 	Retry *comm.RetryConfig
 
 	// Settlement places and tunes the hash-chained settlement ledger
@@ -125,8 +118,7 @@ type Node struct {
 	client  *comm.Client
 	handler comm.Handler
 	metrics *comm.Metrics
-	breaker *comm.Breaker // nil = no circuit breaking
-	retry   *comm.Retry   // nil = no retry policy
+	retry   *comm.Retry // nil exactly when the node has no transport
 
 	// The BRP's data path: all three are set exactly when aggregating()
 	// holds and nil on a prosumer.
@@ -194,20 +186,8 @@ func NewNode(cfg Config) (*Node, error) {
 		pending:   make(map[flexoffer.ID]*flexoffer.FlexOffer),
 	}
 	if cfg.Transport != nil {
-		transport := cfg.Transport
-		if cfg.Breaker != nil {
-			bc := *cfg.Breaker
-			bc.Origin = cfg.Name
-			n.breaker = comm.NewBreaker(transport, bc)
-			transport = n.breaker
-		}
-		if cfg.Retry != nil {
-			// Retry outermost: a retry that meets ErrBreakerOpen aborts
-			// instead of sleeping through backoff against a dead peer.
-			n.retry = comm.NewRetry(transport, *cfg.Retry)
-			transport = n.retry
-		}
-		n.client = comm.NewClient(cfg.Name, transport)
+		n.retry = comm.NewRetry(cfg.Transport, orZero(cfg.Retry))
+		n.client = comm.NewClient(cfg.Name, n.retry)
 	}
 
 	// Dispatch: one registered handler per message type, wrapped in the
@@ -498,7 +478,7 @@ func (n *Node) DrainIngest(ctx context.Context) error {
 }
 
 // RetryStats reports the outbound retry policy's counters; ok is false
-// when the node runs without one.
+// only for a node built without a transport.
 func (n *Node) RetryStats() (comm.RetryStats, bool) {
 	if n.retry == nil {
 		return comm.RetryStats{}, false

@@ -104,10 +104,10 @@ type restartOutcome struct {
 // Orders are drawn and outcomes observed under one mutex, so tr sees
 // exactly the serial sequence — ties keep the lowest restart, as the
 // serial strict < does — at any worker count. A worker clones its
-// solution only when it beats both the best cost known when its order
-// was drawn and the worker's own earlier results: a superset of the
-// restarts that improve in serial order, so steady-state restarts
-// allocate nothing.
+// solution only when it beats every earlier restart whose cost is known
+// once its construction is done (improves): a superset of the restarts
+// that improve in serial order, so steady-state restarts allocate
+// nothing.
 func (g *RandomizedGreedy) restarts(ctx context.Context, c *Compiled, rng *rand.Rand, tr *tracker, limit int, deadline time.Time, keep bool) []*Solution {
 	if limit <= 0 {
 		return nil
@@ -141,46 +141,63 @@ func (g *RandomizedGreedy) restarts(ctx context.Context, c *Compiled, rng *rand.
 
 // work is one worker's loop: start a restart, construct it in the
 // worker's own run, hand the outcome back, repeat until the budget is
-// spent.
+// spent. Only a restart that improves takes mu a second time, to clone
+// its solution outside the lock.
 func (l *restartLoop) work(run *greedyRun) {
 	order := make([]int, len(l.order))
-	own := math.Inf(1) // best cost among this worker's restarts
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
-		k, bound, ok := l.start(order)
+		k, ok := l.start(order)
 		if !ok {
 			return
 		}
 		l.mu.Unlock()
 		cost := run.construct(order)
 		var sol *Solution
-		if l.keep || cost < bound && cost < own {
+		if l.keep {
 			sol = cloneSolution(&run.sol)
 		}
-		if cost < own {
-			own = cost
-		}
 		l.mu.Lock()
+		if sol == nil && l.improves(k, cost) {
+			l.mu.Unlock()
+			sol = cloneSolution(&run.sol)
+			l.mu.Lock()
+		}
 		l.finish(k, cost, sol)
 	}
 }
 
-// start claims the next restart and copies its order into order. bound
-// is the best cost over the restarts observed so far. Called with
-// mu held.
-func (l *restartLoop) start(order []int) (k int, bound float64, ok bool) {
+// start claims the next restart and copies its order into order.
+// Called with mu held.
+func (l *restartLoop) start(order []int) (k int, ok bool) {
 	for l.next-l.observed >= len(l.ring) {
 		l.advanced.Wait()
 	}
 	if l.next >= l.limit || l.ctx.Err() != nil || time.Now().After(l.deadline) {
-		return 0, 0, false
+		return 0, false
 	}
 	l.rng.Shuffle(len(l.order), func(i, j int) { l.order[i], l.order[j] = l.order[j], l.order[i] })
 	copy(order, l.order)
 	k = l.next
 	l.next++
-	return k, l.tr.cost, true
+	return k, true
+}
+
+// improves reports whether cost, restart k's, beats the best observed
+// cost and every finished outcome below k still waiting in the ring.
+// Those are all earlier restarts, so false proves restart k does not
+// improve in serial order. Called with mu held.
+func (l *restartLoop) improves(k int, cost float64) bool {
+	if cost >= l.tr.cost {
+		return false
+	}
+	for j := l.observed; j < k; j++ {
+		if r := &l.ring[j%len(l.ring)]; r.ready && cost >= r.cost {
+			return false
+		}
+	}
+	return true
 }
 
 // finish records restart k's outcome and observes every outcome that

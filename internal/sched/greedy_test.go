@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -164,5 +165,53 @@ func TestGreedyRestartsAllocFree(t *testing.T) {
 		if short, long := allocs(100), allocs(2000); long != short {
 			t.Errorf("GOMAXPROCS %d: a Schedule call allocates %d objects at 2000 restarts, %d at 100", procs, long, short)
 		}
+	}
+}
+
+// TestRestartLoopKnowsFinishedCosts drives one restart loop by hand on
+// one goroutine. A restart's clone decision is taken once its
+// construction is done, against every earlier restart finished by
+// then: restart 1, drawn before restart 0 finished, must not clone at
+// restart 0's cost, nor restart 3 at the cost of restart 2, which is
+// finished but not yet observed.
+func TestRestartLoopKnowsFinishedCosts(t *testing.T) {
+	ctx := context.Background()
+	l := &restartLoop{
+		ctx: ctx, rng: rand.New(rand.NewSource(1)), tr: newTracker(ctx, Options{}),
+		limit: 8, deadline: time.Now().Add(time.Hour),
+		order: []int{0, 1, 2},
+		ring:  make([]restartOutcome, 8),
+	}
+	l.advanced.L = &l.mu
+	order := make([]int, len(l.order))
+	for want := 0; want < 4; want++ {
+		if k, ok := l.start(order); !ok || k != want {
+			t.Fatalf("start = %d, %v; want restart %d", k, ok, want)
+		}
+	}
+
+	const c = 10.0
+	if !l.improves(0, c) {
+		t.Fatal("restart 0 with nothing known before it must improve")
+	}
+	l.finish(0, c, &Solution{})
+	if l.observed != 1 || l.tr.cost != c {
+		t.Fatalf("after finishing restart 0: observed %d, best %v", l.observed, l.tr.cost)
+	}
+	for _, cost := range []float64{c, c + 1} {
+		if l.improves(1, cost) {
+			t.Errorf("restart 1 at cost %v clones; restart 0 already finished at %v", cost, c)
+		}
+	}
+
+	l.finish(2, c-2, &Solution{}) // ready, unobserved: restart 1 is still running
+	if l.observed != 1 {
+		t.Fatalf("restart 2 observed before restart 1: observed %d", l.observed)
+	}
+	if l.improves(3, c-2) {
+		t.Errorf("restart 3 at cost %v clones; restart 2 already finished at it", c-2)
+	}
+	if !l.improves(1, c-1) || !l.improves(3, c-3) {
+		t.Error("a restart that beats every earlier finished cost must clone")
 	}
 }
