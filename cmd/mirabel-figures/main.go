@@ -84,7 +84,7 @@ func fig5(maxOffers int, seed int64) {
 		for _, pc := range params {
 			pipe := agg.NewPipeline(pc.p)
 			t0 := time.Now()
-			if _, err := pipe.Apply(ups...); err != nil {
+			if err := pipe.Apply(ups...); err != nil {
 				log.Fatal(err)
 			}
 			aggTime := time.Since(t0)

@@ -310,6 +310,9 @@ func runSim(ctx context.Context, cfg simConfig) (*simResult, error) {
 	}
 	s.recoverAll()
 	s.verify()
+	// Schedule notifies are fire-and-forget: the shards count them on
+	// the bus's own goroutines, which may still run.
+	s.bus.Wait()
 	s.collectStats()
 	s.res.Elapsed = time.Since(start)
 	s.shutdown()

@@ -39,7 +39,7 @@ func main() {
 		updates[i] = agg.FlexOfferUpdate{Kind: agg.Insert, Offer: f}
 	}
 	t0 := time.Now()
-	if _, err := pipeline.Apply(updates...); err != nil {
+	if err := pipeline.Apply(updates...); err != nil {
 		log.Fatal(err)
 	}
 	m := pipeline.CurrentMetrics()

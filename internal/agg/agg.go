@@ -6,15 +6,21 @@
 //
 // The component is the paper's pipeline without its optional stage:
 //
-//	flex-offer updates → group-builder → n-to-1 aggregator → aggregate updates
+//	flex-offer updates → group-builder → n-to-1 aggregator → aggregates
 //
 // The paper chains a bin-packer between the two that splits a group
 // into sub-groups under bounds on members or energy per aggregate, calls
 // it "an optional feature [that] can be turned off", and ran its
 // experiments with it off. This reproduction leaves it out: every
-// similarity group is exactly one aggregate.
+// similarity group is exactly one aggregate, so one structure
+// (Pipeline) holds both stages, and a group holds its aggregate. The
+// paper's chain also ends in a stream of aggregate updates (created,
+// changed, deleted) for a consumer downstream; here the planner reads
+// the live aggregates instead, and an aggregate's Version is the change
+// signal. The pipeline is the one index of the offers it holds, and
+// a node asks it which offers are pending instead of keeping a copy.
 //
-// and satisfies the paper's four requirements:
+// The component satisfies the paper's four requirements:
 //
 //   - Disaggregation requirement — any schedule of an aggregate can be
 //     turned into schedules of its members that respect every original
@@ -25,8 +31,9 @@
 //   - Flexibility requirement — the time-flexibility loss is measurable
 //     (Metrics) and bounded by the thresholds.
 //   - Efficiency requirement — aggregation is incremental: inserting or
-//     deleting flex-offers produces created/changed/deleted aggregate
-//     deltas without recomputing untouched aggregates.
+//     deleting flex-offers changes only the aggregates of the groups
+//     they touch, each once per batch, without recomputing the others;
+//     an untouched aggregate keeps its Version and its Snapshot.
 package agg
 
 import (
@@ -118,22 +125,4 @@ func (k UpdateKind) String() string {
 type FlexOfferUpdate struct {
 	Kind  UpdateKind
 	Offer *flexoffer.FlexOffer
-}
-
-// ChangeKind discriminates aggregate updates flowing out of the pipeline.
-type ChangeKind int
-
-const (
-	// Created: a new aggregated flex-offer appeared.
-	Created ChangeKind = iota
-	// Changed: an existing aggregated flex-offer gained/lost members.
-	Changed
-	// Deleted: an aggregated flex-offer lost all members.
-	Deleted
-)
-
-// AggregateUpdate is one delta of the aggregated flex-offer set.
-type AggregateUpdate struct {
-	Kind      ChangeKind
-	Aggregate *Aggregate
 }

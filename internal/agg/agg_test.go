@@ -31,14 +31,14 @@ func inserts(offers ...*flexoffer.FlexOffer) []FlexOfferUpdate {
 func TestSingleOfferAggregateEqualsOffer(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 4, 1, 2)
-	ups, err := p.Apply(inserts(f)...)
-	if err != nil {
+	if err := p.Apply(inserts(f)...); err != nil {
 		t.Fatal(err)
 	}
-	if len(ups) != 1 || ups[0].Kind != Created {
-		t.Fatalf("updates = %+v", ups)
+	aggs := p.Aggregates()
+	if len(aggs) != 1 || aggs[0].Version != 1 || aggs[0].NumMembers() != 1 {
+		t.Fatalf("aggregates = %+v, want one new aggregate of the offer", aggs)
 	}
-	a := ups[0].Aggregate.Offer
+	a := aggs[0].Offer
 	if a.EarliestStart != 100 || a.TimeFlexibility() != 8 || a.NumSlices() != 4 {
 		t.Errorf("aggregate = %v", a)
 	}
@@ -54,7 +54,7 @@ func TestIdenticalOffersSumProfiles(t *testing.T) {
 		offer(2, 100, 8, 4, 1, 2),
 		offer(3, 100, 8, 4, 1, 2),
 	}
-	if _, err := p.Apply(inserts(fs...)...); err != nil {
+	if err := p.Apply(inserts(fs...)...); err != nil {
 		t.Fatal(err)
 	}
 	aggs := p.Aggregates()
@@ -75,7 +75,7 @@ func TestIdenticalOffersSumProfiles(t *testing.T) {
 
 func TestP0RequiresExactMatch(t *testing.T) {
 	p := NewPipeline(ParamsP0)
-	if _, err := p.Apply(inserts(
+	if err := p.Apply(inserts(
 		offer(1, 100, 8, 4, 1, 2),
 		offer(2, 101, 8, 4, 1, 2), // ES differs
 		offer(3, 100, 9, 4, 1, 2), // TF differs
@@ -89,7 +89,7 @@ func TestP0RequiresExactMatch(t *testing.T) {
 
 func TestToleranceGroupsNearbyOffers(t *testing.T) {
 	p := NewPipeline(Params{StartAfterTolerance: 8, TimeFlexTolerance: 0, DurationTolerance: -1})
-	if _, err := p.Apply(inserts(
+	if err := p.Apply(inserts(
 		offer(1, 100, 8, 4, 1, 2),
 		offer(2, 103, 8, 4, 1, 2), // within the same ES bucket (96..103)
 	)...); err != nil {
@@ -113,7 +113,7 @@ func TestToleranceGroupsNearbyOffers(t *testing.T) {
 
 func TestAggregateConservativeTimeFlexibility(t *testing.T) {
 	p := NewPipeline(Params{TimeFlexTolerance: 16, DurationTolerance: -1})
-	if _, err := p.Apply(inserts(
+	if err := p.Apply(inserts(
 		offer(1, 100, 2, 4, 1, 2),
 		offer(2, 100, 10, 4, 1, 2),
 	)...); err != nil {
@@ -135,25 +135,25 @@ func TestDeleteShrinksAndRemovesAggregates(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	f1 := offer(1, 100, 8, 4, 1, 2)
 	f2 := offer(2, 100, 8, 4, 1, 2)
-	if _, err := p.Apply(inserts(f1, f2)...); err != nil {
+	if err := p.Apply(inserts(f1, f2)...); err != nil {
 		t.Fatal(err)
 	}
-	ups, err := p.Apply(FlexOfferUpdate{Kind: Delete, Offer: f1})
-	if err != nil {
+	a := p.Aggregates()[0]
+	v := a.Version
+	if err := p.Apply(FlexOfferUpdate{Kind: Delete, Offer: f1}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ups) != 1 || ups[0].Kind != Changed {
-		t.Fatalf("after first delete: %+v", ups)
+	if aggs := p.Aggregates(); len(aggs) != 1 || aggs[0] != a || a.Version != v+1 {
+		t.Fatalf("after first delete: %+v, want aggregate %d changed once", aggs, a.Offer.ID)
 	}
-	if ups[0].Aggregate.Offer.Profile[0].EnergyMax != 2 {
-		t.Errorf("profile not shrunk: %+v", ups[0].Aggregate.Offer.Profile[0])
+	if a.Offer.Profile[0].EnergyMax != 2 {
+		t.Errorf("profile not shrunk: %+v", a.Offer.Profile[0])
 	}
-	ups, err = p.Apply(FlexOfferUpdate{Kind: Delete, Offer: f2})
-	if err != nil {
+	if err := p.Apply(FlexOfferUpdate{Kind: Delete, Offer: f2}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ups) != 1 || ups[0].Kind != Deleted {
-		t.Fatalf("after second delete: %+v", ups)
+	if a.Version != v+2 || a.NumMembers() != 0 {
+		t.Fatalf("after second delete: Version %d, %d members; want %d, 0", a.Version, a.NumMembers(), v+2)
 	}
 	if len(p.Aggregates()) != 0 {
 		t.Error("aggregates remain after deleting all offers")
@@ -162,7 +162,7 @@ func TestDeleteShrinksAndRemovesAggregates(t *testing.T) {
 
 func TestDeleteUnknownOfferErrors(t *testing.T) {
 	p := NewPipeline(ParamsP0)
-	if _, err := p.Apply(FlexOfferUpdate{Kind: Delete, Offer: offer(9, 0, 0, 1, 0, 1)}); err == nil {
+	if err := p.Apply(FlexOfferUpdate{Kind: Delete, Offer: offer(9, 0, 0, 1, 0, 1)}); err == nil {
 		t.Error("deleting unknown offer should error")
 	}
 }
@@ -170,7 +170,7 @@ func TestDeleteUnknownOfferErrors(t *testing.T) {
 func TestDuplicateInsertErrors(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 4, 1, 2)
-	if _, err := p.Apply(inserts(f, f)...); err == nil {
+	if err := p.Apply(inserts(f, f)...); err == nil {
 		t.Error("duplicate insert should error")
 	}
 }
@@ -179,7 +179,7 @@ func TestInvalidOfferRejected(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	bad := offer(1, 100, 8, 4, 1, 2)
 	bad.LatestStart = 50
-	if _, err := p.Apply(FlexOfferUpdate{Kind: Insert, Offer: bad}); err == nil {
+	if err := p.Apply(FlexOfferUpdate{Kind: Insert, Offer: bad}); err == nil {
 		t.Error("invalid offer should be rejected")
 	}
 }
@@ -191,7 +191,7 @@ func TestDisaggregationExactEnergy(t *testing.T) {
 		offer(2, 102, 10, 3, 0, 2),
 		offer(3, 101, 9, 5, 2, 2), // zero energy flexibility
 	}
-	if _, err := p.Apply(inserts(fs...)...); err != nil {
+	if err := p.Apply(inserts(fs...)...); err != nil {
 		t.Fatal(err)
 	}
 	aggs := p.Aggregates()
@@ -234,7 +234,7 @@ func TestDisaggregationExactEnergy(t *testing.T) {
 func TestDisaggregateRejectsInvalidAggregateSchedule(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 2, 1, 2)
-	if _, err := p.Apply(inserts(f)...); err != nil {
+	if err := p.Apply(inserts(f)...); err != nil {
 		t.Fatal(err)
 	}
 	a := p.Aggregates()[0]
@@ -281,7 +281,7 @@ func TestPropertyDisaggregationRequirement(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := NewPipeline(ParamsP3)
-		if _, err := p.Apply(inserts(randomOffers(rng, 40)...)...); err != nil {
+		if err := p.Apply(inserts(randomOffers(rng, 40)...)...); err != nil {
 			return false
 		}
 		for _, a := range p.Aggregates() {
@@ -331,7 +331,7 @@ func TestPropertyIncrementalEqualsFromScratch(t *testing.T) {
 		// Incremental: first half, then deletes of a third of those, then
 		// second half.
 		inc := NewPipeline(ParamsP3)
-		if _, err := inc.Apply(inserts(offers[:30]...)...); err != nil {
+		if err := inc.Apply(inserts(offers[:30]...)...); err != nil {
 			return false
 		}
 		var deletes []FlexOfferUpdate
@@ -340,10 +340,10 @@ func TestPropertyIncrementalEqualsFromScratch(t *testing.T) {
 			deletes = append(deletes, FlexOfferUpdate{Kind: Delete, Offer: offers[i*3]})
 			deleted[offers[i*3].ID] = true
 		}
-		if _, err := inc.Apply(deletes...); err != nil {
+		if err := inc.Apply(deletes...); err != nil {
 			return false
 		}
-		if _, err := inc.Apply(inserts(offers[30:]...)...); err != nil {
+		if err := inc.Apply(inserts(offers[30:]...)...); err != nil {
 			return false
 		}
 		// From scratch with the survivors.
@@ -354,7 +354,7 @@ func TestPropertyIncrementalEqualsFromScratch(t *testing.T) {
 			}
 		}
 		scratch := NewPipeline(ParamsP3)
-		if _, err := scratch.Apply(inserts(survivors...)...); err != nil {
+		if err := scratch.Apply(inserts(survivors...)...); err != nil {
 			return false
 		}
 		return sameAggregates(inc, scratch)
@@ -408,7 +408,7 @@ func aggSignature(a *Aggregate) string {
 
 func TestMetrics(t *testing.T) {
 	p := NewPipeline(ParamsP1)
-	if _, err := p.Apply(inserts(
+	if err := p.Apply(inserts(
 		offer(1, 100, 2, 4, 1, 2),
 		offer(2, 100, 6, 4, 1, 2),
 		offer(3, 200, 4, 4, 1, 2),
@@ -445,7 +445,7 @@ func TestSnapshotSurvivesPipelineMutation(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	f1 := offer(1, 100, 8, 2, 0, 2)
 	f2 := offer(2, 100, 8, 2, 0, 2)
-	if _, err := p.Apply(inserts(f1, f2)...); err != nil {
+	if err := p.Apply(inserts(f1, f2)...); err != nil {
 		t.Fatal(err)
 	}
 	live := p.Aggregates()[0]
@@ -453,10 +453,10 @@ func TestSnapshotSurvivesPipelineMutation(t *testing.T) {
 
 	// Mutate the live aggregate after the snapshot: a new member joins
 	// and an old one leaves.
-	if _, err := p.Apply(FlexOfferUpdate{Kind: Insert, Offer: offer(3, 100, 8, 2, 0, 2)}); err != nil {
+	if err := p.Apply(FlexOfferUpdate{Kind: Insert, Offer: offer(3, 100, 8, 2, 0, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Apply(FlexOfferUpdate{Kind: Delete, Offer: f1}); err != nil {
+	if err := p.Apply(FlexOfferUpdate{Kind: Delete, Offer: f1}); err != nil {
 		t.Fatal(err)
 	}
 

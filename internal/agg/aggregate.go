@@ -61,6 +61,10 @@ type Aggregate struct {
 	// deltaOps counts delta operations since the last from-scratch
 	// build; at aggResyncEvery the next batch rebuilds to kill drift.
 	deltaOps int
+
+	// snap is the copy Snapshot made last; it is handed out again while
+	// its Version is the aggregate's.
+	snap *Aggregate
 }
 
 // NumMembers returns the member count.
@@ -82,10 +86,15 @@ func (a *Aggregate) TimeFlexibilityLoss() flexoffer.Time {
 // keeps mutating. The combined offer is deep-copied and the member
 // list is fixed; the member flex-offers themselves are shared, which
 // is safe because accepted offers are immutable. The copy carries the
-// source Version, so callers can cache snapshots and reuse them while
-// the live aggregate's Version is unchanged.
+// source Version, and while that Version is unchanged Snapshot returns
+// the same copy again, so an aggregate no batch touched costs no deep
+// copy. A snapshot is shared that way and must be treated as
+// read-only.
 func (a *Aggregate) Snapshot() *Aggregate {
-	return &Aggregate{
+	if a.snap != nil && a.snap.Version == a.Version {
+		return a.snap
+	}
+	a.snap = &Aggregate{
 		Offer:     a.Offer.Clone(),
 		members:   append([]*flexoffer.FlexOffer(nil), a.members...),
 		TotalMin:  a.TotalMin,
@@ -98,6 +107,7 @@ func (a *Aggregate) Snapshot() *Aggregate {
 		nMinAB:    a.nMinAB,
 		nMaxEnd:   a.nMaxEnd,
 	}
+	return a.snap
 }
 
 // gridEnd returns the slot just past the combined profile: the maximum

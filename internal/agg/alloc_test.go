@@ -18,7 +18,7 @@ import (
 func TestAccumulateZeroAlloc(t *testing.T) {
 	p := NewPipeline(ParamsP3)
 	offers := randomOffers(rand.New(rand.NewSource(1)), 64)
-	if _, err := p.Apply(inserts(offers[:32]...)...); err != nil {
+	if err := p.Apply(inserts(offers[:32]...)...); err != nil {
 		t.Fatal(err)
 	}
 	f, g := offers[40], offers[41]
@@ -43,7 +43,7 @@ func TestAccumulateZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("a four-update batch allocates %.1f times per op, want 0", n)
 	}
-	if got := pendingUpdates(p.GroupBuilder); got != 0 {
+	if got := pendingUpdates(p); got != 0 {
 		t.Fatalf("pending after cancelled inserts = %d, want 0", got)
 	}
 }

@@ -3,6 +3,7 @@ package agg
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,22 +12,34 @@ import (
 
 // contains reports whether the offer id is applied to a group or
 // pending insertion.
-func contains(g *GroupBuilder, id flexoffer.ID) bool {
-	if _, ok := g.pendingIns[id]; ok {
-		return true // includes delete-then-reinsert within one batch
-	}
-	if _, leaving := g.pendingDel[id]; leaving {
-		return false
-	}
-	_, ok := g.byID[id]
+func contains(p *Pipeline, id flexoffer.ID) bool {
+	_, ok := p.Offer(id)
 	return ok
 }
 
 // grouped is the number of offers applied to groups.
-func grouped(g *GroupBuilder) int { return len(g.byID) }
+func grouped(p *Pipeline) int { return len(p.byID) }
 
 // pendingUpdates is the number of accumulated, unprocessed updates.
-func pendingUpdates(g *GroupBuilder) int { return len(g.pendingIns) + len(g.pendingDel) }
+func pendingUpdates(p *Pipeline) int { return len(p.pendingIns) + len(p.pendingDel) }
+
+// processChanges runs Process and returns how many aggregates it
+// created, changed or deleted: the ones whose ID or Version differ.
+func processChanges(p *Pipeline) int {
+	before := map[flexoffer.ID]uint64{}
+	for _, a := range p.Aggregates() {
+		before[a.Offer.ID] = a.Version
+	}
+	p.Process()
+	changed := 0
+	for _, a := range p.Aggregates() {
+		if v, ok := before[a.Offer.ID]; !ok || v != a.Version {
+			changed++
+		}
+		delete(before, a.Offer.ID)
+	}
+	return changed + len(before)
+}
 
 // equivAggregates compares a live (delta-maintained) aggregate against a
 // from-scratch build over the same members: combined offer attributes
@@ -108,7 +121,7 @@ func TestPropertyDeltaEqualsScratch(t *testing.T) {
 				}
 			}
 		}
-		if got := grouped(p.GroupBuilder); got != len(live) {
+		if got := grouped(p); got != len(live) {
 			t.Logf("seed %d: grouped offers %d, want %d", seed, got, len(live))
 			return false
 		}
@@ -124,7 +137,7 @@ func TestPropertyDeltaEqualsScratch(t *testing.T) {
 func TestAccumulateBatchAtomicOnError(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	good := offer(1, 100, 8, 4, 1, 2)
-	if _, err := p.Apply(inserts(good)...); err != nil {
+	if err := p.Apply(inserts(good)...); err != nil {
 		t.Fatal(err)
 	}
 	bad := offer(3, 100, 8, 4, 1, 2)
@@ -137,19 +150,18 @@ func TestAccumulateBatchAtomicOnError(t *testing.T) {
 	if err := p.Accumulate(batch...); err == nil {
 		t.Fatal("batch with invalid offer should error")
 	}
-	if n := pendingUpdates(p.GroupBuilder); n != 0 {
+	if n := pendingUpdates(p); n != 0 {
 		t.Errorf("pending after failed batch = %d, want 0", n)
 	}
 	// Offer 2's insert and offer 1's delete must NOT have been recorded.
-	if contains(p.GroupBuilder, 2) {
+	if contains(p, 2) {
 		t.Error("failed batch leaked insert of offer 2")
 	}
-	if !contains(p.GroupBuilder, 1) {
+	if !contains(p, 1) {
 		t.Error("failed batch applied delete of offer 1")
 	}
-	ups := p.Process()
-	if len(ups) != 0 {
-		t.Errorf("process after failed batch produced %d updates, want 0", len(ups))
+	if changed := processChanges(p); changed != 0 {
+		t.Errorf("process after failed batch changed %d aggregates, want 0", changed)
 	}
 	if got := len(p.Aggregates()); got != 1 {
 		t.Errorf("aggregates = %d, want 1 (only the original offer)", got)
@@ -161,7 +173,7 @@ func TestAccumulateBatchAtomicOnError(t *testing.T) {
 	); err == nil {
 		t.Fatal("duplicate id in batch should error")
 	}
-	if contains(p.GroupBuilder, 5) || pendingUpdates(p.GroupBuilder) != 0 {
+	if contains(p, 5) || pendingUpdates(p) != 0 {
 		t.Error("duplicate-id batch leaked state")
 	}
 }
@@ -199,23 +211,23 @@ func TestInsertThenDeleteCancelsPending(t *testing.T) {
 	if err := p.Accumulate(FlexOfferUpdate{Kind: Insert, Offer: f}); err != nil {
 		t.Fatal(err)
 	}
-	if !contains(p.GroupBuilder, 1) {
+	if !contains(p, 1) {
 		t.Fatal("pending insert not visible to contains")
 	}
 	if err := p.Accumulate(FlexOfferUpdate{Kind: Delete, Offer: f}); err != nil {
 		t.Fatal(err)
 	}
-	if contains(p.GroupBuilder, 1) {
+	if contains(p, 1) {
 		t.Error("cancelled insert still visible")
 	}
-	if n := pendingUpdates(p.GroupBuilder); n != 0 {
+	if n := pendingUpdates(p); n != 0 {
 		t.Errorf("pending = %d, want 0 after cancellation", n)
 	}
-	if ups := p.Process(); len(ups) != 0 {
-		t.Errorf("cancelled insert produced %d aggregate updates", len(ups))
+	if changed := processChanges(p); changed != 0 {
+		t.Errorf("cancelled insert changed %d aggregates", changed)
 	}
 	// Re-insert after cancellation must work.
-	if _, err := p.Apply(inserts(f)...); err != nil {
+	if err := p.Apply(inserts(f)...); err != nil {
 		t.Fatalf("re-insert after cancellation: %v", err)
 	}
 	if got := len(p.Aggregates()); got != 1 {
@@ -228,11 +240,11 @@ func TestInsertThenDeleteCancelsPending(t *testing.T) {
 func TestDeleteThenReinsertSameBatch(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	f := offer(1, 100, 8, 4, 1, 2)
-	if _, err := p.Apply(inserts(f)...); err != nil {
+	if err := p.Apply(inserts(f)...); err != nil {
 		t.Fatal(err)
 	}
 	moved := offer(1, 200, 8, 4, 1, 2)
-	if _, err := p.Apply(
+	if err := p.Apply(
 		FlexOfferUpdate{Kind: Delete, Offer: f},
 		FlexOfferUpdate{Kind: Insert, Offer: moved},
 	); err != nil {
@@ -248,15 +260,14 @@ func TestDeleteThenReinsertSameBatch(t *testing.T) {
 }
 
 // Versions bump exactly once per mutating batch, and Snapshot carries
-// the version so callers can reuse cached snapshots of unchanged
-// aggregates.
+// the version and hands out the same copy while it is unchanged.
 func TestVersionPerBatchAndSnapshotCarriesVersion(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	var batch []FlexOfferUpdate
 	for i := 1; i <= 4; i++ {
 		batch = append(batch, FlexOfferUpdate{Kind: Insert, Offer: offer(flexoffer.ID(i), 100, 8, 4, 1, 2)})
 	}
-	if _, err := p.Apply(batch...); err != nil {
+	if err := p.Apply(batch...); err != nil {
 		t.Fatal(err)
 	}
 	a := p.Aggregates()[0]
@@ -265,8 +276,11 @@ func TestVersionPerBatchAndSnapshotCarriesVersion(t *testing.T) {
 	if snap.Version != v0 {
 		t.Fatalf("snapshot version %d, live %d", snap.Version, v0)
 	}
+	if a.Snapshot() != snap {
+		t.Error("an unchanged aggregate made a second snapshot")
+	}
 	// One batch with two deletes: exactly one version bump.
-	if _, err := p.Apply(
+	if err := p.Apply(
 		FlexOfferUpdate{Kind: Delete, Offer: offer(1, 100, 8, 4, 1, 2)},
 		FlexOfferUpdate{Kind: Delete, Offer: offer(2, 100, 8, 4, 1, 2)},
 	); err != nil {
@@ -277,6 +291,9 @@ func TestVersionPerBatchAndSnapshotCarriesVersion(t *testing.T) {
 	}
 	if snap.NumMembers() != 4 {
 		t.Errorf("snapshot members = %d, want 4 (frozen)", snap.NumMembers())
+	}
+	if s := a.Snapshot(); s == snap || s.Version != a.Version || s.NumMembers() != 2 {
+		t.Errorf("snapshot after the batch: v%d with %d members, fresh %v; want a fresh v%d copy of 2", s.Version, s.NumMembers(), s != snap, a.Version)
 	}
 }
 
@@ -311,5 +328,82 @@ func TestBoundaryCountersGateRebuild(t *testing.T) {
 	}
 	if !equivAggregates(t, a, "after boundary removal") {
 		t.Error("aggregate diverged from scratch build")
+	}
+}
+
+// The pipeline answers which offers it holds — applied members that
+// are not leaving and pending inserts — through Offer, NumOffers and
+// EachOffer alike, whatever mix of pending updates sits in it.
+func TestHeldOffers(t *testing.T) {
+	p := NewPipeline(ParamsP0)
+	f1, f2, f3 := offer(1, 100, 8, 4, 1, 2), offer(2, 100, 8, 4, 1, 2), offer(3, 100, 8, 4, 1, 2)
+	if err := p.Apply(inserts(f1, f2, f3)...); err != nil {
+		t.Fatal(err)
+	}
+	moved, f4 := offer(2, 200, 8, 4, 1, 2), offer(4, 100, 8, 4, 1, 2)
+	if err := p.Accumulate(
+		FlexOfferUpdate{Kind: Delete, Offer: f1},    // leaving
+		FlexOfferUpdate{Kind: Delete, Offer: f2},    // leaving, and replaced
+		FlexOfferUpdate{Kind: Insert, Offer: moved}, // by a new offer 2
+		FlexOfferUpdate{Kind: Insert, Offer: f4},    // pending insert
+	); err != nil {
+		t.Fatal(err)
+	}
+	want := map[flexoffer.ID]*flexoffer.FlexOffer{2: moved, 3: f3, 4: f4}
+	check := func(when string) {
+		t.Helper()
+		for id := flexoffer.ID(1); id <= 5; id++ {
+			if got, ok := p.Offer(id); got != want[id] || ok != (want[id] != nil) {
+				t.Errorf("%s: Offer(%d) = %p, %v; want %p", when, id, got, ok, want[id])
+			}
+		}
+		if n := p.NumOffers(); n != len(want) {
+			t.Errorf("%s: NumOffers = %d, want %d", when, n, len(want))
+		}
+		seen := map[flexoffer.ID]*flexoffer.FlexOffer{}
+		p.EachOffer(func(f *flexoffer.FlexOffer) {
+			if seen[f.ID] != nil {
+				t.Errorf("%s: EachOffer visits %d twice", when, f.ID)
+			}
+			seen[f.ID] = f
+		})
+		if !reflect.DeepEqual(seen, want) {
+			t.Errorf("%s: EachOffer visits %v, want %v", when, seen, want)
+		}
+	}
+	check("accumulated")
+	p.Process()
+	check("processed")
+}
+
+// Inserting the very offer whose delete is pending cancels the delete,
+// the mirror of a delete cancelling a pending insert: the aggregate
+// keeps its Version and nothing is left to process. A failing batch
+// undoes the cancellation with the rest of the batch.
+func TestReinsertCancelsPendingDelete(t *testing.T) {
+	p := NewPipeline(ParamsP0)
+	f1, f2 := offer(1, 100, 8, 4, 1, 2), offer(2, 100, 8, 4, 1, 2)
+	if err := p.Apply(inserts(f1, f2)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Accumulate(FlexOfferUpdate{Kind: Delete, Offer: f1}); err != nil {
+		t.Fatal(err)
+	}
+	bad := offer(3, 100, 8, 4, 1, 2)
+	bad.LatestStart = 50 // invalid
+	if err := p.Accumulate(inserts(f1, bad)...); err == nil {
+		t.Fatal("batch with an invalid offer succeeded")
+	}
+	if contains(p, 1) || pendingUpdates(p) != 1 {
+		t.Fatalf("failed batch kept its cancellation: contains(1) = %v, %d pending updates", contains(p, 1), pendingUpdates(p))
+	}
+	if err := p.Accumulate(inserts(f1)...); err != nil {
+		t.Fatal(err)
+	}
+	if !contains(p, 1) || pendingUpdates(p) != 0 {
+		t.Fatalf("re-insert: contains(1) = %v, %d pending updates; want true, 0", contains(p, 1), pendingUpdates(p))
+	}
+	if changed := processChanges(p); changed != 0 {
+		t.Errorf("a delete cancelled by its re-insert changed %d aggregates", changed)
 	}
 }

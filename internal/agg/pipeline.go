@@ -4,29 +4,17 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 
 	"mirabel/internal/flexoffer"
 )
 
-// groupUpdate is the internal delta between group-builder and n-to-1
-// aggregator: which offers joined/left which similarity group. A
-// retired group lost every applied member and gained none: the
-// aggregator drops its aggregate whole instead of replaying the
-// removals (removed is nil).
-type groupUpdate struct {
-	key     groupKey
-	added   []*flexoffer.FlexOffer
-	removed []*flexoffer.FlexOffer
-	retired bool
-}
-
-// group is one similarity group: its applied member count and, while
-// Process runs, its slot in the batch's delta list.
+// group is one similarity group and the aggregate it maps to one to
+// one, plus, while Process runs, its slot in the batch's delta list.
 type group struct {
 	key  groupKey
-	n    int  // applied members
-	slot int  // 1 + index into GroupBuilder.deltas; 0 = untouched
-	ins  bool // a pending insert of the running Process lands here
+	agg  *Aggregate // nil only while Process builds a new group's aggregate
+	slot int        // 1 + index into Pipeline.deltas; 0 = untouched
 }
 
 // member is one applied offer and the group it lives in.
@@ -35,34 +23,54 @@ type member struct {
 	off *flexoffer.FlexOffer
 }
 
-// pendingUndo reverts one recorded update when a batch fails validation
-// half way: a queued delete (del), or the id's pending insert before the
-// update (ins, nil when it had none).
+// delta is what one Process batch does to one group: the offers that
+// join it and the members that leave it.
+type delta struct {
+	g              *group
+	added, removed []*flexoffer.FlexOffer
+}
+
+// pendingUndo is an offer's pending state before one recorded update:
+// its pending insert (nil when it had none) and its pending delete
+// (zero when it had none). A batch that fails validation half way
+// restores it.
 type pendingUndo struct {
 	id  flexoffer.ID
 	ins *flexoffer.FlexOffer
-	del bool
+	del member
 }
 
-// GroupBuilder partitions flex-offers into disjoint groups of similar
-// offers according to the aggregation thresholds. Updates accumulate
-// until Process is invoked (paper: "flex-offer updates are accumulated
-// within the group-builder until their further processing is invoked").
+// Pipeline is the paper's aggregation chain — "these sub-components
+// are chained so that provided flex-offer updates traverse them
+// sequentially" — in one structure: it partitions flex-offers into
+// groups of similar offers under the thresholds and maintains exactly
+// one aggregated flex-offer per group, without the paper's optional
+// bin-packer. Intake accumulates; Process runs the whole chain once
+// per batch (paper: "flex-offer updates are accumulated within the
+// group-builder until their further processing is invoked").
+//
+// The pipeline is also the one index of the offers it holds: an applied
+// member that is not leaving, or a pending insert (Offer, NumOffers,
+// EachOffer).
 //
 // Accumulate validates each batch against the membership index and the
 // already-pending updates as it records it, and undoes the batch's
-// records when an update fails — a failed batch leaves the builder
+// records when an update fails — a failed batch leaves the pipeline
 // exactly as it was, and Process can never fail half way through.
 // Pending inserts and deletes are kept as net-effect maps: deleting a
 // still-pending insert cancels it, so an offer that arrives and expires
-// between two cycles costs nothing.
-type GroupBuilder struct {
+// between two cycles costs nothing, and inserting the very offer whose
+// delete is pending cancels that delete.
+type Pipeline struct {
 	params Params
+	nextID flexoffer.ID
 	groups map[groupKey]*group
 	// byID is the membership index over applied offers: which group an
 	// offer lives in. Delete validation is a map lookup — the offer's
 	// grouping key is never re-derived from caller-supplied attributes.
 	byID map[flexoffer.ID]member
+	// byAggID finds an aggregate by its macro flex-offer ID.
+	byAggID map[flexoffer.ID]*Aggregate
 
 	// Net-effect pending state, applied by Process. A pending delete
 	// keeps the membership it removes.
@@ -71,41 +79,46 @@ type GroupBuilder struct {
 
 	// Scratch reused across calls, so neither a single-offer Accumulate
 	// nor a Process allocates bookkeeping of its own.
-	undo      []pendingUndo
-	ins       []flexoffer.ID
-	insGroups []*group
-	deltas    []groupUpdate
-	touched   []*group
+	undo   []pendingUndo
+	ins    []flexoffer.ID
+	deltas []delta
 }
 
-// NewGroupBuilder returns an empty group-builder with the given
-// thresholds.
-func NewGroupBuilder(params Params) *GroupBuilder {
-	return &GroupBuilder{
+// NewPipeline returns an empty aggregation pipeline with the given
+// thresholds. The BinPackerOptions argument is ignored and may be left
+// out.
+func NewPipeline(params Params, _ ...BinPackerOptions) *Pipeline {
+	return &Pipeline{
 		params:     params,
+		nextID:     1,
 		groups:     make(map[groupKey]*group),
 		byID:       make(map[flexoffer.ID]member),
+		byAggID:    make(map[flexoffer.ID]*Aggregate),
 		pendingIns: make(map[flexoffer.ID]*flexoffer.FlexOffer),
 		pendingDel: make(map[flexoffer.ID]member),
 	}
 }
 
-// Accumulate queues flex-offer updates for the next Process call. The
-// whole batch is validated (offer validity, duplicate inserts, deletes
-// of unknown offers); on error nothing is recorded. A Delete of an offer
-// whose Insert is still pending cancels the insert in place.
-func (g *GroupBuilder) Accumulate(updates ...FlexOfferUpdate) error {
-	g.undo = g.undo[:0]
+// Accumulate validates and queues flex-offer updates for the next
+// Process call without processing them — the intake half of the
+// paper's accumulate-then-process design. The whole batch is validated
+// (offer validity, duplicate inserts, deletes of unknown offers); on
+// error nothing is recorded.
+func (p *Pipeline) Accumulate(updates ...FlexOfferUpdate) error {
+	p.undo = p.undo[:0]
 	for _, u := range updates {
-		if err := g.accumulate(u); err != nil {
-			for i := len(g.undo) - 1; i >= 0; i-- {
-				switch r := g.undo[i]; {
-				case r.del:
-					delete(g.pendingDel, r.id)
-				case r.ins != nil:
-					g.pendingIns[r.id] = r.ins
-				default:
-					delete(g.pendingIns, r.id)
+		if err := p.accumulate(u); err != nil {
+			for i := len(p.undo) - 1; i >= 0; i-- {
+				r := p.undo[i]
+				if r.ins != nil {
+					p.pendingIns[r.id] = r.ins
+				} else {
+					delete(p.pendingIns, r.id)
+				}
+				if r.del.off != nil {
+					p.pendingDel[r.id] = r.del
+				} else {
+					delete(p.pendingDel, r.id)
 				}
 			}
 			return err
@@ -116,126 +129,133 @@ func (g *GroupBuilder) Accumulate(updates ...FlexOfferUpdate) error {
 
 // accumulate validates one update against the pending state, records
 // it, and logs how to undo it.
-func (g *GroupBuilder) accumulate(u FlexOfferUpdate) error {
+func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 	switch u.Kind {
 	case Insert:
 		if err := u.Offer.Validate(); err != nil {
 			return fmt.Errorf("agg: rejecting offer: %w", err)
 		}
 		id := u.Offer.ID
-		if g.pendingIns[id] != nil {
+		if p.pendingIns[id] != nil {
 			return fmt.Errorf("agg: duplicate flex-offer id %d", id)
 		}
-		if _, applied := g.byID[id]; applied {
-			if _, leaving := g.pendingDel[id]; !leaving {
+		var leaving member
+		if _, applied := p.byID[id]; applied {
+			var ok bool
+			if leaving, ok = p.pendingDel[id]; !ok {
 				return fmt.Errorf("agg: duplicate flex-offer id %d", id)
 			}
 		}
-		g.undo = append(g.undo, pendingUndo{id: id})
-		g.pendingIns[id] = u.Offer
+		p.undo = append(p.undo, pendingUndo{id: id, del: leaving})
+		if leaving.off == u.Offer {
+			// The very offer comes back before it left: net effect zero.
+			delete(p.pendingDel, id)
+		} else {
+			p.pendingIns[id] = u.Offer
+		}
 	case Delete:
 		if u.Offer == nil {
 			return fmt.Errorf("agg: delete of nil flex-offer")
 		}
 		id := u.Offer.ID
-		if prev := g.pendingIns[id]; prev != nil {
+		if prev := p.pendingIns[id]; prev != nil {
 			// Cancel the not-yet-processed insert: net effect zero.
-			g.undo = append(g.undo, pendingUndo{id: id, ins: prev})
-			delete(g.pendingIns, id)
+			p.undo = append(p.undo, pendingUndo{id: id, ins: prev, del: p.pendingDel[id]})
+			delete(p.pendingIns, id)
 			return nil
 		}
-		m, applied := g.byID[id]
-		if _, leaving := g.pendingDel[id]; !applied || leaving {
+		m, applied := p.byID[id]
+		if _, leaving := p.pendingDel[id]; !applied || leaving {
 			return fmt.Errorf("agg: delete of unknown flex-offer id %d", id)
 		}
-		g.undo = append(g.undo, pendingUndo{id: id, del: true})
-		g.pendingDel[id] = m
+		p.undo = append(p.undo, pendingUndo{id: id})
+		p.pendingDel[id] = m
 	default:
 		return fmt.Errorf("agg: unknown update kind %v", u.Kind)
 	}
 	return nil
 }
 
-// Process applies all accumulated updates to the maintained groups and
-// returns the group deltas. It cannot fail: every update was validated
-// by Accumulate. Deltas are emitted in key order, each group's offers in
-// ID order, so the aggregator downstream assigns stable aggregate IDs.
-// A group whose every applied member leaves, with no pending insert
-// landing in it, is retired whole: its removals are not listed.
-func (g *GroupBuilder) Process() []groupUpdate {
-	if len(g.pendingIns) == 0 && len(g.pendingDel) == 0 {
-		return nil
-	}
-	// Resolve the inserts' groups first, so a delete pass that empties a
-	// group knows whether the batch refills it.
-	for id := range g.pendingIns {
-		g.ins = append(g.ins, id)
-	}
-	slices.Sort(g.ins)
-	for _, id := range g.ins {
-		k := g.params.keyOf(g.pendingIns[id])
-		grp := g.groups[k]
-		if grp == nil {
-			grp = &group{key: k}
-			g.groups[k] = grp
-		}
-		grp.ins = true
-		g.touch(grp)
-		g.insGroups = append(g.insGroups, grp)
+// Process applies every accumulated update as one batch: each touched
+// group's aggregate takes its joins and leaves as a single transaction
+// (at worst one rebuild). It cannot fail: all validation happened in
+// Accumulate. Groups are handled in key order, each group's offers in
+// ID order, so new aggregates get their macro flex-offer IDs in a
+// deterministic order. A group whose every member leaves, with no
+// pending insert landing in it, is retired whole instead of replaying
+// the removals.
+func (p *Pipeline) Process() {
+	if len(p.pendingIns) == 0 && len(p.pendingDel) == 0 {
+		return
 	}
 	// Removals before additions: an offer deleted and re-inserted in one
 	// batch leaves its old group before joining the new one.
-	for id, m := range g.pendingDel {
-		delete(g.byID, id)
-		m.g.n--
-		d := g.touch(m.g)
+	for id, m := range p.pendingDel {
+		delete(p.byID, id)
+		d := p.touch(m.g)
 		d.removed = append(d.removed, m.off)
 	}
-	for i := range g.deltas {
-		d, grp := &g.deltas[i], g.touched[i]
-		switch {
-		case len(d.removed) == 0:
-		case grp.n == 0 && !grp.ins:
-			d.retired, d.removed = true, nil
-		default:
-			slices.SortFunc(d.removed, byOfferID)
-		}
+	for id := range p.pendingIns {
+		p.ins = append(p.ins, id)
 	}
-	for i, id := range g.ins {
-		off, grp := g.pendingIns[id], g.insGroups[i]
-		g.byID[id] = member{g: grp, off: off}
-		grp.n++
-		d := &g.deltas[grp.slot-1]
+	slices.Sort(p.ins)
+	for _, id := range p.ins {
+		off := p.pendingIns[id]
+		k := p.params.keyOf(off)
+		grp := p.groups[k]
+		if grp == nil {
+			grp = &group{key: k}
+			p.groups[k] = grp
+		}
+		p.byID[id] = member{g: grp, off: off}
+		d := p.touch(grp)
 		d.added = append(d.added, off)
 	}
-
-	out := make([]groupUpdate, len(g.deltas))
-	copy(out, g.deltas)
-	for i, grp := range g.touched {
-		grp.slot, grp.ins = 0, false
-		if grp.n == 0 {
-			delete(g.groups, grp.key)
-		}
-		g.deltas[i] = groupUpdate{}
-		g.touched[i] = nil
+	slices.SortFunc(p.deltas, func(a, b delta) int { return compareKeys(a.g.key, b.g.key) })
+	for i := range p.deltas {
+		p.apply(&p.deltas[i])
+		p.deltas[i] = delta{}
 	}
-	clear(g.insGroups)
-	g.ins, g.insGroups, g.deltas, g.touched = g.ins[:0], g.insGroups[:0], g.deltas[:0], g.touched[:0]
-	clear(g.pendingIns)
-	clear(g.pendingDel)
-	slices.SortFunc(out, func(a, b groupUpdate) int { return compareKeys(a.key, b.key) })
-	return out
+	p.ins, p.deltas = p.ins[:0], p.deltas[:0]
+	clear(p.pendingIns)
+	clear(p.pendingDel)
+}
+
+// apply runs one group's share of a batch on its aggregate, building
+// the aggregate of a new group and dropping the group of an emptied
+// one.
+func (p *Pipeline) apply(d *delta) {
+	grp := d.g
+	grp.slot = 0
+	a := grp.agg
+	alive := true
+	switch {
+	case a == nil:
+		a = buildAggregate(p.nextID, d.added)
+		p.nextID++
+		grp.agg = a
+		p.byAggID[a.Offer.ID] = a
+	case len(d.added) == 0 && len(d.removed) == a.NumMembers():
+		a.retire()
+		alive = false
+	default:
+		slices.SortFunc(d.removed, byOfferID)
+		alive = a.applyBatch(d.added, d.removed)
+	}
+	if !alive {
+		delete(p.groups, grp.key)
+		delete(p.byAggID, a.Offer.ID)
+	}
 }
 
 // touch returns grp's delta of the running Process, opening it on first
 // use. The pointer is valid until the next touch.
-func (g *GroupBuilder) touch(grp *group) *groupUpdate {
+func (p *Pipeline) touch(grp *group) *delta {
 	if grp.slot == 0 {
-		g.deltas = append(g.deltas, groupUpdate{key: grp.key})
-		g.touched = append(g.touched, grp)
-		grp.slot = len(g.deltas)
+		p.deltas = append(p.deltas, delta{g: grp})
+		grp.slot = len(p.deltas)
 	}
-	return &g.deltas[grp.slot-1]
+	return &p.deltas[grp.slot-1]
 }
 
 func byOfferID(a, b *flexoffer.FlexOffer) int { return cmp.Compare(a.ID, b.ID) }
@@ -248,6 +268,104 @@ func compareKeys(a, b groupKey) int {
 		return c
 	}
 	return cmp.Compare(a.dur, b.dur)
+}
+
+// Apply is Accumulate followed immediately by Process — the one-call
+// form for tests, tools and synchronous callers.
+func (p *Pipeline) Apply(updates ...FlexOfferUpdate) error {
+	if err := p.Accumulate(updates...); err != nil {
+		return err
+	}
+	p.Process()
+	return nil
+}
+
+// Offer returns the held offer with the given ID: an applied member
+// that is not leaving, or a pending insert.
+func (p *Pipeline) Offer(id flexoffer.ID) (*flexoffer.FlexOffer, bool) {
+	if f := p.pendingIns[id]; f != nil {
+		return f, true
+	}
+	if _, leaving := p.pendingDel[id]; leaving {
+		return nil, false
+	}
+	m, ok := p.byID[id]
+	return m.off, ok
+}
+
+// NumOffers returns how many offers the pipeline holds (see Offer).
+func (p *Pipeline) NumOffers() int {
+	return len(p.byID) - len(p.pendingDel) + len(p.pendingIns)
+}
+
+// EachOffer calls fn for every held offer (see Offer), in no particular
+// order. fn must not change the pipeline.
+func (p *Pipeline) EachOffer(fn func(*flexoffer.FlexOffer)) {
+	for _, f := range p.pendingIns {
+		fn(f)
+	}
+	for id, m := range p.byID {
+		if _, leaving := p.pendingDel[id]; !leaving {
+			fn(m.off)
+		}
+	}
+}
+
+// Aggregates returns the current macro flex-offers ordered by ID.
+func (p *Pipeline) Aggregates() []*Aggregate {
+	out := make([]*Aggregate, 0, len(p.groups))
+	for _, grp := range p.groups {
+		out = append(out, grp.agg)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Offer.ID < out[j].Offer.ID })
+	return out
+}
+
+// Disaggregate converts schedules of macro flex-offers into schedules of
+// all their member micro flex-offers.
+func (p *Pipeline) Disaggregate(scheds []*flexoffer.Schedule) ([]*flexoffer.Schedule, error) {
+	var out []*flexoffer.Schedule
+	for _, s := range scheds {
+		a, ok := p.byAggID[s.OfferID]
+		if !ok {
+			return nil, fmt.Errorf("agg: no aggregate with id %d", s.OfferID)
+		}
+		ms, err := a.Disaggregate(s)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, ms...)
+	}
+	return out, nil
+}
+
+// Metrics summarizes the current aggregation state for the compression /
+// flexibility trade-off analysis (paper Figures 5a and 5c).
+type Metrics struct {
+	FlexOffers       int     // micro flex-offers aggregated
+	Aggregates       int     // macro flex-offers
+	CompressionRatio float64 // FlexOffers / Aggregates
+	// TotalTimeFlexLoss is Σ over members of (TF_member − TF_aggregate),
+	// in slots; LossPerOffer is the same divided by FlexOffers.
+	TotalTimeFlexLoss flexoffer.Time
+	LossPerOffer      float64
+}
+
+// CurrentMetrics computes Metrics for the pipeline's live aggregates.
+func (p *Pipeline) CurrentMetrics() Metrics {
+	m := Metrics{}
+	for _, grp := range p.groups {
+		m.Aggregates++
+		m.FlexOffers += grp.agg.NumMembers()
+		m.TotalTimeFlexLoss += grp.agg.TimeFlexibilityLoss()
+	}
+	if m.Aggregates > 0 {
+		m.CompressionRatio = float64(m.FlexOffers) / float64(m.Aggregates)
+	}
+	if m.FlexOffers > 0 {
+		m.LossPerOffer = float64(m.TotalTimeFlexLoss) / float64(m.FlexOffers)
+	}
+	return m
 }
 
 // BinPackerOptions is kept for source compatibility: NewPipeline

@@ -28,7 +28,7 @@ func TestPropertyRetireEqualsDeleteBatch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		whole, split := NewPipeline(ParamsP3), NewPipeline(ParamsP3)
-		keyOf := whole.GroupBuilder.params.keyOf
+		keyOf := whole.params.keyOf
 		pool := randomOffers(rng, 240)
 		live := map[flexoffer.ID]*flexoffer.FlexOffer{}
 		nextPool, nextID := 0, flexoffer.ID(10_000)
@@ -97,15 +97,15 @@ func TestPropertyRetireEqualsDeleteBatch(t *testing.T) {
 				live[off.ID] = off
 			}
 			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
-			if _, err := whole.Apply(batch...); err != nil {
+			if err := whole.Apply(batch...); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
 			}
-			if _, err := split.Apply(first...); err != nil {
+			if err := split.Apply(first...); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
 			}
-			if _, err := split.Apply(second...); err != nil {
+			if err := split.Apply(second...); err != nil {
 				t.Logf("seed %d round %d: %v", seed, round, err)
 				return false
 			}
@@ -114,12 +114,12 @@ func TestPropertyRetireEqualsDeleteBatch(t *testing.T) {
 				t.Logf("seed %d round %d: retiring whole groups diverged from the delete path", seed, round)
 				return false
 			}
-			if got := grouped(whole.GroupBuilder); got != len(live) {
+			if got := grouped(whole); got != len(live) {
 				t.Logf("seed %d round %d: grouped offers %d, want %d", seed, round, got, len(live))
 				return false
 			}
 			for _, off := range del {
-				if _, ok := live[off.ID]; !ok && contains(whole.GroupBuilder, off.ID) {
+				if _, ok := live[off.ID]; !ok && contains(whole, off.ID) {
 					t.Logf("seed %d round %d: retired offer %d still contained", seed, round, off.ID)
 					return false
 				}
@@ -129,7 +129,7 @@ func TestPropertyRetireEqualsDeleteBatch(t *testing.T) {
 			for _, off := range live {
 				survivors = append(survivors, off)
 			}
-			if _, err := scratch.Apply(inserts(survivors...)...); err != nil {
+			if err := scratch.Apply(inserts(survivors...)...); err != nil {
 				return false
 			}
 			if !sameAggregates(whole, scratch) {
@@ -174,13 +174,13 @@ func identicalAggregates(t *testing.T, a, b *Pipeline) bool {
 	return true
 }
 
-// A retired group's aggregate is reported the way the delete path
-// reports an emptied one: Deleted, no members left, Version bumped once
-// for the batch — so a holder of the aggregate sees it change.
+// A retired group's aggregate is left the way the delete path leaves
+// an emptied one: no members, Version bumped once for the batch — so a
+// holder of the aggregate sees it change — and gone from the pipeline.
 func TestRetireReportsDeletedAggregate(t *testing.T) {
 	p := NewPipeline(ParamsP0)
 	members := []*flexoffer.FlexOffer{offer(1, 10, 4, 2, 0, 1), offer(2, 10, 4, 3, 0, 2), offer(3, 10, 4, 1, 0, 1)}
-	if _, err := p.Apply(inserts(members...)...); err != nil {
+	if err := p.Apply(inserts(members...)...); err != nil {
 		t.Fatal(err)
 	}
 	live := p.Aggregates()
@@ -192,17 +192,13 @@ func TestRetireReportsDeletedAggregate(t *testing.T) {
 	for _, m := range members {
 		dels = append(dels, FlexOfferUpdate{Kind: Delete, Offer: m})
 	}
-	ups, err := p.Apply(dels...)
-	if err != nil {
+	if err := p.Apply(dels...); err != nil {
 		t.Fatal(err)
-	}
-	if len(ups) != 1 || ups[0].Kind != Deleted || ups[0].Aggregate != a {
-		t.Fatalf("updates = %+v, want one Deleted for aggregate %d", ups, a.Offer.ID)
 	}
 	if a.Version != v+1 || a.NumMembers() != 0 {
 		t.Errorf("retired aggregate: Version %d, %d members; want %d, 0", a.Version, a.NumMembers(), v+1)
 	}
-	if len(p.Aggregates()) != 0 || grouped(p.GroupBuilder) != 0 || contains(p.GroupBuilder, 1) {
+	if len(p.Aggregates()) != 0 || grouped(p) != 0 || contains(p, 1) {
 		t.Error("retired group left state behind")
 	}
 }

@@ -37,10 +37,11 @@ var ErrUnreachable = errors.New("comm: destination unreachable")
 // to simulate large node populations in one process. Handlers run on the
 // caller's goroutine context for Request and on a fresh goroutine for
 // Send — matching the asynchrony of a real network without its
-// flakiness.
+// flakiness. Wait joins the handlers Send started.
 type Bus struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
+	detached sync.WaitGroup // handlers Send started that still run
 }
 
 // NewBus returns an empty in-process transport.
@@ -86,11 +87,19 @@ func (b *Bus) Send(ctx context.Context, to string, env Envelope) error {
 		return err
 	}
 	detached := context.WithoutCancel(ctx)
+	b.detached.Add(1)
 	go func() {
+		defer b.detached.Done()
 		_, _ = h(detached, env)
 	}()
 	return nil
 }
+
+// Wait blocks until every handler Send started has returned, so a
+// reader of what those handlers record sees all of it. It is meant for
+// a bus nothing sends on any more: a Send racing Wait may or may not be
+// waited for.
+func (b *Bus) Wait() { b.detached.Wait() }
 
 // Request implements Transport. The handler observes ctx directly, so a
 // canceled request tells the handler to stop; the worker goroutine

@@ -123,6 +123,44 @@ func TestBusSendOutlivesCallerCancellation(t *testing.T) {
 	}
 }
 
+// Wait holds while a handler Send started is still running and returns
+// once it is released, with what the handler recorded visible.
+func TestBusWaitJoinsSendHandlers(t *testing.T) {
+	bus := NewBus()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var handled atomic.Bool
+	bus.Register("sink", func(context.Context, Envelope) (*Envelope, error) {
+		close(entered)
+		<-release
+		handled.Store(true)
+		return nil, nil
+	})
+	env, _ := NewEnvelope(MsgPing, "src", "sink", nil)
+	if err := bus.Send(context.Background(), "sink", env); err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	waited := make(chan struct{})
+	go func() {
+		bus.Wait()
+		close(waited)
+	}()
+	select {
+	case <-waited:
+		t.Fatal("Wait returned while the handler was blocked")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-waited:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Wait did not return after the handler was released")
+	}
+	if !handled.Load() {
+		t.Error("Wait returned before the handler finished")
+	}
+}
+
 func TestBusRequestDeadline(t *testing.T) {
 	bus := NewBus()
 	bus.Register("slow", func(ctx context.Context, _ Envelope) (*Envelope, error) {

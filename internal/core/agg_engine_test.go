@@ -33,11 +33,27 @@ func groupedOffers(n *Node) int {
 }
 
 // pipelineIdle reports whether n's pipeline holds no accumulated
-// update: processing it (which it does) changes no aggregate.
+// update: processing it (which it does) changes no aggregate — none
+// appears, disappears or changes Version.
 func pipelineIdle(n *Node) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.pipeline.Process()) == 0
+	before := n.pipeline.Aggregates()
+	versions := make([]uint64, len(before))
+	for i, a := range before {
+		versions[i] = a.Version
+	}
+	n.pipeline.Process()
+	after := n.pipeline.Aggregates()
+	if len(after) != len(before) {
+		return false
+	}
+	for i, a := range after {
+		if a != before[i] || a.Version != versions[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // Intake only accumulates: accepted offers sit in the pipeline's pending
@@ -147,26 +163,21 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 			t.Fatalf("rejected: %s", d.Reason)
 		}
 	}
-	rep1 := &CycleReport{}
-	snaps1, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, rep1)
+	snaps1, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, &CycleReport{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps1) == 0 {
 		t.Fatal("no snapshots")
 	}
-	if rep1.SnapshotsReused != 0 {
-		t.Errorf("first pass reused %d snapshots, want 0", rep1.SnapshotsReused)
-	}
 
 	// Nothing changed: every snapshot is reused, pointer-identical.
-	rep2 := &CycleReport{}
-	snaps2, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, rep2)
+	snaps2, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, &CycleReport{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.SnapshotsReused != len(snaps1) {
-		t.Errorf("second pass reused %d, want %d", rep2.SnapshotsReused, len(snaps1))
+	if len(snaps2) != len(snaps1) {
+		t.Fatalf("second pass: %d snapshots, want %d", len(snaps2), len(snaps1))
 	}
 	for i := range snaps1 {
 		if snaps1[i] != snaps2[i] {
@@ -178,8 +189,7 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 	if d := brp.AcceptOffer(testOffer(99, 40, 16, 4, 5), "p1"); !d.Accept {
 		t.Fatalf("rejected: %s", d.Reason)
 	}
-	rep3 := &CycleReport{}
-	snaps3, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, rep3)
+	snaps3, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, &CycleReport{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +208,11 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 	if changed == 0 {
 		t.Error("no fresh snapshot after aggregate mutation")
 	}
-	if rep3.SnapshotsReused != len(snaps3)-changed {
-		t.Errorf("third pass reused %d, want %d", rep3.SnapshotsReused, len(snaps3)-changed)
-	}
 }
 
 // Stress (run under -race in CI): concurrent intake while cycles batch,
-// process and schedule. Afterwards the pending set and the pipeline's
-// grouped offers must agree exactly.
+// process and schedule. Afterwards the pipeline's grouped offers and
+// the store's accepted offers must agree exactly.
 func TestConcurrentAccumulateDuringCycles(t *testing.T) {
 	brp := newLocalBRP(t)
 
@@ -250,7 +257,8 @@ drained:
 	for _, a := range aggs {
 		members += a.NumMembers()
 	}
-	if pending := pendingOffers(brp); members != pending {
-		t.Errorf("aggregate members = %d, pending offers = %d — pipeline and node diverged", members, pending)
+	drain(t, brp)
+	if accepted := brp.Store().CountOffersByState()[store.OfferAccepted]; members != accepted {
+		t.Errorf("aggregate members = %d, accepted offers in the store = %d — pipeline and store diverged", members, accepted)
 	}
 }

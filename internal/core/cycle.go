@@ -27,11 +27,7 @@ type CycleReport struct {
 	// Deprecated: always empty; every owner the cycle cannot reach is
 	// counted in NotifyFailures. ROADMAP B(3) deletes it together with
 	// bench/workloads.go's read.
-	SkippedOwners []string
-	// SnapshotsReused counts aggregates whose planning snapshot was the
-	// previous cycle's cached copy (unchanged Version) instead of a
-	// fresh deep copy.
-	SnapshotsReused int
+	SkippedOwners   []string
 	AggregationTime time.Duration
 	SchedulingTime  time.Duration
 	DeliveryTime    time.Duration // wall time of the fan-out deliver phase
@@ -56,8 +52,8 @@ type CycleReport struct {
 //	           run the (possibly long) scheduler search and
 //	           disaggregate on the snapshot;
 //	commit   — under the lock again: reconcile the planned micro
-//	           schedules against the live pending set, persist the
-//	           survivors and retire them from the pipeline;
+//	           schedules against the offers the pipeline still holds,
+//	           persist the survivors and retire them from the pipeline;
 //	deliver  — without the lock: fan the schedules out to their owners
 //	           with bounded concurrency (comm.DefaultFanOutLimit).
 //
@@ -158,18 +154,18 @@ func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleRe
 	end := now + flexoffer.Time(horizon)
 	var expired []agg.FlexOfferUpdate
 	var expiredIDs []store.OfferUpdate
-	for id, f := range n.pending {
+	n.pipeline.EachOffer(func(f *flexoffer.FlexOffer) {
 		if offerExpiredAt(f, now, end) {
 			expired = append(expired, agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f})
-			expiredIDs = append(expiredIDs, store.OfferUpdate{ID: id, Mutate: markExpired})
+			expiredIDs = append(expiredIDs, store.OfferUpdate{ID: f.ID, Mutate: markExpired})
 		}
-	}
+	})
 	if len(expiredIDs) > 0 {
 		// One WAL group for the whole sweep; unknown ids are reported
 		// per-update and ignored, like the per-offer path did. The
-		// pending set and the pipeline let go of the offers only once
-		// the store took the batch: a failed write leaves all three as
-		// they were, and the next cycle sweeps the offers again.
+		// pipeline lets go of the offers only once the store took the
+		// batch: a failed write leaves both as they were, and the next
+		// cycle sweeps the offers again.
 		if _, err := n.store.UpdateOffers(expiredIDs); err != nil {
 			return nil, err
 		}
@@ -178,9 +174,6 @@ func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleRe
 	if len(expired) > 0 {
 		if err := n.pipeline.Accumulate(expired...); err != nil {
 			return nil, err
-		}
-		for _, u := range expired {
-			delete(n.pending, u.Offer.ID)
 		}
 		rep.Expired = len(expired)
 	}
@@ -202,48 +195,14 @@ func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleRe
 		if a.Offer.LatestStart < now || a.Offer.LatestEnd() > end {
 			continue
 		}
-		s, reused := n.snapshotLocked(a)
-		if reused {
-			rep.SnapshotsReused++
-		}
-		snaps = append(snaps, s)
+		// An aggregate no batch changed since the last cycle hands out
+		// the same snapshot again: it costs no deep copy.
+		snaps = append(snaps, a.Snapshot())
 	}
-	n.pruneSnapCacheLocked(live)
 	rep.AggregationTime = time.Since(t0)
-	rep.Offers = len(n.pending)
+	rep.Offers = n.pipeline.NumOffers()
 	rep.Aggregates = len(snaps)
 	return snaps, nil
-}
-
-// snapshotLocked returns an immutable snapshot of a live aggregate,
-// reusing the previous cycle's cached copy when the aggregate's Version
-// is unchanged — untouched aggregates cost no deep copy. The returned
-// snapshot must be treated as read-only (it is shared across cycles).
-// Caller holds mu.
-func (n *Node) snapshotLocked(a *agg.Aggregate) (snap *agg.Aggregate, reused bool) {
-	if c, ok := n.snapCache[a.Offer.ID]; ok && c.Version == a.Version {
-		return c, true
-	}
-	s := a.Snapshot()
-	n.snapCache[a.Offer.ID] = s
-	return s, false
-}
-
-// pruneSnapCacheLocked drops cached snapshots of aggregates that no
-// longer exist. Caller holds mu and passes the current live set.
-func (n *Node) pruneSnapCacheLocked(live []*agg.Aggregate) {
-	if len(n.snapCache) <= len(live) {
-		return
-	}
-	alive := make(map[flexoffer.ID]bool, len(live))
-	for _, a := range live {
-		alive[a.Offer.ID] = true
-	}
-	for id := range n.snapCache {
-		if !alive[id] {
-			delete(n.snapCache, id)
-		}
-	}
 }
 
 // buildProblem assembles the scheduling instance from an aggregate

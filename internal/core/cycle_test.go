@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -361,6 +362,77 @@ func TestFailedExpiryWriteKeepsPendingAndPipeline(t *testing.T) {
 	}
 	if counts := st.CountOffersByState(); counts[store.OfferAccepted] != 12 {
 		t.Errorf("store states = %v, want 12 accepted", counts)
+	}
+}
+
+// A commit whose store write fails leaves the planning state as it
+// was: the offers the commit staged go back into the pipeline as they
+// were, so the pending count, the aggregates (IDs, Versions, members)
+// and the store's states all match their values before the cycle. The
+// offers do not expire and the store closes before the cycle, so the
+// commit's UpdateOffers is the cycle's first store write (the intake
+// barrier writes nothing). A node reopened over the directory then
+// plans every offer.
+func TestFailedCommitWriteKeepsPipeline(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Name: "brp1", Role: store.RoleBRP, Store: st, AggParams: agg.ParamsP3, SchedOpts: sched.Options{MaxIterations: 3, Seed: 1}}
+	brp := mustNode(t, nil, cfg)
+	const offers = 12
+	for i := 1; i <= offers; i++ {
+		es := flexoffer.Time(40 + 4*(i%3))
+		if d := brp.AcceptOffer(testOffer(flexoffer.ID(i), es, 16, 4, 5), "p1"); !d.Accept {
+			t.Fatalf("offer %d rejected: %s", i, d.Reason)
+		}
+	}
+	drain(t, brp)
+	type state struct {
+		pending  int
+		versions map[flexoffer.ID]uint64
+		members  int
+		counts   map[store.OfferState]int
+	}
+	read := func() state {
+		s := state{pending: pendingOffers(brp), versions: map[flexoffer.ID]uint64{}, counts: st.CountOffersByState()}
+		for _, a := range aggregates(brp) {
+			s.versions[a.Offer.ID] = a.Version
+			s.members += a.NumMembers()
+		}
+		return s
+	}
+	before := read()
+	if before.pending != offers || before.members != offers || before.counts[store.OfferAccepted] != offers {
+		t.Fatalf("before: %+v, want %d pending, grouped and accepted", before, offers)
+	}
+	if err := st.Close(); err != nil { // every later store write fails
+		t.Fatal(err)
+	}
+	if _, err := brp.RunSchedulingCycle(context.Background(), 10, nil, nil, nil); err == nil {
+		t.Fatal("cycle with a closed store succeeded")
+	}
+	if after := read(); !reflect.DeepEqual(after, before) {
+		t.Errorf("after the failed commit write: %+v, want %+v", after, before)
+	}
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() })
+	cfg.Store = st2
+	reopened := mustNode(t, nil, cfg)
+	rep, err := reopened.RunSchedulingCycle(context.Background(), 10, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Offers != offers || rep.MicroSchedules != offers || rep.Reconciled != 0 {
+		t.Errorf("reopened cycle = %+v, want all %d offers planned", rep, offers)
+	}
+	if counts := st2.CountOffersByState(); counts[store.OfferScheduled] != offers {
+		t.Errorf("reopened store states = %v, want %d scheduled", counts, offers)
 	}
 }
 

@@ -53,17 +53,17 @@ func (n *Node) handleScheduleNotify(ctx context.Context, env comm.Envelope) (*co
 
 // commitMicroSchedules is the scheduling cycle's commit phase, its one
 // caller. Under the node lock it reconciles planned micro schedules
-// against the live pending set as it stages them: a schedule for an
-// offer that is no longer pending is dropped (reported in the
-// reconciled count) rather than double-scheduled, and since staging
-// takes each offer out of pending, a second schedule for one offer in
-// the same batch is dropped the same way — the first wins, before any
-// store write. Survivors are persisted as scheduled, leave the
-// aggregation pipeline, and are grouped by owner for the deliver phase;
-// an offer whose store update failed goes back into pending. Offers
-// accepted mid-plan are untouched: they were never in the snapshot,
-// stay pending and keep their place in the live pipeline for the next
-// cycle.
+// against the offers the pipeline still holds as it stages them: a
+// schedule for an offer that is no longer pending is dropped (reported
+// in the reconciled count) rather than double-scheduled, and since
+// staging accumulates each offer's delete, a second schedule for one
+// offer in the same batch is dropped the same way — the first wins,
+// before any store write. Survivors are persisted as scheduled, leave
+// the aggregation pipeline, and are grouped by owner for the deliver
+// phase; an offer whose store update failed is inserted again, which
+// cancels its pending delete. Offers accepted mid-plan are untouched:
+// they were never in the snapshot, stay pending and keep their place
+// in the live pipeline for the next cycle.
 func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*flexoffer.Schedule, int, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -87,31 +87,37 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 		next++
 	}
 	for _, s := range micro {
-		f, ok := n.pending[s.OfferID]
+		f, ok := n.pipeline.Offer(s.OfferID)
 		if !ok {
 			reconciled++
 			continue
 		}
-		delete(n.pending, s.OfferID)
+		u := agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f}
+		_ = n.pipeline.Accumulate(u) // f is held: the delete cannot fail
 		updates = append(updates, store.OfferUpdate{ID: s.OfferID, Mutate: schedule})
 		staged = append(staged, s)
-		leaving = append(leaving, agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f})
+		leaving = append(leaving, u)
+	}
+	// restore gives the offers the store did not schedule back to the
+	// pipeline exactly as they were.
+	restore := func(us ...agg.FlexOfferUpdate) {
+		for i := range us {
+			us[i].Kind = agg.Insert
+		}
+		_ = n.pipeline.Accumulate(us...)
 	}
 	results, err := n.store.UpdateOffers(updates)
 	if err != nil {
-		for _, u := range leaving {
-			n.pending[u.Offer.ID] = u.Offer
-		}
+		restore(leaving...)
 		return nil, reconciled, err
 	}
 
 	byOwner := make(map[string][]*flexoffer.Schedule)
-	done := leaving[:0]
 	var failed error
 	for i := range results {
 		res, s := &results[i], staged[i]
 		if res.Err != nil {
-			n.pending[s.OfferID] = leaving[i].Offer
+			restore(leaving[i])
 			if errors.Is(res.Err, store.ErrUnknownOffer) {
 				reconciled++
 			} else if failed == nil {
@@ -119,16 +125,12 @@ func (n *Node) commitMicroSchedules(micro []*flexoffer.Schedule) (map[string][]*
 			}
 			continue
 		}
-		done = append(done, leaving[i])
 		byOwner[res.Record.Owner] = append(byOwner[res.Record.Owner], s)
 	}
-	// Every offer the store scheduled leaves the pipeline as it left
-	// pending, before a per-update failure is surfaced: the two never
-	// disagree about which offers are still to plan.
-	if len(done) > 0 {
-		if _, err := n.pipeline.Apply(done...); err != nil {
-			return nil, reconciled, err
-		}
+	// Every offer the store scheduled leaves the aggregates now, before
+	// a per-update failure is surfaced.
+	if len(byOwner) > 0 {
+		n.pipeline.Process()
 	}
 	if failed != nil {
 		return nil, reconciled, failed

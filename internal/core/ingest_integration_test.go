@@ -569,7 +569,7 @@ func TestRefusedAckLeavesNoTrace(t *testing.T) {
 		t.Errorf("refused offer 7 is in the store as %s", rec.State)
 	}
 	brp.mu.Lock()
-	_, pending := brp.pending[7]
+	_, pending := brp.pipeline.Offer(7)
 	brp.mu.Unlock()
 	if pending {
 		t.Error("refused offer 7 is pending")

@@ -112,7 +112,11 @@ type Config struct {
 	Settlement *settle.LedgerConfig
 }
 
-// Node is one LEDMS instance.
+// Node is one LEDMS instance. A BRP's planning state lives in its
+// aggregation pipeline alone: which offers are pending, their
+// similarity groups, the aggregates and the aggregates' planning
+// snapshots are each held once, there, and the node asks the pipeline
+// instead of mirroring it. The store holds the offers' records.
 type Node struct {
 	cfg     Config
 	client  *comm.Client
@@ -134,25 +138,18 @@ type Node struct {
 	// alone while intake keeps flowing under mu.
 	cycleMu sync.Mutex
 
-	mu       sync.Mutex
-	store    *store.Store
+	mu    sync.Mutex
+	store *store.Store
+	// pipeline holds the accepted-but-unscheduled offers (the paper's
+	// pending flexibilities that may time out): an offer is pending
+	// exactly while the pipeline holds it (agg.Pipeline.Offer).
 	pipeline *agg.Pipeline
 	valuator *negotiate.Valuator
-
-	// snapCache holds the last Snapshot taken of each live aggregate,
-	// keyed by macro flex-offer ID. A snapshot is reused while the live
-	// aggregate's Version is unchanged, so stable aggregates cost the
-	// planning phase nothing cycle over cycle.
-	snapCache map[flexoffer.ID]*agg.Aggregate
 
 	// planTime is the node's latest planning time: the start slot of
 	// the most recent scheduling cycle. Offer valuation is anchored at
 	// it.
 	planTime flexoffer.Time
-
-	// pending maps accepted-but-unscheduled offers (the paper's pending
-	// flexibilities that may time out).
-	pending map[flexoffer.ID]*flexoffer.FlexOffer
 
 	// recoveredPending counts accepted offers re-admitted into the
 	// planning pipeline from the store at construction — a reopened node
@@ -177,13 +174,11 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.Store = store.NewInMemory()
 	}
 	n := &Node{
-		cfg:       cfg,
-		metrics:   &comm.Metrics{},
-		store:     cfg.Store,
-		pipeline:  agg.NewPipeline(cfg.AggParams),
-		valuator:  negotiate.NewValuator(),
-		snapCache: make(map[flexoffer.ID]*agg.Aggregate),
-		pending:   make(map[flexoffer.ID]*flexoffer.FlexOffer),
+		cfg:      cfg,
+		metrics:  &comm.Metrics{},
+		store:    cfg.Store,
+		pipeline: agg.NewPipeline(cfg.AggParams),
+		valuator: negotiate.NewValuator(),
 	}
 	if cfg.Transport != nil {
 		n.retry = comm.NewRetry(cfg.Transport, orZero(cfg.Retry))
@@ -293,8 +288,8 @@ func (n *Node) openIntake() (*forecast.Registry, *ingest.Queue, error) {
 
 // readmitAccepted is crash recovery for the planning state: a
 // predecessor's accepted offers live in the store — the ones its applier
-// never reached too, since their acks are WAL frames — but
-// pending/pipeline are in-memory and died with it. Re-admit them so a
+// never reached too, since their acks are WAL frames — but the pipeline
+// is in-memory and died with it. Re-admit them so a
 // restarted BRP schedules what it had already promised, instead of
 // letting acked offers sit accepted forever.
 func (n *Node) readmitAccepted() {
@@ -305,7 +300,6 @@ func (n *Node) readmitAccepted() {
 		if err := n.pipeline.Accumulate(agg.FlexOfferUpdate{Kind: agg.Insert, Offer: rec.Offer}); err != nil {
 			continue // malformed record: planning just skips it
 		}
-		n.pending[rec.Offer.ID] = rec.Offer
 		n.recoveredPending++
 	}
 }
@@ -432,9 +426,6 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 		}
 		return negotiate.Decision{Accept: false, Reason: err.Error()}
 	}
-	if decision.Accept {
-		n.pending[f.ID] = priced
-	}
 	return decision
 }
 
@@ -557,8 +548,7 @@ func (n *Node) CancelProsumer(prosumer string, cfg settle.CancelConfig) (*settle
 	}
 	n.mu.Lock()
 	for _, id := range rep.Cancelled {
-		if off, ok := n.pending[id]; ok {
-			delete(n.pending, id)
+		if off, ok := n.pipeline.Offer(id); ok {
 			_ = n.pipeline.Accumulate(agg.FlexOfferUpdate{Kind: agg.Delete, Offer: off})
 		}
 	}

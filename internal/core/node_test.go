@@ -68,7 +68,7 @@ func newProsumer(t *testing.T, bus *comm.Bus, name string) *Node {
 func pendingOffers(n *Node) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.pending)
+	return n.pipeline.NumOffers()
 }
 
 // aggregates processes n's accumulated intake and returns the live

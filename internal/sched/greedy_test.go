@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
@@ -77,86 +76,39 @@ func TestGreedyRestartsMatchSerial(t *testing.T) {
 	}
 }
 
-// searchAllocs counts the objects one call of fn allocates on the
-// search's own stacks: every allocation whose stack holds a
-// RandomizedGreedy frame (Schedule, restarts or a worker), read from a
-// memory profile that samples every allocation. A sudog the runtime
-// allocates when a worker parks on the loop's mutex, condition
-// variable or wait group (runtime.acquireSudog) is left out: whether
-// parking needs a new one depends on the per-P and central sudog caches
-// a GC empties, and a busy host makes a long call park more often, so
-// it is the runtime's bookkeeping, not the search's. A new worker's g
-// is allocated on the system stack, outside the search's frames.
-func searchAllocs(fn func()) int64 {
-	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
-	runtime.MemProfileRate = 1
-	before := searchProfile()
-	fn()
-	var n int64
-	for k, v := range searchProfile() {
-		n += v - before[k]
-	}
-	return n
-}
-
-// searchProfile returns the cumulative allocation count of every stack
-// searchAllocs counts, after two GCs publish every allocation made so
-// far.
-func searchProfile() map[[32]uintptr]int64 {
-	runtime.GC()
-	runtime.GC()
-	n, _ := runtime.MemProfile(nil, true)
-	recs := make([]runtime.MemProfileRecord, n+64)
-	n, _ = runtime.MemProfile(recs, true)
-	out := make(map[[32]uintptr]int64)
-	for _, r := range recs[:n] {
-		if searchStack(r.Stack()) {
-			out[r.Stack0] = r.AllocObjects
-		}
-	}
-	return out
-}
-
-// searchStack reports whether an allocation with this stack counts: a
-// RandomizedGreedy frame is on it, and it is not a sudog.
-func searchStack(stack []uintptr) bool {
-	frames := runtime.CallersFrames(stack)
-	f, more := frames.Next()
-	if f.Function == "runtime.acquireSudog" {
-		return false
-	}
-	for {
-		if strings.HasPrefix(f.Function, "mirabel/internal/sched.(*RandomizedGreedy).") {
-			return true
-		}
-		if !more {
-			return false
-		}
-		f, more = frames.Next()
-	}
-}
-
 // TestGreedyRestartsAllocFree: a Schedule call allocates the same at
 // 2 000 restarts as at 100, inline and on workers. One offer with a
 // single feasible start makes every restart cost the same, so only the
-// first improves and no later restart has a reason to clone. Workers
-// start racing, so a call is measured as its fewest allocations over
-// several runs (searchAllocs says which allocations count).
+// first improves and no later restart has a reason to clone.
+// testing.AllocsPerRun would force GOMAXPROCS 1, so the test counts
+// heap objects itself, as runtime.MemStats.Mallocs deltas: unlike a
+// memory profile, they include the tiny allocator's objects. The count
+// is the whole process's, and the runtime allocates on a worker's
+// behalf: a worker that parks on the loop's mutex takes a sudog from
+// its P's cache and may return it to the other P's, so under load one
+// P can allocate a sudog in every long call until the other P's cache
+// fills (128) and spills to the shared list. A call is therefore
+// measured as its fewest objects over 300 runs, more than such a drain
+// lasts.
 func TestGreedyRestartsAllocFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := tinyProblem()
 	p.Offers[0].LatestStart = p.Offers[0].EarliestStart
 	g := &RandomizedGreedy{}
-	allocs := func(iters int) int64 {
+	allocs := func(iters int) uint64 {
 		call := func() {
 			if _, err := g.Schedule(context.Background(), p, Options{MaxIterations: iters, Seed: 1, TimeBudget: time.Hour}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		call() // warm up
-		fewest := int64(math.MaxInt64)
-		for run := 0; run < 50; run++ {
-			fewest = min(fewest, searchAllocs(call))
+		fewest := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for run := 0; run < 300; run++ {
+			runtime.ReadMemStats(&before)
+			call()
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
 		}
 		return fewest
 	}
