@@ -19,6 +19,13 @@ import (
 	"mirabel/internal/store"
 )
 
+// putOffer stores one record as a one-record batch, one WAL group.
+func putOffer(st *store.Store, rec store.OfferRecord) error {
+	b := store.NewBatch()
+	b.PutOffer(rec)
+	return st.ApplyBatch(b)
+}
+
 // TestDumpLogs writes a small node directory through the store, the
 // ingest queue and the ledger, then checks that -dump lists every record
 // of the two binary logs as one JSON object each — the intake's among
@@ -38,9 +45,9 @@ func TestDumpLogs(t *testing.T) {
 	scheduled := func(r *store.OfferRecord) { r.State, r.Schedule = store.OfferScheduled, offer.DefaultSchedule() }
 	executed := func(r *store.OfferRecord) { r.State = store.OfferExecuted }
 	for _, err := range []error{
-		st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}),
-		func() error { _, err := st.UpdateOffer(7, scheduled); return err }(), // logged as a transition with its schedule
-		func() error { _, err := st.UpdateOffer(7, executed); return err }(),  // logged as a state-only step
+		putOffer(st, store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}),
+		func() error { _, err := st.UpdateOffers([]store.OfferUpdate{{ID: 7, Mutate: scheduled}}); return err }(), // logged as a transition with its schedule
+		func() error { _, err := st.UpdateOffers([]store.OfferUpdate{{ID: 7, Mutate: executed}}); return err }(),  // logged as a state-only step
 		q.SubmitMeasurements(context.Background(), []store.Measurement{{Actor: "p1", EnergyType: "demand", Slot: 3, KWh: 1.5}}),
 		q.Drain(context.Background()),
 	} {
@@ -149,7 +156,7 @@ func writeWAL(t *testing.T, tag byte, payload string) (dir string, img []byte) {
 		t.Fatal(err)
 	}
 	offer := &flexoffer.FlexOffer{ID: 7, Prosumer: "p1", EarliestStart: 40, LatestStart: 44, AssignBefore: 32, Profile: []flexoffer.Slice{{EnergyMin: 1, EnergyMax: 3}}}
-	if err := st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}); err != nil {
+	if err := putOffer(st, store.OfferRecord{Offer: offer, Owner: "p1", State: store.OfferAccepted}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -217,7 +224,7 @@ func TestSummaryCountsEveryState(t *testing.T) {
 	}
 	for i, state := range states {
 		offer := &flexoffer.FlexOffer{ID: flexoffer.ID(i + 1), Prosumer: "p1", EarliestStart: 40, LatestStart: 44, Profile: []flexoffer.Slice{{EnergyMin: 1, EnergyMax: 3}}}
-		if err := st.PutOffer(store.OfferRecord{Offer: offer, Owner: "p1", State: state}); err != nil {
+		if err := putOffer(st, store.OfferRecord{Offer: offer, Owner: "p1", State: state}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -80,7 +80,7 @@ func TestTwoNodeSession(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{
 		"-name", "p1", "-role", "prosumer", "-parent", "brp1",
-		"-route", "brp1=" + addr, "-listen", "127.0.0.1:0", "-data", t.TempDir(),
+		"-route", "brp1=" + addr, "-listen", "127.0.0.1:0",
 		"-demo-offer",
 	}, &out, nil)
 	if err != nil {
@@ -100,11 +100,12 @@ func TestTwoNodeSession(t *testing.T) {
 }
 
 // TestRunRefusesTheTSOLevel pins the two-level hierarchy on the command
-// line: tso is not a role, and a brp has no parent to forward to. It
-// also pins that -retry-attempts counts the first attempt, so a value
-// below 1 is a usage error, not "no retries". All fail before the node
-// listens; the stop already delivered would end a node that served
-// anyway.
+// line: tso is not a role, and a brp has no parent to forward to. A
+// prosumer keeps nothing on disk, so it takes no -data, and a demo
+// offer needs the -parent it goes to. It also pins that -retry-attempts
+// counts the first attempt, so a value below 1 is a usage error, not
+// "no retries". All fail before the node listens; the stop already
+// delivered would end a node that served anyway.
 func TestRunRefusesTheTSOLevel(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -115,6 +116,8 @@ func TestRunRefusesTheTSOLevel(t *testing.T) {
 		{"brp with a parent", []string{"-name", "brp1", "-role", "brp", "-parent", "x"}, false},
 		{"zero attempts", []string{"-name", "brp1", "-role", "brp", "-retry-attempts", "0"}, true},
 		{"negative attempts", []string{"-name", "brp1", "-role", "brp", "-retry-attempts", "-5"}, true},
+		{"prosumer with data", []string{"-name", "p1", "-role", "prosumer", "-data", t.TempDir()}, true},
+		{"demo offer without a parent", []string{"-name", "p1", "-role", "prosumer", "-demo-offer"}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			logs := &logWatch{}

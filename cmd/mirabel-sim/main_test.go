@@ -78,6 +78,14 @@ func TestChaosAcceptance(t *testing.T) {
 	if res.Cycles != 8 {
 		t.Errorf("cycles = %d, want 8", res.Cycles)
 	}
+	// A notify re-sent after an ambiguous error holds its schedules once,
+	// and every notify reached the shard whose offer it answers.
+	if res.SchedulesDelivered > uint64(res.MicroSchedules) {
+		t.Errorf("%d schedules delivered for %d planned", res.SchedulesDelivered, res.MicroSchedules)
+	}
+	if res.NotifiesRefused != 0 {
+		t.Errorf("%d schedule notifies refused", res.NotifiesRefused)
+	}
 }
 
 // fingerprint is everything about a run that must be bit-identical

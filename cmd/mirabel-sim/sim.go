@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mirabel/internal/agg"
@@ -18,6 +17,7 @@ import (
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/ingest"
 	"mirabel/internal/obs"
+	"mirabel/internal/prosumer"
 	"mirabel/internal/sched"
 	"mirabel/internal/settle"
 	"mirabel/internal/store"
@@ -86,7 +86,8 @@ type simResult struct {
 	MeasAcked       uint64 // measurement facts acked by a BRP
 	MeasFailed      uint64 // batches that never got their ack
 
-	SchedulesDelivered uint64 // micro schedules that reached a shard endpoint
+	SchedulesDelivered uint64 // distinct offers the shard endpoints hold a schedule for
+	NotifiesRefused    uint64 // schedule notifies a shard endpoint refused: misdeliveries
 	MicroSchedules     int
 	Expired            int
 	Reconciled         int
@@ -140,20 +141,21 @@ type simHousehold struct {
 
 // shard drives one slice of the population on its own goroutine. All
 // submissions within a shard are sequential, so each (shard, BRP) fate
-// lane in the chaos injector sees a deterministic op stream.
+// lane in the chaos injector sees a deterministic op stream. Its
+// prosumer endpoint submits its households' offers and takes their
+// schedules.
 type shard struct {
 	idx    int
 	name   string
 	inj    *chaos.Injector
 	client *comm.Client
+	ep     *prosumer.Endpoint
 
 	members []int // global household indices
 
 	reoffers   []*flexoffer.FlexOffer
 	reofferTo  []int
 	reofferSeq uint64
-
-	schedules atomic.Uint64 // delivered micro schedules (handler side)
 
 	// Counters below are owned by the shard's worker goroutine.
 	submitted, acked, accepted, failed, reoffered uint64
@@ -250,7 +252,7 @@ func runSim(ctx context.Context, cfg simConfig) (*simResult, error) {
 	}
 
 	// Shard endpoints: each worker is also the delivery target for its
-	// households' micro schedules.
+	// households' micro schedules, from whichever BRP each offer went to.
 	var injectors []*chaos.Injector
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {
@@ -265,7 +267,8 @@ func runSim(ctx context.Context, cfg simConfig) (*simResult, error) {
 			Seed: cfg.Seed + int64(i), BaseBackoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
 		})
 		sh.client = comm.NewClient(sh.name, rt)
-		s.registerShard(sh)
+		sh.ep = prosumer.New(sh.name, sh.client)
+		s.bus.Register(sh.name, sh.ep.Handler())
 		injectors = append(injectors, sh.inj)
 		s.shards[i] = sh
 	}
@@ -310,35 +313,13 @@ func runSim(ctx context.Context, cfg simConfig) (*simResult, error) {
 	}
 	s.recoverAll()
 	s.verify()
-	// Schedule notifies are fire-and-forget: the shards count them on
-	// the bus's own goroutines, which may still run.
+	// Schedule notifies are fire-and-forget: the shard endpoints take
+	// them on the bus's own goroutines, which may still run.
 	s.bus.Wait()
 	s.collectStats()
 	s.res.Elapsed = time.Since(start)
 	s.shutdown()
 	return &s.res, nil
-}
-
-// registerShard (re-)attaches a shard's endpoint: schedule deliveries
-// are counted, pings answered.
-func (s *sim) registerShard(sh *shard) {
-	mux := comm.NewMux()
-	mux.Handle(comm.MsgScheduleNotify, func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-		var body comm.ScheduleNotify
-		if err := env.Decode(comm.MsgScheduleNotify, &body); err != nil {
-			return nil, err
-		}
-		sh.schedules.Add(uint64(len(body.Schedules)))
-		return nil, nil
-	})
-	mux.Handle(comm.MsgPing, func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-		reply, err := comm.NewEnvelope(comm.MsgPong, sh.name, env.From, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &reply, nil
-	})
-	s.bus.Register(sh.name, mux.Serve)
 }
 
 // startBRP opens (or reopens) one balance group over its durable
@@ -353,7 +334,7 @@ func (s *sim) startBRP(i int) error {
 		return fmt.Errorf("sim: open %s store: %w", name, err)
 	}
 	cfg := core.Config{
-		Name: name, Role: store.RoleBRP, Transport: s.brpInj[i], Store: st,
+		Name: name, Transport: s.brpInj[i], Store: st,
 		AggParams:  agg.ParamsP3,
 		SchedOpts:  sched.Options{TimeBudget: s.cfg.Budget, MaxIterations: s.cfg.Iters, Seed: s.cfg.Seed + int64(i)},
 		Ingest:     &ingest.Config{Policy: ingest.PolicyBlock},
@@ -625,7 +606,7 @@ func (sh *shard) runCycle(ctx context.Context, s *sim, c int) {
 // classification exists for).
 func (sh *shard) submit(ctx context.Context, s *sim, off *flexoffer.FlexOffer, brp int, next flexoffer.Time) {
 	sh.submitted++
-	d, err := sh.client.SubmitOffer(ctx, brpName(brp), off)
+	d, err := sh.ep.Submit(ctx, brpName(brp), off)
 	if err != nil {
 		sh.failed++
 		if off.LatestStart >= next+2 {
@@ -732,7 +713,8 @@ func (s *sim) collectStats() {
 		s.res.Reoffered += sh.reoffered
 		s.res.MeasAcked += sh.measAcked
 		s.res.MeasFailed += sh.measFailed
-		s.res.SchedulesDelivered += sh.schedules.Load()
+		s.res.SchedulesDelivered += uint64(len(sh.ep.Schedules()))
+		s.res.NotifiesRefused += sh.ep.Refused()
 		s.res.Injectors[sh.name] = sh.inj.Stats()
 	}
 	for i := range s.brps {

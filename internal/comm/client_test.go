@@ -115,12 +115,6 @@ func TestMuxDispatchAndFallback(t *testing.T) {
 	if _, err := mux.Serve(ctx, Envelope{Type: MsgError}); !errors.Is(err, ErrNoHandler) {
 		t.Errorf("unregistered type err = %v, want ErrNoHandler", err)
 	}
-	mux.HandleFallback(func(ctx context.Context, env Envelope) (*Envelope, error) {
-		return nil, fmt.Errorf("fallback saw %s", env.Type)
-	})
-	if _, err := mux.Serve(ctx, Envelope{Type: MsgError}); err == nil || !strings.Contains(err.Error(), "fallback") {
-		t.Errorf("fallback not used: %v", err)
-	}
 }
 
 func TestRecoverMiddleware(t *testing.T) {

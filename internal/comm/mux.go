@@ -18,7 +18,6 @@ var ErrNoHandler = errors.New("comm: no handler for message type")
 type Mux struct {
 	mu       sync.RWMutex
 	handlers map[MsgType]Handler
-	fallback Handler
 }
 
 // NewMux returns an empty dispatch registry.
@@ -38,22 +37,11 @@ func (m *Mux) Handle(t MsgType, h Handler) {
 	m.handlers[t] = h
 }
 
-// HandleFallback registers a handler for message types with no explicit
-// registration (nil restores the default ErrNoHandler behaviour).
-func (m *Mux) HandleFallback(h Handler) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.fallback = h
-}
-
 // Serve is a Handler: it routes env to the handler registered for its
 // type.
 func (m *Mux) Serve(ctx context.Context, env Envelope) (*Envelope, error) {
 	m.mu.RLock()
-	h, ok := m.handlers[env.Type]
-	if !ok {
-		h = m.fallback
-	}
+	h := m.handlers[env.Type]
 	m.mu.RUnlock()
 	if h == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoHandler, env.Type)

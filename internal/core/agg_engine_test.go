@@ -18,7 +18,6 @@ func newLocalBRP(t *testing.T) *Node {
 	t.Helper()
 	return mustNode(t, nil, Config{
 		Name:      "brp1",
-		Role:      store.RoleBRP,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 	})
@@ -121,7 +120,7 @@ func TestCommitDuplicateMicroScheduleReconciled(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { st.Close() })
-		brp := mustNode(t, nil, Config{Name: "brp1", Role: store.RoleBRP, Store: st, AggParams: agg.ParamsP3})
+		brp := mustNode(t, nil, Config{Name: "brp1", Store: st, AggParams: agg.ParamsP3})
 		if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
 			t.Fatalf("rejected: %s", d.Reason)
 		}

@@ -35,7 +35,7 @@ func BenchmarkCycleCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	n, err := NewNode(Config{Name: "brp1", Role: store.RoleBRP, Store: st, AggParams: agg.ParamsP3})
+	n, err := NewNode(Config{Name: "brp1", Store: st, AggParams: agg.ParamsP3})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestIntakeNotBlockedDuringDelivery(t *testing.T) {
 	gate := make(chan struct{})
 	gt := &gatedTransport{Transport: bus, gate: gate}
 	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, Transport: gt,
+		Name: "brp1", Transport: gt,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 1},
 	})
@@ -170,7 +170,7 @@ func TestConcurrentIntakeAndCyclesLoseNothing(t *testing.T) {
 	bus := comm.NewBus()
 	lt := chaos.NewInjector(bus, 0, chaos.Faults{LatBase: 200 * time.Microsecond})
 	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, Transport: lt,
+		Name: "brp1", Transport: lt,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 1},
 	})
@@ -247,7 +247,7 @@ func TestCycleDeliveryBoundedBySlowestProsumer(t *testing.T) {
 	const owners = 8
 	lt := chaos.NewInjector(bus, 0, chaos.Faults{LatBase: delay})
 	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, Transport: lt,
+		Name: "brp1", Transport: lt,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 2, Seed: 5},
 	})
@@ -322,7 +322,6 @@ func TestFailedExpiryWriteKeepsPendingAndPipeline(t *testing.T) {
 	}
 	brp := mustNode(t, nil, Config{
 		Name:      "brp1",
-		Role:      store.RoleBRP,
 		Store:     st,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
@@ -379,7 +378,7 @@ func TestFailedCommitWriteKeepsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Name: "brp1", Role: store.RoleBRP, Store: st, AggParams: agg.ParamsP3, SchedOpts: sched.Options{MaxIterations: 3, Seed: 1}}
+	cfg := Config{Name: "brp1", Store: st, AggParams: agg.ParamsP3, SchedOpts: sched.Options{MaxIterations: 3, Seed: 1}}
 	brp := mustNode(t, nil, cfg)
 	const offers = 12
 	for i := 1; i <= offers; i++ {
@@ -451,7 +450,7 @@ func TestCycleWithoutSolutionErrors(t *testing.T) {
 		{"NaN demand forecast", sched.Options{MaxIterations: 3, Seed: 1}, nan},
 		{"budget spent before the first restart", sched.Options{TimeBudget: time.Nanosecond, Seed: 1}, nil},
 	} {
-		brp := mustNode(t, nil, Config{Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3, SchedOpts: tc.opts})
+		brp := mustNode(t, nil, Config{Name: "brp1", AggParams: agg.ParamsP3, SchedOpts: tc.opts})
 		for i := 1; i <= 4; i++ {
 			if d := brp.AcceptOffer(testOffer(flexoffer.ID(i), 40, 16, 4, 5), "p1"); !d.Accept {
 				t.Fatalf("%s: offer %d rejected: %s", tc.name, i, d.Reason)

@@ -3,53 +3,11 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"mirabel/internal/agg"
-	"mirabel/internal/comm"
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/store"
 )
-
-// handleScheduleNotify records the final schedules a prosumer's BRP
-// sends back in the offers' store records, their only copy (prosumer
-// duty; a BRP does not register it). The notify is refused whole,
-// before any record changes, when it comes from anyone but the parent,
-// when a schedule is not finite, or when one names an offer this
-// prosumer never submitted.
-func (n *Node) handleScheduleNotify(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-	if env.From != n.cfg.Parent {
-		return nil, fmt.Errorf("core: %s takes schedules from its BRP %q, not from %q", n.cfg.Name, n.cfg.Parent, env.From)
-	}
-	var body comm.ScheduleNotify
-	if err := env.Decode(comm.MsgScheduleNotify, &body); err != nil {
-		return nil, err
-	}
-	for _, s := range body.Schedules {
-		if err := s.CheckFinite(); err != nil {
-			return nil, err
-		}
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	// A prosumer's store never drops an offer, so every record found
-	// here is still there to update below.
-	for _, s := range body.Schedules {
-		if _, ok := n.store.GetOffer(s.OfferID); !ok {
-			return nil, fmt.Errorf("core: %s never submitted offer %d: %w", n.cfg.Name, s.OfferID, store.ErrUnknownOffer)
-		}
-	}
-	for _, s := range body.Schedules {
-		sched := s
-		if _, err := n.store.UpdateOffer(s.OfferID, func(rec *store.OfferRecord) {
-			rec.State = store.OfferScheduled
-			rec.Schedule = sched
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
 
 // commitMicroSchedules is the scheduling cycle's commit phase, its one
 // caller. Under the node lock it reconciles planned micro schedules

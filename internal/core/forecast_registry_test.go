@@ -29,7 +29,6 @@ func newForecastingBRP(t *testing.T, bus *comm.Bus, dir string) *Node {
 	}
 	return mustNode(t, bus, Config{
 		Name:      "brp1",
-		Role:      store.RoleBRP,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 		Forecasting: &forecast.RegistryConfig{
@@ -82,10 +81,6 @@ func TestPerSeriesForecastFromIntake(t *testing.T) {
 	st, ok := brp.ForecastStats()
 	if !ok || st.Series != 1 || st.Models != 1 || st.Observations != 8 {
 		t.Fatalf("registry stats = %+v (ok=%v), want 1 series / 1 model / 8 obs", st, ok)
-	}
-	// A prosumer maintains no registry.
-	if p9 := newProsumer(t, bus, "p9"); p9.ForecastRegistry() != nil {
-		t.Fatal("prosumer has a forecast registry")
 	}
 }
 

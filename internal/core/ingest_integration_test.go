@@ -33,7 +33,6 @@ func newAsyncBRP(t *testing.T, bus *comm.Bus, dir string) *Node {
 	t.Cleanup(func() { st.Close() })
 	return mustNode(t, bus, Config{
 		Name:      "brp1",
-		Role:      store.RoleBRP,
 		Store:     st,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
@@ -51,10 +50,10 @@ func TestAsyncIntakeCycle(t *testing.T) {
 	p1 := newProsumer(t, bus, "p1")
 	p2 := newProsumer(t, bus, "p2")
 
-	if d, err := p1.SubmitOfferTo(context.Background(), testOffer(1, 40, 16, 4, 5)); err != nil || !d.Accept {
+	if d, err := p1.Submit(context.Background(), "brp1", testOffer(1, 40, 16, 4, 5)); err != nil || !d.Accept {
 		t.Fatalf("submit o1: %v %+v", err, d)
 	}
-	if d, err := p2.SubmitOfferTo(context.Background(), testOffer(2, 42, 12, 4, 5)); err != nil || !d.Accept {
+	if d, err := p2.Submit(context.Background(), "brp1", testOffer(2, 42, 12, 4, 5)); err != nil || !d.Accept {
 		t.Fatalf("submit o2: %v %+v", err, d)
 	}
 	if err := brp.ingest.SubmitMeasurements(context.Background(), []store.Measurement{
@@ -119,7 +118,7 @@ func TestCycleDeliversPastDeadOwner(t *testing.T) {
 	}
 	for cycle, ids := range [][2]flexoffer.ID{{1, 2}, {3, 4}} {
 		live, dead := ids[0], ids[1]
-		if d, err := p1.SubmitOfferTo(context.Background(), testOffer(live, 40, 16, 4, 5)); err != nil || !d.Accept {
+		if d, err := p1.Submit(context.Background(), "brp1", testOffer(live, 40, 16, 4, 5)); err != nil || !d.Accept {
 			t.Fatalf("submit %d: %v %+v", live, err, d)
 		}
 		if d := brp.AcceptOffer(testOffer(dead, 40, 16, 4, 5), "p2"); !d.Accept {
@@ -183,7 +182,7 @@ func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
 	bus := comm.NewBus()
 	entered, stall := make(chan struct{}, 1), make(chan struct{})
 	brp := mustNode(t, bus, Config{
-		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		Name: "brp1", AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 		Ingest: &ingest.Config{OnMeasurements: func([]store.Measurement) {
 			select {
@@ -267,7 +266,7 @@ func TestCancelProsumerTakesIntakeBarrier(t *testing.T) {
 func TestRefusedDuplicateLeavesOriginal(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{
-		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		Name: "brp1", AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 	}
 	openStore := func() *store.Store {
@@ -341,7 +340,7 @@ func TestPlannedOfferIDRefused(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/reopen=%v", owner, reopen), func(t *testing.T) {
 				dir := t.TempDir()
 				cfg := Config{
-					Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+					Name: "brp1", AggParams: agg.ParamsP3,
 					SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 				}
 				openStore := func() *store.Store {
@@ -430,7 +429,7 @@ func TestNewNodeFailureReleasesDataPath(t *testing.T) {
 		return st
 	}
 	cfg := Config{
-		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3, Store: openStore(),
+		Name: "brp1", AggParams: agg.ParamsP3, Store: openStore(),
 		Settlement: &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")},
 	}
 	crashed, err := NewNode(cfg)
@@ -535,7 +534,7 @@ func TestRefusedAckLeavesNoTrace(t *testing.T) {
 	entered, resume := make(chan struct{}), make(chan struct{})
 	var stall sync.Once
 	brp := mustNode(t, nil, Config{
-		Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3,
+		Name: "brp1", AggParams: agg.ParamsP3,
 		Ingest: &ingest.Config{
 			Queue:  1,
 			Policy: ingest.PolicyShed,

@@ -56,7 +56,7 @@ func TestLiveEqualsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	brp, err := NewNode(Config{
-		Name: "brp1", Role: store.RoleBRP, Store: st, Transport: comm.NewBus(),
+		Name: "brp1", Store: st, Transport: comm.NewBus(),
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 		Ingest:    &ingest.Config{Queue: 64, MaxBatch: 16},
@@ -171,7 +171,7 @@ func TestAckedOfferIsOneWALFrame(t *testing.T) {
 	}
 	t.Cleanup(func() { st.Close() })
 	brp := mustNode(t, nil, Config{
-		Name: "brp1", Role: store.RoleBRP, Store: st, AggParams: agg.ParamsP3,
+		Name: "brp1", Store: st, AggParams: agg.ParamsP3,
 		Ingest: &ingest.Config{Path: filepath.Join(dir, "ingest.log")},
 	})
 	frames := func() int {
@@ -219,7 +219,7 @@ func TestLegacyJournalRefusedUntouched(t *testing.T) {
 			return err
 		}
 		defer st.Close()
-		n, err := NewNode(Config{Name: "brp1", Role: store.RoleBRP, Store: st, AggParams: agg.ParamsP3})
+		n, err := NewNode(Config{Name: "brp1", Store: st, AggParams: agg.ParamsP3})
 		if err != nil {
 			return err
 		}

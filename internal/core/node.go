@@ -1,11 +1,13 @@
 // Package core is the LEDMS node (paper §3): the Control component that
 // orchestrates communication, data management, aggregation, forecasting,
-// scheduling and negotiation inside one node of the EDMS hierarchy. The
-// same node type serves both levels built here, prosumer and BRP (the
-// EDMS "consists of millions of homogeneous nodes"); the role only
-// selects which duties are active. The paper's third level, a TSO that
-// aggregates and schedules the BRPs' macro flex-offers (§2), is not
-// built: a BRP plans its own aggregates and has no parent.
+// scheduling and negotiation inside one node of the EDMS hierarchy.
+// Node is the BRP: it takes flex-offers and measurements, plans and
+// settles. The paper's nodes are homogeneous ("millions of homogeneous
+// nodes"), but a prosumer here is the small endpoint of package
+// prosumer, which submits offers and takes the schedules sent back; its
+// BRP's WAL is the durable copy of both. The paper's third level, a TSO
+// that aggregates and schedules the BRPs' macro flex-offers (§2), is
+// not built: a BRP plans its own aggregates and has no parent.
 //
 // The scheduling cycle follows a strict snapshot → plan → commit →
 // deliver discipline (cycle.go, deliver.go): the node mutex is held
@@ -14,12 +16,11 @@
 // transport I/O, so offer intake stays responsive for the whole cycle
 // no matter how slow the search or the prosumers are.
 //
-// There is one node composition. A BRP always takes intake through the
+// There is one node composition. A node always takes intake through the
 // ingest queue, always maintains the forecast registry from the queue's
-// apply funnel and always settles onto a hash-chained ledger; a
-// prosumer has none of the three. Role alone decides (Node.aggregating)
-// — Config only tunes. Every node with a transport sends through the
-// retry policy (comm.Retry).
+// apply funnel and always settles onto a hash-chained ledger — Config
+// only tunes. Every node with a transport sends through the retry
+// policy (comm.Retry).
 //
 // Lock order: cycleMu → intake barrier → mu. Every planner-side flow
 // enters through enterPlanner, which takes cycleMu and then waits for
@@ -53,18 +54,14 @@ import (
 type Config struct {
 	// Name is the node's endpoint name on the transport.
 	Name string
-	// Role selects prosumer or BRP duties.
+	// Deprecated: ignored; every node is a BRP. ROADMAP B(3) deletes it
+	// together with bench/node.go's assignment.
 	Role store.Role
-	// Parent is a prosumer's BRP: the endpoint its offers go to and the
-	// one sender whose schedules it takes. A BRP has no parent: NewNode
-	// refuses one.
-	Parent string
 	// Transport connects the node to its peers.
 	Transport comm.Transport
 	// Store is the node's Data Management component (in-memory if nil).
 	Store *store.Store
 
-	// BRP specific configuration.
 	AggParams agg.Params    // aggregation thresholds
 	SchedOpts sched.Options // per-cycle scheduling budget
 	// Deprecated: ignored; the search's restarts use every core. ROADMAP
@@ -75,9 +72,9 @@ type Config struct {
 	AggWorkers int
 
 	// Forecasting tunes the fleet-scale forecast service
-	// (forecast.Registry) every aggregating node runs: each measurement
-	// the ingest queue applies maintains a per-(actor,energy) model,
-	// re-estimated on a bounded background pool. Nil means the registry's
+	// (forecast.Registry) every node runs: each measurement the ingest
+	// queue applies maintains a per-(actor,energy) model, re-estimated
+	// on a bounded background pool. Nil means the registry's
 	// defaults — never "no registry".
 	Forecasting *forecast.RegistryConfig
 
@@ -86,9 +83,9 @@ type Config struct {
 	// rate-limiting layer in without touching dispatch.
 	Middleware []comm.Middleware
 
-	// Ingest tunes the async queue (internal/ingest) all intake of an
-	// aggregating node goes through: producers are acked once their
-	// event is in the store's WAL, and one applier applies the acked
+	// Ingest tunes the async queue (internal/ingest) all intake of a
+	// node goes through: producers are acked once their event is in
+	// the store's WAL, and one applier applies the acked
 	// events to the store with batch coalescing. Store is filled with
 	// the node's store and OnMeasurements is chained behind the forecast
 	// registry's feed. Nil means the queue's defaults — never synchronous
@@ -104,7 +101,7 @@ type Config struct {
 	Retry *comm.RetryConfig
 
 	// Settlement places and tunes the hash-chained settlement ledger
-	// (settle.OpenLedger) every aggregating node settles onto:
+	// (settle.OpenLedger) every node settles onto:
 	// SettleExecuted is a batched, crash-recoverable run whose ledger
 	// appends are acked before offers transition. Nil or an empty Path
 	// means a volatile ledger (same chain and balances, gone with the
@@ -124,8 +121,7 @@ type Node struct {
 	metrics *comm.Metrics
 	retry   *comm.Retry // nil exactly when the node has no transport
 
-	// The BRP's data path: all three are set exactly when aggregating()
-	// holds and nil on a prosumer.
+	// The data path, opened by NewNode.
 	ingest *ingest.Queue
 	fcasts *forecast.Registry
 	ledger *settle.Ledger
@@ -164,12 +160,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("core: node needs a name")
 	}
-	if !cfg.Role.Valid() {
-		return nil, fmt.Errorf("core: node role %q is not one of prosumer, brp", cfg.Role)
-	}
-	if cfg.Role == store.RoleBRP && cfg.Parent != "" {
-		return nil, fmt.Errorf("core: brp %s has no parent level to forward to (got parent %q)", cfg.Name, cfg.Parent)
-	}
 	if cfg.Store == nil {
 		cfg.Store = store.NewInMemory()
 	}
@@ -185,35 +175,23 @@ func NewNode(cfg Config) (*Node, error) {
 		n.client = comm.NewClient(cfg.Name, n.retry)
 	}
 
+	if err := n.openDataPath(); err != nil {
+		return nil, err
+	}
+
 	// Dispatch: one registered handler per message type, wrapped in the
 	// node's middleware chain. Recover sits innermost so a handler
 	// panic surfaces as an ordinary error to the configured middleware
 	// (logging sees it) and to Collect (metrics count it).
 	mux := comm.NewMux()
 	mux.Handle(comm.MsgPing, n.handlePing)
-	mux.HandleFallback(func(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
-		return nil, fmt.Errorf("core: %s (%s) cannot handle %s", n.cfg.Name, n.cfg.Role, env.Type)
-	})
-	if n.aggregating() {
-		if err := n.openDataPath(); err != nil {
-			return nil, err
-		}
-		mux.Handle(comm.MsgFlexOfferSubmit, n.handleOfferSubmit)
-		mux.Handle(comm.MsgMeasurementBatch, n.handleMeasurementBatch)
-	} else {
-		mux.Handle(comm.MsgScheduleNotify, n.handleScheduleNotify)
-	}
+	mux.Handle(comm.MsgFlexOfferSubmit, n.handleOfferSubmit)
+	mux.Handle(comm.MsgMeasurementBatch, n.handleMeasurementBatch)
 	chain := append([]comm.Middleware{n.metrics.Collect()}, cfg.Middleware...)
 	chain = append(chain, comm.Recover())
 	n.handler = comm.Chain(mux.Serve, chain...)
 	return n, nil
 }
-
-// aggregating is the one place the role selects duties: a BRP takes
-// flex-offers and measurements, plans and settles, and so owns an
-// ingest queue, a forecast registry and a ledger; a prosumer owns none
-// of them and takes only the schedules its BRP sends back.
-func (n *Node) aggregating() bool { return n.cfg.Role != store.RoleProsumer }
 
 // orZero dereferences an optional tuning block: nil means the
 // package's defaults.
@@ -225,7 +203,7 @@ func orZero[T any](p *T) T {
 	return *p
 }
 
-// openDataPath opens the BRP's components — registry, ingest queue,
+// openDataPath opens the node's components — registry, ingest queue,
 // ledger — and re-admits the accepted offers. It reads no intake log:
 // every acked event is in the store's WAL, which the store's Open has
 // replayed. The ledger's chain walk reads a file nothing else reads,
@@ -311,9 +289,6 @@ func (n *Node) readmitAccepted() {
 // caller owns cycleMu and must release it; barrier is the wait's wall
 // time.
 func (n *Node) enterPlanner(ctx context.Context) (barrier time.Duration, err error) {
-	if !n.aggregating() {
-		return 0, fmt.Errorf("core: prosumer %s neither plans nor settles", n.cfg.Name)
-	}
 	n.cycleMu.Lock()
 	t0 := time.Now()
 	if err := n.ingest.Drain(ctx); err != nil {
@@ -344,7 +319,7 @@ func (n *Node) handlePing(ctx context.Context, env comm.Envelope) (*comm.Envelop
 }
 
 // handleOfferSubmit runs negotiation and feeds accepted offers into the
-// aggregation pipeline (BRP duty).
+// aggregation pipeline.
 func (n *Node) handleOfferSubmit(ctx context.Context, env comm.Envelope) (*comm.Envelope, error) {
 	var body comm.FlexOfferSubmit
 	if err := env.Decode(comm.MsgFlexOfferSubmit, &body); err != nil {
@@ -377,9 +352,6 @@ func (n *Node) AcceptOffer(f *flexoffer.FlexOffer, owner string) negotiate.Decis
 // negotiated premium is written into f itself; otherwise into a copy,
 // and the caller's offer stays as it was.
 func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner string, owned bool) negotiate.Decision {
-	if !n.aggregating() {
-		return negotiate.Decision{Reason: fmt.Sprintf("prosumer %s does not take flex-offers", n.cfg.Name)}
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	// Negotiation evaluates at the current planning time: the node's
@@ -448,25 +420,15 @@ func (n *Node) handleMeasurementBatch(ctx context.Context, env comm.Envelope) (*
 	return nil, n.ingest.SubmitMeasurements(ctx, ms)
 }
 
-// IngestStats reports the intake queue's counters; ok is false on a
-// prosumer, which has none.
-func (n *Node) IngestStats() (ingest.Stats, bool) {
-	if !n.aggregating() {
-		return ingest.Stats{}, false
-	}
-	return n.ingest.Stats(), true
-}
+// IngestStats reports the intake queue's counters; ok is always true.
+// ROADMAP B(3) drops the ok together with bench/'s reads of it.
+func (n *Node) IngestStats() (ingest.Stats, bool) { return n.ingest.Stats(), true }
 
 // DrainIngest waits until every acked intake event has been applied to
-// the store (a no-op on a prosumer). The planner-side flows take this
-// barrier themselves (enterPlanner); explicit callers use it for
-// read-your-writes on the store.
-func (n *Node) DrainIngest(ctx context.Context) error {
-	if !n.aggregating() {
-		return nil
-	}
-	return n.ingest.Drain(ctx)
-}
+// the store. The planner-side flows take this barrier themselves
+// (enterPlanner); explicit callers use it for read-your-writes on the
+// store.
+func (n *Node) DrainIngest(ctx context.Context) error { return n.ingest.Drain(ctx) }
 
 // RetryStats reports the outbound retry policy's counters; ok is false
 // only for a node built without a transport.
@@ -478,26 +440,18 @@ func (n *Node) RetryStats() (comm.RetryStats, bool) {
 }
 
 // ForecastRegistry exposes the node's fleet forecast service — series
-// forecasts and counters; nil on a prosumer.
+// forecasts and counters.
 func (n *Node) ForecastRegistry() *forecast.Registry { return n.fcasts }
 
-// ForecastStats reports the forecast registry's counters; ok is false
-// on a prosumer, which has none.
-func (n *Node) ForecastStats() (forecast.RegistryStats, bool) {
-	if !n.aggregating() {
-		return forecast.RegistryStats{}, false
-	}
-	return n.fcasts.Stats(), true
-}
+// ForecastStats reports the forecast registry's counters; ok is always
+// true. ROADMAP B(3) drops the ok together with bench/'s reads of it.
+func (n *Node) ForecastStats() (forecast.RegistryStats, bool) { return n.fcasts.Stats(), true }
 
 // Close shuts the node's background machinery down: the ingest queue is
 // drained (best effort) and closed so every acked event reaches the
 // store before the process exits. The store stays open — it belongs to
 // the caller.
 func (n *Node) Close() error {
-	if !n.aggregating() {
-		return nil
-	}
 	err := n.ingest.Close()
 	// After the ingest drain, so the refit pool outlives the last
 	// measurement batch the applier feeds it.
@@ -514,17 +468,10 @@ func (n *Node) Close() error {
 // without the drain barrier Close performs. The node must not be
 // used afterwards; rebuild it over the same directories to recover.
 func (n *Node) Kill() {
-	if n.aggregating() {
-		n.abandon()
-	}
-	_ = n.store.Close()
-}
-
-// abandon stops the data path without the drain barrier.
-func (n *Node) abandon() {
 	n.ingest.Kill()
 	n.fcasts.Close()
 	_ = n.ledger.Close()
+	_ = n.store.Close()
 }
 
 // RecoveredPending reports how many accepted offers the node re-admitted
@@ -583,48 +530,12 @@ func (n *Node) SettleExecuted(metered map[flexoffer.ID][]float64, cfg settle.Con
 }
 
 // Ledger exposes the node's settlement ledger for balance queries and
-// chain verification; nil on a prosumer.
+// chain verification.
 func (n *Node) Ledger() *settle.Ledger { return n.ledger }
 
-// LedgerStats snapshots the settlement ledger's counters; ok is false
-// on a prosumer, which has none.
-func (n *Node) LedgerStats() (settle.LedgerStats, bool) {
-	if !n.aggregating() {
-		return settle.LedgerStats{}, false
-	}
-	return n.ledger.Stats(), true
-}
-
-// SubmitOfferTo sends a flex-offer to the node's parent and returns the
-// decision (prosumer duty).
-func (n *Node) SubmitOfferTo(ctx context.Context, f *flexoffer.FlexOffer) (comm.FlexOfferDecision, error) {
-	if n.client == nil || n.cfg.Parent == "" {
-		return comm.FlexOfferDecision{}, fmt.Errorf("core: %s has no parent to submit to", n.cfg.Name)
-	}
-	if err := n.store.PutOffer(store.OfferRecord{Offer: f, Owner: n.cfg.Name, State: store.OfferReceived}); err != nil {
-		return comm.FlexOfferDecision{}, err
-	}
-	decision, err := n.client.SubmitOffer(ctx, n.cfg.Parent, f)
-	if err != nil {
-		return comm.FlexOfferDecision{}, err
-	}
-	state := store.OfferRejected
-	if decision.Accept {
-		state = store.OfferAccepted
-	}
-	// One atomic round-trip: if the parent's schedule already arrived
-	// (delivery can race the decision reply), the record has moved past
-	// the handshake and keeps its schedule and state instead of being
-	// stomped back to the decision.
-	if _, err := n.store.UpdateOffer(f.ID, func(rec *store.OfferRecord) {
-		if rec.State == store.OfferReceived {
-			rec.State = state
-		}
-	}); err != nil {
-		return comm.FlexOfferDecision{}, err
-	}
-	return decision, nil
-}
+// LedgerStats snapshots the settlement ledger's counters; ok is always
+// true. ROADMAP B(3) drops the ok together with bench/'s reads of it.
+func (n *Node) LedgerStats() (settle.LedgerStats, bool) { return n.ledger.Stats(), true }
 
 // forecaster produces the baseline for a horizon; the node's scheduling
 // cycle accepts any source (StaticForecast, ShiftedForecast, ...).

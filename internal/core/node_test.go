@@ -12,6 +12,7 @@ import (
 	"mirabel/internal/agg"
 	"mirabel/internal/comm"
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/prosumer"
 	"mirabel/internal/sched"
 	"mirabel/internal/settle"
 	"mirabel/internal/store"
@@ -52,15 +53,18 @@ func newBRP(t *testing.T, bus *comm.Bus) *Node {
 	t.Helper()
 	return mustNode(t, bus, Config{
 		Name:      "brp1",
-		Role:      store.RoleBRP,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 	})
 }
 
-func newProsumer(t *testing.T, bus *comm.Bus, name string) *Node {
+// newProsumer registers a prosumer endpoint on bus; tests submit its
+// offers to brp1.
+func newProsumer(t *testing.T, bus *comm.Bus, name string) *prosumer.Endpoint {
 	t.Helper()
-	return mustNode(t, bus, Config{Name: name, Role: store.RoleProsumer, Parent: "brp1"})
+	p := prosumer.New(name, comm.NewClient(name, bus))
+	bus.Register(name, p.Handler())
+	return p
 }
 
 // pendingOffers is the number of n's accepted, not yet scheduled
@@ -80,13 +84,10 @@ func aggregates(n *Node) []*agg.Aggregate {
 	return n.pipeline.Aggregates()
 }
 
-// scheduleOf is the schedule a prosumer's store record holds for an
-// offer, nil until its BRP's schedule arrived.
-func scheduleOf(n *Node, id flexoffer.ID) *flexoffer.Schedule {
-	if rec, ok := n.Store().GetOffer(id); ok && rec.State == store.OfferScheduled {
-		return rec.Schedule
-	}
-	return nil
+// scheduleOf is the schedule a prosumer holds for an offer, nil until
+// its BRP's schedule arrived.
+func scheduleOf(p *prosumer.Endpoint, id flexoffer.ID) *flexoffer.Schedule {
+	return p.Schedules()[id]
 }
 
 // drain is the read-your-writes barrier tests take before they look at
@@ -101,12 +102,7 @@ func drain(t *testing.T, n *Node) {
 
 func TestNewNodeValidation(t *testing.T) {
 	for what, cfg := range map[string]Config{
-		"no name":              {Role: store.RoleBRP},
-		"no role":              {Name: "x"},
-		"capitalised role":     {Name: "x", Role: "Prosumer"},
-		"role outside the two": {Name: "x", Role: "broker"},
-		"tso role":             {Name: "x", Role: "tso"},
-		"brp with a parent":    {Name: "x", Role: store.RoleBRP, Parent: "x"},
+		"no name": {},
 	} {
 		if n, err := NewNode(cfg); err == nil {
 			n.Close()
@@ -116,42 +112,34 @@ func TestNewNodeValidation(t *testing.T) {
 }
 
 // TestNewNodeLogsNothing: a node's start writes nothing to its store.
-// Its name, role and parent come from its Config on every start, so
-// over an empty directory the WAL stays zero-length through a start, a
-// close and a restart, for a BRP with every subsystem and a prosumer
-// alike.
+// Its name comes from its Config on every start, so over an empty
+// directory the WAL stays zero-length through a start, a close and a
+// restart, with every subsystem open.
 func TestNewNodeLogsNothing(t *testing.T) {
-	for _, cfg := range []Config{
-		{Name: "brp1", Role: store.RoleBRP, AggParams: agg.ParamsP3},
-		{Name: "p1", Role: store.RoleProsumer, Parent: "brp1"},
-	} {
-		dir := t.TempDir()
-		for start := 1; start <= 2; start++ {
-			st, err := store.Open(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Store = st
-			if cfg.Role == store.RoleBRP {
-				cfg.Settlement = &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")}
-			}
-			n, err := NewNode(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := n.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			fi, err := os.Stat(store.WALPath(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fi.Size() != 0 {
-				t.Fatalf("%s after start %d: wal.log holds %d bytes, want none", cfg.Name, start, fi.Size())
-			}
+	dir := t.TempDir()
+	cfg := Config{Name: "brp1", AggParams: agg.ParamsP3, Settlement: &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")}}
+	for start := 1; start <= 2; start++ {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Store = st
+		n, err := NewNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(store.WALPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != 0 {
+			t.Fatalf("after start %d: wal.log holds %d bytes, want none", start, fi.Size())
 		}
 	}
 }
@@ -162,7 +150,7 @@ func TestOfferSubmissionRoundtrip(t *testing.T) {
 	p1 := newProsumer(t, bus, "p1")
 
 	offer := testOffer(1, 40, 16, 4, 5)
-	decision, err := p1.SubmitOfferTo(context.Background(), offer)
+	decision, err := p1.Submit(context.Background(), "brp1", offer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,31 +163,28 @@ func TestOfferSubmissionRoundtrip(t *testing.T) {
 	if pendingOffers(brp) != 1 {
 		t.Errorf("pending = %d", pendingOffers(brp))
 	}
-	// Both sides recorded the offer.
 	drain(t, brp)
 	if rec, ok := brp.Store().GetOffer(1); !ok || rec.State != store.OfferAccepted {
 		t.Errorf("BRP record = %+v, %v", rec, ok)
-	}
-	if rec, ok := p1.Store().GetOffer(1); !ok || rec.State != store.OfferAccepted {
-		t.Errorf("prosumer record = %+v, %v", rec, ok)
 	}
 }
 
 func TestInflexibleOfferRejected(t *testing.T) {
 	bus := comm.NewBus()
-	newBRP(t, bus)
+	brp := newBRP(t, bus)
 	p1 := newProsumer(t, bus, "p1")
 	rigid := testOffer(2, 40, 0, 4, 5)
 	rigid.Profile = []flexoffer.Slice{{EnergyMin: 5, EnergyMax: 5}}
-	decision, err := p1.SubmitOfferTo(context.Background(), rigid)
+	decision, err := p1.Submit(context.Background(), "brp1", rigid)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if decision.Accept {
 		t.Error("inflexible offer accepted")
 	}
-	if rec, _ := p1.Store().GetOffer(2); rec.State != store.OfferRejected {
-		t.Errorf("prosumer state = %s", rec.State)
+	drain(t, brp)
+	if rec, _ := brp.Store().GetOffer(2); rec.State != store.OfferRejected {
+		t.Errorf("BRP state = %s", rec.State)
 	}
 }
 
@@ -211,10 +196,10 @@ func TestSchedulingCycleEndToEnd(t *testing.T) {
 
 	o1 := testOffer(1, 40, 16, 4, 5)
 	o2 := testOffer(2, 42, 12, 4, 5)
-	if d, err := p1.SubmitOfferTo(context.Background(), o1); err != nil || !d.Accept {
+	if d, err := p1.Submit(context.Background(), "brp1", o1); err != nil || !d.Accept {
 		t.Fatalf("submit o1: %v %+v", err, d)
 	}
-	if d, err := p2.SubmitOfferTo(context.Background(), o2); err != nil || !d.Accept {
+	if d, err := p2.Submit(context.Background(), "brp1", o2); err != nil || !d.Accept {
 		t.Fatalf("submit o2: %v %+v", err, d)
 	}
 
@@ -242,8 +227,8 @@ func TestSchedulingCycleEndToEnd(t *testing.T) {
 			if err := o1.ValidateSchedule(s); err != nil {
 				t.Fatalf("delivered schedule invalid: %v", err)
 			}
-			if rec, _ := p1.Store().GetOffer(1); rec.State != store.OfferScheduled {
-				t.Errorf("prosumer offer state = %s", rec.State)
+			if rec, _ := brp.Store().GetOffer(1); rec.State != store.OfferScheduled || rec.Schedule.Start != s.Start {
+				t.Errorf("BRP record = %s with %+v, want the delivered schedule", rec.State, rec.Schedule)
 			}
 			// The BRP cleared its pipeline.
 			if pendingOffers(brp) != 0 {
@@ -280,7 +265,7 @@ func TestUnreachableProsumerDoesNotFailCycle(t *testing.T) {
 	brp := newBRP(t, bus)
 	p1 := newProsumer(t, bus, "p1")
 	offer := testOffer(1, 40, 16, 4, 5)
-	if _, err := p1.SubmitOfferTo(context.Background(), offer); err != nil {
+	if _, err := p1.Submit(context.Background(), "brp1", offer); err != nil {
 		t.Fatal(err)
 	}
 	bus.Unregister("p1") // the node drops off the network
@@ -350,15 +335,6 @@ func TestMeasurementBatchReporting(t *testing.T) {
 	t.Error("measurement batch never reached the BRP")
 }
 
-func TestProsumerRefusesOffers(t *testing.T) {
-	bus := comm.NewBus()
-	p1 := newProsumer(t, bus, "p1")
-	env, _ := comm.NewEnvelope(comm.MsgFlexOfferSubmit, "x", "p1", comm.FlexOfferSubmit{Offer: testOffer(1, 40, 8, 2, 1)})
-	if _, err := p1.Handler()(context.Background(), env); err == nil {
-		t.Error("prosumer accepted a flex-offer submission")
-	}
-}
-
 // TestBRPRefusesScheduleNotify: schedules flow down to prosumers only.
 // A notify sent to a BRP for an offer it holds as pending is refused
 // and changes nothing, so its store and its planner keep agreeing that
@@ -392,22 +368,15 @@ func TestIntakeRejectsNonFinite(t *testing.T) {
 	brp := newBRP(t, bus)
 	p1 := newProsumer(t, bus, "p1")
 	ctx := context.Background()
-	// The notify names offers p1 holds, so only the non-finite energy
-	// can refuse it.
-	for _, id := range []flexoffer.ID{7, 8} {
-		if err := p1.Store().PutOffer(store.OfferRecord{Offer: testOffer(id, 40, 16, 2, 1), Owner: "p1", State: store.OfferAccepted}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		offer := testOffer(1, 40, 16, 4, 5)
 		offer.Profile[2].EnergyMax = bad
-		if d, err := p1.SubmitOfferTo(ctx, offer); err != nil || d.Accept {
+		if d, err := p1.Submit(ctx, "brp1", offer); err != nil || d.Accept {
 			t.Errorf("offer with energy %g: decision %+v, %v", bad, d, err)
 		}
 		offer = testOffer(1, 40, 16, 4, 5)
 		offer.CostPerKWh = bad
-		if d, err := p1.SubmitOfferTo(ctx, offer); err != nil || d.Accept {
+		if d, err := p1.Submit(ctx, "brp1", offer); err != nil || d.Accept {
 			t.Errorf("offer with price %g: decision %+v, %v", bad, d, err)
 		}
 		report, _ := comm.NewEnvelope(comm.MsgMeasurementBatch, "p1", "brp1", comm.MeasurementBatch{Reports: []comm.MeasurementReport{{Actor: "p1", EnergyType: "demand", Slot: 1, KWh: bad}}})
@@ -420,53 +389,10 @@ func TestIntakeRejectsNonFinite(t *testing.T) {
 		if _, err := brp.Handler()(ctx, batch); err == nil {
 			t.Errorf("measurement batch holding %g kWh accepted", bad)
 		}
-		notify, _ := comm.NewEnvelope(comm.MsgScheduleNotify, "brp1", "p1", comm.ScheduleNotify{Schedules: []*flexoffer.Schedule{
-			{OfferID: 7, Start: 40, Energy: []float64{1, 1}}, {OfferID: 8, Start: 40, Energy: []float64{1, bad}},
-		}})
-		if _, err := p1.Handler()(ctx, notify); err == nil {
-			t.Errorf("schedule notify holding energy %g accepted", bad)
-		}
 	}
 	drain(t, brp)
 	if st := brp.Store().Stats(); st.Measurements != 0 || pendingOffers(brp) != 0 {
 		t.Errorf("refused input reached the BRP: %+v, %d pending offers", st, pendingOffers(brp))
-	}
-	if s := scheduleOf(p1, 7); s != nil {
-		t.Errorf("the finite schedule of a refused notify was committed: %+v", s)
-	}
-}
-
-// TestProsumerTakesSchedulesFromItsBRPOnly: a prosumer refuses a
-// schedule notify from anyone but its parent, and one that names an
-// offer it never submitted, whole: the offer it did submit stays
-// accepted and the stranger's offer is not recorded.
-func TestProsumerTakesSchedulesFromItsBRPOnly(t *testing.T) {
-	bus := comm.NewBus()
-	newBRP(t, bus)
-	p1 := newProsumer(t, bus, "p1")
-	ctx := context.Background()
-	if d, err := p1.SubmitOfferTo(ctx, testOffer(1, 40, 16, 4, 5)); err != nil || !d.Accept {
-		t.Fatalf("submit: %v %+v", err, d)
-	}
-	known := &flexoffer.Schedule{OfferID: 1, Start: 40, Energy: []float64{1, 1, 1, 1}}
-	unknown := &flexoffer.Schedule{OfferID: 999, Start: 40, Energy: []float64{1}}
-	for _, tc := range []struct {
-		name, from string
-		schedules  []*flexoffer.Schedule
-	}{
-		{"from a stranger", "mallory", []*flexoffer.Schedule{known}},
-		{"for an offer never submitted", "brp1", []*flexoffer.Schedule{known, unknown}},
-	} {
-		env, _ := comm.NewEnvelope(comm.MsgScheduleNotify, tc.from, "p1", comm.ScheduleNotify{Schedules: tc.schedules})
-		if _, err := p1.Handler()(ctx, env); err == nil {
-			t.Errorf("%s: notify accepted", tc.name)
-		}
-		if rec, _ := p1.Store().GetOffer(1); rec.State != store.OfferAccepted || rec.Schedule != nil {
-			t.Errorf("%s: offer 1 = %s with schedule %+v, want accepted without one", tc.name, rec.State, rec.Schedule)
-		}
-		if rec, ok := p1.Store().GetOffer(999); ok {
-			t.Errorf("%s: the unknown offer was recorded: %+v", tc.name, rec)
-		}
 	}
 }
 
@@ -506,7 +432,7 @@ func TestSettleExecutedOffers(t *testing.T) {
 	brp := newBRP(t, bus)
 	p1 := newProsumer(t, bus, "p1")
 	offer := testOffer(1, 40, 16, 4, 5)
-	d, err := p1.SubmitOfferTo(context.Background(), offer)
+	d, err := p1.Submit(context.Background(), "brp1", offer)
 	if err != nil || !d.Accept {
 		t.Fatalf("submit: %v %+v", err, d)
 	}
@@ -568,7 +494,7 @@ func TestNodeMetricsCountHandledMessages(t *testing.T) {
 	bus := comm.NewBus()
 	brp := newBRP(t, bus)
 	p1 := newProsumer(t, bus, "p1")
-	if _, err := p1.SubmitOfferTo(context.Background(), testOffer(1, 40, 16, 4, 5)); err != nil {
+	if _, err := p1.Submit(context.Background(), "brp1", testOffer(1, 40, 16, 4, 5)); err != nil {
 		t.Fatal(err)
 	}
 	env, _ := comm.NewEnvelope(comm.MsgPing, "x", "brp1", nil)
@@ -598,7 +524,7 @@ func TestNodeMiddlewareSeamAndRecovery(t *testing.T) {
 		}
 	}
 	n := mustNode(t, nil, Config{
-		Name: "brp1", Role: store.RoleBRP,
+		Name:       "brp1",
 		AggParams:  agg.ParamsP3,
 		Middleware: []comm.Middleware{counting},
 	})
@@ -634,7 +560,7 @@ func TestSubmitOfferHonorsCanceledContext(t *testing.T) {
 	p1 := newProsumer(t, bus, "p1")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := p1.SubmitOfferTo(ctx, testOffer(3, 40, 16, 4, 5)); err == nil {
+	if _, err := p1.Submit(ctx, "brp1", testOffer(3, 40, 16, 4, 5)); err == nil {
 		t.Error("canceled submission succeeded")
 	}
 }
@@ -648,7 +574,6 @@ func TestSettleExecutedWithLedger(t *testing.T) {
 	bus := comm.NewBus()
 	brp := mustNode(t, bus, Config{
 		Name:       "brp1",
-		Role:       store.RoleBRP,
 		AggParams:  agg.ParamsP3,
 		SchedOpts:  sched.Options{MaxIterations: 3, Seed: 1},
 		Settlement: &settle.LedgerConfig{Path: ledgerPath},
@@ -656,7 +581,7 @@ func TestSettleExecutedWithLedger(t *testing.T) {
 	p1 := newProsumer(t, bus, "p1")
 
 	offer := testOffer(1, 40, 16, 4, 5)
-	if d, err := p1.SubmitOfferTo(context.Background(), offer); err != nil || !d.Accept {
+	if d, err := p1.Submit(context.Background(), "brp1", offer); err != nil || !d.Accept {
 		t.Fatalf("submit: %v %+v", err, d)
 	}
 	baseline := make([]float64, flexoffer.SlotsPerDay)
@@ -699,7 +624,6 @@ func TestSettleExecutedWithLedger(t *testing.T) {
 	// a re-settlement run stays a no-op even against a fresh process.
 	re := mustNode(t, nil, Config{
 		Name:       "brp1",
-		Role:       store.RoleBRP,
 		Store:      brp.Store(),
 		Settlement: &settle.LedgerConfig{Path: ledgerPath},
 	})

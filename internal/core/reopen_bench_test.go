@@ -99,7 +99,7 @@ func writeCrashedNode(tb testing.TB, dir string, n, planned int) {
 // directory: the store st opened over dir, and the ledger beside it.
 func reopenConfig(dir string, st *store.Store) Config {
 	return Config{
-		Name: "brp1", Role: store.RoleBRP, Store: st,
+		Name: "brp1", Store: st,
 		AggParams:   agg.ParamsP3,
 		Forecasting: &forecast.RegistryConfig{},
 		Settlement:  &settle.LedgerConfig{Path: filepath.Join(dir, "ledger.log")},

@@ -8,17 +8,18 @@ import (
 	"mirabel/internal/agg"
 	"mirabel/internal/comm"
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/prosumer"
 	"mirabel/internal/sched"
 	"mirabel/internal/store"
 )
 
-// TestNodesOverTCP wires a prosumer and a BRP over the real TCP
-// transport with durable stores and runs the full §2 flow: submit →
-// negotiate → schedule → disaggregate → notify, then verifies the
-// prosumer's store survives a restart with the schedule intact.
+// TestNodesOverTCP wires a prosumer endpoint and a durable BRP over the
+// real TCP transport and runs the full §2 flow: submit → negotiate →
+// schedule → disaggregate → notify, then verifies the BRP's reopened
+// store holds the offer scheduled as delivered: the prosumer keeps
+// nothing on disk, and the BRP's WAL is the durable copy.
 func TestNodesOverTCP(t *testing.T) {
 	brpDir := t.TempDir()
-	prosumerDir := t.TempDir()
 
 	brpStore, err := store.Open(brpDir)
 	if err != nil {
@@ -27,7 +28,7 @@ func TestNodesOverTCP(t *testing.T) {
 	brpClient := comm.NewTCPClient("brp1")
 	defer brpClient.Close()
 	brp := mustNode(t, nil, Config{
-		Name: "brp1", Role: store.RoleBRP, Transport: brpClient, Store: brpStore,
+		Name: "brp1", Transport: brpClient, Store: brpStore,
 		AggParams: agg.ParamsP3,
 		SchedOpts: sched.Options{MaxIterations: 3, Seed: 1},
 	})
@@ -37,16 +38,10 @@ func TestNodesOverTCP(t *testing.T) {
 	}
 	defer brpSrv.Close()
 
-	prosumerStore, err := store.Open(prosumerDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	pClient := comm.NewTCPClient("p1")
 	defer pClient.Close()
 	pClient.SetRoute("brp1", brpSrv.Addr())
-	p1 := mustNode(t, nil, Config{
-		Name: "p1", Role: store.RoleProsumer, Parent: "brp1", Transport: pClient, Store: prosumerStore,
-	})
+	p1 := prosumer.New("p1", comm.NewClient("p1", pClient))
 	pSrv, err := comm.ListenTCP("127.0.0.1:0", p1.Handler())
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +51,7 @@ func TestNodesOverTCP(t *testing.T) {
 
 	// Submit an offer over the wire.
 	offer := testOffer(1, 40, 16, 4, 5)
-	decision, err := p1.SubmitOfferTo(context.Background(), offer)
+	decision, err := p1.Submit(context.Background(), "brp1", offer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,11 +86,14 @@ func TestNodesOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart the prosumer store: the scheduled state must survive.
-	if err := prosumerStore.Close(); err != nil {
+	// Restart the BRP's store: the scheduled state must survive.
+	if err := brp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := store.Open(prosumerDir)
+	if err := brpStore.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := store.Open(brpDir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,9 @@ func binaryLogs() []binaryLog {
 				t.Fatal(err)
 			}
 			for id := first; id <= last; id++ {
-				if err := s.PutOffer(offerRec(uint64(id), "p1", store.OfferAccepted)); err != nil {
+				b := store.NewBatch()
+				b.PutOffer(offerRec(uint64(id), "p1", store.OfferAccepted))
+				if err := s.ApplyBatch(b); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -19,20 +19,15 @@ func openOffer(id flexoffer.ID, prosumer string, state store.OfferState, energy 
 }
 
 func TestCancelActorVoidsOpenOffers(t *testing.T) {
-	st := store.NewInMemory()
 	// p1 holds one offer in each open state, plus an executed one that
 	// is history and must stay untouched.
-	for _, rec := range []store.OfferRecord{
+	st := seededStore(t,
 		openOffer(1, "p1", store.OfferReceived, []float64{10}),
 		openOffer(2, "p1", store.OfferAccepted, []float64{10, 10}),
 		openOffer(3, "p1", store.OfferScheduled, []float64{10}),
 		openOffer(4, "p1", store.OfferExecuted, []float64{10}),
 		openOffer(5, "p2", store.OfferAccepted, []float64{10}),
-	} {
-		if err := st.PutOffer(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
+	)
 	led := openTestLedger(t, filepath.Join(t.TempDir(), "ledger.log"))
 	defer led.Close()
 
@@ -84,15 +79,10 @@ func TestCancelActorVoidsOpenOffers(t *testing.T) {
 // must finish the transition without charging the offer twice, and void
 // the remaining open offer normally.
 func TestCancelActorCrashRecovery(t *testing.T) {
-	st := store.NewInMemory()
-	for _, rec := range []store.OfferRecord{
+	st := seededStore(t,
 		openOffer(1, "p1", store.OfferAccepted, []float64{10}),
 		openOffer(2, "p1", store.OfferScheduled, []float64{10}),
-	} {
-		if err := st.PutOffer(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
+	)
 	path := filepath.Join(t.TempDir(), "ledger.log")
 	led := openTestLedger(t, path)
 	if _, err := led.Append([]Entry{{

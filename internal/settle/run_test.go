@@ -27,6 +27,20 @@ func scheduledOffer(id flexoffer.ID, prosumer string, premium float64, energy []
 	}
 }
 
+// seededStore is an in-memory store holding recs.
+func seededStore(t *testing.T, recs ...store.OfferRecord) *store.Store {
+	t.Helper()
+	st := store.NewInMemory()
+	b := store.NewBatch()
+	for _, rec := range recs {
+		b.PutOffer(rec)
+	}
+	if err := st.ApplyBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func assertStates(t *testing.T, st *store.Store, state store.OfferState, want int) {
 	t.Helper()
 	if got := len(st.Offers(store.OfferFilter{State: state})); got != want {
@@ -35,12 +49,11 @@ func assertStates(t *testing.T, st *store.Store, state store.OfferState, want in
 }
 
 func TestRunSettlesScheduledOffers(t *testing.T) {
-	st := store.NewInMemory()
+	var recs []store.OfferRecord
 	for i := 1; i <= 5; i++ {
-		if err := st.PutOffer(scheduledOffer(flexoffer.ID(i), fmt.Sprintf("p%d", i), 0.02, []float64{10, 10})); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, scheduledOffer(flexoffer.ID(i), fmt.Sprintf("p%d", i), 0.02, []float64{10, 10}))
 	}
+	st := seededStore(t, recs...)
 	led := openTestLedger(t, filepath.Join(t.TempDir(), "ledger.log"))
 	defer led.Close()
 
@@ -89,15 +102,9 @@ func TestRunSettlesScheduledOffers(t *testing.T) {
 }
 
 func TestRunEntriesReconcileWithLineNet(t *testing.T) {
-	st := store.NewInMemory()
 	// Offer 1 compliant; offer 2 deviates so hard the penalty exceeds
 	// the payment — the ledger must charge only the clamped amount.
-	if err := st.PutOffer(scheduledOffer(1, "good", 0.02, []float64{10, 10})); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.PutOffer(scheduledOffer(2, "bad", 0.001, []float64{10})); err != nil {
-		t.Fatal(err)
-	}
+	st := seededStore(t, scheduledOffer(1, "good", 0.02, []float64{10, 10}), scheduledOffer(2, "bad", 0.001, []float64{10}))
 	led := openTestLedger(t, filepath.Join(t.TempDir(), "ledger.log"))
 	defer led.Close()
 
@@ -128,12 +135,11 @@ func TestRunEntriesReconcileWithLineNet(t *testing.T) {
 // normally.
 func TestRunCrashRecoveryIdempotent(t *testing.T) {
 	const offers, batchSize = 10, 4
-	st := store.NewInMemory()
+	var recs []store.OfferRecord
 	for i := 1; i <= offers; i++ {
-		if err := st.PutOffer(scheduledOffer(flexoffer.ID(i), fmt.Sprintf("p%d", i), 0.02, []float64{10})); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, scheduledOffer(flexoffer.ID(i), fmt.Sprintf("p%d", i), 0.02, []float64{10}))
 	}
+	st := seededStore(t, recs...)
 	path := filepath.Join(t.TempDir(), "ledger.log")
 	led := openTestLedger(t, path)
 

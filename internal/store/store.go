@@ -11,8 +11,8 @@ import (
 	"mirabel/internal/wire"
 )
 
-// ErrUnknownOffer is wrapped by UpdateOffer when no record exists for
-// the given ID. Match with errors.Is.
+// ErrUnknownOffer is wrapped by an UpdateOffers result when no record
+// exists for the given ID. Match with errors.Is.
 var ErrUnknownOffer = errors.New("store: unknown offer")
 
 // ErrReadOnly is returned by every mutator of a store opened with
@@ -203,30 +203,8 @@ func (s *Store) applyMeasurement(m Measurement) {
 	ss.mu.Unlock()
 }
 
-// loggedOffer and loggedUpdate frame one offer mutation into a pooled
-// buffer when the store is durable (nil otherwise); the caller commits
-// it with commitLogged under the record's stripe lock.
-func (s *Store) loggedOffer(r *OfferRecord) *[]byte {
-	if s.w == nil {
-		return nil
-	}
-	buf := wire.GetBuf()
-	*buf = appendOfferFrame(*buf, r)
-	return buf
-}
-
-func (s *Store) loggedUpdate(old, now *OfferRecord) *[]byte {
-	if s.w == nil {
-		return nil
-	}
-	buf := wire.GetBuf()
-	*buf = appendUpdateFrame(*buf, old, now)
-	return buf
-}
-
-// commitLogged commits a frame loggedOffer or loggedUpdate returned,
-// or the prune sweep's, and recycles its buffer; a nil frame (volatile
-// store) is a no-op.
+// commitLogged commits the prune sweep's frame and recycles its
+// buffer; a nil frame (volatile store) is a no-op.
 func (s *Store) commitLogged(buf *[]byte) error {
 	if buf == nil {
 		return nil
@@ -306,65 +284,6 @@ func (s *Store) ApplyIntake(evs []Intake) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// PutOffer upserts a flex-offer record.
-func (s *Store) PutOffer(r OfferRecord) error {
-	if r.Offer == nil {
-		return fmt.Errorf("store: offer record without offer")
-	}
-	if s.readOnly {
-		return ErrReadOnly
-	}
-	frame := s.loggedOffer(&r)
-	id := r.Offer.ID
-	sh := s.offers.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if err := s.commitLogged(frame); err != nil {
-		return err
-	}
-	old, had := sh.m[id]
-	sh.m[id] = r
-	s.offerIdx.update(id, old, had, r)
-	return nil
-}
-
-// UpdateOffer applies mutate to the stored record in one atomic
-// read-modify-write round-trip and returns the stored result. Use it
-// for state transitions that must not interleave with a concurrent
-// writer between a GetOffer and a PutOffer (e.g. a negotiation
-// decision racing the schedule that the decision unlocked). Returns
-// ErrUnknownOffer when no record exists. The rules of OfferUpdate
-// apply: an update that keeps the offer and the owner logs only the
-// transition, and one that changes nothing logs nothing. Batch
-// transitions should prefer UpdateOffers, which logs the whole set as
-// one group commit.
-func (s *Store) UpdateOffer(id flexoffer.ID, mutate func(*OfferRecord)) (OfferRecord, error) {
-	if s.readOnly {
-		return OfferRecord{}, ErrReadOnly
-	}
-	sh := s.offers.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old, ok := sh.m[id]
-	if !ok {
-		return OfferRecord{}, fmt.Errorf("%w: %d", ErrUnknownOffer, id)
-	}
-	r := old
-	mutate(&r)
-	if r.Offer == nil {
-		return OfferRecord{}, fmt.Errorf("store: offer record without offer")
-	}
-	if r == old {
-		return r, nil
-	}
-	if err := s.commitLogged(s.loggedUpdate(&old, &r)); err != nil {
-		return OfferRecord{}, err
-	}
-	sh.m[id] = r
-	s.offerIdx.update(id, old, true, r)
-	return r, nil
 }
 
 // GetOffer returns a flex-offer record by ID.
