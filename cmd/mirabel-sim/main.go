@@ -105,6 +105,11 @@ func printReport(w io.Writer, r *simResult) {
 	}
 	fmt.Fprintf(w, "cycle latency: p50=%v p95=%v p99=%v over %d node-cycles (%d errors)\n",
 		cycleQ(0.50), cycleQ(0.95), cycleQ(0.99), r.CycleLatency.Count(), r.CycleErrors)
+	fmt.Fprint(w, "cycle phases p50:")
+	for p, name := range cyclePhaseNames {
+		fmt.Fprintf(w, " %s=%v", name, time.Duration(r.CyclePhases[p].Quantile(0.5)).Round(time.Microsecond))
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "churn: %d households left mid-contract (%d deferred past a dead BRP), %d offers cancelled, %.2f EUR penalties\n",
 		r.ChurnLeft, r.ChurnDeferred, r.CancelledOffers, r.CancelPenaltyEUR)
 

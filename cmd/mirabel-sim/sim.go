@@ -94,6 +94,9 @@ type simResult struct {
 	NotifyFailures     int
 	CycleErrors        int
 	CycleLatency       obs.Histogram // full-cycle latency (ns), one sample per node-cycle
+	// CyclePhases holds one histogram per reported cycle phase (ns), in
+	// cyclePhaseNames order, one sample per node-cycle.
+	CyclePhases [len(cyclePhaseNames)]obs.Histogram
 
 	ChurnLeft        uint64 // households that left mid-contract
 	ChurnDeferred    uint64 // departures queued because their BRP was down
@@ -114,6 +117,16 @@ type simResult struct {
 
 	LostOffers       []string // acked offers missing from their BRP store after recovery
 	LostMeasurements []string // acked measurement facts missing after recovery
+}
+
+// cyclePhaseNames names the phases a core.CycleReport times, in the
+// order a cycle runs them.
+var cyclePhaseNames = [...]string{"drain", "expiry", "aggregation", "problem", "search", "disaggregation", "commit", "delivery"}
+
+// cyclePhases lists rep's phase times in cyclePhaseNames order.
+func cyclePhases(rep *core.CycleReport) [len(cyclePhaseNames)]time.Duration {
+	return [...]time.Duration{rep.IngestDrainTime, rep.ExpiryTime, rep.AggregationTime, rep.ProblemTime,
+		rep.SchedulingTime, rep.DisaggregationTime, rep.CommitTime, rep.DeliveryTime}
 }
 
 // OffersPerSec is acked-offer throughput over the whole run.
@@ -457,6 +470,9 @@ func (s *sim) runCycles(ctx context.Context) error {
 					return
 				}
 				s.res.CycleLatency.Record(int64(lat))
+				for p, d := range cyclePhases(rep) {
+					s.res.CyclePhases[p].Record(int64(d))
+				}
 				s.res.MicroSchedules += rep.MicroSchedules
 				s.res.Expired += rep.Expired
 				s.res.Reconciled += rep.Reconciled

@@ -27,14 +27,31 @@ type CycleReport struct {
 	// Deprecated: always empty; every owner the cycle cannot reach is
 	// counted in NotifyFailures. ROADMAP B(3) deletes it together with
 	// bench/workloads.go's read.
-	SkippedOwners   []string
-	AggregationTime time.Duration
-	SchedulingTime  time.Duration
-	DeliveryTime    time.Duration // wall time of the fan-out deliver phase
+	SkippedOwners []string
+
+	// The phases' wall times, in the order the cycle runs them. They do
+	// not overlap, and together they cover the cycle but for its
+	// bookkeeping between phases.
+
 	// IngestDrainTime is the wall time of the cycle's intake barrier:
 	// waiting for the ingest queue to apply every acked event so the
 	// snapshot (and commit's offer transitions) see them.
 	IngestDrainTime time.Duration
+	// ExpiryTime is the snapshot's expiry sweep, from taking the node
+	// lock to the store's batch of expiry transitions.
+	ExpiryTime time.Duration
+	// AggregationTime is the pipeline's Process and the aggregates'
+	// snapshots.
+	AggregationTime time.Duration
+	ProblemTime     time.Duration // building the scheduling problem from the forecasts
+	SchedulingTime  time.Duration // the scheduler's search
+	// DisaggregationTime is turning the macro schedules into micro
+	// schedules on the snapshots.
+	DisaggregationTime time.Duration
+	// CommitTime is the commit phase, from taking the node lock to the
+	// planned offers' leaving the pipeline.
+	CommitTime   time.Duration
+	DeliveryTime time.Duration // wall time of the fan-out deliver phase
 }
 
 // RunSchedulingCycle executes the full BRP workflow at planning time now
@@ -90,12 +107,14 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 	// Phase 2: plan — no lock from here until commit. Forecast sources
 	// may be arbitrarily slow (a remote maintainer, a model fit), and
 	// the search is budgeted in wall-clock seconds.
+	t0 := time.Now()
 	problem := buildProblem(now, horizon, aggregates, demandFc, resFc, imbalancePrices)
 	rep.BaselineCost = problem.BaselineCost()
+	rep.ProblemTime = time.Since(t0)
 	if len(aggregates) == 0 {
 		return rep, nil
 	}
-	t0 := time.Now()
+	t0 = time.Now()
 	// The node plans with the paper's randomized greedy search (GS).
 	res, err := (&sched.RandomizedGreedy{}).Schedule(ctx, problem, n.cfg.SchedOpts)
 	if err != nil {
@@ -104,18 +123,22 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 	rep.SchedulingTime = time.Since(t0)
 	rep.ScheduleCost = res.Cost
 
+	t0 = time.Now()
 	micro, err := disaggregateSnapshots(aggregates, problem.Schedules(res.Solution))
 	if err != nil {
 		return nil, err
 	}
 	rep.MicroSchedules = len(micro)
+	rep.DisaggregationTime = time.Since(t0)
 
 	// Phase 3: commit.
+	t0 = time.Now()
 	byOwner, reconciled, err := n.commitMicroSchedules(micro)
 	if err != nil {
 		return nil, err
 	}
 	rep.Reconciled = reconciled
+	rep.CommitTime = time.Since(t0)
 
 	// Phase 4: deliver. Unreachable prosumers are counted, not fatal:
 	// their offers will time out and fall back gracefully.
@@ -146,6 +169,7 @@ func markExpired(rec *store.OfferRecord) { rec.State = store.OfferExpired }
 // (offerExpiredAt), and captures an immutable snapshot of the
 // aggregates for the planner.
 func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleReport) ([]*agg.Aggregate, error) {
+	t0 := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if now > n.planTime {
@@ -170,7 +194,8 @@ func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleRe
 			return nil, err
 		}
 	}
-	t0 := time.Now()
+	rep.ExpiryTime = time.Since(t0)
+	t0 = time.Now()
 	if len(expired) > 0 {
 		if err := n.pipeline.Accumulate(expired...); err != nil {
 			return nil, err

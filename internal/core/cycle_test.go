@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -463,5 +464,55 @@ func TestCycleWithoutSolutionErrors(t *testing.T) {
 		if got := pendingOffers(brp); got != 4 {
 			t.Errorf("%s: %d offers pending after the failed cycle, want 4", tc.name, got)
 		}
+	}
+}
+
+// TestCyclePhasesCoverTheCycle: at the benchmark cycle's shape (5,000
+// offers into ParamsP3 aggregates on a durable store), the phases a
+// CycleReport times never add up to more than the cycle's wall time and
+// cover at least 90 % of it. A cycle whose coverage falls short is run
+// again, up to three rounds, since a preemption between two phases is
+// the host's, not the report's; a sum above the wall time fails at once.
+func TestCyclePhasesCoverTheCycle(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	brp := mustNode(t, nil, Config{Name: "brp1", Store: st, AggParams: agg.ParamsP3,
+		SchedOpts: sched.Options{MaxIterations: 50, Seed: 7}})
+	baseline := StaticForecast(cycleBaseline())
+	var best float64
+	for round := 0; round < 3 && best < 0.9; round++ {
+		now := flexoffer.Time((round + 1) * flexoffer.SlotsPerDay)
+		offers := cycleOffers(now)
+		for i, f := range offers {
+			f.ID = flexoffer.ID(round*len(offers) + i + 1)
+			if d := brp.AcceptOffer(f, "p"+strconv.Itoa(i%50)); !d.Accept {
+				t.Fatalf("offer %d rejected: %s", f.ID, d.Reason)
+			}
+		}
+		t0 := time.Now()
+		rep, err := brp.RunSchedulingCycle(context.Background(), now, baseline, nil, nil)
+		wall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Aggregates < 10 || rep.MicroSchedules < len(offers)/2 {
+			t.Fatalf("round %d planned %d aggregates and %d micro schedules for %d offers; not the cycle's shape",
+				round, rep.Aggregates, rep.MicroSchedules, len(offers))
+		}
+		sum := rep.IngestDrainTime + rep.ExpiryTime + rep.AggregationTime + rep.ProblemTime +
+			rep.SchedulingTime + rep.DisaggregationTime + rep.CommitTime + rep.DeliveryTime
+		if sum > wall {
+			t.Fatalf("round %d: the phases sum to %v, more than the cycle's %v: %+v", round, sum, wall, rep)
+		}
+		cover := float64(sum) / float64(wall)
+		t.Logf("round %d: %d aggregates, %d micro schedules; phases cover %v of %v (%.1f %%)",
+			round, rep.Aggregates, rep.MicroSchedules, sum, wall, 100*cover)
+		best = max(best, cover)
+	}
+	if best < 0.9 {
+		t.Errorf("the phases cover at most %.1f %% of the cycle's wall time, want at least 90 %%", 100*best)
 	}
 }

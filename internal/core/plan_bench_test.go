@@ -12,24 +12,20 @@ import (
 	"mirabel/internal/workload"
 )
 
-// cyclePlanProblem builds the problem one round of the repository
-// benchmark's cycle workload plans: 5,000 generated offers re-based
-// onto the planning time the way the benchmark's generator does it
-// (device profile, time flexibility and price kept; time of day
+// cycleOffers generates the offers one round of the repository
+// benchmark's cycle workload plans at now: 5,000 generated offers
+// re-based onto the planning time the way the benchmark's generator
+// does it (device profile, time flexibility and price kept; time of day
 // compressed into the part of the one-day horizon where the offer
-// fits), expired ones dropped, the rest aggregated with ParamsP3, and
-// buildProblem over the surviving aggregates with the benchmark's
-// midday-surplus baseline and the default flat imbalance price.
-func cyclePlanProblem(tb testing.TB) *sched.Problem {
-	tb.Helper()
+// fits), expired ones dropped.
+func cycleOffers(now flexoffer.Time) []*flexoffer.FlexOffer {
 	const (
 		offers     = 5000
 		horizon    = flexoffer.SlotsPerDay
 		assignLead = 2 * flexoffer.SlotsPerHour
 	)
-	now := flexoffer.Time(flexoffer.SlotsPerDay)
 	end := now + horizon
-	p := agg.NewPipeline(agg.ParamsP3)
+	var out []*flexoffer.FlexOffer
 	for _, base := range workload.GenerateFlexOffers(workload.FlexOfferConfig{Count: offers, Seed: 7}) {
 		f := *base
 		tf := f.TimeFlexibility()
@@ -38,10 +34,35 @@ func cyclePlanProblem(tb testing.TB) *sched.Problem {
 		f.EarliestStart = now + assignLead + flexoffer.Time(offset)
 		f.LatestStart = f.EarliestStart + tf
 		f.AssignBefore = f.EarliestStart - assignLead
-		if offerExpiredAt(&f, now, end) {
-			continue
+		if !offerExpiredAt(&f, now, end) {
+			out = append(out, &f)
 		}
-		if err := p.Accumulate(agg.FlexOfferUpdate{Kind: agg.Insert, Offer: &f}); err != nil {
+	}
+	return out
+}
+
+// cycleBaseline is the benchmark's midday-surplus baseline.
+func cycleBaseline() []float64 {
+	baseline := make([]float64, flexoffer.SlotsPerDay)
+	for i := range baseline {
+		s := math.Sin(math.Pi * float64(i) / flexoffer.SlotsPerDay)
+		baseline[i] = 200 - 1400*s*s
+	}
+	return baseline
+}
+
+// cyclePlanProblem builds the problem one round of the repository
+// benchmark's cycle workload plans: cycleOffers aggregated with
+// ParamsP3, and buildProblem over the surviving aggregates with the
+// benchmark's baseline and the default flat imbalance price.
+func cyclePlanProblem(tb testing.TB) *sched.Problem {
+	tb.Helper()
+	const horizon = flexoffer.SlotsPerDay
+	now := flexoffer.Time(flexoffer.SlotsPerDay)
+	end := now + horizon
+	p := agg.NewPipeline(agg.ParamsP3)
+	for _, f := range cycleOffers(now) {
+		if err := p.Accumulate(agg.FlexOfferUpdate{Kind: agg.Insert, Offer: f}); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -52,12 +73,7 @@ func cyclePlanProblem(tb testing.TB) *sched.Problem {
 			aggregates = append(aggregates, a)
 		}
 	}
-	baseline := make([]float64, horizon)
-	for i := range baseline {
-		s := math.Sin(math.Pi * float64(i) / horizon)
-		baseline[i] = 200 - 1400*s*s
-	}
-	return buildProblem(now, horizon, aggregates, StaticForecast(baseline), nil, nil)
+	return buildProblem(now, horizon, aggregates, StaticForecast(cycleBaseline()), nil, nil)
 }
 
 // BenchmarkCyclePlan times the cycle's search alone: the node's
