@@ -125,4 +125,8 @@ func (k UpdateKind) String() string {
 type FlexOfferUpdate struct {
 	Kind  UpdateKind
 	Offer *flexoffer.FlexOffer
+	// Slot is the caller's handle to where it keeps the offer (a node:
+	// its store record), carried by an Insert and handed back by Member
+	// and LeaveWhole. The pipeline never reads it.
+	Slot uint32
 }

@@ -15,28 +15,35 @@ type group struct {
 	key  groupKey
 	agg  *Aggregate // nil only while Process builds a new group's aggregate
 	slot int        // 1 + index into Pipeline.deltas; 0 = untouched
+	// leaving says every member leaves at the next Process (LeaveWhole).
+	leaving bool
 }
 
-// member is one applied offer and the group it lives in.
+// member is one held offer, the group it lives in (nil while its
+// insert is pending) and the slot its caller gave it
+// (FlexOfferUpdate.Slot).
 type member struct {
-	g   *group
-	off *flexoffer.FlexOffer
+	g    *group
+	off  *flexoffer.FlexOffer
+	slot uint32
 }
 
 // delta is what one Process batch does to one group: the offers that
-// join it and the members that leave it.
+// join it and the members that leave it, or, when whole is set, every
+// member leaving.
 type delta struct {
 	g              *group
 	added, removed []*flexoffer.FlexOffer
+	whole          bool
 }
 
 // pendingUndo is an offer's pending state before one recorded update:
-// its pending insert (nil when it had none) and its pending delete
+// its pending insert (off nil when it had none) and its pending delete
 // (zero when it had none). A batch that fails validation half way
 // restores it.
 type pendingUndo struct {
 	id  flexoffer.ID
-	ins *flexoffer.FlexOffer
+	ins member
 	del member
 }
 
@@ -51,7 +58,9 @@ type pendingUndo struct {
 //
 // The pipeline is also the one index of the offers it holds: an applied
 // member that is not leaving, or a pending insert (Offer, NumOffers,
-// EachOffer).
+// EachOffer). Each held offer carries an opaque slot for its caller
+// (FlexOfferUpdate.Slot, Member, LeaveWhole): a node keeps there where
+// the offer's store record lives.
 //
 // Accumulate validates each batch against the membership index and the
 // already-pending updates as it records it, and undoes the batch's
@@ -69,13 +78,17 @@ type Pipeline struct {
 	// offer lives in. Delete validation is a map lookup — the offer's
 	// grouping key is never re-derived from caller-supplied attributes.
 	byID map[flexoffer.ID]member
-	// byAggID finds an aggregate by its macro flex-offer ID.
-	byAggID map[flexoffer.ID]*Aggregate
+	// byAggID finds a group by its aggregate's macro flex-offer ID.
+	byAggID map[flexoffer.ID]*group
 
 	// Net-effect pending state, applied by Process. A pending delete
-	// keeps the membership it removes.
-	pendingIns map[flexoffer.ID]*flexoffer.FlexOffer
+	// keeps the membership it removes. leaving lists the groups whose
+	// every member leaves (LeaveWhole), and leavingN counts those
+	// members.
+	pendingIns map[flexoffer.ID]member
 	pendingDel map[flexoffer.ID]member
+	leaving    []*group
+	leavingN   int
 
 	// Scratch reused across calls, so neither a single-offer Accumulate
 	// nor a Process allocates bookkeeping of its own.
@@ -93,8 +106,8 @@ func NewPipeline(params Params, _ ...BinPackerOptions) *Pipeline {
 		nextID:     1,
 		groups:     make(map[groupKey]*group),
 		byID:       make(map[flexoffer.ID]member),
-		byAggID:    make(map[flexoffer.ID]*Aggregate),
-		pendingIns: make(map[flexoffer.ID]*flexoffer.FlexOffer),
+		byAggID:    make(map[flexoffer.ID]*group),
+		pendingIns: make(map[flexoffer.ID]member),
 		pendingDel: make(map[flexoffer.ID]member),
 	}
 }
@@ -110,7 +123,7 @@ func (p *Pipeline) Accumulate(updates ...FlexOfferUpdate) error {
 		if err := p.accumulate(u); err != nil {
 			for i := len(p.undo) - 1; i >= 0; i-- {
 				r := p.undo[i]
-				if r.ins != nil {
+				if r.ins.off != nil {
 					p.pendingIns[r.id] = r.ins
 				} else {
 					delete(p.pendingIns, r.id)
@@ -136,7 +149,7 @@ func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 			return fmt.Errorf("agg: rejecting offer: %w", err)
 		}
 		id := u.Offer.ID
-		if p.pendingIns[id] != nil {
+		if p.pendingIns[id].off != nil {
 			return fmt.Errorf("agg: duplicate flex-offer id %d", id)
 		}
 		var leaving member
@@ -151,21 +164,21 @@ func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 			// The very offer comes back before it left: net effect zero.
 			delete(p.pendingDel, id)
 		} else {
-			p.pendingIns[id] = u.Offer
+			p.pendingIns[id] = member{off: u.Offer, slot: u.Slot}
 		}
 	case Delete:
 		if u.Offer == nil {
 			return fmt.Errorf("agg: delete of nil flex-offer")
 		}
 		id := u.Offer.ID
-		if prev := p.pendingIns[id]; prev != nil {
+		if prev := p.pendingIns[id]; prev.off != nil {
 			// Cancel the not-yet-processed insert: net effect zero.
 			p.undo = append(p.undo, pendingUndo{id: id, ins: prev, del: p.pendingDel[id]})
 			delete(p.pendingIns, id)
 			return nil
 		}
 		m, applied := p.byID[id]
-		if _, leaving := p.pendingDel[id]; !applied || leaving {
+		if _, leaving := p.pendingDel[id]; !applied || leaving || m.g.leaving {
 			return fmt.Errorf("agg: delete of unknown flex-offer id %d", id)
 		}
 		p.undo = append(p.undo, pendingUndo{id: id})
@@ -185,11 +198,20 @@ func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 // pending insert landing in it, is retired whole instead of replaying
 // the removals.
 func (p *Pipeline) Process() {
-	if len(p.pendingIns) == 0 && len(p.pendingDel) == 0 {
+	if len(p.pendingIns) == 0 && len(p.pendingDel) == 0 && len(p.leaving) == 0 {
 		return
 	}
 	// Removals before additions: an offer deleted and re-inserted in one
 	// batch leaves its old group before joining the new one.
+	for _, grp := range p.leaving {
+		for _, m := range grp.agg.members {
+			delete(p.byID, m.ID)
+		}
+		grp.leaving = false
+		p.touch(grp).whole = true
+	}
+	clear(p.leaving)
+	p.leaving, p.leavingN = p.leaving[:0], 0
 	for id, m := range p.pendingDel {
 		delete(p.byID, id)
 		d := p.touch(m.g)
@@ -200,14 +222,15 @@ func (p *Pipeline) Process() {
 	}
 	slices.Sort(p.ins)
 	for _, id := range p.ins {
-		off := p.pendingIns[id]
+		pm := p.pendingIns[id]
+		off := pm.off
 		k := p.params.keyOf(off)
 		grp := p.groups[k]
 		if grp == nil {
 			grp = &group{key: k}
 			p.groups[k] = grp
 		}
-		p.byID[id] = member{g: grp, off: off}
+		p.byID[id] = member{g: grp, off: off, slot: pm.slot}
 		d := p.touch(grp)
 		d.added = append(d.added, off)
 	}
@@ -234,7 +257,13 @@ func (p *Pipeline) apply(d *delta) {
 		a = buildAggregate(p.nextID, d.added)
 		p.nextID++
 		grp.agg = a
-		p.byAggID[a.Offer.ID] = a
+		p.byAggID[a.Offer.ID] = grp
+	case d.whole:
+		// What removing every member one by one comes to: one Version
+		// bump, and the batch's joiners built from scratch under the
+		// aggregate's ID.
+		a.retire()
+		alive = len(d.added) > 0 && a.rebuildWith(d.added)
 	case len(d.added) == 0 && len(d.removed) == a.NumMembers():
 		a.retire()
 		alive = false
@@ -283,29 +312,88 @@ func (p *Pipeline) Apply(updates ...FlexOfferUpdate) error {
 // Offer returns the held offer with the given ID: an applied member
 // that is not leaving, or a pending insert.
 func (p *Pipeline) Offer(id flexoffer.ID) (*flexoffer.FlexOffer, bool) {
-	if f := p.pendingIns[id]; f != nil {
-		return f, true
+	off, _, ok := p.Member(id)
+	return off, ok
+}
+
+// Member is Offer that also returns the offer's slot.
+func (p *Pipeline) Member(id flexoffer.ID) (*flexoffer.FlexOffer, uint32, bool) {
+	if m := p.pendingIns[id]; m.off != nil {
+		return m.off, m.slot, true
 	}
 	if _, leaving := p.pendingDel[id]; leaving {
-		return nil, false
+		return nil, 0, false
 	}
 	m, ok := p.byID[id]
-	return m.off, ok
+	if !ok || m.g.leaving {
+		return nil, 0, false
+	}
+	return m.off, m.slot, true
+}
+
+// SetSlot sets the slot of the pending insert with the given ID: a
+// caller that learns where the offer's record lives only after
+// accumulating its insert.
+func (p *Pipeline) SetSlot(id flexoffer.ID, slot uint32) {
+	if m := p.pendingIns[id]; m.off != nil {
+		m.slot = slot
+		p.pendingIns[id] = m
+	}
+}
+
+// LeaveWhole queues the departure of every member of the live aggregate
+// snap is a snapshot of, for the next Process, provided it is still at
+// snap's Version and none of its members is already leaving: the
+// members leave in one pass over the group, with no per-member delete.
+// It appends each member's slot to slots, in member order — the order
+// of snap's members and of the schedules snap.Disaggregate returns —
+// and reports whether it queued the departure; when it did not, slots
+// comes back as it was. Until Process, Offer no longer finds the
+// members, and StayWhole takes the departure back.
+func (p *Pipeline) LeaveWhole(snap *Aggregate, slots []uint32) ([]uint32, bool) {
+	grp := p.byAggID[snap.Offer.ID]
+	if grp == nil || grp.leaving || grp.agg.Version != snap.Version {
+		return slots, false
+	}
+	n := len(slots)
+	for _, off := range grp.agg.members {
+		if _, deleting := p.pendingDel[off.ID]; deleting {
+			return slots[:n], false
+		}
+		slots = append(slots, p.byID[off.ID].slot)
+	}
+	grp.leaving = true
+	p.leaving = append(p.leaving, grp)
+	p.leavingN += grp.agg.NumMembers()
+	return slots, true
+}
+
+// StayWhole takes back a departure LeaveWhole queued for snap's
+// aggregate: its members are held again, as they were.
+func (p *Pipeline) StayWhole(snap *Aggregate) {
+	grp := p.byAggID[snap.Offer.ID]
+	if grp == nil || !grp.leaving {
+		return
+	}
+	grp.leaving = false
+	p.leavingN -= grp.agg.NumMembers()
+	i := slices.Index(p.leaving, grp)
+	p.leaving = slices.Delete(p.leaving, i, i+1)
 }
 
 // NumOffers returns how many offers the pipeline holds (see Offer).
 func (p *Pipeline) NumOffers() int {
-	return len(p.byID) - len(p.pendingDel) + len(p.pendingIns)
+	return len(p.byID) - len(p.pendingDel) - p.leavingN + len(p.pendingIns)
 }
 
 // EachOffer calls fn for every held offer (see Offer), in no particular
 // order. fn must not change the pipeline.
 func (p *Pipeline) EachOffer(fn func(*flexoffer.FlexOffer)) {
-	for _, f := range p.pendingIns {
-		fn(f)
+	for _, m := range p.pendingIns {
+		fn(m.off)
 	}
 	for id, m := range p.byID {
-		if _, leaving := p.pendingDel[id]; !leaving {
+		if _, leaving := p.pendingDel[id]; !leaving && !m.g.leaving {
 			fn(m.off)
 		}
 	}
@@ -326,11 +414,11 @@ func (p *Pipeline) Aggregates() []*Aggregate {
 func (p *Pipeline) Disaggregate(scheds []*flexoffer.Schedule) ([]*flexoffer.Schedule, error) {
 	var out []*flexoffer.Schedule
 	for _, s := range scheds {
-		a, ok := p.byAggID[s.OfferID]
+		grp, ok := p.byAggID[s.OfferID]
 		if !ok {
 			return nil, fmt.Errorf("agg: no aggregate with id %d", s.OfferID)
 		}
-		ms, err := a.Disaggregate(s)
+		ms, err := grp.agg.Disaggregate(s)
 		if err != nil {
 			return nil, err
 		}

@@ -131,7 +131,7 @@ func TestCommitDuplicateMicroScheduleReconciled(t *testing.T) {
 		// Commit runs behind the planner's intake barrier.
 		drain(t, brp)
 		walBefore := st.WALStats().Records
-		byOwner, reconciled, err := brp.commitMicroSchedules([]*flexoffer.Schedule{first, dup})
+		byOwner, reconciled, err := brp.commitMicroSchedules([]plannedAggregate{{micro: []*flexoffer.Schedule{first, dup}}})
 		if err != nil {
 			t.Fatalf("commit with duplicate schedule: %v", err)
 		}

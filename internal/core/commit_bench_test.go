@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"mirabel/internal/agg"
@@ -12,19 +13,28 @@ import (
 // BenchmarkCycleCommit times the commit phase of one scheduling cycle in
 // the repository benchmark's cycle shape: 5,000 micro schedules from 50
 // aggregates of 100 members go through commitMicroSchedules on a durable
-// store that already holds 100,000 scheduled offers, so the state index
-// the commit moves ids into is the size a long cycle run sees. Intake,
-// aggregation and disaggregation run untimed before each commit.
+// store that already holds 5k, 100k or 400k scheduled offers, so the
+// table the commit writes into is the size a short, a long and a very
+// long cycle run sees. Intake, aggregation, snapshots and
+// disaggregation run untimed before each commit.
 func BenchmarkCycleCommit(b *testing.B) {
+	for _, preloaded := range []int{5_000, 100_000, 400_000} {
+		b.Run(fmt.Sprintf("preloaded=%dk", preloaded/1000), func(b *testing.B) {
+			benchmarkCycleCommit(b, preloaded)
+		})
+	}
+}
+
+func benchmarkCycleCommit(b *testing.B, preloaded int) {
 	const (
-		preloaded = 100_000
-		groups    = 50
-		members   = 100
+		groups  = 50
+		members = 100
 	)
 	st, err := store.Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer st.Close()
 	for lo := 1; lo <= preloaded; lo += 1000 {
 		bt := store.NewBatch()
 		for id := lo; id < lo+1000; id++ {
@@ -58,23 +68,27 @@ func BenchmarkCycleCommit(b *testing.B) {
 		if err := n.DrainIngest(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		var micro []*flexoffer.Schedule
+		var plan []plannedAggregate
 		for _, a := range aggregates(n) {
-			ms, err := a.Snapshot().Disaggregate(a.Offer.DefaultSchedule())
+			snap := a.Snapshot()
+			ms, err := snap.Disaggregate(snap.Offer.DefaultSchedule())
 			if err != nil {
 				b.Fatal(err)
 			}
-			micro = append(micro, ms...)
+			plan = append(plan, plannedAggregate{snap: snap, micro: ms})
 		}
-		if len(micro) != groups*members {
-			b.Fatalf("%d micro schedules, want %d", len(micro), groups*members)
+		if len(plan) != groups {
+			b.Fatalf("%d planned aggregates, want %d", len(plan), groups)
 		}
 		b.StartTimer()
-		byOwner, reconciled, err := n.commitMicroSchedules(micro)
+		byOwner, reconciled, err := n.commitMicroSchedules(plan)
 		if err != nil || reconciled != 0 || len(byOwner) == 0 {
 			b.Fatalf("commit: %d owners, %d reconciled, %v", len(byOwner), reconciled, err)
 		}
 	}
 	b.StopTimer()
+	if got := pendingOffers(n); got != 0 {
+		b.Fatalf("%d offers still pending after the commits", got)
+	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
 }

@@ -124,16 +124,18 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 	rep.ScheduleCost = res.Cost
 
 	t0 = time.Now()
-	micro, err := disaggregateSnapshots(aggregates, problem.Schedules(res.Solution))
+	plan, err := disaggregateSnapshots(aggregates, problem.Schedules(res.Solution))
 	if err != nil {
 		return nil, err
 	}
-	rep.MicroSchedules = len(micro)
+	for _, pa := range plan {
+		rep.MicroSchedules += len(pa.micro)
+	}
 	rep.DisaggregationTime = time.Since(t0)
 
 	// Phase 3: commit.
 	t0 = time.Now()
-	byOwner, reconciled, err := n.commitMicroSchedules(micro)
+	byOwner, reconciled, err := n.commitMicroSchedules(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -265,13 +267,14 @@ func buildProblem(now flexoffer.Time, horizon int, aggregates []*agg.Aggregate, 
 
 // disaggregateSnapshots turns the planner's macro schedules into micro
 // schedules using the snapshot aggregates — never the live pipeline,
-// which may have changed while the plan ran.
-func disaggregateSnapshots(snaps []*agg.Aggregate, scheds []*flexoffer.Schedule) ([]*flexoffer.Schedule, error) {
+// which may have changed while the plan ran — one plannedAggregate per
+// macro schedule.
+func disaggregateSnapshots(snaps []*agg.Aggregate, scheds []*flexoffer.Schedule) ([]plannedAggregate, error) {
 	byID := make(map[flexoffer.ID]*agg.Aggregate, len(snaps))
 	for _, a := range snaps {
 		byID[a.Offer.ID] = a
 	}
-	var out []*flexoffer.Schedule
+	out := make([]plannedAggregate, 0, len(scheds))
 	for _, s := range scheds {
 		a, ok := byID[s.OfferID]
 		if !ok {
@@ -281,7 +284,7 @@ func disaggregateSnapshots(snaps []*agg.Aggregate, scheds []*flexoffer.Schedule)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ms...)
+		out = append(out, plannedAggregate{snap: a, micro: ms})
 	}
 	return out, nil
 }

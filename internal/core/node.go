@@ -141,6 +141,8 @@ type Node struct {
 	// exactly while the pipeline holds it (agg.Pipeline.Offer).
 	pipeline *agg.Pipeline
 	valuator *negotiate.Valuator
+	// commit is the commit phase's staging, reused across cycles.
+	commit commitScratch
 
 	// planTime is the node's latest planning time: the start slot of
 	// the most recent scheduling cycle. Offer valuation is anchored at
@@ -390,13 +392,19 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 	// submission. The record is acked on the WAL's group commit and
 	// applied to the store asynchronously.
 	rec := store.OfferRecord{Offer: priced, Owner: owner, State: state}
-	if err := n.ingest.SubmitOffer(ctx, rec); err != nil {
+	slot, err := n.ingest.SubmitOfferSlot(ctx, rec)
+	if err != nil {
 		if decision.Accept {
 			// Keep the pipeline consistent with the store: the delete
 			// cancels the still-pending insert at zero cost.
 			_ = n.pipeline.Accumulate(agg.FlexOfferUpdate{Kind: agg.Delete, Offer: priced})
 		}
 		return negotiate.Decision{Accept: false, Reason: err.Error()}
+	}
+	if decision.Accept {
+		// The pending offer carries the slot its record will be applied
+		// into, so the cycle's commit writes the record in place.
+		n.pipeline.SetSlot(priced.ID, uint32(slot))
 	}
 	return decision
 }

@@ -77,8 +77,16 @@ func Open(cfg Config) (*Queue, error) {
 // rejected record is stored only if no record holds its ID when it
 // applies.
 func (q *Queue) SubmitOffer(ctx context.Context, rec store.OfferRecord) error {
+	_, err := q.SubmitOfferSlot(ctx, rec)
+	return err
+}
+
+// SubmitOfferSlot is SubmitOffer that also returns the Slot the record
+// will live in once the applier has applied it (store.AppendOffer), so
+// a later OfferUpdate can name it.
+func (q *Queue) SubmitOfferSlot(ctx context.Context, rec store.OfferRecord) (store.Slot, error) {
 	if rec.Offer == nil {
-		return fmt.Errorf("ingest: offer record without offer")
+		return store.NoSlot, fmt.Errorf("ingest: offer record without offer")
 	}
 	return q.submit(ctx, store.Intake{Offer: &rec})
 }
@@ -97,18 +105,21 @@ func (q *Queue) SubmitMeasurements(ctx context.Context, ms []store.Measurement) 
 				i, ms[i].Actor, ms[i].EnergyType, ms[i].Slot, ms[i].KWh)
 		}
 	}
-	return q.submit(ctx, store.Intake{Meas: ms})
+	_, err := q.submit(ctx, store.Intake{Meas: ms})
+	return err
 }
 
-func (q *Queue) submit(ctx context.Context, ev store.Intake) error {
+// submit acks ev and returns the Slot of its offer record (NoSlot for a
+// meter batch).
+func (q *Queue) submit(ctx context.Context, ev store.Intake) (store.Slot, error) {
 	if q.closed.Load() {
-		return ErrClosed
+		return store.NoSlot, ErrClosed
 	}
 	start := time.Now()
 	q.gate.RLock()
 	defer q.gate.RUnlock()
 	if q.closed.Load() {
-		return ErrClosed
+		return store.NoSlot, ErrClosed
 	}
 
 	// Only an acked event is ever applied: take its queue slot first
@@ -116,14 +127,21 @@ func (q *Queue) submit(ctx context.Context, ev store.Intake) error {
 	// to the WAL, whose leader stages it (stage) only once the write
 	// succeeded.
 	if err := q.reserve(ctx); err != nil {
-		return err
+		return store.NoSlot, err
 	}
-	if err := q.cfg.Store.AppendIntake(ev); err != nil {
+	var slot store.Slot
+	var err error
+	if ev.Offer != nil {
+		slot, err = q.cfg.Store.AppendOffer(ev.Offer)
+	} else {
+		err = q.cfg.Store.AppendIntake(ev)
+	}
+	if err != nil {
 		q.release(1)
-		return fmt.Errorf("ingest: log event: %w", err)
+		return store.NoSlot, fmt.Errorf("ingest: log event: %w", err)
 	}
 	q.stats.ack.Record(int64(time.Since(start)))
-	return nil
+	return slot, nil
 }
 
 // stage is the store's intake handoff: the WAL's leader calls it for

@@ -168,13 +168,13 @@ func transitionCancelled(st *store.Store, ids []flexoffer.ID) error {
 			rec.State = store.OfferCancelled
 		}}
 	}
-	results, err := st.UpdateOffers(ups)
+	failed, err := st.UpdateOffers(ups)
 	if err != nil {
 		return err
 	}
-	for i, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("settle: cancel offer %d: %w", ids[i], r.Err)
+	for i, err := range failed {
+		if err != nil {
+			return fmt.Errorf("settle: cancel offer %d: %w", ids[i], err)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"mirabel/internal/flexoffer"
 	"mirabel/internal/wire"
@@ -63,14 +64,14 @@ func (s *Store) ApplyBatch(b *Batch) error {
 
 	var touched uint64
 	for i := range b.recs {
-		touched |= 1 << s.offers.shardIndex(b.recs[i].Offer.ID)
+		touched |= 1 << s.offers.stripeOf(b.recs[i].Offer.ID)
 	}
 	s.offers.lockStripes(touched)
 	defer s.offers.unlockStripes(touched)
 
 	// One group commit for the whole batch.
 	if s.w != nil {
-		if err := s.w.commit([][]byte{*frames}, len(b.recs), nil); err != nil {
+		if _, err := s.w.commit([][]byte{*frames}, len(b.recs), nil); err != nil {
 			return err
 		}
 	}
@@ -78,9 +79,7 @@ func (s *Store) ApplyBatch(b *Batch) error {
 	// Apply under the held locks.
 	for _, r := range b.recs {
 		id := r.Offer.ID
-		sh := s.offers.shard(id)
-		old, had := sh.m[id]
-		sh.m[id] = r
+		old, had := s.offers.put(id, r)
 		s.offerIdx.update(id, old, had, r)
 	}
 	return nil
@@ -96,35 +95,45 @@ func (s *Store) ApplyBatch(b *Batch) error {
 // changes nothing (the same Offer pointer, Owner, State and Schedule
 // pointer) is neither logged nor applied.
 type OfferUpdate struct {
-	ID     flexoffer.ID
+	ID flexoffer.ID
+	// Slot, when set, is where the record lives — the Slot AppendIntake
+	// returned for it — and the update mutates it there without looking
+	// ID up. A Slot that no longer holds ID's record is passed over, and
+	// the update finds the record by ID.
+	Slot   Slot
 	Mutate func(*OfferRecord)
 }
 
-// OfferUpdateResult is the per-update outcome of UpdateOffers: the
-// stored record after the mutation, or ErrUnknownOffer (match with
-// errors.Is) when no record existed.
-type OfferUpdateResult struct {
-	Record OfferRecord
-	Err    error
-
-	// prev is the record the update replaced, when it changed one: a
-	// failed commit restores it, and the state index moves off its state.
-	prev    OfferRecord
-	changed bool
+// offerChange is one applied mutation of an UpdateOffers batch: where
+// the record lives, what it was before and the state the mutation left
+// it in. A failed commit restores prev; a committed one moves id in the
+// state index from prev.State to now.
+type offerChange struct {
+	rec  *OfferRecord
+	prev OfferRecord
+	id   flexoffer.ID
+	now  OfferState
 }
 
+// offerChanges recycles UpdateOffers' change lists, so a batch
+// allocates nothing per update.
+var offerChanges = sync.Pool{New: func() any { return new([]offerChange) }}
+
 // UpdateOffers applies a batch of atomic offer transitions: all touched
-// stripes are locked at once (in stripe order), every mutation that
-// changes its record is logged — as a transition when it kept the offer
-// and the owner — and the whole set is committed as one WAL group, then
+// stripes are locked at once (in stripe order), each record is mutated
+// in place — at the update's Slot, or found by ID — every mutation that
+// changes its record is logged (as a transition when it kept the offer
+// and the owner), and the whole set is committed as one WAL group, then
 // indexed under one index lock. Per-update failures (unknown id, record
-// left without an offer) are reported in the result slice without
-// failing the batch; the returned error is reserved for log failures, in
-// which case nothing was applied.
+// left without an offer) leave their record as it was and are reported
+// in failed, which is nil when every update applied and otherwise holds
+// one entry per update (nil for the ones that applied); ErrUnknownOffer
+// marks an id no record holds (match with errors.Is). The returned error
+// is reserved for log failures, in which case nothing was applied.
 //
 // Updates listing the same id chain: each mutation sees its
 // predecessor's result.
-func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error) {
+func (s *Store) UpdateOffers(updates []OfferUpdate) (failed []error, err error) {
 	if s.readOnly {
 		return nil, ErrReadOnly
 	}
@@ -133,66 +142,69 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) ([]OfferUpdateResult, error)
 	}
 
 	var touched uint64
-	for _, u := range updates {
-		touched |= 1 << s.offers.shardIndex(u.ID)
+	for i := range updates {
+		touched |= 1 << s.offers.stripeOf(updates[i].ID)
 	}
 	s.offers.lockStripes(touched)
 	defer s.offers.unlockStripes(touched)
 
-	// Apply every mutation under the locks, in order, so same-id updates
+	// Mutate every record in place, in update order, so same-id updates
 	// chain through the table itself, and frame each one that changes its
 	// record. No reader can see the table until the locks go, and a
 	// failed commit restores every changed record, last first.
-	results := make([]OfferUpdateResult, len(updates))
 	var frames *[]byte
 	if s.w != nil {
 		frames = wire.GetBuf()
 		defer wire.PutBuf(frames)
 	}
-	changed := 0
-	for i, u := range updates {
-		res := &results[i]
-		sh := s.offers.shard(u.ID)
-		old, ok := sh.m[u.ID]
-		if !ok {
-			res.Err = fmt.Errorf("%w: %d", ErrUnknownOffer, u.ID)
+	changes := offerChanges.Get().(*[]offerChange)
+	defer func() {
+		clear(*changes)
+		*changes = (*changes)[:0]
+		offerChanges.Put(changes)
+	}()
+	fail := func(i int, err error) {
+		if failed == nil {
+			failed = make([]error, len(updates))
+		}
+		failed[i] = err
+	}
+	for i := range updates {
+		u := &updates[i]
+		r := s.offers.locate(u.ID, u.Slot)
+		if r == nil {
+			fail(i, fmt.Errorf("%w: %d", ErrUnknownOffer, u.ID))
 			continue
 		}
-		// Mutate edits the result in place: a local copy handed to the
-		// closure would escape to the heap, one allocation per update.
-		res.Record = old
-		u.Mutate(&res.Record)
-		r := &res.Record
+		prev := *r
+		u.Mutate(r)
 		if r.Offer == nil {
-			res.Record, res.Err = OfferRecord{}, fmt.Errorf("store: offer record without offer")
+			*r = prev
+			fail(i, fmt.Errorf("store: offer record without offer"))
 			continue
 		}
-		if *r == old {
+		if *r == prev {
 			continue
 		}
 		if frames != nil {
-			*frames = appendUpdateFrame(*frames, &old, r)
+			*frames = appendUpdateFrame(*frames, &prev, r)
 		}
-		sh.m[u.ID] = *r
-		res.prev, res.changed = old, true
-		changed++
+		*changes = append(*changes, offerChange{rec: r, prev: prev, id: u.ID, now: r.State})
 	}
 
-	if frames != nil && changed > 0 {
-		if err := s.w.commit([][]byte{*frames}, changed, nil); err != nil {
-			for i := len(updates) - 1; i >= 0; i-- {
-				if results[i].changed {
-					id := updates[i].ID
-					s.offers.shard(id).m[id] = results[i].prev
-				}
+	if frames != nil && len(*changes) > 0 {
+		if _, err := s.w.commit([][]byte{*frames}, len(*changes), nil); err != nil {
+			for i := len(*changes) - 1; i >= 0; i-- {
+				c := &(*changes)[i]
+				*c.rec = c.prev
 			}
 			return nil, err
 		}
 	}
-	if changed > 0 {
-		s.offerIdx.move(updates, results)
+	if len(*changes) > 0 {
+		s.offerIdx.move(*changes)
 	}
-	return results, nil
+	return failed, nil
 }
 
 func sortSeriesByID(series []*slotSeries) {

@@ -330,7 +330,7 @@ func TestUpdateOffersBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	results, err := s.UpdateOffers([]OfferUpdate{
+	failed, err := s.UpdateOffers([]OfferUpdate{
 		{ID: 1, Mutate: func(r *OfferRecord) { r.State = OfferScheduled }},
 		{ID: 99, Mutate: func(r *OfferRecord) { r.State = OfferScheduled }},
 		{ID: 2, Mutate: func(r *OfferRecord) { r.State = OfferScheduled }},
@@ -343,14 +343,17 @@ func TestUpdateOffersBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err != nil || results[0].Record.State != OfferScheduled {
-		t.Errorf("result[0] = %+v", results[0])
+	if len(failed) != 4 || failed[0] != nil || failed[2] != nil || failed[3] != nil {
+		t.Errorf("failed = %v, want the unknown id's failure alone", failed)
 	}
-	if !errors.Is(results[1].Err, ErrUnknownOffer) {
-		t.Errorf("result[1].Err = %v, want ErrUnknownOffer", results[1].Err)
+	if rec, _ := s.GetOffer(1); rec.State != OfferScheduled {
+		t.Errorf("offer 1 = %+v, want scheduled", rec)
 	}
-	if results[3].Err != nil || results[3].Record.State != OfferExecuted {
-		t.Errorf("chained result = %+v", results[3])
+	if !errors.Is(failed[1], ErrUnknownOffer) {
+		t.Errorf("failed[1] = %v, want ErrUnknownOffer", failed[1])
+	}
+	if rec, _ := s.GetOffer(2); rec.State != OfferExecuted {
+		t.Errorf("chained offer 2 = %+v, want executed", rec)
 	}
 	counts := s.CountOffersByState()
 	if counts[OfferScheduled] != 1 || counts[OfferExecuted] != 1 || counts[OfferAccepted] != 1 {
@@ -598,8 +601,11 @@ func TestUpdateLogsOnlyWhatChanged(t *testing.T) {
 	sameState := func(r *OfferRecord) { r.State = OfferAccepted }
 	transition(t, s, 1, noop)
 	transition(t, s, 1, sameState)
-	if res, err := s.UpdateOffers([]OfferUpdate{{ID: 1, Mutate: noop}, {ID: 1, Mutate: sameState}}); err != nil || res[1].Record.State != OfferAccepted {
-		t.Fatalf("no-op batch = %+v, %v", res, err)
+	if failed, err := s.UpdateOffers([]OfferUpdate{{ID: 1, Mutate: noop}, {ID: 1, Mutate: sameState}}); err != nil || failed != nil {
+		t.Fatalf("no-op batch = %v, %v", failed, err)
+	}
+	if rec, _ := s.GetOffer(1); rec.State != OfferAccepted {
+		t.Fatalf("after the no-op batch: %+v, want accepted", rec)
 	}
 	if got := s.WALStats().Records; got != 1 {
 		t.Fatalf("no-op updates logged: %d records, want the put alone", got)

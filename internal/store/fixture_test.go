@@ -16,9 +16,13 @@ func (s *Store) PutOffer(r OfferRecord) error {
 // UpdateOffer applies mutate to the stored record as a one-update
 // UpdateOffers call and returns the stored result.
 func (s *Store) UpdateOffer(id flexoffer.ID, mutate func(*OfferRecord)) (OfferRecord, error) {
-	res, err := s.UpdateOffers([]OfferUpdate{{ID: id, Mutate: mutate}})
+	failed, err := s.UpdateOffers([]OfferUpdate{{ID: id, Mutate: mutate}})
 	if err != nil {
 		return OfferRecord{}, err
 	}
-	return res[0].Record, res[0].Err
+	if failed != nil {
+		return OfferRecord{}, failed[0]
+	}
+	rec, _ := s.GetOffer(id)
+	return rec, nil
 }

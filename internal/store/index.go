@@ -55,27 +55,42 @@ func (ix *offerIndex) update(id flexoffer.ID, old OfferRecord, had bool, now Off
 
 // move records the state transitions of an applied UpdateOffers batch
 // under one index lock, resolving the from/to sets once per run of
-// equal state pairs. Caller holds the write locks of every stripe the
-// updated ids live on.
-func (ix *offerIndex) move(updates []OfferUpdate, results []OfferUpdateResult) {
+// equal state pairs and moving the ids of a run that share a set word
+// together. Caller holds the write locks of every stripe the changed
+// ids live on.
+func (ix *offerIndex) move(changes []offerChange) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	var (
 		fromState, toState OfferState
 		from, to           *idSet
+		word               flexoffer.ID
+		mask               uint64 // the ids of word still to move
 	)
-	for i := range results {
-		r := &results[i]
-		if !r.changed || r.prev.State == r.Record.State {
+	flush := func() {
+		if mask != 0 {
+			from.removeWord(word, mask)
+			to.addWord(word, mask)
+			mask = 0
+		}
+	}
+	for i := range changes {
+		c := &changes[i]
+		if c.prev.State == c.now {
 			continue
 		}
-		if to == nil || r.prev.State != fromState || r.Record.State != toState {
-			fromState, toState = r.prev.State, r.Record.State
+		if to == nil || c.prev.State != fromState || c.now != toState {
+			flush()
+			fromState, toState = c.prev.State, c.now
 			from, to = ix.set(fromState), ix.set(toState)
 		}
-		from.remove(updates[i].ID)
-		to.add(updates[i].ID)
+		if w := c.id >> 6; w != word {
+			flush()
+			word = w
+		}
+		mask |= 1 << (c.id & 63)
 	}
+	flush()
 }
 
 // build fills the empty index from the offers table in one pass. The
@@ -130,11 +145,14 @@ type idSet struct {
 	n     int
 }
 
-func (s *idSet) add(id flexoffer.ID) {
-	w, bit := id>>6, uint64(1)<<(id&63)
-	if old := s.words[w]; old&bit == 0 {
-		s.words[w] = old | bit
-		s.n++
+func (s *idSet) add(id flexoffer.ID) { s.addWord(id>>6, 1<<(id&63)) }
+
+// addWord adds the ids whose bits are set in mask to word w.
+func (s *idSet) addWord(w flexoffer.ID, mask uint64) {
+	old := s.words[w]
+	if fresh := mask &^ old; fresh != 0 {
+		s.words[w] = old | mask
+		s.n += bits.OnesCount64(fresh)
 	}
 }
 
@@ -142,17 +160,20 @@ func (s *idSet) has(id flexoffer.ID) bool {
 	return s.words[id>>6]&(uint64(1)<<(id&63)) != 0
 }
 
-func (s *idSet) remove(id flexoffer.ID) {
-	w, bit := id>>6, uint64(1)<<(id&63)
-	switch old := s.words[w]; {
-	case old&bit == 0:
-	case old == bit:
+func (s *idSet) remove(id flexoffer.ID) { s.removeWord(id>>6, 1<<(id&63)) }
+
+// removeWord removes the ids whose bits are set in mask from word w.
+func (s *idSet) removeWord(w flexoffer.ID, mask uint64) {
+	old := s.words[w]
+	gone := old & mask
+	switch {
+	case gone == 0:
+	case gone == old:
 		delete(s.words, w)
-		s.n--
 	default:
-		s.words[w] = old &^ bit
-		s.n--
+		s.words[w] = old &^ mask
 	}
+	s.n -= bits.OnesCount64(gone)
 }
 
 // --- measurement series storage ----------------------------------------

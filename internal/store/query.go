@@ -1,7 +1,8 @@
 package store
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mirabel/internal/flexoffer"
 )
@@ -33,11 +34,11 @@ func (s *Store) Measurements(f MeasurementFilter) []Measurement {
 		ss.mu.RUnlock()
 	}
 	if len(series) > 1 {
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Slot != out[j].Slot {
-				return out[i].Slot < out[j].Slot
+		slices.SortFunc(out, func(a, b Measurement) int {
+			if c := cmp.Compare(a.Slot, b.Slot); c != 0 {
+				return c
 			}
-			return out[i].Actor < out[j].Actor
+			return cmp.Compare(a.Actor, b.Actor)
 		})
 	}
 	return out
@@ -52,20 +53,22 @@ type OfferFilter struct {
 // Offers returns matching flex-offer records in ID order. A state
 // filter resolves through the by-state secondary index and fetches only
 // that state's records; an owner filter is checked on each record the
-// state (or, without one, the whole table) yields.
+// state (or, without one, the whole table) yields. Either way the ids
+// are sorted before the records are fetched, so the records come out in
+// ID order without being moved.
 func (s *Store) Offers(f OfferFilter) []OfferRecord {
-	var out []OfferRecord
+	var ids []flexoffer.ID
 	if f.State != "" {
-		out = s.fetchOffers(s.offerIdx.idsByState(f.State), f)
+		ids = s.offerIdx.idsByState(f.State)
 	} else {
-		s.offers.scan(func(_ flexoffer.ID, r OfferRecord) {
+		s.offers.scan(func(id flexoffer.ID, r OfferRecord) {
 			if f.Owner == "" || r.Owner == f.Owner {
-				out = append(out, r)
+				ids = append(ids, id)
 			}
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Offer.ID < out[j].Offer.ID })
-	return out
+	slices.Sort(ids)
+	return s.fetchOffers(ids, f)
 }
 
 // fetchOffers resolves index hits to records, re-checking the filter:

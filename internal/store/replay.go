@@ -201,13 +201,12 @@ func (s *Store) applyReplayed(it *replayed) {
 // the frame is a state-only step, its schedule — to the stored offer.
 // The decode stage has checked that an earlier record stored it.
 func (s *Store) applyTransition(id flexoffer.ID, state OfferState, schedule *flexoffer.Schedule, keepSchedule bool) {
-	sh := s.offers.shard(id)
-	sh.mu.Lock()
-	r := sh.m[id]
+	st := &s.offers.stripes[s.offers.stripeOf(id)]
+	st.mu.Lock()
+	r := s.offers.locate(id, NoSlot)
 	r.State = state
 	if !keepSchedule {
 		r.Schedule = schedule
 	}
-	sh.m[id] = r
-	sh.mu.Unlock()
+	st.mu.Unlock()
 }

@@ -2,83 +2,217 @@ package store
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"mirabel/internal/flexoffer"
 )
 
-// numShards is the stripe count of every hashed table. Power of two so
-// shard selection is a mask. 32 stripes keep writer collisions rare at
+// numShards is the stripe count of the offer table. Power of two so
+// stripe selection is a mask. 32 stripes keep writer collisions rare at
 // the node's concurrency levels (handler goroutines + one cycle) while
 // the per-table footprint stays small.
-const numShards = 32
+const (
+	stripeBits = 5
+	numShards  = 1 << stripeBits
+)
 
-// tableShard is one stripe of a hashed table: a mutex and the map it
-// guards. Writers hold the stripe's write lock across the WAL commit of
-// the record they are about to apply, which is what keeps the log order
-// and the memory order of any single key identical (recovery replays
-// the log and must converge to the same state).
-type tableShard[K comparable, V any] struct {
-	mu sync.RWMutex
-	m  map[K]V
+// slabChunk is how many records one slab chunk holds. A chunk never
+// moves once allocated, so a record's address is stable for the life
+// of the table.
+const slabChunk = 256
+
+// maxSlotIndex bounds a stripe's slab: an index and its stripe share a
+// Slot's 32 bits.
+const maxSlotIndex = 1<<(32-stripeBits) - 2
+
+// Slot names where a record lives in a table: its stripe and its index
+// in the stripe's slab. A writer that holds a record's Slot (the one
+// AppendIntake returned for it) reaches the record without looking its
+// key up. The zero Slot, NoSlot, names no record.
+type Slot uint32
+
+// NoSlot is the Slot of no record: an update carrying it finds its
+// record by ID.
+const NoSlot Slot = 0
+
+func makeSlot(stripe int, index uint32) Slot {
+	return Slot((index+1)<<stripeBits | uint32(stripe))
 }
 
-// shardedTable is a hash-striped map: the concurrent replacement for
-// the seed engine's single map under the store-wide mutex. Independent
-// keys land on independent stripes, so measurement ingestion, offer
-// and offer transitions stop contending on one lock.
+func (s Slot) stripe() int   { return int(s & (numShards - 1)) }
+func (s Slot) index() uint32 { return uint32(s>>stripeBits) - 1 }
+
+// slabEntry is one slot of a stripe's slab: the record and its key, or
+// nothing (live false) — a slot reserved but not yet written, or one
+// whose record moved to a later slot. Q's drop frame will put such
+// slots on a free list; today they stay empty.
+type slabEntry[K comparable, V any] struct {
+	key  K
+	live bool
+	val  V
+}
+
+// tableStripe is one stripe of a table: its records in a slab, in the
+// order their slots were reserved, and an index from key to slab index.
+// The index holds no pointers, so the collector never scans it. Writers
+// hold the stripe's write lock across the WAL commit of the record they
+// are about to apply, which is what keeps the log order and the memory
+// order of any single key identical (recovery replays the log and must
+// converge to the same state).
+type tableStripe[K comparable, V any] struct {
+	mu   sync.RWMutex
+	ids  map[K]uint32
+	slab []*[slabChunk]slabEntry[K, V]
+	// next counts the slab indexes handed out. reserve takes one
+	// without the lock, so a slot may be reserved before the chunk
+	// that holds it exists.
+	next atomic.Uint32
+}
+
+// shardedTable is the offer table: records striped by key hash, each
+// stripe a slab behind a key index (tableStripe). Independent keys land
+// on independent stripes, so intake and offer transitions stop
+// contending on one lock, and a writer holding a record's Slot mutates
+// it in place.
 type shardedTable[K comparable, V any] struct {
-	hash   func(K) uint64
-	shards [numShards]tableShard[K, V]
+	hash    func(K) uint64
+	stripes [numShards]tableStripe[K, V]
 }
 
 func newShardedTable[K comparable, V any](hash func(K) uint64) *shardedTable[K, V] {
 	t := &shardedTable[K, V]{hash: hash}
-	for i := range t.shards {
-		t.shards[i].m = make(map[K]V)
+	for i := range t.stripes {
+		t.stripes[i].ids = make(map[K]uint32)
 	}
 	return t
 }
 
-// shard returns the stripe owning k.
-func (t *shardedTable[K, V]) shard(k K) *tableShard[K, V] {
-	return &t.shards[t.hash(k)&(numShards-1)]
-}
-
-// shardIndex returns the stripe number owning k (its bit in a
+// stripeOf returns the stripe number owning k (its bit in a
 // lockStripes mask).
-func (t *shardedTable[K, V]) shardIndex(k K) int {
+func (t *shardedTable[K, V]) stripeOf(k K) int {
 	return int(t.hash(k) & (numShards - 1))
 }
 
+// reserve hands out the next slot of k's stripe. It takes no lock: the
+// WAL's group leader reserves the slots of the intake events it writes,
+// in log order, while table writers may hold stripe locks and wait on
+// that very group.
+func (t *shardedTable[K, V]) reserve(k K) Slot {
+	s := t.stripeOf(k)
+	i := t.stripes[s].next.Add(1) - 1
+	if i > maxSlotIndex {
+		panic("store: offer table stripe full")
+	}
+	return makeSlot(s, i)
+}
+
+// entry returns slab entry i, allocating chunks up to it. Caller holds
+// the stripe's write lock.
+func (st *tableStripe[K, V]) entry(i uint32) *slabEntry[K, V] {
+	for int(i/slabChunk) >= len(st.slab) {
+		st.slab = append(st.slab, new([slabChunk]slabEntry[K, V]))
+	}
+	return &st.slab[i/slabChunk][i%slabChunk]
+}
+
+// peek returns slab entry i, or nil when no chunk holds it yet. Caller
+// holds the stripe's lock.
+func (st *tableStripe[K, V]) peek(i uint32) *slabEntry[K, V] {
+	if int(i/slabChunk) >= len(st.slab) {
+		return nil
+	}
+	return &st.slab[i/slabChunk][i%slabChunk]
+}
+
 func (t *shardedTable[K, V]) get(k K) (V, bool) {
-	sh := t.shard(k)
-	sh.mu.RLock()
-	v, ok := sh.m[k]
-	sh.mu.RUnlock()
-	return v, ok
+	st := &t.stripes[t.stripeOf(k)]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	if i, ok := st.ids[k]; ok {
+		return st.slab[i/slabChunk][i%slabChunk].val, true
+	}
+	var zero V
+	return zero, false
+}
+
+// locate returns k's record for an in-place update: at slot when slot
+// still holds k, else through the key index; nil when no record holds
+// k. Caller holds the write lock of k's stripe.
+func (t *shardedTable[K, V]) locate(k K, slot Slot) *V {
+	s := t.stripeOf(k)
+	st := &t.stripes[s]
+	if slot != NoSlot && slot.stripe() == s {
+		if e := st.peek(slot.index()); e != nil && e.live && e.key == k {
+			return &e.val
+		}
+	}
+	i, ok := st.ids[k]
+	if !ok {
+		return nil
+	}
+	return &st.entry(i).val
+}
+
+// put upserts k's record: in place when k has one, else into a new
+// slot. It returns the record it replaced. Caller holds the write lock
+// of k's stripe.
+func (t *shardedTable[K, V]) put(k K, v V) (old V, had bool) {
+	return t.place(k, v, NoSlot)
+}
+
+// place upserts k's record into slot, which reserve handed out for it:
+// a record k held elsewhere moves there, and its old slot is left
+// empty. With NoSlot it is put. It returns the record it replaced.
+// Caller holds the write lock of k's stripe.
+func (t *shardedTable[K, V]) place(k K, v V, slot Slot) (old V, had bool) {
+	s := t.stripeOf(k)
+	st := &t.stripes[s]
+	i, had := st.ids[k]
+	if had {
+		e := st.entry(i)
+		old = e.val
+		if slot == NoSlot || slot.stripe() != s || slot.index() == i {
+			e.val = v
+			return old, true
+		}
+		*e = slabEntry[K, V]{}
+	}
+	if slot == NoSlot || slot.stripe() != s {
+		slot = t.reserve(k)
+	}
+	i = slot.index()
+	*st.entry(i) = slabEntry[K, V]{key: k, live: true, val: v}
+	st.ids[k] = i
+	return old, had
 }
 
 // length sums the stripe sizes (each under a brief read lock).
 func (t *shardedTable[K, V]) length() int {
 	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.RLock()
-		n += len(t.shards[i].m)
-		t.shards[i].mu.RUnlock()
+	for i := range t.stripes {
+		t.stripes[i].mu.RLock()
+		n += len(t.stripes[i].ids)
+		t.stripes[i].mu.RUnlock()
 	}
 	return n
 }
 
-// scan calls fn for every entry, one stripe at a time under read locks.
-// Used by the residual full-table queries (unfiltered listings, the
-// index build) whose result is the table anyway.
+// scan calls fn for every record, one stripe at a time under read
+// locks, each stripe's in slot order. Used by the residual full-table
+// reads (the unfiltered listing's keys, the index build) whose result
+// is the table anyway.
 func (t *shardedTable[K, V]) scan(fn func(K, V)) {
-	for i := range t.shards {
-		t.shards[i].mu.RLock()
-		for k, v := range t.shards[i].m {
-			fn(k, v)
+	for i := range t.stripes {
+		st := &t.stripes[i]
+		st.mu.RLock()
+		for _, chunk := range st.slab {
+			for j := range chunk {
+				if e := &chunk[j]; e.live {
+					fn(e.key, e.val)
+				}
+			}
 		}
-		t.shards[i].mu.RUnlock()
+		st.mu.RUnlock()
 	}
 }
 
@@ -105,18 +239,18 @@ func hashOfferID(id flexoffer.ID) uint64 { return hashUint64(uint64(id)) }
 // deadlock each other; a writer that spans every stripe takes the locks
 // without a sorted plan.
 func (t *shardedTable[K, V]) lockStripes(touched uint64) {
-	for i := range t.shards {
+	for i := range t.stripes {
 		if touched&(1<<i) != 0 {
-			t.shards[i].mu.Lock()
+			t.stripes[i].mu.Lock()
 		}
 	}
 }
 
 // unlockStripes releases what lockStripes took, last first.
 func (t *shardedTable[K, V]) unlockStripes(touched uint64) {
-	for i := len(t.shards) - 1; i >= 0; i-- {
+	for i := len(t.stripes) - 1; i >= 0; i-- {
 		if touched&(1<<i) != 0 {
-			t.shards[i].mu.Unlock()
+			t.stripes[i].mu.Unlock()
 		}
 	}
 }

@@ -53,10 +53,12 @@ func WithSyncPolicy(p SyncPolicy) Option {
 // concurrent use. A Store opened with a directory is durable (a
 // write-ahead log); NewInMemory gives a volatile store for simulations.
 //
-// Internally the offer table is hash-striped (shard.go) and carries a
+// Internally the offer table keeps its records in per-stripe slabs
+// behind a pointer-free ID → slot index (shard.go) and carries a
 // by-state secondary index; measurements are clustered into
 // per-(actor, energy type) slot-sorted series (index.go). So the hot
-// queries read only matching rows. Durable writers append through a
+// queries read only matching rows, and a writer that holds a record's
+// Slot reaches it without a look-up. Durable writers append through a
 // group committer (wal.go) while holding only their stripe's or
 // series' lock.
 type Store struct {
@@ -178,21 +180,21 @@ func (s *Store) WALStats() LogStats {
 // leaves the offer index alone: recovery builds it once, when the
 // last file is in.
 func applyPut[K comparable, V any](t *shardedTable[K, V], k K, v V) {
-	sh := t.shard(k)
-	sh.mu.Lock()
-	sh.m[k] = v
-	sh.mu.Unlock()
+	st := &t.stripes[t.stripeOf(k)]
+	st.mu.Lock()
+	t.put(k, v)
+	st.mu.Unlock()
 }
 
 // applyIfAbsent is applyPut for a key no record holds yet: a record
 // already there stays.
 func applyIfAbsent[K comparable, V any](t *shardedTable[K, V], k K, v V) {
-	sh := t.shard(k)
-	sh.mu.Lock()
-	if _, had := sh.m[k]; !had {
-		sh.m[k] = v
+	st := &t.stripes[t.stripeOf(k)]
+	st.mu.Lock()
+	if _, had := st.ids[k]; !had {
+		t.put(k, v)
 	}
-	sh.mu.Unlock()
+	st.mu.Unlock()
 }
 
 // applyMeasurement inserts one measurement into its series (log-free).
@@ -209,7 +211,7 @@ func (s *Store) commitLogged(buf *[]byte) error {
 	if buf == nil {
 		return nil
 	}
-	err := s.w.commit([][]byte{*buf}, 1, nil)
+	_, err := s.w.commit([][]byte{*buf}, 1, nil)
 	wire.PutBuf(buf)
 	return err
 }
@@ -221,6 +223,10 @@ func (s *Store) commitLogged(buf *[]byte) error {
 type Intake struct {
 	Offer *OfferRecord
 	Meas  []Measurement
+	// Slot is where ApplyIntake puts the offer record: the slot
+	// AppendIntake reserved for it when its group was written. With
+	// NoSlot (an event built by hand) the record is put by ID.
+	Slot Slot
 }
 
 // SetIntakeHandoff names the function AppendIntake hands each acked
@@ -228,43 +234,67 @@ type Intake struct {
 func (s *Store) SetIntakeHandoff(fn func(Intake)) {
 	s.handoff = fn
 	if s.w != nil {
-		s.w.handoff = fn
+		s.w.handoff = s.acked
 	}
+}
+
+// acked places an acked event — it reserves the slot its offer record
+// will be applied into — and hands it to the intake handoff. The WAL's
+// group leader calls it in log order, the order a replay fills the
+// slabs in.
+func (s *Store) acked(ev *Intake) {
+	if ev.Offer != nil {
+		ev.Slot = s.offers.reserve(ev.Offer.Offer.ID)
+	}
+	s.handoff(*ev)
 }
 
 // AppendIntake is the durability ack of an intake event: it appends ev's
 // WAL frames (AppendIntakeFrames) through the group committer and
 // returns once they are written under the store's SyncPolicy. Nothing is
 // applied to the tables here. When the group holding ev is written
-// without error, its leader hands ev to the intake handoff — in log
-// order across every appender, and before AppendIntake returns — so
-// the handoff's consumer can apply acked events in the order a replay
-// will (ApplyIntake); an event whose write failed is never handed off. A
-// volatile store, having no log, hands ev off at once. Table writers
-// that share a key with acked but unapplied events must wait for those
-// to apply first (the node's intake barrier), or memory order and log
-// order part.
+// without error, its leader reserves the slot of ev's offer record and
+// hands ev to the intake handoff — in log order across every appender,
+// and before AppendIntake returns — so the handoff's consumer can apply
+// acked events in the order a replay will (ApplyIntake); an event whose
+// write failed takes no slot and is never handed off. A volatile store,
+// having no log, does both at once. Table writers that share a key with
+// acked but unapplied events must wait for those to apply first (the
+// node's intake barrier), or memory order and log order part.
 func (s *Store) AppendIntake(ev Intake) error {
+	_, err := s.appendIntake(ev)
+	return err
+}
+
+// AppendOffer is AppendIntake for one offer record. It returns the Slot
+// the record will live in once applied, for OfferUpdate.Slot.
+func (s *Store) AppendOffer(rec *OfferRecord) (Slot, error) {
+	return s.appendIntake(Intake{Offer: rec})
+}
+
+func (s *Store) appendIntake(ev Intake) (Slot, error) {
 	if s.readOnly {
-		return ErrReadOnly
+		return NoSlot, ErrReadOnly
 	}
 	if s.w == nil {
-		s.handoff(ev)
-		return nil
+		s.acked(&ev)
+		return ev.Slot, nil
 	}
 	buf := wire.GetBuf()
 	var records int
 	*buf, records = AppendIntakeFrames(*buf, &ev)
-	err := s.w.commit([][]byte{*buf}, records, &ev)
+	slot, err := s.w.commit([][]byte{*buf}, records, &ev)
 	wire.PutBuf(buf)
-	return err
+	return slot, err
 }
 
 // ApplyIntake applies acked intake events to the tables in the given
 // order — the log order the handoff delivered — and logs nothing, since
-// AppendIntake logged them at the ack. An offer is upserted, except
-// that a rejected record is stored only if no record holds its ID, the
-// rule the offers_if_absent frame replays under. Facts are upserted.
+// AppendIntake logged them at the ack. An offer is upserted into its
+// Slot, except that a rejected record is stored only if no record holds
+// its ID, the rule the offers_if_absent frame replays under: then the
+// stored record keeps its slot and the rejected one's stays empty.
+// Facts are upserted.
 func (s *Store) ApplyIntake(evs []Intake) {
 	for i := range evs {
 		ev := &evs[i]
@@ -276,13 +306,13 @@ func (s *Store) ApplyIntake(evs []Intake) {
 		}
 		rec := *ev.Offer
 		id := rec.Offer.ID
-		sh := s.offers.shard(id)
-		sh.mu.Lock()
-		if old, had := sh.m[id]; !had || rec.State != OfferRejected {
-			sh.m[id] = rec
+		st := &s.offers.stripes[s.offers.stripeOf(id)]
+		st.mu.Lock()
+		if _, had := st.ids[id]; !had || rec.State != OfferRejected {
+			old, had := s.offers.place(id, rec, ev.Slot)
 			s.offerIdx.update(id, old, had, rec)
 		}
-		sh.mu.Unlock()
+		st.mu.Unlock()
 	}
 }
 

@@ -107,18 +107,33 @@ type GroupLog struct {
 	// records, in log order; the spare slices are the other half of each
 	// double buffer, swapped in while the leader writes.
 	pending, spare        [][]byte
-	waiters, spareWaiters []chan error
+	waiters, spareWaiters []waiter
 	intake, spareIntake   []Intake
 	// handoff receives the intake events of every group written without
 	// error, in log order, from the group's leader before it wakes the
-	// group (Store.AppendIntake). Set before the first intake append.
-	handoff func(Intake)
+	// group (Store.AppendIntake); the Slot it sets on an event goes back
+	// to the event's appender. Set before the first intake append.
+	handoff func(*Intake)
+}
+
+// waiter is a follower parked on its group: the channel its result
+// comes back on, and whether it appended an intake event.
+type waiter struct {
+	done   chan committed
+	intake bool
+}
+
+// committed is a follower's result: the group's write error and, for an
+// intake event written without one, the Slot the handoff set on it.
+type committed struct {
+	slot Slot
+	err  error
 }
 
 // completions recycles followers' completion channels. A channel goes
 // back once its one result has been received, so it is empty whenever
 // the pool hands it out.
-var completions = sync.Pool{New: func() any { return make(chan error, 1) }}
+var completions = sync.Pool{New: func() any { return make(chan committed, 1) }}
 
 // newGroupLog opens the log at path for appending. A non-empty file is
 // taken to carry header already: OpenGroupLog replays (and so validates)
@@ -143,12 +158,13 @@ func newGroupLog(path string, policy SyncPolicy, header string) (*GroupLog, erro
 // possibly as part of a larger group led by another writer. The chunks
 // are the caller's again when commit returns. ev, when non-nil, is the
 // intake event the chunks log: the leader hands it to c.handoff, after
-// the group is written and before anyone in it returns.
-func (c *GroupLog) commit(chunks [][]byte, records int, ev *Intake) error {
+// the group is written and before anyone in it returns, and commit
+// returns the Slot the handoff set on it.
+func (c *GroupLog) commit(chunks [][]byte, records int, ev *Intake) (Slot, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return fmt.Errorf("store: wal is closed")
+		return NoSlot, fmt.Errorf("store: wal is closed")
 	}
 	c.pending = append(c.pending, chunks...)
 	if ev != nil {
@@ -157,32 +173,46 @@ func (c *GroupLog) commit(chunks [][]byte, records int, ev *Intake) error {
 	c.records.Add(uint64(records))
 	if c.writing {
 		// A leader is at the file; it will pick this batch up.
-		done := completions.Get().(chan error)
-		c.waiters = append(c.waiters, done)
+		done := completions.Get().(chan committed)
+		c.waiters = append(c.waiters, waiter{done: done, intake: ev != nil})
 		c.mu.Unlock()
-		err := <-done
+		res := <-done
 		completions.Put(done)
-		return err
+		return res.slot, res.err
 	}
 	c.writing = true
-	var own error
+	var own committed
 	for first := true; len(c.pending) > 0; first = false {
 		batch, waiters, intake := c.pending, c.waiters, c.intake
 		c.pending, c.waiters, c.intake = c.spare, c.spareWaiters, c.spareIntake
 		c.mu.Unlock()
 		err := c.writeGroup(batch)
-		if first {
-			own = err // the leader's records are in the first group
-		}
 		if err == nil {
 			// Groups are written one at a time, and only by the leader
 			// that holds writing, so the handoff sees log order.
-			for _, ev := range intake {
-				c.handoff(ev)
+			for i := range intake {
+				c.handoff(&intake[i])
 			}
 		}
+		// The group's intake events are in append order: the leader's
+		// own first (its records are in the first group), then its
+		// followers'.
+		next := 0
+		result := func(hasEvent bool) committed {
+			res := committed{err: err}
+			if hasEvent {
+				if err == nil {
+					res.slot = intake[next].Slot
+				}
+				next++
+			}
+			return res
+		}
+		if first {
+			own = result(ev != nil)
+		}
 		for _, w := range waiters {
-			w <- err
+			w.done <- result(w.intake)
 		}
 		clear(batch) // let go of the callers' buffers
 		clear(waiters)
@@ -193,13 +223,16 @@ func (c *GroupLog) commit(chunks [][]byte, records int, ev *Intake) error {
 	c.writing = false
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	return own
+	return own.slot, own.err
 }
 
 // Append commits recs — one logged record each — as one group (possibly
 // coalesced with concurrent appenders). The slices are the caller's to
 // reuse once Append returns.
-func (c *GroupLog) Append(recs [][]byte) error { return c.commit(recs, len(recs), nil) }
+func (c *GroupLog) Append(recs [][]byte) error {
+	_, err := c.commit(recs, len(recs), nil)
+	return err
+}
 
 // writeGroup writes one coalesced batch. Called with writing == true
 // (file access is exclusive even though mu is released).
