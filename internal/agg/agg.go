@@ -128,5 +128,5 @@ type FlexOfferUpdate struct {
 	// Slot is the caller's handle to where it keeps the offer (a node:
 	// its store record), carried by an Insert and handed back by Member
 	// and LeaveWhole. The pipeline never reads it.
-	Slot uint32
+	Slot uint64
 }

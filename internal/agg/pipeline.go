@@ -25,7 +25,7 @@ type group struct {
 type member struct {
 	g    *group
 	off  *flexoffer.FlexOffer
-	slot uint32
+	slot uint64
 }
 
 // delta is what one Process batch does to one group: the offers that
@@ -317,7 +317,7 @@ func (p *Pipeline) Offer(id flexoffer.ID) (*flexoffer.FlexOffer, bool) {
 }
 
 // Member is Offer that also returns the offer's slot.
-func (p *Pipeline) Member(id flexoffer.ID) (*flexoffer.FlexOffer, uint32, bool) {
+func (p *Pipeline) Member(id flexoffer.ID) (*flexoffer.FlexOffer, uint64, bool) {
 	if m := p.pendingIns[id]; m.off != nil {
 		return m.off, m.slot, true
 	}
@@ -334,7 +334,7 @@ func (p *Pipeline) Member(id flexoffer.ID) (*flexoffer.FlexOffer, uint32, bool) 
 // SetSlot sets the slot of the pending insert with the given ID: a
 // caller that learns where the offer's record lives only after
 // accumulating its insert.
-func (p *Pipeline) SetSlot(id flexoffer.ID, slot uint32) {
+func (p *Pipeline) SetSlot(id flexoffer.ID, slot uint64) {
 	if m := p.pendingIns[id]; m.off != nil {
 		m.slot = slot
 		p.pendingIns[id] = m
@@ -350,7 +350,7 @@ func (p *Pipeline) SetSlot(id flexoffer.ID, slot uint32) {
 // and reports whether it queued the departure; when it did not, slots
 // comes back as it was. Until Process, Offer no longer finds the
 // members, and StayWhole takes the departure back.
-func (p *Pipeline) LeaveWhole(snap *Aggregate, slots []uint32) ([]uint32, bool) {
+func (p *Pipeline) LeaveWhole(snap *Aggregate, slots []uint64) ([]uint64, bool) {
 	grp := p.byAggID[snap.Offer.ID]
 	if grp == nil || grp.leaving || grp.agg.Version != snap.Version {
 		return slots, false

@@ -33,13 +33,13 @@ type commitSpan struct {
 // slice but spans has one entry per staged update.
 type commitScratch struct {
 	updates []store.OfferUpdate
-	staged  []*flexoffer.Schedule     // the update's schedule
-	owners  []string                  // its record's owner, as Mutate saw it
-	leaving []agg.FlexOfferUpdate     // its per-member delete; zero for a whole aggregate's
-	slots   []uint32                  // LeaveWhole's member slots
+	staged  []*flexoffer.Schedule // the update's schedule
+	owners  []string              // its record's owner, as Mutate saw it
+	leaving []agg.FlexOfferUpdate // its per-member delete; zero for a whole aggregate's
+	slots   []uint64              // LeaveWhole's member slots
 	spans   []commitSpan
-	rest    []int                     // the plan's aggregates that take the per-member path
-	next    int                       // schedule's cursor
+	rest    []int                    // the plan's aggregates that take the per-member path
+	next    int                      // schedule's cursor
 	mutate  func(*store.OfferRecord) // schedule, made once
 }
 
@@ -57,7 +57,7 @@ func (sc *commitScratch) schedule(r *store.OfferRecord) {
 }
 
 // stage queues one micro schedule's store update.
-func (sc *commitScratch) stage(s *flexoffer.Schedule, slot uint32, leave agg.FlexOfferUpdate) {
+func (sc *commitScratch) stage(s *flexoffer.Schedule, slot uint64, leave agg.FlexOfferUpdate) {
 	if sc.mutate == nil {
 		sc.mutate = sc.schedule
 	}

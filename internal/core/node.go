@@ -404,7 +404,7 @@ func (n *Node) acceptOffer(ctx context.Context, f *flexoffer.FlexOffer, owner st
 	if decision.Accept {
 		// The pending offer carries the slot its record will be applied
 		// into, so the cycle's commit writes the record in place.
-		n.pipeline.SetSlot(priced.ID, uint32(slot))
+		n.pipeline.SetSlot(priced.ID, uint64(slot))
 	}
 	return decision
 }

@@ -21,26 +21,22 @@ const (
 // of the table.
 const slabChunk = 256
 
-// maxSlotIndex bounds a stripe's slab: an index and its stripe share a
-// Slot's 32 bits.
-const maxSlotIndex = 1<<(32-stripeBits) - 2
-
 // Slot names where a record lives in a table: its stripe and its index
 // in the stripe's slab. A writer that holds a record's Slot (the one
 // AppendIntake returned for it) reaches the record without looking its
 // key up. The zero Slot, NoSlot, names no record.
-type Slot uint32
+type Slot uint64
 
 // NoSlot is the Slot of no record: an update carrying it finds its
 // record by ID.
 const NoSlot Slot = 0
 
-func makeSlot(stripe int, index uint32) Slot {
-	return Slot((index+1)<<stripeBits | uint32(stripe))
+func makeSlot(stripe int, index uint64) Slot {
+	return Slot((index+1)<<stripeBits | uint64(stripe))
 }
 
 func (s Slot) stripe() int   { return int(s & (numShards - 1)) }
-func (s Slot) index() uint32 { return uint32(s>>stripeBits) - 1 }
+func (s Slot) index() uint64 { return uint64(s>>stripeBits) - 1 }
 
 // slabEntry is one slot of a stripe's slab: the record and its key, or
 // nothing (live false) — a slot reserved but not yet written, or one
@@ -61,12 +57,12 @@ type slabEntry[K comparable, V any] struct {
 // converge to the same state).
 type tableStripe[K comparable, V any] struct {
 	mu   sync.RWMutex
-	ids  map[K]uint32
+	ids  map[K]uint64
 	slab []*[slabChunk]slabEntry[K, V]
 	// next counts the slab indexes handed out. reserve takes one
 	// without the lock, so a slot may be reserved before the chunk
 	// that holds it exists.
-	next atomic.Uint32
+	next atomic.Uint64
 }
 
 // shardedTable is the offer table: records striped by key hash, each
@@ -82,7 +78,7 @@ type shardedTable[K comparable, V any] struct {
 func newShardedTable[K comparable, V any](hash func(K) uint64) *shardedTable[K, V] {
 	t := &shardedTable[K, V]{hash: hash}
 	for i := range t.stripes {
-		t.stripes[i].ids = make(map[K]uint32)
+		t.stripes[i].ids = make(map[K]uint64)
 	}
 	return t
 }
@@ -99,16 +95,12 @@ func (t *shardedTable[K, V]) stripeOf(k K) int {
 // that very group.
 func (t *shardedTable[K, V]) reserve(k K) Slot {
 	s := t.stripeOf(k)
-	i := t.stripes[s].next.Add(1) - 1
-	if i > maxSlotIndex {
-		panic("store: offer table stripe full")
-	}
-	return makeSlot(s, i)
+	return makeSlot(s, t.stripes[s].next.Add(1)-1)
 }
 
 // entry returns slab entry i, allocating chunks up to it. Caller holds
 // the stripe's write lock.
-func (st *tableStripe[K, V]) entry(i uint32) *slabEntry[K, V] {
+func (st *tableStripe[K, V]) entry(i uint64) *slabEntry[K, V] {
 	for int(i/slabChunk) >= len(st.slab) {
 		st.slab = append(st.slab, new([slabChunk]slabEntry[K, V]))
 	}
@@ -117,7 +109,7 @@ func (st *tableStripe[K, V]) entry(i uint32) *slabEntry[K, V] {
 
 // peek returns slab entry i, or nil when no chunk holds it yet. Caller
 // holds the stripe's lock.
-func (st *tableStripe[K, V]) peek(i uint32) *slabEntry[K, V] {
+func (st *tableStripe[K, V]) peek(i uint64) *slabEntry[K, V] {
 	if int(i/slabChunk) >= len(st.slab) {
 		return nil
 	}

@@ -196,23 +196,23 @@ func (c *GroupLog) commit(chunks [][]byte, records int, ev *Intake) (Slot, error
 		}
 		// The group's intake events are in append order: the leader's
 		// own first (its records are in the first group), then its
-		// followers'.
-		next := 0
-		result := func(hasEvent bool) committed {
-			res := committed{err: err}
-			if hasEvent {
-				if err == nil {
-					res.slot = intake[next].Slot
-				}
-				next++
-			}
-			return res
-		}
+		// followers'. Each appender gets back the slot the handoff set.
+		events := intake
 		if first {
-			own = result(ev != nil)
+			own.err = err
+			if ev != nil {
+				own.slot, events = events[0].Slot, events[1:]
+			}
 		}
 		for _, w := range waiters {
-			w.done <- result(w.intake)
+			res := committed{err: err}
+			if w.intake {
+				res.slot, events = events[0].Slot, events[1:]
+			}
+			if err != nil {
+				res.slot = NoSlot
+			}
+			w.done <- res
 		}
 		clear(batch) // let go of the callers' buffers
 		clear(waiters)
@@ -223,7 +223,10 @@ func (c *GroupLog) commit(chunks [][]byte, records int, ev *Intake) (Slot, error
 	c.writing = false
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	return own.slot, own.err
+	if own.err != nil {
+		return NoSlot, own.err
+	}
+	return own.slot, nil
 }
 
 // Append commits recs — one logged record each — as one group (possibly
