@@ -202,3 +202,125 @@ func TestRetireReportsDeletedAggregate(t *testing.T) {
 		t.Error("retired group left state behind")
 	}
 }
+
+// Property: a group that leaves whole (LeaveWhole on its snapshot)
+// leaves the aggregates the member-by-member deletes of its members
+// leave — with pending inserts on its key or not, beside partial
+// deletes of other groups — and a departure taken back (StayWhole)
+// leaves the group as if nothing had been queued. The slots handed back
+// are the members' own, in member order. A snapshot whose aggregate
+// changed since is refused and queues nothing.
+func TestPropertyLeaveWholeEqualsDeleteBatch(t *testing.T) {
+	left := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		whole, split := NewPipeline(ParamsP3), NewPipeline(ParamsP3)
+		pool := randomOffers(rng, 240)
+		nextPool, nextID := 0, flexoffer.ID(10_000)
+		slotOf := func(id flexoffer.ID) uint64 { return uint64(id)*7 + 1 }
+		insert := func(off *flexoffer.FlexOffer) FlexOfferUpdate {
+			return FlexOfferUpdate{Kind: Insert, Offer: off, Slot: slotOf(off.ID)}
+		}
+		for round := 0; round < 10; round++ {
+			var batch []FlexOfferUpdate
+			for n := 5 + rng.Intn(30); n > 0 && nextPool < len(pool); n-- {
+				batch = append(batch, insert(pool[nextPool]))
+				nextPool++
+			}
+			for _, p := range []*Pipeline{whole, split} {
+				if err := p.Apply(batch...); err != nil {
+					t.Logf("seed %d round %d: %v", seed, round, err)
+					return false
+				}
+			}
+			batch = batch[:0]
+			for _, a := range whole.Aggregates() {
+				snap := a.Snapshot()
+				switch rng.Intn(4) {
+				case 0, 1: // leave whole
+					slots, ok := whole.LeaveWhole(snap, nil)
+					if !ok || len(slots) != len(snap.members) {
+						t.Logf("seed %d round %d: LeaveWhole refused a current snapshot", seed, round)
+						return false
+					}
+					for i, m := range snap.members {
+						if slots[i] != slotOf(m.ID) {
+							t.Logf("seed %d round %d: member %d came back with slot %d", seed, round, m.ID, slots[i])
+							return false
+						}
+						if err := split.Accumulate(FlexOfferUpdate{Kind: Delete, Offer: m}); err != nil {
+							t.Logf("seed %d round %d: %v", seed, round, err)
+							return false
+						}
+						if _, held := whole.Offer(m.ID); held {
+							t.Logf("seed %d round %d: a leaving member is still held", seed, round)
+							return false
+						}
+					}
+					left++
+					if rng.Intn(3) == 0 { // and refill its key
+						refill := snap.members[0].Clone()
+						refill.ID = nextID
+						nextID++
+						batch = append(batch, insert(refill))
+					}
+				case 2: // queue the departure, then take it back
+					if _, ok := whole.LeaveWhole(snap, nil); !ok {
+						return false
+					}
+					whole.StayWhole(snap)
+				default: // delete part of it on both
+					for _, m := range snap.members[:rng.Intn(len(snap.members))] {
+						batch = append(batch, FlexOfferUpdate{Kind: Delete, Offer: m})
+					}
+				}
+			}
+			if whole.NumOffers() != split.NumOffers() {
+				t.Logf("seed %d round %d: %d offers held vs %d", seed, round, whole.NumOffers(), split.NumOffers())
+				return false
+			}
+			for _, p := range []*Pipeline{whole, split} {
+				if err := p.Apply(batch...); err != nil {
+					t.Logf("seed %d round %d: %v", seed, round, err)
+					return false
+				}
+			}
+			if !identicalAggregates(t, whole, split) {
+				t.Logf("seed %d round %d: leaving whole diverged from the delete path", seed, round)
+				return false
+			}
+			for id, m := range whole.byID {
+				if m.slot != slotOf(id) {
+					t.Logf("seed %d round %d: offer %d holds slot %d", seed, round, id, m.slot)
+					return false
+				}
+			}
+			// A snapshot taken before a change is refused.
+			if as := whole.Aggregates(); len(as) > 0 && nextPool < len(pool) {
+				stale := as[0].Snapshot()
+				join := pool[nextPool].Clone()
+				join.ID = nextID
+				nextID++
+				join.EarliestStart, join.LatestStart, join.AssignBefore = stale.members[0].EarliestStart, stale.members[0].LatestStart, stale.members[0].AssignBefore
+				for _, p := range []*Pipeline{whole, split} {
+					if err := p.Apply(insert(join)); err != nil {
+						return false
+					}
+				}
+				if as[0].Version != stale.Version {
+					if _, ok := whole.LeaveWhole(stale, nil); ok {
+						t.Logf("seed %d round %d: LeaveWhole took a stale snapshot", seed, round)
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Error(err)
+	}
+	if left == 0 {
+		t.Error("no group left whole")
+	}
+}

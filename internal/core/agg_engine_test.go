@@ -261,3 +261,64 @@ drained:
 		t.Errorf("aggregate members = %d, accepted offers in the store = %d — pipeline and store diverged", members, accepted)
 	}
 }
+
+// An aggregate that changed after its snapshot was planned takes the
+// commit's per-member path: its planned members are scheduled and leave,
+// the offer that joined it mid-plan stays pending in it, and an
+// unchanged aggregate beside it leaves whole.
+func TestCommitChangedAggregateTakesPerMemberPath(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	brp := mustNode(t, nil, Config{Name: "brp1", Store: st, AggParams: agg.ParamsP0})
+	for id := flexoffer.ID(1); id <= 6; id++ {
+		es := flexoffer.Time(40)
+		if id > 3 {
+			es = 80
+		}
+		if d := brp.AcceptOffer(testOffer(id, es, 16, 4, 5), "p1"); !d.Accept {
+			t.Fatalf("offer %d rejected: %s", id, d.Reason)
+		}
+	}
+	var plan []plannedAggregate
+	for _, a := range aggregates(brp) {
+		snap := a.Snapshot()
+		ms, err := snap.Disaggregate(snap.Offer.DefaultSchedule())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan = append(plan, plannedAggregate{snap: snap, micro: ms})
+	}
+	if len(plan) != 2 {
+		t.Fatalf("%d aggregates, want 2", len(plan))
+	}
+	// Offer 7 joins the first aggregate while the plan runs.
+	if d := brp.AcceptOffer(testOffer(7, 40, 16, 4, 5), "p2"); !d.Accept {
+		t.Fatalf("offer 7 rejected: %s", d.Reason)
+	}
+	live := aggregates(brp)
+	if live[0].Version == plan[0].snap.Version || live[1].Version != plan[1].snap.Version {
+		t.Fatalf("versions %d, %d after the join; planned %d, %d", live[0].Version, live[1].Version, plan[0].snap.Version, plan[1].snap.Version)
+	}
+	drain(t, brp)
+	byOwner, reconciled, err := brp.commitMicroSchedules(plan)
+	if err != nil || reconciled != 0 {
+		t.Fatalf("commit: %d reconciled, %v", reconciled, err)
+	}
+	if got := len(byOwner["p1"]); got != 6 || len(byOwner["p2"]) != 0 {
+		t.Errorf("delivered %d schedules to p1 and %d to p2, want 6 and 0", got, len(byOwner["p2"]))
+	}
+	if pendingOffers(brp) != 1 {
+		t.Errorf("pending = %d, want offer 7 alone", pendingOffers(brp))
+	}
+	after := aggregates(brp)
+	if len(after) != 1 || after[0].Offer.ID != live[0].Offer.ID || after[0].NumMembers() != 1 {
+		t.Fatalf("aggregates after the commit: %d, want the first one holding offer 7 alone", len(after))
+	}
+	counts := st.CountOffersByState()
+	if counts[store.OfferScheduled] != 6 || counts[store.OfferAccepted] != 1 {
+		t.Errorf("store states %v, want 6 scheduled and offer 7 accepted", counts)
+	}
+}
