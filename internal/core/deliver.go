@@ -21,21 +21,21 @@ type plannedAggregate struct {
 }
 
 // commitSpan is a run of staged updates: the micro schedules of an
-// aggregate that leaves the pipeline whole (snap set), or ones that
-// leave it one by one.
+// aggregate that leaves the pipeline whole (snap set), or, last, the
+// ones whose offers leave it one by one.
 type commitSpan struct {
 	snap     *agg.Aggregate
 	from, to int
 }
 
 // commitScratch is the commit phase's staging, kept by the node and
-// reused by every cycle's commit; the node lock serializes them. Each
-// slice but spans has one entry per staged update.
+// reused by every cycle's commit; the node lock serializes them.
+// updates, staged and owners have one entry per staged update.
 type commitScratch struct {
 	updates []store.OfferUpdate
 	staged  []*flexoffer.Schedule // the update's schedule
 	owners  []string              // its record's owner, as Mutate saw it
-	leaving []agg.FlexOfferUpdate // its per-member delete; zero for a whole aggregate's
+	leaving []agg.FlexOfferUpdate // the per-member span's deletes, in update order
 	slots   []uint64              // LeaveWhole's member slots
 	spans   []commitSpan
 	rest    []int                    // the plan's aggregates that take the per-member path
@@ -57,13 +57,12 @@ func (sc *commitScratch) schedule(r *store.OfferRecord) {
 }
 
 // stage queues one micro schedule's store update.
-func (sc *commitScratch) stage(s *flexoffer.Schedule, slot uint64, leave agg.FlexOfferUpdate) {
+func (sc *commitScratch) stage(s *flexoffer.Schedule, slot uint64) {
 	if sc.mutate == nil {
 		sc.mutate = sc.schedule
 	}
 	sc.updates = append(sc.updates, store.OfferUpdate{ID: s.OfferID, Slot: store.Slot(slot), Mutate: sc.mutate})
 	sc.staged = append(sc.staged, s)
-	sc.leaving = append(sc.leaving, leave)
 }
 
 // reset lets go of what the last commit staged, keeping the room.
@@ -120,7 +119,7 @@ func (n *Node) commitMicroSchedules(plan []plannedAggregate) (map[string][]*flex
 		}
 		from := len(sc.updates)
 		for k, s := range pa.micro {
-			sc.stage(s, sc.slots[n0+k], agg.FlexOfferUpdate{})
+			sc.stage(s, sc.slots[n0+k])
 		}
 		sc.spans = append(sc.spans, commitSpan{snap: pa.snap, from: from, to: len(sc.updates)})
 	}
@@ -135,7 +134,8 @@ func (n *Node) commitMicroSchedules(plan []plannedAggregate) (map[string][]*flex
 				}
 				u := agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f, Slot: slot}
 				_ = n.pipeline.Accumulate(u) // f is held: the delete cannot fail
-				sc.stage(s, slot, u)
+				sc.stage(s, slot)
+				sc.leaving = append(sc.leaving, u)
 			}
 		}
 		sc.spans = append(sc.spans, commitSpan{from: from, to: len(sc.updates)})
@@ -179,11 +179,10 @@ func (n *Node) stay(spans []commitSpan) {
 			n.pipeline.StayWhole(sp.snap)
 			continue
 		}
-		back := sc.leaving[sp.from:sp.to]
-		for i := range back {
-			back[i].Kind = agg.Insert
+		for i := range sc.leaving {
+			sc.leaving[i].Kind = agg.Insert
 		}
-		_ = n.pipeline.Accumulate(back...)
+		_ = n.pipeline.Accumulate(sc.leaving...)
 	}
 }
 
@@ -204,11 +203,11 @@ func (n *Node) keepFailed(failed []error, reconciled int) (int, error) {
 		}
 		for i := sp.from; i < sp.to; i++ {
 			switch {
-			case failed[i] == nil && sp.snap != nil:
+			case failed[i] == nil && sp.snap != nil: // leaves on its own
 				f, slot, _ := n.pipeline.Member(sc.staged[i].OfferID)
 				_ = n.pipeline.Accumulate(agg.FlexOfferUpdate{Kind: agg.Delete, Offer: f, Slot: slot})
-			case failed[i] != nil && sp.snap == nil:
-				u := sc.leaving[i]
+			case failed[i] != nil && sp.snap == nil: // stays: cancel its delete
+				u := sc.leaving[i-sp.from]
 				u.Kind = agg.Insert
 				_ = n.pipeline.Accumulate(u)
 			}

@@ -96,7 +96,7 @@ func (s *Store) ApplyBatch(b *Batch) error {
 // pointer) is neither logged nor applied.
 type OfferUpdate struct {
 	ID flexoffer.ID
-	// Slot, when set, is where the record lives — the Slot AppendIntake
+	// Slot, when set, is where the record lives — the Slot AppendOffer
 	// returned for it — and the update mutates it there without looking
 	// ID up. A Slot that no longer holds ID's record is passed over, and
 	// the update finds the record by ID.

@@ -23,7 +23,7 @@ const slabChunk = 256
 
 // Slot names where a record lives in a table: its stripe and its index
 // in the stripe's slab. A writer that holds a record's Slot (the one
-// AppendIntake returned for it) reaches the record without looking its
+// AppendOffer returned for it) reaches the record without looking its
 // key up. The zero Slot, NoSlot, names no record.
 type Slot uint64
 
@@ -92,7 +92,8 @@ func (t *shardedTable[K, V]) stripeOf(k K) int {
 // reserve hands out the next slot of k's stripe. It takes no lock: the
 // WAL's group leader reserves the slots of the intake events it writes,
 // in log order, while table writers may hold stripe locks and wait on
-// that very group.
+// that very group. A free list of empty slots (ROADMAP Q) must keep it
+// that way: a lock of its own, never the stripe's.
 func (t *shardedTable[K, V]) reserve(k K) Slot {
 	s := t.stripeOf(k)
 	return makeSlot(s, t.stripes[s].next.Add(1)-1)
