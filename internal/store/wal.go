@@ -17,11 +17,12 @@
 // every mutation since the store was created.
 //
 // The node's intake writes through the same log. An acked offer or meter
-// batch is its WAL frames (AppendIntake), appended without a table lock;
-// the group's leader hands the event to the intake queue in log order,
-// and the queue's one applier applies it to the tables later without
-// logging it again (ApplyIntake), so memory reaches the state a replay
-// rebuilds.
+// batch is its WAL frames (AppendIntake, AppendOffer), appended without a
+// table lock; the group's leader reserves each acked offer record's slot
+// in the offer table and hands the event to the intake queue in log
+// order, and the queue's one applier applies it into that slot later
+// without logging it again (ApplyIntake), so memory reaches the state a
+// replay rebuilds.
 //
 // Recovery runs in two stages (replay.go). The goroutine that reads the
 // log checks, decodes and validates each frame: offers, schedules and

@@ -17,8 +17,8 @@
 # ops_failed, and per workload and metric: each side's median and
 # interquartile range, the change/parent ratio of the medians and the
 # number of pairs the change won. `jq '.ratios.cycle.op_p50_ms' FILE`
-# reads one ratio. The host drifts between sessions, so the file holds
-# both sides side by side, never a bare absolute.
+# reads one ratio. A host drifts between runs made hours apart, so the
+# file holds both sides side by side, never a bare absolute.
 set -euo pipefail
 
 usage() {
