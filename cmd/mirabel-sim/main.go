@@ -97,8 +97,8 @@ func printReport(w io.Writer, r *simResult) {
 	fmt.Fprintf(w, "run: %d cycles in %v\n", r.Cycles, r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "offers: %d submitted, %d acked (%d accepted), %d failed, %d re-offered — %.0f acked offers/s\n",
 		r.OffersSubmitted, r.OffersAcked, r.OffersAccepted, r.OffersFailed, r.Reoffered, r.OffersPerSec())
-	fmt.Fprintf(w, "schedules: %d planned, %d delivered — %.0f schedules/s; %d expired, %d reconciled; %d notifies refused\n",
-		r.MicroSchedules, r.SchedulesDelivered, r.SchedulesPerSec(), r.Expired, r.Reconciled, r.NotifiesRefused)
+	fmt.Fprintf(w, "schedules: %d planned, %d delivered — %.0f schedules/s; %d expired; %d notifies refused\n",
+		r.MicroSchedules, r.SchedulesDelivered, r.SchedulesPerSec(), r.Expired, r.NotifiesRefused)
 	fmt.Fprintf(w, "measurements: %d facts acked, %d batches failed\n", r.MeasAcked, r.MeasFailed)
 	cycleQ := func(q float64) time.Duration {
 		return time.Duration(r.CycleLatency.Quantile(q)).Round(time.Microsecond)

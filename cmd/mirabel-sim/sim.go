@@ -90,7 +90,6 @@ type simResult struct {
 	NotifiesRefused    uint64 // schedule notifies a shard endpoint refused: misdeliveries
 	MicroSchedules     int
 	Expired            int
-	Reconciled         int
 	NotifyFailures     int
 	CycleErrors        int
 	CycleLatency       obs.Histogram // full-cycle latency (ns), one sample per node-cycle
@@ -475,7 +474,6 @@ func (s *sim) runCycles(ctx context.Context) error {
 				}
 				s.res.MicroSchedules += rep.MicroSchedules
 				s.res.Expired += rep.Expired
-				s.res.Reconciled += rep.Reconciled
 				s.res.NotifyFailures += rep.NotifyFailures
 			}(i)
 		}

@@ -20,8 +20,7 @@ type group struct {
 }
 
 // member is one held offer, the group it lives in (nil while its
-// insert is pending) and the slot its caller gave it
-// (FlexOfferUpdate.Slot).
+// insert is pending) and the slot its caller gave it (SetSlot).
 type member struct {
 	g    *group
 	off  *flexoffer.FlexOffer
@@ -58,9 +57,10 @@ type pendingUndo struct {
 //
 // The pipeline is also the one index of the offers it holds: an applied
 // member that is not leaving, or a pending insert (Offer, NumOffers,
-// EachOffer). Each held offer carries an opaque slot for its caller
-// (FlexOfferUpdate.Slot, Member, LeaveWhole): a node keeps there where
-// the offer's store record lives.
+// EachOffer). Each held offer carries an opaque slot for its caller: a
+// node keeps there where the offer's store record lives. SetSlot is the
+// one way a slot enters the pipeline, on a pending insert; LeaveWhole
+// hands the slots back.
 //
 // Accumulate validates each batch against the membership index and the
 // already-pending updates as it records it, and undoes the batch's
@@ -164,7 +164,7 @@ func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 			// The very offer comes back before it left: net effect zero.
 			delete(p.pendingDel, id)
 		} else {
-			p.pendingIns[id] = member{off: u.Offer, slot: u.Slot}
+			p.pendingIns[id] = member{off: u.Offer}
 		}
 	case Delete:
 		if u.Offer == nil {
@@ -312,28 +312,22 @@ func (p *Pipeline) Apply(updates ...FlexOfferUpdate) error {
 // Offer returns the held offer with the given ID: an applied member
 // that is not leaving, or a pending insert.
 func (p *Pipeline) Offer(id flexoffer.ID) (*flexoffer.FlexOffer, bool) {
-	off, _, ok := p.Member(id)
-	return off, ok
-}
-
-// Member is Offer that also returns the offer's slot.
-func (p *Pipeline) Member(id flexoffer.ID) (*flexoffer.FlexOffer, uint64, bool) {
 	if m := p.pendingIns[id]; m.off != nil {
-		return m.off, m.slot, true
+		return m.off, true
 	}
 	if _, leaving := p.pendingDel[id]; leaving {
-		return nil, 0, false
+		return nil, false
 	}
 	m, ok := p.byID[id]
 	if !ok || m.g.leaving {
-		return nil, 0, false
+		return nil, false
 	}
-	return m.off, m.slot, true
+	return m.off, true
 }
 
-// SetSlot sets the slot of the pending insert with the given ID: a
-// caller that learns where the offer's record lives only after
-// accumulating its insert.
+// SetSlot sets the slot of the pending insert with the given ID, for
+// a caller that learns where the offer's record lives only after
+// accumulating its insert. An offer whose slot was never set holds 0.
 func (p *Pipeline) SetSlot(id flexoffer.ID, slot uint64) {
 	if m := p.pendingIns[id]; m.off != nil {
 		m.slot = slot

@@ -219,7 +219,20 @@ func TestPropertyLeaveWholeEqualsDeleteBatch(t *testing.T) {
 		nextPool, nextID := 0, flexoffer.ID(10_000)
 		slotOf := func(id flexoffer.ID) uint64 { return uint64(id)*7 + 1 }
 		insert := func(off *flexoffer.FlexOffer) FlexOfferUpdate {
-			return FlexOfferUpdate{Kind: Insert, Offer: off, Slot: slotOf(off.ID)}
+			return FlexOfferUpdate{Kind: Insert, Offer: off}
+		}
+		// apply is Apply with every insert's slot set (SetSlot).
+		apply := func(p *Pipeline, batch []FlexOfferUpdate) error {
+			if err := p.Accumulate(batch...); err != nil {
+				return err
+			}
+			for _, u := range batch {
+				if u.Kind == Insert {
+					p.SetSlot(u.Offer.ID, slotOf(u.Offer.ID))
+				}
+			}
+			p.Process()
+			return nil
 		}
 		for round := 0; round < 10; round++ {
 			var batch []FlexOfferUpdate
@@ -228,7 +241,7 @@ func TestPropertyLeaveWholeEqualsDeleteBatch(t *testing.T) {
 				nextPool++
 			}
 			for _, p := range []*Pipeline{whole, split} {
-				if err := p.Apply(batch...); err != nil {
+				if err := apply(p, batch); err != nil {
 					t.Logf("seed %d round %d: %v", seed, round, err)
 					return false
 				}
@@ -280,7 +293,7 @@ func TestPropertyLeaveWholeEqualsDeleteBatch(t *testing.T) {
 				return false
 			}
 			for _, p := range []*Pipeline{whole, split} {
-				if err := p.Apply(batch...); err != nil {
+				if err := apply(p, batch); err != nil {
 					t.Logf("seed %d round %d: %v", seed, round, err)
 					return false
 				}
@@ -303,7 +316,7 @@ func TestPropertyLeaveWholeEqualsDeleteBatch(t *testing.T) {
 				nextID++
 				join.EarliestStart, join.LatestStart, join.AssignBefore = stale.members[0].EarliestStart, stale.members[0].LatestStart, stale.members[0].AssignBefore
 				for _, p := range []*Pipeline{whole, split} {
-					if err := p.Apply(insert(join)); err != nil {
+					if err := apply(p, []FlexOfferUpdate{insert(join)}); err != nil {
 						return false
 					}
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -105,51 +106,66 @@ func TestAccumulateDuplicateRejected(t *testing.T) {
 	}
 }
 
-// Duplicate micro schedules in one commit batch are reconciled, not fed
-// into the pipeline as a delete of a nil offer: the first schedule of an
-// offer is both the one stored and the one delivered, whether the
-// duplicate repeats it or differs.
-func TestCommitDuplicateMicroScheduleReconciled(t *testing.T) {
-	first := &flexoffer.Schedule{OfferID: 1, Start: 40, Energy: []float64{0, 0, 0, 0}}
-	for _, dup := range []*flexoffer.Schedule{
-		first,
-		{OfferID: 1, Start: 41, Energy: []float64{1, 0, 0, 0}},
-	} {
-		st, err := store.Open(t.TempDir())
+// defaultPlan processes n's accumulated intake and plans every live
+// aggregate at its default schedule, on its snapshot, as a cycle's plan
+// phase would.
+func defaultPlan(tb testing.TB, n *Node) []plannedAggregate {
+	tb.Helper()
+	var plan []plannedAggregate
+	for _, a := range aggregates(n) {
+		snap := a.Snapshot()
+		ms, err := snap.Disaggregate(snap.Offer.DefaultSchedule())
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
-		t.Cleanup(func() { st.Close() })
-		brp := mustNode(t, nil, Config{Name: "brp1", Store: st, AggParams: agg.ParamsP3})
-		if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept {
-			t.Fatalf("rejected: %s", d.Reason)
+		plan = append(plan, plannedAggregate{snap: snap, micro: ms})
+	}
+	return plan
+}
+
+// The commit stores for every member of a planned aggregate the very
+// schedule it delivers to the member's owner, in one WAL record per
+// member, and the members leave the pipeline.
+func TestCommitStoresDeliveredSchedules(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	brp := mustNode(t, nil, Config{Name: "brp1", Store: st, AggParams: agg.ParamsP0})
+	for id := flexoffer.ID(1); id <= 6; id++ {
+		if d := brp.AcceptOffer(testOffer(id, 40+8*flexoffer.Time(id%2), 16, 4, 5), fmt.Sprintf("p%d", id%3)); !d.Accept {
+			t.Fatalf("offer %d rejected: %s", id, d.Reason)
 		}
-		// Materialize the aggregate so the pipeline delete at commit finds it.
-		if got := len(aggregates(brp)); got != 1 {
-			t.Fatalf("aggregates = %d, want 1", got)
+	}
+	plan := defaultPlan(t, brp)
+	if len(plan) != 2 {
+		t.Fatalf("%d aggregates, want 2", len(plan))
+	}
+	// Commit runs behind the planner's intake barrier.
+	drain(t, brp)
+	walBefore := st.WALStats().Records
+	byOwner, err := brp.commitMicroSchedules(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for owner, ss := range byOwner {
+		for _, s := range ss {
+			if rec, ok := st.GetOffer(s.OfferID); !ok || rec.State != store.OfferScheduled || rec.Schedule != s || rec.Owner != owner {
+				t.Errorf("offer %d: record %+v, %v; want %s's, scheduled with the delivered schedule", s.OfferID, rec, ok, owner)
+			}
+			delivered++
 		}
-		// Commit runs behind the planner's intake barrier.
-		drain(t, brp)
-		walBefore := st.WALStats().Records
-		byOwner, reconciled, err := brp.commitMicroSchedules([]plannedAggregate{{micro: []*flexoffer.Schedule{first, dup}}})
-		if err != nil {
-			t.Fatalf("commit with duplicate schedule: %v", err)
-		}
-		if reconciled != 1 {
-			t.Errorf("reconciled = %d, want 1 (the duplicate)", reconciled)
-		}
-		if got := byOwner["p1"]; len(got) != 1 || got[0] != first {
-			t.Errorf("schedules for p1 = %v, want the first alone", got)
-		}
-		if pendingOffers(brp) != 0 {
-			t.Errorf("pending = %d, want 0", pendingOffers(brp))
-		}
-		if rec, ok := brp.Store().GetOffer(1); !ok || rec.State != store.OfferScheduled || rec.Schedule != first {
-			t.Errorf("record = %+v, %v; want scheduled with the delivered schedule %+v", rec, ok, first)
-		}
-		if got := st.WALStats().Records - walBefore; got != 1 {
-			t.Errorf("the commit logged %d records, want one transition", got)
-		}
+	}
+	if delivered != 6 {
+		t.Errorf("delivered %d schedules, want 6", delivered)
+	}
+	if got := st.WALStats().Records - walBefore; got != 6 {
+		t.Errorf("the commit logged %d records, want one per member (6)", got)
+	}
+	if pendingOffers(brp) != 0 || len(aggregates(brp)) != 0 {
+		t.Errorf("%d offers pending, %d aggregates after the commit, want none", pendingOffers(brp), len(aggregates(brp)))
 	}
 }
 
@@ -162,7 +178,7 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 			t.Fatalf("rejected: %s", d.Reason)
 		}
 	}
-	snaps1, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, &CycleReport{})
+	snaps1, err := brp.snapshotForPlanning(context.Background(), 0, flexoffer.SlotsPerDay, &CycleReport{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +187,7 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 	}
 
 	// Nothing changed: every snapshot is reused, pointer-identical.
-	snaps2, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, &CycleReport{})
+	snaps2, err := brp.snapshotForPlanning(context.Background(), 0, flexoffer.SlotsPerDay, &CycleReport{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +204,7 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 	if d := brp.AcceptOffer(testOffer(99, 40, 16, 4, 5), "p1"); !d.Accept {
 		t.Fatalf("rejected: %s", d.Reason)
 	}
-	snaps3, err := brp.snapshotForPlanning(0, flexoffer.SlotsPerDay, &CycleReport{})
+	snaps3, err := brp.snapshotForPlanning(context.Background(), 0, flexoffer.SlotsPerDay, &CycleReport{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +225,12 @@ func TestSnapshotReuseAcrossCycles(t *testing.T) {
 	}
 }
 
-// Stress (run under -race in CI): concurrent intake while cycles batch,
-// process and schedule. Afterwards the pipeline's grouped offers and
-// the store's accepted offers must agree exactly.
+// Stress (run under -race in CI): concurrent offer and measurement
+// intake while cycles batch, process and schedule. Measurement
+// producers hold the ingest gate without the node lock, which each
+// snapshot's drain takes under it. Afterwards the pipeline's grouped
+// offers and the store's accepted offers agree exactly, and every
+// micro schedule a cycle planned is stored as scheduled.
 func TestConcurrentAccumulateDuringCycles(t *testing.T) {
 	brp := newLocalBRP(t)
 
@@ -219,7 +238,7 @@ func TestConcurrentAccumulateDuringCycles(t *testing.T) {
 	const perWorker = 60
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		wg.Add(2)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
@@ -231,14 +250,26 @@ func TestConcurrentAccumulateDuringCycles(t *testing.T) {
 				}
 			}
 		}(w)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				ms := []store.Measurement{{Actor: fmt.Sprintf("m%d", w), EnergyType: "demand", Slot: flexoffer.Time(i), KWh: 1}}
+				if err := brp.ingest.SubmitMeasurements(context.Background(), ms); err != nil {
+					t.Errorf("measurement batch %d of meter %d: %v", i, w, err)
+				}
+			}
+		}(w)
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
+	planned := 0
 	for {
-		if _, err := brp.RunSchedulingCycle(context.Background(), 0, nil, nil, nil); err != nil {
+		rep, err := brp.RunSchedulingCycle(context.Background(), 0, nil, nil, nil)
+		if err != nil {
 			t.Errorf("cycle: %v", err)
 			break
 		}
+		planned += rep.MicroSchedules
 		select {
 		case <-done:
 			goto drained
@@ -257,16 +288,21 @@ drained:
 		members += a.NumMembers()
 	}
 	drain(t, brp)
-	if accepted := brp.Store().CountOffersByState()[store.OfferAccepted]; members != accepted {
-		t.Errorf("aggregate members = %d, accepted offers in the store = %d — pipeline and store diverged", members, accepted)
+	counts := brp.Store().CountOffersByState()
+	if members != counts[store.OfferAccepted] {
+		t.Errorf("aggregate members = %d, accepted offers in the store = %d — pipeline and store diverged", members, counts[store.OfferAccepted])
+	}
+	if planned != counts[store.OfferScheduled] {
+		t.Errorf("the cycles planned %d micro schedules, the store holds %d scheduled offers", planned, counts[store.OfferScheduled])
 	}
 }
 
-// An aggregate that changed after its snapshot was planned takes the
-// commit's per-member path: its planned members are scheduled and leave,
-// the offer that joined it mid-plan stays pending in it, and an
-// unchanged aggregate beside it leaves whole.
-func TestCommitChangedAggregateTakesPerMemberPath(t *testing.T) {
+// A commit whose planned aggregate changed after its snapshot — an
+// offer joined it, and the test's own Process applied the join — is an
+// invariant breach: it fails, and the store and the pipeline are
+// exactly as they were, the departure already queued for the unchanged
+// aggregate planned before it taken back. A plan made afresh commits.
+func TestCommitChangedAggregateRefused(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -282,43 +318,52 @@ func TestCommitChangedAggregateTakesPerMemberPath(t *testing.T) {
 			t.Fatalf("offer %d rejected: %s", id, d.Reason)
 		}
 	}
-	var plan []plannedAggregate
-	for _, a := range aggregates(brp) {
-		snap := a.Snapshot()
-		ms, err := snap.Disaggregate(snap.Offer.DefaultSchedule())
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan = append(plan, plannedAggregate{snap: snap, micro: ms})
-	}
+	plan := defaultPlan(t, brp)
 	if len(plan) != 2 {
 		t.Fatalf("%d aggregates, want 2", len(plan))
 	}
-	// Offer 7 joins the first aggregate while the plan runs.
-	if d := brp.AcceptOffer(testOffer(7, 40, 16, 4, 5), "p2"); !d.Accept {
+	// Offer 7 joins the second aggregate while the plan runs.
+	if d := brp.AcceptOffer(testOffer(7, 80, 16, 4, 5), "p2"); !d.Accept {
 		t.Fatalf("offer 7 rejected: %s", d.Reason)
 	}
 	live := aggregates(brp)
-	if live[0].Version == plan[0].snap.Version || live[1].Version != plan[1].snap.Version {
+	if live[0].Version != plan[0].snap.Version || live[1].Version == plan[1].snap.Version {
 		t.Fatalf("versions %d, %d after the join; planned %d, %d", live[0].Version, live[1].Version, plan[0].snap.Version, plan[1].snap.Version)
 	}
 	drain(t, brp)
-	byOwner, reconciled, err := brp.commitMicroSchedules(plan)
-	if err != nil || reconciled != 0 {
-		t.Fatalf("commit: %d reconciled, %v", reconciled, err)
+	type state struct {
+		pending  int
+		versions map[flexoffer.ID]uint64
+		members  int
+		records  []store.OfferRecord
+		counts   map[store.OfferState]int
+		logged   uint64
 	}
-	if got := len(byOwner["p1"]); got != 6 || len(byOwner["p2"]) != 0 {
-		t.Errorf("delivered %d schedules to p1 and %d to p2, want 6 and 0", got, len(byOwner["p2"]))
+	read := func() state {
+		s := state{pending: pendingOffers(brp), versions: map[flexoffer.ID]uint64{},
+			records: st.Offers(store.OfferFilter{}), counts: st.CountOffersByState(), logged: st.WALStats().Records}
+		for _, a := range aggregates(brp) {
+			s.versions[a.Offer.ID] = a.Version
+			s.members += a.NumMembers()
+		}
+		return s
 	}
-	if pendingOffers(brp) != 1 {
-		t.Errorf("pending = %d, want offer 7 alone", pendingOffers(brp))
+	before := read()
+	if byOwner, err := brp.commitMicroSchedules(plan); err == nil {
+		t.Fatalf("commit of a changed aggregate succeeded: %v", byOwner)
 	}
-	after := aggregates(brp)
-	if len(after) != 1 || after[0].Offer.ID != live[0].Offer.ID || after[0].NumMembers() != 1 {
-		t.Fatalf("aggregates after the commit: %d, want the first one holding offer 7 alone", len(after))
+	if after := read(); !reflect.DeepEqual(after, before) {
+		t.Errorf("after the refused commit: %+v, want %+v", after, before)
 	}
-	counts := st.CountOffersByState()
-	if counts[store.OfferScheduled] != 6 || counts[store.OfferAccepted] != 1 {
-		t.Errorf("store states %v, want 6 scheduled and offer 7 accepted", counts)
+	byOwner, err := brp.commitMicroSchedules(defaultPlan(t, brp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(byOwner["p1"]) != 6 || len(byOwner["p2"]) != 1 || pendingOffers(brp) != 0 {
+		t.Errorf("fresh plan delivered %d schedules to p1 and %d to p2 and left %d pending, want 6, 1 and 0",
+			len(byOwner["p1"]), len(byOwner["p2"]), pendingOffers(brp))
+	}
+	if counts := st.CountOffersByState(); counts[store.OfferScheduled] != 7 {
+		t.Errorf("store states %v, want 7 scheduled", counts)
 	}
 }

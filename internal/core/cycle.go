@@ -19,9 +19,9 @@ type CycleReport struct {
 	BaselineCost   float64 // cost had no flexibility been used
 	MicroSchedules int     // disaggregated schedules produced by the plan
 	Expired        int     // offers dropped because their deadline passed
-	// Reconciled counts planned micro schedules dropped at commit
-	// because their offer was no longer pending or was named twice (the
-	// first schedule of an offer is the one stored and delivered).
+	// Deprecated: always 0; the commit stores every planned micro
+	// schedule or none. ROADMAP B(3) deletes it together with
+	// bench/workloads.go's read.
 	Reconciled     int
 	NotifyFailures int // prosumers that could not be reached
 	// Deprecated: always empty; every owner the cycle cannot reach is
@@ -34,11 +34,12 @@ type CycleReport struct {
 	// bookkeeping between phases.
 
 	// IngestDrainTime is the wall time of the cycle's intake barrier:
-	// waiting for the ingest queue to apply every acked event so the
-	// snapshot (and commit's offer transitions) see them.
+	// waiting, outside the node lock, for the ingest queue to apply
+	// every event acked so far.
 	IngestDrainTime time.Duration
 	// ExpiryTime is the snapshot's expiry sweep, from taking the node
-	// lock to the store's batch of expiry transitions.
+	// lock — and applying what was acked since the barrier — to the
+	// store's batch of expiry transitions.
 	ExpiryTime time.Duration
 	// AggregationTime is the pipeline's Process and the aggregates'
 	// snapshots.
@@ -62,15 +63,15 @@ type CycleReport struct {
 //
 // The cycle runs in four phases:
 //
-//	snapshot — under the node lock: advance the planning time, expire
-//	           stale offers and capture an immutable copy of the
-//	           current aggregates;
+//	snapshot — under the node lock: apply what was acked since the
+//	           barrier, advance the planning time, expire stale offers
+//	           and capture an immutable copy of the current aggregates;
 //	plan     — without the lock: build the problem from the forecasts,
 //	           run the (possibly long) scheduler search and
 //	           disaggregate on the snapshot;
-//	commit   — under the lock again: reconcile the planned micro
-//	           schedules against the offers the pipeline still holds,
-//	           persist the survivors and retire them from the pipeline;
+//	commit   — under the lock again: persist every planned micro
+//	           schedule as one batch and retire each planned aggregate
+//	           from the pipeline whole;
 //	deliver  — without the lock: fan the schedules out to their owners
 //	           with bounded concurrency (comm.DefaultFanOutLimit).
 //
@@ -86,9 +87,8 @@ type CycleReport struct {
 // production of the balance group; imbalancePrices gives the per-slot
 // mismatch penalty (nil = flat 0.15 EUR/kWh).
 func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, demandFc, resFc forecaster, imbalancePrices []float64) (*CycleReport, error) {
-	// Phase 0: intake barrier. Every acked offer must be applied before
-	// the snapshot, or commit's UpdateOffers would reconcile it away as
-	// an unknown record.
+	// Phase 0: intake barrier, outside the node lock, so the bulk of
+	// the apply does not hold intake up.
 	barrier, err := n.enterPlanner(ctx)
 	if err != nil {
 		return nil, err
@@ -99,7 +99,7 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 	const horizon = flexoffer.SlotsPerDay
 
 	// Phase 1: snapshot.
-	aggregates, err := n.snapshotForPlanning(now, horizon, rep)
+	aggregates, err := n.snapshotForPlanning(ctx, now, horizon, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -135,11 +135,10 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 
 	// Phase 3: commit.
 	t0 = time.Now()
-	byOwner, reconciled, err := n.commitMicroSchedules(plan)
+	byOwner, err := n.commitMicroSchedules(plan)
 	if err != nil {
 		return nil, err
 	}
-	rep.Reconciled = reconciled
 	rep.CommitTime = time.Since(t0)
 
 	// Phase 4: deliver. Unreachable prosumers are counted, not fatal:
@@ -166,14 +165,20 @@ func offerExpiredAt(f *flexoffer.FlexOffer, now, end flexoffer.Time) bool {
 func markExpired(rec *store.OfferRecord) { rec.State = store.OfferExpired }
 
 // snapshotForPlanning is the cycle's only pass over mutable state
-// before commit. Under the node lock it advances the planning time,
-// expires pending offers that are no longer schedulable
+// before commit. Under the node lock it drains intake once more — the
+// offers acked since enterPlanner's barrier — so every offer the
+// pipeline holds has its record in the store; then it advances the
+// planning time, expires pending offers that are no longer schedulable
 // (offerExpiredAt), and captures an immutable snapshot of the
-// aggregates for the planner.
-func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleReport) ([]*agg.Aggregate, error) {
+// aggregates for the planner. The drain waits under mu, the one place
+// the lock order allows it (see the package comment).
+func (n *Node) snapshotForPlanning(ctx context.Context, now flexoffer.Time, horizon int, rep *CycleReport) ([]*agg.Aggregate, error) {
 	t0 := time.Now()
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	if err := n.ingest.Drain(ctx); err != nil {
+		return nil, fmt.Errorf("core: intake barrier: %w", err)
+	}
 	if now > n.planTime {
 		n.planTime = now
 	}
@@ -187,11 +192,10 @@ func (n *Node) snapshotForPlanning(now flexoffer.Time, horizon int, rep *CycleRe
 		}
 	})
 	if len(expiredIDs) > 0 {
-		// One WAL group for the whole sweep; unknown ids are reported
-		// per-update and ignored, like the per-offer path did. The
-		// pipeline lets go of the offers only once the store took the
-		// batch: a failed write leaves both as they were, and the next
-		// cycle sweeps the offers again.
+		// One WAL group for the whole sweep. The pipeline lets go of
+		// the offers only once the store took the batch: a failed
+		// write leaves both as they were, and the next cycle sweeps the
+		// offers again.
 		if _, err := n.store.UpdateOffers(expiredIDs); err != nil {
 			return nil, err
 		}

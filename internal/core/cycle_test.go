@@ -312,6 +312,41 @@ func TestOfferExpiryKeysOnLatestStart(t *testing.T) {
 	}
 }
 
+// TestExpirySweepSeesOffersAckedAfterBarrier: an offer acked after the
+// cycle's intake barrier, whose assignment deadline has passed by the
+// cycle's now, expires in the store as it leaves the pipeline. The
+// snapshot drains intake again under the node lock, so the sweep's
+// store batch finds the offer's record; a sweep that ran before the
+// applier reached the record dropped the offer from the pipeline while
+// the record applied as accepted, and stayed so.
+func TestExpirySweepSeesOffersAckedAfterBarrier(t *testing.T) {
+	brp := newLocalBRP(t)
+	if _, err := brp.enterPlanner(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer brp.cycleMu.Unlock()
+	if d := brp.AcceptOffer(testOffer(1, 40, 16, 4, 5), "p1"); !d.Accept { // AssignBefore 32
+		t.Fatalf("rejected: %s", d.Reason)
+	}
+	rep := &CycleReport{}
+	if _, err := brp.snapshotForPlanning(context.Background(), 35, flexoffer.SlotsPerDay, rep); err != nil {
+		t.Fatal(err)
+	}
+	drain(t, brp)
+	if rec, _ := brp.Store().GetOffer(1); rec.State != store.OfferExpired {
+		t.Errorf("record state = %s, want expired", rec.State)
+	}
+	brp.mu.Lock()
+	_, held := brp.pipeline.Offer(1)
+	brp.mu.Unlock()
+	if held || rep.Expired != 1 {
+		t.Errorf("pipeline holds the offer: %v; %d expired, want 1", held, rep.Expired)
+	}
+	if got := brp.Store().CountOffersByState()[store.OfferAccepted]; got != 0 {
+		t.Errorf("%d accepted records, want 0", got)
+	}
+}
+
 // A cycle whose expiry write fails changes nothing: the expired offers
 // stay pending and stay members of their aggregates, as they stay
 // accepted in the store, so the next cycle sweeps them again instead of

@@ -25,9 +25,13 @@
 // Lock order: cycleMu → intake barrier → mu. Every planner-side flow
 // enters through enterPlanner, which takes cycleMu and then waits for
 // the barrier (ingest.Queue.Drain) before anything reads the store, so
-// "acked" means the same to all of them. The barrier is never awaited
-// under mu: producers hold mu across their WAL ack, and the applier
-// the barrier waits for never takes it. The barrier is also what keeps
+// "acked" means the same to all of them. The one wait for the queue
+// under mu is the cycle's snapshot (snapshotForPlanning), which drains
+// it again so the offers acked since the barrier are in the store
+// before its expiry sweep. That cannot deadlock: offer producers take
+// mu before the queue's gate, so none is inside the gate while the
+// snapshot holds mu; measurement producers hold the gate without mu;
+// and the applier never takes mu. The barrier is also what keeps
 // the store's memory in log order: an acked event is in the WAL before
 // it is in the tables, so a flow that writes offers or facts intake
 // also writes must not start before the barrier has applied them.

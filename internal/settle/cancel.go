@@ -157,7 +157,7 @@ func maxTotalEnergy(f *flexoffer.FlexOffer) float64 {
 }
 
 // transitionCancelled moves the given offers to cancelled as one WAL
-// group.
+// group, all or nothing.
 func transitionCancelled(st *store.Store, ids []flexoffer.ID) error {
 	if len(ids) == 0 {
 		return nil
@@ -168,14 +168,6 @@ func transitionCancelled(st *store.Store, ids []flexoffer.ID) error {
 			rec.State = store.OfferCancelled
 		}}
 	}
-	failed, err := st.UpdateOffers(ups)
-	if err != nil {
-		return err
-	}
-	for i, err := range failed {
-		if err != nil {
-			return fmt.Errorf("settle: cancel offer %d: %w", ids[i], err)
-		}
-	}
-	return nil
+	_, err := st.UpdateOffers(ups)
+	return err
 }

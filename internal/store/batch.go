@@ -106,7 +106,7 @@ type OfferUpdate struct {
 
 // offerChange is one applied mutation of an UpdateOffers batch: where
 // the record lives, what it was before and the state the mutation left
-// it in. A failed commit restores prev; a committed one moves id in the
+// it in. A failed batch restores prev; a committed one moves id in the
 // state index from prev.State to now.
 type offerChange struct {
 	rec  *OfferRecord
@@ -119,20 +119,21 @@ type offerChange struct {
 // allocates nothing per update.
 var offerChanges = sync.Pool{New: func() any { return new([]offerChange) }}
 
-// UpdateOffers applies a batch of atomic offer transitions: all touched
-// stripes are locked at once (in stripe order), each record is mutated
-// in place — at the update's Slot, or found by ID — every mutation that
-// changes its record is logged (as a transition when it kept the offer
-// and the owner), and the whole set is committed as one WAL group, then
-// indexed under one index lock. Per-update failures (unknown id, record
-// left without an offer) leave their record as it was and are reported
-// in failed, which is nil when every update applied and otherwise holds
-// one entry per update (nil for the ones that applied); ErrUnknownOffer
-// marks an id no record holds (match with errors.Is). The returned error
-// is reserved for log failures, in which case nothing was applied.
+// UpdateOffers applies a batch of atomic offer transitions, all or
+// nothing: all touched stripes are locked at once (in stripe order),
+// each record is mutated in place — at the update's Slot, or found by
+// ID — every mutation that changes its record is logged (as a
+// transition when it kept the offer and the owner), and the whole set
+// is committed as one WAL group, then indexed under one index lock.
+// When an update fails — no record holds its ID, or its mutation left
+// the record without an offer — or the group commit fails, every record
+// the batch changed is restored, nothing is logged and the error is
+// returned; ErrUnknownOffer marks an unknown ID (match with errors.Is).
 //
 // Updates listing the same id chain: each mutation sees its
-// predecessor's result.
+// predecessor's result. The first result, failed, is kept for
+// bench/layers.go's read alone and is Deprecated: always nil; ROADMAP
+// B(3) drops it.
 func (s *Store) UpdateOffers(updates []OfferUpdate) (failed []error, err error) {
 	if s.readOnly {
 		return nil, ErrReadOnly
@@ -151,7 +152,7 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) (failed []error, err error) 
 	// Mutate every record in place, in update order, so same-id updates
 	// chain through the table itself, and frame each one that changes its
 	// record. No reader can see the table until the locks go, and a
-	// failed commit restores every changed record, last first.
+	// failed batch restores every changed record, last first.
 	var frames *[]byte
 	if s.w != nil {
 		frames = wire.GetBuf()
@@ -163,25 +164,24 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) (failed []error, err error) 
 		*changes = (*changes)[:0]
 		offerChanges.Put(changes)
 	}()
-	fail := func(i int, err error) {
-		if failed == nil {
-			failed = make([]error, len(updates))
+	restore := func(err error) error {
+		for i := len(*changes) - 1; i >= 0; i-- {
+			c := &(*changes)[i]
+			*c.rec = c.prev
 		}
-		failed[i] = err
+		return err
 	}
 	for i := range updates {
 		u := &updates[i]
 		r := s.offers.locate(u.ID, u.Slot)
 		if r == nil {
-			fail(i, fmt.Errorf("%w: %d", ErrUnknownOffer, u.ID))
-			continue
+			return nil, restore(fmt.Errorf("%w: %d", ErrUnknownOffer, u.ID))
 		}
 		prev := *r
 		u.Mutate(r)
 		if r.Offer == nil {
 			*r = prev
-			fail(i, fmt.Errorf("store: offer record without offer"))
-			continue
+			return nil, restore(fmt.Errorf("store: offer %d: record without offer", u.ID))
 		}
 		if *r == prev {
 			continue
@@ -194,17 +194,13 @@ func (s *Store) UpdateOffers(updates []OfferUpdate) (failed []error, err error) 
 
 	if frames != nil && len(*changes) > 0 {
 		if _, err := s.w.commit([][]byte{*frames}, len(*changes), nil); err != nil {
-			for i := len(*changes) - 1; i >= 0; i-- {
-				c := &(*changes)[i]
-				*c.rec = c.prev
-			}
-			return nil, err
+			return nil, restore(err)
 		}
 	}
 	if len(*changes) > 0 {
 		s.offerIdx.move(*changes)
 	}
-	return failed, nil
+	return nil, nil
 }
 
 func sortSeriesByID(series []*slotSeries) {

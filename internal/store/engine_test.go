@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -323,39 +324,62 @@ func TestApplyBatchValidation(t *testing.T) {
 	}
 }
 
+// TestUpdateOffersBatch: a batch applies all or nothing. One whose
+// update names an unknown id, or leaves a record without an offer,
+// fails whole with nothing changed or logged; without them it applies,
+// same-id updates chaining.
 func TestUpdateOffersBatch(t *testing.T) {
-	s := NewInMemory()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	for id := flexoffer.ID(1); id <= 3; id++ {
 		if err := s.PutOffer(OfferRecord{Offer: testOffer(id), Owner: fmt.Sprintf("p%d", id), State: OfferAccepted}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	failed, err := s.UpdateOffers([]OfferUpdate{
+	batch := []OfferUpdate{
 		{ID: 1, Mutate: func(r *OfferRecord) { r.State = OfferScheduled }},
-		{ID: 99, Mutate: func(r *OfferRecord) { r.State = OfferScheduled }},
 		{ID: 2, Mutate: func(r *OfferRecord) { r.State = OfferScheduled }},
 		{ID: 2, Mutate: func(r *OfferRecord) { // chained: sees the scheduled state
 			if r.State == OfferScheduled {
 				r.State = OfferExecuted
 			}
 		}},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if len(failed) != 4 || failed[0] != nil || failed[2] != nil || failed[3] != nil {
-		t.Errorf("failed = %v, want the unknown id's failure alone", failed)
+	before, counts, records := s.Offers(OfferFilter{}), s.CountOffersByState(), s.WALStats().Records
+	for _, bad := range []OfferUpdate{
+		{ID: 99, Mutate: func(r *OfferRecord) { r.State = OfferScheduled }},
+		{ID: 3, Mutate: func(r *OfferRecord) { r.Offer = nil }},
+	} {
+		failed, err := s.UpdateOffers(append(slices.Clone(batch), bad))
+		if err == nil || failed != nil {
+			t.Fatalf("batch with update of offer %d = %v, %v; want an error alone", bad.ID, failed, err)
+		}
+		if unknown := bad.ID == 99; errors.Is(err, ErrUnknownOffer) != unknown {
+			t.Errorf("batch with update of offer %d: %v; ErrUnknownOffer should match: %v", bad.ID, err, unknown)
+		}
+		if after := s.Offers(OfferFilter{}); !reflect.DeepEqual(after, before) {
+			t.Errorf("records after a failed batch = %s, want %s", describeOffers(after), describeOffers(before))
+		}
+		if after := s.CountOffersByState(); !reflect.DeepEqual(after, counts) {
+			t.Errorf("state index after a failed batch = %v, want %v", after, counts)
+		}
+		if got := s.WALStats().Records; got != records {
+			t.Errorf("a failed batch logged %d records", got-records)
+		}
+	}
+	if failed, err := s.UpdateOffers(batch); err != nil || failed != nil {
+		t.Fatalf("batch = %v, %v", failed, err)
 	}
 	if rec, _ := s.GetOffer(1); rec.State != OfferScheduled {
 		t.Errorf("offer 1 = %+v, want scheduled", rec)
 	}
-	if !errors.Is(failed[1], ErrUnknownOffer) {
-		t.Errorf("failed[1] = %v, want ErrUnknownOffer", failed[1])
-	}
 	if rec, _ := s.GetOffer(2); rec.State != OfferExecuted {
 		t.Errorf("chained offer 2 = %+v, want executed", rec)
 	}
-	counts := s.CountOffersByState()
+	counts = s.CountOffersByState()
 	if counts[OfferScheduled] != 1 || counts[OfferExecuted] != 1 || counts[OfferAccepted] != 1 {
 		t.Errorf("counts after batch = %+v", counts)
 	}
@@ -601,8 +625,8 @@ func TestUpdateLogsOnlyWhatChanged(t *testing.T) {
 	sameState := func(r *OfferRecord) { r.State = OfferAccepted }
 	transition(t, s, 1, noop)
 	transition(t, s, 1, sameState)
-	if failed, err := s.UpdateOffers([]OfferUpdate{{ID: 1, Mutate: noop}, {ID: 1, Mutate: sameState}}); err != nil || failed != nil {
-		t.Fatalf("no-op batch = %v, %v", failed, err)
+	if _, err := s.UpdateOffers([]OfferUpdate{{ID: 1, Mutate: noop}, {ID: 1, Mutate: sameState}}); err != nil {
+		t.Fatalf("no-op batch: %v", err)
 	}
 	if rec, _ := s.GetOffer(1); rec.State != OfferAccepted {
 		t.Fatalf("after the no-op batch: %+v, want accepted", rec)

@@ -16,12 +16,8 @@ func (s *Store) PutOffer(r OfferRecord) error {
 // UpdateOffer applies mutate to the stored record as a one-update
 // UpdateOffers call and returns the stored result.
 func (s *Store) UpdateOffer(id flexoffer.ID, mutate func(*OfferRecord)) (OfferRecord, error) {
-	failed, err := s.UpdateOffers([]OfferUpdate{{ID: id, Mutate: mutate}})
-	if err != nil {
+	if _, err := s.UpdateOffers([]OfferUpdate{{ID: id, Mutate: mutate}}); err != nil {
 		return OfferRecord{}, err
-	}
-	if failed != nil {
-		return OfferRecord{}, failed[0]
 	}
 	rec, _ := s.GetOffer(id)
 	return rec, nil

@@ -63,9 +63,9 @@ func (ss *slottedStore) wal(t *testing.T) []byte {
 // batches, applied to one store with every update naming its record's
 // slot and to another naming none, leaves the same records, the same
 // state index and the same WAL bytes on both — with same-id updates
-// chaining inside a batch, an unknown id, a slot that holds another
-// offer's record, and a batch whose group commit fails, which restores
-// every record it changed on both.
+// chaining inside a batch and a slot that holds another offer's record.
+// A batch with an unknown id, and a batch whose group commit fails,
+// restore every record they changed on both.
 func TestCommitByHandleMatchesByID(t *testing.T) {
 	byHandle, byID := openSlotted(t), openSlotted(t)
 	rng := rand.New(rand.NewSource(52))
@@ -98,9 +98,9 @@ func TestCommitByHandleMatchesByID(t *testing.T) {
 		}
 		return ups
 	}
-	run := func(ids []flexoffer.ID, mutate []func(*OfferRecord)) (failedH, failedI []error, errH, errI error) {
-		failedH, errH = byHandle.UpdateOffers(batch(true, ids, mutate))
-		failedI, errI = byID.UpdateOffers(batch(false, ids, mutate))
+	run := func(ids []flexoffer.ID, mutate []func(*OfferRecord)) (errH, errI error) {
+		_, errH = byHandle.UpdateOffers(batch(true, ids, mutate))
+		_, errI = byID.UpdateOffers(batch(false, ids, mutate))
 		return
 	}
 	same := func(when string) {
@@ -137,13 +137,18 @@ func TestCommitByHandleMatchesByID(t *testing.T) {
 				mutate = append(mutate, func(r *OfferRecord) { r.State, r.Schedule = OfferScheduled, sched })
 			}
 		}
-		ids, mutate = append(ids, offers+1), append(mutate, scheduled) // no record holds it
-		fh, fi, eh, ei := run(ids, mutate)
-		if eh != nil || ei != nil {
-			t.Fatalf("round %d: %v, %v", round, eh, ei)
+		before := storeContents(byHandle.Store)
+		// No record holds the last id: the batch fails whole.
+		eh, ei := run(append(ids, offers+1), append(mutate, scheduled))
+		if !errors.Is(eh, ErrUnknownOffer) || !errors.Is(ei, ErrUnknownOffer) {
+			t.Fatalf("round %d: a batch with an unknown id = %v by slot, %v by id; want ErrUnknownOffer on both", round, eh, ei)
 		}
-		if len(fh) != len(ids) || !errors.Is(fh[len(ids)-1], ErrUnknownOffer) || !reflect.DeepEqual(fh, fi) {
-			t.Fatalf("round %d: failures %v by slot, %v by id; want the unknown id's alone on both", round, fh, fi)
+		same("after a batch with an unknown id")
+		if after := storeContents(byHandle.Store); !reflect.DeepEqual(after, before) {
+			t.Fatalf("round %d: a batch with an unknown id left a record changed", round)
+		}
+		if eh, ei := run(ids, mutate); eh != nil || ei != nil {
+			t.Fatalf("round %d: %v, %v", round, eh, ei)
 		}
 		same("after a committed batch")
 	}
@@ -170,7 +175,7 @@ func TestCommitByHandleMatchesByID(t *testing.T) {
 	}
 	ids := []flexoffer.ID{3, 4, 3, 5}
 	mutate := []func(*OfferRecord){scheduled, scheduled, executeOffer, executeOffer}
-	if _, _, eh, ei := run(ids, mutate); eh == nil || ei == nil {
+	if eh, ei := run(ids, mutate); eh == nil || ei == nil {
 		t.Fatalf("a batch on a closed WAL committed: %v, %v", eh, ei)
 	}
 	same("after a failed commit")

@@ -11,8 +11,8 @@ import (
 	"mirabel/internal/wire"
 )
 
-// ErrUnknownOffer is wrapped by an UpdateOffers result when no record
-// exists for the given ID. Match with errors.Is.
+// ErrUnknownOffer is wrapped by the error UpdateOffers returns when no
+// record exists for an update's ID. Match with errors.Is.
 var ErrUnknownOffer = errors.New("store: unknown offer")
 
 // ErrReadOnly is returned by every mutator of a store opened with

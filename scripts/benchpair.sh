@@ -19,6 +19,13 @@
 # number of pairs the change won. `jq '.ratios.cycle.op_p50_ms' FILE`
 # reads one ratio. A host drifts between runs made hours apart, so the
 # file holds both sides side by side, never a bare absolute.
+#
+# The gate: the script exits 1, after writing the file, when a change
+# run is not correct, failed operations or left no result line, or when
+# on some workload the change loses every pair on a gated metric by
+# more than that metric's BENCHMARK.json bound. Each metric's line
+# prints both sides' IQR as a share of their median beside the ratio,
+# so a verdict inside the noise shows as one.
 set -euo pipefail
 
 usage() {
@@ -93,6 +100,7 @@ import json, os, statistics, sys
 runs_dir, out = sys.argv[1], sys.argv[2]
 bench = json.load(open("BENCHMARK.json"))
 gated = {m["name"]: m["better"] for m in bench["end_to_end"]}
+bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 workloads = "$workloads".split()
 pairs = $pairs
 
@@ -115,6 +123,7 @@ doc = {
     },
     "runs": {}, "summary": {}, "ratios": {},
 }
+failures = []
 for w in workloads:
     rows = []
     for p in range(1, pairs + 1):
@@ -143,8 +152,15 @@ for w in workloads:
         pq, cq = quartiles(par), quartiles(chg)
         wins = sum((c < p) if better == "lower" else (c > p) for p, c in both)
         ratio = cq[1] / pq[1] if pq[1] else None
+        # How much worse the change is than the parent in each pair, as
+        # a share of the parent's value.
+        losses = [((c - p) if better == "lower" else (p - c)) / p if p else 0.0 for p, c in both]
+        if min(losses) > bounds[m]:
+            failures.append(f"{w} {m}: the change lost every pair by more than {bounds[m]:.0%} "
+                            f"(the least by {min(losses):.1%})")
         summary[m] = {
             "better": better, "pairs": len(both), "wins": wins, "ratio": ratio,
+            "least_loss": min(losses),
             "parent": {"median": pq[1], "iqr": pq[2] - pq[0]},
             "change": {"median": cq[1], "iqr": cq[2] - cq[0]},
         }
@@ -152,16 +168,28 @@ for w in workloads:
     doc["summary"][w] = summary
     doc["ratios"][w] = ratios
 
+bad = [(w, r["pair"], side) for w in workloads for r in doc["runs"][w] for side in ("parent", "change")
+       if not r[side]["correct"] or r[side]["ops_failed"]]
+failures += [f"{w} pair {p} change: incorrect, failed operations or no result line"
+             for w, p, side in bad if side == "change"]
+doc["gate"] = {"passed": not failures, "failures": failures}
+
 with open(out, "w") as f:
     json.dump(doc, f, indent=1)
     f.write("\n")
+
+def spread(side):
+    return side["iqr"] / side["median"] if side["median"] else 0.0
+
 for w in workloads:
     for m, s in doc["summary"][w].items():
-        print(f"{w:9s} {m:12s} ratio {s['ratio']:.3f}  wins {s['wins']}/{s['pairs']}  "
-              f"parent {s['parent']['median']:.4g} (IQR {s['parent']['iqr']:.3g})  "
-              f"change {s['change']['median']:.4g} (IQR {s['change']['iqr']:.3g})")
-bad = [(w, r["pair"], side) for w in workloads for r in doc["runs"][w] for side in ("parent", "change")
-       if not r[side]["correct"] or r[side]["ops_failed"]]
+        print(f"{w:9s} {m:12s} ratio {s['ratio']:.3f} (IQR/median parent {spread(s['parent']):.1%}, "
+              f"change {spread(s['change']):.1%})  wins {s['wins']}/{s['pairs']}  "
+              f"parent {s['parent']['median']:.4g}  change {s['change']['median']:.4g}")
 for w, p, side in bad:
     print(f"{w} pair {p} {side}: incorrect or failed operations", file=sys.stderr)
+for f in failures:
+    print(f"gate: {f}", file=sys.stderr)
+print("gate: " + ("passed" if not failures else "FAILED"), file=sys.stderr)
+sys.exit(1 if failures else 0)
 EOF
