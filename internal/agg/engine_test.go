@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,6 +233,63 @@ func TestInsertThenDeleteCancelsPending(t *testing.T) {
 	}
 	if got := len(p.Aggregates()); got != 1 {
 		t.Errorf("aggregates = %d, want 1", got)
+	}
+}
+
+// Pending inserts are applied in ID order whatever order they arrived
+// in: a batch of inserts out of ID order, with one insert cancelled and
+// made again and another cancelled for good, after a batch that failed
+// and was rolled back, builds the same groups — aggregate IDs,
+// Versions, members and combined offers — as a fresh pipeline fed the
+// surviving inserts in ID order. A Process that finds only cancelled
+// inserts leaves nothing queued for the next one.
+func TestInsertOrderDoesNotChangeAggregates(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		offers := randomOffers(rng, 40)
+		again, gone := offers[rng.Intn(20)], offers[20+rng.Intn(20)]
+		shuffled := slices.Clone(offers)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		p := NewPipeline(ParamsP1)
+		failed := append(inserts(shuffled[:10]...), FlexOfferUpdate{Kind: Insert, Offer: shuffled[3]})
+		if err := p.Accumulate(failed...); err == nil {
+			t.Fatal("a batch inserting one offer twice was accepted")
+		}
+		if len(p.ins) != 0 {
+			t.Fatalf("seed %d: a failed batch left %d insert IDs queued", seed, len(p.ins))
+		}
+		batch := inserts(shuffled...)
+		batch = append(batch,
+			FlexOfferUpdate{Kind: Delete, Offer: again}, FlexOfferUpdate{Kind: Insert, Offer: again},
+			FlexOfferUpdate{Kind: Delete, Offer: gone})
+		if err := p.Apply(batch...); err != nil {
+			t.Fatal(err)
+		}
+
+		want := NewPipeline(ParamsP1)
+		var kept []*flexoffer.FlexOffer
+		for _, f := range offers {
+			if f != gone {
+				kept = append(kept, f)
+			}
+		}
+		if err := want.Apply(inserts(kept...)...); err != nil {
+			t.Fatal(err)
+		}
+		if !identicalAggregates(t, p, want) {
+			t.Fatalf("seed %d: inserts out of ID order built other aggregates than in ID order", seed)
+		}
+
+		// Cancelled inserts alone: Process has nothing to apply, and the
+		// next batch starts from an empty list.
+		if err := p.Accumulate(FlexOfferUpdate{Kind: Insert, Offer: gone}, FlexOfferUpdate{Kind: Delete, Offer: gone}); err != nil {
+			t.Fatal(err)
+		}
+		p.Process()
+		if len(p.ins) != 0 {
+			t.Fatalf("seed %d: %d cancelled insert IDs left queued after Process", seed, len(p.ins))
+		}
 	}
 }
 

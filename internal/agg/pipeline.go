@@ -91,7 +91,12 @@ type Pipeline struct {
 	leavingN   int
 
 	// Scratch reused across calls, so neither a single-offer Accumulate
-	// nor a Process allocates bookkeeping of its own.
+	// nor a Process allocates bookkeeping of its own. ins lists the
+	// pending inserts' IDs in arrival order, nearly ID order for an
+	// intake that numbers offers as they come; an insert cancelled
+	// later stays listed, and so does each insert of an ID inserted
+	// again, so Process skips the IDs no pending insert holds and the
+	// repeats.
 	undo   []pendingUndo
 	ins    []flexoffer.ID
 	deltas []delta
@@ -119,8 +124,10 @@ func NewPipeline(params Params, _ ...BinPackerOptions) *Pipeline {
 // error nothing is recorded.
 func (p *Pipeline) Accumulate(updates ...FlexOfferUpdate) error {
 	p.undo = p.undo[:0]
+	ins := len(p.ins)
 	for _, u := range updates {
 		if err := p.accumulate(u); err != nil {
+			p.ins = p.ins[:ins]
 			for i := len(p.undo) - 1; i >= 0; i-- {
 				r := p.undo[i]
 				if r.ins.off != nil {
@@ -165,6 +172,7 @@ func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 			delete(p.pendingDel, id)
 		} else {
 			p.pendingIns[id] = member{off: u.Offer}
+			p.ins = append(p.ins, id)
 		}
 	case Delete:
 		if u.Offer == nil {
@@ -199,6 +207,7 @@ func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 // the removals.
 func (p *Pipeline) Process() {
 	if len(p.pendingIns) == 0 && len(p.pendingDel) == 0 && len(p.leaving) == 0 {
+		p.ins = p.ins[:0] // only cancelled inserts
 		return
 	}
 	// Removals before additions: an offer deleted and re-inserted in one
@@ -217,13 +226,13 @@ func (p *Pipeline) Process() {
 		d := p.touch(m.g)
 		d.removed = append(d.removed, m.off)
 	}
-	for id := range p.pendingIns {
-		p.ins = append(p.ins, id)
-	}
 	slices.Sort(p.ins)
-	for _, id := range p.ins {
+	for i, id := range p.ins {
 		pm := p.pendingIns[id]
 		off := pm.off
+		if off == nil || i > 0 && id == p.ins[i-1] {
+			continue // cancelled, or inserted again
+		}
 		k := p.params.keyOf(off)
 		grp := p.groups[k]
 		if grp == nil {

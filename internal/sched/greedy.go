@@ -238,9 +238,6 @@ type greedyRun struct {
 	// themselves; FillMidpoint collapses each range onto its midpoint,
 	// so the scan loop never tests the mode.
 	lo, hi []float64
-	// deltas receives scanOffsets' price of every start offset of the
-	// offer being placed: the widest window's worth, sized once.
-	deltas []float64
 }
 
 func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
@@ -252,11 +249,6 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 		lo:    c.emin,
 		hi:    c.emax,
 	}
-	var widest int
-	for i := range c.offers {
-		widest = max(widest, c.offers[i].width)
-	}
-	r.deltas = make([]float64, widest+1)
 	if fill == FillMidpoint {
 		mid := make([]float64, len(c.emin))
 		for k := range mid {
@@ -275,12 +267,12 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 // each placed at its locally best start with the fill rule's energies.
 // The offset scan only compares deltas — an unchanged slot's price is
 // read from the position, never recomputed — and the winner's energies
-// are derived once, when it is placed. Without a market every offset's
-// delta comes from scanOffsets, four or two offsets per instruction on
-// amd64, and the winner's slots are priced at the penalty in place;
-// with one, each slot goes through slotCost's market branches, offset
-// by offset, and the winner's through position.move. Either way the
-// first strict minimum in offset order wins.
+// are derived once, when it is placed. Either way the first strict
+// minimum in offset order wins. Without a market one placeOffer call
+// per offer prices every offset (four or two per instruction on
+// amd64), picks the winner and places it, its slots priced at the
+// penalty in place; with one, each slot goes through slotCost's market
+// branches, offset by offset, and the winner's through position.move.
 // The returned cost refers to scratch state that the next construct
 // overwrites — callers must clone before retaining the solution.
 func (r *greedyRun) construct(order []int) float64 {
@@ -291,21 +283,16 @@ func (r *greedyRun) construct(order []int) float64 {
 	for _, idx := range order {
 		o := &c.offers[idx]
 		lo, hi := r.lo[o.base:o.base+o.n], r.hi[o.base:o.base+o.n]
+		energy := r.arena[o.base : o.base+o.n]
 		first := int(o.lo - c.start)
-		bestDelta := math.Inf(1)
-		bestOff := 0
+		var bestOff int
+		var act float64
 
 		if !c.hasMarket {
-			span := o.width + o.n
-			deltas := r.deltas[:o.width+1]
-			scanOffsets(deltas, r.pos.net[first:first+span], r.pos.cost[first:first+span], c.imb[first:first+span], lo, hi, o.costPerKWh)
-			for off, delta := range deltas {
-				if delta < bestDelta {
-					bestDelta = delta
-					bestOff = off
-				}
-			}
+			end := first + o.width + o.n
+			bestOff, act = placeOffer(r.pos.net[first:end], r.pos.cost[first:end], c.imb[first:end], lo, hi, energy, o.costPerKWh)
 		} else {
+			bestDelta := math.Inf(1)
 			for off := 0; off <= o.width; off++ {
 				base := first + off
 				net := r.pos.net[base : base+o.n]
@@ -322,23 +309,7 @@ func (r *greedyRun) construct(order []int) float64 {
 					bestOff = off
 				}
 			}
-		}
-
-		base := first + bestOff
-		energy := r.arena[o.base : o.base+o.n]
-		var act float64
-		if !c.hasMarket {
-			// x += e, cost = penalty(imb, x): what move computes through
-			// slotCost without a market, minus the call and the test.
-			net, cost, imb := r.pos.net[base:base+o.n], r.pos.cost[base:base+o.n], c.imb[base:base+o.n]
-			for j, x := range net {
-				e := fillEnergy(lo[j], hi[j], x)
-				energy[j] = e
-				x += e
-				net[j], cost[j] = x, penalty(imb[j], x)
-				act += math.Abs(e)
-			}
-		} else {
+			base := first + bestOff
 			for j := range energy {
 				e := fillEnergy(lo[j], hi[j], r.pos.net[base+j])
 				energy[j] = e

@@ -250,41 +250,44 @@ func randomKernelProblem(t testing.TB, rng *rand.Rand, withMarket bool) *Problem
 
 // TestConstructMatchesReference: over seeded random problems — with and
 // without a market, both fill modes — and 50 shuffled orders each, the
-// kernel returns the reference's cost, every start and every energy.
+// kernel returns the reference's cost, every start and every energy,
+// on each placeOffer path the host can take (scanPaths).
 func TestConstructMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	for trial := 0; trial < 24; trial++ {
-		withMarket := trial%2 == 1
-		fill := FillMode(trial / 2 % 2)
-		p := randomKernelProblem(t, rng, withMarket)
-		c, err := Compile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, ref := newGreedyRun(c, fill), newReferenceRun(c, fill)
-		order := make([]int, len(c.offers))
-		for i := range order {
-			order[i] = i
-		}
-		for round := 0; round < 50; round++ {
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			got, want := run.construct(order), ref.referenceConstruct(order)
-			if got != want {
-				t.Fatalf("trial %d (market=%v fill=%d) round %d: cost %v != reference %v", trial, withMarket, fill, round, got, want)
+	scanPaths(func(path string) {
+		rng := rand.New(rand.NewSource(18))
+		for trial := 0; trial < 24; trial++ {
+			withMarket := trial%2 == 1
+			fill := FillMode(trial / 2 % 2)
+			p := randomKernelProblem(t, rng, withMarket)
+			c, err := Compile(p)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range c.offers {
-				if run.sol.Placements[i].Start != ref.starts[i] {
-					t.Fatalf("trial %d round %d offer %d: start %d != reference %d", trial, round, i, run.sol.Placements[i].Start, ref.starts[i])
+			run, ref := newGreedyRun(c, fill), newReferenceRun(c, fill)
+			order := make([]int, len(c.offers))
+			for i := range order {
+				order[i] = i
+			}
+			for round := 0; round < 50; round++ {
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+				got, want := run.construct(order), ref.referenceConstruct(order)
+				if got != want {
+					t.Fatalf("%s trial %d (market=%v fill=%d) round %d: cost %v != reference %v", path, trial, withMarket, fill, round, got, want)
 				}
-			}
-			for k := range ref.arena {
-				if run.arena[k] != ref.arena[k] {
-					t.Fatalf("trial %d round %d: energy[%d] %v != reference %v", trial, round, k, run.arena[k], ref.arena[k])
+				for i := range c.offers {
+					if run.sol.Placements[i].Start != ref.starts[i] {
+						t.Fatalf("%s trial %d round %d offer %d: start %d != reference %d", path, trial, round, i, run.sol.Placements[i].Start, ref.starts[i])
+					}
 				}
+				for k := range ref.arena {
+					if run.arena[k] != ref.arena[k] {
+						t.Fatalf("%s trial %d round %d: energy[%d] %v != reference %v", path, trial, round, k, run.arena[k], ref.arena[k])
+					}
+				}
+				checkPosition(t, c, &run.pos)
 			}
-			checkPosition(t, c, &run.pos)
 		}
-	}
+	})
 }
 
 // checkPosition asserts the slot position's invariant.

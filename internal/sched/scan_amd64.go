@@ -2,24 +2,30 @@
 
 package sched
 
-// scanOffsets prices every start offset of one offer under the flat
-// imbalance price: deltas[off] is the change in cost that placing the
-// offer at offset off (energies by fillEnergy into [lo, hi]) would
-// make, activation cost included. net, cost and imb are the position's
+// placeOffer places one offer at its best start under the flat
+// imbalance price, in one call. net, cost and imb are the position's
 // net energies, slot costs and imbalance prices from the offer's first
-// feasible start, len(deltas)+len(lo)-1 slots long.
+// feasible start, len(lo)+width slots long for width+1 start offsets.
+// It prices every offset (the change in cost that placing the offer
+// there, energies by fillEnergy into [lo, hi], would make, activation
+// cost included), keeps the first strict minimum in offset order
+// (offset 0 when no delta is below +Inf), and places the offer there:
+// energy[j] = e, net += e, cost = penalty(imb, net) on the winner's
+// slots, nothing else written. It returns the winner's offset and its
+// activation sum, Σ|e| before the price per kWh.
 //
 // Adjacent offsets read adjacent slots, so scan_amd64.s prices four of
 // them per AVX instruction when useAVX is set and two per SSE2
 // instruction otherwise and for the last one to three, one packed
 // instruction per step of the portable body (scan_generic.go), in the
-// same order and without fused multiply-adds: the deltas are the
-// portable body's, bit for bit.
+// same order and without fused multiply-adds, and places four or two
+// slices per instruction: the offset, the activation sum and every
+// float written are the portable body's, bit for bit.
 //
 //go:noescape
-func scanOffsets(deltas, net, cost, imb, lo, hi []float64, costPerKWh float64)
+func placeOffer(net, cost, imb, lo, hi, energy []float64, costPerKWh float64) (off int, act float64)
 
-// useAVX selects scanOffsets' quad loop. It is set once, from the CPU
+// useAVX selects placeOffer's quad loops. It is set once, from the CPU
 // and the OS; only tests change it, to run the SSE2 path on an AVX host.
 var useAVX = hasAVX()
 
