@@ -29,9 +29,11 @@ func benchSchedInstance(b *testing.B) *sched.Problem {
 
 // BenchmarkGreedySchedule times one planning search on a BuildScenario
 // instance: 50 offers on a 96-slot day without a market, 1 000 greedy
-// restarts. Its offers are short (~4.4 slices), so one construction
-// prices ~3.6 k (offset, slice) pairs, a quarter of what the repository
-// benchmark's cycle workload prices; BenchmarkCyclePlan in
+// restarts, each construction one placeOffer call per offer. Its
+// offers are short (~4.4 slices), so one construction prices ~3.6 k
+// (offset, slice) pairs, a quarter of what the repository benchmark's
+// cycle workload prices, and the per-call work (the lane merges, the
+// placement's SSE2 tail) weighs more than there; BenchmarkCyclePlan in
 // internal/core times that problem. The restarts run on GOMAXPROCS
 // workers, so -cpu 1,2 shows the parallel speed-up.
 func BenchmarkGreedySchedule(b *testing.B) {

@@ -267,12 +267,13 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 // each placed at its locally best start with the fill rule's energies.
 // The offset scan only compares deltas — an unchanged slot's price is
 // read from the position, never recomputed — and the winner's energies
-// are derived once, when it is placed. Either way the first strict
-// minimum in offset order wins. Without a market one placeOffer call
-// per offer prices every offset (four or two per instruction on
-// amd64), picks the winner and places it, its slots priced at the
-// penalty in place; with one, each slot goes through slotCost's market
-// branches, offset by offset, and the winner's through position.move.
+// are derived once, when it is placed. Without a market one
+// placeOffer call per offer prices every offset (four or two per
+// instruction on amd64), picks the winner and places it, its slots
+// priced at the penalty in place; with one, each slot goes through
+// slotCost's market branches, offset by offset, and the winner's
+// through position.move. Either way the first strict minimum in offset
+// order wins.
 // The returned cost refers to scratch state that the next construct
 // overwrites — callers must clone before retaining the solution.
 func (r *greedyRun) construct(order []int) float64 {

@@ -128,7 +128,7 @@ func checkScan(t *testing.T, sc scanCase) {
 	imb, imbAll := guarded(sc.imb)
 	lo, loAll := guarded(sc.lo)
 	hi, hiAll := guarded(sc.hi)
-	if n > 0 && &sc.lo[0] == &sc.hi[0] { // FillMidpoint passes one slice as both bounds
+	if &sc.lo[0] == &sc.hi[0] { // FillMidpoint passes one slice as both bounds
 		hi, hiAll = lo, loAll
 	}
 	energy, energyAll := guarded(make([]float64, n))
