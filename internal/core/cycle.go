@@ -115,8 +115,9 @@ func (n *Node) RunSchedulingCycle(ctx context.Context, now flexoffer.Time, deman
 		return rep, nil
 	}
 	t0 = time.Now()
-	// The node plans with the paper's randomized greedy search (GS).
-	res, err := (&sched.RandomizedGreedy{}).Schedule(ctx, problem, n.cfg.SchedOpts)
+	// The node plans with sched.Sweep: the paper's greedy placement,
+	// re-placed against the rest until it stops improving.
+	res, err := (&sched.Sweep{}).Schedule(ctx, problem, n.cfg.SchedOpts)
 	if err != nil {
 		return nil, err
 	}

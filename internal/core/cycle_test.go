@@ -551,3 +551,62 @@ func TestCyclePhasesCoverTheCycle(t *testing.T) {
 		t.Errorf("the phases cover at most %.1f %% of the cycle's wall time, want at least 90 %%", 100*best)
 	}
 }
+
+// TestCyclePlanQuality: at the benchmark cycle's shape (cyclePlanProblem)
+// and its 1,000-pass budget, the node's planner on seeds 7, 11 and 3
+// plans at most 0.26 of the baseline cost and no dearer than GS at
+// 1,000 restarts. A node cycle over the same offers, which go through
+// negotiation and so plan their own problem, reports the cost
+// Problem.Evaluate gives the plan it delivers, to the last bit.
+func TestCyclePlanQuality(t *testing.T) {
+	p := cyclePlanProblem(t)
+	base := p.BaselineCost()
+	now, end := p.Start, p.Start+flexoffer.Time(p.Slots)
+	for _, seed := range []int64{7, 11, 3} {
+		opt := sched.Options{MaxIterations: 1000, Seed: seed, TimeBudget: time.Minute}
+		res, err := (&sched.Sweep{}).Schedule(context.Background(), p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gs, err := (&sched.RandomizedGreedy{}).Schedule(context.Background(), p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("seed %d: %.4f of baseline in %d passes; GS %.4f", seed, res.Cost/base, res.Iterations, gs.Cost/base)
+		if res.Cost > 0.26*base {
+			t.Errorf("seed %d: plan costs %.4f of baseline, want at most 0.26", seed, res.Cost/base)
+		}
+		if res.Cost > gs.Cost {
+			t.Errorf("seed %d: plan costs %v, GS at 1,000 restarts %v", seed, res.Cost, gs.Cost)
+		}
+
+		brp := mustNode(t, nil, Config{Name: "brp1", AggParams: agg.ParamsP3, SchedOpts: opt})
+		for i, f := range cycleOffers(now) {
+			if d := brp.AcceptOffer(f, "p"+strconv.Itoa(i%50)); !d.Accept {
+				t.Fatalf("offer %d rejected: %s", f.ID, d.Reason)
+			}
+		}
+		drain(t, brp)
+		var planned []*agg.Aggregate
+		for _, a := range aggregates(brp) {
+			if a.Offer.LatestStart >= now && a.Offer.LatestEnd() <= end {
+				planned = append(planned, a)
+			}
+		}
+		np := buildProblem(now, p.Slots, planned, StaticForecast(cycleBaseline()), nil, nil)
+		rep, err := brp.RunSchedulingCycle(context.Background(), now, StaticForecast(cycleBaseline()), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.BaselineCost != np.BaselineCost() {
+			t.Fatalf("seed %d: the cycle planned from baseline cost %v, its aggregates give %v", seed, rep.BaselineCost, np.BaselineCost())
+		}
+		plan, err := (&sched.Sweep{}).Schedule(context.Background(), np, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := np.Evaluate(plan.Solution); rep.ScheduleCost != want {
+			t.Errorf("seed %d: the cycle reports cost %v, Evaluate of its plan %v", seed, rep.ScheduleCost, want)
+		}
+	}
+}

@@ -76,9 +76,11 @@ func cyclePlanProblem(tb testing.TB) *sched.Problem {
 	return buildProblem(now, horizon, aggregates, StaticForecast(cycleBaseline()), nil, nil)
 }
 
-// BenchmarkCyclePlan times the cycle's search alone: the node's
-// RandomizedGreedy at the cycle workload's 1,000 restarts on the
-// problem cyclePlanProblem builds untimed. It reports the instance's
+// BenchmarkCyclePlan times the cycle's search alone, on the problem
+// cyclePlanProblem builds untimed, at the cycle workload's 1,000-pass
+// budget: the node's planner (SW, sched.Sweep) and, for comparison,
+// the paper's RandomizedGreedy (GS) at 1,000 restarts. Each reports its
+// plan's cost as a fraction of the baseline cost, and the instance's
 // shape — aggregates, mean profile length, mean start window (latest
 // minus earliest start, so an aggregate has one start offset more) and
 // the (offset, slice) pairs one construction prices — so it can be held
@@ -92,24 +94,28 @@ func BenchmarkCyclePlan(b *testing.B) {
 		window += float64(hi - lo)
 		pairs += float64(hi-lo+1) * float64(len(f.Profile))
 	}
-	g := &sched.RandomizedGreedy{}
+	base := p.BaselineCost()
 	opt := sched.Options{MaxIterations: 1000, Seed: 7, TimeBudget: time.Minute}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := g.Schedule(context.Background(), p, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		planCost = res.Cost
+	for _, s := range []sched.Scheduler{&sched.Sweep{}, &sched.RandomizedGreedy{}} {
+		b.Run(s.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := s.Schedule(context.Background(), p, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				planCost = res.Cost
+			}
+			b.StopTimer()
+			n := float64(len(p.Offers))
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
+			b.ReportMetric(planCost/base, "cost/baseline")
+			b.ReportMetric(n, "aggregates")
+			b.ReportMetric(slices/n, "slices/aggregate")
+			b.ReportMetric(window/n, "window/aggregate")
+			b.ReportMetric(pairs, "pairs/construction")
+		})
 	}
-	b.StopTimer()
-	n := float64(len(p.Offers))
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/op")
-	b.ReportMetric(n, "aggregates")
-	b.ReportMetric(slices/n, "slices/aggregate")
-	b.ReportMetric(window/n, "window/aggregate")
-	b.ReportMetric(pairs, "pairs/construction")
 }
 
 // planCost keeps the benchmarked search's result alive.

@@ -264,64 +264,68 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 }
 
 // construct builds one schedule into r.sol: offers in the given order,
-// each placed at its locally best start with the fill rule's energies.
-// The offset scan only compares deltas — an unchanged slot's price is
-// read from the position, never recomputed — and the winner's energies
-// are derived once, when it is placed. Without a market one
-// placeOffer call per offer prices every offset (four or two per
-// instruction on amd64), picks the winner and places it, its slots
+// each placed at its locally best start by place. The returned cost
+// refers to scratch state that the next construct overwrites — callers
+// must clone before retaining the solution.
+func (r *greedyRun) construct(order []int) float64 {
+	r.pos.reset(r.c)
+	var offerCosts float64
+	for _, idx := range order {
+		offerCosts += r.place(idx) * r.c.offers[idx].costPerKWh
+	}
+	return r.pos.total() + offerCosts
+}
+
+// place puts offer idx at its locally best start against the position
+// as it stands, with the fill rule's energies, and returns its
+// activation sum Σ|e|. The offset scan only compares deltas — an
+// unchanged slot's price is read from the position, never recomputed —
+// and the winner's energies are derived once, when it is placed.
+// Without a market one placeOffer call prices every offset (four or two
+// per instruction on amd64), picks the winner and places it, its slots
 // priced at the penalty in place; with one, each slot goes through
 // slotCost's market branches, offset by offset, and the winner's
 // through position.move. Either way the first strict minimum in offset
 // order wins.
-// The returned cost refers to scratch state that the next construct
-// overwrites — callers must clone before retaining the solution.
-func (r *greedyRun) construct(order []int) float64 {
+func (r *greedyRun) place(idx int) (act float64) {
 	c := r.c
-	r.pos.reset(c)
-	var offerCosts float64
+	o := &c.offers[idx]
+	lo, hi := r.lo[o.base:o.base+o.n], r.hi[o.base:o.base+o.n]
+	energy := r.arena[o.base : o.base+o.n]
+	first := int(o.lo - c.start)
+	var bestOff int
 
-	for _, idx := range order {
-		o := &c.offers[idx]
-		lo, hi := r.lo[o.base:o.base+o.n], r.hi[o.base:o.base+o.n]
-		energy := r.arena[o.base : o.base+o.n]
-		first := int(o.lo - c.start)
-		var bestOff int
-		var act float64
-
-		if !c.hasMarket {
-			end := first + o.width + o.n
-			bestOff, act = placeOffer(r.pos.net[first:end], r.pos.cost[first:end], c.imb[first:end], lo, hi, energy, o.costPerKWh)
-		} else {
-			bestDelta := math.Inf(1)
-			for off := 0; off <= o.width; off++ {
-				base := first + off
-				net := r.pos.net[base : base+o.n]
-				cost := r.pos.cost[base : base+o.n]
-				var delta, act float64
-				for j, n := range net {
-					e := fillEnergy(lo[j], hi[j], n)
-					delta += c.slotCost(base+j, n+e) - cost[j]
-					act += math.Abs(e)
-				}
-				delta += act * o.costPerKWh
-				if delta < bestDelta {
-					bestDelta = delta
-					bestOff = off
-				}
-			}
-			base := first + bestOff
-			for j := range energy {
-				e := fillEnergy(lo[j], hi[j], r.pos.net[base+j])
-				energy[j] = e
-				r.pos.move(c, base+j, e)
+	if !c.hasMarket {
+		end := first + o.width + o.n
+		bestOff, act = placeOffer(r.pos.net[first:end], r.pos.cost[first:end], c.imb[first:end], lo, hi, energy, o.costPerKWh)
+	} else {
+		bestDelta := math.Inf(1)
+		for off := 0; off <= o.width; off++ {
+			base := first + off
+			net := r.pos.net[base : base+o.n]
+			cost := r.pos.cost[base : base+o.n]
+			var delta, act float64
+			for j, n := range net {
+				e := fillEnergy(lo[j], hi[j], n)
+				delta += c.slotCost(base+j, n+e) - cost[j]
 				act += math.Abs(e)
 			}
+			delta += act * o.costPerKWh
+			if delta < bestDelta {
+				bestDelta = delta
+				bestOff = off
+			}
 		}
-		offerCosts += act * o.costPerKWh
-		r.sol.Placements[idx].Start = o.lo + flexoffer.Time(bestOff)
+		base := first + bestOff
+		for j := range energy {
+			e := fillEnergy(lo[j], hi[j], r.pos.net[base+j])
+			energy[j] = e
+			r.pos.move(c, base+j, e)
+			act += math.Abs(e)
+		}
 	}
-	return r.pos.total() + offerCosts
+	r.sol.Placements[idx].Start = o.lo + flexoffer.Time(bestOff)
+	return act
 }
 
 // fillEnergy picks a slice's energy for the current net position:
