@@ -180,12 +180,13 @@ func fig4b(seed int64) {
 
 // fig6 prints the cost-over-time traces of the evolutionary algorithm
 // and the randomized greedy search on 10/100/1000/10000 aggregated
-// flex-offers. The strategies get equal wall-clock budgets, so they run
-// on one core, as in the paper: GS would otherwise run its restarts on
-// every core while EA uses one.
+// flex-offers, and beside them the hybrid (HYB) and the node's planner
+// (SW). The strategies get equal wall-clock budgets, so they run on one
+// core, as in the paper: GS would otherwise run its restarts on every
+// core while EA uses one.
 func fig6(maxBudget time.Duration, seed int64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fmt.Println("== Figure 6: scheduling cost vs time (EA vs GS, 1 core) ==")
+	fmt.Println("== Figure 6: scheduling cost vs time (EA vs GS; HYB and the node's SW beside them, 1 core) ==")
 	prices := workload.PriceSeries(workload.PriceConfig{Days: 2, Seed: seed})
 	m, err := market.NewDayAhead(market.Config{Prices: prices, CapacityKWh: 2000})
 	if err != nil {
@@ -206,8 +207,10 @@ func fig6(maxBudget time.Duration, seed int64) {
 		fmt.Printf("-- %d aggregated flex-offers (budget %v, default cost %.0f EUR, search space %.3g) --\n",
 			n, budget, p.BaselineCost(), p.CountSolutions())
 		// EA and GS are the paper's two algorithms; HYB is the
-		// greedy-seeded hybrid from the research directions.
-		for _, s := range []sched.Scheduler{&sched.Evolutionary{}, &sched.RandomizedGreedy{}, &sched.Hybrid{}} {
+		// greedy-seeded hybrid from the research directions, and SW the
+		// node's planner, which ends on its own once restarts stop
+		// improving, usually well inside the budget.
+		for _, s := range []sched.Scheduler{&sched.Evolutionary{}, &sched.RandomizedGreedy{}, &sched.Hybrid{}, &sched.Sweep{}} {
 			res, err := s.Schedule(context.Background(), p, sched.Options{TimeBudget: budget, Seed: seed + 7, TraceEvery: traceStride(n)})
 			if err != nil {
 				log.Fatal(err)

@@ -46,7 +46,7 @@ func flags(fs *flag.FlagSet) *simConfig {
 	fs.StringVar(&cfg.Faults, "faults", "", "fault schedule, e.g. 'drop=0.1,lat=1ms:2ms,part=brp-1@3-4,crash=brp-0@3+2'")
 	fs.Float64Var(&cfg.Churn, "churn", 0, "per-household per-cycle probability of leaving mid-contract")
 	fs.DurationVar(&cfg.Budget, "budget", 500*time.Millisecond, "per-cycle scheduling time budget")
-	fs.IntVar(&cfg.Iters, "iters", 0, "scheduling iteration bound (0 = time budget only; set for deterministic planning)")
+	fs.IntVar(&cfg.Iters, "iters", 0, "cap on the passes of each cycle's search (0 = none: the search ends on its own, deterministic within -budget)")
 	fs.DurationVar(&cfg.Pace, "pace", 0, "wall-clock duration of one event-time slot (0 = free-running)")
 	fs.StringVar(&cfg.Dir, "dir", "", "durable state root (default: a fresh temp dir, removed on exit)")
 	fs.IntVar(&cfg.MeasureEvery, "measure-every", 8, "every Nth household reports an acked measurement batch per cycle")
@@ -93,6 +93,18 @@ func main() {
 	}
 }
 
+// median is the middle of v (the mean of the two middle values when
+// len(v) is even); v must not be empty. It sorts a copy.
+func median(v []float64) float64 {
+	s := append([]float64(nil), v...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
 func printReport(w io.Writer, r *simResult) {
 	fmt.Fprintf(w, "run: %d cycles in %v\n", r.Cycles, r.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "offers: %d submitted, %d acked (%d accepted), %d failed, %d re-offered — %.0f acked offers/s\n",
@@ -110,6 +122,9 @@ func printReport(w io.Writer, r *simResult) {
 		fmt.Fprintf(w, " %s=%v", name, time.Duration(r.CyclePhases[p].Quantile(0.5)).Round(time.Microsecond))
 	}
 	fmt.Fprintln(w)
+	if n := len(r.PlanCostRatios); n > 0 {
+		fmt.Fprintf(w, "plan cost: median %.4f of the baseline cost over %d planned node-cycles\n", median(r.PlanCostRatios), n)
+	}
 	fmt.Fprintf(w, "churn: %d households left mid-contract (%d deferred past a dead BRP), %d offers cancelled, %.2f EUR penalties\n",
 		r.ChurnLeft, r.ChurnDeferred, r.CancelledOffers, r.CancelPenaltyEUR)
 

@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -85,6 +87,30 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 	if res.NotifiesRefused != 0 {
 		t.Errorf("%d schedule notifies refused", res.NotifiesRefused)
+	}
+	if len(res.PlanCostRatios) == 0 {
+		t.Error("no cycle reported its plan cost against a positive baseline")
+	}
+	var out strings.Builder
+	printReport(&out, res)
+	if want := fmt.Sprintf("plan cost: median %.4f of the baseline cost over %d planned node-cycles\n",
+		median(res.PlanCostRatios), len(res.PlanCostRatios)); !strings.Contains(out.String(), want) {
+		t.Errorf("report lacks %q:\n%s", want, out.String())
+	}
+}
+
+// TestMedian: the middle value, or the mean of the two middle ones,
+// whatever the input order; the input is left as it was.
+func TestMedian(t *testing.T) {
+	odd := []float64{0.3, 0.1, 0.2}
+	if got := median(odd); got != 0.2 {
+		t.Errorf("median(%v) = %v, want 0.2", odd, got)
+	}
+	if odd[0] != 0.3 {
+		t.Errorf("median reordered its input: %v", odd)
+	}
+	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
+		t.Errorf("median(4, 1, 3, 2) = %v, want 2.5", got)
 	}
 }
 

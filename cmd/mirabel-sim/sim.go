@@ -35,7 +35,7 @@ type simConfig struct {
 	Faults        string  // chaos schedule (chaos.ParseSchedule syntax)
 	Churn         float64 // per-household per-cycle probability of leaving mid-contract
 	Budget        time.Duration
-	Iters         int           // search iteration bound (with a generous Budget this keeps planning deterministic)
+	Iters         int           // cap on each search's passes (0 = none; the search ends on its own)
 	Pace          time.Duration // wall-clock duration of one event-time slot (0 = free-running)
 	Dir           string        // durable state root, one subdirectory per BRP
 	MeasureEvery  int           // every Nth household sends an acked measurement batch per cycle
@@ -96,6 +96,10 @@ type simResult struct {
 	// CyclePhases holds one histogram per reported cycle phase (ns), in
 	// cyclePhaseNames order, one sample per node-cycle.
 	CyclePhases [len(cyclePhaseNames)]obs.Histogram
+	// PlanCostRatios holds, per node-cycle that planned an aggregate
+	// against a positive baseline cost, the plan's cost ÷ that baseline
+	// cost, in no particular order.
+	PlanCostRatios []float64
 
 	ChurnLeft        uint64 // households that left mid-contract
 	ChurnDeferred    uint64 // departures queued because their BRP was down
@@ -471,6 +475,9 @@ func (s *sim) runCycles(ctx context.Context) error {
 				s.res.CycleLatency.Record(int64(lat))
 				for p, d := range cyclePhases(rep) {
 					s.res.CyclePhases[p].Record(int64(d))
+				}
+				if rep.Aggregates > 0 && rep.BaselineCost > 0 {
+					s.res.PlanCostRatios = append(s.res.PlanCostRatios, rep.ScheduleCost/rep.BaselineCost)
 				}
 				s.res.MicroSchedules += rep.MicroSchedules
 				s.res.Expired += rep.Expired

@@ -10,7 +10,9 @@
 // Two stochastic metaheuristics solve the problem, as in the paper: a
 // randomized greedy search and an evolutionary algorithm; an exhaustive
 // enumerator provides the true optimum for tiny instances (the paper's
-// optimality probe).
+// optimality probe). The node plans with Sweep, the greedy search
+// followed by re-placing every offer against the rest until that stops
+// improving.
 package sched
 
 import (

@@ -71,7 +71,7 @@ func TestNonFiniteSlotsRefused(t *testing.T) {
 		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
 		}
-		for _, s := range []Scheduler{&RandomizedGreedy{}, &Evolutionary{}, &Hybrid{}} {
+		for _, s := range []Scheduler{&RandomizedGreedy{}, &Evolutionary{}, &Hybrid{}, &Sweep{}} {
 			res, err := s.Schedule(context.Background(), p, Options{MaxIterations: 5, Seed: 1, TimeBudget: time.Hour})
 			if err == nil {
 				t.Errorf("%s: %s returned no error (solution %v, cost %v)", tc.name, s.Name(), res.Solution, res.Cost)
@@ -538,7 +538,7 @@ func TestPastEarliestStartOffersStaySchedulable(t *testing.T) {
 	// the net position out of range otherwise).
 	_ = p.BaselineCost()
 
-	for _, s := range []Scheduler{&RandomizedGreedy{}, &Evolutionary{}, &Hybrid{}, &Exhaustive{}} {
+	for _, s := range []Scheduler{&RandomizedGreedy{}, &Evolutionary{}, &Hybrid{}, &Sweep{}, &Exhaustive{}} {
 		res, err := s.Schedule(context.Background(), p, Options{MaxIterations: 5, Seed: 11})
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

@@ -31,8 +31,13 @@ type Options struct {
 	// several workers, each of which may finish one restart past it.
 	TimeBudget time.Duration
 	// MaxIterations additionally bounds the iteration count (0 = none).
-	// One iteration is one constructed schedule (greedy) or one
-	// generation (EA).
+	// One iteration is, per strategy:
+	//   - RandomizedGreedy (GS): one constructed schedule, a restart;
+	//   - Evolutionary (EA): one generation;
+	//   - Hybrid (HYB): one seeding construction or one generation;
+	//   - Sweep (SW): one pass over the offers, a construction or a
+	//     sweep; Sweep also ends on its own, so the bound only caps it;
+	//   - Exhaustive: not bounded; every enumerated schedule counts.
 	MaxIterations int
 	// Seed makes the stochastic search reproducible.
 	Seed int64
