@@ -17,8 +17,12 @@
 // paper's chain also ends in a stream of aggregate updates (created,
 // changed, deleted) for a consumer downstream; here the planner reads
 // the live aggregates instead, and an aggregate's Version is the change
-// signal. The pipeline is the one index of the offers it holds, and
-// a node asks it which offers are pending instead of keeping a copy.
+// signal. The pipeline is the one index of the offers it holds — one
+// member table, a slab row per offer ID behind a single ID → row map —
+// and a node asks it which offers are pending instead of keeping a
+// copy. Process builds and changes the touched aggregates on every
+// core, each aggregate on one goroutine, so its floats and IDs do not
+// depend on the core count.
 //
 // The component satisfies the paper's four requirements:
 //
@@ -75,6 +79,14 @@ var (
 type groupKey struct {
 	es, tf int64
 	dur    int
+}
+
+// pack folds k into the integer the pipeline finds its group by. Keys
+// whose earliest start fits 40 bits and whose flexibility and duration
+// fit 12 each pack to distinct integers; any others may pack alike, and
+// the pipeline chains those groups and tells them apart by the full key.
+func (k groupKey) pack() uint64 {
+	return uint64(k.es)<<24 ^ uint64(k.tf)<<12 ^ uint64(k.dur)
 }
 
 // keyOf quantizes the grouping attributes by the tolerances.

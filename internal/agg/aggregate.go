@@ -2,6 +2,7 @@ package agg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mirabel/internal/flexoffer"
@@ -116,8 +117,18 @@ func (a *Aggregate) gridEnd() flexoffer.Time {
 	return a.Offer.EarliestStart + flexoffer.Time(len(a.Offer.Profile))
 }
 
-// newAggregate starts an aggregate from its first member.
-func newAggregate(id flexoffer.ID, first *flexoffer.FlexOffer) *Aggregate {
+// buildAggregate constructs an aggregate from scratch for the given
+// members, which must be in ID order ("aggregation from scratch is also
+// supported"), in one pass over them: each member's profile is merged,
+// its energy and cost terms summed and its boundaries counted as it
+// joins. The member slice is copied; the caller's slice is not
+// retained.
+func buildAggregate(id flexoffer.ID, members []*flexoffer.FlexOffer) *Aggregate {
+	if len(members) == 0 {
+		return nil
+	}
+	sorted := slices.Clone(members)
+	first := sorted[0]
 	a := &Aggregate{
 		Offer: &flexoffer.FlexOffer{
 			ID:            id,
@@ -125,37 +136,26 @@ func newAggregate(id flexoffer.ID, first *flexoffer.FlexOffer) *Aggregate {
 			EarliestStart: first.EarliestStart,
 			LatestStart:   first.LatestStart,
 			AssignBefore:  first.AssignBefore,
-			Profile:       append([]flexoffer.Slice(nil), first.Profile...),
+			Profile:       slices.Clone(first.Profile),
 			CostPerKWh:    first.CostPerKWh,
 		},
-		members: []*flexoffer.FlexOffer{first},
+		members: sorted,
 		Version: 1,
 		nMinES:  1, nMinTF: 1, nMinAB: 1, nMaxEnd: 1,
 	}
 	e := absTotalMax(first)
-	a.costSum = first.CostPerKWh * e
-	a.energySum = e
-	a.refreshTotals()
-	return a
-}
-
-// buildAggregate constructs an aggregate from scratch for the given
-// members ("aggregation from scratch is also supported"). The member
-// slice is copied and ID-sorted; the caller's slice is not retained.
-func buildAggregate(id flexoffer.ID, members []*flexoffer.FlexOffer) *Aggregate {
-	if len(members) == 0 {
-		return nil
-	}
-	sorted := append([]*flexoffer.FlexOffer(nil), members...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	a := newAggregate(id, sorted[0])
+	a.costSum += first.CostPerKWh * e
+	a.energySum += e
 	for _, m := range sorted[1:] {
-		a.addProfileOnly(m)
+		a.noteBoundaries(m)
+		e := a.merge(m)
+		a.costSum += m.CostPerKWh * e
+		a.energySum += e
 	}
-	a.members = sorted
-	a.refreshCost()
+	if a.energySum > 0 {
+		a.Offer.CostPerKWh = a.costSum / a.energySum
+	}
 	a.refreshTotals()
-	a.recountBoundaries()
 	return a
 }
 
@@ -187,7 +187,7 @@ func (a *Aggregate) ownsBoundary(m *flexoffer.FlexOffer) bool {
 }
 
 // noteBoundaries updates the tie counters for a joining member. Must run
-// BEFORE addProfileOnly mutates the combined offer, because it compares
+// BEFORE merge mutates the combined offer, because it compares
 // against the pre-merge extrema.
 func (a *Aggregate) noteBoundaries(m *flexoffer.FlexOffer) {
 	switch {
@@ -217,27 +217,6 @@ func (a *Aggregate) noteBoundaries(m *flexoffer.FlexOffer) {
 	}
 }
 
-// recountBoundaries rebuilds the tie counters from the member list.
-func (a *Aggregate) recountBoundaries() {
-	a.nMinES, a.nMinTF, a.nMinAB, a.nMaxEnd = 0, 0, 0, 0
-	ge := a.gridEnd()
-	tf := a.Offer.TimeFlexibility()
-	for _, m := range a.members {
-		if m.EarliestStart == a.Offer.EarliestStart {
-			a.nMinES++
-		}
-		if m.TimeFlexibility() == tf {
-			a.nMinTF++
-		}
-		if m.AssignBefore == a.Offer.AssignBefore {
-			a.nMinAB++
-		}
-		if m.EarliestStart+flexoffer.Time(m.NumSlices()) == ge {
-			a.nMaxEnd++
-		}
-	}
-}
-
 // add inserts a new member incrementally ("aggregated flex-offers can be
 // incrementally updated to avoid a from-scratch re-computation"). Totals
 // are delta-updated: the combined profile gains exactly m's slice
@@ -248,12 +227,11 @@ func (a *Aggregate) add(m *flexoffer.FlexOffer) {
 	a.members = append(a.members, nil)
 	copy(a.members[i+1:], a.members[i:])
 	a.members[i] = m
-	a.addProfileOnly(m)
+	e := a.merge(m)
 	for _, sl := range m.Profile {
 		a.TotalMin += sl.EnergyMin
 		a.TotalMax += sl.EnergyMax
 	}
-	e := absTotalMax(m)
 	a.costSum += m.CostPerKWh * e
 	a.energySum += e
 	if a.energySum > 0 {
@@ -261,9 +239,10 @@ func (a *Aggregate) add(m *flexoffer.FlexOffer) {
 	}
 }
 
-// addProfileOnly merges m's constraints into the combined offer without
-// touching the cached totals or counters.
-func (a *Aggregate) addProfileOnly(m *flexoffer.FlexOffer) {
+// merge merges m's constraints into the combined offer without
+// touching the cached totals, cost or counters, and returns m's energy
+// weight absTotalMax(m), summed in the same pass over m's profile.
+func (a *Aggregate) merge(m *flexoffer.FlexOffer) float64 {
 	if m.EarliestStart < a.Offer.EarliestStart {
 		// The profile grid starts earlier now: prepend zero slices and
 		// move the latest start along so the time flexibility (min of
@@ -281,9 +260,11 @@ func (a *Aggregate) addProfileOnly(m *flexoffer.FlexOffer) {
 		a.Offer.Profile = append(a.Offer.Profile, flexoffer.Slice{})
 	}
 	off := int(m.EarliestStart - a.Offer.EarliestStart)
+	var emax float64
 	for j, sl := range m.Profile {
 		a.Offer.Profile[off+j].EnergyMin += sl.EnergyMin
 		a.Offer.Profile[off+j].EnergyMax += sl.EnergyMax
+		emax += sl.EnergyMax
 	}
 	if ls := a.Offer.EarliestStart + m.TimeFlexibility(); ls < a.Offer.LatestStart {
 		a.Offer.LatestStart = ls
@@ -291,6 +272,10 @@ func (a *Aggregate) addProfileOnly(m *flexoffer.FlexOffer) {
 	if m.AssignBefore < a.Offer.AssignBefore {
 		a.Offer.AssignBefore = m.AssignBefore
 	}
+	if emax < 0 {
+		return -emax
+	}
+	return emax
 }
 
 // removeDeltaAt removes the member at index i as a pure delta: subtract
@@ -328,7 +313,8 @@ func (a *Aggregate) removeDeltaAt(i int) {
 }
 
 // rebuildWith replaces the aggregate contents with a from-scratch build
-// over the given members, preserving identity (Offer.ID) and Version.
+// over the given members, in ID order, preserving identity (Offer.ID)
+// and Version.
 // Returns false when members is empty (the aggregate died).
 func (a *Aggregate) rebuildWith(members []*flexoffer.FlexOffer) bool {
 	if len(members) == 0 {
@@ -352,7 +338,8 @@ func (a *Aggregate) retire() {
 // single transaction: at worst one from-scratch rebuild for the whole
 // batch (when a removed member owns a boundary or the drift budget is
 // spent), pure deltas otherwise. The Version is bumped exactly once per
-// mutating batch. Returns false when the aggregate has no members left.
+// mutating batch. added must be in ID order. Returns false when
+// the aggregate has no members left.
 func (a *Aggregate) applyBatch(added, removed []*flexoffer.FlexOffer) bool {
 	mutated := false
 	for i, off := range removed {
@@ -378,6 +365,7 @@ func (a *Aggregate) applyBatch(added, removed []*flexoffer.FlexOffer) bool {
 				}
 			}
 			survivors = append(survivors, added...)
+			slices.SortFunc(survivors, byOfferID)
 			return a.rebuildWith(survivors)
 		}
 		a.removeDeltaAt(idx)
@@ -407,20 +395,6 @@ func (a *Aggregate) refreshTotals() {
 		mx += sl.EnergyMax
 	}
 	a.TotalMin, a.TotalMax = mn, mx
-}
-
-// refreshCost recomputes the energy-weighted activation cost from the
-// members.
-func (a *Aggregate) refreshCost() {
-	a.costSum, a.energySum = 0, 0
-	for _, m := range a.members {
-		e := absTotalMax(m)
-		a.costSum += m.CostPerKWh * e
-		a.energySum += e
-	}
-	if a.energySum > 0 {
-		a.Offer.CostPerKWh = a.costSum / a.energySum
-	}
 }
 
 func absTotalMax(m *flexoffer.FlexOffer) float64 {

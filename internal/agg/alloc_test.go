@@ -4,6 +4,7 @@ package agg
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -45,5 +46,51 @@ func TestAccumulateZeroAlloc(t *testing.T) {
 	}
 	if got := pendingUpdates(p); got != 0 {
 		t.Fatalf("pending after cancelled inserts = %d, want 0", got)
+	}
+}
+
+// TestLeaveWholeZeroAlloc: the commit hands every planned aggregate
+// back through LeaveWhole and retires them in one Process, under the
+// node lock. Once the pipeline's scratch has room, that path allocates
+// nothing: not the lookups and slots of LeaveWhole, nor the releases,
+// deltas and group drops of the Process that follows. Each round
+// refills the pipeline untimed, so the count is taken by hand around
+// the two calls: the fewest mallocs of 20 warm rounds, which leaves out
+// a runtime's own allocation that lands in a round now and then.
+func TestLeaveWholeZeroAlloc(t *testing.T) {
+	p := NewPipeline(ParamsP3)
+	offers := randomOffers(rand.New(rand.NewSource(2)), 200)
+	var slots []uint64
+	fewest := uint64(1 << 62)
+	var before, after runtime.MemStats
+	for round := 0; round < 22; round++ {
+		for _, f := range offers {
+			f.ID += 1000 // a fresh ID every round
+		}
+		if err := p.Apply(inserts(offers...)...); err != nil {
+			t.Fatal(err)
+		}
+		snaps := p.Aggregates()
+		for i, a := range snaps {
+			snaps[i] = a.Snapshot()
+		}
+		runtime.ReadMemStats(&before)
+		var ok bool
+		for _, s := range snaps {
+			if slots, ok = p.LeaveWhole(s, slots[:0]); !ok {
+				t.Fatalf("aggregate %d refused to leave whole", s.Offer.ID)
+			}
+		}
+		p.Process()
+		runtime.ReadMemStats(&after)
+		if p.NumOffers() != 0 || len(p.Aggregates()) != 0 {
+			t.Fatalf("round %d: %d offers held after every aggregate left", round, p.NumOffers())
+		}
+		if round >= 2 {
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+	}
+	if fewest != 0 {
+		t.Fatalf("a warm LeaveWhole of every aggregate and its Process allocate %d objects, want 0", fewest)
 	}
 }

@@ -19,10 +19,10 @@ func contains(p *Pipeline, id flexoffer.ID) bool {
 }
 
 // grouped is the number of offers applied to groups.
-func grouped(p *Pipeline) int { return len(p.byID) }
+func grouped(p *Pipeline) int { return p.nApplied }
 
 // pendingUpdates is the number of accumulated, unprocessed updates.
-func pendingUpdates(p *Pipeline) int { return len(p.pendingIns) + len(p.pendingDel) }
+func pendingUpdates(p *Pipeline) int { return p.nIns + p.nDel }
 
 // processChanges runs Process and returns how many aggregates it
 // created, changed or deleted: the ones whose ID or Version differ.

@@ -4,46 +4,61 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/par"
 )
 
 // group is one similarity group and the aggregate it maps to one to
 // one, plus, while Process runs, its slot in the batch's delta list.
 type group struct {
-	key  groupKey
+	key groupKey
+	// next is the next group whose key packs to the same integer
+	// (groupKey.pack); nil at the end of the chain.
+	next *group
 	agg  *Aggregate // nil only while Process builds a new group's aggregate
-	slot int        // 1 + index into Pipeline.deltas; 0 = untouched
+	// rows are the member table rows of agg's members, in member order.
+	rows []int32
+	slot int // 1 + index into Pipeline.deltas; 0 = untouched
 	// leaving says every member leaves at the next Process (LeaveWhole).
 	leaving bool
 }
 
-// member is one held offer, the group it lives in (nil while its
-// insert is pending) and the slot its caller gave it (SetSlot).
-type member struct {
-	g    *group
-	off  *flexoffer.FlexOffer
-	slot uint64
+// entry is one row of the member table: an offer ID's applied
+// membership, if it has one, and its pending insert, if it has one.
+// Both at once happen only while the applied offer's delete is pending
+// and another offer with its ID waits to replace it.
+type entry struct {
+	id   flexoffer.ID
+	off  *flexoffer.FlexOffer // the applied member; nil when none
+	g    *group               // off's group
+	slot uint64               // off's slot
+	// ins is the pending insert, nil when none, and insSlot its slot.
+	ins     *flexoffer.FlexOffer
+	insSlot uint64
+	del     bool // off leaves at the next Process
+	listed  bool // the entry is on Pipeline.ins until the next Process
 }
 
 // delta is what one Process batch does to one group: the offers that
 // join it and the members that leave it, or, when whole is set, every
-// member leaving.
+// member leaving. id is the macro flex-offer ID a new group's
+// aggregate takes, and alive says whether the group keeps an aggregate.
 type delta struct {
 	g              *group
 	added, removed []*flexoffer.FlexOffer
 	whole          bool
+	id             flexoffer.ID
+	alive          bool
 }
 
-// pendingUndo is an offer's pending state before one recorded update:
-// its pending insert (off nil when it had none) and its pending delete
-// (zero when it had none). A batch that fails validation half way
-// restores it.
-type pendingUndo struct {
-	id  flexoffer.ID
-	ins member
-	del member
+// entryUndo is an entry before one recorded update, or, when created
+// is set, an entry the update made. A batch that fails validation half
+// way restores them, last first.
+type entryUndo struct {
+	i       int32
+	created bool
+	prev    entry
 }
 
 // Pipeline is the paper's aggregation chain — "these sub-components
@@ -57,48 +72,54 @@ type pendingUndo struct {
 //
 // The pipeline is also the one index of the offers it holds: an applied
 // member that is not leaving, or a pending insert (Offer, NumOffers,
-// EachOffer). Each held offer carries an opaque slot for its caller: a
-// node keeps there where the offer's store record lives. SetSlot is the
-// one way a slot enters the pipeline, on a pending insert; LeaveWhole
-// hands the slots back.
+// EachOffer). Every offer ID it knows is one row of a member table — a
+// slab of entries found through one ID → row map — that carries the
+// applied membership and the pending insert side by side, and each
+// group lists its members' rows, so a group leaves whole without a
+// lookup. Each held offer carries an opaque slot for its caller: a node keeps there where
+// the offer's store record lives. SetSlot is the one way a slot enters
+// the pipeline, on a pending insert; LeaveWhole hands the slots back.
 //
-// Accumulate validates each batch against the membership index and the
-// already-pending updates as it records it, and undoes the batch's
-// records when an update fails — a failed batch leaves the pipeline
-// exactly as it was, and Process can never fail half way through.
-// Pending inserts and deletes are kept as net-effect maps: deleting a
-// still-pending insert cancels it, so an offer that arrives and expires
-// between two cycles costs nothing, and inserting the very offer whose
-// delete is pending cancels that delete.
+// Accumulate validates each batch against the member table as it
+// records it, and undoes the batch's records when an update fails — a
+// failed batch leaves the pipeline exactly as it was, and Process can
+// never fail half way through. Pending updates keep only their net
+// effect: deleting a still-pending insert cancels it, so an offer that
+// arrives and expires between two cycles costs nothing, and inserting
+// the very offer whose delete is pending cancels that delete.
 type Pipeline struct {
 	params Params
 	nextID flexoffer.ID
-	groups map[groupKey]*group
-	// byID is the membership index over applied offers: which group an
-	// offer lives in. Delete validation is a map lookup — the offer's
-	// grouping key is never re-derived from caller-supplied attributes.
-	byID map[flexoffer.ID]member
+	// groups finds a group by its packed key; groups whose keys pack
+	// alike are chained through group.next.
+	groups map[uint64]*group
 	// byAggID finds a group by its aggregate's macro flex-offer ID.
 	byAggID map[flexoffer.ID]*group
 
-	// Net-effect pending state, applied by Process. A pending delete
-	// keeps the membership it removes. leaving lists the groups whose
-	// every member leaves (LeaveWhole), and leavingN counts those
-	// members.
-	pendingIns map[flexoffer.ID]member
-	pendingDel map[flexoffer.ID]member
-	leaving    []*group
-	leavingN   int
+	// The member table: index finds an ID's entry in ents, and free
+	// lists the entries no ID holds. Delete validation is one lookup —
+	// the offer's grouping key is never re-derived from caller-supplied
+	// attributes.
+	index map[flexoffer.ID]int32
+	ents  []entry
+	free  []int32
+
+	// Pending state, applied by Process. ins lists the entries that took
+	// a pending insert this batch, each once, in arrival order; an
+	// insert cancelled later stays listed. dels lists the entries whose
+	// applied member got a pending delete, a delete taken back and made
+	// again listed twice. leaving lists the groups whose every member
+	// leaves (LeaveWhole), and leavingN counts those members. nApplied,
+	// nIns and nDel count applied members, pending inserts and pending
+	// deletes.
+	ins                            []int32
+	dels                           []int32
+	leaving                        []*group
+	nApplied, nIns, nDel, leavingN int
 
 	// Scratch reused across calls, so neither a single-offer Accumulate
-	// nor a Process allocates bookkeeping of its own. ins lists the
-	// pending inserts' IDs in arrival order, nearly ID order for an
-	// intake that numbers offers as they come; an insert cancelled
-	// later stays listed, and so does each insert of an ID inserted
-	// again, so Process skips the IDs no pending insert holds and the
-	// repeats.
-	undo   []pendingUndo
-	ins    []flexoffer.ID
+	// nor a Process allocates bookkeeping of its own.
+	undo   []entryUndo
 	deltas []delta
 }
 
@@ -107,13 +128,11 @@ type Pipeline struct {
 // out.
 func NewPipeline(params Params, _ ...BinPackerOptions) *Pipeline {
 	return &Pipeline{
-		params:     params,
-		nextID:     1,
-		groups:     make(map[groupKey]*group),
-		byID:       make(map[flexoffer.ID]member),
-		byAggID:    make(map[flexoffer.ID]*group),
-		pendingIns: make(map[flexoffer.ID]member),
-		pendingDel: make(map[flexoffer.ID]member),
+		params:  params,
+		nextID:  1,
+		groups:  make(map[uint64]*group),
+		byAggID: make(map[flexoffer.ID]*group),
+		index:   make(map[flexoffer.ID]int32),
 	}
 }
 
@@ -124,30 +143,24 @@ func NewPipeline(params Params, _ ...BinPackerOptions) *Pipeline {
 // error nothing is recorded.
 func (p *Pipeline) Accumulate(updates ...FlexOfferUpdate) error {
 	p.undo = p.undo[:0]
-	ins := len(p.ins)
+	ins, dels, nIns, nDel := len(p.ins), len(p.dels), p.nIns, p.nDel
 	for _, u := range updates {
 		if err := p.accumulate(u); err != nil {
-			p.ins = p.ins[:ins]
 			for i := len(p.undo) - 1; i >= 0; i-- {
-				r := p.undo[i]
-				if r.ins.off != nil {
-					p.pendingIns[r.id] = r.ins
+				if r := &p.undo[i]; r.created {
+					p.release(r.i)
 				} else {
-					delete(p.pendingIns, r.id)
-				}
-				if r.del.off != nil {
-					p.pendingDel[r.id] = r.del
-				} else {
-					delete(p.pendingDel, r.id)
+					p.ents[r.i] = r.prev
 				}
 			}
+			p.ins, p.dels, p.nIns, p.nDel = p.ins[:ins], p.dels[:dels], nIns, nDel
 			return err
 		}
 	}
 	return nil
 }
 
-// accumulate validates one update against the pending state, records
+// accumulate validates one update against the member table, records
 // it, and logs how to undo it.
 func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 	switch u.Kind {
@@ -156,117 +169,188 @@ func (p *Pipeline) accumulate(u FlexOfferUpdate) error {
 			return fmt.Errorf("agg: rejecting offer: %w", err)
 		}
 		id := u.Offer.ID
-		if p.pendingIns[id].off != nil {
+		i, ok := p.index[id]
+		if !ok {
+			i = p.newEntry(id)
+		}
+		e := &p.ents[i]
+		if e.ins != nil || e.off != nil && !e.del {
 			return fmt.Errorf("agg: duplicate flex-offer id %d", id)
 		}
-		var leaving member
-		if _, applied := p.byID[id]; applied {
-			var ok bool
-			if leaving, ok = p.pendingDel[id]; !ok {
-				return fmt.Errorf("agg: duplicate flex-offer id %d", id)
-			}
+		if ok {
+			p.undo = append(p.undo, entryUndo{i: i, prev: *e})
 		}
-		p.undo = append(p.undo, pendingUndo{id: id, del: leaving})
-		if leaving.off == u.Offer {
+		if e.off == u.Offer {
 			// The very offer comes back before it left: net effect zero.
-			delete(p.pendingDel, id)
-		} else {
-			p.pendingIns[id] = member{off: u.Offer}
-			p.ins = append(p.ins, id)
+			e.del = false
+			p.nDel--
+			return nil
+		}
+		e.ins, e.insSlot = u.Offer, 0
+		p.nIns++
+		if !e.listed {
+			e.listed = true
+			p.ins = append(p.ins, i)
 		}
 	case Delete:
 		if u.Offer == nil {
 			return fmt.Errorf("agg: delete of nil flex-offer")
 		}
 		id := u.Offer.ID
-		if prev := p.pendingIns[id]; prev.off != nil {
-			// Cancel the not-yet-processed insert: net effect zero.
-			p.undo = append(p.undo, pendingUndo{id: id, ins: prev, del: p.pendingDel[id]})
-			delete(p.pendingIns, id)
-			return nil
-		}
-		m, applied := p.byID[id]
-		if _, leaving := p.pendingDel[id]; !applied || leaving || m.g.leaving {
+		i, ok := p.index[id]
+		if !ok {
 			return fmt.Errorf("agg: delete of unknown flex-offer id %d", id)
 		}
-		p.undo = append(p.undo, pendingUndo{id: id})
-		p.pendingDel[id] = m
+		e := &p.ents[i]
+		if e.ins != nil {
+			// Cancel the not-yet-processed insert: net effect zero.
+			p.undo = append(p.undo, entryUndo{i: i, prev: *e})
+			e.ins, e.insSlot = nil, 0
+			p.nIns--
+			return nil
+		}
+		if e.off == nil || e.del || e.g.leaving {
+			return fmt.Errorf("agg: delete of unknown flex-offer id %d", id)
+		}
+		p.undo = append(p.undo, entryUndo{i: i, prev: *e})
+		e.del = true
+		p.nDel++
+		p.dels = append(p.dels, i)
 	default:
 		return fmt.Errorf("agg: unknown update kind %v", u.Kind)
 	}
 	return nil
 }
 
+// newEntry gives id an empty entry, a free one if there is one, and
+// logs its making.
+func (p *Pipeline) newEntry(id flexoffer.ID) int32 {
+	var i int32
+	if n := len(p.free); n > 0 {
+		i, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		i = int32(len(p.ents))
+		p.ents = append(p.ents, entry{})
+	}
+	p.ents[i].id = id
+	p.index[id] = i
+	p.undo = append(p.undo, entryUndo{i: i, created: true})
+	return i
+}
+
+// release frees entry i and forgets its ID.
+func (p *Pipeline) release(i int32) {
+	delete(p.index, p.ents[i].id)
+	p.ents[i] = entry{}
+	p.free = append(p.free, i)
+}
+
 // Process applies every accumulated update as one batch: each touched
 // group's aggregate takes its joins and leaves as a single transaction
 // (at worst one rebuild). It cannot fail: all validation happened in
-// Accumulate. Groups are handled in key order, each group's offers in
-// ID order, so new aggregates get their macro flex-offer IDs in a
-// deterministic order. A group whose every member leaves, with no
-// pending insert landing in it, is retired whole instead of replaying
-// the removals.
+// Accumulate. New aggregates get their macro flex-offer IDs in group
+// key order, and each group's offers join in ID order, so the outcome
+// does not depend on the order updates arrived in. A group whose every
+// member leaves, with no pending insert landing in it, is retired whole
+// instead of replaying the removals. The touched groups' aggregates are
+// built and changed on every core (par.For), each group on one
+// goroutine, so the floats are those of a serial run.
 func (p *Pipeline) Process() {
-	if len(p.pendingIns) == 0 && len(p.pendingDel) == 0 && len(p.leaving) == 0 {
-		p.ins = p.ins[:0] // only cancelled inserts
-		return
-	}
 	// Removals before additions: an offer deleted and re-inserted in one
 	// batch leaves its old group before joining the new one.
 	for _, grp := range p.leaving {
-		for _, m := range grp.agg.members {
-			delete(p.byID, m.ID)
+		for _, i := range grp.rows {
+			p.release(i)
 		}
 		grp.leaving = false
 		p.touch(grp).whole = true
 	}
+	p.nApplied -= p.leavingN
 	clear(p.leaving)
 	p.leaving, p.leavingN = p.leaving[:0], 0
-	for id, m := range p.pendingDel {
-		delete(p.byID, id)
-		d := p.touch(m.g)
-		d.removed = append(d.removed, m.off)
+	for _, i := range p.dels {
+		e := &p.ents[i]
+		if !e.del {
+			continue // taken back, or listed again
+		}
+		d := p.touch(e.g)
+		d.removed = append(d.removed, e.off)
+		e.off, e.g, e.slot, e.del = nil, nil, 0, false
+		p.nApplied--
+		if !e.listed {
+			p.release(i)
+		}
 	}
-	slices.Sort(p.ins)
-	for i, id := range p.ins {
-		pm := p.pendingIns[id]
-		off := pm.off
-		if off == nil || i > 0 && id == p.ins[i-1] {
-			continue // cancelled, or inserted again
+	for _, i := range p.ins {
+		e := &p.ents[i]
+		if !e.listed {
+			continue // released with its leaving group
 		}
-		k := p.params.keyOf(off)
-		grp := p.groups[k]
-		if grp == nil {
-			grp = &group{key: k}
-			p.groups[k] = grp
+		e.listed = false
+		if e.ins == nil {
+			if e.off == nil {
+				p.release(i) // a cancelled insert
+			}
+			continue
 		}
-		p.byID[id] = member{g: grp, off: off, slot: pm.slot}
+		grp := p.group(p.params.keyOf(e.ins))
+		e.off, e.g, e.slot, e.ins, e.insSlot = e.ins, grp, e.insSlot, nil, 0
+		p.nApplied++
 		d := p.touch(grp)
-		d.added = append(d.added, off)
+		d.added = append(d.added, e.off)
 	}
+	p.ins, p.dels, p.nIns, p.nDel = p.ins[:0], p.dels[:0], 0, 0
+
 	slices.SortFunc(p.deltas, func(a, b delta) int { return compareKeys(a.g.key, b.g.key) })
+	building := 0
 	for i := range p.deltas {
-		p.apply(&p.deltas[i])
-		p.deltas[i] = delta{}
+		d := &p.deltas[i]
+		d.g.slot = 0
+		if d.g.agg == nil {
+			d.id = p.nextID
+			p.nextID++
+		}
+		if len(d.added)+len(d.removed) > 0 {
+			building++
+		}
 	}
-	p.ins, p.deltas = p.ins[:0], p.deltas[:0]
-	clear(p.pendingIns)
-	clear(p.pendingDel)
+	// A batch that only retires groups whole, as the commit's does, has
+	// nothing to build and stays on this goroutine.
+	if building > 1 {
+		par.For(len(p.deltas), func(i int) { p.apply(&p.deltas[i]) })
+	} else {
+		for i := range p.deltas {
+			p.apply(&p.deltas[i])
+		}
+	}
+	for i := range p.deltas {
+		d := &p.deltas[i]
+		switch {
+		case d.id != 0:
+			p.byAggID[d.id] = d.g
+		case !d.alive:
+			p.dropGroup(d.g)
+			delete(p.byAggID, d.g.agg.Offer.ID)
+		}
+		clear(d.added)
+		clear(d.removed)
+		*d = delta{added: d.added[:0], removed: d.removed[:0]}
+	}
+	p.deltas = p.deltas[:0]
 }
 
 // apply runs one group's share of a batch on its aggregate, building
-// the aggregate of a new group and dropping the group of an emptied
-// one.
+// the aggregate of a new group, records whether the group keeps one and
+// lists the rows of its members. It changes nothing but d and its
+// group, and only reads the member table, so distinct groups apply
+// concurrently.
 func (p *Pipeline) apply(d *delta) {
-	grp := d.g
-	grp.slot = 0
-	a := grp.agg
+	grp, a := d.g, d.g.agg
+	slices.SortFunc(d.added, byOfferID)
 	alive := true
 	switch {
 	case a == nil:
-		a = buildAggregate(p.nextID, d.added)
-		p.nextID++
-		grp.agg = a
-		p.byAggID[a.Offer.ID] = grp
+		grp.agg = buildAggregate(d.id, d.added)
 	case d.whole:
 		// What removing every member one by one comes to: one Version
 		// bump, and the batch's joiners built from scratch under the
@@ -280,20 +364,69 @@ func (p *Pipeline) apply(d *delta) {
 		slices.SortFunc(d.removed, byOfferID)
 		alive = a.applyBatch(d.added, d.removed)
 	}
-	if !alive {
-		delete(p.groups, grp.key)
-		delete(p.byAggID, a.Offer.ID)
+	// Built in a local and written back once: the deltas and groups of
+	// other goroutines share cache lines with these.
+	rows := grp.rows[:0]
+	if alive {
+		rows = slices.Grow(rows, grp.agg.NumMembers())
+		for _, m := range grp.agg.members {
+			rows = append(rows, p.index[m.ID])
+		}
 	}
+	d.alive, grp.rows = alive, rows
 }
 
 // touch returns grp's delta of the running Process, opening it on first
-// use. The pointer is valid until the next touch.
+// use and reusing the room of an earlier batch's delta. The pointer is
+// valid until the next touch.
 func (p *Pipeline) touch(grp *group) *delta {
 	if grp.slot == 0 {
-		p.deltas = append(p.deltas, delta{g: grp})
-		grp.slot = len(p.deltas)
+		n := len(p.deltas)
+		if n < cap(p.deltas) {
+			p.deltas = p.deltas[:n+1]
+		} else {
+			p.deltas = append(p.deltas, delta{})
+		}
+		p.deltas[n].g = grp
+		grp.slot = n + 1
 	}
 	return &p.deltas[grp.slot-1]
+}
+
+// group returns the group of key k, making an empty one if there is
+// none: one lookup of the packed key, then the chain compared key by
+// key.
+func (p *Pipeline) group(k groupKey) *group {
+	pk := k.pack()
+	head := p.groups[pk]
+	for grp := head; grp != nil; grp = grp.next {
+		if grp.key == k {
+			return grp
+		}
+	}
+	grp := &group{key: k, next: head}
+	p.groups[pk] = grp
+	return grp
+}
+
+// dropGroup unlinks grp from its key's chain.
+func (p *Pipeline) dropGroup(grp *group) {
+	pk := grp.key.pack()
+	head := p.groups[pk]
+	if head == grp {
+		if grp.next == nil {
+			delete(p.groups, pk)
+		} else {
+			p.groups[pk] = grp.next
+		}
+		return
+	}
+	for g := head; g != nil; g = g.next {
+		if g.next == grp {
+			g.next = grp.next
+			return
+		}
+	}
 }
 
 func byOfferID(a, b *flexoffer.FlexOffer) int { return cmp.Compare(a.ID, b.ID) }
@@ -318,56 +451,62 @@ func (p *Pipeline) Apply(updates ...FlexOfferUpdate) error {
 	return nil
 }
 
+// held returns the offer entry e holds (see Offer), or nil.
+func held(e *entry) *flexoffer.FlexOffer {
+	switch {
+	case e.ins != nil:
+		return e.ins
+	case e.off != nil && !e.del && !e.g.leaving:
+		return e.off
+	}
+	return nil
+}
+
 // Offer returns the held offer with the given ID: an applied member
 // that is not leaving, or a pending insert.
 func (p *Pipeline) Offer(id flexoffer.ID) (*flexoffer.FlexOffer, bool) {
-	if m := p.pendingIns[id]; m.off != nil {
-		return m.off, true
-	}
-	if _, leaving := p.pendingDel[id]; leaving {
+	i, ok := p.index[id]
+	if !ok {
 		return nil, false
 	}
-	m, ok := p.byID[id]
-	if !ok || m.g.leaving {
-		return nil, false
-	}
-	return m.off, true
+	off := held(&p.ents[i])
+	return off, off != nil
 }
 
 // SetSlot sets the slot of the pending insert with the given ID, for
 // a caller that learns where the offer's record lives only after
 // accumulating its insert. An offer whose slot was never set holds 0.
 func (p *Pipeline) SetSlot(id flexoffer.ID, slot uint64) {
-	if m := p.pendingIns[id]; m.off != nil {
-		m.slot = slot
-		p.pendingIns[id] = m
+	if i, ok := p.index[id]; ok && p.ents[i].ins != nil {
+		p.ents[i].insSlot = slot
 	}
 }
 
 // LeaveWhole queues the departure of every member of the live aggregate
 // snap is a snapshot of, for the next Process, provided it is still at
 // snap's Version and none of its members is already leaving: the
-// members leave in one pass over the group, with no per-member delete.
-// It appends each member's slot to slots, in member order — the order
-// of snap's members and of the schedules snap.Disaggregate returns —
-// and reports whether it queued the departure; when it did not, slots
-// comes back as it was. Until Process, Offer no longer finds the
-// members, and StayWhole takes the departure back.
+// members leave in one pass over the group's rows of the member table,
+// with no lookup and no per-member delete. It appends each member's slot to slots, in member
+// order — the order of snap's members and of the schedules
+// snap.Disaggregate returns — and reports whether it queued the
+// departure; when it did not, slots comes back as it was. Until
+// Process, Offer no longer finds the members, and StayWhole takes the
+// departure back.
 func (p *Pipeline) LeaveWhole(snap *Aggregate, slots []uint64) ([]uint64, bool) {
 	grp := p.byAggID[snap.Offer.ID]
 	if grp == nil || grp.leaving || grp.agg.Version != snap.Version {
 		return slots, false
 	}
 	n := len(slots)
-	for _, off := range grp.agg.members {
-		if _, deleting := p.pendingDel[off.ID]; deleting {
+	for _, i := range grp.rows {
+		if p.ents[i].del {
 			return slots[:n], false
 		}
-		slots = append(slots, p.byID[off.ID].slot)
+		slots = append(slots, p.ents[i].slot)
 	}
 	grp.leaving = true
 	p.leaving = append(p.leaving, grp)
-	p.leavingN += grp.agg.NumMembers()
+	p.leavingN += len(grp.rows)
 	return slots, true
 }
 
@@ -379,36 +518,33 @@ func (p *Pipeline) StayWhole(snap *Aggregate) {
 		return
 	}
 	grp.leaving = false
-	p.leavingN -= grp.agg.NumMembers()
+	p.leavingN -= len(grp.rows)
 	i := slices.Index(p.leaving, grp)
 	p.leaving = slices.Delete(p.leaving, i, i+1)
 }
 
 // NumOffers returns how many offers the pipeline holds (see Offer).
 func (p *Pipeline) NumOffers() int {
-	return len(p.byID) - len(p.pendingDel) - p.leavingN + len(p.pendingIns)
+	return p.nApplied - p.nDel - p.leavingN + p.nIns
 }
 
-// EachOffer calls fn for every held offer (see Offer), in no particular
+// EachOffer calls fn for every held offer (see Offer), in member table
 // order. fn must not change the pipeline.
 func (p *Pipeline) EachOffer(fn func(*flexoffer.FlexOffer)) {
-	for _, m := range p.pendingIns {
-		fn(m.off)
-	}
-	for id, m := range p.byID {
-		if _, leaving := p.pendingDel[id]; !leaving && !m.g.leaving {
-			fn(m.off)
+	for i := range p.ents {
+		if off := held(&p.ents[i]); off != nil {
+			fn(off)
 		}
 	}
 }
 
 // Aggregates returns the current macro flex-offers ordered by ID.
 func (p *Pipeline) Aggregates() []*Aggregate {
-	out := make([]*Aggregate, 0, len(p.groups))
-	for _, grp := range p.groups {
+	out := make([]*Aggregate, 0, len(p.byAggID))
+	for _, grp := range p.byAggID {
 		out = append(out, grp.agg)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Offer.ID < out[j].Offer.ID })
+	slices.SortFunc(out, func(a, b *Aggregate) int { return cmp.Compare(a.Offer.ID, b.Offer.ID) })
 	return out
 }
 
@@ -445,7 +581,7 @@ type Metrics struct {
 // CurrentMetrics computes Metrics for the pipeline's live aggregates.
 func (p *Pipeline) CurrentMetrics() Metrics {
 	m := Metrics{}
-	for _, grp := range p.groups {
+	for _, grp := range p.byAggID {
 		m.Aggregates++
 		m.FlexOffers += grp.agg.NumMembers()
 		m.TotalTimeFlexLoss += grp.agg.TimeFlexibilityLoss()

@@ -302,9 +302,9 @@ func TestPropertyLeaveWholeEqualsDeleteBatch(t *testing.T) {
 				t.Logf("seed %d round %d: leaving whole diverged from the delete path", seed, round)
 				return false
 			}
-			for id, m := range whole.byID {
-				if m.slot != slotOf(id) {
-					t.Logf("seed %d round %d: offer %d holds slot %d", seed, round, id, m.slot)
+			for _, e := range whole.ents {
+				if e.off != nil && e.slot != slotOf(e.id) {
+					t.Logf("seed %d round %d: offer %d holds slot %d", seed, round, e.id, e.slot)
 					return false
 				}
 			}

@@ -7,6 +7,7 @@ import (
 
 	"mirabel/internal/agg"
 	"mirabel/internal/flexoffer"
+	"mirabel/internal/par"
 	"mirabel/internal/sched"
 	"mirabel/internal/store"
 )
@@ -212,9 +213,21 @@ func (n *Node) snapshotForPlanning(ctx context.Context, now flexoffer.Time, hori
 	// One batch runs the whole chain: every offer accepted since the
 	// last cycle and every expiry above hit each touched aggregate as a
 	// single transaction (at worst one rebuild per aggregate).
-	n.pipeline.Process()
-	live := n.pipeline.Aggregates()
-	snaps := make([]*agg.Aggregate, 0, len(live))
+	snaps := processAndSnapshot(n.pipeline, now, end)
+	rep.AggregationTime = time.Since(t0)
+	rep.Offers = n.pipeline.NumOffers()
+	rep.Aggregates = len(snaps)
+	return snaps, nil
+}
+
+// processAndSnapshot processes p's accumulated batch and returns a
+// snapshot of every live aggregate a cycle planning at now for
+// [now, end) can schedule, in aggregate ID order. The snapshots are
+// taken on every core.
+func processAndSnapshot(p *agg.Pipeline, now, end flexoffer.Time) []*agg.Aggregate {
+	p.Process()
+	live := p.Aggregates()
+	snaps := live[:0]
 	for _, a := range live {
 		// A tolerance-built macro can end up with an empty clamped start
 		// window (LatestStart < now) or an overflowing tail even when
@@ -227,14 +240,12 @@ func (n *Node) snapshotForPlanning(ctx context.Context, now flexoffer.Time, hori
 		if a.Offer.LatestStart < now || a.Offer.LatestEnd() > end {
 			continue
 		}
-		// An aggregate no batch changed since the last cycle hands out
-		// the same snapshot again: it costs no deep copy.
-		snaps = append(snaps, a.Snapshot())
+		snaps = append(snaps, a)
 	}
-	rep.AggregationTime = time.Since(t0)
-	rep.Offers = n.pipeline.NumOffers()
-	rep.Aggregates = len(snaps)
-	return snaps, nil
+	// An aggregate no batch changed since the last cycle hands out the
+	// same snapshot again: it costs no deep copy.
+	par.For(len(snaps), func(i int) { snaps[i] = snaps[i].Snapshot() })
+	return snaps
 }
 
 // buildProblem assembles the scheduling instance from an aggregate
@@ -279,17 +290,22 @@ func disaggregateSnapshots(snaps []*agg.Aggregate, scheds []*flexoffer.Schedule)
 	for _, a := range snaps {
 		byID[a.Offer.ID] = a
 	}
-	out := make([]plannedAggregate, 0, len(scheds))
-	for _, s := range scheds {
-		a, ok := byID[s.OfferID]
+	out := make([]plannedAggregate, len(scheds))
+	errs := make([]error, len(scheds))
+	par.For(len(scheds), func(i int) {
+		a, ok := byID[scheds[i].OfferID]
 		if !ok {
-			return nil, fmt.Errorf("core: schedule for unknown aggregate %d", s.OfferID)
+			errs[i] = fmt.Errorf("core: schedule for unknown aggregate %d", scheds[i].OfferID)
+			return
 		}
-		ms, err := a.Disaggregate(s)
+		out[i].snap = a
+		out[i].micro, errs[i] = a.Disaggregate(scheds[i])
+	})
+	// The first failure in plan order, whichever goroutine met it first.
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, plannedAggregate{snap: a, micro: ms})
 	}
 	return out, nil
 }

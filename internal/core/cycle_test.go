@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -607,6 +611,90 @@ func TestCyclePlanQuality(t *testing.T) {
 		}
 		if want := np.Evaluate(plan.Solution); rep.ScheduleCost != want {
 			t.Errorf("seed %d: the cycle reports cost %v, Evaluate of its plan %v", seed, rep.ScheduleCost, want)
+		}
+	}
+}
+
+// TestCycleIndependentOfCores: one cycle-shaped round at GOMAXPROCS 1,
+// 2 and 4 comes out the same. cycleOffers are stored as accepted
+// offers on a durable store, a node over it re-admits them and
+// aggregates them, and the cycle plans two slots after their planning
+// time, so its expiry takes members out of built aggregates before it
+// plans every aggregate. Every run must build the same aggregates (IDs,
+// Versions, members and combined offers to the bit), report the same
+// cycle — ScheduleCost to the bit, aggregates, micro schedules,
+// expiries — and write the same wal.log byte for byte.
+func TestCycleIndependentOfCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	now := flexoffer.Time(flexoffer.SlotsPerDay)
+	offers := cycleOffers(now)
+	type outcome struct {
+		built                              []string
+		cost                               uint64
+		offers, aggregates, micro, expired int
+		wal                                []byte
+	}
+	run := func(procs int) outcome {
+		runtime.GOMAXPROCS(procs)
+		dir := t.TempDir()
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := store.NewBatch()
+		for i, f := range offers {
+			b.PutOffer(store.OfferRecord{Offer: f, Owner: "p" + strconv.Itoa(i%50), State: store.OfferAccepted})
+		}
+		if err := st.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		n, err := NewNode(Config{Name: "brp1", Store: st, AggParams: agg.ParamsP3,
+			SchedOpts: sched.Options{MaxIterations: 1000, Seed: 7, TimeBudget: time.Minute}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var built []string
+		for _, a := range aggregates(n) {
+			built = append(built, fmt.Sprintf("%d v%d %d members %+v %v %v",
+				a.Offer.ID, a.Version, a.NumMembers(), *a.Offer, a.TotalMin, a.TotalMax))
+		}
+		rep, err := n.RunSchedulingCycle(context.Background(), now+2, StaticForecast(cycleBaseline()), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{built: built, cost: math.Float64bits(rep.ScheduleCost), offers: rep.Offers,
+			aggregates: rep.Aggregates, micro: rep.MicroSchedules, expired: rep.Expired}
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if out.wal, err = os.ReadFile(store.WALPath(dir)); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run(1)
+	t.Logf("%d aggregates built; %d offers, %d planned aggregates, %d micro schedules, %d expired, %d WAL bytes",
+		len(want.built), want.offers, want.aggregates, want.micro, want.expired, len(want.wal))
+	if want.aggregates < 10 || want.micro < len(offers)/2 || want.expired == 0 {
+		t.Fatalf("not the cycle's shape: %d planned aggregates, %d micro schedules, %d expired",
+			want.aggregates, want.micro, want.expired)
+	}
+	for _, procs := range []int{2, 4} {
+		got := run(procs)
+		if got.cost != want.cost || got.offers != want.offers || got.aggregates != want.aggregates ||
+			got.micro != want.micro || got.expired != want.expired {
+			t.Errorf("GOMAXPROCS %d: cost %v, %d offers, %d aggregates, %d micro schedules, %d expired; GOMAXPROCS 1: %v, %d, %d, %d, %d",
+				procs, math.Float64frombits(got.cost), got.offers, got.aggregates, got.micro, got.expired,
+				math.Float64frombits(want.cost), want.offers, want.aggregates, want.micro, want.expired)
+		}
+		if !slices.Equal(got.built, want.built) {
+			t.Errorf("GOMAXPROCS %d built other aggregates than GOMAXPROCS 1", procs)
+		}
+		if !bytes.Equal(got.wal, want.wal) {
+			t.Errorf("GOMAXPROCS %d wrote another wal.log (%d bytes) than GOMAXPROCS 1 (%d bytes)", procs, len(got.wal), len(want.wal))
 		}
 	}
 }

@@ -71,8 +71,9 @@ type Config struct {
 	// Deprecated: ignored; the search's restarts use every core. ROADMAP
 	// B(4) deletes it together with bench/node.go's assignment.
 	SchedWorkers int
-	// Deprecated: ignored; the cycle aggregates on one goroutine. ROADMAP
-	// B(4) deletes it together with bench/node.go's assignment.
+	// Deprecated: ignored; the cycle aggregates on GOMAXPROCS goroutines,
+	// with the same result at any core count. ROADMAP B(4) deletes it
+	// together with bench/node.go's assignment.
 	AggWorkers int
 
 	// Forecasting tunes the fleet-scale forecast service
