@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"time"
 
 	"mirabel/internal/agg"
@@ -181,12 +180,10 @@ func fig4b(seed int64) {
 // fig6 prints the cost-over-time traces of the evolutionary algorithm
 // and the randomized greedy search on 10/100/1000/10000 aggregated
 // flex-offers, and beside them the hybrid (HYB) and the node's planner
-// (SW). The strategies get equal wall-clock budgets, so they run on one
-// core, as in the paper: GS would otherwise run its restarts on every
-// core while EA uses one.
+// (SW). The strategies get equal wall-clock budgets, and each runs on
+// one goroutine, as in the paper.
 func fig6(maxBudget time.Duration, seed int64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fmt.Println("== Figure 6: scheduling cost vs time (EA vs GS; HYB and the node's SW beside them, 1 core) ==")
+	fmt.Println("== Figure 6: scheduling cost vs time (EA vs GS; HYB and the node's SW beside them, each on one goroutine) ==")
 	prices := workload.PriceSeries(workload.PriceConfig{Days: 2, Seed: seed})
 	m, err := market.NewDayAhead(market.Config{Prices: prices, CapacityKWh: 2000})
 	if err != nil {
@@ -243,11 +240,10 @@ func sampleTrace(trace []sched.TracePoint, k int) []sched.TracePoint {
 
 // exhaustive reproduces the §6 optimality probe at a tractable scale:
 // enumerate every start combination of a small instance and compare the
-// heuristics against the optimum, each heuristic on one core for the
-// same budget (see fig6).
+// heuristics against the optimum, each heuristic on one goroutine for
+// the same budget (see fig6).
 func exhaustive(seed int64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fmt.Println("== §6 optimality probe: exhaustive enumeration (1 core) ==")
+	fmt.Println("== §6 optimality probe: exhaustive enumeration (each strategy on one goroutine) ==")
 	p, err := sched.BuildScenario(sched.ScenarioConfig{Offers: 6, Seed: seed + 3})
 	if err != nil {
 		log.Fatal(err)

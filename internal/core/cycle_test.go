@@ -559,9 +559,10 @@ func TestCyclePhasesCoverTheCycle(t *testing.T) {
 // TestCyclePlanQuality: at the benchmark cycle's shape (cyclePlanProblem)
 // and its 1,000-pass budget, the node's planner on seeds 7, 11 and 3
 // plans at most 0.26 of the baseline cost and no dearer than GS at
-// 1,000 restarts. A node cycle over the same offers, which go through
-// negotiation and so plan their own problem, reports the cost
-// Problem.Evaluate gives the plan it delivers, to the last bit.
+// 1,000 restarts, and GS reports the cost Problem.Evaluate gives its
+// plan, to the last bit. A node cycle over the same offers, which go
+// through negotiation and so plan their own problem, reports the cost
+// Evaluate gives the plan it delivers, to the last bit too.
 func TestCyclePlanQuality(t *testing.T) {
 	p := cyclePlanProblem(t)
 	base := p.BaselineCost()
@@ -577,6 +578,9 @@ func TestCyclePlanQuality(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("seed %d: %.4f of baseline in %d passes; GS %.4f", seed, res.Cost/base, res.Iterations, gs.Cost/base)
+		if want := p.Evaluate(gs.Solution); gs.Cost != want {
+			t.Errorf("seed %d: GS reports cost %v, Evaluate of its plan %v", seed, gs.Cost, want)
+		}
 		if res.Cost > 0.26*base {
 			t.Errorf("seed %d: plan costs %.4f of baseline, want at most 0.26", seed, res.Cost/base)
 		}

@@ -68,11 +68,11 @@ type Config struct {
 
 	AggParams agg.Params    // aggregation thresholds
 	SchedOpts sched.Options // per-cycle scheduling budget
-	// Deprecated: ignored; the search's restarts use every core. ROADMAP
-	// B(4) deletes it together with bench/node.go's assignment.
+	// Deprecated: ignored; the node's search runs on one goroutine.
+	// ROADMAP B(3) deletes it together with bench/node.go's assignment.
 	SchedWorkers int
 	// Deprecated: ignored; the cycle aggregates on GOMAXPROCS goroutines,
-	// with the same result at any core count. ROADMAP B(4) deletes it
+	// with the same result at any core count. ROADMAP B(3) deletes it
 	// together with bench/node.go's assignment.
 	AggWorkers int
 

@@ -34,8 +34,8 @@ func benchSchedInstance(b *testing.B) *sched.Problem {
 // (offset, slice) pairs, a quarter of what the repository benchmark's
 // cycle workload prices, and the per-call work (the lane merges, the
 // placement's SSE2 tail) weighs more than there; BenchmarkCyclePlan in
-// internal/core times that problem. The restarts run on GOMAXPROCS
-// workers, so -cpu 1,2 shows the parallel speed-up.
+// internal/core times that problem. The restarts run on the calling
+// goroutine.
 func BenchmarkGreedySchedule(b *testing.B) {
 	p, err := sched.BuildScenario(sched.ScenarioConfig{Offers: 50, Seed: 7})
 	if err != nil {

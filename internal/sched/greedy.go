@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 
 	"mirabel/internal/flexoffer"
@@ -30,8 +28,10 @@ const (
 // fresh random orders until the time budget is exhausted, keeping the
 // best schedule found. The inner loop prices only the slots a candidate
 // start would change — the current price of every slot is cached beside
-// the net position — and each worker reuses one scratch arena across
-// its restarts, so steady-state search allocates nothing.
+// the net position — and one scratch arena is reused across restarts,
+// so steady-state search allocates nothing. Each construction is then
+// priced from scratch in Problem.Evaluate's order, so the returned Cost
+// is Evaluate of the returned Solution, bit for bit.
 type RandomizedGreedy struct {
 	// Fill selects the energy-fill rule (default FillGreedy).
 	Fill FillMode
@@ -40,8 +40,9 @@ type RandomizedGreedy struct {
 // Name implements Scheduler.
 func (g *RandomizedGreedy) Name() string { return "GS" }
 
-// Schedule implements Scheduler. The restarts run on every core (see
-// restarts); the result is the serial loop's, float for float.
+// Schedule implements Scheduler. The restarts run on the calling
+// goroutine, so the answer is a function of the seed alone unless the
+// time budget or ctx cuts the search short.
 func (g *RandomizedGreedy) Schedule(ctx context.Context, p *Problem, opt Options) (Result, error) {
 	c, err := Compile(p)
 	if err != nil {
@@ -56,172 +57,34 @@ func (g *RandomizedGreedy) Schedule(ctx context.Context, p *Problem, opt Options
 	return tr.done()
 }
 
-// restartWindow bounds, per worker, how many restarts may be started
-// past the oldest one not yet observed, so the result ring stays a
-// fixed size however unevenly the workers progress.
-const restartWindow = 4
-
-// restartLoop is the state the workers of one restarts call share.
-// Every field below mu is guarded by it.
-type restartLoop struct {
-	ctx      context.Context
-	c        *Compiled
-	rng      *rand.Rand
-	tr       *tracker
-	limit    int
-	deadline time.Time
-	keep     bool
-
-	mu       sync.Mutex
-	advanced sync.Cond // signalled when observed moves
-	order    []int     // the one order stream: shuffled in place per restart
-	next     int       // restarts started
-	observed int       // restarts fed to tr (always a prefix)
-	ring     []restartOutcome
-	seeds    []*Solution // keep mode: every construction, in restart order
-}
-
-// restartOutcome is one finished restart waiting for its turn to be
-// observed. sol is nil when the worker proved it cannot improve.
-type restartOutcome struct {
-	cost  float64
-	sol   *Solution
-	ready bool
-}
-
 // restarts runs greedy constructions in fresh random orders, each
 // order one more in-place shuffle of the previous one drawn from rng,
-// and feeds every construction's cost to tr in restart order. It stops
-// starting restarts once limit have started, the deadline has passed
-// or ctx is cancelled; every started restart is finished and observed,
-// so the observed restarts are always a prefix of the serial loop's and
-// rng has drawn exactly one shuffle per observed restart. With keep set,
-// every construction is cloned and returned in restart order (Hybrid's
-// seeds) and tr retains those same clones.
-//
-// The restarts run on min(runtime.GOMAXPROCS(0), limit) workers, each
-// with a private greedyRun; one worker runs on the calling goroutine.
-// Orders are drawn and outcomes observed under one mutex, so tr sees
-// exactly the serial sequence — ties keep the lowest restart, as the
-// serial strict < does — at any worker count. A worker clones its
-// solution only when it beats every earlier restart whose cost is known
-// once its construction is done (improves): a superset of the restarts
-// that improve in serial order, so steady-state restarts allocate
-// nothing.
+// and feeds every construction's price to tr in restart order. Before
+// each restart it stops once limit restarts have run, the deadline has
+// passed or ctx is cancelled. Only a restart that improves on tr's
+// best clones its solution. With keep set, every construction is
+// cloned and returned in restart order (Hybrid's seeds), and tr
+// retains those same clones.
 func (g *RandomizedGreedy) restarts(ctx context.Context, c *Compiled, rng *rand.Rand, tr *tracker, limit int, deadline time.Time, keep bool) []*Solution {
-	if limit <= 0 {
-		return nil
+	run := newGreedyRun(c, g.Fill)
+	order := make([]int, len(c.offers))
+	for i := range order {
+		order[i] = i
 	}
-	workers := min(runtime.GOMAXPROCS(0), limit)
-	l := &restartLoop{
-		ctx: ctx, c: c, rng: rng, tr: tr, limit: limit, deadline: deadline, keep: keep,
-		order: make([]int, len(c.offers)),
-		ring:  make([]restartOutcome, restartWindow*workers),
-	}
-	for i := range l.order {
-		l.order[i] = i
-	}
-	if keep {
-		l.seeds = make([]*Solution, 0, limit)
-	}
-	l.advanced.L = &l.mu
-
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.work(newGreedyRun(c, g.Fill))
-		}()
-	}
-	l.work(newGreedyRun(c, g.Fill))
-	wg.Wait()
-	return l.seeds
-}
-
-// work is one worker's loop: start a restart, construct it in the
-// worker's own run, hand the outcome back, repeat until the budget is
-// spent. Only a restart that improves takes mu a second time, to clone
-// its solution outside the lock.
-func (l *restartLoop) work(run *greedyRun) {
-	order := make([]int, len(l.order))
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		k, ok := l.start(order)
-		if !ok {
-			return
+	clone := func() *Solution { return cloneSolution(&run.sol) }
+	var seeds []*Solution
+	for k := 0; k < limit && ctx.Err() == nil && !time.Now().After(deadline); k++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		run.construct(order)
+		mk := clone
+		if keep {
+			sol := cloneSolution(&run.sol)
+			seeds = append(seeds, sol)
+			mk = func() *Solution { return sol }
 		}
-		l.mu.Unlock()
-		cost := run.construct(order)
-		var sol *Solution
-		if l.keep {
-			sol = cloneSolution(&run.sol)
-		}
-		l.mu.Lock()
-		if sol == nil && l.improves(k, cost) {
-			l.mu.Unlock()
-			sol = cloneSolution(&run.sol)
-			l.mu.Lock()
-		}
-		l.finish(k, cost, sol)
+		tr.observe(run.price(), mk)
 	}
-}
-
-// start claims the next restart and copies its order into order.
-// Called with mu held.
-func (l *restartLoop) start(order []int) (k int, ok bool) {
-	for l.next-l.observed >= len(l.ring) {
-		l.advanced.Wait()
-	}
-	if l.next >= l.limit || l.ctx.Err() != nil || time.Now().After(l.deadline) {
-		return 0, false
-	}
-	l.rng.Shuffle(len(l.order), func(i, j int) { l.order[i], l.order[j] = l.order[j], l.order[i] })
-	copy(order, l.order)
-	k = l.next
-	l.next++
-	return k, true
-}
-
-// improves reports whether cost, restart k's, beats the best observed
-// cost and every finished outcome below k still waiting in the ring.
-// Those are all earlier restarts, so false proves restart k does not
-// improve in serial order. Called with mu held.
-func (l *restartLoop) improves(k int, cost float64) bool {
-	if cost >= l.tr.cost {
-		return false
-	}
-	for j := l.observed; j < k; j++ {
-		if r := &l.ring[j%len(l.ring)]; r.ready && cost >= r.cost {
-			return false
-		}
-	}
-	return true
-}
-
-// finish records restart k's outcome and observes every outcome that
-// is now next in restart order. Called with mu held.
-func (l *restartLoop) finish(k int, cost float64, sol *Solution) {
-	l.ring[k%len(l.ring)] = restartOutcome{cost: cost, sol: sol, ready: true}
-	moved := false
-	for {
-		r := &l.ring[l.observed%len(l.ring)]
-		if !r.ready {
-			break
-		}
-		sol := r.sol
-		l.tr.observe(r.cost, func() *Solution { return sol })
-		if l.keep {
-			l.seeds = append(l.seeds, r.sol)
-		}
-		*r = restartOutcome{}
-		l.observed++
-		moved = true
-	}
-	if moved {
-		l.advanced.Broadcast()
-	}
+	return seeds
 }
 
 // greedyRun is the reusable scratch arena of one greedy search: the
@@ -264,9 +127,11 @@ func newGreedyRun(c *Compiled, fill FillMode) *greedyRun {
 }
 
 // construct builds one schedule into r.sol: offers in the given order,
-// each placed at its locally best start by place. The returned cost
-// refers to scratch state that the next construct overwrites — callers
-// must clone before retaining the solution.
+// each placed at its locally best start by place. r.sol is scratch state
+// that the next construct overwrites — callers must clone before
+// retaining it. The returned cost is the position's running total in
+// placement order, which may differ from Evaluate's in the last bits;
+// the searches price a schedule with price instead.
 func (r *greedyRun) construct(order []int) float64 {
 	r.pos.reset(r.c)
 	var offerCosts float64

@@ -27,8 +27,7 @@ type Result struct {
 type Options struct {
 	// TimeBudget stops the search after this wall-clock duration
 	// (default 1s). A search checks it between iterations, so it
-	// overruns by at most one iteration; the greedy restarts run on
-	// several workers, each of which may finish one restart past it.
+	// overruns by at most one iteration.
 	TimeBudget time.Duration
 	// MaxIterations additionally bounds the iteration count (0 = none).
 	// One iteration is, per strategy:

@@ -15,7 +15,7 @@ import (
 // without a market, on each placeOffer path the host can take, Sweep's
 // Cost is Problem.Evaluate of its Solution bit for bit, the solution
 // is valid, and it is no dearer than its own first construction (the
-// first GS restart of the same seed).
+// first GS restart of the same seed), whose Cost is Evaluate's too.
 func TestSweepCostIsEvaluate(t *testing.T) {
 	scanPaths(func(path string) {
 		rng := rand.New(rand.NewSource(56))
@@ -38,15 +38,19 @@ func TestSweepCostIsEvaluate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Cost > p.Evaluate(gs.Solution) {
-				t.Errorf("%s trial %d (market=%v): cost %v above its first construction's %v", path, trial, withMarket, res.Cost, p.Evaluate(gs.Solution))
+			if want := p.Evaluate(gs.Solution); math.Float64bits(gs.Cost) != math.Float64bits(want) {
+				t.Fatalf("%s trial %d (market=%v): GS cost %v, Evaluate %v", path, trial, withMarket, gs.Cost, want)
+			}
+			if res.Cost > gs.Cost {
+				t.Errorf("%s trial %d (market=%v): cost %v above its first construction's %v", path, trial, withMarket, res.Cost, gs.Cost)
 			}
 		}
 	})
 }
 
-// TestSweepIndependentOfCores: Sweep runs on the calling goroutine, so
-// its answer is the same floats at any GOMAXPROCS.
+// TestSweepIndependentOfCores: every search runs on the calling
+// goroutine, so Sweep, GS (both fills) and HYB return the same floats
+// at any GOMAXPROCS.
 func TestSweepIndependentOfCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, withMarket := range []bool{false, true} {
@@ -54,20 +58,31 @@ func TestSweepIndependentOfCores(t *testing.T) {
 		if !withMarket {
 			p.Market = nil
 		}
-		for _, iters := range []int{0, 1, 7, 1000} {
-			opt := Options{MaxIterations: iters, Seed: 41, TraceEvery: 1, TimeBudget: time.Hour}
-			runtime.GOMAXPROCS(1)
-			want, err := (&Sweep{}).Schedule(context.Background(), p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, procs := range []int{2, 4} {
-				runtime.GOMAXPROCS(procs)
-				got, err := (&Sweep{}).Schedule(context.Background(), p, opt)
+		for _, tc := range []struct {
+			name  string
+			s     Scheduler
+			iters []int
+		}{
+			{"SW", &Sweep{}, []int{0, 1, 7, 1000}},
+			{"GS fill=greedy", &RandomizedGreedy{Fill: FillGreedy}, []int{1, 7, 200, 1001}},
+			{"GS fill=midpoint", &RandomizedGreedy{Fill: FillMidpoint}, []int{1, 7, 200, 1001}},
+			{"HYB", &Hybrid{}, []int{1, 7, 200, 1001}},
+		} {
+			for _, iters := range tc.iters {
+				opt := Options{MaxIterations: iters, Seed: 41, TraceEvery: 1, TimeBudget: time.Hour}
+				runtime.GOMAXPROCS(1)
+				want, err := tc.s.Schedule(context.Background(), p, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
-				requireSameResult(t, fmt.Sprintf("SW market=%v iters=%d procs=%d", withMarket, iters, procs), got, want)
+				for _, procs := range []int{2, 4} {
+					runtime.GOMAXPROCS(procs)
+					got, err := tc.s.Schedule(context.Background(), p, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameResult(t, fmt.Sprintf("%s market=%v iters=%d procs=%d", tc.name, withMarket, iters, procs), got, want)
+				}
 			}
 		}
 	}
